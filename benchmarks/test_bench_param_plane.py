@@ -40,13 +40,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.detection.mmd import mmd, mmd_many_to_many, mmd_to_many
+from repro.detection.mmd import mmd, mmd_to_many
 from repro.federation.accounting import CommunicationLedger
 from repro.privacy.secure_aggregation import SecureAggregationSession
 from repro.utils.params import (
     ParamBank,
     ParamSpec,
-    ShardedParamBank,
     add_scaled,
     cosine_similarity_matrix,
     flatten_params,
@@ -54,7 +53,6 @@ from repro.utils.params import (
     zeros_like_params,
 )
 from repro.utils.rng import spawn_rng
-from repro.utils.sharding import ShardPlan, sharded_mmd_to_many
 
 ROOT_ARTIFACT = Path(__file__).parent.parent / "BENCH_param_plane.json"
 
@@ -73,12 +71,6 @@ GAMMA = 0.05
 
 SECURE_COHORT = 8  # parties per secure-aggregation session (7 pairs each)
 
-# Sharded-bench sizes: the `small` profile's pool shapes.  Matching scores
-# clusters subsampled to the latent-memory capacity (64 rows) against every
-# expert memory; a shift window produces several such clusters at once.
-N_SHARDS = 4
-MATCH_ROWS = 64      # = ShiftExConfig.memory_capacity, the live row count
-N_CLUSTERS = 8       # covariate clusters in one shift window
 CPU_COUNT = os.cpu_count() or 1
 
 
@@ -291,23 +283,6 @@ def _bench_secure_masking(rng: np.random.Generator) -> dict:
     }
 
 
-def _process_speedup(unsharded_s: float, process_s: float) -> dict:
-    """The process-backend multiple — or an honest skip on one core.
-
-    On ``cpu_count == 1`` boxes the process fan-out cannot win by
-    construction (there is nothing to fan out *to*); publishing the
-    measured 0.1–0.4x there reads as a regression, so the JSON records
-    ``null`` with the reason while the raw timings stay above.
-    """
-    if CPU_COUNT > 1:
-        return {"process_speedup": unsharded_s / process_s}
-    return {
-        "process_speedup": None,
-        "skipped_reason": ("cpu_count == 1: no cores to fan out to; raw "
-                           "timings recorded, multiple not meaningful"),
-    }
-
-
 def _cast_param_sets(param_sets, dtype):
     return [[p.astype(dtype) for p in ps] for ps in param_sets]
 
@@ -420,111 +395,6 @@ def _bench_secure_masking_precision(rng: np.random.Generator) -> dict:
         exact_cancellation=True)
 
 
-def _bench_aggregation_sharded(rng: np.random.Generator) -> dict:
-    """Unsharded matvec vs per-shard partials (serial and process backends).
-
-    The process backend can only win with real cores to fan out to; the
-    entry records ``cpu_count`` so a 1-core CI box's numbers read correctly.
-    """
-    param_sets = _make_param_sets(rng, N_UPDATES)
-    weights = [float(rng.integers(1, 50)) for _ in range(N_UPDATES)]
-    rows = list(range(N_UPDATES))
-    plain = ParamBank.from_param_sets(param_sets)
-    serial = ShardedParamBank.from_param_sets(
-        param_sets, plan=ShardPlan(shards=N_SHARDS, backend="serial"))
-    process = ShardedParamBank.from_param_sets(
-        param_sets, plan=ShardPlan(shards=N_SHARDS, backend="process"))
-
-    expected = plain.weighted_combine(weights, rows)
-    for bank in (serial, process):
-        np.testing.assert_allclose(bank.weighted_combine(weights, rows),
-                                   expected, rtol=1e-10, atol=1e-12)
-
-    unsharded_s = _best_of(lambda: plain.weighted_combine(weights, rows))
-    serial_s = _best_of(lambda: serial.weighted_combine(weights, rows))
-    process_s = _best_of(lambda: process.weighted_combine(weights, rows))
-    serial.close()
-    process.close()
-    entry = {
-        "kernel": "fedavg matvec: unsharded vs per-shard partials",
-        "n_updates": N_UPDATES,
-        "dim": plain.dim,
-        "shards": N_SHARDS,
-        "cpu_count": CPU_COUNT,
-        "unsharded_s": unsharded_s,
-        "serial_shards_s": serial_s,
-        "process_shards_s": process_s,
-    }
-    entry.update(_process_speedup(unsharded_s, process_s))
-    return entry
-
-
-def _bench_matching_sharded(rng: np.random.Generator) -> dict:
-    """Per-expert score fan-out: one call vs sharded chunks of the pool."""
-    cluster = rng.normal(size=(MATCH_ROWS, EMBED_DIM))
-    signatures = [rng.normal(size=(SIG_ROWS, EMBED_DIM)) + i
-                  for i in range(N_EXPERTS)]
-    serial_plan = ShardPlan(shards=N_SHARDS, backend="serial")
-    process_plan = ShardPlan(shards=N_SHARDS, backend="process")
-
-    expected = mmd_to_many(cluster, signatures, GAMMA)
-    np.testing.assert_allclose(
-        sharded_mmd_to_many(cluster, signatures, GAMMA, serial_plan),
-        expected, rtol=1e-9, atol=1e-12)
-
-    unsharded_s = _best_of(lambda: mmd_to_many(cluster, signatures, GAMMA))
-    serial_s = _best_of(
-        lambda: sharded_mmd_to_many(cluster, signatures, GAMMA, serial_plan))
-    process_s = _best_of(
-        lambda: sharded_mmd_to_many(cluster, signatures, GAMMA, process_plan))
-    entry = {
-        "kernel": "cluster-to-expert MMD: one call vs sharded expert chunks",
-        "n_experts": N_EXPERTS,
-        "cluster_rows": MATCH_ROWS,
-        "shards": N_SHARDS,
-        "cpu_count": CPU_COUNT,
-        "unsharded_s": unsharded_s,
-        "serial_shards_s": serial_s,
-        "process_shards_s": process_s,
-    }
-    entry.update(_process_speedup(unsharded_s, process_s))
-    return entry
-
-
-def _bench_matching_multicluster(rng: np.random.Generator) -> dict:
-    """One Gram evaluation per window vs one per cluster.
-
-    The per-cluster loop recomputes every expert memory's self-kernel mean
-    once per cluster; ``mmd_many_to_many`` computes it once per window and
-    batches all cross blocks into one stacked evaluation.  This is a pure
-    algorithmic win — it holds on any core count.
-    """
-    clusters = [rng.normal(size=(MATCH_ROWS, EMBED_DIM)) + 0.5 * i
-                for i in range(N_CLUSTERS)]
-    signatures = [rng.normal(size=(SIG_ROWS, EMBED_DIM)) + i
-                  for i in range(N_EXPERTS)]
-
-    def per_cluster():
-        return np.stack([mmd_to_many(c, signatures, GAMMA) for c in clusters])
-
-    batched = mmd_many_to_many(clusters, signatures, GAMMA)
-    np.testing.assert_allclose(batched, per_cluster(), rtol=1e-9, atol=1e-12)
-
-    per_cluster_s = _best_of(per_cluster)
-    batched_s = _best_of(lambda: mmd_many_to_many(clusters, signatures, GAMMA))
-    return {
-        "kernel": "window matching: per-cluster Gram loop vs one batched Gram",
-        "n_clusters": N_CLUSTERS,
-        "n_experts": N_EXPERTS,
-        "cluster_rows": MATCH_ROWS,
-        "signature_rows": SIG_ROWS,
-        "embed_dim": EMBED_DIM,
-        "baseline_s": per_cluster_s,
-        "vectorized_s": batched_s,
-        "speedup": per_cluster_s / batched_s,
-    }
-
-
 @pytest.fixture(scope="module")
 def bench_results() -> dict:
     rng = spawn_rng(0, "bench-param-plane")
@@ -533,9 +403,6 @@ def bench_results() -> dict:
         "consolidation": _bench_consolidation(rng),
         "matching": _bench_matching(rng),
         "secure_masking": _bench_secure_masking(rng),
-        "aggregation_sharded": _bench_aggregation_sharded(rng),
-        "matching_sharded": _bench_matching_sharded(rng),
-        "matching_multicluster": _bench_matching_multicluster(rng),
         "aggregation_precision": _bench_aggregation_precision(rng),
         "consolidation_precision": _bench_consolidation_precision(rng),
         "matching_precision": _bench_matching_precision(rng),
@@ -548,10 +415,9 @@ def test_bench_param_plane(bench_results, results_dir):
     payload["dtype"] = "float64"
     payload["cpu_count"] = CPU_COUNT
     payload["note"] = ("best-of-9 wall times; baselines reimplement the "
-                       "pre-ParamBank list-based code paths; *_sharded "
-                       "entries time the ShardPlan fan-out against the "
-                       "unsharded kernels; *_precision entries time the "
-                       "same vectorized kernel at float32 vs float64")
+                       "pre-ParamBank list-based code paths; *_precision "
+                       "entries time the same vectorized kernel at float32 "
+                       "vs float64")
     text = json.dumps(payload, indent=2) + "\n"
     ROOT_ARTIFACT.write_text(text)
 
@@ -567,18 +433,6 @@ def test_bench_param_plane(bench_results, results_dir):
             f"{name}: vectorized path slower than legacy "
             f"({entry['speedup']:.2f}x)"
         )
-
-
-def test_bench_multicluster_batching_wins(bench_results):
-    """One Gram per window must clearly beat one Gram per cluster.
-
-    The analytic expectation at these sizes is ~1.7x (the per-cluster loop
-    recomputes every memory self-kernel N_CLUSTERS times); 1.2x leaves CI
-    noise headroom while still catching a regression to per-cluster work.
-    """
-    entry = bench_results["matching_multicluster"]
-    assert entry["speedup"] > 1.2, (
-        f"batched window matching not faster ({entry['speedup']:.2f}x)")
 
 
 def test_bench_precision_speedups(bench_results):
@@ -603,30 +457,6 @@ def test_bench_precision_speedups(bench_results):
         # against a regression (with timing-jitter headroom), not a win.
         assert entry["speedup"] > 0.9, (
             f"{name}: float32 regressed vs float64 ({entry['speedup']:.2f}x)")
-
-
-def test_bench_sharded_timings_recorded(bench_results):
-    """The sharded entries land real, positive timings in the JSON.
-
-    No wall-clock *win* is asserted for the process backend: at these
-    kernel sizes (sub-millisecond matvecs) the per-task IPC round trip
-    dominates on any core count — which is exactly why ``backend="auto"``
-    only fans out above ``PROCESS_MIN_BYTES`` of per-op work.  The JSON
-    records the honest multiple either way so the trajectory (and any
-    future crossover on bigger pools) stays visible.
-    """
-    for name in ("aggregation_sharded", "matching_sharded"):
-        entry = bench_results[name]
-        for key in ("unsharded_s", "serial_shards_s", "process_shards_s"):
-            assert entry[key] > 0, f"{name}.{key} not measured"
-        assert entry["cpu_count"] == CPU_COUNT
-        if CPU_COUNT == 1:
-            # One core: the multiple is meaningless, so the JSON must say
-            # why instead of publishing a 0.1-0.4x "regression".
-            assert entry["process_speedup"] is None
-            assert "skipped_reason" in entry
-        else:
-            assert entry["process_speedup"] > 0
 
 
 def test_zero_copy_aggregation_path(rng_bench=None):

@@ -4,9 +4,9 @@
 
 Each benchmark PR leaves a ``BENCH_<name>.json`` artifact at the repo
 root.  Their entry shapes differ — the param-plane file holds flat
-kernel entries with a ``speedup`` (or ``process_speedup``, possibly
-``null`` with a ``skipped_reason`` on 1-core boxes), the party-pool file
-holds a ``throughput_1m``/``memory_flatness`` pair — so this module
+kernel entries with a ``speedup`` (``null`` with a ``skipped_reason``
+when a box cannot measure it), the party-pool file holds a
+``throughput_1m``/``memory_flatness`` pair — so this module
 normalizes all of them into ``(artifact, entry, metric, value, note)``
 rows and prints a single aligned table: the performance trajectory of
 the repo at a glance.  CI prints it on every run; adding a new
@@ -22,10 +22,10 @@ import sys
 from pathlib import Path
 
 # Preferred headline metric per entry, first match wins.
-_METRIC_KEYS = ("speedup", "process_speedup", "reports_per_s", "peak_ratio")
+_METRIC_KEYS = ("speedup", "reports_per_s", "peak_ratio")
 # Context keys worth carrying into the note column when present.
-_NOTE_KEYS = ("kernel", "scenario", "shards", "cohort", "population",
-              "cpu_count", "ratio_limit", "exact_cancellation")
+_NOTE_KEYS = ("kernel", "scenario", "cohort", "population",
+              "ratio_limit", "exact_cancellation")
 
 
 def _rows_for_entry(artifact: str, name: str, entry: dict) -> list[tuple]:

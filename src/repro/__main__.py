@@ -222,9 +222,7 @@ def cmd_compare(args) -> int:
         plan = ExperimentPlan.build(args.dataset, methods, seeds=seeds,
                                     profile=args.profile, dtype=args.dtype,
                                     precision=args.precision,
-                                    federation=federation, shards=args.shards,
-                                    shard_backend=args.shard_backend,
-                                    shard_hosts=args.shard_hosts,
+                                    federation=federation,
                                     secure_aggregation=(True if args.secure_agg
                                                         else None),
                                     privacy=args.privacy,
@@ -363,22 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(a bare dtype sets params only); thresholds "
                                 "come from the committed table for the "
                                 "parameter precision")
-    p_compare.add_argument("--shards", type=int, default=None, metavar="N",
-                           help="split parameter banks across N shared-"
-                                "memory shards so aggregation and expert "
-                                "scoring fan out over processes (default 1: "
-                                "in-process, bitwise-identical results)")
-    p_compare.add_argument("--shard-backend", default=None,
-                           choices=("auto", "process", "serial", "remote"),
-                           help="who executes per-shard work (default: the "
-                                "profile's 'auto'); 'remote' sends batched "
-                                "shard ops to shard-service daemons and "
-                                "requires --shard-hosts")
-    p_compare.add_argument("--shard-hosts", default=None, metavar="HOSTS|FILE",
-                           help="shard-service daemons for the remote "
-                                "backend: comma-separated host:port "
-                                "addresses, or a TOML/JSON topology file "
-                                "(implies --shard-backend remote)")
     p_compare.add_argument("--secure-agg", action="store_true",
                            help="mask every round under pairwise secure "
                                 "aggregation: party updates stay sealed in "

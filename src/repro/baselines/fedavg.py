@@ -48,7 +48,7 @@ class FedAvgStrategy(ContinualStrategy):
             ctx.parties, participants, self.global_params, config,
             round_tag=(window, round_index),
             engine=ctx.federation, stream="global",
-            shards=ctx.shard_plan, secure=ctx.masking_spec,
+            secure=ctx.masking_spec,
         )
         self._global = new_params
         num_params = sum(p.size for p in new_params)

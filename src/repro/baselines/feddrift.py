@@ -153,7 +153,7 @@ class FedDriftStrategy(ContinualStrategy):
                 ctx.parties, participants, self._models[mid],
                 ctx.round_config, round_tag=(window, round_index, mid),
                 engine=ctx.federation, stream=("model", mid),
-                shards=ctx.shard_plan, secure=ctx.masking_spec,
+                secure=ctx.masking_spec,
             )
             self._models[mid] = new_params
             num_params = sum(p.size for p in new_params)

@@ -129,7 +129,7 @@ class FieldingStrategy(ContinualStrategy):
                 ctx.parties, participants, self._cluster_models[cluster_id],
                 ctx.round_config, round_tag=(window, round_index, cluster_id),
                 engine=ctx.federation, stream=("cluster", cluster_id),
-                shards=ctx.shard_plan, secure=ctx.masking_spec,
+                secure=ctx.masking_spec,
             )
             self._cluster_models[cluster_id] = new_params
             num_params = sum(p.size for p in new_params)

@@ -107,7 +107,7 @@ class OortStrategy(ContinualStrategy):
             ctx.parties, participants, self.global_params, config,
             round_tag=(window, round_index),
             engine=ctx.federation, stream="global",
-            shards=ctx.shard_plan, secure=ctx.masking_spec,
+            secure=ctx.masking_spec,
         )
         self._global = new_params
         # Utilities update from training-time losses (what the device itself

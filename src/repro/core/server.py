@@ -31,7 +31,7 @@ from repro.clustering.selection import select_num_clusters
 from repro.detection.calibration import CalibratedThresholds, ThresholdCalibrator
 from repro.experiments.registry import register_strategy
 from repro.experts.consolidation import consolidate_experts
-from repro.experts.matching import WindowMatchScorer, match_cluster_to_expert
+from repro.experts.matching import match_cluster_to_expert
 from repro.experts.registry import ExpertRegistry
 from repro.federation.rounds import run_fl_round
 from repro.federation.strategy import ContinualStrategy, StrategyContext
@@ -91,12 +91,10 @@ class ShiftExStrategy(ContinualStrategy):
             self.config.epsilon_scale
             if self.config.epsilon_scale is not None
             else ctx.threshold("shiftex.epsilon_scale", 1.25))
-        # Bind the run's sharding before the first expert creates the pool
-        # bank; with the default single-shard plan this is a no-op.  The
-        # score seal (sealed_scoring) rides along so every cosine/MMD call
-        # the registry, matcher, and consolidator make operates on sealed
-        # rows — bitwise-identical results, no plaintext stacks.
-        self.registry.shard_plan = ctx.shard_plan
+        # Bind the score seal (sealed_scoring) before the first expert is
+        # created so every cosine/MMD call the registry, matcher, and
+        # consolidator make operates on sealed rows — bitwise-identical
+        # results, no plaintext stacks.
         self.registry.score_seal = ctx.score_seal
         theta0 = ctx.model_factory().get_params()
         expert0 = self.registry.create(theta0, window=0, notes={"role": "bootstrap"})
@@ -187,18 +185,12 @@ class ShiftExStrategy(ContinualStrategy):
                     for cluster_index in range(clustering.num_clusters)
                 ]
                 groups = self._merge_same_regime_clusters(groups, reports)
-            large = [g for g in groups
-                     if g and len(g) >= self.config.min_cluster_size]
-            scorer = self._build_window_scorer(window, large, reports)
-            large_seen = 0
             for members in groups:
                 if not members:
                     continue
                 if len(members) >= self.config.min_cluster_size:
                     self._handle_large_cluster(window, members, reports,
-                                               window_log, scorer=scorer,
-                                               scorer_index=large_seen)
-                    large_seen += 1
+                                               window_log)
                 else:
                     self._handle_small_cluster(window, members, window_log)
 
@@ -209,7 +201,6 @@ class ShiftExStrategy(ContinualStrategy):
                     ctx.rng("consolidate", window), self.assignments,
                     memory_epsilon=self._epsilon,
                     gamma=self.thresholds.gamma if self.thresholds else None,
-                    shards=ctx.shard_plan,
                 )
             window_log["merges"] = len(events)
             for event in events:
@@ -260,40 +251,9 @@ class ShiftExStrategy(ContinualStrategy):
             merged.setdefault(find(i), []).extend(group)
         return [sorted(g) for g in merged.values()]
 
-    def _build_window_scorer(self, window: int, large_groups: list[list[int]],
-                             reports: dict[int, PartyShiftReport],
-                             ) -> WindowMatchScorer | None:
-        """One-Gram-per-window batch matcher, gated behind an active plan.
-
-        The default (single-shard) path keeps the historical per-cluster
-        scoring byte for byte; with ``shards >= 2`` all of a window's large
-        clusters are scored against the expert pool in one stacked kernel
-        evaluation (sharded over experts), and per-cluster matching only
-        rescores experts whose memory changed earlier in the same window.
-        """
-        ctx = self.context
-        if (not ctx.shard_plan.is_active or not self.config.enable_latent_memory
-                or len(large_groups) < 2):
-            return None
-        gamma = self.thresholds.gamma if self.thresholds is not None else None
-        with ctx.profiler.phase("expert_assignment"):
-            return WindowMatchScorer(
-                self.registry,
-                [np.vstack([reports[pid].embeddings for pid in g])
-                 for g in large_groups],
-                [np.concatenate([reports[pid].labels for pid in g])
-                 for g in large_groups],
-                gamma=gamma,
-                max_rows=self.config.memory_capacity,
-                rngs=[ctx.rng("match", window, g[0]) for g in large_groups],
-                shards=ctx.shard_plan,
-            )
-
     def _handle_large_cluster(self, window: int, members: list[int],
                               reports: dict[int, PartyShiftReport],
-                              window_log: dict,
-                              scorer: WindowMatchScorer | None = None,
-                              scorer_index: int = 0) -> None:
+                              window_log: dict) -> None:
         """Match the cluster to an expert or create a new one (Alg. 2 l.13-26)."""
         ctx = self.context
         pooled = np.vstack([reports[pid].embeddings for pid in members])
@@ -303,16 +263,12 @@ class ShiftExStrategy(ContinualStrategy):
         matched_id: int | None = None
         if self.config.enable_latent_memory:
             with ctx.profiler.phase("expert_assignment"):
-                if scorer is not None:
-                    match = scorer.match(scorer_index, self._epsilon)
-                else:
-                    match = match_cluster_to_expert(
-                        pooled, self.registry, self._epsilon, gamma,
-                        max_rows=self.config.memory_capacity,
-                        rng=ctx.rng("match", window, members[0]),
-                        cluster_labels=pooled_labels,
-                        shards=ctx.shard_plan,
-                    )
+                match = match_cluster_to_expert(
+                    pooled, self.registry, self._epsilon, gamma,
+                    max_rows=self.config.memory_capacity,
+                    rng=ctx.rng("match", window, members[0]),
+                    cluster_labels=pooled_labels,
+                )
             if match.matched:
                 matched_id = match.expert_id
         if matched_id is not None:
@@ -426,7 +382,7 @@ class ShiftExStrategy(ContinualStrategy):
                 ctx.parties, participants, expert.params, ctx.round_config,
                 round_tag=(window, round_index, eid),
                 engine=ctx.federation, stream=("expert", eid),
-                shards=ctx.shard_plan, secure=ctx.masking_spec,
+                secure=ctx.masking_spec,
             )
             expert.set_params(new_params)
             expert.train_rounds += 1
@@ -449,7 +405,7 @@ class ShiftExStrategy(ContinualStrategy):
             ctx.parties, participants, expert0.params, ctx.round_config,
             round_tag=(window, round_index),
             engine=ctx.federation, stream=("expert", expert0.expert_id),
-            shards=ctx.shard_plan, secure=ctx.masking_spec,
+            secure=ctx.masking_spec,
         )
         expert0.set_params(new_params)
         expert0.train_rounds += 1

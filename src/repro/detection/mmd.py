@@ -154,108 +154,6 @@ def mmd_to_many(x: np.ndarray, ys: list[np.ndarray],
     return out
 
 
-def mmd_many_to_many(xs: list[np.ndarray], ys: list[np.ndarray],
-                     gamma: float | None = None) -> np.ndarray:
-    """Biased MMD of every ``x`` in ``xs`` against every ``y`` in ``ys``.
-
-    The multi-cluster generalization of :func:`mmd_to_many`: each target
-    set's self-kernel mean is computed **once** for all clusters (the term a
-    per-cluster loop recomputes ``len(xs)`` times) and every cross block
-    comes from a single stacked Gram evaluation — one kernel matrix per
-    window instead of one per cluster.  Returns a ``(len(xs), len(ys))``
-    matrix matching ``[[mmd(x, y, gamma) for y in ys] for x in xs]`` to
-    floating-point noise.
-
-    With ``gamma=None`` each pair needs its own median-heuristic bandwidth,
-    so the per-cluster estimator runs instead.
-    """
-    xs = [check_2d(x, "x") for x in xs]
-    ys = [check_2d(y, "y") for y in ys]
-    if not xs or not ys:
-        return np.zeros((len(xs), len(ys)))
-    if gamma is None:
-        return np.stack([mmd_to_many(x, ys, None) for x in xs])
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    kxx_means = np.array([
-        np.exp(-gamma * _pairwise_sq_dists(x, x)).mean() for x in xs])
-    kyy_means = np.array([
-        np.exp(-gamma * _pairwise_sq_dists(y, y)).mean() for y in ys])
-    cross = np.exp(-gamma * _pairwise_sq_dists(np.vstack(xs), np.vstack(ys)))
-    out = np.empty((len(xs), len(ys)))
-    row = 0
-    for i, x in enumerate(xs):
-        col = 0
-        for j, y in enumerate(ys):
-            kxy_mean = cross[row:row + x.shape[0],
-                             col:col + y.shape[0]].mean()
-            out[i, j] = np.sqrt(max(
-                kxx_means[i] + kyy_means[j] - 2.0 * kxy_mean, 0.0))
-            col += y.shape[0]
-        row += x.shape[0]
-    return out
-
-
-def class_conditional_mmd_many_to_many(xs: list[np.ndarray],
-                                       xs_labels: list[np.ndarray],
-                                       ys: list[np.ndarray],
-                                       ys_labels: list[np.ndarray],
-                                       gamma: float | None = None,
-                                       min_per_class: int = 2) -> np.ndarray:
-    """Batched :func:`class_conditional_mmd` for many clusters x many sets.
-
-    Stratifies once per class across *all* clusters and memories and scores
-    each class stratum with one :func:`mmd_many_to_many` Gram evaluation.
-    Pairs with no sufficiently populated shared class fall back to
-    unconditional MMD, exactly like the per-pair estimator.  Returns a
-    ``(len(xs), len(ys))`` matrix.
-    """
-    xs = [check_2d(x, "x") for x in xs]
-    ys = [check_2d(y, "y") for y in ys]
-    xs_labels = [np.asarray(xl) for xl in xs_labels]
-    ys_labels = [np.asarray(yl) for yl in ys_labels]
-    if len(xs) != len(xs_labels) or len(ys) != len(ys_labels):
-        raise ValueError("embeddings and labels lists must align")
-    for arr, labels in list(zip(xs, xs_labels)) + list(zip(ys, ys_labels)):
-        if labels.shape != (arr.shape[0],):
-            raise ValueError("labels must align with embedding rows")
-    if not xs or not ys:
-        return np.zeros((len(xs), len(ys)))
-    if gamma is None:
-        return np.stack([
-            class_conditional_mmd_to_many(x, xl, ys, ys_labels, None,
-                                          min_per_class)
-            for x, xl in zip(xs, xs_labels)
-        ])
-    totals = np.zeros((len(xs), len(ys)))
-    weights = np.zeros((len(xs), len(ys)), dtype=int)
-    classes = np.unique(np.concatenate(xs_labels)) if xs_labels else []
-    for c in classes:
-        x_members = [(i, xs[i][xs_labels[i] == c]) for i in range(len(xs))]
-        x_members = [(i, a) for i, a in x_members
-                     if a.shape[0] >= min_per_class]
-        if not x_members:
-            continue
-        y_members = [(j, ys[j][ys_labels[j] == c]) for j in range(len(ys))]
-        y_members = [(j, b) for j, b in y_members
-                     if b.shape[0] >= min_per_class]
-        if not y_members:
-            continue
-        vals = mmd_many_to_many([a for _i, a in x_members],
-                                [b for _j, b in y_members], gamma)
-        for xi, (i, a) in enumerate(x_members):
-            for yj, (j, b) in enumerate(y_members):
-                n = min(a.shape[0], b.shape[0])
-                totals[i, j] += vals[xi, yj] * n
-                weights[i, j] += n
-    out = np.empty((len(xs), len(ys)))
-    conditioned = weights > 0
-    out[conditioned] = totals[conditioned] / weights[conditioned]
-    for i, j in zip(*np.nonzero(~conditioned)):
-        out[i, j] = mmd(xs[i], ys[j], gamma)
-    return out
-
-
 def class_conditional_mmd_to_many(x: np.ndarray, x_labels: np.ndarray,
                                   ys: list[np.ndarray],
                                   ys_labels: list[np.ndarray],

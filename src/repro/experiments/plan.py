@@ -28,10 +28,19 @@ from repro.experiments.results import ComparisonResult
 from repro.federation.async_engine import FederationConfig
 from repro.federation.pool import PopulationConfig
 from repro.federation.rounds import RoundConfig
-from repro.harness.profiles import RunSettings, get_profile
+from repro.harness.profiles import (
+    SHARDING_RETIRED,
+    RunSettings,
+    check_reserved_shard_fields,
+    get_profile,
+)
 from repro.nn.training import LocalTrainingConfig
 from repro.privacy.plan import PrivacyPlan
 from repro.utils.precision import PrecisionPlan
+from repro.utils.validation import check_keys
+
+_RETIRED_PLAN_KEYS = dict.fromkeys(("shard_backend", "shard_hosts"),
+                                   SHARDING_RETIRED)
 
 
 @dataclass
@@ -103,17 +112,9 @@ class ExperimentPlan:
     profile settings' federation config and serializes with the plan, so a
     dropout study is a checked-in file.
 
-    ``shards`` declares the parameter-bank sharding (see
-    :mod:`repro.utils.sharding`): how many shared-memory shards round banks
-    and the expert pool split across.  It overrides the profile settings'
-    ``shards`` and serializes with the plan; ``None`` defers to the profile
-    (whose default, 1, is the bitwise single-process path).
-    ``shard_backend`` picks who executes per-shard work
-    (``auto|process|serial|remote``) and ``shard_hosts`` names the
-    ``repro.net.shard_service`` daemons a ``remote`` backend talks to — an
-    address list or a TOML/JSON topology-file path (resolved at plan
-    construction so the serialized plan pins concrete addresses).  Both
-    serialize with the plan; ``None`` defers to the profile settings.
+    ``shards`` is a reserved constant with no behaviour: committed plan
+    files serialize it, so it keeps its place and accepts only ``None`` or
+    ``1``.
 
     ``privacy`` declares the run's :class:`~repro.privacy.plan.PrivacyPlan`
     (a plan instance, a mapping, or a spec string such as
@@ -147,8 +148,6 @@ class ExperimentPlan:
     precision: PrecisionPlan | None = None
     federation: FederationConfig | None = None
     shards: int | None = None
-    shard_backend: str | None = None
-    shard_hosts: tuple[str, ...] | None = None
     secure_aggregation: bool | None = None
     privacy: PrivacyPlan | None = None
     population: PopulationConfig | None = None
@@ -171,21 +170,7 @@ class ExperimentPlan:
                     f"dtype={self.dtype!r} conflicts with precision "
                     f"params={self.precision.params!r}; set one (dtype is "
                     f"the shorthand alias for precision.params)")
-        if self.shards is not None:
-            self.shards = int(self.shards)
-            if self.shards < 1:
-                raise ValueError("shards must be at least 1 when given")
-        if self.shard_hosts is not None:
-            from repro.net.topology import resolve_shard_hosts
-            self.shard_hosts = resolve_shard_hosts(self.shard_hosts)
-            if self.shard_hosts and self.shard_backend is None:
-                self.shard_backend = "remote"  # hosts imply the remote backend
-        if self.shard_backend is not None:
-            from repro.utils.sharding import ShardPlan
-            # Validates the backend name and the backend<->hosts pairing the
-            # same way RunSettings will at resolve() time.
-            ShardPlan(shards=self.shards or 2, backend=self.shard_backend,
-                      hosts=self.shard_hosts or ())
+        check_reserved_shard_fields(self.shards)
         if self.secure_aggregation is not None:
             self.secure_aggregation = bool(self.secure_aggregation)
         if self.privacy is not None:
@@ -220,8 +205,6 @@ class ExperimentPlan:
               precision: "PrecisionPlan | str | Mapping | None" = None,
               federation: FederationConfig | None = None,
               shards: int | None = None,
-              shard_backend: str | None = None,
-              shard_hosts=None,
               secure_aggregation: bool | None = None,
               privacy: "PrivacyPlan | str | Mapping | None" = None,
               population: "PopulationConfig | int | None" = None,
@@ -254,7 +237,6 @@ class ExperimentPlan:
                    precision=(PrecisionPlan.from_value(precision)
                               if precision is not None else None),
                    federation=federation, shards=shards,
-                   shard_backend=shard_backend, shard_hosts=shard_hosts,
                    secure_aggregation=secure_aggregation,
                    privacy=(PrivacyPlan.from_value(privacy)
                             if privacy is not None else None),
@@ -292,19 +274,6 @@ class ExperimentPlan:
                                            dtype=None)
         if self.federation is not None and settings.federation != self.federation:
             settings = dataclasses.replace(settings, federation=self.federation)
-        if self.shards is not None and settings.shards != self.shards:
-            settings = dataclasses.replace(settings, shards=self.shards)
-        if (self.shard_backend is not None
-                and settings.shard_backend != self.shard_backend):
-            # backend and hosts move together: ShardPlan validation requires
-            # hosts exactly when the backend is remote.
-            settings = dataclasses.replace(
-                settings, shard_backend=self.shard_backend,
-                shard_hosts=self.shard_hosts or ())
-        elif (self.shard_hosts is not None
-                and settings.shard_hosts != self.shard_hosts):
-            settings = dataclasses.replace(settings,
-                                           shard_hosts=self.shard_hosts)
         # privacy and its legacy alias move together (like dtype/precision):
         # either knob replaces the profile's whole privacy plan, and the
         # mirrored secure_aggregation bool must follow or the re-run
@@ -364,10 +333,6 @@ class ExperimentPlan:
             out["federation"] = self.federation.to_dict()
         if self.shards is not None:
             out["shards"] = self.shards
-        if self.shard_backend is not None:
-            out["shard_backend"] = self.shard_backend
-        if self.shard_hosts is not None:
-            out["shard_hosts"] = list(self.shard_hosts)
         if self.secure_aggregation is not None:
             out["secure_aggregation"] = self.secure_aggregation
         if self.privacy is not None:
@@ -384,6 +349,10 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentPlan":
+        # Every plan key is a field of the same name, so the dataclass is
+        # the allowed set.
+        data = check_keys("plan", data, _field_names(cls),
+                          retired=_RETIRED_PLAN_KEYS)
         try:
             dataset = data["dataset"]
             raw_strategies = data["strategies"]
@@ -412,9 +381,6 @@ class ExperimentPlan:
             federation=(FederationConfig.from_dict(data["federation"])
                         if data.get("federation") is not None else None),
             shards=data.get("shards"),
-            shard_backend=data.get("shard_backend"),
-            shard_hosts=(tuple(data["shard_hosts"])
-                         if data.get("shard_hosts") is not None else None),
             secure_aggregation=data.get("secure_aggregation"),
             privacy=(PrivacyPlan.from_value(data["privacy"])
                      if data.get("privacy") is not None else None),
@@ -423,18 +389,25 @@ class ExperimentPlan:
         )
 
 
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 def _dataset_spec_from_dict(data: Mapping) -> DatasetSpec:
-    fields = {f.name for f in dataclasses.fields(DatasetSpec)}
-    kwargs = {k: v for k, v in data.items() if k in fields}
+    kwargs = check_keys("plan spec_override", data, _field_names(DatasetSpec))
     kwargs["window_regimes"] = tuple(
         (str(c), int(s)) for c, s in kwargs.get("window_regimes", ()))
     return DatasetSpec(**kwargs)
 
 
 def _run_settings_from_dict(data: Mapping) -> RunSettings:
-    data = dict(data)
-    round_config = dict(data.pop("round_config", {}))
-    local = LocalTrainingConfig(**round_config.pop("local", {}))
+    data = check_keys("plan settings_override", data, _field_names(RunSettings))
+    round_config = check_keys("plan settings_override.round_config",
+                              data.pop("round_config", {}),
+                              _field_names(RoundConfig))
+    local = LocalTrainingConfig(**check_keys(
+        "plan settings_override.round_config.local",
+        round_config.pop("local", {}), _field_names(LocalTrainingConfig)))
     federation = data.pop("federation", None)
     kwargs = dict(data)
     if federation is not None:

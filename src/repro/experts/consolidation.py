@@ -29,7 +29,6 @@ from repro.detection.mmd import class_conditional_mmd
 from repro.experts.memory import LatentMemory
 from repro.experts.registry import Expert, ExpertRegistry
 from repro.utils.params import cosine_similarity_matrix, weighted_average
-from repro.utils.sharding import ShardPlan
 
 
 @dataclass(frozen=True)
@@ -89,25 +88,19 @@ def _regimes_agree(a: Expert, b: Expert, memory_epsilon: float | None,
 def _best_mergeable_pair(experts: list[Expert], tau: float,
                          memory_epsilon: float | None, gamma: float | None,
                          registry: ExpertRegistry | None = None,
-                         shards: ShardPlan | None = None,
                          ) -> tuple[Expert, Expert, float] | None:
     """Highest-similarity pair above ``tau`` that passes the regime gate.
 
-    Similarities for all pairs come from a single normalized matmul — or,
-    under an active shard plan, from per-shard Gram blocks over the pool
-    bank (:meth:`ExpertRegistry.cosine_matrix`) — the (expensive) memory
-    check runs only on candidates above ``tau``, best first, so the first
-    pass that succeeds is the answer.
+    Similarities for all pairs come from a single normalized matmul; the
+    (expensive) memory check runs only on candidates above ``tau``, best
+    first, so the first pass that succeeds is the answer.
     """
     seal = getattr(registry, "score_seal", None) if registry is not None else None
-    if shards is not None and shards.is_active and registry is not None:
-        sims = registry.cosine_matrix([e.expert_id for e in experts])
-    else:
-        stacked = np.stack(
-            [np.asarray(e.flat, dtype=np.float64) for e in experts])
-        if seal is not None:
-            stacked = seal.seal(stacked)
-        sims = cosine_similarity_matrix(stacked)
+    stacked = np.stack(
+        [np.asarray(e.flat, dtype=np.float64) for e in experts])
+    if seal is not None:
+        stacked = seal.seal(stacked)
+    sims = cosine_similarity_matrix(stacked)
     iu, ju = np.triu_indices(len(experts), k=1)
     pair_sims = sims[iu, ju]
     # Stable descending order keeps the legacy tie-break: first (i, j) wins.
@@ -126,16 +119,13 @@ def consolidate_experts(registry: ExpertRegistry, tau: float, window: int,
                         assignments: dict[int, int] | None = None,
                         memory_epsilon: float | None = None,
                         gamma: float | None = None,
-                        shards: ShardPlan | None = None,
                         ) -> list[ConsolidationEvent]:
     """Repeatedly merge the most similar qualifying expert pair above ``tau``.
 
     ``assignments`` (party -> expert id), when given, is updated in place so
     parties keep pointing at live experts.  ``memory_epsilon`` adds the
-    regime check described in the module docstring.  An active ``shards``
-    plan computes the similarity matrix as per-shard Gram blocks over the
-    pool bank; the default stays on the single-matmul path byte for byte.
-    Returns merge events in order; at least one expert always survives.
+    regime check described in the module docstring.  Returns merge events
+    in order; at least one expert always survives.
     """
     if not -1.0 <= tau <= 1.0:
         raise ValueError("tau must be a valid cosine similarity bound")
@@ -145,7 +135,7 @@ def consolidate_experts(registry: ExpertRegistry, tau: float, window: int,
         if len(experts) < 2:
             break
         best = _best_mergeable_pair(experts, tau, memory_epsilon, gamma,
-                                    registry=registry, shards=shards)
+                                    registry=registry)
         if best is None:
             break
         event = _merge_pair(registry, best[0], best[1], window, best[2], rng)

@@ -11,16 +11,6 @@ When the cluster carries class tags (and the memory stores them), the score
 is *class-conditional* MMD: at window-sized samples the label-composition
 differences between a cluster and a memory otherwise dominate the
 unconditional statistic and mask the covariate signal entirely.
-
-Scaling
--------
-With an active :class:`~repro.utils.sharding.ShardPlan` the per-expert score
-vector fans out across shards (each scores a contiguous chunk of expert
-memories; results are concatenated), and :class:`WindowMatchScorer` batches
-*all* of a window's clusters into one stacked Gram evaluation — the
-memory-side kernel means are computed once per window instead of once per
-cluster.  Both are gated behind ``shards >= 2``: the default path is the
-historical per-cluster call, byte for byte.
 """
 
 from __future__ import annotations
@@ -31,13 +21,6 @@ import numpy as np
 
 from repro.detection.mmd import class_conditional_mmd_to_many, mmd_to_many
 from repro.experts.registry import Expert, ExpertRegistry
-from repro.utils.sharding import (
-    ShardPlan,
-    sharded_class_conditional_mmd_many_to_many,
-    sharded_class_conditional_mmd_to_many,
-    sharded_mmd_many_to_many,
-    sharded_mmd_to_many,
-)
 from repro.utils.validation import check_2d
 
 
@@ -117,7 +100,6 @@ def match_cluster_to_expert(cluster_embeddings: np.ndarray,
                             max_rows: int | None = None,
                             rng: np.random.Generator | None = None,
                             cluster_labels: np.ndarray | None = None,
-                            shards: ShardPlan | None = None,
                             ) -> MatchResult:
     """Find the closest expert by MMD between cluster and memory signatures.
 
@@ -125,10 +107,7 @@ def match_cluster_to_expert(cluster_embeddings: np.ndarray,
     trained on any regime) and ids in ``exclude`` are skipped.
 
     ``max_rows`` subsamples the cluster pool before comparison (see
-    :func:`_subsample_cluster`).  An active ``shards`` plan fans the
-    per-expert score vector out across shards — each shard scores a
-    contiguous chunk of the expert pool and the chunks are concatenated, so
-    the result aligns with the serial call up to floating-point noise.
+    :func:`_subsample_cluster`).
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
@@ -137,9 +116,9 @@ def match_cluster_to_expert(cluster_embeddings: np.ndarray,
     eligible = _eligible_experts(registry, exclude)
     # Sealed scoring: when the registry carries a ScoreSeal, the cluster
     # pool and every memory signature are sign-sealed before they reach a
-    # kernel (or a shard worker).  MMD is built from inner products and
-    # row differences, so the seal cancels bitwise — class labels are
-    # stratification metadata, not parameters, and stay as-is.
+    # kernel.  MMD is built from inner products and row differences, so the
+    # seal cancels bitwise — class labels are stratification metadata, not
+    # parameters, and stay as-is.
     signatures = [e.memory.signature for e in eligible]
     seal = getattr(registry, "score_seal", None)
     if seal is not None:
@@ -147,18 +126,8 @@ def match_cluster_to_expert(cluster_embeddings: np.ndarray,
         signatures = seal.seal_many(signatures)
     # One batched evaluation over all expert memories: the cluster-side
     # kernel blocks are computed once and the cross blocks come from a
-    # single stacked matmul, instead of a per-expert Python loop.  With an
-    # active shard plan the expert pool is chunked across shards on top.
-    if shards is not None and shards.is_active:
-        if cluster_labels is not None:
-            score_values = sharded_class_conditional_mmd_to_many(
-                cluster_embeddings, cluster_labels, signatures,
-                [e.memory.signature_labels for e in eligible], gamma, shards,
-            )
-        else:
-            score_values = sharded_mmd_to_many(
-                cluster_embeddings, signatures, gamma, shards)
-    elif cluster_labels is not None:
+    # single stacked matmul, instead of a per-expert Python loop.
+    if cluster_labels is not None:
         score_values = class_conditional_mmd_to_many(
             cluster_embeddings, cluster_labels, signatures,
             [e.memory.signature_labels for e in eligible], gamma,
@@ -177,107 +146,3 @@ def nearest_expert(cluster_embeddings: np.ndarray, registry: ExpertRegistry,
         return None
     return registry.get(result.expert_id)
 
-
-class WindowMatchScorer:
-    """Batch-score all of a window's clusters in one Gram evaluation.
-
-    The per-cluster path pays the memory-side kernel means once per
-    *cluster*; a shift window with several covariate clusters recomputes
-    them k times.  This scorer stacks every cluster into a single
-    :func:`~repro.detection.mmd.mmd_many_to_many` (or class-conditional)
-    evaluation against the expert pool *as it stands at construction time*,
-    optionally fanning the expert axis out across shards.
-
-    Cluster-by-cluster processing stays semantically sequential: a cluster
-    handled earlier in the window may create a new expert or refresh a
-    matched expert's memory, and later clusters must see that.  ``match()``
-    therefore serves cached scores only for experts whose memory is
-    untouched since the snapshot (tracked via ``LatentMemory.updates``) and
-    rescores the delta — typically one expert per preceding cluster —
-    against the cluster's already-subsampled pool.
-    """
-
-    def __init__(self, registry: ExpertRegistry,
-                 clusters: list[np.ndarray],
-                 cluster_labels: list[np.ndarray] | None,
-                 gamma: float | None = None,
-                 max_rows: int | None = None,
-                 rngs: list[np.random.Generator] | None = None,
-                 shards: ShardPlan | None = None) -> None:
-        if cluster_labels is not None and len(cluster_labels) != len(clusters):
-            raise ValueError("cluster_labels must align with clusters")
-        if rngs is not None and len(rngs) != len(clusters):
-            raise ValueError("rngs must align with clusters")
-        self._registry = registry
-        self._gamma = gamma
-        self._shards = shards
-        # Sealed scoring: cluster pools are sealed once at construction and
-        # *stored sealed*, so a parked scorer (async buffer) never holds a
-        # plaintext snapshot; stale-expert signatures are sealed on rescore.
-        self._seal = getattr(registry, "score_seal", None)
-        self._xs: list[np.ndarray] = []
-        self._xls: list[np.ndarray] | None = (
-            [] if cluster_labels is not None else None)
-        for i, cluster in enumerate(clusters):
-            labels = cluster_labels[i] if cluster_labels is not None else None
-            rng = rngs[i] if rngs is not None else None
-            x, xl = _subsample_cluster(cluster, labels, max_rows, rng)
-            if self._seal is not None:
-                x = self._seal.seal(x)
-            self._xs.append(x)
-            if self._xls is not None:
-                self._xls.append(xl)
-        snapshot = _eligible_experts(registry, exclude=None)
-        self._snapshot_ids = [e.expert_id for e in snapshot]
-        self._snapshot_state = {
-            e.expert_id: (e.memory, e.memory.updates) for e in snapshot}
-        plan = shards if shards is not None else ShardPlan()
-        if snapshot and clusters:
-            ys = [e.memory.signature for e in snapshot]
-            if self._seal is not None:
-                ys = self._seal.seal_many(ys)
-            if self._xls is not None:
-                yls = [e.memory.signature_labels for e in snapshot]
-                self._scores = sharded_class_conditional_mmd_many_to_many(
-                    self._xs, self._xls, ys, yls, gamma, plan)
-            else:
-                self._scores = sharded_mmd_many_to_many(self._xs, ys, gamma,
-                                                        plan)
-        else:
-            self._scores = np.zeros((len(clusters), 0))
-        self._columns = {eid: j for j, eid in enumerate(self._snapshot_ids)}
-
-    def _is_fresh(self, expert: Expert) -> bool:
-        state = self._snapshot_state.get(expert.expert_id)
-        return (state is not None and state[0] is expert.memory
-                and state[1] == expert.memory.updates)
-
-    def match(self, index: int, epsilon: float,
-              exclude: set[int] | None = None) -> MatchResult:
-        """Match cluster ``index`` against the registry *as it is now*."""
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        x = self._xs[index]
-        xl = self._xls[index] if self._xls is not None else None
-        eligible = _eligible_experts(self._registry, exclude)
-        stale = [e for e in eligible if not self._is_fresh(e)]
-        fresh_scores: dict[int, float] = {}
-        if stale:
-            stale_sigs = [e.memory.signature for e in stale]
-            if self._seal is not None:  # x is already sealed from __init__
-                stale_sigs = self._seal.seal_many(stale_sigs)
-            if xl is not None:
-                vals = class_conditional_mmd_to_many(
-                    x, xl, stale_sigs,
-                    [e.memory.signature_labels for e in stale], self._gamma)
-            else:
-                vals = mmd_to_many(x, stale_sigs, self._gamma)
-            fresh_scores = {e.expert_id: float(v)
-                            for e, v in zip(stale, vals)}
-        score_values = [
-            fresh_scores.get(e.expert_id,
-                             self._scores[index,
-                                          self._columns.get(e.expert_id, -1)])
-            for e in eligible
-        ]
-        return _best_match(eligible, score_values, epsilon)

@@ -9,10 +9,7 @@ each expert's flattened parameters are a bank row, so pool-level operations
 (pairwise cosine similarity for consolidation, stacked matching) run as
 single matrix products over :meth:`ExpertRegistry.param_matrix`.  Rows are
 reference counted, which makes :meth:`ExpertRegistry.clone` copy-on-write:
-the clone shares the source row until either side writes.  With an active
-:class:`~repro.utils.sharding.ShardPlan` the pool bank is a
-:class:`~repro.utils.params.ShardedParamBank` and pool-level cosine
-similarity fans out across processes (:meth:`ExpertRegistry.cosine_matrix`).
+the clone shares the source row until either side writes.
 
 Copy-on-write and refcounting invariants
 ----------------------------------------
@@ -29,9 +26,8 @@ silently corrupt another's parameters:
    ``remove`` detaches the expert onto a private single-row bank *before*
    the pool row is released, so removed experts stay usable (checkpointing)
    while the pool recycles their slot.
-3. **`param_matrix` / `cosine_matrix` order is `ids()` order** (sorted
-   expert ids), never bank slot order — slot order diverges after any
-   remove + create cycle.
+3. **`param_matrix` order is `ids()` order** (sorted expert ids), never
+   bank slot order — slot order diverges after any remove + create cycle.
 4. **Adopted experts land on the pool bank before anything else touches
    them** (``_adopt``): pool-level matrix ops assume every registry expert
    shares one bank; a foreign-bank expert would silently fall back to a
@@ -43,14 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experts.memory import LatentMemory
-from repro.utils.params import (
-    ParamBank,
-    ParamSpec,
-    Params,
-    cosine_similarity_matrix,
-    make_param_bank,
-)
-from repro.utils.sharding import ShardPlan, resolve_shard_plan
+from repro.utils.params import ParamBank, ParamSpec, Params
 
 
 class Expert:
@@ -152,14 +141,10 @@ class ExpertRegistry:
     """Ordered pool of experts with stable integer ids."""
 
     def __init__(self, memory_capacity: int = 64, memory_eta: float = 0.3,
-                 dtype=None,
-                 shard_plan: "ShardPlan | int | None" = None) -> None:
+                 dtype=None) -> None:
         self.memory_capacity = memory_capacity
         self.memory_eta = memory_eta
         self._dtype = dtype  # None: inferred from the first expert's params
-        # May be reassigned until the first expert creates the pool bank
-        # (ShiftEx binds it from the run context in ``setup``).
-        self.shard_plan = resolve_shard_plan(shard_plan)
         # Sealed scoring (PrivacyPlan.sealed_scoring): when bound (ShiftEx
         # ``setup``), every pool-level similarity/MMD kernel runs over
         # sign-sealed operands — bitwise-identical results, no plaintext
@@ -208,26 +193,6 @@ class ExpertRegistry:
             return self._bank.matrix([e._row for e in experts])
         return np.stack([np.asarray(e.flat) for e in experts])
 
-    def cosine_matrix(self, ids: list[int] | None = None) -> np.ndarray:
-        """Pairwise expert cosine similarity in id order.
-
-        Runs on the pool bank when every selected expert lives there — under
-        an active shard plan that fans per-shard Gram blocks out across the
-        worker pool — and falls back to a stacked gather otherwise.  With a
-        bound :attr:`score_seal` both paths score sign-sealed operands
-        (bitwise-identical; see :mod:`repro.privacy.sealed_scoring`).
-        """
-        experts = self.all() if ids is None else [self.get(i) for i in ids]
-        if not experts:
-            raise ValueError("registry holds no experts to score")
-        if self._bank is not None and all(e._bank is self._bank for e in experts):
-            return self._bank.cosine_matrix([e._row for e in experts],
-                                            seal=self.score_seal)
-        stacked = np.stack([np.asarray(e.flat) for e in experts])
-        if self.score_seal is not None:
-            stacked = self.score_seal.seal(stacked)
-        return cosine_similarity_matrix(stacked)
-
     # ------------------------------------------------------------------ lifecycle
 
     def _ensure_bank(self, params: Params) -> ParamBank:
@@ -235,8 +200,7 @@ class ExpertRegistry:
             dtype = self._dtype
             if dtype is None and params:
                 dtype = np.result_type(*(p.dtype for p in params))
-            self._bank = make_param_bank(ParamSpec.of(params), dtype=dtype,
-                                         plan=self.shard_plan)
+            self._bank = ParamBank(ParamSpec.of(params), dtype=dtype)
         return self._bank
 
     def _seed_memory(self, embeddings: np.ndarray | None,

@@ -26,8 +26,8 @@ class CommunicationLedger:
     ``bytes_per_float`` is the wire width of one model/statistics element
     and must match the run's parameter dtype — build the ledger with
     :meth:`from_precision` so a float32 plane counts 4 bytes per element,
-    not a hardcoded 8.  Already-byte-sized traffic (e.g. the shard-service
-    frames) is recorded verbatim via :meth:`record_wire`.
+    not a hardcoded 8.  Already-byte-sized traffic (e.g. the secure-aggregation
+    share rounds) is recorded verbatim via :meth:`record_wire`.
     """
 
     uplink_bytes: int = 0

@@ -79,8 +79,7 @@ from repro.federation.rounds import (
     round_dtype,
     train_cohort,
 )
-from repro.utils.params import ParamSpec, Params, make_param_bank
-from repro.utils.sharding import ShardPlan, resolve_shard_plan
+from repro.utils.params import ParamBank, ParamSpec, Params
 
 PARTICIPATION_MODES = ("sync", "buffered", "async")
 
@@ -172,10 +171,8 @@ class AsyncRoundBuffer:
     expired.
     """
 
-    def __init__(self, spec: ParamSpec, dtype=None, capacity: int = 4,
-                 shards: ShardPlan | None = None) -> None:
-        self.bank = make_param_bank(spec, dtype=dtype, capacity=capacity,
-                                    plan=shards)
+    def __init__(self, spec: ParamSpec, dtype=None, capacity: int = 4) -> None:
+        self.bank = ParamBank(spec, dtype=dtype, capacity=capacity)
         self._pending: list[_PendingReport] = []
 
     @property
@@ -227,11 +224,9 @@ class FederationEngine:
     """
 
     def __init__(self, config: FederationConfig, seed: int = 0,
-                 num_parties: int | None = None,
-                 shard_plan: "ShardPlan | int | None" = None) -> None:
+                 num_parties: int | None = None) -> None:
         self.config = config
         self.seed = seed
-        self.shard_plan = resolve_shard_plan(shard_plan)
         self.simulator = AvailabilitySimulator(config.availability, seed,
                                                num_parties)
         self.clock = -1  # advance() before the first round makes this 0
@@ -272,24 +267,17 @@ class FederationEngine:
     # ------------------------------------------------------------------ rounds
 
     def _buffer_for(self, stream: object, spec: ParamSpec, dtype,
-                    capacity: int,
-                    shards: ShardPlan | None = None) -> AsyncRoundBuffer:
+                    capacity: int) -> AsyncRoundBuffer:
         buf = self._buffers.get(stream)
         if buf is not None and (buf.spec != spec
                                 or buf.bank.dtype != np.dtype(dtype)):
             # The stream's model changed shape (e.g. a rebuilt expert) or
             # precision; whatever was in flight can no longer be aggregated
-            # into it.  Close the orphaned bank now — sharded banks hold shm
-            # segments (and possibly remote mirrors) that would otherwise
-            # linger until interpreter exit.
+            # into it.
             self.counters["expired_reports"] += buf.flush()
-            close = getattr(buf.bank, "close", None)
-            if close is not None:
-                close()
             buf = None
         if buf is None:
-            buf = AsyncRoundBuffer(spec, dtype=dtype, capacity=capacity,
-                                   shards=shards)
+            buf = AsyncRoundBuffer(spec, dtype=dtype, capacity=capacity)
             self._buffers[stream] = buf
         return buf
 
@@ -310,7 +298,6 @@ class FederationEngine:
     def run_round(self, parties: dict[int, Party], participant_ids: list[int],
                   params: Params, config: RoundConfig, round_tag: object = 0,
                   stream: object = "default", dtype=None,
-                  shards: "ShardPlan | int | None" = None,
                   secure: "int | object | None" = None,
                   ) -> tuple[Params, RoundStats]:
         """One engine-mediated round (called via ``run_fl_round``)."""
@@ -318,7 +305,6 @@ class FederationEngine:
             raise RuntimeError(
                 "FederationEngine.advance() must be called before the first "
                 "round (the harness does this once per federated round)")
-        plan = self.shard_plan if shards is None else resolve_shard_plan(shards)
         tick = self.clock
         fates = self.simulator.cohort_fates(list(participant_ids), tick)
         alive = [f for f in fates if not f.dropped]
@@ -328,14 +314,12 @@ class FederationEngine:
 
         if self.config.mode == "sync":
             return self._run_sync(parties, alive, dropped, participant_ids,
-                                  params, config, round_tag, dtype, plan,
-                                  secure)
+                                  params, config, round_tag, dtype, secure)
 
         spec = ParamSpec.of(params)
         bank_dtype = round_dtype(parties, list(participant_ids), params, dtype)
         buf = self._buffer_for(stream, spec, bank_dtype,
-                               capacity=max(len(participant_ids), 1),
-                               shards=plan)
+                               capacity=max(len(participant_ids), 1))
         alive_ids = [f.party_id for f in alive]
         session = seal = None
         if secure is not None and alive_ids:
@@ -424,7 +408,6 @@ class FederationEngine:
 
     def _run_sync(self, parties, alive, dropped, participant_ids, params,
                   config, round_tag, dtype,
-                  shards: ShardPlan | None = None,
                   secure: "int | object | None" = None,
                   ) -> tuple[Params, RoundStats]:
         """Blocking mode: full surviving cohort, stragglers awaited."""
@@ -437,8 +420,7 @@ class FederationEngine:
                 dropped=dropped, aggregated=False,
             )
         new_params, stats = _sync_round(parties, alive_ids, params, config,
-                                        round_tag, dtype=dtype, shards=shards,
-                                        secure=secure)
+                                        round_tag, dtype=dtype, secure=secure)
         stats.participants = list(participant_ids)
         stats.dropped = dropped
         self.counters["aggregations"] += 1
@@ -448,15 +430,12 @@ class FederationEngine:
 
 def build_engine(config: FederationConfig, seed: int = 0,
                  num_parties: int | None = None,
-                 shard_plan: "ShardPlan | int | None" = None,
                  ) -> FederationEngine | None:
     """An engine when the config changes behavior, else None (pure sync).
 
     Returning None keeps default runs on the engine-less fast path, which is
-    the seed-reproduction code path byte for byte.  ``shard_plan`` becomes
-    the engine's default bank sharding for every stream buffer.
+    the seed-reproduction code path byte for byte.
     """
     if not config.is_active:
         return None
-    return FederationEngine(config, seed=seed, num_parties=num_parties,
-                            shard_plan=shard_plan)
+    return FederationEngine(config, seed=seed, num_parties=num_parties)

@@ -35,8 +35,7 @@ from repro.privacy.secure_aggregation import (
     SecureAggregationSession,
     resolve_masking,
 )
-from repro.utils.params import ParamBank, ParamSpec, Params, make_param_bank
-from repro.utils.sharding import ShardPlan, resolve_shard_plan
+from repro.utils.params import ParamBank, ParamSpec, Params
 
 
 @dataclass
@@ -173,45 +172,36 @@ def mean_finite_loss(updates) -> float:
 
 def _sync_round(parties: dict[int, Party], participant_ids: list[int],
                 params: Params, config: RoundConfig, round_tag: object,
-                dtype=None, shards: ShardPlan | None = None,
+                dtype=None,
                 secure: "int | MaskingSpec | None" = None,
                 ) -> tuple[Params, RoundStats]:
     spec = ParamSpec.of(params)
-    bank = make_param_bank(spec,
-                           dtype=round_dtype(parties, participant_ids, params,
-                                             dtype),
-                           capacity=len(participant_ids), plan=shards)
-    try:
-        session = seal = None
-        if secure is not None:
-            session, seal = make_round_session(participant_ids, spec, bank,
-                                               secure,
-                                               context=("sync", round_tag))
-        rows, updates = train_cohort(parties, participant_ids, params, config,
-                                     round_tag, bank, seal=seal)
-        weights = np.array([float(u.num_samples) for u in updates])
-        usable = weights > 0
-        if not usable.any():
-            raise ValueError(
-                f"aggregation failed in round {round_tag!r}: all updates "
-                "carry zero samples"
-            )
-        usable_rows = [r for r, ok in zip(rows, usable) if ok]
-        if session is not None:
-            new_params = spec.view(session.combine_rows(
-                bank, weights[usable],
-                [(u.party_id, r) for u, r, ok in zip(updates, rows, usable)
-                 if ok]))
-        else:
-            new_params = spec.view(bank.weighted_combine(weights[usable],
-                                                         usable_rows))
-    finally:
-        # The combined vector is a fresh array, so the round bank (and any
-        # sharded shm segments / remote mirrors behind it) can go now
-        # instead of waiting for GC to run finalizers at interpreter exit.
-        close = getattr(bank, "close", None)
-        if close is not None:
-            close()
+    bank = ParamBank(spec,
+                     dtype=round_dtype(parties, participant_ids, params, dtype),
+                     capacity=len(participant_ids))
+    session = seal = None
+    if secure is not None:
+        session, seal = make_round_session(participant_ids, spec, bank,
+                                           secure,
+                                           context=("sync", round_tag))
+    rows, updates = train_cohort(parties, participant_ids, params, config,
+                                 round_tag, bank, seal=seal)
+    weights = np.array([float(u.num_samples) for u in updates])
+    usable = weights > 0
+    if not usable.any():
+        raise ValueError(
+            f"aggregation failed in round {round_tag!r}: all updates "
+            "carry zero samples"
+        )
+    usable_rows = [r for r, ok in zip(rows, usable) if ok]
+    if session is not None:
+        new_params = spec.view(session.combine_rows(
+            bank, weights[usable],
+            [(u.party_id, r) for u, r, ok in zip(updates, rows, usable)
+             if ok]))
+    else:
+        new_params = spec.view(bank.weighted_combine(weights[usable],
+                                                     usable_rows))
     stats = RoundStats(
         participants=list(participant_ids),
         mean_train_loss=mean_finite_loss(updates),
@@ -229,7 +219,6 @@ def run_fl_round(parties: dict[int, Party], participant_ids: list[int],
                  round_tag: object = 0, engine=None,
                  stream: object = "default",
                  dtype=None,
-                 shards: "ShardPlan | int | None" = None,
                  secure: "int | MaskingSpec | None" = None,
                  ) -> tuple[Params, RoundStats]:
     """Train ``params`` for one round over the given participants.
@@ -248,12 +237,6 @@ def run_fl_round(parties: dict[int, Party], participant_ids: list[int],
     / expert) so buffered reports never cross models.  ``dtype`` overrides
     the round bank precision (default: the cohort's bound model dtype).
 
-    ``shards`` (a :class:`~repro.utils.sharding.ShardPlan` or shard count)
-    splits the round bank across shared-memory shards so the FedAvg matvec
-    runs as per-shard partial products; the default (1 shard) keeps the
-    in-process bank and reproduces historical results bitwise.  Under an
-    engine the engine's own plan wins when this argument is None.
-
     ``secure`` (a mask-stream root seed, a
     :class:`~repro.privacy.secure_aggregation.MaskingSpec`, or None = off)
     masks the round: every bank row is sealed at training time and the
@@ -268,7 +251,6 @@ def run_fl_round(parties: dict[int, Party], participant_ids: list[int],
     if engine is not None:
         return engine.run_round(parties, participant_ids, params, config,
                                 round_tag=round_tag, stream=stream,
-                                dtype=dtype, shards=shards, secure=secure)
+                                dtype=dtype, secure=secure)
     return _sync_round(parties, participant_ids, params, config, round_tag,
-                       dtype=dtype, shards=resolve_shard_plan(shards),
-                       secure=secure)
+                       dtype=dtype, secure=secure)

@@ -35,7 +35,6 @@ from repro.privacy.secure_aggregation import MaskingSpec
 from repro.utils.params import Params
 from repro.utils.precision import PrecisionPlan
 from repro.utils.rng import spawn_rng
-from repro.utils.sharding import ShardPlan
 
 if TYPE_CHECKING:  # import cycle: async_engine -> rounds -> party only
     from repro.detection.thresholds import ThresholdTable
@@ -50,12 +49,6 @@ class StrategyContext:
     rounds).  Strategies pass it to ``run_fl_round`` together with a
     ``stream`` key naming the aggregation target, so buffered reports for one
     cluster/expert never leak into another.
-
-    ``shard_plan`` is the run's parameter-bank sharding
-    (:class:`~repro.utils.sharding.ShardPlan`): strategies thread it into
-    ``run_fl_round`` and the expert matching/consolidation calls so round
-    banks and pool-level scoring fan out across processes.  The default
-    (1 shard) is the byte-for-byte in-process path.
 
     ``secure_aggregation`` is the run's mask-stream root seed when secure
     aggregation is on (None = off, the default).  Strategies pass
@@ -85,7 +78,6 @@ class StrategyContext:
     ledger: CommunicationLedger = field(default_factory=CommunicationLedger)
     profiler: RuntimeProfiler = field(default_factory=RuntimeProfiler)
     federation: "FederationEngine | None" = None
-    shard_plan: ShardPlan = field(default_factory=ShardPlan)
     secure_aggregation: int | None = None
     privacy: PrivacyPlan | None = None
     score_seal: ScoreSeal | None = None

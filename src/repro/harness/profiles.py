@@ -14,9 +14,28 @@ from repro.nn.training import LocalTrainingConfig
 from repro.privacy.plan import PrivacyPlan
 from repro.utils.params import resolve_dtype
 from repro.utils.precision import PrecisionPlan
-from repro.utils.sharding import ShardPlan
 
 _PROFILE_NAMES = ("ci", "small", "paper")
+
+SHARDING_RETIRED = (
+    "parameter-bank sharding was removed (no bank size this system reaches "
+    "makes it faster); see "
+    "docs/ARCHITECTURE.md#why-parameter-banks-are-not-sharded")
+
+
+def check_reserved_shard_fields(shards, shard_backend="auto",
+                                shard_hosts=()) -> None:
+    """Reject any non-default value of the reserved shard fields.
+
+    The fields survive only because committed plan files serialize them;
+    they select nothing.
+    """
+    if shards not in (None, 1) or shard_backend != "auto" or shard_hosts:
+        raise ValueError(
+            f"shards={shards!r}, shard_backend={shard_backend!r}, "
+            f"shard_hosts={shard_hosts!r} is not supported: these fields are "
+            f"reserved (shards must be 1, shard_backend 'auto', shard_hosts "
+            f"empty); {SHARDING_RETIRED}")
 
 
 @dataclass
@@ -44,19 +63,9 @@ class RunSettings:
     staleness-weighted aggregation under a simulated availability scenario
     (see :class:`~repro.federation.async_engine.FederationConfig`).
 
-    ``shards`` splits every parameter bank the run builds (round banks,
-    async stream buffers, the expert pool) across that many shared-memory
-    shards so aggregation and expert-similarity scoring fan out over
-    processes (see :mod:`repro.utils.sharding`).  The default ``1`` keeps
-    every bank in-process and reproduces single-process results bitwise.
-    ``shard_backend`` picks who executes per-shard work: ``auto`` (the
-    default) uses the worker pool only for operations big enough to beat
-    the IPC round trip, ``process``/``serial`` force one side, and
-    ``remote`` sends each shard's batched round ops to a
-    ``repro.net.shard_service`` daemon.  ``shard_hosts`` names those
-    daemons — a ``host:port`` tuple/list, a comma-separated string, or a
-    path to a TOML/JSON topology file (see :mod:`repro.net.topology`) —
-    and is required (only) by the remote backend.
+    ``shards`` / ``shard_backend`` / ``shard_hosts`` are reserved
+    constants with no behaviour: committed plan files serialize them, so
+    they keep their place and accept only ``1`` / ``"auto"`` / empty.
 
     ``population`` (a :class:`~repro.federation.pool.PopulationConfig`, an
     int size, or a mapping) switches the run to *virtual parties*: instead
@@ -107,10 +116,9 @@ class RunSettings:
             raise ValueError("round counts must be positive")
         if self.eval_parties is not None and self.eval_parties <= 0:
             raise ValueError("eval_parties must be positive when given")
-        from repro.net.topology import resolve_shard_hosts
-
-        self.shard_hosts = resolve_shard_hosts(self.shard_hosts)
-        self.shard_plan  # validates shards >= 1, backend name, host pairing
+        check_reserved_shard_fields(self.shards, self.shard_backend,
+                                    self.shard_hosts)
+        self.shards, self.shard_hosts = 1, ()
         plan = PrecisionPlan.from_value(self.precision)
         if self.dtype is not None:
             alias = str(resolve_dtype(self.dtype))
@@ -141,11 +149,6 @@ class RunSettings:
     @property
     def np_dtype(self) -> np.dtype:
         return self.precision.np_params
-
-    @property
-    def shard_plan(self) -> ShardPlan:
-        return ShardPlan(shards=self.shards, backend=self.shard_backend,
-                         hosts=self.shard_hosts)
 
     def rounds_for_window(self, window: int) -> int:
         return self.rounds_burn_in if window == 0 else self.rounds_per_window

@@ -23,7 +23,6 @@ from repro.federation.async_engine import build_engine
 from repro.federation.party import Party
 from repro.federation.pool import PartyPool
 from repro.federation.strategy import ContinualStrategy, StrategyContext
-from repro.net.client import wire_totals
 from repro.harness.profiles import RunSettings
 from repro.metrics.windows import WindowSummary, summarize_run
 from repro.nn.models import build_model
@@ -103,13 +102,8 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
 
     # None unless the run's federation config changes behavior — the default
     # stays on the engine-less synchronous path byte for byte.
-    shard_plan = settings.shard_plan
     engine = build_engine(settings.federation, seed=seed,
-                          num_parties=num_parties,
-                          shard_plan=shard_plan)
-    # Snapshot shard-service wire counters so this run's delta (and only
-    # its delta) lands in the ledger under the shard_service category.
-    wire_sent0, wire_received0 = wire_totals()
+                          num_parties=num_parties)
     # The privacy plan's mask root defaults to the run seed (mask streams
     # are label-namespaced, so they never collide with model/data draws);
     # ``mask_seed`` pins it independently of the data/model seed.
@@ -122,7 +116,6 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         round_config=settings.round_config,
         seed=seed,
         federation=engine,
-        shard_plan=shard_plan,
         # Byte accounting follows the run's parameter dtype: a float32
         # plane moves half the bytes of its float64 twin, exactly.
         ledger=CommunicationLedger.from_precision(settings.precision),
@@ -215,10 +208,6 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         if stop_reason is not None:
             break
 
-    wire_sent1, wire_received1 = wire_totals()
-    if wire_sent1 > wire_sent0 or wire_received1 > wire_received0:
-        ctx.ledger.record_wire("shard_service", wire_sent1 - wire_sent0,
-                               wire_received1 - wire_received0)
     result = StrategyRunResult(
         strategy_name=strategy.name,
         dataset=spec.name,

@@ -4,8 +4,7 @@
 flag: whether round submissions are masked at all, how dropout recovery is
 protected (the Shamir ``t``-of-``n`` threshold), and whether expert
 scoring runs over sealed rows.  :class:`PrivacyPlan` names each knob
-separately, mirroring :class:`~repro.utils.precision.PrecisionPlan` and
-``ShardPlan``:
+separately, mirroring :class:`~repro.utils.precision.PrecisionPlan`:
 
 * ``masking`` — seal round submissions in the bit domain (PR 5's
   bank-resident masking).  Off by default.

@@ -19,10 +19,9 @@ A sealed row is not uniformly random like the aggregation path's
 bit-domain seals (magnitudes survive; only signs are hidden), but it is
 what makes sealed *scoring* possible at all: additive masks cannot cancel
 in a float Gram product.  What the seal buys is that the scoring pipeline
-— gathered parameter stacks, memory signatures shipped to shard workers
-or the remote shard service, parked scorer snapshots — never materializes
-a plaintext copy of a parameter row outside the aggregation path's
-``combine_rows`` unseal window.
+— gathered parameter stacks, memory signatures handed to the MMD kernels —
+never materializes a plaintext copy of a parameter row outside the
+aggregation path's ``combine_rows`` unseal window.
 """
 
 from __future__ import annotations

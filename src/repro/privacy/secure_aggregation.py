@@ -192,9 +192,8 @@ class SecureAggregationSession:
       sum up to float rounding);
     * the **federation path** (:meth:`seal_row` / :meth:`combine_rows`):
       rows owned by someone else's bank (a round bank, an async stream
-      buffer, a :class:`~repro.utils.params.ShardedParamBank` shard) are
-      sealed *in place* in the exact bit domain, and unsealed only inside
-      :meth:`combine_rows` when their aggregation fires.
+      buffer) are sealed *in place* in the exact bit domain, and unsealed
+      only inside :meth:`combine_rows` when their aggregation fires.
 
     ``context`` namespaces the mask streams (round tag, engine stream) so
     distinct rounds of one run never share masks.
@@ -429,10 +428,10 @@ class SecureAggregationSession:
         """Masked aggregation: unseal, run the bank kernel, scrub the rows.
 
         ``party_rows`` pairs each contributing party with its row in
-        ``bank`` (which may be sharded).  Unsealing is exact, so the result
-        is bit-for-bit the unmasked ``weighted_combine`` over the same rows;
-        the rows are zeroed afterwards so no unmasked update outlives the
-        aggregation (callers release them right after).
+        ``bank``.  Unsealing is exact, so the result is bit-for-bit the
+        unmasked ``weighted_combine`` over the same rows; the rows are
+        zeroed afterwards so no unmasked update outlives the aggregation
+        (callers release them right after).
         """
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(party_rows),):

@@ -167,8 +167,6 @@ def compile_scenario(scenario, executor=None) -> ExperimentPlan:
     return ExperimentPlan.build(
         doc.dataset, doc.strategies, seeds=doc.seeds, profile=doc.profile,
         name=doc.name, dtype=doc.dtype, precision=doc.precision,
-        shards=doc.shards, shard_backend=doc.shard_backend,
-        shard_hosts=doc.shard_hosts,
         secure_aggregation=doc.secure_aggregation,
         privacy=doc.privacy,
         federation=federation, population=population,

@@ -5,8 +5,7 @@ top of the required ``dataset``/``strategies`` pair:
 
 * top level — ``name``, ``profile``, ``seeds``, ``strategies``, plus the
   run knobs that already live on :class:`~repro.experiments.plan
-  .ExperimentPlan` (``dtype``/``precision``/``shards``/``shard_backend``/
-  ``shard_hosts``/``secure_aggregation``);
+  .ExperimentPlan` (``dtype``/``precision``/``secure_aggregation``);
 * ``[privacy]`` — the run's :class:`~repro.privacy.plan.PrivacyPlan`:
   ``masking``, ``threshold`` (Shamir t-of-n dropout recovery; an int or
   ``"majority"``), ``sealed_scoring``, ``mask_seed``.  A top-level string
@@ -42,12 +41,12 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.data.drift import CohortDrift
+from repro.utils.validation import check_keys
 
 TOP_LEVEL_KEYS = frozenset({
     "name", "dataset", "profile", "seeds", "strategies", "dtype",
-    "precision", "shards", "shard_backend", "shard_hosts",
-    "secure_aggregation", "privacy", "data", "rounds", "population",
-    "availability", "drift",
+    "precision", "secure_aggregation", "privacy", "data", "rounds",
+    "population", "availability", "drift",
 })
 DATA_KEYS = frozenset({"parties", "train_per_window", "test_per_window",
                        "num_windows"})
@@ -65,15 +64,7 @@ PRIVACY_KEYS = frozenset({"masking", "threshold", "sealed_scoring",
 
 
 def _check_keys(block: str, mapping: Mapping, allowed: frozenset) -> dict:
-    if not isinstance(mapping, Mapping):
-        raise ValueError(f"scenario block '{block}' must be a table/mapping; "
-                         f"got {type(mapping).__name__}")
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValueError(
-            f"unknown key(s) {sorted(unknown)} in scenario block '{block}'; "
-            f"valid keys: {sorted(allowed)}")
-    return dict(mapping)
+    return check_keys(f"scenario block '{block}'", mapping, allowed)
 
 
 @dataclass
@@ -94,9 +85,6 @@ class ScenarioDoc:
     seeds: tuple[int, ...] = (0,)
     dtype: str | None = None
     precision: object = None
-    shards: int | None = None
-    shard_backend: str | None = None
-    shard_hosts: object = None
     secure_aggregation: bool | None = None
     privacy: object = None  # [privacy] table or a spec string; None = off
     data: dict = field(default_factory=dict)
@@ -134,8 +122,7 @@ class ScenarioDoc:
             out["name"] = self.name
         out["profile"] = self.profile
         out["seeds"] = list(self.seeds)
-        for key in ("dtype", "precision", "shards", "shard_backend",
-                    "shard_hosts", "secure_aggregation", "privacy"):
+        for key in ("dtype", "precision", "secure_aggregation", "privacy"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value

@@ -10,10 +10,8 @@ from repro.utils.rng import seed_sequence, spawn_rng
 from repro.utils.params import (
     ParamBank,
     ParamSpec,
-    ShardedParamBank,
     cosine_similarity_matrix,
     flatten_params,
-    make_param_bank,
     resolve_dtype,
     stack_params,
     unflatten_params,
@@ -23,7 +21,6 @@ from repro.utils.params import (
     params_cosine_similarity,
     params_l2_distance,
 )
-from repro.utils.sharding import ShardPlan, resolve_shard_plan, shard_ranges
 from repro.utils.validation import (
     check_probability_vector,
     check_2d,

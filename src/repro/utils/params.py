@@ -40,33 +40,13 @@ storage copy-on-write.  Contributors touching the bank must preserve:
    row has been released and recycled the two diverge — callers pairing
    rows with positional metadata (weights, expert ids) must pass explicit
    ``rows``.
-
-Sharding
---------
-:class:`ShardedParamBank` is a drop-in facade over N single-shard banks
-backed by :mod:`multiprocessing.shared_memory`, splitting rows across
-shards so aggregation and similarity kernels can fan out over processes
-(see :mod:`repro.utils.sharding`).  ``matrix()`` stays the single seam every
-consumer goes through: per-shard buffers are zero-copy, the stacked matrix
-is gathered only on explicit materialization.  With ``ShardPlan(shards=1)``
-(the default everywhere) no sharded bank is ever constructed and every code
-path is byte-for-byte the in-process one.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.utils.sharding import (
-    ShardPlan,
-    resolve_shard_plan,
-    shard_ranges,
-    submit_shard_op_batches,
-    warn_remote_fallback,
-)
 
 Params = list[np.ndarray]
 
@@ -300,19 +280,10 @@ class ParamBank:
     def __init__(self, spec: ParamSpec, dtype=None, capacity: int = 4) -> None:
         self.spec = spec
         self.dtype = resolve_dtype(dtype)
-        self._buf = self._new_buffer((max(int(capacity), 1), spec.total_size))
-        self._retire_buffer()
+        self._buf = np.zeros((max(int(capacity), 1), spec.total_size),
+                             dtype=self.dtype)
         self._refs: list[int] = []  # per-slot reference count (0 = free)
         self._free: list[int] = []
-
-    # ------------------------------------------------------------------ storage hooks
-
-    def _new_buffer(self, shape: tuple[int, int]) -> np.ndarray:
-        """Allocate a zeroed backing buffer (subclasses swap the storage)."""
-        return np.zeros(shape, dtype=self.dtype)
-
-    def _retire_buffer(self) -> None:
-        """Called after `_buf` moved to a buffer from `_new_buffer`."""
 
     # ------------------------------------------------------------------ construction
 
@@ -345,10 +316,9 @@ class ParamBank:
         if min_slots <= self._buf.shape[0]:
             return
         new_cap = max(min_slots, 2 * self._buf.shape[0])
-        buf = self._new_buffer((new_cap, self.dim))
+        buf = np.zeros((new_cap, self.dim), dtype=self.dtype)
         buf[:self._buf.shape[0]] = self._buf
         self._buf = buf
-        self._retire_buffer()
 
     def _check_row(self, row: int) -> None:
         if not 0 <= row < len(self._refs) or self._refs[row] == 0:
@@ -470,37 +440,6 @@ class ParamBank:
             raise ValueError("weights must sum to a positive value")
         return (weights / total) @ matrix
 
-    def weighted_combine_many(self, weight_sets,
-                              rows_sets: list | None = None,
-                              ) -> list[np.ndarray]:
-        """Many :meth:`weighted_combine` selections at once.
-
-        For the in-process bank this is just the loop; the sharded bank
-        overrides it to ship all selections in one submission per shard.
-        The two signatures stay aligned so round code is backend-agnostic.
-        """
-        if rows_sets is None:
-            rows_sets = [None] * len(weight_sets)
-        return [self.weighted_combine(w, r)
-                for w, r in zip(weight_sets, rows_sets)]
-
-    def cosine_matrix(self, rows: list[int] | None = None,
-                      seal=None) -> np.ndarray:
-        """Pairwise cosine similarity of rows via one normalized matmul.
-
-        ``seal`` (a :class:`~repro.privacy.sealed_scoring.ScoreSeal`, duck-
-        typed to avoid an import cycle) runs the kernel over sign-sealed
-        copies of the rows instead of the plaintext gather.  The ``±1``
-        factors cancel term-by-term inside every inner product, so the
-        masked path is bitwise-identical to the plaintext one at any
-        precision — while the stacked operand the kernel actually touches
-        carries no plaintext parameter row.
-        """
-        matrix = self.matrix(rows)
-        if seal is not None:
-            matrix = seal.seal(matrix)
-        return cosine_similarity_matrix(matrix)
-
     def astype(self, dtype) -> "ParamBank":
         """A new bank with every slot cast to ``dtype`` (refcounts preserved)."""
         dtype = resolve_dtype(dtype)
@@ -513,553 +452,6 @@ class ParamBank:
     @property
     def nbytes(self) -> int:
         return int(self._buf.nbytes)
-
-
-class _ShmShard(ParamBank):
-    """One shard of a :class:`ShardedParamBank`: a bank in shared memory.
-
-    The backing buffer lives in a named ``multiprocessing.shared_memory``
-    segment so worker processes can attach to it zero-copy (see
-    :func:`repro.utils.sharding._attach`).  Growth allocates a fresh segment
-    and *unlinks* the old name immediately; the old mapping itself is kept
-    open until :meth:`close` because previously handed-out row views may
-    still alias it (the same "views do not survive growth" caveat as the
-    in-process bank, made explicit by the extra segment).
-    """
-
-    def __init__(self, spec: ParamSpec, dtype=None, capacity: int = 4) -> None:
-        self._shm = None
-        self._incoming = None
-        self._retired: list = []
-        super().__init__(spec, dtype=dtype, capacity=capacity)
-
-    def _new_buffer(self, shape: tuple[int, int]) -> np.ndarray:
-        from multiprocessing import shared_memory
-
-        nbytes = max(1, int(shape[0]) * int(shape[1]) * self.dtype.itemsize)
-        self._incoming = shared_memory.SharedMemory(create=True, size=nbytes)
-        arr = np.ndarray(shape, dtype=self.dtype, buffer=self._incoming.buf)
-        arr[...] = 0.0
-        return arr
-
-    def _retire_buffer(self) -> None:
-        old, self._shm = self._shm, self._incoming
-        self._incoming = None
-        if old is not None:
-            try:
-                old.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            self._retired.append(old)
-
-    @property
-    def token(self) -> tuple[str, tuple[int, int], str]:
-        """(shm name, buffer shape, dtype) — what a worker needs to attach.
-
-        Re-read before every operation: growth swaps the segment name.
-        """
-        return (self._shm.name, tuple(self._buf.shape), str(self.dtype))
-
-    def close(self) -> None:
-        """Unlink the live segment and release every kept-open mapping."""
-        if self._shm is not None:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            self._retired.append(self._shm)
-            self._shm = None
-        self._buf = np.zeros((0, self.spec.total_size), dtype=self.dtype)
-        retired, self._retired = self._retired, []
-        for shm in retired:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - caller still holds views
-                self._retired.append(shm)
-
-
-def _remote_unavailable():
-    """The outage exception class, imported lazily (except-clause helper)."""
-    from repro.net.client import ShardServiceUnavailable
-
-    return ShardServiceUnavailable
-
-
-def _close_shards(shards: list[_ShmShard]) -> None:
-    for shard in shards:
-        shard.close()
-
-
-class ShardedParamBank:
-    """Drop-in :class:`ParamBank` facade splitting rows across N shm shards.
-
-    Rows are spread round-robin over ``plan.shards`` single-shard banks
-    backed by shared memory; :meth:`from_param_sets` assigns contiguous row
-    ranges instead, mirroring the matrix layout.  The public surface is the
-    ``ParamBank`` one — row ids, refcounts and copy-on-write behave
-    identically (the same invariants from the module docstring apply) — with
-    two sharding-specific differences:
-
-    * :meth:`matrix` *materializes*: it gathers the selected rows from the
-      shard buffers into one fresh array.  Zero-copy access is per shard
-      (:meth:`shard_views` / row views), which is exactly what the fan-out
-      kernels consume.
-    * :meth:`weighted_combine` and :meth:`cosine_matrix` run as per-shard
-      partial products — in the worker pool under ``backend="process"``,
-      in-parent under ``"serial"`` — combined in ascending shard order, so
-      the two backends agree bitwise and differ from the unsharded kernels
-      only by summation order.
-
-    Shared-memory segments are unlinked when the bank is garbage collected
-    or :meth:`close` is called explicitly.
-    """
-
-    def __init__(self, spec: ParamSpec, dtype=None, capacity: int = 4,
-                 plan: ShardPlan | int | None = 2) -> None:
-        self.spec = spec
-        self.dtype = resolve_dtype(dtype)
-        self.plan = resolve_shard_plan(plan)
-        per_shard = max(1, -(-max(int(capacity), 1) // self.plan.shards))
-        self._shards = [_ShmShard(spec, dtype=self.dtype, capacity=per_shard)
-                        for _ in range(self.plan.shards)]
-        self._slots: list[tuple[int, int] | None] = []  # gid -> (shard, local)
-        self._free: list[int] = []
-        self._cursor = 0  # round-robin shard assignment for fresh rows
-        # Remote plans mirror shard rows inside shard-service daemons.  The
-        # local shm shards stay the source of truth (training writes rows
-        # zero-copy); _dirty tracks which locals changed since the last
-        # sync, and each batched submission prepends one write_rows op that
-        # brings the mirror current before its compute ops run.
-        self._dirty: list[set[int]] = [set() for _ in self._shards]
-        self._remote = None
-        self._remote_dead = False
-        self._finalizer = weakref.finalize(self, _close_shards, self._shards)
-
-    # ------------------------------------------------------------------ construction
-
-    @classmethod
-    def from_param_sets(cls, param_sets: list[Params], dtype=None,
-                        names: list[str] | None = None,
-                        plan: ShardPlan | int | None = 2) -> "ShardedParamBank":
-        """Stack parameter lists into a sharded bank, one contiguous row
-        range per shard."""
-        matrix, spec = stack_params(param_sets, dtype=dtype, names=names)
-        bank = cls(spec, dtype=matrix.dtype, capacity=len(param_sets),
-                   plan=plan)
-        for s, (a, b) in enumerate(shard_ranges(len(param_sets),
-                                                bank.plan.shards)):
-            shard = bank._shards[s]
-            shard._grow(max(b - a, 1))
-            if b > a:
-                shard._buf[:b - a] = matrix[a:b]
-            shard._refs = [1] * (b - a)
-            bank._dirty[s].update(range(b - a))
-            for local in range(b - a):
-                bank._slots.append((s, local))
-        bank._cursor = len(param_sets)
-        return bank
-
-    # ------------------------------------------------------------------ row lifecycle
-
-    @property
-    def n_slots(self) -> int:
-        return len(self._slots)
-
-    @property
-    def n_rows(self) -> int:
-        """Number of live (referenced) rows across all shards."""
-        return sum(shard.n_rows for shard in self._shards)
-
-    @property
-    def dim(self) -> int:
-        return self.spec.total_size
-
-    def _entry(self, row: int) -> tuple[_ShmShard, int]:
-        if not 0 <= row < len(self._slots) or self._slots[row] is None:
-            raise KeyError(f"row {row} is not a live bank row")
-        s, local = self._slots[row]
-        return self._shards[s], local
-
-    def _new_gid(self, slot: tuple[int, int]) -> int:
-        if self._free:
-            gid = self._free.pop()
-            self._slots[gid] = slot
-        else:
-            gid = len(self._slots)
-            self._slots.append(slot)
-        return gid
-
-    def alloc(self, values: Params | np.ndarray | None = None) -> int:
-        """Allocate a row (refcount 1) on the next shard round-robin."""
-        s = self._cursor % self.plan.shards
-        self._cursor += 1
-        local = self._shards[s].alloc(values)
-        self._dirty[s].add(local)
-        return self._new_gid((s, local))
-
-    def share(self, row: int) -> int:
-        """Add a copy-on-write reference to ``row``."""
-        shard, local = self._entry(row)
-        shard.share(local)
-        return row
-
-    def release(self, row: int) -> None:
-        """Drop one reference; the slot is recycled when none remain."""
-        shard, local = self._entry(row)
-        shard.release(local)
-        if shard._refs[local] == 0:
-            self._slots[row] = None
-            self._free.append(row)
-
-    def refcount(self, row: int) -> int:
-        shard, local = self._entry(row)
-        return shard.refcount(local)
-
-    def is_shared(self, row: int) -> bool:
-        return self.refcount(row) > 1
-
-    def ensure_private(self, row: int) -> int:
-        """Copy-on-write split: return a row only this caller references."""
-        shard, local = self._entry(row)
-        if shard.refcount(local) == 1:
-            return row
-        s = self._slots[row][0]
-        private = shard.ensure_private(local)
-        self._dirty[s].add(private)
-        return self._new_gid((s, private))
-
-    # ------------------------------------------------------------------ row access
-
-    def row(self, row: int) -> np.ndarray:
-        """Zero-copy 1-D view of one row (into its shard's buffer).
-
-        Handing out a writeable view conservatively marks the row dirty for
-        remote mirrors; a view written *after* the bank's next remote
-        submission without re-fetching ``row()`` is not re-synced (the same
-        "views do not survive growth" caching caveat applies).
-        """
-        shard, local = self._entry(row)
-        self._dirty[self._slots[row][0]].add(local)
-        return shard.row(local)
-
-    def row_params(self, row: int, writeable: bool = True) -> Params:
-        """The row as shaped zero-copy parameter views."""
-        shard, local = self._entry(row)
-        if writeable:
-            self._dirty[self._slots[row][0]].add(local)
-        return shard.row_params(local, writeable=writeable)
-
-    def write_row(self, row: int, values: Params | np.ndarray) -> None:
-        shard, local = self._entry(row)
-        shard.write_row(local, values)
-        self._dirty[self._slots[row][0]].add(local)
-
-    # ------------------------------------------------------------------ matrix ops
-
-    def _live_rows(self) -> list[int]:
-        return [gid for gid, slot in enumerate(self._slots) if slot is not None]
-
-    def _selections(self, rows: list[int]) -> list[tuple[int, int]]:
-        """``rows`` as (shard, local) entries, validating liveness."""
-        entries = []
-        for row in rows:
-            shard, local = self._entry(row)
-            entries.append((self._slots[row][0], local))
-        return entries
-
-    def shard_views(self) -> list[np.ndarray]:
-        """Zero-copy per-shard buffer views (live and free slots alike)."""
-        return [shard._buf for shard in self._shards]
-
-    def shard_tokens(self) -> list:
-        """Worker attach tokens, re-read per operation (growth renames)."""
-        return [shard.token for shard in self._shards]
-
-    def matrix(self, rows: list[int] | None = None) -> np.ndarray:
-        """Explicitly materialize the stacked ``(k, dim)`` row matrix.
-
-        Unlike the in-process bank this always gathers (one copy): the
-        selected rows live in different shard buffers.  Row order follows
-        ``rows`` (default: live rows in id order); the same positional
-        caveat as :meth:`ParamBank.matrix` applies.
-        """
-        if rows is None:
-            rows = self._live_rows()
-        entries = self._selections(rows)
-        out = np.empty((len(entries), self.dim), dtype=self.dtype)
-        for i, (s, local) in enumerate(entries):
-            out[i] = self._shards[s]._buf[local]
-        return out
-
-    def weighted_combine(self, weights, rows: list[int] | None = None,
-                         ) -> np.ndarray:
-        """FedAvg kernel as per-shard partial ``w @ M`` matvecs.
-
-        Weights are normalized over the *full* selection, each shard
-        computes its partial product over its rows, and the parent sums the
-        partials in ascending shard order — all backends agree bitwise.
-        """
-        return self.weighted_combine_many([weights], [rows])[0]
-
-    def _prepare_combine(self, weights, rows):
-        """One selection as per-shard ``(locals, weights)`` op inputs."""
-        if rows is None:
-            rows = self._live_rows()
-        entries = self._selections(rows)
-        weights = np.asarray(weights, dtype=self.dtype)
-        if weights.shape != (len(entries),):
-            raise ValueError(
-                f"weights shape {weights.shape} does not match "
-                f"{len(entries)} rows"
-            )
-        total = float(weights.sum())
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        scaled = weights / total
-        locals_by_shard: list[list[int]] = [[] for _ in self._shards]
-        weights_by_shard: list[list[float]] = [[] for _ in self._shards]
-        for (s, local), w in zip(entries, scaled):
-            locals_by_shard[s].append(local)
-            weights_by_shard[s].append(w)
-        return len(entries), locals_by_shard, weights_by_shard
-
-    def weighted_combine_many(self, weight_sets,
-                              rows_sets: list | None = None,
-                              ) -> list[np.ndarray]:
-        """All of a round's aggregation matvecs, one submission per shard.
-
-        Every ``(weights, rows)`` selection contributes one matvec op per
-        shard it touches; each shard then receives its *whole op list* in a
-        single pool (or shard-service) round trip instead of one trip per
-        selection.  Per-op partials are still reduced in ascending shard
-        order, so results are bitwise-identical to calling
-        :meth:`weighted_combine` once per selection, on every backend.
-        """
-        if rows_sets is None:
-            rows_sets = [None] * len(weight_sets)
-        prepared = [self._prepare_combine(w, r)
-                    for w, r in zip(weight_sets, rows_sets)]
-        total_rows = sum(n for n, _, _ in prepared)
-        backend = self.plan.backend_for(
-            total_rows * self.dim * self.dtype.itemsize)
-        if backend == "remote":
-            session = self._remote_session()
-            if session is not None:
-                try:
-                    return self._remote_combine_many(session, prepared)
-                except _remote_unavailable() as exc:
-                    self._mark_remote_dead(exc)
-            backend = "serial"
-        ops_by_shard: list[list[tuple]] = [[] for _ in self._shards]
-        op_ids_by_shard: list[list[int]] = [[] for _ in self._shards]
-        for i, (_n, locals_by_shard, weights_by_shard) in enumerate(prepared):
-            for s in range(len(self._shards)):
-                if locals_by_shard[s]:
-                    ops_by_shard[s].append(
-                        ("matvec", locals_by_shard[s],
-                         np.asarray(weights_by_shard[s], dtype=self.dtype)))
-                    op_ids_by_shard[s].append(i)
-        results = submit_shard_op_batches(self.shard_tokens(), ops_by_shard,
-                                          backend)
-        outs = [np.zeros(self.dim, dtype=self.dtype) for _ in prepared]
-        for s in range(len(self._shards)):
-            for i, partial in zip(op_ids_by_shard[s], results[s]):
-                outs[i] += partial
-        return outs
-
-    # ------------------------------------------------------------------ remote mirror
-
-    def _remote_session(self):
-        """The lazily opened shard-service session, or None when degraded."""
-        if self._remote_dead:
-            return None
-        if self._remote is None:
-            from repro.net.client import (RemoteBankSession,
-                                          ShardServiceUnavailable)
-
-            capacity = max(shard.n_slots for shard in self._shards)
-            try:
-                self._remote = RemoteBankSession(
-                    self.plan.hosts, shards=len(self._shards), dim=self.dim,
-                    dtype=str(self.dtype), capacity=capacity)
-            except ShardServiceUnavailable as exc:
-                self._mark_remote_dead(exc)
-                return None
-            # a fresh mirror holds zeros; everything local is unsynced
-            for s, shard in enumerate(self._shards):
-                self._dirty[s].update(range(shard.n_slots))
-        return self._remote
-
-    def _mark_remote_dead(self, exc) -> None:
-        self._remote_dead = True
-        self._remote = None
-        warn_remote_fallback(str(exc))
-
-    def _sync_ops(self, s: int) -> list[dict]:
-        """A ``write_rows`` op bringing shard ``s``'s mirror current."""
-        dirty = sorted(self._dirty[s])
-        if not dirty:
-            return []
-        data = self._shards[s]._buf[np.asarray(dirty, dtype=np.intp)]
-        return [{"op": "write_rows", "rows": dirty, "data": data}]
-
-    def _remote_combine_many(self, session, prepared) -> list[np.ndarray]:
-        outs = [np.zeros(self.dim, dtype=self.dtype) for _ in prepared]
-        for s in range(len(self._shards)):
-            ops = self._sync_ops(s)
-            pad = len(ops)
-            op_ids = []
-            for i, (_n, locals_by_shard, weights_by_shard) in \
-                    enumerate(prepared):
-                if locals_by_shard[s]:
-                    ops.append({"op": "matvec", "rows": locals_by_shard[s],
-                                "weights": np.asarray(weights_by_shard[s],
-                                                      dtype=self.dtype)})
-                    op_ids.append(i)
-            if not ops:
-                continue
-            results = session.shard_batch(s, ops)
-            self._dirty[s].clear()
-            for i, partial in zip(op_ids, results[pad:]):
-                outs[i] += np.asarray(partial)
-        return outs
-
-    def _remote_gram_blocks(self, entries, positions_by_shard, seal=None):
-        """Per-shard Gram block rows computed service-side (or None).
-
-        The selection is gathered locally and shipped with each shard's
-        block request — Gram blocks need *every* selected row, which spans
-        shards on other hosts.  Returns None (degrade to serial) when the
-        service is unreachable.  With a ``seal`` the gathered stack is
-        sign-sealed *before* it goes on the wire, so the shard service
-        never receives a plaintext parameter row (the Gram block it
-        returns is bitwise the plaintext one — the signs cancel).
-        """
-        session = self._remote_session()
-        if session is None:
-            return None
-        views = self.shard_views()
-        x = np.stack([views[s][local] for s, local in entries])
-        if seal is not None:
-            x = seal.seal(x)
-        blocks = []
-        try:
-            for s, positions in enumerate(positions_by_shard):
-                if not positions:
-                    continue
-                results = session.shard_batch(
-                    s, [{"op": "gram", "positions": positions, "x": x}])
-                blocks.append(np.asarray(results[0]))
-        except _remote_unavailable() as exc:
-            self._mark_remote_dead(exc)
-            return None
-        return blocks
-
-    def cosine_matrix(self, rows: list[int] | None = None,
-                      seal=None) -> np.ndarray:
-        """Pairwise cosine similarity via per-shard Gram block rows.
-
-        Each shard computes the raw product block for the selected rows it
-        owns against the full selection; the parent assembles the blocks and
-        normalizes once (zero rows follow the
-        :func:`cosine_similarity_matrix` conventions).
-
-        ``seal`` sign-seals the gathered selection before any backend
-        touches it: the remote service receives only sealed rows, and the
-        process fan-out — whose Gram ops read plaintext rows straight from
-        the shared-memory shards — degrades to the sealed serial gather.
-        Either way the signs cancel inside the Gram products, so the
-        result stays bitwise the unsealed one.
-        """
-        if rows is None:
-            rows = self._live_rows()
-        entries = self._selections(rows)
-        k = len(entries)
-        if k == 0:
-            return np.zeros((0, 0), dtype=self.dtype)
-        positions_by_shard: list[list[int]] = [[] for _ in self._shards]
-        for i, (s, _local) in enumerate(entries):
-            positions_by_shard[s].append(i)
-        backend = self.plan.backend_for(k * self.dim * self.dtype.itemsize)
-        raw = np.empty((k, k), dtype=self.dtype)
-        if backend == "remote":
-            blocks = self._remote_gram_blocks(entries, positions_by_shard,
-                                              seal=seal)
-            if blocks is None:
-                backend = "serial"
-        if backend == "process" and seal is not None:
-            backend = "serial"
-        if backend == "process":
-            ops_by_shard = [[("gram", entries, p)] if p else []
-                            for p in positions_by_shard]
-            results = submit_shard_op_batches(self.shard_tokens(),
-                                              ops_by_shard, backend)
-            blocks = [r[0] for r in results if r]
-        elif backend == "serial":
-            views = self.shard_views()
-            x = np.stack([views[s][local] for s, local in entries])
-            if seal is not None:
-                x = seal.seal(x)
-            tasks_pos = [p for p in positions_by_shard if p]
-            blocks = [x[np.asarray(p)] @ x.T for p in tasks_pos]
-        for positions, block in zip(
-                [p for p in positions_by_shard if p], blocks):
-            raw[np.asarray(positions)] = block
-        norms = np.sqrt(np.maximum(np.diag(raw), 0.0))
-        zero = norms == 0.0
-        safe = np.where(zero, 1.0, norms)
-        sims = raw / np.outer(safe, safe)
-        if zero.any():
-            sims[zero, :] = 0.0
-            sims[:, zero] = 0.0
-            sims[np.ix_(zero, zero)] = 1.0
-        return sims
-
-    def astype(self, dtype) -> "ShardedParamBank":
-        """A new sharded bank with every slot cast (refcounts preserved)."""
-        dtype = resolve_dtype(dtype)
-        bank = ShardedParamBank(self.spec, dtype=dtype,
-                                capacity=max(self.n_slots, 1), plan=self.plan)
-        for s, (src, dst) in enumerate(zip(self._shards, bank._shards)):
-            n = src.n_slots
-            dst._grow(max(n, 1))
-            dst._buf[:n] = src._buf[:n].astype(dtype)
-            dst._refs = list(src._refs)
-            dst._free = list(src._free)
-            bank._dirty[s].update(range(n))
-        bank._slots = list(self._slots)
-        bank._free = list(self._free)
-        bank._cursor = self._cursor
-        return bank
-
-    @property
-    def nbytes(self) -> int:
-        return int(sum(shard.nbytes for shard in self._shards))
-
-    def close(self) -> None:
-        """Unlink every shard's segment and free remote mirrors (idempotent)."""
-        if self._remote is not None:
-            try:
-                self._remote.free()
-            except Exception:  # best-effort: the run is tearing down
-                pass
-            self._remote = None
-        self._finalizer.detach()
-        _close_shards(self._shards)
-
-
-def make_param_bank(spec: ParamSpec, dtype=None, capacity: int = 4,
-                    plan: ShardPlan | int | None = None):
-    """The bank a consumer should build under ``plan``.
-
-    ``plan`` inactive (None / ``shards=1``) returns a plain in-process
-    :class:`ParamBank` — the byte-for-byte historical path; an active plan
-    returns a :class:`ShardedParamBank`.
-    """
-    plan = resolve_shard_plan(plan)
-    if not plan.is_active:
-        return ParamBank(spec, dtype=dtype, capacity=capacity)
-    return ShardedParamBank(spec, dtype=dtype, capacity=capacity, plan=plan)
 
 
 def params_cosine_similarity(a: Params, b: Params) -> float:

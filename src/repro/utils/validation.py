@@ -2,7 +2,31 @@
 
 from __future__ import annotations
 
+from typing import Collection, Mapping
+
 import numpy as np
+
+
+def check_keys(where: str, mapping: Mapping, allowed: Collection[str],
+               retired: Mapping[str, str] | None = None) -> dict:
+    """Return ``mapping`` as a dict, rejecting keys outside ``allowed``.
+
+    ``where`` names the block in the error (``"scenario block 'data'"``,
+    ``"plan"``).  ``retired`` maps keys that older files may still carry to
+    a sentence saying what replaced them; it is appended when such a key is
+    among the unknown ones.
+    """
+    if not isinstance(mapping, Mapping):
+        raise ValueError(f"{where} must be a table/mapping; "
+                         f"got {type(mapping).__name__}")
+    unknown = set(mapping) - set(allowed)
+    if unknown:
+        notes = sorted({retired[k] for k in unknown if k in retired}) \
+            if retired else []
+        raise ValueError(
+            f"unknown key(s) {sorted(unknown)} in {where}; "
+            f"valid keys: {sorted(allowed)}" + "".join(f". {n}" for n in notes))
+    return dict(mapping)
 
 
 def check_2d(x: np.ndarray, name: str = "array") -> np.ndarray:

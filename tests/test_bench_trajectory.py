@@ -18,8 +18,8 @@ def _write(path, data):
 def test_merges_both_artifact_shapes(tmp_path):
     _write(tmp_path / "BENCH_param_plane.json", {
         "aggregation": {"kernel": "fedavg", "speedup": 3.2},
-        "aggregation_sharded": {"process_speedup": None,
-                                "skipped_reason": "cpu_count == 1"},
+        "secure_masking": {"speedup": None,
+                           "skipped_reason": "cpu_count == 1"},
         "dtype": "float64", "note": "scalars are skipped",
     })
     _write(tmp_path / "BENCH_party_pool.json", {
@@ -34,7 +34,7 @@ def test_merges_both_artifact_shapes(tmp_path):
     assert by_entry[("party_pool", "memory_flatness")][2:4] == (
         "peak_ratio", 0.9)
     # A null measurement stays a visible row carrying its reason.
-    skipped = by_entry[("param_plane", "aggregation_sharded")]
+    skipped = by_entry[("param_plane", "secure_masking")]
     assert skipped[3] is None and "cpu_count == 1" in skipped[4]
     # Scalar top-level keys (dtype/note) never become rows.
     assert all(r[1] not in ("dtype", "note") for r in rows)
@@ -43,7 +43,7 @@ def test_merges_both_artifact_shapes(tmp_path):
 def test_table_renders_and_marks_skips(tmp_path):
     _write(tmp_path / "BENCH_x.json", {
         "fast": {"speedup": 2.0, "kernel": "k"},
-        "skip": {"process_speedup": None, "skipped_reason": "one core"},
+        "skip": {"speedup": None, "skipped_reason": "one core"},
     })
     table = format_table(build_trajectory(tmp_path))
     assert "speedup" in table and "skipped" in table and "one core" in table

@@ -172,10 +172,10 @@ class TestAccounting:
 
     def test_record_wire_is_verbatim_bytes(self):
         ledger = CommunicationLedger(bytes_per_float=4)
-        ledger.record_wire("shard_service", 1500, 700)
+        ledger.record_wire("secure_agg", 1500, 700)
         assert ledger.uplink_bytes == 1500 and ledger.downlink_bytes == 700
         summary = ledger.summary()
-        assert summary["shard_service_mb"] == pytest.approx(2200 / 1e6)
+        assert summary["secure_agg_mb"] == pytest.approx(2200 / 1e6)
         assert summary["uplink_bytes"] == 1500.0
         assert summary["bytes_per_float"] == 4.0
 

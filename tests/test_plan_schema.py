@@ -1,10 +1,12 @@
 """ExperimentPlan (de)serialization: lossless round-trips, schema drift.
 
 The plan file format is public API (``docs/PLAN_SCHEMA.md``); these tests
-pin it from three directions: a plan with *every* field set round-trips
+pin it from four directions: a plan with *every* field set round-trips
 losslessly through JSON, the TOML reader resolves to the same plan as the
-equivalent JSON, and every key ``to_dict`` can emit is documented in the
-schema reference (so a new field cannot ship undocumented).
+equivalent JSON, every key ``to_dict`` can emit is documented in the
+schema reference (so a new field cannot ship undocumented), and keys the
+loader does not know — typos and the retired shard knobs — are rejected by
+name instead of dropped.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.data.registry import get_dataset_spec
+from repro.__main__ import main
 from repro.experiments.plan import ExperimentPlan, load_plan, save_plan
 from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import AvailabilityConfig
@@ -21,6 +24,7 @@ from repro.federation.pool import PopulationConfig
 from repro.harness.profiles import RunSettings
 from repro.federation.rounds import RoundConfig
 from repro.nn.training import LocalTrainingConfig
+from repro.scenarios import compile_scenario
 from repro.utils.precision import PrecisionPlan
 
 DOCS = Path(__file__).parent.parent / "docs"
@@ -47,7 +51,7 @@ def _full_plan() -> ExperimentPlan:
         rounds_burn_in=4, rounds_per_window=3, eval_parties=4,
         precision=PrecisionPlan(params="float32",
                                 detection_stats="float64"),
-        shards=3, secure_aggregation=True,
+        secure_aggregation=True,
         privacy="masking=on,threshold=majority",
         federation=FederationConfig(mode="async"),
         population=PopulationConfig(size=500, max_resident=8),
@@ -64,8 +68,7 @@ def _full_plan() -> ExperimentPlan:
         seeds=(0, 1, 2), profile="small", name="full-schema",
         dtype="float32",
         precision=PrecisionPlan(params="float32"),
-        shards=2, shard_backend="remote",
-        shard_hosts=("10.0.0.11:7700", "10.0.0.12:7700"),
+        shards=1,  # reserved: the only value still accepted
         secure_aggregation=True,
         privacy="masking=on,threshold=3,sealed_scoring=on",
         federation=federation,
@@ -89,11 +92,11 @@ class TestLosslessRoundTrip:
         assert loaded.to_dict() == plan.to_dict()
 
     def test_new_fields_survive_the_trip(self, tmp_path):
-        """The PR-4/PR-5 additions: shards and secure_aggregation next to
+        """secure_aggregation and the reserved shards constant next to
         dtype/federation."""
         plan = _full_plan()
         data = json.loads(save_plan(tmp_path / "p.json", plan).read_text())
-        assert data["shards"] == 2
+        assert data["shards"] == 1
         assert data["dtype"] == "float32"
         assert data["precision"] == {"params": "float32",
                                      "detection_stats": "float64"}
@@ -104,21 +107,18 @@ class TestLosslessRoundTrip:
         assert data["privacy"] == {"masking": True, "threshold": 3,
                                    "sealed_scoring": True, "mask_seed": None}
         assert data["federation"]["mode"] == "buffered"
-        assert data["settings_override"]["shards"] == 3
+        assert data["settings_override"]["shards"] == 1
+        assert data["settings_override"]["shard_backend"] == "auto"
+        assert data["settings_override"]["shard_hosts"] == []
         assert data["settings_override"]["secure_aggregation"] is True
         assert data["settings_override"]["privacy"] == {
             "masking": True, "threshold": "majority",
             "sealed_scoring": False, "mask_seed": None}
         loaded = load_plan(tmp_path / "p.json")
-        assert loaded.shards == 2
+        assert loaded.shards == 1
         assert loaded.secure_aggregation is True
-        assert loaded.settings_override.shards == 3
-        assert data["shard_backend"] == "remote"
-        assert data["shard_hosts"] == ["10.0.0.11:7700", "10.0.0.12:7700"]
+        assert "shard_backend" not in data and "shard_hosts" not in data
         _spec, settings = loaded.resolve()
-        assert settings.shards == 2  # plan-level knob wins over override
-        assert settings.shard_backend == "remote"
-        assert settings.shard_hosts == ("10.0.0.11:7700", "10.0.0.12:7700")
         assert settings.secure_aggregation is True
         # The plan-level privacy knob wins over the override's plan.
         assert settings.privacy.threshold == 3
@@ -129,11 +129,67 @@ class TestLosslessRoundTrip:
         plan = ExperimentPlan.build("fashion_mnist_sim", ["fedavg"])
         data = plan.to_dict()
         for key in ("dtype", "precision", "federation", "shards",
-                    "shard_backend", "shard_hosts",
                     "secure_aggregation", "privacy", "population",
                     "cohort_size", "spec_override", "settings_override"):
             assert key not in data
         assert ExperimentPlan.from_dict(data) == plan
+
+
+_MINIMAL = {"dataset": "fashion_mnist_sim", "strategies": ["fedavg"]}
+_RETIREMENT = "why-parameter-banks-are-not-sharded"
+
+
+class TestUnknownAndRetiredKeys:
+    @pytest.mark.parametrize("build", [
+        lambda: RunSettings(shards=2),
+        lambda: RunSettings(shard_backend="process"),
+        lambda: RunSettings(shard_hosts=("h:1",)),
+        lambda: ExperimentPlan.build("fashion_mnist_sim", ["fedavg"],
+                                     shards=2),
+        lambda: ExperimentPlan.from_dict({**_MINIMAL,
+                                          "shard_backend": "process"}),
+        lambda: ExperimentPlan.from_dict(
+            {**_MINIMAL, "settings_override": {"shards": 4}}),
+    ], ids=["settings-shards", "settings-backend", "settings-hosts",
+            "plan-shards", "plan-file-backend", "override-shards"])
+    def test_shard_knobs_are_retired(self, build):
+        with pytest.raises(ValueError, match=_RETIREMENT):
+            build()
+
+    def test_reserved_values_normalise(self):
+        settings = RunSettings(shards=None, shard_hosts=[])
+        assert (settings.shards, settings.shard_backend,
+                settings.shard_hosts) == (1, "auto", ())
+        assert ExperimentPlan.from_dict({**_MINIMAL, "shards": 1}).shards == 1
+
+    def test_scenario_and_cli_no_longer_know_shards(self, capsys):
+        with pytest.raises(ValueError, match=r"unknown key.*'shards'"):
+            compile_scenario({**_MINIMAL, "shards": 2})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", "fmow_sim", "--shards", "4"])
+        assert exit_info.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"privcy": {"masking": True}}, r"\['privcy'\] in plan;.*'privacy'"),
+        ({"settings_override": {"bogus": 1}},
+         r"\['bogus'\] in plan settings_override;.*'rounds_burn_in'"),
+        ({"settings_override": {"round_config": {"cohort": 3}}},
+         r"\['cohort'\].*round_config;.*'participants_per_round'"),
+        ({"spec_override": {"parties": 3}},
+         r"\['parties'\] in plan spec_override;.*'num_parties'"),
+    ], ids=["plan", "settings", "round-config", "spec"])
+    def test_unknown_keys_are_named(self, extra, named):
+        with pytest.raises(ValueError, match=named) as info:
+            ExperimentPlan.from_dict({**_MINIMAL, **extra})
+        assert _RETIREMENT not in str(info.value)
+
+    def test_unknown_key_in_a_plan_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({**_MINIMAL,
+                                    "privcy": {"masking": True}}))
+        assert main(["run", str(path)]) == 2
+        assert "privcy" in capsys.readouterr().err
 
 
 class TestTomlReader:
@@ -145,7 +201,7 @@ dataset = "fashion_mnist_sim"
 profile = "ci"
 seeds = [0, 1]
 dtype = "float32"
-shards = 2
+shards = 1
 
 [strategies.fedavg]
 method = "fedavg"
@@ -172,7 +228,7 @@ straggler_prob = 0.2
             {"fedavg": "fedavg",
              "prox-strong": {"method": "fedprox", "kwargs": {"prox_mu": 0.1}}},
             seeds=(0, 1), profile="ci", name="dropout-sweep",
-            dtype="float32", shards=2,
+            dtype="float32", shards=1,
             federation=FederationConfig(
                 mode="buffered", min_reports=4, max_wait_rounds=2,
                 staleness_policy="polynomial",

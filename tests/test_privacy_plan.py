@@ -15,9 +15,9 @@ Four layers of pins:
   the ledger may differ, by exactly the share traffic), and a legacy
   masked run records zero ``secure_agg`` bytes.
 * **Sealed scoring** — sign-sealing cancels bitwise in every scoring
-  kernel (cosine, MMD, median-heuristic gamma) at both precisions, parked
-  scorer snapshots hold no plaintext, and a ``sealed_scoring=on`` ShiftEx
-  run reproduces its plain twin bit for bit.
+  kernel (cosine, MMD, median-heuristic gamma) at both precisions,
+  consolidation decides identically under a seal, and a
+  ``sealed_scoring=on`` ShiftEx run reproduces its plain twin bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from repro.detection.mmd import (
 )
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.registry import build_strategy
-from repro.experts.matching import WindowMatchScorer, match_cluster_to_expert
+from repro.experts.consolidation import consolidate_experts
+from repro.experts.matching import match_cluster_to_expert
 from repro.experts.registry import ExpertRegistry
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.async_engine import FederationConfig
@@ -400,10 +401,21 @@ class TestSealedScoringKernels:
             registry.score_seal = ScoreSeal(seed=seed)
         return registry
 
-    def test_registry_cosine_matrix_seal_invariant(self):
-        plain = self._registry(3, sealed=False).cosine_matrix()
-        sealed = self._registry(3, sealed=True).cosine_matrix()
-        assert np.array_equal(plain, sealed)
+    def test_consolidation_seal_invariant(self):
+        """Stack, seal, cosine, regime gate: the merge decisions and their
+        similarities are bit-identical with and without a seal."""
+        outcomes = []
+        for sealed in (False, True):
+            registry = self._registry(3, sealed=sealed)
+            rng = spawn_rng(3, "seal-merge")
+            for expert in registry.all():
+                expert.set_params([p + 0.05 * rng.normal(size=p.shape)
+                                   for p in expert.params])
+                expert.train_rounds = 1
+            outcomes.append(consolidate_experts(
+                registry, tau=0.9, window=1, rng=spawn_rng(0, "merge"),
+                memory_epsilon=10.0, gamma=0.05))
+        assert outcomes[0] and outcomes[0] == outcomes[1]
 
     def test_match_cluster_seal_invariant(self):
         cluster = spawn_rng(1, "seal-cluster").normal(size=(40, 12)) + 1.0
@@ -414,46 +426,6 @@ class TestSealedScoringKernels:
                 cluster, registry, epsilon=0.5, gamma=0.05, max_rows=32,
                 rng=spawn_rng(2, "m")))
         assert results[0] == results[1]
-
-    def test_window_scorer_parks_sealed_snapshots(self):
-        """The async-buffer park path: a scorer built under a seal stores
-        only sealed cluster pools (no plaintext row survives outside the
-        aggregation path's unseal window) yet matches its plain twin —
-        including the stale-expert rescore after a memory refresh."""
-        rng = spawn_rng(4, "seal-park")
-        clusters = [rng.normal(size=(30, 12)) + i for i in range(2)]
-        refresh = rng.normal(size=(48, 12)) + 5.0
-
-        def score_all(sealed):
-            registry = self._registry(9, sealed=sealed)
-            scorer = WindowMatchScorer(registry, [c.copy() for c in clusters],
-                                       None, gamma=0.05, max_rows=24,
-                                       rngs=[spawn_rng(6, "s", i)
-                                             for i in range(2)])
-            if sealed:
-                seal = registry.score_seal
-                for parked, raw in zip(scorer._xs, clusters):
-                    # Parked rows are sealed, and unsealing them (the seal
-                    # is an involution) recovers the subsampled plaintext —
-                    # i.e. the snapshot differs from plaintext only by seal.
-                    assert not any(
-                        np.array_equal(parked[j], raw[k])
-                        for j in range(parked.shape[0])
-                        for k in range(raw.shape[0]))
-                    unsealed = seal.seal(parked)
-                    assert all(
-                        any(np.array_equal(unsealed[j], raw[k])
-                            for k in range(raw.shape[0]))
-                        for j in range(unsealed.shape[0]))
-            first = scorer.match(0, epsilon=0.5)
-            # Refresh one expert's memory between clusters: cluster 1 must
-            # rescore it (the stale path seals signatures on the fly).
-            registry.get(registry.ids()[0]).memory.update(
-                refresh, spawn_rng(8, "r"))
-            second = scorer.match(1, epsilon=0.5)
-            return first, second
-
-        assert score_all(sealed=False) == score_all(sealed=True)
 
 
 class TestSealedRunsBitwise:

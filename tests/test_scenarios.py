@@ -317,12 +317,12 @@ class TestFlagParity:
                                            skew="zipf", zipf_a=1.5, survey=8)
         flag_plan = ExperimentPlan.build(
             "fmow_sim", ("fedavg", "shiftex"), seeds=(0, 1), profile="ci",
-            dtype="float32", shards=2, secure_aggregation=True,
+            dtype="float32", secure_aggregation=True,
             federation=federation, population=population, cohort_size=4)
         scenario_plan = compile_scenario({
             "dataset": "fmow_sim", "strategies": ["fedavg", "shiftex"],
             "seeds": [0, 1], "profile": "ci", "dtype": "float32",
-            "shards": 2, "secure_aggregation": True,
+            "secure_aggregation": True,
             "population": {"size": 40, "max_resident": 10, "skew": "zipf",
                            "zipf_a": 1.5, "survey": 8, "cohort_size": 4},
             "availability": {"participation": "buffered", "preset": "flaky",

@@ -8,7 +8,7 @@ Pins the PR's acceptance criteria from four directions:
   between the masked and unmasked paths, unsealing rows that were never
   sealed, and aggregating an outage-strickened cohort
   (``IncompleteSubmissionError``);
-* a masked ``run_fl_round`` — sync, sharded, or engine-mediated — equals
+* a masked ``run_fl_round`` — sync or engine-mediated — equals
   its unmasked twin bit for bit at float64 (and float32: sealing lives in
   the exact bit domain);
 * no unmasked party update is ever resident in an ``AsyncRoundBuffer``:
@@ -252,16 +252,6 @@ class TestMaskedRoundsBitwise:
         masked, _ = run_fl_round(ctx.parties, [0, 1, 2], params,
                                  ctx.round_config, dtype=np.float32, secure=11)
         assert all(p.dtype == np.float32 for p in masked)
-        assert np.array_equal(flatten_params(plain), flatten_params(masked))
-
-    def test_sharded_round_stays_sealed_and_exact(self, tiny_spec,
-                                                  tiny_dataset):
-        ctx, params = _fresh(tiny_spec, tiny_dataset)
-        plain, _ = run_fl_round(ctx.parties, [0, 1, 2, 3], params,
-                                ctx.round_config, shards=2)
-        ctx, params = _fresh(tiny_spec, tiny_dataset)
-        masked, _ = run_fl_round(ctx.parties, [0, 1, 2, 3], params,
-                                 ctx.round_config, shards=2, secure=11)
         assert np.array_equal(flatten_params(plain), flatten_params(masked))
 
     @pytest.mark.parametrize("mode", ["sync", "buffered", "async"])

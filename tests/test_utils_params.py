@@ -203,7 +203,7 @@ class TestParamBank:
 
     def test_cosine_matrix_matches_pairwise(self, rng):
         bank, sets = self.make_bank(rng, n=4)
-        sims = bank.cosine_matrix()
+        sims = cosine_similarity_matrix(bank.matrix())
         for i in range(4):
             for j in range(4):
                 assert sims[i, j] == pytest.approx(
@@ -227,6 +227,11 @@ class TestParamBank:
         again = back.astype(np.float32)
         assert np.array_equal(again.matrix(), bank32.matrix())
 
+    def test_astype_preserves_refcounts(self, rng):
+        bank, _sets = self.make_bank(rng)
+        bank.share(2)
+        assert bank.astype(np.float32).refcount(2) == 2
+
     def test_alloc_release_recycles_slots(self, rng):
         bank, _sets = self.make_bank(rng)
         row = bank.alloc()
@@ -246,6 +251,27 @@ class TestParamBank:
         assert np.allclose(bank.row(private), bank.row(0))
         bank.row(private)[0] = 77.0
         assert bank.row(0)[0] != 77.0
+
+    def test_row_lifecycle_guards_dead_rows(self, rng):
+        bank, sets = self.make_bank(rng)
+        bank.share(0)
+        assert bank.refcount(0) == 2
+        split = bank.ensure_private(0)
+        assert bank.refcount(0) == 1 and bank.refcount(split) == 1
+        bank.write_row(split, sets[1])
+        assert np.array_equal(bank.row(split), bank.row(1))
+        assert not np.array_equal(bank.row(split), bank.row(0))
+        bank.release(split)
+        with pytest.raises(KeyError):
+            bank.row(split)  # released, not merely out of range
+        with pytest.raises(KeyError):
+            bank.release(split)  # a dead row cannot be released twice
+
+    def test_readonly_row_params_reject_writes(self, rng):
+        bank, _sets = self.make_bank(rng)
+        views = bank.row_params(1, writeable=False)
+        with pytest.raises(ValueError):
+            views[0][0, 0] = 1.0
 
     def test_growth_preserves_rows(self, rng):
         bank, sets = self.make_bank(rng)
