@@ -33,7 +33,6 @@ from repro.federation.async_engine import (
     AsyncRoundBuffer,
     FederationConfig,
     FederationEngine,
-    build_engine,
 )
 from repro.federation.accounting import CommunicationLedger, RuntimeProfiler
 from repro.federation.strategy import ContinualStrategy, StrategyContext
@@ -60,7 +59,6 @@ __all__ = [
     "AsyncRoundBuffer",
     "FederationConfig",
     "FederationEngine",
-    "build_engine",
     "CommunicationLedger",
     "RuntimeProfiler",
     "ContinualStrategy",

@@ -1,27 +1,35 @@
-"""Buffered / asynchronous federation engine.
+"""The federation engine: one round loop, three participation policies.
 
-The synchronous simulator assumes every dispatched party reports back within
-its round.  This module drops that assumption: parties train at dispatch time
-(on the then-current parameters) and their reports travel through the
-availability simulator — lost outright, or arriving rounds later — into a
-per-model :class:`AsyncRoundBuffer` of preallocated
-:class:`~repro.utils.params.ParamBank` rows tagged with their dispatch round.
-Aggregation fires when the mode's trigger condition holds and weights each
-report by ``num_samples * staleness_decay(age)``, so late reports count less
-under the ``polynomial`` / ``exponential`` policies (and exactly the same
-under ``constant``).
+Every federated round in the repo is :meth:`FederationEngine.run_round`:
+decide each dispatched party's fate with the availability simulator, train
+the survivors on the then-current parameters into rows of the stream's
+:class:`~repro.utils.params.ParamBank` (sealed on the spot under secure
+aggregation), park each report in the stream's :class:`AsyncRoundBuffer`
+tagged with its dispatch and arrival tick, and — when the mode's trigger
+holds — aggregate whatever has arrived, weighting each report by
+``num_samples * staleness_decay(age)``.  Late reports count less under the
+``polynomial`` / ``exponential`` policies (and exactly the same under
+``constant``).
 
 Participation modes
 -------------------
-* ``sync``     — block for the full surviving cohort every round (dropped
-  reports are excluded, stragglers are awaited); with no availability knobs
-  this is bit-identical to :func:`~repro.federation.rounds.run_fl_round`
-  without an engine.
-* ``buffered`` — FedBuff-style: aggregate once ``min_reports`` reports are in
-  (default: the cohort size) or the oldest buffered report has waited
-  ``max_wait_rounds`` rounds; otherwise keep the parameters unchanged and
-  keep buffering.
-* ``async``    — aggregate whatever has arrived, every round.
+A mode is a two-part policy plugged into that loop — when a report arrives,
+and when the trigger fires:
+
+* ``sync``     — stragglers are awaited, so every surviving report arrives
+  in its dispatch round (the simulator's delay is ignored), and the
+  aggregate fires on everything alive.  With a quiet availability model
+  (the default) that is the textbook synchronous round: the full cohort
+  trains, the full cohort is averaged, nothing stays buffered.
+* ``buffered`` — FedBuff-style: reports arrive ``delay`` rounds late;
+  aggregate once ``min_reports`` reports are in (default: the cohort size)
+  or the oldest buffered report has waited ``max_wait_rounds`` rounds;
+  otherwise keep the parameters unchanged and keep buffering.
+* ``async``    — reports arrive ``delay`` rounds late; aggregate whatever
+  has arrived, every round.
+
+A round in which nothing is ready (every dispatch dropped, still in flight,
+or empty) leaves the parameters untouched and counts as ``skipped_rounds``.
 
 One engine serves a whole run: each global model / cluster / expert names its
 own ``stream``, so buffered reports never cross aggregation targets, and the
@@ -33,17 +41,20 @@ Contributors touching the engine must preserve these; the differential test
 suite (``tests/test_differential_aggregation.py``) pins most of them:
 
 1. **Every buffered report owns exactly one bank row**, allocated at
-   training time and released on exactly one of three exits: aggregation
+   training time and released on exactly one of four exits: aggregation
    (:meth:`AsyncRoundBuffer.pop`), window flush (:meth:`AsyncRoundBuffer.flush`
-   via :meth:`FederationEngine.begin_window`), or stream invalidation
-   (the stream's model changed shape/precision in ``_buffer_for``).
-   Leaking a row strands bank capacity for the rest of the run; releasing
-   twice corrupts an unrelated report's storage.  Under secure
-   aggregation (``run_round(secure=...)``) the row is additionally
+   via :meth:`FederationEngine.begin_window`), stream invalidation
+   (the stream's model changed shape/precision in ``_buffer_for``), or a
+   dispatch that raised before its reports were parked
+   (:func:`~repro.federation.rounds.train_cohort` releases what it
+   allocated).  Leaking a row strands bank capacity for the rest of the
+   run; releasing twice corrupts an unrelated report's storage.  Under
+   secure aggregation (``run_round(secure=...)``) the row is additionally
    *sealed* (bit-domain masked) from the moment training writes it:
-   aggregation is the only exit that unseals — transiently, scrubbing
-   the row before release — while the flush/invalidation exits discard
-   the report still sealed, so a flushed buffer leaks no residue.
+   aggregation is the only exit that unseals — transiently, inside
+   ``SecureAggregationSession.combine_rows``, which scrubs the row before
+   release — while the flush/invalidation exits discard the report still
+   sealed, so a flushed buffer leaks no residue.
 2. **The clock only moves forward**, exactly once per federated round via
    :meth:`FederationEngine.advance`; running a round before the first
    ``advance`` is an error.  Reports are tagged with their dispatch tick,
@@ -54,8 +65,9 @@ suite (``tests/test_differential_aggregation.py``) pins most of them:
 4. **Zero-sample reports never enter the buffer** — they carry no weight
    and would poison ``weighted_combine``'s positive-total requirement.
 5. **At age 0 every staleness policy multiplies by exactly 1.0**, which is
-   what makes ``buffered``/``async`` with no availability perturbation
-   reproduce the synchronous path bitwise.
+   what makes the three modes agree bitwise under a quiet availability
+   model, and all of them agree with the list-based
+   :func:`~repro.federation.aggregation.fedavg` reference.
 """
 
 from __future__ import annotations
@@ -73,12 +85,12 @@ from repro.federation.party import Party
 from repro.federation.rounds import (
     RoundConfig,
     RoundStats,
-    _sync_round,
     make_round_session,
     mean_finite_loss,
     round_dtype,
     train_cohort,
 )
+from repro.privacy.secure_aggregation import MaskingSpec
 from repro.utils.params import ParamBank, ParamSpec, Params
 
 PARTICIPATION_MODES = ("sync", "buffered", "async")
@@ -91,8 +103,8 @@ class FederationConfig:
     Serialized with :class:`~repro.harness.profiles.RunSettings` and
     :class:`~repro.experiments.plan.ExperimentPlan`, so a participation
     scenario is part of the experiment spec.  ``min_reports=None`` means
-    "the dispatched cohort size", which makes ``buffered`` with no
-    availability knobs reproduce ``sync`` bitwise.
+    "the dispatched cohort size", which makes ``buffered`` under a quiet
+    availability model reproduce ``sync`` bitwise.
     """
 
     mode: str = "sync"
@@ -118,7 +130,8 @@ class FederationConfig:
 
     @property
     def is_active(self) -> bool:
-        """True when rounds behave differently from the engine-less path."""
+        """True when rounds can differ from quiet ``sync`` (the run then
+        reports the engine's counters in ``extras["federation"]``)."""
         return self.mode != "sync" or self.availability.is_active
 
     def to_dict(self) -> dict:
@@ -148,8 +161,8 @@ class _PendingReport:
 
     ``session`` is the dispatch round's
     :class:`~repro.privacy.secure_aggregation.SecureAggregationSession`
-    when the report's row is sealed (None on unmasked runs); the engine
-    uses it to unseal the row exactly when its aggregation fires.
+    when the report's row is sealed (None on unmasked runs): the one that
+    can unseal the row when its aggregation fires.
     """
 
     row: int
@@ -164,9 +177,9 @@ class _PendingReport:
 class AsyncRoundBuffer:
     """In-flight reports for one aggregation stream, rows in a ParamBank.
 
-    Parties write trained flat vectors straight into preallocated bank rows
-    (the same zero-copy path the sync round uses); each row is tagged with
-    its dispatch round so aggregation can weight by staleness.  Rows are
+    Parties write trained flat vectors straight into preallocated bank
+    rows; each row is tagged with its dispatch round so aggregation can
+    weight by staleness.  Rows are
     released back to the bank as soon as their report is aggregated or
     expired.
     """
@@ -219,8 +232,8 @@ class FederationEngine:
     federated round, :meth:`begin_window` at window boundaries (in-flight
     reports are dropped there — parties re-train on the new window's data
     anyway, and experts/clusters may not survive the boundary).  Strategies
-    stay oblivious: they call ``run_fl_round(..., engine=..., stream=...)``
-    exactly where they called the synchronous version.
+    stay oblivious to the mode: they call
+    ``run_fl_round(..., engine=ctx.federation, stream=...)``.
     """
 
     def __init__(self, config: FederationConfig, seed: int = 0,
@@ -281,12 +294,17 @@ class FederationEngine:
             self._buffers[stream] = buf
         return buf
 
+    def _arrival_delay(self, fate) -> int:
+        """Rounds until a surviving report arrives: ``sync`` awaits its
+        stragglers, so their reports count in the dispatch round."""
+        return 0 if self.config.mode == "sync" else fate.delay
+
     def _should_aggregate(self, buf: AsyncRoundBuffer, tick: int,
                           cohort_size: int) -> bool:
         ready = buf.ready(tick)
         if not ready:
             return False
-        if self.config.mode == "async":
+        if self.config.mode != "buffered":
             return True
         min_reports = self.config.min_reports
         if min_reports is None:
@@ -298,9 +316,9 @@ class FederationEngine:
     def run_round(self, parties: dict[int, Party], participant_ids: list[int],
                   params: Params, config: RoundConfig, round_tag: object = 0,
                   stream: object = "default", dtype=None,
-                  secure: "int | object | None" = None,
+                  secure: MaskingSpec | None = None,
                   ) -> tuple[Params, RoundStats]:
-        """One engine-mediated round (called via ``run_fl_round``)."""
+        """The federated round (strategies reach it via ``run_fl_round``)."""
         if self.clock < 0:
             raise RuntimeError(
                 "FederationEngine.advance() must be called before the first "
@@ -312,10 +330,6 @@ class FederationEngine:
         self.counters["dispatched"] += len(participant_ids)
         self.counters["dropped"] += len(dropped)
 
-        if self.config.mode == "sync":
-            return self._run_sync(parties, alive, dropped, participant_ids,
-                                  params, config, round_tag, dtype, secure)
-
         spec = ParamSpec.of(params)
         bank_dtype = round_dtype(parties, list(participant_ids), params, dtype)
         buf = self._buffer_for(stream, spec, bank_dtype,
@@ -324,23 +338,24 @@ class FederationEngine:
         session = seal = None
         if secure is not None and alive_ids:
             # One session per dispatch cohort: its pairwise masks are
-            # namespaced by (stream, tick) so no two rounds share a stream
-            # of mask material, and each buffered report remembers which
-            # session can unseal it once its aggregation fires.
+            # namespaced by (stream, tick, round) so no two rounds share a
+            # stream of mask material, and each buffered report remembers
+            # which session can unseal it once its aggregation fires.
             session, seal = make_round_session(
                 alive_ids, spec, buf.bank, secure,
-                context=("stream", stream, tick))
+                context=("stream", stream, tick, round_tag))
         rows, updates = train_cohort(parties, alive_ids, params, config,
                                      round_tag, buf.bank, seal=seal)
         for fate, row, update in zip(alive, rows, updates):
             if update.num_samples <= 0:
                 buf.bank.release(row)  # an empty report carries nothing
                 continue
-            if fate.delay > 0:
+            delay = self._arrival_delay(fate)
+            if delay > 0:
                 self.counters["delayed"] += 1
             buf.push(_PendingReport(
                 row=row, party_id=update.party_id, dispatch_tick=tick,
-                arrival_tick=tick + fate.delay,
+                arrival_tick=tick + delay,
                 num_samples=update.num_samples, mean_loss=update.mean_loss,
                 session=session,
             ))
@@ -364,39 +379,17 @@ class FederationEngine:
                                 self.config.staleness_alpha,
                                 self.config.staleness_gamma)
         weights = np.array([float(r.num_samples) for r in ready]) * decay
-        sealed = [r for r in ready if r.session is not None]
-        if sealed:
-            # Recovery phase: unseal exactly the rows entering this
-            # aggregate (possibly spanning several dispatch sessions), run
-            # the bank kernel, and scrub the rows before they are released.
-            # The finally mirrors combine_rows: even if the kernel raises,
-            # no unmasked update stays resident in the stream buffer.
-            # Under a Shamir threshold, each dispatch session first runs
-            # its reconstruction round for the parties being unsealed —
-            # every cohort member sealed a row (it is alive), so the full
-            # cohort answers the share query and the ledger meters the
-            # pull under ``secure_agg``.
-            by_session: dict[int, tuple[object, list[int]]] = {}
-            for r in sealed:
-                entry = by_session.setdefault(id(r.session),
-                                              (r.session, []))
-                entry[1].append(r.party_id)
-            for session, party_ids in by_session.values():
-                session.recover(party_ids)
-            unsealed = []
-            try:
-                for r in sealed:
-                    r.session.unseal_row(r.party_id, buf.bank.row(r.row))
-                    unsealed.append(r)
-                new_flat = buf.bank.weighted_combine(weights,
-                                                     [r.row for r in ready])
-            finally:
-                for r in unsealed:
-                    buf.bank.row(r.row)[...] = 0.0
-            new_params = spec.view(new_flat)
+        sessions = [r.session for r in ready]
+        sealer = next((s for s in sessions if s is not None), None)
+        if sealer is None:
+            new_flat = buf.bank.weighted_combine(weights,
+                                                 [r.row for r in ready])
         else:
-            new_params = spec.view(buf.bank.weighted_combine(
-                weights, [r.row for r in ready]))
+            # The ready set may span several dispatch sessions; recovery,
+            # unsealing and scrubbing all live in combine_rows.
+            new_flat = sealer.combine_rows(
+                buf.bank, weights, [(r.party_id, r.row) for r in ready],
+                sessions=sessions)
         stats.aggregated = True
         stats.reported = [r.party_id for r in ready]
         stats.staleness = {r.party_id: age for r, age in zip(ready, ages)}
@@ -404,38 +397,4 @@ class FederationEngine:
         self.counters["aggregated_reports"] += len(ready)
         self.counters["staleness_total"] += int(sum(ages))
         buf.pop(ready)
-        return new_params, stats
-
-    def _run_sync(self, parties, alive, dropped, participant_ids, params,
-                  config, round_tag, dtype,
-                  secure: "int | object | None" = None,
-                  ) -> tuple[Params, RoundStats]:
-        """Blocking mode: full surviving cohort, stragglers awaited."""
-        alive_ids = [f.party_id for f in alive]
-        if not alive_ids:
-            self.counters["skipped_rounds"] += 1
-            return params, RoundStats(
-                participants=list(participant_ids),
-                mean_train_loss=float("nan"), total_samples=0,
-                dropped=dropped, aggregated=False,
-            )
-        new_params, stats = _sync_round(parties, alive_ids, params, config,
-                                        round_tag, dtype=dtype, secure=secure)
-        stats.participants = list(participant_ids)
-        stats.dropped = dropped
-        self.counters["aggregations"] += 1
-        self.counters["aggregated_reports"] += len(stats.reported)
-        return new_params, stats
-
-
-def build_engine(config: FederationConfig, seed: int = 0,
-                 num_parties: int | None = None,
-                 ) -> FederationEngine | None:
-    """An engine when the config changes behavior, else None (pure sync).
-
-    Returning None keeps default runs on the engine-less fast path, which is
-    the seed-reproduction code path byte for byte.
-    """
-    if not config.is_active:
-        return None
-    return FederationEngine(config, seed=seed, num_parties=num_parties)
+        return spec.view(new_flat), stats

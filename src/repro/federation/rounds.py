@@ -1,24 +1,21 @@
 """One federated round: select -> broadcast -> local train -> aggregate.
 
-Cohort updates land directly in a round-local
-:class:`~repro.utils.params.ParamBank` — each party writes its trained flat
-vector into one bank row — so FedAvg is a single weighted ``w @ M``
-matrix-vector product over the stacked updates, with no per-update
-re-flattening or Python-level accumulation loops.
+:func:`run_fl_round` is the entry every strategy calls; the round itself is
+:meth:`repro.federation.async_engine.FederationEngine.run_round`, the one
+loop every participation mode runs.  This module holds what that loop is
+made of: the round-level config and stats records, the cohort trainer that
+lands each party's trained flat vector in one row of the engine's stream
+:class:`~repro.utils.params.ParamBank` (so FedAvg is a single weighted
+``w @ M`` product over the stacked rows), and the per-dispatch sealing hook.
 
-Participation modes: with no ``engine`` the round is fully synchronous (every
-participant trains and reports).  Passing a
-:class:`~repro.federation.async_engine.FederationEngine` routes the round
-through its availability simulator and buffered/async aggregation logic —
-dropped reports vanish, stragglers arrive rounds later, and aggregation fires
-on ``min_reports``/``max_wait_rounds`` instead of blocking on the cohort.
-
-Secure aggregation: ``run_fl_round(secure=seed)`` runs the round under a
+Secure aggregation: ``run_fl_round(secure=MaskingSpec(seed))`` runs the
+dispatch under a
 :class:`~repro.privacy.secure_aggregation.SecureAggregationSession` — each
 party's bank row is sealed in the exact bit domain the moment training
-writes it, and the aggregate is produced by the session's recovery phase.
-Sealing round-trips exactly, so the masked round is bit-for-bit the
-unmasked one; ``secure=None`` (the default) never constructs a session.
+writes it and unsealed only inside the session's ``combine_rows`` when its
+aggregation fires.  Sealing round-trips exactly, so the masked round is
+bit-for-bit the unmasked one; ``secure=None`` (the default) never
+constructs a session.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from repro.nn.training import LocalTrainingConfig
 from repro.privacy.secure_aggregation import (
     MaskingSpec,
     SecureAggregationSession,
-    resolve_masking,
 )
 from repro.utils.params import ParamBank, ParamSpec, Params
 
@@ -54,8 +50,8 @@ class RoundConfig:
 class RoundStats:
     """Bookkeeping emitted by one round.
 
-    ``participants`` is the dispatched cohort; under an async engine the
-    extra fields record what actually happened: which parties' reports
+    ``participants`` is the dispatched cohort; the other fields record
+    what actually happened to it: which parties' reports
     entered this round's aggregate (``reported``, one entry per report, so a
     party can appear twice), which dispatches were lost (``dropped``), and
     per-party training loss/sample counts for the parties that trained this
@@ -105,13 +101,17 @@ def train_cohort(parties: dict[int, Party], participant_ids: list[int],
                  ) -> tuple[list[int], list]:
     """Train every participant, landing each update in a fresh bank row.
 
-    Returns ``(rows, updates)`` aligned with ``participant_ids``.  Shared by
-    the synchronous path and the async engine so both train identically.
+    Returns ``(rows, updates)`` aligned with ``participant_ids``.
 
     ``seal(party_id, row, update)`` fires immediately after each party's
     trained vector lands in its row — the secure-aggregation hook masks the
     row there, before the next party trains, so an unmasked update is never
     left resident once control returns from the party.
+
+    ``bank`` outlives the call (it is the engine's stream buffer), so a
+    dispatch that fails must not strand rows in it: unknown ids are rejected
+    before anyone trains, and if a party raises mid-cohort every row this
+    call allocated is scrubbed and released.
 
     When ``parties`` is a :class:`~repro.federation.pool.PartyPool` (any
     mapping exposing ``acquire``/``release``), each trainee is pinned for
@@ -119,44 +119,50 @@ def train_cohort(parties: dict[int, Party], participant_ids: list[int],
     rest of the cohort can never evict a party mid-training.  Plain dicts
     skip the pinning entirely.
     """
+    for party_id in participant_ids:
+        if party_id not in parties:
+            raise KeyError(f"unknown party id {party_id}")
     acquire = getattr(parties, "acquire", None)
     release = getattr(parties, "release", None)
     rows: list[int] = []
     updates = []
-    for party_id in participant_ids:
-        if party_id not in parties:
-            raise KeyError(f"unknown party id {party_id}")
-        row = bank.alloc()
-        rows.append(row)
-        party = acquire(party_id) if acquire is not None else parties[party_id]
-        try:
-            update = party.local_train(
-                params, config.local, round_tag, out_flat=bank.row(row))
-            if seal is not None:
-                seal(party_id, row, update)
-        finally:
-            if release is not None:
-                release(party_id)
-        updates.append(update)
+    try:
+        for party_id in participant_ids:
+            row = bank.alloc()
+            rows.append(row)
+            party = (acquire(party_id) if acquire is not None
+                     else parties[party_id])
+            try:
+                update = party.local_train(
+                    params, config.local, round_tag, out_flat=bank.row(row))
+                if seal is not None:
+                    seal(party_id, row, update)
+            finally:
+                if release is not None:
+                    release(party_id)
+            updates.append(update)
+    except BaseException:
+        for row in rows:
+            bank.row(row)[...] = 0.0
+            bank.release(row)
+        raise
     return rows, updates
 
 
 def make_round_session(participant_ids: list[int], spec: ParamSpec, bank,
-                       secure: "int | MaskingSpec", context: tuple,
+                       secure: MaskingSpec, context: tuple,
                        ) -> tuple[SecureAggregationSession, Callable]:
-    """A per-round session plus the ``train_cohort`` seal hook.
+    """A per-dispatch session plus the ``train_cohort`` seal hook.
 
     The hook seals only reports that carry samples — zero-sample rows are
-    released immediately by both round paths and never enter an aggregate.
-    ``secure`` is the mask-stream root seed, or a
-    :class:`~repro.privacy.secure_aggregation.MaskingSpec` carrying the
-    Shamir recovery threshold and the ledger that meters share traffic.
+    released immediately by the round loop and never enter an aggregate.
+    ``secure`` carries the mask-stream root seed, the Shamir recovery
+    threshold and the ledger that meters share traffic.
     """
-    masking = resolve_masking(secure)
     session = SecureAggregationSession(
-        list(participant_ids), spec, shared_seed=masking.seed,
-        dtype=bank.dtype, context=context, threshold=masking.threshold,
-        ledger=masking.ledger)
+        list(participant_ids), spec, shared_seed=secure.seed,
+        dtype=bank.dtype, context=context, threshold=secure.threshold,
+        ledger=secure.ledger)
 
     def seal(party_id: int, row: int, update) -> None:
         if update.num_samples > 0:
@@ -170,56 +176,12 @@ def mean_finite_loss(updates) -> float:
     return float(np.mean(losses)) if losses else float("nan")
 
 
-def _sync_round(parties: dict[int, Party], participant_ids: list[int],
-                params: Params, config: RoundConfig, round_tag: object,
-                dtype=None,
-                secure: "int | MaskingSpec | None" = None,
-                ) -> tuple[Params, RoundStats]:
-    spec = ParamSpec.of(params)
-    bank = ParamBank(spec,
-                     dtype=round_dtype(parties, participant_ids, params, dtype),
-                     capacity=len(participant_ids))
-    session = seal = None
-    if secure is not None:
-        session, seal = make_round_session(participant_ids, spec, bank,
-                                           secure,
-                                           context=("sync", round_tag))
-    rows, updates = train_cohort(parties, participant_ids, params, config,
-                                 round_tag, bank, seal=seal)
-    weights = np.array([float(u.num_samples) for u in updates])
-    usable = weights > 0
-    if not usable.any():
-        raise ValueError(
-            f"aggregation failed in round {round_tag!r}: all updates "
-            "carry zero samples"
-        )
-    usable_rows = [r for r, ok in zip(rows, usable) if ok]
-    if session is not None:
-        new_params = spec.view(session.combine_rows(
-            bank, weights[usable],
-            [(u.party_id, r) for u, r, ok in zip(updates, rows, usable)
-             if ok]))
-    else:
-        new_params = spec.view(bank.weighted_combine(weights[usable],
-                                                     usable_rows))
-    stats = RoundStats(
-        participants=list(participant_ids),
-        mean_train_loss=mean_finite_loss(updates),
-        total_samples=int(sum(u.num_samples for u in updates)),
-        reported=[u.party_id for u, ok in zip(updates, usable) if ok],
-        staleness={u.party_id: 0 for u, ok in zip(updates, usable) if ok},
-        mean_losses={u.party_id: u.mean_loss for u in updates},
-        samples={u.party_id: u.num_samples for u in updates},
-    )
-    return new_params, stats
-
-
 def run_fl_round(parties: dict[int, Party], participant_ids: list[int],
                  params: Params, config: RoundConfig,
                  round_tag: object = 0, engine=None,
                  stream: object = "default",
                  dtype=None,
-                 secure: "int | MaskingSpec | None" = None,
+                 secure: MaskingSpec | None = None,
                  ) -> tuple[Params, RoundStats]:
     """Train ``params`` for one round over the given participants.
 
@@ -231,26 +193,32 @@ def run_fl_round(parties: dict[int, Party], participant_ids: list[int],
     participant on first touch and is pinned per-trainee by
     :func:`train_cohort`.
 
-    ``engine`` (a :class:`~repro.federation.async_engine.FederationEngine`)
-    switches the round to simulated-availability participation; ``stream``
-    then names the aggregation target (one buffer per global model / cluster
-    / expert) so buffered reports never cross models.  ``dtype`` overrides
-    the round bank precision (default: the cohort's bound model dtype).
+    ``engine`` is the :class:`~repro.federation.async_engine.FederationEngine`
+    whose clock, availability model and per-``stream`` buffers the round runs
+    on (one buffer per global model / cluster / expert, so buffered reports
+    never cross models); a run shares one across all its rounds.  Left out,
+    the round runs on a throwaway quiet ``sync`` engine: everyone dispatched
+    reports, and the aggregate fires at once.  ``dtype`` overrides the
+    round bank precision (default: the cohort's bound model dtype).
 
-    ``secure`` (a mask-stream root seed, a
-    :class:`~repro.privacy.secure_aggregation.MaskingSpec`, or None = off)
-    masks the round: every bank row is sealed at training time and the
-    aggregate comes out of the session's recovery phase — bit-for-bit the
-    unmasked result, with no unmasked party update resident in
-    server-side storage.  A spec with a ``threshold`` additionally runs
+    ``secure`` (a :class:`~repro.privacy.secure_aggregation.MaskingSpec`, or
+    None = off) masks the round: every bank row is sealed at training time
+    and the aggregate comes out of the session's recovery phase —
+    bit-for-bit the unmasked result, with no unmasked party update resident
+    in server-side storage.  A spec with a ``threshold`` additionally runs
     the Shamir share-distribution and reconstruction rounds, metered in
     its ledger under the ``secure_agg`` channel.
     """
     if not participant_ids:
         raise ValueError("cannot run a round with no participants")
-    if engine is not None:
-        return engine.run_round(parties, participant_ids, params, config,
-                                round_tag=round_tag, stream=stream,
-                                dtype=dtype, secure=secure)
-    return _sync_round(parties, participant_ids, params, config, round_tag,
-                       dtype=dtype, secure=secure)
+    if engine is None:
+        # Imported here: async_engine builds on this module's pieces.
+        from repro.federation.async_engine import (
+            FederationConfig,
+            FederationEngine,
+        )
+        engine = FederationEngine(FederationConfig())
+        engine.advance()
+    return engine.run_round(parties, participant_ids, params, config,
+                            round_tag=round_tag, stream=stream,
+                            dtype=dtype, secure=secure)

@@ -45,8 +45,9 @@ if TYPE_CHECKING:  # import cycle: async_engine -> rounds -> party only
 class StrategyContext:
     """Everything a strategy needs from the environment.
 
-    ``federation`` is the run's participation engine (None = pure synchronous
-    rounds).  Strategies pass it to ``run_fl_round`` together with a
+    ``federation`` is the run's round engine (None, as in hand-built test
+    contexts, makes every ``run_fl_round`` call use a throwaway quiet
+    one).  Strategies pass it to ``run_fl_round`` together with a
     ``stream`` key naming the aggregation target, so buffered reports for one
     cluster/expert never leak into another.
 

@@ -19,7 +19,7 @@ from repro.data.registry import DatasetSpec
 from repro.detection.thresholds import load_threshold_table
 from repro.experiments.events import RunCallback, RunInfo, first_stop_reason
 from repro.federation.accounting import CommunicationLedger
-from repro.federation.async_engine import build_engine
+from repro.federation.async_engine import FederationEngine
 from repro.federation.party import Party
 from repro.federation.pool import PartyPool
 from repro.federation.strategy import ContinualStrategy, StrategyContext
@@ -100,10 +100,10 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         return build_model(spec.model_name, spec.input_shape, spec.num_classes,
                            spawn_rng(seed, "global-model-init"), dtype=dtype)
 
-    # None unless the run's federation config changes behavior — the default
-    # stays on the engine-less synchronous path byte for byte.
-    engine = build_engine(settings.federation, seed=seed,
-                          num_parties=num_parties)
+    # Every round of the run goes through this engine; the default config
+    # is quiet ``sync`` (nobody drops, nothing stays buffered).
+    engine = FederationEngine(settings.federation, seed=seed,
+                              num_parties=num_parties)
     # The privacy plan's mask root defaults to the run seed (mask streams
     # are label-namespaced, so they never collide with model/data draws);
     # ``mask_seed`` pins it independently of the data/model seed.
@@ -177,13 +177,11 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         else:
             for pid in range(spec.num_parties):
                 parties[pid].set_window_data(ds.party_window(pid, window))
-        if engine is not None:
-            engine.begin_window(window)
+        engine.begin_window(window)
         strategy.start_window(window)
         series = [mean_accuracy_pct()]
         for round_index in range(settings.rounds_for_window(window)):
-            if engine is not None:
-                engine.advance((window, round_index))
+            engine.advance((window, round_index))
             strategy.run_round(window, round_index)
             accuracy = mean_accuracy_pct()
             series.append(accuracy)
@@ -221,7 +219,7 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         ledger_summary=ctx.ledger.summary(),
         profiler_summary=ctx.profiler.summary(),
     )
-    if engine is not None:
+    if settings.federation.is_active:
         result.extras["federation"] = engine.summary()
     if pool is not None:
         result.extras["party_pool"] = pool.summary()

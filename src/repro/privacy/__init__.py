@@ -30,9 +30,6 @@ from repro.privacy.secure_aggregation import (
     IncompleteSubmissionError,
     MaskingSpec,
     SecureAggregationSession,
-    mask_vector,
-    pairwise_mask,
-    resolve_masking,
     seal_bits,
     self_seal_bits,
 )
@@ -53,9 +50,6 @@ __all__ = [
     "IncompleteSubmissionError",
     "MaskingSpec",
     "SecureAggregationSession",
-    "mask_vector",
-    "pairwise_mask",
-    "resolve_masking",
     "seal_bits",
     "self_seal_bits",
     "PRIME",

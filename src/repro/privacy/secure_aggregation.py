@@ -13,47 +13,30 @@ Protocol shape implemented here (the honest-but-curious core):
 3. the masks cancel pairwise in the sum, so the aggregate equals
    ``sum_i x_i`` while each submission is marginally random.
 
-Bank-resident rewrite
----------------------
-Everything operates on the flat parameter plane: a pairwise mask is **one
-RNG stream producing a single flat ``(dim,)`` vector** (:func:`mask_vector`),
-a party's net mask is one vector accumulation over its pairs, and
-submissions live as rows of a :class:`~repro.utils.params.ParamBank` so the
-masked sum is the existing ``weighted_combine`` kernel.  The per-tensor
-``Params`` API (:func:`pairwise_mask`, :meth:`SecureAggregationSession.submit`)
-is a thin facade over the flat core; its mask values are bitwise-identical
-to the historical per-tensor draws because numpy generators fill arrays
-sequentially, so ``normal(size=dim)`` equals the concatenation of
-per-shape draws from the same stream.
+One mask domain: bit seals
+--------------------------
+Everything operates on the flat parameter plane.  A party's update lives as
+one row of a :class:`~repro.utils.params.ParamBank` owned by the round
+engine; sealing translates the row's raw bit pattern, viewed as unsigned
+integers, by a uniform random vector in the additive group Z_{2^64}
+(Z_{2^32} for float32 banks) — :meth:`SecureAggregationSession.seal_row`.
+This is the finite-group masking of the real protocol: a sealed row is
+*uniformly* distributed (perfect marginal secrecy), and unsealing is modular
+subtraction, which restores the original bits **exactly**.  A masked round
+therefore reproduces the unmasked aggregate bit for bit at any precision.
 
-Two mask domains
-----------------
-* **Float additive masks** (the legacy facade): Gaussian flat vectors added
-  to the update.  Cancellation in the aggregate is exact only up to float
-  rounding (~1e-12 relative), which is why the facade's masked mean is
-  pinned to FedAvg with a tolerance.
-* **Bit-domain seals** (the federation path): the row's raw bit pattern,
-  viewed as unsigned integers, is translated by a uniform random vector in
-  the additive group Z_{2^64} (Z_{2^32} for float32 banks) —
-  :meth:`SecureAggregationSession.seal_row`.  This is the finite-group
-  masking of the real protocol: a sealed row is *uniformly* distributed
-  (perfect marginal secrecy, unlike Gaussian float masks), and unsealing is
-  modular subtraction, which restores the original bits **exactly**.  The
-  masked federation path therefore reproduces the unmasked aggregate bit
-  for bit at any precision.
-
-Session lifecycle through the async buffer
+Session lifecycle through the round buffer
 ------------------------------------------
 One session covers one dispatch cohort.  Parties seal their bank rows at
 training time (:meth:`seal_row`); the rows then sit sealed in the
 :class:`~repro.federation.async_engine.AsyncRoundBuffer` for as long as the
 participation mode buffers them.  When an aggregation fires, the engine
-runs the recovery phase — :meth:`combine_rows` unseals exactly the rows
-entering the aggregate (emulating the protocol's threshold mask-share
-reconstruction for partial cohorts), combines them with the bank kernel,
-and scrubs the rows before they are released.  Reports dropped at a window
-boundary are discarded *still sealed*: their masks are never reconstructed,
-so a flushed buffer leaks no residue.
+hands the ready set to :meth:`SecureAggregationSession.combine_rows` — the
+one place that reconstructs mask words, unseals exactly the rows entering
+the aggregate (they may span several dispatch sessions), runs the bank
+kernel, and scrubs the rows before they are released.  Reports dropped at a
+window boundary are discarded *still sealed*: their masks are never
+reconstructed, so a flushed buffer leaks no residue.
 """
 
 from __future__ import annotations
@@ -63,13 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.privacy.shamir import PRIME, reconstruct_secret, split_secret
-from repro.utils.params import (
-    ParamBank,
-    ParamSpec,
-    Params,
-    flatten_params,
-    resolve_dtype,
-)
+from repro.utils.params import ParamSpec, resolve_dtype
 from repro.utils.rng import spawn_rng
 
 # One Shamir share on the wire: the (x, y) pair as two 8-byte words.
@@ -77,32 +54,25 @@ SHARE_BYTES = 16
 
 
 class IncompleteSubmissionError(RuntimeError):
-    """Raised when the aggregate is requested before all parties submitted."""
+    """Raised when mask recovery is asked of fewer share holders than the
+    threshold — everything stays masked."""
 
 
 @dataclass(frozen=True)
 class MaskingSpec:
-    """Runtime masking parameters handed to the round paths.
+    """Runtime masking parameters: the ``run_fl_round(secure=...)`` argument.
 
-    The historical ``secure=<seed>`` int survives as shorthand for
-    ``MaskingSpec(seed)`` — no threshold, no ledger, bitwise the PR 5
-    behavior.  ``threshold`` switches dropout recovery from the
-    seed-derived shortcut to real Shamir ``t``-of-``n`` reconstruction
-    (``int`` or ``"majority"``, resolved per cohort); ``ledger`` is the
-    run's :class:`~repro.federation.accounting.CommunicationLedger`, which
-    meters the share traffic under the ``secure_agg`` channel.
+    ``seed`` roots every mask stream.  ``threshold`` switches dropout
+    recovery from the seed-derived shortcut to real Shamir ``t``-of-``n``
+    reconstruction (``int`` or ``"majority"``, resolved per cohort);
+    ``ledger`` is the run's
+    :class:`~repro.federation.accounting.CommunicationLedger`, which meters
+    the share traffic under the ``secure_agg`` channel.
     """
 
     seed: int
     threshold: int | str | None = None
     ledger: object = None
-
-
-def resolve_masking(secure: "int | MaskingSpec") -> MaskingSpec:
-    """Coerce the round paths' ``secure`` argument (int seed or spec)."""
-    if isinstance(secure, MaskingSpec):
-        return secure
-    return MaskingSpec(seed=int(secure))
 
 
 def _resolve_threshold(threshold: "int | str | None", n: int) -> int | None:
@@ -130,26 +100,14 @@ def _uint_dtype(dtype: np.dtype) -> np.dtype:
     raise ValueError(f"no seal domain for dtype {dtype}")
 
 
-def mask_vector(shared_seed: int, party_a: int, party_b: int, dim: int,
-                context: tuple = ()) -> np.ndarray:
-    """The flat float mask party ``min(a,b)`` ADDS and ``max(a,b)`` SUBTRACTS.
-
-    One RNG stream per (unordered) pair produces one ``(dim,)`` vector;
-    ``context`` namespaces the stream (e.g. per round or per engine stream)
-    so reusing party ids across rounds never reuses masks.
-    """
-    low, high = sorted((party_a, party_b))
-    rng = spawn_rng(shared_seed, "pairwise-mask", *context, low, high)
-    return rng.normal(size=dim)
-
-
 def seal_bits(shared_seed: int, party_a: int, party_b: int, dim: int,
               dtype=None, context: tuple = ()) -> np.ndarray:
     """The pairwise bit-domain mask: uniform words in Z_{2^w}.
 
     ``dtype`` is the *float* dtype of the sealed rows; the mask lives in the
-    unsigned integer type of the same width.  Like :func:`mask_vector`, the
-    stream depends only on the unordered pair (plus ``context``).
+    unsigned integer type of the same width.  One RNG stream per
+    (unordered) pair; ``context`` namespaces it (engine stream, tick, round)
+    so reusing party ids across rounds never reuses masks.
     """
     low, high = sorted((party_a, party_b))
     udt = _uint_dtype(resolve_dtype(dtype))
@@ -172,31 +130,14 @@ def self_seal_bits(shared_seed: int, party_id: int, dim: int,
     return rng.integers(0, 2 ** (8 * udt.itemsize), size=dim, dtype=udt)
 
 
-def pairwise_mask(shared_seed: int, party_a: int, party_b: int,
-                  sizes: list[tuple[int, ...]]) -> Params:
-    """Per-tensor facade over :func:`mask_vector` (bitwise-identical draws)."""
-    spec = ParamSpec(tuple(tuple(s) for s in sizes))
-    return spec.view(mask_vector(shared_seed, party_a, party_b,
-                                 spec.total_size))
-
-
 class SecureAggregationSession:
-    """One masked-sum aggregation round over a fixed cohort, bank-resident.
+    """The mask material of one dispatch cohort.
 
-    The session serves two callers:
-
-    * the **facade path** (:meth:`submit` / :meth:`aggregate`): per-tensor
-      ``Params`` updates are flattened, float-masked, and parked as rows of
-      an internal :class:`~repro.utils.params.ParamBank`; the aggregate is
-      one ``weighted_combine`` over the masked rows (masks cancel in the
-      sum up to float rounding);
-    * the **federation path** (:meth:`seal_row` / :meth:`combine_rows`):
-      rows owned by someone else's bank (a round bank, an async stream
-      buffer) are sealed *in place* in the exact bit domain, and unsealed
-      only inside :meth:`combine_rows` when their aggregation fires.
-
-    ``context`` namespaces the mask streams (round tag, engine stream) so
-    distinct rounds of one run never share masks.
+    The session owns no storage: rows of the engine's stream bank are
+    sealed *in place* in the exact bit domain (:meth:`seal_row`) and
+    unsealed only inside :meth:`combine_rows`, when their aggregation
+    fires.  ``context`` namespaces the mask streams (engine stream, tick,
+    round tag) so distinct rounds of one run never share masks.
     """
 
     def __init__(self, cohort: list[int],
@@ -212,15 +153,11 @@ class SecureAggregationSession:
         else:
             self.spec = ParamSpec(tuple(tuple(s) for s in param_shapes))
         self.cohort = sorted(cohort)
-        self.param_shapes = list(self.spec.shapes)
         self.shared_seed = shared_seed
         self.context = tuple(context)
         self.dtype = resolve_dtype(dtype)
         self.threshold = _resolve_threshold(threshold, len(self.cohort))
         self.ledger = ledger
-        self._facade_bank: ParamBank | None = None  # lazy: facade path only
-        self._rows: dict[int, int] = {}
-        self._weights: dict[int, float] = {}
         self._sealed: set[int] = set()
         # (owner, word key) -> {holder: (x, y)}: the share matrix the server
         # collects in the distribution round (threshold mode only).
@@ -229,32 +166,7 @@ class SecureAggregationSession:
         if self.threshold is not None:
             self._distribute_shares()
 
-    @property
-    def _bank(self) -> ParamBank:
-        """The facade path's submission storage, allocated on first use.
-
-        Federation-path sessions (seal/unseal over someone else's bank)
-        never touch it, so constructing a session stays allocation-free.
-        """
-        if self._facade_bank is None:
-            self._facade_bank = ParamBank(self.spec, dtype=self.dtype,
-                                          capacity=len(self.cohort))
-        return self._facade_bank
-
     # ------------------------------------------------------------------ masks
-
-    def net_mask_vector(self, party_id: int) -> np.ndarray:
-        """The net float mask a party adds before upload (one add per pair)."""
-        self._check_party(party_id)
-        dim = self.spec.total_size
-        net = np.zeros(dim)
-        for other in self.cohort:
-            if other == party_id:
-                continue
-            sign = 1.0 if party_id < other else -1.0
-            net += sign * mask_vector(self.shared_seed, party_id, other, dim,
-                                      context=self.context)
-        return net
 
     def net_seal_bits(self, party_id: int) -> np.ndarray:
         """The party's net bit-domain mask: personal mask + pair words.
@@ -387,19 +299,19 @@ class SecureAggregationSession:
                 f"(dim {self.spec.total_size})")
         return row.view(_uint_dtype(self.dtype))
 
-    # ------------------------------------------------------- federation path
+    # ------------------------------------------------------- seal / unseal
 
     def seal_row(self, party_id: int, row: np.ndarray) -> None:
         """Seal a bank row in place: exact bit-domain masking (party-side).
 
         After this call the row's bytes are uniformly random to anyone
         without the pair seeds; :meth:`unseal_row` restores them exactly.
-        Aggregation weights are no business of the seal: the recovery phase
-        (:meth:`combine_rows`, the async engine) weights reports at fire
-        time, exactly as the unmasked paths do.
+        Aggregation weights are no business of the seal: the engine weights
+        reports at fire time (:meth:`combine_rows`), exactly as it does
+        unmasked ones.
         """
         self._check_party(party_id)
-        if party_id in self._sealed or party_id in self._rows:
+        if party_id in self._sealed:
             raise ValueError(f"party {party_id} already submitted")
         view = self._uint_view(row)
         view += self.net_seal_bits(party_id)
@@ -423,16 +335,21 @@ class SecureAggregationSession:
     def is_sealed(self, party_id: int) -> bool:
         return party_id in self._sealed
 
-    def combine_rows(self, bank, weights,
-                     party_rows: list[tuple[int, int]]) -> np.ndarray:
-        """Masked aggregation: unseal, run the bank kernel, scrub the rows.
+    def combine_rows(self, bank, weights, party_rows: list[tuple[int, int]],
+                     sessions: "list | None" = None) -> np.ndarray:
+        """Masked aggregation: recover, unseal, run the bank kernel, scrub.
 
         ``party_rows`` pairs each contributing party with its row in
-        ``bank``.  Unsealing is exact, so the result is bit-for-bit the
-        unmasked ``weighted_combine`` over the same rows; the rows are
-        zeroed afterwards so no unmasked update outlives the aggregation
-        (callers release them right after).
+        ``bank``.  A ready set may span several dispatch cohorts:
+        ``sessions[i]`` is then the session that sealed ``party_rows[i]``
+        (None for a row dispatched unmasked); by default every row is this
+        session's.  Unsealing is exact, so the result is bit-for-bit the
+        unmasked ``weighted_combine`` over the same rows; the unsealed rows
+        are zeroed afterwards so no unmasked update outlives the
+        aggregation (callers release them right after).
         """
+        if sessions is None:
+            sessions = [self] * len(party_rows)
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(party_rows),):
             raise ValueError(
@@ -442,103 +359,24 @@ class SecureAggregationSession:
             # weighted_combine would reject this too, but only *after* the
             # rows were unsealed — validate while everything is still masked.
             raise ValueError("weights must sum to a positive value")
-        # Threshold mode: run the reconstruction round for every
-        # contributing party before any row is unsealed, so a
+        # Threshold mode: each session runs its reconstruction round for
+        # the parties it is about to unseal before any row is touched, so a
         # below-threshold cohort fails with everything still masked.
-        self.recover([pid for pid, _ in party_rows])
+        members: dict[SecureAggregationSession, list[int]] = {}
+        for session, (party_id, _) in zip(sessions, party_rows):
+            if session is not None:
+                members.setdefault(session, []).append(party_id)
+        for session, party_ids in members.items():
+            session.recover(party_ids)
         unsealed: list[int] = []
         try:
-            for party_id, row in party_rows:
-                self.unseal_row(party_id, bank.row(row))
-                unsealed.append(row)
+            for session, (party_id, row) in zip(sessions, party_rows):
+                if session is not None:
+                    session.unseal_row(party_id, bank.row(row))
+                    unsealed.append(row)
             return bank.weighted_combine(weights,
                                          [row for _, row in party_rows])
         finally:
             # Whatever happens, no unmasked update outlives this call.
             for row in unsealed:
                 bank.row(row)[...] = 0.0
-
-    # ------------------------------------------------------------ party side
-
-    def mask_update(self, party_id: int, update: Params) -> Params:
-        """Apply the party's net pairwise mask to its update (party-side op).
-
-        The returned list views one freshly masked flat vector; the caller's
-        ``update`` is never modified.
-        """
-        self._check_party(party_id)
-        if [tuple(p.shape) for p in update] != self.param_shapes:
-            raise ValueError("update shapes do not match the session")
-        flat = np.array(flatten_params(update), dtype=self.dtype, copy=True)
-        flat += self.net_mask_vector(party_id)
-        return self.spec.view(flat)
-
-    def submit(self, party_id: int, update: Params,
-               weight: float = 1.0) -> None:
-        """Mask and hand over one party's update (lands in a bank row)."""
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        if party_id in self._rows or party_id in self._sealed:
-            raise ValueError(f"party {party_id} already submitted")
-        masked = self.mask_update(party_id, update)
-        self._rows[party_id] = self._bank.alloc(masked)
-        self._weights[party_id] = float(weight)
-
-    # ------------------------------------------------------------ server side
-
-    @property
-    def _masked(self) -> dict[int, Params]:
-        """Submitted (masked) updates as shaped views of the bank rows."""
-        return {pid: self._bank.row_params(row)
-                for pid, row in self._rows.items()}
-
-    @property
-    def missing(self) -> list[int]:
-        return [p for p in self.cohort
-                if p not in self._rows and p not in self._sealed]
-
-    def aggregate(self) -> Params:
-        """Uniform mean of the cohort's updates; masks cancel in the sum.
-
-        Weighting happens party-side in real deployments (parties scale
-        their update before masking), so the masked mean is only correct
-        under uniform weights — mismatched weights would silently diverge
-        from the unmasked FedAvg path, and are rejected instead.
-        """
-        if self._sealed:
-            raise ValueError(
-                f"parties {sorted(self._sealed)} submitted sealed bank rows "
-                "(the federation path); aggregate() serves facade "
-                "submissions only — their aggregation runs through "
-                "combine_rows when it fires"
-            )
-        if self.missing:
-            raise IncompleteSubmissionError(
-                f"waiting for parties {self.missing}; masked updates are "
-                "meaningless individually"
-            )
-        if len(set(self._weights.values())) > 1:
-            offenders = ", ".join(
-                f"party {pid}: {self._weights[pid]:g}"
-                for pid in self.cohort if pid in self._weights)
-            raise ValueError(
-                f"masked aggregation requires uniform weights (got "
-                f"{offenders}); pre-scale updates party-side instead"
-            )
-        rows = [self._rows[p] for p in self.cohort]
-        flat = self._bank.weighted_combine(np.ones(len(rows)), rows)
-        return self.spec.view(flat)
-
-    def submission_is_masked(self, party_id: int, original: Params,
-                             tolerance: float = 1e-9) -> bool:
-        """True when the stored submission differs from the raw update
-        (sanity check used in tests: the server never holds plaintext)."""
-        if party_id not in self._rows:
-            raise KeyError(f"party {party_id} has not submitted")
-        if len(self.cohort) == 1:
-            return False  # a singleton cohort cannot hide anything
-        stored = self._bank.row_params(self._rows[party_id], writeable=False)
-        return any(
-            float(np.max(np.abs(s - o))) > tolerance
-            for s, o in zip(stored, original)
-        )

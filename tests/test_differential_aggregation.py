@@ -1,12 +1,11 @@
 """Differential tests: every aggregation path must agree with every other.
 
-The repo now has four ways to average a cohort of updates — the list-based
-``fedavg``, the bank-resident ``weighted_combine`` kernel, the
-staleness-weighted async path, and ``SecureAggregationSession``'s masked sum
-— plus the rule that ``buffered``/``async`` participation with no
-availability perturbation must reproduce ``sync`` *bitwise*.  These tests pin
-all of them to each other over random shapes, weights, and dtypes, so a
-refactor of any one path cannot silently drift.
+There is one round loop (``FederationEngine.run_round``) and one bank kernel
+(``weighted_combine``, sealed or not); what they are pinned against are the
+list-based references that stay — ``fedavg`` and
+``staleness_weighted_fedavg``.  Under a quiet availability model every
+participation mode, masked or plain, at either precision, must reproduce the
+list reference *bitwise*, so a refactor of the loop cannot silently drift.
 """
 
 import dataclasses
@@ -28,7 +27,10 @@ from repro.federation.party import LocalUpdate
 from repro.federation.rounds import run_fl_round
 from repro.harness.runner import run_strategy
 from repro.nn.models import build_model
-from repro.privacy.secure_aggregation import SecureAggregationSession
+from repro.privacy.secure_aggregation import (
+    MaskingSpec,
+    SecureAggregationSession,
+)
 from repro.utils.params import ParamBank, flatten_params
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
@@ -125,31 +127,6 @@ class TestAggregationPathsAgree:
         # combine_rows scrubs what it unsealed.
         assert not sealed_bank.matrix(rows).any()
 
-    @given(cohort_updates())
-    @settings(max_examples=30, deadline=None)
-    def test_secure_aggregation_matches_uniform_fedavg(self, case):
-        updates, _dtype = case
-        # The masked sum is an unweighted mean, so pin it against fedavg
-        # with every party reporting the same sample count.  The facade
-        # masks in float64, so the reference must be float64 too — a
-        # float32 reference carries its own cancellation error, larger
-        # than the mask residual this test bounds.
-        uniform = [dataclasses.replace(
-            u, num_samples=7,
-            params=[np.asarray(p, dtype=np.float64) for p in u.params])
-            for u in updates]
-        expected = flatten_params(fedavg(uniform))
-        shapes = [tuple(p.shape) for p in updates[0].params]
-        session = SecureAggregationSession(
-            [u.party_id for u in updates], shapes, shared_seed=11)
-        for u in updates:
-            session.submit(u.party_id, [np.asarray(p, dtype=np.float64)
-                                        for p in u.params])
-        got = flatten_params(session.aggregate())
-        # Pairwise masks are O(1)-magnitude normals that must cancel; the
-        # residual is float cancellation noise, not systematic error.
-        np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-8)
-
 
 class TestStalenessDecay:
     def test_age_zero_is_exactly_one(self):
@@ -174,21 +151,25 @@ class TestStalenessDecay:
             staleness_decay([1], "linear")
 
 
+def _context(spec, dataset, dtype=np.float64):
+    """A fresh context whose party models (and starting parameters) are
+    bound to ``dtype``."""
+    ctx = make_context(spec, dataset)
+    for pid, party in ctx.parties.items():
+        party._model = build_model(spec.model_name, spec.input_shape,
+                                   spec.num_classes,
+                                   spawn_rng(0, "party-model", pid),
+                                   dtype=dtype)
+    params = [np.asarray(p, dtype=dtype)
+              for p in ctx.model_factory().get_params()]
+    return ctx, params
+
+
 class TestRoundDtype:
     """The round bank must honor the cohort's bound model precision."""
 
-    def _float32_context(self, tiny_spec, tiny_dataset):
-        ctx = make_context(tiny_spec, tiny_dataset)
-        for pid, party in ctx.parties.items():
-            model = build_model(tiny_spec.model_name, tiny_spec.input_shape,
-                                tiny_spec.num_classes,
-                                spawn_rng(0, "party-model", pid),
-                                dtype=np.float32)
-            party._model = model
-        return ctx
-
     def test_float32_model_keeps_float32_bank(self, tiny_spec, tiny_dataset):
-        ctx = self._float32_context(tiny_spec, tiny_dataset)
+        ctx, _ = _context(tiny_spec, tiny_dataset, np.float32)
         # A strategy handing over float64 params (e.g. a fresh
         # weighted_average of plain lists) must not upcast the round.
         params64 = [np.asarray(p, dtype=np.float64)
@@ -212,29 +193,130 @@ class TestRoundDtype:
         assert all(p.dtype == np.float64 for p in new_params)
 
 
-def _quiet_engine(mode, **avail) -> FederationEngine:
-    return FederationEngine(
-        FederationConfig(mode=mode,
-                         availability=AvailabilityConfig(**avail)),
-        seed=0, num_parties=8)
+def _quiet_engine(mode, **cfg_kwargs) -> FederationEngine:
+    return FederationEngine(FederationConfig(mode=mode, **cfg_kwargs),
+                            seed=0, num_parties=8)
+
+
+MASKINGS = {
+    "plain": None,
+    "masked": MaskingSpec(11),
+    "shamir": MaskingSpec(11, threshold=3),
+}
+
+
+class TestOneRoundLoop:
+    """One loop, three policies: with nobody dropping or straggling, every
+    mode x masking x precision reproduces list-based FedAvg bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("masking", list(MASKINGS))
+    @pytest.mark.parametrize("mode", ["sync", "buffered", "async"])
+    def test_bitwise_fedavg(self, tiny_spec, tiny_dataset, mode, masking,
+                            dtype):
+        cohort = [0, 1, 2, 3]
+        ctx, params = _context(tiny_spec, tiny_dataset, dtype)
+        expected = fedavg([
+            ctx.parties[pid].local_train(params, ctx.round_config.local,
+                                         (0, 0))
+            for pid in cohort])
+        ctx, params = _context(tiny_spec, tiny_dataset, dtype)
+        engine = _quiet_engine(mode)
+        engine.advance((0, 0))
+        got, stats = run_fl_round(ctx.parties, cohort, params,
+                                  ctx.round_config, round_tag=(0, 0),
+                                  engine=engine, stream="g",
+                                  secure=MASKINGS[masking])
+        assert stats.aggregated and stats.reported == cohort
+        assert all(p.dtype == dtype for p in got)
+        assert np.array_equal(flatten_params(got), flatten_params(expected))
+        assert engine.in_flight == 0
+        assert engine._buffers["g"].bank.n_rows == 0
+
+    def test_default_engine_is_the_quiet_sync_one(self, tiny_spec,
+                                                  tiny_dataset):
+        """``engine=None`` is a default argument, not a second path."""
+        ctx, params = _context(tiny_spec, tiny_dataset)
+        implicit, _ = run_fl_round(ctx.parties, [0, 1, 2], params,
+                                   ctx.round_config, round_tag=(0, 0))
+        ctx, params = _context(tiny_spec, tiny_dataset)
+        engine = _quiet_engine("sync")
+        engine.advance()
+        explicit, _ = run_fl_round(ctx.parties, [0, 1, 2], params,
+                                   ctx.round_config, round_tag=(0, 0),
+                                   engine=engine)
+        assert np.array_equal(flatten_params(implicit),
+                              flatten_params(explicit))
+
+    @staticmethod
+    def _two_tick_engine() -> FederationEngine:
+        return _quiet_engine("buffered", min_reports=4, max_wait_rounds=9,
+                             staleness_policy="polynomial",
+                             staleness_alpha=0.7)
+
+    @staticmethod
+    def _two_tick_aggregate(spec, dataset, engine, secure, before_fire=None):
+        """Dispatch [0, 1] at tick 0 and [2, 3] at tick 1 into a buffer
+        that fires at four reports: one aggregate over two dispatch
+        sessions, ages (1, 1, 0, 0)."""
+        ctx, params = _context(spec, dataset)
+        engine.advance((0, 0))
+        same, stats = run_fl_round(ctx.parties, [0, 1], params,
+                                   ctx.round_config, round_tag=(0, 0),
+                                   engine=engine, stream="g", secure=secure)
+        assert not stats.aggregated and same is params
+        engine.advance((0, 1))
+        if before_fire is not None:
+            before_fire(engine._buffers["g"])
+        got, stats = run_fl_round(ctx.parties, [2, 3], params,
+                                  ctx.round_config, round_tag=(0, 1),
+                                  engine=engine, stream="g", secure=secure)
+        assert stats.reported == [0, 1, 2, 3]
+        assert stats.staleness == {0: 1, 1: 1, 2: 0, 3: 0}
+        return flatten_params(got)
+
+    def test_multi_session_aggregate_is_bitwise_plain(self, tiny_spec,
+                                                      tiny_dataset):
+        ctx, params = _context(tiny_spec, tiny_dataset)
+        local = ctx.round_config.local
+        expected = flatten_params(staleness_weighted_fedavg(
+            [ctx.parties[pid].local_train(params, local, (0, tick))
+             for pid, tick in ((0, 0), (1, 0), (2, 1), (3, 1))],
+            [1, 1, 0, 0], policy="polynomial", alpha=0.7))
+        plain = self._two_tick_aggregate(tiny_spec, tiny_dataset,
+                                         self._two_tick_engine(), None)
+        engine = self._two_tick_engine()
+        sealed = self._two_tick_aggregate(tiny_spec, tiny_dataset, engine,
+                                          MaskingSpec(11, threshold=2))
+        assert np.array_equal(plain, expected)
+        assert np.array_equal(sealed, plain)
+        bank = engine._buffers["g"].bank
+        assert bank.n_rows == 0 and not bank._buf[:bank.n_slots].any()
+
+    def test_multi_session_rows_scrubbed_when_the_kernel_raises(
+            self, tiny_spec, tiny_dataset):
+        def break_kernel(buf):
+            def raising(weights, rows=None):
+                raise FloatingPointError("kernel failed")
+            buf.bank.weighted_combine = raising
+
+        engine = self._two_tick_engine()
+        with pytest.raises(FloatingPointError, match="kernel failed"):
+            self._two_tick_aggregate(tiny_spec, tiny_dataset, engine,
+                                     MaskingSpec(11), before_fire=break_kernel)
+        buf = engine._buffers["g"]
+        reports = list(buf._pending)
+        assert [r.party_id for r in reports] == [0, 1, 2, 3]
+        assert len({r.session for r in reports}) == 2
+        for r in reports:
+            # Unsealed for the aggregate that never happened, then zeroed:
+            # no plaintext update outlives the failed call.
+            assert not r.session.is_sealed(r.party_id)
+            assert not buf.bank.row(r.row).any()
 
 
 class TestAsyncSyncEquivalence:
-    def test_round_level_bitwise(self, tiny_spec, tiny_dataset):
-        ctx = make_context(tiny_spec, tiny_dataset)
-        params = ctx.model_factory().get_params()
-        expected, _ = run_fl_round(ctx.parties, [0, 1, 2, 3], params,
-                                   ctx.round_config, round_tag=(0, 0))
-        for mode in ("sync", "buffered", "async"):
-            engine = _quiet_engine(mode)
-            engine.advance((0, 0))
-            got, stats = run_fl_round(ctx.parties, [0, 1, 2, 3], params,
-                                      ctx.round_config, round_tag=(0, 0),
-                                      engine=engine, stream="g")
-            assert stats.aggregated
-            assert np.array_equal(flatten_params(got),
-                                  flatten_params(expected)), mode
-
     @pytest.mark.slow
     @pytest.mark.parametrize("method", ["fedavg", "fielding"])
     def test_full_run_bitwise(self, method):

@@ -1,5 +1,5 @@
-"""Tests for the extension modules: distillation, secure aggregation,
-drift monitoring, residual nets, and serialization."""
+"""Tests for the extension modules: distillation, drift monitoring,
+residual nets, and serialization."""
 
 import numpy as np
 import pytest
@@ -13,11 +13,6 @@ from repro.experts import (
 from repro.nn import build_model
 from repro.nn.gradcheck import max_grad_error
 from repro.nn.residual import ResidualBlock, build_resnet_mini
-from repro.privacy import (
-    IncompleteSubmissionError,
-    SecureAggregationSession,
-    pairwise_mask,
-)
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import (
     load_expert_registry,
@@ -141,156 +136,6 @@ class TestDistillation:
             DistillationConfig(temperature=0.0)
         with pytest.raises(ValueError):
             DistillationConfig(hard_label_weight=1.5)
-
-
-# -------------------------------------------------------- secure aggregation
-
-class TestSecureAggregation:
-    def updates(self, rng, n):
-        return [[rng.normal(size=(3, 2)), rng.normal(size=(2,))]
-                for _ in range(n)]
-
-    def test_masks_cancel_in_aggregate(self, rng):
-        cohort = [0, 1, 2, 3]
-        updates = self.updates(rng, 4)
-        session = SecureAggregationSession(cohort, [(3, 2), (2,)], shared_seed=7)
-        for pid, update in zip(cohort, updates):
-            session.submit(pid, update)
-        aggregate = session.aggregate()
-        expected = [np.mean([u[i] for u in updates], axis=0) for i in range(2)]
-        for a, e in zip(aggregate, expected):
-            assert np.allclose(a, e, atol=1e-9)
-
-    def test_submissions_are_masked(self, rng):
-        cohort = [0, 1]
-        updates = self.updates(rng, 2)
-        session = SecureAggregationSession(cohort, [(3, 2), (2,)])
-        session.submit(0, updates[0])
-        assert session.submission_is_masked(0, updates[0])
-
-    def test_aggregate_refuses_incomplete(self, rng):
-        session = SecureAggregationSession([0, 1], [(2,)])
-        session.submit(0, [rng.normal(size=(2,))])
-        assert session.missing == [1]
-        with pytest.raises(IncompleteSubmissionError):
-            session.aggregate()
-
-    def test_pairwise_masks_are_antisymmetric_by_convention(self):
-        sizes = [(2, 2)]
-        m_ab = pairwise_mask(5, 1, 2, sizes)
-        m_ba = pairwise_mask(5, 2, 1, sizes)
-        # Same mask either way: the sign convention lives in mask_update.
-        assert np.allclose(m_ab[0], m_ba[0])
-
-    def test_double_submission_rejected(self, rng):
-        session = SecureAggregationSession([0, 1], [(2,)])
-        session.submit(0, [rng.normal(size=(2,))])
-        with pytest.raises(ValueError):
-            session.submit(0, [rng.normal(size=(2,))])
-
-    def test_unknown_party_rejected(self, rng):
-        session = SecureAggregationSession([0, 1], [(2,)])
-        with pytest.raises(KeyError):
-            session.mask_update(9, [rng.normal(size=(2,))])
-
-    def test_shape_mismatch_rejected(self, rng):
-        session = SecureAggregationSession([0, 1], [(2,)])
-        with pytest.raises(ValueError):
-            session.submit(0, [rng.normal(size=(3,))])
-
-    def test_singleton_cohort_cannot_hide(self, rng):
-        session = SecureAggregationSession([0], [(2,)])
-        update = [rng.normal(size=(2,))]
-        session.submit(0, update)
-        assert not session.submission_is_masked(0, update)
-        assert np.allclose(session.aggregate()[0], update[0])
-
-
-class TestSecureAggregationPartialParticipation:
-    """Invariants when some of the cohort never submits.
-
-    This is the regime the async federation engine creates every round
-    (dropouts, stragglers), and the precondition for the ROADMAP's
-    bank-resident secure aggregation: the server must neither reveal a
-    partial aggregate nor lose mask cancellation once the stragglers arrive.
-    """
-
-    SHAPES = [(3, 2), (2,)]
-
-    def _session(self, cohort, seed=13):
-        return SecureAggregationSession(cohort, self.SHAPES, shared_seed=seed)
-
-    def _updates(self, rng, n):
-        return [[rng.normal(size=s) for s in self.SHAPES] for _ in range(n)]
-
-    def test_missing_tracks_submissions_in_cohort_order(self, rng):
-        session = self._session([0, 1, 2, 3])
-        updates = self._updates(rng, 4)
-        assert session.missing == [0, 1, 2, 3]
-        session.submit(2, updates[2])
-        session.submit(0, updates[0])
-        assert session.missing == [1, 3]
-        session.submit(3, updates[3])
-        assert session.missing == [1]
-
-    def test_aggregate_refusal_names_missing_parties(self, rng):
-        session = self._session([0, 1, 2])
-        session.submit(0, self._updates(rng, 1)[0])
-        with pytest.raises(IncompleteSubmissionError, match=r"\[1, 2\]"):
-            session.aggregate()
-
-    def test_partial_sum_carries_exact_mask_residue(self, rng):
-        """With party m absent, the submitted sum differs from the raw sum
-        by exactly the net masks shared with m — nothing else survives."""
-        cohort = [0, 1, 2, 3]
-        missing = 3
-        updates = dict(zip(cohort, self._updates(rng, 4)))
-        session = self._session(cohort)
-        present = [p for p in cohort if p != missing]
-        for pid in present:
-            session.submit(pid, updates[pid])
-        masked_sum = [np.zeros(s) for s in self.SHAPES]
-        for pid in present:
-            for t, m in zip(masked_sum, session._masked[pid]):
-                t += m
-        raw_sum = [sum(updates[pid][i] for pid in present)
-                   for i in range(len(self.SHAPES))]
-        residue = [np.zeros(s) for s in self.SHAPES]
-        for pid in present:
-            mask = pairwise_mask(session.shared_seed, pid, missing, self.SHAPES)
-            sign = 1.0 if pid < missing else -1.0
-            for t, m in zip(residue, mask):
-                t += sign * m
-        for got, raw, res in zip(masked_sum, raw_sum, residue):
-            assert np.allclose(got, raw + res, atol=1e-9)
-        # The residue is the privacy margin: it must not vanish.
-        assert any(np.abs(r).max() > 1e-3 for r in residue)
-
-    def test_masks_cancel_once_straggler_arrives(self, rng):
-        cohort = [0, 1, 2, 3]
-        updates = dict(zip(cohort, self._updates(rng, 4)))
-        session = self._session(cohort)
-        for pid in [0, 1, 2]:
-            session.submit(pid, updates[pid])
-        with pytest.raises(IncompleteSubmissionError):
-            session.aggregate()
-        session.submit(3, updates[3])  # the straggler reports late
-        assert session.missing == []
-        aggregate = session.aggregate()
-        expected = [np.mean([updates[p][i] for p in cohort], axis=0)
-                    for i in range(len(self.SHAPES))]
-        for a, e in zip(aggregate, expected):
-            assert np.allclose(a, e, atol=1e-9)
-
-    def test_every_partial_submission_stays_masked(self, rng):
-        cohort = [0, 1, 2]
-        updates = dict(zip(cohort, self._updates(rng, 3)))
-        session = self._session(cohort)
-        for pid in [0, 2]:  # party 1 never submits
-            session.submit(pid, updates[pid])
-            assert session.submission_is_masked(pid, updates[pid])
-        with pytest.raises(KeyError):
-            session.submission_is_masked(1, updates[1])
 
 
 # ------------------------------------------------------------- drift monitor

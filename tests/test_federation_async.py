@@ -17,7 +17,6 @@ from repro.federation.async_engine import (
     AsyncRoundBuffer,
     FederationConfig,
     FederationEngine,
-    build_engine,
 )
 from repro.federation.rounds import run_fl_round
 from repro.harness.profiles import RunSettings
@@ -126,11 +125,6 @@ class TestFederationConfig:
             availability=AvailabilityConfig(dropout_prob=0.2,
                                             straggler_prob=0.1))
         assert FederationConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_build_engine_only_when_active(self):
-        assert build_engine(FederationConfig(), seed=0) is None
-        assert isinstance(build_engine(FederationConfig(mode="async"), seed=0),
-                          FederationEngine)
 
 
 class TestAsyncRoundBuffer:
@@ -287,6 +281,40 @@ class TestFederationEngine:
         assert engine.in_flight == 4
         assert len(engine._buffers) == 2
 
+    def test_failed_dispatch_strands_no_rows(self, tiny_spec, tiny_dataset):
+        """Invariant 1 on the error exit: the stream bank outlives the
+        round, so a dispatch that raises must hand back every row it took —
+        and an unknown id is refused before anyone trains."""
+        ctx = make_context(tiny_spec, tiny_dataset)
+        params = ctx.model_factory().get_params()
+        engine = _engine("buffered", min_reports=99, max_wait_rounds=99)
+        engine.advance()
+
+        def dispatch(ids):
+            return run_fl_round(ctx.parties, ids, params, ctx.round_config,
+                                engine=engine, stream="g")
+
+        dispatch([0, 1])
+        bank = engine._buffers["g"].bank
+        assert bank.n_rows == engine.in_flight == 2
+
+        trained = []
+        train_2 = ctx.parties[2].local_train
+        ctx.parties[2].local_train = lambda *a, **k: (
+            trained.append(2), train_2(*a, **k))[1]
+        with pytest.raises(KeyError, match="99"):
+            dispatch([2, 99])
+        assert trained == [] and bank.n_rows == 2
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("party crashed mid-training")
+        ctx.parties[3].local_train = crash
+        with pytest.raises(RuntimeError, match="crashed"):
+            dispatch([2, 3])
+        assert trained == [2]  # party 2's row was taken, then given back
+        assert bank.n_rows == engine.in_flight == 2
+        assert not bank._buf[bank._free].any()  # ... and scrubbed
+
     def test_begin_window_flushes_in_flight(self, tiny_spec, tiny_dataset):
         ctx = make_context(tiny_spec, tiny_dataset)
         params = ctx.model_factory().get_params()
@@ -303,6 +331,27 @@ class TestFederationEngine:
 class TestRunSettingsAndPlanThreading:
     def test_run_settings_default_is_pure_sync(self):
         assert not RunSettings().federation.is_active
+
+    def test_default_run_has_a_quiet_engine(self):
+        """A default run goes through the engine like any other, but a
+        quiet one: nothing about it lands in the artifacts, and every
+        dispatched report is aggregated in its own round."""
+        spec = make_tiny_spec(name="unit_quiet_engine", num_parties=4,
+                              num_windows=2, window_regimes=(("fog", 4),),
+                              seed=41)
+        strategy = build_strategy("fedavg")
+        result = run_strategy(
+            strategy, spec,
+            make_run_settings(rounds_burn_in=2, rounds_per_window=1,
+                              participants=2, epochs=1), seed=0)
+        assert "federation" not in result.extras
+        counters = strategy.context.federation.summary()
+        assert counters["mode"] == "sync"
+        assert counters["dispatched"] == counters["aggregated_reports"] > 0
+        assert counters["rounds"] == counters["aggregations"] == 3
+        assert not any(counters[key] for key in (
+            "dropped", "delayed", "skipped_rounds", "expired_reports",
+            "staleness_total", "in_flight_at_end"))
 
     def test_extras_present_only_with_active_engine(self):
         spec = make_tiny_spec(name="unit_async_extras", num_parties=4,
