@@ -23,6 +23,9 @@ Window life cycle:
 
 from __future__ import annotations
 
+import dataclasses
+from collections.abc import Mapping
+
 import numpy as np
 
 from repro.core.config import ShiftExConfig
@@ -37,6 +40,7 @@ from repro.federation.rounds import run_fl_round
 from repro.federation.strategy import ContinualStrategy, StrategyContext
 from repro.flips.selector import FlipsSelector
 from repro.utils.params import Params
+from repro.utils.validation import check_keys
 
 
 def split_budget(cohort_sizes: dict[int, int], total: int) -> dict[int, int]:
@@ -55,9 +59,16 @@ class ShiftExStrategy(ContinualStrategy):
 
     name = "shiftex"
 
-    def __init__(self, config: ShiftExConfig | None = None) -> None:
+    def __init__(self, config: ShiftExConfig | Mapping | None = None) -> None:
         super().__init__()
-        self.config = config if config is not None else ShiftExConfig()
+        if config is None:
+            config = ShiftExConfig()
+        elif not isinstance(config, ShiftExConfig):
+            # A plan file's ``kwargs: {config: {...}}`` arrives as a mapping.
+            config = ShiftExConfig(**check_keys(
+                "shiftex config", config,
+                [f.name for f in dataclasses.fields(ShiftExConfig)]))
+        self.config = config
         self.registry = ExpertRegistry(
             memory_capacity=self.config.memory_capacity,
             memory_eta=self.config.memory_eta,

@@ -2,7 +2,8 @@
 
 Every layer implements ``forward(x, training)`` and ``backward(grad_out)``;
 ``backward`` returns the gradient with respect to the layer input and stores
-parameter gradients in ``layer.grads`` (aligned with ``layer.params``).
+parameter gradients in ``layer.grads`` (aligned with ``layer.params``);
+``backward_params`` stores the same parameter gradients and returns nothing.
 Convolution uses im2col so the heavy lifting stays inside BLAS.
 """
 
@@ -23,6 +24,14 @@ class Layer:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """``backward`` for a caller that will not read the input gradient.
+
+        Layers whose input gradient is a separate computation (``Dense``,
+        ``Conv2d``) override this to skip it.
+        """
+        self.backward(grad_out)
 
     def zero_grads(self) -> None:
         for g in self.grads:
@@ -98,11 +107,14 @@ class Dense(Layer):
         self._x = x if training else None
         return x @ self.params[0] + self.params[1]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad_out: np.ndarray) -> None:
         if self._x is None:
             raise RuntimeError("backward called before forward(training=True)")
         self.grads[0] += self._x.T @ grad_out
         self.grads[1] += grad_out.sum(axis=0)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_out)
         return grad_out @ self.params[0].T
 
     def output_note(self) -> str:
@@ -250,40 +262,39 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> tuple[np.
     """Expand (n, c, h, w) into columns of receptive fields.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(n * out_h * out_w, c * kh * kw)``.
+    ``(n * out_h * out_w, c * kh * kw)``.  The input is laid out channels-last
+    in a zero-filled padded buffer so each of the ``kh * kw`` window offsets
+    is one slice copy with the channel axis contiguous on the source side.
     """
     n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
-    strides = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(strides[0], strides[1], strides[2] * stride, strides[3] * stride,
-                 strides[2], strides[3]),
-        writeable=False,
-    )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kh * kw)
-    return np.ascontiguousarray(cols), out_h, out_w
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    padded[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((n, out_h, out_w, c, kh, kw), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, :, i, j] = padded[:, i:i + stride * out_h:stride,
+                                            j:j + stride * out_w:stride]
+    return cols.reshape(n * out_h * out_w, c * kh * kw), out_h, out_w
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
             kh: int, kw: int, stride: int, pad: int,
             out_h: int, out_w: int) -> np.ndarray:
-    """Scatter-add column gradients back to the (padded) input."""
+    """Scatter-add column gradients back to the (padded) input.
+
+    Accumulates channels-last, in ``(i, j)`` order, and returns an NCHW view.
+    """
     n, c, h, w = x_shape
-    x_padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
+    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw)
     for i in range(kh):
         for j in range(kw):
-            x_padded[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += (
+            padded[:, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += (
                 cols6[:, :, :, :, i, j]
             )
-    if pad:
-        return x_padded[:, :, pad:-pad, pad:-pad]
-    return x_padded
+    return padded[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
 
 
 class Conv2d(Layer):
@@ -312,6 +323,10 @@ class Conv2d(Layer):
                 f"Conv2d expected (n, {self.in_channels}, h, w); got {x.shape}"
             )
         k = self.kernel_size
+        if min(x.shape[2:]) + 2 * self.padding < k:
+            raise ValueError(
+                f"{self.output_note()}: input {x.shape} is smaller than the kernel"
+            )
         cols, out_h, out_w = _im2col(x, k, k, self.stride, self.padding)
         w_mat = self.params[0].reshape(self.out_channels, -1)
         out = cols @ w_mat.T + self.params[1]
@@ -321,15 +336,24 @@ class Conv2d(Layer):
             self._cache = (cols, x.shape, out_h, out_w)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def _accumulate(self, grad_out: np.ndarray) -> np.ndarray:
+        """Add this batch's parameter gradients; returns ``grad_out`` as a matrix."""
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
         cols, x_shape, out_h, out_w = self._cache
-        k = self.kernel_size
         n = x_shape[0]
         grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, self.out_channels)
         self.grads[0] += (grad_mat.T @ cols).reshape(self.params[0].shape)
         self.grads[1] += grad_mat.sum(axis=0)
+        return grad_mat
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        self._accumulate(grad_out)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        grad_mat = self._accumulate(grad_out)
+        _cols, x_shape, out_h, out_w = self._cache
+        k = self.kernel_size
         w_mat = self.params[0].reshape(self.out_channels, -1)
         grad_cols = grad_mat @ w_mat
         return _col2im(grad_cols, x_shape, k, k, self.stride, self.padding, out_h, out_w)
@@ -347,34 +371,43 @@ class MaxPool2d(Layer):
         if pool_size <= 0:
             raise ValueError("pool_size must be positive")
         self.pool_size = pool_size
-        self._cache: tuple[np.ndarray, tuple[int, ...]] | None = None
+        self._cache: tuple[list[np.ndarray], tuple[int, ...]] | None = None
+
+    def _window_views(self, x: np.ndarray) -> list[np.ndarray]:
+        """One strided view per within-window position, in row-major order."""
+        p = self.pool_size
+        return [x[:, :, i::p, j::p] for i in range(p) for j in range(p)]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         p = self.pool_size
-        n, c, h, w = x.shape
+        _n, _c, h, w = x.shape
         if h % p or w % p:
             raise ValueError(f"input {h}x{w} not divisible by pool size {p}")
-        xr = x.reshape(n, c, h // p, p, w // p, p)
-        out = xr.max(axis=(3, 5))
+        views = self._window_views(x)
+        out = views[0]
+        for view in views[1:]:
+            out = np.maximum(out, view)
         if training:
-            mask = (xr == out[:, :, :, None, :, None])
-            # Group the two within-window axes together, then break ties so
-            # gradient flows to exactly one element per window.
-            windows = mask.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // p, w // p, p * p)
-            cum = np.cumsum(windows, axis=-1)
-            first = (cum == 1) & windows
+            # Gradient flows to the first maximum of each window; a window
+            # holding a NaN equals its (NaN) maximum nowhere and routes none.
+            taken = views[0] == out
+            first = [taken]
+            for view in views[1:]:
+                hit = view == out
+                first.append(hit > taken)  # a maximum, and none before it
+                taken = taken | hit
             self._cache = (first, x.shape)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
-        first, x_shape = self._cache
-        n, c, h, w = x_shape
-        p = self.pool_size
-        grad = first * grad_out[:, :, :, :, None]
-        grad = grad.reshape(n, c, h // p, w // p, p, p).transpose(0, 1, 2, 4, 3, 5)
-        return grad.reshape(n, c, h, w)
+        first, (n, c, h, w) = self._cache
+        # Channels-last memory, like the conv outputs and gradients around it.
+        grad = np.empty((n, h, w, c), dtype=grad_out.dtype).transpose(0, 3, 1, 2)
+        for mask, grad_here in zip(first, self._window_views(grad)):
+            np.multiply(mask, grad_out, out=grad_here)
+        return grad
 
 
 class GlobalAvgPool2d(Layer):

@@ -133,6 +133,19 @@ class Sequential:
             grad = layer.backward(grad)
         return grad
 
+    def backward_params(self, grad: np.ndarray) -> None:
+        """Training backward: fills ``grads`` exactly as ``backward`` does.
+
+        Stops at the first layer that has parameters and does not form the
+        gradient with respect to the network input, which no optimizer reads.
+        """
+        first = next((i for i, layer in enumerate(self.layers) if layer.params), None)
+        if first is None:
+            return
+        for layer in reversed(self.layers[first + 1:]):
+            grad = layer.backward(grad)
+        self.layers[first].backward_params(grad)
+
     def features(self, x: np.ndarray) -> np.ndarray:
         """Penultimate-layer activations (inference mode)."""
         _logits, feats = self.forward_with_features(x, training=False)

@@ -14,7 +14,7 @@ import numpy as np
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD
-from repro.utils.params import Params
+from repro.utils.params import Params, flatten_params
 
 
 @dataclass
@@ -79,6 +79,11 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
         raise ValueError("prox_mu > 0 requires global_params")
 
     optimizer = SGD(config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
+    # Every update below is element-wise, so it runs on the model's flat
+    # parameter/gradient vectors: one ufunc call each instead of one per tensor.
+    flat, flat_grads = model.flat_params, model.flat_grads
+    if config.prox_mu > 0:
+        global_flat = flatten_params(global_params, dtype=global_params[0].dtype)
     losses: list[float] = []
     batches_run = 0
     for _epoch in range(config.epochs):
@@ -90,13 +95,10 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
             model.zero_grads()
             logits = model.forward(xb, training=True)
             loss, grad = softmax_cross_entropy(logits, yb)
-            model.backward(grad)
-            grads = model.grads
-            if config.prox_mu > 0 and global_params is not None:
-                params = model.params
-                for g, p, gp in zip(grads, params, global_params):
-                    g += config.prox_mu * (p - gp)
-            optimizer.step(model.params, grads)
+            model.backward_params(grad)
+            if config.prox_mu > 0:
+                flat_grads += config.prox_mu * (flat - global_flat)
+            optimizer.step([flat], [flat_grads])
             losses.append(loss)
             batches_run += 1
             epoch_batches += 1

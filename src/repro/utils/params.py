@@ -45,6 +45,7 @@ storage copy-on-write.  Contributors touching the bank must preserve:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,11 +77,13 @@ class ParamSpec:
     def of(cls, params: Params) -> "ParamSpec":
         return cls(shapes=tuple(tuple(p.shape) for p in params))
 
-    @property
+    # cached_property writes the instance __dict__ directly, which a frozen
+    # (slot-less) dataclass allows; equality and hash still use ``shapes`` only.
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(int(np.prod(s)) if s else 1 for s in self.shapes)
 
-    @property
+    @cached_property
     def total_size(self) -> int:
         return int(sum(self.sizes))
 

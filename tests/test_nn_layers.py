@@ -84,6 +84,12 @@ class TestConv2d:
         with pytest.raises(ValueError):
             layer.forward(np.zeros((1, 1, 8, 8)))
 
+    def test_rejects_input_smaller_than_kernel(self, rng):
+        layer = Conv2d(1, 2, 5, rng)
+        with pytest.raises(ValueError, match=r"Conv2d\(1->2, k=5.*\(1, 1, 3, 3\)"):
+            layer.forward(np.zeros((1, 1, 3, 3)))
+        assert Conv2d(1, 2, 5, rng, padding=1).forward(np.zeros((1, 1, 3, 3))).shape == (1, 2, 1, 1)
+
     def test_matches_manual_convolution(self, rng):
         layer = Conv2d(1, 1, 2, rng)
         x = rng.normal(size=(1, 1, 3, 3))

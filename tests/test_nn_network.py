@@ -238,6 +238,63 @@ class TestParams:
         assert "Dense" in make_net(rng).describe()
 
 
+class TestBackwardParams:
+    """The training backward: same ``grads``, no input gradient."""
+
+    @staticmethod
+    def run_both(net, x, y):
+        """(input gradient of ``backward``, its grads, grads of ``backward_params``)."""
+        from repro.nn.losses import softmax_cross_entropy
+        results = []
+        for backward in (net.backward, net.backward_params):
+            net.zero_grads()
+            _, grad = softmax_cross_entropy(net.forward(x, training=True), y)
+            results.append((backward(grad), net.flat_grads.tobytes()))
+        (grad_in, full), (returned, pruned) = results
+        assert returned is None
+        return grad_in, full, pruned
+
+    @pytest.mark.parametrize("name,shape", [
+        ("mlp", (1, 8, 8)), ("lenet_mini", (3, 8, 8)),
+        ("convnet_small", (3, 8, 8)), ("resnet_mini", (3, 8, 8)),
+    ])
+    def test_grads_byte_equal_to_full_backward(self, rng, name, shape):
+        from repro.nn.models import build_model
+        net = build_model(name, shape, 4, rng, dtype="float32")
+        x, y = rng.random((6,) + shape), rng.integers(0, 4, 6)
+        grad_in, full, pruned = self.run_both(net, x, y)
+        assert grad_in.shape == x.shape
+        assert pruned == full and any(full)
+
+    def test_backward_still_returns_input_gradient_after_training(self, rng):
+        from repro.nn.models import build_model
+        from repro.nn.training import LocalTrainingConfig, train_local
+        net = build_model("lenet_mini", (1, 8, 8), 3, rng)
+        x, y = rng.random((8, 1, 8, 8)), rng.integers(0, 3, 8)
+        train_local(net, x, y, LocalTrainingConfig(epochs=1, batch_size=4), rng)
+        grad_in, _full, _pruned = self.run_both(net, x, y)
+        assert grad_in.shape == x.shape and np.abs(grad_in).sum() > 0
+
+    def test_first_layer_with_parameters(self, rng):
+        _, full, pruned = self.run_both(
+            make_net(rng), rng.normal(size=(4, 6)), rng.integers(0, 3, 4))
+        assert pruned == full and any(full)
+
+    def test_residual_block_as_first_parameterised_layer(self, rng):
+        from repro.nn.layers import Flatten, Standardize
+        from repro.nn.residual import ResidualBlock
+        net = Sequential([Standardize(), ResidualBlock(2, 3, rng), Flatten(),
+                          Dense(3 * 4 * 4, 2, rng)])
+        _, full, pruned = self.run_both(
+            net, rng.random((3, 2, 4, 4)), rng.integers(0, 2, 3))
+        assert pruned == full and any(full)
+
+    def test_no_parameters_is_a_noop(self, rng):
+        net = Sequential([ReLU()])
+        net.forward(np.ones((2, 3)), training=True)
+        assert net.backward_params(np.ones((2, 3))) is None
+
+
 class TestExtraState:
     def test_roundtrip_with_batchnorm(self, rng):
         from repro.nn.layers import BatchNorm

@@ -135,6 +135,40 @@ class TestLosslessRoundTrip:
         assert ExperimentPlan.from_dict(data) == plan
 
 
+class TestShiftExConfigFromPlan:
+    """``kwargs: {config: {...}}`` reaches ShiftExStrategy as a ShiftExConfig."""
+
+    @staticmethod
+    def plan_data(config):
+        return {"dataset": "fashion_mnist_sim",
+                "strategies": {"shiftex": {"method": "shiftex",
+                                           "kwargs": {"config": config}}}}
+
+    def test_round_trip_and_build(self, tmp_path):
+        from repro.core import ShiftExConfig
+        data = self.plan_data({"embedding_samples": 24, "tau": 0.98})
+        plan = ExperimentPlan.from_dict(data)
+        loaded = load_plan(save_plan(tmp_path / "p.json", plan))
+        assert loaded == plan
+        assert loaded.to_dict()["strategies"] == data["strategies"]
+        strategy = loaded.strategies[0].build()
+        assert strategy.config == ShiftExConfig(embedding_samples=24, tau=0.98)
+        assert strategy.registry.memory_capacity == 64
+
+    def test_unknown_field_is_named_with_the_valid_set(self):
+        spec = ExperimentPlan.from_dict(
+            self.plan_data({"embeding_samples": 24})).strategies[0]
+        with pytest.raises(ValueError, match=r"\['embeding_samples'\] in shiftex "
+                                             r"config;.*'embedding_samples'"):
+            spec.build()
+
+    def test_values_still_go_through_range_checks(self):
+        spec = ExperimentPlan.from_dict(
+            self.plan_data({"embedding_samples": 1})).strategies[0]
+        with pytest.raises(ValueError, match="embedding_samples must be at least 2"):
+            spec.build()
+
+
 _MINIMAL = {"dataset": "fashion_mnist_sim", "strategies": ["fedavg"]}
 _RETIREMENT = "why-parameter-banks-are-not-sharded"
 

@@ -45,6 +45,20 @@ class TestFlattenRoundtrip:
         with pytest.raises(ValueError):
             spec.unflatten(np.zeros(spec.total_size + 1))
 
+    def test_spec_sizes_are_computed_once(self, rng):
+        import dataclasses
+        import pickle
+        spec = ParamSpec.of(make_params(rng) + [np.zeros(())])
+        assert spec.sizes[-1] == 1 and spec.total_size == sum(spec.sizes)
+        assert spec.sizes is spec.sizes  # a plain property builds a new tuple
+        assert "total_size" in vars(spec)
+        # Still a frozen value object: the cache is not part of its identity.
+        fresh = ParamSpec(spec.shapes)
+        assert fresh == spec and hash(fresh) == hash(spec)
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.shapes = ()
+
     def test_unflatten_copies(self, rng):
         params = make_params(rng)
         flat = flatten_params(params)
