@@ -1,0 +1,246 @@
+"""Where a party window goes, and how much of what is generated is read.
+
+Three measurements behind docs/ARCHITECTURE.md "The data plane":
+
+    PYTHONPATH=src python benchmarks/data_plane.py          # per-stage table
+    PYTHONPATH=src python benchmarks/data_plane.py --plans  # generated vs read
+    PYTHONPATH=src python benchmarks/data_plane.py --sha    # bitwise sweep
+
+The stage table times one train split of each pinned e2e plan's dataset
+(``pool_100k``: ``femnist_sim``, ``wide_server``: ``fashion_mnist_sim``,
+``sync_conv``: ``cifar10_c_sim``, ``async_masked``: ``fmow_sim``) stage by
+stage — every corruption in the plan's regimes, and the per-image ``np.roll``
+sampler this repo used to have beside the live one.  ``--plans`` runs seed 0
+of the same plans and counts splits and samples generated against splits and
+samples some protocol op read.  ``--sha`` prints one SHA-256 per registry
+dataset over all four arrays of every window x every third in-schedule party
++ two virtual ids.  ``--plans`` and ``--sha`` use only names an older checkout
+also has, so pointing ``PYTHONPATH`` at its ``src`` gives the "before"
+numbers.  Report-only; nothing gates on it and no file is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import time
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as benchmarks/e2e pins it
+
+import numpy as np  # noqa: E402
+
+from repro.data import (  # noqa: E402
+    FederatedShiftDataset,
+    apply_corruption,
+    dataset_names,
+    get_dataset_spec,
+)
+from repro.experiments import load_plan  # noqa: E402
+from repro.federation.party import Party  # noqa: E402
+from repro.harness.runner import run_strategy  # noqa: E402
+from repro.utils.rng import spawn_rng  # noqa: E402
+
+PLANS = ("sync_conv", "wide_server", "async_masked", "pool_100k")
+PLAN_DIR = Path(__file__).resolve().parent / "e2e" / "workloads"
+
+
+def pinned_plan(workload: str):
+    plan = load_plan(PLAN_DIR / f"{workload}.json")
+    plan.seeds = (0,)
+    return plan
+
+
+def best_us(fn, calls: int = 200, repeats: int = 5) -> float:
+    fn()
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, time.perf_counter() - start)
+    return best / calls * 1e6
+
+
+# ---------------------------------------------------------------- per-stage table
+
+
+def roll_translate(template, shifts):
+    """The previous sampler's translation: one ``np.roll`` per image."""
+    base = np.repeat(template[None], len(shifts), axis=0)
+    for i, (dy, dx) in enumerate(shifts):
+        if dy or dx:
+            base[i] = np.roll(base[i], (int(dy), int(dx)), axis=(1, 2))
+    return base
+
+
+def roll_sample(generator, labels, rng):
+    """``SyntheticImageGenerator.sample`` over the per-image roll sampler."""
+    spec = generator.spec
+    out = np.empty((labels.size, *spec.input_shape))
+    for class_id in np.unique(labels):
+        idx = np.nonzero(labels == class_id)[0]
+        shifts = rng.integers(-spec.max_translation, spec.max_translation + 1,
+                              size=(idx.size, 2))
+        base = roll_translate(generator.templates[class_id], shifts)
+        noise = rng.normal(0.0, spec.noise_scale, size=base.shape)
+        brightness = rng.normal(0.0, spec.brightness_jitter,
+                                size=(idx.size, 1, 1, 1))
+        out[idx] = np.clip(base + noise + brightness, 0.0, 1.0)
+    return out
+
+
+def stage_table(workload: str) -> None:
+    spec, _settings = pinned_plan(workload).resolve()
+    ds = FederatedShiftDataset(spec)
+    generator, n = ds.generator, spec.train_per_window
+    prior = ds.schedule.prior_of(1, 0)
+    p = prior / prior.sum()
+    labels = spawn_rng(spec.seed, "bench").choice(spec.num_classes, size=n, p=p)
+    x = generator.sample(labels, np.random.default_rng(0))
+    assert np.array_equal(x, roll_sample(generator, labels, np.random.default_rng(0)))
+    # One class's share of the split, as sample_class sees it.
+    template = generator.templates[0]
+    per_class = max(1, n // len(np.unique(labels)))
+    shifts = np.random.default_rng(1).integers(-1, 2, size=(per_class, 2))
+    base = roll_translate(template, shifts)
+    rng = np.random.default_rng(2)
+
+    def noise_clip():
+        noise = rng.normal(0.0, generator.spec.noise_scale, size=base.shape)
+        brightness = rng.normal(0.0, 0.08, size=(per_class, 1, 1, 1))
+        return np.clip(base + noise + brightness, 0.0, 1.0)
+
+    grid = np.arange(spec.image_size)
+
+    def gather_translate():
+        rows = (grid - shifts[:, :1]) % spec.image_size
+        cols = (grid - shifts[:, 1:]) % spec.image_size
+        return template[:, rows[:, :, None], cols[:, None, :]].transpose(1, 0, 2, 3)
+
+    assert np.array_equal(gather_translate(), base)
+    regimes = sorted(set(spec.window_regimes) | {("identity", 1)})
+    regime = ds.schedule.regime_of(1, 0)
+    stages = [
+        ("spawn_rng", lambda: spawn_rng(spec.seed, "data", 0, 1, "train")),
+        ("label draw", lambda: rng.choice(spec.num_classes, size=n, p=p)),
+        ("sample, live", lambda: generator.sample(labels, rng)),
+        ("sample, per-image roll", lambda: roll_sample(generator, labels, rng)),
+        (f"  one class of {per_class}: gather", gather_translate),
+        (f"  one class of {per_class}: roll loop",
+         lambda: roll_translate(template, shifts)),
+        (f"  one class of {per_class}: noise + clip", noise_clip),
+        *((f"corruption {c} {s}", lambda c=c, s=s: apply_corruption(x, c, s, rng))
+          for c, s in regimes),
+        (f"whole train split ({regime.corruption} {regime.severity})",
+         lambda: ds._generate_split(0, 1, n, "train", regime, prior)),
+    ]
+    print(f"{workload} ({spec.name}): {n} x {spec.input_shape}, "
+          f"{len(np.unique(labels))} classes drawn")
+    for label, fn in stages:
+        print(f"  {label:<36}{best_us(fn):>9.1f} us")
+
+
+# ---------------------------------------------------------------- generated vs read
+
+
+def plan_counts(workload: str) -> dict[str, int]:
+    """Seed 0 of one pinned plan: what ``_generate_split`` made against what
+    ``Party`` ops read, per binding of a window to a party."""
+    counts = dict.fromkeys(("bindings", "splits_generated", "samples_generated",
+                            "splits_read", "samples_read"), 0)
+    bound: dict[int, int] = {}  # party -> which binding of a window it holds
+    seen: set[tuple[int, int, str]] = set()
+
+    def generate(self, party, window, n, split, regime, prior):
+        counts["splits_generated"] += 1
+        counts["samples_generated"] += n
+        return originals[FederatedShiftDataset, "_generate_split"](
+            self, party, window, n, split, regime, prior)
+
+    def set_window_data(self, data):
+        # Eager parties are rebound once per window, pooled ones once per
+        # materialization; either way a new binding.
+        counts["bindings"] += 1
+        bound[self.party_id] = counts["bindings"]
+        return originals[Party, "set_window_data"](self, data)
+
+    def reading(name, split_of):
+        def op(self, *args, **kwargs):
+            split = split_of(*args, **kwargs)
+            key = (self.party_id, bound[self.party_id], split)
+            if key not in seen:
+                seen.add(key)
+                counts["splits_read"] += 1
+                counts["samples_read"] += (self.data.num_train if split == "train"
+                                           else self.data.num_test)
+            return originals[Party, name](self, *args, **kwargs)
+        return op
+
+    patches = {
+        (FederatedShiftDataset, "_generate_split"): generate,
+        (Party, "set_window_data"): set_window_data,
+        (Party, "local_train"): reading("local_train", lambda *a, **k: "train"),
+        (Party, "label_histogram"): reading("label_histogram", lambda: "train"),
+        (Party, "evaluate"): reading(
+            "evaluate", lambda params, split="test", **k: split),
+        (Party, "embeddings_with_labels"): reading(
+            "embeddings_with_labels", lambda params, split="train", *a, **k: split),
+    }
+    originals = {key: getattr(*key) for key in patches}
+    plan = pinned_plan(workload)
+    spec, settings = plan.resolve()
+    (cell,) = plan.cells()
+    try:
+        for (cls, attr), fn in patches.items():
+            setattr(cls, attr, fn)
+        run_strategy(cell.spec.build(), spec, settings, seed=cell.seed)
+    finally:
+        for (cls, attr), fn in originals.items():
+            setattr(cls, attr, fn)
+    return counts
+
+
+def plans_table() -> None:
+    print(f"{'plan':<14}{'bindings':>9}{'splits gen':>11}{'read':>7}"
+          f"{'samples gen':>13}{'read':>9}")
+    for workload in PLANS:
+        c = plan_counts(workload)
+        print(f"{workload:<14}{c['bindings']:>9}{c['splits_generated']:>11}"
+              f"{c['splits_read']:>7}{c['samples_generated']:>13}"
+              f"{c['samples_read']:>9}")
+
+
+# ---------------------------------------------------------------- bitwise sweep
+
+
+def sha_sweep() -> None:
+    for name in dataset_names():
+        spec = get_dataset_spec(name)
+        ds = FederatedShiftDataset(spec)
+        digest = hashlib.sha256()
+        ids = [*range(0, spec.num_parties, 3),
+               spec.num_parties + 5, 10 * spec.num_parties + 1]
+        for window in range(spec.num_windows):
+            for pid in ids:
+                data = ds.virtual_party_window(pid, window)
+                for arr in (data.x_train, data.y_train, data.x_test, data.y_test):
+                    digest.update(str((arr.dtype, arr.shape)).encode())
+                    digest.update(arr.tobytes())
+        print(name, digest.hexdigest())
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--plans", action="store_true")
+    mode.add_argument("--sha", action="store_true")
+    args = parser.parse_args()
+    if args.plans:
+        plans_table()
+    elif args.sha:
+        sha_sweep()
+    else:
+        for workload in PLANS:
+            stage_table(workload)

@@ -3,7 +3,8 @@
 :class:`FederatedShiftDataset` is the simulator's data plane: given a
 :class:`~repro.data.registry.DatasetSpec` it deterministically generates each
 party's labelled train/test arrays for each window, applying the window's
-corruption regime and label prior.  Sliding-window datasets blend a fraction
+corruption regime and label prior — each split when it is first read
+(:class:`PartyWindowData`).  Sliding-window datasets blend a fraction
 of the *previous* regime into a freshly shifted window, modelling the gradual
 transition sliding windows capture in the paper; tumbling windows switch
 abruptly.
@@ -11,7 +12,7 @@ abruptly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
@@ -26,26 +27,86 @@ from repro.data.registry import (
 from repro.utils.rng import spawn_rng
 
 
-@dataclass
-class PartyWindowData:
-    """One party's data for one window."""
+Split = tuple[np.ndarray, np.ndarray]  # one split's (x, y)
 
-    party_id: int
-    window: int
-    x_train: np.ndarray
-    y_train: np.ndarray
-    x_test: np.ndarray
-    y_test: np.ndarray
-    regime: RegimeAssignment
-    label_prior: np.ndarray
+
+class PartyWindowData:
+    """One party's data for one window; a split is generated when first read.
+
+    :class:`FederatedShiftDataset` builds windows whose splits are still
+    ``pending``: ``{"train" | "test": (n, make)}``, where ``make()`` returns
+    the split's ``(x, y)`` with ``n`` samples.  Reading ``x_train`` /
+    ``y_train`` (or ``label_histogram``) runs the train generator once and
+    keeps its arrays, reading ``x_test`` / ``y_test`` the test generator; the
+    generator is dropped as soon as it has run.  Every split draws from its
+    own ``spawn_rng(seed, "data", party, window, split)`` stream, so which
+    split is read first — or whether one is read at all — cannot change a
+    byte of the other.  ``num_train`` / ``num_test`` answer from ``n``
+    without generating anything.
+
+    A window can also be built directly from its four arrays (tests do);
+    nothing is pending then.
+    """
+
+    def __init__(self, party_id: int, window: int, regime: RegimeAssignment,
+                 label_prior: np.ndarray, *,
+                 x_train: np.ndarray | None = None,
+                 y_train: np.ndarray | None = None,
+                 x_test: np.ndarray | None = None,
+                 y_test: np.ndarray | None = None,
+                 pending: Mapping[str, tuple[int, Callable[[], Split]]] | None = None,
+                 ) -> None:
+        self.party_id = party_id
+        self.window = window
+        self.regime = regime
+        self.label_prior = label_prior
+        self._pending = dict(pending or {})
+        self._splits: dict[str, Split] = {}
+        if x_train is not None and y_train is not None:
+            self._splits["train"] = (x_train, y_train)
+        if x_test is not None and y_test is not None:
+            self._splits["test"] = (x_test, y_test)
+        missing = {"train", "test"} - self._splits.keys() - self._pending.keys()
+        if missing:
+            raise ValueError(
+                f"window data needs arrays or a generator for {sorted(missing)}")
+
+    def split(self, name: str) -> Split:
+        """``(x, y)`` of the ``"train"`` or ``"test"`` split, generated once."""
+        arrays = self._splits.get(name)
+        if arrays is None:
+            _n, make = self._pending.pop(name)
+            arrays = self._splits[name] = make()
+        return arrays
+
+    def _num(self, name: str) -> int:
+        if name in self._splits:
+            return int(self._splits[name][0].shape[0])
+        return self._pending[name][0]
+
+    @property
+    def x_train(self) -> np.ndarray:
+        return self.split("train")[0]
+
+    @property
+    def y_train(self) -> np.ndarray:
+        return self.split("train")[1]
+
+    @property
+    def x_test(self) -> np.ndarray:
+        return self.split("test")[0]
+
+    @property
+    def y_test(self) -> np.ndarray:
+        return self.split("test")[1]
 
     @property
     def num_train(self) -> int:
-        return int(self.x_train.shape[0])
+        return self._num("train")
 
     @property
     def num_test(self) -> int:
-        return int(self.x_test.shape[0])
+        return self._num("test")
 
     def label_histogram(self, num_classes: int) -> np.ndarray:
         """Normalized train label histogram (what Algorithm 1 reports)."""
@@ -89,12 +150,14 @@ class FederatedShiftDataset:
 
     def _assemble_window(self, party: int, shard: int,
                          window: int) -> PartyWindowData:
-        """Build one window: regimes/priors from ``shard``'s schedule slot,
+        """Describe one window: regimes/priors from ``shard``'s schedule slot,
         sample draws from ``party``'s own RNG streams.
 
-        For in-schedule parties ``shard == party`` and this is the historical
-        generation path bit for bit; virtual parties (``party`` beyond the
-        schedule) reuse a shard's shift trajectory with private data draws.
+        Nothing is generated here; the returned window holds one generator
+        per split.  For in-schedule parties ``shard == party`` and the arrays
+        are the historical generation path's bit for bit; virtual parties
+        (``party`` beyond the schedule) reuse a shard's shift trajectory with
+        private data draws.
         """
         regime = self.schedule.regime_of(window, shard)
         prior = self.schedule.prior_of(window, shard)
@@ -107,33 +170,37 @@ class FederatedShiftDataset:
         if self.sliding_overlap > 0 and regime_changed:
             carry = int(round(self.sliding_overlap * n_train))
 
-        x_new, y_new = self._generate_split(
-            party, window, n_train - carry, "train", regime, prior
-        )
-        if carry and prev_regime is not None:
-            prev_prior = self.schedule.prior_of(window - 1, shard)
-            x_old, y_old = self._generate_split(
-                party, window, carry, "train-overlap", prev_regime, prev_prior
+        def train() -> Split:
+            x, y = self._generate_split(
+                party, window, n_train - carry, "train", regime, prior
             )
-            x_train = np.concatenate([x_old, x_new])
-            y_train = np.concatenate([y_old, y_new])
-        else:
-            x_train, y_train = x_new, y_new
+            if carry:
+                prev_prior = self.schedule.prior_of(window - 1, shard)
+                x_old, y_old = self._generate_split(
+                    party, window, carry, "train-overlap", prev_regime, prev_prior
+                )
+                x, y = np.concatenate([x_old, x]), np.concatenate([y_old, y])
+            return x, y
 
-        x_test, y_test = self._generate_split(party, window, n_test, "test", regime, prior)
+        def test() -> Split:
+            return self._generate_split(party, window, n_test, "test", regime, prior)
+
         return PartyWindowData(
             party_id=party,
             window=window,
-            x_train=x_train,
-            y_train=y_train,
-            x_test=x_test,
-            y_test=y_test,
             regime=regime,
             label_prior=prior.copy(),
+            pending={"train": (n_train, train), "test": (n_test, test)},
         )
 
     def party_window(self, party: int, window: int) -> PartyWindowData:
-        """Materialize (and cache) one party's data for one window."""
+        """One in-schedule party's window, cached, train split generated.
+
+        The eager runner binds every party's window before it calls (and
+        times) ``strategy.start_window``; generating the train split here
+        keeps that generation out of the shift response.  Only the test split
+        waits for the first evaluation.
+        """
         if not 0 <= party < self.spec.num_parties:
             raise ValueError(f"party {party} out of range")
         if not 0 <= window < self.spec.num_windows:
@@ -142,6 +209,7 @@ class FederatedShiftDataset:
         if key in self._cache:
             return self._cache[key]
         data = self._assemble_window(party, party, window)
+        data.split("train")
         self._cache[key] = data
         return data
 
@@ -152,11 +220,14 @@ class FederatedShiftDataset:
         trajectory of dataset shard ``party % spec.num_parties`` but draw
         their samples from their own ``(seed, "data", party, ...)`` streams,
         so a million-party population has a million distinct datasets over
-        ``num_parties`` schedule slots.  Virtual windows are *not* cached —
-        the :class:`~repro.federation.pool.PartyPool` regenerates them on
+        ``num_parties`` schedule slots.  A virtual window comes back with both
+        splits pending: the :class:`~repro.federation.pool.PartyPool` binds
+        one per materialization, and a party materialized only to evaluate
+        (or only to train) generates only the split it reads.  Virtual
+        windows are *not* cached — they are regenerated on the next
         materialization, which is what keeps pooled memory flat in the
         population size.  In-schedule ids delegate to :meth:`party_window`
-        (cached, bitwise-identical to the eager path).
+        (cached, train split generated, bitwise-identical to the eager path).
         """
         if party < 0:
             raise ValueError(f"party {party} out of range")

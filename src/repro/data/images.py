@@ -94,13 +94,19 @@ class SyntheticImageGenerator:
         if n < 0:
             raise ValueError("n must be non-negative")
         spec = self.spec
-        base = np.repeat(self.templates[class_id][None], n, axis=0)
+        template = self.templates[class_id]
         if spec.max_translation > 0 and n > 0:
             shifts = rng.integers(-spec.max_translation, spec.max_translation + 1,
                                   size=(n, 2))
-            for i, (dy, dx) in enumerate(shifts):
-                if dy or dx:
-                    base[i] = np.roll(base[i], (int(dy), int(dx)), axis=(1, 2))
+            # Every image's circular (dy, dx) roll as one gather: pixel
+            # (r, c) of image i is template pixel ((r - dy_i) % size,
+            # (c - dx_i) % size), which is what np.roll computes.
+            grid = np.arange(spec.image_size)
+            rows = (grid - shifts[:, :1]) % spec.image_size
+            cols = (grid - shifts[:, 1:]) % spec.image_size
+            base = template[:, rows[:, :, None], cols[:, None, :]].transpose(1, 0, 2, 3)
+        else:
+            base = np.repeat(template[None], n, axis=0)
         noise = rng.normal(0.0, spec.noise_scale, size=base.shape)
         brightness = rng.normal(0.0, spec.brightness_jitter, size=(n, 1, 1, 1))
         return np.clip(base + noise + brightness, 0.0, 1.0)

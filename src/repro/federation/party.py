@@ -1,7 +1,8 @@
 """Party: one federated client in the simulator.
 
-A party owns its private per-window data, a local model replica, and the
-local operations of the protocol: training on received parameters,
+A party owns its private per-window data (each split generated the first
+time an operation reads it), a local model replica, and the local operations
+of the protocol: training on received parameters,
 evaluation on its private test split, penultimate-layer embedding extraction
 (for shift detection), and label-histogram reporting.  Raw samples never
 cross the party boundary — only parameters, statistics, and embeddings, as
@@ -73,7 +74,9 @@ class Party:
         """Drop the window-data reference.
 
         Pool eviction calls this so a dematerialized party can never keep a
-        data shard alive; the next ``set_window_data`` rebinds it.
+        data shard alive: the splits it generated and the generators of the
+        splits it never read (which reference the dataset) go with it.  The
+        next ``set_window_data`` rebinds it.
         """
         self._data = None
 

@@ -6,8 +6,10 @@ at a few thousand.  This module inverts that: a party *is* its seeded
 :class:`PartySpec` (party id, dataset shard, RNG root, dtype), and
 :class:`PartyPool` materializes the live object only while it is needed —
 on dispatch it binds a model replica from a small reusable free list and
-generates the party's window data from the spec; after the party's report
-lands its state is evicted again (bounded LRU).  Because every piece of
+the party's window data from the spec, of which only the split an operation
+reads is ever generated (an evaluate-only materialization never draws a
+train split); after the party's report lands its state is evicted again
+(bounded LRU).  Because every piece of
 party state is a pure function of ``(seed, labels...)`` streams
 (:func:`~repro.utils.rng.spawn_rng`), materialization order is invisible to
 results: a pooled run with ``population == spec.num_parties`` and an
@@ -195,6 +197,12 @@ class PartyPool(Mapping):
         PartySpec ──materialize──▶ resident Party ──report──▶ evicted
            ▲        (model from free list,            (LRU, pin-aware)  │
            └────────────────── window data from spec) ◀─────────────────┘
+
+    "Window data from spec" is a :class:`~repro.data.federated.PartyWindowData`
+    with both splits pending; ``local_train`` / ``embeddings`` /
+    ``label_histogram`` generate the train split, ``evaluate`` the test
+    split, each at most once per materialization.  The pool itself keeps no
+    arrays: eviction drops what was generated along with what was not.
 
     ``acquire``/``release`` pin a party for its in-flight training window;
     :func:`~repro.federation.rounds.train_cohort` calls them around each

@@ -523,6 +523,122 @@ class TestPopulationScaleRuns:
         assert pooled.extras["party_pool"]["evictions"] > 0
 
 
+class TestOnlyReadSplitsAreGenerated:
+    """Window data is generated split by split, on first read."""
+
+    @staticmethod
+    def _record(monkeypatch, events, cls, name, event):
+        original = getattr(cls, name)
+
+        def recording(self, *args, **kwargs):
+            events.append(event(self, *args, **kwargs))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, recording)
+
+    def test_pooled_run_generates_exactly_the_splits_it_reads(self, monkeypatch):
+        """Spy on ``_generate_split`` through a pooled async ShiftEx run.
+
+        Between two data binds of a virtual party, the splits generated are
+        exactly the splits some protocol op read: an evaluate-only
+        materialization draws no train split, a train-only one no test
+        split, and nothing is generated twice.
+        """
+        from repro.federation.async_engine import FederationConfig
+
+        spec = _diff_spec()
+        events: list[tuple] = []
+        record = self._record
+        record(monkeypatch, events, FederatedShiftDataset, "_generate_split",
+               lambda ds, party, window, n, split, *_:
+               ("generate", party, split.split("-")[0]))
+        record(monkeypatch, events, FederatedShiftDataset, "virtual_party_window",
+               lambda ds, party, window: ("bind", party, None))
+        record(monkeypatch, events, Party, "local_train",
+               lambda party, *a, **k: ("read", party.party_id, "train"))
+        record(monkeypatch, events, Party, "label_histogram",
+               lambda party: ("read", party.party_id, "train"))
+        record(monkeypatch, events, Party, "evaluate",
+               lambda party, params, split="test", **k:
+               ("read", party.party_id, split))
+        record(monkeypatch, events, Party, "embeddings_with_labels",
+               lambda party, params, split="train", *a, **k:
+               ("read", party.party_id, split))
+
+        settings_ = dataclasses.replace(
+            _pooled_settings(make_run_settings(rounds_burn_in=2,
+                                               rounds_per_window=2),
+                             {"size": 5000, "max_resident": 3, "survey": 12}),
+            eval_parties=8,
+            federation=FederationConfig(
+                mode="async",
+                availability=AvailabilityConfig(straggler_prob=0.4)))
+        result = run_strategy(build_strategy("shiftex"), spec, settings_,
+                              seed=0, dataset=FederatedShiftDataset(spec))
+        assert result.extras["party_pool"]["evictions"] > 0
+
+        # One entry per bind of a virtual party: what it generated / read
+        # until the next bind of the same party.
+        epochs: list[dict[str, list[str]]] = []
+        current: dict[int, dict[str, list[str]]] = {}
+        for kind, party, split in events:
+            if party < spec.num_parties:
+                continue  # in-schedule ids come from the train-eager cache
+            if kind == "bind":
+                current[party] = {"generate": [], "read": []}
+                epochs.append(current[party])
+            else:
+                current[party][kind].append(split)
+        for epoch in epochs:
+            assert len(epoch["generate"]) == len(set(epoch["generate"]))
+            assert set(epoch["generate"]) == set(epoch["read"])
+        read_sets = {frozenset(e["read"]) for e in epochs}
+        assert frozenset({"test"}) in read_sets   # evaluate-only
+        assert frozenset({"train"}) in read_sets  # train-only
+
+    def test_eviction_drops_generated_and_pending_splits(self):
+        import weakref
+
+        spec = _diff_spec()
+        ds = FederatedShiftDataset(spec)
+        pool = PartyPool(spec, ds, population=50, seed=0, max_resident=1)
+        party = pool[20]
+        party.data.split("test")  # the train generator is still pending
+        data = weakref.ref(party.data)
+        pool[21]  # evicts 20
+        assert 20 not in pool.resident_ids() and not party.has_data
+        # Nothing else held the window: arrays and generators are gone.
+        assert data() is None
+
+    def test_eager_runner_binds_generated_train_splits(self, monkeypatch):
+        """Train splits exist before ``start_window`` is called (and timed).
+
+        The eager runner binds every party's window outside
+        ``strategy.start_window``; if that bind left the train split pending,
+        its generation would land inside the measured shift response.
+        """
+        spec = _diff_spec()
+        events: list[tuple] = []
+        self._record(monkeypatch, events, FederatedShiftDataset,
+                     "_generate_split",
+                     lambda ds, party, window, n, split, *_:
+                     (split.split("-")[0], party, window))
+        strategy = build_strategy("shiftex")
+        self._record(monkeypatch, events, type(strategy), "start_window",
+                     lambda strategy, window: ("start_window", None, window))
+        run_strategy(strategy, spec, make_run_settings(), seed=0,
+                     dataset=FederatedShiftDataset(spec))
+        for window in range(spec.num_windows):
+            start = events.index(("start_window", None, window))
+            trains = {i for i, e in enumerate(events)
+                      if e[0] == "train" and e[2] == window}
+            assert {events[i][1] for i in trains} == set(range(spec.num_parties))
+            assert max(trains) < start
+            # ... while the test split waits for the first evaluation.
+            assert all(i > start for i, e in enumerate(events)
+                       if e[0] == "test" and e[2] == window)
+
+
 class TestStrategyContextPoolSurface:
     def test_sample_cohort_dict_path_matches_historic_draw(self):
         spec = _diff_spec()
