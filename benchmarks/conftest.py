@@ -19,11 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import run_comparison
+from repro.experiments import ExperimentPlan
 from repro.harness.comparison import (
+    PAPER_METHODS,
     ComparisonResult,
     convergence_series,
-    default_strategies,
     expert_distribution_table,
     max_accuracy_table,
     render_drop_time_max_table,
@@ -46,11 +46,11 @@ def write_artifact(name: str, content: str) -> Path:
 
 
 def run_dataset_comparison(dataset: str,
-                           methods: tuple[str, ...] | None = None,
+                           methods: tuple[str, ...] = PAPER_METHODS,
                            ) -> ComparisonResult:
-    strategies = default_strategies() if methods is None else default_strategies(methods)
-    return run_comparison(dataset, strategies, profile=BENCH_PROFILE,
-                          seeds=BENCH_SEEDS, precision=BENCH_PRECISION)
+    return ExperimentPlan.build(dataset, methods, profile=BENCH_PROFILE,
+                                seeds=BENCH_SEEDS,
+                                precision=BENCH_PRECISION).run()
 
 
 def render_figure_series(result: ComparisonResult, figure_label: str) -> str:

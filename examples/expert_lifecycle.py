@@ -1,4 +1,4 @@
-"""The expert lifecycle, step by step — with a TEE-protected variant.
+"""The expert lifecycle, step by step.
 
 Walks through the aggregator-side machinery of Algorithm 2 on synthetic
 embeddings, without any training, so each mechanism is visible in isolation:
@@ -7,9 +7,7 @@ embeddings, without any training, so each mechanism is visible in isolation:
 2. a new covariate regime arriving -> no memory match -> expert creation;
 3. the same regime recurring -> memory match -> expert *reuse*;
 4. two near-duplicate experts -> cosine + regime-gated *consolidation*;
-5. the facility-location view (Equation 2): exact vs greedy assignment;
-6. the same detection flow with embeddings sealed into the software enclave
-   (Section 5.3).
+5. the facility-location view (Equation 2): exact vs greedy assignment.
 
 Usage::
 
@@ -29,7 +27,6 @@ from repro.experts import (
     solve_exact,
     solve_greedy,
 )
-from repro.privacy import SecureReportChannel
 from repro.utils.rng import spawn_rng
 
 
@@ -113,20 +110,7 @@ def main() -> None:
     print(f"   greedy: obj={greedy.objective:.3f}  "
           + ", ".join(f"{names[i]}->col{k}" for i, k in enumerate(greedy.assignment)))
     print("   (the new-regime party opens the candidate column: that is the")
-    print("   lambda trade-off the modular pipeline approximates)\n")
-
-    print("6. TEE mode: the same detection with sealed embeddings (5.3)")
-    channel = SecureReportChannel(seed=7)
-    labels = spawn_rng(6, "y").integers(0, 4, 80)
-    base = regime_embeddings(spawn_rng(7, "tee"), 0.0)
-    channel.submit_profile(0, base, labels, rng)
-    stable_score = channel.submit_profile(
-        0, regime_embeddings(spawn_rng(8, "tee2"), 0.0), labels, rng, gamma=gamma)
-    shift_score = channel.submit_profile(
-        0, regime_embeddings(spawn_rng(9, "tee3"), 4.0), labels, rng, gamma=gamma)
-    print(f"   in-enclave delta_cov, stable window: {stable_score:.3f}")
-    print(f"   in-enclave delta_cov, shifted window: {shift_score:.3f}")
-    print("   the aggregator process never saw a raw embedding.")
+    print("   lambda trade-off the modular pipeline approximates)")
 
 
 if __name__ == "__main__":

@@ -51,9 +51,6 @@ def main() -> None:
     print(f"Experts created: {state['experts_created']}, "
           f"merged: {state['experts_merged']}, "
           f"live: {state['num_models']}")
-    print("\nDetection/assignment latency (mean ms per window):")
-    for phase, stats in shiftex_run.profiler_summary.items():
-        print(f"  {phase:18s} {stats['mean_ms']:8.2f} ms x{int(stats['count'])}")
 
 
 if __name__ == "__main__":

@@ -3,11 +3,10 @@
 Reproduces "Shift Happens: Mixture of Experts based Continual Adaptation in
 Federated Learning" (Bhope et al., Middleware 2025) as a self-contained
 Python library: a numpy neural-network substrate, synthetic shifted federated
-datasets, a streaming/windowing engine, MMD/JSD shift detection, the ShiftEx
-expert-management core, five comparison baselines, and a composable
-experiment layer (strategy registry, declarative plans, serial/parallel
-executors, run events) regenerating every table and figure of the paper's
-evaluation.
+datasets, MMD/JSD shift detection, the ShiftEx expert-management core, five
+comparison baselines, and a composable experiment layer (strategy registry,
+declarative plans, serial/parallel executors, run events) regenerating every
+table and figure of the paper's evaluation.
 
 Quickstart::
 
@@ -31,7 +30,7 @@ from repro.experiments import (
     register_strategy,
     strategy_names,
 )
-from repro.harness import run_comparison, run_strategy
+from repro.harness import run_strategy
 
 __all__ = [
     "ShiftExConfig",
@@ -42,7 +41,6 @@ __all__ = [
     "register_strategy",
     "build_strategy",
     "strategy_names",
-    "run_comparison",
     "run_strategy",
     "__version__",
 ]

@@ -19,29 +19,10 @@ from repro.baselines.oort import OortStrategy
 from repro.baselines.fielding import FieldingStrategy
 from repro.baselines.feddrift import FedDriftStrategy
 
-BASELINE_NAMES = ("fedavg", "fedprox", "oort", "fielding", "feddrift")
-
-
-def build_baseline(name: str, **kwargs):
-    """Construct a baseline strategy by name.
-
-    Thin shim over the strategy registry (each baseline class registers
-    itself with ``@register_strategy``), restricted to the paper's
-    comparative techniques.
-    """
-    from repro.experiments.registry import build_strategy
-    if name not in BASELINE_NAMES:
-        raise KeyError(
-            f"unknown baseline '{name}'; available: {sorted(BASELINE_NAMES)}")
-    return build_strategy(name, **kwargs)
-
-
 __all__ = [
     "FedAvgStrategy",
     "FedProxStrategy",
     "OortStrategy",
     "FieldingStrategy",
     "FedDriftStrategy",
-    "BASELINE_NAMES",
-    "build_baseline",
 ]

@@ -2,19 +2,16 @@
 
 K-means (k-means++ initialization, Lloyd iterations) groups shifted parties
 by latent profile; the Davies–Bouldin index with an elbow criterion chooses
-the number of clusters (paper Section 5.2.1); cosine similarity powers
-expert consolidation.
+the number of clusters (paper Section 5.2.1).
 """
 
 from repro.clustering.kmeans import KMeansResult, kmeans
 from repro.clustering.davies_bouldin import davies_bouldin_index
 from repro.clustering.selection import select_num_clusters
-from repro.clustering.similarity import cosine_similarity
 
 __all__ = [
     "KMeansResult",
     "kmeans",
     "davies_bouldin_index",
     "select_num_clusters",
-    "cosine_similarity",
 ]

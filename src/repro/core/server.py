@@ -23,7 +23,6 @@ Window life cycle:
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Mapping
 
 import numpy as np
@@ -40,7 +39,7 @@ from repro.federation.rounds import run_fl_round
 from repro.federation.strategy import ContinualStrategy, StrategyContext
 from repro.flips.selector import FlipsSelector
 from repro.utils.params import Params
-from repro.utils.validation import check_keys
+from repro.utils.validation import check_keys, field_names
 
 
 def split_budget(cohort_sizes: dict[int, int], total: int) -> dict[int, int]:
@@ -66,8 +65,7 @@ class ShiftExStrategy(ContinualStrategy):
         elif not isinstance(config, ShiftExConfig):
             # A plan file's ``kwargs: {config: {...}}`` arrives as a mapping.
             config = ShiftExConfig(**check_keys(
-                "shiftex config", config,
-                [f.name for f in dataclasses.fields(ShiftExConfig)]))
+                "shiftex config", config, field_names(ShiftExConfig)))
         self.config = config
         self.registry = ExpertRegistry(
             memory_capacity=self.config.memory_capacity,
@@ -130,17 +128,16 @@ class ShiftExStrategy(ContinualStrategy):
         assert self._encoder is not None
         gamma = self.thresholds.gamma if self.thresholds is not None else None
         reports: dict[int, PartyShiftReport] = {}
-        with ctx.profiler.phase("shift_detection"):
-            for pid, party in ctx.iter_parties():
-                report, state = compute_party_report(
-                    party, self._encoder,
-                    self._party_state.get(pid),
-                    gamma=gamma,
-                    max_samples=self.config.embedding_samples,
-                    stat_dtype=ctx.precision.np_detection_stats,
-                )
-                reports[pid] = report
-                self._party_state[pid] = state
+        for pid, party in ctx.iter_parties():
+            report, state = compute_party_report(
+                party, self._encoder,
+                self._party_state.get(pid),
+                gamma=gamma,
+                max_samples=self.config.embedding_samples,
+                stat_dtype=ctx.precision.np_detection_stats,
+            )
+            reports[pid] = report
+            self._party_state[pid] = state
         sample = next(iter(reports.values()))
         ctx.ledger.record_statistics_upload(
             embedding_rows=sample.embeddings.shape[0],
@@ -186,16 +183,15 @@ class ShiftExStrategy(ContinualStrategy):
 
         if shifted:
             centroids = np.stack([reports[pid].centroid for pid in shifted])
-            with ctx.profiler.phase("clustering"):
-                k_cap = min(self.config.k_max, len(shifted))
-                _k, clustering, _scores = select_num_clusters(
-                    centroids, ctx.rng("cluster", window), k_max=k_cap
-                )
-                groups = [
-                    [shifted[i] for i in clustering.members(cluster_index)]
-                    for cluster_index in range(clustering.num_clusters)
-                ]
-                groups = self._merge_same_regime_clusters(groups, reports)
+            k_cap = min(self.config.k_max, len(shifted))
+            _k, clustering, _scores = select_num_clusters(
+                centroids, ctx.rng("cluster", window), k_max=k_cap
+            )
+            groups = [
+                [shifted[i] for i in clustering.members(cluster_index)]
+                for cluster_index in range(clustering.num_clusters)
+            ]
+            groups = self._merge_same_regime_clusters(groups, reports)
             for members in groups:
                 if not members:
                     continue
@@ -206,13 +202,12 @@ class ShiftExStrategy(ContinualStrategy):
                     self._handle_small_cluster(window, members, window_log)
 
         if self.config.enable_consolidation and len(self.registry) >= 2:
-            with ctx.profiler.phase("consolidation"):
-                events = consolidate_experts(
-                    self.registry, self._tau, window,
-                    ctx.rng("consolidate", window), self.assignments,
-                    memory_epsilon=self._epsilon,
-                    gamma=self.thresholds.gamma if self.thresholds else None,
-                )
+            events = consolidate_experts(
+                self.registry, self._tau, window,
+                ctx.rng("consolidate", window), self.assignments,
+                memory_epsilon=self._epsilon,
+                gamma=self.thresholds.gamma if self.thresholds else None,
+            )
             window_log["merges"] = len(events)
             for event in events:
                 if self._adapting_experts & set(event.merged_ids):
@@ -273,13 +268,12 @@ class ShiftExStrategy(ContinualStrategy):
         assert self._epsilon is not None
         matched_id: int | None = None
         if self.config.enable_latent_memory:
-            with ctx.profiler.phase("expert_assignment"):
-                match = match_cluster_to_expert(
-                    pooled, self.registry, self._epsilon, gamma,
-                    max_rows=self.config.memory_capacity,
-                    rng=ctx.rng("match", window, members[0]),
-                    cluster_labels=pooled_labels,
-                )
+            match = match_cluster_to_expert(
+                pooled, self.registry, self._epsilon, gamma,
+                max_rows=self.config.memory_capacity,
+                rng=ctx.rng("match", window, members[0]),
+                cluster_labels=pooled_labels,
+            )
             if match.matched:
                 matched_id = match.expert_id
         if matched_id is not None:
@@ -290,14 +284,13 @@ class ShiftExStrategy(ContinualStrategy):
             action = "reuse"
         else:
             init = self._new_expert_init()
-            with ctx.profiler.phase("expert_creation"):
-                expert = self.registry.create(
-                    init, window,
-                    embeddings=pooled,
-                    labels=pooled_labels,
-                    rng=ctx.rng("memory-new", window, len(self.registry)),
-                    notes={"source": "shift", "window": window},
-                )
+            expert = self.registry.create(
+                init, window,
+                embeddings=pooled,
+                labels=pooled_labels,
+                rng=ctx.rng("memory-new", window, len(self.registry)),
+                notes={"source": "shift", "window": window},
+            )
             action = "create"
         for pid in members:
             self.assignments[pid] = expert.expert_id
@@ -458,20 +451,19 @@ class ShiftExStrategy(ContinualStrategy):
             [s.labels for s in self._party_state.values()])
         expert0.memory.update(pooled, ctx.rng("memory-seed"),
                               labels=pooled_labels)
-        with ctx.profiler.phase("calibration"):
-            calibrator = ThresholdCalibrator(
-                num_bootstrap=self.config.num_bootstrap,
-                p_value=self.config.p_value,
-            )
-            party_pools = [(s.embeddings, s.labels)
-                           for s in self._party_state.values()]
-            priors = np.stack([s.histogram for s in self._party_state.values()])
-            calibrated = calibrator.calibrate(
-                party_pools, priors,
-                window_sample_size=ctx.spec.train_per_window,
-                rng=ctx.rng("calibration"),
-                reuse_sample_size=self.config.memory_capacity,
-            )
+        calibrator = ThresholdCalibrator(
+            num_bootstrap=self.config.num_bootstrap,
+            p_value=self.config.p_value,
+        )
+        party_pools = [(s.embeddings, s.labels)
+                       for s in self._party_state.values()]
+        priors = np.stack([s.histogram for s in self._party_state.values()])
+        calibrated = calibrator.calibrate(
+            party_pools, priors,
+            window_sample_size=ctx.spec.train_per_window,
+            rng=ctx.rng("calibration"),
+            reuse_sample_size=self.config.memory_capacity,
+        )
         if self.config.delta_cov is not None or self.config.delta_label is not None:
             calibrated = CalibratedThresholds(
                 delta_cov=(self.config.delta_cov

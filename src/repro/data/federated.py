@@ -238,10 +238,6 @@ class FederatedShiftDataset:
         return self._assemble_window(party, party % self.spec.num_parties,
                                      window)
 
-    def window_data(self, window: int) -> list[PartyWindowData]:
-        """All parties' data for one window."""
-        return [self.party_window(p, window) for p in range(self.spec.num_parties)]
-
     def reference_data(self, n: int = 128) -> tuple[np.ndarray, np.ndarray]:
         """Clean, uniformly labelled reference set for aggregator calibration.
 

@@ -37,7 +37,7 @@ from repro.harness.profiles import (
 from repro.nn.training import LocalTrainingConfig
 from repro.privacy.plan import PrivacyPlan
 from repro.utils.precision import PrecisionPlan
-from repro.utils.validation import check_keys
+from repro.utils.validation import check_keys, field_names
 
 _RETIRED_PLAN_KEYS = dict.fromkeys(("shard_backend", "shard_hosts"),
                                    SHARDING_RETIRED)
@@ -351,7 +351,7 @@ class ExperimentPlan:
     def from_dict(cls, data: Mapping) -> "ExperimentPlan":
         # Every plan key is a field of the same name, so the dataclass is
         # the allowed set.
-        data = check_keys("plan", data, _field_names(cls),
+        data = check_keys("plan", data, field_names(cls),
                           retired=_RETIRED_PLAN_KEYS)
         try:
             dataset = data["dataset"]
@@ -389,25 +389,21 @@ class ExperimentPlan:
         )
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
 def _dataset_spec_from_dict(data: Mapping) -> DatasetSpec:
-    kwargs = check_keys("plan spec_override", data, _field_names(DatasetSpec))
+    kwargs = check_keys("plan spec_override", data, field_names(DatasetSpec))
     kwargs["window_regimes"] = tuple(
         (str(c), int(s)) for c, s in kwargs.get("window_regimes", ()))
     return DatasetSpec(**kwargs)
 
 
 def _run_settings_from_dict(data: Mapping) -> RunSettings:
-    data = check_keys("plan settings_override", data, _field_names(RunSettings))
+    data = check_keys("plan settings_override", data, field_names(RunSettings))
     round_config = check_keys("plan settings_override.round_config",
                               data.pop("round_config", {}),
-                              _field_names(RoundConfig))
+                              field_names(RoundConfig))
     local = LocalTrainingConfig(**check_keys(
         "plan settings_override.round_config.local",
-        round_config.pop("local", {}), _field_names(LocalTrainingConfig)))
+        round_config.pop("local", {}), field_names(LocalTrainingConfig)))
     federation = data.pop("federation", None)
     kwargs = dict(data)
     if federation is not None:

@@ -19,11 +19,6 @@ from repro.experts.memory import LatentMemory
 from repro.experts.registry import Expert, ExpertRegistry
 from repro.experts.matching import match_cluster_to_expert, MatchResult
 from repro.experts.consolidation import consolidate_experts, ConsolidationEvent
-from repro.experts.distillation import (
-    DistillationConfig,
-    DistillationResult,
-    distill_expert_pool,
-)
 from repro.experts.facility import (
     FacilityLocationProblem,
     FacilityLocationSolution,
@@ -39,9 +34,6 @@ __all__ = [
     "MatchResult",
     "consolidate_experts",
     "ConsolidationEvent",
-    "DistillationConfig",
-    "DistillationResult",
-    "distill_expert_pool",
     "FacilityLocationProblem",
     "FacilityLocationSolution",
     "solve_exact",

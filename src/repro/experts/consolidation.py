@@ -10,7 +10,7 @@ to its source — so untrained experts are never merge candidates, and the
 regime check keeps genuinely specialized experts apart.
 
 The full pairwise cosine-similarity matrix comes from one normalized matmul
-over the registry's stacked parameter matrix
+over the experts' stacked ``flat`` vectors
 (:func:`repro.utils.params.cosine_similarity_matrix`); only candidate pairs
 already above ``tau`` pay for the memory-MMD regime check, scanned in
 descending-similarity order so the first qualifying pair is the best one.
@@ -47,14 +47,9 @@ def _merge_pair(registry: ExpertRegistry, a: Expert, b: Expert, window: int,
     merged_params = weighted_average([a.params, b.params], [weight_a, weight_b])
     share_a = weight_a / (weight_a + weight_b)
     merged_memory: LatentMemory = a.memory.merged_with(b.memory, share_a, rng)
-    # Build the merged expert directly on a pool-bank row: one copy of the
-    # averaged vector instead of private-bank-then-adopt.
-    bank, row = registry.alloc_pool_row(merged_params)
     merged = Expert(
         expert_id=registry.allocate_id(),
-        params=None,
-        bank=bank,
-        row=row,
+        params=merged_params,
         memory=merged_memory,
         created_window=min(a.created_window, b.created_window),
         updated_window=window,

@@ -34,7 +34,7 @@ from repro.federation.async_engine import (
     FederationConfig,
     FederationEngine,
 )
-from repro.federation.accounting import CommunicationLedger, RuntimeProfiler
+from repro.federation.accounting import CommunicationLedger
 from repro.federation.strategy import ContinualStrategy, StrategyContext
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "FederationConfig",
     "FederationEngine",
     "CommunicationLedger",
-    "RuntimeProfiler",
     "ContinualStrategy",
     "StrategyContext",
 ]

@@ -1,16 +1,13 @@
-"""Communication and runtime accounting.
+"""Communication accounting.
 
 The paper reports ShiftEx's overheads (Section 5.4 and the Results
-discussion): bytes moved per round, aggregator memory, and the latency of
-detection / clustering / assignment.  These ledgers collect exactly those
-quantities from the simulator.
+discussion); the ledger here collects the bytes moved per round.  Phase
+latency is measured from outside the run by ``benchmarks/e2e/tracer.py``.
 """
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 # Fallback element width when a run has no PrecisionPlan (full precision).
@@ -82,44 +79,3 @@ class CommunicationLedger:
                "bytes_per_float": float(self.bytes_per_float)}
         out.update({f"{k}_mb": v / 1e6 for k, v in self.by_category.items()})
         return out
-
-
-class RuntimeProfiler:
-    """Wall-clock accumulator for named phases (detection, clustering, ...)."""
-
-    def __init__(self) -> None:
-        self._totals: dict[str, float] = defaultdict(float)
-        self._counts: dict[str, int] = defaultdict(int)
-
-    @contextmanager
-    def phase(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._totals[name] += elapsed
-            self._counts[name] += 1
-
-    def add(self, name: str, seconds: float) -> None:
-        self._totals[name] += seconds
-        self._counts[name] += 1
-
-    def total_seconds(self, name: str) -> float:
-        return self._totals.get(name, 0.0)
-
-    def mean_ms(self, name: str) -> float:
-        count = self._counts.get(name, 0)
-        if count == 0:
-            return 0.0
-        return 1000.0 * self._totals[name] / count
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        return {
-            name: {
-                "total_s": self._totals[name],
-                "count": float(self._counts[name]),
-                "mean_ms": self.mean_ms(name),
-            }
-            for name in sorted(self._totals)
-        }

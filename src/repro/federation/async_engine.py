@@ -92,6 +92,7 @@ from repro.federation.rounds import (
 )
 from repro.privacy.secure_aggregation import MaskingSpec
 from repro.utils.params import ParamBank, ParamSpec, Params
+from repro.utils.validation import check_keys, field_names
 
 PARTICIPATION_MODES = ("sync", "buffered", "async")
 
@@ -145,11 +146,13 @@ class FederationConfig:
     def from_dict(cls, data) -> "FederationConfig":
         if isinstance(data, FederationConfig):
             return data
-        data = dict(data)
+        data = check_keys("plan federation", data, field_names(cls))
         availability = data.pop("availability", None)
         if availability is not None and not isinstance(availability,
                                                        AvailabilityConfig):
-            availability = AvailabilityConfig(**availability)
+            availability = AvailabilityConfig(**check_keys(
+                "plan federation.availability", availability,
+                field_names(AvailabilityConfig)))
         if availability is not None:
             data["availability"] = availability
         return cls(**data)

@@ -85,10 +85,6 @@ class Party:
         return self._data is not None
 
     @property
-    def num_train_samples(self) -> int:
-        return self.data.num_train
-
-    @property
     def dtype(self) -> np.dtype:
         """The bound model precision — what round banks must allocate at."""
         return self._model.dtype

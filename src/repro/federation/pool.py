@@ -54,6 +54,7 @@ from repro.federation.party import Party
 from repro.nn.models import build_model
 from repro.utils.params import resolve_dtype
 from repro.utils.rng import spawn_rng
+from repro.utils.validation import check_keys, field_names
 
 PARTICIPATION_SKEWS = ("uniform", "zipf")
 
@@ -119,7 +120,8 @@ class PopulationConfig:
         if isinstance(value, (int, np.integer)):
             return cls(size=int(value))
         if isinstance(value, Mapping):
-            return cls(**dict(value))
+            return cls(**check_keys("plan population", value,
+                                    field_names(cls)))
         raise TypeError(f"cannot interpret population {value!r}")
 
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.data.registry import DatasetSpec
-from repro.federation.accounting import CommunicationLedger, RuntimeProfiler
+from repro.federation.accounting import CommunicationLedger
 from repro.federation.party import Party
 from repro.federation.rounds import RoundConfig
 from repro.nn.network import Sequential
@@ -77,7 +77,6 @@ class StrategyContext:
     seed: int = 0
     reference_embedding_source: Callable[[], np.ndarray] | None = None
     ledger: CommunicationLedger = field(default_factory=CommunicationLedger)
-    profiler: RuntimeProfiler = field(default_factory=RuntimeProfiler)
     federation: "FederationEngine | None" = None
     secure_aggregation: int | None = None
     privacy: PrivacyPlan | None = None
@@ -163,12 +162,6 @@ class StrategyContext:
             return sampler.sample(rng, k)
         return [int(p) for p in rng.choice(sorted(self.parties), size=k,
                                            replace=False)]
-
-    def new_model_params(self, *labels: object) -> Params:
-        """Freshly initialized model parameters (deterministic per label)."""
-        # The factory uses its own seed; labels namespace repeated calls.
-        model = self.model_factory()
-        return model.get_params()
 
 
 class ContinualStrategy:

@@ -6,8 +6,8 @@ Maps the paper's evaluation (Section 6/7) onto the simulator:
   ``paper`` for full party counts);
 * :mod:`~repro.harness.runner` — drives one strategy through the window/round
   life cycle and records accuracy series;
-* :mod:`~repro.harness.comparison` — multi-strategy, multi-seed comparisons
-  plus renderers for Tables 1-2 and the series behind Figures 3-8.
+* :mod:`~repro.harness.comparison` — renderers for Tables 1-2 and the series
+  behind Figures 3-8 over a multi-strategy, multi-seed comparison.
 
 Grid composition (strategy registry, experiment plans, parallel executors,
 run-event callbacks) lives in :mod:`repro.experiments`; this package keeps
@@ -18,8 +18,6 @@ from repro.harness.profiles import RunSettings, get_profile, profile_names
 from repro.harness.runner import StrategyRunResult, run_strategy
 from repro.harness.comparison import (
     ComparisonResult,
-    default_strategies,
-    run_comparison,
     render_drop_time_max_table,
     render_expert_distribution,
     convergence_series,
@@ -34,8 +32,6 @@ __all__ = [
     "StrategyRunResult",
     "run_strategy",
     "ComparisonResult",
-    "default_strategies",
-    "run_comparison",
     "render_drop_time_max_table",
     "render_expert_distribution",
     "convergence_series",

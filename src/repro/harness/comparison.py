@@ -1,22 +1,16 @@
-"""Multi-strategy, multi-seed comparisons and paper-style renderers.
+"""Paper-style renderers over a multi-strategy, multi-seed comparison.
 
-The grid execution itself lives in :mod:`repro.experiments`; this module
-keeps the paper-facing surface: :data:`PAPER_METHODS` (table row order),
-:func:`run_comparison` as a thin shim over :class:`ExperimentPlan`, and the
-renderers for Tables 1-2 / Figures 3-8.
+The grid execution itself lives in :mod:`repro.experiments`
+(``ExperimentPlan.build(...).run()``); this module keeps the paper-facing
+surface: :data:`PAPER_METHODS` (table row order) and the renderers for
+Tables 1-2 / Figures 3-8.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.experiments.registry import build_strategy, strategy_names
 from repro.experiments.results import ComparisonResult
-from repro.federation.strategy import ContinualStrategy
-
-StrategyFactory = Callable[[], ContinualStrategy]
 
 # Display order used by the paper's tables.
 PAPER_METHODS = ("fedprox", "fielding", "oort", "shiftex", "feddrift")
@@ -24,61 +18,12 @@ PAPER_METHODS = ("fedprox", "fielding", "oort", "shiftex", "feddrift")
 __all__ = [
     "PAPER_METHODS",
     "ComparisonResult",
-    "StrategyFactory",
-    "default_strategies",
-    "run_comparison",
     "render_drop_time_max_table",
     "convergence_series",
     "max_accuracy_table",
     "expert_distribution_table",
     "render_expert_distribution",
 ]
-
-
-def default_strategies(methods: tuple[str, ...] = PAPER_METHODS,
-                       ) -> dict[str, StrategyFactory]:
-    """Factories for registered methods (default: the paper's five)."""
-    available = set(strategy_names())
-    unknown = [name for name in methods if name not in available]
-    if unknown:
-        raise KeyError(f"unknown strategies {unknown}; "
-                       f"available: {sorted(available)}")
-    return {name: (lambda n=name: build_strategy(n)) for name in methods}
-
-
-def run_comparison(dataset: str,
-                   strategies: dict[str, StrategyFactory] | None = None,
-                   profile: str = "ci",
-                   seeds: tuple[int, ...] = (0,),
-                   settings_override=None,
-                   spec_override=None,
-                   precision=None) -> ComparisonResult:
-    """Run every strategy over every seed on one dataset (serially).
-
-    Back-compat shim: builds an :class:`ExperimentPlan` and runs it with the
-    default :class:`SerialExecutor`.  New code should construct a plan
-    directly — that unlocks parallel execution and plan files.
-
-    ``precision`` overrides the profile's precision plan (a dtype string,
-    spec string, or :class:`~repro.utils.precision.PrecisionPlan`) — the
-    paper-reproduction benchmarks pin ``float64`` here so their artifacts
-    track the paper's full-precision pipeline regardless of profile
-    defaults.
-    """
-    # Imported here, not at module top: experiments.plan itself imports the
-    # harness package while it initializes.
-    from repro.experiments.plan import ExperimentPlan, StrategySpec
-    if strategies is None:
-        specs = [StrategySpec(label=n, method=n) for n in PAPER_METHODS]
-    else:
-        specs = [StrategySpec(label=name, factory=factory)
-                 for name, factory in strategies.items()]
-    plan = ExperimentPlan(dataset=dataset, strategies=tuple(specs),
-                          seeds=tuple(seeds), profile=profile,
-                          precision=precision,
-                          spec_override=spec_override,
-                          settings_override=settings_override)
-    return plan.run()
 
 
 # ---------------------------------------------------------------------- renderers

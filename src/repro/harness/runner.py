@@ -42,7 +42,6 @@ class StrategyRunResult:
     state_log: list[dict]  # describe_state() at each window end
     expert_history: list[dict[int, int]] | None  # ShiftEx expert distributions
     ledger_summary: dict[str, float]
-    profiler_summary: dict[str, dict[str, float]]
     extras: dict = field(default_factory=dict)
 
     @property
@@ -217,7 +216,6 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         state_log=state_log,
         expert_history=expert_history,
         ledger_summary=ctx.ledger.summary(),
-        profiler_summary=ctx.profiler.summary(),
     )
     if settings.federation.is_active:
         result.extras["federation"] = engine.summary()

@@ -14,8 +14,8 @@ ShiftEx needs three things from a model beyond plain classification:
 
 Every layer's ``params``/``grads`` arrays are *views* into two contiguous
 flat buffers allocated at construction, so ``flatten_params(model.params)``
-is zero-copy and ``bind_to`` can point a model at external storage (e.g. a
-:class:`~repro.utils.params.ParamBank` row) without copying.
+is zero-copy and the optimizer steps on ``flat_params`` / ``flat_grads``
+directly.
 """
 
 from __future__ import annotations
@@ -51,57 +51,22 @@ class Sequential:
         self.dtype = resolve_dtype(dtype)
         self._owners = [o for layer in layers for o in layer.param_owners()]
         self._spec = ParamSpec.of([p for o in self._owners for p in o.params])
-        flat = np.empty(self._spec.total_size, dtype=self.dtype)
-        grads = np.zeros(self._spec.total_size, dtype=self.dtype)
-        self._rebind(flat, grads, copy_values=True)
-        for layer in layers:
-            layer.to_dtype(self.dtype)
-
-    # ------------------------------------------------------------------ storage
-
-    def _rebind(self, flat: np.ndarray, grads: np.ndarray | None,
-                copy_values: bool) -> None:
-        """Point every owner's param (and grad) arrays at slices of ``flat``.
-
-        With ``copy_values`` the current arrays are copied in first (model
-        keeps its weights); without it the model adopts ``flat``'s values.
-        """
+        # Re-home every owner's param and grad arrays as slices of two flat
+        # buffers, keeping the values the layers were initialized with.
+        self._flat = np.empty(self._spec.total_size, dtype=self.dtype)
+        self._flat_grads = np.zeros(self._spec.total_size, dtype=self.dtype)
         offset = 0
         for owner in self._owners:
             for i, p in enumerate(owner.params):
-                view = flat[offset:offset + p.size].reshape(p.shape)
-                if copy_values:
-                    np.copyto(view, p, casting="same_kind")
+                view = self._flat[offset:offset + p.size].reshape(p.shape)
+                np.copyto(view, p, casting="same_kind")
                 owner.params[i] = view
-                if grads is not None:
-                    gview = grads[offset:offset + p.size].reshape(p.shape)
-                    if copy_values:
-                        np.copyto(gview, owner.grads[i], casting="same_kind")
-                    owner.grads[i] = gview
+                gview = self._flat_grads[offset:offset + p.size].reshape(p.shape)
+                np.copyto(gview, owner.grads[i], casting="same_kind")
+                owner.grads[i] = gview
                 offset += p.size
-        self._flat = flat
-        if grads is not None:
-            self._flat_grads = grads
-
-    def bind_to(self, vector: np.ndarray) -> None:
-        """Adopt ``vector`` as parameter storage (zero-copy, both ways).
-
-        The model's weights become ``vector``'s current values; mutating the
-        vector (e.g. a :class:`~repro.utils.params.ParamBank` row) changes
-        the model and vice versa.  Gradients keep their own buffer.
-        """
-        vector = np.asarray(vector)
-        if vector.ndim != 1 or vector.size != self._spec.total_size:
-            raise ValueError(
-                f"cannot bind: vector has size {vector.size}, model needs "
-                f"{self._spec.total_size}"
-            )
-        if vector.dtype != self.dtype:
-            raise ValueError(
-                f"cannot bind: vector dtype {vector.dtype} does not match "
-                f"model dtype {self.dtype}"
-            )
-        self._rebind(vector, grads=None, copy_values=False)
+        for layer in layers:
+            layer.to_dtype(self.dtype)
 
     # ------------------------------------------------------------------ forward/backward
 

@@ -1,27 +1,18 @@
-"""Privacy substrate: TEE emulation and the secure reporting channel.
+"""Privacy substrate: masked aggregation, sealed scoring, the TEE tax.
 
-Section 5.3 of the paper augments ShiftEx with Trusted Execution
-Environments (Intel SGX / AMD SEV): parties encrypt their embeddings into an
-enclave where drift detection, clustering and expert updates run without
-exposing statistics to the (untrusted) aggregator process, at a ~5 %
-compute overhead.
-
-Real enclaves are hardware; this package emulates the *dataflow and
-accounting*: sealed payloads that only the enclave can open, an attestation
-handshake, an enclave that executes registered computations over sealed
-inputs, and an overhead model charging the documented enclave tax.  The
-ShiftEx pipeline can be run with or without the enclave (it is optional in
-the paper as well).
+* :mod:`~repro.privacy.plan` — :class:`PrivacyPlan`, the run-level knobs
+  (masking, Shamir threshold, sealed scoring, mask seed);
+* :mod:`~repro.privacy.secure_aggregation` — pairwise-masked rounds in the
+  exact bit domain, with Shamir ``t``-of-``n`` dropout recovery
+  (:mod:`~repro.privacy.shamir`);
+* :mod:`~repro.privacy.sealed_scoring` — expert cosine/MMD scoring over
+  sign-sealed rows, bitwise-identical to plaintext scoring;
+* :mod:`~repro.privacy.overhead` — the cost model for the paper's optional
+  TEE mode (Section 5.3): the documented ~5 % enclave compute tax and the
+  sealed-payload sizes behind the Section 5.4 overhead figures
+  (``benchmarks/test_bench_overheads.py``).
 """
 
-from repro.privacy.enclave import (
-    AttestationError,
-    EnclaveReport,
-    SealedPayload,
-    SoftwareEnclave,
-    seal_for_enclave,
-)
-from repro.privacy.channel import SecureReportChannel
 from repro.privacy.overhead import TeeOverheadModel, sealed_payload_bytes
 from repro.privacy.plan import PrivacyPlan
 from repro.privacy.sealed_scoring import ScoreSeal
@@ -36,12 +27,6 @@ from repro.privacy.secure_aggregation import (
 from repro.privacy.shamir import PRIME, reconstruct_secret, split_secret
 
 __all__ = [
-    "AttestationError",
-    "EnclaveReport",
-    "SealedPayload",
-    "SoftwareEnclave",
-    "seal_for_enclave",
-    "SecureReportChannel",
     "TeeOverheadModel",
     "sealed_payload_bytes",
     "PrivacyPlan",

@@ -27,6 +27,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, replace
 
+from repro.utils.validation import check_keys
+
 _KEYS = ("masking", "threshold", "sealed_scoring", "mask_seed")
 _TRUE = {"on", "true", "yes", "1"}
 _FALSE = {"off", "false", "no", "0"}
@@ -44,6 +46,22 @@ def _parse_bool(key: str, value) -> bool:
         return False
     raise ValueError(f"privacy knob '{key}' expects on/off "
                      f"(or true/false); got {value!r}")
+
+
+def resolve_threshold(threshold: "int | str | None", n: int) -> int | None:
+    """The effective Shamir ``t`` for a cohort of ``n`` parties.
+
+    ``"majority"`` resolves to ``n // 2 + 1``; an explicit int is clamped
+    into ``[1, n]``.  ShiftEx dispatches per-expert cohorts that can be as
+    small as one party; an experiment-level ``threshold=3`` must still seal
+    those rounds, so the threshold degrades to the cohort size instead of
+    refusing the round.  ``None`` (no share rounds) stays ``None``.
+    """
+    if threshold is None:
+        return None
+    if threshold == "majority":
+        return max(1, int(n) // 2 + 1)
+    return max(1, min(int(threshold), int(n)))
 
 
 @dataclass(frozen=True)
@@ -95,20 +113,6 @@ class PrivacyPlan:
     def is_active(self) -> bool:
         return self.masking or self.sealed_scoring
 
-    def resolve_threshold(self, cohort_size: int) -> int | None:
-        """The effective ``t`` for a cohort of ``cohort_size`` parties.
-
-        ``"majority"`` resolves to ``n // 2 + 1``; an explicit int is
-        clamped into ``[1, n]`` because per-expert cohorts can be tiny
-        (a singleton cohort still seals, so ``t`` must not exceed ``n``).
-        """
-        if self.threshold is None:
-            return None
-        n = int(cohort_size)
-        if self.threshold == "majority":
-            return max(1, n // 2 + 1)
-        return max(1, min(int(self.threshold), n))
-
     def mask_root(self, run_seed: int) -> int:
         """The mask-stream root seed: the override, else the run seed."""
         return int(run_seed if self.mask_seed is None else self.mask_seed)
@@ -136,12 +140,7 @@ class PrivacyPlan:
         if isinstance(value, bool):
             return cls(masking=value)
         if isinstance(value, Mapping):
-            unknown = set(value) - set(_KEYS)
-            if unknown:
-                raise ValueError(
-                    f"unknown privacy keys {sorted(unknown)}; "
-                    f"expected {list(_KEYS)}")
-            return cls(**dict(value))
+            return cls(**check_keys("privacy plan", value, _KEYS))
         if isinstance(value, str):
             return cls.parse(value)
         raise ValueError(f"cannot interpret privacy plan {value!r}")
@@ -180,4 +179,4 @@ class PrivacyPlan:
         return ",".join(parts)
 
 
-__all__ = ["PrivacyPlan"]
+__all__ = ["PrivacyPlan", "resolve_threshold"]

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.privacy.plan import resolve_threshold
 from repro.privacy.shamir import PRIME, reconstruct_secret, split_secret
 from repro.utils.params import ParamSpec, resolve_dtype
 from repro.utils.rng import spawn_rng
@@ -73,21 +74,6 @@ class MaskingSpec:
     seed: int
     threshold: int | str | None = None
     ledger: object = None
-
-
-def _resolve_threshold(threshold: "int | str | None", n: int) -> int | None:
-    """The effective ``t`` for a cohort of ``n``: clamp ints into [1, n].
-
-    ShiftEx dispatches per-expert cohorts that can be as small as one
-    party; an experiment-level ``threshold=3`` must still seal those
-    rounds, so the threshold degrades to the cohort size instead of
-    refusing the round.
-    """
-    if threshold is None:
-        return None
-    if threshold == "majority":
-        return max(1, int(n) // 2 + 1)
-    return max(1, min(int(threshold), int(n)))
 
 
 def _uint_dtype(dtype: np.dtype) -> np.dtype:
@@ -156,7 +142,7 @@ class SecureAggregationSession:
         self.shared_seed = shared_seed
         self.context = tuple(context)
         self.dtype = resolve_dtype(dtype)
-        self.threshold = _resolve_threshold(threshold, len(self.cohort))
+        self.threshold = resolve_threshold(threshold, len(self.cohort))
         self.ledger = ledger
         self._sealed: set[int] = set()
         # (owner, word key) -> {holder: (x, y)}: the share matrix the server

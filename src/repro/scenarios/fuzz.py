@@ -93,9 +93,7 @@ def check_run_invariants(result, spec) -> list[str]:
 def _canonical_run(result) -> str:
     from repro.utils.serialization import run_result_to_dict
 
-    out = run_result_to_dict(result)
-    out.pop("profiler", None)  # wall-clock noise, not run state
-    return json.dumps(out, sort_keys=True)
+    return json.dumps(run_result_to_dict(result), sort_keys=True)
 
 
 def check_scenario(doc: ScenarioDoc, run: bool = False) -> list[str]:

@@ -3,9 +3,9 @@
 Federated aggregation, FedProx proximal terms, expert consolidation and
 cosine-similarity merging all operate on *flattened* parameter vectors.
 :class:`ParamSpec` records the shapes of a model's parameter list so vectors
-round-trip losslessly; :class:`ParamBank` holds many flattened models as rows
-of one contiguous ``(n_models, dim)`` matrix so aggregation and similarity
-scoring run as single BLAS calls instead of Python loops.
+round-trip losslessly; :class:`ParamBank` holds a round's party updates as
+rows of one contiguous ``(n_updates, dim)`` matrix so aggregation runs as a
+single BLAS call instead of a Python loop.
 
 Zero-copy conventions
 ---------------------
@@ -14,32 +14,23 @@ Zero-copy conventions
 * :func:`flatten_params` detects parameter lists that are consecutive views
   of one contiguous base vector (the layout :class:`~repro.nn.network.Sequential`
   and :class:`ParamBank` produce) and returns that base without copying.
-* :meth:`ParamBank.row_params` exposes a bank row as shaped views.  Bank
-  growth may relocate the buffer, so do not cache row views across
-  ``alloc`` calls — re-fetch them instead.
+* :meth:`ParamBank.row_params` exposes a bank row as shaped views.
 
-Copy-on-write and refcounting invariants
-----------------------------------------
-:class:`ParamBank` rows carry reference counts so cheap clones can share
-storage copy-on-write.  Contributors touching the bank must preserve:
+Bank invariants
+---------------
+A :class:`ParamBank` is the round buffer: one row per party update awaiting
+aggregation.  Contributors touching it must preserve:
 
-1. **Every `alloc` is balanced by exactly one `release` per reference.**
-   A slot is recycled (returned by a later ``alloc``) only when its count
-   reaches zero; releasing a dead row raises ``KeyError`` rather than
-   corrupting another holder's data.
-2. **Never write through a shared row.**  ``share()`` hands out the *same*
-   row index with an incremented count; any writer must first call
-   ``ensure_private()`` (which returns a possibly different row index the
-   caller must adopt) so other holders keep seeing the old bytes.
-   ``write_row`` / ``row_params(writeable=True)`` on a shared row is the
-   one way to silently break an unrelated expert.
-3. **Row views do not survive growth.**  ``alloc`` may relocate the
+1. **Row views do not survive growth.**  ``alloc`` may relocate the
    backing buffer; re-fetch ``row()`` / ``row_params()`` views after any
    allocation instead of caching them.
-4. **`matrix(rows=None)` is slot order, not allocation order.**  Once any
+2. **`matrix(rows=None)` is slot order, not allocation order.**  Once any
    row has been released and recycled the two diverge — callers pairing
-   rows with positional metadata (weights, expert ids) must pass explicit
+   rows with positional metadata (weights, party ids) must pass explicit
    ``rows``.
+
+Releasing or reading a row that is not live raises ``KeyError`` rather than
+touching whatever update has since recycled the slot.
 """
 
 from __future__ import annotations
@@ -273,11 +264,10 @@ def cosine_similarity_matrix(matrix: np.ndarray) -> np.ndarray:
 class ParamBank:
     """Contiguous ``(n_rows, dim)`` storage for flattened parameter sets.
 
-    Rows are allocated/released with reference counts so cheap clones can
-    share storage copy-on-write (:meth:`share` / :meth:`ensure_private`).
-    ``matrix()`` exposes the live rows for single-matmul aggregation and
-    similarity scoring.  Growth may relocate the buffer — do not cache row
-    views across ``alloc`` calls.
+    Rows are allocated and released one holder at a time; a released slot
+    is recycled by a later ``alloc``.  ``matrix()`` exposes the live rows
+    for single-matmul aggregation.  Growth may relocate the buffer — do not
+    cache row views across ``alloc`` calls.
     """
 
     def __init__(self, spec: ParamSpec, dtype=None, capacity: int = 4) -> None:
@@ -285,7 +275,7 @@ class ParamBank:
         self.dtype = resolve_dtype(dtype)
         self._buf = np.zeros((max(int(capacity), 1), spec.total_size),
                              dtype=self.dtype)
-        self._refs: list[int] = []  # per-slot reference count (0 = free)
+        self._live: list[bool] = []  # per-slot: allocated and not yet released
         self._free: list[int] = []
 
     # ------------------------------------------------------------------ construction
@@ -297,19 +287,19 @@ class ParamBank:
         matrix, spec = stack_params(param_sets, dtype=dtype, names=names)
         bank = cls(spec, dtype=matrix.dtype, capacity=len(param_sets))
         bank._buf[:len(param_sets)] = matrix
-        bank._refs = [1] * len(param_sets)
+        bank._live = [True] * len(param_sets)
         return bank
 
     # ------------------------------------------------------------------ row lifecycle
 
     @property
     def n_slots(self) -> int:
-        return len(self._refs)
+        return len(self._live)
 
     @property
     def n_rows(self) -> int:
-        """Number of live (referenced) rows."""
-        return sum(1 for r in self._refs if r > 0)
+        """Number of live rows."""
+        return sum(self._live)
 
     @property
     def dim(self) -> int:
@@ -324,52 +314,29 @@ class ParamBank:
         self._buf = buf
 
     def _check_row(self, row: int) -> None:
-        if not 0 <= row < len(self._refs) or self._refs[row] == 0:
+        if not 0 <= row < len(self._live) or not self._live[row]:
             raise KeyError(f"row {row} is not a live bank row")
 
     def alloc(self, values: Params | np.ndarray | None = None) -> int:
-        """Allocate a row (refcount 1), optionally initialized with values."""
+        """Allocate a row, optionally initialized with values."""
         if self._free:
             row = self._free.pop()
         else:
-            row = len(self._refs)
-            self._refs.append(0)
+            row = len(self._live)
+            self._live.append(False)
             self._grow(row + 1)
-        self._refs[row] = 1
+        self._live[row] = True
         if values is None:
             self._buf[row] = 0.0
         else:
             self.write_row(row, values)
         return row
 
-    def share(self, row: int) -> int:
-        """Add a copy-on-write reference to ``row``."""
-        self._check_row(row)
-        self._refs[row] += 1
-        return row
-
     def release(self, row: int) -> None:
-        """Drop one reference; the slot is recycled when none remain."""
+        """Free a live row; its slot is recycled by a later ``alloc``."""
         self._check_row(row)
-        self._refs[row] -= 1
-        if self._refs[row] == 0:
-            self._free.append(row)
-
-    def refcount(self, row: int) -> int:
-        self._check_row(row)
-        return self._refs[row]
-
-    def is_shared(self, row: int) -> bool:
-        return self.refcount(row) > 1
-
-    def ensure_private(self, row: int) -> int:
-        """Copy-on-write split: return a row only this caller references."""
-        self._check_row(row)
-        if self._refs[row] == 1:
-            return row
-        self._refs[row] -= 1
-        values = self._buf[row].copy()  # copy before alloc: growth relocates
-        return self.alloc(values)
+        self._live[row] = False
+        self._free.append(row)
 
     # ------------------------------------------------------------------ row access
 
@@ -411,10 +378,10 @@ class ParamBank:
         otherwise one gather copy.  With ``rows=None`` the order is *slot*
         order, which diverges from allocation order once a released slot has
         been recycled — callers pairing rows with positional metadata
-        (weights, expert ids) must pass explicit ``rows``.
+        (weights, party ids) must pass explicit ``rows``.
         """
         if rows is None:
-            rows = [i for i, r in enumerate(self._refs) if r > 0]
+            rows = [i for i, live in enumerate(self._live) if live]
         else:
             for row in rows:
                 self._check_row(row)
@@ -442,19 +409,6 @@ class ParamBank:
         if total <= 0:
             raise ValueError("weights must sum to a positive value")
         return (weights / total) @ matrix
-
-    def astype(self, dtype) -> "ParamBank":
-        """A new bank with every slot cast to ``dtype`` (refcounts preserved)."""
-        dtype = resolve_dtype(dtype)
-        bank = ParamBank(self.spec, dtype=dtype, capacity=max(self.n_slots, 1))
-        bank._buf[:self.n_slots] = self._buf[:self.n_slots].astype(dtype)
-        bank._refs = list(self._refs)
-        bank._free = list(self._free)
-        return bank
-
-    @property
-    def nbytes(self) -> int:
-        return int(self._buf.nbytes)
 
 
 def params_cosine_similarity(a: Params, b: Params) -> float:

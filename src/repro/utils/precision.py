@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.utils.params import resolve_dtype
+from repro.utils.validation import check_keys
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,6 @@ class PrecisionPlan:
     def np_detection_stats(self) -> np.dtype:
         return resolve_dtype(self.detection_stats)
 
-    @property
-    def is_mixed(self) -> bool:
-        return self.params != self.detection_stats
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -74,12 +71,9 @@ class PrecisionPlan:
         if isinstance(value, PrecisionPlan):
             return value
         if isinstance(value, Mapping):
-            unknown = set(value) - {"params", "detection_stats"}
-            if unknown:
-                raise ValueError(
-                    f"unknown precision keys {sorted(unknown)}; "
-                    f"expected 'params' and/or 'detection_stats'")
-            return cls(**{k: str(v) for k, v in value.items()})
+            fields = check_keys("precision plan", value,
+                                ("params", "detection_stats"))
+            return cls(**{k: str(v) for k, v in fields.items()})
         if isinstance(value, str) and "=" in value:
             return cls.parse(value)
         # A dtype-ish shorthand: parameters at the given precision, the

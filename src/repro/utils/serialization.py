@@ -109,8 +109,6 @@ def load_expert_registry(path: str | Path):
                 samples_seen=entry["samples_seen"],
                 merged_from=tuple(entry["merged_from"]),
             )
-            # ``adopt`` moves the expert onto the registry's contiguous
-            # parameter bank so pool-level matrix ops stay single matmuls.
             registry.adopt(expert)
         registry._next_id = max((e["expert_id"] for e in manifest["experts"]),
                                 default=-1) + 1
@@ -155,7 +153,6 @@ def run_result_to_dict(result) -> dict:
                            if result.expert_history else None),
         "state_log": _jsonify(result.state_log),
         "ledger": result.ledger_summary,
-        "profiler": result.profiler_summary,
         "extras": _jsonify(result.extras),
     }
 
@@ -164,8 +161,8 @@ def dict_to_run_result(data: dict):
     """Rebuild a :class:`StrategyRunResult` from :func:`run_result_to_dict`.
 
     Round-trips exactly for ``window_series``, ``summaries``, ``extras``,
-    ``expert_history``, and the ledger/profiler summaries (JSON preserves
-    float bit patterns); ``state_log`` comes back JSON-normalized.
+    ``expert_history`` and the ledger summary (JSON preserves float bit
+    patterns); ``state_log`` comes back JSON-normalized.
     """
     from repro.harness.runner import StrategyRunResult
     from repro.metrics.windows import WindowSummary
@@ -194,7 +191,6 @@ def dict_to_run_result(data: dict):
         state_log=data.get("state_log", []),
         expert_history=expert_history,
         ledger_summary=data.get("ledger", {}),
-        profiler_summary=data.get("profiler", {}),
         extras=data.get("extras", {}),
     )
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Collection, Mapping
 
 import numpy as np
+
+
+def field_names(cls) -> set[str]:
+    """A dataclass's field names: the allowed keys of the block it parses."""
+    return {f.name for f in dataclasses.fields(cls)}
 
 
 def check_keys(where: str, mapping: Mapping, allowed: Collection[str],

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    BASELINE_NAMES,
     FedDriftStrategy,
     FedProxStrategy,
     FieldingStrategy,
     OortStrategy,
-    build_baseline,
 )
 from repro.data.federated import FederatedShiftDataset
+from repro.experiments import build_strategy, strategy_names
 from repro.utils.params import flatten_params
 from tests.conftest import make_context, make_tiny_spec
 
@@ -39,13 +38,15 @@ def run_windows(strategy, spec, dataset, rounds=2, seed=0):
 
 class TestRegistry:
     def test_build_all_names(self):
-        for name in BASELINE_NAMES:
-            strategy = build_baseline(name)
+        names = ("fedavg", "fedprox", "oort", "fielding", "feddrift")
+        assert set(names) <= set(strategy_names())
+        for name in names:
+            strategy = build_strategy(name)
             assert strategy.name == name
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
-            build_baseline("fedsgd")
+            build_strategy("fedsgd")
 
 
 class TestFedProx:

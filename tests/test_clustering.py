@@ -1,11 +1,10 @@
-"""Tests for k-means, Davies-Bouldin, model selection and similarity."""
+"""Tests for k-means, Davies-Bouldin and model selection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering import (
-    cosine_similarity,
     davies_bouldin_index,
     kmeans,
     select_num_clusters,
@@ -128,25 +127,3 @@ class TestSelectNumClusters:
         k, _result, scores = select_num_clusters(x, rng, k_max=3)
         assert k <= 3
         assert max(scores) <= 3
-
-
-class TestCosineSimilarity:
-    def test_parallel_vectors(self):
-        assert cosine_similarity(np.array([1, 2]), np.array([2, 4])) == \
-            pytest.approx(1.0)
-
-    def test_orthogonal_vectors(self):
-        assert cosine_similarity(np.array([1, 0]), np.array([0, 1])) == \
-            pytest.approx(0.0)
-
-    def test_opposite_vectors(self):
-        assert cosine_similarity(np.array([1, 1]), np.array([-1, -1])) == \
-            pytest.approx(-1.0)
-
-    def test_zero_vectors(self):
-        assert cosine_similarity(np.zeros(3), np.zeros(3)) == 1.0
-        assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_similarity(np.ones(3), np.ones(4))

@@ -344,7 +344,7 @@ class TestCallbacks:
                 strategy_name="fake", dataset="d", seed=seed,
                 window_series=[[1.0]] * (n_summaries + 1),
                 summaries=summaries, state_log=[], expert_history=None,
-                ledger_summary={}, profiler_summary={})
+                ledger_summary={})
 
         result = ComparisonResult(dataset="d", profile="ci", seeds=(0, 1))
         result.add_runs("fake", [fake_run(0, 3), fake_run(1, 1)])

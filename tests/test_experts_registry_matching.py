@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.detection.mmd import class_conditional_mmd, mmd
+from repro.experts.consolidation import consolidate_experts
 from repro.experts.matching import match_cluster_to_expert, nearest_expert
-from repro.experts.registry import ExpertRegistry
+from repro.experts.memory import LatentMemory
+from repro.experts.registry import Expert, ExpertRegistry
+from repro.utils.params import flatten_params, weighted_average
 from repro.utils.rng import spawn_rng
 
 
@@ -74,26 +77,34 @@ class TestRegistry:
         assert e2.expert_id == reserved + 1
 
 
-class TestBankStorage:
-    def test_pool_lives_in_one_bank(self, registry, rng):
-        e0 = registry.create(simple_params(rng), window=0)
-        e1 = registry.create(simple_params(rng), window=0)
-        matrix = registry.param_matrix()
-        assert matrix.shape == (2, 15)  # 4*3 + 3
-        assert np.allclose(matrix[0], e0.flat)
-        assert np.allclose(matrix[1], e1.flat)
-
-    def test_mutating_row_view_is_visible_through_params(self, registry, rng):
+class TestOwnedVectors:
+    def test_params_are_views_of_flat(self, registry, rng):
         expert = registry.create(simple_params(rng), window=0)
-        expert.flat[0] = 321.0  # private row: the flat view is writable
+        assert expert.flat.shape == (15,)  # 4*3 + 3
+        assert all(np.shares_memory(p, expert.flat) for p in expert.params)
+        expert.flat[0] = 321.0
         assert expert.params[0][0, 0] == 321.0
-        expert.params[0][0, 1] = 654.0
-        assert registry.param_matrix()[0, 1] == 654.0
+        expert.params[1][2] = 654.0
+        assert expert.flat[-1] == 654.0
+
+    def test_set_params_copies(self, registry, rng):
+        expert = registry.create(simple_params(rng), window=0)
+        flat_before = expert.flat
+        update = simple_params(rng)
+        expert.set_params(update)
+        assert expert.flat is flat_before  # written in place, views stay valid
+        assert all(np.array_equal(a, b) for a, b in zip(expert.params, update))
+        snapshot = expert.flat.copy()
+        update[0][...] = 99.0
+        assert np.array_equal(expert.flat, snapshot)
+        with pytest.raises(ValueError):
+            expert.set_params([rng.normal(size=(2, 2))])
 
     def test_create_rejects_mismatched_shapes(self, registry, rng):
         registry.create(simple_params(rng), window=0)
         with pytest.raises(ValueError):
             registry.create([rng.normal(size=(2, 2))], window=0)
+        assert len(registry) == 1 and registry.created_total == 1
 
     def test_removed_expert_keeps_its_parameters(self, registry, rng):
         expert = registry.create(simple_params(rng), window=0)
@@ -103,63 +114,48 @@ class TestBankStorage:
         assert other is not expert
         assert all(np.allclose(a, b) for a, b in zip(expert.params, snapshot))
 
+    def test_later_expert_is_cast_to_the_pool_dtype(self, registry, rng):
+        first = registry.create([p.astype(np.float32) for p in simple_params(rng)],
+                                window=0)
+        wide = simple_params(rng)
+        later = registry.create(wide, window=1)
+        assert first.dtype == later.dtype == np.dtype(np.float32)
+        assert all(p.dtype == np.float32 and np.shares_memory(p, later.flat)
+                   for p in later.params)
+        assert np.array_equal(later.params[0], wide[0].astype(np.float32))
 
-class TestCopyOnWriteClone:
-    def test_clone_shares_row_until_write(self, registry, rng):
-        source = registry.create(simple_params(rng), window=0)
-        clone = registry.clone(source.expert_id, window=1)
-        assert clone.expert_id != source.expert_id
-        assert np.shares_memory(clone.flat, source.flat)
-        assert source.is_cow_shared and clone.is_cow_shared
+    def test_adopt_rejects_a_foreign_shape(self, registry, rng):
+        registry.create(simple_params(rng), window=0)
+        foreign = Expert(expert_id=7, params=[rng.normal(size=(2, 2))],
+                         memory=LatentMemory(16, 0.5), created_window=0)
+        with pytest.raises(ValueError, match="do not match the pool"):
+            registry.adopt(foreign)
+        assert 7 not in registry
+        fitting = Expert(expert_id=7, params=simple_params(rng),
+                         memory=LatentMemory(16, 0.5), created_window=0)
+        registry.adopt(fitting)
+        assert registry.get(7) is fitting
+        assert registry.create(simple_params(rng), window=1).expert_id == 8
 
-    def test_shared_views_are_read_only(self, registry, rng):
-        source = registry.create(simple_params(rng), window=0)
-        clone = registry.clone(source.expert_id, window=1)
-        with pytest.raises(ValueError):
-            source.params[0][0, 0] = 1.0
-        with pytest.raises(ValueError):
-            clone.flat[0] = 1.0
 
-    def test_write_splits_clone_from_source(self, registry, rng):
-        source = registry.create(simple_params(rng), window=0)
-        before = source.clone_params()
-        clone = registry.clone(source.expert_id, window=1)
-        clone.set_params([p * 2 for p in before])
-        assert not np.shares_memory(clone.flat, source.flat)
-        assert all(np.allclose(a, b) for a, b in zip(source.params, before))
-        assert np.allclose(clone.params[0], 2 * before[0])
-        # Both rows are private again: writable views.
-        source.params[0][0, 0] = 9.0
-        assert source.flat[0] == 9.0
-
-    def test_write_through_source_preserves_clone(self, registry, rng):
-        source = registry.create(simple_params(rng), window=0)
-        before = source.clone_params()
-        clone = registry.clone(source.expert_id, window=1)
-        source.set_flat(np.zeros_like(np.asarray(source.flat)))
-        assert np.allclose(source.flat, 0.0)
-        assert all(np.allclose(a, b) for a, b in zip(clone.params, before))
-
-    def test_clone_starts_with_fresh_memory(self, registry, rng):
-        source = registry.create(simple_params(rng), window=0,
-                                 embeddings=rng.normal(size=(20, 5)), rng=rng)
-        clone = registry.clone(source.expert_id, window=1)
-        assert clone.memory.is_empty
-        assert not source.memory.is_empty
-        assert clone.notes.get("cloned_from") == source.expert_id
-
-    def test_clone_keeps_provenance_with_caller_notes(self, registry, rng):
-        source = registry.create(simple_params(rng), window=0)
-        clone = registry.clone(source.expert_id, window=1,
-                               notes={"reason": "drift"})
-        assert clone.notes["cloned_from"] == source.expert_id
-        assert clone.notes["reason"] == "drift"
-
-    def test_clone_counts_as_created(self, registry, rng):
-        source = registry.create(simple_params(rng), window=0)
-        registry.clone(source.expert_id, window=1)
-        assert registry.created_total == 2
-        assert len(registry) == 2
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_merge_is_weighted_average(self, registry, rng, dtype):
+        base = [p.astype(dtype) for p in simple_params(rng)]
+        a = registry.create(base, window=0)
+        b = registry.create([p + dtype(0.01) for p in base], window=1)
+        a.train_rounds, a.samples_seen = 3, 300
+        b.train_rounds, b.samples_seen = 1, 100
+        expected = weighted_average([a.clone_params(), b.clone_params()],
+                                    [300.0, 100.0])
+        events = consolidate_experts(registry, tau=0.9, window=2, rng=rng)
+        merged = registry.get(events[0].new_id)
+        assert registry.ids() == [merged.expert_id] and registry.merged_total == 1
+        assert merged.dtype == np.dtype(dtype)
+        assert np.array_equal(merged.flat, flatten_params(expected))
+        assert merged.merged_from == (a.expert_id, b.expert_id)
+        assert merged.samples_seen == 400 and merged.train_rounds == 4
+        # The parents keep their own vectors after leaving the pool.
+        assert np.array_equal(a.params[0], base[0])
 
 
 class TestMatching:

@@ -1,15 +1,11 @@
-"""Tests for the extension modules: distillation, drift monitoring,
-residual nets, and serialization."""
+"""Tests for the extension modules: drift monitoring, residual nets, and
+serialization."""
 
 import numpy as np
 import pytest
 
 from repro.detection.drift import DriftMonitor
-from repro.experts import (
-    DistillationConfig,
-    ExpertRegistry,
-    distill_expert_pool,
-)
+from repro.experts import ExpertRegistry
 from repro.nn import build_model
 from repro.nn.gradcheck import max_grad_error
 from repro.nn.residual import ResidualBlock, build_resnet_mini
@@ -69,73 +65,6 @@ class TestResnetMini:
     def test_rejects_flat_input(self, rng):
         with pytest.raises(ValueError):
             build_resnet_mini((16,), 3, rng)
-
-
-# --------------------------------------------------------------- distillation
-
-class TestDistillation:
-    def make_pool(self, rng):
-        """Two experts with opposite biases on a 2-feature, 2-class task."""
-        registry = ExpertRegistry()
-        model = build_model("mlp", (4,), 3, spawn_rng(0, "teacher"),
-                            hidden=(16,))
-        # Expert A: strong class-0 bias; expert B: strong class-1 bias.
-        for bias_class in (0, 1):
-            params = model.get_params()
-            params[-1][...] = 0.0
-            params[-1][bias_class] = 5.0
-            expert = registry.create(params, window=0)
-            expert.train_rounds = 1
-        return registry, model
-
-    def test_student_matches_routed_teachers(self, rng):
-        registry, scratch = self.make_pool(rng)
-        student = build_model("mlp", (4,), 3, spawn_rng(1, "student"),
-                              hidden=(8,))
-        x = rng.normal(size=(60, 4))
-        # Input-dependent routing so the routed teacher function is learnable.
-        routing = (x[:, 0] > 0).astype(int)
-        result = distill_expert_pool(
-            registry, student, scratch, x, routing,
-            DistillationConfig(epochs=40, lr=0.1), spawn_rng(2, "distill"),
-        )
-        assert result.num_experts == 2
-        assert result.teacher_agreement > 0.9
-
-    def test_hard_labels_can_be_mixed_in(self, rng):
-        registry, scratch = self.make_pool(rng)
-        student = build_model("mlp", (4,), 3, spawn_rng(3, "student"),
-                              hidden=(8,))
-        x = rng.normal(size=(40, 4))
-        routing = np.array([0, 1] * 20)
-        y = np.array([0, 1] * 20)
-        result = distill_expert_pool(
-            registry, student, scratch, x, routing,
-            DistillationConfig(epochs=10, hard_label_weight=0.5),
-            spawn_rng(4, "distill"), y_reference=y,
-        )
-        assert np.isfinite(result.mean_soft_loss)
-
-    def test_rejects_unknown_routing(self, rng):
-        registry, scratch = self.make_pool(rng)
-        student = build_model("mlp", (4,), 3, rng, hidden=(8,))
-        with pytest.raises(ValueError):
-            distill_expert_pool(registry, student, scratch,
-                                rng.normal(size=(4, 4)), np.array([0, 1, 2, 9]),
-                                DistillationConfig(epochs=1), rng)
-
-    def test_rejects_empty_pool(self, rng):
-        student = build_model("mlp", (4,), 3, rng, hidden=(8,))
-        with pytest.raises(ValueError):
-            distill_expert_pool(ExpertRegistry(), student, student,
-                                rng.normal(size=(4, 4)), np.zeros(4, dtype=int),
-                                DistillationConfig(epochs=1), rng)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DistillationConfig(temperature=0.0)
-        with pytest.raises(ValueError):
-            DistillationConfig(hard_label_weight=1.5)
 
 
 # ------------------------------------------------------------- drift monitor
@@ -265,7 +194,7 @@ class TestSerialization:
             strategy_name="shiftex", dataset="unit", seed=0,
             window_series=series, summaries=summarize_run(series),
             state_log=[{}, {}], expert_history=[{0: 4}, {0: 2, 1: 2}],
-            ledger_summary={"total_mb": 1.0}, profiler_summary={},
+            ledger_summary={"total_mb": 1.0},
         )
         path = tmp_path / "run.json"
         save_run_result(path, result)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.federation.accounting import CommunicationLedger, RuntimeProfiler
+from repro.federation.accounting import CommunicationLedger
 from repro.federation.aggregation import fedavg
 from repro.federation.party import LocalUpdate, Party
 from repro.federation.rounds import RoundConfig, run_fl_round
@@ -210,14 +210,3 @@ class TestAccounting:
         assert run64["model_up_mb"] == 2 * run32["model_up_mb"]
         assert run64["uplink_bytes"] == 2 * run32["uplink_bytes"]
         assert run64["downlink_bytes"] == 2 * run32["downlink_bytes"]
-
-    def test_profiler_phases(self):
-        profiler = RuntimeProfiler()
-        with profiler.phase("detection"):
-            sum(range(1000))
-        profiler.add("clustering", 0.5)
-        assert profiler.total_seconds("clustering") == pytest.approx(0.5)
-        assert profiler.mean_ms("detection") > 0
-        assert profiler.mean_ms("unknown") == 0.0
-        summary = profiler.summary()
-        assert set(summary) == {"detection", "clustering"}

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines import FedAvgStrategy
 from repro.core import ShiftExStrategy
 from repro.data.federated import FederatedShiftDataset
+from repro.experiments import ExperimentPlan, build_strategy
 from repro.harness import (
     convergence_series,
     expert_distribution_table,
@@ -13,14 +14,9 @@ from repro.harness import (
     max_accuracy_table,
     profile_names,
     render_drop_time_max_table,
-    run_comparison,
     run_strategy,
 )
-from repro.harness.comparison import (
-    PAPER_METHODS,
-    default_strategies,
-    render_expert_distribution,
-)
+from repro.harness.comparison import PAPER_METHODS, render_expert_distribution
 from tests.conftest import make_run_settings, make_tiny_spec
 
 
@@ -103,18 +99,19 @@ class TestRunner:
 
 class TestComparison:
     def test_default_strategies_cover_paper_methods(self):
-        factories = default_strategies()
-        assert set(factories) == set(PAPER_METHODS)
-        strategy = factories["shiftex"]()
-        assert strategy.name == "shiftex"
+        plan = ExperimentPlan.build("cifar10_c_sim", PAPER_METHODS)
+        assert [s.label for s in plan.strategies] == list(PAPER_METHODS)
+        for name in PAPER_METHODS:
+            assert build_strategy(name).name == name
+        with pytest.raises(KeyError, match="fedsgd"):
+            ExperimentPlan.build("cifar10_c_sim", ["fedsgd"]).strategies[0].build()
 
     def test_comparison_and_renderers(self, mini_env):
         spec, _dataset, settings = mini_env
-        strategies = default_strategies(("fedprox", "shiftex"))
-        result = run_comparison(
-            "cifar10_c_sim", strategies, profile="ci", seeds=(0,),
+        result = ExperimentPlan.build(
+            "cifar10_c_sim", ["fedprox", "shiftex"], profile="ci", seeds=(0,),
             settings_override=settings, spec_override=spec,
-        )
+        ).run()
         assert set(result.runs) == {"fedprox", "shiftex"}
         table = render_drop_time_max_table(result, title="unit")
         assert "fedprox" in table and "W1 Drop" in table
@@ -133,9 +130,9 @@ class TestComparison:
 
     def test_expert_table_rejects_nontracking_strategy(self, mini_env):
         spec, _dataset, settings = mini_env
-        result = run_comparison(
-            "cifar10_c_sim", default_strategies(("fedprox",)), profile="ci",
+        result = ExperimentPlan.build(
+            "cifar10_c_sim", ["fedprox"], profile="ci",
             seeds=(0,), settings_override=settings, spec_override=spec,
-        )
+        ).run()
         with pytest.raises(KeyError):
             expert_distribution_table(result, strategy="shiftex")

@@ -116,28 +116,6 @@ class TestFlatStorage:
         flat = flatten_params(net.params)
         assert np.shares_memory(flat, net.flat_params)
 
-    def test_bind_to_external_vector(self, rng):
-        from repro.utils.params import ParamBank
-        net = make_net(rng)
-        bank = ParamBank.from_param_sets([net.get_params()])
-        x = rng.normal(size=(3, 6))
-        before = net.forward(x)
-        net.bind_to(bank.row(0))
-        assert np.allclose(net.forward(x), before)
-        # Mutating the bank row is visible through the model...
-        bank.row(0)[:] = 0.0
-        assert np.allclose(net.forward(x), net.forward(x * 0))
-        # ...and training the model writes into the bank row.
-        net.params[0][0, 0] = 5.0
-        assert bank.row(0)[0] == 5.0
-
-    def test_bind_to_rejects_wrong_size_or_dtype(self, rng):
-        net = make_net(rng)
-        with pytest.raises(ValueError):
-            net.bind_to(np.zeros(net.num_params + 1))
-        with pytest.raises(ValueError):
-            net.bind_to(np.zeros(net.num_params, dtype=np.float32))
-
     def test_resnet_composite_blocks_are_bound(self, rng):
         from repro.nn.residual import build_resnet_mini
         net = build_resnet_mini((1, 4, 4), 3, rng)

@@ -44,9 +44,8 @@ from tests.conftest import make_run_settings, make_tiny_spec
 
 
 def _canonical(result, pooled: bool = False) -> str:
-    """A run result as comparable JSON minus wall-clock profiler noise."""
+    """A run result as comparable JSON."""
     out = run_result_to_dict(result)
-    out.pop("profiler", None)
     if pooled:
         out.get("extras", {}).pop("party_pool", None)
     return json.dumps(out, sort_keys=True)

@@ -212,7 +212,14 @@ class TestUnknownAndRetiredKeys:
          r"\['cohort'\].*round_config;.*'participants_per_round'"),
         ({"spec_override": {"parties": 3}},
          r"\['parties'\] in plan spec_override;.*'num_parties'"),
-    ], ids=["plan", "settings", "round-config", "spec"])
+        ({"federation": {"bogus": 1}},
+         r"\['bogus'\] in plan federation;.*'max_wait_rounds'"),
+        ({"federation": {"availability": {"bogus": 1}}},
+         r"\['bogus'\] in plan federation.availability;.*'dropout_prob'"),
+        ({"population": {"size": 10, "bogus": 1}},
+         r"\['bogus'\] in plan population;.*'max_resident'"),
+    ], ids=["plan", "settings", "round-config", "spec", "federation",
+            "availability", "population"])
     def test_unknown_keys_are_named(self, extra, named):
         with pytest.raises(ValueError, match=named) as info:
             ExperimentPlan.from_dict({**_MINIMAL, **extra})
@@ -224,6 +231,21 @@ class TestUnknownAndRetiredKeys:
                                     "privcy": {"masking": True}}))
         assert main(["run", str(path)]) == 2
         assert "privcy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"federation": {"bogus": 1}},
+         ("bogus", "plan federation;", "min_reports")),
+        ({"federation": {"availability": {"bogus": 1}}},
+         ("bogus", "plan federation.availability;", "outage_prob")),
+        ({"population": {"size": 10, "bogus": 1}},
+         ("bogus", "plan population;", "survey")),
+    ], ids=["federation", "availability", "population"])
+    def test_sub_block_typo_exits_2(self, tmp_path, capsys, extra, named):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({**_MINIMAL, **extra}))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert all(part in err for part in named) and "Traceback" not in err
 
 
 class TestTomlReader:

@@ -1,131 +1,8 @@
-"""Tests for the TEE emulation (sealing, attestation, channel, overheads)."""
+"""Tests for the TEE overhead model."""
 
-import numpy as np
 import pytest
 
-from repro.privacy import (
-    AttestationError,
-    SecureReportChannel,
-    SoftwareEnclave,
-    TeeOverheadModel,
-    seal_for_enclave,
-)
-from repro.utils.rng import spawn_rng
-
-
-@pytest.fixture()
-def enclave():
-    return SoftwareEnclave("test-enclave", seed=1)
-
-
-class TestSealing:
-    def test_roundtrip(self, enclave, rng):
-        data = rng.normal(size=(6, 4))
-        sealed = seal_for_enclave(data, enclave, rng)
-        assert np.allclose(enclave.unseal(sealed), data)
-
-    def test_ciphertext_hides_data(self, enclave, rng):
-        data = rng.normal(size=(6, 4))
-        sealed = seal_for_enclave(data, enclave, rng)
-        assert sealed.ciphertext != data.tobytes()
-
-    def test_wrong_enclave_cannot_unseal(self, enclave, rng):
-        data = rng.normal(size=(3, 2))
-        sealed = seal_for_enclave(data, enclave, rng)
-        other = SoftwareEnclave("other-enclave", seed=1)
-        with pytest.raises(AttestationError):
-            other.unseal(sealed)
-
-    def test_tampering_detected(self, enclave, rng):
-        data = rng.normal(size=(3, 2))
-        sealed = seal_for_enclave(data, enclave, rng)
-        tampered = type(sealed)(
-            enclave_id=sealed.enclave_id,
-            nonce=sealed.nonce,
-            ciphertext=b"\x00" + sealed.ciphertext[1:],
-            shape=sealed.shape,
-            dtype=sealed.dtype,
-            mac=sealed.mac,
-        )
-        with pytest.raises(AttestationError):
-            enclave.unseal(tampered)
-
-    def test_integer_payloads(self, enclave, rng):
-        data = np.arange(12, dtype=np.int64).reshape(3, 4)
-        sealed = seal_for_enclave(data, enclave, rng)
-        assert np.array_equal(enclave.unseal(sealed), data)
-
-
-class TestAttestation:
-    def test_report_measurement_consistent(self, enclave):
-        report = enclave.attestation_report()
-        expected = SoftwareEnclave.expected_measurement(
-            report.enclave_id, report.computations
-        )
-        assert report.measurement == expected
-
-    def test_measurement_changes_with_registered_code(self, enclave):
-        before = enclave.attestation_report().measurement
-        enclave.register("sum", lambda x: float(x.sum()))
-        after = enclave.attestation_report().measurement
-        assert before != after
-
-    def test_duplicate_registration_rejected(self, enclave):
-        enclave.register("f", lambda x: x)
-        with pytest.raises(ValueError):
-            enclave.register("f", lambda x: x)
-
-    def test_empty_id_rejected(self):
-        with pytest.raises(ValueError):
-            SoftwareEnclave("")
-
-
-class TestExecution:
-    def test_computation_over_sealed_inputs(self, enclave, rng):
-        enclave.register("dot", lambda a, b: float((a * b).sum()))
-        x = rng.normal(size=(5,))
-        y = rng.normal(size=(5,))
-        sx = seal_for_enclave(x, enclave, rng)
-        sy = seal_for_enclave(y, enclave, rng)
-        assert enclave.execute("dot", sx, sy) == pytest.approx(float(x @ y))
-        assert enclave.executions == 1
-
-    def test_unknown_computation_rejected(self, enclave, rng):
-        sealed = seal_for_enclave(np.ones(2), enclave, rng)
-        with pytest.raises(KeyError):
-            enclave.execute("nope", sealed)
-
-
-class TestSecureChannel:
-    def test_first_submission_returns_none(self, rng):
-        channel = SecureReportChannel(seed=2)
-        embeddings = rng.normal(size=(20, 4))
-        labels = rng.integers(0, 3, 20)
-        assert channel.submit_profile(0, embeddings, labels, rng) is None
-
-    def test_stable_resubmission_scores_low_and_shift_scores_high(self):
-        channel = SecureReportChannel(seed=3)
-        rng = spawn_rng(0, "chan")
-        labels = rng.integers(0, 3, 30)
-        base = rng.normal(size=(30, 4)) + 3.0 * labels[:, None]
-        channel.submit_profile(0, base, labels, rng)
-        fresh = rng.normal(size=(30, 4)) + 3.0 * labels[:, None]
-        stable_score = channel.submit_profile(0, fresh, labels, rng, gamma=0.1)
-        shifted = fresh + 5.0
-        shift_score = channel.submit_profile(0, shifted, labels, rng, gamma=0.1)
-        assert stable_score is not None and shift_score is not None
-        assert shift_score > stable_score
-
-    def test_centroid_computed_in_enclave(self, rng):
-        channel = SecureReportChannel(seed=4)
-        embeddings = rng.normal(size=(10, 3))
-        channel.submit_profile(7, embeddings, np.zeros(10, dtype=int), rng)
-        assert np.allclose(channel.profile_centroid(7), embeddings.mean(axis=0))
-
-    def test_unknown_party_centroid_rejected(self):
-        channel = SecureReportChannel(seed=5)
-        with pytest.raises(KeyError):
-            channel.profile_centroid(0)
+from repro.privacy import TeeOverheadModel
 
 
 class TestOverheadModel:

@@ -45,6 +45,7 @@ from repro.federation.availability import AvailabilityConfig
 from repro.harness.profiles import RunSettings
 from repro.harness.runner import run_strategy
 from repro.privacy import PrivacyPlan, ScoreSeal, SHARE_BYTES
+from repro.privacy.plan import resolve_threshold
 from repro.privacy.secure_aggregation import (
     IncompleteSubmissionError,
     SecureAggregationSession,
@@ -92,14 +93,14 @@ class TestPrivacyPlanKnobs:
         assert PrivacyPlan.from_value(plan.to_dict()) == plan
 
     def test_threshold_resolution_per_cohort(self):
-        plan = PrivacyPlan(masking=True, threshold="majority")
-        assert plan.resolve_threshold(8) == 5
-        assert plan.resolve_threshold(1) == 1
-        fixed = PrivacyPlan(masking=True, threshold=3)
-        assert fixed.resolve_threshold(8) == 3
+        majority = PrivacyPlan(masking=True, threshold="majority").threshold
+        assert resolve_threshold(majority, 8) == 5
+        assert resolve_threshold(majority, 1) == 1
+        fixed = PrivacyPlan(masking=True, threshold=3).threshold
+        assert resolve_threshold(fixed, 8) == 3
         # Per-expert cohorts can be tiny: t degrades to n, never refuses.
-        assert fixed.resolve_threshold(2) == 2
-        assert PrivacyPlan().resolve_threshold(8) is None
+        assert resolve_threshold(fixed, 2) == 2
+        assert resolve_threshold(PrivacyPlan().threshold, 8) is None
 
     def test_mask_root_defaults_to_run_seed(self):
         assert PrivacyPlan(masking=True).mask_root(42) == 42
@@ -110,7 +111,7 @@ class TestPrivacyPlanKnobs:
             PrivacyPlan(threshold=3)
 
     def test_invalid_values_fail_loudly(self):
-        with pytest.raises(ValueError, match="unknown privacy keys"):
+        with pytest.raises(ValueError, match=r"\['tresholb'\] in privacy plan"):
             PrivacyPlan.from_value({"masking": True, "tresholb": 3})
         with pytest.raises(ValueError, match="threshold"):
             PrivacyPlan(masking=True, threshold="sometimes")
@@ -438,10 +439,7 @@ class TestSealedRunsBitwise:
         plain = _run("shiftex", spec, ds, base)
         sealed = _run("shiftex", spec, ds,
                       dataclasses.replace(base, privacy="sealed_scoring=on"))
-        first, second = run_result_to_dict(plain), run_result_to_dict(sealed)
-        first.pop("profiler")
-        second.pop("profiler")
-        assert first == second
+        assert run_result_to_dict(plain) == run_result_to_dict(sealed)
 
     def test_full_privacy_plan_run_matches_plain(self):
         """All three mechanisms at once — masking, t-of-n recovery, sealed
@@ -456,8 +454,6 @@ class TestSealedRunsBitwise:
                 base,
                 privacy="masking=on,threshold=majority,sealed_scoring=on"))
         first, second = run_result_to_dict(plain), run_result_to_dict(private)
-        first.pop("profiler")
-        second.pop("profiler")
         first.pop("ledger")
         ledger = second.pop("ledger")
         assert first == second

@@ -76,9 +76,7 @@ def drift_doc(strategy: str, *, availability: dict | None = None,
 
 
 def canonical(result) -> str:
-    out = run_result_to_dict(result)
-    out.pop("profiler", None)  # wall-clock noise, not run state
-    return json.dumps(out, sort_keys=True)
+    return json.dumps(run_result_to_dict(result), sort_keys=True)
 
 
 # ------------------------------------------------------------- properties
