@@ -17,8 +17,6 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-import pytest
-
 from repro.experiments import ExperimentPlan
 from repro.harness.comparison import (
     PAPER_METHODS,
@@ -116,9 +114,3 @@ def assert_paper_shape(result: ComparisonResult, min_windows_shiftex_leads: int 
     assert leads >= min_windows_shiftex_leads, (
         f"ShiftEx led in only {leads} windows; expected >= {min_windows_shiftex_leads}"
     )
-
-
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR

@@ -7,6 +7,10 @@ rest arrive rounds late — using the buffered/async federation engine.  Both
 strategies run twice: once fully synchronous, once under the availability
 scenario, so the table shows what partial participation costs each method.
 
+By default the ``ci`` profile is cut down to demo scale (half the parties and
+rounds, an MLP in place of the conv net); ``--dataset fashion_mnist_sim``
+runs the profile as it is.
+
 Usage::
 
     python examples/async_dropout_comparison.py [--dataset NAME] [--seed N]
@@ -16,25 +20,38 @@ Usage::
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
 from repro.experiments import ExperimentPlan
 from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import AvailabilityConfig
 from repro.harness import render_drop_time_max_table
+from repro.harness.profiles import get_profile
 
 METHODS = ["fedavg", "shiftex"]
 
 
-def run_plan(dataset: str, seed: int,
+def run_plan(dataset: str | None, seed: int,
              federation: FederationConfig | None):
+    demo_scale = {}
+    if dataset is None:
+        dataset = "fashion_mnist_sim"
+        spec, settings = get_profile("ci", dataset)
+        demo_scale = dict(
+            spec_override=replace(spec.scaled(spec.num_parties // 2),
+                                  model_name="mlp"),
+            settings_override=settings.scaled_rounds(0.5))
     plan = ExperimentPlan.build(dataset, METHODS, seeds=(seed,),
-                                profile="ci", federation=federation)
+                                profile="ci", federation=federation,
+                                **demo_scale)
     return plan.run()
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dataset", default="fashion_mnist_sim")
+    parser.add_argument("--dataset", default=None,
+                        help="run this dataset at the full ci profile "
+                             "(default: fashion_mnist_sim at demo scale)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--mode", default="async",
                         choices=("buffered", "async"))
@@ -49,7 +66,8 @@ def main() -> None:
                                         straggler_prob=args.straggler),
     )
 
-    print(f"Running {METHODS} on {args.dataset} synchronously ...")
+    name = args.dataset or "fashion_mnist_sim"
+    print(f"Running {METHODS} on {name} synchronously ...")
     sync_result = run_plan(args.dataset, args.seed, federation=None)
     print(f"... and under {args.mode} rounds with "
           f"{args.dropout:.0%} dropout / {args.straggler:.0%} stragglers ...")
@@ -57,11 +75,11 @@ def main() -> None:
 
     print()
     print(render_drop_time_max_table(
-        sync_result, title=f"{args.dataset}: synchronous full cohort"))
+        sync_result, title=f"{name}: synchronous full cohort"))
     print()
     print(render_drop_time_max_table(
         drop_result,
-        title=f"{args.dataset}: {args.mode}, {args.dropout:.0%} dropout"))
+        title=f"{name}: {args.mode}, {args.dropout:.0%} dropout"))
 
     print("\nFederation engine counters:")
     for name, runs in drop_result.runs.items():

@@ -9,9 +9,14 @@ Demonstrates the composable experiment API end to end:
 3. the saved plan runs through ``SerialExecutor`` or the process-parallel
    ``ParallelExecutor`` — equivalently via ``python -m repro run plan.json``.
 
+By default the plan carries dataset / settings overrides that cut the ``ci``
+profile down to demo scale (one seed, half the parties and rounds, an MLP in
+place of the conv net); ``--dataset cifar10_c_sim`` runs the profile as it
+is, two seeds per strategy.
+
 Usage::
 
-    python examples/custom_strategy_plan.py [--jobs N]
+    python examples/custom_strategy_plan.py [--dataset NAME] [--jobs N]
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from repro.experiments import (
     save_plan,
 )
 from repro.harness import render_drop_time_max_table
+from repro.harness.profiles import get_profile
 
 
 @register_strategy("fedavg-finetune", overwrite=True)
@@ -61,20 +67,32 @@ class FedAvgFineTuneStrategy(FedAvgStrategy):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dataset", default="cifar10_c_sim")
+    parser.add_argument("--dataset", default=None,
+                        help="run this dataset at the full ci profile "
+                             "(default: cifar10_c_sim at demo scale)")
     parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args()
 
+    dataset = args.dataset or "cifar10_c_sim"
+    seeds, demo_scale = (0, 1), {}
+    if args.dataset is None:
+        spec, settings = get_profile("ci", dataset)
+        seeds = (0,)
+        demo_scale = dict(
+            spec_override=replace(spec.scaled(spec.num_parties // 2),
+                                  model_name="mlp"),
+            settings_override=settings.scaled_rounds(0.5))
     plan = ExperimentPlan.build(
-        args.dataset,
+        dataset,
         {
             "fedavg": "fedavg",
             "fedavg-ft2": {"method": "fedavg-finetune",
                            "kwargs": {"extra_epochs": 2}},
         },
-        seeds=(0, 1),
+        seeds=seeds,
         profile="ci",
         name="custom-strategy-demo",
+        **demo_scale,
     )
 
     plan_path = Path(tempfile.gettempdir()) / "custom_strategy_demo.json"
@@ -87,7 +105,7 @@ def main() -> None:
                                       callbacks=(ProgressLogger(),))
     print()
     print(render_drop_time_max_table(
-        result, title=f"{args.dataset}: FedAvg vs shift-aware fine-tuning"))
+        result, title=f"{dataset}: FedAvg vs shift-aware fine-tuning"))
 
 
 if __name__ == "__main__":

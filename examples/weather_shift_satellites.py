@@ -7,12 +7,19 @@ that motivation end to end on the synthetic satellite domain and then shows
 the federated version: a full ShiftEx run on the simulated FMoW dataset,
 where regional weather regimes arrive window by window.
 
+Both parts run at demo scale so the script finishes in a few seconds: Part 1
+trains on ``TRAIN_SAMPLES`` images for ``EPOCHS`` epochs (800 / 14 sharpens
+every gap), Part 2 halves the ``ci`` rounds and swaps the conv net for an MLP
+(``DEMO_SCALE = False`` runs the profile as it is).
+
 Usage::
 
     python examples/weather_shift_satellites.py
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,6 +32,9 @@ from repro.harness.runner import run_strategy
 from repro.nn import LocalTrainingConfig, build_model, evaluate, train_local
 from repro.utils.rng import spawn_rng
 
+TRAIN_SAMPLES, EPOCHS = 400, 10
+DEMO_SCALE = True
+
 
 def centralized_motivation() -> None:
     """Part 1 — Figure 1: clear-trained model vs weather experts."""
@@ -36,10 +46,11 @@ def centralized_motivation() -> None:
     generator = SyntheticImageGenerator(spec)
     prior = np.full(10, 0.1)
     rng = spawn_rng(0, "motivation")
-    x_train, y_train = generator.sample_dataset(prior, 800, rng)
+    x_train, y_train = generator.sample_dataset(prior, TRAIN_SAMPLES, rng)
     x_test, y_test = generator.sample_dataset(prior, 300, rng)
 
-    config = LocalTrainingConfig(epochs=14, lr=0.02, batch_size=32, momentum=0.9)
+    config = LocalTrainingConfig(epochs=EPOCHS, lr=0.02, batch_size=32,
+                                 momentum=0.9)
     clear_model = build_model("lenet_mini", spec.input_shape, 10,
                               spawn_rng(1, "clear"))
     train_local(clear_model, x_train, y_train, config, spawn_rng(2, "clear"))
@@ -67,6 +78,9 @@ def federated_shiftex() -> None:
     print("Part 2: ShiftEx adapting a satellite federation (simulated FMoW)")
     print("=" * 72)
     spec, settings = get_profile("ci", "fmow_sim")
+    if DEMO_SCALE:
+        spec = replace(spec, model_name="mlp")
+        settings = settings.scaled_rounds(0.5)
     strategy = ShiftExStrategy()
     result = run_strategy(strategy, spec, settings, seed=0)
 

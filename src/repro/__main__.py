@@ -148,12 +148,12 @@ def _population_from_args(args) -> PopulationConfig | None:
 
 def _add_population_args(parser) -> None:
     group = parser.add_argument_group(
-        "population", "virtual-party population scaling (PartyPool)")
+        "population", "size and residency policy of the run's PartyPool")
     group.add_argument("--population", type=int, default=None, metavar="N",
-                       help="simulate N virtual parties: each is a seeded "
-                            "spec materialized on dispatch and evicted after "
-                            "its report, so N can far exceed the dataset's "
-                            "eager party count (default: eager parties)")
+                       help="simulate a population of N parties: each is a "
+                            "seeded identity materialized on first touch, so "
+                            "N can far exceed the dataset's own party count "
+                            "(default: the dataset's own parties)")
     group.add_argument("--cohort-size", type=int, default=None, metavar="K",
                        help="parties trained per round (overrides the "
                             "profile's participants_per_round)")

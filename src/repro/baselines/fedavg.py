@@ -34,7 +34,7 @@ class FedAvgStrategy(ContinualStrategy):
         ctx = self.context
         rng = ctx.rng("select", self.name, window, round_index)
         # sample_cohort reproduces the historical sorted-id draw bitwise and
-        # scales to pooled populations without enumerating them.
+        # never enumerates the population.
         return ctx.sample_cohort(rng)
 
     def _local_config(self):

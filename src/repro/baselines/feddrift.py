@@ -16,7 +16,11 @@ import numpy as np
 
 from repro.experiments.registry import register_strategy
 from repro.federation.rounds import run_fl_round
-from repro.federation.strategy import ContinualStrategy, StrategyContext
+from repro.federation.strategy import (
+    ContinualStrategy,
+    StrategyContext,
+    split_budget,
+)
 from repro.utils.params import Params
 
 
@@ -51,8 +55,7 @@ class FedDriftStrategy(ContinualStrategy):
             self.delta = ctx.threshold("feddrift.delta", 0.5)
         self._models = {0: ctx.model_factory().get_params()}
         self._next_model_id = 1
-        # Survey order: the whole population eagerly, a seeded survey subset
-        # under a capped pool (FedDrift keeps per-party loss baselines).
+        # Survey order: FedDrift keeps per-party loss baselines.
         self._membership = {pid: 0 for pid in ctx.party_ids}
         self._prev_best_loss = {}
 
@@ -139,14 +142,12 @@ class FedDriftStrategy(ContinualStrategy):
 
     def run_round(self, window: int, round_index: int) -> None:
         ctx = self.context
-        total_budget = ctx.round_config.participants_per_round
         cohorts = {mid: [p for p, m in self._membership.items() if m == mid]
                    for mid in self._models}
-        cohorts = {mid: members for mid, members in cohorts.items() if members}
-        n_parties = sum(len(m) for m in cohorts.values())
-        for mid, members in cohorts.items():
-            k = max(1, int(round(total_budget * len(members) / n_parties)))
-            k = min(k, len(members))
+        budget = split_budget({mid: len(m) for mid, m in cohorts.items()},
+                              ctx.round_config.participants_per_round)
+        for mid, k in budget.items():
+            members = cohorts[mid]
             rng = ctx.rng("feddrift-select", window, round_index, mid)
             participants = [int(p) for p in rng.choice(members, size=k, replace=False)]
             new_params, _stats = run_fl_round(

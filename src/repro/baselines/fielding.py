@@ -18,7 +18,11 @@ import numpy as np
 from repro.detection.divergence import jsd
 from repro.experiments.registry import register_strategy
 from repro.federation.rounds import run_fl_round
-from repro.federation.strategy import ContinualStrategy, StrategyContext
+from repro.federation.strategy import (
+    ContinualStrategy,
+    StrategyContext,
+    split_budget,
+)
 from repro.flips.selector import FlipsSelector
 from repro.utils.params import Params
 
@@ -49,8 +53,7 @@ class FieldingStrategy(ContinualStrategy):
 
     def _fit_clusters(self, window: int) -> None:
         ctx = self.context
-        # Survey order: every party eagerly, a seeded subset under a capped
-        # pool (clustering needs one histogram per surveyed party).
+        # Survey order: clustering needs one histogram per surveyed party.
         histograms = {pid: party.label_histogram()
                       for pid, party in ctx.iter_parties()}
         selector = FlipsSelector(max_clusters=self.max_clusters)
@@ -65,7 +68,9 @@ class FieldingStrategy(ContinualStrategy):
                 self._membership[pid] = cluster_id
             mean_hist = np.mean([histograms[pid] for pid in members], axis=0)
             self._cluster_histograms[cluster_id] = mean_hist / mean_hist.sum()
-            # Warm-start from the closest previous model when one exists.
+            # Warm-start every cluster from the first previous model when
+            # one exists (not the closest: the paper tables were produced
+            # with this).
             if old_models:
                 self._cluster_models[cluster_id] = next(iter(old_models.values()))
                 self._cluster_models[cluster_id] = [
@@ -104,26 +109,15 @@ class FieldingStrategy(ContinualStrategy):
 
     # ------------------------------------------------------------------ rounds
 
-    def _budget_split(self) -> dict[int, int]:
-        """Split the participant budget across clusters by cohort size."""
-        ctx = self.context
-        total = ctx.round_config.participants_per_round
-        sizes = {c: sum(1 for p in self._membership.values() if p == c)
-                 for c in self._cluster_models}
-        sizes = {c: s for c, s in sizes.items() if s > 0}
-        n_parties = sum(sizes.values())
-        budget = {c: max(1, int(round(total * s / n_parties))) for c, s in sizes.items()}
-        return budget
-
     def run_round(self, window: int, round_index: int) -> None:
         ctx = self.context
-        budget = self._budget_split()
+        cohorts = {c: [p for p, m in self._membership.items() if m == c]
+                   for c in self._cluster_models}
+        budget = split_budget({c: len(m) for c, m in cohorts.items()},
+                              ctx.round_config.participants_per_round)
         for cluster_id, k in budget.items():
-            members = [p for p, c in self._membership.items() if c == cluster_id]
-            if not members:
-                continue
+            members = cohorts[cluster_id]
             rng = ctx.rng("fielding-select", window, round_index, cluster_id)
-            k = min(k, len(members))
             participants = [int(p) for p in rng.choice(members, size=k, replace=False)]
             new_params, _stats = run_fl_round(
                 ctx.parties, participants, self._cluster_models[cluster_id],

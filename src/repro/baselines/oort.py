@@ -43,9 +43,8 @@ class OortStrategy(ContinualStrategy):
     def setup(self, ctx: StrategyContext) -> None:
         super().setup(ctx)
         self._global = ctx.model_factory().get_params()
-        # Survey order: every party on the eager path; a pooled population
-        # caps this to its seeded survey subset so the utility table stays
-        # bounded (OORT needs per-party state by construction).
+        # Survey order: OORT needs per-party state by construction, so a
+        # survey cap is what keeps the utility table bounded at scale.
         self._utilities = {pid: 0.0 for pid in ctx.party_ids}
         self._times_selected = {pid: 0 for pid in ctx.party_ids}
 

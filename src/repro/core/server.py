@@ -36,20 +36,14 @@ from repro.experts.consolidation import consolidate_experts
 from repro.experts.matching import match_cluster_to_expert
 from repro.experts.registry import ExpertRegistry
 from repro.federation.rounds import run_fl_round
-from repro.federation.strategy import ContinualStrategy, StrategyContext
+from repro.federation.strategy import (
+    ContinualStrategy,
+    StrategyContext,
+    split_budget,
+)
 from repro.flips.selector import FlipsSelector
 from repro.utils.params import Params
 from repro.utils.validation import check_keys, field_names
-
-
-def split_budget(cohort_sizes: dict[int, int], total: int) -> dict[int, int]:
-    """Split a participant budget across cohorts proportionally (min 1 each)."""
-    sizes = {k: s for k, s in cohort_sizes.items() if s > 0}
-    if not sizes:
-        return {}
-    n = sum(sizes.values())
-    budget = {k: max(1, int(round(total * s / n))) for k, s in sizes.items()}
-    return {k: min(b, sizes[k]) for k, b in budget.items()}
 
 
 @register_strategy("shiftex")
@@ -107,8 +101,8 @@ class ShiftExStrategy(ContinualStrategy):
         self.registry.score_seal = ctx.score_seal
         theta0 = ctx.model_factory().get_params()
         expert0 = self.registry.create(theta0, window=0, notes={"role": "bootstrap"})
-        # Survey order: every party eagerly, a seeded survey subset under a
-        # capped pool — ShiftEx tracks per-party expert assignments.
+        # Survey order: every party, or the seeded subset a survey cap
+        # declares — ShiftEx tracks per-party expert assignments.
         self.assignments = {pid: expert0.expert_id for pid in ctx.party_ids}
 
     # -------------------------------------------------- window 0 (bootstrap, 4.1)

@@ -196,10 +196,12 @@ class FederatedShiftDataset:
     def party_window(self, party: int, window: int) -> PartyWindowData:
         """One in-schedule party's window, cached, train split generated.
 
-        The eager runner binds every party's window before it calls (and
-        times) ``strategy.start_window``; generating the train split here
-        keeps that generation out of the shift response.  Only the test split
-        waits for the first evaluation.
+        :meth:`PartyPool.begin_window
+        <repro.federation.pool.PartyPool.begin_window>` rebinds every
+        resident party before the runner calls (and times)
+        ``strategy.start_window``; generating the train split here keeps that
+        generation out of the shift response.  Only the test split waits for
+        the first evaluation.
         """
         if not 0 <= party < self.spec.num_parties:
             raise ValueError(f"party {party} out of range")
@@ -222,12 +224,14 @@ class FederatedShiftDataset:
         so a million-party population has a million distinct datasets over
         ``num_parties`` schedule slots.  A virtual window comes back with both
         splits pending: the :class:`~repro.federation.pool.PartyPool` binds
-        one per materialization, and a party materialized only to evaluate
-        (or only to train) generates only the split it reads.  Virtual
-        windows are *not* cached — they are regenerated on the next
-        materialization, which is what keeps pooled memory flat in the
-        population size.  In-schedule ids delegate to :meth:`party_window`
-        (cached, train split generated, bitwise-identical to the eager path).
+        one per materialization and window, and a party materialized only to
+        evaluate (or only to train) generates only the split it reads.
+        Virtual windows are *not* cached — they are regenerated on the next
+        materialization, which is what keeps memory flat in the population
+        size.  In-schedule ids delegate to :meth:`party_window` (cached,
+        train split generated).  This is the pool's one entry point; the two
+        methods stay separate names because the frozen e2e tracer resolves
+        each.
         """
         if party < 0:
             raise ValueError(f"party {party} out of range")

@@ -14,7 +14,7 @@ config value always bypasses the table.
 
 The float64 table carries the historical seed values with zero margins —
 loading it changes nothing, which is what keeps the float64 legacy path
-bit-for-bit identical to the eager seed run.
+bit-for-bit identical to the seed run.
 """
 
 from __future__ import annotations

@@ -126,11 +126,12 @@ class ExperimentPlan:
     the profile settings (off); masking is exact, so flipping it never
     changes results.
 
-    ``population`` declares a virtual-party population (see
-    :class:`~repro.federation.pool.PopulationConfig`): parties become
-    seeded specs materialized on dispatch by a bounded
-    :class:`~repro.federation.pool.PartyPool` instead of eager objects, so
-    a plan can request 10^5–10^6 clients.  ``cohort_size`` overrides the
+    ``population`` declares the size and policy of the run's
+    :class:`~repro.federation.pool.PartyPool` (see
+    :class:`~repro.federation.pool.PopulationConfig`): parties are seeded
+    identities materialized on first touch and, under a residency bound,
+    evicted again, so a plan can request 10^5–10^6 clients.  ``None`` is
+    the dataset's own parties, all resident.  ``cohort_size`` overrides the
     profile's per-round participant budget (the natural companion knob:
     population fixes how many parties *exist*, cohort_size how many train
     per round).  Both serialize with the plan; ``None`` defers to the

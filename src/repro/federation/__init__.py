@@ -24,7 +24,6 @@ from repro.federation.pool import (
     PARTICIPATION_SKEWS,
     CohortSampler,
     PartyPool,
-    PartySpec,
     PopulationConfig,
 )
 from repro.federation.rounds import RoundConfig, RoundStats, run_fl_round
@@ -50,7 +49,6 @@ __all__ = [
     "PARTICIPATION_SKEWS",
     "CohortSampler",
     "PartyPool",
-    "PartySpec",
     "PopulationConfig",
     "RoundConfig",
     "RoundStats",

@@ -81,13 +81,12 @@ from repro.federation.availability import (
     AvailabilityConfig,
     AvailabilitySimulator,
 )
-from repro.federation.party import Party
+from repro.federation.pool import PartyPool
 from repro.federation.rounds import (
     RoundConfig,
     RoundStats,
     make_round_session,
     mean_finite_loss,
-    round_dtype,
     train_cohort,
 )
 from repro.privacy.secure_aggregation import MaskingSpec
@@ -316,9 +315,9 @@ class FederationEngine:
             return True
         return buf.oldest_ready_age(tick) >= self.config.max_wait_rounds
 
-    def run_round(self, parties: dict[int, Party], participant_ids: list[int],
+    def run_round(self, parties: PartyPool, participant_ids: list[int],
                   params: Params, config: RoundConfig, round_tag: object = 0,
-                  stream: object = "default", dtype=None,
+                  stream: object = "default",
                   secure: MaskingSpec | None = None,
                   ) -> tuple[Params, RoundStats]:
         """The federated round (strategies reach it via ``run_fl_round``)."""
@@ -334,8 +333,9 @@ class FederationEngine:
         self.counters["dropped"] += len(dropped)
 
         spec = ParamSpec.of(params)
-        bank_dtype = round_dtype(parties, list(participant_ids), params, dtype)
-        buf = self._buffer_for(stream, spec, bank_dtype,
+        # The bank is allocated at the run's parameter dtype, so a float32
+        # run stays float32 even when a strategy hands over float64 params.
+        buf = self._buffer_for(stream, spec, parties.dtype,
                                capacity=max(len(participant_ids), 1))
         alive_ids = [f.party_id for f in alive]
         session = seal = None

@@ -1,19 +1,20 @@
-"""Virtual-party residency: scale the simulator to million-party populations.
+"""The party plane: every run's parties live in a :class:`PartyPool`.
 
-The eager harness builds one live :class:`~repro.federation.party.Party` per
-client — a model replica plus a window of data each — which caps populations
-at a few thousand.  This module inverts that: a party *is* its seeded
-:class:`PartySpec` (party id, dataset shard, RNG root, dtype), and
-:class:`PartyPool` materializes the live object only while it is needed —
-on dispatch it binds a model replica from a small reusable free list and
-the party's window data from the spec, of which only the split an operation
-reads is ever generated (an evaluate-only materialization never draws a
-train split); after the party's report lands its state is evicted again
-(bounded LRU).  Because every piece of
+A party *is* its seeded identity — party id, dataset shard
+(``party_id % spec.num_parties``), the run's root seed and parameter dtype —
+and :class:`PartyPool` holds the live
+:class:`~repro.federation.party.Party` only while it is resident: on first
+touch it binds a model replica from a small reusable free list and the
+party's window data, of which only the split an operation reads is ever
+generated (an evaluate-only materialization never draws a train split);
+under a ``max_resident`` bound the least recently used party is evicted
+again.  The run's :class:`PopulationConfig` declares size and policy —
+how many parties exist, the residency bound, the participation skew, the
+survey cap — and an undeclared population is the dataset's own
+``spec.num_parties`` parties, unbounded and uniform.  Because every piece of
 party state is a pure function of ``(seed, labels...)`` streams
-(:func:`~repro.utils.rng.spawn_rng`), materialization order is invisible to
-results: a pooled run with ``population == spec.num_parties`` and an
-unbounded pool reproduces the eager path bit for bit, which
+(:func:`~repro.utils.rng.spawn_rng`), residency is invisible to results: a
+bounded pool reproduces the unbounded one bit for bit, which
 ``tests/test_party_pool.py`` pins for all six strategies.
 
 Residency invariants
@@ -38,6 +39,10 @@ Residency invariants
 4. **Eviction is deterministic.**  Same seed, same access sequence → same
    eviction order (``eviction_log``); the LRU holds insertion/access order
    only, never wall-clock state.
+5. **A resident always holds the current window.**  Data is bound at
+   materialization and rebound by ``begin_window``, which the runner calls
+   before ``strategy.start_window`` — so the window boundary's data
+   generation happens ahead of the shift response, not inside it.
 """
 
 from __future__ import annotations
@@ -60,29 +65,13 @@ PARTICIPATION_SKEWS = ("uniform", "zipf")
 
 
 @dataclass(frozen=True)
-class PartySpec:
-    """A virtual party's whole identity — enough to rebuild it exactly.
-
-    ``shard_id`` names the dataset shard (``party_id % spec.num_parties``)
-    whose shift schedule the party lives on; ``seed`` is the run's root seed
-    whose ``("party-train", party_id, ...)`` labels are the party's private
-    RNG stream.  Two pools given the same spec materialize bitwise-identical
-    parties.
-    """
-
-    party_id: int
-    shard_id: int
-    seed: int
-    dtype: str | None = None
-
-
-@dataclass(frozen=True)
 class PopulationConfig:
     """Declarative population-scale knobs (``RunSettings.population``).
 
-    * ``size`` — how many virtual parties exist.  ``size == spec.num_parties``
-      with ``max_resident=None`` reproduces the eager path bitwise.
-    * ``max_resident`` — LRU bound on live parties (None = unbounded).
+    * ``size`` — how many parties exist.  ``size == spec.num_parties`` is
+      the run an undeclared population gets, bit for bit.
+    * ``max_resident`` — LRU bound on live parties (None = unbounded); no
+      bound changes a result.
     * ``skew`` / ``zipf_a`` — cohort participation distribution: ``uniform``
       or ``zipf`` (rank ``i`` drawn with weight ``(i + 1) ** -zipf_a``).
     * ``survey`` — optional cap on whole-population surveys
@@ -131,25 +120,17 @@ class CohortSampler:
     ``uniform`` is a plain without-replacement draw — numpy's
     ``Generator.choice(n, k, replace=False)`` is O(k) time and memory even
     at n = 1e6, and produces the same bits as sampling from the materialized
-    sorted id list, which is what keeps pooled selection identical to the
-    eager strategies' ``rng.choice(sorted(parties), ...)``.  ``zipf`` draws
+    sorted id list — the historical ``rng.choice(sorted(parties), ...)``
+    selection, which ``tests/test_party_pool.py`` pins.  ``zipf`` draws
     rank ``i`` with weight ``(i + 1) ** -zipf_a`` via inverse-CDF rejection
     on a lazily built cumulative table (the only O(population) allocation,
     made once and only when the skew is actually zipf).
     """
 
-    def __init__(self, population: int, skew: str = "uniform",
-                 zipf_a: float = 1.2) -> None:
-        if population < 1:
-            raise ValueError("population must be positive")
-        if skew not in PARTICIPATION_SKEWS:
-            raise ValueError(
-                f"skew must be one of {PARTICIPATION_SKEWS}; got '{skew}'")
-        if zipf_a <= 0:
-            raise ValueError("zipf_a must be positive")
-        self.population = int(population)
-        self.skew = skew
-        self.zipf_a = float(zipf_a)
+    def __init__(self, config: PopulationConfig) -> None:
+        self.population = config.size
+        self.skew = config.skew
+        self.zipf_a = config.zipf_a
         self._cum: np.ndarray | None = None
 
     def _cumulative(self) -> np.ndarray:
@@ -189,59 +170,47 @@ class CohortSampler:
 
 
 class PartyPool(Mapping):
-    """A population of virtual parties behind the ``dict[int, Party]`` API.
+    """A run's parties, as an ``int -> Party`` mapping over the population.
 
-    Drop-in for the eager party dict everywhere the harness passes one:
     ``pool[pid]`` materializes (or returns the resident) party ``pid`` with
-    its current window's data bound; ``len(pool)`` is the *population*, not
-    the resident count.  The life cycle::
+    the current window's data bound; ``len(pool)`` is the *population*, not
+    the resident count.  ``config`` is the run's :class:`PopulationConfig`;
+    ``None`` means the dataset's own ``spec.num_parties`` parties, unbounded
+    and uniform.  The life cycle::
 
-        PartySpec ──materialize──▶ resident Party ──report──▶ evicted
-           ▲        (model from free list,            (LRU, pin-aware)  │
-           └────────────────── window data from spec) ◀─────────────────┘
+        identity ──materialize──▶ resident Party ──capacity──▶ evicted
+           ▲       (model from free list,           (LRU, pin-aware)  │
+           └─────────────────── window data bound) ◀──────────────────┘
 
-    "Window data from spec" is a :class:`~repro.data.federated.PartyWindowData`
-    with both splits pending; ``local_train`` / ``embeddings`` /
-    ``label_histogram`` generate the train split, ``evaluate`` the test
-    split, each at most once per materialization.  The pool itself keeps no
-    arrays: eviction drops what was generated along with what was not.
+    "Window data" is a :class:`~repro.data.federated.PartyWindowData`:
+    ``local_train`` / ``embeddings`` / ``label_histogram`` read the train
+    split, ``evaluate`` the test split, and a split that is still pending is
+    generated by its first reader, at most once per materialization.  The
+    pool itself keeps no arrays: eviction drops what was generated along
+    with what was not.
 
     ``acquire``/``release`` pin a party for its in-flight training window;
     :func:`~repro.federation.rounds.train_cohort` calls them around each
-    trainee when the mapping exposes them (plain dicts don't).
+    trainee.
     """
 
-    def __init__(self, spec: DatasetSpec,
-                 dataset: FederatedShiftDataset | None = None, *,
-                 population: int | None = None, seed: int = 0,
-                 dtype=None, max_resident: int | None = None,
-                 skew: str = "uniform", zipf_a: float = 1.2,
-                 survey: int | None = None) -> None:
+    def __init__(self, spec: DatasetSpec, dataset: FederatedShiftDataset,
+                 config: PopulationConfig | None = None, *,
+                 seed: int = 0, dtype=None) -> None:
+        if config is None:
+            config = PopulationConfig(size=spec.num_parties)
         self.spec = spec
-        self.dataset = (dataset if dataset is not None
-                        else FederatedShiftDataset(spec))
-        self.population = (int(population) if population is not None
-                           else int(spec.num_parties))
-        if self.population < 1:
-            raise ValueError("population must be positive")
-        if max_resident is not None:
-            max_resident = int(max_resident)
-            if max_resident < 1:
-                raise ValueError("max_resident must be positive when given")
-        if survey is not None:
-            survey = int(survey)
-            if survey < 1:
-                raise ValueError("survey must be positive when given")
+        self.dataset = dataset
+        self.population = config.size
+        self.max_resident = config.max_resident
+        self.survey = config.survey
         self.seed = int(seed)
-        self.dtype = resolve_dtype(dtype) if dtype is not None else None
-        self.max_resident = max_resident
-        self.survey = survey
-        self.sampler = CohortSampler(self.population, skew=skew, zipf_a=zipf_a)
+        self.dtype = resolve_dtype(dtype)
+        self.sampler = CohortSampler(config)
         self._window = 0
         self._resident: "OrderedDict[int, Party]" = OrderedDict()
         self._models: dict[int, object] = {}  # model lent to each resident
         self._free_models: list[object] = []
-        self._data_window: dict[int, int] = {}
         self._pins: dict[int, int] = {}
         self._survey_ids: tuple[int, ...] | None = None
         self.eviction_log: list[int] = []
@@ -249,16 +218,6 @@ class PartyPool(Mapping):
             "materialized": 0, "resident_hits": 0, "evictions": 0,
             "models_built": 0, "data_binds": 0, "peak_resident": 0,
         }
-
-    @classmethod
-    def from_config(cls, spec: DatasetSpec,
-                    dataset: FederatedShiftDataset | None,
-                    config: PopulationConfig, *, seed: int = 0,
-                    dtype=None) -> "PartyPool":
-        return cls(spec, dataset, population=config.size, seed=seed,
-                   dtype=dtype, max_resident=config.max_resident,
-                   skew=config.skew, zipf_a=config.zipf_a,
-                   survey=config.survey)
 
     # ------------------------------------------------------------------ mapping
 
@@ -278,29 +237,10 @@ class PartyPool(Mapping):
         pid = int(pid)
         party = self._resident.get(pid)
         if party is None:
-            party = self._materialize(pid)
-        else:
-            self._resident.move_to_end(pid)
-            self.counters["resident_hits"] += 1
-        if self._data_window.get(pid) != self._window:
-            party.set_window_data(
-                self.dataset.virtual_party_window(pid, self._window))
-            self._data_window[pid] = self._window
-            self.counters["data_binds"] += 1
+            return self._materialize(pid)
+        self._resident.move_to_end(pid)
+        self.counters["resident_hits"] += 1
         return party
-
-    # ------------------------------------------------------------------ specs
-
-    def spec_for(self, pid: int) -> PartySpec:
-        """The pure identity pool state is rebuilt from on materialization."""
-        if pid not in self:
-            raise KeyError(pid)
-        return PartySpec(
-            party_id=int(pid),
-            shard_id=int(pid) % self.spec.num_parties,
-            seed=self.seed,
-            dtype=str(self.dtype) if self.dtype is not None else None,
-        )
 
     # ------------------------------------------------------------------ residency
 
@@ -312,7 +252,7 @@ class PartyPool(Mapping):
             # float32 run resurrecting a float64 free-list model (or vice
             # versa) would silently re-widen part of the population.  A
             # mismatched model is dropped, never lent out again.
-            if self.dtype is None or candidate.dtype == self.dtype:
+            if candidate.dtype == self.dtype:
                 model = candidate
                 break
         if model is None:
@@ -323,6 +263,7 @@ class PartyPool(Mapping):
             self.counters["models_built"] += 1
         party = Party(pid, model, self.spec.num_classes, seed=self.seed,
                       population=self.population)
+        self._bind(party)
         self._resident[pid] = party
         self._models[pid] = model
         self.counters["materialized"] += 1
@@ -330,6 +271,11 @@ class PartyPool(Mapping):
             self.counters["peak_resident"] = len(self._resident)
         self._evict_over_capacity(protect=pid)
         return party
+
+    def _bind(self, party: Party) -> None:
+        party.set_window_data(
+            self.dataset.virtual_party_window(party.party_id, self._window))
+        self.counters["data_binds"] += 1
 
     def _evict_over_capacity(self, protect: int | None = None) -> None:
         if self.max_resident is None:
@@ -348,7 +294,6 @@ class PartyPool(Mapping):
     def _evict(self, pid: int) -> None:
         party = self._resident.pop(pid)
         party.release()  # the data reference must not outlive residency
-        self._data_window.pop(pid, None)
         self._free_models.append(self._models.pop(pid))
         self.eviction_log.append(pid)
         self.counters["evictions"] += 1
@@ -382,15 +327,17 @@ class PartyPool(Mapping):
     # ------------------------------------------------------------------ windows
 
     def begin_window(self, window: int) -> None:
-        """Invalidate every resident's bound data; rebind lazily on access."""
+        """Move to ``window`` and rebind every resident's data to it.
+
+        The runner calls this before ``strategy.start_window``, and an
+        in-schedule party's window comes back with its train split already
+        generated (:meth:`FederatedShiftDataset.party_window`), so for
+        residents that generation never lands inside the shift response.
+        Parties materialized later bind ``window``'s data on first touch.
+        """
         self._window = int(window)
         for party in self._resident.values():
-            party.release()
-        self._data_window.clear()
-
-    @property
-    def window(self) -> int:
-        return self._window
+            self._bind(party)
 
     # ------------------------------------------------------------------ surveys
 

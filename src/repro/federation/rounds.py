@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.federation.party import Party
+from repro.federation.pool import PartyPool
 from repro.nn.training import LocalTrainingConfig
 from repro.privacy.secure_aggregation import (
     MaskingSpec,
@@ -73,28 +73,7 @@ class RoundStats:
     aggregated: bool = True
 
 
-def round_dtype(parties: dict[int, Party], participant_ids: list[int],
-                params: Params, dtype=None) -> np.dtype:
-    """The round bank's dtype: the cohort's bound model precision.
-
-    Falls back to ``np.result_type`` over the incoming parameter list only
-    when no participant exposes a model dtype.  Preferring the bound model
-    dtype keeps a float32 run's bank at float32 even when a strategy hands
-    over float64 parameters (e.g. a fresh ``weighted_average`` of plain
-    lists), which previously upcast the whole aggregation path silently.
-    """
-    if dtype is not None:
-        return np.dtype(dtype)
-    for pid in participant_ids:
-        model_dtype = getattr(parties.get(pid), "dtype", None)
-        if model_dtype is not None:
-            return np.dtype(model_dtype)
-    if params:
-        return np.result_type(*(p.dtype for p in params))
-    return np.dtype(np.float64)
-
-
-def train_cohort(parties: dict[int, Party], participant_ids: list[int],
+def train_cohort(parties: PartyPool, participant_ids: list[int],
                  params: Params, config: RoundConfig, round_tag: object,
                  bank: ParamBank,
                  seal: Callable[[int, int, object], None] | None = None,
@@ -113,33 +92,27 @@ def train_cohort(parties: dict[int, Party], participant_ids: list[int],
     before anyone trains, and if a party raises mid-cohort every row this
     call allocated is scrubbed and released.
 
-    When ``parties`` is a :class:`~repro.federation.pool.PartyPool` (any
-    mapping exposing ``acquire``/``release``), each trainee is pinned for
-    exactly its training call, so residency pressure from materializing the
-    rest of the cohort can never evict a party mid-training.  Plain dicts
-    skip the pinning entirely.
+    Each trainee is pinned in the pool (``acquire`` / ``release``) for
+    exactly its training call, so residency pressure can never evict a party
+    mid-training.
     """
     for party_id in participant_ids:
         if party_id not in parties:
             raise KeyError(f"unknown party id {party_id}")
-    acquire = getattr(parties, "acquire", None)
-    release = getattr(parties, "release", None)
     rows: list[int] = []
     updates = []
     try:
         for party_id in participant_ids:
             row = bank.alloc()
             rows.append(row)
-            party = (acquire(party_id) if acquire is not None
-                     else parties[party_id])
+            party = parties.acquire(party_id)
             try:
                 update = party.local_train(
                     params, config.local, round_tag, out_flat=bank.row(row))
                 if seal is not None:
                     seal(party_id, row, update)
             finally:
-                if release is not None:
-                    release(party_id)
+                parties.release(party_id)
             updates.append(update)
     except BaseException:
         for row in rows:
@@ -176,30 +149,28 @@ def mean_finite_loss(updates) -> float:
     return float(np.mean(losses)) if losses else float("nan")
 
 
-def run_fl_round(parties: dict[int, Party], participant_ids: list[int],
+def run_fl_round(parties: PartyPool, participant_ids: list[int],
                  params: Params, config: RoundConfig,
                  round_tag: object = 0, engine=None,
                  stream: object = "default",
-                 dtype=None,
                  secure: MaskingSpec | None = None,
                  ) -> tuple[Params, RoundStats]:
     """Train ``params`` for one round over the given participants.
 
     Returns the FedAvg-aggregated parameters and round statistics.  The
     caller owns participant selection (uniform, OORT, FLIPS, ...) so every
-    strategy can reuse this loop.  ``parties`` is any ``int -> Party``
-    mapping: the eager dict or a
-    :class:`~repro.federation.pool.PartyPool`, which materializes each
-    participant on first touch and is pinned per-trainee by
-    :func:`train_cohort`.
+    strategy can reuse this loop.  ``parties`` is the run's
+    :class:`~repro.federation.pool.PartyPool`: a participant is
+    materialized when it trains (one that drops out never is) and pinned for
+    that call by :func:`train_cohort`; the round bank is allocated at the
+    pool's parameter dtype.
 
     ``engine`` is the :class:`~repro.federation.async_engine.FederationEngine`
     whose clock, availability model and per-``stream`` buffers the round runs
     on (one buffer per global model / cluster / expert, so buffered reports
     never cross models); a run shares one across all its rounds.  Left out,
     the round runs on a throwaway quiet ``sync`` engine: everyone dispatched
-    reports, and the aggregate fires at once.  ``dtype`` overrides the
-    round bank precision (default: the cohort's bound model dtype).
+    reports, and the aggregate fires at once.
 
     ``secure`` (a :class:`~repro.privacy.secure_aggregation.MaskingSpec`, or
     None = off) masks the round: every bank row is sealed at training time
@@ -220,5 +191,4 @@ def run_fl_round(parties: dict[int, Party], participant_ids: list[int],
         engine = FederationEngine(FederationConfig())
         engine.advance()
     return engine.run_round(parties, participant_ids, params, config,
-                            round_tag=round_tag, stream=stream,
-                            dtype=dtype, secure=secure)
+                            round_tag=round_tag, stream=stream, secure=secure)

@@ -5,7 +5,7 @@ across windows.  The harness drives it through the window/round life cycle:
 
     strategy.setup(ctx)
     for window in windows:
-        feed parties their window data
+        parties.begin_window(window)             # residents get the new data
         strategy.start_window(window)            # shift reaction happens here
         for each round:
             strategy.run_round(window, round)    # one FL round
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.data.registry import DatasetSpec
 from repro.federation.accounting import CommunicationLedger
-from repro.federation.party import Party
+from repro.federation.pool import PartyPool
 from repro.federation.rounds import RoundConfig
 from repro.nn.network import Sequential
 from repro.privacy.plan import PrivacyPlan
@@ -44,6 +44,13 @@ if TYPE_CHECKING:  # import cycle: async_engine -> rounds -> party only
 @dataclass
 class StrategyContext:
     """Everything a strategy needs from the environment.
+
+    ``parties`` is the run's :class:`~repro.federation.pool.PartyPool`:
+    ``parties[pid]`` is a live party holding the current window's data
+    (materialized on first touch), ``len(parties)`` the population.  Whole-
+    population bookkeeping goes through :attr:`party_ids` /
+    :meth:`iter_parties` and cohort draws through :meth:`sample_cohort`, so
+    the pool's survey cap and participation skew apply to every strategy.
 
     ``federation`` is the run's round engine (None, as in hand-built test
     contexts, makes every ``run_fl_round`` call use a throwaway quiet
@@ -71,7 +78,7 @@ class StrategyContext:
     """
 
     spec: DatasetSpec
-    parties: dict[int, Party]
+    parties: PartyPool
     model_factory: Callable[[], Sequential]
     round_config: RoundConfig
     seed: int = 0
@@ -83,8 +90,6 @@ class StrategyContext:
     score_seal: ScoreSeal | None = None
     precision: PrecisionPlan = field(default_factory=PrecisionPlan)
     thresholds: "ThresholdTable | None" = None
-    _party_ids: "tuple[int, ...] | None" = field(default=None, init=False,
-                                                 repr=False, compare=False)
 
     def rng(self, *labels: object) -> np.random.Generator:
         return spawn_rng(self.seed, *labels)
@@ -127,19 +132,14 @@ class StrategyContext:
     def party_ids(self) -> tuple[int, ...]:
         """Stable id order for whole-population surveys.
 
-        For the eager dict this is every id, sorted — the order strategies
-        historically iterated, so survey-driven state is bit-identical.  A
-        :class:`~repro.federation.pool.PartyPool` may cap it to a seeded
-        survey subset so per-party bookkeeping stays bounded at scale.
+        Every id, ascending, unless the population declares a ``survey``
+        cap: then a fixed seeded subset, so per-party bookkeeping stays
+        bounded at scale.
         """
-        if self._party_ids is None:
-            survey = getattr(self.parties, "survey_ids", None)
-            ids = survey() if callable(survey) else sorted(self.parties)
-            self._party_ids = tuple(int(p) for p in ids)
-        return self._party_ids
+        return self.parties.survey_ids()
 
     def iter_parties(self):
-        """``(pid, Party)`` pairs in survey order (materializes pooled ids)."""
+        """``(pid, Party)`` pairs in survey order (materializes each id)."""
         for pid in self.party_ids:
             yield pid, self.parties[pid]
 
@@ -147,21 +147,28 @@ class StrategyContext:
                       k: int | None = None) -> list[int]:
         """Draw a round cohort of ``k`` ids (default: the round-config knob).
 
-        The eager path draws without replacement from the sorted id list —
-        the exact historical selection bits.  A pool delegates to its
-        :class:`~repro.federation.pool.CohortSampler`, whose uniform draw
-        produces those same bits over ``range(population)`` without ever
-        materializing an id list, and whose ``zipf`` skew models heavy-tail
-        participation at scale.
+        The draw is the pool's :class:`~repro.federation.pool.CohortSampler`
+        (``k`` capped at the population): ``uniform`` is a without-
+        replacement draw over ``range(population)`` that never materializes
+        an id list, ``zipf`` models heavy-tail participation at scale.
         """
         if k is None:
             k = self.round_config.participants_per_round
-        k = min(int(k), len(self.parties))
-        sampler = getattr(self.parties, "sampler", None)
-        if sampler is not None:
-            return sampler.sample(rng, k)
-        return [int(p) for p in rng.choice(sorted(self.parties), size=k,
-                                           replace=False)]
+        return self.parties.sampler.sample(rng, k)
+
+
+def split_budget(cohort_sizes: dict[int, int], total: int) -> dict[int, int]:
+    """Split a participant budget across cohorts proportionally (min 1 each).
+
+    Empty cohorts get no entry, a share never exceeds its cohort's size, and
+    the result keeps ``cohort_sizes``' order.
+    """
+    sizes = {k: s for k, s in cohort_sizes.items() if s > 0}
+    if not sizes:
+        return {}
+    n = sum(sizes.values())
+    budget = {k: max(1, int(round(total * s / n))) for k, s in sizes.items()}
+    return {k: min(b, sizes[k]) for k, b in budget.items()}
 
 
 class ContinualStrategy:
@@ -203,9 +210,8 @@ class ContinualStrategy:
     def evaluate_all_parties(self) -> dict[int, float]:
         """Per-party test accuracy under each party's assigned model.
 
-        Iterates the context's survey order so a pooled population evaluates
-        its bounded survey subset instead of materializing every virtual
-        party.
+        Iterates the context's survey order, so a population with a survey
+        cap evaluates that subset instead of materializing every party.
         """
         ctx = self.context
         return {

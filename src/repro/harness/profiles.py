@@ -59,8 +59,9 @@ class RunSettings:
     ``precision.params``.
 
     ``federation`` selects the participation regime: synchronous full-cohort
-    rounds (the default, engine-less fast path) or ``buffered``/``async``
-    staleness-weighted aggregation under a simulated availability scenario
+    rounds (the default: the one round engine under a quiet availability
+    model) or ``buffered``/``async`` staleness-weighted aggregation under a
+    simulated availability scenario
     (see :class:`~repro.federation.async_engine.FederationConfig`).
 
     ``shards`` / ``shard_backend`` / ``shard_hosts`` are reserved
@@ -68,14 +69,14 @@ class RunSettings:
     they keep their place and accept only ``1`` / ``"auto"`` / empty.
 
     ``population`` (a :class:`~repro.federation.pool.PopulationConfig`, an
-    int size, or a mapping) switches the run to *virtual parties*: instead
-    of eagerly building ``spec.num_parties`` live parties, a
-    :class:`~repro.federation.pool.PartyPool` of ``population.size`` seeded
-    specs materializes parties on dispatch and evicts them after their
-    reports (bounded LRU), so populations of 10^5–10^6 clients run in flat
-    memory.  ``population.size == spec.num_parties`` with an unbounded pool
-    reproduces the eager path bitwise; the default ``None`` never builds a
-    pool.
+    int size, or a mapping) declares the size and policy of the run's
+    :class:`~repro.federation.pool.PartyPool`: how many parties exist, how
+    many may be live at once (bounded LRU — parties are materialized on
+    first touch and evicted under pressure, so populations of 10^5–10^6
+    clients run in flat memory), the participation skew and the survey cap.
+    The default ``None`` is the dataset's own ``spec.num_parties`` parties,
+    all resident, drawn uniformly; ``population.size == spec.num_parties``
+    reproduces it bitwise under any residency bound.
 
     ``privacy`` is the run's :class:`~repro.privacy.plan.PrivacyPlan`:
     ``masking`` turns every federated round into a pairwise

@@ -20,7 +20,6 @@ from repro.detection.thresholds import load_threshold_table
 from repro.experiments.events import RunCallback, RunInfo, first_stop_reason
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.async_engine import FederationEngine
-from repro.federation.party import Party
 from repro.federation.pool import PartyPool
 from repro.federation.strategy import ContinualStrategy, StrategyContext
 from repro.harness.profiles import RunSettings
@@ -54,15 +53,6 @@ class StrategyRunResult:
         return [max(series) for series in self.window_series]
 
 
-def _build_parties(spec: DatasetSpec, seed: int, dtype=None) -> dict[int, Party]:
-    parties: dict[int, Party] = {}
-    for pid in range(spec.num_parties):
-        model = build_model(spec.model_name, spec.input_shape, spec.num_classes,
-                            spawn_rng(seed, "party-model", pid), dtype=dtype)
-        parties[pid] = Party(pid, model, spec.num_classes, seed=seed)
-    return parties
-
-
 def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
                  settings: RunSettings, seed: int = 0,
                  dataset: FederatedShiftDataset | None = None,
@@ -70,10 +60,10 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
                  ) -> StrategyRunResult:
     """Run one strategy over every window of a dataset spec.
 
-    Per window: feed parties their new data, let the strategy react
-    (``start_window``), evaluate the post-shift entry accuracy, train for the
-    window's rounds evaluating after each, then close the window.  Returns
-    accuracy in percent.
+    Per window: move the party pool to the window (resident parties get
+    their new data), let the strategy react (``start_window``), evaluate the
+    post-shift entry accuracy, train for the window's rounds evaluating after
+    each, then close the window.  Returns accuracy in percent.
 
     ``callbacks`` observe the run (see :mod:`repro.experiments.events`); a
     stop request ends the run after the window in which it was raised, with
@@ -81,19 +71,13 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
     """
     ds = dataset if dataset is not None else FederatedShiftDataset(spec)
     dtype = settings.np_dtype
-    # ``settings.population`` switches the run to virtual parties: a
-    # PartyPool materializes each party on dispatch and evicts it after its
-    # report, so populations far beyond the eager dict's reach stay flat in
-    # memory.  population.size == spec.num_parties with an unbounded pool
-    # reproduces the eager path bitwise (tests/test_party_pool.py pins it).
-    pool = None
-    if settings.population is not None:
-        pool = PartyPool.from_config(spec, ds, settings.population,
-                                     seed=seed, dtype=dtype)
-        parties = pool
-    else:
-        parties = _build_parties(spec, seed, dtype=dtype)
-    num_parties = pool.population if pool is not None else spec.num_parties
+    # Every run's parties live in a PartyPool, materialized on first touch.
+    # ``settings.population`` declares its size and policy (residency bound,
+    # participation skew, survey cap); undeclared, it is the dataset's own
+    # ``spec.num_parties`` parties, all resident.  No bound changes a result
+    # (tests/test_party_pool.py pins it).
+    parties = PartyPool(spec, ds, settings.population, seed=seed, dtype=dtype)
+    num_parties = len(parties)
 
     def model_factory():
         return build_model(spec.model_name, spec.input_shape, spec.num_classes,
@@ -132,11 +116,10 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
     strategy.setup(ctx)
 
     eval_count = settings.eval_parties
-    if (eval_count is None and pool is not None
-            and pool.population > spec.num_parties):
-        # "Evaluate everyone" is O(population); at scale default to a seeded
-        # subset instead (the eager-equivalence regime is untouched).
-        eval_count = min(64, pool.population)
+    if eval_count is None and num_parties > spec.num_parties:
+        # "Evaluate everyone" is O(population); beyond the dataset's own
+        # party count default to a seeded subset instead.
+        eval_count = min(64, num_parties)
     if eval_count is not None and eval_count < num_parties:
         eval_rng = spawn_rng(seed, "eval-subset")
         eval_ids = sorted(int(p) for p in eval_rng.choice(
@@ -171,11 +154,9 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
 
     stop_reason: str | None = None
     for window in range(spec.num_windows):
-        if pool is not None:
-            pool.begin_window(window)
-        else:
-            for pid in range(spec.num_parties):
-                parties[pid].set_window_data(ds.party_window(pid, window))
+        # Before start_window, so the new window's train splits of the
+        # resident parties are generated outside the shift response.
+        parties.begin_window(window)
         engine.begin_window(window)
         strategy.start_window(window)
         series = [mean_accuracy_pct()]
@@ -219,8 +200,10 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
     )
     if settings.federation.is_active:
         result.extras["federation"] = engine.summary()
-    if pool is not None:
-        result.extras["party_pool"] = pool.summary()
+    if settings.population is not None:
+        # Only a declared population reports its residency counters, so
+        # default-plan artifacts carry no trace of the pool.
+        result.extras["party_pool"] = parties.summary()
     if stop_reason is not None:
         result.extras.update(
             stopped_early=True,

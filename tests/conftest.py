@@ -7,7 +7,7 @@ import pytest
 
 from repro.data.federated import FederatedShiftDataset
 from repro.data.registry import DatasetSpec
-from repro.federation.party import Party
+from repro.federation.pool import PartyPool
 from repro.federation.rounds import RoundConfig
 from repro.federation.strategy import StrategyContext
 from repro.harness.profiles import RunSettings
@@ -57,16 +57,14 @@ def make_run_settings(rounds_burn_in: int = 3, rounds_per_window: int = 2,
 
 def make_context(spec: DatasetSpec, dataset: FederatedShiftDataset,
                  window: int = 0, seed: int = 0,
-                 settings: RunSettings | None = None) -> StrategyContext:
-    """Build parties holding the given window's data plus a strategy context."""
+                 settings: RunSettings | None = None,
+                 dtype=None) -> StrategyContext:
+    """A strategy context over a pool whose parties all hold ``window``'s data."""
     settings = settings if settings is not None else make_run_settings()
-    parties: dict[int, Party] = {}
-    for pid in range(spec.num_parties):
-        model = build_model(spec.model_name, spec.input_shape, spec.num_classes,
-                            spawn_rng(seed, "party-model", pid))
-        party = Party(pid, model, spec.num_classes, seed=seed)
-        party.set_window_data(dataset.party_window(pid, window))
-        parties[pid] = party
+    parties = PartyPool(spec, dataset, seed=seed, dtype=dtype)
+    parties.begin_window(window)
+    for pid in parties:
+        parties[pid]
 
     def model_factory():
         return build_model(spec.model_name, spec.input_shape, spec.num_classes,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ShiftExConfig, ShiftExStrategy
-from repro.core.server import split_budget
+from repro.federation.strategy import split_budget
 from repro.data.federated import FederatedShiftDataset
 from repro.utils.params import flatten_params
 from tests.conftest import make_context, make_run_settings, make_tiny_spec

@@ -26,7 +26,6 @@ from repro.federation.availability import AvailabilityConfig
 from repro.federation.party import LocalUpdate
 from repro.federation.rounds import run_fl_round
 from repro.harness.runner import run_strategy
-from repro.nn.models import build_model
 from repro.privacy.secure_aggregation import (
     MaskingSpec,
     SecureAggregationSession,
@@ -154,19 +153,14 @@ class TestStalenessDecay:
 def _context(spec, dataset, dtype=np.float64):
     """A fresh context whose party models (and starting parameters) are
     bound to ``dtype``."""
-    ctx = make_context(spec, dataset)
-    for pid, party in ctx.parties.items():
-        party._model = build_model(spec.model_name, spec.input_shape,
-                                   spec.num_classes,
-                                   spawn_rng(0, "party-model", pid),
-                                   dtype=dtype)
+    ctx = make_context(spec, dataset, dtype=dtype)
     params = [np.asarray(p, dtype=dtype)
               for p in ctx.model_factory().get_params()]
     return ctx, params
 
 
 class TestRoundDtype:
-    """The round bank must honor the cohort's bound model precision."""
+    """The round bank must honor the pool's parameter precision."""
 
     def test_float32_model_keeps_float32_bank(self, tiny_spec, tiny_dataset):
         ctx, _ = _context(tiny_spec, tiny_dataset, np.float32)
@@ -176,13 +170,6 @@ class TestRoundDtype:
                     for p in ctx.parties[0]._model.get_params()]
         new_params, _ = run_fl_round(ctx.parties, [0, 1, 2], params64,
                                      ctx.round_config)
-        assert all(p.dtype == np.float32 for p in new_params)
-
-    def test_explicit_dtype_overrides(self, tiny_spec, tiny_dataset):
-        ctx = make_context(tiny_spec, tiny_dataset)
-        params = ctx.model_factory().get_params()
-        new_params, _ = run_fl_round(ctx.parties, [0, 1], params,
-                                     ctx.round_config, dtype=np.float32)
         assert all(p.dtype == np.float32 for p in new_params)
 
     def test_float64_default_unchanged(self, tiny_spec, tiny_dataset):

@@ -3,7 +3,8 @@
 Four layers of drift protection over README.md, ``docs/*.md``, and
 ``examples/*.py``:
 
-* every example script runs green under its defaults (the ``ci`` profile);
+* every example script runs green under its defaults (demo scale: seconds
+  each — examples demonstrate an API, they are not benchmarks);
 * every fenced ``python`` block in the docs executes green (each document's
   blocks run as one script, in order, in a scratch directory and a clean
   subprocess so registry side effects cannot leak into the test session);

@@ -1,18 +1,21 @@
-"""Virtual-party residency tests: PartyPool must be invisible in the bits.
+"""Party-plane residency tests: PartyPool policy must be invisible in the bits.
 
-The contract under test (ISSUE 6): a pooled run with ``population ==
-spec.num_parties`` and an unbounded pool reproduces the eager party-dict
-path bit for bit — for every strategy — and bounding the pool (LRU
-eviction, model recycling, lazy data rebinding) still cannot change a
-single number, because every piece of party state is a pure function of
+Every run's parties live in a :class:`PartyPool`.  The contract under test:
+declaring ``population == spec.num_parties`` changes nothing but the
+reported counters, and bounding the pool (LRU eviction, model recycling,
+data rebinding) cannot change a single number — for every strategy —
+because every piece of party state is a pure function of
 ``(seed, labels...)`` RNG streams.  On top of that invariant sit the
 population-scale mechanics: O(cohort) sampling and availability at
-populations the eager path could never build, pin-aware eviction that
-never corrupts an in-flight straggler, and deterministic eviction order.
+populations far beyond the dataset's own party count, flat memory in the
+population, pin-aware eviction that never corrupts an in-flight straggler,
+and deterministic eviction order.
 """
 
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.registry import build_strategy, strategy_names
+from repro.federation.async_engine import FederationConfig, FederationEngine
 from repro.federation.availability import (
     AvailabilityConfig,
     AvailabilitySimulator,
@@ -30,9 +34,9 @@ from repro.federation.pool import (
     PARTICIPATION_SKEWS,
     CohortSampler,
     PartyPool,
-    PartySpec,
     PopulationConfig,
 )
+from repro.federation.rounds import run_fl_round
 from repro.federation.strategy import StrategyContext
 from repro.harness.profiles import RunSettings
 from repro.utils.precision import PrecisionPlan
@@ -40,13 +44,14 @@ from repro.harness.runner import run_strategy
 from repro.nn.models import build_model
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
-from tests.conftest import make_run_settings, make_tiny_spec
+from tests.conftest import make_context, make_run_settings, make_tiny_spec
 
 
-def _canonical(result, pooled: bool = False) -> str:
-    """A run result as comparable JSON."""
+def _canonical(result, declared: bool = False) -> str:
+    """A run result as comparable JSON (``declared``: minus the residency
+    counters only a declared population reports)."""
     out = run_result_to_dict(result)
-    if pooled:
+    if declared:
         out.get("extras", {}).pop("party_pool", None)
     return json.dumps(out, sort_keys=True)
 
@@ -87,14 +92,14 @@ class TestPopulationConfig:
 
 class TestCohortSampler:
     def test_uniform_matches_eager_selection_bitwise(self):
-        """The pooled uniform draw is the exact eager strategies' draw.
+        """The uniform draw is the exact historical strategies' draw.
 
-        Eager selection is ``rng.choice(sorted(parties), k, replace=False)``
-        over the materialized id list; the pool draws ``choice(n, k)``
-        directly.  numpy guarantees the same bits for both forms, which is
-        the whole reason population == num_parties stays bitwise.
+        Historical selection is ``rng.choice(sorted(parties), k,
+        replace=False)`` over the materialized id list; the sampler draws
+        ``choice(n, k)`` directly.  numpy guarantees the same bits for both
+        forms, which is why selections never moved when runs were pooled.
         """
-        sampler = CohortSampler(24)
+        sampler = CohortSampler(PopulationConfig(24))
         for draw in range(5):
             rng_a = spawn_rng(7, "select", draw)
             rng_b = spawn_rng(7, "select", draw)
@@ -104,13 +109,14 @@ class TestCohortSampler:
             assert pooled == eager
 
     def test_uniform_is_o_cohort_at_scale(self):
-        sampler = CohortSampler(1_000_000)
+        sampler = CohortSampler(PopulationConfig(1_000_000))
         cohort = sampler.sample(spawn_rng(0, "big"), 64)
         assert len(cohort) == len(set(cohort)) == 64
         assert all(0 <= p < 1_000_000 for p in cohort)
 
     def test_zipf_is_deterministic_and_skewed(self):
-        sampler = CohortSampler(100_000, skew="zipf", zipf_a=1.2)
+        sampler = CohortSampler(
+            PopulationConfig(100_000, skew="zipf", zipf_a=1.2))
         first = sampler.sample(spawn_rng(3, "zipf"), 64)
         second = sampler.sample(spawn_rng(3, "zipf"), 64)
         assert first == second
@@ -120,28 +126,33 @@ class TestCohortSampler:
         assert np.median(first) < 100_000 / 4
 
     def test_zipf_dense_fallback_and_full_population(self):
-        sampler = CohortSampler(10, skew="zipf")
+        sampler = CohortSampler(PopulationConfig(10, skew="zipf"))
         dense = sampler.sample(spawn_rng(1, "dense"), 6)  # 4*k >= population
         assert len(set(dense)) == 6
         assert sampler.sample(spawn_rng(1, "full"), 10) == list(range(10))
         assert sampler.sample(spawn_rng(1, "over"), 99) == list(range(10))
 
     def test_validation(self):
+        # Size, skew and zipf_a are PopulationConfig's to reject (above).
         with pytest.raises(ValueError):
-            CohortSampler(0)
-        with pytest.raises(ValueError):
-            CohortSampler(8, skew="bimodal")
-        with pytest.raises(ValueError):
-            CohortSampler(8, zipf_a=-1.0)
-        with pytest.raises(ValueError):
-            CohortSampler(8).sample(spawn_rng(0, "x"), 0)
+            CohortSampler(PopulationConfig(8)).sample(spawn_rng(0, "x"), 0)
 
 
 class TestPartyPoolResidency:
-    def _pool(self, **kwargs) -> PartyPool:
+    def _pool(self, population=None, dtype=None, **policy) -> PartyPool:
         spec = make_tiny_spec(name="unit_pool", num_parties=4, num_windows=2,
                               window_regimes=(("fog", 4),), seed=31)
-        return PartyPool(spec, FederatedShiftDataset(spec), seed=0, **kwargs)
+        config = (PopulationConfig(population, **policy)
+                  if population is not None else None)
+        return PartyPool(spec, FederatedShiftDataset(spec), config, seed=0,
+                         dtype=dtype)
+
+    def test_undeclared_population_is_the_datasets_own(self):
+        pool = self._pool()
+        assert len(pool) == pool.spec.num_parties == 4
+        assert pool.max_resident is None and pool.survey is None
+        assert pool.sampler.skew == "uniform"
+        assert pool.dtype == np.dtype(np.float64)  # always resolved
 
     def test_mapping_protocol(self):
         pool = self._pool(population=10)
@@ -152,21 +163,18 @@ class TestPartyPoolResidency:
         with pytest.raises(KeyError):
             pool[10]
 
-    def test_spec_for_wraps_shards(self):
-        pool = self._pool(population=10, dtype="float32")
-        assert pool.spec_for(7) == PartySpec(party_id=7, shard_id=3, seed=0,
-                                             dtype="float32")
-        with pytest.raises(KeyError):
-            pool.spec_for(10)
-
     def test_materialize_binds_current_window_data(self):
         pool = self._pool(population=6)
         party = pool[5]
         assert isinstance(party, Party)
         assert party.data.window == 0
         pool.begin_window(1)
-        # Residents' stale data is dropped; access rebinds lazily.
-        assert pool[5].data.window == 1
+        # Residents are rebound at the boundary, before anyone touches them;
+        # a party materialized later binds the current window.
+        assert party.data.window == 1
+        assert pool[5] is party
+        assert pool[4].data.window == 1
+        assert pool.counters["data_binds"] == 3
 
     def test_lru_eviction_is_deterministic(self):
         logs = []
@@ -229,8 +237,8 @@ class TestPartyPoolResidency:
             _pooled_settings(make_run_settings(), 6, max_resident=2),
             precision=PrecisionPlan(params="float32"), dtype=None)
         ds = FederatedShiftDataset(spec)
-        pool = PartyPool.from_config(spec, ds, settings.population, seed=0,
-                                     dtype=settings.np_dtype)
+        pool = PartyPool(spec, ds, settings.population, seed=0,
+                         dtype=settings.np_dtype)
         seen = set()
         for pid in (0, 1, 2, 3, 4, 5, 1, 0):
             seen.add(str(pool[pid].dtype))
@@ -290,16 +298,28 @@ class TestPartyPoolResidency:
         assert s["materialized"] == 3 and s["resident_hits"] == 1
         assert s["evictions"] == 1 and s["peak_resident"] <= 3
 
-    def test_from_config(self):
-        spec = make_tiny_spec(name="unit_pool_cfg", num_parties=4,
-                              num_windows=2, window_regimes=(("fog", 4),),
-                              seed=31)
-        cfg = PopulationConfig(size=50, max_resident=3, skew="zipf",
-                               zipf_a=1.4, survey=10)
-        pool = PartyPool.from_config(spec, None, cfg, seed=5)
-        assert pool.population == 50 and pool.max_resident == 3
-        assert pool.sampler.skew == "zipf" and pool.sampler.zipf_a == 1.4
-        assert pool.survey == 10 and pool.seed == 5
+    def test_dropped_first_participant_is_never_materialized(self):
+        """A party whose dispatch is dropped costs the pool nothing.
+
+        Fates are drawn before anyone trains, and nothing needs a live party
+        to size the round bank (its dtype is the pool's), so under a model
+        that drops every dispatch the round loop builds no party.
+        """
+        pool = self._pool()
+        engine = FederationEngine(
+            FederationConfig(availability=AvailabilityConfig(dropout_prob=1.0)),
+            seed=0, num_parties=len(pool))
+        engine.advance()
+        params = build_model(pool.spec.model_name, pool.spec.input_shape,
+                             pool.spec.num_classes,
+                             spawn_rng(0, "global")).get_params()
+        same, stats = run_fl_round(pool, [0, 1, 2], params,
+                                   make_run_settings().round_config,
+                                   engine=engine)
+        assert stats.dropped == [0, 1, 2] and not stats.aggregated
+        assert same is params
+        assert pool.counters["materialized"] == 0
+        assert pool.resident_ids() == ()
 
 
 class TestVirtualPartyWindow:
@@ -416,51 +436,62 @@ def _diff_spec():
                           seed=17)
 
 
+def _declared_equals_default(method: str, base: RunSettings, seed: int = 0,
+                             max_resident: int | None = None) -> dict:
+    """Run ``method`` with an undeclared population and with the dataset's
+    own party count declared (optionally bounded); the two results must be
+    equal apart from the declared run's residency counters, which are
+    returned."""
+    spec = _diff_spec()
+    ds = FederatedShiftDataset(spec)
+    default = run_strategy(build_strategy(method), spec, base, seed=seed,
+                           dataset=ds)
+    assert "party_pool" not in default.extras
+    declared = run_strategy(build_strategy(method), spec,
+                            _pooled_settings(base, spec.num_parties,
+                                             max_resident=max_resident),
+                            seed=seed, dataset=ds)
+    assert _canonical(declared, declared=True) == _canonical(default)
+    return declared.extras["party_pool"]
+
+
 class TestPooledRunsAreBitwise:
-    """population == num_parties with an unbounded pool == the eager path."""
+    """Population policy is invisible in results.
+
+    The reference is the default run — an undeclared population, which is
+    the dataset's own parties in an unbounded pool.  Declaring that same
+    population, or bounding its residency, may only add the
+    ``extras["party_pool"]`` counters.
+    """
 
     def test_fedavg_pooled_matches_eager(self):
-        spec = _diff_spec()
-        ds = FederatedShiftDataset(spec)
-        base = make_run_settings()
-        eager = run_strategy(build_strategy("fedavg"), spec, base, seed=0,
-                             dataset=ds)
-        pooled = run_strategy(build_strategy("fedavg"), spec,
-                              _pooled_settings(base, spec.num_parties),
-                              seed=0, dataset=ds)
-        assert _canonical(pooled, pooled=True) == _canonical(eager)
-        summary = pooled.extras["party_pool"]
+        """Declared ``size == spec.num_parties`` == undeclared."""
+        summary = _declared_equals_default("fedavg", make_run_settings())
         assert summary["evictions"] == 0
-        assert summary["population"] == spec.num_parties
+        assert summary["population"] == _diff_spec().num_parties
 
     def test_fedavg_bounded_pool_still_bitwise(self):
         """LRU eviction + model recycling must be invisible in the bits."""
-        spec = _diff_spec()
-        ds = FederatedShiftDataset(spec)
-        base = make_run_settings()
-        eager = run_strategy(build_strategy("fedavg"), spec, base, seed=0,
-                             dataset=ds)
-        pooled = run_strategy(build_strategy("fedavg"), spec,
-                              _pooled_settings(base, spec.num_parties,
-                                               max_resident=2),
-                              seed=0, dataset=ds)
-        assert _canonical(pooled, pooled=True) == _canonical(eager)
-        summary = pooled.extras["party_pool"]
+        summary = _declared_equals_default("fedavg", make_run_settings(),
+                                           max_resident=2)
         assert summary["evictions"] > 0
         assert summary["models_built"] <= 3
 
     @pytest.mark.slow
     @pytest.mark.parametrize("method", sorted(strategy_names()))
     def test_every_strategy_pooled_matches_eager(self, method):
-        spec = _diff_spec()
-        ds = FederatedShiftDataset(spec)
-        base = make_run_settings()
-        eager = run_strategy(build_strategy(method), spec, base, seed=0,
-                             dataset=ds)
-        pooled = run_strategy(build_strategy(method), spec,
-                              _pooled_settings(base, spec.num_parties),
-                              seed=0, dataset=ds)
-        assert _canonical(pooled, pooled=True) == _canonical(eager)
+        """Declared == undeclared, for every strategy."""
+        _declared_equals_default(method, make_run_settings())
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("max_resident", [1, 3])
+    @pytest.mark.parametrize("method", sorted(strategy_names()))
+    def test_every_strategy_under_a_bound(self, method, max_resident):
+        """Bounded == unbounded, for every strategy: parties evicted and
+        rebuilt mid-window, surveys that churn the whole pool."""
+        summary = _declared_equals_default(method, make_run_settings(),
+                                           max_resident=max_resident)
+        assert summary["evictions"] > 0
 
     @pytest.mark.slow
     @given(seed=st.integers(0, 2**16),
@@ -468,16 +499,23 @@ class TestPooledRunsAreBitwise:
     @settings(max_examples=8, deadline=None)
     def test_pool_bound_invariance_over_seeds(self, seed, max_resident):
         """Hypothesis sweep: no seed or bound can make the pool visible."""
-        spec = _diff_spec()
-        ds = FederatedShiftDataset(spec)
-        base = make_run_settings(rounds_burn_in=2, rounds_per_window=1)
-        eager = run_strategy(build_strategy("fedavg"), spec, base, seed=seed,
-                             dataset=ds)
-        pooled = run_strategy(build_strategy("fedavg"), spec,
-                              _pooled_settings(base, spec.num_parties,
-                                               max_resident=max_resident),
-                              seed=seed, dataset=ds)
-        assert _canonical(pooled, pooled=True) == _canonical(eager)
+        _declared_equals_default(
+            "fedavg", make_run_settings(rounds_burn_in=2, rounds_per_window=1),
+            seed=seed, max_resident=max_resident)
+
+
+def _population_run(population: int, cohort: int, max_resident: int,
+                    federation: FederationConfig = FederationConfig()):
+    """A short FedAvg run over ``population`` parties, ``max_resident`` live."""
+    spec = _diff_spec()
+    base = make_run_settings(rounds_burn_in=3, rounds_per_window=2,
+                             participants=cohort, epochs=1)
+    settings_ = dataclasses.replace(
+        _pooled_settings(base, {"size": population,
+                                "max_resident": max_resident, "survey": 16}),
+        eval_parties=8, federation=federation)
+    return run_strategy(build_strategy("fedavg"), spec, settings_, seed=0,
+                        dataset=FederatedShiftDataset(spec))
 
 
 class TestPopulationScaleRuns:
@@ -495,6 +533,48 @@ class TestPopulationScaleRuns:
         assert summary["models_built"] <= summary["peak_resident"]
         assert len(result.window_series) == spec.num_windows
 
+    def test_million_party_run_recycles_its_residents(self):
+        """Residency never tracks the population: the LRU bound (plus the
+        transient pin overshoot of an in-flight cohort) is the ceiling —
+        under ``flaky`` availability (dropouts, stragglers, counter-based
+        outages), so reports outlive their parties' residency."""
+        cohort, max_resident = 64, 128
+        result = _population_run(
+            1_000_000, cohort, max_resident,
+            FederationConfig(mode="async",
+                             availability=AvailabilityConfig.scenario("flaky")))
+        engine = result.extras["federation"]
+        assert engine["dispatched"] == cohort * engine["rounds"]
+        assert engine["dropped"] > 0 and engine["delayed"] > 0
+        assert engine["aggregations"] > 0  # the buffer actually drained
+        pool = result.extras["party_pool"]
+        assert pool["population"] == 1_000_000
+        assert pool["peak_resident"] <= max_resident + cohort
+        assert pool["models_built"] <= max_resident + cohort
+        assert pool["materialized"] >= pool["models_built"]
+        assert pool["resident"] <= max_resident
+
+    def test_memory_is_flat_in_the_population(self):
+        """10x the population must not move the allocation peak: memory is
+        O(resident), never O(population).  Quiet sync rounds, so the two
+        runs allocate the same shapes (a straggler backlog would size the
+        round bank by the luck of the draw)."""
+        def traced_peak(population: int) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                _population_run(population, cohort=16, max_resident=32)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_small = traced_peak(10_000)
+        peak_large = traced_peak(100_000)
+        assert peak_small > 0
+        assert peak_large / peak_small <= 1.25, (
+            f"peak memory grew {peak_large / peak_small:.3f}x from 10k to "
+            "100k parties — residency is leaking population state")
+
     def test_straggler_pinned_row_survives_party_eviction(self):
         """An async straggler's buffered report outlives its party's state.
 
@@ -502,8 +582,6 @@ class TestPopulationScaleRuns:
         party between its dispatch and its late arrival must not perturb the
         aggregate the report finally joins.
         """
-        from repro.federation.async_engine import FederationConfig
-
         spec = _diff_spec()
         ds = FederatedShiftDataset(spec)
         base = dataclasses.replace(
@@ -511,15 +589,15 @@ class TestPopulationScaleRuns:
             federation=FederationConfig(
                 mode="async",
                 availability=AvailabilityConfig(straggler_prob=0.6)))
-        eager = run_strategy(build_strategy("fedavg"), spec, base, seed=3,
-                             dataset=ds)
-        assert eager.extras["federation"]["delayed"] > 0
-        pooled = run_strategy(build_strategy("fedavg"), spec,
-                              _pooled_settings(base, spec.num_parties,
-                                               max_resident=2),
-                              seed=3, dataset=ds)
-        assert _canonical(pooled, pooled=True) == _canonical(eager)
-        assert pooled.extras["party_pool"]["evictions"] > 0
+        default = run_strategy(build_strategy("fedavg"), spec, base, seed=3,
+                               dataset=ds)
+        assert default.extras["federation"]["delayed"] > 0
+        bounded = run_strategy(build_strategy("fedavg"), spec,
+                               _pooled_settings(base, spec.num_parties,
+                                                max_resident=2),
+                               seed=3, dataset=ds)
+        assert _canonical(bounded, declared=True) == _canonical(default)
+        assert bounded.extras["party_pool"]["evictions"] > 0
 
 
 class TestOnlyReadSplitsAreGenerated:
@@ -543,8 +621,6 @@ class TestOnlyReadSplitsAreGenerated:
         materialization draws no train split, a train-only one no test
         split, and nothing is generated twice.
         """
-        from repro.federation.async_engine import FederationConfig
-
         spec = _diff_spec()
         events: list[tuple] = []
         record = self._record
@@ -600,7 +676,8 @@ class TestOnlyReadSplitsAreGenerated:
 
         spec = _diff_spec()
         ds = FederatedShiftDataset(spec)
-        pool = PartyPool(spec, ds, population=50, seed=0, max_resident=1)
+        pool = PartyPool(spec, ds, PopulationConfig(50, max_resident=1),
+                         seed=0)
         party = pool[20]
         party.data.split("test")  # the train generator is still pending
         data = weakref.ref(party.data)
@@ -612,9 +689,11 @@ class TestOnlyReadSplitsAreGenerated:
     def test_eager_runner_binds_generated_train_splits(self, monkeypatch):
         """Train splits exist before ``start_window`` is called (and timed).
 
-        The eager runner binds every party's window outside
+        The shift-response guard: at every window boundary the pool rebinds
+        its residents (``begin_window``) before the runner enters
         ``strategy.start_window``; if that bind left the train split pending,
-        its generation would land inside the measured shift response.
+        its generation would land inside the measured shift response.  Window
+        0 has no residents yet — its splits are generated on first touch.
         """
         spec = _diff_spec()
         events: list[tuple] = []
@@ -631,18 +710,23 @@ class TestOnlyReadSplitsAreGenerated:
             start = events.index(("start_window", None, window))
             trains = {i for i, e in enumerate(events)
                       if e[0] == "train" and e[2] == window}
+            # Every party is resident once window 0 has surveyed them all.
             assert {events[i][1] for i in trains} == set(range(spec.num_parties))
-            assert max(trains) < start
+            if window == 0:
+                assert min(trains) > start
+            else:
+                assert max(trains) < start
             # ... while the test split waits for the first evaluation.
             assert all(i > start for i, e in enumerate(events)
                        if e[0] == "test" and e[2] == window)
 
 
 class TestStrategyContextPoolSurface:
-    def test_sample_cohort_dict_path_matches_historic_draw(self):
+    def test_sample_cohort_matches_historic_draw(self):
+        """The pool-backed context draws the cohort the strategies always
+        drew: ``rng.choice(sorted(parties), k, replace=False)``."""
         spec = _diff_spec()
         ds = FederatedShiftDataset(spec)
-        from tests.conftest import make_context
         ctx = make_context(spec, ds)
         rng_a = spawn_rng(0, "select", "fedavg", 0, 0)
         rng_b = spawn_rng(0, "select", "fedavg", 0, 0)
@@ -656,8 +740,8 @@ class TestStrategyContextPoolSurface:
         spec = make_tiny_spec(name="unit_ctx_pool", num_parties=4,
                               num_windows=2, window_regimes=(("fog", 4),),
                               seed=61)
-        pool = PartyPool(spec, FederatedShiftDataset(spec), population=200,
-                         seed=0, survey=10)
+        pool = PartyPool(spec, FederatedShiftDataset(spec),
+                         PopulationConfig(200, survey=10), seed=0)
         ctx = StrategyContext(spec=spec, parties=pool,
                               model_factory=lambda: None,
                               round_config=make_run_settings().round_config,

@@ -201,6 +201,8 @@ class TestParamBank:
         views[0][0, 0] = 42.0
         assert bank.row(1)[0] == 42.0
         assert bank.matrix()[1, 0] == 42.0
+        # ... and flattening a row's views is the row itself, not a copy.
+        assert np.shares_memory(flatten_params(views), bank.row(1))
 
     def test_rows_roundtrip_values(self, rng):
         bank, sets = self.make_bank(rng)
