@@ -28,25 +28,30 @@ therefore reproduces the unmasked aggregate bit for bit at any precision.
 Session lifecycle through the round buffer
 ------------------------------------------
 One session covers one dispatch cohort.  Parties seal their bank rows at
-training time (:meth:`seal_row`); the rows then sit sealed in the
+training time (:meth:`seal_row`); the first seal expands every pair stream
+of the cohort once into the parties' net masks, and the session keeps one
+net vector per sealed row.  The rows then sit sealed in the
 :class:`~repro.federation.async_engine.AsyncRoundBuffer` for as long as the
 participation mode buffers them.  When an aggregation fires, the engine
 hands the ready set to :meth:`SecureAggregationSession.combine_rows` — the
 one place that reconstructs mask words, unseals exactly the rows entering
-the aggregate (they may span several dispatch sessions), runs the bank
-kernel, and scrubs the rows before they are released.  Reports dropped at a
+the aggregate (they may span several dispatch sessions; each unseal
+subtracts the held net vector and drops it), runs the bank kernel, and
+scrubs the rows before they are released.  Reports dropped at a
 window boundary are discarded *still sealed*: their masks are never
-reconstructed, so a flushed buffer leaks no residue.
+reconstructed and die with the session, so a flushed buffer leaks no
+residue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from repro.privacy.plan import resolve_threshold
-from repro.privacy.shamir import PRIME, reconstruct_secret, split_secret
+from repro.privacy.shamir import PRIME, lagrange_weights, split_secrets
 from repro.utils.params import ParamSpec, resolve_dtype
 from repro.utils.rng import spawn_rng
 
@@ -86,6 +91,21 @@ def _uint_dtype(dtype: np.dtype) -> np.dtype:
     raise ValueError(f"no seal domain for dtype {dtype}")
 
 
+def _draw_words(rng: np.random.Generator, dim: int, dtype) -> np.ndarray:
+    """``dim`` uniform words of Z_{2^w}, straight off the bit generator.
+
+    PCG64 hands out 64-bit words and serves 32-bit draws low half first, so
+    on a little-endian host this is byte for byte what
+    ``rng.integers(0, 2**w, size=dim, dtype=uint)`` returns, without the
+    bounded-integer loop.  On a big-endian host the ``uint32`` words come
+    out pairwise swapped — still uniform, and seal / unseal round-trip
+    exactly on any host because both sides draw through this one function.
+    """
+    udt = _uint_dtype(resolve_dtype(dtype))
+    raw = rng.bit_generator.random_raw(-(-dim * udt.itemsize // 8))
+    return raw.view(udt)[:dim]
+
+
 def seal_bits(shared_seed: int, party_a: int, party_b: int, dim: int,
               dtype=None, context: tuple = ()) -> np.ndarray:
     """The pairwise bit-domain mask: uniform words in Z_{2^w}.
@@ -96,9 +116,8 @@ def seal_bits(shared_seed: int, party_a: int, party_b: int, dim: int,
     so reusing party ids across rounds never reuses masks.
     """
     low, high = sorted((party_a, party_b))
-    udt = _uint_dtype(resolve_dtype(dtype))
     rng = spawn_rng(shared_seed, "seal-mask", *context, low, high)
-    return rng.integers(0, 2 ** (8 * udt.itemsize), size=dim, dtype=udt)
+    return _draw_words(rng, dim, dtype)
 
 
 def self_seal_bits(shared_seed: int, party_id: int, dim: int,
@@ -111,19 +130,26 @@ def self_seal_bits(shared_seed: int, party_id: int, dim: int,
     random even when the dispatch cohort degenerates to one party — the
     case where pairwise masks alone would leave the row plaintext.
     """
-    udt = _uint_dtype(resolve_dtype(dtype))
     rng = spawn_rng(shared_seed, "seal-self", *context, party_id)
-    return rng.integers(0, 2 ** (8 * udt.itemsize), size=dim, dtype=udt)
+    return _draw_words(rng, dim, dtype)
 
 
 class SecureAggregationSession:
     """The mask material of one dispatch cohort.
 
-    The session owns no storage: rows of the engine's stream bank are
+    The session owns no row storage: rows of the engine's stream bank are
     sealed *in place* in the exact bit domain (:meth:`seal_row`) and
     unsealed only inside :meth:`combine_rows`, when their aggregation
     fires.  ``context`` namespaces the mask streams (engine stream, tick,
     round tag) so distinct rounds of one run never share masks.
+
+    Every piece of mask material is paid for once.  The first seal expands
+    each pair stream once for the whole cohort (:meth:`_net_masks`) and the
+    session then holds one net vector per still-sealed row — the size of the
+    row it masks — until :meth:`unseal_row` consumes it or the session dies
+    with its expired reports.  In threshold mode every secret word is
+    derived once at construction and serves both endpoints' share bundles
+    and the recovery gate.
     """
 
     def __init__(self, cohort: list[int],
@@ -145,36 +171,49 @@ class SecureAggregationSession:
         self.threshold = resolve_threshold(threshold, len(self.cohort))
         self.ledger = ledger
         self._sealed: set[int] = set()
-        # (owner, word key) -> {holder: (x, y)}: the share matrix the server
-        # collects in the distribution round (threshold mode only).
-        self._shares: dict[tuple, dict[int, tuple[int, int]]] = {}
+        # party -> net mask, for every still-sealed row (and, between the
+        # first seal and the first unseal, the cohort members yet to seal).
+        self._nets: dict[int, np.ndarray] | None = None
+        # word key -> secret word, and owner -> {word key: [y at x = 1..n]}:
+        # the share matrix the server collects in the distribution round,
+        # holder ``cohort[i]`` at ``x = i + 1`` (threshold mode only).
+        self._words: dict[tuple, int] = {}
+        self._shares: dict[int, dict[tuple, list[int]]] = {}
         self._recovered: set[int] = set()
         if self.threshold is not None:
             self._distribute_shares()
 
     # ------------------------------------------------------------------ masks
 
-    def net_seal_bits(self, party_id: int) -> np.ndarray:
-        """The party's net bit-domain mask: personal mask + pair words.
+    def _net_masks(self, party_ids) -> dict[int, np.ndarray]:
+        """Net bit-domain masks of ``party_ids``: personal mask + pair words,
+        from one pass over the cohort's unordered pairs.
 
-        The personal (double-masking) term keeps the seal uniformly random
-        for any cohort size; the pairwise terms are the ones that would
-        cancel in the cohort's modular sum.
+        Each pair stream is expanded once, added to the lower party's net
+        and subtracted from the higher party's — the terms that cancel in
+        the cohort's modular sum.  The personal (double-masking) term keeps
+        the seal uniformly random for any cohort size.
         """
-        self._check_party(party_id)
         dim = self.spec.total_size
-        net = self_seal_bits(self.shared_seed, party_id, dim,
-                             dtype=self.dtype, context=self.context)
-        for other in self.cohort:
-            if other == party_id:
+        nets = {party_id: self_seal_bits(self.shared_seed, party_id, dim,
+                                         dtype=self.dtype,
+                                         context=self.context)
+                for party_id in party_ids}
+        for low, high in combinations(self.cohort, 2):
+            if low not in nets and high not in nets:
                 continue
-            bits = seal_bits(self.shared_seed, party_id, other, dim,
+            bits = seal_bits(self.shared_seed, low, high, dim,
                              dtype=self.dtype, context=self.context)
-            if party_id < other:
-                net += bits
-            else:
-                net -= bits
-        return net
+            if low in nets:
+                nets[low] += bits
+            if high in nets:
+                nets[high] -= bits
+        return nets
+
+    def net_seal_bits(self, party_id: int) -> np.ndarray:
+        """The party's net bit-domain mask (a fresh vector)."""
+        self._check_party(party_id)
+        return self._net_masks([party_id])[party_id]
 
     # ------------------------------------------------------ Shamir recovery
 
@@ -188,20 +227,15 @@ class SecureAggregationSession:
         rng = spawn_rng(self.shared_seed, label, *self.context, *ids)
         return int(rng.integers(PRIME))
 
-    def _secret_words(self, party_id: int) -> dict[tuple, int]:
-        """The word bundle party ``party_id`` splits: its personal-mask
-        word (Bonawitz's ``b_i``) plus one word per pairwise stream it
-        shares.  Pair words are keyed by the unordered pair, so either
-        endpoint's bundle recovers the seeds a dropped peer took down."""
-        words = {("self", party_id):
-                 self._secret_word("share-secret-self", party_id)}
-        for other in self.cohort:
-            if other == party_id:
-                continue
-            low, high = sorted((party_id, other))
-            words[("pair", low, high)] = self._secret_word(
-                "share-secret-pair", low, high)
-        return words
+    def _bundle_keys(self, party_id: int) -> list[tuple]:
+        """The keys of the word bundle party ``party_id`` splits: its
+        personal-mask word (Bonawitz's ``b_i``) plus one word per pairwise
+        stream it shares.  Pair words are keyed by the unordered pair, so
+        either endpoint's bundle recovers the seeds a dropped peer took
+        down."""
+        return [("self", party_id)] + [
+            ("pair", *sorted((party_id, other)))
+            for other in self.cohort if other != party_id]
 
     def _distribute_shares(self) -> None:
         """The share-distribution round: every party splits its word bundle
@@ -209,14 +243,21 @@ class SecureAggregationSession:
         what the ledger meters — its own share never transits the wire).
         """
         n = len(self.cohort)
+        for party_id in self.cohort:
+            self._words["self", party_id] = self._secret_word(
+                "share-secret-self", party_id)
+        for low, high in combinations(self.cohort, 2):
+            self._words["pair", low, high] = self._secret_word(
+                "share-secret-pair", low, high)
         transit = 0
         for owner in self.cohort:
-            for key, secret in self._secret_words(owner).items():
-                rng = spawn_rng(self.shared_seed, "share-split",
-                                *self.context, owner, *key)
-                shares = split_secret(secret, n, self.threshold, rng)
-                self._shares[(owner, key)] = dict(zip(self.cohort, shares))
-                transit += (n - 1) * SHARE_BYTES
+            keys = self._bundle_keys(owner)
+            rng = spawn_rng(self.shared_seed, "share-split",
+                            *self.context, owner)
+            values = split_secrets([self._words[key] for key in keys], n,
+                                   self.threshold, rng)
+            self._shares[owner] = dict(zip(keys, values))
+            transit += len(keys) * (n - 1) * SHARE_BYTES
         if self.ledger is not None and transit:
             self.ledger.record_wire("secure_agg", sent_bytes=transit,
                                     received_bytes=transit)
@@ -236,29 +277,33 @@ class SecureAggregationSession:
         """
         if self.threshold is None:
             return
-        pool = self.cohort if available is None else available
-        holders = [p for p in self.cohort if p in set(pool)]
+        pool = set(self.cohort if available is None else available)
+        holders = [i for i, p in enumerate(self.cohort) if p in pool]
         if len(holders) < self.threshold:
             raise IncompleteSubmissionError(
                 f"mask recovery needs {self.threshold} of "
                 f"{len(self.cohort)} share holders but only "
-                f"{len(holders)} are available ({holders}); refusing to "
+                f"{len(holders)} are available "
+                f"({[self.cohort[i] for i in holders]}); refusing to "
                 "reconstruct below threshold")
+        # Holder cohort[i] answers with its share at x = i + 1; the
+        # interpolation weights depend only on the quorum, not on the word.
         quorum = holders[:self.threshold]
+        weights = lagrange_weights(i + 1 for i in quorum)
         pulled = 0
         for party_id in party_ids:
             if party_id in self._recovered:
                 continue
             self._check_party(party_id)
-            for key, expected in self._secret_words(party_id).items():
-                shares = [self._shares[(party_id, key)][h] for h in quorum]
-                word = reconstruct_secret(shares)
-                if word != expected:
+            for key, values in self._shares[party_id].items():
+                word = sum(values[i] * w
+                           for i, w in zip(quorum, weights)) % PRIME
+                if word != self._words[key]:
                     raise RuntimeError(
                         f"share reconstruction for party {party_id} "
                         f"word {key} produced a mismatched secret — the "
                         "share matrix is corrupt")
-                pulled += len(shares) * SHARE_BYTES
+                pulled += len(quorum) * SHARE_BYTES
             self._recovered.add(party_id)
         if self.ledger is not None and pulled:
             self.ledger.record_wire("secure_agg", sent_bytes=0,
@@ -300,7 +345,11 @@ class SecureAggregationSession:
         if party_id in self._sealed:
             raise ValueError(f"party {party_id} already submitted")
         view = self._uint_view(row)
-        view += self.net_seal_bits(party_id)
+        if self._nets is None:
+            self._nets = self._net_masks(self.cohort)
+        elif party_id not in self._nets:  # sealing again after an unseal
+            self._nets[party_id] = self.net_seal_bits(party_id)
+        view += self._nets[party_id]
         self._sealed.add(party_id)
 
     def unseal_row(self, party_id: int, row: np.ndarray) -> None:
@@ -315,8 +364,12 @@ class SecureAggregationSession:
         if not self.is_recovered(party_id):
             self.recover([party_id])
         view = self._uint_view(row)
-        view -= self.net_seal_bits(party_id)
+        view -= self._nets.pop(party_id)
         self._sealed.discard(party_id)
+        # Unsealing follows the dispatch that seals: a cohort member without
+        # a sealed row by now (a zero-sample report) will not bring one.
+        for idle in self._nets.keys() - self._sealed:
+            del self._nets[idle]
 
     def is_sealed(self, party_id: int) -> bool:
         return party_id in self._sealed
