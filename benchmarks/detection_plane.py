@@ -1,0 +1,198 @@
+"""Where a shift response goes: what one MMD statistic and the bandwidth cost.
+
+Two measurements behind docs/ARCHITECTURE.md "The detection plane":
+
+    PYTHONPATH=src python benchmarks/detection_plane.py          # per-call table
+    PYTHONPATH=src python benchmarks/detection_plane.py --check  # equivalence
+
+The table times the statistics at the shapes the pinned plans score them at
+(embedding width 32, 10 classes, per-party Dirichlet(0.8) label priors): a
+party report (48 rows against the party's previous 48), cluster matching (a
+64-row cluster pool against 5 latent memories of 64), cluster fusion (two
+pooled 20-party clusters, 960 rows each), one ``jsd``, and the median-heuristic
+bandwidth with its ``tracemalloc`` peak at 24 / 32 / 40 parties' pooled rows.
+``--check`` runs a fixed seeded sweep and prints whether the bandwidth equals
+the inlined previous implementation bit for bit and the worst relative
+deviation of each statistic from it — the scoring is tolerance-pinned, not
+byte-pinned, so this line is what a verification quotes in place of a digest.
+Both use only names an older checkout also has, so pointing ``PYTHONPATH`` at
+its ``src`` gives the "before" column (and a deviation of exactly 0).
+Report-only; nothing gates on it and no file is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import time
+import tracemalloc
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as benchmarks/e2e pins it
+
+import numpy as np  # noqa: E402
+
+from repro.detection.divergence import jsd  # noqa: E402
+from repro.detection.mmd import (  # noqa: E402
+    class_conditional_mmd,
+    class_conditional_mmd_to_many,
+    median_heuristic_gamma,
+    mmd,
+    mmd_to_many,
+)
+from repro.utils.rng import spawn_rng  # noqa: E402
+
+DIM, CLASSES, ALPHA, ROWS = 32, 10, 0.8, 48
+
+
+def best_us(fn, calls: int, repeats: int = 25) -> float:
+    fn()
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, time.perf_counter() - start)
+    return best / calls * 1e6
+
+
+def party(rng, rows: int = ROWS, shift: float = 0.0):
+    """One party's labelled embeddings under its own Dirichlet label prior."""
+    labels = rng.choice(CLASSES, size=rows, p=rng.dirichlet(np.full(CLASSES, ALPHA)))
+    return rng.normal(size=(rows, DIM)) + 0.3 * labels[:, None] + shift, labels
+
+
+def pooled(rng, parties: int, rows: int = ROWS, shift: float = 0.0):
+    members = [party(rng, rows, shift) for _ in range(parties)]
+    return (np.vstack([e for e, _ in members]),
+            np.concatenate([lab for _, lab in members]))
+
+
+# ---------------------------------------------------------------- per-call table
+
+
+def call_table() -> None:
+    rng = spawn_rng(0, "detection-plane")
+    cur, cur_labels = party(rng)
+    prev, prev_labels = party(rng, shift=0.2)
+    gamma = median_heuristic_gamma(pooled(rng, 8)[0])
+    cluster, cluster_labels = pooled(rng, 4, rows=16)
+    memories = [pooled(rng, 4, rows=16, shift=0.2 * k) for k in range(5)]
+    signatures = [m for m, _ in memories]
+    signature_labels = [lab for _, lab in memories]
+    left, left_labels = pooled(rng, 20)
+    right, right_labels = pooled(rng, 20, shift=0.2)
+    hist_a, hist_b = rng.dirichlet(np.ones(CLASSES)), rng.dirichlet(np.ones(CLASSES))
+    rows = [
+        ("report: class_conditional_mmd, 48 vs 48", 40, lambda: class_conditional_mmd(
+            cur, cur_labels, prev, prev_labels, gamma)),
+        ("null draw: mmd, 64 vs 64", 40, lambda: mmd(cluster, signatures[0], gamma)),
+        ("matching: class_conditional_mmd_to_many, 64 vs 5 x 64", 10,
+         lambda: class_conditional_mmd_to_many(
+             cluster, cluster_labels, signatures, signature_labels, gamma)),
+        ("matching, untagged: mmd_to_many, 64 vs 5 x 64", 10,
+         lambda: mmd_to_many(cluster, signatures, gamma)),
+        ("fusion: class_conditional_mmd, 960 vs 960", 2, lambda: class_conditional_mmd(
+            left, left_labels, right, right_labels, gamma)),
+        ("jsd of two label histograms", 100, lambda: jsd(hist_a, hist_b)),
+    ]
+    print(f"width {DIM}, {CLASSES} classes, Dirichlet({ALPHA}) priors; best of 25")
+    for label, calls, fn in rows:
+        print(f"  {label:<56}{best_us(fn, calls):>10.1f} us")
+    for parties in (24, 32, 40):
+        sample = pooled(rng, parties)[0]
+        n = sample.shape[0]
+        elapsed_us = best_us(lambda: median_heuristic_gamma(sample), 1, repeats=5)
+        tracemalloc.start()
+        median_heuristic_gamma(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"  {f'bandwidth: median_heuristic_gamma, {n} rows':<56}"
+              f"{elapsed_us / 1e3:>10.1f} ms  peak {peak / 1e6:6.1f} MB"
+              f" = {peak / (n * n * 8):.2f} n^2 doubles")
+
+
+# ---------------------------------------------------------------- equivalence
+
+
+def _ref_sq_dists(x, y):
+    x_norm = (x ** 2).sum(axis=1)[:, None]
+    y_norm = (y ** 2).sum(axis=1)[None, :]
+    return np.maximum(x_norm + y_norm - 2.0 * (x @ y.T), 0.0)
+
+
+def ref_gamma(x, y=None):
+    pooled_rows = x if y is None else np.vstack([x, y])
+    d2 = _ref_sq_dists(pooled_rows, pooled_rows)
+    upper = d2[np.triu_indices_from(d2, k=1)]
+    med2 = float(np.median(upper)) if upper.size else 0.0
+    return 1.0 / (2.0 * med2) if med2 > 0 else 1.0
+
+
+def ref_mmd(x, y, gamma):
+    """The previous estimator: three distance matrices, three block means."""
+    kxx = np.exp(-gamma * _ref_sq_dists(x, x)).mean()
+    kyy = np.exp(-gamma * _ref_sq_dists(y, y)).mean()
+    kxy = np.exp(-gamma * _ref_sq_dists(x, y)).mean()
+    return float(np.sqrt(max(kxx + kyy - 2.0 * kxy, 0.0)))
+
+
+def ref_class_conditional_mmd(x, x_labels, y, y_labels, gamma, min_per_class=2):
+    total, weight = 0.0, 0
+    for c in np.intersect1d(np.unique(x_labels), np.unique(y_labels)):
+        a, b = x[x_labels == c], y[y_labels == c]
+        if a.shape[0] >= min_per_class and b.shape[0] >= min_per_class:
+            n = min(a.shape[0], b.shape[0])
+            total += ref_mmd(a, b, gamma) * n
+            weight += n
+    return float(total / weight) if weight else ref_mmd(x, y, gamma)
+
+
+def check(cases: int = 400) -> None:
+    worst = {"mmd": 0.0, "class_conditional_mmd": 0.0, "mmd_to_many": 0.0,
+             "class_conditional_mmd_to_many": 0.0}
+
+    def record(name, live, reference):
+        live, reference = np.atleast_1d(live), np.atleast_1d(reference)
+        worst[name] = max(worst[name], float(np.max(
+            np.abs(live - reference) / np.maximum(np.abs(reference), 1e-300))))
+
+    gamma_equal = True
+    for case in range(cases):
+        rng = spawn_rng(20, "detection-check", case)
+        x, xl = pooled(rng, int(rng.integers(1, 5)), rows=int(rng.integers(2, 49)))
+        targets = [pooled(rng, int(rng.integers(1, 5)), rows=int(rng.integers(2, 49)),
+                          shift=float(rng.uniform(0.0, 0.5)))
+                   for _ in range(int(rng.integers(1, 6)))]
+        if case % 5 == 0:  # a target that shares no class: unconditional fallback
+            targets[0] = (targets[0][0], targets[0][1] + CLASSES)
+        y, yl = targets[0]
+        gamma_equal &= median_heuristic_gamma(x, y) == ref_gamma(x, y)
+        gamma_equal &= median_heuristic_gamma(x) == ref_gamma(x)
+        gamma = ref_gamma(x, y) * float(rng.choice([0.5, 1.0, 2.0]))
+        record("mmd", mmd(x, y, gamma), ref_mmd(x, y, gamma))
+        record("class_conditional_mmd",
+               class_conditional_mmd(x, xl, y, yl, gamma),
+               ref_class_conditional_mmd(x, xl, y, yl, gamma))
+        record("mmd_to_many", mmd_to_many(x, [t for t, _ in targets], gamma),
+               [ref_mmd(x, t, gamma) for t, _ in targets])
+        record("class_conditional_mmd_to_many",
+               class_conditional_mmd_to_many(
+                   x, xl, [t for t, _ in targets], [lab for _, lab in targets], gamma),
+               [ref_class_conditional_mmd(x, xl, t, lab, gamma)
+                for t, lab in targets])
+    for rows in (1152, 1920):
+        sample = pooled(spawn_rng(20, "detection-check-wide", rows), rows // ROWS)[0]
+        gamma_equal &= median_heuristic_gamma(sample) == ref_gamma(sample)
+    print(f"{cases} seeded cases + bandwidth at 1152 and 1920 rows")
+    print(f"  median_heuristic_gamma == previous implementation: {gamma_equal}")
+    for name, deviation in worst.items():
+        print(f"  {name:<32} worst relative deviation {deviation:.2e}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true")
+    if parser.parse_args().check:
+        check()
+    else:
+        call_table()

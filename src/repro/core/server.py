@@ -23,7 +23,9 @@ Window life cycle:
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from repro.core.config import ShiftExConfig
 from repro.core.detector import PartyLocalState, PartyShiftReport, compute_party_report
 from repro.clustering.selection import select_num_clusters
 from repro.detection.calibration import CalibratedThresholds, ThresholdCalibrator
+from repro.detection.mmd import class_conditional_mmd
 from repro.experiments.registry import register_strategy
 from repro.experts.consolidation import consolidate_experts
 from repro.experts.matching import match_cluster_to_expert
@@ -120,13 +123,12 @@ class ShiftExStrategy(ContinualStrategy):
     def _collect_reports(self, window: int) -> dict[int, PartyShiftReport]:
         ctx = self.context
         assert self._encoder is not None
-        gamma = self.thresholds.gamma if self.thresholds is not None else None
         reports: dict[int, PartyShiftReport] = {}
         for pid, party in ctx.iter_parties():
             report, state = compute_party_report(
                 party, self._encoder,
                 self._party_state.get(pid),
-                gamma=gamma,
+                gamma=self.thresholds.gamma,
                 max_samples=self.config.embedding_samples,
                 stat_dtype=ctx.precision.np_detection_stats,
             )
@@ -200,7 +202,7 @@ class ShiftExStrategy(ContinualStrategy):
                 self.registry, self._tau, window,
                 ctx.rng("consolidate", window), self.assignments,
                 memory_epsilon=self._epsilon,
-                gamma=self.thresholds.gamma if self.thresholds else None,
+                gamma=self.thresholds.gamma,
             )
             window_log["merges"] = len(events)
             for event in events:
@@ -227,8 +229,9 @@ class ShiftExStrategy(ContinualStrategy):
         if len(groups) < 2:
             return groups
         assert self._epsilon is not None
-        gamma = self.thresholds.gamma if self.thresholds is not None else None
-        pooled = [np.vstack([reports[pid].embeddings for pid in g]) for g in groups]
+        pooled = [(np.vstack([reports[pid].embeddings for pid in g]),
+                   np.concatenate([reports[pid].labels for pid in g]))
+                  for g in groups]
         parent = list(range(len(groups)))
 
         def find(i: int) -> int:
@@ -237,15 +240,11 @@ class ShiftExStrategy(ContinualStrategy):
                 i = parent[i]
             return i
 
-        from repro.detection.mmd import class_conditional_mmd
-        pooled_labels = [np.concatenate([reports[pid].labels for pid in g])
-                         for g in groups]
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                score = class_conditional_mmd(pooled[i], pooled_labels[i],
-                                              pooled[j], pooled_labels[j], gamma)
-                if score <= self._epsilon:
-                    parent[find(j)] = find(i)
+        for i, j in itertools.combinations(range(len(groups)), 2):
+            score = class_conditional_mmd(*pooled[i], *pooled[j],
+                                          self.thresholds.gamma)
+            if score <= self._epsilon:
+                parent[find(j)] = find(i)
         merged: dict[int, list[int]] = {}
         for i, group in enumerate(groups):
             merged.setdefault(find(i), []).extend(group)
@@ -258,12 +257,11 @@ class ShiftExStrategy(ContinualStrategy):
         ctx = self.context
         pooled = np.vstack([reports[pid].embeddings for pid in members])
         pooled_labels = np.concatenate([reports[pid].labels for pid in members])
-        gamma = self.thresholds.gamma if self.thresholds is not None else None
         assert self._epsilon is not None
         matched_id: int | None = None
         if self.config.enable_latent_memory:
             match = match_cluster_to_expert(
-                pooled, self.registry, self._epsilon, gamma,
+                pooled, self.registry, self._epsilon, self.thresholds.gamma,
                 max_rows=self.config.memory_capacity,
                 rng=ctx.rng("match", window, members[0]),
                 cluster_labels=pooled_labels,
@@ -299,7 +297,6 @@ class ShiftExStrategy(ContinualStrategy):
                               window_log: dict) -> None:
         """Clusters below gamma fine-tune their assigned expert locally."""
         ctx = self.context
-        from dataclasses import replace
         finetune_config = replace(
             ctx.round_config.local,
             epochs=self.config.finetune_epochs,
@@ -337,7 +334,9 @@ class ShiftExStrategy(ContinualStrategy):
         if not self.config.enable_flips:
             return
         for eid, members in self._cohorts().items():
-            histograms = {pid: ctx.parties[pid].label_histogram() for pid in members}
+            # This window's histograms, as _collect_reports just stored them:
+            # asking the pool again would re-materialise evicted parties.
+            histograms = {pid: self._party_state[pid].histogram for pid in members}
             self._cohort_flips[eid] = FlipsSelector(
                 max_clusters=self.config.flips_max_clusters
             ).fit(histograms, ctx.rng("flips", window, eid))

@@ -11,10 +11,8 @@ from repro.detection.mmd import (
     rbf_kernel,
     median_heuristic_gamma,
     mmd2_biased,
-    mmd2_unbiased,
     mmd,
     class_conditional_mmd,
-    linear_time_mmd2,
 )
 from repro.detection.divergence import kl_divergence, jsd, jsd_max
 from repro.detection.drift import DriftMonitor, DriftVerdict
@@ -31,10 +29,8 @@ __all__ = [
     "rbf_kernel",
     "median_heuristic_gamma",
     "mmd2_biased",
-    "mmd2_unbiased",
     "mmd",
     "class_conditional_mmd",
-    "linear_time_mmd2",
     "kl_divergence",
     "jsd",
     "jsd_max",

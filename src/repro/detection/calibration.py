@@ -85,9 +85,10 @@ def bootstrap_party_mmd_null(party_pools: list[tuple[np.ndarray, np.ndarray]],
     """
     if not party_pools:
         raise ValueError("need at least one party pool")
+    party_pools = [(check_2d(embeddings, "party embeddings"), np.asarray(labels))
+                   for embeddings, labels in party_pools]
     for embeddings, labels in party_pools:
-        embeddings = check_2d(embeddings, "party embeddings")
-        if np.asarray(labels).shape != (embeddings.shape[0],):
+        if labels.shape != (embeddings.shape[0],):
             raise ValueError("labels must align with embedding rows")
     if num_bootstrap <= 0:
         raise ValueError("num_bootstrap must be positive")
@@ -100,9 +101,7 @@ def bootstrap_party_mmd_null(party_pools: list[tuple[np.ndarray, np.ndarray]],
         i1 = rng.choice(n, size=n, replace=True)
         i2 = rng.choice(n, size=n, replace=True)
         scores[b] = class_conditional_mmd(
-            embeddings[i1], np.asarray(labels)[i1],
-            embeddings[i2], np.asarray(labels)[i2], gamma,
-        )
+            embeddings[i1], labels[i1], embeddings[i2], labels[i2], gamma)
     return scores
 
 

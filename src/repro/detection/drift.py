@@ -133,7 +133,3 @@ class DriftMonitor:
         """Clear accumulated state (after the system has adapted)."""
         self._ewma = None
         self._cusum = 0.0
-
-    @property
-    def windows_observed(self) -> int:
-        return self._window + 1

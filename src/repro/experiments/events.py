@@ -70,10 +70,6 @@ class RunCallback:
         self._stop_reason = None
 
     @property
-    def stop_requested(self) -> bool:
-        return self._stop_reason is not None
-
-    @property
     def stop_reason(self) -> str | None:
         return self._stop_reason
 

@@ -116,7 +116,7 @@ def match_cluster_to_expert(cluster_embeddings: np.ndarray,
     eligible = _eligible_experts(registry, exclude)
     # Sealed scoring: when the registry carries a ScoreSeal, the cluster
     # pool and every memory signature are sign-sealed before they reach a
-    # kernel.  MMD is built from inner products and row differences, so the
+    # kernel.  MMD is built from inner products and squared norms, so the
     # seal cancels bitwise — class labels are stratification metadata, not
     # parameters, and stay as-is.
     signatures = [e.memory.signature for e in eligible]
@@ -124,9 +124,7 @@ def match_cluster_to_expert(cluster_embeddings: np.ndarray,
     if seal is not None:
         cluster_embeddings = seal.seal(cluster_embeddings)
         signatures = seal.seal_many(signatures)
-    # One batched evaluation over all expert memories: the cluster-side
-    # kernel blocks are computed once and the cross blocks come from a
-    # single stacked matmul, instead of a per-expert Python loop.
+    # Every (class x memory) pair joins one batched kernel evaluation.
     if cluster_labels is not None:
         score_values = class_conditional_mmd_to_many(
             cluster_embeddings, cluster_labels, signatures,

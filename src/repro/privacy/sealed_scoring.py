@@ -1,7 +1,7 @@
 """Sealed expert scoring: sign-sealed rows, bitwise-identical Gram products.
 
 Consolidation and matching score experts with cosine similarity and RBF
-MMD — both built entirely from inner products and row-difference squares.
+MMD — both built entirely from inner products and squared norms.
 Sealing every operand with one shared random ``±1`` vector ``s`` (one sign
 per feature dimension) therefore cancels *inside* each scalar product:
 
@@ -11,9 +11,10 @@ and IEEE-754 makes the cancellation exact bit for bit, not just
 algebraically: multiplying a float by ``±1.0`` only toggles the sign bit,
 so each term ``(s_i x_i)(s_i y_i)`` has the same bits as ``x_i y_i`` and
 the summation order is unchanged.  The same holds for squared norms
-(``(±a)² = a²``) and differences (``s_i a_i - s_i b_i = s_i (a_i - b_i)``),
-which covers every kernel in :mod:`repro.detection.mmd` — including the
-median-heuristic bandwidth — at float64 *and* float32.
+(``(±a)² = a²``) and for the scaled operand of the distance product
+(``-2 (s_i x_i) = s_i (-2 x_i)``), which covers every kernel in
+:mod:`repro.detection.mmd` — including the median-heuristic bandwidth — at
+float64 *and* float32.
 
 A sealed row is not uniformly random like the aggregation path's
 bit-domain seals (magnitudes survive; only signs are hidden), but it is

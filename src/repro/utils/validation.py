@@ -60,7 +60,9 @@ def check_probability_vector(p: np.ndarray, name: str = "distribution") -> np.nd
     if np.any(arr < -1e-12):
         raise ValueError(f"{name} has negative entries")
     total = float(arr.sum())
-    if not np.isclose(total, 1.0, atol=1e-6):
+    # np.isclose(total, 1.0, atol=1e-6) spelled out, its default rtol * |1.0|
+    # included; written negated so a NaN total is still rejected.
+    if not abs(total - 1.0) <= 1e-6 + 1e-5:
         raise ValueError(f"{name} must sum to 1; sums to {total}")
     return np.clip(arr, 0.0, None)
 

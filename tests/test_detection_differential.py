@@ -1,0 +1,469 @@
+"""Differential tests: the detection plane against the bodies it replaced.
+
+The ``ref_*`` functions are the previous MMD code kept verbatim — three
+distance matrices and three ``exp`` per pair, a Python loop of ``mmd`` calls
+per shared class, ``mmd_to_many``'s own x-side sharing, and a median
+heuristic that gathered the upper triangle through ``triu_indices``.  The
+live code scores every pair through one batched Gram
+(``repro.detection.mmd._mmd2_pairs``), which sums in another order, so the
+statistics are pinned to a tolerance (``rtol=1e-12, atol=1e-15``, set
+beforehand from the float64 arithmetic; the worst of 8,000 draws of the
+generator below was 5.5e-14) and the *decisions* of a run to equality; the bandwidth issues the same product and the same elementwise
+operations, so it is pinned bit for bit.  The work pin at the end fails at the
+parent, which held 2.5 ``n^2`` doubles.
+"""
+
+import importlib
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.data.federated import FederatedShiftDataset
+from repro.experiments.registry import build_strategy
+from repro.harness.runner import run_strategy
+from repro.privacy.sealed_scoring import ScoreSeal
+from repro.utils.rng import spawn_rng
+from repro.utils.serialization import run_result_to_dict
+from repro.utils.validation import check_2d
+from tests.conftest import make_run_settings, make_tiny_spec
+
+# The package re-exports the function ``mmd`` under the submodule's name.
+live = importlib.import_module("repro.detection.mmd")
+RTOL, ATOL = 1e-12, 1e-15
+
+# ---------------------------------------------------------------- Reference implementations
+
+
+def _ref_pairwise_sq_dists(x, y):
+    """Squared Euclidean distance matrix between rows of x and rows of y."""
+    x_norm = (x ** 2).sum(axis=1)[:, None]
+    y_norm = (y ** 2).sum(axis=1)[None, :]
+    d2 = x_norm + y_norm - 2.0 * (x @ y.T)
+    return np.maximum(d2, 0.0)
+
+
+def ref_median_heuristic_gamma(x, y=None):
+    x = check_2d(x, "x")
+    pooled = x if y is None else np.vstack([x, check_2d(y, "y")])
+    d2 = _ref_pairwise_sq_dists(pooled, pooled)
+    upper = d2[np.triu_indices_from(d2, k=1)]
+    if upper.size == 0:
+        return 1.0
+    med2 = float(np.median(upper))
+    if med2 <= 0:
+        return 1.0
+    return 1.0 / (2.0 * med2)
+
+
+def ref_rbf_kernel(x, y, gamma):
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    return np.exp(-gamma * _ref_pairwise_sq_dists(check_2d(x, "x"), check_2d(y, "y")))
+
+
+def ref_mmd2_biased(x, y, gamma=None):
+    x, y = check_2d(x, "x"), check_2d(y, "y")
+    if gamma is None:
+        gamma = ref_median_heuristic_gamma(x, y)
+    kxx = ref_rbf_kernel(x, x, gamma).mean()
+    kyy = ref_rbf_kernel(y, y, gamma).mean()
+    kxy = ref_rbf_kernel(x, y, gamma).mean()
+    return float(max(kxx + kyy - 2.0 * kxy, 0.0))
+
+
+def ref_mmd(x, y, gamma=None):
+    return float(np.sqrt(ref_mmd2_biased(x, y, gamma)))
+
+
+def ref_class_conditional_mmd(x, x_labels, y, y_labels, gamma=None,
+                              min_per_class=2):
+    x, y = check_2d(x, "x"), check_2d(y, "y")
+    x_labels = np.asarray(x_labels)
+    y_labels = np.asarray(y_labels)
+    if x_labels.shape != (x.shape[0],) or y_labels.shape != (y.shape[0],):
+        raise ValueError("labels must align with embedding rows")
+    if gamma is None:
+        gamma = ref_median_heuristic_gamma(x, y)
+    total, weight = 0.0, 0
+    for c in np.intersect1d(np.unique(x_labels), np.unique(y_labels)):
+        a = x[x_labels == c]
+        b = y[y_labels == c]
+        if a.shape[0] >= min_per_class and b.shape[0] >= min_per_class:
+            n = min(a.shape[0], b.shape[0])
+            total += ref_mmd(a, b, gamma) * n
+            weight += n
+    if weight == 0:
+        return ref_mmd(x, y, gamma)
+    return float(total / weight)
+
+
+def ref_mmd_to_many(x, ys, gamma=None):
+    x = check_2d(x, "x")
+    ys = [check_2d(y, "y") for y in ys]
+    if not ys:
+        return np.zeros(0)
+    if gamma is None:
+        return np.array([ref_mmd(x, y, None) for y in ys])
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    kxx_mean = np.exp(-gamma * _ref_pairwise_sq_dists(x, x)).mean()
+    stacked = np.vstack(ys)
+    kxy = np.exp(-gamma * _ref_pairwise_sq_dists(x, stacked))
+    out = np.empty(len(ys))
+    offset = 0
+    for i, y in enumerate(ys):
+        kyy_mean = np.exp(-gamma * _ref_pairwise_sq_dists(y, y)).mean()
+        kxy_mean = kxy[:, offset:offset + y.shape[0]].mean()
+        offset += y.shape[0]
+        out[i] = np.sqrt(max(kxx_mean + kyy_mean - 2.0 * kxy_mean, 0.0))
+    return out
+
+
+def ref_class_conditional_mmd_to_many(x, x_labels, ys, ys_labels, gamma=None,
+                                      min_per_class=2):
+    x = check_2d(x, "x")
+    x_labels = np.asarray(x_labels)
+    if x_labels.shape != (x.shape[0],):
+        raise ValueError("labels must align with embedding rows")
+    ys = [check_2d(y, "y") for y in ys]
+    ys_labels = [np.asarray(yl) for yl in ys_labels]
+    if len(ys) != len(ys_labels):
+        raise ValueError("ys and ys_labels must align")
+    for y, yl in zip(ys, ys_labels):
+        if yl.shape != (y.shape[0],):
+            raise ValueError("labels must align with embedding rows")
+    if not ys:
+        return np.zeros(0)
+    if gamma is None:
+        return np.array([
+            ref_class_conditional_mmd(x, x_labels, y, yl, None, min_per_class)
+            for y, yl in zip(ys, ys_labels)
+        ])
+    totals = np.zeros(len(ys))
+    weights = np.zeros(len(ys), dtype=int)
+    for c in np.unique(x_labels):
+        a = x[x_labels == c]
+        if a.shape[0] < min_per_class:
+            continue
+        members = [(i, ys[i][ys_labels[i] == c]) for i in range(len(ys))]
+        members = [(i, b) for i, b in members if b.shape[0] >= min_per_class]
+        if not members:
+            continue
+        vals = ref_mmd_to_many(a, [b for _i, b in members], gamma)
+        for (i, b), val in zip(members, vals):
+            n = min(a.shape[0], b.shape[0])
+            totals[i] += val * n
+            weights[i] += n
+    out = np.empty(len(ys))
+    conditioned = weights > 0
+    out[conditioned] = totals[conditioned] / weights[conditioned]
+    fallback = [i for i in range(len(ys)) if not conditioned[i]]
+    if fallback:
+        out[fallback] = ref_mmd_to_many(x, [ys[i] for i in fallback], gamma)
+    return out
+
+
+# ---------------------------------------------------------------- Inputs
+
+
+def labelled_set(rng, rows, dim, class_values, dtype=np.float64):
+    """``rows`` embeddings whose class means differ, tagged from
+    ``class_values`` (unsorted, non-contiguous) in shuffled order."""
+    labels = rng.choice(class_values, size=rows)
+    x = rng.normal(size=(rows, dim)) + 0.2 * (labels % 5)[:, None]
+    return x.astype(dtype), labels
+
+
+# seed, rows of x, rows of y, dim, classes, dtype, and the bandwidth as a
+# multiple of the pair's median heuristic (None: left to the function) — the
+# only bandwidths the system scores at.  There MMD^2 is >= ~1e-2 and the
+# reference's own rounding (three O(1) means, each good to an ulp) is 1e-14 of
+# the root.  Far below the heuristic the kernel is flat, MMD^2 is what is left
+# of a difference of near-equal means and no relative pin on the root holds for
+# either implementation: ``test_flat_kernel_is_pinned_on_the_square``.
+sets = st.tuples(st.integers(0, 2 ** 31), st.integers(2, 60), st.integers(2, 60),
+                 st.integers(1, 40), st.integers(2, 12),
+                 st.sampled_from([np.float64, np.float32]),
+                 st.sampled_from([None, 1.0, 4.0]))
+
+
+def bandwidth(scale, x, y):
+    return None if scale is None else scale * ref_median_heuristic_gamma(x, y)
+
+
+def close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=ATOL)
+
+
+# ---------------------------------------------------------------- The bandwidth, bit for bit
+
+
+class TestBandwidthIsBitIdentical:
+    @given(st.integers(0, 2 ** 31), st.integers(2, 300), st.integers(1, 40),
+           st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_gamma_equals_reference(self, seed, rows, dim, with_y, duplicated):
+        rng = spawn_rng(seed, "gamma")
+        x = rng.normal(size=(rows, dim)) * rng.uniform(0.1, 30.0)
+        if duplicated:  # repeated rows: zero distances inside the triangle
+            x[rng.integers(rows, size=rows // 2)] = x[0]
+        y = rng.normal(size=(rng.integers(1, 40), dim)) if with_y else None
+        assert live.median_heuristic_gamma(x, y) == ref_median_heuristic_gamma(x, y)
+
+    @pytest.mark.parametrize("rows", [127, 128, 129, 256, 257])
+    def test_block_edges(self, rows):
+        x = spawn_rng(rows, "edge").normal(size=(rows, 7))
+        assert live.median_heuristic_gamma(x) == ref_median_heuristic_gamma(x)
+
+    def test_degenerate_samples_fall_back_to_one(self):
+        coincident = np.full((9, 4), 2.5)
+        for x, y in [(coincident, None), (coincident, coincident[:3]),
+                     (np.ones((1, 3)), None)]:
+            assert live.median_heuristic_gamma(x, y) == 1.0
+            assert ref_median_heuristic_gamma(x, y) == 1.0
+
+    def test_input_is_not_overwritten(self):
+        x = spawn_rng(0, "keep").normal(size=(40, 5))
+        before = x.copy()
+        live.median_heuristic_gamma(x)
+        assert np.array_equal(x, before)
+
+
+# ---------------------------------------------------------------- Every statistic, to 1e-12
+
+
+class TestStatisticsMatchReference:
+    @given(sets)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_pair_statistics(self, case):
+        seed, n, m, dim, classes, dtype, gamma = case
+        rng = spawn_rng(seed, "pair")
+        values = rng.choice(200, size=classes, replace=False) - 50
+        x, xl = labelled_set(rng, n, dim, values, dtype)
+        # ``y`` draws from a shifted class set: some classes on one side only.
+        y, yl = labelled_set(rng, m, dim, np.append(values[1:], 999), dtype)
+        gamma = bandwidth(gamma, x, y)
+        close(live.mmd2_biased(x, y, gamma), ref_mmd2_biased(x, y, gamma))
+        close(live.mmd(x, y, gamma), ref_mmd(x, y, gamma))
+        close(live.class_conditional_mmd(x, xl, y, yl, gamma),
+              ref_class_conditional_mmd(x, xl, y, yl, gamma))
+        close(live.class_conditional_mmd(x, xl, y, yl, gamma, min_per_class=1),
+              ref_class_conditional_mmd(x, xl, y, yl, gamma, min_per_class=1))
+        if gamma is not None:
+            close(live.rbf_kernel(x, y, gamma), ref_rbf_kernel(x, y, gamma))
+
+    @given(sets, st.integers(0, 6))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_to_many_statistics(self, case, targets):
+        seed, n, m, dim, classes, dtype, gamma = case
+        rng = spawn_rng(seed, "many")
+        values = rng.choice(200, size=classes, replace=False)
+        x, xl = labelled_set(rng, n, dim, values, dtype)
+        ys, yls = [], []
+        for t in range(targets):
+            # Target 0 shares no class with ``x`` (the unconditional fallback).
+            pool = values + 1000 if t == 0 else values[: max(1, classes - t)]
+            y, yl = labelled_set(rng, int(rng.integers(2, m + 1)), dim, pool, dtype)
+            ys.append(y)
+            yls.append(yl)
+        gamma = bandwidth(gamma, x, x)
+        close(live.mmd_to_many(x, ys, gamma), ref_mmd_to_many(x, ys, gamma))
+        close(live.class_conditional_mmd_to_many(x, xl, ys, yls, gamma),
+              ref_class_conditional_mmd_to_many(x, xl, ys, yls, gamma))
+
+    def test_singleton_classes_and_fallback(self):
+        rng = spawn_rng(3, "single")
+        x, y = rng.normal(size=(6, 4)), rng.normal(size=(5, 4)) + 0.5
+        singles_x, singles_y = np.arange(6), np.arange(5)  # every class once
+        expected = ref_mmd(x, y, 0.2)
+        close(live.class_conditional_mmd(x, singles_x, y, singles_y, 0.2), expected)
+        close(ref_class_conditional_mmd(x, singles_x, y, singles_y, 0.2), expected)
+        close(live.class_conditional_mmd_to_many(
+            x, singles_x, [y, x], [singles_y, singles_x], 0.2),
+            ref_class_conditional_mmd_to_many(
+                x, singles_x, [y, x], [singles_y, singles_x], 0.2))
+
+    def test_mixed_sizes_split_into_batches(self):
+        """One huge class beside small ones, and a fallback pair beside class
+        pairs: the pad bound cuts batches, the values do not move."""
+        rng = spawn_rng(4, "mixed")
+        xl = np.repeat([0, 1, 2, 3], [300, 6, 3, 2])
+        yl = np.repeat([0, 1, 2, 3], [280, 2, 9, 4])
+        x = rng.normal(size=(xl.size, 16)) + xl[:, None]
+        y = rng.normal(size=(yl.size, 16)) + yl[:, None] + 0.1
+        close(live.class_conditional_mmd(x, xl, y, yl, 0.02),
+              ref_class_conditional_mmd(x, xl, y, yl, 0.02))
+        close(live.class_conditional_mmd_to_many(
+            x, xl, [y, y[:40]], [yl, np.full(40, 77)], 0.02),
+            ref_class_conditional_mmd_to_many(
+                x, xl, [y, y[:40]], [yl, np.full(40, 77)], 0.02))
+
+    def test_flat_kernel_is_pinned_on_the_square(self):
+        """A bandwidth a million times below the heuristic: every kernel value
+        is ~1, MMD^2 ~ 1e-6 is what survives of a difference of O(1) means, and
+        the few ulps by which two summation orders differ there are 1e-10 of it.
+        The square is pinned to those ulps; the root inherits them divided by
+        ``2 * MMD``."""
+        rng = spawn_rng(5, "flat")
+        x, y = rng.normal(size=(5, 1)), rng.normal(size=(2, 1)) + 0.3
+        gamma = 1e-6 * ref_median_heuristic_gamma(x, y)
+        square = ref_mmd2_biased(x, y, gamma)
+        assert 0 < square < 1e-4
+        np.testing.assert_allclose(live.mmd2_biased(x, y, gamma), square,
+                                   rtol=0, atol=ATOL)
+        np.testing.assert_allclose(live.mmd(x, y, gamma), ref_mmd(x, y, gamma),
+                                   rtol=0, atol=ATOL / (2 * np.sqrt(square)))
+
+    def test_empty_target_list(self):
+        x = np.ones((3, 2))
+        assert live.mmd_to_many(x, [], 0.5).shape == (0,)
+        assert live.class_conditional_mmd_to_many(x, [0, 1, 1], [], [], 0.5).shape == (0,)
+
+
+class TestSameRejections:
+    """Every input the reference rejects with ValueError, the live code does."""
+
+    x = np.arange(12.0).reshape(6, 2)
+    labels = np.array([0, 0, 1, 1, 2, 2])
+
+    @pytest.mark.parametrize("name, args", [
+        ("median_heuristic_gamma", (np.ones(4),)),
+        ("median_heuristic_gamma", (x, np.ones(4))),
+        ("median_heuristic_gamma", (np.ones((0, 3)),)),
+        ("rbf_kernel", (x, x, 0.0)),
+        ("rbf_kernel", (np.ones(3), x, 1.0)),
+        ("mmd2_biased", (x, x, -1.0)),
+        ("mmd2_biased", (np.ones((0, 2)), x, 1.0)),
+        ("mmd", (np.ones(5), np.ones(5))),
+        ("mmd", (x, x, 0.0)),
+        ("mmd", (x, np.ones((4, 3)), 1.0)),
+        ("class_conditional_mmd", (x, labels[:5], x, labels)),
+        ("class_conditional_mmd", (x, labels, x, labels[:, None])),
+        ("class_conditional_mmd", (x, labels, x, labels, 0.0)),
+        ("class_conditional_mmd", (x, labels, x, labels + 9, -2.0)),
+        ("class_conditional_mmd", (x, labels, np.ones(6), labels)),
+        ("mmd_to_many", (x, [x, np.ones(3)], 1.0)),
+        ("mmd_to_many", (x, [x], 0.0)),
+        ("mmd_to_many", (np.ones(3), [], 1.0)),
+        ("class_conditional_mmd_to_many", (x, labels[:4], [x], [labels], 1.0)),
+        ("class_conditional_mmd_to_many", (x, labels, [x, x], [labels], 1.0)),
+        ("class_conditional_mmd_to_many", (x, labels, [x], [labels[:3]], 1.0)),
+        ("class_conditional_mmd_to_many", (x, labels, [x], [labels], 0.0)),
+        ("class_conditional_mmd_to_many", (x, labels, [x], [labels + 9], -1.0)),
+    ])
+    def test_value_errors(self, name, args):
+        with pytest.raises(ValueError):
+            globals()[f"ref_{name}"](*args)
+        with pytest.raises(ValueError):
+            getattr(live, name)(*args)
+
+
+# ---------------------------------------------------------------- Sealed == plain, bitwise
+
+
+class TestSealedScoringStaysBitwise:
+    @given(sets)
+    @settings(max_examples=40, deadline=None)
+    def test_sign_sealed_inputs_score_bitwise_equal(self, case):
+        """Products ``(x_k s_k)(y_k s_k)`` are exact, and the stacked product
+        sums them in the order it sums ``x_k y_k``."""
+        seed, n, m, dim, classes, dtype, gamma = case
+        rng = spawn_rng(seed, "seal")
+        values = np.arange(classes)
+        x, xl = labelled_set(rng, n, dim, values, dtype)
+        y, yl = labelled_set(rng, m, dim, values, dtype)
+        gamma = bandwidth(gamma, x, y)
+        seal = ScoreSeal(seed=seed)
+        sx, sy = seal.seal(x), seal.seal(y)
+        assert live.median_heuristic_gamma(sx, sy) == live.median_heuristic_gamma(x, y)
+        assert live.mmd(sx, sy, gamma) == live.mmd(x, y, gamma)
+        assert (live.class_conditional_mmd(sx, xl, sy, yl, gamma)
+                == live.class_conditional_mmd(x, xl, y, yl, gamma))
+        assert np.array_equal(live.mmd_to_many(sx, [sy, sx], gamma),
+                              live.mmd_to_many(x, [y, x], gamma))
+        assert np.array_equal(
+            live.class_conditional_mmd_to_many(sx, xl, [sy, sx], [yl, xl], gamma),
+            live.class_conditional_mmd_to_many(x, xl, [y, x], [yl, xl], gamma))
+
+
+# ---------------------------------------------------------------- Work and decision pins
+
+
+def test_bandwidth_holds_one_distance_matrix():
+    """Peak traced memory of the 1,536-row bandwidth: the ``n x n`` buffer
+    plus one block of rows.  The parent held 2.5 ``n^2`` doubles (``d2``, two
+    int64 index arrays, the gathered triangle, ``np.median``'s copy)."""
+    x = spawn_rng(0, "work").normal(size=(1536, 32))
+    tracemalloc.start()
+    try:
+        gamma = live.median_heuristic_gamma(x)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gamma == ref_median_heuristic_gamma(x)
+    assert peak <= 1.25 * 1536 * 1536 * 8
+
+
+PATCHED = {
+    "repro.core.detector": ("class_conditional_mmd",),
+    "repro.core.server": ("class_conditional_mmd",),
+    "repro.detection.calibration": ("class_conditional_mmd",
+                                    "median_heuristic_gamma", "mmd"),
+    "repro.experts.matching": ("class_conditional_mmd_to_many", "mmd_to_many"),
+    "repro.experts.consolidation": ("class_conditional_mmd",),
+}
+
+
+def _shiftex_run(spec, dataset):
+    strategy = build_strategy("shiftex")
+    result = run_strategy(strategy, spec, make_run_settings(participants=5),
+                          seed=0, dataset=dataset)
+    return strategy, run_result_to_dict(result)
+
+
+def test_a_run_decides_the_same_with_the_reference_functions(monkeypatch):
+    """A ShiftEx run over two recurring regimes — reports, calibration,
+    cluster fusion, matching (create, then reuse), the consolidation gate —
+    executed with the live functions and again with the reference functions
+    in every module that scores: same accuracy series, shift log, assignment
+    history and ledger, byte-equal bandwidth, thresholds to 1e-12."""
+    spec = make_tiny_spec(name="unit_detection_diff", num_parties=16,
+                          num_windows=5, train=32, seed=71, label_shift=True,
+                          window_regimes=(("invert_polarity", 4), ("fog", 4),
+                                          ("invert_polarity", 4), ("fog", 4)))
+    dataset = FederatedShiftDataset(spec)
+    live_strategy, live_result = _shiftex_run(spec, dataset)
+    scored = set()
+
+    def counted(module, name):
+        reference = globals()[f"ref_{name}"]
+
+        def scoring(*args):
+            scored.add(module)
+            return reference(*args)
+        return scoring
+
+    for module, names in PATCHED.items():
+        for name in names:
+            monkeypatch.setattr(importlib.import_module(module), name,
+                                counted(module, name))
+    ref_strategy, ref_result = _shiftex_run(spec, dataset)
+
+    assert scored == set(PATCHED)  # every scoring site was reached
+    actions = {c["action"] for log in live_strategy.shift_log
+               for c in log["clusters"]}
+    assert {"create", "reuse"} <= actions
+    thresholds = ("delta_cov", "delta_label", "epsilon")
+    for live_state, ref_state in zip(live_result.pop("state_log"),
+                                     ref_result.pop("state_log"), strict=True):
+        for field in thresholds:
+            close(live_state.pop(field), ref_state.pop(field))
+        assert live_state == ref_state
+    assert live_result == ref_result  # window series, summaries, ledger
+    assert live_strategy.shift_log == ref_strategy.shift_log
+    assert live_strategy.assignment_history == ref_strategy.assignment_history
+    assert live_strategy.thresholds.gamma == ref_strategy.thresholds.gamma
+    close(live_strategy.thresholds.epsilon_base,
+          ref_strategy.thresholds.epsilon_base)

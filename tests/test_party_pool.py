@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import ShiftExStrategy
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.registry import build_strategy, strategy_names
@@ -38,6 +39,7 @@ from repro.federation.pool import (
 )
 from repro.federation.rounds import run_fl_round
 from repro.federation.strategy import StrategyContext
+from repro.flips.selector import FlipsSelector
 from repro.harness.profiles import RunSettings
 from repro.utils.precision import PrecisionPlan
 from repro.harness.runner import run_strategy
@@ -719,6 +721,46 @@ class TestOnlyReadSplitsAreGenerated:
             # ... while the test split waits for the first evaluation.
             assert all(i > start for i, e in enumerate(events)
                        if e[0] == "test" and e[2] == window)
+
+
+class TestShiftResponseReadsStoredHistograms:
+    def test_start_window_materializes_at_most_the_survey(self, monkeypatch):
+        """A shift response touches each surveyed party once, for its report.
+
+        ``_fit_cohort_flips`` reads the histograms those reports stored; it
+        used to ask the pool for every party again, which under a residency
+        bound re-materialised the ones evicted since (and regenerated a train
+        split each just to count its labels).  The selectors it fits are the
+        ones that path fitted."""
+        spec, survey = _diff_spec(), 12
+        rises = []
+        start_window = ShiftExStrategy.start_window
+
+        def watched(self, window):
+            pool = self.context.parties
+            before = pool.summary()["materialized"]
+            start_window(self, window)
+            if window == 0:
+                return
+            rises.append(pool.summary()["materialized"] - before)
+            for eid, members in self._cohorts().items():
+                asked_again = FlipsSelector(
+                    max_clusters=self.config.flips_max_clusters,
+                ).fit({pid: pool[pid].label_histogram() for pid in members},
+                      self.context.rng("flips", window, eid))
+                assert asked_again.clusters == self._cohort_flips[eid].clusters
+
+        monkeypatch.setattr(ShiftExStrategy, "start_window", watched)
+        settings_ = dataclasses.replace(
+            _pooled_settings(make_run_settings(rounds_burn_in=2,
+                                               rounds_per_window=2),
+                             {"size": 5000, "max_resident": 3,
+                              "survey": survey}),
+            eval_parties=8)
+        result = run_strategy(build_strategy("shiftex"), spec, settings_,
+                              seed=0, dataset=FederatedShiftDataset(spec))
+        assert result.extras["party_pool"]["evictions"] > 0
+        assert rises and max(rises) <= survey
 
 
 class TestStrategyContextPoolSurface:

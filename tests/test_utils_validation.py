@@ -59,6 +59,32 @@ class TestProbabilityVector:
         with pytest.raises(ValueError):
             check_probability_vector(np.array([]))
 
+    @pytest.mark.parametrize("edge", [1.0 - 1.1e-5, 1.0 + 1.1e-5])
+    def test_sum_tolerance_is_numpys_isclose(self, edge):
+        """The inlined test accepts and rejects exactly what
+        ``np.isclose(total, 1.0, atol=1e-6)`` does, ulp by ulp across both
+        edges of its ``atol + rtol * |1.0|`` band."""
+        total, verdicts = edge, set()
+        for _ in range(32):
+            total = np.nextafter(total, 0.0)
+        for _ in range(64):
+            total = np.nextafter(total, 2.0)
+            vector = np.array([total])
+            assert vector.sum() == total
+            accepted = bool(np.isclose(total, 1.0, atol=1e-6))
+            verdicts.add(accepted)
+            if accepted:
+                check_probability_vector(vector)
+            else:
+                with pytest.raises(ValueError):
+                    check_probability_vector(vector)
+        assert verdicts == {True, False}  # the sweep straddles the edge
+
+    @pytest.mark.parametrize("total", [np.nan, np.inf])
+    def test_rejects_non_finite_sum(self, total):
+        with pytest.raises(ValueError):
+            check_probability_vector(np.array([total]))
+
 
 class TestNormalizeHistogram:
     def test_normalizes_counts(self):
