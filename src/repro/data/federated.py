@@ -224,14 +224,16 @@ class FederatedShiftDataset:
         so a million-party population has a million distinct datasets over
         ``num_parties`` schedule slots.  A virtual window comes back with both
         splits pending: the :class:`~repro.federation.pool.PartyPool` binds
-        one per materialization and window, and a party materialized only to
-        evaluate (or only to train) generates only the split it reads.
+        one per materialization and window and the runner's
+        :class:`~repro.harness.runner.EvaluatedParties` one per evaluated id
+        and window, and each generates only the split it reads (train for a
+        party that only trains, test for one that is only measured).
         Virtual windows are *not* cached — they are regenerated on the next
-        materialization, which is what keeps memory flat in the population
-        size.  In-schedule ids delegate to :meth:`party_window` (cached,
-        train split generated).  This is the pool's one entry point; the two
-        methods stay separate names because the frozen e2e tracer resolves
-        each.
+        bind, which is what keeps memory flat in the population size.
+        In-schedule ids delegate to :meth:`party_window` (cached, train
+        split generated).  This is the one entry point of both binders; the
+        two methods stay separate names because the frozen e2e tracer
+        resolves each.
         """
         if party < 0:
             raise ValueError(f"party {party} out of range")

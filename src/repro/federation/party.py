@@ -93,6 +93,11 @@ class Party:
         """Normalized train-label histogram (reported to the aggregator)."""
         return self.data.label_histogram(self.num_classes)
 
+    def _split(self, split: str) -> tuple[np.ndarray, np.ndarray]:
+        if split not in ("train", "test"):
+            raise ValueError(f"split must be 'test' or 'train'; got {split!r}")
+        return self.data.split(split)
+
     # ------------------------------------------------------------------ protocol ops
 
     def local_train(self, params: Params, config: LocalTrainingConfig,
@@ -127,13 +132,8 @@ class Party:
         split as a third element, from the same single forward pass — the
         cheap path when a caller needs both metrics and representations.
         """
+        x, y = self._split(split)
         self._model.set_params(params)
-        if split == "test":
-            x, y = self.data.x_test, self.data.y_test
-        elif split == "train":
-            x, y = self.data.x_train, self.data.y_train
-        else:
-            raise ValueError("split must be 'test' or 'train'")
         return evaluate(self._model, x, y, return_features=return_features)
 
     def loss_on(self, params: Params, split: str = "train") -> float:
@@ -160,11 +160,8 @@ class Party:
         detection statistics locally (Algorithm 1); only embeddings, the
         label *histogram*, and scalar scores are transmitted.
         """
+        x, y = self._split(split)
         self._model.set_params(params)
-        if split == "train":
-            x, y = self.data.x_train, self.data.y_train
-        else:
-            x, y = self.data.x_test, self.data.y_test
         if max_samples is not None and x.shape[0] > max_samples:
             rng = spawn_rng(self.seed, "party-embed", self.party_id, split)
             idx = rng.choice(x.shape[0], size=max_samples, replace=False)

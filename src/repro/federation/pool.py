@@ -6,9 +6,8 @@ and :class:`PartyPool` holds the live
 :class:`~repro.federation.party.Party` only while it is resident: on first
 touch it binds a model replica from a small reusable free list and the
 party's window data, of which only the split an operation reads is ever
-generated (an evaluate-only materialization never draws a train split);
-under a ``max_resident`` bound the least recently used party is evicted
-again.  The run's :class:`PopulationConfig` declares size and policy —
+generated; under a ``max_resident`` bound the least recently used party is
+evicted again.  The run's :class:`PopulationConfig` declares size and policy —
 how many parties exist, the residency bound, the participation skew, the
 survey cap — and an undeclared population is the dataset's own
 ``spec.num_parties`` parties, unbounded and uniform.  Because every piece of
@@ -43,6 +42,12 @@ Residency invariants
    materialization and rebound by ``begin_window``, which the runner calls
    before ``strategy.start_window`` — so the window boundary's data
    generation happens ahead of the shift response, not inside it.
+6. **Measurement does not touch residency.**  The pool serves protocol ops
+   only (training, reports, surveys).  The runner's per-round accuracy sweep
+   runs on its own parties, outside the LRU
+   (:class:`~repro.harness.runner.EvaluatedParties`), so the counters below
+   are the same for any ``eval_parties`` and a sweep can never evict the
+   residents the next cohort would have hit.
 """
 
 from __future__ import annotations

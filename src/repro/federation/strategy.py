@@ -9,7 +9,8 @@ across windows.  The harness drives it through the window/round life cycle:
         strategy.start_window(window)            # shift reaction happens here
         for each round:
             strategy.run_round(window, round)    # one FL round
-            evaluate: strategy.params_for_party(p) on every party's test set
+            measure: strategy.params_for_party(p) on the runner's own
+                     evaluated parties (harness.runner.EvaluatedParties)
 
 ``params_for_party`` is the per-party inference model: the single global
 model for FedProx/OORT, the cluster model for Fielding/FedDrift, the
@@ -206,22 +207,6 @@ class ContinualStrategy:
         if self.ctx is None:
             raise RuntimeError(f"strategy '{self.name}' is not set up")
         return self.ctx
-
-    def evaluate_all_parties(self) -> dict[int, float]:
-        """Per-party test accuracy under each party's assigned model.
-
-        Iterates the context's survey order, so a population with a survey
-        cap evaluates that subset instead of materializing every party.
-        """
-        ctx = self.context
-        return {
-            pid: party.evaluate(self.params_for_party(pid))[0]
-            for pid, party in ctx.iter_parties()
-        }
-
-    def mean_accuracy(self) -> float:
-        accs = self.evaluate_all_parties()
-        return float(np.mean(list(accs.values())))
 
     def describe_state(self) -> dict:
         """Strategy-specific state summary (expert counts etc.)."""

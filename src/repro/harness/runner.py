@@ -1,5 +1,11 @@
 """Drive one strategy through the continual-FL life cycle.
 
+Evaluation is the runner's *measurement*, not a protocol operation, and it
+does not touch the residency it measures: the evaluated parties are the
+runner's own (:class:`EvaluatedParties`), outside the
+:class:`~repro.federation.pool.PartyPool`, so the pool and its counters see
+protocol ops (training, reports, surveys) only.
+
 Cross-cutting behavior (progress output, checkpoints, early stop) hooks in
 through :class:`~repro.experiments.events.RunCallback` objects passed as
 ``callbacks`` — the runner fires ``on_run_start`` / ``on_round_end`` /
@@ -20,6 +26,7 @@ from repro.detection.thresholds import load_threshold_table
 from repro.experiments.events import RunCallback, RunInfo, first_stop_reason
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.async_engine import FederationEngine
+from repro.federation.party import Party
 from repro.federation.pool import PartyPool
 from repro.federation.strategy import ContinualStrategy, StrategyContext
 from repro.harness.profiles import RunSettings
@@ -53,6 +60,35 @@ class StrategyRunResult:
         return [max(series) for series in self.window_series]
 
 
+class EvaluatedParties:
+    """The parties a run is measured on: one :class:`Party` per id, no pool.
+
+    All share one model replica (every ``evaluate`` starts with
+    ``set_params``: pool invariant 2) and are rebound once per window.  An
+    in-schedule id binds the dataset's cached window — the object the pool
+    binds too, so nothing is generated twice; a virtual id's window is its
+    own and generates only the test split it reads, held until the next
+    ``begin_window`` drops it.  O(evaluated ids) arrays, whatever the
+    population.
+    """
+
+    def __init__(self, spec: DatasetSpec, dataset: FederatedShiftDataset,
+                 ids: Sequence[int], model) -> None:
+        self.dataset = dataset
+        self.parties = [Party(pid, model, spec.num_classes) for pid in ids]
+
+    def begin_window(self, window: int) -> None:
+        for party in self.parties:
+            party.set_window_data(
+                self.dataset.virtual_party_window(party.party_id, window))
+
+    def mean_accuracy_pct(self, strategy: ContinualStrategy) -> float:
+        """Mean test accuracy (%) under each party's assigned model."""
+        accs = [party.evaluate(strategy.params_for_party(party.party_id))[0]
+                for party in self.parties]
+        return 100.0 * float(np.mean(accs))
+
+
 def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
                  settings: RunSettings, seed: int = 0,
                  dataset: FederatedShiftDataset | None = None,
@@ -61,9 +97,10 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
     """Run one strategy over every window of a dataset spec.
 
     Per window: move the party pool to the window (resident parties get
-    their new data), let the strategy react (``start_window``), evaluate the
-    post-shift entry accuracy, train for the window's rounds evaluating after
-    each, then close the window.  Returns accuracy in percent.
+    their new data), let the strategy react (``start_window``), rebind the
+    evaluated parties and measure the post-shift entry accuracy, train for
+    the window's rounds measuring after each, then close the window.
+    Returns accuracy in percent.
 
     ``callbacks`` observe the run (see :mod:`repro.experiments.events`); a
     stop request ends the run after the window in which it was raised, with
@@ -126,11 +163,7 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
             num_parties, size=eval_count, replace=False))
     else:
         eval_ids = sorted(parties)
-
-    def mean_accuracy_pct() -> float:
-        accs = [parties[pid].evaluate(strategy.params_for_party(pid))[0]
-                for pid in eval_ids]
-        return 100.0 * float(np.mean(accs))
+    evaluated = EvaluatedParties(spec, ds, eval_ids, model_factory())
 
     window_series: list[list[float]] = []
     state_log: list[dict] = []
@@ -159,11 +192,14 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         parties.begin_window(window)
         engine.begin_window(window)
         strategy.start_window(window)
-        series = [mean_accuracy_pct()]
+        # After the (timed) shift response: an in-schedule id whose window
+        # no resident holds yet generates its train split at this bind.
+        evaluated.begin_window(window)
+        series = [evaluated.mean_accuracy_pct(strategy)]
         for round_index in range(settings.rounds_for_window(window)):
             engine.advance((window, round_index))
             strategy.run_round(window, round_index)
-            accuracy = mean_accuracy_pct()
+            accuracy = evaluated.mean_accuracy_pct(strategy)
             series.append(accuracy)
             for cb in callbacks:
                 cb.on_round_end(info, window, round_index, accuracy)

@@ -11,6 +11,7 @@ from repro.federation.pool import PartyPool
 from repro.federation.rounds import RoundConfig
 from repro.federation.strategy import StrategyContext
 from repro.harness.profiles import RunSettings
+from repro.harness.runner import EvaluatedParties
 from repro.nn.models import build_model
 from repro.nn.training import LocalTrainingConfig
 from repro.utils.rng import spawn_rng
@@ -77,6 +78,17 @@ def make_context(spec: DatasetSpec, dataset: FederatedShiftDataset,
         round_config=settings.round_config,
         seed=seed,
     )
+
+
+def mean_accuracy(strategy, dataset: FederatedShiftDataset,
+                  window: int) -> float:
+    """Mean test accuracy (0..1) of a hand-driven strategy on ``window``,
+    measured the way the runner measures a run."""
+    ctx = strategy.context
+    evaluated = EvaluatedParties(ctx.spec, dataset, ctx.party_ids,
+                                 ctx.model_factory())
+    evaluated.begin_window(window)
+    return evaluated.mean_accuracy_pct(strategy) / 100.0
 
 
 @pytest.fixture(scope="session")

@@ -60,6 +60,20 @@ class TestParty:
         with pytest.raises(ValueError):
             party.evaluate(params, "val")
 
+    def test_unknown_split_rejected_by_every_op(self, tiny_spec, tiny_dataset, rng):
+        """``embeddings_with_labels`` used to read the test split for any
+        name but "train"; every op now rejects what ``evaluate`` rejects."""
+        model = build_model("mlp", tiny_spec.input_shape, tiny_spec.num_classes, rng)
+        party = Party(0, model, tiny_spec.num_classes)
+        party.set_window_data(tiny_dataset.party_window(0, 0))
+        params = model.get_params()
+        for op in (party.evaluate, party.loss_on, party.embeddings,
+                   party.embeddings_with_labels):
+            with pytest.raises(ValueError, match="split must be.*'val'"):
+                op(params, "val")
+        _features, labels = party.embeddings_with_labels(params, "test")
+        assert labels.shape == (tiny_spec.test_per_window,)
+
     def test_embeddings_shape_and_subsample(self, tiny_spec, tiny_dataset, rng):
         model = build_model("mlp", tiny_spec.input_shape, tiny_spec.num_classes, rng)
         party = Party(0, model, tiny_spec.num_classes)

@@ -16,6 +16,7 @@ import dataclasses
 import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from repro.federation.strategy import StrategyContext
 from repro.flips.selector import FlipsSelector
 from repro.harness.profiles import RunSettings
 from repro.utils.precision import PrecisionPlan
-from repro.harness.runner import run_strategy
+from repro.harness.runner import EvaluatedParties, run_strategy
 from repro.nn.models import build_model
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
@@ -619,9 +620,11 @@ class TestOnlyReadSplitsAreGenerated:
         """Spy on ``_generate_split`` through a pooled async ShiftEx run.
 
         Between two data binds of a virtual party, the splits generated are
-        exactly the splits some protocol op read: an evaluate-only
-        materialization draws no train split, a train-only one no test
-        split, and nothing is generated twice.
+        exactly the splits some op read, and nothing is generated twice.
+        There are two bind sites: the pool (one per materialization, plus a
+        rebind of every resident per window) for protocol ops, none of which
+        reads a test split, and the runner's evaluated parties (one per id
+        and window), which read nothing else.
         """
         spec = _diff_spec()
         events: list[tuple] = []
@@ -653,6 +656,9 @@ class TestOnlyReadSplitsAreGenerated:
         result = run_strategy(build_strategy("shiftex"), spec, settings_,
                               seed=0, dataset=FederatedShiftDataset(spec))
         assert result.extras["party_pool"]["evictions"] > 0
+        binds = sum(kind == "bind" for kind, _party, _split in events)
+        assert binds == (result.extras["party_pool"]["data_binds"]
+                         + 8 * spec.num_windows)
 
         # One entry per bind of a virtual party: what it generated / read
         # until the next bind of the same party.
@@ -670,12 +676,12 @@ class TestOnlyReadSplitsAreGenerated:
             assert len(epoch["generate"]) == len(set(epoch["generate"]))
             assert set(epoch["generate"]) == set(epoch["read"])
         read_sets = {frozenset(e["read"]) for e in epochs}
-        assert frozenset({"test"}) in read_sets   # evaluate-only
-        assert frozenset({"train"}) in read_sets  # train-only
+        # An evaluated party's window or a pool resident's (rebound and not
+        # touched again reads nothing), never a mix.
+        assert read_sets - {frozenset()} == {frozenset({"test"}),
+                                             frozenset({"train"})}
 
     def test_eviction_drops_generated_and_pending_splits(self):
-        import weakref
-
         spec = _diff_spec()
         ds = FederatedShiftDataset(spec)
         pool = PartyPool(spec, ds, PopulationConfig(50, max_resident=1),
@@ -721,6 +727,101 @@ class TestOnlyReadSplitsAreGenerated:
             # ... while the test split waits for the first evaluation.
             assert all(i > start for i, e in enumerate(events)
                        if e[0] == "test" and e[2] == window)
+
+
+def _zipf_settings(eval_parties: int = 8, max_resident: int = 3,
+                   cohort: int = 4) -> RunSettings:
+    base = make_run_settings(rounds_burn_in=2, rounds_per_window=2,
+                             participants=cohort, epochs=1)
+    return dataclasses.replace(
+        _pooled_settings(base, {"size": 5000, "max_resident": max_resident,
+                                "skew": "zipf", "survey": 12}),
+        eval_parties=eval_parties,
+        federation=FederationConfig(
+            mode="async", availability=AvailabilityConfig(straggler_prob=0.4)))
+
+
+class TestMeasurementDoesNotTouchResidency:
+    """Evaluation is the runner's: its parties live outside the pool."""
+
+    @pytest.mark.parametrize("method", sorted(strategy_names()))
+    def test_equals_a_sweep_through_the_pool(self, method, monkeypatch):
+        """The reference — evaluate ``pool[pid]`` for every evaluated id, as
+        the runner did before it owned its parties — lives here, not in
+        ``src/``.  Same saved result (series, ledger, engine record); only
+        residency differs, and only towards fewer materializations."""
+        spec = _diff_spec()
+
+        def run():
+            return run_strategy(build_strategy(method), spec, _zipf_settings(),
+                                seed=0, dataset=FederatedShiftDataset(spec))
+
+        shipped = run()
+
+        def through_the_pool(evaluated, strategy):
+            pool = strategy.context.parties
+            accs = [pool[p.party_id].evaluate(
+                        strategy.params_for_party(p.party_id))[0]
+                    for p in evaluated.parties]
+            return 100.0 * float(np.mean(accs))
+
+        monkeypatch.setattr(EvaluatedParties, "mean_accuracy_pct",
+                            through_the_pool)
+        reference = run()
+        assert shipped.extras["federation"]["rounds"] > 0
+        # window_series, ledger, extras["federation"], state: everything
+        # saved but the residency counters.
+        assert _canonical(shipped, declared=True) == _canonical(
+            reference, declared=True)
+        assert (shipped.extras["party_pool"]["materialized"]
+                < reference.extras["party_pool"]["materialized"])
+
+    def test_evaluation_width_cannot_move_residency(self):
+        spec = _diff_spec()
+        narrow, wide = (
+            run_strategy(build_strategy("shiftex"), spec,
+                         _zipf_settings(eval_parties=n), seed=0,
+                         dataset=FederatedShiftDataset(spec))
+            for n in (4, 16))
+        assert narrow.extras["party_pool"] == wide.extras["party_pool"]
+        assert narrow.window_series != wide.window_series
+
+    def test_zipf_heads_stay_resident(self):
+        """With room for a cohort, the LRU keeps the heavy hitters between
+        their rounds: the evaluation sweep used to flush them every round."""
+        spec = _diff_spec()
+        result = run_strategy(build_strategy("fedavg"), spec,
+                              _zipf_settings(max_resident=6, cohort=4),
+                              seed=0, dataset=FederatedShiftDataset(spec))
+        pool = result.extras["party_pool"]
+        assert pool["resident_hits"] > 0
+        assert pool["peak_resident"] <= 6 + 1
+
+    def test_virtual_evaluated_party_holds_one_test_split(self, monkeypatch):
+        spec = _diff_spec()
+        generated: list[tuple] = []
+        TestOnlyReadSplitsAreGenerated._record(
+            monkeypatch, generated, FederatedShiftDataset, "_generate_split",
+            lambda ds, party, window, n, split, *_: (party, window, split))
+        model = build_model(spec.model_name, spec.input_shape,
+                            spec.num_classes, spawn_rng(0, "m"))
+        ids = [spec.num_parties + 7, 4321]
+        evaluated = EvaluatedParties(spec, FederatedShiftDataset(spec), ids,
+                                     model)
+        strategy = build_strategy("fedavg")
+        monkeypatch.setattr(strategy, "params_for_party",
+                            lambda pid: model.get_params())
+        evaluated.begin_window(0)
+        first = evaluated.mean_accuracy_pct(strategy)
+        assert evaluated.mean_accuracy_pct(strategy) == first
+        held = [weakref.ref(party.data.x_test) for party in evaluated.parties]
+        evaluated.begin_window(1)
+        gc.collect()
+        assert all(ref() is None for ref in held)
+        evaluated.mean_accuracy_pct(strategy)
+        # One test split per id and window, never a train split.
+        assert generated == [(pid, window, "test")
+                             for window in (0, 1) for pid in ids]
 
 
 class TestShiftResponseReadsStoredHistograms:
