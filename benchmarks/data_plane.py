@@ -24,13 +24,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
-import time
+from functools import partial
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as benchmarks/e2e pins it
 
 import numpy as np  # noqa: E402
 
+import reference  # noqa: E402
 from repro.data import (  # noqa: E402
     FederatedShiftDataset,
     apply_corruption,
@@ -44,6 +45,7 @@ from repro.utils.rng import spawn_rng  # noqa: E402
 
 PLANS = ("sync_conv", "wide_server", "async_masked", "pool_100k")
 PLAN_DIR = Path(__file__).resolve().parent / "e2e" / "workloads"
+best_us = partial(reference.best_us, calls=200, repeats=5)
 
 
 def pinned_plan(workload: str):
@@ -52,22 +54,11 @@ def pinned_plan(workload: str):
     return plan
 
 
-def best_us(fn, calls: int = 200, repeats: int = 5) -> float:
-    fn()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / calls * 1e6
-
-
 # ---------------------------------------------------------------- per-stage table
 
 
 def roll_translate(template, shifts):
-    """The previous sampler's translation: one ``np.roll`` per image."""
+    """The translation stage of the previous sampler, timed on its own."""
     base = np.repeat(template[None], len(shifts), axis=0)
     for i, (dy, dx) in enumerate(shifts):
         if dy or dx:
@@ -76,18 +67,13 @@ def roll_translate(template, shifts):
 
 
 def roll_sample(generator, labels, rng):
-    """``SyntheticImageGenerator.sample`` over the per-image roll sampler."""
-    spec = generator.spec
-    out = np.empty((labels.size, *spec.input_shape))
+    """``SyntheticImageGenerator.sample`` over the previous per-image roll
+    sampler (``reference.ref_sample_class``, the copy the differential test
+    pins the live one against)."""
+    out = np.empty((labels.size, *generator.spec.input_shape))
     for class_id in np.unique(labels):
         idx = np.nonzero(labels == class_id)[0]
-        shifts = rng.integers(-spec.max_translation, spec.max_translation + 1,
-                              size=(idx.size, 2))
-        base = roll_translate(generator.templates[class_id], shifts)
-        noise = rng.normal(0.0, spec.noise_scale, size=base.shape)
-        brightness = rng.normal(0.0, spec.brightness_jitter,
-                                size=(idx.size, 1, 1, 1))
-        out[idx] = np.clip(base + noise + brightness, 0.0, 1.0)
+        out[idx] = reference.ref_sample_class(generator, int(class_id), idx.size, rng)
     return out
 
 

@@ -12,9 +12,10 @@ party report (48 rows against the party's previous 48), cluster matching (a
 pooled 20-party clusters, 960 rows each), one ``jsd``, and the median-heuristic
 bandwidth with its ``tracemalloc`` peak at 24 / 32 / 40 parties' pooled rows.
 ``--check`` runs a fixed seeded sweep and prints whether the bandwidth equals
-the inlined previous implementation bit for bit and the worst relative
-deviation of each statistic from it — the scoring is tolerance-pinned, not
-byte-pinned, so this line is what a verification quotes in place of a digest.
+the previous implementation (``benchmarks/reference.py``, the copy the
+differential test pins against) bit for bit and the worst relative deviation
+of each statistic from it — the scoring is tolerance-pinned, not byte-pinned,
+so this line is what a verification quotes in place of a digest.
 Both use only names an older checkout also has, so pointing ``PYTHONPATH`` at
 its ``src`` gives the "before" column (and a deviation of exactly 0).
 Report-only; nothing gates on it and no file is written.
@@ -24,13 +25,18 @@ from __future__ import annotations
 
 import argparse
 import os
-import time
 import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as benchmarks/e2e pins it
 
 import numpy as np  # noqa: E402
 
+from reference import (  # noqa: E402
+    best_us,
+    ref_class_conditional_mmd,
+    ref_median_heuristic_gamma as ref_gamma,
+    ref_mmd,
+)
 from repro.detection.divergence import jsd  # noqa: E402
 from repro.detection.mmd import (  # noqa: E402
     class_conditional_mmd,
@@ -42,17 +48,6 @@ from repro.detection.mmd import (  # noqa: E402
 from repro.utils.rng import spawn_rng  # noqa: E402
 
 DIM, CLASSES, ALPHA, ROWS = 32, 10, 0.8, 48
-
-
-def best_us(fn, calls: int, repeats: int = 25) -> float:
-    fn()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / calls * 1e6
 
 
 def party(rng, rows: int = ROWS, shift: float = 0.0):
@@ -97,11 +92,11 @@ def call_table() -> None:
     ]
     print(f"width {DIM}, {CLASSES} classes, Dirichlet({ALPHA}) priors; best of 25")
     for label, calls, fn in rows:
-        print(f"  {label:<56}{best_us(fn, calls):>10.1f} us")
+        print(f"  {label:<56}{best_us(fn, calls=calls, repeats=25):>10.1f} us")
     for parties in (24, 32, 40):
         sample = pooled(rng, parties)[0]
         n = sample.shape[0]
-        elapsed_us = best_us(lambda: median_heuristic_gamma(sample), 1, repeats=5)
+        elapsed_us = best_us(lambda: median_heuristic_gamma(sample), calls=1, repeats=5)
         tracemalloc.start()
         median_heuristic_gamma(sample)
         peak = tracemalloc.get_traced_memory()[1]
@@ -112,39 +107,6 @@ def call_table() -> None:
 
 
 # ---------------------------------------------------------------- equivalence
-
-
-def _ref_sq_dists(x, y):
-    x_norm = (x ** 2).sum(axis=1)[:, None]
-    y_norm = (y ** 2).sum(axis=1)[None, :]
-    return np.maximum(x_norm + y_norm - 2.0 * (x @ y.T), 0.0)
-
-
-def ref_gamma(x, y=None):
-    pooled_rows = x if y is None else np.vstack([x, y])
-    d2 = _ref_sq_dists(pooled_rows, pooled_rows)
-    upper = d2[np.triu_indices_from(d2, k=1)]
-    med2 = float(np.median(upper)) if upper.size else 0.0
-    return 1.0 / (2.0 * med2) if med2 > 0 else 1.0
-
-
-def ref_mmd(x, y, gamma):
-    """The previous estimator: three distance matrices, three block means."""
-    kxx = np.exp(-gamma * _ref_sq_dists(x, x)).mean()
-    kyy = np.exp(-gamma * _ref_sq_dists(y, y)).mean()
-    kxy = np.exp(-gamma * _ref_sq_dists(x, y)).mean()
-    return float(np.sqrt(max(kxx + kyy - 2.0 * kxy, 0.0)))
-
-
-def ref_class_conditional_mmd(x, x_labels, y, y_labels, gamma, min_per_class=2):
-    total, weight = 0.0, 0
-    for c in np.intersect1d(np.unique(x_labels), np.unique(y_labels)):
-        a, b = x[x_labels == c], y[y_labels == c]
-        if a.shape[0] >= min_per_class and b.shape[0] >= min_per_class:
-            n = min(a.shape[0], b.shape[0])
-            total += ref_mmd(a, b, gamma) * n
-            weight += n
-    return float(total / weight) if weight else ref_mmd(x, y, gamma)
 
 
 def check(cases: int = 400) -> None:

@@ -15,29 +15,20 @@ from __future__ import annotations
 
 import argparse
 import os
-import time
+from functools import partial
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as benchmarks/e2e pins it
 
 import numpy as np  # noqa: E402
 
+import reference  # noqa: E402
 from repro.nn.layers import MaxPool2d, ReLU, _col2im, _im2col  # noqa: E402
 from repro.nn.losses import softmax_cross_entropy  # noqa: E402
 from repro.nn.models import build_model  # noqa: E402
 from repro.nn.training import LocalTrainingConfig, train_local  # noqa: E402
 
 SHAPE, CLASSES, BATCH = (3, 12, 12), 10, 8
-
-
-def best_us(fn, *args, calls: int = 400, repeats: int = 7) -> float:
-    fn(*args)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best / calls * 1e6
+best_us = partial(reference.best_us, calls=400, repeats=7)
 
 
 def layer_table() -> None:

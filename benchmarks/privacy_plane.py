@@ -27,12 +27,14 @@ import os
 import time
 import weakref
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as benchmarks/e2e pins it
 
 import numpy as np  # noqa: E402
 
+import reference  # noqa: E402
 from repro.experiments import load_plan  # noqa: E402
 from repro.harness.runner import run_strategy  # noqa: E402
 from repro.privacy import secure_aggregation  # noqa: E402
@@ -48,17 +50,7 @@ DIM, COHORT, THRESHOLD = 30_122, list(range(12)), 3
 CONTEXT = ("stream", "global", 7, (1, 3))
 PRIVACY_LABELS = ("seal-mask", "seal-self", "share-secret-self",
                   "share-secret-pair", "share-split")
-
-
-def best_us(fn, calls: int = 20, repeats: int = 5) -> float:
-    fn()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best / calls * 1e6
+best_us = partial(reference.best_us, calls=20, repeats=5)
 
 
 # ---------------------------------------------------------------- per-stage table

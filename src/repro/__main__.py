@@ -358,9 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--precision", default=None, metavar="SPEC",
                            help="per-subsystem precision plan, e.g. "
                                 "'params=float32,detection_stats=float64' "
-                                "(a bare dtype sets params only); thresholds "
-                                "come from the committed table for the "
-                                "parameter precision")
+                                "(a bare dtype sets params only)")
     p_compare.add_argument("--secure-agg", action="store_true",
                            help="mask every round under pairwise secure "
                                 "aggregation: party updates stay sealed in "

@@ -30,15 +30,13 @@ class FedDriftStrategy(ContinualStrategy):
 
     name = "feddrift"
 
-    def __init__(self, delta: float | None = None, max_models: int = 8,
+    def __init__(self, delta: float = 0.5, max_models: int = 8,
                  merge_check_parties: int = 6) -> None:
         super().__init__()
-        if delta is not None and delta <= 0:
+        if delta <= 0:
             raise ValueError("delta must be positive")
         if max_models < 1:
             raise ValueError("max_models must be at least 1")
-        # None = resolve from the run precision's threshold table in setup()
-        # (the historical float64 value is 0.5); explicit values win.
         self.delta = delta
         self.max_models = max_models
         self.merge_check_parties = merge_check_parties
@@ -51,8 +49,6 @@ class FedDriftStrategy(ContinualStrategy):
 
     def setup(self, ctx: StrategyContext) -> None:
         super().setup(ctx)
-        if self.delta is None:
-            self.delta = ctx.threshold("feddrift.delta", 0.5)
         self._models = {0: ctx.model_factory().get_params()}
         self._next_model_id = 1
         # Survey order: FedDrift keeps per-party loss baselines.

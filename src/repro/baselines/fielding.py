@@ -33,15 +33,13 @@ class FieldingStrategy(ContinualStrategy):
 
     name = "fielding"
 
-    def __init__(self, recluster_jsd: float | None = None,
+    def __init__(self, recluster_jsd: float = 0.15,
                  max_clusters: int = 4) -> None:
         super().__init__()
-        if recluster_jsd is not None and recluster_jsd < 0:
+        if recluster_jsd < 0:
             raise ValueError("recluster_jsd must be non-negative")
         if max_clusters <= 0:
             raise ValueError("max_clusters must be positive")
-        # None = resolve from the run precision's threshold table in setup()
-        # (the historical float64 value is 0.15); explicit values win.
         self.recluster_jsd = recluster_jsd
         self.max_clusters = max_clusters
         self._cluster_models: dict[int, Params] = {}
@@ -82,8 +80,6 @@ class FieldingStrategy(ContinualStrategy):
 
     def setup(self, ctx: StrategyContext) -> None:
         super().setup(ctx)
-        if self.recluster_jsd is None:
-            self.recluster_jsd = ctx.threshold("fielding.recluster_jsd", 0.15)
         self._cluster_models = {}
         self._membership = {}
 

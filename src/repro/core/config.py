@@ -16,12 +16,8 @@ class ShiftExConfig:
     5.2.2; when ``None`` it is tied to the calibrated ``delta_cov`` scaled by
     ``epsilon_scale`` (reuse requires the cluster to look *closer* to an
     expert's regime than the shift-detection bar, scaled to tolerate memory
-    staleness).
-
-    ``tau`` and ``epsilon_scale`` likewise default to ``None`` meaning
-    *resolve from the run precision's committed threshold table* (see
-    :mod:`repro.detection.thresholds`; the float64 table carries the
-    historical 0.99 / 1.25).  Setting either explicitly bypasses the table.
+    staleness).  ``tau`` (consolidation cosine) and ``epsilon_scale`` are
+    plain hyper-parameters, the same at every run precision.
     """
 
     # Detection thresholds (Section 5).
@@ -32,8 +28,8 @@ class ShiftExConfig:
 
     # Expert matching and consolidation (Sections 5.2.2, 5.2.5).
     epsilon: float | None = None
-    epsilon_scale: float | None = None  # None = the precision's table value
-    tau: float | None = None  # None = the precision's table value
+    epsilon_scale: float = 1.25
+    tau: float = 0.99
 
     # Clustering of shifted parties (Section 5.2.1).
     k_max: int = 6
@@ -65,9 +61,9 @@ class ShiftExConfig:
             raise ValueError("num_bootstrap must be positive")
         if self.epsilon is not None and self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
-        if self.epsilon_scale is not None and self.epsilon_scale <= 0:
+        if self.epsilon_scale <= 0:
             raise ValueError("epsilon_scale must be positive")
-        if self.tau is not None and not -1.0 <= self.tau <= 1.0:
+        if not -1.0 <= self.tau <= 1.0:
             raise ValueError("tau must be a valid cosine bound")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")

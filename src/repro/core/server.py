@@ -74,9 +74,6 @@ class ShiftExStrategy(ContinualStrategy):
         self._bootstrap_snapshot: Params | None = None
         self.thresholds: CalibratedThresholds | None = None
         self._epsilon: float | None = self.config.epsilon
-        # Resolved in setup() against the run's threshold table.
-        self._tau: float | None = self.config.tau
-        self._epsilon_scale: float | None = self.config.epsilon_scale
         self._party_state: dict[int, PartyLocalState] = {}
         self._bootstrap_flips: FlipsSelector | None = None
         self._cohort_flips: dict[int, FlipsSelector] = {}
@@ -88,15 +85,6 @@ class ShiftExStrategy(ContinualStrategy):
 
     def setup(self, ctx: StrategyContext) -> None:
         super().setup(ctx)
-        # Knobs left at None resolve against the run precision's committed
-        # threshold table (the float64 table carries the historical values,
-        # so the legacy plane is unchanged); explicit config values win.
-        self._tau = (self.config.tau if self.config.tau is not None
-                     else ctx.threshold("shiftex.tau", 0.99))
-        self._epsilon_scale = (
-            self.config.epsilon_scale
-            if self.config.epsilon_scale is not None
-            else ctx.threshold("shiftex.epsilon_scale", 1.25))
         # Bind the score seal (sealed_scoring) before the first expert is
         # created so every cosine/MMD call the registry, matcher, and
         # consolidator make operates on sealed rows — bitwise-identical
@@ -199,7 +187,7 @@ class ShiftExStrategy(ContinualStrategy):
 
         if self.config.enable_consolidation and len(self.registry) >= 2:
             events = consolidate_experts(
-                self.registry, self._tau, window,
+                self.registry, self.config.tau, window,
                 ctx.rng("consolidate", window), self.assignments,
                 memory_epsilon=self._epsilon,
                 gamma=self.thresholds.gamma,
@@ -474,7 +462,7 @@ class ShiftExStrategy(ContinualStrategy):
             # Matching is class-conditional, so the reuse threshold shares
             # the detection statistic's null scale (delta_cov), widened by
             # epsilon_scale to tolerate latent-memory staleness.
-            self._epsilon = calibrated.delta_cov * self._epsilon_scale
+            self._epsilon = calibrated.delta_cov * self.config.epsilon_scale
 
     # -------------------------------------------------- inference & reporting
 

@@ -244,16 +244,6 @@ class FederatedShiftDataset:
         return self._assemble_window(party, party % self.spec.num_parties,
                                      window)
 
-    def reference_data(self, n: int = 128) -> tuple[np.ndarray, np.ndarray]:
-        """Clean, uniformly labelled reference set for aggregator calibration.
-
-        This is the fixed reference dataset of Section 5.4 used to derive the
-        null distributions behind the detection thresholds.
-        """
-        rng = spawn_rng(self.spec.seed, "reference")
-        prior = np.full(self.spec.num_classes, 1.0 / self.spec.num_classes)
-        return self.generator.sample_dataset(prior, n, rng)
-
     def evict_window(self, window: int) -> None:
         """Drop cached arrays for a window (bounds simulator memory)."""
         for party in range(self.spec.num_parties):

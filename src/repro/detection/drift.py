@@ -75,20 +75,12 @@ class DriftMonitor:
 
     @classmethod
     def from_null_scores(cls, null_scores: np.ndarray, ewma_alpha: float = 0.3,
-                         severity: float | None = None) -> "DriftMonitor":
+                         severity: float = 3.0) -> "DriftMonitor":
         """Calibrate a monitor from a no-shift null sample.
 
         ``severity`` controls how many null standard deviations of sustained
-        excess constitute drift.  ``None`` takes the historical default
-        (``drift_monitor.severity`` in
-        :data:`repro.detection.thresholds.BASE_THRESHOLDS`); callers with a
-        :class:`~repro.federation.strategy.StrategyContext` should pass
-        ``ctx.threshold("drift_monitor.severity", 3.0)`` so the run
-        precision's recalibrated table applies.
+        excess constitute drift.
         """
-        if severity is None:
-            from repro.detection.thresholds import BASE_THRESHOLDS
-            severity = BASE_THRESHOLDS["drift_monitor.severity"]
         null_scores = np.asarray(null_scores, dtype=np.float64)
         if null_scores.size < 2:
             raise ValueError("need at least two null scores to calibrate")

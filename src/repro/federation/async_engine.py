@@ -254,7 +254,7 @@ class FederationEngine:
 
     # ------------------------------------------------------------------ clock
 
-    def advance(self, round_tag: object = None) -> int:
+    def advance(self) -> int:
         """Start the next federated round; returns the new tick."""
         self.clock += 1
         self.counters["rounds"] += 1

@@ -38,7 +38,6 @@ from repro.utils.precision import PrecisionPlan
 from repro.utils.rng import spawn_rng
 
 if TYPE_CHECKING:  # import cycle: async_engine -> rounds -> party only
-    from repro.detection.thresholds import ThresholdTable
     from repro.federation.async_engine import FederationEngine
 
 
@@ -71,11 +70,7 @@ class StrategyContext:
 
     ``precision`` is the run's :class:`~repro.utils.precision.PrecisionPlan`:
     ``params`` the model/bank dtype, ``detection_stats`` the float64 island
-    dtype every detection statistic is computed at.  ``thresholds`` is the
-    committed :class:`~repro.detection.thresholds.ThresholdTable` for that
-    parameter precision (None when no table exists); strategies resolve
-    their ``None``-defaulted detection/matching knobs through
-    :meth:`threshold` so an explicitly configured value always wins.
+    dtype every detection statistic is computed at.
     """
 
     spec: DatasetSpec
@@ -83,14 +78,12 @@ class StrategyContext:
     model_factory: Callable[[], Sequential]
     round_config: RoundConfig
     seed: int = 0
-    reference_embedding_source: Callable[[], np.ndarray] | None = None
     ledger: CommunicationLedger = field(default_factory=CommunicationLedger)
     federation: "FederationEngine | None" = None
     secure_aggregation: int | None = None
     privacy: PrivacyPlan | None = None
     score_seal: ScoreSeal | None = None
     precision: PrecisionPlan = field(default_factory=PrecisionPlan)
-    thresholds: "ThresholdTable | None" = None
 
     def rng(self, *labels: object) -> np.random.Generator:
         return spawn_rng(self.seed, *labels)
@@ -109,18 +102,6 @@ class StrategyContext:
         threshold = self.privacy.threshold if self.privacy is not None else None
         return MaskingSpec(seed=self.secure_aggregation, threshold=threshold,
                            ledger=self.ledger)
-
-    def threshold(self, key: str, default: float) -> float:
-        """Resolve a detection/matching threshold for this run's precision.
-
-        Returns the committed table's entry for ``key`` when a table is
-        loaded, else ``default`` (the historical float64-tuned value).
-        Strategies call this only for knobs the user left at ``None`` — an
-        explicit config value never reaches here.
-        """
-        if self.thresholds is None:
-            return float(default)
-        return self.thresholds.value(key, default)
 
     # ------------------------------------------------------------- population
 

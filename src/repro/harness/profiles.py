@@ -47,10 +47,9 @@ class RunSettings:
     ``detection_stats`` the dtype of the float64 detection island every
     party embedding is cast to at the Algorithm-1 reporting boundary.
     ``params="float32"`` halves memory and roughly doubles BLAS throughput;
-    the ``ci``/``small`` profiles default to it because the recalibrated
-    float32 threshold table (see :mod:`repro.detection.recalibrate`)
-    reproduces the seed's detection decisions.  Direct construction
-    defaults to all-float64 — the bitwise legacy plane.
+    the ``ci``/``small`` profiles default to it because it reproduces the
+    seed's detection decisions.  Direct construction defaults to
+    all-float64 — the bitwise legacy plane.
 
     ``dtype`` survives as a shorthand alias for ``precision``:
     ``dtype="float32"`` means ``PrecisionPlan(params="float32")`` with
@@ -180,8 +179,7 @@ def get_profile(profile: str, dataset: str) -> tuple[DatasetSpec, RunSettings]:
     * ``paper`` — the paper's party counts (50/200) with laptop-sized rounds.
 
     ``ci`` and ``small`` run the float32 parameter plane (detection
-    statistics stay float64 and thresholds come from the recalibrated
-    float32 table); ``paper`` keeps the all-float64 legacy plane.
+    statistics stay float64); ``paper`` keeps the all-float64 legacy plane.
     """
     spec = get_dataset_spec(dataset)
     if profile == "ci":

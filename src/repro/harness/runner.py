@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.data.federated import FederatedShiftDataset
 from repro.data.registry import DatasetSpec
-from repro.detection.thresholds import load_threshold_table
 from repro.experiments.events import RunCallback, RunInfo, first_stop_reason
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.async_engine import FederationEngine
@@ -145,10 +144,6 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
                     if privacy is not None and privacy.sealed_scoring
                     else None),
         precision=settings.precision,
-        # The committed threshold table for this parameter precision; the
-        # float64 table repeats the historical values, so loading it leaves
-        # the legacy plane bit-for-bit unchanged.
-        thresholds=load_threshold_table(settings.precision),
     )
     strategy.setup(ctx)
 
@@ -197,7 +192,7 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         evaluated.begin_window(window)
         series = [evaluated.mean_accuracy_pct(strategy)]
         for round_index in range(settings.rounds_for_window(window)):
-            engine.advance((window, round_index))
+            engine.advance()
             strategy.run_round(window, round_index)
             accuracy = evaluated.mean_accuracy_pct(strategy)
             series.append(accuracy)

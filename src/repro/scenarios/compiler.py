@@ -108,7 +108,7 @@ def population_from_knobs(size=None, max_resident=None, skew=None,
     return PopulationConfig(**kwargs)
 
 
-def compile_scenario(scenario, executor=None) -> ExperimentPlan:
+def compile_scenario(scenario) -> ExperimentPlan:
     """Compile a :class:`~repro.scenarios.doc.ScenarioDoc` (or a mapping, or
     a path to a TOML/JSON file) into an :class:`ExperimentPlan`.
 

@@ -16,10 +16,9 @@ class TestConfig:
     def test_defaults_valid(self):
         config = ShiftExConfig()
         assert config.delta_cov is None
-        # None = resolve tau/epsilon_scale from the run precision's
-        # committed threshold table; explicit values still validate below.
-        assert config.tau is None
-        assert config.epsilon_scale is None
+        assert config.tau == 0.99 and config.epsilon_scale == 1.25
+        with pytest.raises(TypeError):  # None is not "default": range check
+            ShiftExConfig(tau=None)
         assert config.min_cluster_size >= 1
         explicit = ShiftExConfig(tau=0.95, epsilon_scale=1.5)
         assert explicit.tau == 0.95 and explicit.epsilon_scale == 1.5

@@ -3,11 +3,11 @@
 ``ref_sample_class`` is the previous ``SyntheticImageGenerator.sample_class``
 (one ``np.roll`` per image) and ``ref_assemble_window`` the previous eager
 ``FederatedShiftDataset._assemble_window`` (both splits generated at once),
-kept verbatim.  The live sampler gathers the same pixels through an index
-grid and the live window generates each split on first read from the same
-per-split RNG stream, so every comparison is ``np.array_equal`` — and the
-sampler must leave the generator in the same state, because the corruption
-that follows draws from it.
+kept verbatim in ``benchmarks/reference.py`` (the probe times the same copy).
+The live sampler gathers the same pixels through an index grid and the live
+window generates each split on first read from the same per-split RNG stream,
+so every comparison is ``np.array_equal`` — and the sampler must leave the
+generator in the same state, because the corruption that follows draws from it.
 """
 
 import dataclasses
@@ -16,68 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data.federated import FederatedShiftDataset, PartyWindowData
+from benchmarks.reference import ref_assemble_window, ref_sample_class
+from repro.data.federated import FederatedShiftDataset
 from repro.data.images import ImageDomainSpec, SyntheticImageGenerator
 from repro.data.registry import dataset_names, get_dataset_spec
-
-# ---------------------------------------------------------------- Reference implementations
-
-
-def ref_sample_class(self, class_id, n, rng):
-    if not 0 <= class_id < self.spec.num_classes:
-        raise ValueError(f"class_id {class_id} out of range")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    spec = self.spec
-    base = np.repeat(self.templates[class_id][None], n, axis=0)
-    if spec.max_translation > 0 and n > 0:
-        shifts = rng.integers(-spec.max_translation, spec.max_translation + 1,
-                              size=(n, 2))
-        for i, (dy, dx) in enumerate(shifts):
-            if dy or dx:
-                base[i] = np.roll(base[i], (int(dy), int(dx)), axis=(1, 2))
-    noise = rng.normal(0.0, spec.noise_scale, size=base.shape)
-    brightness = rng.normal(0.0, spec.brightness_jitter, size=(n, 1, 1, 1))
-    return np.clip(base + noise + brightness, 0.0, 1.0)
-
-
-def ref_assemble_window(self, party, shard, window):
-    regime = self.schedule.regime_of(window, shard)
-    prior = self.schedule.prior_of(window, shard)
-    n_train, n_test = self.spec.train_per_window, self.spec.test_per_window
-
-    carry = 0
-    prev_regime = self.schedule.regime_of(window - 1, shard) if window > 0 else None
-    regime_changed = (prev_regime is not None
-                      and prev_regime.regime_id != regime.regime_id)
-    if self.sliding_overlap > 0 and regime_changed:
-        carry = int(round(self.sliding_overlap * n_train))
-
-    x_new, y_new = self._generate_split(
-        party, window, n_train - carry, "train", regime, prior
-    )
-    if carry and prev_regime is not None:
-        prev_prior = self.schedule.prior_of(window - 1, shard)
-        x_old, y_old = self._generate_split(
-            party, window, carry, "train-overlap", prev_regime, prev_prior
-        )
-        x_train = np.concatenate([x_old, x_new])
-        y_train = np.concatenate([y_old, y_new])
-    else:
-        x_train, y_train = x_new, y_new
-
-    x_test, y_test = self._generate_split(party, window, n_test, "test", regime, prior)
-    return PartyWindowData(
-        party_id=party,
-        window=window,
-        x_train=x_train,
-        y_train=y_train,
-        x_test=x_test,
-        y_test=y_test,
-        regime=regime,
-        label_prior=prior.copy(),
-    )
-
 
 # ---------------------------------------------------------------- sampler
 

@@ -82,12 +82,6 @@ class TestSlidingOverlap:
 
 
 class TestReferenceAndEviction:
-    def test_reference_data_is_uniform(self, tiny_dataset, tiny_spec):
-        x, y = tiny_dataset.reference_data(n=200)
-        assert x.shape[0] == 200
-        counts = np.bincount(y, minlength=tiny_spec.num_classes)
-        assert counts.min() > 0
-
     def test_evict_window_clears_cache(self, tiny_spec):
         ds = FederatedShiftDataset(tiny_spec)
         first = ds.party_window(0, 0)

@@ -1,6 +1,7 @@
 """Differential tests: the detection plane against the bodies it replaced.
 
-The ``ref_*`` functions are the previous MMD code kept verbatim — three
+The ``ref_*`` functions (``benchmarks/reference.py``, which the probe's
+``--check`` reads too) are the previous MMD code kept verbatim — three
 distance matrices and three ``exp`` per pair, a Python loop of ``mmd`` calls
 per shared class, ``mmd_to_many``'s own x-side sharing, and a median
 heuristic that gathered the upper triangle through ``triu_indices``.  The
@@ -20,150 +21,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.reference import (  # noqa: F401  (looked up by name below)
+    ref_class_conditional_mmd,
+    ref_class_conditional_mmd_to_many,
+    ref_median_heuristic_gamma,
+    ref_mmd,
+    ref_mmd2_biased,
+    ref_mmd_to_many,
+    ref_rbf_kernel,
+)
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.registry import build_strategy
 from repro.harness.runner import run_strategy
 from repro.privacy.sealed_scoring import ScoreSeal
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
-from repro.utils.validation import check_2d
 from tests.conftest import make_run_settings, make_tiny_spec
 
 # The package re-exports the function ``mmd`` under the submodule's name.
 live = importlib.import_module("repro.detection.mmd")
 RTOL, ATOL = 1e-12, 1e-15
-
-# ---------------------------------------------------------------- Reference implementations
-
-
-def _ref_pairwise_sq_dists(x, y):
-    """Squared Euclidean distance matrix between rows of x and rows of y."""
-    x_norm = (x ** 2).sum(axis=1)[:, None]
-    y_norm = (y ** 2).sum(axis=1)[None, :]
-    d2 = x_norm + y_norm - 2.0 * (x @ y.T)
-    return np.maximum(d2, 0.0)
-
-
-def ref_median_heuristic_gamma(x, y=None):
-    x = check_2d(x, "x")
-    pooled = x if y is None else np.vstack([x, check_2d(y, "y")])
-    d2 = _ref_pairwise_sq_dists(pooled, pooled)
-    upper = d2[np.triu_indices_from(d2, k=1)]
-    if upper.size == 0:
-        return 1.0
-    med2 = float(np.median(upper))
-    if med2 <= 0:
-        return 1.0
-    return 1.0 / (2.0 * med2)
-
-
-def ref_rbf_kernel(x, y, gamma):
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return np.exp(-gamma * _ref_pairwise_sq_dists(check_2d(x, "x"), check_2d(y, "y")))
-
-
-def ref_mmd2_biased(x, y, gamma=None):
-    x, y = check_2d(x, "x"), check_2d(y, "y")
-    if gamma is None:
-        gamma = ref_median_heuristic_gamma(x, y)
-    kxx = ref_rbf_kernel(x, x, gamma).mean()
-    kyy = ref_rbf_kernel(y, y, gamma).mean()
-    kxy = ref_rbf_kernel(x, y, gamma).mean()
-    return float(max(kxx + kyy - 2.0 * kxy, 0.0))
-
-
-def ref_mmd(x, y, gamma=None):
-    return float(np.sqrt(ref_mmd2_biased(x, y, gamma)))
-
-
-def ref_class_conditional_mmd(x, x_labels, y, y_labels, gamma=None,
-                              min_per_class=2):
-    x, y = check_2d(x, "x"), check_2d(y, "y")
-    x_labels = np.asarray(x_labels)
-    y_labels = np.asarray(y_labels)
-    if x_labels.shape != (x.shape[0],) or y_labels.shape != (y.shape[0],):
-        raise ValueError("labels must align with embedding rows")
-    if gamma is None:
-        gamma = ref_median_heuristic_gamma(x, y)
-    total, weight = 0.0, 0
-    for c in np.intersect1d(np.unique(x_labels), np.unique(y_labels)):
-        a = x[x_labels == c]
-        b = y[y_labels == c]
-        if a.shape[0] >= min_per_class and b.shape[0] >= min_per_class:
-            n = min(a.shape[0], b.shape[0])
-            total += ref_mmd(a, b, gamma) * n
-            weight += n
-    if weight == 0:
-        return ref_mmd(x, y, gamma)
-    return float(total / weight)
-
-
-def ref_mmd_to_many(x, ys, gamma=None):
-    x = check_2d(x, "x")
-    ys = [check_2d(y, "y") for y in ys]
-    if not ys:
-        return np.zeros(0)
-    if gamma is None:
-        return np.array([ref_mmd(x, y, None) for y in ys])
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    kxx_mean = np.exp(-gamma * _ref_pairwise_sq_dists(x, x)).mean()
-    stacked = np.vstack(ys)
-    kxy = np.exp(-gamma * _ref_pairwise_sq_dists(x, stacked))
-    out = np.empty(len(ys))
-    offset = 0
-    for i, y in enumerate(ys):
-        kyy_mean = np.exp(-gamma * _ref_pairwise_sq_dists(y, y)).mean()
-        kxy_mean = kxy[:, offset:offset + y.shape[0]].mean()
-        offset += y.shape[0]
-        out[i] = np.sqrt(max(kxx_mean + kyy_mean - 2.0 * kxy_mean, 0.0))
-    return out
-
-
-def ref_class_conditional_mmd_to_many(x, x_labels, ys, ys_labels, gamma=None,
-                                      min_per_class=2):
-    x = check_2d(x, "x")
-    x_labels = np.asarray(x_labels)
-    if x_labels.shape != (x.shape[0],):
-        raise ValueError("labels must align with embedding rows")
-    ys = [check_2d(y, "y") for y in ys]
-    ys_labels = [np.asarray(yl) for yl in ys_labels]
-    if len(ys) != len(ys_labels):
-        raise ValueError("ys and ys_labels must align")
-    for y, yl in zip(ys, ys_labels):
-        if yl.shape != (y.shape[0],):
-            raise ValueError("labels must align with embedding rows")
-    if not ys:
-        return np.zeros(0)
-    if gamma is None:
-        return np.array([
-            ref_class_conditional_mmd(x, x_labels, y, yl, None, min_per_class)
-            for y, yl in zip(ys, ys_labels)
-        ])
-    totals = np.zeros(len(ys))
-    weights = np.zeros(len(ys), dtype=int)
-    for c in np.unique(x_labels):
-        a = x[x_labels == c]
-        if a.shape[0] < min_per_class:
-            continue
-        members = [(i, ys[i][ys_labels[i] == c]) for i in range(len(ys))]
-        members = [(i, b) for i, b in members if b.shape[0] >= min_per_class]
-        if not members:
-            continue
-        vals = ref_mmd_to_many(a, [b for _i, b in members], gamma)
-        for (i, b), val in zip(members, vals):
-            n = min(a.shape[0], b.shape[0])
-            totals[i] += val * n
-            weights[i] += n
-    out = np.empty(len(ys))
-    conditioned = weights > 0
-    out[conditioned] = totals[conditioned] / weights[conditioned]
-    fallback = [i for i in range(len(ys)) if not conditioned[i]]
-    if fallback:
-        out[fallback] = ref_mmd_to_many(x, [ys[i] for i in fallback], gamma)
-    return out
-
 
 # ---------------------------------------------------------------- Inputs
 

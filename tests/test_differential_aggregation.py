@@ -210,7 +210,7 @@ class TestOneRoundLoop:
             for pid in cohort])
         ctx, params = _context(tiny_spec, tiny_dataset, dtype)
         engine = _quiet_engine(mode)
-        engine.advance((0, 0))
+        engine.advance()
         got, stats = run_fl_round(ctx.parties, cohort, params,
                                   ctx.round_config, round_tag=(0, 0),
                                   engine=engine, stream="g",
@@ -248,12 +248,12 @@ class TestOneRoundLoop:
         that fires at four reports: one aggregate over two dispatch
         sessions, ages (1, 1, 0, 0)."""
         ctx, params = _context(spec, dataset)
-        engine.advance((0, 0))
+        engine.advance()
         same, stats = run_fl_round(ctx.parties, [0, 1], params,
                                    ctx.round_config, round_tag=(0, 0),
                                    engine=engine, stream="g", secure=secure)
         assert not stats.aggregated and same is params
-        engine.advance((0, 1))
+        engine.advance()
         if before_fire is not None:
             before_fire(engine._buffers["g"])
         got, stats = run_fl_round(ctx.parties, [2, 3], params,

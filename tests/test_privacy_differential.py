@@ -452,7 +452,7 @@ class TestWorkPins:
             FederationConfig(mode="buffered", min_reports=99,
                              max_wait_rounds=99), seed=0, num_parties=8)
         ctx = make_context(tiny_spec, tiny_dataset)
-        engine.advance((0, 0))
+        engine.advance()
         _, stats = run_fl_round(
             ctx.parties, [0, 1, 2, 3], ctx.model_factory().get_params(),
             ctx.round_config, round_tag=(0, 0), engine=engine, stream="g",

@@ -1,15 +1,17 @@
 """Every module under ``src/repro`` is reached by a run, or says why it stays.
 
-An import walk (AST only — nothing is imported) from the three run roots.
+An import walk (AST only — nothing is imported) from the two run roots.
 ``from package import Name`` resolves through the package's ``__init__`` to
-the module that defines ``Name``, so a re-export is not a use.
+the module that defines ``Name``, so a re-export is not a use.  Beside it:
+every non-Python file under ``src/repro`` is named in ``setup.py``, so an
+installed package and a checkout cannot run different numbers.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-ROOTS = ("repro.__main__", "repro.detection.recalibrate", "repro.scenarios.fuzz")
+ROOTS = ("repro.__main__", "repro.scenarios.fuzz")
 # Unreached by the walk on purpose; every entry carries its reason.
 ALLOWED = {
     **dict.fromkeys(
@@ -20,7 +22,9 @@ ALLOWED = {
     "repro.experts.facility": "Eq. 2; benchmarks/test_bench_ablations.py",
     "repro.privacy.overhead": "Section 5.4; benchmarks/test_bench_overheads.py",
     "repro.nn.gradcheck": "reference the layer tests differentiate against",
-    "repro.detection.drift": "its severity key is pinned in the threshold tables",
+    "repro.detection.drift": (
+        "Section 2.1's shift-vs-drift distinction; "
+        "examples/gradual_drift_monitoring.py, test_extensions.py::TestDriftMonitor"),
 }
 MODULES = {}
 for _path in (SRC / "repro").rglob("*.py"):
@@ -64,3 +68,10 @@ def test_every_module_is_reached_by_a_run_or_allowlisted():
     plain = {m for m, path in MODULES.items() if path.name != "__init__.py"}
     assert sorted(plain - seen - set(ALLOWED)) == []
     assert sorted(m for m in ALLOWED if m in seen or m not in plain) == []
+
+
+def test_every_non_python_file_is_named_in_package_data():
+    declared = (SRC.parent / "setup.py").read_text().partition("package_data")[2]
+    assert [str(path.relative_to(SRC)) for path in (SRC / "repro").rglob("*")
+            if path.is_file() and path.suffix not in (".py", ".pyc")
+            and path.name not in declared] == []

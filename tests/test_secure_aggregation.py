@@ -168,7 +168,7 @@ class TestMaskedRoundsBitwise:
             engine = FederationEngine(FederationConfig(mode=mode), seed=0,
                                       num_parties=8)
             ctx, params = _fresh(tiny_spec, tiny_dataset)
-            engine.advance((0, 0))
+            engine.advance()
             got, stats = run_fl_round(ctx.parties, [0, 1, 2, 3], params,
                                       ctx.round_config, round_tag=(0, 0),
                                       engine=engine, stream="g",
@@ -193,7 +193,7 @@ class TestBufferResidency:
     def _park_reports(self, spec, dataset, secure):
         engine = _buffered_engine()
         ctx, params = _fresh(spec, dataset)
-        engine.advance((0, 0))
+        engine.advance()
         _, stats = run_fl_round(ctx.parties, [0, 1, 2, 3], params,
                                 ctx.round_config, round_tag=(0, 0),
                                 engine=engine, stream="g", secure=secure)
@@ -250,7 +250,7 @@ class TestBufferResidency:
         engine = FederationEngine(FederationConfig(mode="async"), seed=0,
                                   num_parties=8)
         ctx, params = _fresh(tiny_spec, tiny_dataset)
-        engine.advance((0, 0))
+        engine.advance()
         _, stats = run_fl_round(ctx.parties, [0, 1, 2, 3], params,
                                 ctx.round_config, round_tag=(0, 0),
                                 engine=engine, stream="g",
