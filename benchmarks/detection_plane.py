@@ -43,7 +43,6 @@ from repro.detection.mmd import (  # noqa: E402
     class_conditional_mmd_to_many,
     median_heuristic_gamma,
     mmd,
-    mmd_to_many,
 )
 from repro.utils.rng import spawn_rng  # noqa: E402
 
@@ -80,12 +79,10 @@ def call_table() -> None:
     rows = [
         ("report: class_conditional_mmd, 48 vs 48", 40, lambda: class_conditional_mmd(
             cur, cur_labels, prev, prev_labels, gamma)),
-        ("null draw: mmd, 64 vs 64", 40, lambda: mmd(cluster, signatures[0], gamma)),
+        ("unconditional: mmd, 64 vs 64", 40, lambda: mmd(cluster, signatures[0], gamma)),
         ("matching: class_conditional_mmd_to_many, 64 vs 5 x 64", 10,
          lambda: class_conditional_mmd_to_many(
              cluster, cluster_labels, signatures, signature_labels, gamma)),
-        ("matching, untagged: mmd_to_many, 64 vs 5 x 64", 10,
-         lambda: mmd_to_many(cluster, signatures, gamma)),
         ("fusion: class_conditional_mmd, 960 vs 960", 2, lambda: class_conditional_mmd(
             left, left_labels, right, right_labels, gamma)),
         ("jsd of two label histograms", 100, lambda: jsd(hist_a, hist_b)),
@@ -110,7 +107,7 @@ def call_table() -> None:
 
 
 def check(cases: int = 400) -> None:
-    worst = {"mmd": 0.0, "class_conditional_mmd": 0.0, "mmd_to_many": 0.0,
+    worst = {"mmd": 0.0, "class_conditional_mmd": 0.0,
              "class_conditional_mmd_to_many": 0.0}
 
     def record(name, live, reference):
@@ -135,8 +132,6 @@ def check(cases: int = 400) -> None:
         record("class_conditional_mmd",
                class_conditional_mmd(x, xl, y, yl, gamma),
                ref_class_conditional_mmd(x, xl, y, yl, gamma))
-        record("mmd_to_many", mmd_to_many(x, [t for t, _ in targets], gamma),
-               [ref_mmd(x, t, gamma) for t, _ in targets])
         record("class_conditional_mmd_to_many",
                class_conditional_mmd_to_many(
                    x, xl, [t for t, _ in targets], [lab for _, lab in targets], gamma),

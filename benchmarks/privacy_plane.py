@@ -198,7 +198,8 @@ def sha_check() -> None:
         for party_id in cohort:
             update = np.random.default_rng(party_id).normal(
                 size=spec.total_size).astype(dtype)
-            row = bank.alloc(update)
+            row = bank.alloc()
+            bank.row(row)[...] = update
             session.seal_row(party_id, bank.row(row))
             party_rows.append((party_id, row))
             digest.update(bank.row(row).tobytes())

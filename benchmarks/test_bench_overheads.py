@@ -66,7 +66,8 @@ def test_bench_expert_assignment_latency(benchmark):
     result = benchmark(
         lambda: match_cluster_to_expert(cluster, registry, epsilon=0.5,
                                         gamma=0.05, max_rows=64,
-                                        rng=spawn_rng(2, "m")))
+                                        rng=spawn_rng(2, "m"),
+                                        cluster_labels=np.zeros(128, dtype=int)))
     assert result.expert_id is not None or not result.matched
 
 

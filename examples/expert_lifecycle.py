@@ -34,6 +34,10 @@ def regime_embeddings(rng, offset: float, n: int = 80, d: int = 16) -> np.ndarra
     return rng.normal(size=(n, d)) + offset
 
 
+# Matching is class-conditional; these synthetic regimes carry one class.
+ONE_CLASS = np.zeros(80, dtype=int)
+
+
 def main() -> None:
     rng = spawn_rng(0, "lifecycle")
     epsilon, gamma = 0.35, 0.05
@@ -49,7 +53,8 @@ def main() -> None:
 
     print("2. window 1: a foggy regime arrives (embeddings translated)")
     fog_cluster = regime_embeddings(rng, 4.0)
-    match = match_cluster_to_expert(fog_cluster, registry, epsilon, gamma)
+    match = match_cluster_to_expert(fog_cluster, registry, epsilon, gamma,
+                                    cluster_labels=ONE_CLASS)
     print(f"   best MMD to existing memories: {match.score:.3f} "
           f"(epsilon={epsilon}) -> matched={match.matched}")
     fog = registry.create(params, window=1, embeddings=fog_cluster, rng=rng)
@@ -58,7 +63,8 @@ def main() -> None:
 
     print("3. window 2: the SAME foggy regime recurs")
     fog_again = regime_embeddings(spawn_rng(1, "recur"), 4.0)
-    match = match_cluster_to_expert(fog_again, registry, epsilon, gamma)
+    match = match_cluster_to_expert(fog_again, registry, epsilon, gamma,
+                                    cluster_labels=ONE_CLASS)
     print(f"   best MMD: {match.score:.3f} against expert {match.expert_id} "
           f"-> reuse={match.matched} (no new expert, no retraining from scratch)\n")
 

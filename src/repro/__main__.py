@@ -50,6 +50,7 @@ from repro.harness.comparison import (
     expert_distribution_table,
     render_expert_distribution,
 )
+from repro.harness.profiles import profile_names
 from repro.utils.serialization import save_run_result
 
 
@@ -88,6 +89,17 @@ def cmd_methods(_args) -> int:
     for name in strategy_names():
         print(f"{name:12s} {strategy_description(name)}")
     return 0
+
+
+def _fail(exc: Exception) -> int:
+    """Report a bad input as one line on stderr; the exit status is 2.
+
+    ``str()`` of a ``KeyError`` is the ``repr`` of its message, so that one
+    exception is unwrapped; every other message prints as written.
+    """
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(message, file=sys.stderr)
+    return 2
 
 
 def _executor(jobs: int):
@@ -230,8 +242,7 @@ def cmd_compare(args) -> int:
                                     cohort_size=args.cohort_size)
         result = plan.run(executor=_executor(args.jobs), callbacks=callbacks)
     except (ValueError, KeyError) as exc:
-        print(str(exc).strip("'\""), file=sys.stderr)
-        return 2
+        return _fail(exc)
     _print_result(result,
                   title=f"{args.dataset}: Drop / Recovery Time / Max Accuracy")
     if args.output_dir:
@@ -251,8 +262,7 @@ def cmd_run(args) -> int:
         else:
             plan = load_plan(args.plan)
     except (FileNotFoundError, ValueError, TypeError, KeyError) as exc:
-        print(str(exc).strip("'\""), file=sys.stderr)
-        return 2
+        return _fail(exc)
     unknown = {s.method or s.label for s in plan.strategies} - set(strategy_names())
     if unknown:
         print(f"plan references unregistered methods: {sorted(unknown)}; "
@@ -267,8 +277,7 @@ def cmd_run(args) -> int:
         result = plan.run(executor=_executor(args.jobs), callbacks=callbacks)
     except (ValueError, KeyError) as exc:
         # KeyError: unknown dataset or profile named inside the plan file.
-        print(str(exc).strip("'\""), file=sys.stderr)
-        return 2
+        return _fail(exc)
     _print_result(result,
                   title=f"{plan.dataset}: Drop / Recovery Time / Max Accuracy")
     if args.output_dir:
@@ -282,8 +291,7 @@ def cmd_scenarios_validate(args) -> int:
         plan = compile_scenario(doc)
         spec, settings = plan.resolve()
     except (FileNotFoundError, ValueError, TypeError, KeyError) as exc:
-        print(str(exc).strip("'\""), file=sys.stderr)
-        return 2
+        return _fail(exc)
     for warning in lint_scenario(doc):
         print(f"warning: {warning}", file=sys.stderr)
     strategies = [s.label for s in plan.strategies]
@@ -344,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="run strategies on a dataset and print the table")
     p_compare.add_argument("dataset", choices=dataset_names())
     p_compare.add_argument("--profile", default="ci",
-                           choices=("ci", "small", "paper"))
+                           choices=profile_names())
     p_compare.add_argument("--methods", nargs="*", metavar="METHOD",
                            help="registered methods to run (see the 'methods' "
                                 f"command; default: {PAPER_METHODS})")

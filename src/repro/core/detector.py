@@ -36,8 +36,7 @@ class PartyShiftReport:
 
     ``labels`` class-tags the embedding rows so the aggregator's latent-
     memory matching can be class-conditional (the same granularity as the
-    label histogram the party already reports; sealed in-enclave under TEE
-    mode).
+    label histogram the party already reports).
     """
 
     party_id: int

@@ -443,7 +443,6 @@ class ShiftExStrategy(ContinualStrategy):
             party_pools, priors,
             window_sample_size=ctx.spec.train_per_window,
             rng=ctx.rng("calibration"),
-            reuse_sample_size=self.config.memory_capacity,
         )
         if self.config.delta_cov is not None or self.config.delta_label is not None:
             calibrated = CalibratedThresholds(
@@ -455,7 +454,6 @@ class ShiftExStrategy(ContinualStrategy):
                              else calibrated.delta_label),
                 gamma=calibrated.gamma,
                 p_value=calibrated.p_value,
-                epsilon_base=calibrated.epsilon_base,
             )
         self.thresholds = calibrated
         if self._epsilon is None:

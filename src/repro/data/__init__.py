@@ -23,13 +23,8 @@ from repro.data.corruptions import (
     CORRUPTIONS,
     CORRUPTION_GROUPS,
     apply_corruption,
-    corruption_names,
 )
-from repro.data.partition import (
-    dirichlet_label_priors,
-    sample_counts_from_prior,
-    partition_by_dirichlet,
-)
+from repro.data.partition import dirichlet_label_priors
 from repro.data.registry import (
     DatasetSpec,
     RegimeAssignment,
@@ -46,10 +41,7 @@ __all__ = [
     "CORRUPTIONS",
     "CORRUPTION_GROUPS",
     "apply_corruption",
-    "corruption_names",
     "dirichlet_label_priors",
-    "sample_counts_from_prior",
-    "partition_by_dirichlet",
     "DatasetSpec",
     "RegimeAssignment",
     "ShiftSchedule",

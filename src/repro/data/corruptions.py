@@ -264,15 +264,6 @@ CORRUPTION_GROUPS: dict[str, tuple[str, ...]] = {
 }
 
 
-def corruption_names(group: str | None = None) -> tuple[str, ...]:
-    """All corruption names, or those of one group."""
-    if group is None:
-        return tuple(CORRUPTIONS)
-    if group not in CORRUPTION_GROUPS:
-        raise KeyError(f"unknown corruption group '{group}'")
-    return CORRUPTION_GROUPS[group]
-
-
 def apply_corruption(x: np.ndarray, name: str, severity: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Apply a named corruption at a given severity to a batch."""

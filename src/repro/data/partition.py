@@ -1,13 +1,10 @@
 """Non-IID partitioning and label-shift machinery.
 
 The paper uses Dirichlet sampling to skew label distributions across parties
-and across time windows (Section 6, "Distributional Shifts").  We provide:
+and across time windows (Section 6, "Distributional Shifts"):
 
 * :func:`dirichlet_label_priors` — per-party class priors ~ Dir(alpha);
-* :func:`sample_counts_from_prior` — integer per-class sample counts that
-  respect a prior exactly in expectation;
-* :func:`partition_by_dirichlet` — split a pre-drawn labelled pool across
-  parties with Dirichlet class proportions (for fixed-corpus experiments).
+* :func:`shift_prior` — a party's prior resampled at a label-shift event.
 """
 
 from __future__ import annotations
@@ -35,51 +32,6 @@ def dirichlet_label_priors(num_parties: int, num_classes: int, alpha: float,
     # Guard against degenerate all-zero rows from extreme alpha underflow.
     priors = np.clip(priors, 1e-9, None)
     return priors / priors.sum(axis=1, keepdims=True)
-
-
-def sample_counts_from_prior(prior: np.ndarray, n: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Multinomial per-class counts summing to ``n`` with probabilities ``prior``."""
-    prior = normalize_histogram(np.asarray(prior, dtype=np.float64))
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return rng.multinomial(n, prior)
-
-
-def partition_by_dirichlet(labels: np.ndarray, num_parties: int, alpha: float,
-                           rng: np.random.Generator,
-                           min_samples_per_party: int = 1) -> list[np.ndarray]:
-    """Split indices of a labelled pool across parties, Dirichlet-skewed.
-
-    Classic FL partitioning: for each class, the class's sample indices are
-    distributed across parties with proportions ~ Dir(alpha).  Retries until
-    every party holds at least ``min_samples_per_party`` samples (up to a
-    bounded number of attempts, then pads by stealing from the largest
-    party), so downstream training never sees an empty shard.
-    """
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError("labels must be 1-D")
-    classes = np.unique(labels)
-    for _attempt in range(20):
-        shards: list[list[int]] = [[] for _ in range(num_parties)]
-        for class_id in classes:
-            idx = np.nonzero(labels == class_id)[0]
-            idx = rng.permutation(idx)
-            proportions = rng.dirichlet(np.full(num_parties, alpha))
-            cuts = (np.cumsum(proportions)[:-1] * idx.size).astype(int)
-            for party, piece in enumerate(np.split(idx, cuts)):
-                shards[party].extend(piece.tolist())
-        sizes = [len(s) for s in shards]
-        if min(sizes) >= min_samples_per_party:
-            return [np.array(sorted(s)) for s in shards]
-    # Fallback: move samples from the largest shards into deficient ones.
-    order = np.argsort(sizes)
-    for poor in order:
-        while len(shards[poor]) < min_samples_per_party:
-            rich = int(np.argmax([len(s) for s in shards]))
-            shards[poor].append(shards[rich].pop())
-    return [np.array(sorted(s)) for s in shards]
 
 
 def shift_prior(prior: np.ndarray, alpha: float, rng: np.random.Generator,

@@ -31,6 +31,7 @@ import numpy as np
 from repro.data.corruptions import CORRUPTIONS
 from repro.data.drift import CohortDrift, validate_drift_plan
 from repro.data.partition import dirichlet_label_priors, shift_prior
+from repro.nn.models import model_names
 from repro.utils.rng import spawn_rng
 
 
@@ -88,6 +89,9 @@ class DatasetSpec:
         validate_drift_plan(self.drift, num_windows=self.num_windows)
         if self.windowing not in ("tumbling", "sliding"):
             raise ValueError("windowing must be 'tumbling' or 'sliding'")
+        if self.model_name not in model_names():
+            raise ValueError(f"unknown model '{self.model_name}'; "
+                             f"valid models: {list(model_names())}")
         if len(self.window_regimes) != self.num_windows - 1:
             raise ValueError(
                 f"{self.name}: need {self.num_windows - 1} window regimes, "

@@ -14,10 +14,9 @@ from repro.detection.mmd import (
     mmd,
     class_conditional_mmd,
 )
-from repro.detection.divergence import kl_divergence, jsd, jsd_max
+from repro.detection.divergence import jsd
 from repro.detection.drift import DriftMonitor, DriftVerdict
 from repro.detection.calibration import (
-    bootstrap_mmd_null,
     bootstrap_jsd_null,
     bootstrap_party_mmd_null,
     threshold_from_null,
@@ -31,10 +30,7 @@ __all__ = [
     "mmd2_biased",
     "mmd",
     "class_conditional_mmd",
-    "kl_divergence",
     "jsd",
-    "jsd_max",
-    "bootstrap_mmd_null",
     "bootstrap_jsd_null",
     "bootstrap_party_mmd_null",
     "threshold_from_null",

@@ -18,37 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.detection.divergence import jsd
-from repro.detection.mmd import class_conditional_mmd, median_heuristic_gamma, mmd
+from repro.detection.mmd import class_conditional_mmd, median_heuristic_gamma
 from repro.utils.validation import check_2d, normalize_histogram
-
-
-def bootstrap_mmd_null(embeddings: np.ndarray, sample_size: int,
-                       num_bootstrap: int, rng: np.random.Generator,
-                       gamma: float | None = None) -> np.ndarray:
-    """Null MMD scores between disjoint resamples of one embedding pool.
-
-    Each draw splits a random subset of the pool into two halves of
-    ``sample_size`` and records their MMD — the distribution of the detector
-    statistic when *no* shift occurred.
-    """
-    embeddings = check_2d(embeddings, "embeddings")
-    n = embeddings.shape[0]
-    if sample_size < 2:
-        raise ValueError("sample_size must be at least 2")
-    if 2 * sample_size > n:
-        raise ValueError(
-            f"need at least 2*sample_size={2 * sample_size} reference embeddings; have {n}"
-        )
-    if num_bootstrap <= 0:
-        raise ValueError("num_bootstrap must be positive")
-    if gamma is None:
-        gamma = median_heuristic_gamma(embeddings)
-    scores = np.empty(num_bootstrap)
-    for b in range(num_bootstrap):
-        idx = rng.choice(n, size=2 * sample_size, replace=False)
-        scores[b] = mmd(embeddings[idx[:sample_size]],
-                        embeddings[idx[sample_size:]], gamma)
-    return scores
 
 
 def bootstrap_jsd_null(prior: np.ndarray, sample_size: int,
@@ -119,17 +90,14 @@ def threshold_from_null(null_scores: np.ndarray, p_value: float = 0.05) -> float
 class CalibratedThresholds:
     """Calibrated detector thresholds plus kernel bandwidth.
 
-    ``epsilon_base`` is the null quantile of *unconditional* MMD at
-    reuse-matching sample sizes — the reference scale for the latent-memory
-    threshold epsilon (Section 5.2.2), which the server scales by its
-    ``epsilon_scale``.
+    The latent-memory threshold epsilon (Section 5.2.2) is not calibrated
+    separately: the server derives it as ``delta_cov * epsilon_scale``.
     """
 
     delta_cov: float
     delta_label: float
     gamma: float
     p_value: float
-    epsilon_base: float = 0.0
 
 
 class ThresholdCalibrator:
@@ -145,8 +113,7 @@ class ThresholdCalibrator:
 
     def calibrate(self, party_pools: list[tuple[np.ndarray, np.ndarray]],
                   stable_priors: np.ndarray, window_sample_size: int,
-                  rng: np.random.Generator,
-                  reuse_sample_size: int = 64) -> CalibratedThresholds:
+                  rng: np.random.Generator) -> CalibratedThresholds:
         """Derive detection thresholds from the clean bootstrap window.
 
         Parameters
@@ -157,8 +124,6 @@ class ThresholdCalibrator:
             conditions.
         window_sample_size : typical per-window label-histogram sample count
             (controls JSD sampling noise).
-        reuse_sample_size : sample size for the epsilon_base null (typically
-            the latent-memory capacity).
         """
         if not party_pools:
             raise ValueError("party_pools must not be empty")
@@ -171,18 +136,9 @@ class ThresholdCalibrator:
             bootstrap_jsd_null(prior, window_sample_size, per_prior, rng)
             for prior in priors
         ])
-        reuse_m = min(reuse_sample_size, pooled.shape[0] // 2)
-        if reuse_m >= 2:
-            reuse_null = bootstrap_mmd_null(
-                pooled, reuse_m, self.num_bootstrap, rng, gamma
-            )
-            epsilon_base = threshold_from_null(reuse_null, self.p_value)
-        else:
-            epsilon_base = threshold_from_null(mmd_null, self.p_value)
         return CalibratedThresholds(
             delta_cov=threshold_from_null(mmd_null, self.p_value),
             delta_label=threshold_from_null(jsd_null, self.p_value),
             gamma=gamma,
             p_value=self.p_value,
-            epsilon_base=epsilon_base,
         )

@@ -1,4 +1,4 @@
-"""Discrete divergences: KL and Jensen–Shannon.
+"""The discrete divergence ShiftEx uses: Jensen–Shannon.
 
 JSD is the label-shift statistic of the paper (Section 4.3): symmetric,
 bounded by ``log 2`` (natural log), and finite even for distributions with
@@ -12,22 +12,6 @@ import numpy as np
 from repro.utils.validation import check_probability_vector
 
 _EPS = 1e-12
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Kullback–Leibler divergence ``D_KL(P || Q)`` in nats.
-
-    Infinite when P puts mass where Q has none; terms with ``p_i == 0``
-    contribute zero.
-    """
-    p = check_probability_vector(p, "p")
-    q = check_probability_vector(q, "q")
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    support = p > 0
-    if np.any(q[support] <= 0):
-        return float("inf")
-    return float(np.sum(p[support] * np.log(p[support] / q[support])))
 
 
 def jsd(p: np.ndarray, q: np.ndarray) -> float:
@@ -49,8 +33,3 @@ def jsd(p: np.ndarray, q: np.ndarray) -> float:
             np.sum(dist[support] * np.log(dist[support] / (m[support] + _EPS)))
         )
     return float(np.clip(value, 0.0, np.log(2.0)))
-
-
-def jsd_max() -> float:
-    """Upper bound of JSD in nats (attained by disjoint-support pairs)."""
-    return float(np.log(2.0))

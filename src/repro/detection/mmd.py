@@ -136,21 +136,6 @@ def mmd(x: np.ndarray, y: np.ndarray, gamma: float | None = None) -> float:
     return float(np.sqrt(mmd2_biased(x, y, gamma)))
 
 
-def mmd_to_many(x: np.ndarray, ys: list[np.ndarray],
-                gamma: float | None = None) -> np.ndarray:
-    """Biased MMD of ``x`` against each sample set in ``ys``, as one batch.
-
-    With ``gamma=None`` each pair gets its own median-heuristic bandwidth.
-    """
-    x = check_2d(x, "x")
-    ys = [check_2d(y, "y") for y in ys]
-    if not ys:
-        return np.zeros(0)
-    if gamma is None:
-        gamma = [median_heuristic_gamma(x, y) for y in ys]
-    return np.sqrt(_mmd2_pairs([(x, y) for y in ys], gamma))
-
-
 def class_conditional_mmd(x: np.ndarray, x_labels: np.ndarray,
                           y: np.ndarray, y_labels: np.ndarray,
                           gamma: float | None = None,

@@ -11,22 +11,18 @@ The pieces fit together like this:
   bitwise-identical results;
 * :mod:`~repro.experiments.events` — :class:`RunCallback` hooks
   (``on_run_start`` / ``on_round_end`` / ``on_window_end`` / ``on_run_end``)
-  with stock plugins for progress logging, JSON checkpointing, early stop;
+  and the stock :class:`ProgressLogger`;
 * :mod:`~repro.experiments.results` — :class:`ComparisonResult`, the grid's
   collected runs and per-strategy aggregates.
 """
 
 from repro.experiments.registry import (
     build_strategy,
-    is_registered,
     register_strategy,
     strategy_description,
     strategy_names,
-    unregister_strategy,
 )
 from repro.experiments.events import (
-    EarlyStopper,
-    JsonCheckpointer,
     ProgressLogger,
     RunCallback,
     RunInfo,
@@ -43,16 +39,12 @@ from repro.experiments.results import ComparisonResult
 
 __all__ = [
     "register_strategy",
-    "unregister_strategy",
     "build_strategy",
-    "is_registered",
     "strategy_names",
     "strategy_description",
     "RunCallback",
     "RunInfo",
     "ProgressLogger",
-    "JsonCheckpointer",
-    "EarlyStopper",
     "SerialExecutor",
     "ParallelExecutor",
     "run_cell",

@@ -31,6 +31,10 @@ def run_cell(plan, cell, callbacks=()):
             f"{exc.args[0] if exc.args else exc}; if this cell ran in a "
             f"'spawn'-start worker process, strategies must be registered at "
             f"import time in an importable module (not __main__)") from exc
+    except (TypeError, ValueError) as exc:
+        # Wrong kwargs in a plan entry: an unknown argument, a config value
+        # of the wrong type or out of range.
+        raise ValueError(f"strategy '{cell.spec.label}': {exc}") from exc
     return run_strategy(strategy, spec, settings, seed=cell.seed,
                         callbacks=callbacks)
 

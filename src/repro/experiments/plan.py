@@ -392,8 +392,15 @@ class ExperimentPlan:
 
 def _dataset_spec_from_dict(data: Mapping) -> DatasetSpec:
     kwargs = check_keys("plan spec_override", data, field_names(DatasetSpec))
+    missing = sorted(
+        f.name for f in dataclasses.fields(DatasetSpec)
+        if f.name not in kwargs and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING)
+    if missing:
+        raise ValueError(
+            f"plan spec_override is missing required key(s) {missing}")
     kwargs["window_regimes"] = tuple(
-        (str(c), int(s)) for c, s in kwargs.get("window_regimes", ()))
+        (str(c), int(s)) for c, s in kwargs["window_regimes"])
     return DatasetSpec(**kwargs)
 
 

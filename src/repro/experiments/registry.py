@@ -69,16 +69,6 @@ def register_strategy(name: str, *, overwrite: bool = False):
     return decorator
 
 
-def unregister_strategy(name: str) -> None:
-    """Remove a registration (no-op when absent).  Mainly for tests."""
-    _REGISTRY.pop(name, None)
-
-
-def is_registered(name: str) -> bool:
-    _ensure_builtins()
-    return name in _REGISTRY
-
-
 def strategy_names() -> tuple[str, ...]:
     """All registered names, sorted."""
     _ensure_builtins()

@@ -38,16 +38,9 @@ class ComparisonResult:
         return 0
 
     def add_runs(self, label: str, runs: list[StrategyRunResult]) -> None:
-        """Record one strategy's per-seed runs and refresh its aggregates.
-
-        Early-stopped runs may cover fewer windows than their siblings; the
-        aggregates then span the window prefix common to every seed (empty
-        when a run stopped during burn-in).
-        """
+        """Record one strategy's per-seed runs and refresh its aggregates."""
         if not runs:
             raise ValueError(f"strategy '{label}' produced no runs")
         self.runs[label] = list(runs)
-        common = min(len(r.summaries) for r in runs)
-        self.aggregates[label] = (
-            aggregate_summaries([r.summaries[:common] for r in runs])
-            if common else [])
+        self.aggregates[label] = aggregate_summaries(
+            [r.summaries for r in runs])

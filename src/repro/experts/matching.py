@@ -7,8 +7,8 @@ Implements the reuse rule of Section 5.2.2:
 where ``M(k)`` is expert k's latent-memory signature.  Recurring covariate
 patterns thereby reuse existing experts instead of spawning new ones.
 
-When the cluster carries class tags (and the memory stores them), the score
-is *class-conditional* MMD: at window-sized samples the label-composition
+Clusters carry class tags and memories store them, so the score is
+*class-conditional* MMD: at window-sized samples the label-composition
 differences between a cluster and a memory otherwise dominate the
 unconditional statistic and mask the covariate signal entirely.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.detection.mmd import class_conditional_mmd_to_many, mmd_to_many
+from repro.detection.mmd import class_conditional_mmd_to_many
 from repro.experts.registry import Expert, ExpertRegistry
 from repro.utils.validation import check_2d
 
@@ -35,10 +35,10 @@ class MatchResult:
 
 
 def _subsample_cluster(cluster_embeddings: np.ndarray,
-                       cluster_labels: np.ndarray | None,
+                       cluster_labels: np.ndarray,
                        max_rows: int | None,
                        rng: np.random.Generator | None,
-                       ) -> tuple[np.ndarray, np.ndarray | None]:
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Validate a cluster pool and subsample it to ``max_rows`` rows.
 
     MMD's magnitude depends on sample size, so matching at the same row
@@ -46,29 +46,17 @@ def _subsample_cluster(cluster_embeddings: np.ndarray,
     capacity) keeps the score and the threshold on one scale.
     """
     cluster_embeddings = check_2d(cluster_embeddings, "cluster_embeddings")
-    if cluster_labels is not None:
-        cluster_labels = np.asarray(cluster_labels)
-        if cluster_labels.shape != (cluster_embeddings.shape[0],):
-            raise ValueError("cluster_labels must align with embedding rows")
+    cluster_labels = np.asarray(cluster_labels)
+    if cluster_labels.shape != (cluster_embeddings.shape[0],):
+        raise ValueError("cluster_labels must align with embedding rows")
     if max_rows is not None and cluster_embeddings.shape[0] > max_rows:
         if rng is None:
             raise ValueError("subsampling the cluster pool requires an rng")
         idx = rng.choice(cluster_embeddings.shape[0], size=max_rows,
                          replace=False)
         cluster_embeddings = cluster_embeddings[idx]
-        if cluster_labels is not None:
-            cluster_labels = cluster_labels[idx]
+        cluster_labels = cluster_labels[idx]
     return cluster_embeddings, cluster_labels
-
-
-def _eligible_experts(registry: ExpertRegistry,
-                      exclude: set[int] | None) -> list[Expert]:
-    """Experts a cluster may match: non-empty memory, not excluded."""
-    return [
-        expert for expert in registry.all()
-        if not (exclude and expert.expert_id in exclude)
-        and not expert.memory.is_empty
-    ]
 
 
 def _best_match(eligible: list[Expert], score_values,
@@ -96,15 +84,14 @@ def match_cluster_to_expert(cluster_embeddings: np.ndarray,
                             registry: ExpertRegistry,
                             epsilon: float,
                             gamma: float | None = None,
-                            exclude: set[int] | None = None,
                             max_rows: int | None = None,
                             rng: np.random.Generator | None = None,
-                            cluster_labels: np.ndarray | None = None,
-                            ) -> MatchResult:
-    """Find the closest expert by MMD between cluster and memory signatures.
+                            *, cluster_labels: np.ndarray) -> MatchResult:
+    """Find the closest expert by class-conditional MMD between the cluster
+    and each memory signature.
 
     ``epsilon`` is the reuse threshold; experts with empty memories (never
-    trained on any regime) and ids in ``exclude`` are skipped.
+    trained on any regime) are skipped.
 
     ``max_rows`` subsamples the cluster pool before comparison (see
     :func:`_subsample_cluster`).
@@ -113,7 +100,7 @@ def match_cluster_to_expert(cluster_embeddings: np.ndarray,
         raise ValueError("epsilon must be non-negative")
     cluster_embeddings, cluster_labels = _subsample_cluster(
         cluster_embeddings, cluster_labels, max_rows, rng)
-    eligible = _eligible_experts(registry, exclude)
+    eligible = [e for e in registry.all() if not e.memory.is_empty]
     # Sealed scoring: when the registry carries a ScoreSeal, the cluster
     # pool and every memory signature are sign-sealed before they reach a
     # kernel.  MMD is built from inner products and squared norms, so the
@@ -125,22 +112,8 @@ def match_cluster_to_expert(cluster_embeddings: np.ndarray,
         cluster_embeddings = seal.seal(cluster_embeddings)
         signatures = seal.seal_many(signatures)
     # Every (class x memory) pair joins one batched kernel evaluation.
-    if cluster_labels is not None:
-        score_values = class_conditional_mmd_to_many(
-            cluster_embeddings, cluster_labels, signatures,
-            [e.memory.signature_labels for e in eligible], gamma,
-        )
-    else:
-        score_values = mmd_to_many(cluster_embeddings, signatures, gamma)
+    score_values = class_conditional_mmd_to_many(
+        cluster_embeddings, cluster_labels, signatures,
+        [e.memory.signature_labels for e in eligible], gamma,
+    )
     return _best_match(eligible, score_values, epsilon)
-
-
-def nearest_expert(cluster_embeddings: np.ndarray, registry: ExpertRegistry,
-                   gamma: float | None = None) -> Expert | None:
-    """The closest expert regardless of threshold (None if registry empty)."""
-    result = match_cluster_to_expert(cluster_embeddings, registry,
-                                     epsilon=float("inf"), gamma=gamma)
-    if result.expert_id is None:
-        return None
-    return registry.get(result.expert_id)
-

@@ -13,7 +13,7 @@ Rows carry class tags so matching can use *class-conditional* MMD — at
 window-sized samples the label-composition noise of pooled embeddings
 otherwise drowns the covariate signal (see ``repro.detection.mmd``).  The
 tags are the same granularity of information as the label histograms parties
-already report; in TEE mode they remain sealed inside the enclave.
+already report.
 """
 
 from __future__ import annotations

@@ -153,12 +153,6 @@ class ExpertRegistry:
         self.created_total += 1
         return expert
 
-    def adopt(self, expert: Expert) -> Expert:
-        """Register an externally built expert (checkpoint restore path)."""
-        self._admit(expert)
-        self._next_id = max(self._next_id, expert.expert_id + 1)
-        return expert
-
     def remove(self, expert_id: int) -> Expert:
         if expert_id not in self._experts:
             raise KeyError(f"unknown expert id {expert_id}")

@@ -81,10 +81,6 @@ class Party:
         self._data = None
 
     @property
-    def has_data(self) -> bool:
-        return self._data is not None
-
-    @property
     def dtype(self) -> np.dtype:
         """The bound model precision — what round banks must allocate at."""
         return self._model.dtype
@@ -141,20 +137,12 @@ class Party:
         _acc, loss = self.evaluate(params, split)
         return loss
 
-    def embeddings(self, params: Params, split: str = "train",
-                   max_samples: int | None = None) -> np.ndarray:
-        """Penultimate-layer embeddings of this window under ``params``.
-
-        This is Algorithm 1's ``phi(x_i)``: the party-side latent profile
-        P_t(X) shared with the aggregator instead of raw data.
-        """
-        features, _labels = self.embeddings_with_labels(params, split, max_samples)
-        return features
-
     def embeddings_with_labels(self, params: Params, split: str = "train",
                                max_samples: int | None = None,
                                ) -> tuple[np.ndarray, np.ndarray]:
-        """Embeddings plus their labels — labels never leave the party.
+        """Penultimate-layer embeddings of this window under ``params`` —
+        Algorithm 1's ``phi(x_i)``, the latent profile shared instead of raw
+        data — plus their labels, which never leave the party.
 
         The label column exists so the party can compute class-conditional
         detection statistics locally (Algorithm 1); only embeddings, the

@@ -6,11 +6,10 @@ runner's own (:class:`EvaluatedParties`), outside the
 :class:`~repro.federation.pool.PartyPool`, so the pool and its counters see
 protocol ops (training, reports, surveys) only.
 
-Cross-cutting behavior (progress output, checkpoints, early stop) hooks in
-through :class:`~repro.experiments.events.RunCallback` objects passed as
+Observers (progress output, a benchmark's clock) hook in through
+:class:`~repro.experiments.events.RunCallback` objects passed as
 ``callbacks`` — the runner fires ``on_run_start`` / ``on_round_end`` /
-``on_window_end`` / ``on_run_end`` and honors stop requests by truncating
-the remaining windows.
+``on_window_end`` / ``on_run_end``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from repro.data.federated import FederatedShiftDataset
 from repro.data.registry import DatasetSpec
-from repro.experiments.events import RunCallback, RunInfo, first_stop_reason
+from repro.experiments.events import RunCallback, RunInfo
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.async_engine import FederationEngine
 from repro.federation.party import Party
@@ -101,9 +100,7 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
     the window's rounds measuring after each, then close the window.
     Returns accuracy in percent.
 
-    ``callbacks`` observe the run (see :mod:`repro.experiments.events`); a
-    stop request ends the run after the window in which it was raised, with
-    ``extras["stopped_early"]`` recording the truncation.
+    ``callbacks`` observe the run (see :mod:`repro.experiments.events`).
     """
     ds = dataset if dataset is not None else FederatedShiftDataset(spec)
     dtype = settings.np_dtype
@@ -173,14 +170,8 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         rounds_per_window=settings.rounds_per_window,
     )
     for cb in callbacks:
-        # A shared callback instance must not carry a stop request from a
-        # previous run into this one.
-        clear = getattr(cb, "clear_stop", None)
-        if callable(clear):
-            clear()
         cb.on_run_start(info)
 
-    stop_reason: str | None = None
     for window in range(spec.num_windows):
         # Before start_window, so the new window's train splits of the
         # resident parties are generated outside the shift response.
@@ -198,9 +189,6 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
             series.append(accuracy)
             for cb in callbacks:
                 cb.on_round_end(info, window, round_index, accuracy)
-            stop_reason = first_stop_reason(callbacks)
-            if stop_reason is not None:
-                break
         strategy.end_window(window)
         window_series.append(series)
         state = strategy.describe_state()
@@ -212,17 +200,13 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         for cb in callbacks:
             cb.on_window_end(info, window, list(series), state)
         ds.evict_window(window)
-        if stop_reason is None:
-            stop_reason = first_stop_reason(callbacks)
-        if stop_reason is not None:
-            break
 
     result = StrategyRunResult(
         strategy_name=strategy.name,
         dataset=spec.name,
         seed=seed,
         window_series=window_series,
-        # A stop during the burn-in window leaves nothing to summarize.
+        # A burn-in-only spec leaves nothing to summarize.
         summaries=(summarize_run(window_series)
                    if len(window_series) >= 2 else []),
         state_log=state_log,
@@ -235,12 +219,6 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         # Only a declared population reports its residency counters, so
         # default-plan artifacts carry no trace of the pool.
         result.extras["party_pool"] = parties.summary()
-    if stop_reason is not None:
-        result.extras.update(
-            stopped_early=True,
-            stop_reason=stop_reason,
-            completed_windows=len(window_series),
-        )
     for cb in callbacks:
         cb.on_run_end(info, result)
     return result

@@ -10,23 +10,11 @@ All layers are gradient-checked in the test suite against central finite
 differences.
 """
 
-from repro.nn.layers import (
-    Layer,
-    Dense,
-    ReLU,
-    Tanh,
-    Conv2d,
-    MaxPool2d,
-    GlobalAvgPool2d,
-    Flatten,
-    Dropout,
-    BatchNorm,
-)
+from repro.nn.layers import Layer, Dense, ReLU, Conv2d, MaxPool2d, Flatten
 from repro.nn.losses import softmax_cross_entropy, softmax_probs
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import SGD
 from repro.nn.network import Sequential
 from repro.nn.models import build_model, model_names, embedding_dim
-from repro.nn.residual import ResidualBlock, build_resnet_mini
 from repro.nn.training import LocalTrainingConfig, train_local, evaluate
 from repro.nn.gradcheck import numerical_gradients, max_grad_error
 
@@ -34,21 +22,14 @@ __all__ = [
     "Layer",
     "Dense",
     "ReLU",
-    "Tanh",
     "Conv2d",
     "MaxPool2d",
-    "GlobalAvgPool2d",
     "Flatten",
-    "Dropout",
-    "BatchNorm",
     "softmax_cross_entropy",
     "softmax_probs",
     "SGD",
-    "Adam",
     "Sequential",
     "build_model",
-    "ResidualBlock",
-    "build_resnet_mini",
     "model_names",
     "embedding_dim",
     "LocalTrainingConfig",

@@ -33,27 +33,6 @@ class Layer:
         """
         self.backward(grad_out)
 
-    def zero_grads(self) -> None:
-        for g in self.grads:
-            g.fill(0.0)
-
-    def param_owners(self) -> list["Layer"]:
-        """The layers whose ``params``/``grads`` lists own this layer's arrays.
-
-        ``Sequential`` rebinds those list entries to slices of one contiguous
-        flat buffer; composite layers (e.g. residual blocks) override this to
-        expose their sublayers in ``params`` order.
-        """
-        return [self]
-
-    def to_dtype(self, dtype: np.dtype) -> None:
-        """Cast non-parameter state (e.g. running statistics) to ``dtype``.
-
-        Parameters and gradients are cast by ``Sequential`` when it binds
-        them to its flat storage; layers carrying extra float state override
-        this so a model is dtype-pure end to end.
-        """
-
     def output_note(self) -> str:
         """Short human-readable description used in ``Sequential.describe``."""
         return type(self).__name__
@@ -137,22 +116,6 @@ class ReLU(Layer):
         return grad_out * self._mask
 
 
-class Tanh(Layer):
-    def __init__(self) -> None:
-        super().__init__()
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        y = np.tanh(x)
-        self._y = y if training else None
-        return y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        return grad_out * (1.0 - self._y ** 2)
-
-
 class Flatten(Layer):
     def __init__(self) -> None:
         super().__init__()
@@ -166,96 +129,6 @@ class Flatten(Layer):
         if self._shape is None:
             raise RuntimeError("backward called before forward")
         return grad_out.reshape(self._shape)
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at inference time."""
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.rate = rate
-        self._rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        mask = (self._rng.random(x.shape) < keep) / keep
-        self._mask = mask.astype(x.dtype, copy=False)
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-
-class BatchNorm(Layer):
-    """Batch normalization over the feature axis of a 2-D input.
-
-    Running statistics are part of ``state`` (not ``params``) so federated
-    averaging of parameters does not mix them; they are carried alongside in
-    the extra-state API used by :class:`~repro.nn.network.Sequential`.
-    """
-
-    def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
-        gamma = np.ones(num_features)
-        beta = np.zeros(num_features)
-        self.params = [gamma, beta]
-        self.grads = [np.zeros_like(gamma), np.zeros_like(beta)]
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ValueError(f"BatchNorm expected (n, {self.num_features}); got {x.shape}")
-        if training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        else:
-            mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
-        if training:
-            self._cache = (x_hat, inv_std, x - mean)
-        return x_hat * self.params[0] + self.params[1]
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        x_hat, inv_std, _centered = self._cache
-        n = grad_out.shape[0]
-        self.grads[0] += (grad_out * x_hat).sum(axis=0)
-        self.grads[1] += grad_out.sum(axis=0)
-        gamma = self.params[0]
-        dxhat = grad_out * gamma
-        return (inv_std / n) * (
-            n * dxhat - dxhat.sum(axis=0) - x_hat * (dxhat * x_hat).sum(axis=0)
-        )
-
-    def to_dtype(self, dtype: np.dtype) -> None:
-        self.running_mean = self.running_mean.astype(dtype, copy=False)
-        self.running_var = self.running_var.astype(dtype, copy=False)
-
-    def extra_state(self) -> dict[str, np.ndarray]:
-        return {"running_mean": self.running_mean.copy(), "running_var": self.running_var.copy()}
-
-    def load_extra_state(self, state: dict[str, np.ndarray]) -> None:
-        # Preserve the model's precision when restoring checkpointed state.
-        dtype = self.running_mean.dtype
-        self.running_mean = state["running_mean"].astype(dtype)
-        self.running_var = state["running_var"].astype(dtype)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
@@ -408,27 +281,3 @@ class MaxPool2d(Layer):
         for mask, grad_here in zip(first, self._window_views(grad)):
             np.multiply(mask, grad_out, out=grad_here)
         return grad
-
-
-class GlobalAvgPool2d(Layer):
-    """Global average pooling: (n, c, h, w) -> (n, c).
-
-    This is the embedding layer of the paper's ResNet/DenseNet encoders; the
-    features ShiftEx extracts are exactly the output of this layer.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._shape = x.shape
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w = self._shape
-        return np.broadcast_to(
-            grad_out[:, :, None, None] / (h * w), (n, c, h, w)
-        ).copy()

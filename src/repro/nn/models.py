@@ -3,35 +3,27 @@
 The paper pairs each dataset with a standard architecture (LeNet-5 for
 FEMNIST/Fashion-MNIST, ResNet-18/50 and DenseNet-121 for the image corpora)
 and extracts penultimate-layer embeddings for shift detection.  At simulator
-scale we keep the same *structure* — convolutional encoder, global pooling /
-dense embedding layer, linear head — with laptop-sized widths:
+scale we keep the same *structure* — encoder, dense embedding layer, linear
+head — with laptop-sized widths, in the two models the registered datasets
+and benchmark plans name:
 
-* ``mlp``           — dense encoder for flat inputs (stands in for LeNet-5's
-                      fully connected tail on small synthetic images).
-* ``lenet_mini``    — two conv+pool blocks and a dense embedding layer; the
-                      direct analogue of LeNet-5.
-* ``convnet_small`` — conv encoder with global average pooling, the analogue
-                      of the ResNet/DenseNet encoders whose GAP output the
-                      paper uses as the latent representation.
+* ``mlp``        — dense encoder for flat inputs (stands in for LeNet-5's
+                   fully connected tail on small synthetic images).
+* ``lenet_mini`` — two conv+pool blocks and a dense embedding layer; the
+                   direct analogue of LeNet-5.
+
+The ResNet / DenseNet analogues were named by no dataset and no plan and are
+gone; see "Measured and rejected" in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import (
-    Conv2d,
-    Dense,
-    Dropout,
-    Flatten,
-    GlobalAvgPool2d,
-    MaxPool2d,
-    ReLU,
-    Standardize,
-)
+from repro.nn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU, Standardize
 from repro.nn.network import Sequential
 
-_MODEL_NAMES = ("mlp", "lenet_mini", "convnet_small", "resnet_mini")
+_MODEL_NAMES = ("mlp", "lenet_mini")
 
 
 def model_names() -> tuple[str, ...]:
@@ -43,8 +35,7 @@ def _flat_dim(input_shape: tuple[int, ...]) -> int:
 
 
 def build_mlp(input_shape: tuple[int, ...], num_classes: int, rng: np.random.Generator,
-              hidden: tuple[int, ...] = (64, 32), dropout: float = 0.0,
-              dtype=None) -> Sequential:
+              hidden: tuple[int, ...] = (64, 32), dtype=None) -> Sequential:
     """Dense classifier; features = activations of the last hidden layer."""
     layers: list = [Standardize()]
     if len(input_shape) > 1:
@@ -53,8 +44,6 @@ def build_mlp(input_shape: tuple[int, ...], num_classes: int, rng: np.random.Gen
     for width in hidden:
         layers.append(Dense(dim, width, rng))
         layers.append(ReLU())
-        if dropout:
-            layers.append(Dropout(dropout, rng))
         dim = width
     layers.append(Dense(dim, num_classes, rng))
     return Sequential(layers, dtype=dtype)
@@ -86,30 +75,6 @@ def build_lenet_mini(input_shape: tuple[int, ...], num_classes: int,
     return Sequential(layers, dtype=dtype)
 
 
-def build_convnet_small(input_shape: tuple[int, ...], num_classes: int,
-                        rng: np.random.Generator, width: int = 32,
-                        embed_dim: int = 48, dtype=None) -> Sequential:
-    """Conv encoder with global average pooling (ResNet-encoder analogue)."""
-    if len(input_shape) != 3:
-        raise ValueError(f"convnet_small expects (c, h, w) input; got {input_shape}")
-    c, h, w = input_shape
-    if h % 2 or w % 2:
-        raise ValueError("convnet_small requires even spatial dims")
-    layers = [
-        Standardize(),
-        Conv2d(c, width // 2, 3, rng, padding=1),
-        ReLU(),
-        MaxPool2d(2),
-        Conv2d(width // 2, width, 3, rng, padding=1),
-        ReLU(),
-        GlobalAvgPool2d(),
-        Dense(width, embed_dim, rng),
-        ReLU(),
-        Dense(embed_dim, num_classes, rng),
-    ]
-    return Sequential(layers, dtype=dtype)
-
-
 def build_model(name: str, input_shape: tuple[int, ...], num_classes: int,
                 rng: np.random.Generator, **kwargs) -> Sequential:
     """Construct a model by registry name.
@@ -123,11 +88,6 @@ def build_model(name: str, input_shape: tuple[int, ...], num_classes: int,
         return build_mlp(input_shape, num_classes, rng, **kwargs)
     if name == "lenet_mini":
         return build_lenet_mini(input_shape, num_classes, rng, **kwargs)
-    if name == "convnet_small":
-        return build_convnet_small(input_shape, num_classes, rng, **kwargs)
-    if name == "resnet_mini":
-        from repro.nn.residual import build_resnet_mini
-        return build_resnet_mini(input_shape, num_classes, rng, **kwargs)
     raise KeyError(f"unknown model '{name}'; available: {_MODEL_NAMES}")
 
 
@@ -138,8 +98,4 @@ def embedding_dim(name: str, input_shape: tuple[int, ...], **kwargs) -> int:
         return int(hidden[-1]) if hidden else _flat_dim(input_shape)
     if name == "lenet_mini":
         return int(kwargs.get("embed_dim", 48))
-    if name == "convnet_small":
-        return int(kwargs.get("embed_dim", 48))
-    if name == "resnet_mini":
-        return int(kwargs.get("embed_dim", 32))
     raise KeyError(f"unknown model '{name}'")

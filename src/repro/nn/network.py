@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import BatchNorm, Layer
+from repro.nn.layers import Layer
 from repro.utils.params import ParamSpec, Params, resolve_dtype
 
 
@@ -49,24 +49,21 @@ class Sequential:
         if not 0 <= self.feature_index < len(layers):
             raise ValueError("feature_index out of range")
         self.dtype = resolve_dtype(dtype)
-        self._owners = [o for layer in layers for o in layer.param_owners()]
-        self._spec = ParamSpec.of([p for o in self._owners for p in o.params])
-        # Re-home every owner's param and grad arrays as slices of two flat
+        self._spec = ParamSpec.of([p for layer in layers for p in layer.params])
+        # Re-home every layer's param and grad arrays as slices of two flat
         # buffers, keeping the values the layers were initialized with.
         self._flat = np.empty(self._spec.total_size, dtype=self.dtype)
         self._flat_grads = np.zeros(self._spec.total_size, dtype=self.dtype)
         offset = 0
-        for owner in self._owners:
-            for i, p in enumerate(owner.params):
+        for layer in layers:
+            for i, p in enumerate(layer.params):
                 view = self._flat[offset:offset + p.size].reshape(p.shape)
                 np.copyto(view, p, casting="same_kind")
-                owner.params[i] = view
+                layer.params[i] = view
                 gview = self._flat_grads[offset:offset + p.size].reshape(p.shape)
-                np.copyto(gview, owner.grads[i], casting="same_kind")
-                owner.grads[i] = gview
+                np.copyto(gview, layer.grads[i], casting="same_kind")
+                layer.grads[i] = gview
                 offset += p.size
-        for layer in layers:
-            layer.to_dtype(self.dtype)
 
     # ------------------------------------------------------------------ forward/backward
 
@@ -116,14 +113,6 @@ class Sequential:
         _logits, feats = self.forward_with_features(x, training=False)
         return feats
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.forward(x, training=False), axis=1)
-
-    def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
-        if len(y) == 0:
-            raise ValueError("cannot compute accuracy on an empty set")
-        return float(np.mean(self.predict(x) == np.asarray(y)))
-
     # ------------------------------------------------------------------ parameters
 
     @property
@@ -170,34 +159,9 @@ class Sequential:
                 raise ValueError(f"parameter shape mismatch: {dst.shape} vs {src.shape}")
             np.copyto(dst, src, casting="same_kind")
 
-    def get_flat_params(self) -> np.ndarray:
-        """Snapshot copy of the flat parameter vector."""
-        return self._flat.copy()
-
-    def set_flat_params(self, vector: np.ndarray) -> None:
-        vector = np.asarray(vector)
-        self._spec._check_vector(vector)
-        np.copyto(self._flat, vector, casting="same_kind")
-
     @property
     def num_params(self) -> int:
         return self._spec.total_size
-
-    # ------------------------------------------------------------------ extra state
-
-    def extra_state(self) -> list[dict[str, np.ndarray]]:
-        """Non-parameter state (BatchNorm running statistics)."""
-        return [
-            layer.extra_state() if isinstance(layer, BatchNorm) else {}
-            for layer in self.layers
-        ]
-
-    def load_extra_state(self, state: list[dict[str, np.ndarray]]) -> None:
-        if len(state) != len(self.layers):
-            raise ValueError("extra state length mismatch")
-        for layer, st in zip(self.layers, state):
-            if isinstance(layer, BatchNorm) and st:
-                layer.load_extra_state(st)
 
     def describe(self) -> str:
         return " -> ".join(layer.output_note() for layer in self.layers)

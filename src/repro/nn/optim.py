@@ -11,9 +11,6 @@ class Optimizer:
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Drop any accumulated state (momentum buffers etc.)."""
-
 
 class SGD(Optimizer):
     """SGD with optional momentum and decoupled weight decay."""
@@ -47,43 +44,3 @@ class SGD(Optimizer):
             if self.weight_decay:
                 p *= 1.0 - self.lr * self.weight_decay
             p -= self.lr * v
-
-    def reset(self) -> None:
-        self._velocity = None
-
-
-class Adam(Optimizer):
-    """Adam optimizer (used by some baselines' local steps)."""
-
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
-        self._t = 0
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if self._m is None or len(self._m) != len(params):
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
-            self._t = 0
-        self._t += 1
-        b1t = 1.0 - self.beta1 ** self._t
-        b2t = 1.0 - self.beta2 ** self._t
-        assert self._v is not None
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-
-    def reset(self) -> None:
-        self._m = None
-        self._v = None
-        self._t = 0

@@ -1,4 +1,4 @@
-"""Privacy substrate: masked aggregation, sealed scoring, the TEE tax.
+"""Privacy substrate: masked aggregation, sealed scoring, an overhead model.
 
 * :mod:`~repro.privacy.plan` — :class:`PrivacyPlan`, the run-level knobs
   (masking, Shamir threshold, sealed scoring, mask seed);
@@ -7,8 +7,8 @@
   (:mod:`~repro.privacy.shamir`);
 * :mod:`~repro.privacy.sealed_scoring` — expert cosine/MMD scoring over
   sign-sealed rows, bitwise-identical to plaintext scoring;
-* :mod:`~repro.privacy.overhead` — the cost model for the paper's optional
-  TEE mode (Section 5.3): the documented ~5 % enclave compute tax and the
+* :mod:`~repro.privacy.overhead` — a cost *model* only, no run uses it: the
+  ~5 % compute tax the paper reports for trusted hardware and the
   sealed-payload sizes behind the Section 5.4 overhead figures
   (``benchmarks/test_bench_overheads.py``).
 """

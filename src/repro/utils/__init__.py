@@ -14,24 +14,14 @@ from repro.utils.params import (
     flatten_params,
     resolve_dtype,
     stack_params,
-    unflatten_params,
-    zeros_like_params,
-    add_scaled,
     weighted_average,
-    params_cosine_similarity,
-    params_l2_distance,
 )
 from repro.utils.validation import (
     check_probability_vector,
     check_2d,
-    check_same_shape,
     normalize_histogram,
 )
 from repro.utils.serialization import (
-    save_params,
-    load_params,
-    save_expert_registry,
-    load_expert_registry,
     save_run_result,
     load_run_result_dict,
 )
@@ -45,20 +35,10 @@ __all__ = [
     "resolve_dtype",
     "stack_params",
     "flatten_params",
-    "unflatten_params",
-    "zeros_like_params",
-    "add_scaled",
     "weighted_average",
-    "params_cosine_similarity",
-    "params_l2_distance",
     "check_probability_vector",
     "check_2d",
-    "check_same_shape",
     "normalize_histogram",
-    "save_params",
-    "load_params",
-    "save_expert_registry",
-    "load_expert_registry",
     "save_run_result",
     "load_run_result_dict",
 ]

@@ -14,7 +14,6 @@ Zero-copy conventions
 * :func:`flatten_params` detects parameter lists that are consecutive views
   of one contiguous base vector (the layout :class:`~repro.nn.network.Sequential`
   and :class:`ParamBank` produce) and returns that base without copying.
-* :meth:`ParamBank.row_params` exposes a bank row as shaped views.
 
 Bank invariants
 ---------------
@@ -22,8 +21,8 @@ A :class:`ParamBank` is the round buffer: one row per party update awaiting
 aggregation.  Contributors touching it must preserve:
 
 1. **Row views do not survive growth.**  ``alloc`` may relocate the
-   backing buffer; re-fetch ``row()`` / ``row_params()`` views after any
-   allocation instead of caching them.
+   backing buffer; re-fetch ``row()`` views after any allocation instead
+   of caching them.
 2. **`matrix(rows=None)` is slot order, not allocation order.**  Once any
    row has been released and recycled the two diverge — callers pairing
    rows with positional metadata (weights, party ids) must pass explicit
@@ -60,7 +59,7 @@ def resolve_dtype(dtype) -> np.dtype:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """Shapes and sizes of a parameter list, for flatten/unflatten."""
+    """Shapes and sizes of a parameter list, for flatten / view."""
 
     shapes: tuple[tuple[int, ...], ...]
 
@@ -84,16 +83,6 @@ class ParamSpec:
                 f"vector of size {vector.size} does not match spec "
                 f"with total size {self.total_size}"
             )
-
-    def unflatten(self, vector: np.ndarray) -> Params:
-        """Reshape ``vector`` into an owning parameter list (copies)."""
-        self._check_vector(vector)
-        params: Params = []
-        offset = 0
-        for shape, size in zip(self.shapes, self.sizes):
-            params.append(vector[offset:offset + size].reshape(shape).copy())
-            offset += size
-        return params
 
     def view(self, vector: np.ndarray) -> Params:
         """Reshape ``vector`` into a parameter list of zero-copy views.
@@ -175,23 +164,6 @@ def flatten_params(params: Params, dtype=None) -> np.ndarray:
     return np.concatenate([np.asarray(p, dtype=target).ravel() for p in params])
 
 
-def unflatten_params(vector: np.ndarray, like: Params) -> Params:
-    """Reshape ``vector`` into the shapes of the reference list ``like``."""
-    return ParamSpec.of(like).unflatten(np.asarray(vector, dtype=np.float64))
-
-
-def zeros_like_params(params: Params) -> Params:
-    return [np.zeros_like(p) for p in params]
-
-
-def add_scaled(accum: Params, params: Params, scale: float) -> None:
-    """In-place ``accum += scale * params`` (element-wise over the lists)."""
-    if len(accum) != len(params):
-        raise ValueError("parameter lists have different lengths")
-    for a, p in zip(accum, params):
-        a += scale * p
-
-
 def stack_params(param_sets: list[Params], dtype=None,
                  names: list[str] | None = None,
                  ) -> tuple[np.ndarray, ParamSpec]:
@@ -243,8 +215,8 @@ def weighted_average(param_sets: list[Params], weights: list[float],
 def cosine_similarity_matrix(matrix: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity of the rows of ``matrix`` in one matmul.
 
-    Zero rows follow the :func:`params_cosine_similarity` conventions:
-    similarity 1 between two zero rows, 0 between a zero and a non-zero row.
+    Zero rows: similarity 1 between two zero rows, 0 between a zero and a
+    non-zero row.
     """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
@@ -278,28 +250,7 @@ class ParamBank:
         self._live: list[bool] = []  # per-slot: allocated and not yet released
         self._free: list[int] = []
 
-    # ------------------------------------------------------------------ construction
-
-    @classmethod
-    def from_param_sets(cls, param_sets: list[Params], dtype=None,
-                        names: list[str] | None = None) -> "ParamBank":
-        """Stack parameter lists into a fresh bank (one row per set)."""
-        matrix, spec = stack_params(param_sets, dtype=dtype, names=names)
-        bank = cls(spec, dtype=matrix.dtype, capacity=len(param_sets))
-        bank._buf[:len(param_sets)] = matrix
-        bank._live = [True] * len(param_sets)
-        return bank
-
     # ------------------------------------------------------------------ row lifecycle
-
-    @property
-    def n_slots(self) -> int:
-        return len(self._live)
-
-    @property
-    def n_rows(self) -> int:
-        """Number of live rows."""
-        return sum(self._live)
 
     @property
     def dim(self) -> int:
@@ -317,8 +268,8 @@ class ParamBank:
         if not 0 <= row < len(self._live) or not self._live[row]:
             raise KeyError(f"row {row} is not a live bank row")
 
-    def alloc(self, values: Params | np.ndarray | None = None) -> int:
-        """Allocate a row, optionally initialized with values."""
+    def alloc(self) -> int:
+        """Allocate a zeroed row."""
         if self._free:
             row = self._free.pop()
         else:
@@ -326,10 +277,7 @@ class ParamBank:
             self._live.append(False)
             self._grow(row + 1)
         self._live[row] = True
-        if values is None:
-            self._buf[row] = 0.0
-        else:
-            self.write_row(row, values)
+        self._buf[row] = 0.0
         return row
 
     def release(self, row: int) -> None:
@@ -344,30 +292,6 @@ class ParamBank:
         """Zero-copy 1-D view of one row."""
         self._check_row(row)
         return self._buf[row]
-
-    def row_params(self, row: int, writeable: bool = True) -> Params:
-        """The row as shaped zero-copy parameter views."""
-        views = self.spec.view(self.row(row))
-        if not writeable:
-            for v in views:
-                v.flags.writeable = False
-        return views
-
-    def write_row(self, row: int, values: Params | np.ndarray) -> None:
-        self._check_row(row)
-        if isinstance(values, np.ndarray) and values.ndim == 1:
-            self.spec._check_vector(values)
-            np.copyto(self._buf[row], values, casting="same_kind")
-            return
-        got = ParamSpec.of(values)
-        if got != self.spec:
-            raise ValueError(
-                f"parameter shapes do not match bank spec: expected "
-                f"{self.spec.shapes}, got {got.shapes}"
-            )
-        target = self.spec.view(self._buf[row])
-        for dst, src in zip(target, values):
-            np.copyto(dst, src, casting="same_kind")
 
     # ------------------------------------------------------------------ matrix ops
 
@@ -409,23 +333,3 @@ class ParamBank:
         if total <= 0:
             raise ValueError("weights must sum to a positive value")
         return (weights / total) @ matrix
-
-
-def params_cosine_similarity(a: Params, b: Params) -> float:
-    """Cosine similarity between two flattened parameter lists.
-
-    This is the expert-consolidation criterion in ShiftEx (Section 5.2.5):
-    ``cos(theta_i, theta_j) > tau`` triggers a merge.
-    """
-    va, vb = flatten_params(a), flatten_params(b)
-    na, nb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        return 1.0 if na == nb else 0.0
-    return float(np.dot(va, vb) / (na * nb))
-
-
-def params_l2_distance(a: Params, b: Params) -> float:
-    """Euclidean distance between two flattened parameter lists."""
-    fa = np.asarray(flatten_params(a), dtype=np.float64)
-    fb = np.asarray(flatten_params(b), dtype=np.float64)
-    return float(np.linalg.norm(fa - fb))

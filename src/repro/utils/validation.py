@@ -45,11 +45,6 @@ def check_2d(x: np.ndarray, name: str = "array") -> np.ndarray:
     return arr
 
 
-def check_same_shape(a: np.ndarray, b: np.ndarray, name: str = "arrays") -> None:
-    if np.shape(a) != np.shape(b):
-        raise ValueError(f"{name} must have matching shapes; got {np.shape(a)} vs {np.shape(b)}")
-
-
 def check_probability_vector(p: np.ndarray, name: str = "distribution") -> np.ndarray:
     """Validate a discrete probability vector (non-negative, sums to ~1)."""
     arr = np.asarray(p, dtype=np.float64)

@@ -14,6 +14,7 @@ from repro.harness.profiles import RunSettings
 from repro.harness.runner import EvaluatedParties
 from repro.nn.models import build_model
 from repro.nn.training import LocalTrainingConfig
+from repro.utils.params import ParamBank, stack_params
 from repro.utils.rng import spawn_rng
 
 
@@ -89,6 +90,22 @@ def mean_accuracy(strategy, dataset: FederatedShiftDataset,
                                  ctx.model_factory())
     evaluated.begin_window(window)
     return evaluated.mean_accuracy_pct(strategy) / 100.0
+
+
+def bank_row(bank: ParamBank, values) -> int:
+    """Allocate a row of ``bank`` holding the flat vector ``values``."""
+    row = bank.alloc()
+    bank.row(row)[...] = values
+    return row
+
+
+def bank_of(param_sets, dtype=None) -> ParamBank:
+    """A bank with one row per parameter list, in order."""
+    matrix, spec = stack_params(param_sets, dtype=dtype)
+    bank = ParamBank(spec, dtype=matrix.dtype, capacity=len(param_sets))
+    for vector in matrix:
+        bank_row(bank, vector)
+    return bank
 
 
 @pytest.fixture(scope="session")

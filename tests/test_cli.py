@@ -59,6 +59,61 @@ class TestCli:
         assert main(["run", str(plan_path)]) == 2
         assert "unregistered" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, said", [
+        ({"method": "fedavg", "kwargs": {"bogus": 1}}, "bogus"),
+        ({"method": "shiftex", "kwargs": {"config": {"tau": "x"}}}, "str"),
+    ], ids=["unknown-kwarg", "mistyped-config"])
+    def test_run_rejects_bad_strategy_kwargs(self, tmp_path, capsys, entry,
+                                             said):
+        """An unknown argument or a wrongly typed config value is a bad
+        plan: one line naming the strategy label, not a traceback."""
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "dataset": "cifar10_c_sim", "strategies": {"mine": entry}}))
+        assert main(["run", str(plan_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("strategy 'mine': ") and said in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("extra, message", [
+        # A message that ends in a quote keeps it.
+        ({"population": "many"}, "cannot interpret population 'many'"),
+        # A partial spec_override names the plan keys it lacks.
+        ({"spec_override": {"num_parties": 4, "model_name": "mlp"}},
+         "plan spec_override is missing required key(s) ['channels', "
+         "'image_size', 'name', 'num_classes', 'num_windows', 'paper_name', "
+         "'window_regimes', 'windowing']"),
+    ], ids=["trailing-quote", "partial-spec-override"])
+    def test_run_reports_a_bad_plan_in_its_own_words(self, tmp_path, capsys,
+                                                     extra, message):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "dataset": "cifar10_c_sim", "strategies": ["fedavg"], **extra}))
+        assert main(["run", str(plan_path)]) == 2
+        assert capsys.readouterr().err.strip() == message
+
+    def test_unknown_dataset_in_a_plan_is_unquoted(self, tmp_path, capsys):
+        """A ``KeyError`` prints its message, not the message's ``repr``."""
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "dataset": "imagenet", "strategies": ["fedavg"]}))
+        assert main(["run", str(plan_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("unknown dataset 'imagenet'")
+
+    def test_run_rejects_a_model_outside_the_zoo(self, tmp_path, capsys):
+        spec = make_tiny_spec(num_parties=4, num_windows=2,
+                              window_regimes=(("fog", 4),))
+        plan = ExperimentPlan.build("cifar10_c_sim", ["fedavg"],
+                                    spec_override=spec).to_dict()
+        plan["spec_override"]["model_name"] = "resnet18"
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert main(["run", str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown model 'resnet18'" in err
+        assert "['mlp', 'lenet_mini']" in err
+
     def test_run_executes_tiny_plan(self, tmp_path, capsys):
         spec = make_tiny_spec(name="unit_cli_plan", num_parties=6,
                               num_windows=2, window_regimes=(("fog", 4),),

@@ -9,7 +9,6 @@ from repro.data.corruptions import (
     CORRUPTIONS,
     apply_corruption,
     contrast,
-    corruption_names,
     fog,
     gaussian_noise,
     identity,
@@ -97,16 +96,6 @@ class TestGroups:
 
     def test_weather_group_matches_paper(self):
         assert set(CORRUPTION_GROUPS["weather"]) == {"fog", "rain", "snow", "frost"}
-
-    def test_corruption_names_all(self):
-        assert set(corruption_names()) == set(CORRUPTIONS)
-
-    def test_corruption_names_by_group(self):
-        assert corruption_names("blur") == CORRUPTION_GROUPS["blur"]
-
-    def test_unknown_group_rejected(self):
-        with pytest.raises(KeyError):
-            corruption_names("acoustic")
 
 
 class TestPropertyBased:

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.partition import (
     dirichlet_label_priors,
-    partition_by_dirichlet,
-    sample_counts_from_prior,
     shift_prior,
 )
 from repro.utils.rng import spawn_rng
@@ -38,55 +36,6 @@ class TestDirichletPriors:
         priors = dirichlet_label_priors(5, 4, alpha, spawn_rng(1, alpha))
         assert np.all(priors > 0)
         assert np.allclose(priors.sum(axis=1), 1.0)
-
-
-class TestSampleCounts:
-    def test_counts_sum_to_n(self, rng):
-        counts = sample_counts_from_prior(np.array([0.3, 0.7]), 100, rng)
-        assert counts.sum() == 100
-
-    def test_degenerate_prior(self, rng):
-        counts = sample_counts_from_prior(np.array([1.0, 0.0]), 50, rng)
-        assert counts[0] == 50
-
-    def test_rejects_negative_n(self, rng):
-        with pytest.raises(ValueError):
-            sample_counts_from_prior(np.array([0.5, 0.5]), -1, rng)
-
-    def test_unnormalized_prior_accepted(self, rng):
-        counts = sample_counts_from_prior(np.array([2.0, 2.0]), 40, rng)
-        assert counts.sum() == 40
-
-
-class TestPartition:
-    def test_partition_covers_everything_once(self, rng):
-        labels = rng.integers(0, 5, 300)
-        shards = partition_by_dirichlet(labels, 6, 0.5, rng)
-        all_indices = np.concatenate(shards)
-        assert sorted(all_indices.tolist()) == list(range(300))
-
-    def test_min_samples_respected(self, rng):
-        labels = rng.integers(0, 3, 200)
-        shards = partition_by_dirichlet(labels, 8, 0.2, rng,
-                                        min_samples_per_party=5)
-        assert min(len(s) for s in shards) >= 5
-
-    def test_skew_increases_with_small_alpha(self, rng):
-        labels = rng.integers(0, 10, 2000)
-
-        def mean_top_class_share(alpha):
-            shards = partition_by_dirichlet(labels, 10, alpha, spawn_rng(2, alpha))
-            shares = []
-            for shard in shards:
-                counts = np.bincount(labels[shard], minlength=10)
-                shares.append(counts.max() / max(counts.sum(), 1))
-            return np.mean(shares)
-
-        assert mean_top_class_share(0.1) > mean_top_class_share(100.0)
-
-    def test_rejects_2d_labels(self, rng):
-        with pytest.raises(ValueError):
-            partition_by_dirichlet(np.zeros((5, 2)), 2, 1.0, rng)
 
 
 class TestShiftPrior:

@@ -6,7 +6,6 @@ import pytest
 from repro.detection.calibration import (
     ThresholdCalibrator,
     bootstrap_jsd_null,
-    bootstrap_mmd_null,
     bootstrap_party_mmd_null,
     threshold_from_null,
 )
@@ -35,35 +34,6 @@ class TestThresholdFromNull:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             threshold_from_null(np.array([]))
-
-
-class TestMmdNull:
-    def test_null_scores_nonnegative(self, rng):
-        pool = rng.normal(size=(80, 4))
-        null = bootstrap_mmd_null(pool, 20, 50, rng)
-        assert null.shape == (50,)
-        assert np.all(null >= 0)
-
-    def test_rejects_oversized_sample(self, rng):
-        with pytest.raises(ValueError):
-            bootstrap_mmd_null(rng.normal(size=(10, 3)), 8, 10, rng)
-
-    def test_threshold_controls_false_positives(self, rng):
-        """Fresh same-distribution splits exceed the 5% threshold rarely."""
-        pool = rng.normal(size=(200, 4))
-        null = bootstrap_mmd_null(pool, 40, 150, rng)
-        threshold = threshold_from_null(null, 0.05)
-        from repro.detection.mmd import mmd, median_heuristic_gamma
-        gamma = median_heuristic_gamma(pool)
-        false_positives = 0
-        trials = 40
-        for t in range(trials):
-            r = spawn_rng(t, "fpr")
-            a = r.normal(size=(40, 4))
-            b = r.normal(size=(40, 4))
-            if mmd(a, b, gamma) > threshold:
-                false_positives += 1
-        assert false_positives / trials < 0.25
 
 
 class TestJsdNull:
@@ -110,10 +80,9 @@ class TestCalibrator:
         priors = np.full((8, 3), 1 / 3)
         calibrator = ThresholdCalibrator(num_bootstrap=120, p_value=0.05)
         thresholds = calibrator.calibrate(pools, priors, window_sample_size=40,
-                                          rng=rng, reuse_sample_size=32)
+                                          rng=rng)
         assert thresholds.delta_cov > 0
         assert 0 < thresholds.delta_label < np.log(2)
-        assert thresholds.epsilon_base > 0
 
         # A fresh draw from the same distribution scores under the threshold.
         emb, labels = pools[0]

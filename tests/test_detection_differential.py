@@ -3,7 +3,7 @@
 The ``ref_*`` functions (``benchmarks/reference.py``, which the probe's
 ``--check`` reads too) are the previous MMD code kept verbatim — three
 distance matrices and three ``exp`` per pair, a Python loop of ``mmd`` calls
-per shared class, ``mmd_to_many``'s own x-side sharing, and a median
+per shared class, the to-many form's own x-side sharing, and a median
 heuristic that gathered the upper triangle through ``triu_indices``.  The
 live code scores every pair through one batched Gram
 (``repro.detection.mmd._mmd2_pairs``), which sums in another order, so the
@@ -27,7 +27,6 @@ from benchmarks.reference import (  # noqa: F401  (looked up by name below)
     ref_median_heuristic_gamma,
     ref_mmd,
     ref_mmd2_biased,
-    ref_mmd_to_many,
     ref_rbf_kernel,
 )
 from repro.data.federated import FederatedShiftDataset
@@ -146,7 +145,6 @@ class TestStatisticsMatchReference:
             ys.append(y)
             yls.append(yl)
         gamma = bandwidth(gamma, x, x)
-        close(live.mmd_to_many(x, ys, gamma), ref_mmd_to_many(x, ys, gamma))
         close(live.class_conditional_mmd_to_many(x, xl, ys, yls, gamma),
               ref_class_conditional_mmd_to_many(x, xl, ys, yls, gamma))
 
@@ -195,7 +193,6 @@ class TestStatisticsMatchReference:
 
     def test_empty_target_list(self):
         x = np.ones((3, 2))
-        assert live.mmd_to_many(x, [], 0.5).shape == (0,)
         assert live.class_conditional_mmd_to_many(x, [0, 1, 1], [], [], 0.5).shape == (0,)
 
 
@@ -221,9 +218,6 @@ class TestSameRejections:
         ("class_conditional_mmd", (x, labels, x, labels, 0.0)),
         ("class_conditional_mmd", (x, labels, x, labels + 9, -2.0)),
         ("class_conditional_mmd", (x, labels, np.ones(6), labels)),
-        ("mmd_to_many", (x, [x, np.ones(3)], 1.0)),
-        ("mmd_to_many", (x, [x], 0.0)),
-        ("mmd_to_many", (np.ones(3), [], 1.0)),
         ("class_conditional_mmd_to_many", (x, labels[:4], [x], [labels], 1.0)),
         ("class_conditional_mmd_to_many", (x, labels, [x, x], [labels], 1.0)),
         ("class_conditional_mmd_to_many", (x, labels, [x], [labels[:3]], 1.0)),
@@ -258,8 +252,6 @@ class TestSealedScoringStaysBitwise:
         assert live.mmd(sx, sy, gamma) == live.mmd(x, y, gamma)
         assert (live.class_conditional_mmd(sx, xl, sy, yl, gamma)
                 == live.class_conditional_mmd(x, xl, y, yl, gamma))
-        assert np.array_equal(live.mmd_to_many(sx, [sy, sx], gamma),
-                              live.mmd_to_many(x, [y, x], gamma))
         assert np.array_equal(
             live.class_conditional_mmd_to_many(sx, xl, [sy, sx], [yl, xl], gamma),
             live.class_conditional_mmd_to_many(x, xl, [y, x], [yl, xl], gamma))
@@ -287,8 +279,8 @@ PATCHED = {
     "repro.core.detector": ("class_conditional_mmd",),
     "repro.core.server": ("class_conditional_mmd",),
     "repro.detection.calibration": ("class_conditional_mmd",
-                                    "median_heuristic_gamma", "mmd"),
-    "repro.experts.matching": ("class_conditional_mmd_to_many", "mmd_to_many"),
+                                    "median_heuristic_gamma"),
+    "repro.experts.matching": ("class_conditional_mmd_to_many",),
     "repro.experts.consolidation": ("class_conditional_mmd",),
 }
 
@@ -342,5 +334,3 @@ def test_a_run_decides_the_same_with_the_reference_functions(monkeypatch):
     assert live_strategy.shift_log == ref_strategy.shift_log
     assert live_strategy.assignment_history == ref_strategy.assignment_history
     assert live_strategy.thresholds.gamma == ref_strategy.thresholds.gamma
-    close(live_strategy.thresholds.epsilon_base,
-          ref_strategy.thresholds.epsilon_base)

@@ -30,10 +30,11 @@ from repro.privacy.secure_aggregation import (
     MaskingSpec,
     SecureAggregationSession,
 )
-from repro.utils.params import ParamBank, flatten_params
+from repro.utils.params import flatten_params
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
-from tests.conftest import make_context, make_run_settings, make_tiny_spec
+from tests.conftest import (bank_of, make_context, make_run_settings,
+                            make_tiny_spec)
 
 
 @st.composite
@@ -68,8 +69,7 @@ class TestAggregationPathsAgree:
     def test_fedavg_matches_bank_combine(self, case):
         updates, dtype = case
         expected = flatten_params(fedavg(updates))
-        bank = ParamBank.from_param_sets([u.params for u in updates],
-                                         dtype=dtype)
+        bank = bank_of([u.params for u in updates], dtype=dtype)
         got = bank.weighted_combine([float(u.num_samples) for u in updates],
                                     rows=list(range(len(updates))))
         tol = 1e-5 if dtype == np.float32 else 1e-12
@@ -94,8 +94,7 @@ class TestAggregationPathsAgree:
             updates, ages, policy="polynomial", alpha=0.7))
         decay = staleness_decay(ages, "polynomial", alpha=0.7)
         weights = np.array([float(u.num_samples) for u in updates]) * decay
-        bank = ParamBank.from_param_sets([u.params for u in updates],
-                                         dtype=dtype)
+        bank = bank_of([u.params for u in updates], dtype=dtype)
         manual = bank.weighted_combine(weights, rows=list(range(len(updates))))
         tol = 1e-5 if dtype == np.float32 else 1e-12
         np.testing.assert_allclose(got, manual, rtol=tol, atol=tol)
@@ -107,13 +106,11 @@ class TestAggregationPathsAgree:
         recovery-phase combine, and require bit equality with the unmasked
         kernel over the same rows — at float32 and float64 alike."""
         updates, dtype = case
-        bank = ParamBank.from_param_sets([u.params for u in updates],
-                                         dtype=dtype)
+        bank = bank_of([u.params for u in updates], dtype=dtype)
         rows = list(range(len(updates)))
         weights = [float(u.num_samples) for u in updates]
         expected = bank.weighted_combine(weights, rows=rows)
-        sealed_bank = ParamBank.from_param_sets([u.params for u in updates],
-                                                dtype=dtype)
+        sealed_bank = bank_of([u.params for u in updates], dtype=dtype)
         session = SecureAggregationSession(
             [u.party_id for u in updates], sealed_bank.spec, shared_seed=3,
             dtype=dtype, context=("diff", 0))
@@ -219,7 +216,7 @@ class TestOneRoundLoop:
         assert all(p.dtype == dtype for p in got)
         assert np.array_equal(flatten_params(got), flatten_params(expected))
         assert engine.in_flight == 0
-        assert engine._buffers["g"].bank.n_rows == 0
+        assert not any(engine._buffers["g"].bank._live)
 
     def test_default_engine_is_the_quiet_sync_one(self, tiny_spec,
                                                   tiny_dataset):
@@ -279,7 +276,7 @@ class TestOneRoundLoop:
         assert np.array_equal(plain, expected)
         assert np.array_equal(sealed, plain)
         bank = engine._buffers["g"].bank
-        assert bank.n_rows == 0 and not bank._buf[:bank.n_slots].any()
+        assert not any(bank._live) and not bank._buf[:len(bank._live)].any()
 
     def test_multi_session_rows_scrubbed_when_the_kernel_raises(
             self, tiny_spec, tiny_dataset):

@@ -7,23 +7,20 @@ import pytest
 
 from repro.baselines import FedAvgStrategy
 from repro.experiments import (
-    EarlyStopper,
     ExperimentPlan,
-    JsonCheckpointer,
     ParallelExecutor,
     ProgressLogger,
     RunCallback,
     SerialExecutor,
     StrategySpec,
     build_strategy,
-    is_registered,
     load_plan,
     register_strategy,
     save_plan,
     strategy_description,
     strategy_names,
-    unregister_strategy,
 )
+from repro.experiments.registry import _REGISTRY
 from repro.harness import render_drop_time_max_table, run_strategy
 from repro.harness.comparison import PAPER_METHODS
 from tests.conftest import make_run_settings, make_tiny_spec
@@ -55,12 +52,12 @@ class TestRegistry:
                 self.knob = knob
 
         try:
-            assert is_registered("unit-custom")
+            assert "unit-custom" in strategy_names()
             built = build_strategy("unit-custom", knob=7)
             assert built.knob == 7
         finally:
-            unregister_strategy("unit-custom")
-        assert not is_registered("unit-custom")
+            del _REGISTRY["unit-custom"]
+        assert "unit-custom" not in strategy_names()
 
     def test_duplicate_name_rejected(self):
         @register_strategy("unit-dup")
@@ -74,7 +71,7 @@ class TestRegistry:
             register_strategy("unit-dup", overwrite=True)(
                 lambda: FedAvgStrategy())
         finally:
-            unregister_strategy("unit-dup")
+            del _REGISTRY["unit-dup"]
 
     def test_invalid_names_rejected(self):
         with pytest.raises(TypeError):
@@ -302,56 +299,6 @@ class TestCallbacks:
         assert np.allclose(plain.flat_series, observed.flat_series)
         assert "stopped_early" not in observed.extras
 
-    def test_early_stop_truncates(self, tiny_env):
-        spec, settings = tiny_env
-        stopper = EarlyStopper(max_total_rounds=1)
-        result = run_strategy(FedAvgStrategy(), spec, settings, seed=0,
-                              callbacks=[stopper])
-        assert result.extras["stopped_early"] is True
-        assert "round budget" in result.extras["stop_reason"]
-        assert result.extras["completed_windows"] == 1
-        assert len(result.window_series) == 1
-        assert len(result.window_series[0]) == 2  # entry + 1 round
-
-    def test_early_stopper_needs_a_condition(self):
-        with pytest.raises(ValueError):
-            EarlyStopper()
-
-    def test_stop_state_resets_between_runs(self, tiny_env):
-        # A shared stopper instance must not leak its stop request from one
-        # cell into the next: both seeds should truncate at the same point.
-        spec, settings = tiny_env
-        plan = ExperimentPlan.build("cifar10_c_sim", ["fedavg"], seeds=(0, 1),
-                                    spec_override=spec,
-                                    settings_override=settings)
-        result = plan.run(callbacks=[EarlyStopper(max_total_rounds=3)])
-        runs = result.runs["fedavg"]
-        assert [r.extras["completed_windows"] for r in runs] == [2, 2]
-        assert all(len(r.window_series[-1]) == 2 for r in runs)  # entry + 1 round
-        assert len(result.aggregates["fedavg"]) == 1
-
-    def test_aggregates_cover_common_window_prefix(self):
-        from repro.experiments import ComparisonResult
-        from repro.harness.runner import StrategyRunResult
-        from repro.metrics.windows import WindowSummary
-
-        def fake_run(seed, n_summaries):
-            summaries = [WindowSummary(window=w + 1, accuracy_drop=1.0,
-                                       recovery_rounds=1, max_accuracy=50.0,
-                                       pre_shift_accuracy=50.0, rounds=2)
-                         for w in range(n_summaries)]
-            return StrategyRunResult(
-                strategy_name="fake", dataset="d", seed=seed,
-                window_series=[[1.0]] * (n_summaries + 1),
-                summaries=summaries, state_log=[], expert_history=None,
-                ledger_summary={})
-
-        result = ComparisonResult(dataset="d", profile="ci", seeds=(0, 1))
-        result.add_runs("fake", [fake_run(0, 3), fake_run(1, 1)])
-        assert len(result.aggregates["fake"]) == 1
-        result.add_runs("empty", [fake_run(0, 0), fake_run(1, 2)])
-        assert result.aggregates["empty"] == []
-
     def test_progress_logger_emits(self, tiny_env):
         spec, settings = tiny_env
         lines = []
@@ -360,16 +307,6 @@ class TestCallbacks:
         assert any("starting" in line for line in lines)
         assert any("W1" in line for line in lines)
         assert any("done" in line for line in lines)
-
-    def test_json_checkpointer(self, tiny_env, tmp_path):
-        spec, settings = tiny_env
-        result = run_strategy(FedAvgStrategy(), spec, settings, seed=0,
-                              callbacks=[JsonCheckpointer(tmp_path)])
-        final = tmp_path / f"{spec.name}_fedavg_seed0.json"
-        assert final.exists()
-        assert not (tmp_path / f"{spec.name}_fedavg_seed0.partial.json").exists()
-        saved = json.loads(final.read_text())
-        assert saved["window_series"] == result.window_series
 
     def test_callbacks_through_plan_run(self):
         spec = make_tiny_spec(name="unit_plan_events", num_parties=6,

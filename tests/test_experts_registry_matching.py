@@ -5,9 +5,8 @@ import pytest
 
 from repro.detection.mmd import class_conditional_mmd, mmd
 from repro.experts.consolidation import consolidate_experts
-from repro.experts.matching import match_cluster_to_expert, nearest_expert
-from repro.experts.memory import LatentMemory
-from repro.experts.registry import Expert, ExpertRegistry
+from repro.experts.matching import match_cluster_to_expert
+from repro.experts.registry import ExpertRegistry
 from repro.utils.params import flatten_params, weighted_average
 from repro.utils.rng import spawn_rng
 
@@ -124,20 +123,6 @@ class TestOwnedVectors:
                    for p in later.params)
         assert np.array_equal(later.params[0], wide[0].astype(np.float32))
 
-    def test_adopt_rejects_a_foreign_shape(self, registry, rng):
-        registry.create(simple_params(rng), window=0)
-        foreign = Expert(expert_id=7, params=[rng.normal(size=(2, 2))],
-                         memory=LatentMemory(16, 0.5), created_window=0)
-        with pytest.raises(ValueError, match="do not match the pool"):
-            registry.adopt(foreign)
-        assert 7 not in registry
-        fitting = Expert(expert_id=7, params=simple_params(rng),
-                         memory=LatentMemory(16, 0.5), created_window=0)
-        registry.adopt(fitting)
-        assert registry.get(7) is fitting
-        assert registry.create(simple_params(rng), window=1).expert_id == 8
-
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_merge_is_weighted_average(self, registry, rng, dtype):
         base = [p.astype(dtype) for p in simple_params(rng)]
@@ -158,6 +143,14 @@ class TestOwnedVectors:
         assert np.array_equal(a.params[0], base[0])
 
 
+def match_untagged(cluster, registry, **kwargs):
+    """One class on both sides (memories seeded without labels store zeros):
+    the class-conditional score is then the plain MMD."""
+    return match_cluster_to_expert(
+        cluster, registry, cluster_labels=np.zeros(len(cluster), dtype=int),
+        **kwargs)
+
+
 class TestMatching:
     def make_registry_with_regimes(self, rng):
         registry = ExpertRegistry(memory_capacity=24)
@@ -170,81 +163,64 @@ class TestMatching:
     def test_matches_same_regime(self, rng):
         registry, _clean, foggy = self.make_registry_with_regimes(rng)
         cluster = rng.normal(size=(30, 4)) + 5.0
-        result = match_cluster_to_expert(cluster, registry, epsilon=0.5, gamma=0.1)
+        result = match_untagged(cluster, registry, epsilon=0.5, gamma=0.1)
         assert result.matched
         assert result.expert_id == foggy.expert_id
 
     def test_rejects_new_regime(self, rng):
         registry, _clean, _foggy = self.make_registry_with_regimes(rng)
         cluster = rng.normal(size=(30, 4)) - 5.0  # a third, unseen regime
-        result = match_cluster_to_expert(cluster, registry, epsilon=0.3, gamma=0.1)
+        result = match_untagged(cluster, registry, epsilon=0.3, gamma=0.1)
         assert not result.matched
         assert result.expert_id is None
         assert result.score > 0.3
 
     def test_empty_registry_no_match(self, rng):
         registry = ExpertRegistry()
-        result = match_cluster_to_expert(rng.normal(size=(10, 3)), registry,
-                                         epsilon=1.0)
+        result = match_untagged(rng.normal(size=(10, 3)), registry,
+                                epsilon=1.0)
         assert not result.matched
         assert result.score == float("inf")
 
     def test_experts_without_memory_skipped(self, rng):
         registry = ExpertRegistry()
         registry.create(simple_params(rng), window=0)  # no memory seed
-        result = match_cluster_to_expert(rng.normal(size=(10, 3)), registry,
-                                         epsilon=10.0)
+        result = match_untagged(rng.normal(size=(10, 3)), registry,
+                                epsilon=10.0)
         assert not result.matched
-
-    def test_exclude_set(self, rng):
-        registry, _clean, foggy = self.make_registry_with_regimes(rng)
-        cluster = rng.normal(size=(30, 4)) + 5.0
-        result = match_cluster_to_expert(cluster, registry, epsilon=0.5,
-                                         gamma=0.1,
-                                         exclude={foggy.expert_id})
-        assert result.expert_id != foggy.expert_id
 
     def test_scores_for_all_experts(self, rng):
         registry, clean, foggy = self.make_registry_with_regimes(rng)
         cluster = rng.normal(size=(30, 4))
-        result = match_cluster_to_expert(cluster, registry, epsilon=0.5, gamma=0.1)
+        result = match_untagged(cluster, registry, epsilon=0.5, gamma=0.1)
         assert set(result.scores) == {clean.expert_id, foggy.expert_id}
 
     def test_subsampling_requires_rng(self, rng):
         registry, _c, _f = self.make_registry_with_regimes(rng)
         with pytest.raises(ValueError):
-            match_cluster_to_expert(rng.normal(size=(100, 4)), registry,
-                                    epsilon=0.5, max_rows=16)
+            match_untagged(rng.normal(size=(100, 4)), registry,
+                           epsilon=0.5, max_rows=16)
 
     def test_subsampling_matches_at_capacity_scale(self, rng):
         registry, _clean, foggy = self.make_registry_with_regimes(rng)
         cluster = rng.normal(size=(300, 4)) + 5.0
-        result = match_cluster_to_expert(cluster, registry, epsilon=0.6,
-                                         gamma=0.1, max_rows=24,
-                                         rng=spawn_rng(0, "sub"))
+        result = match_untagged(cluster, registry, epsilon=0.6,
+                                gamma=0.1, max_rows=24,
+                                rng=spawn_rng(0, "sub"))
         assert result.matched
         assert result.expert_id == foggy.expert_id
 
     def test_negative_epsilon_rejected(self, rng):
         registry = ExpertRegistry()
         with pytest.raises(ValueError):
-            match_cluster_to_expert(rng.normal(size=(5, 3)), registry,
-                                    epsilon=-0.1)
-
-    def test_nearest_expert(self, rng):
-        registry, _clean, foggy = self.make_registry_with_regimes(rng)
-        cluster = rng.normal(size=(20, 4)) + 5.0
-        expert = nearest_expert(cluster, registry, gamma=0.1)
-        assert expert is not None and expert.expert_id == foggy.expert_id
-
-    def test_nearest_expert_empty_registry(self, rng):
-        assert nearest_expert(rng.normal(size=(5, 3)), ExpertRegistry()) is None
+            match_untagged(rng.normal(size=(5, 3)), registry,
+                           epsilon=-0.1)
 
     def test_batched_scores_match_per_expert_mmd(self, rng):
         registry, clean, foggy = self.make_registry_with_regimes(rng)
         cluster = rng.normal(size=(30, 4)) + 2.0
-        result = match_cluster_to_expert(cluster, registry, epsilon=10.0,
-                                         gamma=0.1)
+        result = match_untagged(cluster, registry, epsilon=10.0,
+                                gamma=0.1)
         for expert in (clean, foggy):
             expected = mmd(cluster, expert.memory.signature, 0.1)
             assert result.scores[expert.expert_id] == pytest.approx(

@@ -19,7 +19,6 @@ class TestParty:
     def test_requires_window_data(self, tiny_spec, rng):
         model = build_model("mlp", tiny_spec.input_shape, tiny_spec.num_classes, rng)
         party = Party(3, model, tiny_spec.num_classes)
-        assert not party.has_data
         with pytest.raises(RuntimeError):
             _ = party.data
 
@@ -67,7 +66,7 @@ class TestParty:
         party = Party(0, model, tiny_spec.num_classes)
         party.set_window_data(tiny_dataset.party_window(0, 0))
         params = model.get_params()
-        for op in (party.evaluate, party.loss_on, party.embeddings,
+        for op in (party.evaluate, party.loss_on,
                    party.embeddings_with_labels):
             with pytest.raises(ValueError, match="split must be.*'val'"):
                 op(params, "val")
@@ -79,7 +78,7 @@ class TestParty:
         party = Party(0, model, tiny_spec.num_classes)
         party.set_window_data(tiny_dataset.party_window(0, 0))
         params = model.get_params()
-        full = party.embeddings(params)
+        full, _labels = party.embeddings_with_labels(params)
         assert full.shape[0] == tiny_spec.train_per_window
         sub, labels = party.embeddings_with_labels(params, max_samples=10)
         assert sub.shape[0] == 10 and labels.shape == (10,)

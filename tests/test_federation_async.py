@@ -140,13 +140,13 @@ class TestAsyncRoundBuffer:
                                     mean_loss=1.0)
             buf.push(report)
             reports.append(report)
-        assert buf.in_flight == 3 and buf.bank.n_rows == 3
+        assert buf.in_flight == 3 and sum(buf.bank._live) == 3
         assert [r.party_id for r in buf.ready(1)] == [0, 1]
         assert buf.oldest_ready_age(1) == 1
         buf.pop(buf.ready(1))
-        assert buf.in_flight == 1 and buf.bank.n_rows == 1
+        assert buf.in_flight == 1 and sum(buf.bank._live) == 1
         assert buf.flush() == 1
-        assert buf.in_flight == 0 and buf.bank.n_rows == 0
+        assert buf.in_flight == 0 and sum(buf.bank._live) == 0
 
 
 class _FixedFates:
@@ -296,7 +296,7 @@ class TestFederationEngine:
 
         dispatch([0, 1])
         bank = engine._buffers["g"].bank
-        assert bank.n_rows == engine.in_flight == 2
+        assert sum(bank._live) == engine.in_flight == 2
 
         trained = []
         train_2 = ctx.parties[2].local_train
@@ -304,7 +304,7 @@ class TestFederationEngine:
             trained.append(2), train_2(*a, **k))[1]
         with pytest.raises(KeyError, match="99"):
             dispatch([2, 99])
-        assert trained == [] and bank.n_rows == 2
+        assert trained == [] and sum(bank._live) == 2
 
         def crash(*args, **kwargs):
             raise RuntimeError("party crashed mid-training")
@@ -312,7 +312,7 @@ class TestFederationEngine:
         with pytest.raises(RuntimeError, match="crashed"):
             dispatch([2, 3])
         assert trained == [2]  # party 2's row was taken, then given back
-        assert bank.n_rows == engine.in_flight == 2
+        assert sum(bank._live) == engine.in_flight == 2
         assert not bank._buf[bank._free].any()  # ... and scrubbed
 
     def test_begin_window_flushes_in_flight(self, tiny_spec, tiny_dataset):

@@ -245,8 +245,7 @@ class TestConv2dLayer:
 
 # ---------------------------------------------------------------- the training step
 
-INPUT_SHAPES = {"mlp": (1, 8, 8), "lenet_mini": (3, 8, 8),
-                "convnet_small": (3, 8, 8), "resnet_mini": (3, 8, 8)}
+INPUT_SHAPES = {"mlp": (1, 8, 8), "lenet_mini": (3, 8, 8)}
 CONFIGS = {
     "plain": {},
     "momentum_decay": {"momentum": 0.9, "weight_decay": 1e-3},

@@ -5,16 +5,12 @@ import pytest
 
 from repro.nn.gradcheck import max_grad_error
 from repro.nn.layers import (
-    BatchNorm,
     Conv2d,
     Dense,
-    Dropout,
     Flatten,
-    GlobalAvgPool2d,
     MaxPool2d,
     ReLU,
     Standardize,
-    Tanh,
 )
 from repro.nn.network import Sequential
 
@@ -28,7 +24,7 @@ def check(model, x, y, tol):
 
 class TestDense:
     def test_gradcheck(self, rng):
-        model = Sequential([Dense(5, 4, rng), Tanh(), Dense(4, 3, rng)])
+        model = Sequential([Dense(5, 4, rng), Dense(4, 3, rng)])
         check(model, rng.normal(size=(6, 5)), rng.integers(0, 3, 6), SMOOTH_TOL)
 
     def test_forward_shape(self, rng):
@@ -59,14 +55,14 @@ class TestDense:
 class TestConv2d:
     def test_gradcheck_smooth(self, rng):
         model = Sequential([
-            Conv2d(1, 3, 3, rng, padding=1), Tanh(),
-            GlobalAvgPool2d(), Dense(3, 2, rng),
+            Conv2d(1, 3, 3, rng, padding=1),
+            Flatten(), Dense(3 * 6 * 6, 2, rng),
         ])
         check(model, rng.normal(size=(2, 1, 6, 6)), rng.integers(0, 2, 2), SMOOTH_TOL)
 
     def test_gradcheck_stride(self, rng):
         model = Sequential([
-            Conv2d(2, 3, 3, rng, stride=2, padding=1), Tanh(),
+            Conv2d(2, 3, 3, rng, stride=2, padding=1),
             Flatten(), Dense(3 * 3 * 3, 2, rng),
         ])
         check(model, rng.normal(size=(2, 2, 6, 6)), rng.integers(0, 2, 2), SMOOTH_TOL)
@@ -110,7 +106,7 @@ class TestPooling:
 
     def test_maxpool_gradcheck(self, rng):
         model = Sequential([
-            Conv2d(1, 2, 3, rng, padding=1), Tanh(), MaxPool2d(2),
+            Conv2d(1, 2, 3, rng, padding=1), MaxPool2d(2),
             Flatten(), Dense(2 * 3 * 3, 2, rng),
         ])
         check(model, rng.normal(size=(2, 1, 6, 6)), rng.integers(0, 2, 2), RELU_TOL)
@@ -127,17 +123,6 @@ class TestPooling:
         assert grad.sum() == pytest.approx(1.0)
         assert (grad > 0).sum() == 1
 
-    def test_gap_forward(self):
-        x = np.arange(8, dtype=float).reshape(1, 2, 2, 2)
-        out = GlobalAvgPool2d().forward(x)
-        assert np.allclose(out, [[1.5, 5.5]])
-
-    def test_gap_backward_distributes_evenly(self):
-        layer = GlobalAvgPool2d()
-        layer.forward(np.zeros((1, 1, 2, 2)), training=True)
-        grad = layer.backward(np.array([[4.0]]))
-        assert np.allclose(grad, 1.0)
-
 
 class TestActivationsAndReshape:
     def test_relu_forward(self):
@@ -149,10 +134,6 @@ class TestActivationsAndReshape:
         layer.forward(np.array([[-1.0, 2.0]]), training=True)
         grad = layer.backward(np.array([[5.0, 5.0]]))
         assert np.array_equal(grad, [[0.0, 5.0]])
-
-    def test_tanh_range(self, rng):
-        out = Tanh().forward(rng.normal(size=(4, 4)) * 10)
-        assert np.all(np.abs(out) <= 1.0)
 
     def test_flatten_roundtrip(self, rng):
         layer = Flatten()
@@ -173,66 +154,3 @@ class TestActivationsAndReshape:
         assert np.allclose(grad, 2.0)
 
 
-class TestDropout:
-    def test_inference_is_identity(self, rng):
-        layer = Dropout(0.5, rng)
-        x = rng.normal(size=(4, 4))
-        assert np.array_equal(layer.forward(x, training=False), x)
-
-    def test_training_zeroes_some(self, rng):
-        layer = Dropout(0.5, rng)
-        x = np.ones((100, 100))
-        out = layer.forward(x, training=True)
-        zero_fraction = np.mean(out == 0)
-        assert 0.3 < zero_fraction < 0.7
-
-    def test_inverted_scaling_preserves_mean(self, rng):
-        layer = Dropout(0.3, rng)
-        x = np.ones((200, 200))
-        out = layer.forward(x, training=True)
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_rejects_bad_rate(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
-
-
-class TestBatchNorm:
-    def test_training_normalizes(self, rng):
-        layer = BatchNorm(4)
-        x = rng.normal(3.0, 2.0, size=(64, 4))
-        out = layer.forward(x, training=True)
-        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-7)
-        assert np.allclose(out.std(axis=0), 1.0, atol=1e-2)
-
-    def test_gradcheck(self, rng):
-        model = Sequential([Dense(3, 4, rng), BatchNorm(4), Tanh(), Dense(4, 2, rng)])
-        x = rng.normal(size=(8, 3))
-        y = rng.integers(0, 2, 8)
-        # BatchNorm couples batch statistics; compare training-mode backprop
-        # against numerical gradients of the inference path only loosely.
-        model.zero_grads()
-        from repro.nn.losses import softmax_cross_entropy
-        logits = model.forward(x, training=True)
-        _loss, grad = softmax_cross_entropy(logits, y)
-        back = model.backward(grad)
-        assert back.shape == x.shape
-        assert all(np.isfinite(g).all() for g in model.grads)
-
-    def test_running_stats_update(self, rng):
-        layer = BatchNorm(2, momentum=0.5)
-        x = rng.normal(5.0, 1.0, size=(32, 2))
-        layer.forward(x, training=True)
-        assert np.all(layer.running_mean > 1.0)
-
-    def test_extra_state_roundtrip(self, rng):
-        layer = BatchNorm(2)
-        layer.forward(rng.normal(size=(8, 2)), training=True)
-        state = layer.extra_state()
-        other = BatchNorm(2)
-        other.load_extra_state(state)
-        assert np.allclose(other.running_mean, layer.running_mean)
-
-    def test_rejects_wrong_width(self, rng):
-        with pytest.raises(ValueError):
-            BatchNorm(3).forward(np.zeros((2, 4)))

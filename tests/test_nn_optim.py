@@ -1,9 +1,9 @@
-"""Tests for SGD and Adam."""
+"""Tests for SGD."""
 
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import SGD
 
 
 def quadratic_grad(params):
@@ -38,13 +38,6 @@ class TestSGD:
         SGD(lr=0.1, weight_decay=0.5).step(params, [np.array([0.0])])
         assert params[0][0] == pytest.approx(0.95)
 
-    def test_reset_clears_velocity(self):
-        opt = SGD(lr=0.1, momentum=0.9)
-        params = [np.array([1.0])]
-        opt.step(params, [np.array([1.0])])
-        opt.reset()
-        assert opt._velocity is None
-
     def test_rejects_bad_hyperparams(self):
         with pytest.raises(ValueError):
             SGD(lr=0.0)
@@ -58,28 +51,3 @@ class TestSGD:
             SGD(lr=0.1).step([np.zeros(2)], [])
 
 
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        params = [np.array([5.0, -3.0])]
-        opt = Adam(lr=0.3)
-        for _ in range(200):
-            opt.step(params, quadratic_grad(params))
-        assert np.linalg.norm(params[0]) < 1e-3
-
-    def test_first_step_magnitude_is_lr(self):
-        params = [np.array([1.0])]
-        opt = Adam(lr=0.01)
-        opt.step(params, [np.array([100.0])])
-        # Bias-corrected Adam first step is ~lr regardless of gradient scale.
-        assert params[0][0] == pytest.approx(1.0 - 0.01, abs=1e-4)
-
-    def test_reset(self):
-        opt = Adam()
-        params = [np.array([1.0])]
-        opt.step(params, [np.array([1.0])])
-        opt.reset()
-        assert opt._m is None and opt._t == 0
-
-    def test_rejects_bad_lr(self):
-        with pytest.raises(ValueError):
-            Adam(lr=-1.0)

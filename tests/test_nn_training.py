@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn.models import build_model
 from repro.nn.training import LocalTrainingConfig, evaluate, train_local
-from repro.utils.params import params_l2_distance
+from repro.utils.params import flatten_params
 from repro.utils.rng import spawn_rng
 
 
@@ -34,18 +34,18 @@ class TestTrainLocal:
 
     def test_empty_data_is_noop(self, rng):
         model = build_model("mlp", (6,), 2, rng)
-        before = model.get_flat_params()
+        before = model.flat_params.copy()
         result = train_local(model, np.zeros((0, 6)), np.zeros(0, dtype=int),
                              LocalTrainingConfig(), rng)
         assert result.num_samples == 0
-        assert np.allclose(model.get_flat_params(), before)
+        assert np.allclose(model.flat_params, before)
 
     def test_zero_epochs_is_noop(self, rng):
         x, y = linear_task(rng, n=20)
         model = build_model("mlp", (6,), 2, rng)
-        before = model.get_flat_params()
+        before = model.flat_params.copy()
         train_local(model, x, y, LocalTrainingConfig(epochs=0), rng)
-        assert np.allclose(model.get_flat_params(), before)
+        assert np.allclose(model.flat_params, before)
 
     def test_max_batches_cap(self, rng):
         x, y = linear_task(rng, n=100)
@@ -86,7 +86,7 @@ class TestFedProx:
             train_local(model, x, y,
                         LocalTrainingConfig(epochs=8, lr=0.1, prox_mu=mu),
                         spawn_rng(4, "t"), global_params=anchor)
-            return params_l2_distance(model.get_params(), anchor)
+            return np.linalg.norm(model.flat_params - flatten_params(anchor))
 
         assert distance_after(1.0) < distance_after(0.0)
 

@@ -44,7 +44,8 @@ from repro.flips.selector import FlipsSelector
 from repro.harness.profiles import RunSettings
 from repro.utils.precision import PrecisionPlan
 from repro.harness.runner import EvaluatedParties, run_strategy
-from repro.nn.models import build_model
+from repro.nn.models import build_model, model_names
+from repro.nn.training import LocalTrainingConfig, evaluate, train_local
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
 from tests.conftest import make_context, make_run_settings, make_tiny_spec
@@ -139,6 +140,32 @@ class TestCohortSampler:
         # Size, skew and zipf_a are PopulationConfig's to reject (above).
         with pytest.raises(ValueError):
             CohortSampler(PopulationConfig(8)).sample(spawn_rng(0, "x"), 0)
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_model_replicas_are_interchangeable(name):
+    """Residency invariant 2, per zoo model: after ``set_params(theta)`` a
+    replica that trained on other data and a fresh one give byte-identical
+    ``features`` / ``evaluate`` / ``train_local`` results.  A layer that
+    keeps state outside ``params`` fails this on the day it is added."""
+    shape, rng = (1, 8, 8), np.random.default_rng(0)
+    (x, y), (other_x, other_y) = (
+        (rng.random((16,) + shape), rng.integers(0, 4, 16)) for _ in range(2))
+    config = LocalTrainingConfig(epochs=2, batch_size=8, momentum=0.9)
+    theta, fresh, dirty = (
+        build_model(name, shape, 4, np.random.default_rng(seed))
+        for seed in (1, 2, 3))
+    train_local(dirty, other_x, other_y, config, np.random.default_rng(4))
+    outcomes = []
+    for replica in (fresh, dirty):
+        replica.set_params(theta.get_params())
+        features = replica.features(x).tobytes()
+        measured = evaluate(replica, x, y)
+        losses = train_local(replica, x, y, config,
+                             np.random.default_rng(5)).losses
+        outcomes.append((features, measured, losses,
+                         replica.flat_params.tobytes()))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestPartyPoolResidency:
@@ -690,7 +717,7 @@ class TestOnlyReadSplitsAreGenerated:
         party.data.split("test")  # the train generator is still pending
         data = weakref.ref(party.data)
         pool[21]  # evicts 20
-        assert 20 not in pool.resident_ids() and not party.has_data
+        assert 20 not in pool.resident_ids() and party._data is None
         # Nothing else held the window: arrays and generators are gone.
         assert data() is None
 

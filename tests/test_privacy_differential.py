@@ -42,7 +42,7 @@ from repro.privacy.shamir import (
 )
 from repro.utils.params import ParamBank, ParamSpec, resolve_dtype
 from repro.utils.rng import spawn_rng
-from tests.conftest import make_context
+from tests.conftest import bank_of, bank_row, make_context
 
 # ---------------------------------------------------------------- Reference implementations
 
@@ -205,7 +205,7 @@ class TestNetMasks:
                          capacity=len(cohort))
         rows, originals, sealed = {}, {}, {}
         for party_id in order:
-            rows[party_id] = bank.alloc(rng.normal(size=dim).astype(dtype))
+            rows[party_id] = bank_row(bank, rng.normal(size=dim).astype(dtype))
             originals[party_id] = bank.row(rows[party_id]).copy()
             session.seal_row(party_id, bank.row(rows[party_id]))
             sealed[party_id] = (originals[party_id].view(udt)
@@ -325,7 +325,7 @@ class TestRecoveryGate:
         bank = ParamBank(spec, capacity=4)
         party_rows = []
         for party_id in session.cohort:
-            row = bank.alloc(np.full(6, party_id + 0.5))
+            row = bank_row(bank, np.full(6, party_id + 0.5))
             session.seal_row(party_id, bank.row(row))
             party_rows.append((party_id, row))
         return session, bank, party_rows
@@ -384,10 +384,10 @@ class TestWorkPins:
         bank = ParamBank(spec, capacity=n)
         party_rows = []
         for party_id in cohort:
-            row = bank.alloc(np.full(7, float(party_id)))
+            row = bank_row(bank, np.full(7, float(party_id)))
             session.seal_row(party_id, bank.row(row))
             party_rows.append((party_id, row))
-        plain = ParamBank.from_param_sets(
+        plain = bank_of(
             [[np.full(7, float(party_id))] for party_id in cohort])
         got = session.combine_rows(bank, np.ones(n), party_rows)
         assert np.array_equal(
@@ -408,7 +408,7 @@ class TestWorkPins:
         bank = ParamBank(spec, capacity=3)
         party_rows = []
         for party_id in (0, 1, 3):
-            row = bank.alloc(np.full(5, 1.0 + party_id))
+            row = bank_row(bank, np.full(5, 1.0 + party_id))
             session.seal_row(party_id, bank.row(row))
             party_rows.append((party_id, row))
         session.combine_rows(bank, np.ones(1), party_rows[:1])

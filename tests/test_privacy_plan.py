@@ -32,7 +32,6 @@ from repro.detection.mmd import (
     class_conditional_mmd,
     median_heuristic_gamma,
     mmd,
-    mmd_to_many,
 )
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.registry import build_strategy
@@ -54,7 +53,7 @@ from repro.scenarios.doc import ScenarioDoc
 from repro.utils.params import ParamBank, ParamSpec, cosine_similarity_matrix
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
-from tests.conftest import make_run_settings, make_tiny_spec
+from tests.conftest import bank_row, make_run_settings, make_tiny_spec
 
 
 # ------------------------------------------------------------- knob surface
@@ -247,7 +246,7 @@ class TestThresholdSession:
         weights = np.array([2.0, 1.0, 1.0])
 
         plain_bank = ParamBank(spec, dtype=dtype, capacity=3)
-        plain_rows = [plain_bank.alloc(r.copy()) for r in rows]
+        plain_rows = [bank_row(plain_bank, r) for r in rows]
         expected = plain_bank.weighted_combine(weights, plain_rows)
 
         bank = ParamBank(spec, dtype=dtype, capacity=3)
@@ -255,7 +254,7 @@ class TestThresholdSession:
                                            dtype=dtype, threshold=2)
         party_rows = []
         for pid, r in enumerate(rows):
-            row = bank.alloc(r.copy())
+            row = bank_row(bank, r)
             session.seal_row(pid, bank.row(row))
             party_rows.append((pid, row))
         got = session.combine_rows(bank, weights, party_rows)
@@ -385,8 +384,6 @@ class TestSealedScoringKernels:
         assert mmd(sx, sy, None) == mmd(x, y, None)
         assert (class_conditional_mmd(sx, labels_x, sy, labels_y, gamma)
                 == class_conditional_mmd(x, labels_x, y, labels_y, gamma))
-        assert np.array_equal(mmd_to_many(sx, [sy, sx], gamma),
-                              mmd_to_many(x, [y, x], gamma))
         assert np.array_equal(cosine_similarity_matrix(seal.seal(x)),
                               cosine_similarity_matrix(x))
 
@@ -425,7 +422,8 @@ class TestSealedScoringKernels:
             registry = self._registry(7, sealed=sealed)
             results.append(match_cluster_to_expert(
                 cluster, registry, epsilon=0.5, gamma=0.05, max_rows=32,
-                rng=spawn_rng(2, "m")))
+                rng=spawn_rng(2, "m"),
+                cluster_labels=np.zeros(40, dtype=int)))
         assert results[0] == results[1]
 
 

@@ -1,23 +1,39 @@
-"""Every module under ``src/repro`` is reached by a run, or says why it stays.
+"""Everything under ``src/repro`` is reached by a run, or says why it stays.
 
-An import walk (AST only — nothing is imported) from the two run roots.
-``from package import Name`` resolves through the package's ``__init__`` to
-the module that defines ``Name``, so a re-export is not a use.  Beside it:
-every non-Python file under ``src/repro`` is named in ``setup.py``, so an
-installed package and a checkout cannot run different numbers.
+Two walks, AST only — nothing is imported.
+
+*Modules*: an import walk from the two run roots.  ``from package import
+Name`` resolves through the package's ``__init__`` to the module that defines
+``Name``, so a re-export is not a use.
+
+*Definitions*: a fixpoint over names inside the reached modules.  A
+module-level function or class is live when its name is read by the
+module-level code of a reached module, by the body of a live definition, or
+by a program someone runs (``CALLERS``: the frozen benchmark driver and the
+examples the docs job executes); a method also needs its class to be live.
+A test is not a caller.  Name-based, so it errs towards "live": it cannot
+tell two methods of one name apart, but a name nothing reads is dead.
+
+Beside them: every non-Python file under ``src/repro`` is named in
+``setup.py``, so an installed package and a checkout cannot run different
+numbers.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 ROOTS = ("repro.__main__", "repro.scenarios.fuzz")
-# Unreached by the walk on purpose; every entry carries its reason.
+# Executed, not imported by name: their decorators register the strategies.
+REGISTERED = ("repro.baselines.fedavg", "repro.baselines.fedprox",
+              "repro.baselines.oort", "repro.baselines.fielding",
+              "repro.baselines.feddrift")
+# Unreached by the walk on purpose; every entry carries its reason.  A whole
+# module here exempts every definition in it.
 ALLOWED = {
     **dict.fromkeys(
-        ("repro.baselines.fedavg", "repro.baselines.fedprox",
-         "repro.baselines.oort", "repro.baselines.fielding",
-         "repro.baselines.feddrift"),
+        REGISTERED,
         "registered by `import repro.baselines` in experiments/registry.py"),
     "repro.experts.facility": "Eq. 2; benchmarks/test_bench_ablations.py",
     "repro.privacy.overhead": "Section 5.4; benchmarks/test_bench_overheads.py",
@@ -26,10 +42,53 @@ ALLOWED = {
         "Section 2.1's shift-vs-drift distinction; "
         "examples/gradual_drift_monitoring.py, test_extensions.py::TestDriftMonitor"),
 }
+# Programs someone runs that are not under src/: what they read is used.
+CALLERS = [ROOT / "benchmarks" / "e2e" / name
+           for name in ("child.py", "make_plans.py", "tracer.py")]
+CALLERS += sorted((ROOT / "examples").glob("*.py"))
+# Definitions no run reads, kept for one of four reasons; the file named
+# must still mention the definition.
+KINDS = ("paper artifact", "reference", "reader", "test state")
+ALLOWED_DEFINITIONS = {
+    "repro.experts.registry.ExpertRegistry.memory_footprint":
+        ("paper artifact", "benchmarks/test_bench_overheads.py"),
+    "repro.harness.comparison.convergence_series":
+        ("paper artifact", "benchmarks/conftest.py"),
+    "repro.harness.comparison.max_accuracy_table":
+        ("paper artifact", "benchmarks/conftest.py"),
+    "repro.flips.selector.label_balance_score":
+        ("paper artifact", "benchmarks/test_bench_ablations.py"),
+    "repro.federation.aggregation.fedavg":
+        ("reference", "tests/test_differential_aggregation.py"),
+    "repro.federation.aggregation.staleness_weighted_fedavg":
+        ("reference", "tests/test_differential_aggregation.py"),
+    "repro.privacy.shamir.split_secret":
+        ("reference", "tests/test_privacy_differential.py"),
+    "repro.privacy.shamir.reconstruct_secret":
+        ("reference", "tests/test_privacy_differential.py"),
+    "repro.utils.serialization.load_run_result":
+        ("reader", "tests/test_serialization.py"),
+    "repro.federation.pool.PartyPool.resident_ids":
+        ("test state", "tests/test_party_pool.py"),
+    "repro.federation.pool.PartyPool.pinned_ids":
+        ("test state", "tests/test_party_pool.py"),
+    "repro.privacy.secure_aggregation.SecureAggregationSession.is_sealed":
+        ("test state", "tests/test_secure_aggregation.py"),
+    "repro.data.federated.PartyWindowData.num_train":
+        ("test state", "tests/test_data_differential.py"),
+    "repro.data.federated.PartyWindowData.num_test":
+        ("test state", "tests/test_data_differential.py"),
+    "repro.flips.selector.FlipsSelector.selection_counts":
+        ("test state", "tests/test_flips.py"),
+}
 MODULES = {}
 for _path in (SRC / "repro").rglob("*.py"):
     _parts = _path.relative_to(SRC).with_suffix("").parts
     MODULES[".".join(_parts[:-1] if _parts[-1] == "__init__" else _parts)] = _path
+DEFS = (ast.FunctionDef, ast.ClassDef)
+# Decorators that do not hand the definition to anyone.
+PLAIN_DECORATORS = {"dataclass", "dataclasses", "property", "cached_property",
+                    "functools", "staticmethod", "classmethod"}
 
 
 def _imports(module):
@@ -57,7 +116,7 @@ def _definer(module, name):
     return module  # defined in the __init__ itself
 
 
-def test_every_module_is_reached_by_a_run_or_allowlisted():
+def _reached():
     seen, todo = set(), list(ROOTS)
     while todo:
         module = todo.pop()
@@ -65,9 +124,102 @@ def test_every_module_is_reached_by_a_run_or_allowlisted():
             seen.add(module)
             todo.extend(filter(None, (_definer(source, name)
                                       for source, name, _ in _imports(module))))
+    return seen
+
+
+def test_every_module_is_reached_by_a_run_or_allowlisted():
+    seen = _reached()
     plain = {m for m, path in MODULES.items() if path.name != "__init__.py"}
     assert sorted(plain - seen - set(ALLOWED)) == []
     assert sorted(m for m in ALLOWED if m in seen or m not in plain) == []
+
+
+def _reads(nodes):
+    """Every name or attribute name loaded anywhere under ``nodes``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for top in nodes for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _handed_over(node):
+    """Decorated by something that keeps it (``@register_strategy(...)``)."""
+    return bool(_reads(node.decorator_list) - PLAIN_DECORATORS)
+
+
+def _census():
+    """``(definitions, reads)`` of the modules a run executes.
+
+    ``definitions`` maps a qualified name to ``(name, owning class or None,
+    its AST, kept by a decorator)``; ``reads`` are the names read by
+    module-level code, by the callers, and by the allowlisted modules (they
+    stay, so what they call stays).  A package ``__init__``'s imports and
+    ``__all__`` are re-exports, not reads.
+    """
+    definitions, reads = {}, set()
+    for module in sorted(_reached() | set(REGISTERED)):
+        path = MODULES[module]
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, DEFS):
+                qual = f"{module}.{stmt.name}"
+                inner = [s for s in stmt.body if isinstance(s, DEFS)] \
+                    if isinstance(stmt, ast.ClassDef) else []
+                rest = [s for s in ast.iter_child_nodes(stmt) if s not in inner]
+                definitions[qual] = (stmt.name, None, rest, _handed_over(stmt))
+                for method in inner:
+                    definitions[f"{qual}.{method.name}"] = (
+                        method.name, qual, [method], False)
+            elif path.name == "__init__.py" and (
+                    isinstance(stmt, (ast.Import, ast.ImportFrom))
+                    or (isinstance(stmt, ast.Assign)
+                        and [getattr(t, "id", None) for t in stmt.targets]
+                        == ["__all__"])):
+                continue
+            else:
+                reads |= _reads([stmt])
+    for module in set(ALLOWED) - set(REGISTERED):
+        reads |= _reads([ast.parse(MODULES[module].read_text())])
+    for path in CALLERS:
+        tree = ast.parse(path.read_text())
+        reads |= _reads([tree])
+        if path.name == "tracer.py":  # LAYER_SPANS names its targets as paths
+            reads |= {part for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)
+                      for part in node.value.split(".") if part.isidentifier()}
+    return definitions, reads
+
+
+def _grow(definitions, reads, live):
+    """Fixpoint: a definition whose name is read (and whose class is live)
+    is live, and then what its body reads is read."""
+    changed = True
+    while changed:
+        changed = False
+        for qual, (name, owner, body, kept) in definitions.items():
+            dunder = name.startswith("__") and name.endswith("__")
+            if (qual not in live and (owner is None or owner in live)
+                    and (kept or dunder or name in reads)):
+                live.add(qual)
+                reads |= _reads(body)
+                changed = True
+    return live
+
+
+def test_every_definition_is_read_by_a_run_or_allowlisted():
+    definitions, reads = _census()
+    live = _grow(definitions, reads, set())
+    stale = sorted(q for q in ALLOWED_DEFINITIONS
+                   if q not in definitions or q in live)
+    assert not stale, "gone, or read by a run after all: " + ", ".join(stale)
+    for qual, (kind, where) in ALLOWED_DEFINITIONS.items():
+        assert kind in KINDS, qual
+        assert qual.rpartition(".")[2] in (ROOT / where).read_text(), qual
+        reads |= _reads(definitions[qual][2])
+    live = _grow(definitions, reads, live | set(ALLOWED_DEFINITIONS))
+    dead = sorted(set(definitions) - live)
+    assert not dead, "read by no run and not allowlisted: " + ", ".join(dead)
+    assert len(ALLOWED_DEFINITIONS) <= 30
 
 
 def test_every_non_python_file_is_named_in_package_data():

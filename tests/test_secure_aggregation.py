@@ -36,7 +36,8 @@ from repro.privacy.secure_aggregation import (
 )
 from repro.utils.params import ParamBank, ParamSpec, flatten_params
 from repro.utils.serialization import run_result_to_dict
-from tests.conftest import make_context, make_run_settings, make_tiny_spec
+from tests.conftest import (bank_row, make_context, make_run_settings,
+                            make_tiny_spec)
 
 SHAPES = [(3, 2), (2,)]
 
@@ -62,7 +63,7 @@ class TestFlatMaskPlane:
         session = SecureAggregationSession([0, 1, 2], spec, shared_seed=9,
                                            dtype=dtype)
         bank = ParamBank(spec, dtype=dtype, capacity=3)
-        row = bank.alloc(rng.normal(size=spec.total_size).astype(dtype))
+        row = bank_row(bank, rng.normal(size=spec.total_size).astype(dtype))
         original = bank.row(row).copy()
         session.seal_row(0, bank.row(row))
         assert not np.array_equal(bank.row(row), original)
@@ -89,7 +90,7 @@ class TestFlatMaskPlane:
         spec = ParamSpec(((8,),))
         session = SecureAggregationSession([3], spec, shared_seed=2)
         bank = ParamBank(spec, capacity=1)
-        row = bank.alloc(rng.normal(size=8))
+        row = bank_row(bank, rng.normal(size=8))
         original = bank.row(row).copy()
         session.seal_row(3, bank.row(row))
         assert not np.array_equal(bank.row(row), original)
@@ -104,7 +105,7 @@ class TestFailureModes:
         spec = ParamSpec(tuple(SHAPES))
         session = SecureAggregationSession([0, 1], spec)
         bank = ParamBank(spec, capacity=2)
-        row = bank.alloc(rng.normal(size=spec.total_size))
+        row = bank_row(bank, rng.normal(size=spec.total_size))
         session.seal_row(0, bank.row(row))
         with pytest.raises(ValueError, match="already submitted"):
             session.seal_row(0, bank.row(row))
@@ -113,7 +114,7 @@ class TestFailureModes:
         spec = ParamSpec(tuple(SHAPES))
         session = SecureAggregationSession([0, 1], spec)
         bank = ParamBank(spec, capacity=2)
-        row = bank.alloc(rng.normal(size=spec.total_size))
+        row = bank_row(bank, rng.normal(size=spec.total_size))
         with pytest.raises(KeyError, match="no sealed row"):
             session.unseal_row(0, bank.row(row))
 
@@ -121,7 +122,7 @@ class TestFailureModes:
         spec = ParamSpec(tuple(SHAPES))
         session = SecureAggregationSession([0, 1], spec)
         bank = ParamBank(spec, capacity=2)
-        row = bank.alloc(rng.normal(size=spec.total_size))
+        row = bank_row(bank, rng.normal(size=spec.total_size))
         session.seal_row(0, bank.row(row))
         with pytest.raises(ValueError, match="does not match"):
             session.combine_rows(bank, [1.0, 2.0], [(0, row)])
@@ -132,7 +133,7 @@ class TestFailureModes:
         spec = ParamSpec(tuple(SHAPES))
         session = SecureAggregationSession([0, 1], spec)
         bank = ParamBank(spec, capacity=2)
-        row = bank.alloc(rng.normal(size=spec.total_size))
+        row = bank_row(bank, rng.normal(size=spec.total_size))
         session.seal_row(0, bank.row(row))
         sealed_bytes = bank.row(row).copy()
         with pytest.raises(ValueError, match="positive"):
@@ -258,7 +259,7 @@ class TestBufferResidency:
         assert stats.aggregated
         buf = engine._buffers["g"]
         assert buf.in_flight == 0
-        for slot in range(buf.bank.n_slots):
+        for slot in range(len(buf.bank._live)):
             assert not buf.bank._buf[slot].any()
 
 

@@ -5,30 +5,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.utils.params import (
-    ParamBank,
     ParamSpec,
-    add_scaled,
     cosine_similarity_matrix,
     flatten_params,
-    params_cosine_similarity,
-    params_l2_distance,
     resolve_dtype,
     stack_params,
-    unflatten_params,
     weighted_average,
-    zeros_like_params,
 )
+from tests.conftest import bank_of, bank_row
 
 
 def make_params(rng, shapes=((3, 4), (4,), (2, 2, 2))):
     return [rng.normal(size=s) for s in shapes]
 
 
+def cosine(a, b) -> float:
+    """Cosine of two parameter lists, through the one pool-level kernel."""
+    return float(cosine_similarity_matrix(
+        np.stack([flatten_params(a), flatten_params(b)]))[0, 1])
+
+
 class TestFlattenRoundtrip:
     def test_roundtrip_preserves_values(self, rng):
         params = make_params(rng)
         flat = flatten_params(params)
-        restored = unflatten_params(flat, params)
+        restored = ParamSpec.of(params).view(flat)
         for a, b in zip(params, restored):
             assert np.allclose(a, b)
 
@@ -43,7 +44,7 @@ class TestFlattenRoundtrip:
         params = make_params(rng)
         spec = ParamSpec.of(params)
         with pytest.raises(ValueError):
-            spec.unflatten(np.zeros(spec.total_size + 1))
+            spec.view(np.zeros(spec.total_size + 1))
 
     def test_spec_sizes_are_computed_once(self, rng):
         import dataclasses
@@ -59,20 +60,13 @@ class TestFlattenRoundtrip:
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.shapes = ()
 
-    def test_unflatten_copies(self, rng):
-        params = make_params(rng)
-        flat = flatten_params(params)
-        restored = unflatten_params(flat, params)
-        restored[0][0, 0] = 999.0
-        assert params[0][0, 0] != 999.0
-
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=4))
     @settings(max_examples=25, deadline=None)
     def test_roundtrip_property(self, sizes):
         rng = np.random.default_rng(0)
         params = [rng.normal(size=(s,)) for s in sizes]
         flat = flatten_params(params)
-        restored = unflatten_params(flat, params)
+        restored = ParamSpec.of(params).view(flat)
         assert all(np.allclose(a, b) for a, b in zip(params, restored))
 
 
@@ -119,26 +113,6 @@ class TestWeightedAverage:
         lo = np.minimum(a[0], b[0]) - 1e-12
         hi = np.maximum(a[0], b[0]) + 1e-12
         assert np.all(avg >= lo) and np.all(avg <= hi)
-
-
-class TestAddScaledAndZeros:
-    def test_add_scaled_accumulates(self, rng):
-        a = make_params(rng)
-        acc = zeros_like_params(a)
-        add_scaled(acc, a, 2.0)
-        for x, y in zip(acc, a):
-            assert np.allclose(x, 2.0 * y)
-
-    def test_zeros_shapes(self, rng):
-        a = make_params(rng)
-        z = zeros_like_params(a)
-        assert all(x.shape == y.shape for x, y in zip(a, z))
-        assert all(np.all(x == 0) for x in z)
-
-    def test_add_scaled_length_mismatch(self, rng):
-        a = make_params(rng)
-        with pytest.raises(ValueError):
-            add_scaled(a, a[:-1], 1.0)
 
 
 class TestZeroCopyPlane:
@@ -193,22 +167,12 @@ class TestZeroCopyPlane:
 class TestParamBank:
     def make_bank(self, rng, n=3, dtype=None):
         sets = [make_params(rng) for _ in range(n)]
-        return ParamBank.from_param_sets(sets, dtype=dtype), sets
-
-    def test_row_params_are_zero_copy_views(self, rng):
-        bank, sets = self.make_bank(rng)
-        views = bank.row_params(1)
-        views[0][0, 0] = 42.0
-        assert bank.row(1)[0] == 42.0
-        assert bank.matrix()[1, 0] == 42.0
-        # ... and flattening a row's views is the row itself, not a copy.
-        assert np.shares_memory(flatten_params(views), bank.row(1))
+        return bank_of(sets, dtype=dtype), sets
 
     def test_rows_roundtrip_values(self, rng):
         bank, sets = self.make_bank(rng)
         for i, params in enumerate(sets):
-            for view, original in zip(bank.row_params(i), params):
-                assert np.allclose(view, original)
+            assert np.allclose(bank.row(i), flatten_params(params))
 
     def test_weighted_combine_matches_weighted_average(self, rng):
         bank, sets = self.make_bank(rng)
@@ -222,8 +186,9 @@ class TestParamBank:
         sims = cosine_similarity_matrix(bank.matrix())
         for i in range(4):
             for j in range(4):
+                a, b = flatten_params(sets[i]), flatten_params(sets[j])
                 assert sims[i, j] == pytest.approx(
-                    params_cosine_similarity(sets[i], sets[j]), abs=1e-12)
+                    a @ b / (np.linalg.norm(a) * np.linalg.norm(b)), abs=1e-12)
 
     def test_cosine_matrix_zero_row_conventions(self):
         matrix = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
@@ -243,7 +208,7 @@ class TestParamBank:
     def test_matrix_pairs_rows_positionally_after_recycling(self, rng):
         bank, sets = self.make_bank(rng)
         bank.release(0)
-        late = bank.alloc(sets[2])  # allocated last, lands in slot 0
+        late = bank_row(bank, flatten_params(sets[2]))  # lands in slot 0
         assert late == 0
         # Default order is slot order; explicit rows keep the caller's order.
         assert np.array_equal(bank.matrix(), bank.matrix([0, 1, 2]))
@@ -256,8 +221,7 @@ class TestParamBank:
 
     def test_row_lifecycle_guards_dead_rows(self, rng):
         bank, sets = self.make_bank(rng)
-        extra = bank.alloc(sets[0])
-        bank.write_row(extra, sets[1])
+        extra = bank_row(bank, flatten_params(sets[1]))
         assert np.array_equal(bank.row(extra), bank.row(1))
         assert not np.array_equal(bank.row(extra), bank.row(0))
         bank.release(extra)
@@ -265,14 +229,6 @@ class TestParamBank:
             bank.row(extra)  # released, not merely out of range
         with pytest.raises(KeyError):
             bank.release(extra)  # a dead row cannot be released twice
-        with pytest.raises(KeyError):
-            bank.write_row(extra, sets[1])
-
-    def test_readonly_row_params_reject_writes(self, rng):
-        bank, _sets = self.make_bank(rng)
-        views = bank.row_params(1, writeable=False)
-        with pytest.raises(ValueError):
-            views[0][0, 0] = 1.0
 
     def test_growth_preserves_rows(self, rng):
         bank, sets = self.make_bank(rng)
@@ -297,29 +253,21 @@ class TestParamBank:
 class TestSimilarity:
     def test_cosine_self_is_one(self, rng):
         a = make_params(rng)
-        assert params_cosine_similarity(a, a) == pytest.approx(1.0)
+        assert cosine(a, a) == pytest.approx(1.0)
 
     def test_cosine_negation_is_minus_one(self, rng):
         a = make_params(rng)
         b = [-p for p in a]
-        assert params_cosine_similarity(a, b) == pytest.approx(-1.0)
+        assert cosine(a, b) == pytest.approx(-1.0)
 
     def test_cosine_zero_vs_zero(self):
         z = [np.zeros(3)]
-        assert params_cosine_similarity(z, z) == 1.0
+        assert cosine(z, z) == 1.0
 
     def test_cosine_zero_vs_nonzero(self, rng):
         z = [np.zeros(3)]
         a = [np.ones(3)]
-        assert params_cosine_similarity(z, a) == 0.0
-
-    def test_l2_distance_self_zero(self, rng):
-        a = make_params(rng)
-        assert params_l2_distance(a, a) == pytest.approx(0.0)
-
-    def test_l2_distance_symmetric(self, rng):
-        a, b = make_params(rng), make_params(rng)
-        assert params_l2_distance(a, b) == pytest.approx(params_l2_distance(b, a))
+        assert cosine(z, a) == 0.0
 
     @given(st.floats(0.1, 5.0))
     @settings(max_examples=20, deadline=None)
@@ -327,6 +275,6 @@ class TestSimilarity:
         rng = np.random.default_rng(2)
         a = [rng.normal(size=(6,))]
         b = [rng.normal(size=(6,))]
-        s1 = params_cosine_similarity(a, b)
-        s2 = params_cosine_similarity([scale * a[0]], b)
+        s1 = cosine(a, b)
+        s2 = cosine([scale * a[0]], b)
         assert s1 == pytest.approx(s2, abs=1e-9)

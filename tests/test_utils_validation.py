@@ -6,7 +6,6 @@ import pytest
 from repro.utils.validation import (
     check_2d,
     check_probability_vector,
-    check_same_shape,
     normalize_histogram,
 )
 
@@ -27,15 +26,6 @@ class TestCheck2d:
     def test_casts_to_float(self):
         out = check_2d(np.ones((2, 2), dtype=int))
         assert out.dtype == np.float64
-
-
-class TestCheckSameShape:
-    def test_accepts_equal(self):
-        check_same_shape(np.ones((2, 3)), np.zeros((2, 3)))
-
-    def test_rejects_unequal(self):
-        with pytest.raises(ValueError):
-            check_same_shape(np.ones((2, 3)), np.zeros((3, 2)))
 
 
 class TestProbabilityVector:
