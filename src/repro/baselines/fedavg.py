@@ -43,17 +43,10 @@ class FedAvgStrategy(ContinualStrategy):
     def run_round(self, window: int, round_index: int) -> None:
         ctx = self.context
         participants = self._select(window, round_index)
-        config = replace(ctx.round_config, local=self._local_config())
-        new_params, _stats = run_fl_round(
-            ctx.parties, participants, self.global_params, config,
-            round_tag=(window, round_index),
-            engine=ctx.federation, stream="global",
-            secure=ctx.masking_spec,
-        )
-        self._global = new_params
-        num_params = sum(p.size for p in new_params)
-        ctx.ledger.record_model_download(num_params, len(participants))
-        ctx.ledger.record_model_upload(num_params, len(participants))
+        self._global, _stats = run_fl_round(
+            ctx, participants, self.global_params,
+            round_tag=(window, round_index), stream="global",
+            local=self._local_config())
 
     def params_for_party(self, party_id: int) -> Params:
         return self.global_params

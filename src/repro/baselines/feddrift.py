@@ -146,16 +146,9 @@ class FedDriftStrategy(ContinualStrategy):
             members = cohorts[mid]
             rng = ctx.rng("feddrift-select", window, round_index, mid)
             participants = [int(p) for p in rng.choice(members, size=k, replace=False)]
-            new_params, _stats = run_fl_round(
-                ctx.parties, participants, self._models[mid],
-                ctx.round_config, round_tag=(window, round_index, mid),
-                engine=ctx.federation, stream=("model", mid),
-                secure=ctx.masking_spec,
-            )
-            self._models[mid] = new_params
-            num_params = sum(p.size for p in new_params)
-            ctx.ledger.record_model_download(num_params, len(participants))
-            ctx.ledger.record_model_upload(num_params, len(participants))
+            self._models[mid], _stats = run_fl_round(
+                ctx, participants, self._models[mid],
+                round_tag=(window, round_index, mid), stream=("model", mid))
 
     def params_for_party(self, party_id: int) -> Params:
         mid = self._membership.get(party_id)

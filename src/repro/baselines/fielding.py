@@ -115,16 +115,10 @@ class FieldingStrategy(ContinualStrategy):
             members = cohorts[cluster_id]
             rng = ctx.rng("fielding-select", window, round_index, cluster_id)
             participants = [int(p) for p in rng.choice(members, size=k, replace=False)]
-            new_params, _stats = run_fl_round(
-                ctx.parties, participants, self._cluster_models[cluster_id],
-                ctx.round_config, round_tag=(window, round_index, cluster_id),
-                engine=ctx.federation, stream=("cluster", cluster_id),
-                secure=ctx.masking_spec,
-            )
-            self._cluster_models[cluster_id] = new_params
-            num_params = sum(p.size for p in new_params)
-            ctx.ledger.record_model_download(num_params, len(participants))
-            ctx.ledger.record_model_upload(num_params, len(participants))
+            self._cluster_models[cluster_id], _stats = run_fl_round(
+                ctx, participants, self._cluster_models[cluster_id],
+                round_tag=(window, round_index, cluster_id),
+                stream=("cluster", cluster_id))
 
     def params_for_party(self, party_id: int) -> Params:
         cluster_id = self._membership.get(party_id)

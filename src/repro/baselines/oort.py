@@ -98,26 +98,18 @@ class OortStrategy(ContinualStrategy):
     def run_round(self, window: int, round_index: int) -> None:
         ctx = self.context
         participants = self._select(window, round_index)
-        config = replace(ctx.round_config,
-                         local=replace(ctx.round_config.local, prox_mu=0.0))
         for pid in participants:
             self._times_selected[pid] += 1
-        new_params, stats = run_fl_round(
-            ctx.parties, participants, self.global_params, config,
-            round_tag=(window, round_index),
-            engine=ctx.federation, stream="global",
-            secure=ctx.masking_spec,
-        )
-        self._global = new_params
+        self._global, stats = run_fl_round(
+            ctx, participants, self.global_params,
+            round_tag=(window, round_index), stream="global",
+            local=replace(ctx.round_config.local, prox_mu=0.0))
         # Utilities update from training-time losses (what the device itself
         # observed), so the selector keeps learning about parties whose
         # reports are still in flight under buffered/async participation.
         # Dropped parties never train, so their utilities stay unchanged.
         self._update_utilities({pid: (loss, stats.samples[pid])
                                 for pid, loss in stats.mean_losses.items()})
-        num_params = sum(p.size for p in self._global)
-        ctx.ledger.record_model_download(num_params, len(participants))
-        ctx.ledger.record_model_upload(num_params, len(participants))
 
     def params_for_party(self, party_id: int) -> Params:
         return self.global_params

@@ -305,9 +305,7 @@ class ShiftExStrategy(ContinualStrategy):
 
     def _new_expert_init(self) -> Params:
         """CLONE(theta_0): new experts start from the bootstrap model."""
-        if self._bootstrap_snapshot is not None:
-            return [p.copy() for p in self._bootstrap_snapshot]
-        return self.context.model_factory().get_params()
+        return [p.copy() for p in self._bootstrap_snapshot]
 
     # -------------------------------------------------- per-expert FLIPS (5.2.3-4)
 
@@ -364,18 +362,12 @@ class ShiftExStrategy(ContinualStrategy):
                 continue
             expert = self.registry.get(eid)
             new_params, stats = run_fl_round(
-                ctx.parties, participants, expert.params, ctx.round_config,
-                round_tag=(window, round_index, eid),
-                engine=ctx.federation, stream=("expert", eid),
-                secure=ctx.masking_spec,
-            )
+                ctx, participants, expert.params,
+                round_tag=(window, round_index, eid), stream=("expert", eid))
             expert.set_params(new_params)
             expert.train_rounds += 1
             expert.samples_seen += stats.total_samples
             expert.updated_window = window
-            num_params = sum(p.size for p in new_params)
-            ctx.ledger.record_model_download(num_params, len(participants))
-            ctx.ledger.record_model_upload(num_params, len(participants))
 
     def _run_bootstrap_round(self, window: int, round_index: int) -> None:
         ctx = self.context
@@ -387,17 +379,12 @@ class ShiftExStrategy(ContinualStrategy):
         else:
             participants = ctx.sample_cohort(rng, k)
         new_params, stats = run_fl_round(
-            ctx.parties, participants, expert0.params, ctx.round_config,
+            ctx, participants, expert0.params,
             round_tag=(window, round_index),
-            engine=ctx.federation, stream=("expert", expert0.expert_id),
-            secure=ctx.masking_spec,
-        )
+            stream=("expert", expert0.expert_id))
         expert0.set_params(new_params)
         expert0.train_rounds += 1
         expert0.samples_seen += stats.total_samples
-        num_params = sum(p.size for p in new_params)
-        ctx.ledger.record_model_download(num_params, len(participants))
-        ctx.ledger.record_model_upload(num_params, len(participants))
 
     # -------------------------------------------------- window close
 

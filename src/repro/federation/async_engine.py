@@ -234,8 +234,8 @@ class FederationEngine:
     federated round, :meth:`begin_window` at window boundaries (in-flight
     reports are dropped there — parties re-train on the new window's data
     anyway, and experts/clusters may not survive the boundary).  Strategies
-    stay oblivious to the mode: they call
-    ``run_fl_round(..., engine=ctx.federation, stream=...)``.
+    stay oblivious to the mode and to the engine: they call
+    ``run_fl_round(ctx, ..., stream=...)``, which runs on ``ctx.federation``.
     """
 
     def __init__(self, config: FederationConfig, seed: int = 0,

@@ -120,17 +120,12 @@ class Party:
             mean_loss=result.mean_loss,
         )
 
-    def evaluate(self, params: Params, split: str = "test",
-                 return_features: bool = False):
-        """(accuracy, loss) of ``params`` on this party's local split.
-
-        ``return_features`` adds the penultimate-layer embeddings of the
-        split as a third element, from the same single forward pass — the
-        cheap path when a caller needs both metrics and representations.
-        """
+    def evaluate(self, params: Params,
+                 split: str = "test") -> tuple[float, float]:
+        """(accuracy, loss) of ``params`` on this party's local split."""
         x, y = self._split(split)
         self._model.set_params(params)
-        return evaluate(self._model, x, y, return_features=return_features)
+        return evaluate(self._model, x, y)
 
     def loss_on(self, params: Params, split: str = "train") -> float:
         """Local loss of a model — the signal FedDrift clusters on."""

@@ -1,27 +1,31 @@
 """One federated round: select -> broadcast -> local train -> aggregate.
 
-:func:`run_fl_round` is the entry every strategy calls; the round itself is
+:func:`run_fl_round` is the one call every strategy makes: it runs the round
+the run's :class:`~repro.federation.strategy.StrategyContext` describes and
+meters its model traffic.  The round itself is
 :meth:`repro.federation.async_engine.FederationEngine.run_round`, the one
-loop every participation mode runs.  This module holds what that loop is
-made of: the round-level config and stats records, the cohort trainer that
+loop every participation mode runs.  This module also holds what that loop
+is made of: the round-level config and stats records, the cohort trainer that
 lands each party's trained flat vector in one row of the engine's stream
 :class:`~repro.utils.params.ParamBank` (so FedAvg is a single weighted
 ``w @ M`` product over the stacked rows), and the per-dispatch sealing hook.
 
-Secure aggregation: ``run_fl_round(secure=MaskingSpec(seed))`` runs the
-dispatch under a
+Secure aggregation: a context whose ``masking`` is set runs every dispatch
+under a
 :class:`~repro.privacy.secure_aggregation.SecureAggregationSession` — each
 party's bank row is sealed in the exact bit domain the moment training
 writes it and unsealed only inside the session's ``combine_rows`` when its
-aggregation fires.  Sealing round-trips exactly, so the masked round is
-bit-for-bit the unmasked one; ``secure=None`` (the default) never
-constructs a session.
+aggregation fires, so no unmasked party update is resident server-side.
+Sealing round-trips exactly, so the masked round is bit-for-bit the unmasked
+one; ``masking=None`` (the default) never constructs a session.  A spec with
+a ``threshold`` additionally runs the Shamir share-distribution and
+reconstruction rounds, metered on its ledger under the ``secure_agg`` channel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -32,6 +36,9 @@ from repro.privacy.secure_aggregation import (
     SecureAggregationSession,
 )
 from repro.utils.params import ParamBank, ParamSpec, Params
+
+if TYPE_CHECKING:  # import cycle: strategy -> rounds
+    from repro.federation.strategy import StrategyContext
 
 
 @dataclass
@@ -149,46 +156,37 @@ def mean_finite_loss(updates) -> float:
     return float(np.mean(losses)) if losses else float("nan")
 
 
-def run_fl_round(parties: PartyPool, participant_ids: list[int],
-                 params: Params, config: RoundConfig,
-                 round_tag: object = 0, engine=None,
-                 stream: object = "default",
-                 secure: MaskingSpec | None = None,
+def run_fl_round(ctx: "StrategyContext", participant_ids: list[int],
+                 params: Params, *, round_tag: object, stream: object,
+                 local: LocalTrainingConfig | None = None,
                  ) -> tuple[Params, RoundStats]:
-    """Train ``params`` for one round over the given participants.
+    """Run one round of the run ``ctx`` describes: ``(new params, stats)``.
 
-    Returns the FedAvg-aggregated parameters and round statistics.  The
-    caller owns participant selection (uniform, OORT, FLIPS, ...) so every
-    strategy can reuse this loop.  ``parties`` is the run's
-    :class:`~repro.federation.pool.PartyPool`: a participant is
-    materialized when it trains (one that drops out never is) and pinned for
-    that call by :func:`train_cohort`; the round bank is allocated at the
-    pool's parameter dtype.
+    The caller owns participant selection (uniform, OORT, FLIPS, ...) and
+    names the aggregation target: ``stream`` keys the engine buffer the
+    reports land in (one per global model / cluster / expert, so buffered
+    reports never cross models), ``round_tag`` seeds the parties' local
+    draws, and ``local`` replaces the round config's local-training config
+    (FedAvg / FedProx / OORT set their proximal term there).
 
-    ``engine`` is the :class:`~repro.federation.async_engine.FederationEngine`
-    whose clock, availability model and per-``stream`` buffers the round runs
-    on (one buffer per global model / cluster / expert, so buffered reports
-    never cross models); a run shares one across all its rounds.  Left out,
-    the round runs on a throwaway quiet ``sync`` engine: everyone dispatched
-    reports, and the aggregate fires at once.
-
-    ``secure`` (a :class:`~repro.privacy.secure_aggregation.MaskingSpec`, or
-    None = off) masks the round: every bank row is sealed at training time
-    and the aggregate comes out of the session's recovery phase —
-    bit-for-bit the unmasked result, with no unmasked party update resident
-    in server-side storage.  A spec with a ``threshold`` additionally runs
-    the Shamir share-distribution and reconstruction rounds, metered in
-    its ledger under the ``secure_agg`` channel.
+    The context supplies the rest: the round runs on ``ctx.federation``,
+    whose clock, availability model and per-stream buffers every round of
+    the run shares, over ``ctx.parties`` (a participant is materialized when
+    it trains — one that drops out never is — and pinned for that call by
+    :func:`train_cohort`), sealed under ``ctx.masking``.  One model download
+    and one upload are metered on ``ctx.ledger`` per dispatched party,
+    whatever became of its report (dropped, delayed, buffered): the ledger
+    counts dispatches.
     """
     if not participant_ids:
         raise ValueError("cannot run a round with no participants")
-    if engine is None:
-        # Imported here: async_engine builds on this module's pieces.
-        from repro.federation.async_engine import (
-            FederationConfig,
-            FederationEngine,
-        )
-        engine = FederationEngine(FederationConfig())
-        engine.advance()
-    return engine.run_round(parties, participant_ids, params, config,
-                            round_tag=round_tag, stream=stream, secure=secure)
+    config = ctx.round_config
+    if local is not None:
+        config = replace(config, local=local)
+    new_params, stats = ctx.federation.run_round(
+        ctx.parties, participant_ids, params, config,
+        round_tag=round_tag, stream=stream, secure=ctx.masking)
+    num_params = ParamSpec.of(new_params).total_size
+    ctx.ledger.record_model_download(num_params, len(participant_ids))
+    ctx.ledger.record_model_upload(num_params, len(participant_ids))
+    return new_params, stats

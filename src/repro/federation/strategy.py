@@ -30,7 +30,6 @@ from repro.federation.accounting import CommunicationLedger
 from repro.federation.pool import PartyPool
 from repro.federation.rounds import RoundConfig
 from repro.nn.network import Sequential
-from repro.privacy.plan import PrivacyPlan
 from repro.privacy.sealed_scoring import ScoreSeal
 from repro.privacy.secure_aggregation import MaskingSpec
 from repro.utils.params import Params
@@ -52,21 +51,16 @@ class StrategyContext:
     :meth:`iter_parties` and cohort draws through :meth:`sample_cohort`, so
     the pool's survey cap and participation skew apply to every strategy.
 
-    ``federation`` is the run's round engine (None, as in hand-built test
-    contexts, makes every ``run_fl_round`` call use a throwaway quiet
-    one).  Strategies pass it to ``run_fl_round`` together with a
-    ``stream`` key naming the aggregation target, so buffered reports for one
-    cluster/expert never leak into another.
-
-    ``secure_aggregation`` is the run's mask-stream root seed when secure
-    aggregation is on (None = off, the default).  Strategies pass
-    ``masking_spec`` — the seed bundled with the run's
-    :class:`~repro.privacy.plan.PrivacyPlan` Shamir threshold and the
-    ledger — as ``run_fl_round(secure=...)`` so every round they run, on
-    any stream, seals its party updates in their bank rows and (with a
-    threshold) distributes recovery shares.  ``score_seal`` is the run's
-    sealed-scoring sign vector (None = plaintext scoring); the ShiftEx
-    setup binds it onto the expert registry.
+    ``federation`` is the run's round engine and ``masking`` its
+    :class:`~repro.privacy.secure_aggregation.MaskingSpec` (mask-stream root
+    seed, Shamir threshold, the ledger that meters share traffic; None =
+    masking off, the default).  Strategies read neither:
+    :func:`~repro.federation.rounds.run_fl_round` takes the context and runs
+    the round on the engine, under the masking, metering ``ledger`` — a
+    strategy adds only the ``stream`` key naming its aggregation target, so
+    buffered reports for one cluster/expert never leak into another.
+    ``score_seal`` is the run's sealed-scoring sign vector (None = plaintext
+    scoring); the ShiftEx setup binds it onto the expert registry.
 
     ``precision`` is the run's :class:`~repro.utils.precision.PrecisionPlan`:
     ``params`` the model/bank dtype, ``detection_stats`` the float64 island
@@ -77,38 +71,17 @@ class StrategyContext:
     parties: PartyPool
     model_factory: Callable[[], Sequential]
     round_config: RoundConfig
+    federation: "FederationEngine"
     seed: int = 0
     ledger: CommunicationLedger = field(default_factory=CommunicationLedger)
-    federation: "FederationEngine | None" = None
-    secure_aggregation: int | None = None
-    privacy: PrivacyPlan | None = None
+    masking: MaskingSpec | None = None
     score_seal: ScoreSeal | None = None
     precision: PrecisionPlan = field(default_factory=PrecisionPlan)
 
     def rng(self, *labels: object) -> np.random.Generator:
         return spawn_rng(self.seed, *labels)
 
-    @property
-    def masking_spec(self) -> MaskingSpec | None:
-        """The ``run_fl_round(secure=...)`` argument for this run.
-
-        None when masking is off; otherwise the mask-root seed bundled
-        with the privacy plan's Shamir threshold (None = seed-derived
-        shortcut, no share rounds) and the run ledger, so share traffic
-        lands under the ``secure_agg`` wire category.
-        """
-        if self.secure_aggregation is None:
-            return None
-        threshold = self.privacy.threshold if self.privacy is not None else None
-        return MaskingSpec(seed=self.secure_aggregation, threshold=threshold,
-                           ledger=self.ledger)
-
     # ------------------------------------------------------------- population
-
-    @property
-    def population(self) -> int:
-        """How many parties exist — virtual and resident alike."""
-        return len(self.parties)
 
     @property
     def party_ids(self) -> tuple[int, ...]:

@@ -31,6 +31,7 @@ from repro.harness.profiles import RunSettings
 from repro.metrics.windows import WindowSummary, summarize_run
 from repro.nn.models import build_model
 from repro.privacy.sealed_scoring import ScoreSeal
+from repro.privacy.secure_aggregation import MaskingSpec
 from repro.utils.rng import spawn_rng
 
 
@@ -44,9 +45,16 @@ class StrategyRunResult:
     window_series: list[list[float]]  # accuracy (%) per window: entry + per round
     summaries: list[WindowSummary]
     state_log: list[dict]  # describe_state() at each window end
-    expert_history: list[dict[int, int]] | None  # ShiftEx expert distributions
     ledger_summary: dict[str, float]
     extras: dict = field(default_factory=dict)
+
+    @property
+    def expert_history(self) -> list[dict[int, int]] | None:
+        """Expert id -> assigned parties per window: the ``distribution`` of
+        each ``state_log`` entry (ShiftEx's), None when no window has one."""
+        history = [{int(eid): n for eid, n in state["distribution"].items()}
+                   for state in self.state_log if "distribution" in state]
+        return history or None
 
     @property
     def flat_series(self) -> list[float]:
@@ -124,22 +132,25 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
     # are label-namespaced, so they never collide with model/data draws);
     # ``mask_seed`` pins it independently of the data/model seed.
     privacy = settings.privacy
-    mask_root = privacy.mask_root(seed) if privacy is not None else seed
+    mask_root = privacy.mask_root(seed)
+    # Byte accounting follows the run's parameter dtype: a float32 plane
+    # moves half the bytes of its float64 twin, exactly.
+    ledger = CommunicationLedger.from_precision(settings.precision)
     ctx = StrategyContext(
         spec=spec,
         parties=parties,
         model_factory=model_factory,
         round_config=settings.round_config,
-        seed=seed,
         federation=engine,
-        # Byte accounting follows the run's parameter dtype: a float32
-        # plane moves half the bytes of its float64 twin, exactly.
-        ledger=CommunicationLedger.from_precision(settings.precision),
-        secure_aggregation=mask_root if settings.secure_aggregation else None,
-        privacy=privacy,
+        seed=seed,
+        ledger=ledger,
+        # Share traffic of a threshold session lands on the run ledger,
+        # under the ``secure_agg`` wire category.
+        masking=(MaskingSpec(seed=mask_root, threshold=privacy.threshold,
+                             ledger=ledger)
+                 if privacy.masking else None),
         score_seal=(ScoreSeal(seed=mask_root)
-                    if privacy is not None and privacy.sealed_scoring
-                    else None),
+                    if privacy.sealed_scoring else None),
         precision=settings.precision,
     )
     strategy.setup(ctx)
@@ -159,7 +170,6 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
 
     window_series: list[list[float]] = []
     state_log: list[dict] = []
-    expert_history: list[dict[int, int]] | None = None
 
     info = RunInfo(
         strategy_name=strategy.name,
@@ -193,10 +203,6 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         window_series.append(series)
         state = strategy.describe_state()
         state_log.append(state)
-        if hasattr(strategy, "expert_distribution"):
-            if expert_history is None:
-                expert_history = []
-            expert_history.append(dict(strategy.expert_distribution()))
         for cb in callbacks:
             cb.on_window_end(info, window, list(series), state)
         ds.evict_window(window)
@@ -210,7 +216,6 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         summaries=(summarize_run(window_series)
                    if len(window_series) >= 2 else []),
         state_log=state_log,
-        expert_history=expert_history,
         ledger_summary=ctx.ledger.summary(),
     )
     if settings.federation.is_active:

@@ -109,25 +109,14 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
     return LocalTrainingResult(result_params(), n, mean_loss, batches_run, losses)
 
 
-def evaluate(model: Sequential, x: np.ndarray, y: np.ndarray,
-             return_features: bool = False,
-             ) -> tuple[float, float] | tuple[float, float, np.ndarray]:
-    """Return (accuracy, mean loss) of ``model`` on a labelled set.
-
-    With ``return_features`` the penultimate-layer activations come back as a
-    third element, extracted from the *same* forward pass (no second sweep
-    over the data).
-    """
+def evaluate(model: Sequential, x: np.ndarray,
+             y: np.ndarray) -> tuple[float, float]:
+    """Return (accuracy, mean loss) of ``model`` on a labelled set."""
     x = np.asarray(x, dtype=model.dtype)
     y = np.asarray(y)
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty set")
-    if return_features:
-        logits, features = model.forward_with_features(x, training=False)
-    else:
-        logits = model.forward(x, training=False)
+    logits = model.forward(x, training=False)
     loss, _ = softmax_cross_entropy(logits, y)
     acc = float(np.mean(np.argmax(logits, axis=1) == y))
-    if return_features:
-        return acc, loss, features
     return acc, loss

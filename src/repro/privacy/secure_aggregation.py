@@ -66,7 +66,7 @@ class IncompleteSubmissionError(RuntimeError):
 
 @dataclass(frozen=True)
 class MaskingSpec:
-    """Runtime masking parameters: the ``run_fl_round(secure=...)`` argument.
+    """Runtime masking parameters: a run's ``StrategyContext.masking``.
 
     ``seed`` roots every mask stream.  ``threshold`` switches dropout
     recovery from the seed-derived shortcut to real Shamir ``t``-of-``n``

@@ -52,9 +52,11 @@ def run_result_to_dict(result) -> dict:
 def dict_to_run_result(data: dict):
     """Rebuild a :class:`StrategyRunResult` from :func:`run_result_to_dict`.
 
-    Round-trips exactly for ``window_series``, ``summaries``, ``extras``,
-    ``expert_history`` and the ledger summary (JSON preserves float bit
-    patterns); ``state_log`` comes back JSON-normalized.
+    Round-trips exactly for ``window_series``, ``summaries``, ``extras``
+    and the ledger summary (JSON preserves float bit patterns);
+    ``state_log`` comes back JSON-normalized, and ``expert_history`` is read
+    off it (the saved ``expert_history`` key is the same data, kept for
+    readers of the file).
     """
     from repro.harness.runner import StrategyRunResult
     from repro.metrics.windows import WindowSummary
@@ -70,10 +72,6 @@ def dict_to_run_result(data: dict):
         )
         for s in data["summaries"]
     ]
-    expert_history = data.get("expert_history")
-    if expert_history is not None:
-        expert_history = [{int(k): v for k, v in dist.items()}
-                          for dist in expert_history]
     return StrategyRunResult(
         strategy_name=data["strategy"],
         dataset=data["dataset"],
@@ -81,7 +79,6 @@ def dict_to_run_result(data: dict):
         window_series=[list(s) for s in data["window_series"]],
         summaries=summaries,
         state_log=data.get("state_log", []),
-        expert_history=expert_history,
         ledger_summary=data.get("ledger", {}),
         extras=data.get("extras", {}),
     )

@@ -7,6 +7,7 @@ import pytest
 
 from repro.data.federated import FederatedShiftDataset
 from repro.data.registry import DatasetSpec
+from repro.federation.async_engine import FederationConfig, FederationEngine
 from repro.federation.pool import PartyPool
 from repro.federation.rounds import RoundConfig
 from repro.federation.strategy import StrategyContext
@@ -61,7 +62,8 @@ def make_context(spec: DatasetSpec, dataset: FederatedShiftDataset,
                  window: int = 0, seed: int = 0,
                  settings: RunSettings | None = None,
                  dtype=None) -> StrategyContext:
-    """A strategy context over a pool whose parties all hold ``window``'s data."""
+    """A strategy context over a pool whose parties all hold ``window``'s
+    data, on a quiet ``sync`` engine already advanced to tick 0."""
     settings = settings if settings is not None else make_run_settings()
     parties = PartyPool(spec, dataset, seed=seed, dtype=dtype)
     parties.begin_window(window)
@@ -72,11 +74,14 @@ def make_context(spec: DatasetSpec, dataset: FederatedShiftDataset,
         return build_model(spec.model_name, spec.input_shape, spec.num_classes,
                            spawn_rng(seed, "global-model-init"))
 
+    engine = FederationEngine(FederationConfig())
+    engine.advance()
     return StrategyContext(
         spec=spec,
         parties=parties,
         model_factory=model_factory,
         round_config=settings.round_config,
+        federation=engine,
         seed=seed,
     )
 

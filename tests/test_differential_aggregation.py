@@ -165,15 +165,15 @@ class TestRoundDtype:
         # weighted_average of plain lists) must not upcast the round.
         params64 = [np.asarray(p, dtype=np.float64)
                     for p in ctx.parties[0]._model.get_params()]
-        new_params, _ = run_fl_round(ctx.parties, [0, 1, 2], params64,
-                                     ctx.round_config)
+        new_params, _ = run_fl_round(ctx, [0, 1, 2], params64, round_tag=0,
+                                     stream="g")
         assert all(p.dtype == np.float32 for p in new_params)
 
     def test_float64_default_unchanged(self, tiny_spec, tiny_dataset):
         ctx = make_context(tiny_spec, tiny_dataset)
         params = ctx.model_factory().get_params()
-        new_params, _ = run_fl_round(ctx.parties, [0, 1], params,
-                                     ctx.round_config)
+        new_params, _ = run_fl_round(ctx, [0, 1], params, round_tag=0,
+                                     stream="g")
         assert all(p.dtype == np.float64 for p in new_params)
 
 
@@ -208,30 +208,14 @@ class TestOneRoundLoop:
         ctx, params = _context(tiny_spec, tiny_dataset, dtype)
         engine = _quiet_engine(mode)
         engine.advance()
-        got, stats = run_fl_round(ctx.parties, cohort, params,
-                                  ctx.round_config, round_tag=(0, 0),
-                                  engine=engine, stream="g",
-                                  secure=MASKINGS[masking])
+        got, stats = engine.run_round(ctx.parties, cohort, params,
+                                      ctx.round_config, round_tag=(0, 0),
+                                      stream="g", secure=MASKINGS[masking])
         assert stats.aggregated and stats.reported == cohort
         assert all(p.dtype == dtype for p in got)
         assert np.array_equal(flatten_params(got), flatten_params(expected))
         assert engine.in_flight == 0
         assert not any(engine._buffers["g"].bank._live)
-
-    def test_default_engine_is_the_quiet_sync_one(self, tiny_spec,
-                                                  tiny_dataset):
-        """``engine=None`` is a default argument, not a second path."""
-        ctx, params = _context(tiny_spec, tiny_dataset)
-        implicit, _ = run_fl_round(ctx.parties, [0, 1, 2], params,
-                                   ctx.round_config, round_tag=(0, 0))
-        ctx, params = _context(tiny_spec, tiny_dataset)
-        engine = _quiet_engine("sync")
-        engine.advance()
-        explicit, _ = run_fl_round(ctx.parties, [0, 1, 2], params,
-                                   ctx.round_config, round_tag=(0, 0),
-                                   engine=engine)
-        assert np.array_equal(flatten_params(implicit),
-                              flatten_params(explicit))
 
     @staticmethod
     def _two_tick_engine() -> FederationEngine:
@@ -246,16 +230,16 @@ class TestOneRoundLoop:
         sessions, ages (1, 1, 0, 0)."""
         ctx, params = _context(spec, dataset)
         engine.advance()
-        same, stats = run_fl_round(ctx.parties, [0, 1], params,
-                                   ctx.round_config, round_tag=(0, 0),
-                                   engine=engine, stream="g", secure=secure)
+        same, stats = engine.run_round(ctx.parties, [0, 1], params,
+                                       ctx.round_config, round_tag=(0, 0),
+                                       stream="g", secure=secure)
         assert not stats.aggregated and same is params
         engine.advance()
         if before_fire is not None:
             before_fire(engine._buffers["g"])
-        got, stats = run_fl_round(ctx.parties, [2, 3], params,
-                                  ctx.round_config, round_tag=(0, 1),
-                                  engine=engine, stream="g", secure=secure)
+        got, stats = engine.run_round(ctx.parties, [2, 3], params,
+                                      ctx.round_config, round_tag=(0, 1),
+                                      stream="g", secure=secure)
         assert stats.reported == [0, 1, 2, 3]
         assert stats.staleness == {0: 1, 1: 1, 2: 0, 3: 0}
         return flatten_params(got)

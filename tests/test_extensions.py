@@ -84,7 +84,8 @@ class TestSerialization:
         result = StrategyRunResult(
             strategy_name="shiftex", dataset="unit", seed=0,
             window_series=series, summaries=summarize_run(series),
-            state_log=[{}, {}], expert_history=[{0: 4}, {0: 2, 1: 2}],
+            state_log=[{"distribution": {0: 4}},
+                       {"distribution": {0: 2, 1: 2}}],
             ledger_summary={"total_mb": 1.0},
         )
         path = tmp_path / "run.json"

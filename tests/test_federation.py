@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments import build_strategy
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.aggregation import fedavg
+from repro.federation.async_engine import FederationConfig, FederationEngine
+from repro.federation.availability import AvailabilityConfig
 from repro.federation.party import LocalUpdate, Party
 from repro.federation.rounds import RoundConfig, run_fl_round
+from repro.federation.strategy import StrategyContext
 from repro.nn.models import build_model
 from repro.nn.training import LocalTrainingConfig
 from repro.utils.params import flatten_params
@@ -133,8 +137,8 @@ class TestRounds:
     def test_round_trains_and_aggregates(self, tiny_spec, tiny_dataset):
         ctx = make_context(tiny_spec, tiny_dataset)
         init = ctx.model_factory().get_params()
-        new_params, stats = run_fl_round(ctx.parties, [0, 1, 2], init,
-                                         ctx.round_config)
+        new_params, stats = run_fl_round(ctx, [0, 1, 2], init,
+                                         round_tag=0, stream="g")
         assert stats.participants == [0, 1, 2]
         assert stats.total_samples == 3 * tiny_spec.train_per_window
         assert np.isfinite(stats.mean_train_loss)
@@ -143,18 +147,48 @@ class TestRounds:
     def test_round_requires_participants(self, tiny_spec, tiny_dataset):
         ctx = make_context(tiny_spec, tiny_dataset)
         with pytest.raises(ValueError):
-            run_fl_round(ctx.parties, [], ctx.model_factory().get_params(),
-                         ctx.round_config)
+            run_fl_round(ctx, [], ctx.model_factory().get_params(),
+                         round_tag=0, stream="g")
 
     def test_round_rejects_unknown_party(self, tiny_spec, tiny_dataset):
         ctx = make_context(tiny_spec, tiny_dataset)
         with pytest.raises(KeyError):
-            run_fl_round(ctx.parties, [99], ctx.model_factory().get_params(),
-                         ctx.round_config)
+            run_fl_round(ctx, [99], ctx.model_factory().get_params(),
+                         round_tag=0, stream="g")
 
     def test_round_config_validation(self):
         with pytest.raises(ValueError):
             RoundConfig(participants_per_round=0)
+
+    @pytest.mark.parametrize("name", ["fedavg", "fedprox", "oort", "fielding",
+                                      "feddrift", "shiftex"])
+    def test_round_meters_every_dispatched_party(self, tiny_spec,
+                                                 tiny_dataset, name):
+        """Model traffic is metered by ``run_fl_round``, not by the strategy:
+        one download and one upload per dispatch, dropped parties included."""
+        ctx = make_context(tiny_spec, tiny_dataset)
+        ctx.federation = FederationEngine(
+            FederationConfig(availability=AvailabilityConfig(dropout_prob=0.5)),
+            seed=0, num_parties=tiny_spec.num_parties)
+        ctx.federation.advance()
+        strategy = build_strategy(name)
+        strategy.setup(ctx)
+        strategy.start_window(0)
+        strategy.run_round(0, 0)
+        counters = ctx.federation.counters
+        assert 0 < counters["dropped"] < counters["dispatched"]
+        model_bytes = (flatten_params(strategy.params_for_party(0)).size
+                       * ctx.ledger.bytes_per_float)
+        assert ctx.ledger.by_category == {
+            "model_down": model_bytes * counters["dispatched"],
+            "model_up": model_bytes * counters["dispatched"]}
+
+    def test_context_requires_an_engine(self, tiny_spec, tiny_dataset):
+        ctx = make_context(tiny_spec, tiny_dataset)
+        with pytest.raises(TypeError, match="federation"):
+            StrategyContext(spec=ctx.spec, parties=ctx.parties,
+                            model_factory=ctx.model_factory,
+                            round_config=ctx.round_config)
 
 
 class TestAccounting:

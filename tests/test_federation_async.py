@@ -176,23 +176,23 @@ class TestFederationEngine:
         ctx = make_context(tiny_spec, tiny_dataset)
         params = ctx.model_factory().get_params()
         with pytest.raises(RuntimeError, match="advance"):
-            run_fl_round(ctx.parties, [0, 1], params, ctx.round_config,
-                         engine=_engine("async"))
+            _engine("async").run_round(ctx.parties, [0, 1], params,
+                                       ctx.round_config)
 
     def test_sync_mode_excludes_dropped(self, tiny_spec, tiny_dataset):
         ctx = make_context(tiny_spec, tiny_dataset)
         params = ctx.model_factory().get_params()
         engine = _engine("sync", script={0: {1: (True, 0)}})
         engine.advance()
-        new_params, stats = run_fl_round(ctx.parties, [0, 1, 2], params,
-                                         ctx.round_config, round_tag=(0, 0),
-                                         engine=engine)
+        new_params, stats = engine.run_round(ctx.parties, [0, 1, 2], params,
+                                             ctx.round_config,
+                                             round_tag=(0, 0))
         assert stats.dropped == [1]
         assert stats.reported == [0, 2]
         assert stats.participants == [0, 1, 2]
         # Identical to a plain round over the surviving cohort.
-        expected, _ = run_fl_round(ctx.parties, [0, 2], params,
-                                   ctx.round_config, round_tag=(0, 0))
+        expected, _ = run_fl_round(ctx, [0, 2], params, round_tag=(0, 0),
+                                   stream="g")
         assert np.array_equal(flatten_params(new_params),
                               flatten_params(expected))
 
@@ -201,8 +201,8 @@ class TestFederationEngine:
         params = ctx.model_factory().get_params()
         engine = _engine("sync", script={0: {0: (True, 0), 1: (True, 0)}})
         engine.advance()
-        new_params, stats = run_fl_round(ctx.parties, [0, 1], params,
-                                         ctx.round_config, engine=engine)
+        new_params, stats = engine.run_round(ctx.parties, [0, 1], params,
+                                             ctx.round_config)
         assert not stats.aggregated
         assert new_params is params
         assert engine.counters["skipped_rounds"] == 1
@@ -215,15 +215,15 @@ class TestFederationEngine:
         engine = _engine("buffered", min_reports=4, max_wait_rounds=5,
                          script={0: {2: (False, 1), 3: (False, 1)}})
         engine.advance()
-        p1, stats0 = run_fl_round(ctx.parties, [0, 1, 2, 3], params,
-                                  ctx.round_config, round_tag=(0, 0),
-                                  engine=engine, stream="g")
+        p1, stats0 = engine.run_round(ctx.parties, [0, 1, 2, 3], params,
+                                      ctx.round_config, round_tag=(0, 0),
+                                      stream="g")
         assert not stats0.aggregated and p1 is params
         assert engine.in_flight == 4
         engine.advance()
-        p2, stats1 = run_fl_round(ctx.parties, [0, 1], p1,
-                                  ctx.round_config, round_tag=(0, 1),
-                                  engine=engine, stream="g")
+        p2, stats1 = engine.run_round(ctx.parties, [0, 1], p1,
+                                      ctx.round_config, round_tag=(0, 1),
+                                      stream="g")
         assert stats1.aggregated
         assert sorted(stats1.reported) == [0, 0, 1, 1, 2, 3]
         assert stats1.staleness[2] == 1 and stats1.staleness[0] == 0
@@ -234,16 +234,17 @@ class TestFederationEngine:
         params = ctx.model_factory().get_params()
         engine = _engine("buffered", min_reports=10, max_wait_rounds=2)
         engine.advance()
-        p1, s0 = run_fl_round(ctx.parties, [0, 1], params, ctx.round_config,
-                              round_tag=(0, 0), engine=engine, stream="g")
+        p1, s0 = engine.run_round(ctx.parties, [0, 1], params,
+                                  ctx.round_config, round_tag=(0, 0),
+                                  stream="g")
         assert not s0.aggregated
         engine.advance()
-        p2, s1 = run_fl_round(ctx.parties, [0, 1], p1, ctx.round_config,
-                              round_tag=(0, 1), engine=engine, stream="g")
+        p2, s1 = engine.run_round(ctx.parties, [0, 1], p1, ctx.round_config,
+                                  round_tag=(0, 1), stream="g")
         assert not s1.aggregated  # oldest ready report is 1 round old
         engine.advance()
-        p3, s2 = run_fl_round(ctx.parties, [0, 1], p2, ctx.round_config,
-                              round_tag=(0, 2), engine=engine, stream="g")
+        p3, s2 = engine.run_round(ctx.parties, [0, 1], p2, ctx.round_config,
+                                  round_tag=(0, 2), stream="g")
         assert s2.aggregated  # 2 rounds old: max_wait fires
         assert len(s2.reported) == 6  # all three dispatches drain at once
         # Ages 2+2 (round 0) + 1+1 (round 1) + 0+0 (round 2).
@@ -257,12 +258,13 @@ class TestFederationEngine:
                          staleness_gamma=0.5,
                          script={0: {1: (False, 1)}})
         engine.advance()
-        p1, s0 = run_fl_round(ctx.parties, [0, 1], params, ctx.round_config,
-                              round_tag=(0, 0), engine=engine, stream="g")
+        p1, s0 = engine.run_round(ctx.parties, [0, 1], params,
+                                  ctx.round_config, round_tag=(0, 0),
+                                  stream="g")
         assert s0.reported == [0]  # party 1 still in flight
         engine.advance()
-        p2, s1 = run_fl_round(ctx.parties, [2], p1, ctx.round_config,
-                              round_tag=(0, 1), engine=engine, stream="g")
+        p2, s1 = engine.run_round(ctx.parties, [2], p1, ctx.round_config,
+                                  round_tag=(0, 1), stream="g")
         assert sorted(s1.reported) == [1, 2]
         assert s1.staleness == {1: 1, 2: 0}
         assert engine.summary()["mean_staleness"] == pytest.approx(1 / 3)
@@ -272,10 +274,10 @@ class TestFederationEngine:
         params = ctx.model_factory().get_params()
         engine = _engine("buffered", min_reports=3)
         engine.advance()
-        _, sa = run_fl_round(ctx.parties, [0, 1], params, ctx.round_config,
-                             engine=engine, stream="a")
-        _, sb = run_fl_round(ctx.parties, [2, 3], params, ctx.round_config,
-                             engine=engine, stream="b")
+        _, sa = engine.run_round(ctx.parties, [0, 1], params, ctx.round_config,
+                                 stream="a")
+        _, sb = engine.run_round(ctx.parties, [2, 3], params, ctx.round_config,
+                                 stream="b")
         # Each stream holds its own 2 reports; neither reaches min_reports=3.
         assert not sa.aggregated and not sb.aggregated
         assert engine.in_flight == 4
@@ -291,8 +293,8 @@ class TestFederationEngine:
         engine.advance()
 
         def dispatch(ids):
-            return run_fl_round(ctx.parties, ids, params, ctx.round_config,
-                                engine=engine, stream="g")
+            return engine.run_round(ctx.parties, ids, params, ctx.round_config,
+                                    stream="g")
 
         dispatch([0, 1])
         bank = engine._buffers["g"].bank
@@ -320,8 +322,8 @@ class TestFederationEngine:
         params = ctx.model_factory().get_params()
         engine = _engine("buffered", min_reports=5)
         engine.advance()
-        run_fl_round(ctx.parties, [0, 1], params, ctx.round_config,
-                     engine=engine, stream="g")
+        engine.run_round(ctx.parties, [0, 1], params, ctx.round_config,
+                         stream="g")
         assert engine.in_flight == 2
         assert engine.begin_window(1) == 2
         assert engine.in_flight == 0

@@ -38,7 +38,6 @@ from repro.federation.pool import (
     PartyPool,
     PopulationConfig,
 )
-from repro.federation.rounds import run_fl_round
 from repro.federation.strategy import StrategyContext
 from repro.flips.selector import FlipsSelector
 from repro.harness.profiles import RunSettings
@@ -343,9 +342,8 @@ class TestPartyPoolResidency:
         params = build_model(pool.spec.model_name, pool.spec.input_shape,
                              pool.spec.num_classes,
                              spawn_rng(0, "global")).get_params()
-        same, stats = run_fl_round(pool, [0, 1, 2], params,
-                                   make_run_settings().round_config,
-                                   engine=engine)
+        same, stats = engine.run_round(pool, [0, 1, 2], params,
+                                       make_run_settings().round_config)
         assert stats.dropped == [0, 1, 2] and not stats.aggregated
         assert same is params
         assert pool.counters["materialized"] == 0
@@ -915,10 +913,11 @@ class TestStrategyContextPoolSurface:
         ctx = StrategyContext(spec=spec, parties=pool,
                               model_factory=lambda: None,
                               round_config=make_run_settings().round_config,
+                              federation=FederationEngine(FederationConfig()),
                               seed=0)
         assert ctx.party_ids == pool.survey_ids()
         assert len(ctx.party_ids) == 10
-        assert ctx.population == 200
+        assert len(ctx.parties) == 200
 
 
 class TestPlanPopulationSerialization:

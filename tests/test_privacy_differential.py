@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.async_engine import FederationConfig, FederationEngine
-from repro.federation.rounds import run_fl_round
 from repro.privacy import secure_aggregation
 from repro.privacy.secure_aggregation import (
     SHARE_BYTES,
@@ -453,10 +452,11 @@ class TestWorkPins:
                              max_wait_rounds=99), seed=0, num_parties=8)
         ctx = make_context(tiny_spec, tiny_dataset)
         engine.advance()
-        _, stats = run_fl_round(
-            ctx.parties, [0, 1, 2, 3], ctx.model_factory().get_params(),
-            ctx.round_config, round_tag=(0, 0), engine=engine, stream="g",
-            secure=MaskingSpec(11, threshold=3))
+        _, stats = engine.run_round(ctx.parties, [0, 1, 2, 3],
+                                    ctx.model_factory().get_params(),
+                                    ctx.round_config, round_tag=(0, 0),
+                                    stream="g",
+                                    secure=MaskingSpec(11, threshold=3))
         assert not stats.aggregated
         sessions = {id(r.session): weakref.ref(r.session)
                     for r in engine._buffers["g"]._pending}

@@ -16,7 +16,8 @@ tell two methods of one name apart, but a name nothing reads is dead.
 
 Beside them: every non-Python file under ``src/repro`` is named in
 ``setup.py``, so an installed package and a checkout cannot run different
-numbers.
+numbers; and no strategy module reads what ``run_fl_round`` owns (the engine,
+the masking, the model metering), so the call stays one line per strategy.
 """
 
 import ast
@@ -220,6 +221,19 @@ def test_every_definition_is_read_by_a_run_or_allowlisted():
     dead = sorted(set(definitions) - live)
     assert not dead, "read by no run and not allowlisted: " + ", ".join(dead)
     assert len(ALLOWED_DEFINITIONS) <= 30
+
+
+def test_strategies_leave_the_round_to_run_fl_round():
+    """``run_fl_round(ctx, ...)`` owns the engine, the masking and the model
+    metering: a strategy module that reads one of them is growing its own
+    copy of the dispatch stanza back."""
+    owned = {"record_model_download", "record_model_upload", "masking",
+             "federation"}
+    strategies = [m for m in MODULES
+                  if m.startswith("repro.baselines.")] + ["repro.core.server"]
+    found = {m: sorted(owned & _reads([ast.parse(MODULES[m].read_text())]))
+             for m in strategies}
+    assert {m: names for m, names in found.items() if names} == {}
 
 
 def test_every_non_python_file_is_named_in_package_data():

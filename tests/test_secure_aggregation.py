@@ -6,7 +6,7 @@ Pins the PR's acceptance criteria from four directions:
   streams depend only on the unordered pair and the context;
 * failure modes fail loudly: duplicate seals, bad weights (refused while
   everything is still masked), unsealing rows that were never sealed;
-* a masked ``run_fl_round`` equals its unmasked twin bit for bit in every
+* a masked ``run_round`` equals its unmasked twin bit for bit in every
   participation mode (the mode x masking x precision grid against the
   list-based reference lives in ``test_differential_aggregation.py``);
 * no unmasked party update is ever resident in an ``AsyncRoundBuffer``:
@@ -26,7 +26,6 @@ from repro.data.federated import FederatedShiftDataset
 from repro.experiments.registry import build_strategy
 from repro.federation.async_engine import FederationConfig, FederationEngine
 from repro.federation.availability import AvailabilityConfig
-from repro.federation.rounds import run_fl_round
 from repro.harness.runner import run_strategy
 from repro.privacy.secure_aggregation import (
     MaskingSpec,
@@ -170,10 +169,9 @@ class TestMaskedRoundsBitwise:
                                       num_parties=8)
             ctx, params = _fresh(tiny_spec, tiny_dataset)
             engine.advance()
-            got, stats = run_fl_round(ctx.parties, [0, 1, 2, 3], params,
-                                      ctx.round_config, round_tag=(0, 0),
-                                      engine=engine, stream="g",
-                                      secure=secure)
+            got, stats = engine.run_round(ctx.parties, [0, 1, 2, 3], params,
+                                          ctx.round_config, round_tag=(0, 0),
+                                          stream="g", secure=secure)
             assert stats.aggregated
             return flatten_params(got)
 
@@ -195,9 +193,9 @@ class TestBufferResidency:
         engine = _buffered_engine()
         ctx, params = _fresh(spec, dataset)
         engine.advance()
-        _, stats = run_fl_round(ctx.parties, [0, 1, 2, 3], params,
-                                ctx.round_config, round_tag=(0, 0),
-                                engine=engine, stream="g", secure=secure)
+        _, stats = engine.run_round(ctx.parties, [0, 1, 2, 3], params,
+                                    ctx.round_config, round_tag=(0, 0),
+                                    stream="g", secure=secure)
         assert not stats.aggregated
         buf = engine._buffers["g"]
         return engine, buf
@@ -252,10 +250,9 @@ class TestBufferResidency:
                                   num_parties=8)
         ctx, params = _fresh(tiny_spec, tiny_dataset)
         engine.advance()
-        _, stats = run_fl_round(ctx.parties, [0, 1, 2, 3], params,
-                                ctx.round_config, round_tag=(0, 0),
-                                engine=engine, stream="g",
-                                secure=MaskingSpec(11))
+        _, stats = engine.run_round(ctx.parties, [0, 1, 2, 3], params,
+                                    ctx.round_config, round_tag=(0, 0),
+                                    stream="g", secure=MaskingSpec(11))
         assert stats.aggregated
         buf = engine._buffers["g"]
         assert buf.in_flight == 0
