@@ -1,9 +1,10 @@
-"""Where a shift response goes: what one MMD statistic and the bandwidth cost.
+"""Where a shift response goes: one MMD statistic, the bandwidth, the k-means.
 
-Two measurements behind docs/ARCHITECTURE.md "The detection plane":
+Three measurements behind docs/ARCHITECTURE.md "The detection plane":
 
     PYTHONPATH=src python benchmarks/detection_plane.py          # per-call table
     PYTHONPATH=src python benchmarks/detection_plane.py --check  # equivalence
+    PYTHONPATH=src python benchmarks/detection_plane.py --clustering
 
 The table times the statistics at the shapes the pinned plans score them at
 (embedding width 32, 10 classes, per-party Dirichlet(0.8) label priors): a
@@ -16,8 +17,13 @@ the previous implementation (``benchmarks/reference.py``, the copy the
 differential test pins against) bit for bit and the worst relative deviation
 of each statistic from it — the scoring is tolerance-pinned, not byte-pinned,
 so this line is what a verification quotes in place of a digest.
-Both use only names an older checkout also has, so pointing ``PYTHONPATH`` at
-its ``src`` gives the "before" column (and a deviation of exactly 0).
+``--clustering`` times ``select_num_clusters`` against the previous k-means
+(one Lloyd loop per problem) at the shift response's and a FLIPS fit's
+shapes, and prints whether a seeded sweep returns the same bytes and leaves
+the generator in the same state — the one line a clustering change quotes.
+All three use only names an older checkout also has, so pointing
+``PYTHONPATH`` at its ``src`` gives the "before" column (and a deviation of
+exactly 0).
 Report-only; nothing gates on it and no file is written.
 """
 
@@ -36,7 +42,9 @@ from reference import (  # noqa: E402
     ref_class_conditional_mmd,
     ref_median_heuristic_gamma as ref_gamma,
     ref_mmd,
+    ref_select_num_clusters,
 )
+from repro.clustering.selection import select_num_clusters  # noqa: E402
 from repro.detection.divergence import jsd  # noqa: E402
 from repro.detection.mmd import (  # noqa: E402
     class_conditional_mmd,
@@ -146,10 +154,65 @@ def check(cases: int = 400) -> None:
         print(f"  {name:<32} worst relative deviation {deviation:.2e}")
 
 
+# ---------------------------------------------------------------- clustering
+
+
+def centroid_rows(rng, n: int, d: int):
+    """``n`` rows like the ones a shift response or a FLIPS fit clusters:
+    parties' latent centroids from a few regimes, or label histograms."""
+    if d == CLASSES:
+        return rng.dirichlet(np.full(CLASSES, ALPHA), size=n)
+    regimes = np.maximum(rng.normal(size=(int(rng.integers(1, 5)), d)), 0.0)
+    return regimes[rng.integers(len(regimes), size=n)] + 0.1 * rng.random((n, d))
+
+
+def same_scan(live, ref) -> bool:
+    (k, result, scores), (ref_k, ref_result, ref_scores) = live, ref
+    return ((k, scores, result.inertia, result.iterations)
+            == (ref_k, ref_scores, ref_result.inertia, ref_result.iterations)
+            and result.labels.tobytes() == ref_result.labels.tobytes()
+            and result.centroids.tobytes() == ref_result.centroids.tobytes())
+
+
+def clustering(cases: int = 300) -> None:
+    shapes = [("shift response, wide_server: 35 x 32, k_max 6", 35, 32, 6),
+              ("shift response, sync_conv: 29 x 48, k_max 6", 29, 48, 6),
+              ("cohort FLIPS fit: 24 x 10, k_max 4", 24, CLASSES, 4)]
+    print("select_num_clusters per call, best of 40 interleaved (previous -> live)")
+    for label, n, d, k_max in shapes:
+        x = centroid_rows(spawn_rng(0, "clustering", n, d), n, d)
+        ref_us = live_us = float("inf")
+        for _ in range(40):  # alternating, so a slow spell of the host hits both
+            ref_us = min(ref_us, best_us(
+                lambda: ref_select_num_clusters(x, spawn_rng(0, "scan"), k_max=k_max),
+                calls=5, repeats=1))
+            live_us = min(live_us, best_us(
+                lambda: select_num_clusters(x, spawn_rng(0, "scan"), k_max=k_max),
+                calls=5, repeats=1))
+        print(f"  {label:<48}{ref_us / 1e3:>7.2f} -> {live_us / 1e3:5.2f} ms"
+              f"  ({ref_us / live_us:.2f}x)")
+    equal = True
+    for case in range(cases):
+        rng = spawn_rng(21, "clustering-check", case)
+        n, d = int(rng.integers(1, 41)), int(rng.choice([1, 2, CLASSES, 32, 48]))
+        x, k_max = centroid_rows(rng, n, d), int(rng.integers(1, 7))
+        live_rng, ref_rng = spawn_rng(case, "scan"), spawn_rng(case, "scan")
+        equal &= same_scan(select_num_clusters(x, live_rng, k_max=k_max),
+                           ref_select_num_clusters(x, ref_rng, k_max=k_max))
+        equal &= live_rng.bit_generator.state == ref_rng.bit_generator.state
+    print(f"  select_num_clusters == previous implementation over {cases} seeded cases"
+          f" (bytes, scores, generator state): {equal}")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true")
-    if parser.parse_args().check:
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true")
+    mode.add_argument("--clustering", action="store_true")
+    args = parser.parse_args()
+    if args.check:
         check()
+    elif args.clustering:
+        clustering()
     else:
         call_table()

@@ -3,10 +3,14 @@
 ``best_us`` is the probes' only timing helper.  The ``ref_*`` functions are the
 bodies a perf PR replaced, kept verbatim — the detection plane's previous MMD
 code (three distance matrices and three ``exp`` per pair, a Python loop per
-shared class, a median heuristic gathered through ``triu_indices``) and the
-data plane's previous per-image ``np.roll`` sampler and eager window assembly.
-``tests/test_{detection,data}_differential.py`` pin the live code against them
-and ``benchmarks/{detection,data}_plane.py`` check against the same copy.
+shared class, a median heuristic gathered through ``triu_indices``), the conv
+kernels' previous ``im2col`` / ``col2im`` / max-pool and per-tensor training
+step, k-means as one Lloyd loop per (k, restart) problem, and the data plane's
+previous per-image ``np.roll`` sampler and eager window assembly.
+``tests/test_{detection,data}_differential.py``,
+``tests/test_nn_kernels_differential.py`` and ``tests/test_clustering.py`` pin
+the live code against them and ``benchmarks/{detection,data}_plane.py`` check
+against the same copy.
 """
 
 from __future__ import annotations
@@ -15,7 +19,11 @@ import time
 
 import numpy as np
 
+from repro.clustering.davies_bouldin import davies_bouldin_index
+from repro.clustering.kmeans import KMeansResult
 from repro.data.federated import PartyWindowData
+from repro.nn.losses import softmax_cross_entropy
+from repro.nn.optim import SGD
 from repro.utils.validation import check_2d
 
 
@@ -161,6 +169,193 @@ def ref_class_conditional_mmd_to_many(x, x_labels, ys, ys_labels, gamma=None,
     if fallback:
         out[fallback] = ref_mmd_to_many(x, [ys[i] for i in fallback], gamma)
     return out
+
+
+# ---------------------------------------------------------------- nn
+
+
+def ref_im2col(x, kh, kw, stride, pad):
+    n, c, h, w = x.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out_h = (h + 2 * pad - kh) // stride + 1
+    out_w = (w + 2 * pad - kw) // stride + 1
+    strides = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, out_h, out_w, kh, kw),
+        strides=(strides[0], strides[1], strides[2] * stride, strides[3] * stride,
+                 strides[2], strides[3]),
+        writeable=False,
+    )
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kh * kw)
+    return np.ascontiguousarray(cols), out_h, out_w
+
+
+def ref_col2im(cols, x_shape, kh, kw, stride, pad, out_h, out_w):
+    n, c, h, w = x_shape
+    x_padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    for i in range(kh):
+        for j in range(kw):
+            x_padded[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += (
+                cols6[:, :, :, :, i, j]
+            )
+    if pad:
+        return x_padded[:, :, pad:-pad, pad:-pad]
+    return x_padded
+
+
+def ref_pool_forward(x, p):
+    """Returns ``(out, first)``; ``first`` is what the old layer cached."""
+    n, c, h, w = x.shape
+    xr = x.reshape(n, c, h // p, p, w // p, p)
+    out = xr.max(axis=(3, 5))
+    mask = (xr == out[:, :, :, None, :, None])
+    windows = mask.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // p, w // p, p * p)
+    cum = np.cumsum(windows, axis=-1)
+    first = (cum == 1) & windows
+    return out, first
+
+
+def ref_pool_backward(first, x_shape, p, grad_out):
+    n, c, h, w = x_shape
+    grad = first * grad_out[:, :, :, :, None]
+    grad = grad.reshape(n, c, h // p, w // p, p, p).transpose(0, 1, 2, 4, 3, 5)
+    return grad.reshape(n, c, h, w)
+
+
+def ref_train_local(model, x, y, config, rng, global_params=None):
+    """The previous loop: full backward, per-tensor prox term and SGD step."""
+    x = np.asarray(x, dtype=model.dtype)
+    n = x.shape[0]
+    optimizer = SGD(config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
+    losses = []
+    for _epoch in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            xb, yb = x[idx], y[idx]
+            model.zero_grads()
+            logits = model.forward(xb, training=True)
+            loss, grad = softmax_cross_entropy(logits, yb)
+            model.backward(grad)
+            grads = model.grads
+            if config.prox_mu > 0 and global_params is not None:
+                params = model.params
+                for g, p, gp in zip(grads, params, global_params):
+                    g += config.prox_mu * (p - gp)
+            optimizer.step(model.params, grads)
+            losses.append(loss)
+    return losses
+
+
+# ---------------------------------------------------------------- clustering
+
+
+def ref_kmeans_pp_init(x, k, rng):
+    """k-means++ seeding: spread initial centroids by D^2 sampling."""
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]))
+    first = int(rng.integers(n))
+    centroids[0] = x[first]
+    closest_d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = closest_d2.sum()
+        if total <= 1e-18:
+            # All remaining points coincide with a centroid; pick uniformly.
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=closest_d2 / total))
+        centroids[j] = x[idx]
+        d2 = ((x - centroids[j]) ** 2).sum(axis=1)
+        closest_d2 = np.minimum(closest_d2, d2)
+    return centroids
+
+
+def ref_kmeans(x, k, rng, max_iter=100, tol=1e-6, n_init=3):
+    x = check_2d(x, "x")
+    n = x.shape[0]
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if k > n:
+        raise ValueError(f"k={k} exceeds number of samples {n}")
+    if n_init <= 0:
+        raise ValueError("n_init must be positive")
+
+    best = None
+    for _restart in range(n_init):
+        centroids = ref_kmeans_pp_init(x, k, rng)
+        labels = np.zeros(n, dtype=int)
+        iterations = 0
+        for iteration in range(1, max_iter + 1):
+            iterations = iteration
+            d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            labels = d2.argmin(axis=1)
+            new_centroids = centroids.copy()
+            for j in range(k):
+                members = x[labels == j]
+                if members.shape[0] == 0:
+                    # Re-seed an empty cluster at the worst-fit point.
+                    worst = int(d2[np.arange(n), labels].argmax())
+                    new_centroids[j] = x[worst]
+                    labels[worst] = j
+                else:
+                    new_centroids[j] = members.mean(axis=0)
+            shift = float(np.abs(new_centroids - centroids).max())
+            centroids = new_centroids
+            if shift < tol:
+                break
+        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        # Guarantee exactly k non-empty clusters even on degenerate inputs
+        # (duplicate points tie on distance and argmin collapses clusters).
+        for j in range(k):
+            if not np.any(labels == j):
+                donor_clusters = np.flatnonzero(np.bincount(labels, minlength=k) > 1)
+                candidates = np.flatnonzero(np.isin(labels, donor_clusters))
+                worst = candidates[d2[candidates, labels[candidates]].argmax()]
+                labels[worst] = j
+                centroids[j] = x[worst]
+        inertia = float(d2[np.arange(n), labels].sum())
+        result = KMeansResult(labels=labels, centroids=centroids,
+                              inertia=inertia, iterations=iterations)
+        if best is None or result.inertia < best.inertia:
+            best = result
+    assert best is not None
+    return best
+
+
+def ref_select_num_clusters(x, rng, k_max=6, elbow_tolerance=0.10):
+    x = check_2d(x, "x")
+    n = x.shape[0]
+    k_max = max(1, min(k_max, n))
+    results = {}
+    scores = {}
+
+    spread = float(np.linalg.norm(x - x.mean(axis=0), axis=1).mean())
+    if n == 1 or spread < 1e-9:
+        result = ref_kmeans(x, 1, rng)
+        return 1, result, {1: 0.0}
+
+    for k in range(1, k_max + 1):
+        result = ref_kmeans(x, k, rng)
+        results[k] = result
+        if k == 1:
+            # Normalized scatter of the single cluster, so k=1 competes on the
+            # same scale as DB indices of k >= 2.
+            scores[k] = 1.0
+        else:
+            scores[k] = davies_bouldin_index(x, result.labels)
+
+    best_k = 1
+    best_score = scores[1]
+    for k in range(2, k_max + 1):
+        improvement = (best_score - scores[k]) / max(best_score, 1e-12)
+        if improvement > elbow_tolerance:
+            best_k = k
+            best_score = scores[k]
+    return best_k, results[best_k], scores
 
 
 # ---------------------------------------------------------------- data plane

@@ -6,7 +6,8 @@ creating additional clusters (and thus new experts) is justified"
 (Sections 5.2.1–5.2.2).  We scan k = 1..k_max, score each clustering with
 the DB index, and stop growing k when the relative improvement falls below
 an elbow tolerance — penalizing unnecessary expert proliferation without a
-hand-tuned lambda.
+hand-tuned lambda.  Every (k, restart) k-means problem of the scan is solved
+in one ``kmeans_scan`` pass.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.davies_bouldin import davies_bouldin_index
-from repro.clustering.kmeans import KMeansResult, kmeans
+from repro.clustering.kmeans import KMeansResult, kmeans, kmeans_scan
 from repro.utils.validation import check_2d
 
 
@@ -38,8 +39,8 @@ def select_num_clusters(x: np.ndarray, rng: np.random.Generator,
         result = kmeans(x, 1, rng)
         return 1, result, {1: 0.0}
 
-    for k in range(1, k_max + 1):
-        result = kmeans(x, k, rng)
+    ks = list(range(1, k_max + 1))
+    for k, result in zip(ks, kmeans_scan(x, ks, rng)):
         results[k] = result
         if k == 1:
             # Normalized scatter of the single cluster, so k=1 competes on the

@@ -13,8 +13,8 @@ Window life cycle:
   shifted parties on latent centroids (Davies–Bouldin-selected k), then per
   cluster: latent-memory match -> reuse expert, else clone the bootstrap
   model into a new expert; clusters smaller than ``gamma`` fine-tune locally
-  instead.  Finally, consolidate experts whose parameters exceed cosine
-  similarity ``tau``.
+  instead.  Then consolidate experts whose parameters exceed cosine
+  similarity ``tau`` and fit FLIPS for each cohort the window trains.
 * ``run_round(w, r)`` — each expert trains on its cohort with FLIPS-balanced
   selection under a shared participant budget.
 * ``end_window(w)`` — update expert memories with cohort embeddings and
@@ -315,11 +315,33 @@ class ShiftExStrategy(ContinualStrategy):
             cohorts.setdefault(eid, []).append(pid)
         return {eid: sorted(members) for eid, members in cohorts.items() if members}
 
+    def _training_cohorts(self) -> dict[int, tuple[list[int], int]]:
+        """Expert id -> (cohort, participants per round) for every cohort
+        this window trains (``split_budget`` gives each at least one).
+
+        Experts absorbing this window's shift get the full participant
+        budget: stable cohorts' experts are converged, and retraining them
+        with a sliver of the budget only adds aggregation variance.  When
+        *no* shift fired this window, fall back to standard continual
+        training of every cohort so experts keep tracking their (possibly
+        slowly drifting) regimes.
+        """
+        cohorts = self._cohorts()
+        adapting = {eid: members for eid, members in cohorts.items()
+                    if eid in self._adapting_experts}
+        if adapting:
+            cohorts = adapting
+        budget = split_budget({eid: len(m) for eid, m in cohorts.items()},
+                              self.context.round_config.participants_per_round)
+        return {eid: (cohorts[eid], k) for eid, k in budget.items()}
+
     def _fit_cohort_flips(self, window: int) -> None:
         ctx = self.context
         if not self.config.enable_flips:
             return
-        for eid, members in self._cohorts().items():
+        # Only the cohorts run_round draws from: a selector no round reads
+        # is a k-means scan for nothing.  Each fit has its own stream.
+        for eid, (members, _k) in self._training_cohorts().items():
             # This window's histograms, as _collect_reports just stored them:
             # asking the pool again would re-materialise evicted parties.
             histograms = {pid: self._party_state[pid].histogram for pid in members}
@@ -334,23 +356,7 @@ class ShiftExStrategy(ContinualStrategy):
         if window == 0:
             self._run_bootstrap_round(window, round_index)
             return
-        cohorts = self._cohorts()
-        # Experts absorbing this window's shift get the full participant
-        # budget: stable cohorts' experts are converged, and retraining them
-        # with a sliver of the budget only adds aggregation variance.  When
-        # *no* shift fired this window, fall back to standard continual
-        # training of every cohort so experts keep tracking their (possibly
-        # slowly drifting) regimes.
-        adapting = {eid: members for eid, members in cohorts.items()
-                    if eid in self._adapting_experts}
-        if adapting:
-            cohorts = adapting
-        budget = split_budget({eid: len(m) for eid, m in cohorts.items()},
-                              ctx.round_config.participants_per_round)
-        for eid, members in cohorts.items():
-            k = budget.get(eid, 0)
-            if k <= 0:
-                continue
+        for eid, (members, k) in self._training_cohorts().items():
             rng = ctx.rng("select", self.name, window, round_index, eid)
             selector = self._cohort_flips.get(eid)
             if selector is not None and selector.is_fitted:

@@ -1,15 +1,31 @@
-"""Tests for k-means, Davies-Bouldin and model selection."""
+"""Tests for k-means, Davies-Bouldin and model selection.
+
+``TestAgainstReference`` pins the one-pass solver to the per-problem loop it
+replaced (``benchmarks/reference.py``): byte-equal labels and centroids,
+equal inertia, iteration counts and scores, and the generator left in the
+same state.
+"""
+
+import importlib
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from benchmarks.reference import ref_kmeans, ref_select_num_clusters
 from repro.clustering import (
     davies_bouldin_index,
     kmeans,
     select_num_clusters,
 )
+from repro.clustering.kmeans import kmeans_scan
+from repro.data.federated import FederatedShiftDataset
+from repro.experiments.registry import build_strategy
+from repro.harness.runner import run_strategy
 from repro.utils.rng import spawn_rng
+from repro.utils.serialization import run_result_to_dict
+from tests.conftest import make_run_settings, make_tiny_spec
 
 
 def blobs(rng, centers, n_per=20, spread=0.2):
@@ -127,3 +143,152 @@ class TestSelectNumClusters:
         k, _result, scores = select_num_clusters(x, rng, k_max=3)
         assert k <= 3
         assert max(scores) <= 3
+
+
+# ---------------------------------------------------------------- against the reference
+
+ROW_KINDS = ("blobs", "duplicates", "near_constant", "negative_zero", "integer",
+             "histogram")
+
+
+def rows(seed, n, d, kind):
+    """``n x d`` rows of one shape of input the system clusters, or a hard one."""
+    rng = spawn_rng(seed, "rows", kind)
+    if kind == "blobs":
+        centers = rng.normal(size=(int(rng.integers(1, 5)), d)) * 4.0
+        return centers[rng.integers(len(centers), size=n)] + rng.normal(size=(n, d)) * 0.5
+    if kind == "duplicates":  # ties on distance: argmin collapses clusters
+        distinct = rng.normal(size=(int(rng.integers(1, 4)), d))
+        return distinct[rng.integers(len(distinct), size=n)]
+    if kind == "near_constant":  # the degenerate path of select_num_clusters
+        return np.ones((n, d)) + 1e-12 * rng.normal(size=(n, d))
+    if kind == "negative_zero":  # ReLU embeddings carry -0.0
+        x = -np.maximum(rng.normal(size=(n, d)), 0.0)
+        x[:, rng.random(d) < 0.5] = -0.0
+        return x
+    if kind == "integer":
+        return rng.integers(0, 3, size=(n, d)).astype(float)
+    return rng.dirichlet(np.full(d, 0.5), size=n)  # FLIPS label histograms
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.integers(1, 40))
+    return (draw(st.integers(0, 2**16)), n, draw(st.sampled_from([1, 2, 10, 32, 48])),
+            draw(st.sampled_from(ROW_KINDS)), draw(st.integers(1, min(6, n))),
+            draw(st.integers(1, 3)))
+
+
+def assert_same_result(live, ref):
+    assert live.labels.dtype == ref.labels.dtype
+    assert live.labels.tobytes() == ref.labels.tobytes()
+    assert live.centroids.shape == ref.centroids.shape
+    assert live.centroids.tobytes() == ref.centroids.tobytes()
+    assert live.inertia == ref.inertia
+    assert live.iterations == ref.iterations
+
+
+# (seed, rows, features, kind, k or k_max, n_init): the shapes the pinned
+# plans cluster at, and k == n.
+SHIFT_RESPONSE_MLP = (0, 35, 32, "blobs", 6, 3)
+SHIFT_RESPONSE_CONV = (1, 29, 48, "negative_zero", 6, 3)
+FLIPS_COHORT = (2, 40, 10, "histogram", 4, 3)
+FLIPS_ONE_PARTY = (3, 1, 10, "histogram", 1, 3)
+FLIPS_THREE_PARTIES = (4, 3, 10, "histogram", 3, 3)
+K_EQUALS_N = (5, 6, 2, "blobs", 6, 2)
+K_EQUALS_N_DUPLICATES = (6, 5, 32, "duplicates", 5, 3)
+
+
+class TestAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(scan_cases())
+    @example(SHIFT_RESPONSE_MLP)
+    @example(SHIFT_RESPONSE_CONV)
+    @example(K_EQUALS_N)
+    @example(K_EQUALS_N_DUPLICATES)
+    def test_kmeans_matches_reference(self, case):
+        seed, n, d, kind, k, n_init = case
+        x = rows(seed, n, d, kind)
+        live_rng, ref_rng = spawn_rng(seed, "km"), spawn_rng(seed, "km")
+        assert_same_result(kmeans(x, k, live_rng, n_init=n_init),
+                           ref_kmeans(x, k, ref_rng, n_init=n_init))
+        assert live_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_cases())
+    @example(SHIFT_RESPONSE_MLP)
+    @example(SHIFT_RESPONSE_CONV)
+    @example(FLIPS_COHORT)
+    @example(FLIPS_ONE_PARTY)
+    @example(FLIPS_THREE_PARTIES)
+    def test_select_num_clusters_matches_reference(self, case):
+        seed, n, d, kind, k_max, _n_init = case
+        x = rows(seed, n, d, kind)
+        live_rng, ref_rng = spawn_rng(seed, "sel"), spawn_rng(seed, "sel")
+        k, result, scores = select_num_clusters(x, live_rng, k_max=k_max)
+        ref_k, ref_result, ref_scores = ref_select_num_clusters(x, ref_rng, k_max=k_max)
+        assert (k, scores) == (ref_k, ref_scores)
+        assert_same_result(result, ref_result)
+        assert live_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(scan_cases(), st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    def test_scan_is_a_loop_of_kmeans(self, case, ks):
+        seed, n, d, kind, _k, n_init = case
+        x = rows(seed, n, d, kind)
+        ks = [min(k, n) for k in ks]
+        live_rng, ref_rng = spawn_rng(seed, "scan"), spawn_rng(seed, "scan")
+        live = kmeans_scan(x, ks, live_rng, n_init=n_init)
+        for result, k in zip(live, ks, strict=True):
+            assert_same_result(result, ref_kmeans(x, k, ref_rng, n_init=n_init))
+        assert live_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_problems_too_big_for_one_batch(self):
+        """1,500 rows of 32 features: the scan splits into several batches."""
+        x = rows(7, 1500, 32, "blobs")
+        live_rng, ref_rng = spawn_rng(7, "big"), spawn_rng(7, "big")
+        for result, k in zip(kmeans_scan(x, [1, 2, 3, 4, 5], live_rng), range(1, 6)):
+            assert_same_result(result, ref_kmeans(x, k, ref_rng))
+        assert live_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_non_finite_rows_rejected_like_the_reference(self):
+        x = rows(0, 12, 2, "blobs")
+        x[3, 1] = np.inf
+        for fn in (kmeans, ref_kmeans):
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                fn(x, 3, spawn_rng(0, "inf"))
+
+
+def _saved(method, spec, dataset):
+    result = run_strategy(build_strategy(method), spec, make_run_settings(participants=5),
+                          seed=0, dataset=dataset)
+    return json.dumps(run_result_to_dict(result), indent=2)
+
+
+def test_runs_save_the_same_bytes_with_the_reference_functions(monkeypatch):
+    """ShiftEx (the shift response's scan, the cohorts' FLIPS fits) and
+    Fielding (a FLIPS fit every window) save the same JSON with the
+    clustering the one-pass solver replaced patched in."""
+    spec = make_tiny_spec(name="unit_clustering_ref", num_parties=16,
+                          num_windows=5, train=32, seed=71, label_shift=True,
+                          window_regimes=(("invert_polarity", 4), ("fog", 4),
+                                          ("invert_polarity", 4), ("fog", 4)))
+    dataset = FederatedShiftDataset(spec)
+    live = {method: _saved(method, spec, dataset) for method in ("shiftex", "fielding")}
+    called = set()
+
+    def counted(module, reference):
+        def clustering(*args, **kwargs):
+            called.add(module)
+            return reference(*args, **kwargs)
+        return clustering
+
+    for module, name, reference in (
+            ("repro.core.server", "select_num_clusters", ref_select_num_clusters),
+            ("repro.flips.selector", "select_num_clusters", ref_select_num_clusters),
+            ("repro.flips.selector", "kmeans", ref_kmeans)):
+        monkeypatch.setattr(importlib.import_module(module), name,
+                            counted(module, reference))
+    for method, saved in live.items():
+        assert _saved(method, spec, dataset) == saved
+    assert called == {"repro.core.server", "repro.flips.selector"}

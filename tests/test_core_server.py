@@ -6,6 +6,7 @@ import pytest
 from repro.core import ShiftExConfig, ShiftExStrategy
 from repro.federation.strategy import split_budget
 from repro.data.federated import FederatedShiftDataset
+from repro.flips.selector import FlipsSelector
 from repro.utils.params import flatten_params
 from tests.conftest import (
     make_context,
@@ -201,3 +202,30 @@ class TestAblationsToggles:
         config = ShiftExConfig(enable_flips=False)
         strategy, _ctx = run_shiftex(spec, dataset, config=config, windows=2)
         assert mean_accuracy(strategy, dataset, 1) > 1.0 / spec.num_classes
+
+
+class TestCohortFlips:
+    def test_fits_exactly_the_cohorts_a_round_draws_from(self, shift_env, monkeypatch):
+        """A shift leaves the bootstrap cohort stable: only the adapting
+        cohort trains, so only it gets a FLIPS selector."""
+        fitted, cohorts, drawn = {}, {}, {}
+        live_start, live_select = ShiftExStrategy.start_window, FlipsSelector.select
+
+        def start_window(self, window):
+            live_start(self, window)
+            fitted[window] = {id(s): eid for eid, s in self._cohort_flips.items()}
+            cohorts[window] = set(self._cohorts())
+            drawn[window] = set()
+
+        def select(self, *args, **kwargs):
+            window = max(fitted)
+            drawn[window].add(fitted[window].get(id(self)))
+            return live_select(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShiftExStrategy, "start_window", start_window)
+        monkeypatch.setattr(FlipsSelector, "select", select)
+        spec, dataset = shift_env
+        run_shiftex(spec, dataset)
+        for window in range(1, spec.num_windows):
+            assert set(fitted[window].values()) == drawn[window]
+        assert any(cohorts[w] - drawn[w] for w in range(1, spec.num_windows))

@@ -1,100 +1,26 @@
 """Differential tests: the conv-net kernels against the ones they replaced.
 
-The bodies under "Reference implementations" are the previous ``_im2col``,
-``_col2im``, ``MaxPool2d.forward/backward`` and per-tensor training step,
-kept verbatim.  The live kernels only reorder memory traffic — every
-floating-point operation and its order are the same — so the comparison is
-``np.array_equal``, never ``allclose``.
+The ``ref_*`` functions (``benchmarks/reference.py``) are the previous
+``_im2col``, ``_col2im``, ``MaxPool2d.forward/backward`` and per-tensor
+training step, kept verbatim.  The live kernels only reorder memory
+traffic — every floating-point operation and its order are the same — so the
+comparison is ``np.array_equal``, never ``allclose``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from benchmarks.reference import (
+    ref_col2im,
+    ref_im2col,
+    ref_pool_backward,
+    ref_pool_forward,
+    ref_train_local,
+)
 from repro.nn.layers import Conv2d, MaxPool2d, _col2im, _im2col
-from repro.nn.losses import softmax_cross_entropy
 from repro.nn.models import build_model, model_names
-from repro.nn.optim import SGD
 from repro.nn.training import LocalTrainingConfig, train_local
-
-# ---------------------------------------------------------------- Reference implementations
-
-
-def ref_im2col(x, kh, kw, stride, pad):
-    n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    strides = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(strides[0], strides[1], strides[2] * stride, strides[3] * stride,
-                 strides[2], strides[3]),
-        writeable=False,
-    )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kh * kw)
-    return np.ascontiguousarray(cols), out_h, out_w
-
-
-def ref_col2im(cols, x_shape, kh, kw, stride, pad, out_h, out_w):
-    n, c, h, w = x_shape
-    x_padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    for i in range(kh):
-        for j in range(kw):
-            x_padded[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += (
-                cols6[:, :, :, :, i, j]
-            )
-    if pad:
-        return x_padded[:, :, pad:-pad, pad:-pad]
-    return x_padded
-
-
-def ref_pool_forward(x, p):
-    """Returns ``(out, first)``; ``first`` is what the old layer cached."""
-    n, c, h, w = x.shape
-    xr = x.reshape(n, c, h // p, p, w // p, p)
-    out = xr.max(axis=(3, 5))
-    mask = (xr == out[:, :, :, None, :, None])
-    windows = mask.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // p, w // p, p * p)
-    cum = np.cumsum(windows, axis=-1)
-    first = (cum == 1) & windows
-    return out, first
-
-
-def ref_pool_backward(first, x_shape, p, grad_out):
-    n, c, h, w = x_shape
-    grad = first * grad_out[:, :, :, :, None]
-    grad = grad.reshape(n, c, h // p, w // p, p, p).transpose(0, 1, 2, 4, 3, 5)
-    return grad.reshape(n, c, h, w)
-
-
-def ref_train_local(model, x, y, config, rng, global_params=None):
-    """The previous loop: full backward, per-tensor prox term and SGD step."""
-    x = np.asarray(x, dtype=model.dtype)
-    n = x.shape[0]
-    optimizer = SGD(config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
-    losses = []
-    for _epoch in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = x[idx], y[idx]
-            model.zero_grads()
-            logits = model.forward(xb, training=True)
-            loss, grad = softmax_cross_entropy(logits, yb)
-            model.backward(grad)
-            grads = model.grads
-            if config.prox_mu > 0 and global_params is not None:
-                params = model.params
-                for g, p, gp in zip(grads, params, global_params):
-                    g += config.prox_mu * (p - gp)
-            optimizer.step(model.params, grads)
-            losses.append(loss)
-    return losses
-
 
 # ---------------------------------------------------------------- input strategies
 

@@ -869,12 +869,13 @@ class TestShiftResponseReadsStoredHistograms:
             if window == 0:
                 return
             rises.append(pool.summary()["materialized"] - before)
-            for eid, members in self._cohorts().items():
+            cohorts = self._cohorts()
+            for eid, fitted in self._cohort_flips.items():
                 asked_again = FlipsSelector(
                     max_clusters=self.config.flips_max_clusters,
-                ).fit({pid: pool[pid].label_histogram() for pid in members},
+                ).fit({pid: pool[pid].label_histogram() for pid in cohorts[eid]},
                       self.context.rng("flips", window, eid))
-                assert asked_again.clusters == self._cohort_flips[eid].clusters
+                assert asked_again.clusters == fitted.clusters
 
         monkeypatch.setattr(ShiftExStrategy, "start_window", watched)
         settings_ = dataclasses.replace(
