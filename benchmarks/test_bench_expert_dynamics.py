@@ -40,8 +40,7 @@ def run_all():
         # Paper-reproduction artifacts pin the paper's precision plane
         # (see benchmarks/conftest.py), whatever the profile default.
         settings = dataclasses.replace(
-            settings, precision=PrecisionPlan.from_value(BENCH_PRECISION),
-            dtype=None)
+            settings, precision=PrecisionPlan.from_value(BENCH_PRECISION))
         result = run_strategy(ShiftExStrategy(), spec, settings,
                               seed=BENCH_SEEDS[0])
         histories[dataset] = result.expert_history

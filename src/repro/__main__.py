@@ -23,20 +23,19 @@ from pathlib import Path
 
 from repro.data.registry import build_shift_schedule, dataset_names, get_dataset_spec
 from repro.federation.aggregation import STALENESS_POLICIES
-from repro.federation.async_engine import PARTICIPATION_MODES, FederationConfig
+from repro.federation.async_engine import PARTICIPATION_MODES
 from repro.federation.availability import SCENARIOS
-from repro.federation.pool import PARTICIPATION_SKEWS, PopulationConfig
+from repro.federation.pool import PARTICIPATION_SKEWS
 from repro.scenarios import (
+    ScenarioDoc,
     ScenarioGenerator,
     compile_scenario,
-    federation_from_knobs,
     lint_scenario,
     load_scenario,
-    population_from_knobs,
     save_scenario,
 )
+from repro.scenarios.doc import AVAILABILITY_KEYS, POPULATION_KEYS
 from repro.experiments import (
-    ExperimentPlan,
     ParallelExecutor,
     ProgressLogger,
     SerialExecutor,
@@ -126,42 +125,30 @@ def _save_runs(result, output_dir: str) -> None:
     print(f"\nper-run JSON written to {out}/")
 
 
-def _federation_from_args(args) -> FederationConfig | None:
-    """A FederationConfig when any participation flag was given, else None.
+def _scenario_from_args(args, methods) -> ScenarioDoc:
+    """The scenario document a ``compare`` flag line declares.
 
-    The flag-to-config mapping itself lives in
-    :func:`repro.scenarios.compiler.federation_from_knobs`, shared with the
-    scenario compiler so flags and ``[availability]`` blocks cannot drift.
+    Every participation / population flag stores under its scenario key
+    (``--scenario`` is ``availability.preset``, ``--population`` is
+    ``population.size``), so ``compare`` runs exactly what ``run
+    --scenario-file`` runs for this document.
     """
-    config, warnings = federation_from_knobs(
-        participation=args.participation, preset=args.scenario,
-        dropout=args.dropout, straggler=args.straggler, outage=args.outage,
-        min_reports=args.min_reports, max_wait=args.max_wait,
-        staleness_policy=args.staleness_policy)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    return config
+    def given(keys):
+        return {key: getattr(args, key) for key in sorted(keys)
+                if getattr(args, key, None) is not None}
 
-
-def _population_from_args(args) -> PopulationConfig | None:
-    """A PopulationConfig when any population flag was given, else None."""
-    try:
-        return population_from_knobs(
-            size=args.population, max_resident=args.max_resident,
-            skew=args.participation_skew, zipf_a=args.zipf_a,
-            survey=args.survey_parties)
-    except ValueError:
-        if args.population is None:  # dependents without --population
-            raise ValueError(
-                "--max-resident/--participation-skew/--zipf-a/"
-                "--survey-parties require --population") from None
-        raise
+    return ScenarioDoc(
+        dataset=args.dataset, strategies=list(methods), profile=args.profile,
+        seeds=tuple(args.seeds), precision=args.precision,
+        privacy=args.privacy, availability=given(AVAILABILITY_KEYS),
+        population=given(POPULATION_KEYS))
 
 
 def _add_population_args(parser) -> None:
     group = parser.add_argument_group(
         "population", "size and residency policy of the run's PartyPool")
-    group.add_argument("--population", type=int, default=None, metavar="N",
+    group.add_argument("--population", dest="size", type=int, default=None,
+                       metavar="N",
                        help="simulate a population of N parties: each is a "
                             "seeded identity materialized on first touch, so "
                             "N can far exceed the dataset's own party count "
@@ -172,15 +159,15 @@ def _add_population_args(parser) -> None:
     group.add_argument("--max-resident", type=int, default=None, metavar="M",
                        help="LRU bound on simultaneously live parties "
                             "(default: unbounded; requires --population)")
-    group.add_argument("--participation-skew", default=None,
+    group.add_argument("--participation-skew", dest="skew", default=None,
                        choices=PARTICIPATION_SKEWS,
                        help="cohort sampling distribution over the "
                             "population (default uniform)")
     group.add_argument("--zipf-a", type=float, default=None, metavar="A",
                        help="zipf participation exponent: rank i is drawn "
                             "with weight (i+1)^-A (default 1.2)")
-    group.add_argument("--survey-parties", type=int, default=None,
-                       metavar="S",
+    group.add_argument("--survey-parties", dest="survey", type=int,
+                       default=None, metavar="S",
                        help="cap whole-population surveys (per-party "
                             "strategy state, clustering) to a seeded subset "
                             "of S parties (default: everyone)")
@@ -194,7 +181,8 @@ def _add_federation_args(parser) -> None:
                        help="round regime: sync blocks on the surviving "
                             "cohort, buffered fires on --min-reports/"
                             "--max-wait, async aggregates whatever arrived")
-    group.add_argument("--scenario", default=None, choices=SCENARIOS,
+    group.add_argument("--scenario", dest="preset", default=None,
+                       choices=SCENARIOS,
                        help="named availability preset (see README matrix)")
     group.add_argument("--dropout", type=float, default=None,
                        help="per-(party, round) report-loss probability")
@@ -229,17 +217,10 @@ def cmd_compare(args) -> int:
           flush=True)
     callbacks = (ProgressLogger(),) if args.progress else ()
     try:
-        federation = _federation_from_args(args)
-        population = _population_from_args(args)
-        plan = ExperimentPlan.build(args.dataset, methods, seeds=seeds,
-                                    profile=args.profile, dtype=args.dtype,
-                                    precision=args.precision,
-                                    federation=federation,
-                                    secure_aggregation=(True if args.secure_agg
-                                                        else None),
-                                    privacy=args.privacy,
-                                    population=population,
-                                    cohort_size=args.cohort_size)
+        doc = _scenario_from_args(args, methods)
+        plan = compile_scenario(doc)
+        for warning in lint_scenario(doc):
+            print(f"warning: {warning}", file=sys.stderr)
         result = plan.run(executor=_executor(args.jobs), callbacks=callbacks)
     except (ValueError, KeyError) as exc:
         return _fail(exc)
@@ -302,9 +283,7 @@ def cmd_scenarios_validate(args) -> int:
     print(f"  rounds:     burn_in={settings.rounds_burn_in} "
           f"per_window={settings.rounds_per_window} "
           f"participants={settings.round_config.participants_per_round}")
-    mode = (settings.federation.mode if settings.federation is not None
-            else "sync")
-    print(f"  federation: {mode}")
+    print(f"  federation: {settings.federation.mode}")
     if spec.drift:
         for entry in spec.drift:
             print(f"  drift:      {entry.arrival} {entry.corruption}"
@@ -357,30 +336,23 @@ def build_parser() -> argparse.ArgumentParser:
                            help="registered methods to run (see the 'methods' "
                                 f"command; default: {PAPER_METHODS})")
     p_compare.add_argument("--seeds", nargs="*", type=int, default=[0])
-    p_compare.add_argument("--dtype", default=None,
-                           choices=("float32", "float64"),
-                           help="model precision (default: the profile's; "
-                                "float32 is ~2x faster).  Shorthand for "
-                                "--precision params=DTYPE: detection "
-                                "statistics stay on the float64 island")
     p_compare.add_argument("--precision", default=None, metavar="SPEC",
                            help="per-subsystem precision plan, e.g. "
-                                "'params=float32,detection_stats=float64' "
-                                "(a bare dtype sets params only)")
-    p_compare.add_argument("--secure-agg", action="store_true",
-                           help="mask every round under pairwise secure "
-                                "aggregation: party updates stay sealed in "
-                                "their bank rows (including async buffers) "
-                                "until aggregation; sealing is exact, so "
-                                "results match the unmasked run bit for bit "
-                                "(legacy alias for --privacy masking=on)")
+                                "'params=float32,detection_stats=float64'; a "
+                                "bare dtype such as 'float32' sets params only "
+                                "(~2x faster) and keeps detection statistics "
+                                "on the float64 island (default: the "
+                                "profile's)")
     p_compare.add_argument("--privacy", default=None, metavar="SPEC",
                            help="privacy plan spec, e.g. "
                                 "'masking=on,threshold=3' (Shamir t-of-n "
                                 "dropout recovery), 'threshold=majority', "
                                 "'sealed_scoring=on', 'mask_seed=7'; bare "
-                                "'on'/'off' toggles masking; see "
-                                "repro.privacy.plan.PrivacyPlan")
+                                "'on'/'off' toggles masking.  Masking seals "
+                                "party updates in their bank rows (async "
+                                "buffers included) until aggregation and is "
+                                "exact: results match the unmasked run bit "
+                                "for bit")
     p_compare.add_argument("--jobs", type=int, default=1,
                            help="run the strategy x seed grid over N processes")
     p_compare.add_argument("--progress", action="store_true",

@@ -46,6 +46,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.utils.validation import check_keys, field_names
+
 ARRIVALS = ("sudden", "gradual", "recurring", "class_incremental")
 
 #: Knob ranges the seeded fuzzer samples from (inclusive bounds).  These are
@@ -163,17 +165,13 @@ class CohortDrift:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_value(cls, value: "CohortDrift | Mapping") -> "CohortDrift":
+    def from_value(cls, value: "CohortDrift | Mapping",
+                   where: str = "drift entry") -> "CohortDrift":
+        """Coerce an entry; ``where`` names its block in a key error."""
         if isinstance(value, CohortDrift):
             return value
         if isinstance(value, Mapping):
-            known = {f.name for f in dataclasses.fields(cls)}
-            unknown = set(value) - known
-            if unknown:
-                raise ValueError(
-                    f"unknown drift keys {sorted(unknown)}; "
-                    f"valid keys: {sorted(known)}")
-            return cls(**dict(value))
+            return cls(**check_keys(where, value, field_names(cls)))
         raise TypeError(
             f"cannot interpret drift entry {value!r}; expected a mapping or "
             f"CohortDrift")

@@ -28,19 +28,37 @@ from repro.experiments.results import ComparisonResult
 from repro.federation.async_engine import FederationConfig
 from repro.federation.pool import PopulationConfig
 from repro.federation.rounds import RoundConfig
-from repro.harness.profiles import (
-    SHARDING_RETIRED,
-    RunSettings,
-    check_reserved_shard_fields,
-    get_profile,
-)
+from repro.harness.profiles import RunSettings, get_profile
 from repro.nn.training import LocalTrainingConfig
 from repro.privacy.plan import PrivacyPlan
 from repro.utils.precision import PrecisionPlan
+from repro.utils.serialization import load_document
 from repro.utils.validation import check_keys, field_names
 
-_RETIRED_PLAN_KEYS = dict.fromkeys(("shard_backend", "shard_hosts"),
-                                   SHARDING_RETIRED)
+SHARDING_RETIRED = (
+    "parameter-bank sharding was removed (no bank size this system reaches "
+    "makes it faster); see "
+    "docs/ARCHITECTURE.md#why-parameter-banks-are-not-sharded")
+
+# Top-level keys older plan files may carry, with what replaced them.
+_RETIRED_PLAN_KEYS = {
+    **dict.fromkeys(("shard_backend", "shard_hosts"), SHARDING_RETIRED),
+    "dtype": "dtype was the shorthand for precision.params: set precision "
+             "(a bare dtype such as 'float32' sets params)",
+    "secure_aggregation": "secure_aggregation was the shorthand for "
+                          "privacy.masking: set privacy ('masking=on')",
+}
+
+# RunSettings fields a serialized settings_override carries although no
+# constructor takes them: each is read back only at the value the settings
+# themselves hold, else named with the knob that sets it.
+_SETTINGS_MIRRORS = {
+    "dtype": "it mirrors precision.params; set precision instead",
+    "shards": SHARDING_RETIRED,
+    "shard_backend": SHARDING_RETIRED,
+    "shard_hosts": SHARDING_RETIRED,
+    "secure_aggregation": "it mirrors privacy.masking; set privacy instead",
+}
 
 
 @dataclass
@@ -103,9 +121,8 @@ class ExperimentPlan:
     :class:`~repro.utils.precision.PrecisionPlan` (parameter dtype plus the
     detection-statistics island dtype) on top of whatever the profile
     settings say — precision is part of the experiment spec and serializes
-    with the plan.  ``dtype`` is the legacy shorthand alias
-    (``"float32"`` means ``params=float32`` with detection statistics kept
-    float64); setting both to conflicting values is an error.
+    with the plan.  A bare dtype (``"float32"``) means ``params=float32``
+    with detection statistics kept float64.
 
     ``federation`` likewise declares the participation regime (sync /
     buffered / async plus an availability scenario); it overrides the
@@ -120,11 +137,8 @@ class ExperimentPlan:
     (a plan instance, a mapping, or a spec string such as
     ``"masking=on,threshold=3"``): pairwise-masked rounds, Shamir t-of-n
     dropout recovery, sealed expert scoring, and the mask-root override.
-    ``secure_aggregation`` is the legacy boolean alias for
-    ``privacy.masking`` — ``secure_aggregation: true`` in an old plan file
-    means ``PrivacyPlan(masking=True)``, bit for bit.  ``None`` defers to
-    the profile settings (off); masking is exact, so flipping it never
-    changes results.
+    ``None`` defers to the profile settings (off); masking is exact, so
+    flipping it never changes results.
 
     ``population`` declares the size and policy of the run's
     :class:`~repro.federation.pool.PartyPool` (see
@@ -145,11 +159,9 @@ class ExperimentPlan:
     spec_override: DatasetSpec | None = None
     settings_override: RunSettings | None = None
     name: str = ""
-    dtype: str | None = None
     precision: PrecisionPlan | None = None
     federation: FederationConfig | None = None
     shards: int | None = None
-    secure_aggregation: bool | None = None
     privacy: PrivacyPlan | None = None
     population: PopulationConfig | None = None
     cohort_size: int | None = None
@@ -161,28 +173,13 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one strategy")
         if not self.seeds:
             raise ValueError("plan needs at least one seed")
-        if self.dtype is not None:
-            from repro.utils.params import resolve_dtype
-            self.dtype = str(resolve_dtype(self.dtype))
         if self.precision is not None:
             self.precision = PrecisionPlan.from_value(self.precision)
-            if self.dtype is not None and self.dtype != self.precision.params:
-                raise ValueError(
-                    f"dtype={self.dtype!r} conflicts with precision "
-                    f"params={self.precision.params!r}; set one (dtype is "
-                    f"the shorthand alias for precision.params)")
-        check_reserved_shard_fields(self.shards)
-        if self.secure_aggregation is not None:
-            self.secure_aggregation = bool(self.secure_aggregation)
+        if self.shards not in (None, 1):
+            raise ValueError(f"shards={self.shards!r} is not supported: "
+                             f"shards must be 1; {SHARDING_RETIRED}")
         if self.privacy is not None:
             self.privacy = PrivacyPlan.from_value(self.privacy)
-            if (self.secure_aggregation is not None
-                    and self.secure_aggregation != self.privacy.masking):
-                raise ValueError(
-                    f"secure_aggregation={self.secure_aggregation} conflicts "
-                    f"with privacy masking={self.privacy.masking}; set one "
-                    f"(secure_aggregation is the legacy alias for "
-                    f"privacy.masking)")
         if self.federation is not None and not isinstance(self.federation,
                                                           FederationConfig):
             self.federation = FederationConfig.from_dict(self.federation)
@@ -202,11 +199,10 @@ class ExperimentPlan:
     def build(cls, dataset: str, strategies, seeds: Iterable[int] = (0,),
               profile: str = "ci", spec_override: DatasetSpec | None = None,
               settings_override: RunSettings | None = None,
-              name: str = "", dtype: str | None = None,
+              name: str = "",
               precision: "PrecisionPlan | str | Mapping | None" = None,
               federation: FederationConfig | None = None,
               shards: int | None = None,
-              secure_aggregation: bool | None = None,
               privacy: "PrivacyPlan | str | Mapping | None" = None,
               population: "PopulationConfig | int | None" = None,
               cohort_size: int | None = None) -> "ExperimentPlan":
@@ -234,14 +230,9 @@ class ExperimentPlan:
                    seeds=tuple(seeds), profile=profile,
                    spec_override=spec_override,
                    settings_override=settings_override, name=name,
-                   dtype=dtype,
-                   precision=(PrecisionPlan.from_value(precision)
-                              if precision is not None else None),
-                   federation=federation, shards=shards,
-                   secure_aggregation=secure_aggregation,
-                   privacy=(PrivacyPlan.from_value(privacy)
-                            if privacy is not None else None),
-                   population=population, cohort_size=cohort_size)
+                   precision=precision, federation=federation, shards=shards,
+                   privacy=privacy, population=population,
+                   cohort_size=cohort_size)
 
     # -------------------------------------------------------------- execution
 
@@ -263,32 +254,11 @@ class ExperimentPlan:
                 spec = self.spec_override
             if self.settings_override is not None:
                 settings = self.settings_override
-        # dtype is the shorthand alias for precision.params; either knob
-        # replaces the profile's whole plan.  Both fields must move together
-        # through dataclasses.replace or the re-run __post_init__ would see
-        # the stale sibling and report a conflict.
-        plan_precision = self.precision
-        if plan_precision is None and self.dtype is not None:
-            plan_precision = PrecisionPlan.from_value(self.dtype)
-        if plan_precision is not None and settings.precision != plan_precision:
-            settings = dataclasses.replace(settings, precision=plan_precision,
-                                           dtype=None)
-        if self.federation is not None and settings.federation != self.federation:
-            settings = dataclasses.replace(settings, federation=self.federation)
-        # privacy and its legacy alias move together (like dtype/precision):
-        # either knob replaces the profile's whole privacy plan, and the
-        # mirrored secure_aggregation bool must follow or the re-run
-        # __post_init__ would see the stale sibling and report a conflict.
-        plan_privacy = self.privacy
-        if plan_privacy is None and self.secure_aggregation is not None:
-            plan_privacy = PrivacyPlan.from_value(self.secure_aggregation)
-        if plan_privacy is not None and settings.privacy != plan_privacy:
-            settings = dataclasses.replace(
-                settings, privacy=plan_privacy,
-                secure_aggregation=plan_privacy.masking)
-        if self.population is not None and settings.population != self.population:
-            settings = dataclasses.replace(settings,
-                                           population=self.population)
+        # Each declared plan-level knob replaces the settings' whole value.
+        for knob in ("precision", "federation", "privacy", "population"):
+            value = getattr(self, knob)
+            if value is not None and getattr(settings, knob) != value:
+                settings = dataclasses.replace(settings, **{knob: value})
         if (self.cohort_size is not None
                 and settings.round_config.participants_per_round
                 != self.cohort_size):
@@ -326,16 +296,12 @@ class ExperimentPlan:
             "seeds": list(self.seeds),
             "strategies": {s.label: s.to_dict() for s in self.strategies},
         }
-        if self.dtype is not None:
-            out["dtype"] = self.dtype
         if self.precision is not None:
             out["precision"] = self.precision.to_dict()
         if self.federation is not None:
             out["federation"] = self.federation.to_dict()
         if self.shards is not None:
             out["shards"] = self.shards
-        if self.secure_aggregation is not None:
-            out["secure_aggregation"] = self.secure_aggregation
         if self.privacy is not None:
             out["privacy"] = self.privacy.to_dict()
         if self.population is not None:
@@ -376,15 +342,10 @@ class ExperimentPlan:
             settings_override=(_run_settings_from_dict(settings_override)
                                if settings_override is not None else None),
             name=data.get("name", ""),
-            dtype=data.get("dtype"),
-            precision=(PrecisionPlan.from_value(data["precision"])
-                       if data.get("precision") is not None else None),
-            federation=(FederationConfig.from_dict(data["federation"])
-                        if data.get("federation") is not None else None),
+            precision=data.get("precision"),
+            federation=data.get("federation"),
             shards=data.get("shards"),
-            secure_aggregation=data.get("secure_aggregation"),
-            privacy=(PrivacyPlan.from_value(data["privacy"])
-                     if data.get("privacy") is not None else None),
+            privacy=data.get("privacy"),
             population=data.get("population"),
             cohort_size=data.get("cohort_size"),
         )
@@ -406,6 +367,7 @@ def _dataset_spec_from_dict(data: Mapping) -> DatasetSpec:
 
 def _run_settings_from_dict(data: Mapping) -> RunSettings:
     data = check_keys("plan settings_override", data, field_names(RunSettings))
+    mirrors = {key: data.pop(key) for key in _SETTINGS_MIRRORS if key in data}
     round_config = check_keys("plan settings_override.round_config",
                               data.pop("round_config", {}),
                               field_names(RoundConfig))
@@ -416,8 +378,15 @@ def _run_settings_from_dict(data: Mapping) -> RunSettings:
     kwargs = dict(data)
     if federation is not None:
         kwargs["federation"] = FederationConfig.from_dict(federation)
-    return RunSettings(round_config=RoundConfig(local=local, **round_config),
-                       **kwargs)
+    settings = RunSettings(
+        round_config=RoundConfig(local=local, **round_config), **kwargs)
+    for key, value in mirrors.items():
+        held = getattr(settings, key)
+        if value != held and not (key == "shard_hosts" and value == []):
+            raise ValueError(
+                f"plan settings_override {key}={value!r} is not accepted "
+                f"(the settings hold {held!r}): {_SETTINGS_MIRRORS[key]}")
+    return settings
 
 
 def save_plan(path: str | Path, plan: ExperimentPlan) -> Path:
@@ -429,23 +398,4 @@ def save_plan(path: str | Path, plan: ExperimentPlan) -> Path:
 
 def load_plan(path: str | Path) -> ExperimentPlan:
     """Read a plan from ``.json`` or ``.toml`` (suffix decides the parser)."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"plan file not found: {path}")
-    if path.suffix.lower() in (".toml", ".tml"):
-        try:
-            import tomllib
-        except ModuleNotFoundError:  # stdlib from 3.11; package supports 3.10
-            raise ValueError(
-                f"reading TOML plans requires Python 3.11+ (tomllib); "
-                f"convert {path.name} to JSON or upgrade Python") from None
-        try:
-            data = tomllib.loads(path.read_text())
-        except tomllib.TOMLDecodeError as exc:
-            raise ValueError(f"{path} is not valid TOML: {exc}") from None
-    else:
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from None
-    return ExperimentPlan.from_dict(data)
+    return ExperimentPlan.from_dict(load_document(path, "plan"))

@@ -12,30 +12,9 @@ from repro.federation.pool import PopulationConfig
 from repro.federation.rounds import RoundConfig
 from repro.nn.training import LocalTrainingConfig
 from repro.privacy.plan import PrivacyPlan
-from repro.utils.params import resolve_dtype
 from repro.utils.precision import PrecisionPlan
 
 _PROFILE_NAMES = ("ci", "small", "paper")
-
-SHARDING_RETIRED = (
-    "parameter-bank sharding was removed (no bank size this system reaches "
-    "makes it faster); see "
-    "docs/ARCHITECTURE.md#why-parameter-banks-are-not-sharded")
-
-
-def check_reserved_shard_fields(shards, shard_backend="auto",
-                                shard_hosts=()) -> None:
-    """Reject any non-default value of the reserved shard fields.
-
-    The fields survive only because committed plan files serialize them;
-    they select nothing.
-    """
-    if shards not in (None, 1) or shard_backend != "auto" or shard_hosts:
-        raise ValueError(
-            f"shards={shards!r}, shard_backend={shard_backend!r}, "
-            f"shard_hosts={shard_hosts!r} is not supported: these fields are "
-            f"reserved (shards must be 1, shard_backend 'auto', shard_hosts "
-            f"empty); {SHARDING_RETIRED}")
 
 
 @dataclass
@@ -51,21 +30,11 @@ class RunSettings:
     seed's detection decisions.  Direct construction defaults to
     all-float64 — the bitwise legacy plane.
 
-    ``dtype`` survives as a shorthand alias for ``precision``:
-    ``dtype="float32"`` means ``PrecisionPlan(params="float32")`` with
-    detection statistics still float64.  Setting both to conflicting
-    values is an error; after construction ``dtype`` always mirrors
-    ``precision.params``.
-
     ``federation`` selects the participation regime: synchronous full-cohort
     rounds (the default: the one round engine under a quiet availability
     model) or ``buffered``/``async`` staleness-weighted aggregation under a
     simulated availability scenario
     (see :class:`~repro.federation.async_engine.FederationConfig`).
-
-    ``shards`` / ``shard_backend`` / ``shard_hosts`` are reserved
-    constants with no behaviour: committed plan files serialize them, so
-    they keep their place and accept only ``1`` / ``"auto"`` / empty.
 
     ``population`` (a :class:`~repro.federation.pool.PopulationConfig`, an
     int size, or a mapping) declares the size and policy of the run's
@@ -88,26 +57,25 @@ class RunSettings:
     adds Shamir t-of-n dropout recovery on top; ``sealed_scoring``
     sign-seals expert scoring; ``mask_seed`` overrides the mask root.
 
-    ``secure_aggregation`` survives as the legacy boolean alias for
-    ``privacy.masking``: ``secure_aggregation=True`` means
-    ``PrivacyPlan(masking=True)`` and upgrades an off plan (one-way — the
-    ``False`` default is indistinguishable from unset and never downgrades
-    an explicit plan; declared contradictions error at the
-    :class:`~repro.experiments.plan.ExperimentPlan` level).  After
-    construction ``secure_aggregation`` always mirrors ``privacy.masking``.
+    ``dtype``, ``shards``, ``shard_backend``, ``shard_hosts`` and
+    ``secure_aggregation`` are not constructor arguments.  ``dtype`` mirrors
+    ``precision.params``, ``secure_aggregation`` mirrors ``privacy.masking``
+    and the shard trio are constants; they stay fields, in place, only
+    because committed plan files serialize ``dataclasses.asdict`` of the
+    settings (see :func:`repro.experiments.plan._run_settings_from_dict`).
     """
 
     rounds_burn_in: int = 6
     rounds_per_window: int = 6
     round_config: RoundConfig = field(default_factory=RoundConfig)
     eval_parties: int | None = None  # None = evaluate every party
-    dtype: str | None = None  # alias for precision.params; None = unset
+    dtype: str = field(init=False)  # mirrors precision.params
     precision: PrecisionPlan | None = None
     federation: FederationConfig = field(default_factory=FederationConfig)
-    shards: int = 1
-    shard_backend: str = "auto"
-    shard_hosts: tuple[str, ...] = ()
-    secure_aggregation: bool = False
+    shards: int = field(default=1, init=False)
+    shard_backend: str = field(default="auto", init=False)
+    shard_hosts: tuple[str, ...] = field(default=(), init=False)
+    secure_aggregation: bool = field(init=False)  # mirrors privacy.masking
     privacy: PrivacyPlan | None = None
     population: PopulationConfig | None = None
 
@@ -116,32 +84,10 @@ class RunSettings:
             raise ValueError("round counts must be positive")
         if self.eval_parties is not None and self.eval_parties <= 0:
             raise ValueError("eval_parties must be positive when given")
-        check_reserved_shard_fields(self.shards, self.shard_backend,
-                                    self.shard_hosts)
-        self.shards, self.shard_hosts = 1, ()
-        plan = PrecisionPlan.from_value(self.precision)
-        if self.dtype is not None:
-            alias = str(resolve_dtype(self.dtype))
-            if self.precision is None:
-                plan = PrecisionPlan.from_value(alias)
-            elif alias != plan.params:
-                raise ValueError(
-                    f"dtype={alias!r} conflicts with precision "
-                    f"params={plan.params!r}; set one (dtype is the "
-                    f"shorthand alias for precision.params)")
-        self.precision = plan
-        self.dtype = plan.params
-        # The legacy bool upgrades masking one-way: ``secure_aggregation=
-        # True`` means masking on (possibly via dataclasses.replace over an
-        # already-resolved settings, whose privacy field is a stale sibling),
-        # and ``False`` — the default, indistinguishable from unset — never
-        # downgrades an explicit plan.  Declared contradictions are caught
-        # at the ExperimentPlan level, where None means unset.
-        privacy = PrivacyPlan.from_value(self.privacy)
-        if self.secure_aggregation and not privacy.masking:
-            privacy = privacy.with_masking()
-        self.privacy = privacy
-        self.secure_aggregation = privacy.masking
+        self.precision = PrecisionPlan.from_value(self.precision)
+        self.dtype = self.precision.params
+        self.privacy = PrivacyPlan.from_value(self.privacy)
+        self.secure_aggregation = self.privacy.masking
         if not isinstance(self.federation, FederationConfig):
             self.federation = FederationConfig.from_dict(self.federation)
         self.population = PopulationConfig.from_value(self.population)

@@ -1,10 +1,10 @@
 """The privacy plan: one knob surface for masking, recovery, and sealing.
 
-``secure_aggregation: bool`` grew three independent decisions in a single
-flag: whether round submissions are masked at all, how dropout recovery is
-protected (the Shamir ``t``-of-``n`` threshold), and whether expert
-scoring runs over sealed rows.  :class:`PrivacyPlan` names each knob
-separately, mirroring :class:`~repro.utils.precision.PrecisionPlan`:
+Three independent decisions — whether round submissions are masked at all,
+how dropout recovery is protected (the Shamir ``t``-of-``n`` threshold),
+and whether expert scoring runs over sealed rows — plus the mask root.
+:class:`PrivacyPlan` names each knob separately, mirroring
+:class:`~repro.utils.precision.PrecisionPlan`:
 
 * ``masking`` — seal round submissions in the bit domain (PR 5's
   bank-resident masking).  Off by default.
@@ -17,17 +17,16 @@ separately, mirroring :class:`~repro.utils.precision.PrecisionPlan`:
 * ``mask_seed`` — override the mask-stream root seed (defaults to the run
   seed, which keeps masked runs bit-identical to their unmasked twins).
 
-The legacy boolean survives as a shorthand alias everywhere a plan is
-accepted: ``secure_aggregation=True`` means ``PrivacyPlan(masking=True)``
-and reproduces PR 5 runs bitwise.
+A bare ``on`` / ``off`` is the value shorthand (``--privacy on`` means
+``PrivacyPlan(masking=True)``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
-from repro.utils.validation import check_keys
+from repro.utils.validation import check_keys, parse_spec
 
 _KEYS = ("masking", "threshold", "sealed_scoring", "mask_seed")
 _TRUE = {"on", "true", "yes", "1"}
@@ -124,11 +123,9 @@ class PrivacyPlan:
 
     @classmethod
     def from_value(cls, value) -> "PrivacyPlan":
-        """Coerce a plan knob: None / bool / mapping / spec string / plan.
+        """Coerce a plan knob: None / mapping / spec string / plan.
 
         * ``None`` — the all-off default plan.
-        * a bool — the legacy ``secure_aggregation`` alias:
-          ``True`` means ``PrivacyPlan(masking=True)``.
         * a mapping — ``{"masking": ..., "threshold": ...}``.
         * a spec string — ``"masking=on,threshold=3"`` (any key may be
           omitted); bare ``"on"``/``"off"`` toggles masking alone.
@@ -137,8 +134,6 @@ class PrivacyPlan:
             return cls()
         if isinstance(value, PrivacyPlan):
             return value
-        if isinstance(value, bool):
-            return cls(masking=value)
         if isinstance(value, Mapping):
             return cls(**check_keys("privacy plan", value, _KEYS))
         if isinstance(value, str):
@@ -150,23 +145,8 @@ class PrivacyPlan:
         """Parse a CLI spec: ``on`` or ``masking=on,threshold=3,...``."""
         text = text.strip()
         if "=" not in text:
-            # Bare on/off: the boolean alias in spec-string clothing.
             return cls(masking=_parse_bool("masking", text))
-        fields: dict[str, str] = {}
-        for item in text.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, sep, val = item.partition("=")
-            if not sep or not val.strip():
-                raise ValueError(
-                    f"privacy spec item '{item}' is not key=value")
-            fields[key.strip()] = val.strip()
-        return cls.from_value(fields)
-
-    def with_masking(self) -> "PrivacyPlan":
-        """This plan with masking forced on (the legacy-alias merge)."""
-        return self if self.masking else replace(self, masking=True)
+        return cls.from_value(parse_spec("privacy", text))
 
     def __str__(self) -> str:
         parts = [f"masking={'on' if self.masking else 'off'}"]

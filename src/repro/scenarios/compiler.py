@@ -1,13 +1,13 @@
 """Compile a scenario doc into an :class:`~repro.experiments.plan
 .ExperimentPlan`.
 
-The compiler is deliberately thin: every block maps onto the exact config
-object the equivalent CLI flag would have built, through the *same* helper
-functions the CLI calls (:func:`federation_from_knobs`,
-:func:`population_from_knobs`).  A scenario doc that only uses blocks the
-flag surface can express therefore compiles to a plan *equal* to the
-flag-built one — and equal plans run bitwise-identically, which
-``tests/test_scenario_fuzz.py`` pins for every legacy preset.
+The compiler is deliberately thin: every block maps onto one config object
+(:func:`federation_from_knobs`, :func:`population_from_knobs`).  It is also
+the only path from flags to a plan — ``python -m repro compare`` builds a
+:class:`~repro.scenarios.doc.ScenarioDoc` from its flags and compiles it —
+so a flag line and the equivalent document are the same plan, and equal
+plans run bitwise-identically (``tests/test_scenario_fuzz.py`` pins every
+legacy preset).
 
 Blocks the flags cannot express (``[data]`` resizing, ``[rounds]`` counts,
 ``[[drift]]`` schedules) compile into the plan's ``spec_override`` /
@@ -36,11 +36,9 @@ def federation_from_knobs(participation=None, preset=None, dropout=None,
                           ) -> tuple[FederationConfig | None, list[str]]:
     """Knobs -> (FederationConfig | None, warnings).
 
-    This is the single source of truth for the flag-to-config mapping: the
-    CLI's participation flags and the scenario ``[availability]`` block both
-    call it, so a scenario doc and the equivalent flag line cannot drift
-    apart.  All-``None`` returns ``(None, [])`` — the plan defers to the
-    profile, exactly like passing no flags.
+    The ``[availability]`` block's mapping (the CLI's participation flags
+    fill that block).  All-``None`` returns ``(None, [])`` — the plan defers
+    to the profile, exactly like passing no flags.
     """
     knobs = (participation, preset, dropout, straggler, outage, min_reports,
              max_wait, staleness_policy, outage_fraction, outage_rounds,
@@ -85,7 +83,7 @@ def federation_from_knobs(participation=None, preset=None, dropout=None,
 def population_from_knobs(size=None, max_resident=None, skew=None,
                           zipf_a=None, survey=None,
                           ) -> PopulationConfig | None:
-    """Knobs -> PopulationConfig | None (shared by CLI and scenario docs).
+    """Knobs -> PopulationConfig | None (the ``[population]`` block).
 
     Mirrors the ``--population`` flag family: dependents without ``size``
     are an error, all-``None`` defers to the profile.
@@ -116,6 +114,13 @@ def compile_scenario(scenario) -> ExperimentPlan:
     anything invalid — the same errors the CLI surfaces as exit code 2.
     """
     doc = scenario_from_value(scenario)
+    participants = doc.rounds.get("participants")
+    cohort_size = doc.population.get("cohort_size")
+    if (participants is not None and cohort_size is not None
+            and int(participants) != int(cohort_size)):
+        raise ValueError(
+            f"rounds.participants={participants} and population.cohort_size="
+            f"{cohort_size} both set the parties trained per round; set one")
     spec, settings = get_profile(doc.profile, doc.dataset)
 
     spec_override = None
@@ -162,13 +167,10 @@ def compile_scenario(scenario) -> ExperimentPlan:
     federation, _warnings = federation_from_knobs(**doc.availability)
     population = population_from_knobs(**{
         k: v for k, v in doc.population.items() if k != "cohort_size"})
-    cohort_size = doc.population.get("cohort_size")
 
     return ExperimentPlan.build(
         doc.dataset, doc.strategies, seeds=doc.seeds, profile=doc.profile,
-        name=doc.name, dtype=doc.dtype, precision=doc.precision,
-        secure_aggregation=doc.secure_aggregation,
-        privacy=doc.privacy,
+        name=doc.name, precision=doc.precision, privacy=doc.privacy,
         federation=federation, population=population,
         cohort_size=cohort_size,
         spec_override=spec_override, settings_override=settings_override)

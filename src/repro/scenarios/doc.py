@@ -3,9 +3,9 @@
 A scenario doc is a TOML or JSON file with a handful of optional blocks on
 top of the required ``dataset``/``strategies`` pair:
 
-* top level — ``name``, ``profile``, ``seeds``, ``strategies``, plus the
-  run knobs that already live on :class:`~repro.experiments.plan
-  .ExperimentPlan` (``dtype``/``precision``/``secure_aggregation``);
+* top level — ``name``, ``profile``, ``seeds``, ``strategies``, plus
+  ``precision``, the run's :class:`~repro.utils.precision.PrecisionPlan`
+  (a spec string such as ``"params=float32"`` or a bare dtype);
 * ``[privacy]`` — the run's :class:`~repro.privacy.plan.PrivacyPlan`:
   ``masking``, ``threshold`` (Shamir t-of-n dropout recovery; an int or
   ``"majority"``), ``sealed_scoring``, ``mask_seed``.  A top-level string
@@ -41,12 +41,12 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.data.drift import CohortDrift
+from repro.utils.serialization import load_document
 from repro.utils.validation import check_keys
 
 TOP_LEVEL_KEYS = frozenset({
-    "name", "dataset", "profile", "seeds", "strategies", "dtype",
-    "precision", "secure_aggregation", "privacy", "data", "rounds",
-    "population", "availability", "drift",
+    "name", "dataset", "profile", "seeds", "strategies", "precision",
+    "privacy", "data", "rounds", "population", "availability", "drift",
 })
 DATA_KEYS = frozenset({"parties", "train_per_window", "test_per_window",
                        "num_windows"})
@@ -83,9 +83,7 @@ class ScenarioDoc:
     name: str = ""
     profile: str = "ci"
     seeds: tuple[int, ...] = (0,)
-    dtype: str | None = None
     precision: object = None
-    secure_aggregation: bool | None = None
     privacy: object = None  # [privacy] table or a spec string; None = off
     data: dict = field(default_factory=dict)
     rounds: dict = field(default_factory=dict)
@@ -107,7 +105,8 @@ class ScenarioDoc:
                                         AVAILABILITY_KEYS)
         if isinstance(self.privacy, Mapping):
             self.privacy = _check_keys("privacy", self.privacy, PRIVACY_KEYS)
-        self.drift = tuple(CohortDrift.from_value(d) for d in self.drift)
+        self.drift = tuple(CohortDrift.from_value(d, "scenario block 'drift'")
+                           for d in self.drift)
         if "num_windows" in self.data and not self.drift:
             raise ValueError(
                 "data.num_windows requires a [[drift]] block: without a "
@@ -122,7 +121,7 @@ class ScenarioDoc:
             out["name"] = self.name
         out["profile"] = self.profile
         out["seeds"] = list(self.seeds)
-        for key in ("dtype", "precision", "secure_aggregation", "privacy"):
+        for key in ("precision", "privacy"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -152,25 +151,7 @@ class ScenarioDoc:
 
 def load_scenario(path: str | Path) -> ScenarioDoc:
     """Read a scenario doc from ``.json`` or ``.toml`` (suffix decides)."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"scenario file not found: {path}")
-    if path.suffix.lower() in (".toml", ".tml"):
-        try:
-            import tomllib
-        except ModuleNotFoundError:  # stdlib from 3.11; package supports 3.10
-            raise ValueError(
-                f"reading TOML scenarios requires Python 3.11+ (tomllib); "
-                f"convert {path.name} to JSON or upgrade Python") from None
-        try:
-            data = tomllib.loads(path.read_text())
-        except tomllib.TOMLDecodeError as exc:
-            raise ValueError(f"{path} is not valid TOML: {exc}") from None
-    else:
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    data = load_document(path, "scenario")
     try:
         return ScenarioDoc.from_dict(data)
     except (ValueError, TypeError) as exc:

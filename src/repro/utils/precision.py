@@ -15,7 +15,7 @@ subsystem separately:
   (calibration nulls, shift deltas, clustering, latent-memory matching)
   runs at this precision.  Default float64: the "detection island".
 
-The legacy ``dtype`` knob survives as a shorthand alias: ``dtype="float32"``
+A bare dtype is the value shorthand: ``"float32"`` (``--precision float32``)
 means ``PrecisionPlan(params="float32")`` — parameters at reduced precision,
 detection statistics still on the float64 island.  A fully reduced plan must
 be asked for explicitly (``params=float32,detection_stats=float32``).
@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.utils.params import resolve_dtype
-from repro.utils.validation import check_keys
+from repro.utils.validation import check_keys, parse_spec
 
 
 @dataclass(frozen=True)
@@ -75,28 +75,10 @@ class PrecisionPlan:
                                 ("params", "detection_stats"))
             return cls(**{k: str(v) for k, v in fields.items()})
         if isinstance(value, str) and "=" in value:
-            return cls.parse(value)
+            return cls.from_value(parse_spec("precision", value))
         # A dtype-ish shorthand: parameters at the given precision, the
         # detection statistics stay on the float64 island.
         return cls(params=str(resolve_dtype(value)))
-
-    @classmethod
-    def parse(cls, text: str) -> "PrecisionPlan":
-        """Parse a CLI spec: ``float32`` or ``params=float32,detection_stats=float64``."""
-        text = text.strip()
-        if "=" not in text:
-            return cls.from_value(text)
-        fields: dict[str, str] = {}
-        for item in text.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, sep, val = item.partition("=")
-            if not sep or not val.strip():
-                raise ValueError(
-                    f"precision spec item '{item}' is not key=dtype")
-            fields[key.strip()] = val.strip()
-        return cls.from_value(fields)
 
     def __str__(self) -> str:
         return f"params={self.params},detection_stats={self.detection_stats}"

@@ -35,6 +35,24 @@ def check_keys(where: str, mapping: Mapping, allowed: Collection[str],
     return dict(mapping)
 
 
+def parse_spec(where: str, text: str) -> dict[str, str]:
+    """Split a ``key=value,key=value`` spec string into stripped strings.
+
+    Empty items are skipped; an item without ``=`` or without a value is
+    an error naming ``where`` (``"privacy"``, ``"precision"``).
+    """
+    fields: dict[str, str] = {}
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        key, sep, val = item.partition("=")
+        if not sep or not val.strip():
+            raise ValueError(f"{where} spec item '{item}' is not key=value")
+        fields[key.strip()] = val.strip()
+    return fields
+
+
 def check_2d(x: np.ndarray, name: str = "array") -> np.ndarray:
     """Return ``x`` as a 2-D float array, raising a clear error otherwise."""
     arr = np.asarray(x, dtype=np.float64)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.__main__ import _federation_from_args, build_parser, main
+from repro.__main__ import _scenario_from_args, build_parser, main
 from repro.experiments import ExperimentPlan, save_plan
+from repro.scenarios import compile_scenario
 from tests.conftest import make_run_settings, make_tiny_spec
 
 
@@ -142,17 +143,31 @@ class TestCli:
 
 
 class TestFederationFlags:
+    """``compare`` flags fill a scenario document; the compiler does the rest."""
+
+    def doc(self, *extra):
+        args = build_parser().parse_args(["compare", "cifar10_c_sim", *extra])
+        return _scenario_from_args(args, ("fedavg",))
+
     def parse(self, *extra):
         return build_parser().parse_args(["compare", "cifar10_c_sim", *extra])
 
     def test_no_flags_means_no_override(self):
-        assert _federation_from_args(self.parse()) is None
+        doc = self.doc()
+        assert doc.availability == {} and doc.population == {}
+        plan = compile_scenario(doc)
+        assert plan.federation is None and plan.population is None
 
     def test_participation_and_scenario_compose(self):
-        cfg = _federation_from_args(self.parse(
+        doc = self.doc(
             "--participation", "buffered", "--scenario", "dropout30",
             "--straggler", "0.1", "--min-reports", "4", "--max-wait", "3",
-            "--staleness-policy", "exponential"))
+            "--staleness-policy", "exponential")
+        assert doc.availability == {
+            "participation": "buffered", "preset": "dropout30",
+            "straggler": 0.1, "min_reports": 4, "max_wait": 3,
+            "staleness_policy": "exponential"}
+        cfg = compile_scenario(doc).federation
         assert cfg.mode == "buffered"
         assert cfg.min_reports == 4
         assert cfg.max_wait_rounds == 3
@@ -161,10 +176,22 @@ class TestFederationFlags:
         assert cfg.availability.straggler_prob == 0.1  # explicit override
 
     def test_dropout_alone_keeps_sync_mode(self):
-        cfg = _federation_from_args(self.parse("--dropout", "0.25"))
+        cfg = compile_scenario(self.doc("--dropout", "0.25")).federation
         assert cfg.mode == "sync"
         assert cfg.availability.dropout_prob == 0.25
         assert cfg.is_active
+
+    def test_population_flags_fill_the_population_block(self):
+        doc = self.doc("--population", "500", "--cohort-size", "4",
+                       "--max-resident", "8", "--participation-skew", "zipf",
+                       "--zipf-a", "1.5", "--survey-parties", "16",
+                       "--precision", "float32", "--privacy", "masking=on")
+        assert doc.population == {"size": 500, "cohort_size": 4,
+                                  "max_resident": 8, "skew": "zipf",
+                                  "zipf_a": 1.5, "survey": 16}
+        plan = compile_scenario(doc)
+        assert plan.cohort_size == 4 and plan.population.survey == 16
+        assert plan.precision.params == "float32" and plan.privacy.masking
 
     def test_invalid_participation_rejected(self):
         with pytest.raises(SystemExit):

@@ -139,10 +139,10 @@ class TestPlan:
 
     def test_dtype_round_trip_and_resolve(self):
         plan = ExperimentPlan.build("cifar10_c_sim", ["fedavg"],
-                                    dtype="float32")
+                                    precision="float32")
         restored = ExperimentPlan.from_dict(
             json.loads(json.dumps(plan.to_dict())))
-        assert restored.dtype == "float32"
+        assert restored.precision.params == "float32"
         _spec, settings = restored.resolve()
         assert settings.dtype == "float32"
         # Default: precision comes from the profile settings — ci runs
@@ -157,7 +157,8 @@ class TestPlan:
 
     def test_invalid_dtype_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentPlan.build("cifar10_c_sim", ["fedavg"], dtype="int8")
+            ExperimentPlan.build("cifar10_c_sim", ["fedavg"],
+                                 precision="int8")
 
     def test_json_and_toml_files(self, tmp_path):
         plan = ExperimentPlan.build("cifar10_c_sim", ["fedavg"], seeds=(0, 1),

@@ -243,9 +243,9 @@ class TestAccounting:
         ds = FederatedShiftDataset(spec)
         base = make_run_settings()
         s64 = dataclasses.replace(
-            base, dtype=None, precision=PrecisionPlan(params="float64"))
+            base, precision=PrecisionPlan(params="float64"))
         s32 = dataclasses.replace(
-            base, dtype=None, precision=PrecisionPlan(params="float32"))
+            base, precision=PrecisionPlan(params="float32"))
         run64 = run_strategy(build_strategy("fedavg"), spec, s64, seed=0,
                              dataset=ds).ledger_summary
         run32 = run_strategy(build_strategy("fedavg"), spec, s32, seed=0,

@@ -264,7 +264,7 @@ class TestPartyPoolResidency:
                               seed=33)
         settings = dataclasses.replace(
             _pooled_settings(make_run_settings(), 6, max_resident=2),
-            precision=PrecisionPlan(params="float32"), dtype=None)
+            precision=PrecisionPlan(params="float32"))
         ds = FederatedShiftDataset(spec)
         pool = PartyPool(spec, ds, settings.population, seed=0,
                          dtype=settings.np_dtype)

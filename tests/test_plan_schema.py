@@ -6,10 +6,13 @@ losslessly through JSON, the TOML reader resolves to the same plan as the
 equivalent JSON, every key ``to_dict`` can emit is documented in the
 schema reference (so a new field cannot ship undocumented), and keys the
 loader does not know — typos and the retired shard knobs — are rejected by
-name instead of dropped.
+name instead of dropped.  The keys only old files carry (``dtype``,
+``secure_aggregation`` and the shard trio) are read back only at the one
+value each mirrors.
 """
 
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -26,8 +29,10 @@ from repro.federation.rounds import RoundConfig
 from repro.nn.training import LocalTrainingConfig
 from repro.scenarios import compile_scenario
 from repro.utils.precision import PrecisionPlan
+from repro.utils.validation import field_names
 
 DOCS = Path(__file__).parent.parent / "docs"
+WORKLOADS = Path(__file__).parent.parent / "benchmarks" / "e2e" / "workloads"
 
 
 def _full_plan() -> ExperimentPlan:
@@ -51,7 +56,6 @@ def _full_plan() -> ExperimentPlan:
         rounds_burn_in=4, rounds_per_window=3, eval_parties=4,
         precision=PrecisionPlan(params="float32",
                                 detection_stats="float64"),
-        secure_aggregation=True,
         privacy="masking=on,threshold=majority",
         federation=FederationConfig(mode="async"),
         population=PopulationConfig(size=500, max_resident=8),
@@ -66,10 +70,8 @@ def _full_plan() -> ExperimentPlan:
         {"fedavg": "fedavg",
          "prox-strong": {"method": "fedprox", "kwargs": {"prox_mu": 0.1}}},
         seeds=(0, 1, 2), profile="small", name="full-schema",
-        dtype="float32",
         precision=PrecisionPlan(params="float32"),
         shards=1,  # reserved: the only value still accepted
-        secure_aggregation=True,
         privacy="masking=on,threshold=3,sealed_scoring=on",
         federation=federation,
         population=PopulationConfig(size=1000, max_resident=16, skew="zipf",
@@ -92,18 +94,17 @@ class TestLosslessRoundTrip:
         assert loaded.to_dict() == plan.to_dict()
 
     def test_new_fields_survive_the_trip(self, tmp_path):
-        """secure_aggregation and the reserved shards constant next to
-        dtype/federation."""
+        """The reserved shards constant next to precision/federation, and
+        the settings' serialized mirrors."""
         plan = _full_plan()
         data = json.loads(save_plan(tmp_path / "p.json", plan).read_text())
         assert data["shards"] == 1
-        assert data["dtype"] == "float32"
+        assert "dtype" not in data and "secure_aggregation" not in data
         assert data["precision"] == {"params": "float32",
                                      "detection_stats": "float64"}
         assert data["settings_override"]["precision"] == {
             "params": "float32", "detection_stats": "float64"}
         assert data["settings_override"]["dtype"] == "float32"
-        assert data["secure_aggregation"] is True
         assert data["privacy"] == {"masking": True, "threshold": 3,
                                    "sealed_scoring": True, "mask_seed": None}
         assert data["federation"]["mode"] == "buffered"
@@ -116,7 +117,6 @@ class TestLosslessRoundTrip:
             "sealed_scoring": False, "mask_seed": None}
         loaded = load_plan(tmp_path / "p.json")
         assert loaded.shards == 1
-        assert loaded.secure_aggregation is True
         assert "shard_backend" not in data and "shard_hosts" not in data
         _spec, settings = loaded.resolve()
         assert settings.secure_aggregation is True
@@ -175,9 +175,12 @@ _RETIREMENT = "why-parameter-banks-are-not-sharded"
 
 class TestUnknownAndRetiredKeys:
     @pytest.mark.parametrize("build", [
-        lambda: RunSettings(shards=2),
-        lambda: RunSettings(shard_backend="process"),
-        lambda: RunSettings(shard_hosts=("h:1",)),
+        lambda: ExperimentPlan.from_dict(
+            {**_MINIMAL, "settings_override": {"shards": 2}}),
+        lambda: ExperimentPlan.from_dict(
+            {**_MINIMAL, "settings_override": {"shard_backend": "process"}}),
+        lambda: ExperimentPlan.from_dict(
+            {**_MINIMAL, "settings_override": {"shard_hosts": ["h:1"]}}),
         lambda: ExperimentPlan.build("fashion_mnist_sim", ["fedavg"],
                                      shards=2),
         lambda: ExperimentPlan.from_dict({**_MINIMAL,
@@ -191,7 +194,9 @@ class TestUnknownAndRetiredKeys:
             build()
 
     def test_reserved_values_normalise(self):
-        settings = RunSettings(shards=None, shard_hosts=[])
+        settings = ExperimentPlan.from_dict({**_MINIMAL, "settings_override": {
+            "shards": 1, "shard_backend": "auto", "shard_hosts": []}}
+        ).settings_override
         assert (settings.shards, settings.shard_backend,
                 settings.shard_hosts) == (1, "auto", ())
         assert ExperimentPlan.from_dict({**_MINIMAL, "shards": 1}).shards == 1
@@ -248,6 +253,67 @@ class TestUnknownAndRetiredKeys:
         assert all(part in err for part in named) and "Traceback" not in err
 
 
+class TestOneNamePerKnob:
+    """Each run knob has one spelling: the aliases left every constructor,
+    flag and scenario key, and only the plan reader still meets them."""
+
+    ALIASES = {"dtype", "secure_aggregation", "shards", "shard_backend",
+               "shard_hosts"}
+
+    def test_aliases_are_not_settable(self, capsys):
+        assert not self.ALIASES & set(inspect.signature(RunSettings).parameters)
+        assert not {"dtype", "secure_aggregation"} & field_names(ExperimentPlan)
+        for flags in (["--secure-agg"], ["--dtype", "float32"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["compare", "fmow_sim", *flags])
+            assert exit_info.value.code == 2
+            assert flags[0] in capsys.readouterr().err
+        for key, value in (("dtype", "float32"), ("secure_aggregation", True)):
+            with pytest.raises(ValueError, match=rf"unknown key.*'{key}'"):
+                compile_scenario({**_MINIMAL, key: value})
+
+    @pytest.mark.parametrize("name", ["sync_conv", "wide_server",
+                                      "async_masked", "pool_100k"])
+    def test_committed_workloads_load(self, name):
+        data = json.loads((WORKLOADS / f"{name}.json").read_text())
+        plan = ExperimentPlan.from_dict(data)
+        if "settings_override" in data:
+            written = data["settings_override"]
+            assert self.ALIASES <= set(written)
+            settings = dataclasses.asdict(plan.settings_override)
+            assert json.loads(json.dumps(settings)) == written
+
+    @pytest.mark.parametrize("override, named", [
+        ({"precision": {"params": "float32"}, "dtype": "float64"},
+         "mirrors precision.params; set precision"),
+        ({"dtype": "float32"}, "mirrors precision.params; set precision"),
+        ({"privacy": {"masking": True}, "secure_aggregation": False},
+         "mirrors privacy.masking; set privacy"),
+        ({"secure_aggregation": True}, "mirrors privacy.masking; set privacy"),
+        ({"shards": 2}, _RETIREMENT),
+    ], ids=["dtype", "dtype-without-precision", "secure-aggregation",
+            "secure-aggregation-without-privacy", "shards"])
+    def test_a_disagreeing_mirror_names_the_knob(self, override, named):
+        with pytest.raises(ValueError, match=named):
+            ExperimentPlan.from_dict({**_MINIMAL,
+                                      "settings_override": override})
+
+    def test_agreeing_mirrors_load(self):
+        settings = ExperimentPlan.from_dict({**_MINIMAL, "settings_override": {
+            "precision": {"params": "float32"}, "dtype": "float32",
+            "privacy": {"masking": True}, "secure_aggregation": True,
+        }}).settings_override
+        assert settings.dtype == "float32" and settings.secure_aggregation
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("dtype", "float32", "set precision"),
+        ("secure_aggregation", True, "set privacy"),
+    ])
+    def test_top_level_aliases_are_retired(self, key, value, named):
+        with pytest.raises(ValueError, match=rf"\['{key}'\] in plan;.*{named}"):
+            ExperimentPlan.from_dict({**_MINIMAL, key: value})
+
+
 class TestTomlReader:
     def test_toml_resolves_like_json(self, tmp_path):
         pytest.importorskip("tomllib")
@@ -256,7 +322,7 @@ name = "dropout-sweep"
 dataset = "fashion_mnist_sim"
 profile = "ci"
 seeds = [0, 1]
-dtype = "float32"
+precision = "float32"
 shards = 1
 
 [strategies.fedavg]
@@ -284,7 +350,7 @@ straggler_prob = 0.2
             {"fedavg": "fedavg",
              "prox-strong": {"method": "fedprox", "kwargs": {"prox_mu": 0.1}}},
             seeds=(0, 1), profile="ci", name="dropout-sweep",
-            dtype="float32", shards=1,
+            precision="float32", shards=1,
             federation=FederationConfig(
                 mode="buffered", min_reports=4, max_wait_rounds=2,
                 staleness_policy="polynomial",

@@ -30,7 +30,7 @@ class TestFloat32ReproducesSeedDecisions:
         settings64 = make_run_settings(rounds_burn_in=5, rounds_per_window=4,
                                        participants=5, epochs=2)
         settings32 = dataclasses.replace(
-            settings64, precision=PrecisionPlan(params="float32"), dtype=None)
+            settings64, precision=PrecisionPlan(params="float32"))
         runs = {}
         for label, settings in (("float64", settings64),
                                 ("float32", settings32)):

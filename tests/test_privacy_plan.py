@@ -3,8 +3,8 @@
 Four layers of pins:
 
 * **Knob surface** — :class:`~repro.privacy.plan.PrivacyPlan` parsing
-  (spec strings, mappings, the legacy ``secure_aggregation`` bool alias)
-  and its threading through ``RunSettings`` → ``ExperimentPlan`` →
+  (spec strings, mappings, the bare ``on`` / ``off`` shorthand) and its
+  threading through ``RunSettings`` → ``ExperimentPlan`` →
   ``StrategyContext`` → scenario docs → the CLI.
 * **Threshold sessions** — share distribution and reconstruction are
   metered under the ledger's ``secure_agg`` channel; below-threshold
@@ -66,10 +66,6 @@ class TestPrivacyPlanKnobs:
         assert not plan.is_active
         assert PrivacyPlan.from_value(None) == plan
 
-    def test_legacy_bool_alias(self):
-        assert PrivacyPlan.from_value(True) == PrivacyPlan(masking=True)
-        assert PrivacyPlan.from_value(False) == PrivacyPlan()
-
     def test_spec_string_parsing(self):
         plan = PrivacyPlan.parse("masking=on,threshold=3")
         assert plan.masking and plan.threshold == 3
@@ -122,6 +118,8 @@ class TestPrivacyPlanKnobs:
             PrivacyPlan.parse("maybe")
         with pytest.raises(ValueError, match="privacy plan"):
             PrivacyPlan.from_value(3.5)
+        with pytest.raises(ValueError, match="privacy plan"):
+            PrivacyPlan.from_value(True)  # a bool is not a plan
 
 
 class TestPlanThreading:
@@ -129,17 +127,10 @@ class TestPlanThreading:
         settings = make_run_settings()
         assert settings.privacy == PrivacyPlan()
         assert settings.secure_aggregation is False
-
-    def test_legacy_flag_upgrades_masking_one_way(self):
-        masked = dataclasses.replace(make_run_settings(),
-                                     secure_aggregation=True)
-        assert masked.privacy.masking and masked.secure_aggregation
-        # False never downgrades a declared plan: the default flag is
-        # indistinguishable from "unset" at this level.
-        spec = dataclasses.replace(make_run_settings(),
-                                   privacy="masking=on,threshold=3")
-        assert spec.privacy.threshold == 3
-        assert spec.secure_aggregation is True  # mirror stays in sync
+        masked = dataclasses.replace(settings,
+                                     privacy="masking=on,threshold=3")
+        assert masked.privacy.threshold == 3
+        assert masked.secure_aggregation is True  # the serialized mirror
 
     def test_sealed_scoring_alone_does_not_mask(self):
         settings = dataclasses.replace(make_run_settings(),
@@ -158,19 +149,14 @@ class TestPlanThreading:
         assert settings.privacy == plan.privacy
         assert settings.secure_aggregation is True
 
-    def test_experiment_plan_legacy_alias_resolves(self):
-        plan = ExperimentPlan.build("fashion_mnist_sim", ["fedavg"],
-                                    secure_aggregation=True)
-        _, settings = plan.resolve()
-        assert settings.privacy == PrivacyPlan(masking=True)
-        assert "privacy" not in ExperimentPlan.build(
-            "fashion_mnist_sim", ["fedavg"]).to_dict()
-
     def test_experiment_plan_rejects_contradiction(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            ExperimentPlan.build("fashion_mnist_sim", ["fedavg"],
-                                 secure_aggregation=False,
-                                 privacy="masking=on")
+        """Only an old plan file can still say secure_aggregation, and only
+        at the masking its privacy plan declares."""
+        with pytest.raises(ValueError, match="mirrors privacy.masking"):
+            ExperimentPlan.from_dict({
+                "dataset": "fashion_mnist_sim", "strategies": ["fedavg"],
+                "settings_override": {"privacy": {"masking": True},
+                                      "secure_aggregation": False}})
 
     def test_scenario_doc_privacy_block(self):
         doc = ScenarioDoc(dataset="fashion_mnist_sim", strategies=["fedavg"],
@@ -285,7 +271,7 @@ class TestThresholdRunsBitwise:
         spec, ds = _spec_ds(51)
         base = make_run_settings()
         shortcut = _run("fedavg", spec, ds,
-                        dataclasses.replace(base, secure_aggregation=True))
+                        dataclasses.replace(base, privacy="masking=on"))
         recovered = _run("fedavg", spec, ds,
                          dataclasses.replace(base,
                                              privacy="masking=on,threshold=3"))
@@ -310,17 +296,12 @@ class TestThresholdRunsBitwise:
 
         spec, ds = _spec_ds(53)
         base = dataclasses.replace(make_run_settings(),
-                                   precision=PrecisionPlan(params="float32"),
-                                   dtype=None)
+                                   precision=PrecisionPlan(params="float32"))
         shortcut = _run("fedavg", spec, ds,
-                        dataclasses.replace(base, secure_aggregation=True,
-                                            precision=base.precision,
-                                            dtype=None))
+                        dataclasses.replace(base, privacy="masking=on"))
         recovered = _run("fedavg", spec, ds,
                          dataclasses.replace(base,
-                                             privacy="masking=on,threshold=3",
-                                             precision=base.precision,
-                                             dtype=None))
+                                             privacy="masking=on,threshold=3"))
         first = run_result_to_dict(shortcut)
         second = run_result_to_dict(recovered)
         first.pop("ledger")

@@ -68,7 +68,7 @@ class TestCohortDrift:
             CohortDrift(fraction=0.0)
         with pytest.raises(ValueError, match="start_window"):
             CohortDrift(start_window=0)
-        with pytest.raises(ValueError, match="unknown drift keys"):
+        with pytest.raises(ValueError, match=r"unknown key\(s\) \['ramp'\]"):
             CohortDrift.from_value({"arrival": "sudden", "ramp": 3})
 
     def test_plan_validation(self):
@@ -243,6 +243,11 @@ class TestScenarioDoc:
         with pytest.raises(ValueError, match="num_windows"):
             ScenarioDoc.from_dict(doc)
 
+    def test_drift_typos_name_their_block(self):
+        with pytest.raises(ValueError, match=r"unknown key\(s\) \['arival'\] "
+                                             r"in scenario block 'drift'"):
+            ScenarioDoc.from_dict(tiny_doc(drift={"arival": "sudden"}))
+
     def test_single_drift_table_is_coerced(self):
         doc = ScenarioDoc.from_dict(tiny_doc(
             drift={"arrival": "sudden", "fraction": 0.5}))
@@ -309,6 +314,21 @@ class TestFlagParity:
         self._equal_modulo_name(flag_plan, scenario_plan)
 
     def test_full_flag_surface_matches(self):
+        """The CLI compiles its flags as a document; the same document written
+        by hand and the same knobs passed to ExperimentPlan.build agree."""
+        from repro.__main__ import _scenario_from_args, build_parser
+        args = build_parser().parse_args([
+            "compare", "fmow_sim", "--methods", "fedavg", "shiftex",
+            "--seeds", "0", "1", "--profile", "ci", "--precision", "float32",
+            "--privacy", "masking=on", "--population", "40",
+            "--max-resident", "10", "--participation-skew", "zipf",
+            "--zipf-a", "1.5", "--survey-parties", "8", "--cohort-size", "4",
+            "--participation", "buffered", "--scenario", "flaky",
+            "--dropout", "0.2", "--straggler", "0.1", "--outage", "0.05",
+            "--min-reports", "3", "--max-wait", "2",
+            "--staleness-policy", "polynomial"])
+        cli_plan = compile_scenario(
+            _scenario_from_args(args, args.methods))
         federation, _ = federation_from_knobs(
             participation="buffered", preset="flaky", dropout=0.2,
             straggler=0.1, outage=0.05, min_reports=3, max_wait=2,
@@ -317,12 +337,12 @@ class TestFlagParity:
                                            skew="zipf", zipf_a=1.5, survey=8)
         flag_plan = ExperimentPlan.build(
             "fmow_sim", ("fedavg", "shiftex"), seeds=(0, 1), profile="ci",
-            dtype="float32", secure_aggregation=True,
+            precision="float32", privacy="masking=on",
             federation=federation, population=population, cohort_size=4)
         scenario_plan = compile_scenario({
             "dataset": "fmow_sim", "strategies": ["fedavg", "shiftex"],
-            "seeds": [0, 1], "profile": "ci", "dtype": "float32",
-            "secure_aggregation": True,
+            "seeds": [0, 1], "profile": "ci", "precision": "float32",
+            "privacy": "masking=on",
             "population": {"size": 40, "max_resident": 10, "skew": "zipf",
                            "zipf_a": 1.5, "survey": 8, "cohort_size": 4},
             "availability": {"participation": "buffered", "preset": "flaky",
@@ -330,6 +350,7 @@ class TestFlagParity:
                              "outage": 0.05, "min_reports": 3, "max_wait": 2,
                              "staleness_policy": "polynomial"}})
         self._equal_modulo_name(flag_plan, scenario_plan)
+        assert cli_plan == scenario_plan
 
     def test_empty_blocks_defer_to_profile(self):
         plain = ExperimentPlan.build("fashion_mnist_sim", ("fedavg",))
@@ -382,6 +403,16 @@ class TestCompiler:
             compile_scenario(tiny_doc(
                 data={**TINY_DOC["data"], "num_windows": 1},
                 drift=[{"arrival": "sudden"}]))
+
+    def test_participants_and_cohort_size_must_agree(self):
+        doc = {"dataset": "fmow_sim", "strategies": ["fedavg"],
+               "rounds": {"participants": 3}, "population": {"cohort_size": 5}}
+        with pytest.raises(ValueError, match=r"rounds.participants=3 and "
+                                             r"population.cohort_size=5"):
+            compile_scenario(doc)
+        doc["population"]["cohort_size"] = 3
+        _spec, settings = compile_scenario(doc).resolve()
+        assert settings.round_config.participants_per_round == 3
 
     def test_population_dependents_require_size(self):
         with pytest.raises(ValueError, match="population size"):

@@ -276,7 +276,7 @@ class TestMaskedRunsBitwise:
                              dataset=ds)
         masked = run_strategy(
             build_strategy("fedavg"), spec,
-            dataclasses.replace(base, secure_aggregation=True), seed=0,
+            dataclasses.replace(base, privacy="masking=on"), seed=0,
             dataset=ds)
         assert run_result_to_dict(plain) == run_result_to_dict(masked)
 
@@ -295,7 +295,7 @@ class TestMaskedRunsBitwise:
                              dataset=ds)
         masked = run_strategy(
             build_strategy("fedavg"), spec,
-            dataclasses.replace(base, secure_aggregation=True), seed=2,
+            dataclasses.replace(base, privacy="masking=on"), seed=2,
             dataset=ds)
         assert run_result_to_dict(plain) == run_result_to_dict(masked)
         fed = plain.extras["federation"]
@@ -315,15 +315,14 @@ class TestMaskedRunsBitwise:
         spec, ds = self._spec_ds(43)
         base = dataclasses.replace(
             make_run_settings(),
-            precision=PrecisionPlan(params="float32"), dtype=None,
+            precision=PrecisionPlan(params="float32"),
             population=PopulationConfig(size=spec.num_parties,
                                         max_resident=3))
         plain = run_strategy(build_strategy("fedavg"), spec, base, seed=0,
                              dataset=ds)
         masked = run_strategy(
             build_strategy("fedavg"), spec,
-            dataclasses.replace(base, secure_aggregation=True,
-                                precision=base.precision, dtype=None),
+            dataclasses.replace(base, privacy="masking=on"),
             seed=0, dataset=ds)
         assert run_result_to_dict(plain) == run_result_to_dict(masked)
 
@@ -337,6 +336,6 @@ class TestMaskedRunsBitwise:
                              dataset=ds)
         masked = run_strategy(
             build_strategy(method), spec,
-            dataclasses.replace(base, secure_aggregation=True), seed=0,
+            dataclasses.replace(base, privacy="masking=on"), seed=0,
             dataset=ds)
         assert run_result_to_dict(plain) == run_result_to_dict(masked)
