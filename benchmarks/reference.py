@@ -231,9 +231,12 @@ def ref_train_local(model, x, y, config, rng, global_params=None):
     n = x.shape[0]
     optimizer = SGD(config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
     losses = []
+    cap = config.max_batches_per_epoch
     for _epoch in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
+        for batch, start in enumerate(range(0, n, config.batch_size)):
+            if cap is not None and batch >= cap:
+                break
             idx = order[start:start + config.batch_size]
             xb, yb = x[idx], y[idx]
             model.zero_grads()

@@ -50,7 +50,7 @@ suite (``tests/test_differential_aggregation.py``) pins most of them:
    allocated).  Leaking a row strands bank capacity for the rest of the
    run; releasing twice corrupts an unrelated report's storage.  Under
    secure aggregation (``run_round(secure=...)``) the row is additionally
-   *sealed* (bit-domain masked) from the moment training writes it:
+   *sealed* (bit-domain masked) before ``train_cohort`` hands it back:
    aggregation is the only exit that unseals — transiently, inside
    ``SecureAggregationSession.combine_rows``, which scrubs the row before
    release — while the flush/invalidation exits discard the report still

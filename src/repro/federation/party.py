@@ -7,6 +7,11 @@ evaluation on its private test split, penultimate-layer embedding extraction
 (for shift detection), and label-histogram reporting.  Raw samples never
 cross the party boundary — only parameters, statistics, and embeddings, as
 in the paper.
+
+Training is :func:`train_parties`: a cohort's parties whose train splits
+have one size train as one stacked ``train_local`` call, each replica on its
+own split with its own generator, and :meth:`Party.local_train` is the
+one-member call of it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from repro.data.federated import PartyWindowData
 from repro.nn.network import Sequential
-from repro.nn.training import LocalTrainingConfig, evaluate, train_local
+from repro.nn.training import LocalTrainingConfig, evaluate, mean_loss, train_local
 from repro.utils.params import Params
 from repro.utils.rng import spawn_rng
 
@@ -94,6 +99,10 @@ class Party:
             raise ValueError(f"split must be 'test' or 'train'; got {split!r}")
         return self.data.split(split)
 
+    def train_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """This window's train split ``(x, y)`` — what training reads."""
+        return self._split("train")
+
     # ------------------------------------------------------------------ protocol ops
 
     def local_train(self, params: Params, config: LocalTrainingConfig,
@@ -101,24 +110,14 @@ class Party:
                     out_flat: np.ndarray | None = None) -> LocalUpdate:
         """Train a local replica initialized at ``params`` on this window.
 
-        ``out_flat`` (optionally a :class:`~repro.utils.params.ParamBank`
-        row) receives the flat trained parameters; the update's ``params``
-        are then zero-copy views of it, so the aggregator can stack cohort
-        updates without re-flattening.
+        The one-member call of :func:`train_parties`.  ``out_flat``
+        (optionally a :class:`~repro.utils.params.ParamBank` row) receives
+        the flat trained parameters; the update's ``params`` are then
+        zero-copy views of it, so the aggregator can stack cohort updates
+        without re-flattening.
         """
-        self._model.set_params(params)
-        rng = spawn_rng(self.seed, "party-train", self.party_id, round_tag)
-        result = train_local(
-            self._model, self.data.x_train, self.data.y_train, config, rng,
-            global_params=params if config.prox_mu > 0 else None,
-            out_flat=out_flat,
-        )
-        return LocalUpdate(
-            party_id=self.party_id,
-            params=result.params,
-            num_samples=result.num_samples,
-            mean_loss=result.mean_loss,
-        )
+        return train_parties([(self, *self.train_split())], params, config,
+                             round_tag, [out_flat])[0]
 
     def evaluate(self, params: Params,
                  split: str = "test") -> tuple[float, float]:
@@ -150,3 +149,56 @@ class Party:
             idx = rng.choice(x.shape[0], size=max_samples, replace=False)
             x, y = x[idx], y[idx]
         return self._model.features(x), np.asarray(y).copy()
+
+
+def train_parties(trainees: list[tuple[Party, np.ndarray, np.ndarray]],
+                  params: Params, config: LocalTrainingConfig,
+                  round_tag: object, outs: list[np.ndarray | None],
+                  ) -> list[LocalUpdate]:
+    """Train each ``(party, x, y)`` trainee from ``params`` on its split.
+
+    Trainees whose splits have equal size train as one stacked
+    :func:`~repro.nn.training.train_local` call on a ``Sequential.stacked``
+    replica of the first one's model, allocated per call (a trainee alone
+    in its size trains its own model, without the axis); trainee ``i`` draws
+    from ``spawn_rng(seed, "party-train", party_id, round_tag)`` exactly as a
+    party training alone does, so its update is the same bytes.  ``outs[i]``
+    (a bank row, or None for a fresh vector) receives its trained flat
+    parameters.  A trainee without samples reports ``params`` (at the
+    model's precision), a NaN loss and zero samples.  Returns one update per
+    trainee, in order.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, (_party, x, _y) in enumerate(trainees):
+        groups.setdefault(len(x), []).append(i)
+    anchor = params if config.prox_mu > 0 else None
+    updates: list[LocalUpdate] = [None] * len(trainees)
+    for members in groups.values():
+        group = [trainees[i] for i in members]
+        rngs = [spawn_rng(party.seed, "party-train", party.party_id, round_tag)
+                for party, _x, _y in group]
+        if len(group) == 1:
+            # A replica axis of one only adds overhead: the plain call.
+            ((party, x, y),), (i,) = group, members
+            party._model.set_params(params)
+            result = train_local(party._model, x, y, config, rngs[0],
+                                 global_params=anchor, out_flat=outs[i])
+            updates[i] = LocalUpdate(party.party_id, result.params,
+                                     result.num_samples, result.mean_loss)
+            continue
+        model = group[0][0]._model.stacked(len(group))
+        model.set_params(params)
+        result = train_local(
+            model, np.stack([x for _p, x, _y in group], dtype=model.dtype),
+            np.stack([y for _p, _x, y in group]), config, rngs,
+            global_params=anchor)
+        for k, i in enumerate(members):
+            party, x, _y = group[k]
+            out = outs[i]
+            if out is None:
+                out = model.flat_params[k].copy()
+            else:
+                np.copyto(out, model.flat_params[k], casting="same_kind")
+            updates[i] = LocalUpdate(party.party_id, model.spec.view(out), len(x),
+                                     mean_loss(result.replica_losses[k]))
+    return updates

@@ -28,9 +28,10 @@ Residency invariants
    therefore recycles ``Sequential`` instances through a free list instead
    of rebuilding layer buffers per materialization.
 3. **Pinned residents are never evicted.**  ``acquire``/``release`` wrap a
-   party's in-flight window (the cohort loop pins each trainee); capacity
-   pressure skips pinned rows, temporarily overshooting ``max_resident``
-   rather than corrupting a straggler mid-training.  Bank rows holding
+   party's in-flight window (the cohort trainer pins one trainee at a time,
+   for the read of its train split, and trains the cohort after the last
+   release); capacity pressure skips pinned rows, temporarily overshooting
+   ``max_resident`` rather than corrupting a party mid-read.  Bank rows holding
    buffered *reports* live in the
    :class:`~repro.federation.async_engine.AsyncRoundBuffer` and are
    independent of party residency — evicting a party never touches its
@@ -194,9 +195,11 @@ class PartyPool(Mapping):
     pool itself keeps no arrays: eviction drops what was generated along
     with what was not.
 
-    ``acquire``/``release`` pin a party for its in-flight training window;
-    :func:`~repro.federation.rounds.train_cohort` calls them around each
-    trainee.
+    ``acquire``/``release`` pin a party for an in-flight read;
+    :func:`~repro.federation.rounds.train_cohort` calls them around the read
+    of each trainee's train split, one trainee at a time, and trains only
+    after the last release — so a cohort larger than ``max_resident`` never
+    pins more than one party at once.
     """
 
     def __init__(self, spec: DatasetSpec, dataset: FederatedShiftDataset,

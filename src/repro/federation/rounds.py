@@ -6,16 +6,18 @@ meters its model traffic.  The round itself is
 :meth:`repro.federation.async_engine.FederationEngine.run_round`, the one
 loop every participation mode runs.  This module also holds what that loop
 is made of: the round-level config and stats records, the cohort trainer that
-lands each party's trained flat vector in one row of the engine's stream
+trains each group of equal-size parties as one stacked SGD loop and lands
+each party's trained flat vector in one row of the engine's stream
 :class:`~repro.utils.params.ParamBank` (so FedAvg is a single weighted
 ``w @ M`` product over the stacked rows), and the per-dispatch sealing hook.
 
 Secure aggregation: a context whose ``masking`` is set runs every dispatch
 under a
-:class:`~repro.privacy.secure_aggregation.SecureAggregationSession` — each
-party's bank row is sealed in the exact bit domain the moment training
-writes it and unsealed only inside the session's ``combine_rows`` when its
-aggregation fires, so no unmasked party update is resident server-side.
+:class:`~repro.privacy.secure_aggregation.SecureAggregationSession` — every
+party's bank row is sealed in the exact bit domain, in cohort order, before
+the cohort trainer returns, and unsealed only inside the session's
+``combine_rows`` when its aggregation fires, so no unmasked party update is
+resident server-side once the dispatch is handed back.
 Sealing round-trips exactly, so the masked round is bit-for-bit the unmasked
 one; ``masking=None`` (the default) never constructs a session.  A spec with
 a ``threshold`` additionally runs the Shamir share-distribution and
@@ -29,6 +31,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.federation.party import train_parties
 from repro.federation.pool import PartyPool
 from repro.nn.training import LocalTrainingConfig
 from repro.privacy.secure_aggregation import (
@@ -89,38 +92,43 @@ def train_cohort(parties: PartyPool, participant_ids: list[int],
 
     Returns ``(rows, updates)`` aligned with ``participant_ids``.
 
-    ``seal(party_id, row, update)`` fires immediately after each party's
-    trained vector lands in its row — the secure-aggregation hook masks the
-    row there, before the next party trains, so an unmasked update is never
-    left resident once control returns from the party.
+    The pool sees what a per-party loop shows it: for each participant, in
+    cohort order, a row is allocated and the party is pinned (``acquire`` /
+    ``release``) for exactly the read of its train split, so residency
+    pressure can never evict a party mid-read.  Only then does the cohort
+    train — :func:`~repro.federation.party.train_parties`, one stacked SGD
+    loop per group of equal split size — and each participant's trained
+    vector lands in its own row.
+
+    ``seal(party_id, row, update)`` then fires for every row, in cohort
+    order, before the call returns — the secure-aggregation hook masks the
+    row there, so no unmasked update is left resident once control returns
+    from the cohort.
 
     ``bank`` outlives the call (it is the engine's stream buffer), so a
     dispatch that fails must not strand rows in it: unknown ids are rejected
-    before anyone trains, and if a party raises mid-cohort every row this
+    before anyone trains, and if anything raises mid-cohort every row this
     call allocated is scrubbed and released.
-
-    Each trainee is pinned in the pool (``acquire`` / ``release``) for
-    exactly its training call, so residency pressure can never evict a party
-    mid-training.
     """
     for party_id in participant_ids:
         if party_id not in parties:
             raise KeyError(f"unknown party id {party_id}")
     rows: list[int] = []
-    updates = []
     try:
+        trainees = []
         for party_id in participant_ids:
-            row = bank.alloc()
-            rows.append(row)
+            rows.append(bank.alloc())
             party = parties.acquire(party_id)
             try:
-                update = party.local_train(
-                    params, config.local, round_tag, out_flat=bank.row(row))
-                if seal is not None:
-                    seal(party_id, row, update)
+                trainees.append((party, *party.train_split()))
             finally:
                 parties.release(party_id)
-            updates.append(update)
+        # Row views only after the last alloc: growth relocates the bank.
+        updates = train_parties(trainees, params, config.local, round_tag,
+                                [bank.row(row) for row in rows])
+        if seal is not None:
+            for party_id, row, update in zip(participant_ids, rows, updates):
+                seal(party_id, row, update)
     except BaseException:
         for row in rows:
             bank.row(row)[...] = 0.0
@@ -172,8 +180,9 @@ def run_fl_round(ctx: "StrategyContext", participant_ids: list[int],
     The context supplies the rest: the round runs on ``ctx.federation``,
     whose clock, availability model and per-stream buffers every round of
     the run shares, over ``ctx.parties`` (a participant is materialized when
-    it trains — one that drops out never is — and pinned for that call by
-    :func:`train_cohort`), sealed under ``ctx.masking``.  One model download
+    it trains — one that drops out never is — and pinned by
+    :func:`train_cohort` while its train split is read), sealed under
+    ``ctx.masking``.  One model download
     and one upload are metered on ``ctx.ledger`` per dispatched party,
     whatever became of its report (dropped, delayed, buffered): the ledger
     counts dispatches.

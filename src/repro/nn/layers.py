@@ -1,10 +1,20 @@
-"""Explicitly differentiated layers.
+"""Explicitly differentiated layers, written once over a leading replica axis.
 
 Every layer implements ``forward(x, training)`` and ``backward(grad_out)``;
 ``backward`` returns the gradient with respect to the layer input and stores
 parameter gradients in ``layer.grads`` (aligned with ``layer.params``);
 ``backward_params`` stores the same parameter gradients and returns nothing.
 Convolution uses im2col so the heavy lifting stays inside BLAS.
+
+Inputs are ``(..., n, features)`` or ``(..., n, c, h, w)``: the axes in front
+of the batch axis ``n`` are *replica* axes, matched by the same leading axes
+on every parameter (a stacked ``Dense`` weight is ``(r, in, out)``).  A plain
+model has none; :meth:`~repro.nn.network.Sequential.stacked` has one, and
+trains ``r`` replicas in lockstep.  Each replica's slice then runs exactly the
+operations a plain model runs on it: ``np.matmul`` over a stack issues one
+GEMM per slice with that slice's shape and strides, every other op is
+element-wise or reduces within one replica, and the replica axis is always
+outermost in memory.
 """
 
 from __future__ import annotations
@@ -36,6 +46,21 @@ class Layer:
     def output_note(self) -> str:
         """Short human-readable description used in ``Sequential.describe``."""
         return type(self).__name__
+
+
+def _add_rows(grad: np.ndarray, update: np.ndarray, item_ndim: int) -> None:
+    """``grad += update`` for a parameter tensor of ``item_ndim`` axes.
+
+    With a replica axis, added as one row per replica: each replica's
+    gradient is one contiguous run of ``Sequential``'s flat buffer, and numpy
+    walks a stacked view of it several times slower in its own shape.
+    """
+    if grad.ndim == item_ndim:
+        grad += update.reshape(grad.shape)
+        return
+    rows = grad.shape[:grad.ndim - item_ndim] + (-1,)
+    view = grad.reshape(rows)
+    view += update.reshape(rows)
 
 
 def _he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -79,22 +104,24 @@ class Dense(Layer):
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
+        if x.ndim != self.params[0].ndim or x.shape[-1] != self.in_features:
             raise ValueError(
-                f"Dense expected input (n, {self.in_features}); got {x.shape}"
+                f"Dense expected input (..., n, {self.in_features}); got {x.shape}"
             )
         self._x = x if training else None
-        return x @ self.params[0] + self.params[1]
+        out = x @ self.params[0]
+        out += self.params[1][..., None, :]
+        return out
 
     def backward_params(self, grad_out: np.ndarray) -> None:
         if self._x is None:
             raise RuntimeError("backward called before forward(training=True)")
-        self.grads[0] += self._x.T @ grad_out
-        self.grads[1] += grad_out.sum(axis=0)
+        _add_rows(self.grads[0], self._x.swapaxes(-1, -2) @ grad_out, 2)
+        self.grads[1] += grad_out.sum(axis=-2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         self.backward_params(grad_out)
-        return grad_out @ self.params[0].T
+        return grad_out @ self.params[0].swapaxes(-1, -2)
 
     def output_note(self) -> str:
         return f"Dense({self.in_features}->{self.out_features})"
@@ -117,13 +144,16 @@ class ReLU(Layer):
 
 
 class Flatten(Layer):
+    """Collapse each sample's ``(c, h, w)`` axes into one (NCHW, like the
+    image layers)."""
+
     def __init__(self) -> None:
         super().__init__()
         self._shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[:-3] + (-1,))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._shape is None:
@@ -131,43 +161,57 @@ class Flatten(Layer):
         return grad_out.reshape(self._shape)
 
 
+def _channels_last(x: np.ndarray) -> np.ndarray:
+    """``(..., c, h, w) -> (..., h, w, c)`` view (``np.moveaxis`` costs 15x)."""
+    n = x.ndim
+    return x.transpose(tuple(range(n - 3)) + (n - 2, n - 1, n - 3))
+
+
+def _channels_first(x: np.ndarray) -> np.ndarray:
+    """``(..., h, w, c) -> (..., c, h, w)`` view."""
+    n = x.ndim
+    return x.transpose(tuple(range(n - 3)) + (n - 1, n - 3, n - 2))
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
-    """Expand (n, c, h, w) into columns of receptive fields.
+    """Expand (..., n, c, h, w) into columns of receptive fields.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(n * out_h * out_w, c * kh * kw)``.  The input is laid out channels-last
-    in a zero-filled padded buffer so each of the ``kh * kw`` window offsets
-    is one slice copy with the channel axis contiguous on the source side.
+    ``(..., n * out_h * out_w, c * kh * kw)``.  The input is laid out
+    channels-last in a zero-filled padded buffer so each of the ``kh * kw``
+    window offsets is one slice copy with the channel axis contiguous on the
+    source side.
     """
-    n, c, h, w = x.shape
+    *lead, c, h, w = x.shape
+    lead = tuple(lead)
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
-    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    padded[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
-    cols = np.empty((n, out_h, out_w, c, kh, kw), dtype=x.dtype)
+    padded = np.zeros(lead + (h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    padded[..., pad:pad + h, pad:pad + w, :] = _channels_last(x)
+    cols = np.empty(lead + (out_h, out_w, c, kh, kw), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, :, :, i, j] = padded[:, i:i + stride * out_h:stride,
-                                            j:j + stride * out_w:stride]
-    return cols.reshape(n * out_h * out_w, c * kh * kw), out_h, out_w
+            cols[..., i, j] = padded[..., i:i + stride * out_h:stride,
+                                     j:j + stride * out_w:stride, :]
+    return cols.reshape(lead[:-1] + (-1, c * kh * kw)), out_h, out_w
 
 
-def _col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
+def _col2im(cols: np.ndarray, x_shape: tuple[int, ...],
             kh: int, kw: int, stride: int, pad: int,
             out_h: int, out_w: int) -> np.ndarray:
     """Scatter-add column gradients back to the (padded) input.
 
     Accumulates channels-last, in ``(i, j)`` order, and returns an NCHW view.
     """
-    n, c, h, w = x_shape
-    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
-    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw)
+    *lead, c, h, w = x_shape
+    lead = tuple(lead)
+    padded = np.zeros(lead + (h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
+    cols6 = cols.reshape(lead + (out_h, out_w, c, kh, kw))
     for i in range(kh):
         for j in range(kw):
-            padded[:, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += (
-                cols6[:, :, :, :, i, j]
-            )
-    return padded[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+            padded[..., i:i + stride * out_h:stride,
+                   j:j + stride * out_w:stride, :] += cols6[..., i, j]
+    return _channels_first(padded[..., pad:pad + h, pad:pad + w, :])
 
 
 class Conv2d(Layer):
@@ -188,36 +232,40 @@ class Conv2d(Layer):
         bias = np.zeros(out_channels)
         self.params = [weight, bias]
         self.grads = [np.zeros_like(weight), np.zeros_like(bias)]
-        self._cache: tuple[np.ndarray, tuple[int, int, int, int], int, int] | None = None
+        self._cache: tuple[np.ndarray, tuple[int, ...], int, int] | None = None
+
+    def _w_mat(self) -> np.ndarray:
+        """The weight as ``(..., out_channels, c * k * k)``."""
+        weight = self.params[0]
+        return weight.reshape(weight.shape[:-3] + (-1,))
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
+        if x.ndim != self.params[0].ndim or x.shape[-3] != self.in_channels:
             raise ValueError(
-                f"Conv2d expected (n, {self.in_channels}, h, w); got {x.shape}"
+                f"Conv2d expected (..., n, {self.in_channels}, h, w); got {x.shape}"
             )
         k = self.kernel_size
-        if min(x.shape[2:]) + 2 * self.padding < k:
+        if min(x.shape[-2:]) + 2 * self.padding < k:
             raise ValueError(
                 f"{self.output_note()}: input {x.shape} is smaller than the kernel"
             )
         cols, out_h, out_w = _im2col(x, k, k, self.stride, self.padding)
-        w_mat = self.params[0].reshape(self.out_channels, -1)
-        out = cols @ w_mat.T + self.params[1]
-        n = x.shape[0]
-        out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        out = cols @ self._w_mat().swapaxes(-1, -2)
+        out += self.params[1][..., None, :]
+        out = out.reshape(x.shape[:-3] + (out_h, out_w, self.out_channels))
         if training:
             self._cache = (cols, x.shape, out_h, out_w)
-        return out
+        return _channels_first(out)
 
     def _accumulate(self, grad_out: np.ndarray) -> np.ndarray:
         """Add this batch's parameter gradients; returns ``grad_out`` as a matrix."""
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
-        cols, x_shape, out_h, out_w = self._cache
-        n = x_shape[0]
-        grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, self.out_channels)
-        self.grads[0] += (grad_mat.T @ cols).reshape(self.params[0].shape)
-        self.grads[1] += grad_mat.sum(axis=0)
+        cols = self._cache[0]
+        grad_mat = _channels_last(grad_out).reshape(
+            cols.shape[:-1] + (self.out_channels,))
+        _add_rows(self.grads[0], grad_mat.swapaxes(-1, -2) @ cols, 4)
+        self.grads[1] += grad_mat.sum(axis=-2)
         return grad_mat
 
     def backward_params(self, grad_out: np.ndarray) -> None:
@@ -227,9 +275,8 @@ class Conv2d(Layer):
         grad_mat = self._accumulate(grad_out)
         _cols, x_shape, out_h, out_w = self._cache
         k = self.kernel_size
-        w_mat = self.params[0].reshape(self.out_channels, -1)
-        grad_cols = grad_mat @ w_mat
-        return _col2im(grad_cols, x_shape, k, k, self.stride, self.padding, out_h, out_w)
+        return _col2im(grad_mat @ self._w_mat(), x_shape, k, k, self.stride,
+                       self.padding, out_h, out_w)
 
     def output_note(self) -> str:
         return (f"Conv2d({self.in_channels}->{self.out_channels}, "
@@ -249,11 +296,11 @@ class MaxPool2d(Layer):
     def _window_views(self, x: np.ndarray) -> list[np.ndarray]:
         """One strided view per within-window position, in row-major order."""
         p = self.pool_size
-        return [x[:, :, i::p, j::p] for i in range(p) for j in range(p)]
+        return [x[..., i::p, j::p] for i in range(p) for j in range(p)]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         p = self.pool_size
-        _n, _c, h, w = x.shape
+        h, w = x.shape[-2:]
         if h % p or w % p:
             raise ValueError(f"input {h}x{w} not divisible by pool size {p}")
         views = self._window_views(x)
@@ -275,9 +322,9 @@ class MaxPool2d(Layer):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
-        first, (n, c, h, w) = self._cache
+        first, (*lead, c, h, w) = self._cache
         # Channels-last memory, like the conv outputs and gradients around it.
-        grad = np.empty((n, h, w, c), dtype=grad_out.dtype).transpose(0, 3, 1, 2)
+        grad = _channels_first(np.empty(tuple(lead) + (h, w, c), dtype=grad_out.dtype))
         for mask, grad_here in zip(first, self._window_views(grad)):
             np.multiply(mask, grad_out, out=grad_here)
         return grad

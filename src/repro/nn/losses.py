@@ -6,10 +6,10 @@ import numpy as np
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a (n, k) logit matrix."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    """Row-wise softmax of (..., n, k) logits."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -17,31 +17,40 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 
     Parameters
     ----------
-    logits : (n, k) float array.
-    labels : (n,) int array of class indices in [0, k).
+    logits : (..., n, k) float array; leading axes are replicas.
+    labels : (..., n) int array of class indices in [0, k).
 
     Returns
     -------
-    (loss, grad) where ``grad`` has shape (n, k) and already includes the
-    1/n factor, so it can be fed directly into ``Sequential.backward``.
+    (loss, grad) where ``grad`` has the shape of ``logits`` and already
+    includes the 1/n factor, so it can be fed directly into
+    ``Sequential.backward``.  ``loss`` is a float for (n, k) logits and one
+    mean per replica (an array of shape ``logits.shape[:-2]``) otherwise.
     """
     logits = np.asarray(logits)
     in_dtype = logits.dtype if logits.dtype.kind == "f" else np.dtype(np.float64)
     logits = logits.astype(np.float64, copy=False)
     labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be 2-D; got {logits.shape}")
-    n, k = logits.shape
-    if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},); got {labels.shape}")
+    if logits.ndim < 2:
+        raise ValueError(f"logits must be at least 2-D; got {logits.shape}")
+    n, k = logits.shape[-2:]
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(
+            f"labels must have shape {logits.shape[:-1]}; got {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"labels out of range [0, {k})")
     probs = softmax_probs(logits)
     eps = 1e-12
-    loss = float(-np.log(probs[np.arange(n), labels] + eps).mean())
+    # One (replica, sample) row per label; probs is fresh and contiguous, so
+    # the reshapes are views.
+    picked = (np.arange(labels.size), labels.reshape(-1))
+    true_probs = probs.reshape(-1, k)[picked].reshape(labels.shape)
+    # The mean as np.mean forms it (one reduction, one division by n),
+    # without its Python-level overhead.
+    loss = -np.log(true_probs + eps).sum(axis=-1) / n
     grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
+    grad.reshape(-1, k)[picked] -= 1.0
     grad /= n
     # The loss is computed in float64 for stability, but the gradient enters
     # backprop and must match the model's activation precision.
-    return loss, grad.astype(in_dtype, copy=False)
+    return (float(loss) if loss.ndim == 0 else loss), grad.astype(in_dtype, copy=False)

@@ -36,9 +36,12 @@ def _flat_dim(input_shape: tuple[int, ...]) -> int:
 
 def build_mlp(input_shape: tuple[int, ...], num_classes: int, rng: np.random.Generator,
               hidden: tuple[int, ...] = (64, 32), dtype=None) -> Sequential:
-    """Dense classifier; features = activations of the last hidden layer."""
+    """Dense classifier for (d,) or (c, h, w) inputs; features = activations
+    of the last hidden layer."""
+    if len(input_shape) not in (1, 3):
+        raise ValueError(f"mlp expects (d,) or (c, h, w) input; got {input_shape}")
     layers: list = [Standardize()]
-    if len(input_shape) > 1:
+    if len(input_shape) == 3:
         layers.append(Flatten())
     dim = _flat_dim(input_shape)
     for width in hidden:

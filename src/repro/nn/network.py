@@ -16,9 +16,17 @@ Every layer's ``params``/``grads`` arrays are *views* into two contiguous
 flat buffers allocated at construction, so ``flatten_params(model.params)``
 is zero-copy and the optimizer steps on ``flat_params`` / ``flat_grads``
 directly.
+
+:meth:`Sequential.stacked` gives those buffers a leading *replica* axis:
+``(r, dim)`` flat vectors, every layer tensor ``(r, ...)``, inputs
+``(r, n, ...)``.  The layers are written once over that axis, so the stacked
+model runs ``r`` replicas in lockstep through the same code a plain model
+(no replica axis) runs, with each replica's numbers unchanged.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -50,20 +58,51 @@ class Sequential:
             raise ValueError("feature_index out of range")
         self.dtype = resolve_dtype(dtype)
         self._spec = ParamSpec.of([p for layer in layers for p in layer.params])
-        # Re-home every layer's param and grad arrays as slices of two flat
-        # buffers, keeping the values the layers were initialized with.
-        self._flat = np.empty(self._spec.total_size, dtype=self.dtype)
-        self._flat_grads = np.zeros(self._spec.total_size, dtype=self.dtype)
+        self._bind(())
+
+    def _bind(self, lead: tuple[int, ...]) -> None:
+        """Re-home every layer's param and grad arrays as slices of two flat
+        ``lead + (dim,)`` buffers, keeping (broadcasting over ``lead``) the
+        values the layers hold."""
+        self._flat = np.empty(lead + (self._spec.total_size,), dtype=self.dtype)
+        self._flat_grads = np.zeros_like(self._flat)
+        tensors = [(layer, i) for layer in self.layers for i in range(len(layer.params))]
+        for (layer, i), view, gview in zip(tensors, self._views(self._flat),
+                                           self._views(self._flat_grads)):
+            np.copyto(view, layer.params[i], casting="same_kind")
+            layer.params[i] = view
+            np.copyto(gview, layer.grads[i], casting="same_kind")
+            layer.grads[i] = gview
+
+    def _views(self, flat: np.ndarray) -> Params:
+        """Per-tensor views of a ``(..., dim)`` flat buffer."""
+        lead = flat.shape[:-1]
+        views: Params = []
         offset = 0
-        for layer in layers:
-            for i, p in enumerate(layer.params):
-                view = self._flat[offset:offset + p.size].reshape(p.shape)
-                np.copyto(view, p, casting="same_kind")
-                layer.params[i] = view
-                gview = self._flat_grads[offset:offset + p.size].reshape(p.shape)
-                np.copyto(gview, layer.grads[i], casting="same_kind")
-                layer.grads[i] = gview
-                offset += p.size
+        for shape, size in zip(self._spec.shapes, self._spec.sizes):
+            views.append(flat[..., offset:offset + size].reshape(lead + shape))
+            offset += size
+        return views
+
+    def stacked(self, replicas: int) -> "Sequential":
+        """``replicas`` copies of this network as one model.
+
+        Fresh layers (activation caches are per model) whose params and grads
+        are views into ``(replicas, dim)`` buffers allocated here, every
+        replica starting at this model's parameters.  The result takes
+        ``(replicas, n, ...)`` inputs and trains each replica as this model
+        would train alone.
+        """
+        if replicas < 1:
+            raise ValueError("need at least one replica")
+        twin = copy.copy(self)
+        twin.layers = []
+        for layer in self.layers:
+            layer = copy.copy(layer)
+            layer.params, layer.grads = list(layer.params), list(layer.grads)
+            twin.layers.append(layer)
+        twin._bind((replicas,))
+        return twin
 
     # ------------------------------------------------------------------ forward/backward
 
@@ -85,7 +124,9 @@ class Sequential:
         feats: np.ndarray | None = None
         for i, layer in enumerate(self.layers):
             if i == self.feature_index:
-                feats = out if out.ndim <= 2 else out.reshape(out.shape[0], -1)
+                lead = self._flat.ndim  # replica axes + the batch axis
+                feats = (out if out.ndim <= lead + 1
+                         else out.reshape(out.shape[:lead] + (-1,)))
             out = layer.forward(out, training=training)
         assert feats is not None  # feature_index < len(layers)
         return out, feats
@@ -146,16 +187,17 @@ class Sequential:
         The returned arrays are views over one fresh flat vector, so
         ``flatten_params`` on the result is zero-copy.
         """
-        return self._spec.view(self._flat.copy())
+        return self._views(self._flat.copy())
 
     def set_params(self, params: Params) -> None:
+        """Copy ``params`` in; one replica's tensors set every replica."""
         own = self.params
         if len(own) != len(params):
             raise ValueError(
                 f"parameter list length mismatch: model has {len(own)}, got {len(params)}"
             )
         for dst, src in zip(own, params):
-            if dst.shape != src.shape:
+            if dst.shape[dst.ndim - src.ndim:] != src.shape:
                 raise ValueError(f"parameter shape mismatch: {dst.shape} vs {src.shape}")
             np.copyto(dst, src, casting="same_kind")
 

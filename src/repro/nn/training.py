@@ -3,10 +3,17 @@
 This is the per-party workhorse of the FL simulator.  The FedProx objective
 adds ``(mu/2) * ||w - w_global||^2`` to the local loss, which materializes as
 ``mu * (w - w_global)`` added to every parameter gradient.
+
+On a :meth:`~repro.nn.network.Sequential.stacked` model the same loop trains
+``r`` replicas in lockstep, each on its own data with its own generator:
+what one replica ends on is what a plain call on its slice ends on, byte for
+byte.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,35 +41,71 @@ class LocalTrainingConfig:
             raise ValueError("epochs must be non-negative")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive; got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1); got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ValueError(
+                f"weight_decay must be non-negative; got {self.weight_decay}")
         if self.prox_mu < 0:
             raise ValueError("prox_mu must be non-negative")
+        if self.max_batches_per_epoch is not None and self.max_batches_per_epoch < 1:
+            raise ValueError("max_batches_per_epoch must be at least 1 when given; "
+                             f"got {self.max_batches_per_epoch}")
 
 
 @dataclass
 class LocalTrainingResult:
-    """Outcome of a local pass: final params plus bookkeeping."""
+    """Outcome of a local pass: final params plus bookkeeping.
+
+    ``num_samples`` counts every replica's samples and ``batches`` is per
+    replica; ``replica_losses[i]`` is replica ``i``'s batch losses in order,
+    and ``losses`` / ``mean_loss`` cover every replica's (a plain call is one
+    replica, so ``replica_losses == [losses]``).
+    """
 
     params: Params
     num_samples: int
     mean_loss: float
     batches: int
     losses: list[float] = field(default_factory=list)
+    replica_losses: list[list[float]] = field(default_factory=list)
+
+
+def mean_loss(losses: list[float]) -> float:
+    """Mean of batch losses (``np.mean``'s sum and division); NaN when no
+    batch ran."""
+    return float(np.asarray(losses).sum() / len(losses)) if losses else float("nan")
 
 
 def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
-                config: LocalTrainingConfig, rng: np.random.Generator,
+                config: LocalTrainingConfig,
+                rng: np.random.Generator | Sequence[np.random.Generator],
                 global_params: Params | None = None,
                 out_flat: np.ndarray | None = None) -> LocalTrainingResult:
     """Run local epochs of mini-batch SGD on ``model`` (updated in place).
 
     ``global_params`` anchors the FedProx proximal term; required when
-    ``config.prox_mu > 0``.  ``out_flat``, when given, receives the trained
-    flat parameter vector and the result's ``params`` become views of it —
-    the caller can hand over a :class:`~repro.utils.params.ParamBank` row so
-    the update lands directly in the aggregation bank without extra copies.
+    ``config.prox_mu > 0``.  ``out_flat``, when given (plain models only),
+    receives the trained flat parameter vector and the result's ``params``
+    become views of it — the caller can hand over a
+    :class:`~repro.utils.params.ParamBank` row so the update lands directly
+    in the aggregation bank without extra copies.
+
+    The stacked form: on a model with a replica axis (``Sequential.stacked(r)``)
+    ``x`` is ``(r, n, ...)``, ``y`` is ``(r, n)`` and ``rng`` is one generator
+    per replica.  Each replica draws its own permutation every epoch, as a
+    plain call would, and all of them step through one loop.
     """
+    lead = model.flat_params.shape[:-1]
+    rngs = list(rng) if lead else [rng]
     x = np.asarray(x, dtype=model.dtype)
     y = np.asarray(y)
+    if x.shape[:len(lead)] != lead or len(rngs) != math.prod(lead):
+        raise ValueError(
+            f"a model of {lead} replicas needs (*{lead}, n, ...) inputs and one "
+            f"generator per replica; got x {x.shape} and {len(rngs)} generators")
 
     def result_params() -> Params:
         if out_flat is None:
@@ -70,43 +113,60 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
         np.copyto(out_flat, model.flat_params, casting="same_kind")
         return model.spec.view(out_flat)
 
-    n = x.shape[0]
+    n = x.shape[len(lead)]
     if n == 0:
-        return LocalTrainingResult(result_params(), 0, float("nan"), 0)
-    if y.shape[0] != n:
-        raise ValueError("x and y must have matching first dimension")
+        return LocalTrainingResult(result_params(), 0, float("nan"), 0,
+                                   replica_losses=[[] for _ in rngs])
+    if y.shape != x.shape[:len(lead) + 1]:
+        raise ValueError("x and y must have matching leading dimensions")
     if config.prox_mu > 0 and global_params is None:
         raise ValueError("prox_mu > 0 requires global_params")
 
     optimizer = SGD(config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
     # Every update below is element-wise, so it runs on the model's flat
     # parameter/gradient vectors: one ufunc call each instead of one per tensor.
+    # The optimizer steps each replica's row on its own, so a row's
+    # parameters, gradient and velocity stay in cache across its passes.
     flat, flat_grads = model.flat_params, model.flat_grads
+    param_rows = list(flat.reshape(len(rngs), -1))
+    grad_rows = list(flat_grads.reshape(len(rngs), -1))
     if config.prox_mu > 0:
         global_flat = flatten_params(global_params, dtype=global_params[0].dtype)
-    losses: list[float] = []
+    # Replica i's samples are rows i*n ... i*n + n - 1 of one sample axis, so
+    # every replica's batch is one gather.
+    samples_x = x.reshape((-1,) + x.shape[len(lead) + 1:])
+    samples_y = y.reshape(-1)
+    first_row = n * np.arange(len(rngs))[:, None]
+    shuffled = np.empty((len(rngs), n), dtype=np.int64)
+    order = shuffled.reshape(lead + (n,))
+    step_losses = []
     batches_run = 0
     for _epoch in range(config.epochs):
-        order = rng.permutation(n)
+        for k, g in enumerate(rngs):
+            shuffled[k] = g.permutation(n)
+        shuffled += first_row
         epoch_batches = 0
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = x[idx], y[idx]
+            idx = order[..., start:start + config.batch_size]
+            xb, yb = samples_x[idx], samples_y[idx]
             model.zero_grads()
             logits = model.forward(xb, training=True)
             loss, grad = softmax_cross_entropy(logits, yb)
             model.backward_params(grad)
             if config.prox_mu > 0:
                 flat_grads += config.prox_mu * (flat - global_flat)
-            optimizer.step([flat], [flat_grads])
-            losses.append(loss)
+            optimizer.step(param_rows, grad_rows)
+            step_losses.append(loss)
             batches_run += 1
             epoch_batches += 1
             if (config.max_batches_per_epoch is not None
                     and epoch_batches >= config.max_batches_per_epoch):
                 break
-    mean_loss = float(np.mean(losses)) if losses else float("nan")
-    return LocalTrainingResult(result_params(), n, mean_loss, batches_run, losses)
+    replica_losses = np.array(step_losses, dtype=np.float64).reshape(
+        batches_run, len(rngs)).T.tolist()
+    losses = [loss for replica in replica_losses for loss in replica]
+    return LocalTrainingResult(result_params(), n * len(rngs), mean_loss(losses),
+                               batches_run, losses, replica_losses)
 
 
 def evaluate(model: Sequential, x: np.ndarray,

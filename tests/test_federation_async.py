@@ -301,8 +301,8 @@ class TestFederationEngine:
         assert sum(bank._live) == engine.in_flight == 2
 
         trained = []
-        train_2 = ctx.parties[2].local_train
-        ctx.parties[2].local_train = lambda *a, **k: (
+        train_2 = ctx.parties[2].train_split
+        ctx.parties[2].train_split = lambda *a, **k: (
             trained.append(2), train_2(*a, **k))[1]
         with pytest.raises(KeyError, match="99"):
             dispatch([2, 99])
@@ -310,7 +310,7 @@ class TestFederationEngine:
 
         def crash(*args, **kwargs):
             raise RuntimeError("party crashed mid-training")
-        ctx.parties[3].local_train = crash
+        ctx.parties[3].train_split = crash
         with pytest.raises(RuntimeError, match="crashed"):
             dispatch([2, 3])
         assert trained == [2]  # party 2's row was taken, then given back

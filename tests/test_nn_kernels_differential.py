@@ -1,10 +1,13 @@
-"""Differential tests: the conv-net kernels against the ones they replaced.
+"""Differential tests: the conv-net kernels against the ones they replaced,
+and a stack of replicas against the same replicas one at a time.
 
 The ``ref_*`` functions (``benchmarks/reference.py``) are the previous
 ``_im2col``, ``_col2im``, ``MaxPool2d.forward/backward`` and per-tensor
 training step, kept verbatim.  The live kernels only reorder memory
 traffic — every floating-point operation and its order are the same — so the
-comparison is ``np.array_equal``, never ``allclose``.
+comparison is ``np.array_equal``, never ``allclose``.  A stacked model
+(``Sequential.stacked``) runs each replica's slice through the same
+operations, so it is compared by bytes too.
 """
 
 import numpy as np
@@ -18,9 +21,21 @@ from benchmarks.reference import (
     ref_pool_forward,
     ref_train_local,
 )
-from repro.nn.layers import Conv2d, MaxPool2d, _col2im, _im2col
+from repro.federation.party import Party, train_parties
+from repro.nn.layers import (
+    Conv2d,
+    Dense,
+    Flatten,
+    MaxPool2d,
+    ReLU,
+    Standardize,
+    _col2im,
+    _im2col,
+)
 from repro.nn.models import build_model, model_names
+from repro.nn.network import Sequential
 from repro.nn.training import LocalTrainingConfig, train_local
+from repro.utils.rng import spawn_rng
 
 # ---------------------------------------------------------------- input strategies
 
@@ -177,6 +192,7 @@ CONFIGS = {
     "momentum_decay": {"momentum": 0.9, "weight_decay": 1e-3},
     "prox": {"prox_mu": 0.1},
     "prox_momentum_decay": {"prox_mu": 0.1, "momentum": 0.5, "weight_decay": 1e-3},
+    "batch_cap": {"max_batches_per_epoch": 1},
 }
 
 
@@ -229,3 +245,126 @@ def test_prox_anchor_as_plain_float32_list_matches_reference():
         train(model, x, y, config, np.random.default_rng(3), global_params=anchor)
         finals.append(model.flat_params.tobytes())
     assert finals[0] == finals[1]
+
+
+# ---------------------------------------------------------------- a stack of replicas
+
+
+def _layer_cases():
+    """(layer factory, per-replica input shape) for every layer kind."""
+    return {
+        "dense": (lambda rng: Dense(5, 3, rng), (4, 5)),
+        "conv_s2_p0": (lambda rng: Conv2d(2, 3, 3, rng, stride=2), (3, 2, 7, 8)),
+        "conv_s1_p1": (lambda rng: Conv2d(2, 3, 3, rng, padding=1), (2, 2, 6, 6)),
+        "maxpool": (lambda rng: MaxPool2d(2), (2, 3, 4, 6)),
+        "relu": (lambda rng: ReLU(), (3, 2, 4, 4)),
+        "flatten": (lambda rng: Flatten(), (3, 2, 4, 5)),
+        "standardize": (lambda rng: Standardize(), (3, 2, 4, 4)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_layer_cases())), replicas=st.integers(1, 4),
+       dtype=DTYPES, kind=KINDS, nan_window=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(name="maxpool", replicas=3, dtype=np.float32, kind="integer",
+         nan_window=True, seed=0)
+@example(name="conv_s2_p0", replicas=2, dtype=np.float64, kind="normal",
+         nan_window=False, seed=1)
+def test_stacked_layer_matches_each_replica(name, replicas, dtype, kind,
+                                            nan_window, seed):
+    """Forward, input gradient and parameter gradients of a stacked layer,
+    replica by replica, against the plain layer holding that replica's
+    parameters — byte for byte."""
+    make, shape = _layer_cases()[name]
+    rng = np.random.default_rng(seed)
+    plains = [Sequential([make(rng)], dtype=dtype) for _ in range(replicas)]
+    stack = plains[0].stacked(replicas)
+    for k, plain in enumerate(plains):
+        stack.flat_params[k] = plain.flat_params
+    kind = kind if len(shape) == 4 else "normal"
+    x = np.stack([tensor(rng, shape, dtype, kind) for _ in range(replicas)])
+    if nan_window:
+        x[(-1,) + (0,) * len(shape)] = np.nan  # poisons one window of one replica
+    out = stack.layers[0].forward(x, training=True)
+    grad_outs = np.stack([tensor(rng, out.shape[1:], dtype, "normal")
+                          for _ in range(replicas)])
+    grad_in = stack.layers[0].backward(grad_outs)
+    for k, plain in enumerate(plains):
+        layer = plain.layers[0]
+        assert out[k].tobytes() == layer.forward(x[k], training=True).tobytes()
+        assert grad_in[k].tobytes() == layer.backward(grad_outs[k]).tobytes()
+        assert stack.flat_grads[k].tobytes() == plain.flat_grads.tobytes()
+
+
+def _fresh_model(name, dtype):
+    model = build_model(name, INPUT_SHAPES[name], 4, np.random.default_rng(5), dtype=dtype)
+    anchor = model.get_params()
+    model.flat_params[:] += 0.01  # so the proximal term is not zero
+    return model, anchor
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(model_names()), dtype=st.sampled_from(["float32", "float64"]),
+       config_name=st.sampled_from(sorted(CONFIGS)), replicas=st.integers(1, 6),
+       n=st.sampled_from([0, 1, 8, 13]), seed=st.integers(0, 2**16))
+def test_stacked_train_local_is_each_replica_alone(name, dtype, config_name,
+                                                   replicas, n, seed):
+    """One stacked call == ``ref_train_local`` once per replica: final
+    parameters by bytes, every batch loss, samples counted over replicas."""
+    config = LocalTrainingConfig(epochs=2, batch_size=8, lr=0.05, **CONFIGS[config_name])
+    data_rng = np.random.default_rng(seed)
+    xs = data_rng.random((replicas, n) + INPUT_SHAPES[name])
+    ys = data_rng.integers(0, 4, (replicas, n))
+    model, anchor = _fresh_model(name, dtype)
+    stack = model.stacked(replicas)
+    result = train_local(stack, xs, ys, config,
+                         [np.random.default_rng((seed, k)) for k in range(replicas)],
+                         global_params=anchor if config.prox_mu else None)
+    assert result.num_samples == replicas * n
+    assert len(result.replica_losses) == replicas
+    for k in range(replicas):
+        ref_model, anchor = _fresh_model(name, dtype)
+        ref_losses = ref_train_local(ref_model, xs[k], ys[k], config,
+                                     np.random.default_rng((seed, k)), anchor)
+        assert stack.flat_params[k].tobytes() == ref_model.flat_params.tobytes()
+        assert result.replica_losses[k] == ref_losses
+        assert result.batches == len(ref_losses)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(model_names()), dtype=st.sampled_from(["float32", "float64"]),
+       config_name=st.sampled_from(sorted(CONFIGS)),
+       sizes=st.lists(st.sampled_from([0, 5, 9, 16]), min_size=1, max_size=6),
+       seed=st.integers(0, 2**16))
+@example(name="lenet_mini", dtype="float32", config_name="prox_momentum_decay",
+         sizes=[9, 0, 9, 16, 9, 0], seed=3)
+def test_train_parties_is_each_party_alone(name, dtype, config_name, sizes, seed):
+    """Mixed split sizes (empty included) group into stacked calls; every
+    party's update is what ``ref_train_local`` gives it alone, from the same
+    start and generator — and a party without samples reports the start."""
+    config = LocalTrainingConfig(epochs=2, batch_size=8, lr=0.05, **CONFIGS[config_name])
+    shape = INPUT_SHAPES[name]
+    data_rng = np.random.default_rng(seed)
+    data = [(data_rng.random((n,) + shape), data_rng.integers(0, 4, n)) for n in sizes]
+    model, _anchor = _fresh_model(name, dtype)
+    start = model.get_params()
+    trainees = [(Party(pid, model, 4, seed=seed), x, y)
+                for pid, (x, y) in enumerate(data)]
+    outs = [np.empty(model.num_params, dtype=model.dtype) if pid % 2 else None
+            for pid in range(len(sizes))]
+    updates = train_parties(trainees, start, config, ("round", 1), outs)
+    for pid, ((x, y), update, out) in enumerate(zip(data, updates, outs)):
+        ref_model, _anchor = _fresh_model(name, dtype)
+        ref_losses = ref_train_local(
+            ref_model, x, y, config, spawn_rng(seed, "party-train", pid, ("round", 1)),
+            start)
+        trained = np.concatenate([p.ravel() for p in update.params])
+        assert trained.tobytes() == ref_model.flat_params.tobytes()
+        if out is not None:
+            assert all(np.shares_memory(p, out) for p in update.params)
+        assert update.party_id == pid and update.num_samples == len(x)
+        if ref_losses:
+            assert update.mean_loss == float(np.mean(ref_losses))
+        else:
+            assert np.isnan(update.mean_loss)

@@ -45,6 +45,11 @@ class TestFactories:
         with pytest.raises(ValueError):
             build_model("lenet_mini", (16,), 3, rng)
 
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 1, 8, 8)])
+    def test_mlp_takes_flat_or_chw_input_only(self, rng, shape):
+        with pytest.raises(ValueError, match="mlp expects"):
+            build_model("mlp", shape, 3, rng)
+
     def test_model_names_registry(self):
         assert model_names() == ("mlp", "lenet_mini")
 

@@ -98,6 +98,22 @@ class TestFedProx:
         with pytest.raises(ValueError):
             LocalTrainingConfig(epochs=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_batches_per_epoch", 0), ("max_batches_per_epoch", -2),
+        ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
+        ("momentum", 1.0), ("momentum", 3.0), ("momentum", -0.1),
+        ("weight_decay", -1e-3),
+    ])
+    def test_config_rejects_what_sgd_cannot_run(self, field, value):
+        """Refused at construction, naming the field — not at the first
+        non-empty SGD step (a cap of 0 used to train one batch an epoch)."""
+        with pytest.raises(ValueError, match=field):
+            LocalTrainingConfig(**{field: value})
+
+    def test_config_accepts_the_edges_sgd_runs(self):
+        LocalTrainingConfig(max_batches_per_epoch=1, momentum=0.0,
+                            weight_decay=0.0, lr=1e-9)
+
 
 class TestEvaluate:
     def test_accuracy_and_loss_ranges(self, rng):

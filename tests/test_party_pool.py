@@ -26,6 +26,7 @@ from repro.core import ShiftExStrategy
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.registry import build_strategy, strategy_names
+from repro.federation import async_engine
 from repro.federation.async_engine import FederationConfig, FederationEngine
 from repro.federation.availability import (
     AvailabilityConfig,
@@ -628,6 +629,45 @@ class TestPopulationScaleRuns:
         assert bounded.extras["party_pool"]["evictions"] > 0
 
 
+def _per_party_cohort(parties, participant_ids, params, config, round_tag,
+                      bank, seal=None):
+    """The per-party cohort loop ``train_cohort`` replaced, kept as the
+    reference for what the pool sees: pin, train, seal, release — one
+    party at a time."""
+    for party_id in participant_ids:
+        if party_id not in parties:
+            raise KeyError(f"unknown party id {party_id}")
+    rows, updates = [], []
+    for party_id in participant_ids:
+        row = bank.alloc()
+        rows.append(row)
+        party = parties.acquire(party_id)
+        try:
+            update = party.local_train(params, config.local, round_tag,
+                                       out_flat=bank.row(row))
+            if seal is not None:
+                seal(party_id, row, update)
+        finally:
+            parties.release(party_id)
+        updates.append(update)
+    return rows, updates
+
+
+class TestCohortTrainerShowsThePoolAPerPartyLoop:
+    def test_cohort_beyond_max_resident_keeps_the_counters(self, monkeypatch):
+        """A cohort of 6 over 2 resident slots: the stacked cohort trainer
+        pins one party at a time for its read, so the residency counters
+        (evictions, rebuilds, peak) are the per-party loop's exactly —
+        pinning the whole cohort before training would overshoot to 6."""
+        cohort, max_resident = 6, 2
+        live = _population_run(500, cohort, max_resident)
+        monkeypatch.setattr(async_engine, "train_cohort", _per_party_cohort)
+        reference = _population_run(500, cohort, max_resident)
+        assert live.extras["party_pool"] == reference.extras["party_pool"]
+        assert live.extras["party_pool"]["peak_resident"] <= max_resident + 1
+        assert _canonical(live) == _canonical(reference)
+
+
 class TestOnlyReadSplitsAreGenerated:
     """Window data is generated split by split, on first read."""
 
@@ -659,8 +699,8 @@ class TestOnlyReadSplitsAreGenerated:
                ("generate", party, split.split("-")[0]))
         record(monkeypatch, events, FederatedShiftDataset, "virtual_party_window",
                lambda ds, party, window: ("bind", party, None))
-        record(monkeypatch, events, Party, "local_train",
-               lambda party, *a, **k: ("read", party.party_id, "train"))
+        record(monkeypatch, events, Party, "train_split",
+               lambda party: ("read", party.party_id, "train"))
         record(monkeypatch, events, Party, "label_histogram",
                lambda party: ("read", party.party_id, "train"))
         record(monkeypatch, events, Party, "evaluate",

@@ -173,6 +173,19 @@ _MINIMAL = {"dataset": "fashion_mnist_sim", "strategies": ["fedavg"]}
 _RETIREMENT = "why-parameter-banks-are-not-sharded"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lr", -1.0), ("momentum", 3.0), ("weight_decay", -0.5),
+    ("max_batches_per_epoch", 0),
+])
+def test_a_local_config_sgd_cannot_run_fails_at_plan_load(key, value):
+    """Refused by the reader, naming the key — a run whose parties happen
+    to be empty would otherwise never meet the optimizer that rejects it."""
+    data = _full_plan().to_dict()
+    data["settings_override"]["round_config"]["local"][key] = value
+    with pytest.raises(ValueError, match=key):
+        ExperimentPlan.from_dict(data)
+
+
 class TestUnknownAndRetiredKeys:
     @pytest.mark.parametrize("build", [
         lambda: ExperimentPlan.from_dict(

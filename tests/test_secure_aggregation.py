@@ -26,6 +26,7 @@ from repro.data.federated import FederatedShiftDataset
 from repro.experiments.registry import build_strategy
 from repro.federation.async_engine import FederationConfig, FederationEngine
 from repro.federation.availability import AvailabilityConfig
+from repro.federation.rounds import make_round_session, train_cohort
 from repro.harness.runner import run_strategy
 from repro.privacy.secure_aggregation import (
     MaskingSpec,
@@ -261,6 +262,41 @@ class TestBufferResidency:
 
 
 # ------------------------------------------------------- full-run invariants
+
+class TestCohortSealing:
+    def test_every_row_is_sealed_when_train_cohort_returns(self, tiny_spec,
+                                                           tiny_dataset):
+        """The cohort trains as one program, then seals: by the time
+        ``train_cohort`` hands its rows back every one is sealed, in cohort
+        order, and unseals to the bytes the unmasked cohort wrote."""
+        ctx, params = _fresh(tiny_spec, tiny_dataset)
+        ids = [5, 0, 3, 1, 6]
+        spec = ParamSpec.of(params)
+
+        def bank():
+            return ParamBank(spec, dtype=ctx.parties.dtype, capacity=2)
+
+        plain = bank()
+        plain_rows, _ = train_cohort(ctx.parties, ids, params, ctx.round_config,
+                                     (0, 0), plain)
+        masked = bank()
+        session, seal = make_round_session(ids, spec, masked, MaskingSpec(11),
+                                           context=("stream", "g", 0, (0, 0)))
+        order = []
+        rows, updates = train_cohort(
+            ctx.parties, ids, params, ctx.round_config, (0, 0), masked,
+            seal=lambda pid, row, update: (order.append(pid),
+                                           seal(pid, row, update)))
+        assert order == ids
+        assert all(u.num_samples > 0 for u in updates)
+        for pid, row, plain_row in zip(ids, rows, plain_rows):
+            assert session.is_sealed(pid)
+            resident = masked.row(row)
+            assert not np.array_equal(resident, plain.row(plain_row))
+            recovered = resident.copy()
+            session.unseal_row(pid, recovered)
+            assert recovered.tobytes() == plain.row(plain_row).tobytes()
+
 
 class TestMaskedRunsBitwise:
     def _spec_ds(self, seed):
