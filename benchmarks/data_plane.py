@@ -1,10 +1,11 @@
 """Where a party window goes, and how much of what is generated is read.
 
-Three measurements behind docs/ARCHITECTURE.md "The data plane":
+Four measurements behind docs/ARCHITECTURE.md "The data plane":
 
-    PYTHONPATH=src python benchmarks/data_plane.py          # per-stage table
-    PYTHONPATH=src python benchmarks/data_plane.py --plans  # generated vs read
-    PYTHONPATH=src python benchmarks/data_plane.py --sha    # bitwise sweep
+    PYTHONPATH=src python benchmarks/data_plane.py                # per-stage table
+    PYTHONPATH=src python benchmarks/data_plane.py --plans        # generated vs read
+    PYTHONPATH=src python benchmarks/data_plane.py --sha          # bitwise sweep
+    PYTHONPATH=src python benchmarks/data_plane.py --corruptions  # numpy vs scipy
 
 The stage table times one train split of each pinned e2e plan's dataset
 (``pool_100k``: ``femnist_sim``, ``wide_server``: ``fashion_mnist_sim``,
@@ -16,7 +17,11 @@ samples some protocol op read.  ``--sha`` prints one SHA-256 per registry
 dataset over all four arrays of every window x every third in-schedule party
 + two virtual ids.  ``--plans`` and ``--sha`` use only names an older checkout
 also has, so pointing ``PYTHONPATH`` at its ``src`` gives the "before"
-numbers.  Report-only; nothing gates on it and no file is written.
+numbers.  ``--corruptions`` (needs scipy, the reference) times each
+``repro.data.ndimage`` kernel against the ``scipy.ndimage`` call it replaced,
+and each operator that uses one against its scipy-backed copy in
+``reference.py``, at the pinned plans' train-split shapes, then checks every
+output byte for byte.  Report-only; nothing gates on it and no file is written.
 """
 
 from __future__ import annotations
@@ -217,16 +222,67 @@ def sha_sweep() -> None:
         print(name, digest.hexdigest())
 
 
+# ---------------------------------------------------------------- numpy vs scipy
+
+
+def corruption_table() -> None:
+    # Imported here: --plans and --sha must run against a checkout without it.
+    from repro.data import ndimage as kernels
+
+    scipy = reference.ndimage
+    shapes: dict[tuple, list[str]] = {}
+    for workload in PLANS:
+        spec, _settings = pinned_plan(workload).resolve()
+        shape = (spec.train_per_window, *spec.input_shape)
+        shapes.setdefault(shape, []).append(workload)
+    timed = partial(reference.best_us, calls=20, repeats=5)
+    bitwise = True
+    for shape, workloads in shapes.items():
+        x = np.random.default_rng(0).random(shape)
+        pairs = [  # (label, numpy call, scipy call)
+            *((f"gaussian_filter {s:g}", partial(kernels.gaussian_filter, x, s),
+               partial(scipy.gaussian_filter, x, (0, 0, s, s)))
+              for s in (shape[2] / 4, 1.0, 1.6)),  # fog, frost, gaussian_blur 5
+            *((f"uniform_filter {k}", partial(kernels.uniform_filter, x, k),
+               partial(scipy.uniform_filter, x, (1, 1, k, k))) for k in (3, 5)),
+            ("rotate 41.5", partial(kernels.rotate, x, 41.5),
+             partial(scipy.rotate, x, 41.5, axes=(2, 3), reshape=False, order=1,
+                     mode="nearest")),
+            ("zoom 1.7", partial(kernels.zoom, x, 1.7),
+             partial(scipy.zoom, x, (1, 1, 1.7, 1.7), order=1)),
+            *((f"{name} 5",
+               lambda name=name: apply_corruption(x, name, 5, np.random.default_rng(0)),
+               lambda ref=ref: ref(x, 5, np.random.default_rng(0)))
+              for name, ref in reference.SCIPY_CORRUPTIONS.items()),
+        ]
+        print(f"{' / '.join(workloads)} {shape}")
+        print(f"  {'us per call':<36}{'numpy':>9}{'scipy':>9}")
+        for label, live, ref in pairs:
+            print(f"  {label:<36}{timed(live):>9.1f}{timed(ref):>9.1f}")
+            bitwise &= live().tobytes() == ref().tobytes()
+        for severity in range(1, 6):
+            for name, ref in reference.SCIPY_CORRUPTIONS.items():
+                got = apply_corruption(x, name, severity, np.random.default_rng(severity))
+                want = ref(x, severity, np.random.default_rng(severity))
+                bitwise &= got.tobytes() == want.tobytes()
+    print(f"bitwise: {bitwise}")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--plans", action="store_true")
     mode.add_argument("--sha", action="store_true")
+    mode.add_argument("--corruptions", action="store_true")
     args = parser.parse_args()
     if args.plans:
         plans_table()
     elif args.sha:
         sha_sweep()
+    elif args.corruptions:
+        if reference.ndimage is None:
+            parser.exit(2, "--corruptions needs scipy, the reference it times\n")
+        corruption_table()
     else:
         for workload in PLANS:
             stage_table(workload)

@@ -5,12 +5,14 @@ bodies a perf PR replaced, kept verbatim — the detection plane's previous MMD
 code (three distance matrices and three ``exp`` per pair, a Python loop per
 shared class, a median heuristic gathered through ``triu_indices``), the conv
 kernels' previous ``im2col`` / ``col2im`` / max-pool and per-tensor training
-step, k-means as one Lloyd loop per (k, restart) problem, and the data plane's
-previous per-image ``np.roll`` sampler and eager window assembly.
-``tests/test_{detection,data}_differential.py``,
-``tests/test_nn_kernels_differential.py`` and ``tests/test_clustering.py`` pin
-the live code against them and ``benchmarks/{detection,data}_plane.py`` check
-against the same copy.
+step, k-means as one Lloyd loop per (k, restart) problem, the data plane's
+previous per-image ``np.roll`` sampler and eager window assembly, and the six
+corruption operators as they were over ``scipy.ndimage`` (``SCIPY_CORRUPTIONS``;
+scipy is a test-only dependency, so ``ndimage`` / ``special`` are ``None``
+without it).  ``tests/test_{detection,data}_differential.py``,
+``tests/test_data_kernels.py``, ``tests/test_nn_kernels_differential.py`` and
+``tests/test_clustering.py`` pin the live code against them and
+``benchmarks/{detection,data}_plane.py`` check against the same copy.
 """
 
 from __future__ import annotations
@@ -21,10 +23,16 @@ import numpy as np
 
 from repro.clustering.davies_bouldin import davies_bouldin_index
 from repro.clustering.kmeans import KMeansResult
+from repro.data.corruptions import _check_batch, _sev
 from repro.data.federated import PartyWindowData
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.optim import SGD
 from repro.utils.validation import check_2d
+
+try:  # a test-only reference: a run never imports scipy
+    from scipy import ndimage, special
+except ImportError:
+    ndimage = special = None
 
 
 def best_us(fn, *args, calls: int, repeats: int) -> float:
@@ -418,3 +426,81 @@ def ref_assemble_window(self, party, shard, window):
         regime=regime,
         label_prior=prior.copy(),
     )
+
+
+# ---------------------------------------------------------------- corruptions
+
+
+def ref_gaussian_blur(x, severity, rng):
+    sigma = _sev((0.4, 0.6, 0.9, 1.2, 1.6), severity)
+    x = _check_batch(x)
+    return np.clip(ndimage.gaussian_filter(x, sigma=(0, 0, sigma, sigma)), 0.0, 1.0)
+
+
+def ref_defocus_blur(x, severity, rng):
+    size = _sev((2, 3, 3, 5, 5), severity)
+    repeats = _sev((1, 1, 2, 1, 2), severity)
+    x = _check_batch(x)
+    out = x
+    for _ in range(repeats):
+        out = ndimage.uniform_filter(out, size=(1, 1, size, size))
+    return np.clip(out, 0.0, 1.0)
+
+
+def _ref_smooth_field(shape, rng, smoothness):
+    """Normalized low-frequency random field in [0, 1]."""
+    field = rng.normal(size=shape)
+    field = ndimage.gaussian_filter(field, sigma=(0, 0, smoothness, smoothness))
+    lo = field.min(axis=(2, 3), keepdims=True)
+    hi = field.max(axis=(2, 3), keepdims=True)
+    return (field - lo) / np.maximum(hi - lo, 1e-9)
+
+
+def ref_fog(x, severity, rng):
+    """Blend toward a bright low-frequency haze field and reduce contrast."""
+    t = _sev((0.30, 0.40, 0.50, 0.60, 0.70), severity)
+    x = _check_batch(x)
+    haze = 0.6 + 0.4 * _ref_smooth_field(x.shape, rng, smoothness=x.shape[2] / 4)
+    return np.clip((1.0 - t) * x + t * haze, 0.0, 1.0)
+
+
+def ref_frost(x, severity, rng):
+    """Overlay bright crystalline patches (thresholded smooth noise)."""
+    cover = _sev((0.20, 0.30, 0.40, 0.50, 0.60), severity)
+    strength = _sev((0.4, 0.5, 0.6, 0.7, 0.8), severity)
+    x = _check_batch(x)
+    field = _ref_smooth_field(x.shape, rng, smoothness=1.0)
+    crystals = (field > 1.0 - cover) * strength
+    return np.clip(np.maximum(x, crystals) * (1.0 - 0.15 * strength) + 0.1 * strength,
+                   0.0, 1.0)
+
+
+def ref_rotation(x, severity, rng):
+    angle = _sev((8.0, 15.0, 22.0, 30.0, 40.0), severity)
+    x = _check_batch(x)
+    jitter = rng.uniform(-3.0, 3.0)
+    return np.clip(
+        ndimage.rotate(x, angle + jitter, axes=(2, 3), reshape=False, order=1,
+                       mode="nearest"),
+        0.0, 1.0,
+    )
+
+
+def ref_scale_jitter(x, severity, rng):
+    factor = _sev((1.15, 1.25, 1.35, 1.50, 1.70), severity)
+    x = _check_batch(x)
+    n, c, h, w = x.shape
+    zoomed = ndimage.zoom(x, (1, 1, factor, factor), order=1)
+    zh, zw = zoomed.shape[2], zoomed.shape[3]
+    top, left = (zh - h) // 2, (zw - w) // 2
+    return np.clip(zoomed[:, :, top:top + h, left:left + w], 0.0, 1.0)
+
+
+SCIPY_CORRUPTIONS = {
+    "gaussian_blur": ref_gaussian_blur,
+    "defocus_blur": ref_defocus_blur,
+    "fog": ref_fog,
+    "frost": ref_frost,
+    "rotation": ref_rotation,
+    "scale_jitter": ref_scale_jitter,
+}

@@ -8,6 +8,9 @@ corrupted batch of the same shape and range, moving ``P(X)`` while leaving
 class semantics (``P(Y|X)``) intact.
 
 Severity runs 1..5 (paper convention); parameters grow monotonically.
+:func:`apply_corruption`, the library's entry point, checks it once for
+every operator.  The filters and resamplers are :mod:`repro.data.ndimage`'s
+numpy kernels, byte-identical to the SciPy ``ndimage`` calls they replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
+
+from repro.data import ndimage
 
 CorruptionFn = Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
 
@@ -34,7 +38,7 @@ def _check_severity(severity: int) -> int:
 
 
 def _sev(values: tuple, severity: int):
-    return values[_check_severity(severity) - 1]
+    return values[severity - 1]
 
 
 def identity(x: np.ndarray, severity: int, rng: np.random.Generator) -> np.ndarray:
@@ -70,7 +74,7 @@ def impulse_noise(x: np.ndarray, severity: int, rng: np.random.Generator) -> np.
 def gaussian_blur(x: np.ndarray, severity: int, rng: np.random.Generator) -> np.ndarray:
     sigma = _sev((0.4, 0.6, 0.9, 1.2, 1.6), severity)
     x = _check_batch(x)
-    return np.clip(ndimage.gaussian_filter(x, sigma=(0, 0, sigma, sigma)), 0.0, 1.0)
+    return np.clip(ndimage.gaussian_filter(x, sigma), 0.0, 1.0)
 
 
 def defocus_blur(x: np.ndarray, severity: int, rng: np.random.Generator) -> np.ndarray:
@@ -79,7 +83,7 @@ def defocus_blur(x: np.ndarray, severity: int, rng: np.random.Generator) -> np.n
     x = _check_batch(x)
     out = x
     for _ in range(repeats):
-        out = ndimage.uniform_filter(out, size=(1, 1, size, size))
+        out = ndimage.uniform_filter(out, size)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -98,7 +102,7 @@ def _smooth_field(shape: tuple[int, ...], rng: np.random.Generator,
                   smoothness: float) -> np.ndarray:
     """Normalized low-frequency random field in [0, 1]."""
     field = rng.normal(size=shape)
-    field = ndimage.gaussian_filter(field, sigma=(0, 0, smoothness, smoothness))
+    field = ndimage.gaussian_filter(field, smoothness)
     lo = field.min(axis=(2, 3), keepdims=True)
     hi = field.max(axis=(2, 3), keepdims=True)
     return (field - lo) / np.maximum(hi - lo, 1e-9)
@@ -190,11 +194,7 @@ def rotation(x: np.ndarray, severity: int, rng: np.random.Generator) -> np.ndarr
     angle = _sev((8.0, 15.0, 22.0, 30.0, 40.0), severity)
     x = _check_batch(x)
     jitter = rng.uniform(-3.0, 3.0)
-    return np.clip(
-        ndimage.rotate(x, angle + jitter, axes=(2, 3), reshape=False, order=1,
-                       mode="nearest"),
-        0.0, 1.0,
-    )
+    return np.clip(ndimage.rotate(x, angle + jitter), 0.0, 1.0)
 
 
 def translate(x: np.ndarray, severity: int, rng: np.random.Generator) -> np.ndarray:
@@ -211,7 +211,7 @@ def scale_jitter(x: np.ndarray, severity: int, rng: np.random.Generator) -> np.n
     factor = _sev((1.15, 1.25, 1.35, 1.50, 1.70), severity)
     x = _check_batch(x)
     n, c, h, w = x.shape
-    zoomed = ndimage.zoom(x, (1, 1, factor, factor), order=1)
+    zoomed = ndimage.zoom(x, factor)
     zh, zw = zoomed.shape[2], zoomed.shape[3]
     top, left = (zh - h) // 2, (zw - w) // 2
     return np.clip(zoomed[:, :, top:top + h, left:left + w], 0.0, 1.0)
@@ -269,4 +269,4 @@ def apply_corruption(x: np.ndarray, name: str, severity: int,
     """Apply a named corruption at a given severity to a batch."""
     if name not in CORRUPTIONS:
         raise KeyError(f"unknown corruption '{name}'; available: {sorted(CORRUPTIONS)}")
-    return CORRUPTIONS[name](x, severity, rng)
+    return CORRUPTIONS[name](x, _check_severity(severity), rng)

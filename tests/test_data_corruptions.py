@@ -59,6 +59,12 @@ class TestAllCorruptions:
         with pytest.raises(ValueError):
             apply_corruption(batch, "fog", 6, rng)
 
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_every_operator_rejects_bad_severity(self, name, batch, rng):
+        for severity in (0, 6, 9, -1):
+            with pytest.raises(ValueError, match="severity must be in 1..5"):
+                apply_corruption(batch, name, severity, rng)
+
     def test_rejects_3d_input(self, rng):
         with pytest.raises(ValueError):
             apply_corruption(np.zeros((3, 8, 8)), "fog", 3, rng)
