@@ -14,7 +14,12 @@ runs the profile as it is.
 Usage::
 
     python examples/async_dropout_comparison.py [--dataset NAME] [--seed N]
-        [--mode buffered|async] [--dropout P] [--straggler P]
+        [--federation SPEC]
+
+``--federation`` takes the plan's spec string, as ``compare`` does, with
+the availability as dotted keys (default
+``async,staleness_policy=polynomial,availability.dropout_prob=0.3,``
+``availability.straggler_prob=0.2``).
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import replace
 
 from repro.experiments import ExperimentPlan
 from repro.federation.async_engine import FederationConfig
-from repro.federation.availability import AvailabilityConfig
 from repro.harness import render_drop_time_max_table
 from repro.harness.profiles import get_profile
 
@@ -53,24 +57,21 @@ def main() -> None:
                         help="run this dataset at the full ci profile "
                              "(default: fashion_mnist_sim at demo scale)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mode", default="async",
-                        choices=("buffered", "async"))
-    parser.add_argument("--dropout", type=float, default=0.3)
-    parser.add_argument("--straggler", type=float, default=0.2)
+    parser.add_argument("--federation",
+                        default="async,staleness_policy=polynomial,"
+                                "availability.dropout_prob=0.3,"
+                                "availability.straggler_prob=0.2")
     args = parser.parse_args()
 
-    federation = FederationConfig(
-        mode=args.mode,
-        staleness_policy="polynomial",
-        availability=AvailabilityConfig(dropout_prob=args.dropout,
-                                        straggler_prob=args.straggler),
-    )
+    federation = FederationConfig.from_value(args.federation, "--federation")
+    availability = federation.availability
 
     name = args.dataset or "fashion_mnist_sim"
     print(f"Running {METHODS} on {name} synchronously ...")
     sync_result = run_plan(args.dataset, args.seed, federation=None)
-    print(f"... and under {args.mode} rounds with "
-          f"{args.dropout:.0%} dropout / {args.straggler:.0%} stragglers ...")
+    print(f"... and under {federation.mode} rounds with "
+          f"{availability.dropout_prob:.0%} dropout / "
+          f"{availability.straggler_prob:.0%} stragglers ...")
     drop_result = run_plan(args.dataset, args.seed, federation=federation)
 
     print()
@@ -79,7 +80,8 @@ def main() -> None:
     print()
     print(render_drop_time_max_table(
         drop_result,
-        title=f"{name}: {args.mode}, {args.dropout:.0%} dropout"))
+        title=f"{name}: {federation.mode}, "
+              f"{availability.dropout_prob:.0%} dropout"))
 
     print("\nFederation engine counters:")
     for name, runs in drop_result.runs.items():

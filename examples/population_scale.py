@@ -17,8 +17,11 @@ is.
 
 Usage::
 
-    python examples/population_scale.py [--dataset NAME] [--population N]
-        [--cohort K] [--max-resident M] [--zipf-a A] [--seed N]
+    python examples/population_scale.py [--dataset NAME] [--seed N]
+        [--population SPEC] [--cohort-size K]
+
+``--population`` takes the plan's spec string, as ``compare`` does
+(default ``100000,max_resident=32,skew=zipf``).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import replace
 from repro.experiments import ExperimentPlan
 from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import AvailabilityConfig
+from repro.federation.pool import PopulationConfig
 from repro.harness.profiles import get_profile
 
 
@@ -37,12 +41,12 @@ def main() -> None:
     parser.add_argument("--dataset", default=None,
                         help="run this dataset at the full ci profile "
                              "(default: femnist_sim at demo scale)")
-    parser.add_argument("--population", type=int, default=100_000)
-    parser.add_argument("--cohort", type=int, default=8)
-    parser.add_argument("--max-resident", type=int, default=32)
-    parser.add_argument("--zipf-a", type=float, default=1.2)
+    parser.add_argument("--population", default="100000,max_resident=32,"
+                                                "skew=zipf")
+    parser.add_argument("--cohort-size", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    population = PopulationConfig.from_value(args.population, "--population")
 
     federation = FederationConfig(
         mode="async",
@@ -58,15 +62,12 @@ def main() -> None:
             settings_override=settings.scaled_rounds(0.5))
     plan = ExperimentPlan.build(
         dataset, ["fedavg"], seeds=(args.seed,), profile="ci",
-        federation=federation, **demo_scale,
-        population={"size": args.population,
-                    "max_resident": args.max_resident,
-                    "skew": "zipf", "zipf_a": args.zipf_a},
-        cohort_size=args.cohort,
+        federation=federation, population=population,
+        cohort_size=args.cohort_size, **demo_scale,
     )
-    print(f"Running fedavg on {dataset}: population "
-          f"{args.population:,}, zipf(a={args.zipf_a}) cohorts of "
-          f"{args.cohort}, flaky availability ...")
+    print(f"Running fedavg on {dataset}: population {population.size:,}, "
+          f"{population.skew}(a={population.zipf_a}) cohorts of "
+          f"{args.cohort_size}, flaky availability ...")
     result = plan.run()
     run = result.runs["fedavg"][0]
 
@@ -89,9 +90,9 @@ def main() -> None:
           f"mean_staleness={fed['mean_staleness']:.2f}")
     print("\nThe full-profile run from the CLI:")
     print(f"  python -m repro compare {dataset} --methods fedavg "
-          f"--participation async --scenario flaky "
-          f"--population {args.population} --cohort-size {args.cohort} "
-          f"--max-resident {args.max_resident} --participation-skew zipf")
+          f"--federation {federation.spec()} "
+          f"--population {population.spec()} "
+          f"--cohort-size {args.cohort_size}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Scenario files: declarative drift-diverse workloads, compiled to plans.
 
-The flag surface (``--scenario``, ``--dropout``, ``--population``, ...)
-covers *availability*; the scenario DSL also makes the drift itself part
-of the spec: which cohort shifts, how its shift arrives (sudden jump,
-gradual severity ramp, recurring regime, class-incremental labels), and
-how desynchronized its members are.  This example:
+The run knobs (``federation``, ``population``, ...) are spelled the same in
+a ``compare`` flag, a plan file and a scenario document; the scenario DSL
+also makes the drift itself part of the spec: which cohort shifts, how its
+shift arrives (sudden jump, gradual severity ramp, recurring regime,
+class-incremental labels), and how desynchronized its members are.
+This example:
 
 1. declares a two-cohort drift scenario as a plain dict (the in-memory
    twin of a TOML file — see docs/SCENARIOS.md);
@@ -30,9 +31,11 @@ SCENARIO = {
     "strategies": ["fedavg"],
     "data": {"parties": 8, "train_per_window": 24, "test_per_window": 12,
              "num_windows": 4},
-    "rounds": {"burn_in": 2, "per_window": 1, "participants": 4},
-    "availability": {"participation": "async", "straggler": 0.4,
-                     "dropout": 0.1},
+    "rounds": {"burn_in": 2, "per_window": 1},
+    "cohort_size": 4,
+    "federation": {"mode": "async",
+                   "availability": {"straggler_prob": 0.4,
+                                    "dropout_prob": 0.1}},
     "drift": [
         # Cohort A: fog severity ramps 1 -> 5 over two windows.
         {"arrival": "gradual", "corruption": "fog", "severity": 5,
@@ -81,9 +84,9 @@ def main() -> None:
     generator = ScenarioGenerator(seed=0)
     for index in range(3):
         doc = generator.sample(index)
+        federation = doc.federation.spec() if doc.federation else "profile"
         print(f"  {doc.name}: {doc.dataset}, "
-              f"{len(doc.drift)} drift cohort(s), "
-              f"availability={sorted(doc.availability) or 'profile'}")
+              f"{len(doc.drift)} drift cohort(s), federation={federation}")
 
 
 if __name__ == "__main__":

@@ -17,15 +17,14 @@ Commands
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from repro.data.registry import build_shift_schedule, dataset_names, get_dataset_spec
-from repro.federation.aggregation import STALENESS_POLICIES
-from repro.federation.async_engine import PARTICIPATION_MODES
-from repro.federation.availability import SCENARIOS
-from repro.federation.pool import PARTICIPATION_SKEWS
+from repro.federation.async_engine import FederationConfig
+from repro.federation.availability import AvailabilityConfig
 from repro.scenarios import (
     ScenarioDoc,
     ScenarioGenerator,
@@ -34,7 +33,6 @@ from repro.scenarios import (
     load_scenario,
     save_scenario,
 )
-from repro.scenarios.doc import AVAILABILITY_KEYS, POPULATION_KEYS
 from repro.experiments import (
     ParallelExecutor,
     ProgressLogger,
@@ -49,8 +47,13 @@ from repro.harness.comparison import (
     expert_distribution_table,
     render_expert_distribution,
 )
-from repro.harness.profiles import profile_names
+from repro.harness.profiles import RUN_KNOBS, profile_names
 from repro.utils.serialization import save_run_result
+from repro.utils.validation import doc_first_line, parse_spec
+
+# ``compare``'s knob flags: each is the plan key of the same name, and
+# ``--availability`` is ``federation.availability``.
+KNOB_FLAGS = {**RUN_KNOBS, "availability": AvailabilityConfig}
 
 
 def cmd_datasets(_args) -> int:
@@ -128,79 +131,41 @@ def _save_runs(result, output_dir: str) -> None:
 def _scenario_from_args(args, methods) -> ScenarioDoc:
     """The scenario document a ``compare`` flag line declares.
 
-    Every participation / population flag stores under its scenario key
-    (``--scenario`` is ``availability.preset``, ``--population`` is
-    ``population.size``), so ``compare`` runs exactly what ``run
-    --scenario-file`` runs for this document.
+    Each knob flag is read as its plan key (the error names the flag), so
+    ``compare`` runs exactly what ``run --scenario-file`` runs for this
+    document.
     """
-    def given(keys):
-        return {key: getattr(args, key) for key in sorted(keys)
-                if getattr(args, key, None) is not None}
-
+    knobs = {key: cls.from_value(getattr(args, key), f"--{key}")
+             for key, cls in KNOB_FLAGS.items()}
+    availability = knobs.pop("availability")
+    if availability is not None and args.federation is not None and any(
+            key.partition(".")[0] == "availability"
+            for key in parse_spec("--federation", args.federation)[1]):
+        raise ValueError("--availability and --federation's availability "
+                         "both set federation.availability; give it once")
+    if availability is not None:
+        knobs["federation"] = dataclasses.replace(
+            knobs["federation"] or FederationConfig(),
+            availability=availability)
     return ScenarioDoc(
         dataset=args.dataset, strategies=list(methods), profile=args.profile,
-        seeds=tuple(args.seeds), precision=args.precision,
-        privacy=args.privacy, availability=given(AVAILABILITY_KEYS),
-        population=given(POPULATION_KEYS))
+        seeds=tuple(args.seeds), cohort_size=args.cohort_size, **knobs)
 
 
-def _add_population_args(parser) -> None:
+def _add_knob_args(parser) -> None:
     group = parser.add_argument_group(
-        "population", "size and residency policy of the run's PartyPool")
-    group.add_argument("--population", dest="size", type=int, default=None,
-                       metavar="N",
-                       help="simulate a population of N parties: each is a "
-                            "seeded identity materialized on first touch, so "
-                            "N can far exceed the dataset's own party count "
-                            "(default: the dataset's own parties)")
+        "run knobs",
+        "each flag is the plan key of the same name (docs/PLAN_SCHEMA.md); "
+        "SPEC is [SHORTHAND][,key=value]*; omitted = the profile's")
+    for key, cls in KNOB_FLAGS.items():
+        keys = ", ".join(f.name for f in dataclasses.fields(cls))
+        group.add_argument(
+            f"--{key}", default=None, metavar="SPEC",
+            help=f"{doc_first_line(cls)} SHORTHAND: {cls.SHORTHAND}; "
+                 f"keys: {keys}")
     group.add_argument("--cohort-size", type=int, default=None, metavar="K",
-                       help="parties trained per round (overrides the "
-                            "profile's participants_per_round)")
-    group.add_argument("--max-resident", type=int, default=None, metavar="M",
-                       help="LRU bound on simultaneously live parties "
-                            "(default: unbounded; requires --population)")
-    group.add_argument("--participation-skew", dest="skew", default=None,
-                       choices=PARTICIPATION_SKEWS,
-                       help="cohort sampling distribution over the "
-                            "population (default uniform)")
-    group.add_argument("--zipf-a", type=float, default=None, metavar="A",
-                       help="zipf participation exponent: rank i is drawn "
-                            "with weight (i+1)^-A (default 1.2)")
-    group.add_argument("--survey-parties", dest="survey", type=int,
-                       default=None, metavar="S",
-                       help="cap whole-population surveys (per-party "
-                            "strategy state, clustering) to a seeded subset "
-                            "of S parties (default: everyone)")
-
-
-def _add_federation_args(parser) -> None:
-    group = parser.add_argument_group(
-        "participation", "asynchronous federation and client availability")
-    group.add_argument("--participation", default=None,
-                       choices=PARTICIPATION_MODES,
-                       help="round regime: sync blocks on the surviving "
-                            "cohort, buffered fires on --min-reports/"
-                            "--max-wait, async aggregates whatever arrived")
-    group.add_argument("--scenario", dest="preset", default=None,
-                       choices=SCENARIOS,
-                       help="named availability preset (see README matrix)")
-    group.add_argument("--dropout", type=float, default=None,
-                       help="per-(party, round) report-loss probability")
-    group.add_argument("--straggler", type=float, default=None,
-                       help="probability a report arrives rounds late "
-                            "(heavy-tailed delay)")
-    group.add_argument("--outage", type=float, default=None,
-                       help="per-round probability a correlated outage starts")
-    group.add_argument("--min-reports", type=int, default=None,
-                       help="buffered: aggregate once this many reports are "
-                            "in (default: the cohort size)")
-    group.add_argument("--max-wait", type=int, default=None,
-                       help="buffered: force aggregation after the oldest "
-                            "report waited this many rounds (default 1)")
-    group.add_argument("--staleness-policy", default=None,
-                       choices=STALENESS_POLICIES,
-                       help="decay on late reports' weights "
-                            "(default constant = plain FedAvg)")
+                       help="parties trained per round (the plan's "
+                            "cohort_size)")
 
 
 def cmd_compare(args) -> int:
@@ -336,31 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="registered methods to run (see the 'methods' "
                                 f"command; default: {PAPER_METHODS})")
     p_compare.add_argument("--seeds", nargs="*", type=int, default=[0])
-    p_compare.add_argument("--precision", default=None, metavar="SPEC",
-                           help="per-subsystem precision plan, e.g. "
-                                "'params=float32,detection_stats=float64'; a "
-                                "bare dtype such as 'float32' sets params only "
-                                "(~2x faster) and keeps detection statistics "
-                                "on the float64 island (default: the "
-                                "profile's)")
-    p_compare.add_argument("--privacy", default=None, metavar="SPEC",
-                           help="privacy plan spec, e.g. "
-                                "'masking=on,threshold=3' (Shamir t-of-n "
-                                "dropout recovery), 'threshold=majority', "
-                                "'sealed_scoring=on', 'mask_seed=7'; bare "
-                                "'on'/'off' toggles masking.  Masking seals "
-                                "party updates in their bank rows (async "
-                                "buffers included) until aggregation and is "
-                                "exact: results match the unmasked run bit "
-                                "for bit")
     p_compare.add_argument("--jobs", type=int, default=1,
                            help="run the strategy x seed grid over N processes")
     p_compare.add_argument("--progress", action="store_true",
                            help="print per-window progress lines")
     p_compare.add_argument("--output-dir", default=None,
                            help="write per-run JSON results here")
-    _add_federation_args(p_compare)
-    _add_population_args(p_compare)
+    _add_knob_args(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
     p_run = subparsers.add_parser(

@@ -28,12 +28,12 @@ from repro.experiments.results import ComparisonResult
 from repro.federation.async_engine import FederationConfig
 from repro.federation.pool import PopulationConfig
 from repro.federation.rounds import RoundConfig
-from repro.harness.profiles import RunSettings, get_profile
+from repro.harness.profiles import RUN_KNOBS, RunSettings, get_profile
 from repro.nn.training import LocalTrainingConfig
 from repro.privacy.plan import PrivacyPlan
 from repro.utils.precision import PrecisionPlan
 from repro.utils.serialization import load_document
-from repro.utils.validation import check_keys, field_names
+from repro.utils.validation import check_int, check_keys, field_names
 
 SHARDING_RETIRED = (
     "parameter-bank sharding was removed (no bank size this system reaches "
@@ -156,8 +156,6 @@ class ExperimentPlan:
     strategies: tuple[StrategySpec, ...]
     seeds: tuple[int, ...] = (0,)
     profile: str = "ci"
-    spec_override: DatasetSpec | None = None
-    settings_override: RunSettings | None = None
     name: str = ""
     precision: PrecisionPlan | None = None
     federation: FederationConfig | None = None
@@ -165,6 +163,8 @@ class ExperimentPlan:
     privacy: PrivacyPlan | None = None
     population: PopulationConfig | None = None
     cohort_size: int | None = None
+    spec_override: DatasetSpec | None = None
+    settings_override: RunSettings | None = None
 
     def __post_init__(self) -> None:
         self.strategies = tuple(self.strategies)
@@ -173,19 +173,14 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one strategy")
         if not self.seeds:
             raise ValueError("plan needs at least one seed")
-        if self.precision is not None:
-            self.precision = PrecisionPlan.from_value(self.precision)
         if self.shards not in (None, 1):
             raise ValueError(f"shards={self.shards!r} is not supported: "
                              f"shards must be 1; {SHARDING_RETIRED}")
-        if self.privacy is not None:
-            self.privacy = PrivacyPlan.from_value(self.privacy)
-        if self.federation is not None and not isinstance(self.federation,
-                                                          FederationConfig):
-            self.federation = FederationConfig.from_dict(self.federation)
-        self.population = PopulationConfig.from_value(self.population)
+        for key, cls in RUN_KNOBS.items():
+            setattr(self, key, cls.from_value(getattr(self, key),
+                                              f"plan {key}"))
         if self.cohort_size is not None:
-            self.cohort_size = int(self.cohort_size)
+            self.cohort_size = check_int("plan cohort_size", self.cohort_size)
             if self.cohort_size < 1:
                 raise ValueError("cohort_size must be at least 1 when given")
         labels = [s.label for s in self.strategies]
@@ -197,20 +192,14 @@ class ExperimentPlan:
 
     @classmethod
     def build(cls, dataset: str, strategies, seeds: Iterable[int] = (0,),
-              profile: str = "ci", spec_override: DatasetSpec | None = None,
-              settings_override: RunSettings | None = None,
-              name: str = "",
-              precision: "PrecisionPlan | str | Mapping | None" = None,
-              federation: FederationConfig | None = None,
-              shards: int | None = None,
-              privacy: "PrivacyPlan | str | Mapping | None" = None,
-              population: "PopulationConfig | int | None" = None,
-              cohort_size: int | None = None) -> "ExperimentPlan":
+              **fields) -> "ExperimentPlan":
         """Flexible constructor: strategies as names, mapping, or specs.
 
         ``strategies`` may be an iterable of names/StrategySpecs or a mapping
         ``label -> entry`` where the entry is a registry name, a
         ``{"method": ..., "kwargs": {...}}`` mapping, or a factory callable.
+        ``fields`` are the plan's other fields by name; each run knob takes
+        any input its class reads (an instance, a mapping, a spec string).
         """
         specs: list[StrategySpec] = []
         if isinstance(strategies, Mapping):
@@ -227,12 +216,7 @@ class ExperimentPlan:
                         f"strategy list entries must be names or StrategySpec, "
                         f"got {entry!r}")
         return cls(dataset=dataset, strategies=tuple(specs),
-                   seeds=tuple(seeds), profile=profile,
-                   spec_override=spec_override,
-                   settings_override=settings_override, name=name,
-                   precision=precision, federation=federation, shards=shards,
-                   privacy=privacy, population=population,
-                   cohort_size=cohort_size)
+                   seeds=tuple(seeds), **fields)
 
     # -------------------------------------------------------------- execution
 
@@ -255,7 +239,7 @@ class ExperimentPlan:
             if self.settings_override is not None:
                 settings = self.settings_override
         # Each declared plan-level knob replaces the settings' whole value.
-        for knob in ("precision", "federation", "privacy", "population"):
+        for knob in RUN_KNOBS:
             value = getattr(self, knob)
             if value is not None and getattr(settings, knob) != value:
                 settings = dataclasses.replace(settings, **{knob: value})
@@ -296,22 +280,17 @@ class ExperimentPlan:
             "seeds": list(self.seeds),
             "strategies": {s.label: s.to_dict() for s in self.strategies},
         }
-        if self.precision is not None:
-            out["precision"] = self.precision.to_dict()
-        if self.federation is not None:
-            out["federation"] = self.federation.to_dict()
-        if self.shards is not None:
-            out["shards"] = self.shards
-        if self.privacy is not None:
-            out["privacy"] = self.privacy.to_dict()
-        if self.population is not None:
-            out["population"] = self.population.to_dict()
-        if self.cohort_size is not None:
-            out["cohort_size"] = self.cohort_size
-        if self.spec_override is not None:
-            out["spec_override"] = dataclasses.asdict(self.spec_override)
-        if self.settings_override is not None:
-            out["settings_override"] = dataclasses.asdict(self.settings_override)
+        # Every other field is an optional key, written in field order when
+        # set: the knobs, then the two overrides.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name in out or value is None:
+                continue
+            if f.name in RUN_KNOBS:
+                value = value.to_dict()
+            elif dataclasses.is_dataclass(value):
+                value = dataclasses.asdict(value)
+            out[f.name] = value
         return out
 
     @classmethod
@@ -320,35 +299,23 @@ class ExperimentPlan:
         # the allowed set.
         data = check_keys("plan", data, field_names(cls),
                           retired=_RETIRED_PLAN_KEYS)
-        try:
-            dataset = data["dataset"]
-            raw_strategies = data["strategies"]
-        except KeyError as exc:
-            raise ValueError(f"plan is missing required key {exc}") from None
+        for key in ("dataset", "strategies"):
+            if key not in data:
+                raise ValueError(f"plan is missing required key '{key}'")
+        raw_strategies = data["strategies"]
         if isinstance(raw_strategies, Mapping):
             specs = [StrategySpec.from_entry(label, entry)
                      for label, entry in raw_strategies.items()]
         else:
             specs = [StrategySpec.from_entry(nm, nm) for nm in raw_strategies]
-        spec_override = data.get("spec_override")
-        settings_override = data.get("settings_override")
-        return cls(
-            dataset=dataset,
-            strategies=tuple(specs),
-            seeds=tuple(data.get("seeds", (0,))),
-            profile=data.get("profile", "ci"),
-            spec_override=(_dataset_spec_from_dict(spec_override)
-                           if spec_override is not None else None),
-            settings_override=(_run_settings_from_dict(settings_override)
-                               if settings_override is not None else None),
-            name=data.get("name", ""),
-            precision=data.get("precision"),
-            federation=data.get("federation"),
-            shards=data.get("shards"),
-            privacy=data.get("privacy"),
-            population=data.get("population"),
-            cohort_size=data.get("cohort_size"),
-        )
+        if data.get("spec_override") is not None:
+            data["spec_override"] = _dataset_spec_from_dict(
+                data["spec_override"])
+        if data.get("settings_override") is not None:
+            data["settings_override"] = _run_settings_from_dict(
+                data["settings_override"])
+        data["strategies"] = tuple(specs)
+        return cls(**data)
 
 
 def _dataset_spec_from_dict(data: Mapping) -> DatasetSpec:
@@ -374,12 +341,12 @@ def _run_settings_from_dict(data: Mapping) -> RunSettings:
     local = LocalTrainingConfig(**check_keys(
         "plan settings_override.round_config.local",
         round_config.pop("local", {}), field_names(LocalTrainingConfig)))
-    federation = data.pop("federation", None)
-    kwargs = dict(data)
-    if federation is not None:
-        kwargs["federation"] = FederationConfig.from_dict(federation)
+    for key, knob in RUN_KNOBS.items():
+        if key in data:
+            data[key] = knob.from_value(data[key],
+                                        f"plan settings_override.{key}")
     settings = RunSettings(
-        round_config=RoundConfig(local=local, **round_config), **kwargs)
+        round_config=RoundConfig(local=local, **round_config), **data)
     for key, value in mirrors.items():
         held = getattr(settings, key)
         if value != held and not (key == "shard_hosts" and value == []):

@@ -72,7 +72,7 @@ suite (``tests/test_differential_aggregation.py``) pins most of them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -91,21 +91,24 @@ from repro.federation.rounds import (
 )
 from repro.privacy.secure_aggregation import MaskingSpec
 from repro.utils.params import ParamBank, ParamSpec, Params
-from repro.utils.validation import check_keys, field_names
+from repro.utils.validation import Knob
 
 PARTICIPATION_MODES = ("sync", "buffered", "async")
 
 
 @dataclass(frozen=True)
-class FederationConfig:
+class FederationConfig(Knob):
     """How rounds aggregate and what availability scenario they run under.
 
     Serialized with :class:`~repro.harness.profiles.RunSettings` and
     :class:`~repro.experiments.plan.ExperimentPlan`, so a participation
     scenario is part of the experiment spec.  ``min_reports=None`` means
     "the dispatched cohort size", which makes ``buffered`` under a quiet
-    availability model reproduce ``sync`` bitwise.
+    availability model reproduce ``sync`` bitwise.  The spec shorthand is
+    the mode (``buffered,min_reports=3``).
     """
+
+    SHORTHAND = "mode"
 
     mode: str = "sync"
     min_reports: int | None = None
@@ -135,26 +138,10 @@ class FederationConfig:
         return self.mode != "sync" or self.availability.is_active
 
     def to_dict(self) -> dict:
-        import dataclasses
-        out = dataclasses.asdict(self)
+        out = asdict(self)
         if self.min_reports is None:
             del out["min_reports"]
         return out
-
-    @classmethod
-    def from_dict(cls, data) -> "FederationConfig":
-        if isinstance(data, FederationConfig):
-            return data
-        data = check_keys("plan federation", data, field_names(cls))
-        availability = data.pop("availability", None)
-        if availability is not None and not isinstance(availability,
-                                                       AvailabilityConfig):
-            availability = AvailabilityConfig(**check_keys(
-                "plan federation.availability", availability,
-                field_names(AvailabilityConfig)))
-        if availability is not None:
-            data["availability"] = availability
-        return cls(**data)
 
 
 @dataclass

@@ -12,16 +12,17 @@ dropouts, delays, and outages, which is what the determinism CI job asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from repro.utils.rng import spawn_rng
+from repro.utils.validation import Knob
 
 SCENARIOS = ("none", "dropout30", "stragglers", "flaky", "outages")
 
 
 @dataclass(frozen=True)
-class AvailabilityConfig:
-    """Knobs for one availability scenario (all off by default).
+class AvailabilityConfig(Knob):
+    """Dropout, straggler and outage knobs (all off by default).
 
     * ``dropout_prob`` — per-(party, round) Bernoulli probability the report
       is lost entirely (independent across parties).
@@ -33,7 +34,12 @@ class AvailabilityConfig:
       probability ``outage_prob`` per round a *correlated* outage starts,
       knocking out a random ``outage_fraction`` of the population for
       ``outage_rounds`` consecutive rounds.
+
+    The spec shorthand is a preset name, so ``flaky,dropout_prob=0.2`` is
+    the ``flaky`` preset with one knob overridden.
     """
+
+    SHORTHAND = "preset"
 
     dropout_prob: float = 0.0
     straggler_prob: float = 0.0
@@ -63,11 +69,15 @@ class AvailabilityConfig:
                 or self.outage_prob > 0)
 
     @classmethod
+    def shorthand(cls, word) -> dict:
+        return asdict(cls.scenario(word))
+
+    @classmethod
     def scenario(cls, name: str, **overrides) -> "AvailabilityConfig":
         """Named presets used by docs, examples, and CI (see README matrix).
 
-        The valid names are the module-level ``SCENARIOS`` tuple (which the
-        CLI exposes as ``--scenario`` choices).
+        The valid names are the module-level ``SCENARIOS`` tuple (a spec
+        string's shorthand: ``--availability flaky``).
         """
         presets = {
             "none": cls(),

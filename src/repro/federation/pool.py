@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,14 +65,16 @@ from repro.federation.party import Party
 from repro.nn.models import build_model
 from repro.utils.params import resolve_dtype
 from repro.utils.rng import spawn_rng
-from repro.utils.validation import check_keys, field_names
+from repro.utils.validation import Knob
 
 PARTICIPATION_SKEWS = ("uniform", "zipf")
 
 
 @dataclass(frozen=True)
-class PopulationConfig:
-    """Declarative population-scale knobs (``RunSettings.population``).
+class PopulationConfig(Knob):
+    """How many parties exist, how many stay resident, how cohorts draw.
+
+    The run's ``RunSettings.population``:
 
     * ``size`` — how many parties exist.  ``size == spec.num_parties`` is
       the run an undeclared population gets, bit for bit.
@@ -83,7 +85,11 @@ class PopulationConfig:
     * ``survey`` — optional cap on whole-population surveys
       (:meth:`PartyPool.survey_ids`): strategy bookkeeping that would
       otherwise enumerate every party sees a fixed seeded subset instead.
+
+    The spec shorthand is the size (``5000,max_resident=8,skew=zipf``).
     """
+
+    SHORTHAND = "size"
 
     size: int
     max_resident: int | None = None
@@ -103,21 +109,6 @@ class PopulationConfig:
             raise ValueError("zipf_a must be positive")
         if self.survey is not None and self.survey < 1:
             raise ValueError("survey must be positive when given")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_value(cls, value) -> "PopulationConfig | None":
-        """Coerce None / int / mapping / PopulationConfig (serialization)."""
-        if value is None or isinstance(value, PopulationConfig):
-            return value
-        if isinstance(value, (int, np.integer)):
-            return cls(size=int(value))
-        if isinstance(value, Mapping):
-            return cls(**check_keys("plan population", value,
-                                    field_names(cls)))
-        raise TypeError(f"cannot interpret population {value!r}")
 
 
 class CohortSampler:

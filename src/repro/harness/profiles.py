@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -15,6 +15,16 @@ from repro.privacy.plan import PrivacyPlan
 from repro.utils.precision import PrecisionPlan
 
 _PROFILE_NAMES = ("ci", "small", "paper")
+
+#: The run sub-plans: one key each, spelled the same in ``RunSettings``, a
+#: plan file, a scenario document and a ``compare`` flag, and read by one
+#: :func:`~repro.utils.validation.read_knob`.
+RUN_KNOBS = {
+    "precision": PrecisionPlan,
+    "federation": FederationConfig,
+    "privacy": PrivacyPlan,
+    "population": PopulationConfig,
+}
 
 
 @dataclass
@@ -36,8 +46,8 @@ class RunSettings:
     simulated availability scenario
     (see :class:`~repro.federation.async_engine.FederationConfig`).
 
-    ``population`` (a :class:`~repro.federation.pool.PopulationConfig`, an
-    int size, or a mapping) declares the size and policy of the run's
+    ``population`` (a :class:`~repro.federation.pool.PopulationConfig`)
+    declares the size and policy of the run's
     :class:`~repro.federation.pool.PartyPool`: how many parties exist, how
     many may be live at once (bounded LRU — parties are materialized on
     first touch and evicted under pressure, so populations of 10^5–10^6
@@ -57,6 +67,9 @@ class RunSettings:
     adds Shamir t-of-n dropout recovery on top; ``sealed_scoring``
     sign-seals expert scoring; ``mask_seed`` overrides the mask root.
 
+    Each :data:`RUN_KNOBS` field takes any input its class reads (a
+    mapping, a spec string); ``None`` is the field's default.
+
     ``dtype``, ``shards``, ``shard_backend``, ``shard_hosts`` and
     ``secure_aggregation`` are not constructor arguments.  ``dtype`` mirrors
     ``precision.params``, ``secure_aggregation`` mirrors ``privacy.masking``
@@ -70,13 +83,13 @@ class RunSettings:
     round_config: RoundConfig = field(default_factory=RoundConfig)
     eval_parties: int | None = None  # None = evaluate every party
     dtype: str = field(init=False)  # mirrors precision.params
-    precision: PrecisionPlan | None = None
+    precision: PrecisionPlan = field(default_factory=PrecisionPlan)
     federation: FederationConfig = field(default_factory=FederationConfig)
     shards: int = field(default=1, init=False)
     shard_backend: str = field(default="auto", init=False)
     shard_hosts: tuple[str, ...] = field(default=(), init=False)
     secure_aggregation: bool = field(init=False)  # mirrors privacy.masking
-    privacy: PrivacyPlan | None = None
+    privacy: PrivacyPlan = field(default_factory=PrivacyPlan)
     population: PopulationConfig | None = None
 
     def __post_init__(self) -> None:
@@ -84,13 +97,15 @@ class RunSettings:
             raise ValueError("round counts must be positive")
         if self.eval_parties is not None and self.eval_parties <= 0:
             raise ValueError("eval_parties must be positive when given")
-        self.precision = PrecisionPlan.from_value(self.precision)
+        for f in fields(self):
+            if f.name in RUN_KNOBS:
+                value = getattr(self, f.name)
+                if value is None and f.default_factory is not MISSING:
+                    value = f.default_factory()
+                setattr(self, f.name, RUN_KNOBS[f.name].from_value(
+                    value, f"settings {f.name}"))
         self.dtype = self.precision.params
-        self.privacy = PrivacyPlan.from_value(self.privacy)
         self.secure_aggregation = self.privacy.masking
-        if not isinstance(self.federation, FederationConfig):
-            self.federation = FederationConfig.from_dict(self.federation)
-        self.population = PopulationConfig.from_value(self.population)
 
     @property
     def np_dtype(self) -> np.dtype:

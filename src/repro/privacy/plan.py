@@ -23,28 +23,9 @@ A bare ``on`` / ``off`` is the value shorthand (``--privacy on`` means
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from repro.utils.validation import check_keys, parse_spec
-
-_KEYS = ("masking", "threshold", "sealed_scoring", "mask_seed")
-_TRUE = {"on", "true", "yes", "1"}
-_FALSE = {"off", "false", "no", "0"}
-
-
-def _parse_bool(key: str, value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return bool(value)
-    text = str(value).strip().lower()
-    if text in _TRUE:
-        return True
-    if text in _FALSE:
-        return False
-    raise ValueError(f"privacy knob '{key}' expects on/off "
-                     f"(or true/false); got {value!r}")
+from repro.utils.validation import Knob
 
 
 def resolve_threshold(threshold: "int | str | None", n: int) -> int | None:
@@ -64,8 +45,13 @@ def resolve_threshold(threshold: "int | str | None", n: int) -> int | None:
 
 
 @dataclass(frozen=True)
-class PrivacyPlan:
-    """Which privacy mechanisms a run enables (see module docstring)."""
+class PrivacyPlan(Knob):
+    """Which privacy mechanisms a run enables: masking, recovery, sealing.
+
+    See the module docstring.
+    """
+
+    SHORTHAND = "masking"
 
     masking: bool = False
     threshold: int | str | None = None
@@ -73,40 +59,16 @@ class PrivacyPlan:
     mask_seed: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "masking",
-                           _parse_bool("masking", self.masking))
-        object.__setattr__(self, "sealed_scoring",
-                           _parse_bool("sealed_scoring", self.sealed_scoring))
         threshold = self.threshold
-        if threshold is not None:
-            if isinstance(threshold, str):
-                text = threshold.strip().lower()
-                if text in ("none", ""):
-                    threshold = None
-                elif text == "majority":
-                    threshold = "majority"
-                else:
-                    try:
-                        threshold = int(text)
-                    except ValueError:
-                        raise ValueError(
-                            f"privacy threshold must be an int or "
-                            f"'majority'; got {self.threshold!r}") from None
-            else:
-                threshold = int(threshold)
-            if isinstance(threshold, int) and threshold < 1:
-                raise ValueError(
-                    f"privacy threshold must be >= 1 (got {threshold})")
-            object.__setattr__(self, "threshold", threshold)
-        if self.threshold is not None and not self.masking:
+        if threshold is not None and threshold != "majority" and not (
+                isinstance(threshold, int) and threshold >= 1):
+            raise ValueError(f"privacy threshold must be an int >= 1 or "
+                             f"'majority'; got {threshold!r}")
+        if threshold is not None and not self.masking:
             raise ValueError(
                 "privacy threshold (Shamir dropout recovery) requires "
                 "masking=on: shares protect mask seeds, and there are no "
                 "masks to recover without masking")
-        if self.mask_seed is not None:
-            object.__setattr__(self, "mask_seed", int(self.mask_seed))
-
-    # ----------------------------------------------------------- resolution
 
     @property
     def is_active(self) -> bool:
@@ -115,48 +77,6 @@ class PrivacyPlan:
     def mask_root(self, run_seed: int) -> int:
         """The mask-stream root seed: the override, else the run seed."""
         return int(run_seed if self.mask_seed is None else self.mask_seed)
-
-    # -------------------------------------------------------- serialization
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_value(cls, value) -> "PrivacyPlan":
-        """Coerce a plan knob: None / mapping / spec string / plan.
-
-        * ``None`` — the all-off default plan.
-        * a mapping — ``{"masking": ..., "threshold": ...}``.
-        * a spec string — ``"masking=on,threshold=3"`` (any key may be
-          omitted); bare ``"on"``/``"off"`` toggles masking alone.
-        """
-        if value is None:
-            return cls()
-        if isinstance(value, PrivacyPlan):
-            return value
-        if isinstance(value, Mapping):
-            return cls(**check_keys("privacy plan", value, _KEYS))
-        if isinstance(value, str):
-            return cls.parse(value)
-        raise ValueError(f"cannot interpret privacy plan {value!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "PrivacyPlan":
-        """Parse a CLI spec: ``on`` or ``masking=on,threshold=3,...``."""
-        text = text.strip()
-        if "=" not in text:
-            return cls(masking=_parse_bool("masking", text))
-        return cls.from_value(parse_spec("privacy", text))
-
-    def __str__(self) -> str:
-        parts = [f"masking={'on' if self.masking else 'off'}"]
-        if self.threshold is not None:
-            parts.append(f"threshold={self.threshold}")
-        if self.sealed_scoring:
-            parts.append("sealed_scoring=on")
-        if self.mask_seed is not None:
-            parts.append(f"mask_seed={self.mask_seed}")
-        return ",".join(parts)
 
 
 __all__ = ["PrivacyPlan", "resolve_threshold"]

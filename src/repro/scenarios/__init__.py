@@ -1,20 +1,17 @@
 """Declarative scenario documents: workloads as data, not flag lines.
 
 A scenario file (TOML or JSON) describes everything one experiment run
-needs — population, availability trace, per-cohort drift schedule — and
-:func:`compile_scenario` lowers it onto the exact
+needs — the run knobs spelled as in a plan file (population, federation
+and its availability trace, precision, privacy), sizing, and the
+per-cohort drift schedule — and :func:`compile_scenario` lowers it onto
+the exact
 :class:`~repro.experiments.plan.ExperimentPlan` the equivalent CLI flags
 would build, so scenario-driven runs reproduce flag-driven runs bitwise.
 :class:`ScenarioGenerator` samples valid documents from a constrained
 space for the seeded fuzz harness (``python -m repro.scenarios.fuzz``).
 """
 
-from repro.scenarios.compiler import (
-    compile_scenario,
-    federation_from_knobs,
-    lint_scenario,
-    population_from_knobs,
-)
+from repro.scenarios.compiler import compile_scenario, lint_scenario
 from repro.scenarios.doc import (
     ScenarioDoc,
     load_scenario,
@@ -27,10 +24,8 @@ __all__ = [
     "ScenarioDoc",
     "ScenarioGenerator",
     "compile_scenario",
-    "federation_from_knobs",
     "lint_scenario",
     "load_scenario",
-    "population_from_knobs",
     "save_scenario",
     "scenario_from_value",
 ]

@@ -1,27 +1,19 @@
 """The scenario document: one declarative file describing a whole workload.
 
-A scenario doc is a TOML or JSON file with a handful of optional blocks on
+A scenario doc is a TOML or JSON file with a handful of optional keys on
 top of the required ``dataset``/``strategies`` pair:
 
-* top level — ``name``, ``profile``, ``seeds``, ``strategies``, plus
-  ``precision``, the run's :class:`~repro.utils.precision.PrecisionPlan`
-  (a spec string such as ``"params=float32"`` or a bare dtype);
-* ``[privacy]`` — the run's :class:`~repro.privacy.plan.PrivacyPlan`:
-  ``masking``, ``threshold`` (Shamir t-of-n dropout recovery; an int or
-  ``"majority"``), ``sealed_scoring``, ``mask_seed``.  A top-level string
-  (``privacy = "masking=on,threshold=3"``) works too;
+* top level — ``name``, ``profile``, ``seeds``, ``strategies``;
+* the run knobs (:data:`~repro.harness.profiles.RUN_KNOBS`) — ``precision``,
+  ``privacy``, ``federation`` (with its nested ``availability``) and
+  ``population``, plus ``cohort_size``: each spelled and valued exactly as
+  in a plan file (``docs/PLAN_SCHEMA.md``), so a table, a spec string
+  (``federation = "buffered,min_reports=3"``) or, for ``population``, a
+  bare size;
 * ``[data]`` — dataset-spec resizing: ``parties``, ``train_per_window``,
   ``test_per_window``, and (only together with drift) ``num_windows``;
 * ``[rounds]`` — round counts: ``burn_in``, ``per_window``,
-  ``participants``, ``eval_parties``;
-* ``[population]`` — virtual-party population: ``size``, ``cohort_size``,
-  ``max_resident``, ``skew``, ``zipf_a``, ``survey`` (the ``--population``
-  flag family);
-* ``[availability]`` — participation regime and availability trace:
-  ``participation``, ``preset``, ``dropout``, ``straggler``, ``outage``,
-  ``min_reports``, ``max_wait``, ``staleness_policy`` mirror the CLI flags
-  one for one, plus the preset-only knobs ``outage_fraction``,
-  ``outage_rounds``, ``straggler_zipf_a``, ``max_delay_rounds``;
+  ``eval_parties`` (``null`` = evaluate every party);
 * ``[[drift]]`` — per-cohort drift schedule entries
   (:class:`~repro.data.drift.CohortDrift`): ``arrival`` in
   ``sudden | gradual | recurring | class_incremental``, ``corruption``,
@@ -41,41 +33,43 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.data.drift import CohortDrift
+from repro.federation.async_engine import FederationConfig
+from repro.federation.pool import PopulationConfig
+from repro.harness.profiles import RUN_KNOBS
+from repro.privacy.plan import PrivacyPlan
+from repro.utils.precision import PrecisionPlan
 from repro.utils.serialization import load_document
-from repro.utils.validation import check_keys
+from repro.utils.validation import check_int, check_keys, field_names
 
-TOP_LEVEL_KEYS = frozenset({
-    "name", "dataset", "profile", "seeds", "strategies", "precision",
-    "privacy", "data", "rounds", "population", "availability", "drift",
-})
 DATA_KEYS = frozenset({"parties", "train_per_window", "test_per_window",
                        "num_windows"})
-ROUNDS_KEYS = frozenset({"burn_in", "per_window", "participants",
-                         "eval_parties"})
-POPULATION_KEYS = frozenset({"size", "cohort_size", "max_resident", "skew",
-                             "zipf_a", "survey"})
-AVAILABILITY_KEYS = frozenset({
-    "participation", "preset", "dropout", "straggler", "outage",
-    "min_reports", "max_wait", "staleness_policy", "outage_fraction",
-    "outage_rounds", "straggler_zipf_a", "max_delay_rounds",
-})
-PRIVACY_KEYS = frozenset({"masking", "threshold", "sealed_scoring",
-                          "mask_seed"})
+ROUNDS_KEYS = frozenset({"burn_in", "per_window", "eval_parties"})
+_TO_COHORT_SIZE = "{} is retired: set the top-level cohort_size"
+# Keys older documents may carry, per block, with what replaced them.
+_RETIRED = {
+    "top level": {"availability": (
+        "the availability block is retired: set federation (mode, "
+        "min_reports, max_wait_rounds, staleness_policy) and its "
+        "federation.availability (a preset such as 'flaky' and/or "
+        "dropout_prob, straggler_prob, outage_prob, ...) as in a plan file")},
+    "rounds": {"participants": _TO_COHORT_SIZE.format("rounds.participants")},
+    "population": {"cohort_size":
+                   _TO_COHORT_SIZE.format("population.cohort_size")},
+}
 
 
-def _check_keys(block: str, mapping: Mapping, allowed: frozenset) -> dict:
-    return check_keys(f"scenario block '{block}'", mapping, allowed)
+def _check_keys(block: str, mapping: Mapping, allowed) -> dict:
+    return check_keys(f"scenario block '{block}'", mapping, allowed,
+                      retired=_RETIRED.get(block))
 
 
 @dataclass
 class ScenarioDoc:
     """In-memory form of one scenario file (validated, serializable).
 
-    Block contents stay as plain dicts — validation checks key names and
-    the cross-block constraints here; value-level validation happens in
-    the config classes the compiler builds (AvailabilityConfig,
-    PopulationConfig, RunSettings, DatasetSpec), so a bad value fails with
-    the same message a bad CLI flag would.
+    The run knobs are built on construction (their errors name the dotted
+    key, ``scenario federation.availability.dropout_prob``); the sizing
+    blocks stay plain dicts whose values the compiler checks.
     """
 
     dataset: str
@@ -83,12 +77,13 @@ class ScenarioDoc:
     name: str = ""
     profile: str = "ci"
     seeds: tuple[int, ...] = (0,)
-    precision: object = None
-    privacy: object = None  # [privacy] table or a spec string; None = off
+    precision: PrecisionPlan | None = None
+    privacy: PrivacyPlan | None = None
+    federation: FederationConfig | None = None
+    population: PopulationConfig | None = None
+    cohort_size: int | None = None
     data: dict = field(default_factory=dict)
     rounds: dict = field(default_factory=dict)
-    population: dict = field(default_factory=dict)
-    availability: dict = field(default_factory=dict)
     drift: tuple[CohortDrift, ...] = ()
 
     def __post_init__(self) -> None:
@@ -99,12 +94,13 @@ class ScenarioDoc:
         self.seeds = tuple(int(s) for s in self.seeds)
         self.data = _check_keys("data", self.data, DATA_KEYS)
         self.rounds = _check_keys("rounds", self.rounds, ROUNDS_KEYS)
-        self.population = _check_keys("population", self.population,
-                                      POPULATION_KEYS)
-        self.availability = _check_keys("availability", self.availability,
-                                        AVAILABILITY_KEYS)
-        if isinstance(self.privacy, Mapping):
-            self.privacy = _check_keys("privacy", self.privacy, PRIVACY_KEYS)
+        for key, cls in RUN_KNOBS.items():
+            setattr(self, key, cls.from_value(getattr(self, key),
+                                              f"scenario {key}",
+                                              _RETIRED.get(key)))
+        if self.cohort_size is not None:
+            self.cohort_size = check_int("scenario cohort_size",
+                                         self.cohort_size)
         self.drift = tuple(CohortDrift.from_value(d, "scenario block 'drift'")
                            for d in self.drift)
         if "num_windows" in self.data and not self.drift:
@@ -121,21 +117,21 @@ class ScenarioDoc:
             out["name"] = self.name
         out["profile"] = self.profile
         out["seeds"] = list(self.seeds)
-        for key in ("precision", "privacy"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        for key in ("data", "rounds", "population", "availability"):
-            block = getattr(self, key)
-            if block:
-                out[key] = dict(block)
+        for key in RUN_KNOBS:
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key).to_dict()
+        if self.cohort_size is not None:
+            out["cohort_size"] = self.cohort_size
+        for key in ("data", "rounds"):
+            if getattr(self, key):
+                out[key] = dict(getattr(self, key))
         if self.drift:
             out["drift"] = [d.to_dict() for d in self.drift]
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScenarioDoc":
-        data = _check_keys("top level", data, TOP_LEVEL_KEYS)
+        data = _check_keys("top level", data, field_names(cls))
         try:
             dataset = data.pop("dataset")
             strategies = data.pop("strategies")

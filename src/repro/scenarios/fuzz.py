@@ -9,7 +9,10 @@ corpus plus (optionally) extra random seeds, checking each sampled doc:
 2. **compilation** — the doc compiles to an
    :class:`~repro.experiments.plan.ExperimentPlan` whose spec/settings
    resolve (every config class's validation runs);
-3. **execution** (first ``--run`` docs per seed) — the compiled plan runs
+3. **flag parity** — the doc's run knobs written as ``python -m repro
+   compare`` flags (:func:`compare_argv`) and read back by the CLI's own
+   parser equal the doc's (flag-built == scenario-built);
+4. **execution** (first ``--run`` docs per seed) — the compiled plan runs
    to completion, every run covers every scheduled window, the federation
    counters balance (``dispatched - dropped == aggregated_reports +
    expired_reports + in_flight_at_end``), and re-running the same plan
@@ -31,6 +34,7 @@ import sys
 import traceback
 from pathlib import Path
 
+from repro.harness.profiles import RUN_KNOBS
 from repro.scenarios.doc import ScenarioDoc, save_scenario
 from repro.scenarios.generator import ScenarioGenerator
 
@@ -96,6 +100,30 @@ def _canonical_run(result) -> str:
     return json.dumps(run_result_to_dict(result), sort_keys=True)
 
 
+def compare_argv(doc: ScenarioDoc) -> list[str]:
+    """``doc``'s dataset, seeds and run knobs as ``compare`` arguments."""
+    argv = ["compare", doc.dataset, "--profile", doc.profile,
+            "--seeds", *map(str, doc.seeds)]
+    for key in RUN_KNOBS:
+        if getattr(doc, key) is not None:
+            argv += [f"--{key}", getattr(doc, key).spec()]
+    if doc.cohort_size is not None:
+        argv += ["--cohort-size", str(doc.cohort_size)]
+    return argv
+
+
+def check_flag_parity(doc: ScenarioDoc) -> list[str]:
+    """The knobs ``compare`` reads from :func:`compare_argv` are the doc's."""
+    from repro.__main__ import _scenario_from_args, build_parser
+
+    args = build_parser().parse_args(compare_argv(doc))
+    flagged = _scenario_from_args(args, doc.strategies)
+    return [f"--{key} reads back as {getattr(flagged, key)!r}; the document "
+            f"says {getattr(doc, key)!r}"
+            for key in (*RUN_KNOBS, "cohort_size")
+            if getattr(flagged, key) != getattr(doc, key)]
+
+
 def check_scenario(doc: ScenarioDoc, run: bool = False) -> list[str]:
     """All fuzz checks for one document; returns violations (empty = pass)."""
     from repro.scenarios.compiler import compile_scenario
@@ -106,9 +134,9 @@ def check_scenario(doc: ScenarioDoc, run: bool = False) -> list[str]:
         return ["document does not survive a JSON round trip"]
     plan = compile_scenario(doc)
     spec, _settings = plan.resolve()
+    problems = check_flag_parity(doc)
     if not run:
-        return []
-    problems = []
+        return problems
     first = plan.run()
     for label, runs in first.runs.items():
         for result in runs:

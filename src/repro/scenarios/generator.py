@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.data.drift import ARRIVALS, FUZZ_RANGES
 from repro.federation.aggregation import STALENESS_POLICIES
+from repro.federation.async_engine import PARTICIPATION_MODES
 from repro.federation.availability import SCENARIOS
 from repro.scenarios.doc import ScenarioDoc
 from repro.utils.rng import spawn_rng
@@ -40,14 +41,12 @@ FUZZ_RUN_RANGES = {
     "num_windows": (3, 4),
     "burn_in": (2, 3),
     "per_window": (1, 2),
-    "participants": (3, 5),
-    "dropout": (0.0, 0.4),
-    "straggler": (0.0, 0.4),
-    "outage": (0.0, 0.2),
+    "cohort_size": (3, 5),
+    "dropout_prob": (0.0, 0.4),
+    "straggler_prob": (0.0, 0.4),
+    "outage_prob": (0.0, 0.2),
     "max_drift_cohorts": 2,
 }
-
-PARTICIPATIONS = ("sync", "buffered", "async")
 
 
 def _int(rng: np.random.Generator, key: str, ranges=FUZZ_RUN_RANGES) -> int:
@@ -125,24 +124,27 @@ class ScenarioGenerator:
         rounds = {
             "burn_in": _int(rng, "burn_in"),
             "per_window": _int(rng, "per_window"),
-            "participants": _int(rng, "participants"),
         }
+        cohort_size = _int(rng, "cohort_size")
 
-        availability: dict = {}
-        participation = str(rng.choice(PARTICIPATIONS))
-        if participation != "sync":
-            availability["participation"] = participation
+        federation: dict = {}
+        mode = str(rng.choice(PARTICIPATION_MODES))
+        if mode != "sync":
+            federation["mode"] = mode
+        # The availability spec: an optional preset, then knob overrides.
+        availability = []
         if rng.random() < 0.5:
-            availability["preset"] = str(rng.choice(SCENARIOS))
-        for knob in ("dropout", "straggler", "outage"):
+            availability.append(str(rng.choice(SCENARIOS)))
+        for knob in ("dropout_prob", "straggler_prob", "outage_prob"):
             if rng.random() < 0.5:
-                availability[knob] = _prob(rng, knob)
-        if participation == "buffered":
-            availability["min_reports"] = int(
-                rng.integers(1, rounds["participants"] + 1))
-            availability["max_wait"] = int(rng.integers(1, 4))
-        if participation != "sync" and rng.random() < 0.5:
-            availability["staleness_policy"] = str(
+                availability.append(f"{knob}={_prob(rng, knob)}")
+        if availability:
+            federation["availability"] = ",".join(availability)
+        if mode == "buffered":
+            federation["min_reports"] = int(rng.integers(1, cohort_size + 1))
+            federation["max_wait_rounds"] = int(rng.integers(1, 4))
+        if mode != "sync" and rng.random() < 0.5:
+            federation["staleness_policy"] = str(
                 rng.choice(STALENESS_POLICIES))
 
         population: dict = {}
@@ -158,10 +160,11 @@ class ScenarioGenerator:
             name=f"fuzz-{self.seed}-{index}",
             profile="ci",
             seeds=(int(rng.integers(0, 4)),),
+            federation=federation or None,
+            population=population or None,
+            cohort_size=cohort_size,
             data=data,
             rounds=rounds,
-            population=population,
-            availability=availability,
             drift=tuple(drift),
         )
 

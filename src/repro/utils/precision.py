@@ -23,18 +23,22 @@ be asked for explicitly (``params=float32,detection_stats=float32``).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.utils.params import resolve_dtype
-from repro.utils.validation import check_keys, parse_spec
+from repro.utils.validation import Knob
 
 
 @dataclass(frozen=True)
-class PrecisionPlan:
-    """Which dtype each subsystem of a run uses (see module docstring)."""
+class PrecisionPlan(Knob):
+    """Which dtype each subsystem of a run uses: parameters, detection.
+
+    See the module docstring.
+    """
+
+    SHORTHAND = "params"
 
     params: str = "float64"
     detection_stats: str = "float64"
@@ -51,34 +55,3 @@ class PrecisionPlan:
     @property
     def np_detection_stats(self) -> np.dtype:
         return resolve_dtype(self.detection_stats)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_value(cls, value) -> "PrecisionPlan":
-        """Coerce a plan knob: None / dtype-ish / mapping / spec string.
-
-        * ``None`` — the float64 default plan.
-        * a dtype (``"float32"``, ``np.float32``, ``np.dtype``) — shorthand
-          for that parameter precision with detection stats kept float64.
-        * a mapping — ``{"params": ..., "detection_stats": ...}``.
-        * a spec string — ``"params=float32,detection_stats=float64"``
-          (either key may be omitted; a bare dtype is the shorthand above).
-        """
-        if value is None:
-            return cls()
-        if isinstance(value, PrecisionPlan):
-            return value
-        if isinstance(value, Mapping):
-            fields = check_keys("precision plan", value,
-                                ("params", "detection_stats"))
-            return cls(**{k: str(v) for k, v in fields.items()})
-        if isinstance(value, str) and "=" in value:
-            return cls.from_value(parse_spec("precision", value))
-        # A dtype-ish shorthand: parameters at the given precision, the
-        # detection statistics stay on the float64 island.
-        return cls(params=str(resolve_dtype(value)))
-
-    def __str__(self) -> str:
-        return f"params={self.params},detection_stats={self.detection_stats}"

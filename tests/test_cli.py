@@ -6,6 +6,9 @@ import pytest
 
 from repro.__main__ import _scenario_from_args, build_parser, main
 from repro.experiments import ExperimentPlan, save_plan
+from repro.federation.async_engine import FederationConfig
+from repro.federation.availability import AvailabilityConfig
+from repro.federation.pool import PopulationConfig
 from repro.scenarios import compile_scenario
 from tests.conftest import make_run_settings, make_tiny_spec
 
@@ -78,7 +81,8 @@ class TestCli:
 
     @pytest.mark.parametrize("extra, message", [
         # A message that ends in a quote keeps it.
-        ({"population": "many"}, "cannot interpret population 'many'"),
+        ({"population": "many"},
+         "plan population.size must be an integer; got 'many'"),
         # A partial spec_override names the plan keys it lacks.
         ({"spec_override": {"num_parties": 4, "model_name": "mlp"}},
          "plan spec_override is missing required key(s) ['channels', "
@@ -154,20 +158,19 @@ class TestFederationFlags:
 
     def test_no_flags_means_no_override(self):
         doc = self.doc()
-        assert doc.availability == {} and doc.population == {}
+        assert doc.federation is None and doc.population is None
         plan = compile_scenario(doc)
         assert plan.federation is None and plan.population is None
 
     def test_participation_and_scenario_compose(self):
+        """``--federation`` sets the mode and buffering, ``--availability``
+        a preset with one knob overridden: one config between them."""
         doc = self.doc(
-            "--participation", "buffered", "--scenario", "dropout30",
-            "--straggler", "0.1", "--min-reports", "4", "--max-wait", "3",
-            "--staleness-policy", "exponential")
-        assert doc.availability == {
-            "participation": "buffered", "preset": "dropout30",
-            "straggler": 0.1, "min_reports": 4, "max_wait": 3,
-            "staleness_policy": "exponential"}
+            "--federation", "buffered,min_reports=4,max_wait_rounds=3,"
+                            "staleness_policy=exponential",
+            "--availability", "dropout30,straggler_prob=0.1")
         cfg = compile_scenario(doc).federation
+        assert cfg == doc.federation
         assert cfg.mode == "buffered"
         assert cfg.min_reports == 4
         assert cfg.max_wait_rounds == 3
@@ -176,29 +179,49 @@ class TestFederationFlags:
         assert cfg.availability.straggler_prob == 0.1  # explicit override
 
     def test_dropout_alone_keeps_sync_mode(self):
-        cfg = compile_scenario(self.doc("--dropout", "0.25")).federation
+        cfg = compile_scenario(
+            self.doc("--availability", "dropout_prob=0.25")).federation
         assert cfg.mode == "sync"
         assert cfg.availability.dropout_prob == 0.25
         assert cfg.is_active
 
+    @pytest.mark.parametrize("federation", [
+        "async,availability=flaky", "async,availability.outage_prob=0.1"])
+    def test_availability_given_twice_exits_2(self, capsys, federation):
+        """``--availability`` would silently replace the federation spec's
+        own availability, so giving both is an error."""
+        rc = main(["compare", "cifar10_c_sim", "--methods", "fedavg",
+                   "--federation", federation,
+                   "--availability", "dropout_prob=0.1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--availability" in err and "--federation" in err
+        assert self.doc("--federation", "async,min_reports=2",
+                        "--availability", "flaky").federation == \
+            FederationConfig("async", min_reports=2,
+                             availability=AvailabilityConfig.scenario("flaky"))
+
     def test_population_flags_fill_the_population_block(self):
-        doc = self.doc("--population", "500", "--cohort-size", "4",
-                       "--max-resident", "8", "--participation-skew", "zipf",
-                       "--zipf-a", "1.5", "--survey-parties", "16",
+        doc = self.doc("--population", "500,max_resident=8,skew=zipf,"
+                                       "zipf_a=1.5,survey=16",
+                       "--cohort-size", "4",
                        "--precision", "float32", "--privacy", "masking=on")
-        assert doc.population == {"size": 500, "cohort_size": 4,
-                                  "max_resident": 8, "skew": "zipf",
-                                  "zipf_a": 1.5, "survey": 16}
+        assert doc.population == PopulationConfig(
+            size=500, max_resident=8, skew="zipf", zipf_a=1.5, survey=16)
+        assert doc.cohort_size == 4
         plan = compile_scenario(doc)
         assert plan.cohort_size == 4 and plan.population.survey == 16
         assert plan.precision.params == "float32" and plan.privacy.masking
+        assert self.doc("--population", "500").population.size == 500
 
-    def test_invalid_participation_rejected(self):
-        with pytest.raises(SystemExit):
-            self.parse("--participation", "lazy")
+    def test_invalid_participation_rejected(self, capsys):
+        rc = main(["compare", "cifar10_c_sim", "--methods", "fedavg",
+                   "--federation", "lazy"])
+        assert rc == 2
+        assert "mode must be one of" in capsys.readouterr().err
 
     def test_invalid_dropout_value_reported(self, capsys):
         rc = main(["compare", "cifar10_c_sim", "--methods", "fedavg",
-                   "--dropout", "1.5"])
+                   "--availability", "dropout_prob=1.5"])
         assert rc == 2
         assert "dropout_prob" in capsys.readouterr().err

@@ -8,9 +8,11 @@ Four layers of drift protection over README.md, ``docs/*.md``, and
 * every fenced ``python`` block in the docs executes green (each document's
   blocks run as one script, in order, in a scratch directory and a clean
   subprocess so registry side effects cannot leak into the test session);
-* every ``python -m repro ...`` command shown in a ``bash`` fence parses
-  against the real CLI parser (flags, choices, and dataset names stay
-  valid), and ``json``/``toml`` fences parse with the real parsers;
+* every ``python -m repro ...`` command shown in a ``bash`` fence, and
+  every ``python -m repro compare|run`` line CI runs, parses against the
+  real CLI parser (flags, choices, dataset names and ``compare``'s knob
+  SPECs stay valid), and
+  ``json``/``toml`` fences parse with the real parsers;
 * every relative markdown link (and heading anchor) resolves.
 
 The execution-heavy tests carry the ``docs`` marker: CI runs them in the
@@ -34,6 +36,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DOC_FILES = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+CI_WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 NO_RUN = "<!-- docs: no-run -->"
 
 
@@ -128,20 +131,28 @@ def test_markdown_data_blocks_parse(doc: Path):
                 pytest.fail(f"{_doc_id(doc)} line {line}: bad TOML: {exc}")
 
 
+def _logical_lines(lines: list[str]) -> list[tuple[int, str]]:
+    """(offset of the last physical line, text) per shell line: a trailing
+    backslash continues a line onto the next."""
+    out: list[tuple[int, str]] = []
+    logical = ""
+    for offset, raw in enumerate(lines):
+        logical = f"{logical} {raw.strip()}".strip()
+        if logical.endswith("\\"):
+            logical = logical[:-1]
+            continue
+        out.append((offset, logical))
+        logical = ""
+    return out
+
+
 def _cli_commands(doc: Path) -> list[tuple[int, list[str]]]:
     """Every `python -m repro ...` invocation in the doc's bash fences."""
     commands: list[tuple[int, list[str]]] = []
     for lang, line, body in _fences(doc):
         if lang != "bash":
             continue
-        logical = ""
-        for offset, raw in enumerate(body.splitlines()):
-            stripped = (logical + " " + raw.strip()).strip() if logical \
-                else raw.strip()
-            if stripped.endswith("\\"):
-                logical = stripped[:-1]
-                continue
-            logical = ""
+        for offset, stripped in _logical_lines(body.splitlines()):
             if not stripped or stripped.startswith("#"):
                 continue
             tokens = shlex.split(stripped, comments=True)
@@ -157,18 +168,45 @@ def _cli_commands(doc: Path) -> list[tuple[int, list[str]]]:
     return commands
 
 
+def _parse_or_fail(where: str, args: list[str]) -> None:
+    """The line parses, and a ``compare`` line's knob SPECs read as plan
+    values (argparse alone takes any SPEC text)."""
+    from repro.__main__ import _scenario_from_args, build_parser, cmd_compare
+
+    try:
+        parsed = build_parser().parse_args(args)
+    except SystemExit:
+        pytest.fail(f"{where}: CLI line does not parse: "
+                    f"python -m repro {' '.join(args)}")
+    if parsed.func is cmd_compare:
+        try:
+            _scenario_from_args(parsed, parsed.methods or ("fedavg",))
+        except ValueError as exc:
+            pytest.fail(f"{where}: compare knob flags do not read: {exc}")
+
+
 @pytest.mark.parametrize("doc", DOC_FILES, ids=_doc_id)
 def test_cli_lines_parse(doc: Path):
     """Every documented CLI invocation must survive the argparse parser."""
-    from repro.__main__ import build_parser
-
-    parser = build_parser()
     for line, args in _cli_commands(doc):
-        try:
-            parser.parse_args(args)
-        except SystemExit:
-            pytest.fail(f"{_doc_id(doc)} line {line}: CLI line does not "
-                        f"parse: python -m repro {' '.join(args)}")
+        _parse_or_fail(f"{_doc_id(doc)} line {line}", args)
+
+
+def test_ci_cli_lines_parse():
+    """Every ``python -m repro compare|run`` line in the CI workflow parses,
+    its knob SPECs included (an interpreter path or an environment prefix
+    may come first)."""
+    parsed = 0
+    for offset, text in _logical_lines(CI_WORKFLOW.read_text().splitlines()):
+        if text.startswith("#") or " -m repro " not in text:
+            continue
+        tokens = shlex.split(text)
+        start = tokens.index("-m") + 2
+        if tokens[start - 1] == "repro" and tokens[start:start + 1] in (
+                ["compare"], ["run"]):
+            _parse_or_fail(f"ci.yml line {offset + 1}", tokens[start:])
+            parsed += 1
+    assert parsed >= 9
 
 
 def _slug(heading: str) -> str:

@@ -124,7 +124,7 @@ class TestFederationConfig:
             staleness_policy="exponential", staleness_gamma=0.8,
             availability=AvailabilityConfig(dropout_prob=0.2,
                                             straggler_prob=0.1))
-        assert FederationConfig.from_dict(cfg.to_dict()) == cfg
+        assert FederationConfig.from_value(cfg.to_dict()) == cfg
 
 
 class TestAsyncRoundBuffer:

@@ -90,8 +90,14 @@ class TestPopulationConfig:
             PopulationConfig(size=8, zipf_a=0.0)
         with pytest.raises(ValueError, match="survey"):
             PopulationConfig(size=8, survey=0)
-        with pytest.raises(TypeError):
-            PopulationConfig.from_value("12")
+        # A spec string's shorthand is the size; a bool or a fraction is
+        # not a size.
+        assert PopulationConfig.from_value("12") == PopulationConfig(size=12)
+        for bad in (2.5, "12.5"):
+            with pytest.raises(ValueError, match="size must be an integer"):
+                PopulationConfig.from_value(bad)
+        with pytest.raises(ValueError, match="a bool is not a plan"):
+            PopulationConfig.from_value(True)
 
 
 class TestCohortSampler:

@@ -64,17 +64,19 @@ class TestPrivacyPlanKnobs:
         assert not plan.masking and not plan.sealed_scoring
         assert plan.threshold is None and plan.mask_seed is None
         assert not plan.is_active
-        assert PrivacyPlan.from_value(None) == plan
+        assert PrivacyPlan.from_value("") == plan
+        assert PrivacyPlan.from_value(None) is None  # the caller's default
 
     def test_spec_string_parsing(self):
-        plan = PrivacyPlan.parse("masking=on,threshold=3")
+        plan = PrivacyPlan.from_value("masking=on,threshold=3")
         assert plan.masking and plan.threshold == 3
-        assert PrivacyPlan.parse("on") == PrivacyPlan(masking=True)
-        assert PrivacyPlan.parse("off") == PrivacyPlan()
-        full = PrivacyPlan.parse(
+        assert PrivacyPlan.from_value("on") == PrivacyPlan(masking=True)
+        assert PrivacyPlan.from_value("off") == PrivacyPlan()
+        full = PrivacyPlan.from_value(
             "masking=on,threshold=majority,sealed_scoring=on,mask_seed=7")
         assert full.threshold == "majority"
         assert full.sealed_scoring and full.mask_seed == 7
+        assert PrivacyPlan.from_value("on,threshold=3") == plan
 
     @pytest.mark.parametrize("plan", [
         PrivacyPlan(),
@@ -84,7 +86,7 @@ class TestPrivacyPlanKnobs:
         PrivacyPlan(sealed_scoring=True, mask_seed=11),
     ])
     def test_str_and_dict_round_trip(self, plan):
-        assert PrivacyPlan.parse(str(plan)) == plan
+        assert PrivacyPlan.from_value(plan.spec()) == plan
         assert PrivacyPlan.from_value(plan.to_dict()) == plan
 
     def test_threshold_resolution_per_cohort(self):
@@ -106,20 +108,22 @@ class TestPrivacyPlanKnobs:
             PrivacyPlan(threshold=3)
 
     def test_invalid_values_fail_loudly(self):
-        with pytest.raises(ValueError, match=r"\['tresholb'\] in privacy plan"):
+        with pytest.raises(ValueError, match=r"\['tresholb'\] in PrivacyPlan"):
             PrivacyPlan.from_value({"masking": True, "tresholb": 3})
         with pytest.raises(ValueError, match="threshold"):
             PrivacyPlan(masking=True, threshold="sometimes")
         with pytest.raises(ValueError, match="threshold"):
             PrivacyPlan(masking=True, threshold=0)
         with pytest.raises(ValueError, match="key=value"):
-            PrivacyPlan.parse("masking=")
-        with pytest.raises(ValueError, match="masking"):
-            PrivacyPlan.parse("maybe")
-        with pytest.raises(ValueError, match="privacy plan"):
+            PrivacyPlan.from_value("masking=")
+        with pytest.raises(ValueError, match="PrivacyPlan.masking"):
+            PrivacyPlan.from_value("maybe")
+        with pytest.raises(ValueError, match="PrivacyPlan.masking"):
             PrivacyPlan.from_value(3.5)
-        with pytest.raises(ValueError, match="privacy plan"):
-            PrivacyPlan.from_value(True)  # a bool is not a plan
+        with pytest.raises(ValueError, match="PrivacyPlan.threshold"):
+            PrivacyPlan.from_value({"masking": True, "threshold": True})
+        with pytest.raises(ValueError, match="a bool is not a plan"):
+            PrivacyPlan.from_value(True)
 
 
 class TestPlanThreading:
@@ -162,7 +166,9 @@ class TestPlanThreading:
         doc = ScenarioDoc(dataset="fashion_mnist_sim", strategies=["fedavg"],
                           privacy={"masking": True, "threshold": "majority"})
         assert doc.to_dict()["privacy"] == {"masking": True,
-                                            "threshold": "majority"}
+                                            "threshold": "majority",
+                                            "sealed_scoring": False,
+                                            "mask_seed": None}
         revived = ScenarioDoc.from_dict(doc.to_dict())
         from repro.scenarios.compiler import compile_scenario
         compiled = compile_scenario(revived)

@@ -35,15 +35,11 @@ from repro.data.drift import ARRIVALS, CohortDrift
 from repro.data.registry import build_shift_schedule
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.registry import build_strategy, strategy_names
-from repro.federation.availability import SCENARIOS
+from repro.federation.availability import SCENARIOS, AvailabilityConfig
 from repro.harness.profiles import get_profile
 from repro.harness.runner import run_strategy
-from repro.scenarios import (
-    ScenarioDoc,
-    ScenarioGenerator,
-    compile_scenario,
-    federation_from_knobs,
-)
+from repro.federation.async_engine import FederationConfig
+from repro.scenarios import ScenarioDoc, ScenarioGenerator, compile_scenario
 from repro.scenarios.fuzz import (
     check_federation_counters,
     check_run_invariants,
@@ -54,10 +50,11 @@ ALL_STRATEGIES = strategy_names()
 PRESETS = tuple(s for s in SCENARIOS if s != "none")
 
 TINY_DATA = {"parties": 8, "train_per_window": 24, "test_per_window": 12}
-TINY_ROUNDS = {"burn_in": 2, "per_window": 1, "participants": 4}
+TINY_ROUNDS = {"burn_in": 2, "per_window": 1}
+TINY_COHORT = 4
 
 
-def drift_doc(strategy: str, *, availability: dict | None = None,
+def drift_doc(strategy: str, *, federation: str | None = None,
               drift: list | None = None, seeds=(0,)) -> dict:
     if drift is None:
         drift = [{"arrival": "sudden", "corruption": "fog", "severity": 4,
@@ -68,10 +65,11 @@ def drift_doc(strategy: str, *, availability: dict | None = None,
         "seeds": list(seeds),
         "data": {**TINY_DATA, "num_windows": 3},
         "rounds": dict(TINY_ROUNDS),
+        "cohort_size": TINY_COHORT,
         "drift": drift,
     }
-    if availability is not None:
-        doc["availability"] = availability
+    if federation is not None:
+        doc["federation"] = federation
     return doc
 
 
@@ -153,8 +151,8 @@ class TestRunInvariants:
     """Every registered strategy completes a drift-diverse scenario with
     internally consistent accounting, deterministically."""
 
-    AVAILABILITY = {"participation": "async", "straggler": 0.6,
-                    "dropout": 0.2}
+    FEDERATION = ("async,availability.straggler_prob=0.6,"
+                  "availability.dropout_prob=0.2")
     DRIFT = [{"arrival": "sudden", "corruption": "fog", "severity": 4,
               "fraction": 0.4, "start_window": 1, "max_phase_offset": 1},
              {"arrival": "class_incremental", "corruption": "identity",
@@ -163,7 +161,7 @@ class TestRunInvariants:
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_run_completes_with_consistent_counters(self, strategy):
-        doc = drift_doc(strategy, availability=self.AVAILABILITY,
+        doc = drift_doc(strategy, federation=self.FEDERATION,
                         drift=self.DRIFT)
         plan = compile_scenario(doc)
         spec, _settings = plan.resolve()
@@ -175,7 +173,7 @@ class TestRunInvariants:
     @pytest.mark.slow
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_same_seed_reproduces_run_bitwise(self, strategy):
-        doc = drift_doc(strategy, availability=self.AVAILABILITY,
+        doc = drift_doc(strategy, federation=self.FEDERATION,
                         drift=self.DRIFT)
         first = compile_scenario(doc).run().runs[strategy][0]
         again = compile_scenario(doc).run().runs[strategy][0]
@@ -206,8 +204,8 @@ class TestRunInvariants:
 
 
 def tiny_overrides(dataset: str):
-    """The flag-built twin of ``TINY_DATA``/``TINY_ROUNDS``: the same resize
-    expressed through the plan API's profile overrides."""
+    """The flag-built twin of ``TINY_DATA``/``TINY_ROUNDS``/``TINY_COHORT``:
+    the same resize expressed through the plan API's profile overrides."""
     spec, run_settings = get_profile("ci", dataset)
     spec = dataclasses.replace(spec, **{
         "num_parties": TINY_DATA["parties"],
@@ -219,7 +217,7 @@ def tiny_overrides(dataset: str):
         rounds_per_window=TINY_ROUNDS["per_window"],
         round_config=dataclasses.replace(
             run_settings.round_config,
-            participants_per_round=TINY_ROUNDS["participants"]))
+            participants_per_round=TINY_COHORT))
     return spec, run_settings
 
 
@@ -234,7 +232,8 @@ class TestPresetDifferential:
     """
 
     def _pair(self, preset: str, strategy: str):
-        federation, _ = federation_from_knobs(preset=preset)
+        federation = FederationConfig(
+            availability=AvailabilityConfig.scenario(preset))
         spec, run_settings = tiny_overrides("fashion_mnist_sim")
         flag_plan = ExperimentPlan.build(
             "fashion_mnist_sim", (strategy,), federation=federation,
@@ -242,7 +241,8 @@ class TestPresetDifferential:
         scenario_plan = compile_scenario({
             "dataset": "fashion_mnist_sim", "strategies": [strategy],
             "data": dict(TINY_DATA), "rounds": dict(TINY_ROUNDS),
-            "availability": {"preset": preset}})
+            "cohort_size": TINY_COHORT,
+            "federation": {"availability": preset}})
         return flag_plan, scenario_plan
 
     @pytest.mark.parametrize("preset", PRESETS)
@@ -279,8 +279,10 @@ class TestCrossWindowBoundary:
         "strategies": ["fedavg"],
         "data": {**TINY_DATA, "num_windows": 3},
         "rounds": dict(TINY_ROUNDS),
-        "availability": {"participation": "async", "straggler": 0.6,
-                         "dropout": 0.2},
+        "cohort_size": TINY_COHORT,
+        "federation": {"mode": "async",
+                       "availability": {"straggler_prob": 0.6,
+                                        "dropout_prob": 0.2}},
         "drift": [{"arrival": "sudden", "corruption": "fog", "severity": 4,
                    "fraction": 0.5, "start_window": 1,
                    "max_phase_offset": 1}],
@@ -306,9 +308,8 @@ class TestCrossWindowBoundary:
         # buffered reports expire at the window edge rather than carrying
         # their pre-shift gradients across it.
         doc = {**self.DOC,
-               "availability": {"participation": "buffered",
-                                "min_reports": 4, "max_wait": 3,
-                                "straggler": 0.6}}
+               "federation": "buffered,min_reports=4,max_wait_rounds=3,"
+                             "availability.straggler_prob=0.6"}
         result = compile_scenario(doc).run().runs["fedavg"][0]
         assert check_federation_counters(result.extras) == []
         fed = result.extras["federation"]

@@ -1,12 +1,12 @@
 """Scenario DSL: documents, the compiler, drift schedules, and the CLI.
 
-The contract under test is flag parity *by construction*: the scenario
-compiler and the CLI flags share one knob-to-config mapping
-(``federation_from_knobs`` / ``population_from_knobs``), so a scenario doc
-using only flag-expressible blocks must compile to an
-:class:`~repro.experiments.plan.ExperimentPlan` equal to the flag-built
-one.  Run-level bitwise differentials live in ``test_scenario_fuzz.py``;
-this file covers the plan-level and schedule-level semantics.
+The contract under test is flag parity *by construction*: a scenario doc,
+a plan file and a ``compare`` flag spell every run knob by its plan key and
+read it through one reader, so a scenario doc using only flag-expressible
+keys must compile to an :class:`~repro.experiments.plan.ExperimentPlan`
+equal to the flag-built one.  Run-level bitwise differentials live in
+``test_scenario_fuzz.py``; this file covers the plan-level and
+schedule-level semantics.
 """
 
 from __future__ import annotations
@@ -21,19 +21,19 @@ from repro.__main__ import main
 from repro.data.drift import ARRIVALS, CohortDrift, validate_drift_plan
 from repro.data.registry import build_shift_schedule, get_dataset_spec
 from repro.experiments.plan import ExperimentPlan
+from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import (
     SCENARIOS,
     AvailabilityConfig,
     AvailabilitySimulator,
 )
+from repro.federation.pool import PopulationConfig
 from repro.scenarios import (
     ScenarioDoc,
     ScenarioGenerator,
     compile_scenario,
-    federation_from_knobs,
     lint_scenario,
     load_scenario,
-    population_from_knobs,
     save_scenario,
 )
 from tests.conftest import make_tiny_spec
@@ -42,7 +42,8 @@ TINY_DOC = {
     "dataset": "fashion_mnist_sim",
     "strategies": ["fedavg"],
     "data": {"parties": 6, "train_per_window": 24, "test_per_window": 12},
-    "rounds": {"burn_in": 2, "per_window": 1, "participants": 3},
+    "rounds": {"burn_in": 2, "per_window": 1},
+    "cohort_size": 3,
 }
 
 
@@ -227,9 +228,10 @@ class TestScenarioDoc:
         with pytest.raises(ValueError, match="'data'"):
             ScenarioDoc(dataset="fmow_sim", strategies=["fedavg"],
                         data={"clients": 5})
-        with pytest.raises(ValueError, match="'availability'"):
+        with pytest.raises(ValueError,
+                           match="scenario federation.availability"):
             ScenarioDoc(dataset="fmow_sim", strategies=["fedavg"],
-                        availability={"drop": 0.3})
+                        federation={"availability": {"drop": 0.3}})
 
     def test_requires_dataset_and_strategies(self):
         with pytest.raises(ValueError, match="dataset"):
@@ -256,7 +258,7 @@ class TestScenarioDoc:
 
     def test_json_round_trip(self, tmp_path):
         doc = ScenarioDoc.from_dict(tiny_doc(
-            seeds=[0, 1], availability={"preset": "flaky"},
+            seeds=[0, 1], federation={"availability": "flaky"},
             drift=[{"arrival": "recurring", "corruption": "fog",
                     "severity": 3, "fraction": 0.4, "period": 2}]))
         path = save_scenario(tmp_path / "doc.json", doc)
@@ -268,9 +270,9 @@ class TestScenarioDoc:
             'dataset = "fashion_mnist_sim"\n'
             'strategies = ["fedavg", "shiftex"]\n'
             'seeds = [0, 1]\n\n'
-            '[availability]\n'
-            'participation = "async"\n'
-            'preset = "stragglers"\n\n'
+            '[federation]\n'
+            'mode = "async"\n'
+            'availability = "stragglers"\n\n'
             '[[drift]]\n'
             'arrival = "gradual"\n'
             'corruption = "frost"\n'
@@ -279,7 +281,8 @@ class TestScenarioDoc:
             'ramp_windows = 2\n')
         doc = load_scenario(path)
         assert doc.seeds == (0, 1)
-        assert doc.availability["preset"] == "stragglers"
+        assert doc.federation == FederationConfig(
+            mode="async", availability=AvailabilityConfig.scenario("stragglers"))
         assert doc.drift[0].arrival == "gradual"
 
     def test_load_errors_name_the_file(self, tmp_path):
@@ -305,12 +308,12 @@ class TestFlagParity:
     @pytest.mark.parametrize("preset",
                              [s for s in SCENARIOS if s != "none"])
     def test_presets_match_flag_built_plans(self, preset):
-        federation, _ = federation_from_knobs(preset=preset)
         flag_plan = ExperimentPlan.build(
-            "fashion_mnist_sim", ("fedavg",), federation=federation)
+            "fashion_mnist_sim", ("fedavg",), federation=FederationConfig(
+                availability=AvailabilityConfig.scenario(preset)))
         scenario_plan = compile_scenario({
             "dataset": "fashion_mnist_sim", "strategies": ["fedavg"],
-            "availability": {"preset": preset}})
+            "federation": {"availability": preset}})
         self._equal_modulo_name(flag_plan, scenario_plan)
 
     def test_full_flag_surface_matches(self):
@@ -320,21 +323,23 @@ class TestFlagParity:
         args = build_parser().parse_args([
             "compare", "fmow_sim", "--methods", "fedavg", "shiftex",
             "--seeds", "0", "1", "--profile", "ci", "--precision", "float32",
-            "--privacy", "masking=on", "--population", "40",
-            "--max-resident", "10", "--participation-skew", "zipf",
-            "--zipf-a", "1.5", "--survey-parties", "8", "--cohort-size", "4",
-            "--participation", "buffered", "--scenario", "flaky",
-            "--dropout", "0.2", "--straggler", "0.1", "--outage", "0.05",
-            "--min-reports", "3", "--max-wait", "2",
-            "--staleness-policy", "polynomial"])
+            "--privacy", "masking=on",
+            "--population", "40,max_resident=10,skew=zipf,zipf_a=1.5,survey=8",
+            "--cohort-size", "4",
+            "--federation", "buffered,min_reports=3,max_wait_rounds=2,"
+                            "staleness_policy=polynomial",
+            "--availability", "flaky,dropout_prob=0.2,straggler_prob=0.1,"
+                              "outage_prob=0.05"])
         cli_plan = compile_scenario(
             _scenario_from_args(args, args.methods))
-        federation, _ = federation_from_knobs(
-            participation="buffered", preset="flaky", dropout=0.2,
-            straggler=0.1, outage=0.05, min_reports=3, max_wait=2,
-            staleness_policy="polynomial")
-        population = population_from_knobs(size=40, max_resident=10,
-                                           skew="zipf", zipf_a=1.5, survey=8)
+        federation = FederationConfig(
+            mode="buffered", min_reports=3, max_wait_rounds=2,
+            staleness_policy="polynomial",
+            availability=AvailabilityConfig.scenario(
+                "flaky", dropout_prob=0.2, straggler_prob=0.1,
+                outage_prob=0.05))
+        population = PopulationConfig(size=40, max_resident=10, skew="zipf",
+                                      zipf_a=1.5, survey=8)
         flag_plan = ExperimentPlan.build(
             "fmow_sim", ("fedavg", "shiftex"), seeds=(0, 1), profile="ci",
             precision="float32", privacy="masking=on",
@@ -342,13 +347,15 @@ class TestFlagParity:
         scenario_plan = compile_scenario({
             "dataset": "fmow_sim", "strategies": ["fedavg", "shiftex"],
             "seeds": [0, 1], "profile": "ci", "precision": "float32",
-            "privacy": "masking=on",
+            "privacy": "masking=on", "cohort_size": 4,
             "population": {"size": 40, "max_resident": 10, "skew": "zipf",
-                           "zipf_a": 1.5, "survey": 8, "cohort_size": 4},
-            "availability": {"participation": "buffered", "preset": "flaky",
-                             "dropout": 0.2, "straggler": 0.1,
-                             "outage": 0.05, "min_reports": 3, "max_wait": 2,
-                             "staleness_policy": "polynomial"}})
+                           "zipf_a": 1.5, "survey": 8},
+            "federation": {"mode": "buffered", "min_reports": 3,
+                           "max_wait_rounds": 2,
+                           "staleness_policy": "polynomial",
+                           "availability": "flaky,dropout_prob=0.2,"
+                                           "straggler_prob=0.1,"
+                                           "outage_prob=0.05"}})
         self._equal_modulo_name(flag_plan, scenario_plan)
         assert cli_plan == scenario_plan
 
@@ -404,29 +411,20 @@ class TestCompiler:
                 data={**TINY_DOC["data"], "num_windows": 1},
                 drift=[{"arrival": "sudden"}]))
 
-    def test_participants_and_cohort_size_must_agree(self):
-        doc = {"dataset": "fmow_sim", "strategies": ["fedavg"],
-               "rounds": {"participants": 3}, "population": {"cohort_size": 5}}
-        with pytest.raises(ValueError, match=r"rounds.participants=3 and "
-                                             r"population.cohort_size=5"):
-            compile_scenario(doc)
-        doc["population"]["cohort_size"] = 3
-        _spec, settings = compile_scenario(doc).resolve()
-        assert settings.round_config.participants_per_round == 3
-
     def test_population_dependents_require_size(self):
-        with pytest.raises(ValueError, match="population size"):
+        with pytest.raises(ValueError, match=r"scenario population is missing "
+                                             r"required key\(s\) \['size'\]"):
             compile_scenario(tiny_doc(population={"max_resident": 4}))
 
     def test_lint_flags_sync_buffering_knobs(self):
         warnings = lint_scenario(tiny_doc(
-            availability={"min_reports": 3}))
+            federation={"min_reports": 3}))
         assert any("buffered/async" in w for w in warnings)
 
     def test_lint_flags_unenumerable_outage_population(self):
         warnings = lint_scenario(tiny_doc(
             population={"size": 5000},
-            availability={"preset": "outages"}))
+            federation={"availability": "outages"}))
         assert any("cohort_fates" in w for w in warnings)
         assert not lint_scenario(tiny_doc(
             population={"size": 5000}))  # no outage knob -> no advisory
@@ -508,7 +506,7 @@ class TestScenarioCli:
     def test_validate_prints_lint_warnings(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(tiny_doc(
-            availability={"min_reports": 3})))
+            federation={"min_reports": 3})))
         assert main(["scenarios", "validate", str(path)]) == 0
         assert "warning" in capsys.readouterr().err
 
