@@ -10,14 +10,14 @@ Four measurements behind docs/ARCHITECTURE.md "The data plane":
 The stage table times one train split of each pinned e2e plan's dataset
 (``pool_100k``: ``femnist_sim``, ``wide_server``: ``fashion_mnist_sim``,
 ``sync_conv``: ``cifar10_c_sim``, ``async_masked``: ``fmow_sim``) stage by
-stage — every corruption in the plan's regimes, and the per-image ``np.roll``
-sampler this repo used to have beside the live one.  ``--plans`` runs seed 0
-of the same plans and counts splits and samples generated against splits and
-samples some protocol op read.  ``--sha`` prints one SHA-256 per registry
-dataset over all four arrays of every window x every third in-schedule party
-+ two virtual ids.  ``--plans`` and ``--sha`` use only names an older checkout
-also has, so pointing ``PYTHONPATH`` at its ``src`` gives the "before"
-numbers.  ``--corruptions`` (needs scipy, the reference) times each
+stage — every corruption in the plan's regimes, and the per-class, per-image
+``np.roll`` sampler this repo used to have beside the live one.  ``--plans``
+runs seed 0 of the same plans and counts splits and samples generated against
+splits and samples some protocol op read.  ``--sha`` prints one SHA-256 per
+registry dataset over all four arrays of every window x every third
+in-schedule party + two virtual ids.  ``--plans`` and ``--sha`` use only names
+an older checkout also has, so pointing ``PYTHONPATH`` at its ``src`` gives
+the "before" numbers.  ``--corruptions`` (needs scipy, the reference) times each
 ``repro.data.ndimage`` kernel against the ``scipy.ndimage`` call it replaced,
 and each operator that uses one against its scipy-backed copy in
 ``reference.py``, at the pinned plans' train-split shapes, then checks every
@@ -62,26 +62,6 @@ def pinned_plan(workload: str):
 # ---------------------------------------------------------------- per-stage table
 
 
-def roll_translate(template, shifts):
-    """The translation stage of the previous sampler, timed on its own."""
-    base = np.repeat(template[None], len(shifts), axis=0)
-    for i, (dy, dx) in enumerate(shifts):
-        if dy or dx:
-            base[i] = np.roll(base[i], (int(dy), int(dx)), axis=(1, 2))
-    return base
-
-
-def roll_sample(generator, labels, rng):
-    """``SyntheticImageGenerator.sample`` over the previous per-image roll
-    sampler (``reference.ref_sample_class``, the copy the differential test
-    pins the live one against)."""
-    out = np.empty((labels.size, *generator.spec.input_shape))
-    for class_id in np.unique(labels):
-        idx = np.nonzero(labels == class_id)[0]
-        out[idx] = reference.ref_sample_class(generator, int(class_id), idx.size, rng)
-    return out
-
-
 def stage_table(workload: str) -> None:
     spec, _settings = pinned_plan(workload).resolve()
     ds = FederatedShiftDataset(spec)
@@ -90,38 +70,17 @@ def stage_table(workload: str) -> None:
     p = prior / prior.sum()
     labels = spawn_rng(spec.seed, "bench").choice(spec.num_classes, size=n, p=p)
     x = generator.sample(labels, np.random.default_rng(0))
-    assert np.array_equal(x, roll_sample(generator, labels, np.random.default_rng(0)))
-    # One class's share of the split, as sample_class sees it.
-    template = generator.templates[0]
-    per_class = max(1, n // len(np.unique(labels)))
-    shifts = np.random.default_rng(1).integers(-1, 2, size=(per_class, 2))
-    base = roll_translate(template, shifts)
+    assert np.array_equal(
+        x, reference.ref_sample(generator, labels, np.random.default_rng(0)))
     rng = np.random.default_rng(2)
-
-    def noise_clip():
-        noise = rng.normal(0.0, generator.spec.noise_scale, size=base.shape)
-        brightness = rng.normal(0.0, 0.08, size=(per_class, 1, 1, 1))
-        return np.clip(base + noise + brightness, 0.0, 1.0)
-
-    grid = np.arange(spec.image_size)
-
-    def gather_translate():
-        rows = (grid - shifts[:, :1]) % spec.image_size
-        cols = (grid - shifts[:, 1:]) % spec.image_size
-        return template[:, rows[:, :, None], cols[:, None, :]].transpose(1, 0, 2, 3)
-
-    assert np.array_equal(gather_translate(), base)
     regimes = sorted(set(spec.window_regimes) | {("identity", 1)})
     regime = ds.schedule.regime_of(1, 0)
     stages = [
         ("spawn_rng", lambda: spawn_rng(spec.seed, "data", 0, 1, "train")),
         ("label draw", lambda: rng.choice(spec.num_classes, size=n, p=p)),
         ("sample, live", lambda: generator.sample(labels, rng)),
-        ("sample, per-image roll", lambda: roll_sample(generator, labels, rng)),
-        (f"  one class of {per_class}: gather", gather_translate),
-        (f"  one class of {per_class}: roll loop",
-         lambda: roll_translate(template, shifts)),
-        (f"  one class of {per_class}: noise + clip", noise_clip),
+        ("sample, per-class per-image roll",
+         lambda: reference.ref_sample(generator, labels, rng)),
         *((f"corruption {c} {s}", lambda c=c, s=s: apply_corruption(x, c, s, rng))
           for c, s in regimes),
         (f"whole train split ({regime.corruption} {regime.severity})",

@@ -11,12 +11,13 @@ The table times the statistics at the shapes the pinned plans score them at
 party report (48 rows against the party's previous 48), cluster matching (a
 64-row cluster pool against 5 latent memories of 64), cluster fusion (two
 pooled 20-party clusters, 960 rows each), one ``jsd``, and the median-heuristic
-bandwidth with its ``tracemalloc`` peak at 24 / 32 / 40 parties' pooled rows.
-``--check`` runs a fixed seeded sweep and prints whether the bandwidth equals
-the previous implementation (``benchmarks/reference.py``, the copy the
+bandwidth with its ``tracemalloc`` peak at 24 / 32 / 40 / 96 parties' pooled
+rows.  ``--check`` runs a fixed seeded sweep and prints whether the bandwidth
+equals the previous implementation (``benchmarks/reference.py``, the copy the
 differential test pins against) bit for bit and the worst relative deviation
 of each statistic from it — the scoring is tolerance-pinned, not byte-pinned,
-so this line is what a verification quotes in place of a digest.
+so this line is what a verification quotes in place of a digest; it exits 1
+when the bandwidth differs.
 ``--clustering`` times ``select_num_clusters`` against the previous k-means
 (one Lloyd loop per problem) at the shift response's and a FLIPS fit's
 shapes, and prints whether a seeded sweep returns the same bytes and leaves
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as benchmarks/e2e pins it
@@ -98,7 +100,7 @@ def call_table() -> None:
     print(f"width {DIM}, {CLASSES} classes, Dirichlet({ALPHA}) priors; best of 25")
     for label, calls, fn in rows:
         print(f"  {label:<56}{best_us(fn, calls=calls, repeats=25):>10.1f} us")
-    for parties in (24, 32, 40):
+    for parties in (24, 32, 40, 96):
         sample = pooled(rng, parties)[0]
         n = sample.shape[0]
         elapsed_us = best_us(lambda: median_heuristic_gamma(sample), calls=1, repeats=5)
@@ -108,13 +110,14 @@ def call_table() -> None:
         tracemalloc.stop()
         print(f"  {f'bandwidth: median_heuristic_gamma, {n} rows':<56}"
               f"{elapsed_us / 1e3:>10.1f} ms  peak {peak / 1e6:6.1f} MB"
-              f" = {peak / (n * n * 8):.2f} n^2 doubles")
+              f" = {peak / (n * 8):.0f} doubles per row")
 
 
 # ---------------------------------------------------------------- equivalence
 
 
-def check(cases: int = 400) -> None:
+def check(cases: int = 400) -> bool:
+    """Print the sweep; True when the bandwidth equals the reference throughout."""
     worst = {"mmd": 0.0, "class_conditional_mmd": 0.0,
              "class_conditional_mmd_to_many": 0.0}
 
@@ -145,13 +148,14 @@ def check(cases: int = 400) -> None:
                    x, xl, [t for t, _ in targets], [lab for _, lab in targets], gamma),
                [ref_class_conditional_mmd(x, xl, t, lab, gamma)
                 for t, lab in targets])
-    for rows in (1152, 1920):
+    for rows in (1152, 1920, 4608):
         sample = pooled(spawn_rng(20, "detection-check-wide", rows), rows // ROWS)[0]
         gamma_equal &= median_heuristic_gamma(sample) == ref_gamma(sample)
-    print(f"{cases} seeded cases + bandwidth at 1152 and 1920 rows")
+    print(f"{cases} seeded cases + bandwidth at 1152, 1920 and 4608 rows")
     print(f"  median_heuristic_gamma == previous implementation: {gamma_equal}")
     for name, deviation in worst.items():
         print(f"  {name:<32} worst relative deviation {deviation:.2e}")
+    return bool(gamma_equal)
 
 
 # ---------------------------------------------------------------- clustering
@@ -211,7 +215,7 @@ if __name__ == "__main__":
     mode.add_argument("--clustering", action="store_true")
     args = parser.parse_args()
     if args.check:
-        check()
+        sys.exit(0 if check() else 1)
     elif args.clustering:
         clustering()
     else:

@@ -6,7 +6,8 @@ code (three distance matrices and three ``exp`` per pair, a Python loop per
 shared class, a median heuristic gathered through ``triu_indices``), the conv
 kernels' previous ``im2col`` / ``col2im`` / max-pool and per-tensor training
 step, k-means as one Lloyd loop per (k, restart) problem, the data plane's
-previous per-image ``np.roll`` sampler and eager window assembly, and the six
+previous sampler (one class at a time, one ``np.roll`` per image) and eager
+window assembly, ``pixelate``'s per-pixel loop, and the six
 corruption operators as they were over ``scipy.ndimage`` (``SCIPY_CORRUPTIONS``;
 scipy is a test-only dependency, so ``ndimage`` / ``special`` are ``None``
 without it).  ``tests/test_{detection,data}_differential.py``,
@@ -390,6 +391,15 @@ def ref_sample_class(self, class_id, n, rng):
     return np.clip(base + noise + brightness, 0.0, 1.0)
 
 
+def ref_sample(self, labels, rng):
+    labels = np.asarray(labels)
+    out = np.empty((labels.size, *self.spec.input_shape))
+    for class_id in np.unique(labels):
+        idx = np.nonzero(labels == class_id)[0]
+        out[idx] = ref_sample_class(self, int(class_id), idx.size, rng)
+    return out
+
+
 def ref_assemble_window(self, party, shard, window):
     regime = self.schedule.regime_of(window, shard)
     prior = self.schedule.prior_of(window, shard)
@@ -494,6 +504,24 @@ def ref_scale_jitter(x, severity, rng):
     zh, zw = zoomed.shape[2], zoomed.shape[3]
     top, left = (zh - h) // 2, (zw - w) // 2
     return np.clip(zoomed[:, :, top:top + h, left:left + w], 0.0, 1.0)
+
+
+def ref_pixelate(x, severity, rng):
+    factor = _sev((2, 2, 3, 4, 6), severity)
+    x = _check_batch(x)
+    n, c, h, w = x.shape
+    small_h, small_w = max(1, h // factor), max(1, w // factor)
+    # Block-mean downsample, then nearest-neighbour upsample.
+    ys = (np.arange(h) * small_h // h).clip(0, small_h - 1)
+    xs = (np.arange(w) * small_w // w).clip(0, small_w - 1)
+    down = np.zeros((n, c, small_h, small_w))
+    counts = np.zeros((small_h, small_w))
+    for i in range(h):
+        for j in range(w):
+            down[:, :, ys[i], xs[j]] += x[:, :, i, j]
+            counts[ys[i], xs[j]] += 1
+    down /= counts
+    return np.clip(down[:, :, ys][:, :, :, xs], 0.0, 1.0)
 
 
 SCIPY_CORRUPTIONS = {

@@ -174,17 +174,36 @@ def pixelate(x: np.ndarray, severity: int, rng: np.random.Generator) -> np.ndarr
     x = _check_batch(x)
     n, c, h, w = x.shape
     small_h, small_w = max(1, h // factor), max(1, w // factor)
-    # Block-mean downsample, then nearest-neighbour upsample.
-    ys = (np.arange(h) * small_h // h).clip(0, small_h - 1)
-    xs = (np.arange(w) * small_w // w).clip(0, small_w - 1)
-    down = np.zeros((n, c, small_h, small_w))
-    counts = np.zeros((small_h, small_w))
-    for i in range(h):
-        for j in range(w):
-            down[:, :, ys[i], xs[j]] += x[:, :, i, j]
-            counts[ys[i], xs[j]] += 1
-    down /= counts
-    return np.clip(down[:, :, ys][:, :, :, xs], 0.0, 1.0)
+    # Block-mean downsample, then nearest-neighbour upsample.  Row i lies in
+    # block row i * small_h // h, columns alike.
+    ys = np.arange(h) * small_h // h
+    xs = np.arange(w) * small_w // w
+    rows, row_counts = _block_pixels(ys, pad=h)
+    cols, col_counts = _block_pixels(xs, pad=w)
+    # Pixels first, batch last, so a gathered pixel is one contiguous (n, c)
+    # slab; row h and column w read zero.
+    canvas = np.zeros((h + 1, w + 1, n, c))
+    canvas[:h, :w] += x.transpose(2, 3, 0, 1)  # 0.0 + x: a per-pixel loop's first add
+    # pixels[k] holds every block's k-th pixel in row-major order (a zero past
+    # a smaller block's end), so adding them in turn sums each block in the
+    # order a per-pixel loop does.
+    pixels = canvas[rows.T[:, None, :, None], cols.T[None, :, None, :]].reshape(
+        rows.shape[1] * cols.shape[1], small_h, small_w, n, c)
+    down = pixels[0].copy()
+    for pixel in pixels[1:]:
+        down += pixel
+    down /= np.outer(row_counts, col_counts)[:, :, None, None]
+    up = np.clip(down[ys][:, xs], 0.0, 1.0)
+    return np.ascontiguousarray(up.transpose(2, 3, 0, 1))
+
+
+def _block_pixels(blocks: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, count)`` per block of a non-decreasing block-id axis: the
+    block's positions along the axis, right-padded with ``pad`` to the
+    longest block's length, and how many there are."""
+    _, starts, counts = np.unique(blocks, return_index=True, return_counts=True)
+    offsets = np.arange(counts.max())
+    return np.where(offsets < counts[:, None], starts[:, None] + offsets, pad), counts
 
 
 # ------------------------------------------------------------------ transform family

@@ -86,38 +86,47 @@ class SyntheticImageGenerator:
         self.templates = np.stack(
             [_class_template(spec, c, template_rng) for c in range(spec.num_classes)]
         )
-
-    def sample_class(self, class_id: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` images of a single class."""
-        if not 0 <= class_id < self.spec.num_classes:
-            raise ValueError(f"class_id {class_id} out of range")
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        spec = self.spec
-        template = self.templates[class_id]
-        if spec.max_translation > 0 and n > 0:
-            shifts = rng.integers(-spec.max_translation, spec.max_translation + 1,
-                                  size=(n, 2))
-            # Every image's circular (dy, dx) roll as one gather: pixel
-            # (r, c) of image i is template pixel ((r - dy_i) % size,
-            # (c - dx_i) % size), which is what np.roll computes.
-            grid = np.arange(spec.image_size)
-            rows = (grid - shifts[:, :1]) % spec.image_size
-            cols = (grid - shifts[:, 1:]) % spec.image_size
-            base = template[:, rows[:, :, None], cols[:, None, :]].transpose(1, 0, 2, 3)
-        else:
-            base = np.repeat(template[None], n, axis=0)
-        noise = rng.normal(0.0, spec.noise_scale, size=base.shape)
-        brightness = rng.normal(0.0, spec.brightness_jitter, size=(n, 1, 1, 1))
-        return np.clip(base + noise + brightness, 0.0, 1.0)
+        # Every template under every (dy, dx) circular translation, indexed
+        # [dy + t, dx + t, class]: a sample's base image is one lookup.
+        t = spec.max_translation
+        self._translated = np.stack([
+            np.stack([np.roll(self.templates, (dy, dx), axis=(2, 3))
+                      for dx in range(-t, t + 1)])
+            for dy in range(-t, t + 1)])
 
     def sample(self, labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Draw one image per entry of ``labels`` (vectorized by class)."""
+        """Draw one image per entry of ``labels``.
+
+        The generator is read class by class in ascending class order — each
+        class's translations, pixel noise and brightness, as a per-class
+        sampler would draw them — and the split is then assembled in one
+        add / add / clip.  ``standard_normal`` scaled by ``noise_scale``
+        afterwards is ``normal(0, noise_scale)`` to the byte.
+        """
         labels = np.asarray(labels)
-        out = np.empty((labels.size, *self.spec.input_shape))
-        for class_id in np.unique(labels):
-            idx = np.nonzero(labels == class_id)[0]
-            out[idx] = self.sample_class(int(class_id), idx.size, rng)
+        spec = self.spec
+        if labels.size and not 0 <= labels.min() <= labels.max() < spec.num_classes:
+            raise ValueError(f"labels must lie in [0, {spec.num_classes}); "
+                             f"got {labels.min()}..{labels.max()}")
+        t = spec.max_translation
+        order = np.argsort(labels, kind="stable")
+        ordered = labels[order]
+        cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+        edges = [0, *cuts, labels.size] if labels.size else []  # one run per class
+        shifts = np.zeros((labels.size, 2), dtype=np.int64)
+        noise = np.empty((labels.size, *spec.input_shape))
+        brightness = np.empty((labels.size, 1, 1, 1))
+        for start, stop in zip(edges, edges[1:]):
+            if t > 0:
+                shifts[start:stop] = rng.integers(-t, t + 1, size=(stop - start, 2))
+            rng.standard_normal(out=noise[start:stop])
+            brightness[start:stop] = rng.normal(0.0, spec.brightness_jitter,
+                                                size=(stop - start, 1, 1, 1))
+        noise *= spec.noise_scale
+        noise += self._translated[shifts[:, 0] + t, shifts[:, 1] + t, ordered]
+        noise += brightness
+        out = np.empty_like(noise)
+        out[order] = np.clip(noise, 0.0, 1.0, out=noise)
         return out
 
     def sample_dataset(self, label_prior: np.ndarray, n: int,

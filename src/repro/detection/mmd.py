@@ -17,9 +17,18 @@ import numpy as np
 
 from repro.utils.validation import check_2d
 
-# Rows of the distance matrix the bandwidth finishes per step: the one
-# temporary it holds is this many rows, not the matrix.
+# Rows of the distance matrix the bandwidth finishes per step: its largest
+# temporaries are this many rows, never the matrix.
 _BLOCK_ROWS = 128
+# A counting pass sorts each open key window into 2**16 buckets.
+_BUCKET_BITS = 16
+_BUCKETS = 1 << _BUCKET_BITS
+# The first pass buckets by a key's top 24 bits (4,096 buckets per octave) over
+# the 16 octaves below the largest possible distance; smaller ones share
+# bucket 0.
+_FIRST_SHIFT = 40
+# Keys of the finite non-negative doubles lie below this one (+inf's).
+_KEY_END = 0x7FF0000000000000
 # Padding entries a batch may carry before a fresh batch is cheaper: one more
 # batch's numpy dispatches (~50 us) cost what ~16k kernel entries (~3 ns) do.
 _PAD_ENTRIES = 16384
@@ -29,32 +38,122 @@ def median_heuristic_gamma(x: np.ndarray, y: np.ndarray | None = None) -> float:
     """RBF bandwidth via the median heuristic: ``gamma = 1 / (2 * median^2)``.
 
     The median is taken over pairwise distances of the pooled sample.  Falls
-    back to 1.0 when all points coincide.  One ``n x n`` buffer is the whole
-    footprint: distances are finished in it block by block, its strict upper
-    triangle is compacted to its front and the median partitions that in
-    place.
+    back to 1.0 when all points coincide.  It is selected, not sorted: the
+    distances are recomputed block by block in every pass of
+    :func:`_select_upper`, so the footprint is a few ``_BLOCK_ROWS x n``
+    blocks and no ``n x n`` array exists.  A row that is not finite raises,
+    since its distances would make the bandwidth (and every MMD) ``nan``;
+    the error names it as a row of ``x`` or of ``y``.
     """
     x = check_2d(x, "x")
     pooled = x if y is None else np.vstack([x, check_2d(y, "y")])
     n = pooled.shape[0]
-    norms = (pooled ** 2).sum(axis=1)
-    d2 = pooled @ pooled.T
-    d2 *= 2.0
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = d2[start:start + _BLOCK_ROWS]
-        np.subtract(norms[start:start + _BLOCK_ROWS, None] + norms, rows, out=rows)
-    np.maximum(d2, 0.0, out=d2)
-    flat = d2.reshape(-1)
-    end = 0
-    for i in range(n - 1):  # row i's upper part never lands past its own start
-        flat[end:end + n - 1 - i] = d2[i, i + 1:]
-        end += n - 1 - i
-    if end == 0:
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        norms = (pooled ** 2).sum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(4.0 * norms))
+    if bad.size:
+        row = int(bad[0])
+        where = f"x row {row}" if row < x.shape[0] else f"y row {row - x.shape[0]}"
+        raise ValueError(f"{where} is not finite (or its squared norm overflows)")
+    pairs = n * (n - 1) // 2
+    if pairs == 0:
         return 1.0
-    med2 = float(np.median(flat[:end], overwrite_input=True))
+    low, high = _select_upper(pooled, norms, ((pairs - 1) // 2, pairs // 2))
+    med2 = low if pairs % 2 else (low + high) / 2  # what np.median returns
     if med2 <= 0:
         return 1.0
     return 1.0 / (2.0 * med2)
+
+
+def _distance_blocks(pooled: np.ndarray, norms: np.ndarray):
+    """The clamped squared-distance matrix, one block of rows at a time.
+
+    A block is its rows against themselves and every later row,
+    ``max((n_i + n_j) - 2 <x_i, x_j>, 0)`` in that order, the order of the
+    reference in ``benchmarks/reference.py`` that the bandwidth is pinned to.
+    Entries on or below the diagonal are set to -1, whose key is negative, so
+    no key window holds them.  Up to ``2 * _BLOCK_ROWS`` rows are one block:
+    the product is then ``x @ x.T`` itself, the reference's own ``syrk``.
+    """
+    n = pooled.shape[0]
+    step = n if n <= 2 * _BLOCK_ROWS else _BLOCK_ROWS
+    for start in range(0, n - 1, step):
+        stop = min(start + step, n)
+        gram = pooled[start:stop] @ pooled[start:].T
+        gram *= 2.0
+        d2 = np.add.outer(norms[start:stop], norms[start:])
+        d2 -= gram
+        del gram
+        np.maximum(d2, 0.0, out=d2)
+        np.copyto(d2[:, :stop - start], -1.0, where=np.tri(stop - start, dtype=bool))
+        yield d2
+
+
+def _select_upper(pooled: np.ndarray, norms: np.ndarray, ranks) -> list[float]:
+    """Values of the given ranks among the strict upper triangle's distances.
+
+    A radix selection on order-preserving keys: non-negative doubles viewed
+    as int64 sort like the doubles.  Each rank keeps a key window ``[lo, hi)``,
+    its rank inside it and the number of values inside.  A counting pass
+    histograms every open window and narrows each rank to its bucket; once
+    the open windows hold at most ``_BLOCK_ROWS * n`` values, one pass
+    gathers them and ``np.partition`` picks the ranks.  The first histogram
+    is fine enough that one counting pass is the usual count.
+    """
+    n = pooled.shape[0]
+    windows = [[0, _KEY_END, rank, n * (n - 1) // 2] for rank in ranks]
+    # No computed distance exceeds 2 (n_i + n_j) rounded up; 8 max(n) is safe.
+    top = int(np.float64(8.0 * norms.max()).view(np.int64))
+    first = True
+    while True:
+        open_ = {(lo, hi): count for lo, hi, _rank, count in windows if hi - lo > 1}
+        if sum(open_.values()) <= _BLOCK_ROWS * n:
+            break
+        plans = {}
+        for lo, hi in open_:
+            shift = (_FIRST_SHIFT if first
+                     else max(0, (hi - lo - 1).bit_length() - _BUCKET_BITS))
+            base = (top >> shift) - (_BUCKETS - 2) if first else lo >> shift
+            plans[lo, hi] = shift, base, np.zeros(_BUCKETS, dtype=np.int64)
+        diagonal = 0
+        for d2 in _distance_blocks(pooled, norms):
+            keys = d2.view(np.int64)
+            diagonal += len(d2) * (len(d2) + 1) // 2
+            for (lo, hi), (shift, base, counts) in plans.items():
+                # The first window holds every key, so its block is bucketed
+                # in place; the -1 entries land in bucket 0 and leave below.
+                bucket = keys.ravel() if first else keys[(keys >= lo) & (keys < hi)]
+                bucket >>= shift
+                bucket -= base
+                np.clip(bucket, 0, _BUCKETS - 1, out=bucket)
+                counts += np.bincount(bucket, minlength=_BUCKETS)
+        if first:
+            plans[0, _KEY_END][2][0] -= diagonal
+        for window in windows:
+            lo, hi, rank, _count = window
+            if (lo, hi) not in plans:
+                continue
+            shift, base, counts = plans[lo, hi]
+            below = np.cumsum(counts)
+            b = int(np.searchsorted(below, rank, side="right"))
+            window[:] = [lo if b == 0 else max(lo, (base + b) << shift),
+                         hi if b == _BUCKETS - 1 else min(hi, (base + b + 1) << shift),
+                         rank - (int(below[b - 1]) if b else 0), int(counts[b])]
+        first = False
+    found = {window: [] for window in open_}
+    if found:
+        for d2 in _distance_blocks(pooled, norms):
+            keys = d2.view(np.int64)
+            for lo, hi in found:
+                found[lo, hi].append(d2[(keys >= lo) & (keys < hi)])
+    values = []
+    for lo, hi, rank, _count in windows:
+        if hi - lo == 1:  # narrowed to one key: the value itself
+            values.append(float(np.int64(lo).view(np.float64)))
+        else:
+            inside = np.concatenate(found[lo, hi])
+            values.append(float(np.partition(inside, rank)[rank]))
+    return values
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma) -> np.ndarray:
@@ -62,8 +161,10 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma) -> np.ndarray:
 
     ``x`` and ``y`` are row sets, or equally long stacks of row sets: one
     Gram per stack entry, ``gamma`` a scalar or shaped ``(stack, 1, 1)``.
+    A ``nan`` bandwidth is rejected like a non-positive one: every MMD it
+    scored would be ``nan`` and compare False against every threshold.
     """
-    if (np.asarray(gamma) <= 0).any():
+    if not (np.asarray(gamma) > 0).all():
         raise ValueError("gamma must be positive")
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if min(x.ndim, y.ndim) < 2 or 0 in (x.shape[-2], y.shape[-2]):

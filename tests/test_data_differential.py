@@ -1,10 +1,12 @@
 """Differential tests: the data plane against the bodies it replaced.
 
-``ref_sample_class`` is the previous ``SyntheticImageGenerator.sample_class``
-(one ``np.roll`` per image) and ``ref_assemble_window`` the previous eager
+``ref_sample`` is the previous ``SyntheticImageGenerator.sample`` (one
+``sample_class`` call per class, one ``np.roll`` per image) and
+``ref_assemble_window`` the previous eager
 ``FederatedShiftDataset._assemble_window`` (both splits generated at once),
 kept verbatim in ``benchmarks/reference.py`` (the probe times the same copy).
-The live sampler gathers the same pixels through an index grid and the live
+The live sampler makes the same draws class by class, reads the translated
+templates from a pre-rolled stack and assembles the split in one pass; the live
 window generates each split on first read from the same per-split RNG stream,
 so every comparison is ``np.array_equal`` — and the sampler must leave the
 generator in the same state, because the corruption that follows draws from it.
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from benchmarks.reference import ref_assemble_window, ref_sample_class
+from benchmarks.reference import ref_assemble_window, ref_sample
 from repro.data.federated import FederatedShiftDataset
 from repro.data.images import ImageDomainSpec, SyntheticImageGenerator
 from repro.data.registry import dataset_names, get_dataset_spec
@@ -24,20 +26,20 @@ from repro.data.registry import dataset_names, get_dataset_spec
 # ---------------------------------------------------------------- sampler
 
 
-@given(class_id=st.integers(0, 2), n=st.integers(0, 64),
+@given(labels=st.lists(st.integers(0, 3), max_size=64),
        max_translation=st.integers(0, 3), image_size=st.integers(4, 16),
        channels=st.sampled_from([1, 3]),
        noise_scale=st.sampled_from([0.0, 0.1, 0.22]), seed=st.integers(0, 2**16))
 @settings(max_examples=120, deadline=None)
-def test_sample_class_matches_per_image_roll(class_id, n, max_translation,
-                                             image_size, channels, noise_scale,
-                                             seed):
+def test_sample_matches_per_image_roll(labels, max_translation, image_size,
+                                       channels, noise_scale, seed):
     generator = SyntheticImageGenerator(ImageDomainSpec(
-        num_classes=3, image_size=image_size, channels=channels,
+        num_classes=4, image_size=image_size, channels=channels,
         noise_scale=noise_scale, max_translation=max_translation, seed=seed))
+    labels = np.array(labels, dtype=np.int64)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    out = generator.sample_class(class_id, n, rng)
-    ref = ref_sample_class(generator, class_id, n, ref_rng)
+    out = generator.sample(labels, rng)
+    ref = ref_sample(generator, labels, ref_rng)
     assert out.dtype == ref.dtype and out.shape == ref.shape
     assert np.array_equal(out, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state

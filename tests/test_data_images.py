@@ -33,20 +33,30 @@ class TestSpecValidation:
 
 class TestSampling:
     def test_sample_class_shape_and_range(self, gen, rng):
-        x = gen.sample_class(0, 7, rng)
+        x = gen.sample(np.zeros(7, dtype=int), rng)
         assert x.shape == (7, 1, 10, 10)
         assert x.min() >= 0.0 and x.max() <= 1.0
 
     def test_sample_zero(self, gen, rng):
-        assert gen.sample_class(0, 0, rng).shape == (0, 1, 10, 10)
+        assert gen.sample(np.zeros(0, dtype=int), rng).shape == (0, 1, 10, 10)
 
     def test_sample_rejects_bad_class(self, gen, rng):
-        with pytest.raises(ValueError):
-            gen.sample_class(5, 3, rng)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 5\)"):
+            gen.sample(np.array([0, 5, 1]), rng)
 
-    def test_sample_rejects_negative_n(self, gen, rng):
-        with pytest.raises(ValueError):
-            gen.sample_class(0, -1, rng)
+    def test_sample_rejects_negative_label(self, gen, rng):
+        with pytest.raises(ValueError, match=r"got -1\.\.2"):
+            gen.sample(np.array([2, -1]), rng)
+
+    def test_sample_keeps_label_order(self, gen):
+        """Classes are drawn in ascending order whatever order the labels
+        come in; each image lands at its own label's position."""
+        labels = np.array([3, 0, 3, 1, 0])
+        x = gen.sample(labels, spawn_rng(0, "order"))
+        rng = spawn_rng(0, "order")
+        for class_id in (0, 1, 3):
+            idx = np.flatnonzero(labels == class_id)
+            assert np.array_equal(x[idx], gen.sample(labels[idx], rng))
 
     def test_sample_by_labels(self, gen, rng):
         labels = np.array([0, 2, 2, 4])
@@ -85,7 +95,7 @@ class TestDomainStructure:
     def test_three_channel_domain(self, rng):
         gen3 = SyntheticImageGenerator(ImageDomainSpec(num_classes=3, image_size=8,
                                                        channels=3, seed=4))
-        x = gen3.sample_class(1, 4, rng)
+        x = gen3.sample(np.ones(4, dtype=int), rng)
         assert x.shape == (4, 3, 8, 8)
         # Channels carry different gains, so they should not be identical.
         assert not np.allclose(x[:, 0], x[:, 1])
@@ -97,6 +107,6 @@ class TestDomainStructure:
         loud = SyntheticImageGenerator(ImageDomainSpec(num_classes=3, seed=5,
                                                        noise_scale=0.3,
                                                        max_translation=0))
-        xq = quiet.sample_class(0, 30, spawn_rng(0, "q"))
-        xl = loud.sample_class(0, 30, spawn_rng(0, "l"))
+        xq = quiet.sample(np.zeros(30, dtype=int), spawn_rng(0, "q"))
+        xl = loud.sample(np.zeros(30, dtype=int), spawn_rng(0, "l"))
         assert xq.std(axis=0).mean() < xl.std(axis=0).mean()

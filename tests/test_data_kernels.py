@@ -9,7 +9,9 @@ kernel in ``repro.data.ndimage`` against the ``scipy.ndimage`` call it
 replaced, and ``cosdg`` / ``sindg`` against ``scipy.special``, by
 ``tobytes()`` equality; the previous scipy-backed operators live in
 ``benchmarks/reference.py``, which ``benchmarks/data_plane.py --corruptions``
-times against the same copy.
+times against the same copy.  ``pixelate`` lost its per-pixel loop: it is
+differentiated against that loop (``reference.ref_pixelate``, no scipy
+needed) and has a second pin over blocks that do not divide the image.
 """
 
 import hashlib
@@ -98,6 +100,25 @@ def test_corruption_bytes_match_pin(name):
     assert corruption_digest(name) == PINNED[name]
 
 
+# ``pixelate`` where its blocks do not divide the image (10 rows fall in
+# blocks of 4, 3 and 3 at factor 3): every block must still sum its pixels in
+# the per-pixel loop's order.  Recorded with that loop.
+UNEVEN_SHAPES = ((3, 3, 10, 10), (2, 1, 11, 13), (1, 2, 5, 9), (2, 3, 12, 7))
+UNEVEN_PIXELATE = "d2df96626eabb7135e715697d519cf4a3e7400b19689b1b124629d88a6327834"
+
+
+def test_pixelate_over_uneven_blocks_matches_pin():
+    rng = np.random.default_rng(2024)
+    digest = hashlib.sha256()
+    for severity in range(1, 6):
+        for shape in UNEVEN_SHAPES:
+            x = np.clip(rng.normal(0.5, 0.4, shape), 0.0, 1.0)
+            out = apply_corruption(x, "pixelate", severity, rng)
+            digest.update(f"{out.dtype}{out.shape}".encode())
+            digest.update(out.tobytes())
+    assert digest.hexdigest() == UNEVEN_PIXELATE
+
+
 def test_a_run_imports_no_scipy():
     """The run roots and every operator at every severity leave no ``scipy``
     module loaded (a fresh interpreter: this one may have imported it)."""
@@ -131,6 +152,14 @@ def batches(draw):
 def _same(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@given(x=batches(), severity=st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_pixelate_matches_per_pixel_loop(x, severity):
+    got = apply_corruption(x, "pixelate", severity, None)
+    _same(got, reference.ref_pixelate(x, severity, None))
+    assert got.flags.c_contiguous
 
 
 @needs_scipy

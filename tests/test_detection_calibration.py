@@ -101,6 +101,14 @@ class TestCalibrator:
         with pytest.raises(ValueError):
             calibrator.calibrate([], np.full((1, 3), 1 / 3), 10, rng)
 
+    def test_a_non_finite_embedding_is_named_not_calibrated_around(self, rng):
+        """It used to yield a ``nan`` bandwidth and ``nan`` thresholds, under
+        which no party ever reads as shifted."""
+        pools = make_party_pools(rng, num_parties=3, n=40)
+        pools[1][0][5, 2] = np.nan  # pooled row 40 + 5
+        with pytest.raises(ValueError, match=r"^x row 45 is not finite"):
+            ThresholdCalibrator().calibrate(pools, np.full((3, 3), 1 / 3), 40, rng)
+
     def test_rejects_bad_hyperparams(self):
         with pytest.raises(ValueError):
             ThresholdCalibrator(num_bootstrap=0)

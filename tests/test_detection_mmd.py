@@ -45,6 +45,42 @@ class TestKernel:
         assert median_heuristic_gamma(x) == 1.0
 
 
+class TestNonFiniteEmbeddings:
+    """A ``nan`` bandwidth made every MMD ``nan``, which compares False against
+    every threshold: one bad embedding row silently read every party as
+    stable.  The row is named instead, and no kernel takes a ``nan``."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_bandwidth_names_the_first_bad_row_of_x(self, rng, bad):
+        x, y = two_samples(rng)
+        x[[7, 12], 1] = bad
+        with pytest.raises(ValueError, match=r"^x row 7 is not finite"):
+            median_heuristic_gamma(x, y)
+
+    def test_bandwidth_names_a_bad_row_of_y(self, rng):
+        x, y = two_samples(rng)
+        y[3, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^y row 3 is not finite"):
+            median_heuristic_gamma(x, y)
+
+    def test_default_bandwidth_statistics_raise(self, rng):
+        x, y = two_samples(rng)
+        y[0, 2] = np.nan
+        labels = np.arange(len(x)) % 3
+        for score in (lambda: mmd(x, y),
+                      lambda: class_conditional_mmd(x, labels, y, labels)):
+            with pytest.raises(ValueError, match="y row 0"):
+                score()
+
+    @pytest.mark.parametrize("gamma", [np.nan, -np.inf, 0.0])
+    def test_kernel_rejects_a_bandwidth_that_is_not_positive(self, rng, gamma):
+        x, y = two_samples(rng)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            rbf_kernel(x, y, gamma)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            mmd(x, y, gamma)
+
+
 class TestMmdEstimators:
     def test_identical_samples_zero(self, rng):
         x, _ = two_samples(rng)
