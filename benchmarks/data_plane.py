@@ -131,12 +131,11 @@ def plan_counts(workload: str) -> dict[str, int]:
     patches = {
         (FederatedShiftDataset, "_generate_split"): generate,
         (Party, "set_window_data"): set_window_data,
-        (Party, "local_train"): reading("local_train", lambda *a, **k: "train"),
+        # Every split read (training, grouped evaluation and embeddings)
+        # goes through ``Party._split``; the label histogram reads the train
+        # split's labels directly.
+        (Party, "_split"): reading("_split", lambda split: split),
         (Party, "label_histogram"): reading("label_histogram", lambda: "train"),
-        (Party, "evaluate"): reading(
-            "evaluate", lambda params, split="test", **k: split),
-        (Party, "embeddings_with_labels"): reading(
-            "embeddings_with_labels", lambda params, split="train", *a, **k: split),
     }
     originals = {key: getattr(*key) for key in patches}
     plan = pinned_plan(workload)

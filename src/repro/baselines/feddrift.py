@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.registry import register_strategy
+from repro.federation.party import evaluate_parties
 from repro.federation.rounds import run_fl_round
 from repro.federation.strategy import (
     ContinualStrategy,
@@ -55,22 +56,34 @@ class FedDriftStrategy(ContinualStrategy):
         self._membership = {pid: 0 for pid in ctx.party_ids}
         self._prev_best_loss = {}
 
+    def _losses(self, model_ids: list[int],
+                ids: list[int] | None = None) -> dict[int, dict[int, float]]:
+        """pid -> model id -> local train loss, for ``ids`` (default: the
+        survey) under each of ``model_ids``: one grouped evaluation per
+        resident batch, so one stack per (model, split size)."""
+        losses: dict[int, dict[int, float]] = {}
+        for batch in self.context.resident_batches(ids):
+            results = evaluate_parties(
+                [(party, self._models[mid]) for _pid, party in batch
+                 for mid in model_ids], "train")
+            for j, (pid, _party) in enumerate(batch):
+                row = results[j * len(model_ids):(j + 1) * len(model_ids)]
+                losses[pid] = {mid: loss for mid, (_acc, loss)
+                               in zip(model_ids, row)}
+        return losses
+
     def end_window(self, window: int) -> None:
         """Record each party's post-training best loss as the drift baseline."""
-        ctx = self.context
-        for pid, party in ctx.iter_parties():
-            losses = [party.loss_on(params, split="train")
-                      for params in self._models.values()]
-            self._prev_best_loss[pid] = float(min(losses))
+        for pid, losses in self._losses(list(self._models)).items():
+            self._prev_best_loss[pid] = float(min(losses.values()))
 
     def start_window(self, window: int) -> None:
         ctx = self.context
         if window == 0:
             return
         drifted: list[int] = []
-        for pid, party in ctx.iter_parties():
-            losses = {mid: party.loss_on(params, split="train")
-                      for mid, params in self._models.items()}
+        party_losses = self._losses(list(self._models))
+        for pid, losses in party_losses.items():
             best_mid = min(losses, key=losses.get)
             best_loss = losses[best_mid]
             reference = self._prev_best_loss.get(pid, best_loss)
@@ -87,10 +100,10 @@ class FedDriftStrategy(ContinualStrategy):
                 self._membership[pid] = new_id
                 self._prev_best_loss.pop(pid, None)
         elif drifted:
-            # Pool is full: drifted parties go to their least-bad model.
+            # Pool is full: drifted parties go to their least-bad model (the
+            # models and windows the losses above were measured on).
             for pid in drifted:
-                losses = {mid: ctx.parties[pid].loss_on(params, split="train")
-                          for mid, params in self._models.items()}
+                losses = party_losses[pid]
                 self._membership[pid] = min(losses, key=losses.get)
         self._maybe_merge(window)
 
@@ -113,16 +126,11 @@ class FedDriftStrategy(ContinualStrategy):
                 probe_b = [int(p) for p in rng.choice(
                     cohort_b, size=min(self.merge_check_parties, len(cohort_b)),
                     replace=False)]
-                gap_a = np.mean([
-                    ctx.parties[p].loss_on(self._models[mid_b], "train")
-                    - ctx.parties[p].loss_on(self._models[mid_a], "train")
-                    for p in probe_a
-                ])
-                gap_b = np.mean([
-                    ctx.parties[p].loss_on(self._models[mid_a], "train")
-                    - ctx.parties[p].loss_on(self._models[mid_b], "train")
-                    for p in probe_b
-                ])
+                losses = self._losses([mid_a, mid_b], probe_a + probe_b)
+                gap_a = np.mean([losses[p][mid_b] - losses[p][mid_a]
+                                 for p in probe_a])
+                gap_b = np.mean([losses[p][mid_a] - losses[p][mid_b]
+                                 for p in probe_b])
                 if gap_a < self.delta and gap_b < self.delta:
                     merged = [
                         0.5 * (pa + pb)

@@ -27,7 +27,6 @@ import numpy as np
 from repro.detection.divergence import jsd
 from repro.detection.mmd import class_conditional_mmd
 from repro.federation.party import Party
-from repro.utils.params import Params
 
 
 @dataclass
@@ -60,18 +59,21 @@ class PartyLocalState:
     histogram: np.ndarray
 
 
-def compute_party_report(party: Party, encoder_params: Params,
+def compute_party_report(party: Party, embeddings: np.ndarray,
+                         labels: np.ndarray,
                          prev_state: PartyLocalState | None,
                          gamma: float | None = None,
-                         max_samples: int = 48,
                          stat_dtype: np.dtype | str | None = None,
                          ) -> tuple[PartyShiftReport, PartyLocalState]:
-    """Run Algorithm 1 for one party.
+    """Run Algorithm 1 for one party on its window's embeddings.
 
-    Returns the transmit report plus the party's refreshed local state
-    (current embeddings/labels/histogram, retained for the next window's
-    deltas).  When ``prev_state`` is absent (first window) both deltas are
-    zero, as in the algorithm.
+    ``embeddings`` / ``labels`` are ``party.embeddings_with_labels`` under
+    the frozen encoder (the server embeds a window's parties as one grouped
+    forward, :func:`~repro.federation.party.embed_parties`).  Returns the
+    transmit report plus the party's refreshed local state (current
+    embeddings/labels/histogram, retained for the next window's deltas).
+    When ``prev_state`` is absent (first window) both deltas are zero, as in
+    the algorithm.
 
     ``stat_dtype`` is the detection island's dtype (the run's
     ``precision.detection_stats``): embeddings are cast to it here, at the
@@ -81,9 +83,6 @@ def compute_party_report(party: Party, encoder_params: Params,
     float64 cast of float64 embeddings is a no-op, which is what keeps the
     legacy all-float64 plane bitwise unchanged.
     """
-    embeddings, labels = party.embeddings_with_labels(
-        encoder_params, split="train", max_samples=max_samples
-    )
     if stat_dtype is not None:
         embeddings = np.asarray(embeddings, dtype=stat_dtype)
     histogram = party.label_histogram()

@@ -38,6 +38,7 @@ from repro.experiments.registry import register_strategy
 from repro.experts.consolidation import consolidate_experts
 from repro.experts.matching import match_cluster_to_expert
 from repro.experts.registry import ExpertRegistry
+from repro.federation.party import embed_parties
 from repro.federation.rounds import run_fl_round
 from repro.federation.strategy import (
     ContinualStrategy,
@@ -108,16 +109,30 @@ class ShiftExStrategy(ContinualStrategy):
 
     # -------------------------------------------------- detection (Alg. 1 driver)
 
+    def _encoder_embeddings(self):
+        """``(pid, party, embeddings, labels)`` of every surveyed party
+        under the frozen encoder, in survey order.
+
+        One grouped forward per resident batch, so at most ``max_resident``
+        parties' rows are read at once; each party is yielded while its
+        batch is still resident.
+        """
+        assert self._encoder is not None
+        for batch in self.context.resident_batches():
+            embedded = embed_parties([party for _pid, party in batch],
+                                     self._encoder, "train",
+                                     self.config.embedding_samples)
+            for (pid, party), (embeddings, labels) in zip(batch, embedded):
+                yield pid, party, embeddings, labels
+
     def _collect_reports(self, window: int) -> dict[int, PartyShiftReport]:
         ctx = self.context
-        assert self._encoder is not None
         reports: dict[int, PartyShiftReport] = {}
-        for pid, party in ctx.iter_parties():
+        for pid, party, embeddings, labels in self._encoder_embeddings():
             report, state = compute_party_report(
-                party, self._encoder,
+                party, embeddings, labels,
                 self._party_state.get(pid),
                 gamma=self.thresholds.gamma,
-                max_samples=self.config.embedding_samples,
                 stat_dtype=ctx.precision.np_detection_stats,
             )
             reports[pid] = report
@@ -409,14 +424,9 @@ class ShiftExStrategy(ContinualStrategy):
         # so calibration nulls, memories and every later delta are computed
         # at island precision.
         stat_dtype = ctx.precision.np_detection_stats
-        for pid, party in ctx.iter_parties():
-            embeddings, labels = party.embeddings_with_labels(
-                self._encoder, split="train",
-                max_samples=self.config.embedding_samples,
-            )
-            embeddings = np.asarray(embeddings, dtype=stat_dtype)
+        for pid, party, embeddings, labels in self._encoder_embeddings():
             self._party_state[pid] = PartyLocalState(
-                embeddings=embeddings,
+                embeddings=np.asarray(embeddings, dtype=stat_dtype),
                 labels=labels,
                 histogram=party.label_histogram(),
             )

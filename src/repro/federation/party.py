@@ -11,11 +11,16 @@ in the paper.
 Training is :func:`train_parties`: a cohort's parties whose train splits
 have one size train as one stacked ``train_local`` call, each replica on its
 own split with its own generator, and :meth:`Party.local_train` is the
-one-member call of it.
+one-member call of it.  Every other forward is grouped the same way:
+:func:`evaluate_parties` and :func:`embed_parties` run the members that share
+a model and a row count as one forward of ``Sequential.shared(r)``, and
+:meth:`Party.evaluate` / :meth:`Party.embeddings_with_labels` are their
+one-member calls.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,13 @@ from repro.nn.network import Sequential
 from repro.nn.training import LocalTrainingConfig, evaluate, mean_loss, train_local
 from repro.utils.params import Params
 from repro.utils.rng import spawn_rng
+
+# The activation elements one grouped forward may hold in any layer: a group
+# of parties with n rows each runs as stacks of r <= FORWARD_ELEMENTS // (n *
+# w) replicas, w the model's widest per-row layer output.  Stacking pays only
+# while a forward is overhead-bound (a small MLP); past this size a stack
+# spills the cache and loses to per-party calls (a conv net).
+FORWARD_ELEMENTS = 65_536
 
 
 @dataclass
@@ -121,34 +133,117 @@ class Party:
 
     def evaluate(self, params: Params,
                  split: str = "test") -> tuple[float, float]:
-        """(accuracy, loss) of ``params`` on this party's local split."""
-        x, y = self._split(split)
-        self._model.set_params(params)
-        return evaluate(self._model, x, y)
-
-    def loss_on(self, params: Params, split: str = "train") -> float:
-        """Local loss of a model — the signal FedDrift clusters on."""
-        _acc, loss = self.evaluate(params, split)
-        return loss
+        """(accuracy, loss) of ``params`` on this party's local split: the
+        one-member call of :func:`evaluate_parties`."""
+        return evaluate_parties([(self, params)], split)[0]
 
     def embeddings_with_labels(self, params: Params, split: str = "train",
                                max_samples: int | None = None,
                                ) -> tuple[np.ndarray, np.ndarray]:
         """Penultimate-layer embeddings of this window under ``params`` —
         Algorithm 1's ``phi(x_i)``, the latent profile shared instead of raw
-        data — plus their labels, which never leave the party.
+        data — plus their labels, which never leave the party.  The
+        one-member call of :func:`embed_parties`.
 
         The label column exists so the party can compute class-conditional
         detection statistics locally (Algorithm 1); only embeddings, the
         label *histogram*, and scalar scores are transmitted.
         """
+        return embed_parties([self], params, split, max_samples)[0]
+
+    def _embedding_rows(self, split: str, max_samples: int | None,
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows Algorithm 1 embeds: the split, or ``max_samples`` of its
+        rows drawn from ``spawn_rng(seed, "party-embed", party_id, split)``,
+        with their labels (never a view of the split's)."""
         x, y = self._split(split)
-        self._model.set_params(params)
         if max_samples is not None and x.shape[0] > max_samples:
             rng = spawn_rng(self.seed, "party-embed", self.party_id, split)
             idx = rng.choice(x.shape[0], size=max_samples, replace=False)
-            x, y = x[idx], y[idx]
-        return self._model.features(x), np.asarray(y).copy()
+            return x[idx], y[idx]
+        return x, np.asarray(y).copy()
+
+
+def _forward_groups(model: Sequential, keys: Sequence[object],
+                    xs: Sequence[np.ndarray]) -> Iterator[list[int]]:
+    """Member indices, one list per forward: members with one key and one
+    row count, cut into stacks of at most ``FORWARD_ELEMENTS // (n * w)``."""
+    groups: dict[tuple[object, int], list[int]] = {}
+    for i, (key, x) in enumerate(zip(keys, xs)):
+        groups.setdefault((key, len(x)), []).append(i)
+    for (_key, n), members in groups.items():
+        width = model.activation_width(xs[members[0]].shape[1:])
+        size = max(1, FORWARD_ELEMENTS // max(1, n * width))
+        for start in range(0, len(members), size):
+            yield members[start:start + size]
+
+
+def _stack(model: Sequential, members: list[int], xs: Sequence[np.ndarray],
+           ) -> tuple[Sequential, np.ndarray]:
+    """The model and input of one forward: a member alone runs the plain
+    model, a stack ``model.shared(r)`` on the members' batches."""
+    if len(members) == 1:
+        return model, xs[members[0]]
+    return (model.shared(len(members)),
+            np.stack([xs[i] for i in members], dtype=model.dtype))
+
+
+def evaluate_parties(evaluees: Sequence[tuple[Party, Params]],
+                     split: str = "test") -> list[tuple[float, float]]:
+    """(accuracy, loss) of each ``(party, params)`` on the party's ``split``.
+
+    Members served the same params object whose splits have one size run as
+    one :func:`~repro.nn.training.evaluate` call on the first member's model
+    (``Sequential.shared`` stacks, bounded by ``FORWARD_ELEMENTS``); every
+    member's pair is the bytes a call on its own returns.  Every member must
+    hold its window data until the call.
+    """
+    reads = [party._split(split) for party, _params in evaluees]
+    if not reads:
+        return []
+    model = evaluees[0][0]._model
+    xs = [x for x, _y in reads]
+    results: list[tuple[float, float]] = [None] * len(evaluees)
+    for members in _forward_groups(model, [id(p) for _q, p in evaluees], xs):
+        model.set_params(evaluees[members[0]][1])
+        runner, x = _stack(model, members, xs)
+        if len(members) == 1:
+            results[members[0]] = evaluate(runner, x, reads[members[0]][1])
+            continue
+        accs, losses = evaluate(runner, x, np.stack([reads[i][1] for i in members]))
+        for k, i in enumerate(members):
+            results[i] = (float(accs[k]), float(losses[k]))
+    return results
+
+
+def embed_parties(parties: Sequence[Party], params: Params, split: str = "train",
+                  max_samples: int | None = None,
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each party's ``(embeddings, labels)`` under ``params`` (see
+    :meth:`Party.embeddings_with_labels`).
+
+    Parties whose rows have one count run as one ``Sequential.features``
+    call on the first party's model (``Sequential.shared`` stacks, bounded
+    by ``FORWARD_ELEMENTS``); every party's embeddings are the bytes a call
+    on its own returns.  Every party must hold its window data until the
+    call.
+    """
+    rows = [party._embedding_rows(split, max_samples) for party in parties]
+    if not rows:
+        return []
+    model = parties[0]._model
+    model.set_params(params)
+    xs = [x for x, _y in rows]
+    feats: list[np.ndarray] = [None] * len(rows)
+    for members in _forward_groups(model, [None] * len(rows), xs):
+        runner, x = _stack(model, members, xs)
+        out = runner.features(x)
+        if len(members) == 1:
+            feats[members[0]] = out
+            continue
+        for k, i in enumerate(members):
+            feats[i] = out[k].copy()
+    return [(f, y) for f, (_x, y) in zip(feats, rows)]
 
 
 def train_parties(trainees: list[tuple[Party, np.ndarray, np.ndarray]],

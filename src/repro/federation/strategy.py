@@ -21,7 +21,7 @@ story (Section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -48,8 +48,9 @@ class StrategyContext:
     ``parties[pid]`` is a live party holding the current window's data
     (materialized on first touch), ``len(parties)`` the population.  Whole-
     population bookkeeping goes through :attr:`party_ids` /
-    :meth:`iter_parties` and cohort draws through :meth:`sample_cohort`, so
-    the pool's survey cap and participation skew apply to every strategy.
+    :meth:`iter_parties` / :meth:`resident_batches` and cohort draws through
+    :meth:`sample_cohort`, so the pool's survey cap and participation skew
+    apply to every strategy.
 
     ``federation`` is the run's round engine and ``masking`` its
     :class:`~repro.privacy.secure_aggregation.MaskingSpec` (mask-stream root
@@ -97,6 +98,20 @@ class StrategyContext:
         """``(pid, Party)`` pairs in survey order (materializes each id)."""
         for pid in self.party_ids:
             yield pid, self.parties[pid]
+
+    def resident_batches(self, ids: Sequence[int] | None = None):
+        """``(pid, Party)`` pairs of ``ids`` (default: survey order) in
+        consecutive batches of at most ``max_resident``, touched in order.
+
+        A batch is the pool's most recently touched parties, so every one of
+        them still holds its window data when the batch is yielded: a grouped
+        forward can read them all, and at most ``max_resident`` parties'
+        rows are read per batch.
+        """
+        ids = self.party_ids if ids is None else ids
+        size = self.parties.max_resident or max(1, len(ids))
+        for start in range(0, len(ids), size):
+            yield [(pid, self.parties[pid]) for pid in ids[start:start + size]]
 
     def sample_cohort(self, rng: np.random.Generator,
                       k: int | None = None) -> list[int]:

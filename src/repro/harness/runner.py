@@ -24,7 +24,7 @@ from repro.data.registry import DatasetSpec
 from repro.experiments.events import RunCallback, RunInfo
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.async_engine import FederationEngine
-from repro.federation.party import Party
+from repro.federation.party import Party, evaluate_parties
 from repro.federation.pool import PartyPool
 from repro.federation.strategy import ContinualStrategy, StrategyContext
 from repro.harness.profiles import RunSettings
@@ -69,8 +69,8 @@ class StrategyRunResult:
 class EvaluatedParties:
     """The parties a run is measured on: one :class:`Party` per id, no pool.
 
-    All share one model replica (every ``evaluate`` starts with
-    ``set_params``: pool invariant 2) and are rebound once per window.  An
+    All share one model replica (every forward starts with ``set_params``:
+    pool invariant 2) and are rebound once per window.  An
     in-schedule id binds the dataset's cached window — the object the pool
     binds too, so nothing is generated twice; a virtual id's window is its
     own and generates only the test split it reads, held until the next
@@ -89,10 +89,12 @@ class EvaluatedParties:
                 self.dataset.virtual_party_window(party.party_id, window))
 
     def mean_accuracy_pct(self, strategy: ContinualStrategy) -> float:
-        """Mean test accuracy (%) under each party's assigned model."""
-        accs = [party.evaluate(strategy.params_for_party(party.party_id))[0]
-                for party in self.parties]
-        return 100.0 * float(np.mean(accs))
+        """Mean test accuracy (%) under each party's assigned model; the
+        parties one served model shares are evaluated as one group."""
+        results = evaluate_parties(
+            [(party, strategy.params_for_party(party.party_id))
+             for party in self.parties])
+        return 100.0 * float(np.mean([acc for acc, _loss in results]))
 
 
 def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,

@@ -19,6 +19,8 @@ outermost in memory.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -42,6 +44,11 @@ class Layer:
         ``Conv2d``) override this to skip it.
         """
         self.backward(grad_out)
+
+    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        """One sample's output shape for one sample's input ``shape``, from
+        the shapes alone (nothing runs).  Element-wise layers keep it."""
+        return shape
 
     def output_note(self) -> str:
         """Short human-readable description used in ``Sequential.describe``."""
@@ -123,6 +130,9 @@ class Dense(Layer):
         self.backward_params(grad_out)
         return grad_out @ self.params[0].swapaxes(-1, -2)
 
+    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        return (self.out_features,)
+
     def output_note(self) -> str:
         return f"Dense({self.in_features}->{self.out_features})"
 
@@ -159,6 +169,9 @@ class Flatten(Layer):
         if self._shape is None:
             raise RuntimeError("backward called before forward")
         return grad_out.reshape(self._shape)
+
+    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        return (math.prod(shape),)
 
 
 def _channels_last(x: np.ndarray) -> np.ndarray:
@@ -278,6 +291,11 @@ class Conv2d(Layer):
         return _col2im(grad_mat @ self._w_mat(), x_shape, k, k, self.stride,
                        self.padding, out_h, out_w)
 
+    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        _c, h, w = shape
+        k, s, p = self.kernel_size, self.stride, self.padding
+        return (self.out_channels, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
+
     def output_note(self) -> str:
         return (f"Conv2d({self.in_channels}->{self.out_channels}, "
                 f"k={self.kernel_size}, s={self.stride}, p={self.padding})")
@@ -292,6 +310,10 @@ class MaxPool2d(Layer):
             raise ValueError("pool_size must be positive")
         self.pool_size = pool_size
         self._cache: tuple[list[np.ndarray], tuple[int, ...]] | None = None
+
+    def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        p = self.pool_size
+        return shape[:-2] + (shape[-2] // p, shape[-1] // p)
 
     def _window_views(self, x: np.ndarray) -> list[np.ndarray]:
         """One strided view per within-window position, in row-major order."""
@@ -323,7 +345,10 @@ class MaxPool2d(Layer):
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
         first, (*lead, c, h, w) = self._cache
-        # Channels-last memory, like the conv outputs and gradients around it.
+        # Channels-last memory, like the conv outputs and gradients around it
+        # and the masks: walk ``grad_out`` in that order too (it arrives
+        # C-contiguous from ``Flatten`` or strided from ``_col2im``).
+        grad_out = _channels_first(np.ascontiguousarray(_channels_last(grad_out)))
         grad = _channels_first(np.empty(tuple(lead) + (h, w, c), dtype=grad_out.dtype))
         for mask, grad_here in zip(first, self._window_views(grad)):
             np.multiply(mask, grad_out, out=grad_here)

@@ -22,11 +22,14 @@ directly.
 ``(r, n, ...)``.  The layers are written once over that axis, so the stacked
 model runs ``r`` replicas in lockstep through the same code a plain model
 (no replica axis) runs, with each replica's numbers unchanged.
+:meth:`Sequential.shared` is its inference-only form: ``r`` replicas that
+all *are* this model, their parameters stride-0 views of its own.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -59,6 +62,8 @@ class Sequential:
         self.dtype = resolve_dtype(dtype)
         self._spec = ParamSpec.of([p for layer in layers for p in layer.params])
         self._bind(())
+        self._shared: dict[int, Sequential] = {}
+        self._widths: dict[tuple[int, ...], int] = {}
 
     def _bind(self, lead: tuple[int, ...]) -> None:
         """Re-home every layer's param and grad arrays as slices of two flat
@@ -84,15 +89,8 @@ class Sequential:
             offset += size
         return views
 
-    def stacked(self, replicas: int) -> "Sequential":
-        """``replicas`` copies of this network as one model.
-
-        Fresh layers (activation caches are per model) whose params and grads
-        are views into ``(replicas, dim)`` buffers allocated here, every
-        replica starting at this model's parameters.  The result takes
-        ``(replicas, n, ...)`` inputs and trains each replica as this model
-        would train alone.
-        """
+    def _twin(self, replicas: int) -> "Sequential":
+        """This network with fresh layers (activation caches are per model)."""
         if replicas < 1:
             raise ValueError("need at least one replica")
         twin = copy.copy(self)
@@ -101,8 +99,58 @@ class Sequential:
             layer = copy.copy(layer)
             layer.params, layer.grads = list(layer.params), list(layer.grads)
             twin.layers.append(layer)
+        twin._shared = {}
+        return twin
+
+    def stacked(self, replicas: int) -> "Sequential":
+        """``replicas`` copies of this network as one model.
+
+        Fresh layers whose params and grads are views into ``(replicas,
+        dim)`` buffers allocated here, every replica starting at this model's
+        parameters.  The result takes ``(replicas, n, ...)`` inputs and trains
+        each replica as this model would train alone.
+        """
+        twin = self._twin(replicas)
         twin._bind((replicas,))
         return twin
+
+    def shared(self, replicas: int) -> "Sequential":
+        """``replicas`` replicas of this very model, for inference only.
+
+        Every parameter is a read-only stride-0 ``np.broadcast_to`` view of
+        this model's own: nothing is copied, no gradient buffer exists, and
+        the replicas always hold this model's current parameters.  It takes
+        ``(replicas, n, ...)`` inputs, one batch per replica, and each
+        replica's outputs are the bytes a plain call on its batch returns.
+        Built once per replica count and cached (it holds only views).
+        """
+        twin = self._shared.get(replicas)
+        if twin is None:
+            twin = self._twin(replicas)
+            twin._flat = np.broadcast_to(self._flat, (replicas,) + self._flat.shape)
+            twin._flat_grads = None
+            views = iter(twin._views(twin._flat))
+            for layer in twin.layers:
+                layer.params = [next(views) for _ in layer.params]
+                layer.grads = []
+            self._shared[replicas] = twin
+        return twin
+
+    def activation_width(self, sample_shape: tuple[int, ...]) -> int:
+        """The widest per-sample layer output for ``sample_shape`` inputs.
+
+        Read off the layers' ``output_shape`` (the model never runs, so no
+        activation cache moves) and cached per shape.
+        """
+        sample_shape = tuple(sample_shape)
+        width = self._widths.get(sample_shape)
+        if width is None:
+            shape, width = sample_shape, 0
+            for layer in self.layers:
+                shape = layer.output_shape(shape)
+                width = max(width, math.prod(shape))
+            self._widths[sample_shape] = width
+        return width
 
     # ------------------------------------------------------------------ forward/backward
 

@@ -169,14 +169,24 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
                                batches_run, losses, replica_losses)
 
 
-def evaluate(model: Sequential, x: np.ndarray,
-             y: np.ndarray) -> tuple[float, float]:
-    """Return (accuracy, mean loss) of ``model`` on a labelled set."""
+def evaluate(model: Sequential, x: np.ndarray, y: np.ndarray):
+    """Return (accuracy, mean loss) of ``model`` on a labelled set.
+
+    On a model with a replica axis (``Sequential.stacked(r)`` or
+    ``Sequential.shared(r)``) ``x`` is ``(r, n, ...)``, ``y`` is ``(r, n)``
+    and both come back as ``(r,)`` arrays, replica ``i``'s being the bytes a
+    plain call on ``x[i], y[i]`` returns.
+    """
+    lead = model.flat_params.shape[:-1]
     x = np.asarray(x, dtype=model.dtype)
     y = np.asarray(y)
-    if x.shape[0] == 0:
+    if x.shape[:len(lead)] != lead or y.shape != x.shape[:len(lead) + 1]:
+        raise ValueError(
+            f"a model of {lead} replicas needs (*{lead}, n, ...) inputs and "
+            f"(*{lead}, n) labels; got x {x.shape} and y {y.shape}")
+    if x.shape[len(lead)] == 0:
         raise ValueError("cannot evaluate on an empty set")
     logits = model.forward(x, training=False)
     loss, _ = softmax_cross_entropy(logits, y)
-    acc = float(np.mean(np.argmax(logits, axis=1) == y))
-    return acc, loss
+    acc = np.mean(np.argmax(logits, axis=-1) == y, axis=-1)
+    return (float(acc), loss) if not lead else (acc, loss)

@@ -57,9 +57,18 @@ class TestDetector:
         party.set_window_data(data)
         return party, model.get_params()
 
+    @staticmethod
+    def report(party, encoder, prev_state, gamma=None, max_samples=48):
+        """Algorithm 1 as the server runs it: the window's embeddings under
+        the encoder, then the per-party statistic."""
+        embeddings, labels = party.embeddings_with_labels(
+            encoder, "train", max_samples)
+        return compute_party_report(party, embeddings, labels, prev_state,
+                                    gamma=gamma)
+
     def test_first_window_deltas_zero(self, trained_party):
         party, encoder = trained_party
-        report, state = compute_party_report(party, encoder, None)
+        report, state = self.report(party, encoder, None)
         assert report.delta_cov == 0.0
         assert report.delta_label == 0.0
         assert isinstance(state, PartyLocalState)
@@ -67,8 +76,7 @@ class TestDetector:
 
     def test_report_contents(self, trained_party, tiny_spec):
         party, encoder = trained_party
-        report, _state = compute_party_report(party, encoder, None,
-                                              max_samples=16)
+        report, _state = self.report(party, encoder, None, max_samples=16)
         assert report.party_id == 0
         assert report.embeddings.shape[0] == 16
         assert report.label_histogram.shape == (tiny_spec.num_classes,)
@@ -77,7 +85,7 @@ class TestDetector:
 
     def test_stable_window_scores_below_shifted(self, trained_party, tiny_dataset):
         party, encoder = trained_party
-        _report0, state0 = compute_party_report(party, encoder, None)
+        _report0, state0 = self.report(party, encoder, None)
 
         # Fresh draw of the same distribution: small delta.
         stable = tiny_dataset.party_window(0, 0)
@@ -88,7 +96,7 @@ class TestDetector:
             regime=stable.regime, label_prior=stable.label_prior,
         )
         party.set_window_data(fresh)
-        report_stable, _ = compute_party_report(party, encoder, state0, gamma=0.5)
+        report_stable, _ = self.report(party, encoder, state0, gamma=0.5)
 
         # Heavily corrupted draw: large delta.
         corrupted = type(stable)(
@@ -100,12 +108,12 @@ class TestDetector:
             regime=stable.regime, label_prior=stable.label_prior,
         )
         party.set_window_data(corrupted)
-        report_shift, _ = compute_party_report(party, encoder, state0, gamma=0.5)
+        report_shift, _ = self.report(party, encoder, state0, gamma=0.5)
         assert report_shift.delta_cov > report_stable.delta_cov
 
     def test_label_shift_raises_jsd(self, trained_party, tiny_dataset, tiny_spec):
         party, encoder = trained_party
-        _r, state0 = compute_party_report(party, encoder, None)
+        _r, state0 = self.report(party, encoder, None)
         stable = tiny_dataset.party_window(0, 0)
         # Keep only one class: the label histogram collapses.
         mask = stable.y_train == stable.y_train[0]
@@ -116,5 +124,5 @@ class TestDetector:
             regime=stable.regime, label_prior=stable.label_prior,
         )
         party.set_window_data(skewed)
-        report, _ = compute_party_report(party, encoder, state0)
+        report, _ = self.report(party, encoder, state0)
         assert report.delta_label > 0.1

@@ -9,7 +9,7 @@ from repro.federation.accounting import CommunicationLedger
 from repro.federation.aggregation import fedavg
 from repro.federation.async_engine import FederationConfig, FederationEngine
 from repro.federation.availability import AvailabilityConfig
-from repro.federation.party import LocalUpdate, Party
+from repro.federation.party import LocalUpdate, Party, embed_parties, evaluate_parties
 from repro.federation.rounds import RoundConfig, run_fl_round
 from repro.federation.strategy import StrategyContext
 from repro.nn.models import build_model
@@ -70,8 +70,9 @@ class TestParty:
         party = Party(0, model, tiny_spec.num_classes)
         party.set_window_data(tiny_dataset.party_window(0, 0))
         params = model.get_params()
-        for op in (party.evaluate, party.loss_on,
-                   party.embeddings_with_labels):
+        for op in (party.evaluate, party.embeddings_with_labels,
+                   lambda params, split: evaluate_parties([(party, params)], split),
+                   lambda params, split: embed_parties([party], params, split)):
             with pytest.raises(ValueError, match="split must be.*'val'"):
                 op(params, "val")
         _features, labels = party.embeddings_with_labels(params, "test")

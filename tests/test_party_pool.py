@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ShiftExStrategy
+from repro.core import ShiftExStrategy, server
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.registry import build_strategy, strategy_names
@@ -43,6 +43,7 @@ from repro.federation.strategy import StrategyContext
 from repro.flips.selector import FlipsSelector
 from repro.harness.profiles import RunSettings
 from repro.utils.precision import PrecisionPlan
+from repro.harness import runner
 from repro.harness.runner import EvaluatedParties, run_strategy
 from repro.nn.models import build_model, model_names
 from repro.nn.training import LocalTrainingConfig, evaluate, train_local
@@ -687,6 +688,19 @@ class TestOnlyReadSplitsAreGenerated:
 
         monkeypatch.setattr(cls, name, recording)
 
+    @staticmethod
+    def _record_grouped(monkeypatch, events, module, name, reads):
+        """Spy on a grouped entry point where ``module`` looks it up: one
+        ``("read", party, split)`` event per member it reads."""
+        original = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            events.extend(("read", party.party_id, split)
+                          for party, split in reads(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+
     def test_pooled_run_generates_exactly_the_splits_it_reads(self, monkeypatch):
         """Spy on ``_generate_split`` through a pooled async ShiftEx run.
 
@@ -709,12 +723,14 @@ class TestOnlyReadSplitsAreGenerated:
                lambda party: ("read", party.party_id, "train"))
         record(monkeypatch, events, Party, "label_histogram",
                lambda party: ("read", party.party_id, "train"))
-        record(monkeypatch, events, Party, "evaluate",
-               lambda party, params, split="test", **k:
-               ("read", party.party_id, split))
-        record(monkeypatch, events, Party, "embeddings_with_labels",
-               lambda party, params, split="train", *a, **k:
-               ("read", party.party_id, split))
+        # Forwards outside training are grouped: one call reads every
+        # member's split (the runner's sweep, the reports' embeddings).
+        self._record_grouped(monkeypatch, events, runner, "evaluate_parties",
+                             lambda evaluees, split="test": [
+                                 (party, split) for party, _params in evaluees])
+        self._record_grouped(monkeypatch, events, server, "embed_parties",
+                             lambda parties, params, split="train", *a: [
+                                 (party, split) for party in parties])
 
         settings_ = dataclasses.replace(
             _pooled_settings(make_run_settings(rounds_burn_in=2,
