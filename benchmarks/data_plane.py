@@ -3,7 +3,7 @@
 Four measurements behind docs/ARCHITECTURE.md "The data plane":
 
     PYTHONPATH=src python benchmarks/data_plane.py                # per-stage table
-    PYTHONPATH=src python benchmarks/data_plane.py --plans        # generated vs read
+    PYTHONPATH=src python benchmarks/data_plane.py --plans        # read, held
     PYTHONPATH=src python benchmarks/data_plane.py --sha          # bitwise sweep
     PYTHONPATH=src python benchmarks/data_plane.py --corruptions  # numpy vs scipy
 
@@ -13,7 +13,12 @@ The stage table times one train split of each pinned e2e plan's dataset
 stage — every corruption in the plan's regimes, and the per-class, per-image
 ``np.roll`` sampler this repo used to have beside the live one.  ``--plans``
 runs seed 0 of the same plans and counts splits and samples generated against
-splits and samples some protocol op read.  ``--sha`` prints one SHA-256 per
+splits and samples some protocol op read; under ``tracemalloc`` it also
+attributes the largest live set seen at a round's end (the run's traced peak,
+sampled where nothing transient is alive) by allocation site: the window
+cache (``repro.data``), model replicas (``Sequential._bind``'s parameter and
+gradient buffers, stacks included) and bank rows (``ParamBank``'s buffer).
+``--sha`` prints one SHA-256 per
 registry dataset over all four arrays of every window x every third
 in-schedule party + two virtual ids.  ``--plans`` and ``--sha`` use only names
 an older checkout also has, so pointing ``PYTHONPATH`` at its ``src`` gives
@@ -28,7 +33,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import os
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -44,8 +51,11 @@ from repro.data import (  # noqa: E402
     get_dataset_spec,
 )
 from repro.experiments import load_plan  # noqa: E402
+from repro.experiments.events import RunCallback  # noqa: E402
 from repro.federation.party import Party  # noqa: E402
 from repro.harness.runner import run_strategy  # noqa: E402
+from repro.nn.network import Sequential  # noqa: E402
+from repro.utils.params import ParamBank  # noqa: E402
 from repro.utils.rng import spawn_rng  # noqa: E402
 
 PLANS = ("sync_conv", "wide_server", "async_masked", "pool_100k")
@@ -95,9 +105,54 @@ def stage_table(workload: str) -> None:
 # ---------------------------------------------------------------- generated vs read
 
 
-def plan_counts(workload: str) -> dict[str, int]:
+def _lines(*functions) -> tuple[str, set[int]]:
+    """The file and source lines of ``functions`` (all in one module)."""
+    lines: set[int] = set()
+    for fn in functions:
+        source, first = inspect.getsourcelines(fn)
+        lines.update(range(first, first + len(source)))
+    return inspect.getsourcefile(functions[0]), lines
+
+
+class PeakLiveSet(RunCallback):
+    """The largest traced live set at a round's end, by allocation site."""
+
+    FRAMES = 16  # deep enough to get past numpy's own Python frames
+    SITES = {"models": _lines(Sequential._bind),
+             "banks": _lines(ParamBank.__init__, ParamBank._grow)}
+    DATA = os.path.dirname(inspect.getsourcefile(FederatedShiftDataset))
+    SRC = os.path.dirname(DATA)
+
+    def __init__(self) -> None:
+        self.peak = 0
+        self.snapshot = None
+
+    def on_round_end(self, info, window, round_index, accuracy) -> None:
+        current = tracemalloc.get_traced_memory()[0]
+        if current > self.peak:
+            self.peak, self.snapshot = current, tracemalloc.take_snapshot()
+
+    def held(self) -> dict[str, int]:
+        out = dict.fromkeys(("live", "window cache", "models", "banks"), 0)
+        for stat in self.snapshot.statistics("traceback"):
+            out["live"] += stat.size
+            # The innermost frame in the package is the allocation site.
+            frame = next((f for f in reversed(stat.traceback)
+                          if f.filename.startswith(self.SRC)), None)
+            if frame is None:
+                continue
+            if frame.filename.startswith(self.DATA):
+                out["window cache"] += stat.size
+            for site, (filename, lines) in self.SITES.items():
+                if frame.filename == filename and frame.lineno in lines:
+                    out[site] += stat.size
+        return out
+
+
+def plan_counts(workload: str) -> tuple[dict[str, int], dict[str, int]]:
     """Seed 0 of one pinned plan: what ``_generate_split`` made against what
-    ``Party`` ops read, per binding of a window to a party."""
+    ``Party`` ops read, per binding of a window to a party, and what the
+    largest live set at a round's end held (:class:`PeakLiveSet`)."""
     counts = dict.fromkeys(("bindings", "splits_generated", "samples_generated",
                             "splits_read", "samples_read"), 0)
     bound: dict[int, int] = {}  # party -> which binding of a window it holds
@@ -141,24 +196,35 @@ def plan_counts(workload: str) -> dict[str, int]:
     plan = pinned_plan(workload)
     spec, settings = plan.resolve()
     (cell,) = plan.cells()
+    peak = PeakLiveSet()
     try:
         for (cls, attr), fn in patches.items():
             setattr(cls, attr, fn)
-        run_strategy(cell.spec.build(), spec, settings, seed=cell.seed)
+        tracemalloc.start(PeakLiveSet.FRAMES)
+        run_strategy(cell.spec.build(), spec, settings, seed=cell.seed,
+                     callbacks=[peak])
     finally:
+        tracemalloc.stop()
         for (cls, attr), fn in originals.items():
             setattr(cls, attr, fn)
-    return counts
+    return counts, peak.held()
 
 
 def plans_table() -> None:
+    held = {}
     print(f"{'plan':<14}{'bindings':>9}{'splits gen':>11}{'read':>7}"
           f"{'samples gen':>13}{'read':>9}")
     for workload in PLANS:
-        c = plan_counts(workload)
+        c, held[workload] = plan_counts(workload)
         print(f"{workload:<14}{c['bindings']:>9}{c['splits_generated']:>11}"
               f"{c['splits_read']:>7}{c['samples_generated']:>13}"
               f"{c['samples_read']:>9}")
+    print(f"\n{'MB held at the peak':<22}{'live':>7}{'window cache':>14}"
+          f"{'models':>8}{'banks':>7}")
+    for workload, h in held.items():
+        print(f"{workload:<22}" + "".join(
+            f"{h[key] / 2**20:>{width}.2f}" for key, width in
+            (("live", 7), ("window cache", 14), ("models", 8), ("banks", 7))))
 
 
 # ---------------------------------------------------------------- bitwise sweep

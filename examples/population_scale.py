@@ -80,8 +80,6 @@ def main() -> None:
     print(f"  peak resident parties  {pool['peak_resident']:6d}  "
           f"(bound {pool['max_resident']})")
     print(f"  materializations       {pool['materialized']:6d}")
-    print(f"  model replicas built   {pool['models_built']:6d}  "
-          f"(recycled through the free list)")
     print(f"  evictions              {pool['evictions']:6d}")
 
     fed = run.extras["federation"]

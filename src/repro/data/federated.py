@@ -24,6 +24,7 @@ from repro.data.registry import (
     ShiftSchedule,
     build_shift_schedule,
 )
+from repro.utils.params import resolve_dtype
 from repro.utils.rng import spawn_rng
 
 
@@ -118,10 +119,16 @@ class PartyWindowData:
 
 
 class FederatedShiftDataset:
-    """Deterministic generator of party/window data under a shift schedule."""
+    """Deterministic generator of party/window data under a shift schedule.
+
+    Samples are drawn and corrupted in float64; each generated split's ``x``
+    is then stored at ``dtype`` (default float64), cast once.  A run builds
+    its dataset at its parameter dtype, so a float32 model reads its inputs
+    without a per-call cast and a cached split holds half the bytes.
+    """
 
     def __init__(self, spec: DatasetSpec, schedule: ShiftSchedule | None = None,
-                 sliding_overlap: float = 0.3) -> None:
+                 sliding_overlap: float = 0.3, dtype=None) -> None:
         if not 0.0 <= sliding_overlap < 1.0:
             raise ValueError("sliding_overlap must be in [0, 1)")
         self.spec = spec
@@ -129,6 +136,7 @@ class FederatedShiftDataset:
         if self.schedule.spec.name != spec.name:
             raise ValueError("schedule was built for a different dataset spec")
         self.sliding_overlap = sliding_overlap if spec.windowing == "sliding" else 0.0
+        self.dtype = resolve_dtype(dtype)
         self.generator = SyntheticImageGenerator(ImageDomainSpec(
             num_classes=spec.num_classes,
             image_size=spec.image_size,
@@ -146,7 +154,7 @@ class FederatedShiftDataset:
         rng = spawn_rng(self.spec.seed, "data", party, window, split)
         x, y = self.generator.sample_dataset(prior, n, rng)
         x = apply_corruption(x, regime.corruption, regime.severity, rng)
-        return x, y
+        return x.astype(self.dtype, copy=False), y
 
     def _assemble_window(self, party: int, shard: int,
                          window: int) -> PartyWindowData:

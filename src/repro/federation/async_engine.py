@@ -2,7 +2,7 @@
 
 Every federated round in the repo is :meth:`FederationEngine.run_round`:
 decide each dispatched party's fate with the availability simulator, train
-the survivors on the then-current parameters into rows of the stream's
+the survivors on the then-current parameters into rows of the engine's
 :class:`~repro.utils.params.ParamBank` (sealed on the spot under secure
 aggregation), park each report in the stream's :class:`AsyncRoundBuffer`
 tagged with its dispatch and arrival tick, and — when the mode's trigger
@@ -33,7 +33,10 @@ or empty) leaves the parameters untouched and counts as ``skipped_rounds``.
 
 One engine serves a whole run: each global model / cluster / expert names its
 own ``stream``, so buffered reports never cross aggregation targets, and the
-harness advances the shared round clock once per (window, round).
+harness advances the shared round clock once per (window, round).  The rows
+themselves come from one bank per parameter shape and dtype, shared by every
+stream: a buffer addresses its rows by explicit lists, so the bank only has
+to hold what is in flight across all streams at once.
 
 Buffer lifecycle invariants
 ---------------------------
@@ -43,7 +46,8 @@ suite (``tests/test_differential_aggregation.py``) pins most of them:
 1. **Every buffered report owns exactly one bank row**, allocated at
    training time and released on exactly one of four exits: aggregation
    (:meth:`AsyncRoundBuffer.pop`), window flush (:meth:`AsyncRoundBuffer.flush`
-   via :meth:`FederationEngine.begin_window`), stream invalidation
+   via :meth:`FederationEngine.begin_window`, which then drops the stream's
+   buffer), stream invalidation
    (the stream's model changed shape/precision in ``_buffer_for``), or a
    dispatch that raised before its reports were parked
    (:func:`~repro.federation.rounds.train_cohort` releases what it
@@ -166,15 +170,15 @@ class _PendingReport:
 class AsyncRoundBuffer:
     """In-flight reports for one aggregation stream, rows in a ParamBank.
 
-    Parties write trained flat vectors straight into preallocated bank
-    rows; each row is tagged with its dispatch round so aggregation can
-    weight by staleness.  Rows are
-    released back to the bank as soon as their report is aggregated or
-    expired.
+    Parties write trained flat vectors straight into bank rows; each row is
+    tagged with its dispatch round so aggregation can weight by staleness.
+    The bank may be shared with other streams' buffers: this one touches only
+    the rows its reports own, and releases each back to the bank as soon as
+    its report is aggregated or expired.
     """
 
-    def __init__(self, spec: ParamSpec, dtype=None, capacity: int = 4) -> None:
-        self.bank = ParamBank(spec, dtype=dtype, capacity=capacity)
+    def __init__(self, bank: ParamBank) -> None:
+        self.bank = bank
         self._pending: list[_PendingReport] = []
 
     @property
@@ -232,6 +236,7 @@ class FederationEngine:
         self.simulator = AvailabilitySimulator(config.availability, seed,
                                                num_parties)
         self.clock = -1  # advance() before the first round makes this 0
+        self._banks: dict[tuple[ParamSpec, np.dtype], ParamBank] = {}
         self._buffers: dict[object, AsyncRoundBuffer] = {}
         self.counters = {
             "rounds": 0, "dispatched": 0, "dropped": 0, "delayed": 0,
@@ -248,8 +253,11 @@ class FederationEngine:
         return self.clock
 
     def begin_window(self, window: int) -> int:
-        """Flush every stream at a window boundary; returns reports dropped."""
+        """Flush every stream at a window boundary and drop its buffer (a
+        merged expert's stream is never seen again); returns reports
+        dropped."""
         expired = sum(buf.flush() for buf in self._buffers.values())
+        self._buffers.clear()
         self.counters["expired_reports"] += expired
         return expired
 
@@ -270,17 +278,20 @@ class FederationEngine:
 
     def _buffer_for(self, stream: object, spec: ParamSpec, dtype,
                     capacity: int) -> AsyncRoundBuffer:
+        dtype = np.dtype(dtype)
         buf = self._buffers.get(stream)
-        if buf is not None and (buf.spec != spec
-                                or buf.bank.dtype != np.dtype(dtype)):
+        if buf is not None and (buf.spec != spec or buf.bank.dtype != dtype):
             # The stream's model changed shape (e.g. a rebuilt expert) or
             # precision; whatever was in flight can no longer be aggregated
             # into it.
             self.counters["expired_reports"] += buf.flush()
             buf = None
         if buf is None:
-            buf = AsyncRoundBuffer(spec, dtype=dtype, capacity=capacity)
-            self._buffers[stream] = buf
+            bank = self._banks.get((spec, dtype))
+            if bank is None:
+                bank = self._banks[spec, dtype] = ParamBank(
+                    spec, dtype=dtype, capacity=capacity)
+            buf = self._buffers[stream] = AsyncRoundBuffer(bank)
         return buf
 
     def _arrival_delay(self, fate) -> int:

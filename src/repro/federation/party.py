@@ -1,8 +1,9 @@
 """Party: one federated client in the simulator.
 
 A party owns its private per-window data (each split generated the first
-time an operation reads it), a local model replica, and the local operations
-of the protocol: training on received parameters,
+time an operation reads it) and the local operations of the protocol, which
+run on the model it is bound to (one per run, shared by every party; each op
+starts with ``set_params``): training on received parameters,
 evaluation on its private test split, penultimate-layer embedding extraction
 (for shift detection), and label-histogram reporting.  Raw samples never
 cross the party boundary — only parameters, statistics, and embeddings, as

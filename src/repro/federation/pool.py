@@ -4,10 +4,10 @@ A party *is* its seeded identity — party id, dataset shard
 (``party_id % spec.num_parties``), the run's root seed and parameter dtype —
 and :class:`PartyPool` holds the live
 :class:`~repro.federation.party.Party` only while it is resident: on first
-touch it binds a model replica from a small reusable free list and the
-party's window data, of which only the split an operation reads is ever
-generated; under a ``max_resident`` bound the least recently used party is
-evicted again.  The run's :class:`PopulationConfig` declares size and policy —
+touch it binds the run's one model and the party's window data, of which
+only the split an operation reads is ever generated; under a
+``max_resident`` bound the least recently used party is evicted again.  The
+run's :class:`PopulationConfig` declares size and policy —
 how many parties exist, the residency bound, the participation skew, the
 survey cap — and an undeclared population is the dataset's own
 ``spec.num_parties`` parties, unbounded and uniform.  Because every piece of
@@ -22,11 +22,11 @@ Residency invariants
    ``(seed, "party-train", party_id, round_tag)`` and its data by
    ``(spec.seed, "data", party_id, window, split)``, so evicting and
    rebuilding a party between rounds cannot change any number it produces.
-2. **Model replicas are interchangeable.**  Every protocol op
-   (``local_train`` / ``evaluate`` / ``embeddings``) starts with
-   ``set_params``, so a replica's weights on arrival never matter; the pool
-   therefore recycles ``Sequential`` instances through a free list instead
-   of rebuilding layer buffers per materialization.
+2. **One model serves every party.**  Every protocol op (training,
+   evaluation, embeddings) starts with ``set_params`` and hands back copies
+   or bank rows, never the model's own buffers, so the weights a model holds
+   on arrival never matter: the pool builds one ``Sequential`` at the run's
+   dtype and binds it to every party it materializes.
 3. **Pinned residents are never evicted.**  ``acquire``/``release`` wrap a
    party's in-flight window (the cohort trainer pins one trainee at a time,
    for the read of its train split, and trains the cohort after the last
@@ -176,7 +176,7 @@ class PartyPool(Mapping):
     and uniform.  The life cycle::
 
         identity ──materialize──▶ resident Party ──capacity──▶ evicted
-           ▲       (model from free list,           (LRU, pin-aware)  │
+           ▲       (the pool's model,               (LRU, pin-aware)  │
            └─────────────────── window data bound) ◀──────────────────┘
 
     "Window data" is a :class:`~repro.data.federated.PartyWindowData`:
@@ -206,16 +206,18 @@ class PartyPool(Mapping):
         self.seed = int(seed)
         self.dtype = resolve_dtype(dtype)
         self.sampler = CohortSampler(config)
+        # Its initial weights never matter (invariant 2).
+        self.model = build_model(spec.model_name, spec.input_shape,
+                                 spec.num_classes, np.random.default_rng(0),
+                                 dtype=self.dtype)
         self._window = 0
         self._resident: "OrderedDict[int, Party]" = OrderedDict()
-        self._models: dict[int, object] = {}  # model lent to each resident
-        self._free_models: list[object] = []
         self._pins: dict[int, int] = {}
         self._survey_ids: tuple[int, ...] | None = None
         self.eviction_log: list[int] = []
         self.counters = {
             "materialized": 0, "resident_hits": 0, "evictions": 0,
-            "models_built": 0, "data_binds": 0, "peak_resident": 0,
+            "data_binds": 0, "peak_resident": 0,
         }
 
     # ------------------------------------------------------------------ mapping
@@ -244,27 +246,10 @@ class PartyPool(Mapping):
     # ------------------------------------------------------------------ residency
 
     def _materialize(self, pid: int) -> Party:
-        model = None
-        while self._free_models:
-            candidate = self._free_models.pop()
-            # A recycled model must match the pool's parameter precision: a
-            # float32 run resurrecting a float64 free-list model (or vice
-            # versa) would silently re-widen part of the population.  A
-            # mismatched model is dropped, never lent out again.
-            if candidate.dtype == self.dtype:
-                model = candidate
-                break
-        if model is None:
-            model = build_model(self.spec.model_name, self.spec.input_shape,
-                                self.spec.num_classes,
-                                spawn_rng(self.seed, "party-model", pid),
-                                dtype=self.dtype)
-            self.counters["models_built"] += 1
-        party = Party(pid, model, self.spec.num_classes, seed=self.seed,
+        party = Party(pid, self.model, self.spec.num_classes, seed=self.seed,
                       population=self.population)
         self._bind(party)
         self._resident[pid] = party
-        self._models[pid] = model
         self.counters["materialized"] += 1
         if len(self._resident) > self.counters["peak_resident"]:
             self.counters["peak_resident"] = len(self._resident)
@@ -293,7 +278,6 @@ class PartyPool(Mapping):
     def _evict(self, pid: int) -> None:
         party = self._resident.pop(pid)
         party.release()  # the data reference must not outlive residency
-        self._free_models.append(self._models.pop(pid))
         self.eviction_log.append(pid)
         self.counters["evictions"] += 1
 
@@ -366,6 +350,5 @@ class PartyPool(Mapping):
             "skew": self.sampler.skew,
             "resident": len(self._resident),
             "pinned": len(self._pins),
-            "free_models": len(self._free_models),
             **{k: int(v) for k, v in self.counters.items()},
         }

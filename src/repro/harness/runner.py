@@ -69,8 +69,8 @@ class StrategyRunResult:
 class EvaluatedParties:
     """The parties a run is measured on: one :class:`Party` per id, no pool.
 
-    All share one model replica (every forward starts with ``set_params``:
-    pool invariant 2) and are rebound once per window.  An
+    All share the pool's one model (every forward starts with
+    ``set_params``: pool invariant 2) and are rebound once per window.  An
     in-schedule id binds the dataset's cached window — the object the pool
     binds too, so nothing is generated twice; a virtual id's window is its
     own and generates only the test split it reads, held until the next
@@ -112,8 +112,9 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
 
     ``callbacks`` observe the run (see :mod:`repro.experiments.events`).
     """
-    ds = dataset if dataset is not None else FederatedShiftDataset(spec)
     dtype = settings.np_dtype
+    ds = (dataset if dataset is not None
+          else FederatedShiftDataset(spec, dtype=dtype))
     # Every run's parties live in a PartyPool, materialized on first touch.
     # ``settings.population`` declares its size and policy (residency bound,
     # participation skew, survey cap); undeclared, it is the dataset's own
@@ -168,7 +169,7 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
             num_parties, size=eval_count, replace=False))
     else:
         eval_ids = sorted(parties)
-    evaluated = EvaluatedParties(spec, ds, eval_ids, model_factory())
+    evaluated = EvaluatedParties(spec, ds, eval_ids, parties.model)
 
     window_series: list[list[float]] = []
     state_log: list[dict] = []

@@ -23,10 +23,10 @@ aggregation.  Contributors touching it must preserve:
 1. **Row views do not survive growth.**  ``alloc`` may relocate the
    backing buffer; re-fetch ``row()`` views after any allocation instead
    of caching them.
-2. **`matrix(rows=None)` is slot order, not allocation order.**  Once any
-   row has been released and recycled the two diverge — callers pairing
-   rows with positional metadata (weights, party ids) must pass explicit
-   ``rows``.
+2. **Rows are always named.**  ``matrix`` and ``weighted_combine`` take an
+   explicit ``rows`` list, aligned with any positional metadata (weights,
+   party ids): one bank may hold several streams' rows, and slot order is
+   not allocation order once a released slot is recycled.
 
 Releasing or reading a row that is not live raises ``KeyError`` rather than
 touching whatever update has since recycled the slot.
@@ -237,9 +237,9 @@ class ParamBank:
     """Contiguous ``(n_rows, dim)`` storage for flattened parameter sets.
 
     Rows are allocated and released one holder at a time; a released slot
-    is recycled by a later ``alloc``.  ``matrix()`` exposes the live rows
-    for single-matmul aggregation.  Growth may relocate the buffer — do not
-    cache row views across ``alloc`` calls.
+    is recycled by a later ``alloc``.  ``matrix(rows)`` exposes named live
+    rows for single-matmul aggregation.  Growth may relocate the buffer — do
+    not cache row views across ``alloc`` calls.
     """
 
     def __init__(self, spec: ParamSpec, dtype=None, capacity: int = 4) -> None:
@@ -295,20 +295,14 @@ class ParamBank:
 
     # ------------------------------------------------------------------ matrix ops
 
-    def matrix(self, rows: list[int] | None = None) -> np.ndarray:
-        """Stacked ``(k, dim)`` matrix of the given (default: all live) rows.
+    def matrix(self, rows: list[int]) -> np.ndarray:
+        """Stacked ``(k, dim)`` matrix of the given live rows, in order.
 
         A zero-copy view when the rows form an ascending contiguous run,
-        otherwise one gather copy.  With ``rows=None`` the order is *slot*
-        order, which diverges from allocation order once a released slot has
-        been recycled — callers pairing rows with positional metadata
-        (weights, party ids) must pass explicit ``rows``.
+        otherwise one gather copy.
         """
-        if rows is None:
-            rows = [i for i, live in enumerate(self._live) if live]
-        else:
-            for row in rows:
-                self._check_row(row)
+        for row in rows:
+            self._check_row(row)
         if not rows:
             return np.zeros((0, self.dim), dtype=self.dtype)
         first, last = rows[0], rows[-1]
@@ -316,12 +310,9 @@ class ParamBank:
             return self._buf[first:last + 1]
         return self._buf[np.asarray(rows)]
 
-    def weighted_combine(self, weights, rows: list[int] | None = None) -> np.ndarray:
-        """FedAvg kernel: normalized ``w @ matrix`` in one BLAS call.
-
-        ``weights`` align positionally with ``rows``; pass explicit ``rows``
-        whenever any row has ever been released (see :meth:`matrix`).
-        """
+    def weighted_combine(self, weights, rows: list[int]) -> np.ndarray:
+        """FedAvg kernel: normalized ``w @ matrix(rows)`` in one BLAS call;
+        ``weights`` align positionally with ``rows``."""
         matrix = self.matrix(rows)
         weights = np.asarray(weights, dtype=self.dtype)
         if weights.shape != (matrix.shape[0],):

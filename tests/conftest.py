@@ -92,7 +92,7 @@ def mean_accuracy(strategy, dataset: FederatedShiftDataset,
     measured the way the runner measures a run."""
     ctx = strategy.context
     evaluated = EvaluatedParties(ctx.spec, dataset, ctx.party_ids,
-                                 ctx.model_factory())
+                                 ctx.parties.model)
     evaluated.begin_window(window)
     return evaluated.mean_accuracy_pct(strategy) / 100.0
 

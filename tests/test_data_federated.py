@@ -1,10 +1,16 @@
 """Tests for per-party, per-window data materialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.data.federated import FederatedShiftDataset
-from tests.conftest import make_tiny_spec
+from repro.experiments.registry import build_strategy
+from repro.harness.runner import run_strategy
+from repro.utils.precision import PrecisionPlan
+from repro.utils.serialization import run_result_to_dict
+from tests.conftest import make_run_settings, make_tiny_spec
 
 
 class TestPartyWindow:
@@ -96,3 +102,43 @@ class TestReferenceAndEviction:
         schedule = build_shift_schedule(other)
         with pytest.raises(ValueError):
             FederatedShiftDataset(tiny_spec, schedule=schedule)
+
+
+class TestStorageDtype:
+    """A split is drawn and corrupted in float64, then stored once at the
+    dataset's dtype; a run builds its dataset at its parameter dtype."""
+
+    def test_float32_split_is_the_float64_draw_cast(self):
+        spec = make_tiny_spec(name="unit_store", seed=7)
+        # Sliding windows: a train split concatenates the overlap draw.
+        spec = dataclasses.replace(spec, windowing="sliding")
+        wide, narrow = (FederatedShiftDataset(spec, dtype=dtype)
+                        for dtype in (None, "float32"))
+        assert wide.dtype == np.float64 and narrow.dtype == np.float32
+        for pid in (0, spec.num_parties - 1, spec.num_parties + 3):
+            for window in range(spec.num_windows):
+                a = wide.virtual_party_window(pid, window)
+                b = narrow.virtual_party_window(pid, window)
+                for split in ("train", "test"):
+                    (xa, ya), (xb, yb) = a.split(split), b.split(split)
+                    assert xa.dtype == np.float64 and xb.dtype == np.float32
+                    assert xb.tobytes() == xa.astype(np.float32).tobytes()
+                    assert yb.tobytes() == ya.tobytes()
+
+    @pytest.mark.parametrize("params", ["float32", "float64"])
+    def test_run_stores_splits_at_its_parameter_dtype(self, params):
+        """The run on splits stored at its dtype is the run on float64
+        splits, byte for byte: every consumer casts to the model first."""
+        spec = make_tiny_spec(name="unit_store_run", num_parties=6,
+                              num_windows=2, window_regimes=(("fog", 4),),
+                              seed=19)
+        settings = dataclasses.replace(make_run_settings(),
+                                       precision=PrecisionPlan(params=params))
+        strategy = build_strategy("shiftex")
+        stored = run_strategy(strategy, spec, settings, seed=0)
+        dataset = strategy.context.parties.dataset
+        assert dataset.dtype == np.dtype(params)
+        assert dataset.party_window(0, 1).x_train.dtype == np.dtype(params)
+        reference = run_strategy(build_strategy("shiftex"), spec, settings,
+                                 seed=0, dataset=FederatedShiftDataset(spec))
+        assert run_result_to_dict(stored) == run_result_to_dict(reference)

@@ -21,8 +21,12 @@ from repro.federation.aggregation import (
     staleness_decay,
     staleness_weighted_fedavg,
 )
-from repro.federation.async_engine import FederationConfig, FederationEngine
-from repro.federation.availability import AvailabilityConfig
+from repro.federation.async_engine import (
+    AsyncRoundBuffer,
+    FederationConfig,
+    FederationEngine,
+)
+from repro.federation.availability import AvailabilityConfig, ReportFate
 from repro.federation.party import LocalUpdate
 from repro.federation.rounds import run_fl_round
 from repro.harness.runner import run_strategy
@@ -30,7 +34,7 @@ from repro.privacy.secure_aggregation import (
     MaskingSpec,
     SecureAggregationSession,
 )
-from repro.utils.params import flatten_params
+from repro.utils.params import ParamBank, flatten_params
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
 from tests.conftest import (bank_of, make_context, make_run_settings,
@@ -282,6 +286,95 @@ class TestOneRoundLoop:
             # no plaintext update outlives the failed call.
             assert not r.session.is_sealed(r.party_id)
             assert not buf.bank.row(r.row).any()
+
+
+class _PerStreamBanks(FederationEngine):
+    """The reference: every stream's buffer owns a bank of its own, as
+    before the engine shared one bank per parameter shape and dtype."""
+
+    def _buffer_for(self, stream, spec, dtype, capacity):
+        buf = self._buffers.get(stream)
+        if buf is not None and (buf.spec != spec
+                                or buf.bank.dtype != np.dtype(dtype)):
+            self.counters["expired_reports"] += buf.flush()
+            buf = None
+        if buf is None:
+            buf = self._buffers[stream] = AsyncRoundBuffer(
+                ParamBank(spec, dtype=dtype, capacity=capacity))
+        return buf
+
+
+class _ScriptedFates:
+    """Availability stub: ``script[tick][party] = (dropped, delay)``."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def cohort_fates(self, party_ids, tick):
+        return [ReportFate(pid, *self.script.get(tick, {}).get(pid, (False, 0)))
+                for pid in party_ids]
+
+
+class TestStreamsShareOneBank:
+    """Two streams' in-flight rows interleave in the engine's one bank (some
+    dropped, some delayed, buffered across ticks, sealed or not), and every
+    aggregate is the bytes per-stream banks give."""
+
+    COHORTS = {"a": [0, 1, 2], "b": [3, 4, 5]}
+    SCRIPT = {0: {1: (False, 2), 4: (False, 1)},
+              1: {2: (False, 1), 5: (True, 0)},
+              2: {3: (False, 2), 0: (False, 1)},
+              3: {4: (True, 0)},
+              4: {1: (False, 3)}}
+
+    def _drive(self, engine_cls, spec, dataset, dtype, secure):
+        ctx, params = _context(spec, dataset, dtype)
+        engine = engine_cls(FederationConfig(mode="buffered", max_wait_rounds=2),
+                            seed=0, num_parties=8)
+        engine.simulator = _ScriptedFates(self.SCRIPT)
+        current = {"a": params, "b": [p * 0.5 for p in params]}
+        trace = []
+        for tick in range(5):
+            engine.advance()
+            for stream, cohort in self.COHORTS.items():
+                current[stream], stats = engine.run_round(
+                    ctx.parties, cohort, current[stream], ctx.round_config,
+                    round_tag=(0, tick), stream=stream, secure=secure)
+                trace.append((stream, stats.reported,
+                              flatten_params(current[stream]).tobytes()))
+        expired = engine.begin_window(1)
+        return engine, trace, expired
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("masking", ["plain", "shamir"])
+    def test_shared_bank_is_bitwise_per_stream_banks(
+            self, tiny_spec, tiny_dataset, monkeypatch, masking, dtype):
+        secure = MASKINGS[masking]
+        reference, want, want_expired = self._drive(
+            _PerStreamBanks, tiny_spec, tiny_dataset, dtype, secure)
+        peak = 0
+        alloc = ParamBank.alloc
+
+        def counting(bank):
+            nonlocal peak
+            row = alloc(bank)
+            peak = max(peak, sum(bank._live))
+            return row
+
+        monkeypatch.setattr(ParamBank, "alloc", counting)
+        engine, got, expired = self._drive(
+            FederationEngine, tiny_spec, tiny_dataset, dtype, secure)
+        assert got == want
+        assert sum(len(reported) for _s, reported, _b in got) > 0
+        assert expired == want_expired > 0
+        assert engine.counters == reference.counters
+        (bank,) = engine._banks.values()
+        assert bank.dtype == dtype
+        # Capacity follows the rows in flight across both streams at once.
+        assert bank._buf.shape[0] <= 2 * peak
+        # The window flush released every row and dropped every buffer.
+        assert engine._buffers == {} and not any(bank._live)
 
 
 class TestAsyncSyncEquivalence:

@@ -21,7 +21,7 @@ from repro.federation.async_engine import (
 from repro.federation.rounds import run_fl_round
 from repro.harness.profiles import RunSettings
 from repro.harness.runner import run_strategy
-from repro.utils.params import ParamSpec, flatten_params
+from repro.utils.params import ParamBank, ParamSpec, flatten_params
 from tests.conftest import make_context, make_run_settings, make_tiny_spec
 
 
@@ -131,7 +131,7 @@ class TestAsyncRoundBuffer:
     def test_rows_recycle_on_pop_and_flush(self):
         from repro.federation.async_engine import _PendingReport
         spec = ParamSpec(shapes=((2, 2), (3,)))
-        buf = AsyncRoundBuffer(spec, capacity=2)
+        buf = AsyncRoundBuffer(ParamBank(spec, capacity=2))
         reports = []
         for i in range(3):
             row = buf.bank.alloc()

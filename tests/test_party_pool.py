@@ -226,42 +226,22 @@ class TestPartyPoolResidency:
         assert pool.resident_ids() == (3, 4)
         assert pool.counters["evictions"] == 4
 
-    def test_model_free_list_recycles_replicas(self):
+    def test_every_party_is_bound_to_the_pools_model(self):
         pool = self._pool(population=8, max_resident=1)
         for pid in range(8):
-            pool[pid]
-        # One replica plus the transient overshoot during materialization.
-        assert pool.counters["models_built"] <= 2
+            assert pool[pid]._model is pool.model
         assert pool.counters["materialized"] == 8
 
-    def test_free_list_never_resurrects_mismatched_dtype(self):
-        """A float32 run must not resurrect a float64 free-list model.
-
-        A stale float64 replica on the free list (the shape a precision
-        bug would take) is dropped on the next materialization, not lent
-        out — every party the pool hands back stays at the pool dtype.
-        """
-        pool = self._pool(population=8, max_resident=1, dtype="float32")
-        stale = build_model(pool.spec.model_name, pool.spec.input_shape,
-                            pool.spec.num_classes, spawn_rng(9, "stale"),
-                            dtype="float64")
-        pool._free_models.append(stale)
-        party = pool[0]
-        assert party.dtype == np.dtype(np.float32)
-        assert stale not in pool._free_models
-
     def test_dtype_survives_release_and_rematerialization(self):
-        """Recycled replicas keep the pool dtype across evict/re-acquire."""
+        """The one model keeps the pool dtype across evict/re-acquire."""
         pool = self._pool(population=8, max_resident=1, dtype="float32")
+        assert pool.model.dtype == np.dtype(np.float32)
         for pid in (0, 1, 2, 0, 3, 0):
-            assert pool[pid].dtype == np.dtype(np.float32)
-        # Recycling actually happened (one replica serving everyone) —
-        # the dtype above was preserved by reuse, not fresh builds.
-        assert pool.counters["models_built"] <= 2
+            assert pool[pid]._model is pool.model
         pool.acquire(4)
         assert pool[4].dtype == np.dtype(np.float32)
         pool.release(4)
-        pool[5]  # evicts 4; its model lands on the free list
+        pool[5]  # evicts 4
         assert pool[4].dtype == np.dtype(np.float32)
 
     def test_pooled_float32_run_builds_no_float64_model(self):
@@ -466,6 +446,22 @@ class TestAvailabilityAtScale:
         assert at.enumerates_outages and not over.enumerates_outages
 
 
+def _models_bound_during(run):
+    """``run()``'s result and the distinct models every :class:`Party`
+    constructed meanwhile was bound to (pool residents and evaluated
+    parties alike)."""
+    models = {}
+    init = Party.__init__
+
+    def recording(self, party_id, model, *args, **kwargs):
+        models[id(model)] = model
+        init(self, party_id, model, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Party, "__init__", recording)
+        return run(), list(models.values())
+
+
 def _diff_spec():
     return make_tiny_spec(name="unit_pool_diff", num_parties=6,
                           num_windows=2, window_regimes=(("fog", 4),),
@@ -507,11 +503,12 @@ class TestPooledRunsAreBitwise:
         assert summary["population"] == _diff_spec().num_parties
 
     def test_fedavg_bounded_pool_still_bitwise(self):
-        """LRU eviction + model recycling must be invisible in the bits."""
-        summary = _declared_equals_default("fedavg", make_run_settings(),
-                                           max_resident=2)
+        """LRU eviction must be invisible in the bits."""
+        summary, models = _models_bound_during(
+            lambda: _declared_equals_default("fedavg", make_run_settings(),
+                                             max_resident=2))
         assert summary["evictions"] > 0
-        assert summary["models_built"] <= 3
+        assert len(models) == 2  # one per run, however many evictions
 
     @pytest.mark.slow
     @pytest.mark.parametrize("method", sorted(strategy_names()))
@@ -540,6 +537,57 @@ class TestPooledRunsAreBitwise:
             seed=seed, max_resident=max_resident)
 
 
+class TestOneModelPerRun:
+    """Invariant 2: a run holds one ``Sequential``, whatever it serves."""
+
+    @pytest.mark.parametrize("max_resident", [None, 2])
+    def test_residents_and_evaluated_parties_share_one_model(self,
+                                                             max_resident):
+        spec = _diff_spec()
+        settings_ = dataclasses.replace(
+            _pooled_settings(make_run_settings(), 12,
+                             max_resident=max_resident),
+            eval_parties=5, precision=PrecisionPlan(params="float32"))
+        strategy = build_strategy("shiftex")
+        result, models = _models_bound_during(
+            lambda: run_strategy(strategy, spec, settings_, seed=0,
+                                 dataset=FederatedShiftDataset(spec)))
+        assert models == [strategy.context.parties.model]
+        assert models[0].dtype == np.dtype(np.float32)
+        pool = result.extras["party_pool"]
+        assert pool["materialized"] > 0
+        assert (pool["evictions"] > 0) == (max_resident is not None)
+
+    def test_local_train_update_outlives_other_ops_on_the_model(self):
+        """ShiftEx keeps a small cluster's fine-tuned ``Party.local_train``
+        update across the window; another party training, evaluating or
+        embedding on the shared model meanwhile must not touch its bytes."""
+        spec = _diff_spec()
+        config = LocalTrainingConfig(epochs=2, batch_size=8, momentum=0.9)
+
+        def pool_and_params():
+            pool = PartyPool(spec, FederatedShiftDataset(spec), seed=0)
+            params = build_model(spec.model_name, spec.input_shape,
+                                 spec.num_classes,
+                                 spawn_rng(0, "theta")).get_params()
+            return pool, params
+
+        pool, params = pool_and_params()
+        update = pool[0].local_train(params, config, round_tag=("finetune", 0))
+        kept = [p.copy() for p in update.params]
+        assert not any(np.shares_memory(p, pool.model.flat_params)
+                       for p in update.params)
+        other = pool[1]
+        other.local_train([p * 2 for p in params], config, round_tag=0)
+        other.evaluate(params)
+        other.embeddings_with_labels(params)
+        fresh_pool, fresh_params = pool_and_params()
+        alone = fresh_pool[0].local_train(fresh_params, config,
+                                          round_tag=("finetune", 0))
+        for got, before, want in zip(update.params, kept, alone.params):
+            assert got.tobytes() == before.tobytes() == want.tobytes()
+
+
 def _population_run(population: int, cohort: int, max_resident: int,
                     federation: FederationConfig = FederationConfig()):
     """A short FedAvg run over ``population`` parties, ``max_resident`` live."""
@@ -561,12 +609,13 @@ class TestPopulationScaleRuns:
         settings_ = _pooled_settings(make_run_settings(rounds_burn_in=2,
                                                        rounds_per_window=1),
                                      {"size": 5000, "max_resident": 8})
-        result = run_strategy(build_strategy("fedavg"), spec, settings_,
-                              seed=0, dataset=ds)
+        result, models = _models_bound_during(
+            lambda: run_strategy(build_strategy("fedavg"), spec, settings_,
+                                 seed=0, dataset=ds))
         summary = result.extras["party_pool"]
         assert summary["population"] == 5000
         assert summary["peak_resident"] <= 8 + settings_.round_config.participants_per_round
-        assert summary["models_built"] <= summary["peak_resident"]
+        assert len(models) == 1
         assert len(result.window_series) == spec.num_windows
 
     def test_million_party_run_recycles_its_residents(self):
@@ -575,10 +624,10 @@ class TestPopulationScaleRuns:
         under ``flaky`` availability (dropouts, stragglers, counter-based
         outages), so reports outlive their parties' residency."""
         cohort, max_resident = 64, 128
-        result = _population_run(
+        result, models = _models_bound_during(lambda: _population_run(
             1_000_000, cohort, max_resident,
             FederationConfig(mode="async",
-                             availability=AvailabilityConfig.scenario("flaky")))
+                             availability=AvailabilityConfig.scenario("flaky"))))
         engine = result.extras["federation"]
         assert engine["dispatched"] == cohort * engine["rounds"]
         assert engine["dropped"] > 0 and engine["delayed"] > 0
@@ -586,8 +635,8 @@ class TestPopulationScaleRuns:
         pool = result.extras["party_pool"]
         assert pool["population"] == 1_000_000
         assert pool["peak_resident"] <= max_resident + cohort
-        assert pool["models_built"] <= max_resident + cohort
-        assert pool["materialized"] >= pool["models_built"]
+        assert pool["materialized"] > pool["peak_resident"]
+        assert len(models) == 1  # every materialization, one model
         assert pool["resident"] <= max_resident
 
     def test_memory_is_flat_in_the_population(self):

@@ -331,11 +331,12 @@ class TestRecoveryGate:
 
     def test_corrupt_share_is_caught_before_anything_is_unsealed(self):
         session, bank, party_rows = self._sealed()
-        sealed = bank.matrix().copy()
+        rows = [row for _party, row in party_rows]
+        sealed = bank.matrix(rows).copy()
         session._shares[9]["self", 9][0] ^= 1
         with pytest.raises(RuntimeError, match="corrupt"):
             session.combine_rows(bank, np.ones(4), party_rows)
-        assert np.array_equal(bank.matrix().view(np.uint64),
+        assert np.array_equal(bank.matrix(rows).view(np.uint64),
                               sealed.view(np.uint64))
         assert all(session.is_sealed(p) for p in session.cohort)
         assert not session.is_recovered(9)

@@ -177,13 +177,13 @@ class TestParamBank:
     def test_weighted_combine_matches_weighted_average(self, rng):
         bank, sets = self.make_bank(rng)
         weights = [1.0, 2.0, 3.0]
-        combined = bank.weighted_combine(weights)
+        combined = bank.weighted_combine(weights, [0, 1, 2])
         expected = weighted_average(sets, weights)
         assert np.allclose(combined, flatten_params(expected))
 
     def test_cosine_matrix_matches_pairwise(self, rng):
         bank, sets = self.make_bank(rng, n=4)
-        sims = cosine_similarity_matrix(bank.matrix())
+        sims = cosine_similarity_matrix(bank.matrix([0, 1, 2, 3]))
         for i in range(4):
             for j in range(4):
                 a, b = flatten_params(sets[i]), flatten_params(sets[j])
@@ -210,8 +210,7 @@ class TestParamBank:
         bank.release(0)
         late = bank_row(bank, flatten_params(sets[2]))  # lands in slot 0
         assert late == 0
-        # Default order is slot order; explicit rows keep the caller's order.
-        assert np.array_equal(bank.matrix(), bank.matrix([0, 1, 2]))
+        # Explicit rows keep the caller's order, not slot order.
         picked = bank.matrix([1, 2, late])
         assert np.array_equal(picked[0], bank.row(1))
         assert np.array_equal(picked[2], bank.row(late))
@@ -232,10 +231,10 @@ class TestParamBank:
 
     def test_growth_preserves_rows(self, rng):
         bank, sets = self.make_bank(rng)
-        before = bank.matrix().copy()
+        before = bank.matrix([0, 1, 2]).copy()
         for _ in range(64):  # force several buffer relocations
             bank.alloc()
-        assert np.allclose(bank.matrix()[:3], before)
+        assert np.allclose(bank.matrix([0, 1, 2]), before)
 
     def test_matrix_contiguous_run_is_view(self, rng):
         bank, _sets = self.make_bank(rng)
@@ -245,9 +244,9 @@ class TestParamBank:
     def test_bad_weights_rejected(self, rng):
         bank, _sets = self.make_bank(rng)
         with pytest.raises(ValueError):
-            bank.weighted_combine([1.0, 2.0])
+            bank.weighted_combine([1.0, 2.0], [0, 1, 2])
         with pytest.raises(ValueError):
-            bank.weighted_combine([0.0, 0.0, 0.0])
+            bank.weighted_combine([0.0, 0.0, 0.0], [0, 1, 2])
 
 
 class TestSimilarity:
