@@ -1,18 +1,19 @@
-"""Scenario files: declarative drift-diverse workloads, compiled to plans.
+"""Shift studies as plan files: declarative drift-diverse workloads.
 
 The run knobs (``federation``, ``population``, ...) are spelled the same in
-a ``compare`` flag, a plan file and a scenario document; the scenario DSL
-also makes the drift itself part of the spec: which cohort shifts, how its
-shift arrives (sudden jump, gradual severity ramp, recurring regime,
-class-incremental labels), and how desynchronized its members are.
+a ``compare`` flag and a plan file; the plan's ``spec_override`` also makes
+the drift itself part of the spec: which cohort shifts, how its shift
+arrives (sudden jump, gradual severity ramp, recurring regime,
+class-incremental labels), and how desynchronized its members are.  The
+overrides name only what they change; every other field is the profile's.
 This example:
 
-1. declares a two-cohort drift scenario as a plain dict (the in-memory
-   twin of a TOML file — see docs/SCENARIOS.md);
-2. compiles it to an :class:`~repro.experiments.ExperimentPlan` and shows
-   the ground-truth shift schedule the data plane will realize;
+1. declares a two-cohort drift study as a plain dict (the in-memory twin
+   of a TOML plan file — see docs/SCENARIOS.md);
+2. reads it as an :class:`~repro.experiments.ExperimentPlan` and shows the
+   ground-truth shift schedule the data plane will realize;
 3. runs it and reads the federation counters;
-4. samples documents from the seeded fuzz generator — the same corpus CI
+4. samples plans from the seeded fuzz generator — the same corpus CI
    fuzzes in the ``scenario-fuzz`` job.
 
 Usage::
@@ -23,39 +24,42 @@ Usage::
 from __future__ import annotations
 
 from repro.data.registry import build_shift_schedule
-from repro.scenarios import ScenarioGenerator, compile_scenario, lint_scenario
+from repro.experiments import ExperimentPlan
+from repro.scenarios import ScenarioGenerator, lint_scenario
 
 SCENARIO = {
     "name": "drift-study",
     "dataset": "fashion_mnist_sim",
     "strategies": ["fedavg"],
-    "data": {"parties": 8, "train_per_window": 24, "test_per_window": 12,
-             "num_windows": 4},
-    "rounds": {"burn_in": 2, "per_window": 1},
     "cohort_size": 4,
     "federation": {"mode": "async",
                    "availability": {"straggler_prob": 0.4,
                                     "dropout_prob": 0.1}},
-    "drift": [
-        # Cohort A: fog severity ramps 1 -> 5 over two windows.
-        {"arrival": "gradual", "corruption": "fog", "severity": 5,
-         "fraction": 0.4, "start_window": 1, "ramp_windows": 2},
-        # Cohort B: contrast comes and goes every window, one window late
-        # for some members (phase offsets desynchronize the cohort).
-        {"arrival": "recurring", "corruption": "contrast", "severity": 3,
-         "fraction": 0.3, "start_window": 1, "period": 1,
-         "max_phase_offset": 1},
-    ],
+    "spec_override": {
+        "num_parties": 8, "train_per_window": 24, "test_per_window": 12,
+        "num_windows": 4,
+        "drift": [
+            # Cohort A: fog severity ramps 1 -> 5 over two windows.
+            {"arrival": "gradual", "corruption": "fog", "severity": 5,
+             "fraction": 0.4, "start_window": 1, "ramp_windows": 2},
+            # Cohort B: contrast comes and goes every window, one window
+            # late for some members (phase offsets desynchronize the cohort).
+            {"arrival": "recurring", "corruption": "contrast", "severity": 3,
+             "fraction": 0.3, "start_window": 1, "period": 1,
+             "max_phase_offset": 1},
+        ],
+    },
+    "settings_override": {"rounds_burn_in": 2, "rounds_per_window": 1},
 }
 
 
 def main() -> None:
-    for warning in lint_scenario(SCENARIO):
+    plan = ExperimentPlan.from_dict(SCENARIO)
+    for warning in lint_scenario(plan):
         print(f"lint: {warning}")
 
-    plan = compile_scenario(SCENARIO)
     spec, _settings = plan.resolve()
-    print(f"compiled '{plan.name}' -> {spec.num_parties} parties, "
+    print(f"read '{plan.name}' -> {spec.num_parties} parties, "
           f"{spec.num_windows} windows, {len(spec.drift)} drift cohorts")
 
     schedule = build_shift_schedule(spec)
@@ -67,7 +71,7 @@ def main() -> None:
         print(f"  W{window}: shifted={shifted or '-'} "
               f"regimes={sorted(regimes) or '-'}")
 
-    result = compile_scenario(SCENARIO).run()
+    result = plan.run()
     run = result.runs["fedavg"][0]
     fed = run.extras["federation"]
     print(f"ran {len(run.window_series)} windows; counters: "
@@ -83,10 +87,12 @@ def main() -> None:
     print("\nseeded fuzz corpus (what CI's scenario-fuzz job explores):")
     generator = ScenarioGenerator(seed=0)
     for index in range(3):
-        doc = generator.sample(index)
-        federation = doc.federation.spec() if doc.federation else "profile"
-        print(f"  {doc.name}: {doc.dataset}, "
-              f"{len(doc.drift)} drift cohort(s), federation={federation}")
+        sampled = generator.sample(index)
+        federation = (sampled.federation.spec() if sampled.federation
+                      else "profile")
+        print(f"  {sampled.name}: {sampled.dataset}, "
+              f"{len(sampled.spec_override.drift)} drift cohort(s), "
+              f"federation={federation}")
 
 
 if __name__ == "__main__":

@@ -5,10 +5,9 @@ Commands
 * ``compare``  — run any registered strategies over a simulated dataset and
   print the paper-style Drop/Time/Max table (``--jobs N`` fans the
   strategy x seed grid over processes);
-* ``run``      — execute a saved experiment plan (JSON or TOML) or a
-  declarative scenario document (``--scenario-file``);
-* ``scenarios`` — ``validate`` a scenario file or ``sample`` seeded
-  documents from the fuzz generator (see ``docs/SCENARIOS.md``);
+* ``run``      — execute a saved experiment plan (JSON or TOML);
+* ``scenarios`` — ``validate`` a plan file or ``sample`` seeded plans from
+  the fuzz generator (see ``docs/SCENARIOS.md``);
 * ``methods``  — list the strategy registry;
 * ``datasets`` — list the simulated datasets and their shift schedules;
 * ``inspect``  — show a dataset spec's schedule window by window.
@@ -25,19 +24,14 @@ from pathlib import Path
 from repro.data.registry import build_shift_schedule, dataset_names, get_dataset_spec
 from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import AvailabilityConfig
-from repro.scenarios import (
-    ScenarioDoc,
-    ScenarioGenerator,
-    compile_scenario,
-    lint_scenario,
-    load_scenario,
-    save_scenario,
-)
+from repro.scenarios import ScenarioGenerator, lint_scenario
 from repro.experiments import (
+    ExperimentPlan,
     ParallelExecutor,
     ProgressLogger,
     SerialExecutor,
     load_plan,
+    save_plan,
     strategy_description,
     strategy_names,
 )
@@ -128,12 +122,11 @@ def _save_runs(result, output_dir: str) -> None:
     print(f"\nper-run JSON written to {out}/")
 
 
-def _scenario_from_args(args, methods) -> ScenarioDoc:
-    """The scenario document a ``compare`` flag line declares.
+def _plan_from_args(args, methods) -> ExperimentPlan:
+    """The plan a ``compare`` flag line declares.
 
     Each knob flag is read as its plan key (the error names the flag), so
-    ``compare`` runs exactly what ``run --scenario-file`` runs for this
-    document.
+    ``compare`` runs exactly what ``run`` runs for the same plan file.
     """
     knobs = {key: cls.from_value(getattr(args, key), f"--{key}")
              for key, cls in KNOB_FLAGS.items()}
@@ -147,9 +140,9 @@ def _scenario_from_args(args, methods) -> ScenarioDoc:
         knobs["federation"] = dataclasses.replace(
             knobs["federation"] or FederationConfig(),
             availability=availability)
-    return ScenarioDoc(
-        dataset=args.dataset, strategies=list(methods), profile=args.profile,
-        seeds=tuple(args.seeds), cohort_size=args.cohort_size, **knobs)
+    return ExperimentPlan.build(
+        args.dataset, methods, seeds=args.seeds, profile=args.profile,
+        cohort_size=args.cohort_size, **knobs)
 
 
 def _add_knob_args(parser) -> None:
@@ -182,9 +175,8 @@ def cmd_compare(args) -> int:
           flush=True)
     callbacks = (ProgressLogger(),) if args.progress else ()
     try:
-        doc = _scenario_from_args(args, methods)
-        plan = compile_scenario(doc)
-        for warning in lint_scenario(doc):
+        plan = _plan_from_args(args, methods)
+        for warning in lint_scenario(plan):
             print(f"warning: {warning}", file=sys.stderr)
         result = plan.run(executor=_executor(args.jobs), callbacks=callbacks)
     except (ValueError, KeyError) as exc:
@@ -197,16 +189,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if (args.plan is None) == (args.scenario_file is None):
-        print("run takes exactly one input: a plan file, or "
-              "--scenario-file", file=sys.stderr)
-        return 2
-    source = args.plan if args.plan is not None else args.scenario_file
     try:
-        if args.scenario_file is not None:
-            plan = compile_scenario(load_scenario(args.scenario_file))
-        else:
-            plan = load_plan(args.plan)
+        plan = load_plan(args.plan)
     except (FileNotFoundError, ValueError, TypeError, KeyError) as exc:
         return _fail(exc)
     unknown = {s.method or s.label for s in plan.strategies} - set(strategy_names())
@@ -214,7 +198,7 @@ def cmd_run(args) -> int:
         print(f"plan references unregistered methods: {sorted(unknown)}; "
               f"available: {strategy_names()}", file=sys.stderr)
         return 2
-    label = plan.name or Path(source).stem
+    label = plan.name or Path(args.plan).stem
     print(f"running plan '{label}': {[s.label for s in plan.strategies]} on "
           f"{plan.dataset} (profile={plan.profile}, seeds={plan.seeds}, "
           f"jobs={args.jobs}) ...", flush=True)
@@ -233,12 +217,11 @@ def cmd_run(args) -> int:
 
 def cmd_scenarios_validate(args) -> int:
     try:
-        doc = load_scenario(args.file)
-        plan = compile_scenario(doc)
+        plan = load_plan(args.file)
         spec, settings = plan.resolve()
     except (FileNotFoundError, ValueError, TypeError, KeyError) as exc:
         return _fail(exc)
-    for warning in lint_scenario(doc):
+    for warning in lint_scenario(plan):
         print(f"warning: {warning}", file=sys.stderr)
     strategies = [s.label for s in plan.strategies]
     print(f"{args.file}: ok")
@@ -260,15 +243,14 @@ def cmd_scenarios_validate(args) -> int:
 
 def cmd_scenarios_sample(args) -> int:
     generator = ScenarioGenerator(seed=args.seed)
-    docs = generator.corpus(args.count, start=args.start)
+    plans = generator.corpus(args.count, start=args.start)
     if args.output_dir is None:
-        print(json.dumps([doc.to_dict() for doc in docs], indent=2))
+        print(json.dumps([plan.to_dict() for plan in plans], indent=2))
         return 0
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for doc in docs:
-        path = save_scenario(out / f"{doc.name}.json", doc)
-        print(path)
+    for plan in plans:
+        print(save_plan(out / f"{plan.name}.json", plan))
     return 0
 
 
@@ -311,12 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(func=cmd_compare)
 
     p_run = subparsers.add_parser(
-        "run", help="execute a saved experiment plan or scenario file")
-    p_run.add_argument("plan", nargs="?", default=None,
-                       help="path to the plan file (JSON or TOML)")
-    p_run.add_argument("--scenario-file", default=None, metavar="FILE",
-                       help="compile and run a scenario document instead of "
-                            "a plan (TOML or JSON; see docs/SCENARIOS.md)")
+        "run", help="execute a saved experiment plan")
+    p_run.add_argument("plan", help="path to the plan file (JSON or TOML)")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="run the strategy x seed grid over N processes")
     p_run.add_argument("--progress", action="store_true",
@@ -326,23 +304,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_scenarios = subparsers.add_parser(
-        "scenarios", help="validate or sample declarative scenario files")
+        "scenarios", help="validate a plan file or sample seeded plans")
     scenario_subs = p_scenarios.add_subparsers(dest="scenario_command",
                                                required=True)
     p_validate = scenario_subs.add_parser(
-        "validate", help="check a scenario file and print its resolved shape")
-    p_validate.add_argument("file", help="scenario file (TOML or JSON)")
+        "validate", help="check a plan file and print its resolved shape")
+    p_validate.add_argument("file", help="plan file (TOML or JSON)")
     p_validate.set_defaults(func=cmd_scenarios_validate)
     p_sample = scenario_subs.add_parser(
-        "sample", help="emit seeded documents from the scenario fuzzer")
+        "sample", help="emit seeded plans from the scenario fuzzer")
     p_sample.add_argument("--seed", type=int, default=0,
                           help="generator seed (default 0, the CI corpus)")
     p_sample.add_argument("--start", type=int, default=0,
                           help="first corpus index to emit (default 0)")
     p_sample.add_argument("--count", type=int, default=1,
-                          help="how many documents to emit (default 1)")
+                          help="how many plans to emit (default 1)")
     p_sample.add_argument("--output-dir", default=None, metavar="DIR",
-                          help="write one JSON file per document here "
+                          help="write one JSON file per plan here "
                                "instead of printing to stdout")
     p_sample.set_defaults(func=cmd_scenarios_sample)
     return parser

@@ -2,11 +2,11 @@
 
 The legacy schedule (:func:`repro.data.registry.build_shift_schedule`)
 hard-codes one arrival shape: every window, 50 % of parties jump to the
-window's regime.  The paper's evaluation story — and the scenario DSL built
-on top of this module — needs the arrival *shape* itself to be part of the
-spec: sudden jumps, gradual severity ramps, regimes that recur and vanish,
-and class-incremental label arrival, each hitting a different cohort of
-parties at (possibly) different times.
+window's regime.  The paper's evaluation story — and the shift studies
+written as plan files on top of this module — needs the arrival *shape*
+itself to be part of the spec: sudden jumps, gradual severity ramps,
+regimes that recur and vanish, and class-incremental label arrival, each
+hitting a different cohort of parties at (possibly) different times.
 
 A :class:`CohortDrift` describes one cohort's trajectory.  A tuple of them
 on :attr:`DatasetSpec.drift <repro.data.registry.DatasetSpec>` replaces the
@@ -37,7 +37,7 @@ Fuzzing knob ranges
 -------------------
 The seeded scenario generator (:mod:`repro.scenarios.generator`) samples
 from ``FUZZ_RANGES`` below; the ranges double as the documented valid
-space for hand-written scenario docs.
+space for hand-written shift studies.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ class DatasetSpec:
     per-party phase offsets).  The default empty tuple keeps the historical
     ``window_regimes``-driven schedule bit for bit; when ``drift`` is
     non-empty, ``window_regimes`` is ignored by the schedule builder (it
-    still sizes validation, so compilers synthesize a placeholder).
+    still sizes validation, so the plan reader fills in a placeholder).
     """
 
     name: str

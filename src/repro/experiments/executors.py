@@ -49,9 +49,9 @@ class SerialExecutor:
 class ParallelExecutor:
     """Run cells across a process pool, preserving cell order.
 
-    Requires the plan and callbacks to be picklable — strategies must come
-    from the registry (or be module-level factories), not lambdas.  Workers
-    use the ``fork`` start method where available so strategies registered
+    Requires the plan and callbacks to be picklable (strategy kwargs and
+    callbacks must not hold lambdas or closures).  Workers use the ``fork``
+    start method where available so strategies registered
     anywhere in the parent (scripts, notebooks) stay visible; under
     ``spawn`` (Windows), registrations must happen at import time in an
     importable module.  With one cell or ``jobs=1`` it degrades to
@@ -71,9 +71,9 @@ class ParallelExecutor:
             pickle.dumps((plan, tuple(callbacks)))
         except Exception as exc:
             raise ValueError(
-                "ParallelExecutor needs a picklable plan and callbacks; use "
-                "registry-named strategies (@register_strategy) instead of "
-                "closures, or fall back to SerialExecutor") from exc
+                "ParallelExecutor needs a picklable plan and callbacks (no "
+                "lambdas or closures in strategy kwargs or callbacks); or "
+                "fall back to SerialExecutor") from exc
         mp_context = (multiprocessing.get_context("fork")
                       if "fork" in multiprocessing.get_all_start_methods()
                       else None)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
+from repro.data.drift import CohortDrift
 from repro.data.registry import DatasetSpec
 from repro.experiments.executors import SerialExecutor
 from repro.experiments.registry import build_strategy
@@ -32,8 +33,12 @@ from repro.harness.profiles import RUN_KNOBS, RunSettings, get_profile
 from repro.nn.training import LocalTrainingConfig
 from repro.privacy.plan import PrivacyPlan
 from repro.utils.precision import PrecisionPlan
-from repro.utils.serialization import load_document
-from repro.utils.validation import check_int, check_keys, field_names
+from repro.utils.validation import (
+    check_int,
+    check_keys,
+    field_names,
+    field_types,
+)
 
 SHARDING_RETIRED = (
     "parameter-bank sharding was removed (no bank size this system reaches "
@@ -47,6 +52,20 @@ _RETIRED_PLAN_KEYS = {
              "(a bare dtype such as 'float32' sets params)",
     "secure_aggregation": "secure_aggregation was the shorthand for "
                           "privacy.masking: set privacy ('masking=on')",
+    # The blocks of the retired scenario document.
+    "data": "the [data] block is retired: set spec_override (parties is "
+            "spec_override.num_parties; train_per_window, test_per_window and "
+            "num_windows keep their names)",
+    "rounds": "the [rounds] block is retired: set settings_override (burn_in "
+              "is settings_override.rounds_burn_in, per_window is "
+              "settings_override.rounds_per_window, eval_parties keeps its "
+              "name; participants is the top-level cohort_size)",
+    "drift": "the [[drift]] block is retired: set [[spec_override.drift]]",
+    "availability": "the availability block is retired: set "
+                    "federation.availability (a preset such as 'flaky' and/or "
+                    "dropout_prob, straggler_prob, outage_prob, ...) and "
+                    "federation's mode, min_reports, max_wait_rounds, "
+                    "staleness_policy",
 }
 
 # RunSettings fields a serialized settings_override carries although no
@@ -66,41 +85,31 @@ class StrategySpec:
     """One strategy entry of a plan.
 
     ``label`` names the row in tables; ``method`` is the registry name built
-    with ``kwargs`` (defaults to the label).  A raw ``factory`` callable may
-    replace the registry lookup for ad-hoc strategies, at the cost of the
-    spec no longer serializing.
+    with ``kwargs`` (defaults to the label).
     """
 
     label: str
     method: str | None = None
     kwargs: dict = field(default_factory=dict)
-    factory: Callable[..., object] | None = None
 
     def build(self):
-        if self.factory is not None:
-            return self.factory(**self.kwargs)
         return build_strategy(self.method or self.label, **self.kwargs)
 
     def to_dict(self) -> dict:
-        if self.factory is not None:
-            raise ValueError(
-                f"strategy '{self.label}' uses a raw factory and cannot be "
-                f"serialized; register it with @register_strategy instead")
         return {"method": self.method or self.label, "kwargs": dict(self.kwargs)}
 
     @classmethod
     def from_entry(cls, label: str, entry) -> "StrategySpec":
-        """Build from a plan-file entry: name, mapping, or callable."""
+        """Build from a plan-file entry: a name or a ``{method, kwargs}``."""
         if isinstance(entry, StrategySpec):
             return entry
-        if callable(entry):
-            return cls(label=label, factory=entry)
         if isinstance(entry, str):
             return cls(label=label, method=entry)
         if isinstance(entry, Mapping):
-            method = entry.get("method", label)
-            kwargs = dict(entry.get("kwargs", {}))
-            return cls(label=label, method=method, kwargs=kwargs)
+            entry = check_keys(f"plan strategy '{label}'", entry,
+                               ("method", "kwargs"))
+            return cls(label=label, method=entry.get("method", label),
+                       kwargs=dict(entry.get("kwargs", {})))
         raise TypeError(f"cannot interpret strategy entry {entry!r}")
 
 
@@ -168,7 +177,11 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         self.strategies = tuple(self.strategies)
-        self.seeds = tuple(int(s) for s in self.seeds)
+        if not isinstance(self.seeds, (list, tuple)):
+            raise ValueError(f"plan seeds must be a list of integers; "
+                             f"got {self.seeds!r}")
+        self.seeds = tuple(check_int(f"plan seeds[{i}]", seed)
+                           for i, seed in enumerate(self.seeds))
         if not self.strategies:
             raise ValueError("plan needs at least one strategy")
         if not self.seeds:
@@ -196,26 +209,12 @@ class ExperimentPlan:
         """Flexible constructor: strategies as names, mapping, or specs.
 
         ``strategies`` may be an iterable of names/StrategySpecs or a mapping
-        ``label -> entry`` where the entry is a registry name, a
-        ``{"method": ..., "kwargs": {...}}`` mapping, or a factory callable.
+        ``label -> entry`` where the entry is a registry name or a
+        ``{"method": ..., "kwargs": {...}}`` mapping.
         ``fields`` are the plan's other fields by name; each run knob takes
         any input its class reads (an instance, a mapping, a spec string).
         """
-        specs: list[StrategySpec] = []
-        if isinstance(strategies, Mapping):
-            for label, entry in strategies.items():
-                specs.append(StrategySpec.from_entry(label, entry))
-        else:
-            for entry in strategies:
-                if isinstance(entry, StrategySpec):
-                    specs.append(entry)
-                elif isinstance(entry, str):
-                    specs.append(StrategySpec(label=entry, method=entry))
-                else:
-                    raise TypeError(
-                        f"strategy list entries must be names or StrategySpec, "
-                        f"got {entry!r}")
-        return cls(dataset=dataset, strategies=tuple(specs),
+        return cls(dataset=dataset, strategies=_strategy_specs(strategies),
                    seeds=tuple(seeds), **fields)
 
     # -------------------------------------------------------------- execution
@@ -295,6 +294,12 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentPlan":
+        """Read a plan file's mapping.
+
+        ``spec_override`` / ``settings_override`` name only the fields they
+        change, at every level; each omitted one is the profile's.  A fully
+        serialized object names every field, so it needs no profile.
+        """
         # Every plan key is a field of the same name, so the dataclass is
         # the allowed set.
         data = check_keys("plan", data, field_names(cls),
@@ -302,56 +307,110 @@ class ExperimentPlan:
         for key in ("dataset", "strategies"):
             if key not in data:
                 raise ValueError(f"plan is missing required key '{key}'")
-        raw_strategies = data["strategies"]
-        if isinstance(raw_strategies, Mapping):
-            specs = [StrategySpec.from_entry(label, entry)
-                     for label, entry in raw_strategies.items()]
-        else:
-            specs = [StrategySpec.from_entry(nm, nm) for nm in raw_strategies]
+        data["strategies"] = _strategy_specs(data["strategies"])
+
+        def profile():
+            return get_profile(data.get("profile", cls.profile),
+                               data["dataset"])
+
         if data.get("spec_override") is not None:
             data["spec_override"] = _dataset_spec_from_dict(
-                data["spec_override"])
+                data["spec_override"], lambda: profile()[0])
         if data.get("settings_override") is not None:
             data["settings_override"] = _run_settings_from_dict(
-                data["settings_override"])
-        data["strategies"] = tuple(specs)
+                data["settings_override"], lambda: profile()[1])
         return cls(**data)
 
 
-def _dataset_spec_from_dict(data: Mapping) -> DatasetSpec:
-    kwargs = check_keys("plan spec_override", data, field_names(DatasetSpec))
-    missing = sorted(
-        f.name for f in dataclasses.fields(DatasetSpec)
-        if f.name not in kwargs and f.default is dataclasses.MISSING
-        and f.default_factory is dataclasses.MISSING)
-    if missing:
+def _strategy_specs(strategies) -> tuple[StrategySpec, ...]:
+    """A ``label -> entry`` mapping, or a list of names / StrategySpecs."""
+    if isinstance(strategies, Mapping):
+        return tuple(StrategySpec.from_entry(label, entry)
+                     for label, entry in strategies.items())
+    specs = []
+    for entry in strategies:
+        if isinstance(entry, str):
+            entry = StrategySpec(label=entry, method=entry)
+        elif not isinstance(entry, StrategySpec):
+            raise TypeError(f"plan strategies list entries must be names; "
+                            f"got {entry!r} (a labelled entry goes in a "
+                            f"label -> entry table)")
+        specs.append(entry)
+    return tuple(specs)
+
+
+def _overlay(where: str, cls, data: Mapping, base: Callable[[], object]):
+    """``cls`` from the fields ``data`` names, every other one ``base()``'s.
+
+    ``base`` is called only when a field is omitted.  Unknown keys are
+    rejected and integer fields checked, naming ``where.key``.
+    """
+    data = check_keys(where, data, field_names(cls))
+    types = field_types(cls)
+    for key, value in data.items():
+        if int in types[key] and value is not None:
+            data[key] = check_int(f"{where}.{key}", value)
+    omitted = [f.name for f in dataclasses.fields(cls)
+               if f.init and f.name not in data]
+    if omitted:
+        default = base()
+        data = {**{name: getattr(default, name) for name in omitted}, **data}
+    return cls(**data)
+
+
+def _dataset_spec_from_dict(data: Mapping, base) -> DatasetSpec:
+    where = "plan spec_override"
+    data = check_keys(where, data, field_names(DatasetSpec))
+    drift = data.get("drift", ())
+    if isinstance(drift, Mapping):  # a single [drift] table, not [[drift]]
+        drift = (drift,)
+    data["drift"] = tuple(CohortDrift.from_value(d, f"{where}.drift")
+                          for d in drift)
+    if "window_regimes" in data:
+        data["window_regimes"] = tuple(
+            (str(c), int(s)) for c, s in data["window_regimes"])
+    elif data["drift"]:
+        num_windows = check_int(f"{where}.num_windows",
+                                data["num_windows"] if "num_windows" in data
+                                else base().num_windows)
+        if num_windows < 2:
+            raise ValueError(
+                f"{where}.num_windows must be >= 2 (window 0 is the clean "
+                f"burn-in); got {num_windows}")
+        # The drift schedule supersedes window_regimes entirely; the
+        # placeholder only satisfies the spec's length validation.
+        data["window_regimes"] = (("identity", 1),) * (num_windows - 1)
+    elif "num_windows" in data:
         raise ValueError(
-            f"plan spec_override is missing required key(s) {missing}")
-    kwargs["window_regimes"] = tuple(
-        (str(c), int(s)) for c, s in kwargs["window_regimes"])
-    return DatasetSpec(**kwargs)
+            f"{where}.num_windows needs spec_override.drift or "
+            f"window_regimes: without a drift schedule the window count is "
+            f"part of the dataset's regime sequence")
+    return _overlay(where, DatasetSpec, data, base)
 
 
-def _run_settings_from_dict(data: Mapping) -> RunSettings:
-    data = check_keys("plan settings_override", data, field_names(RunSettings))
+def _run_settings_from_dict(data: Mapping, base) -> RunSettings:
+    where = "plan settings_override"
+    data = check_keys(where, data, field_names(RunSettings))
     mirrors = {key: data.pop(key) for key in _SETTINGS_MIRRORS if key in data}
-    round_config = check_keys("plan settings_override.round_config",
-                              data.pop("round_config", {}),
-                              field_names(RoundConfig))
-    local = LocalTrainingConfig(**check_keys(
-        "plan settings_override.round_config.local",
-        round_config.pop("local", {}), field_names(LocalTrainingConfig)))
+    if "round_config" in data:
+        round_config = check_keys(f"{where}.round_config",
+                                  data["round_config"], field_names(RoundConfig))
+        if "local" in round_config:
+            round_config["local"] = _overlay(
+                f"{where}.round_config.local", LocalTrainingConfig,
+                round_config["local"], lambda: base().round_config.local)
+        data["round_config"] = _overlay(f"{where}.round_config", RoundConfig,
+                                        round_config,
+                                        lambda: base().round_config)
     for key, knob in RUN_KNOBS.items():
         if key in data:
-            data[key] = knob.from_value(data[key],
-                                        f"plan settings_override.{key}")
-    settings = RunSettings(
-        round_config=RoundConfig(local=local, **round_config), **data)
+            data[key] = knob.from_value(data[key], f"{where}.{key}")
+    settings = _overlay(where, RunSettings, data, base)
     for key, value in mirrors.items():
         held = getattr(settings, key)
         if value != held and not (key == "shard_hosts" and value == []):
             raise ValueError(
-                f"plan settings_override {key}={value!r} is not accepted "
+                f"{where} {key}={value!r} is not accepted "
                 f"(the settings hold {held!r}): {_SETTINGS_MIRRORS[key]}")
     return settings
 
@@ -364,5 +423,28 @@ def save_plan(path: str | Path, plan: ExperimentPlan) -> Path:
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
-    """Read a plan from ``.json`` or ``.toml`` (suffix decides the parser)."""
-    return ExperimentPlan.from_dict(load_document(path, "plan"))
+    """Read a plan from ``.json`` or ``.toml`` (suffix decides the parser).
+
+    A missing file raises ``FileNotFoundError``, an unreadable one
+    ``ValueError`` naming it.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"plan file not found: {path}")
+    if path.suffix.lower() in (".toml", ".tml"):
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # stdlib from 3.11; package supports 3.10
+            raise ValueError(
+                f"reading TOML plans requires Python 3.11+ (tomllib); "
+                f"convert {path.name} to JSON or upgrade Python") from None
+        try:
+            data = tomllib.loads(path.read_text())
+        except tomllib.TOMLDecodeError as exc:
+            raise ValueError(f"{path} is not valid TOML: {exc}") from None
+    else:
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    return ExperimentPlan.from_dict(data)

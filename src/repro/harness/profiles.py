@@ -17,7 +17,7 @@ from repro.utils.precision import PrecisionPlan
 _PROFILE_NAMES = ("ci", "small", "paper")
 
 #: The run sub-plans: one key each, spelled the same in ``RunSettings``, a
-#: plan file, a scenario document and a ``compare`` flag, and read by one
+#: plan file and a ``compare`` flag, and read by one
 #: :func:`~repro.utils.validation.read_knob`.
 RUN_KNOBS = {
     "precision": PrecisionPlan,

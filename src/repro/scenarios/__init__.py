@@ -1,31 +1,50 @@
-"""Declarative scenario documents: workloads as data, not flag lines.
+"""Shift studies as plan files: seeded sampling, fuzzing and advisories.
 
-A scenario file (TOML or JSON) describes everything one experiment run
-needs — the run knobs spelled as in a plan file (population, federation
-and its availability trace, precision, privacy), sizing, and the
-per-cohort drift schedule — and :func:`compile_scenario` lowers it onto
-the exact
-:class:`~repro.experiments.plan.ExperimentPlan` the equivalent CLI flags
-would build, so scenario-driven runs reproduce flag-driven runs bitwise.
-:class:`ScenarioGenerator` samples valid documents from a constrained
-space for the seeded fuzz harness (``python -m repro.scenarios.fuzz``).
+A shift scenario — sudden, gradual, recurring or class-incremental drift
+over a party population, under any participation regime — is an
+:class:`~repro.experiments.plan.ExperimentPlan` file whose
+``spec_override`` names the drift schedule and whatever sizing it changes
+(``docs/SCENARIOS.md``).  :class:`ScenarioGenerator` samples such plans
+from a constrained space for the seeded fuzz harness
+(``python -m repro.scenarios.fuzz``); :func:`lint_scenario` lists the soft
+advisories ``scenarios validate`` and ``compare`` print.
 """
 
-from repro.scenarios.compiler import compile_scenario, lint_scenario
-from repro.scenarios.doc import (
-    ScenarioDoc,
-    load_scenario,
-    save_scenario,
-    scenario_from_value,
-)
+from repro.federation.availability import AvailabilitySimulator
+from repro.federation.async_engine import FederationConfig
 from repro.scenarios.generator import ScenarioGenerator
 
-__all__ = [
-    "ScenarioDoc",
-    "ScenarioGenerator",
-    "compile_scenario",
-    "lint_scenario",
-    "load_scenario",
-    "save_scenario",
-    "scenario_from_value",
-]
+_BUFFERING = ("min_reports", "max_wait_rounds", "staleness_policy")
+
+
+def lint_scenario(plan) -> list[str]:
+    """Non-fatal advisories for a plan, read off its resolved settings.
+
+    Hard errors raise when the plan is read; these are the soft ones:
+    buffering knobs at non-default values on synchronous rounds, and
+    outages over a population above the availability simulator's
+    enumeration limit (where per-round outage *sets* cannot be enumerated
+    and dispatch must go through ``AvailabilitySimulator.cohort_fates``).
+    """
+    _spec, settings = plan.resolve()
+    federation, population = settings.federation, settings.population
+    warnings = []
+    if federation.mode == "sync" and any(
+            getattr(federation, key) != getattr(FederationConfig(), key)
+            for key in _BUFFERING):
+        warnings.append(
+            "min_reports/max_wait_rounds/staleness_policy only affect "
+            "buffered/async participation; synchronous rounds ignore them")
+    if population is not None and federation.availability.outage_prob > 0:
+        probe = AvailabilitySimulator(federation.availability,
+                                      num_parties=population.size)
+        if not probe.enumerates_outages:
+            warnings.append(
+                f"population size {population.size} exceeds the outage "
+                f"enumeration limit ({probe.enumeration_limit}): outage "
+                f"membership is per-party Bernoulli and dispatch goes through "
+                f"cohort_fates() instead of enumerated outage sets")
+    return warnings
+
+
+__all__ = ["ScenarioGenerator", "lint_scenario"]

@@ -1,29 +1,27 @@
-"""Bounded scenario fuzzing: sample, compile, run, check invariants.
+"""Bounded scenario fuzzing: sample, read back, run, check invariants.
 
 ``python -m repro.scenarios.fuzz`` drives the seeded
 :class:`~repro.scenarios.generator.ScenarioGenerator` through a fixed
-corpus plus (optionally) extra random seeds, checking each sampled doc:
+corpus plus (optionally) extra random seeds, checking each sampled plan:
 
 1. **determinism** — sampling the same ``(seed, index)`` twice yields the
-   identical document, and the doc survives a JSON round trip unchanged;
-2. **compilation** — the doc compiles to an
-   :class:`~repro.experiments.plan.ExperimentPlan` whose spec/settings
-   resolve (every config class's validation runs);
-3. **flag parity** — the doc's run knobs written as ``python -m repro
+   identical plan, and the plan survives a JSON round trip unchanged;
+2. **resolution** — the plan's spec/settings resolve (every config class's
+   validation runs);
+3. **flag parity** — the plan's run knobs written as ``python -m repro
    compare`` flags (:func:`compare_argv`) and read back by the CLI's own
-   parser equal the doc's (flag-built == scenario-built);
-4. **execution** (first ``--run`` docs per seed) — the compiled plan runs
-   to completion, every run covers every scheduled window, the federation
+   parser equal the plan's (flag-built == file-built);
+4. **execution** (first ``--run`` plans per seed) — the plan runs to
+   completion, every run covers every scheduled window, the federation
    counters balance (``dispatched - dropped == aggregated_reports +
    expired_reports + in_flight_at_end``), and re-running the same plan
    reproduces the first run bitwise.
 
-A failing doc is written to ``--artifact-dir`` as JSON next to a ``.err``
+A failing plan is written to ``--artifact-dir`` as JSON next to a ``.err``
 file with the traceback — re-run it with
-``python -m repro run --scenario-file <artifact>.json``.  Exit status is
-the number of failing documents (0 = green).  CI runs this in the
-``scenario-fuzz`` job with the pinned corpus seed plus a few rotating
-random seeds.
+``python -m repro run <artifact>.json``.  Exit status is the number of
+failing plans (0 = green).  CI runs this in the ``scenario-fuzz`` job with
+the pinned corpus seed plus a few rotating random seeds.
 """
 
 from __future__ import annotations
@@ -34,11 +32,11 @@ import sys
 import traceback
 from pathlib import Path
 
+from repro.experiments.plan import ExperimentPlan, save_plan
 from repro.harness.profiles import RUN_KNOBS
-from repro.scenarios.doc import ScenarioDoc, save_scenario
 from repro.scenarios.generator import ScenarioGenerator
 
-#: The pinned corpus seed: CI always fuzzes these documents, so a
+#: The pinned corpus seed: CI always fuzzes these plans, so a
 #: regression in any of them reproduces locally with no flags at all.
 CORPUS_SEED = 0
 
@@ -100,41 +98,37 @@ def _canonical_run(result) -> str:
     return json.dumps(run_result_to_dict(result), sort_keys=True)
 
 
-def compare_argv(doc: ScenarioDoc) -> list[str]:
-    """``doc``'s dataset, seeds and run knobs as ``compare`` arguments."""
-    argv = ["compare", doc.dataset, "--profile", doc.profile,
-            "--seeds", *map(str, doc.seeds)]
+def compare_argv(plan: ExperimentPlan) -> list[str]:
+    """``plan``'s dataset, seeds and run knobs as ``compare`` arguments."""
+    argv = ["compare", plan.dataset, "--profile", plan.profile,
+            "--seeds", *map(str, plan.seeds)]
     for key in RUN_KNOBS:
-        if getattr(doc, key) is not None:
-            argv += [f"--{key}", getattr(doc, key).spec()]
-    if doc.cohort_size is not None:
-        argv += ["--cohort-size", str(doc.cohort_size)]
+        if getattr(plan, key) is not None:
+            argv += [f"--{key}", getattr(plan, key).spec()]
+    if plan.cohort_size is not None:
+        argv += ["--cohort-size", str(plan.cohort_size)]
     return argv
 
 
-def check_flag_parity(doc: ScenarioDoc) -> list[str]:
-    """The knobs ``compare`` reads from :func:`compare_argv` are the doc's."""
-    from repro.__main__ import _scenario_from_args, build_parser
+def check_flag_parity(plan: ExperimentPlan) -> list[str]:
+    """The knobs ``compare`` reads from :func:`compare_argv` are the plan's."""
+    from repro.__main__ import _plan_from_args, build_parser
 
-    args = build_parser().parse_args(compare_argv(doc))
-    flagged = _scenario_from_args(args, doc.strategies)
-    return [f"--{key} reads back as {getattr(flagged, key)!r}; the document "
-            f"says {getattr(doc, key)!r}"
+    args = build_parser().parse_args(compare_argv(plan))
+    flagged = _plan_from_args(args, [s.label for s in plan.strategies])
+    return [f"--{key} reads back as {getattr(flagged, key)!r}; the plan "
+            f"says {getattr(plan, key)!r}"
             for key in (*RUN_KNOBS, "cohort_size")
-            if getattr(flagged, key) != getattr(doc, key)]
+            if getattr(flagged, key) != getattr(plan, key)]
 
 
-def check_scenario(doc: ScenarioDoc, run: bool = False) -> list[str]:
-    """All fuzz checks for one document; returns violations (empty = pass)."""
-    from repro.scenarios.compiler import compile_scenario
-
-    rebuilt = ScenarioDoc.from_dict(
-        json.loads(json.dumps(doc.to_dict())))
-    if rebuilt.to_dict() != doc.to_dict():
-        return ["document does not survive a JSON round trip"]
-    plan = compile_scenario(doc)
+def check_scenario(plan: ExperimentPlan, run: bool = False) -> list[str]:
+    """All fuzz checks for one plan; returns violations (empty = pass)."""
+    rebuilt = ExperimentPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
+    if rebuilt != plan:
+        return ["plan does not survive a JSON round trip"]
     spec, _settings = plan.resolve()
-    problems = check_flag_parity(doc)
+    problems = check_flag_parity(plan)
     if not run:
         return problems
     first = plan.run()
@@ -143,7 +137,7 @@ def check_scenario(doc: ScenarioDoc, run: bool = False) -> list[str]:
             problems.extend(
                 f"[{label} seed={result.seed}] {p}"
                 for p in check_run_invariants(result, spec))
-    replay = compile_scenario(doc).run()
+    replay = rebuilt.run()
     for label in first.runs:
         for a, b in zip(first.runs[label], replay.runs[label]):
             if _canonical_run(a) != _canonical_run(b):
@@ -155,33 +149,32 @@ def check_scenario(doc: ScenarioDoc, run: bool = False) -> list[str]:
 
 def fuzz_seed(seed: int, count: int, run_first: int,
               artifact_dir: Path) -> int:
-    """Fuzz ``count`` documents of one generator seed; returns #failures."""
+    """Fuzz ``count`` plans of one generator seed; returns #failures."""
     gen = ScenarioGenerator(seed=seed)
     failures = 0
     for index in range(count):
-        doc = gen.sample(index)
-        label = f"seed={seed} index={index} ({doc.name})"
-        if gen.sample(index).to_dict() != doc.to_dict():
+        plan = gen.sample(index)
+        label = f"seed={seed} index={index} ({plan.name})"
+        if gen.sample(index) != plan:
             print(f"FAIL {label}: generator is not deterministic")
             failures += 1
             continue
         try:
-            problems = check_scenario(doc, run=index < run_first)
+            problems = check_scenario(plan, run=index < run_first)
         except Exception:
             problems = [traceback.format_exc()]
         if problems:
             failures += 1
             artifact_dir.mkdir(parents=True, exist_ok=True)
-            artifact = artifact_dir / f"{doc.name}.json"
-            save_scenario(artifact, doc)
-            (artifact_dir / f"{doc.name}.err").write_text(
+            artifact = save_plan(artifact_dir / f"{plan.name}.json", plan)
+            (artifact_dir / f"{plan.name}.err").write_text(
                 "\n".join(problems) + "\n")
             print(f"FAIL {label}: {len(problems)} violation(s); "
-                  f"replay doc written to {artifact}")
+                  f"replay plan written to {artifact}")
             for p in problems:
                 print(f"  - {p.splitlines()[-1] if p.strip() else p}")
         else:
-            mode = "ran" if index < run_first else "compiled"
+            mode = "ran" if index < run_first else "resolved"
             print(f"ok   {label} [{mode}]")
     return failures
 
@@ -191,21 +184,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.scenarios.fuzz",
         description="Seeded scenario fuzzing with replayable artifacts.")
     parser.add_argument("--corpus", type=int, default=6, metavar="N",
-                        help="documents from the pinned corpus seed "
+                        help="plans from the pinned corpus seed "
                              f"{CORPUS_SEED} (default: 6)")
     parser.add_argument("--random-seeds", type=int, nargs="*", default=[],
                         metavar="SEED",
                         help="extra generator seeds to fuzz (CI passes "
-                             "rotating values; each gets --random docs)")
+                             "rotating values; each gets --random plans)")
     parser.add_argument("--random", type=int, default=3, metavar="M",
-                        help="documents per extra random seed (default: 3)")
+                        help="plans per extra random seed (default: 3)")
     parser.add_argument("--run", type=int, default=2, metavar="K",
-                        help="per seed, run the first K documents "
-                             "end-to-end; the rest only compile "
+                        help="per seed, run the first K plans "
+                             "end-to-end; the rest only resolve "
                              "(default: 2)")
     parser.add_argument("--artifact-dir", type=Path,
                         default=Path("fuzz-artifacts"),
-                        help="where failing documents are written "
+                        help="where failing plans are written "
                              "(default: ./fuzz-artifacts)")
     return parser
 

@@ -2,15 +2,14 @@
 
 ``ScenarioGenerator(seed=k)`` is a pure function of its seed: ``sample(i)``
 derives every draw from ``spawn_rng(seed, "scenario-generator", i)``, so
-the same ``(seed, index)`` always yields the *identical* document — which
-is what lets CI replay a failing fuzz case from nothing but its seed (the
-fuzz driver also writes the doc itself as an artifact; see
+the same ``(seed, index)`` always yields the *identical* plan — which is
+what lets CI replay a failing fuzz case from nothing but its seed (the
+fuzz driver also writes the plan itself as an artifact; see
 :mod:`repro.scenarios.fuzz`).
 
-The sampled space is a constrained slice of everything
-:func:`~repro.scenarios.compiler.compile_scenario` accepts — small
-populations, short rounds, bounded probabilities — so any sampled scenario
-runs in seconds.  Drift knob ranges come from
+The sampled space is a constrained slice of every plan file the reader
+accepts — small populations, short rounds, bounded probabilities — so any
+sampled scenario runs in seconds.  Drift knob ranges come from
 :data:`repro.data.drift.FUZZ_RANGES`; the generator-level ranges are the
 module constants below, documented as the scenario schema's fuzzing
 surface.
@@ -24,7 +23,7 @@ from repro.data.drift import ARRIVALS, FUZZ_RANGES
 from repro.federation.aggregation import STALENESS_POLICIES
 from repro.federation.async_engine import PARTICIPATION_MODES
 from repro.federation.availability import SCENARIOS
-from repro.scenarios.doc import ScenarioDoc
+from repro.experiments.plan import ExperimentPlan
 from repro.utils.rng import spawn_rng
 
 #: Datasets the fuzzer samples over (all five registered corpora).
@@ -35,12 +34,12 @@ FUZZ_CORRUPTIONS = ("fog", "frost", "contrast", "rotation", "pixelate",
                     "gaussian_noise")
 #: Bounded run-shape ranges (inclusive) keeping every sample seconds-scale.
 FUZZ_RUN_RANGES = {
-    "parties": (5, 8),
+    "num_parties": (5, 8),
     "train_per_window": (24, 32),
     "test_per_window": (12, 16),
     "num_windows": (3, 4),
-    "burn_in": (2, 3),
-    "per_window": (1, 2),
+    "rounds_burn_in": (2, 3),
+    "rounds_per_window": (1, 2),
     "cohort_size": (3, 5),
     "dropout_prob": (0.0, 0.4),
     "straggler_prob": (0.0, 0.4),
@@ -107,24 +106,19 @@ class ScenarioGenerator:
             entries.append(entry)
         return entries
 
-    def sample(self, index: int = 0) -> ScenarioDoc:
-        """The ``index``-th document of this generator's corpus."""
+    def sample(self, index: int = 0) -> ExperimentPlan:
+        """The ``index``-th plan of this generator's corpus."""
         rng = spawn_rng(self.seed, "scenario-generator", int(index))
         dataset = str(rng.choice(self.datasets))
         num_windows = _int(rng, "num_windows")
         drift = self._sample_drift(rng, num_windows)
 
-        data = {
-            "parties": _int(rng, "parties"),
-            "train_per_window": _int(rng, "train_per_window"),
-            "test_per_window": _int(rng, "test_per_window"),
-        }
+        spec_override = {key: _int(rng, key) for key in (
+            "num_parties", "train_per_window", "test_per_window")}
         if drift:
-            data["num_windows"] = num_windows
-        rounds = {
-            "burn_in": _int(rng, "burn_in"),
-            "per_window": _int(rng, "per_window"),
-        }
+            spec_override.update(num_windows=num_windows, drift=drift)
+        settings_override = {key: _int(rng, key) for key in (
+            "rounds_burn_in", "rounds_per_window")}
         cohort_size = _int(rng, "cohort_size")
 
         federation: dict = {}
@@ -149,25 +143,24 @@ class ScenarioGenerator:
 
         population: dict = {}
         if rng.random() < 0.3:
-            population["size"] = data["parties"]
+            population["size"] = spec_override["num_parties"]
             if rng.random() < 0.5:
                 population["max_resident"] = int(
-                    rng.integers(2, data["parties"] + 1))
+                    rng.integers(2, spec_override["num_parties"] + 1))
 
-        return ScenarioDoc(
-            dataset=dataset,
-            strategies=["fedavg"],
-            name=f"fuzz-{self.seed}-{index}",
-            profile="ci",
-            seeds=(int(rng.integers(0, 4)),),
-            federation=federation or None,
-            population=population or None,
-            cohort_size=cohort_size,
-            data=data,
-            rounds=rounds,
-            drift=tuple(drift),
-        )
+        return ExperimentPlan.from_dict({
+            "dataset": dataset,
+            "strategies": ["fedavg"],
+            "name": f"fuzz-{self.seed}-{index}",
+            "profile": "ci",
+            "seeds": [int(rng.integers(0, 4))],
+            "federation": federation or None,
+            "population": population or None,
+            "cohort_size": cohort_size,
+            "spec_override": spec_override,
+            "settings_override": settings_override,
+        })
 
-    def corpus(self, count: int, start: int = 0) -> list[ScenarioDoc]:
-        """Documents ``start .. start+count-1`` of this generator's family."""
+    def corpus(self, count: int, start: int = 0) -> list[ExperimentPlan]:
+        """Plans ``start .. start+count-1`` of this generator's family."""
         return [self.sample(i) for i in range(start, start + count)]

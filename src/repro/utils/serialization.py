@@ -1,6 +1,5 @@
 """Persistence of run results: what ``--output-dir`` writes, as JSON, and
-the reader that turns a saved file back into a ``StrategyRunResult`` — plus
-the one JSON/TOML reader for plan and scenario documents."""
+the reader that turns a saved file back into a ``StrategyRunResult``."""
 
 from __future__ import annotations
 
@@ -98,30 +97,3 @@ def load_run_result_dict(path: str | Path) -> dict:
 def load_run_result(path: str | Path):
     """Read a run result written by :func:`save_run_result`."""
     return dict_to_run_result(load_run_result_dict(path))
-
-
-def load_document(path: str | Path, kind: str) -> dict:
-    """Parse a ``.json`` or ``.toml`` document (the suffix decides).
-
-    ``kind`` (``"plan"``, ``"scenario"``) names the file in the errors: a
-    missing file raises ``FileNotFoundError``, an unreadable one
-    ``ValueError``.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"{kind} file not found: {path}")
-    if path.suffix.lower() in (".toml", ".tml"):
-        try:
-            import tomllib
-        except ModuleNotFoundError:  # stdlib from 3.11; package supports 3.10
-            raise ValueError(
-                f"reading TOML {kind}s requires Python 3.11+ (tomllib); "
-                f"convert {path.name} to JSON or upgrade Python") from None
-        try:
-            return tomllib.loads(path.read_text())
-        except tomllib.TOMLDecodeError as exc:
-            raise ValueError(f"{path} is not valid TOML: {exc}") from None
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from None

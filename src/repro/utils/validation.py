@@ -5,7 +5,7 @@ Every run sub-plan (:class:`~repro.utils.precision.PrecisionPlan`,
 :class:`~repro.federation.async_engine.FederationConfig` with its
 :class:`~repro.federation.availability.AvailabilityConfig`,
 :class:`~repro.federation.pool.PopulationConfig`) is a frozen dataclass that
-mixes in :class:`Knob`, so plan files, scenario documents and CLI flags all
+mixes in :class:`Knob`, so plan files and CLI flags all
 build it through one :func:`read_knob`:
 
 * an instance is returned as it is;
@@ -72,7 +72,7 @@ def _scalar(kind, value):
 
 
 @functools.cache
-def _field_types(cls) -> dict[str, tuple]:
+def field_types(cls) -> dict[str, tuple]:
     """Each field's accepted types (a union's members, else the one type)."""
     return {name: typing.get_args(hint) or (hint,)
             for name, hint in typing.get_type_hints(cls).items()}
@@ -131,7 +131,7 @@ def read_knob(cls, value, where: str,
     elif not isinstance(value, Mapping):
         value = cls.shorthand(value)
     kwargs = check_keys(where, value, field_names(cls), retired)
-    types = _field_types(cls)
+    types = field_types(cls)
     kwargs = {key: _typed(f"{where}.{key}", types[key], item)
               for key, item in kwargs.items()}
     missing = sorted(f.name for f in dataclasses.fields(cls)
@@ -196,7 +196,7 @@ def check_keys(where: str, mapping: Mapping, allowed: Collection[str],
                retired: Mapping[str, str] | None = None) -> dict:
     """Return ``mapping`` as a dict, rejecting keys outside ``allowed``.
 
-    ``where`` names the block in the error (``"scenario block 'data'"``,
+    ``where`` names the block in the error (``"plan spec_override"``,
     ``"plan"``).  ``retired`` maps keys that older files may still carry to
     a sentence saying what replaced them; it is appended when such a key is
     among the unknown ones.

@@ -4,12 +4,11 @@ import json
 
 import pytest
 
-from repro.__main__ import _scenario_from_args, build_parser, main
+from repro.__main__ import _plan_from_args, build_parser, main
 from repro.experiments import ExperimentPlan, save_plan
 from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import AvailabilityConfig
 from repro.federation.pool import PopulationConfig
-from repro.scenarios import compile_scenario
 from tests.conftest import make_run_settings, make_tiny_spec
 
 
@@ -83,11 +82,12 @@ class TestCli:
         # A message that ends in a quote keeps it.
         ({"population": "many"},
          "plan population.size must be an integer; got 'many'"),
-        # A partial spec_override names the plan keys it lacks.
-        ({"spec_override": {"num_parties": 4, "model_name": "mlp"}},
-         "plan spec_override is missing required key(s) ['channels', "
-         "'image_size', 'name', 'num_classes', 'num_windows', 'paper_name', "
-         "'window_regimes', 'windowing']"),
+        # A partial spec_override is the profile's spec with the keys it
+        # names replaced; a window count without a schedule is refused.
+        ({"spec_override": {"num_parties": 4, "num_windows": 3}},
+         "plan spec_override.num_windows needs spec_override.drift or "
+         "window_regimes: without a drift schedule the window count is "
+         "part of the dataset's regime sequence"),
     ], ids=["trailing-quote", "partial-spec-override"])
     def test_run_reports_a_bad_plan_in_its_own_words(self, tmp_path, capsys,
                                                      extra, message):
@@ -147,30 +147,27 @@ class TestCli:
 
 
 class TestFederationFlags:
-    """``compare`` flags fill a scenario document; the compiler does the rest."""
+    """``compare`` flags are plan keys; the plan reads them."""
 
     def doc(self, *extra):
         args = build_parser().parse_args(["compare", "cifar10_c_sim", *extra])
-        return _scenario_from_args(args, ("fedavg",))
+        return _plan_from_args(args, ("fedavg",))
 
     def parse(self, *extra):
         return build_parser().parse_args(["compare", "cifar10_c_sim", *extra])
 
     def test_no_flags_means_no_override(self):
-        doc = self.doc()
-        assert doc.federation is None and doc.population is None
-        plan = compile_scenario(doc)
+        plan = self.doc()
         assert plan.federation is None and plan.population is None
+        assert plan == ExperimentPlan.build("cifar10_c_sim", ["fedavg"])
 
     def test_participation_and_scenario_compose(self):
         """``--federation`` sets the mode and buffering, ``--availability``
         a preset with one knob overridden: one config between them."""
-        doc = self.doc(
+        cfg = self.doc(
             "--federation", "buffered,min_reports=4,max_wait_rounds=3,"
                             "staleness_policy=exponential",
-            "--availability", "dropout30,straggler_prob=0.1")
-        cfg = compile_scenario(doc).federation
-        assert cfg == doc.federation
+            "--availability", "dropout30,straggler_prob=0.1").federation
         assert cfg.mode == "buffered"
         assert cfg.min_reports == 4
         assert cfg.max_wait_rounds == 3
@@ -179,8 +176,7 @@ class TestFederationFlags:
         assert cfg.availability.straggler_prob == 0.1  # explicit override
 
     def test_dropout_alone_keeps_sync_mode(self):
-        cfg = compile_scenario(
-            self.doc("--availability", "dropout_prob=0.25")).federation
+        cfg = self.doc("--availability", "dropout_prob=0.25").federation
         assert cfg.mode == "sync"
         assert cfg.availability.dropout_prob == 0.25
         assert cfg.is_active
@@ -202,15 +198,13 @@ class TestFederationFlags:
                              availability=AvailabilityConfig.scenario("flaky"))
 
     def test_population_flags_fill_the_population_block(self):
-        doc = self.doc("--population", "500,max_resident=8,skew=zipf,"
-                                       "zipf_a=1.5,survey=16",
-                       "--cohort-size", "4",
-                       "--precision", "float32", "--privacy", "masking=on")
-        assert doc.population == PopulationConfig(
+        plan = self.doc("--population", "500,max_resident=8,skew=zipf,"
+                                        "zipf_a=1.5,survey=16",
+                        "--cohort-size", "4",
+                        "--precision", "float32", "--privacy", "masking=on")
+        assert plan.population == PopulationConfig(
             size=500, max_resident=8, skew="zipf", zipf_a=1.5, survey=16)
-        assert doc.cohort_size == 4
-        plan = compile_scenario(doc)
-        assert plan.cohort_size == 4 and plan.population.survey == 16
+        assert plan.cohort_size == 4
         assert plan.precision.params == "float32" and plan.privacy.masking
         assert self.doc("--population", "500").population.size == 500
 

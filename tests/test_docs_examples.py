@@ -171,7 +171,7 @@ def _cli_commands(doc: Path) -> list[tuple[int, list[str]]]:
 def _parse_or_fail(where: str, args: list[str]) -> None:
     """The line parses, and a ``compare`` line's knob SPECs read as plan
     values (argparse alone takes any SPEC text)."""
-    from repro.__main__ import _scenario_from_args, build_parser, cmd_compare
+    from repro.__main__ import _plan_from_args, build_parser, cmd_compare
 
     try:
         parsed = build_parser().parse_args(args)
@@ -180,7 +180,7 @@ def _parse_or_fail(where: str, args: list[str]) -> None:
                     f"python -m repro {' '.join(args)}")
     if parsed.func is cmd_compare:
         try:
-            _scenario_from_args(parsed, parsed.methods or ("fedavg",))
+            _plan_from_args(parsed, parsed.methods or ("fedavg",))
         except ValueError as exc:
             pytest.fail(f"{where}: compare knob flags do not read: {exc}")
 

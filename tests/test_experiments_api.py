@@ -188,12 +188,36 @@ class TestPlan:
         with pytest.raises(ValueError, match="missing required key"):
             load_plan(nokeys)
 
-    def test_factory_spec_does_not_serialize(self):
-        plan = ExperimentPlan.build("cifar10_c_sim",
-                                    {"adhoc": FedAvgStrategy})
-        assert plan.strategies[0].build().name == "fedavg"
-        with pytest.raises(ValueError, match="cannot be serialized"):
-            plan.to_dict()
+    @pytest.mark.parametrize("strategies, named", [
+        ({"shiftex": {"method": "shiftex",
+                      "kwarg": {"config": {"tau": 0.5}}}},
+         r"\['kwarg'\] in plan strategy 'shiftex'; valid keys: "
+         r"\['kwargs', 'method'\]"),
+        ([{"method": "fedavg"}], "list entries must be names"),
+        ({"adhoc": FedAvgStrategy}, "cannot interpret strategy entry"),
+    ], ids=["typo-kwargs", "mapping-in-list", "callable"])
+    def test_strategy_entries_are_names_or_method_kwargs(self, strategies,
+                                                         named):
+        """A typo'd key used to run the default config; a mapping in a list
+        used to become its own label; a callable was a raw factory."""
+        with pytest.raises((ValueError, TypeError), match=named):
+            ExperimentPlan.from_dict({"dataset": "cifar10_c_sim",
+                                      "strategies": strategies})
+
+    @pytest.mark.parametrize("seeds, named", [
+        ([0.7, 1.9], r"plan seeds\[0\] must be an integer; got 0.7"),
+        ([0, True], r"plan seeds\[1\] must be an integer"),
+        (3, "plan seeds must be a list of integers; got 3"),
+    ], ids=["fractions", "bool", "bare-int"])
+    def test_seeds_are_a_list_of_integers(self, seeds, named):
+        """Fractions used to truncate to other seeds."""
+        with pytest.raises(ValueError, match=named):
+            ExperimentPlan.from_dict({"dataset": "cifar10_c_sim",
+                                      "strategies": ["fedavg"],
+                                      "seeds": seeds})
+        assert ExperimentPlan.from_dict({
+            "dataset": "cifar10_c_sim", "strategies": ["fedavg"],
+            "seeds": [1.0, 2]}).seeds == (1, 2)
 
 
 # ------------------------------------------------------------------- executors
@@ -230,15 +254,9 @@ class TestExecutors:
         assert all(len(runs) == 2 for runs in result.runs.values())
 
     def test_parallel_rejects_unpicklable(self, tiny_plan):
-        from repro.experiments.plan import StrategySpec
-        import dataclasses
-        bad = dataclasses.replace(
-            tiny_plan,
-            strategies=(StrategySpec(label="lam",
-                                     factory=lambda: FedAvgStrategy()),),
-            seeds=(0, 1))
+        unpicklable = ProgressLogger(emit=lambda line: None)
         with pytest.raises(ValueError, match="picklable"):
-            ParallelExecutor(jobs=2).map(bad)
+            ParallelExecutor(jobs=2).map(tiny_plan, callbacks=(unpicklable,))
 
     def test_jobs_validation(self):
         with pytest.raises(ValueError):

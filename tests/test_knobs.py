@@ -1,12 +1,12 @@
 """One spelling per run knob, from flag to file, read by one reader.
 
 Every run sub-plan in :data:`~repro.harness.profiles.RUN_KNOBS` is spelled
-by its plan key in ``RunSettings``, a plan file, a scenario document and a
-``compare`` flag, and read by :func:`~repro.utils.validation.read_knob`.
-These tests pin the reader's protocol (a spec string round-trips every
-value), the int checks it shares with ``cohort_size``, the retired flags and
-scenario keys, the lint advisories it computes from the built config, and
-flag-built == scenario-built over the fuzz corpus.
+by its plan key in ``RunSettings``, a plan file and a ``compare`` flag, and
+read by :func:`~repro.utils.validation.read_knob`.  These tests pin the
+reader's protocol (a spec string round-trips every value), the int checks
+it shares with ``cohort_size`` and the overrides' counts, the retired flags
+and scenario-document keys, the lint advisories it computes from the
+resolved settings, and flag-built == file-built over the fuzz corpus.
 """
 
 from __future__ import annotations
@@ -25,14 +25,9 @@ from repro.federation.aggregation import STALENESS_POLICIES
 from repro.federation.async_engine import PARTICIPATION_MODES, FederationConfig
 from repro.federation.availability import AvailabilityConfig
 from repro.federation.pool import PARTICIPATION_SKEWS, PopulationConfig
-from repro.harness.profiles import RUN_KNOBS, RunSettings
+from repro.harness.profiles import RUN_KNOBS, RunSettings, get_profile
 from repro.privacy.plan import PrivacyPlan
-from repro.scenarios import (
-    ScenarioDoc,
-    ScenarioGenerator,
-    compile_scenario,
-    lint_scenario,
-)
+from repro.scenarios import ScenarioGenerator, lint_scenario
 from repro.scenarios.fuzz import check_flag_parity
 from repro.utils.precision import PrecisionPlan
 from repro.utils.validation import field_names
@@ -99,10 +94,9 @@ class TestOneReader:
     def test_a_bool_is_no_knob(self, key):
         """``"privacy": true`` is not masking=on (that alias is retired),
         and no other knob reads a bool either."""
-        with pytest.raises(ValueError, match=f"plan {key} must be a table"):
-            ExperimentPlan.from_dict({**_MINIMAL, key: True})
-        with pytest.raises(ValueError, match=f"scenario {key} must be a "):
-            compile_scenario({**_MINIMAL, key: False})
+        for value in (True, False):
+            with pytest.raises(ValueError, match=f"plan {key} must be a table"):
+                ExperimentPlan.from_dict({**_MINIMAL, key: value})
         with pytest.raises(ValueError, match=f"plan settings_override\\.{key}"):
             ExperimentPlan.from_dict({**_MINIMAL,
                                       "settings_override": {key: True}})
@@ -129,7 +123,6 @@ class TestOneReader:
         for key in RUN_KNOBS:
             assert key in field_names(RunSettings)
             assert key in field_names(ExperimentPlan)
-            assert key in field_names(ScenarioDoc)
             assert f"--{key}" in flags
         assert len(flags - {"-h", "--help"}) == 12
 
@@ -156,13 +149,17 @@ class TestIntKnobs:
         assert plan.cohort_size == 3 and plan.population.size == 12
 
     @pytest.mark.parametrize("extra, named", [
-        ({"cohort_size": True}, "scenario cohort_size"),
-        ({"rounds": {"burn_in": 2.5}}, "scenario rounds.burn_in"),
-        ({"data": {"parties": True}}, "scenario data.parties"),
-    ])
-    def test_scenario_rejects(self, extra, named):
-        with pytest.raises(ValueError, match=named):
-            compile_scenario({**_MINIMAL, **extra})
+        ({"settings_override": {"rounds_burn_in": 2.5}},
+         "plan settings_override.rounds_burn_in"),
+        ({"settings_override": {"round_config": {
+            "participants_per_round": True}}},
+         "plan settings_override.round_config.participants_per_round"),
+        ({"spec_override": {"num_parties": True}},
+         "plan spec_override.num_parties"),
+    ], ids=["rounds-fraction", "participants-bool", "parties-bool"])
+    def test_override_rejects(self, extra, named):
+        with pytest.raises(ValueError, match=f"{named} must be an integer"):
+            ExperimentPlan.from_dict({**_MINIMAL, **extra})
 
 
 class TestRetired:
@@ -183,58 +180,63 @@ class TestRetired:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, replacement", [
-        ({"availability": {"preset": "flaky"}}, "set federation"),
+        ({"availability": {"preset": "flaky"}},
+         "set federation.availability"),
         ({"population": {"size": 10, "cohort_size": 4}},
-         "population.cohort_size is retired: set the top-level cohort_size"),
+         r"\['cohort_size'\] in plan population"),
         ({"rounds": {"participants": 4}},
-         "rounds.participants is retired: set the top-level cohort_size"),
+         "participants is the top-level cohort_size"),
     ], ids=["availability", "population.cohort_size", "rounds.participants"])
     def test_retired_scenario_key_names_its_replacement(self, extra,
                                                         replacement):
         with pytest.raises(ValueError, match=replacement):
-            compile_scenario({**_MINIMAL, **extra})
+            ExperimentPlan.from_dict({**_MINIMAL, **extra})
 
 
 class TestScenarioSemantics:
+    @staticmethod
+    def lint(**extra) -> list[str]:
+        return lint_scenario(ExperimentPlan.from_dict({**_MINIMAL, **extra}))
+
     def test_lint_reads_the_built_outage_probability(self):
         """A preset with outages overridden to zero schedules none."""
-        doc = {**_MINIMAL, "population": 10000}
-        assert not lint_scenario({
-            **doc, "federation": {"availability": "flaky,outage_prob=0.0"}})
-        assert any("cohort_fates" in w for w in lint_scenario({
-            **doc, "federation": {"availability": "flaky"}}))
+        assert not self.lint(population=10000, federation={
+            "availability": "flaky,outage_prob=0.0"})
+        assert any("cohort_fates" in w for w in self.lint(
+            population=10000, federation={"availability": "flaky"}))
 
     def test_lint_ignores_buffering_knobs_at_their_defaults(self):
-        assert not lint_scenario({**_MINIMAL, "federation": {
-            "max_wait_rounds": 1, "staleness_policy": "constant"}})
-        assert lint_scenario({**_MINIMAL, "federation": {
-            "max_wait_rounds": 2}})
+        assert not self.lint(federation={"max_wait_rounds": 1,
+                                         "staleness_policy": "constant"})
+        assert self.lint(federation={"max_wait_rounds": 2})
+        # An override's federation is the run's too.
+        assert self.lint(settings_override={
+            "federation": {"max_wait_rounds": 2}})
 
     def test_null_eval_parties_evaluates_everyone(self, tmp_path, capsys):
-        doc = {**_MINIMAL, "rounds": {"burn_in": 2, "eval_parties": None}}
-        _spec, run_settings = compile_scenario(doc).resolve()
+        data = {**_MINIMAL, "profile": "paper", "settings_override": {
+            "rounds_burn_in": 2, "eval_parties": None}}
+        assert get_profile("paper", "fashion_mnist_sim")[1].eval_parties == 48
+        _spec, run_settings = ExperimentPlan.from_dict(data).resolve()
         assert run_settings.eval_parties is None
         assert run_settings.rounds_burn_in == 2
         path = tmp_path / "null.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(data))
         assert main(["scenarios", "validate", str(path)]) == 0
 
     def test_doc_knobs_are_plan_values(self):
-        doc = ScenarioDoc.from_dict({
-            **_MINIMAL, "precision": "float32", "privacy": "on",
-            "federation": "async,availability=dropout30",
-            "population": 40, "cohort_size": 4})
+        data = {**_MINIMAL, "precision": "float32", "privacy": "on",
+                "federation": "async,availability=dropout30",
+                "population": 40, "cohort_size": 4}
+        read = ExperimentPlan.from_dict(data)
         plan = ExperimentPlan.build(
             "fashion_mnist_sim", ["fedavg"], precision="float32",
             privacy={"masking": True}, population={"size": 40}, cohort_size=4,
             federation=FederationConfig(
                 "async", availability=AvailabilityConfig(dropout_prob=0.3)))
-        compiled = compile_scenario(doc)
-        for key in (*RUN_KNOBS, "cohort_size"):
-            assert getattr(doc, key) == getattr(plan, key)
-            assert getattr(compiled, key) == getattr(plan, key)
-        again = ScenarioDoc.from_dict(json.loads(json.dumps(doc.to_dict())))
-        assert dataclasses.asdict(again) == dataclasses.asdict(doc)
+        assert read == plan
+        again = ExperimentPlan.from_dict(json.loads(json.dumps(read.to_dict())))
+        assert dataclasses.asdict(again) == dataclasses.asdict(read)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -27,7 +27,6 @@ from repro.federation.pool import PopulationConfig
 from repro.harness.profiles import RunSettings
 from repro.federation.rounds import RoundConfig
 from repro.nn.training import LocalTrainingConfig
-from repro.scenarios import compile_scenario
 from repro.utils.precision import PrecisionPlan
 from repro.utils.validation import field_names
 
@@ -215,8 +214,8 @@ class TestUnknownAndRetiredKeys:
         assert ExperimentPlan.from_dict({**_MINIMAL, "shards": 1}).shards == 1
 
     def test_scenario_and_cli_no_longer_know_shards(self, capsys):
-        with pytest.raises(ValueError, match=r"unknown key.*'shards'"):
-            compile_scenario({**_MINIMAL, "shards": 2})
+        with pytest.raises(ValueError, match=_RETIREMENT):
+            ExperimentPlan.from_dict({**_MINIMAL, "shards": 2})
         with pytest.raises(SystemExit) as exit_info:
             main(["compare", "fmow_sim", "--shards", "4"])
         assert exit_info.value.code == 2
@@ -283,7 +282,7 @@ class TestOneNamePerKnob:
             assert flags[0] in capsys.readouterr().err
         for key, value in (("dtype", "float32"), ("secure_aggregation", True)):
             with pytest.raises(ValueError, match=rf"unknown key.*'{key}'"):
-                compile_scenario({**_MINIMAL, key: value})
+                ExperimentPlan.from_dict({**_MINIMAL, key: value})
 
     @pytest.mark.parametrize("name", ["sync_conv", "wide_server",
                                       "async_masked", "pool_100k"])
@@ -299,7 +298,8 @@ class TestOneNamePerKnob:
     @pytest.mark.parametrize("override, named", [
         ({"precision": {"params": "float32"}, "dtype": "float64"},
          "mirrors precision.params; set precision"),
-        ({"dtype": "float32"}, "mirrors precision.params; set precision"),
+        # ci holds float32 parameters: every omitted key is the profile's.
+        ({"dtype": "float64"}, "mirrors precision.params; set precision"),
         ({"privacy": {"masking": True}, "secure_aggregation": False},
          "mirrors privacy.masking; set privacy"),
         ({"secure_aggregation": True}, "mirrors privacy.masking; set privacy"),

@@ -5,7 +5,7 @@ Four layers of pins:
 * **Knob surface** — :class:`~repro.privacy.plan.PrivacyPlan` parsing
   (spec strings, mappings, the bare ``on`` / ``off`` shorthand) and its
   threading through ``RunSettings`` → ``ExperimentPlan`` →
-  ``StrategyContext`` → scenario docs → the CLI.
+  ``StrategyContext`` → plan files → the CLI.
 * **Threshold sessions** — share distribution and reconstruction are
   metered under the ledger's ``secure_agg`` channel; below-threshold
   availability refuses with :class:`IncompleteSubmissionError` before
@@ -49,7 +49,6 @@ from repro.privacy.secure_aggregation import (
     IncompleteSubmissionError,
     SecureAggregationSession,
 )
-from repro.scenarios.doc import ScenarioDoc
 from repro.utils.params import ParamBank, ParamSpec, cosine_similarity_matrix
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
@@ -163,22 +162,22 @@ class TestPlanThreading:
                                       "secure_aggregation": False}})
 
     def test_scenario_doc_privacy_block(self):
-        doc = ScenarioDoc(dataset="fashion_mnist_sim", strategies=["fedavg"],
-                          privacy={"masking": True, "threshold": "majority"})
-        assert doc.to_dict()["privacy"] == {"masking": True,
-                                            "threshold": "majority",
-                                            "sealed_scoring": False,
-                                            "mask_seed": None}
-        revived = ScenarioDoc.from_dict(doc.to_dict())
-        from repro.scenarios.compiler import compile_scenario
-        compiled = compile_scenario(revived)
-        assert compiled.privacy == PrivacyPlan(masking=True,
-                                               threshold="majority")
+        plan = ExperimentPlan.from_dict({
+            "dataset": "fashion_mnist_sim", "strategies": ["fedavg"],
+            "privacy": {"masking": True, "threshold": "majority"}})
+        assert plan.to_dict()["privacy"] == {"masking": True,
+                                             "threshold": "majority",
+                                             "sealed_scoring": False,
+                                             "mask_seed": None}
+        revived = ExperimentPlan.from_dict(plan.to_dict())
+        assert revived.privacy == PrivacyPlan(masking=True,
+                                              threshold="majority")
 
     def test_scenario_doc_rejects_unknown_privacy_key(self):
-        with pytest.raises(ValueError, match="privacy"):
-            ScenarioDoc(dataset="fashion_mnist_sim", strategies=["fedavg"],
-                        privacy={"masking": True, "treshold": 3})
+        with pytest.raises(ValueError, match=r"\['treshold'\] in plan privacy"):
+            ExperimentPlan.from_dict({
+                "dataset": "fashion_mnist_sim", "strategies": ["fedavg"],
+                "privacy": {"masking": True, "treshold": 3}})
 
     def test_cli_accepts_privacy_spec(self):
         from repro.__main__ import build_parser

@@ -1,21 +1,21 @@
-"""Property and differential suite for the scenario DSL.
+"""Property and differential suite for shift scenarios written as plans.
 
 Three layers of assurance, cheapest first:
 
-1. **Hypothesis properties** over the seeded generator's document space:
-   every sampled doc is deterministic, survives JSON, compiles, and its
+1. **Hypothesis properties** over the seeded generator's plan space:
+   every sampled plan is deterministic, survives JSON, resolves, and its
    drift schedule satisfies the schedule invariants (clean W0, normalized
    priors, no shift before the earliest scheduled arrival).
 2. **Run-level invariants** for all six registered strategies on a
    drift-diverse scenario: runs cover every scheduled window, federation
    counters conserve reports, detection fires inside the scheduled window
    for sudden shifts, and the same seed reproduces the run bitwise.
-3. **Pinned differentials**: every legacy availability preset expressed as
-   a scenario doc compiles to a plan *equal* to the flag-built one (so the
-   two run identically at any scale), and at test scale the scenario
-   pipeline's runs are bitwise identical to the plan-API pipeline's —
-   pinned for fedavg on every preset and for all six strategies on the
-   ``flaky`` preset.
+3. **Pinned differentials**: every legacy availability preset written in
+   a plan file reads to a plan *equal* to the flag-built one (so the two
+   run identically at any scale), and at test scale a plan file naming
+   only the fields it changes runs bitwise identically to one built from
+   whole objects in Python — pinned for fedavg on every preset and for
+   all six strategies on the ``flaky`` preset.
 
 The bounded CI fuzz job drives ``python -m repro.scenarios.fuzz`` over the
 same generator; this file is the deterministic, always-on slice.
@@ -39,7 +39,7 @@ from repro.federation.availability import SCENARIOS, AvailabilityConfig
 from repro.harness.profiles import get_profile
 from repro.harness.runner import run_strategy
 from repro.federation.async_engine import FederationConfig
-from repro.scenarios import ScenarioDoc, ScenarioGenerator, compile_scenario
+from repro.scenarios import ScenarioGenerator
 from repro.scenarios.fuzz import (
     check_federation_counters,
     check_run_invariants,
@@ -49,28 +49,27 @@ from repro.utils.serialization import run_result_to_dict
 ALL_STRATEGIES = strategy_names()
 PRESETS = tuple(s for s in SCENARIOS if s != "none")
 
-TINY_DATA = {"parties": 8, "train_per_window": 24, "test_per_window": 12}
-TINY_ROUNDS = {"burn_in": 2, "per_window": 1}
+TINY_SPEC = {"num_parties": 8, "train_per_window": 24, "test_per_window": 12}
+TINY_ROUNDS = {"rounds_burn_in": 2, "rounds_per_window": 1}
 TINY_COHORT = 4
 
 
-def drift_doc(strategy: str, *, federation: str | None = None,
-              drift: list | None = None, seeds=(0,)) -> dict:
+def drift_plan(strategy: str, *, federation: str | None = None,
+               drift: list | None = None, seeds=(0,)) -> ExperimentPlan:
     if drift is None:
         drift = [{"arrival": "sudden", "corruption": "fog", "severity": 4,
                   "fraction": 0.5, "start_window": 1}]
-    doc = {
+    data = {
         "dataset": "fashion_mnist_sim",
         "strategies": [strategy],
         "seeds": list(seeds),
-        "data": {**TINY_DATA, "num_windows": 3},
-        "rounds": dict(TINY_ROUNDS),
+        "spec_override": {**TINY_SPEC, "num_windows": 3, "drift": drift},
+        "settings_override": dict(TINY_ROUNDS),
         "cohort_size": TINY_COHORT,
-        "drift": drift,
     }
     if federation is not None:
-        doc["federation"] = federation
-    return doc
+        data["federation"] = federation
+    return ExperimentPlan.from_dict(data)
 
 
 def canonical(result) -> str:
@@ -89,17 +88,17 @@ class TestGeneratedDocumentProperties:
     @given(seed=st.integers(0, 2**16), index=st.integers(0, 15))
     @FUZZ_SETTINGS
     def test_sampling_is_deterministic_and_serializable(self, seed, index):
-        doc = ScenarioGenerator(seed=seed).sample(index)
-        again = ScenarioGenerator(seed=seed).sample(index)
-        assert again.to_dict() == doc.to_dict()
-        rebuilt = ScenarioDoc.from_dict(json.loads(json.dumps(doc.to_dict())))
-        assert rebuilt.to_dict() == doc.to_dict()
+        plan = ScenarioGenerator(seed=seed).sample(index)
+        assert ScenarioGenerator(seed=seed).sample(index) == plan
+        rebuilt = ExperimentPlan.from_dict(
+            json.loads(json.dumps(plan.to_dict())))
+        assert rebuilt == plan
 
     @given(seed=st.integers(0, 2**16), index=st.integers(0, 15))
     @FUZZ_SETTINGS
     def test_sampled_docs_compile_to_valid_schedules(self, seed, index):
-        doc = ScenarioGenerator(seed=seed).sample(index)
-        spec, run_settings = compile_scenario(doc).resolve()
+        spec, run_settings = ScenarioGenerator(seed=seed).sample(
+            index).resolve()
         assert run_settings.rounds_burn_in >= 1
         schedule = build_shift_schedule(spec)
         assert schedule.parties_shifted_at(0) == set()
@@ -161,9 +160,8 @@ class TestRunInvariants:
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_run_completes_with_consistent_counters(self, strategy):
-        doc = drift_doc(strategy, federation=self.FEDERATION,
-                        drift=self.DRIFT)
-        plan = compile_scenario(doc)
+        plan = drift_plan(strategy, federation=self.FEDERATION,
+                          drift=self.DRIFT)
         spec, _settings = plan.resolve()
         result = plan.run().runs[strategy][0]
         assert check_run_invariants(result, spec) == []
@@ -173,17 +171,16 @@ class TestRunInvariants:
     @pytest.mark.slow
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_same_seed_reproduces_run_bitwise(self, strategy):
-        doc = drift_doc(strategy, federation=self.FEDERATION,
-                        drift=self.DRIFT)
-        first = compile_scenario(doc).run().runs[strategy][0]
-        again = compile_scenario(doc).run().runs[strategy][0]
+        plan = drift_plan(strategy, federation=self.FEDERATION,
+                          drift=self.DRIFT)
+        first = plan.run().runs[strategy][0]
+        again = plan.run().runs[strategy][0]
         assert canonical(first) == canonical(again)
 
     def test_detection_fires_in_the_scheduled_window(self):
-        doc = drift_doc("shiftex", drift=[
+        spec, run_settings = drift_plan("shiftex", drift=[
             {"arrival": "sudden", "corruption": "fog", "severity": 5,
-             "fraction": 0.5, "start_window": 1}])
-        spec, run_settings = compile_scenario(doc).resolve()
+             "fraction": 0.5, "start_window": 1}]).resolve()
         schedule = build_shift_schedule(spec)
         strategy = build_strategy("shiftex")
         run_strategy(strategy, spec, run_settings, seed=0)
@@ -204,17 +201,12 @@ class TestRunInvariants:
 
 
 def tiny_overrides(dataset: str):
-    """The flag-built twin of ``TINY_DATA``/``TINY_ROUNDS``/``TINY_COHORT``:
-    the same resize expressed through the plan API's profile overrides."""
+    """The Python twin of ``TINY_SPEC``/``TINY_ROUNDS``/``TINY_COHORT``:
+    the same resize built as whole objects from the profile's."""
     spec, run_settings = get_profile("ci", dataset)
-    spec = dataclasses.replace(spec, **{
-        "num_parties": TINY_DATA["parties"],
-        "train_per_window": TINY_DATA["train_per_window"],
-        "test_per_window": TINY_DATA["test_per_window"]})
+    spec = dataclasses.replace(spec, **TINY_SPEC)
     run_settings = dataclasses.replace(
-        run_settings,
-        rounds_burn_in=TINY_ROUNDS["burn_in"],
-        rounds_per_window=TINY_ROUNDS["per_window"],
+        run_settings, **TINY_ROUNDS,
         round_config=dataclasses.replace(
             run_settings.round_config,
             participants_per_round=TINY_COHORT))
@@ -222,13 +214,14 @@ def tiny_overrides(dataset: str):
 
 
 class TestPresetDifferential:
-    """Scenario-compiled preset runs are bitwise identical to flag-built.
+    """Preset runs read from a plan file are bitwise identical to
+    flag-built ones.
 
     Full-scale equivalence follows from plan equality (the full-profile
     plans compare equal in ``test_scenarios.py::TestFlagParity``, and equal
     plans run identically); here the *runs* themselves are compared, at
-    test scale, to pin the whole doc -> compile -> run pipeline against the
-    plan-API pipeline.
+    test scale, to pin the whole file -> overlay -> run pipeline against
+    the plan-API pipeline.
     """
 
     def _pair(self, preset: str, strategy: str):
@@ -238,9 +231,10 @@ class TestPresetDifferential:
         flag_plan = ExperimentPlan.build(
             "fashion_mnist_sim", (strategy,), federation=federation,
             spec_override=spec, settings_override=run_settings)
-        scenario_plan = compile_scenario({
+        scenario_plan = ExperimentPlan.from_dict({
             "dataset": "fashion_mnist_sim", "strategies": [strategy],
-            "data": dict(TINY_DATA), "rounds": dict(TINY_ROUNDS),
+            "spec_override": dict(TINY_SPEC),
+            "settings_override": dict(TINY_ROUNDS),
             "cohort_size": TINY_COHORT,
             "federation": {"availability": preset}})
         return flag_plan, scenario_plan
@@ -274,22 +268,14 @@ class TestCrossWindowBoundary:
     ``begin_window``, so stale pre-shift updates never leak into the
     post-shift window's aggregate)."""
 
-    DOC = {
-        "dataset": "fashion_mnist_sim",
-        "strategies": ["fedavg"],
-        "data": {**TINY_DATA, "num_windows": 3},
-        "rounds": dict(TINY_ROUNDS),
-        "cohort_size": TINY_COHORT,
-        "federation": {"mode": "async",
-                       "availability": {"straggler_prob": 0.6,
-                                        "dropout_prob": 0.2}},
-        "drift": [{"arrival": "sudden", "corruption": "fog", "severity": 4,
-                   "fraction": 0.5, "start_window": 1,
-                   "max_phase_offset": 1}],
-    }
+    DRIFT = [{"arrival": "sudden", "corruption": "fog", "severity": 4,
+              "fraction": 0.5, "start_window": 1, "max_phase_offset": 1}]
+    FEDERATION = "async,availability.straggler_prob=0.6,"\
+                 "availability.dropout_prob=0.2"
 
     def test_straddling_reports_expire_not_leak(self):
-        result = compile_scenario(self.DOC).run().runs["fedavg"][0]
+        result = drift_plan("fedavg", federation=self.FEDERATION,
+                            drift=self.DRIFT).run().runs["fedavg"][0]
         fed = result.extras["federation"]
         # The straggler rate guarantees some reports were still in flight
         # when a window boundary (and with it, the shift) arrived.
@@ -297,8 +283,10 @@ class TestCrossWindowBoundary:
         assert check_federation_counters(result.extras) == []
 
     def test_boundary_behavior_is_deterministic_under_offsets(self):
-        first = compile_scenario(self.DOC).run().runs["fedavg"][0]
-        again = compile_scenario(self.DOC).run().runs["fedavg"][0]
+        plan = drift_plan("fedavg", federation=self.FEDERATION,
+                          drift=self.DRIFT)
+        first = plan.run().runs["fedavg"][0]
+        again = plan.run().runs["fedavg"][0]
         assert canonical(first) == canonical(again)
         assert (first.extras["federation"]["expired_reports"]
                 == again.extras["federation"]["expired_reports"])
@@ -307,10 +295,11 @@ class TestCrossWindowBoundary:
         # The flush-at-boundary pin holds for buffered mode too: in-flight
         # buffered reports expire at the window edge rather than carrying
         # their pre-shift gradients across it.
-        doc = {**self.DOC,
-               "federation": "buffered,min_reports=4,max_wait_rounds=3,"
-                             "availability.straggler_prob=0.6"}
-        result = compile_scenario(doc).run().runs["fedavg"][0]
+        plan = drift_plan("fedavg", drift=self.DRIFT,
+                          federation="buffered,min_reports=4,"
+                                     "max_wait_rounds=3,"
+                                     "availability.straggler_prob=0.6")
+        result = plan.run().runs["fedavg"][0]
         assert check_federation_counters(result.extras) == []
         fed = result.extras["federation"]
         assert fed["dispatched"] - fed["dropped"] >= fed["aggregated_reports"]

@@ -1,12 +1,12 @@
-"""Scenario DSL: documents, the compiler, drift schedules, and the CLI.
+"""Shift scenarios as plan files: the reader, drift schedules, and the CLI.
 
-The contract under test is flag parity *by construction*: a scenario doc,
-a plan file and a ``compare`` flag spell every run knob by its plan key and
-read it through one reader, so a scenario doc using only flag-expressible
-keys must compile to an :class:`~repro.experiments.plan.ExperimentPlan`
-equal to the flag-built one.  Run-level bitwise differentials live in
-``test_scenario_fuzz.py``; this file covers the plan-level and
-schedule-level semantics.
+A scenario is a plan file whose ``spec_override`` / ``settings_override``
+name only the fields they change (everything else is the profile's) and
+whose ``spec_override.drift`` declares the per-cohort drift schedule.  A
+``compare`` flag spells every run knob by its plan key, so a plan using
+only flag-expressible keys equals the flag-built plan.  Run-level bitwise
+differentials live in ``test_scenario_fuzz.py``; this file covers the
+plan-level and schedule-level semantics.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 from repro.__main__ import main
 from repro.data.drift import ARRIVALS, CohortDrift, validate_drift_plan
 from repro.data.registry import build_shift_schedule, get_dataset_spec
-from repro.experiments.plan import ExperimentPlan
+from repro.experiments.plan import ExperimentPlan, load_plan, save_plan
 from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import (
     SCENARIOS,
@@ -28,30 +28,27 @@ from repro.federation.availability import (
     AvailabilitySimulator,
 )
 from repro.federation.pool import PopulationConfig
-from repro.scenarios import (
-    ScenarioDoc,
-    ScenarioGenerator,
-    compile_scenario,
-    lint_scenario,
-    load_scenario,
-    save_scenario,
-)
+from repro.harness.profiles import get_profile
+from repro.scenarios import ScenarioGenerator, lint_scenario
 from tests.conftest import make_tiny_spec
 
-TINY_DOC = {
+TINY_PLAN = {
     "dataset": "fashion_mnist_sim",
     "strategies": ["fedavg"],
-    "data": {"parties": 6, "train_per_window": 24, "test_per_window": 12},
-    "rounds": {"burn_in": 2, "per_window": 1},
+    "spec_override": {"num_parties": 6, "train_per_window": 24,
+                      "test_per_window": 12},
+    "settings_override": {"rounds_burn_in": 2, "rounds_per_window": 1},
     "cohort_size": 3,
 }
 
 
-def tiny_doc(**extra) -> dict:
-    doc = {k: (dict(v) if isinstance(v, dict) else v)
-           for k, v in TINY_DOC.items()}
-    doc.update(extra)
-    return doc
+def tiny_plan(spec=None, **extra) -> dict:
+    """``TINY_PLAN`` with ``spec`` keys added to its spec_override."""
+    plan = {k: (dict(v) if isinstance(v, dict) else v)
+            for k, v in TINY_PLAN.items()}
+    plan["spec_override"].update(spec or {})
+    plan.update(extra)
+    return plan
 
 
 # --------------------------------------------------------------------- drift
@@ -222,50 +219,53 @@ class TestDriftSchedule:
 
 
 class TestScenarioDoc:
+    """A scenario document is a plan file."""
+
     def test_rejects_unknown_keys_per_block(self):
-        with pytest.raises(ValueError, match="top level"):
-            ScenarioDoc.from_dict(tiny_doc(cadence="daily"))
-        with pytest.raises(ValueError, match="'data'"):
-            ScenarioDoc(dataset="fmow_sim", strategies=["fedavg"],
-                        data={"clients": 5})
-        with pytest.raises(ValueError,
-                           match="scenario federation.availability"):
-            ScenarioDoc(dataset="fmow_sim", strategies=["fedavg"],
-                        federation={"availability": {"drop": 0.3}})
+        with pytest.raises(ValueError, match=r"\['cadence'\] in plan;"):
+            ExperimentPlan.from_dict(tiny_plan(cadence="daily"))
+        with pytest.raises(ValueError, match=r"\['clients'\] in plan "
+                                             r"spec_override;"):
+            ExperimentPlan.from_dict(tiny_plan(spec={"clients": 5}))
+        with pytest.raises(ValueError, match="plan federation.availability"):
+            ExperimentPlan.from_dict(tiny_plan(
+                federation={"availability": {"drop": 0.3}}))
 
     def test_requires_dataset_and_strategies(self):
         with pytest.raises(ValueError, match="dataset"):
-            ScenarioDoc.from_dict({"strategies": ["fedavg"]})
+            ExperimentPlan.from_dict({"strategies": ["fedavg"]})
         with pytest.raises(ValueError, match="strategy"):
-            ScenarioDoc(dataset="fmow_sim", strategies=[])
+            ExperimentPlan.from_dict({"dataset": "fmow_sim",
+                                      "strategies": []})
 
     def test_num_windows_requires_drift(self):
-        doc = tiny_doc()
-        doc["data"]["num_windows"] = 4
-        with pytest.raises(ValueError, match="num_windows"):
-            ScenarioDoc.from_dict(doc)
+        with pytest.raises(ValueError, match=r"spec_override\.num_windows "
+                                             r"needs spec_override\.drift"):
+            ExperimentPlan.from_dict(tiny_plan(spec={"num_windows": 4}))
 
     def test_drift_typos_name_their_block(self):
         with pytest.raises(ValueError, match=r"unknown key\(s\) \['arival'\] "
-                                             r"in scenario block 'drift'"):
-            ScenarioDoc.from_dict(tiny_doc(drift={"arival": "sudden"}))
+                                             r"in plan spec_override\.drift"):
+            ExperimentPlan.from_dict(tiny_plan(
+                spec={"drift": [{"arival": "sudden"}]}))
 
     def test_single_drift_table_is_coerced(self):
-        doc = ScenarioDoc.from_dict(tiny_doc(
-            drift={"arrival": "sudden", "fraction": 0.5}))
-        assert len(doc.drift) == 1
-        assert doc.drift[0].arrival == "sudden"
+        plan = ExperimentPlan.from_dict(tiny_plan(
+            spec={"drift": {"arrival": "sudden", "fraction": 0.5}}))
+        assert len(plan.spec_override.drift) == 1
+        assert plan.spec_override.drift[0].arrival == "sudden"
 
     def test_json_round_trip(self, tmp_path):
-        doc = ScenarioDoc.from_dict(tiny_doc(
-            seeds=[0, 1], federation={"availability": "flaky"},
-            drift=[{"arrival": "recurring", "corruption": "fog",
-                    "severity": 3, "fraction": 0.4, "period": 2}]))
-        path = save_scenario(tmp_path / "doc.json", doc)
-        assert load_scenario(path).to_dict() == doc.to_dict()
+        plan = ExperimentPlan.from_dict(tiny_plan(
+            spec={"drift": [{"arrival": "recurring", "corruption": "fog",
+                             "severity": 3, "fraction": 0.4, "period": 2}]},
+            seeds=[0, 1], federation={"availability": "flaky"}))
+        path = save_plan(tmp_path / "plan.json", plan)
+        assert load_plan(path) == plan
 
     def test_toml_load(self, tmp_path):
-        path = tmp_path / "doc.toml"
+        pytest.importorskip("tomllib")
+        path = tmp_path / "plan.toml"
         path.write_text(
             'dataset = "fashion_mnist_sim"\n'
             'strategies = ["fedavg", "shiftex"]\n'
@@ -273,32 +273,36 @@ class TestScenarioDoc:
             '[federation]\n'
             'mode = "async"\n'
             'availability = "stragglers"\n\n'
-            '[[drift]]\n'
+            '[[spec_override.drift]]\n'
             'arrival = "gradual"\n'
             'corruption = "frost"\n'
             'severity = 5\n'
             'fraction = 0.3\n'
             'ramp_windows = 2\n')
-        doc = load_scenario(path)
-        assert doc.seeds == (0, 1)
-        assert doc.federation == FederationConfig(
+        plan = load_plan(path)
+        assert plan.seeds == (0, 1)
+        assert plan.federation == FederationConfig(
             mode="async", availability=AvailabilityConfig.scenario("stragglers"))
-        assert doc.drift[0].arrival == "gradual"
+        assert plan.spec_override.drift[0].arrival == "gradual"
+        # Every key the file leaves out is the profile's.
+        profile_spec, _settings = get_profile("ci", "fashion_mnist_sim")
+        assert plan.spec_override.num_parties == profile_spec.num_parties
+        assert plan.spec_override.num_windows == profile_spec.num_windows
 
     def test_load_errors_name_the_file(self, tmp_path):
         bad = tmp_path / "bad.toml"
         bad.write_text("dataset = [unclosed")
         with pytest.raises(ValueError, match="bad.toml"):
-            load_scenario(bad)
+            load_plan(bad)
         with pytest.raises(FileNotFoundError):
-            load_scenario(tmp_path / "nope.toml")
+            load_plan(tmp_path / "nope.toml")
 
 
-# ------------------------------------------------------------------ compiler
+# ---------------------------------------------------------------- the reader
 
 
 class TestFlagParity:
-    """Scenario docs compile to plans equal to their flag-built twins."""
+    """Plan files equal their flag-built twins."""
 
     def _equal_modulo_name(self, a: ExperimentPlan, b: ExperimentPlan):
         da, db = a.to_dict(), b.to_dict()
@@ -311,15 +315,15 @@ class TestFlagParity:
         flag_plan = ExperimentPlan.build(
             "fashion_mnist_sim", ("fedavg",), federation=FederationConfig(
                 availability=AvailabilityConfig.scenario(preset)))
-        scenario_plan = compile_scenario({
+        file_plan = ExperimentPlan.from_dict({
             "dataset": "fashion_mnist_sim", "strategies": ["fedavg"],
             "federation": {"availability": preset}})
-        self._equal_modulo_name(flag_plan, scenario_plan)
+        self._equal_modulo_name(flag_plan, file_plan)
 
     def test_full_flag_surface_matches(self):
-        """The CLI compiles its flags as a document; the same document written
-        by hand and the same knobs passed to ExperimentPlan.build agree."""
-        from repro.__main__ import _scenario_from_args, build_parser
+        """The CLI builds its plan from its flags; the same plan written as
+        a file and the same knobs passed to ExperimentPlan.build agree."""
+        from repro.__main__ import _plan_from_args, build_parser
         args = build_parser().parse_args([
             "compare", "fmow_sim", "--methods", "fedavg", "shiftex",
             "--seeds", "0", "1", "--profile", "ci", "--precision", "float32",
@@ -330,8 +334,7 @@ class TestFlagParity:
                             "staleness_policy=polynomial",
             "--availability", "flaky,dropout_prob=0.2,straggler_prob=0.1,"
                               "outage_prob=0.05"])
-        cli_plan = compile_scenario(
-            _scenario_from_args(args, args.methods))
+        cli_plan = _plan_from_args(args, args.methods)
         federation = FederationConfig(
             mode="buffered", min_reports=3, max_wait_rounds=2,
             staleness_policy="polynomial",
@@ -344,7 +347,7 @@ class TestFlagParity:
             "fmow_sim", ("fedavg", "shiftex"), seeds=(0, 1), profile="ci",
             precision="float32", privacy="masking=on",
             federation=federation, population=population, cohort_size=4)
-        scenario_plan = compile_scenario({
+        file_plan = ExperimentPlan.from_dict({
             "dataset": "fmow_sim", "strategies": ["fedavg", "shiftex"],
             "seeds": [0, 1], "profile": "ci", "precision": "float32",
             "privacy": "masking=on", "cohort_size": 4,
@@ -356,78 +359,112 @@ class TestFlagParity:
                            "availability": "flaky,dropout_prob=0.2,"
                                            "straggler_prob=0.1,"
                                            "outage_prob=0.05"}})
-        self._equal_modulo_name(flag_plan, scenario_plan)
-        assert cli_plan == scenario_plan
+        self._equal_modulo_name(flag_plan, file_plan)
+        assert cli_plan == file_plan
 
     def test_empty_blocks_defer_to_profile(self):
         plain = ExperimentPlan.build("fashion_mnist_sim", ("fedavg",))
-        compiled = compile_scenario({"dataset": "fashion_mnist_sim",
-                                     "strategies": ["fedavg"]})
-        self._equal_modulo_name(plain, compiled)
-        assert compiled.spec_override is None
-        assert compiled.settings_override is None
-        assert compiled.federation is None
+        read = ExperimentPlan.from_dict({"dataset": "fashion_mnist_sim",
+                                         "strategies": ["fedavg"]})
+        self._equal_modulo_name(plain, read)
+        assert read.spec_override is None
+        assert read.settings_override is None
+        assert read.federation is None
+        # An override naming no field is the profile itself.
+        empty = ExperimentPlan.from_dict({**TINY_PLAN, "spec_override": {},
+                                          "settings_override": {}})
+        assert (empty.spec_override, empty.settings_override) == get_profile(
+            "ci", "fashion_mnist_sim")
 
 
 class TestCompiler:
+    """The rules the scenario compiler applied now live in the plan reader."""
+
     def test_data_and_rounds_resize_the_profile(self):
-        plan = compile_scenario(tiny_doc())
+        plan = ExperimentPlan.from_dict(tiny_plan())
         spec, settings = plan.resolve()
         assert spec.num_parties == 6
         assert spec.train_per_window == 24
         assert settings.rounds_burn_in == 2
         assert settings.round_config.participants_per_round == 3
+        profile_spec, profile_settings = get_profile("ci", "fashion_mnist_sim")
+        assert spec == dataclasses.replace(
+            profile_spec, num_parties=6, train_per_window=24,
+            test_per_window=12)
+        assert settings.round_config.local == profile_settings.round_config.local
 
     def test_drift_reaches_the_resolved_spec(self):
-        plan = compile_scenario(tiny_doc(
-            data={**TINY_DOC["data"], "num_windows": 3},
-            drift=[{"arrival": "sudden", "corruption": "fog", "severity": 4,
-                    "fraction": 0.5}]))
+        plan = ExperimentPlan.from_dict(tiny_plan(spec={
+            "num_windows": 3,
+            "drift": [{"arrival": "sudden", "corruption": "fog",
+                       "severity": 4, "fraction": 0.5}]}))
         spec, _settings = plan.resolve()
         assert spec.num_windows == 3
+        assert spec.window_regimes == (("identity", 1),) * 2  # placeholder
         assert spec.drift[0].corruption == "fog"
         schedule = build_shift_schedule(spec)
         assert schedule.parties_shifted_at(1)
 
     def test_drift_start_checked_against_scenario_windows(self):
         with pytest.raises(ValueError, match="outside the run"):
-            compile_scenario(tiny_doc(
-                data={**TINY_DOC["data"], "num_windows": 3},
-                drift=[{"arrival": "sudden", "start_window": 5}]))
+            ExperimentPlan.from_dict(tiny_plan(spec={
+                "num_windows": 3,
+                "drift": [{"arrival": "sudden", "start_window": 5}]}))
 
     def test_plan_round_trips_with_drift(self):
-        plan = compile_scenario(tiny_doc(
-            data={**TINY_DOC["data"], "num_windows": 3},
-            drift=[{"arrival": "recurring", "corruption": "contrast",
-                    "severity": 3, "fraction": 0.4}]))
+        plan = ExperimentPlan.from_dict(tiny_plan(spec={
+            "num_windows": 3,
+            "drift": [{"arrival": "recurring", "corruption": "contrast",
+                       "severity": 3, "fraction": 0.4}]}))
         rebuilt = ExperimentPlan.from_dict(json.loads(
             json.dumps(plan.to_dict())))
         assert rebuilt.to_dict() == plan.to_dict()
         assert rebuilt.resolve()[0].drift == plan.resolve()[0].drift
 
     def test_rejects_tiny_window_counts(self):
-        with pytest.raises(ValueError, match="num_windows"):
-            compile_scenario(tiny_doc(
-                data={**TINY_DOC["data"], "num_windows": 1},
-                drift=[{"arrival": "sudden"}]))
+        with pytest.raises(ValueError, match=r"spec_override\.num_windows "
+                                             r"must be >= 2"):
+            ExperimentPlan.from_dict(tiny_plan(spec={
+                "num_windows": 1, "drift": [{"arrival": "sudden"}]}))
 
     def test_population_dependents_require_size(self):
-        with pytest.raises(ValueError, match=r"scenario population is missing "
+        with pytest.raises(ValueError, match=r"plan population is missing "
                                              r"required key\(s\) \['size'\]"):
-            compile_scenario(tiny_doc(population={"max_resident": 4}))
+            ExperimentPlan.from_dict(tiny_plan(population={"max_resident": 4}))
 
     def test_lint_flags_sync_buffering_knobs(self):
-        warnings = lint_scenario(tiny_doc(
-            federation={"min_reports": 3}))
+        warnings = lint_scenario(ExperimentPlan.from_dict(tiny_plan(
+            federation={"min_reports": 3})))
         assert any("buffered/async" in w for w in warnings)
 
     def test_lint_flags_unenumerable_outage_population(self):
-        warnings = lint_scenario(tiny_doc(
+        warnings = lint_scenario(ExperimentPlan.from_dict(tiny_plan(
             population={"size": 5000},
-            federation={"availability": "outages"}))
+            federation={"availability": "outages"})))
         assert any("cohort_fates" in w for w in warnings)
-        assert not lint_scenario(tiny_doc(
-            population={"size": 5000}))  # no outage knob -> no advisory
+        assert not lint_scenario(ExperimentPlan.from_dict(tiny_plan(
+            population={"size": 5000})))  # no outage knob -> no advisory
+        # The advisory reads the resolved settings, an override's included.
+        assert any("cohort_fates" in w for w in lint_scenario(
+            ExperimentPlan.from_dict(tiny_plan(settings_override={
+                "population": 5000,
+                "federation": {"availability": "outages"}}))))
+
+
+def test_a_data_seed_is_spec_override_seed():
+    """``spec_override.seed`` alone reseeds the generated windows; every
+    other spec field keeps the profile's value."""
+    profile_spec, _settings = get_profile("ci", "fashion_mnist_sim")
+    reseeded = ExperimentPlan.from_dict(
+        {**TINY_PLAN, "spec_override": {"seed": 3}}).spec_override
+    assert reseeded == dataclasses.replace(profile_spec, seed=3)
+    assert profile_spec.seed != 3
+
+    from repro.data.federated import FederatedShiftDataset
+    windows = [FederatedShiftDataset(spec).party_window(0, 1).x_train
+               for spec in (profile_spec, reseeded)]
+    assert windows[0].shape == windows[1].shape
+    assert not np.array_equal(windows[0], windows[1])
 
 
 # ----------------------------------------------------------------- generator
@@ -437,24 +474,23 @@ class TestScenarioGenerator:
     def test_same_seed_same_documents(self):
         a = ScenarioGenerator(seed=7).corpus(5)
         b = ScenarioGenerator(seed=7).corpus(5)
-        assert [d.to_dict() for d in a] == [d.to_dict() for d in b]
+        assert a == b
 
     def test_different_seeds_differ(self):
-        a = [d.to_dict() for d in ScenarioGenerator(seed=0).corpus(4)]
-        b = [d.to_dict() for d in ScenarioGenerator(seed=1).corpus(4)]
+        a = [p.to_dict() for p in ScenarioGenerator(seed=0).corpus(4)]
+        b = [p.to_dict() for p in ScenarioGenerator(seed=1).corpus(4)]
         assert a != b
 
     def test_samples_are_valid_and_compile(self):
-        for doc in ScenarioGenerator(seed=11).corpus(6):
-            plan = compile_scenario(doc)
+        for plan in ScenarioGenerator(seed=11).corpus(6):
             spec, settings = plan.resolve()
             assert 2 <= spec.num_windows
             assert settings.round_config.participants_per_round >= 1
 
     def test_samples_survive_json_round_trip(self, tmp_path):
-        doc = ScenarioGenerator(seed=3).sample(1)
-        path = save_scenario(tmp_path / "sampled.json", doc)
-        assert load_scenario(path).to_dict() == doc.to_dict()
+        plan = ScenarioGenerator(seed=3).sample(1)
+        path = save_plan(tmp_path / "sampled.json", plan)
+        assert load_plan(path) == plan
 
 
 # -------------------------------------------------------------- availability
@@ -492,20 +528,21 @@ class TestOutageEnumerationBoundary:
 class TestScenarioCli:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(tiny_doc()))
+        path.write_text(json.dumps(tiny_plan()))
         assert main(["scenarios", "validate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "ok" in out and "fashion_mnist_sim" in out
+        assert "6 parties" in out
 
     def test_validate_rejects_bad_doc(self, tmp_path, capsys):
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(tiny_doc(cadence="daily")))
+        path.write_text(json.dumps(tiny_plan(cadence="daily")))
         assert main(["scenarios", "validate", str(path)]) == 2
         assert "cadence" in capsys.readouterr().err
 
     def test_validate_prints_lint_warnings(self, tmp_path, capsys):
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(tiny_doc(
+        path.write_text(json.dumps(tiny_plan(
             federation={"min_reports": 3})))
         assert main(["scenarios", "validate", str(path)]) == 0
         assert "warning" in capsys.readouterr().err
@@ -515,34 +552,54 @@ class TestScenarioCli:
         first = capsys.readouterr().out
         assert main(["scenarios", "sample", "--seed", "5"]) == 0
         assert capsys.readouterr().out == first
-        docs = json.loads(first)  # one JSON array, pipeable for any --count
-        assert docs and docs[0]["dataset"]
+        plans = json.loads(first)  # one JSON array, pipeable for any --count
+        assert plans and plans[0]["dataset"]
+        assert ExperimentPlan.from_dict(plans[0]) == \
+            ScenarioGenerator(seed=5).sample(0)
 
     def test_sample_writes_files(self, tmp_path, capsys):
         assert main(["scenarios", "sample", "--seed", "2", "--count", "2",
                      "--output-dir", str(tmp_path)]) == 0
         files = sorted(tmp_path.glob("*.json"))
         assert len(files) == 2
-        for path in files:
-            compile_scenario(load_scenario(path))
+        for index, path in enumerate(files):
+            assert load_plan(path) == ScenarioGenerator(seed=2).sample(index)
 
     def test_run_requires_exactly_one_input(self, tmp_path, capsys):
-        assert main(["run"]) == 2
-        assert "exactly one" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run"])
+        assert exit_info.value.code == 2
+        assert "plan" in capsys.readouterr().err
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(tiny_doc()))
-        assert main(["run", str(path), "--scenario-file", str(path)]) == 2
-        assert "exactly one" in capsys.readouterr().err
+        path.write_text(json.dumps(tiny_plan()))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--scenario-file", str(path)])  # the flag is gone
+        assert exit_info.value.code == 2
+        assert "--scenario-file" in capsys.readouterr().err
 
     def test_run_scenario_file_rejects_bad_doc(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"strategies": ["fedavg"]}))
-        assert main(["run", "--scenario-file", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
         assert "dataset" in capsys.readouterr().err
+        # An old scenario document names the plan keys that replaced it.
+        path.write_text(json.dumps({
+            "dataset": "fashion_mnist_sim", "strategies": ["fedavg"],
+            "data": {"parties": 6}, "rounds": {"burn_in": 2},
+            "drift": [{"arrival": "sudden"}]}))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        for replacement in ("spec_override.num_parties",
+                            "settings_override.rounds_burn_in",
+                            "[[spec_override.drift]]"):
+            assert replacement in err
 
     def test_run_scenario_file_executes(self, tmp_path, capsys):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(tiny_doc(name="cli-tiny")))
-        assert main(["run", "--scenario-file", str(path)]) == 0
+        """A sampled plan file runs through plain ``run``."""
+        assert main(["scenarios", "sample", "--seed", "0", "--output-dir",
+                     str(tmp_path)]) == 0
+        path, = tmp_path.glob("*.json")
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "cli-tiny" in out and "fedavg" in out
+        assert "fuzz-0-0" in out and "fedavg" in out
