@@ -1,22 +1,29 @@
 """Where a masked round goes, and how much mask material a run expands.
 
-Three measurements behind docs/ARCHITECTURE.md "The privacy plane":
+Four measurements behind docs/ARCHITECTURE.md "The privacy plane":
 
     PYTHONPATH=src python benchmarks/privacy_plane.py          # per-stage table
-    PYTHONPATH=src python benchmarks/privacy_plane.py --plans  # generators, held bytes
+    PYTHONPATH=src python benchmarks/privacy_plane.py --plans  # words, seeds, held bytes
     PYTHONPATH=src python benchmarks/privacy_plane.py --sha    # bitwise check
+    PYTHONPATH=src python benchmarks/privacy_plane.py --check  # masked == plain
 
 The stage table times the seal / share / recover stages at ``async_masked``'s
 shapes: ``dim`` 30,122 (the ``mlp`` on 3 x 12 x 12 inputs), float32, a
 12-party dispatch, Shamir ``t`` = 3.  ``--plans`` runs seed 0 of the pinned
 ``async_masked`` plan (the only one that constructs a session) and counts the
-privacy generators seeded by stream label, the sessions, seals and unseals,
-and the peak bytes of net masks held against the sealed rows they mask.
-``--sha`` prints one SHA-256 per dtype over the sealed rows, every party's
-net mask and the masked aggregate of one fixed threshold session.  All three
-use only names an older checkout also has, so pointing ``PYTHONPATH`` at its
-``src`` gives the "before" numbers (and must give the same digests).
-Report-only; nothing gates on it and no file is written.
+sessions, seals and unseals, the stream words derived, the streams expanded,
+the ``SeedSequence`` objects built inside session calls (per stream, per
+share bundle, per session), and the peak bytes of net masks held against the
+sealed rows they mask.  ``--sha`` prints, per dtype, one SHA-256 over the
+sealed rows and every party's net mask of one fixed threshold session
+(transient bytes: they move whenever the mask derivation does) and one over
+its masked aggregate (which must never move).  ``--check`` exits 1 unless,
+for float32 and float64, cohorts of 1, 2, 5 and 12 and ``t`` in {none, 1,
+3, majority}, the masked aggregate is byte-equal to the plain
+``weighted_combine`` and every word the shares open re-derives its stream.
+The table, ``--plans`` and ``--sha`` run against an older checkout's ``src``
+too (rows naming a routine it lacks print ``-``), which gives the "before"
+numbers and the parent's aggregate digests.  No file is written.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import sys
 import time
 import weakref
 from collections import Counter
@@ -42,15 +50,19 @@ from repro.privacy.secure_aggregation import (  # noqa: E402
     SecureAggregationSession,
     seal_bits,
 )
+from repro.privacy.shamir import reconstruct_secret  # noqa: E402
 from repro.utils.params import ParamBank, ParamSpec  # noqa: E402
 from repro.utils.rng import spawn_rng  # noqa: E402
 
 PLAN = Path(__file__).resolve().parent / "e2e" / "workloads" / "async_masked.json"
 DIM, COHORT, THRESHOLD = 30_122, list(range(12)), 3
 CONTEXT = ("stream", "global", 7, (1, 3))
-PRIVACY_LABELS = ("seal-mask", "seal-self", "share-secret-self",
-                  "share-secret-pair", "share-split")
+SESSION_CALLS = ("__init__", "seal_row", "unseal_row", "recover",
+                 "combine_rows")
 best_us = partial(reference.best_us, calls=20, repeats=5)
+# The word-per-stream routines; an older checkout has neither.
+stream_word = getattr(secure_aggregation, "_stream_word", None)
+expand_word = getattr(secure_aggregation, "_expand_word", None)
 
 
 # ---------------------------------------------------------------- per-stage table
@@ -95,8 +107,13 @@ def stage_table() -> None:
         return best * 1e6
 
     stages = [
-        ("seed one stream (spawn_rng)",
+        ("seed a generator (spawn_rng)",
          best_us(lambda: spawn_rng(5, "seal-mask", *CONTEXT, 0, 1), calls=200)),
+        ("derive one stream word", None if stream_word is None else best_us(
+            lambda: stream_word(5, CONTEXT, ("pair", 0, 1)), calls=200)),
+        ("expand one stream from its word", None if expand_word is None
+         else best_us(lambda: expand_word(rng, 12345, DIM, np.float32),
+                      calls=200)),
         ("draw one stream, rng.integers", best_us(draw_integers, calls=200)),
         ("draw one stream, random_raw", best_us(draw_raw, calls=200)),
         ("seal_bits (seed + draw)",
@@ -114,22 +131,40 @@ def stage_table() -> None:
     print(f"async_masked shapes: dim {DIM}, float32, cohort {n}, "
           f"t = {THRESHOLD}")
     for label, us in stages:
-        print(f"  {label:<44}{us:>10.1f} us")
+        print(f"  {label:<44}" + ("{:>10}".format("-") if us is None
+                                  else f"{us:>10.1f} us"))
 
 
 # ---------------------------------------------------------------- streams per run
 
 
 def plan_counts() -> None:
-    """Seed 0 of the pinned ``async_masked`` plan: generators seeded per
-    privacy stream label, and the peak of net-mask bytes sessions hold."""
-    seeded: Counter = Counter()
+    """Seed 0 of the pinned ``async_masked`` plan: words derived, streams
+    expanded, seed sequences built inside session calls, and the peak of
+    net-mask bytes sessions hold."""
+    counts: Counter = Counter()
     calls: Counter = Counter()
     live: "weakref.WeakSet[SecureAggregationSession]" = weakref.WeakSet()
     peak = {"mask_bytes": 0, "sealed_row_bytes": 0}
+    depth = [0]
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def seeding(name, build):
+        """Count a seed sequence built (explicitly, or by ``PCG64(seed)``)
+        while a session call is on the stack."""
+        def make(*args, **kwargs):
+            if depth[0]:
+                counts[name] += 1
+            return build(*args, **kwargs)
+        return make
 
     def counting_spawn(root_seed, *labels):
-        seeded[labels[0]] += 1
+        counts["spawn:" + str(labels[0])] += 1
         return spawn_rng(root_seed, *labels)
 
     def sample() -> None:
@@ -149,35 +184,56 @@ def plan_counts() -> None:
         def method(self, *args, **kwargs):
             calls[name] += 1
             live.add(self)
+            depth[0] += 1
             try:
                 return original(self, *args, **kwargs)
             finally:
+                depth[0] -= 1
                 sample()
         return method
 
     cls = SecureAggregationSession
-    originals = {name: getattr(cls, name)
-                 for name in ("__init__", "seal_row", "unseal_row")}
+    originals = {name: getattr(cls, name) for name in SESSION_CALLS}
+    patches = [(secure_aggregation, "spawn_rng", counting_spawn),
+               (secure_aggregation, "_draw_words",
+                counting("streams", secure_aggregation._draw_words)),
+               (np.random, "SeedSequence",
+                seeding("seed_sequences", np.random.SeedSequence)),
+               (np.random, "PCG64", seeding("pcg64", np.random.PCG64))]
+    if stream_word is not None:
+        patches.append((secure_aggregation, "_stream_word",
+                        counting("words", stream_word)))
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     plan = load_plan(PLAN)
     plan.seeds = (0,)
     spec, settings = plan.resolve()
     (cell,) = plan.cells()
     try:
-        secure_aggregation.spawn_rng = counting_spawn
+        for owner, name, fn in patches:
+            setattr(owner, name, fn)
         for name in originals:
             setattr(cls, name, wrap(name))
         run_strategy(cell.spec.build(), spec, settings, seed=cell.seed)
     finally:
-        secure_aggregation.spawn_rng = spawn_rng
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
         for name, fn in originals.items():
             setattr(cls, name, fn)
+    # spawn_rng builds a SeedSequence; PCG64(seed) builds one inside numpy.
+    seeds = counts["seed_sequences"] + counts["pcg64"]
+    per_bundle, per_session = counts["spawn:share-split"], counts["pcg64"]
     print(f"async_masked, run seed 0: {calls['__init__']} sessions, "
           f"{calls['seal_row']} seals, {calls['unseal_row']} unseals")
-    for label in PRIVACY_LABELS:
-        print(f"  {label + ' generators':<32}{seeded[label]:>8}")
-    print(f"  {'privacy generators, total':<32}"
-          f"{sum(seeded[label] for label in PRIVACY_LABELS):>8}")
-    print(f"  {'peak held net-mask bytes':<32}{peak['mask_bytes']:>8}"
+    rows = [("stream words derived",
+             counts["words"] if stream_word is not None else "-"),
+            ("streams expanded", counts["streams"]),
+            ("SeedSequences built", seeds),
+            ("  per stream", seeds - per_bundle - per_session),
+            ("  per share bundle (share-split)", per_bundle),
+            ("  per session (its PCG64)", per_session)]
+    for label, value in rows:
+        print(f"  {label:<34}{value:>8}")
+    print(f"  {'peak held net-mask bytes':<34}{peak['mask_bytes']:>8}"
           f"  (sealed rows then resident: {peak['sealed_row_bytes']} bytes)")
 
 
@@ -193,7 +249,7 @@ def sha_check() -> None:
             cohort, spec, shared_seed=23, dtype=dtype, context=CONTEXT,
             threshold=THRESHOLD)
         bank = ParamBank(spec, dtype=dtype, capacity=len(cohort))
-        digest = hashlib.sha256()
+        seals = hashlib.sha256()
         party_rows = []
         for party_id in cohort:
             update = np.random.default_rng(party_id).normal(
@@ -202,13 +258,66 @@ def sha_check() -> None:
             bank.row(row)[...] = update
             session.seal_row(party_id, bank.row(row))
             party_rows.append((party_id, row))
-            digest.update(bank.row(row).tobytes())
+            seals.update(bank.row(row).tobytes())
         for party_id in sorted(cohort):
             net = session.net_seal_bits(party_id)
-            digest.update(str((net.dtype, net.shape)).encode())
-            digest.update(net.tobytes())
-        digest.update(session.combine_rows(bank, weights, party_rows).tobytes())
-        print(np.dtype(dtype).name, digest.hexdigest())
+            seals.update(str((net.dtype, net.shape)).encode())
+            seals.update(net.tobytes())
+        aggregate = session.combine_rows(bank, weights, party_rows)
+        name = np.dtype(dtype).name
+        print(f"{name} seals     {seals.hexdigest()}")
+        print(f"{name} aggregate {hashlib.sha256(aggregate.tobytes()).hexdigest()}")
+
+
+def check() -> bool:
+    """Masked aggregate == plain ``weighted_combine`` by bytes, and every
+    word the shares open is its stream's seed: it equals the derived word
+    and re-expands to the party's held net."""
+    spec = ParamSpec(((37, 3), (9,)))  # odd dim
+    dim = spec.total_size
+    same = True
+    for dtype in (np.float32, np.float64):
+        for n in (1, 2, 5, 12):
+            cohort = [3 * i + 2 for i in reversed(range(n))]
+            updates = {p: np.random.default_rng(p).normal(size=dim).astype(dtype)
+                       for p in cohort}
+            weights = np.arange(1.0, n + 1)
+            plain = ParamBank(spec, dtype=dtype, capacity=n)
+            for p in cohort:
+                plain.row(plain.alloc())[...] = updates[p]
+            expected = plain.weighted_combine(weights, list(range(n)))
+            for threshold in (None, 1, 3, "majority"):
+                session = SecureAggregationSession(
+                    cohort, spec, shared_seed=n, dtype=dtype,
+                    context=CONTEXT, threshold=threshold)
+                bank = ParamBank(spec, dtype=dtype, capacity=n)
+                party_rows = []
+                for p in cohort:
+                    row = bank.alloc()
+                    bank.row(row)[...] = updates[p]
+                    session.seal_row(p, bank.row(row))
+                    party_rows.append((p, row))
+                if threshold is not None:
+                    session.recover(cohort)
+                    quorum = range(1, session.threshold + 1)
+                    rng = np.random.Generator(np.random.PCG64(0))
+                    for p in cohort:
+                        net = np.zeros_like(session._nets[p])
+                        for key, values in session._shares[p].items():
+                            word = reconstruct_secret(
+                                (x, values[x - 1]) for x in quorum)
+                            same &= word == stream_word(n, CONTEXT, key)
+                            bits = expand_word(rng, word, dim, dtype)
+                            if key[0] == "pair" and key[2] == p:
+                                net -= bits
+                            else:
+                                net += bits
+                        same &= net.tobytes() == session._nets[p].tobytes()
+                got = session.combine_rows(bank, weights, party_rows)
+                same &= got.tobytes() == expected.tobytes()
+    print(f"masked aggregate == plain weighted_combine, recovered words "
+          f"re-derive their streams: {same}")
+    return same
 
 
 if __name__ == "__main__":
@@ -216,7 +325,10 @@ if __name__ == "__main__":
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--plans", action="store_true")
     mode.add_argument("--sha", action="store_true")
+    mode.add_argument("--check", action="store_true")
     args = parser.parse_args()
+    if args.check:
+        sys.exit(0 if check() else 1)
     if args.plans:
         plan_counts()
     elif args.sha:

@@ -9,9 +9,11 @@ and whether expert scoring runs over sealed rows — plus the mask root.
 * ``masking`` — seal round submissions in the bit domain (PR 5's
   bank-resident masking).  Off by default.
 * ``threshold`` — Shamir share threshold for dropout recovery: an int, or
-  ``"majority"`` for ``n // 2 + 1`` resolved per cohort.  ``None`` keeps
-  the seed-derived recovery shortcut (no share traffic).  Requires
-  ``masking``.
+  ``"majority"`` for ``n // 2 + 1`` resolved per cohort.  The shares are
+  of each mask stream's seed word, from which alone the stream expands, so
+  ``t`` holders can re-expand a party's masks and ``t - 1`` cannot.
+  ``None`` keeps the seed-derived recovery shortcut (no share traffic).
+  Requires ``masking``.
 * ``sealed_scoring`` — run expert cosine/MMD scoring over sign-sealed
   rows (bitwise-identical Gram cancellation; see ARCHITECTURE.md).
 * ``mask_seed`` — override the mask-stream root seed (defaults to the run
@@ -67,8 +69,8 @@ class PrivacyPlan(Knob):
         if threshold is not None and not self.masking:
             raise ValueError(
                 "privacy threshold (Shamir dropout recovery) requires "
-                "masking=on: shares protect mask seeds, and there are no "
-                "masks to recover without masking")
+                "masking=on: shares protect the mask streams' seed words, "
+                "and there are no masks to recover without masking")
 
     @property
     def is_active(self) -> bool:

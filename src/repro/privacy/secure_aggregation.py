@@ -13,6 +13,16 @@ Protocol shape implemented here (the honest-but-curious core):
 3. the masks cancel pairwise in the sum, so the aggregate equals
    ``sum_i x_i`` while each submission is marginally random.
 
+One word per mask stream
+------------------------
+Every stream — a pair's mask or a party's personal mask — has one seed: a
+61-bit word of GF(2^61 - 1), the keyed digest of (mask root, stream key,
+context) (:func:`_stream_word`).  The mask is expanded from that word alone
+(:func:`_expand_word`: a digest of the word restates one PCG64), so under a
+Shamir threshold the shares of a word *are* the shares of its stream's PRG
+seed, as in Bonawitz et al.: whoever reconstructs the word can re-expand
+the mask, and nobody else can.
+
 One mask domain: bit seals
 --------------------------
 Everything operates on the flat parameter plane.  A party's update lives as
@@ -45,6 +55,7 @@ residue.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -106,18 +117,57 @@ def _draw_words(rng: np.random.Generator, dim: int, dtype) -> np.ndarray:
     return raw.view(udt)[:dim]
 
 
+def _stream_word(shared_seed: int, context: tuple, key: tuple) -> int:
+    """The seed word of one mask stream, in GF(2^61 - 1).
+
+    ``key`` is ``("self", party)`` or ``("pair", low, high)``; the digest is
+    keyed by the mask root (its low 64 bits) and covers the context, so
+    every round of a run gets fresh words.  The 128-bit digest reduced mod
+    the prime is uniform to within 2^-67.
+    """
+    root = (int(shared_seed) & 0xFFFF_FFFF_FFFF_FFFF).to_bytes(8, "little")
+    digest = hashlib.blake2b(repr((tuple(context), key)).encode(),
+                             digest_size=16, key=root).digest()
+    return int.from_bytes(digest, "little") % PRIME
+
+
+def _expand_word(rng: np.random.Generator, word: int, dim: int,
+                 dtype) -> np.ndarray:
+    """The stream seeded by ``word``: ``dim`` uniform words of Z_{2^w}.
+
+    A digest of the word is the PCG64 ``state`` and (forced odd) ``inc``,
+    set on ``rng``'s bit generator through its public ``state`` setter —
+    restating one generator costs a few µs, where seeding a fresh one
+    through a ``SeedSequence`` costs ~25.
+    """
+    digest = hashlib.blake2b(word.to_bytes(8, "little"),
+                             digest_size=32).digest()
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": int.from_bytes(digest[:16], "little"),
+                  "inc": int.from_bytes(digest[16:], "little") | 1},
+        "has_uint32": 0, "uinteger": 0}
+    return _draw_words(rng, dim, dtype)
+
+
+def _stream_rng() -> np.random.Generator:
+    """A PCG64 generator for :func:`_expand_word` to restate (its seed is
+    overwritten before every draw)."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
 def seal_bits(shared_seed: int, party_a: int, party_b: int, dim: int,
               dtype=None, context: tuple = ()) -> np.ndarray:
     """The pairwise bit-domain mask: uniform words in Z_{2^w}.
 
     ``dtype`` is the *float* dtype of the sealed rows; the mask lives in the
-    unsigned integer type of the same width.  One RNG stream per
-    (unordered) pair; ``context`` namespaces it (engine stream, tick, round)
-    so reusing party ids across rounds never reuses masks.
+    unsigned integer type of the same width.  One stream per (unordered)
+    pair; ``context`` namespaces it (engine stream, tick, round) so reusing
+    party ids across rounds never reuses masks.
     """
-    low, high = sorted((party_a, party_b))
-    rng = spawn_rng(shared_seed, "seal-mask", *context, low, high)
-    return _draw_words(rng, dim, dtype)
+    word = _stream_word(shared_seed, context,
+                        ("pair", *sorted((party_a, party_b))))
+    return _expand_word(_stream_rng(), word, dim, dtype)
 
 
 def self_seal_bits(shared_seed: int, party_id: int, dim: int,
@@ -130,8 +180,8 @@ def self_seal_bits(shared_seed: int, party_id: int, dim: int,
     random even when the dispatch cohort degenerates to one party — the
     case where pairwise masks alone would leave the row plaintext.
     """
-    rng = spawn_rng(shared_seed, "seal-self", *context, party_id)
-    return _draw_words(rng, dim, dtype)
+    word = _stream_word(shared_seed, context, ("self", party_id))
+    return _expand_word(_stream_rng(), word, dim, dtype)
 
 
 class SecureAggregationSession:
@@ -147,9 +197,11 @@ class SecureAggregationSession:
     each pair stream once for the whole cohort (:meth:`_net_masks`) and the
     session then holds one net vector per still-sealed row — the size of the
     row it masks — until :meth:`unseal_row` consumes it or the session dies
-    with its expired reports.  In threshold mode every secret word is
-    derived once at construction and serves both endpoints' share bundles
-    and the recovery gate.
+    with its expired reports.  In threshold mode every stream's seed word is
+    derived once at construction and serves both endpoints' share bundles,
+    the expansion of its mask and the recovery gate; without a threshold the
+    words are derived as the streams are expanded.  Every expansion
+    restates the session's one PCG64.
     """
 
     def __init__(self, cohort: list[int],
@@ -174,9 +226,10 @@ class SecureAggregationSession:
         # party -> net mask, for every still-sealed row (and, between the
         # first seal and the first unseal, the cohort members yet to seal).
         self._nets: dict[int, np.ndarray] | None = None
-        # word key -> secret word, and owner -> {word key: [y at x = 1..n]}:
-        # the share matrix the server collects in the distribution round,
-        # holder ``cohort[i]`` at ``x = i + 1`` (threshold mode only).
+        self._rng = _stream_rng()
+        # stream key -> seed word, and owner -> {stream key: [y at x =
+        # 1..n]}: the share matrix the server collects in the distribution
+        # round, holder ``cohort[i]`` at ``x = i + 1`` (threshold mode only).
         self._words: dict[tuple, int] = {}
         self._shares: dict[int, dict[tuple, list[int]]] = {}
         self._recovered: set[int] = set()
@@ -194,21 +247,25 @@ class SecureAggregationSession:
         the cohort's modular sum.  The personal (double-masking) term keeps
         the seal uniformly random for any cohort size.
         """
-        dim = self.spec.total_size
-        nets = {party_id: self_seal_bits(self.shared_seed, party_id, dim,
-                                         dtype=self.dtype,
-                                         context=self.context)
+        nets = {party_id: self._expand(("self", party_id))
                 for party_id in party_ids}
         for low, high in combinations(self.cohort, 2):
             if low not in nets and high not in nets:
                 continue
-            bits = seal_bits(self.shared_seed, low, high, dim,
-                             dtype=self.dtype, context=self.context)
+            bits = self._expand(("pair", low, high))
             if low in nets:
                 nets[low] += bits
             if high in nets:
                 nets[high] -= bits
         return nets
+
+    def _expand(self, key: tuple) -> np.ndarray:
+        """The mask stream ``key``, expanded from its seed word (held in
+        threshold mode, else derived here)."""
+        word = self._words.get(key)
+        if word is None:
+            word = _stream_word(self.shared_seed, self.context, key)
+        return _expand_word(self._rng, word, self.spec.total_size, self.dtype)
 
     def net_seal_bits(self, party_id: int) -> np.ndarray:
         """The party's net bit-domain mask (a fresh vector)."""
@@ -216,16 +273,6 @@ class SecureAggregationSession:
         return self._net_masks([party_id])[party_id]
 
     # ------------------------------------------------------ Shamir recovery
-
-    def _secret_word(self, label: str, *ids: int) -> int:
-        """One 61-bit secret word: the digest a party's mask stream commits
-        to.  The word is derived from the same (seed, context, ids) tuple
-        as the mask stream itself, so reconstructing it from shares proves
-        the server holds enough of the cohort to re-derive that stream —
-        and the masks it then derives are bit-identical to the shortcut's.
-        """
-        rng = spawn_rng(self.shared_seed, label, *self.context, *ids)
-        return int(rng.integers(PRIME))
 
     def _bundle_keys(self, party_id: int) -> list[tuple]:
         """The keys of the word bundle party ``party_id`` splits: its
@@ -241,14 +288,15 @@ class SecureAggregationSession:
         """The share-distribution round: every party splits its word bundle
         t-of-n and sends one share to each peer (via the server, which is
         what the ledger meters — its own share never transits the wire).
+        The words are the streams' seeds, so the shares protect exactly
+        what re-expands the masks.
         """
         n = len(self.cohort)
-        for party_id in self.cohort:
-            self._words["self", party_id] = self._secret_word(
-                "share-secret-self", party_id)
-        for low, high in combinations(self.cohort, 2):
-            self._words["pair", low, high] = self._secret_word(
-                "share-secret-pair", low, high)
+        streams = [("self", party_id) for party_id in self.cohort] + [
+            ("pair", low, high) for low, high in combinations(self.cohort, 2)]
+        for key in streams:
+            self._words[key] = _stream_word(self.shared_seed, self.context,
+                                            key)
         transit = 0
         for owner in self.cohort:
             keys = self._bundle_keys(owner)
@@ -270,10 +318,11 @@ class SecureAggregationSession:
 
         Below-threshold availability raises
         :class:`IncompleteSubmissionError` *before* anything is unsealed.
-        Each reconstructed word is checked against the direct derivation —
-        the protocol gate that makes a full-survival t-of-n run bitwise
-        identical to the seed-derived shortcut: recovery changes *when*
-        the server may derive masks, never *what* it derives.
+        Each reconstructed word — a mask stream's seed — is checked against
+        the word the session derived, the protocol gate that makes a
+        full-survival t-of-n run bitwise identical to the seed-derived
+        shortcut: recovery changes *when* the server may expand masks,
+        never *what* it expands.
         """
         if self.threshold is None:
             return
@@ -389,6 +438,11 @@ class SecureAggregationSession:
         """
         if sessions is None:
             sessions = [self] * len(party_rows)
+        if len(sessions) != len(party_rows):
+            # A row without its session would enter the aggregate sealed.
+            raise ValueError(
+                f"{len(sessions)} sessions for {len(party_rows)} submitted "
+                "rows: every row needs its sealing session (or None)")
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(party_rows),):
             raise ValueError(

@@ -4,9 +4,9 @@ Bonawitz-style dropout recovery needs each party's mask seeds to survive
 the party itself: before a round starts, every party splits its secrets
 into ``n`` shares of which any ``t`` reconstruct the value and any
 ``t - 1`` reveal nothing.  The field is the Mersenne prime 2^61 - 1 —
-large enough to hold the 61-bit seed digests the aggregation session
-shares, small enough that every share fits one machine word and all the
-polynomial arithmetic stays exact in Python ints.
+large enough to hold the 61-bit stream seeds the aggregation session
+shares, small enough that every share fits one machine word and a share
+polynomial evaluates exactly in 64-bit limbs.
 
 The polynomial is the textbook construction: ``f(x) = secret + a_1 x +
 ... + a_{t-1} x^{t-1}`` with uniformly random coefficients, shares are
@@ -15,6 +15,10 @@ interpolation at ``x = 0``: ``secret = sum(y_i * w_i)`` with weights that
 depend only on the share x-coordinates (:func:`lagrange_weights`, one Fermat
 inverse ``pow(v, PRIME - 2, PRIME)`` per share), so a caller opening many
 words with one quorum computes them once.
+
+Splitting evaluates every polynomial of a bundle at every ``x`` in one
+vectorised Horner pass on ``uint64`` limbs (:func:`_mul_add_mod`): the values
+are exactly the Python-int evaluation's.
 """
 
 from __future__ import annotations
@@ -26,13 +30,32 @@ import numpy as np
 # Mersenne prime 2^61 - 1: the share field.  Secrets are 61-bit words.
 PRIME = (1 << 61) - 1
 
+_P = np.uint64(PRIME)
+_LOW30 = np.uint64((1 << 30) - 1)
+_LOW31 = np.uint64((1 << 31) - 1)
 
-def _evaluate_poly(coefficients: Sequence[int], x: int) -> int:
-    """Evaluate ``sum(c_k * x**k)`` mod PRIME via Horner's rule."""
-    acc = 0
-    for coefficient in reversed(coefficients):
-        acc = (acc * x + coefficient) % PRIME
-    return acc
+
+def _reduce(s: np.ndarray) -> np.ndarray:
+    """``s mod PRIME`` for ``s < 2^64``: fold the bits above 61 down
+    (``2^61 = 1``), then at most one subtraction (``s - PRIME`` wraps
+    past ``s`` exactly when ``s < PRIME``)."""
+    s = (s & _P) + (s >> np.uint64(61))
+    return np.minimum(s, s - _P)
+
+
+def _mul_add_mod(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``(a * b + c) mod PRIME`` elementwise for ``a, b, c < PRIME``, in
+    ``uint64`` (one Horner step).
+
+    With 31-bit limbs ``a = a1 2^31 + a0`` (likewise ``b``), every partial
+    product fits a word, and ``2^62 = 2``, ``m 2^31 = (m >> 30) +
+    (m mod 2^30) 2^31`` fold the rest: the sum stays below ``2^64``.
+    """
+    a1, a0 = a >> np.uint64(31), a & _LOW31
+    b1, b0 = b >> np.uint64(31), b & _LOW31
+    mid = a1 * b0 + a0 * b1
+    return _reduce(((a1 * b1) << np.uint64(1)) + (mid >> np.uint64(30))
+                   + ((mid & _LOW30) << np.uint64(31)) + a0 * b0 + c)
 
 
 def split_secrets(secrets: Sequence[int], num_shares: int, threshold: int,
@@ -61,9 +84,15 @@ def split_secrets(secrets: Sequence[int], num_shares: int, threshold: int,
     if num_shares >= PRIME:
         raise ValueError(f"num_shares {num_shares} exceeds the field size")
     blinding = rng.integers(PRIME, size=(len(secrets), threshold - 1))
-    xs = range(1, num_shares + 1)
-    return [[_evaluate_poly([secret, *coefficients], x) for x in xs]
-            for secret, coefficients in zip(secrets, blinding.tolist())]
+    if not secrets:
+        return []
+    # Horner from the top coefficient down; row = word, column = x - 1.
+    coefficients = np.column_stack([secrets, blinding]).astype(np.uint64)
+    xs = np.arange(1, num_shares + 1, dtype=np.uint64)
+    acc = np.broadcast_to(coefficients[:, -1:], (len(secrets), num_shares))
+    for k in range(threshold - 2, -1, -1):
+        acc = _mul_add_mod(acc, xs, coefficients[:, k, None])
+    return acc.tolist()
 
 
 def split_secret(secret: int, num_shares: int, threshold: int,

@@ -1,18 +1,24 @@
 """Differential tests: the privacy plane against the bodies it replaced.
 
-``ref_seal_bits`` / ``ref_self_seal_bits`` are the previous mask draws
-(``rng.integers`` over the full word range), ``ref_net_seal_bits`` the
-previous per-party summation loop over all ``n - 1`` pair streams, and
-``ref_split_secret`` / ``ref_reconstruct_secret`` the previous one-word Shamir
-code, all kept verbatim.  The live session expands every pair stream once per
-cohort, holds one net vector per still-sealed row, splits a party's whole
-word bundle with one coefficient draw and interpolates with weights computed
-once per quorum — modular integer arithmetic throughout, so every comparison
-is exact.  The work pins at the end count the generators a session seeds and
-fail at the parent, where each pair stream was expanded four times.
+``ref_seal_bits`` / ``ref_self_seal_bits`` restate the mask derivation from
+its definition: the stream's seed word is a keyed BLAKE2b digest of (mask
+root, context, stream key) reduced into GF(2^61 - 1), a digest of the word
+restates a PCG64, and ``rng.integers`` draws the full word range.
+``ref_net_seal_bits`` is the previous per-party summation loop over all
+``n - 1`` pair streams, and ``ref_split_secret`` / ``ref_reconstruct_secret``
+/ ``_ref_evaluate_poly`` the previous one-word Shamir code, all kept
+verbatim.  The live session expands every pair stream once per cohort from
+its word, holds one net vector per still-sealed row, splits a party's whole
+word bundle with one coefficient draw and a vectorised Horner pass, and
+interpolates with weights computed once per quorum — modular integer
+arithmetic throughout, so every comparison is exact.  The work pins at the
+end count the words a session derives, the streams it expands and the
+seed sequences it builds: one per session and one per share bundle, none
+per stream.
 """
 
 import gc
+import hashlib
 import weakref
 from collections import Counter
 
@@ -22,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.async_engine import FederationConfig, FederationEngine
-from repro.privacy import secure_aggregation
+from repro.privacy import secure_aggregation, shamir
 from repro.privacy.secure_aggregation import (
     SHARE_BYTES,
     IncompleteSubmissionError,
@@ -40,23 +46,41 @@ from repro.privacy.shamir import (
     split_secrets,
 )
 from repro.utils.params import ParamBank, ParamSpec, resolve_dtype
-from repro.utils.rng import spawn_rng
 from tests.conftest import bank_of, bank_row, make_context
 
 # ---------------------------------------------------------------- Reference implementations
 
 
+def ref_stream_word(shared_seed, context, key):
+    root = (shared_seed % 2 ** 64).to_bytes(8, "little")
+    digest = hashlib.blake2b(repr((tuple(context), key)).encode(),
+                             digest_size=16, key=root).digest()
+    return int.from_bytes(digest, "little") % PRIME
+
+
+def ref_stream_bits(word, dim, dtype=None):
+    udt = _uint_dtype(resolve_dtype(dtype))
+    digest = hashlib.blake2b(word.to_bytes(8, "little"),
+                             digest_size=32).digest()
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": int.from_bytes(digest[:16], "little"),
+                  "inc": int.from_bytes(digest[16:], "little") | 1},
+        "has_uint32": 0, "uinteger": 0}
+    rng = np.random.Generator(bit_generator)
+    return rng.integers(0, 2 ** (8 * udt.itemsize), size=dim, dtype=udt)
+
+
 def ref_seal_bits(shared_seed, party_a, party_b, dim, dtype=None, context=()):
     low, high = sorted((party_a, party_b))
-    udt = _uint_dtype(resolve_dtype(dtype))
-    rng = spawn_rng(shared_seed, "seal-mask", *context, low, high)
-    return rng.integers(0, 2 ** (8 * udt.itemsize), size=dim, dtype=udt)
+    word = ref_stream_word(shared_seed, context, ("pair", low, high))
+    return ref_stream_bits(word, dim, dtype)
 
 
 def ref_self_seal_bits(shared_seed, party_id, dim, dtype=None, context=()):
-    udt = _uint_dtype(resolve_dtype(dtype))
-    rng = spawn_rng(shared_seed, "seal-self", *context, party_id)
-    return rng.integers(0, 2 ** (8 * udt.itemsize), size=dim, dtype=udt)
+    word = ref_stream_word(shared_seed, context, ("self", party_id))
+    return ref_stream_bits(word, dim, dtype)
 
 
 def ref_net_seal_bits(self, party_id):
@@ -225,6 +249,34 @@ class TestNetMasks:
                     == originals[party_id].tobytes())
         assert session._nets == {}
 
+    @given(cohort=cohorts, dim=dims, dtype=dtypes, context=contexts,
+           seed=seeds, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_recovered_words_re_expand_the_held_nets(self, cohort, dim, dtype,
+                                                     context, seed, data):
+        """A word is its stream's seed: after ``recover``, the words the
+        quorum's shares open re-expand to the party's held net byte for
+        byte."""
+        threshold = data.draw(st.integers(min_value=1,
+                                          max_value=len(cohort)))
+        session = _session(cohort, dim, dtype, context, seed,
+                           threshold=threshold)
+        for party_id in cohort:
+            session.seal_row(party_id, np.zeros(dim, dtype=dtype))
+        quorum = range(1, threshold + 1)
+        for party_id in cohort:
+            session.recover([party_id])
+            net = np.zeros(dim, dtype=_uint_dtype(dtype))
+            for key, values in session._shares[party_id].items():
+                word = ref_reconstruct_secret((x, values[x - 1])
+                                              for x in quorum)
+                bits = ref_stream_bits(word, dim, dtype)
+                if key[0] == "pair" and key[2] == party_id:
+                    net -= bits
+                else:
+                    net += bits
+            assert net.tobytes() == session._nets[party_id].tobytes()
+
 
 # ---------------------------------------------------------------- Shamir
 
@@ -262,6 +314,53 @@ class TestBatchedSplit:
         ref = ref_split_secret(secret, num_shares, threshold,
                                np.random.default_rng(seed))
         assert got == ref
+
+    @given(secrets=st.lists(edge_secrets, min_size=1, max_size=6),
+           seed=seeds, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_vectorised_horner_equals_the_python_int_evaluation(
+            self, secrets, seed, data):
+        num_shares = data.draw(st.integers(min_value=1, max_value=64))
+        threshold = data.draw(st.integers(min_value=1, max_value=num_shares))
+        got = split_secrets(secrets, num_shares, threshold,
+                            np.random.default_rng(seed))
+        blinding = np.random.default_rng(seed).integers(
+            PRIME, size=(len(secrets), threshold - 1)).tolist()
+        assert got == [
+            [_ref_evaluate_poly([secret, *coefficients], x)
+             for x in range(1, num_shares + 1)]
+            for secret, coefficients in zip(secrets, blinding)]
+
+    @pytest.mark.parametrize("num_shares", [1, 2, 12, 64])
+    def test_vectorised_horner_at_every_threshold(self, num_shares):
+        secrets = [0, 1, PRIME - 1]
+        for threshold in range(1, num_shares + 1):
+            got = split_secrets(secrets, num_shares, threshold,
+                                np.random.default_rng(threshold))
+            blinding = np.random.default_rng(threshold).integers(
+                PRIME, size=(len(secrets), threshold - 1)).tolist()
+            assert got == [
+                [_ref_evaluate_poly([secret, *coefficients], x)
+                 for x in range(1, num_shares + 1)]
+                for secret, coefficients in zip(secrets, blinding)]
+            for secret in secrets:
+                assert split_secret(
+                    secret, num_shares, threshold,
+                    np.random.default_rng(threshold)) == ref_split_secret(
+                        secret, num_shares, threshold,
+                        np.random.default_rng(threshold))
+
+    @given(a=st.lists(edge_secrets, min_size=1, max_size=8), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_limb_step_is_the_field_step(self, a, data):
+        """Shares only multiply by ``x <= n``; the limb Horner step must
+        hold for any field elements, high limbs included."""
+        b, c = (data.draw(st.lists(edge_secrets, min_size=len(a),
+                                   max_size=len(a))) for _ in range(2))
+        got = shamir._mul_add_mod(*(np.array(v, dtype=np.uint64)
+                                    for v in (a, b, c)))
+        assert got.tolist() == [(x * y + z) % PRIME
+                                for x, y, z in zip(a, b, c)]
 
     def test_batched_split_validates_every_word(self):
         rng = np.random.default_rng(0)
@@ -358,29 +457,50 @@ class TestRecoveryGate:
 
 
 @pytest.fixture
-def seeded(monkeypatch):
-    """Count the generators the session module seeds, by stream label."""
+def work(monkeypatch):
+    """Count what the privacy plane pays for: words derived (by stream, so
+    "once each" is checkable), streams expanded, and seed sequences built —
+    an explicit ``SeedSequence`` or the one a ``PCG64(seed)`` builds."""
     counts = Counter()
+    derived = Counter()
+    stream_word = secure_aggregation._stream_word
+    expand_word = secure_aggregation._expand_word
 
-    def counting_spawn(root_seed, *labels):
-        counts[labels[0]] += 1
-        return spawn_rng(root_seed, *labels)
+    def counting_word(shared_seed, context, key):
+        counts["words"] += 1
+        derived[shared_seed, tuple(context), key] += 1
+        return stream_word(shared_seed, context, key)
 
-    monkeypatch.setattr(secure_aggregation, "spawn_rng", counting_spawn)
+    def counting_expand(*args, **kwargs):
+        counts["streams"] += 1
+        return expand_word(*args, **kwargs)
+
+    def counting_seeds(build):
+        def make(*args, **kwargs):
+            counts["seed_sequences"] += 1
+            return build(*args, **kwargs)
+        return make
+
+    monkeypatch.setattr(secure_aggregation, "_stream_word", counting_word)
+    monkeypatch.setattr(secure_aggregation, "_expand_word", counting_expand)
+    for name in ("SeedSequence", "PCG64"):
+        monkeypatch.setattr(np.random, name,
+                            counting_seeds(getattr(np.random, name)))
+    counts.derived = derived
     return counts
 
 
 class TestWorkPins:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
-    def test_a_session_expands_each_stream_once(self, seeded, n):
+    def test_a_session_expands_each_stream_once(self, work, n):
         spec = ParamSpec(((7,),))
         cohort = [3 * i + 1 for i in range(n)]
         session = SecureAggregationSession(cohort, spec, shared_seed=1,
                                            threshold=min(3, n))
-        pairs = n * (n - 1) // 2
-        assert seeded == +Counter({"share-secret-self": n,
-                                   "share-secret-pair": pairs,
-                                   "share-split": n})
+        streams = n * (n + 1) // 2
+        # One seed sequence for the session's generator and one per share
+        # bundle (its coefficient draw); none per stream.
+        assert work == {"words": streams, "seed_sequences": 1 + n}
         bank = ParamBank(spec, capacity=n)
         party_rows = []
         for party_id in cohort:
@@ -392,15 +512,15 @@ class TestWorkPins:
         got = session.combine_rows(bank, np.ones(n), party_rows)
         assert np.array_equal(
             got, plain.weighted_combine(np.ones(n), list(range(n))))
-        assert seeded["seal-mask"] == pairs      # the parent: 4 * pairs
-        assert seeded["seal-self"] == n          # the parent: 2 * n
-        assert seeded["share-split"] == n        # the parent: n * n
-        assert seeded["share-secret-pair"] == pairs
-        assert seeded["share-secret-self"] == n
+        # The parent seeded 2 * streams + n generators here.
+        assert work == {"words": streams, "streams": streams,
+                        "seed_sequences": 1 + n}
+        assert len(work.derived) == streams
+        assert set(work.derived.values()) == {1}
         # Every net mask was consumed by its unseal.
         assert session._nets == {}
 
-    def test_a_member_that_never_seals_leaves_no_net_behind(self, seeded):
+    def test_a_member_that_never_seals_leaves_no_net_behind(self, work):
         """The round hook skips zero-sample reports: their cohort member has
         pair streams with everyone but never seals a row."""
         spec = ParamSpec(((5,),))
@@ -415,9 +535,10 @@ class TestWorkPins:
         assert sorted(session._nets) == [1, 3]
         session.combine_rows(bank, np.ones(2), party_rows[1:])
         assert session._nets == {}
-        assert seeded["seal-mask"] == 6 and seeded["seal-self"] == 4
+        # Without a threshold each word is derived as its stream expands.
+        assert work == {"words": 10, "streams": 10, "seed_sequences": 1}
 
-    def test_reseal_after_unseal_rebuilds_only_that_net(self, seeded):
+    def test_reseal_after_unseal_rebuilds_only_that_net(self, work):
         spec = ParamSpec(((5,),))
         session = SecureAggregationSession([0, 1, 2, 3], spec)
         rows = {p: np.full(5, 1.0 + p) for p in session.cohort}
@@ -426,25 +547,25 @@ class TestWorkPins:
         first = rows[2].copy()
         session.unseal_row(2, rows[2])
         assert np.array_equal(rows[2], np.full(5, 3.0))
-        before = +seeded
+        before = +work
         session.seal_row(2, rows[2])
         assert rows[2].tobytes() == first.tobytes()
-        assert seeded - before == {"seal-mask": 3, "seal-self": 1}
+        assert work - before == {"words": 4, "streams": 4}
         assert sorted(session._nets) == [0, 1, 2, 3]
 
-    def test_unseal_expands_no_stream(self, seeded):
+    def test_unseal_expands_no_stream(self, work):
         spec = ParamSpec(((5,),))
-        session = SecureAggregationSession([0, 1, 2], spec)
+        session = SecureAggregationSession([0, 1, 2], spec, threshold=2)
         rows = {p: np.full(5, 1.0 + p) for p in session.cohort}
         for party_id, row in rows.items():
             session.seal_row(party_id, row)
-        before = +seeded
+        before = +work
         for party_id, row in rows.items():
             session.unseal_row(party_id, row)
-        assert seeded == before
+        assert work == before
 
     def test_window_flush_frees_the_masks_of_expired_reports(
-            self, tiny_spec, tiny_dataset, seeded):
+            self, tiny_spec, tiny_dataset, work):
         """Reports stranded at a window boundary die sealed, and their
         session — the only holder of their net masks — dies with them:
         nothing is reconstructed, nothing is left held."""
@@ -463,8 +584,8 @@ class TestWorkPins:
                     for r in engine._buffers["g"]._pending}
         (ref,) = sessions.values()
         assert len(ref()._nets) == 4
-        drawn = +seeded
+        drawn = +work
         assert engine.begin_window(1) == 4
         gc.collect()
         assert ref() is None
-        assert seeded == drawn
+        assert work == drawn

@@ -67,6 +67,10 @@ ALLOWED_DEFINITIONS = {
         ("reference", "tests/test_privacy_differential.py"),
     "repro.privacy.shamir.reconstruct_secret":
         ("reference", "tests/test_privacy_differential.py"),
+    "repro.privacy.secure_aggregation.seal_bits":
+        ("reference", "tests/test_privacy_differential.py"),
+    "repro.privacy.secure_aggregation.self_seal_bits":
+        ("reference", "tests/test_privacy_differential.py"),
     "repro.utils.serialization.load_run_result":
         ("reader", "tests/test_serialization.py"),
     "repro.federation.pool.PartyPool.resident_ids":

@@ -127,6 +127,27 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="does not match"):
             session.combine_rows(bank, [1.0, 2.0], [(0, row)])
 
+    def test_combine_rows_rejects_a_short_sessions_list(self, rng):
+        """A row without its session would enter the aggregate still
+        sealed; the mismatch is refused before anything is recovered or
+        unsealed."""
+        spec = ParamSpec(tuple(SHAPES))
+        session = SecureAggregationSession([0, 1], spec, threshold=2)
+        bank = ParamBank(spec, capacity=2)
+        party_rows = []
+        for party_id in session.cohort:
+            row = bank_row(bank, rng.normal(size=spec.total_size))
+            session.seal_row(party_id, bank.row(row))
+            party_rows.append((party_id, row))
+        sealed = bank.matrix([row for _, row in party_rows]).copy()
+        with pytest.raises(ValueError, match="sessions for 2 submitted"):
+            session.combine_rows(bank, [1.0, 1.0], party_rows,
+                                 sessions=[session])
+        assert all(session.is_sealed(p) for p in session.cohort)
+        assert not any(session.is_recovered(p) for p in session.cohort)
+        assert np.array_equal(bank.matrix([row for _, row in party_rows]),
+                              sealed)
+
     def test_combine_rows_rejects_bad_weights_before_unsealing(self, rng):
         """Weight validation must happen while the rows are still masked:
         a rejected aggregation may not leave plaintext in the bank."""
