@@ -1,11 +1,13 @@
 """Where a party window goes, and how much of what is generated is read.
 
-Four measurements behind docs/ARCHITECTURE.md "The data plane":
+Five measurements behind docs/ARCHITECTURE.md "The data plane" (``--faults``:
+"The run keeps its heap"):
 
     PYTHONPATH=src python benchmarks/data_plane.py                # per-stage table
     PYTHONPATH=src python benchmarks/data_plane.py --plans        # read, held
     PYTHONPATH=src python benchmarks/data_plane.py --sha          # bitwise sweep
     PYTHONPATH=src python benchmarks/data_plane.py --corruptions  # numpy vs scipy
+    PYTHONPATH=src python benchmarks/data_plane.py --faults       # page faults
 
 The stage table times one train split of each pinned e2e plan's dataset
 (``pool_100k``: ``femnist_sim``, ``wide_server``: ``fashion_mnist_sim``,
@@ -26,7 +28,14 @@ the "before" numbers.  ``--corruptions`` (needs scipy, the reference) times each
 ``repro.data.ndimage`` kernel against the ``scipy.ndimage`` call it replaced,
 and each operator that uses one against its scipy-backed copy in
 ``reference.py``, at the pinned plans' train-split shapes, then checks every
-output byte for byte.  Report-only; nothing gates on it and no file is written.
+output byte for byte.  ``--faults`` runs seed 0 of each pinned plan in a
+fresh process and prints minor page faults (``ru_minflt``) and wall time per
+phase: window data, shift response, the engine round (train / seal / combine)
+and evaluation.  Every fault is charged once, to the innermost phase running:
+a row's "own" columns are what its phase did outside the phases it called,
+and its totals add the rows under it.  It wraps only names an older checkout
+also has, so it gives the "before" numbers too.  Report-only; nothing gates
+on it and no file is written.
 """
 
 from __future__ import annotations
@@ -35,8 +44,12 @@ import argparse
 import hashlib
 import inspect
 import os
+import resource
+import subprocess
+import sys
+import time
 import tracemalloc
-from functools import partial
+from functools import partial, wraps
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as benchmarks/e2e pins it
@@ -44,17 +57,23 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as benchmarks/e2e pins it
 import numpy as np  # noqa: E402
 
 import reference  # noqa: E402
+import repro.federation.party as party_module  # noqa: E402
+import repro.federation.rounds as rounds_module  # noqa: E402
 from repro.data import (  # noqa: E402
     FederatedShiftDataset,
     apply_corruption,
     dataset_names,
     get_dataset_spec,
 )
+from repro.data.federated import PartyWindowData  # noqa: E402
 from repro.experiments import load_plan  # noqa: E402
 from repro.experiments.events import RunCallback  # noqa: E402
+from repro.federation.async_engine import FederationEngine  # noqa: E402
 from repro.federation.party import Party  # noqa: E402
-from repro.harness.runner import run_strategy  # noqa: E402
+from repro.federation.pool import PartyPool  # noqa: E402
+from repro.harness.runner import EvaluatedParties, run_strategy  # noqa: E402
 from repro.nn.network import Sequential  # noqa: E402
+from repro.privacy.secure_aggregation import SecureAggregationSession  # noqa: E402
 from repro.utils.params import ParamBank  # noqa: E402
 from repro.utils.rng import spawn_rng  # noqa: E402
 
@@ -246,6 +265,122 @@ def sha_sweep() -> None:
         print(name, digest.hexdigest())
 
 
+# ---------------------------------------------------------------- page faults
+
+
+class PhaseMeter:
+    """Calls, minor faults and wall seconds per phase, each charged once.
+
+    A phase's faults and seconds are its own: what its calls spent outside
+    the calls of other phases they made, which those phases are charged.  A
+    call into a phase that is already running is part of the running call.
+    """
+
+    def __init__(self) -> None:
+        self.stack: list[list] = []  # [phase, faults0, t0, nested faults, nested s]
+        self.own: dict[str, list] = {}  # phase -> [calls, faults, s]
+
+    @staticmethod
+    def now() -> tuple[int, float]:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+
+    def wrap(self, phase, fn):
+        @wraps(fn)
+        def metered(*args, **kwargs):
+            if any(entry[0] == phase for entry in self.stack):
+                return fn(*args, **kwargs)
+            self.stack.append([phase, *self.now(), 0, 0.0])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                _phase, faults0, t0, nested_faults, nested_s = self.stack.pop()
+                faults, t = self.now()
+                faults, seconds = faults - faults0, t - t0
+                own = self.own.setdefault(phase, [0, 0, 0.0])
+                own[0] += 1
+                own[1] += faults - nested_faults
+                own[2] += seconds - nested_s
+                if self.stack:
+                    self.stack[-1][3] += faults
+                    self.stack[-1][4] += seconds
+        return metered
+
+
+# (row, members): a row's phase sums its members, and indentation nests a
+# row under the one above it.  A member is (owner, attribute), owner a class,
+# a module, or "strategy" for the run's strategy instance.
+FAULT_PHASES = (
+    ("run_strategy", ()),
+    ("  window data", ((PartyPool, "begin_window"), (EvaluatedParties, "begin_window"),
+                       (PartyWindowData, "split"))),
+    ("  shift response", (("strategy", "start_window"),)),
+    ("  engine round", ((FederationEngine, "run_round"),)),
+    ("    train_parties", ((rounds_module, "train_parties"),)),
+    ("      Sequential.stacked", ((Sequential, "stacked"),)),
+    ("      train_local", ((party_module, "train_local"),)),
+    ("    seal", ((SecureAggregationSession, "seal_row"),)),
+    ("    combine", ((ParamBank, "weighted_combine"),
+                     (SecureAggregationSession, "combine_rows"))),
+    ("  evaluation", ((EvaluatedParties, "mean_accuracy_pct"),)),
+)
+
+
+def fault_rows(workload: str) -> list[tuple]:
+    """Seed 0 of one pinned plan, one ``(row, calls, faults, own faults, ms,
+    own ms)`` per row of :data:`FAULT_PHASES`: a row's total is its phase's
+    own share plus the totals of the rows under it."""
+    plan = pinned_plan(workload)
+    spec, settings = plan.resolve()
+    (cell,) = plan.cells()
+    strategy = cell.spec.build()
+    meter = PhaseMeter()
+    originals = {}
+    for row, members in FAULT_PHASES:
+        for owner, attr in members:
+            target = strategy if owner == "strategy" else owner
+            originals[target, attr] = target.__dict__.get(attr)
+            setattr(target, attr, meter.wrap(row.strip(), getattr(target, attr)))
+    try:
+        meter.wrap("run_strategy", run_strategy)(strategy, spec, settings,
+                                                 seed=cell.seed)
+    finally:
+        for (target, attr), fn in originals.items():
+            if fn is None:
+                delattr(target, attr)
+            else:
+                setattr(target, attr, fn)
+    rows = [row for row, _members in FAULT_PHASES]
+    own = [meter.own.get(row.strip(), [0, 0, 0.0]) for row in rows]
+    total = [list(o) for o in own]
+    for i in reversed(range(len(rows))):
+        depth = len(rows[i]) - len(rows[i].lstrip())
+        for j in range(i + 1, len(rows)):
+            below = len(rows[j]) - len(rows[j].lstrip())
+            if below <= depth:
+                break
+            if below == depth + 2:
+                total[i][1] += total[j][1]
+                total[i][2] += total[j][2]
+    return [(row, calls, faults, own_faults, 1e3 * s, 1e3 * own_s)
+            for row, (calls, faults, s), (_c, own_faults, own_s)
+            in zip(rows, total, own)]
+
+
+def faults_table(workload: str | None) -> None:
+    if workload is None:
+        # One process per plan: what a plan's rounds fault on depends on
+        # what the process freed before, so no plan inherits another's heap.
+        for workload in PLANS:
+            subprocess.run([sys.executable, __file__, "--faults", workload],
+                           check=True)
+        return
+    print(f"{workload + ', seed 0':<30}{'calls':>7}{'minor faults':>14}{'own':>8}"
+          f"{'ms':>9}{'own':>8}")
+    for row, calls, faults, own_faults, ms, own_ms in fault_rows(workload):
+        print(f"{row:<30}{calls:>7}{faults:>14,}{own_faults:>8,}{ms:>9.1f}"
+              f"{own_ms:>8.1f}")
+
+
 # ---------------------------------------------------------------- numpy vs scipy
 
 
@@ -298,11 +433,15 @@ if __name__ == "__main__":
     mode.add_argument("--plans", action="store_true")
     mode.add_argument("--sha", action="store_true")
     mode.add_argument("--corruptions", action="store_true")
+    mode.add_argument("--faults", nargs="?", const="all", choices=(*PLANS, "all"),
+                      help="every pinned plan, each in its own process, or one")
     args = parser.parse_args()
     if args.plans:
         plans_table()
     elif args.sha:
         sha_sweep()
+    elif args.faults:
+        faults_table(None if args.faults == "all" else args.faults)
     elif args.corruptions:
         if reference.ndimage is None:
             parser.exit(2, "--corruptions needs scipy, the reference it times\n")

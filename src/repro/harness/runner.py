@@ -14,6 +14,7 @@ Observers (progress output, a benchmark's clock) hook in through
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -97,6 +98,37 @@ class EvaluatedParties:
         return 100.0 * float(np.mean([acc for acc, _loss in results]))
 
 
+# ``mallopt(param, bytes)`` calls: M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD
+# (-1) of malloc.h.  Both are set: setting one freezes the other at glibc's
+# 128 KiB default.
+_HEAP_POLICY = ((-3, 32 << 20), (-1, 1 << 30))
+_heap_kept = False
+
+
+def _keep_heap() -> None:
+    """Keep freed round buffers on the heap, once per process.
+
+    A round allocates and frees multi-MB arrays (stacked replicas, gradient
+    temporaries, cohort stacks, bank gathers).  Under glibc's dynamic mmap
+    threshold each can come back as fresh zero-filled pages, faulted in
+    every round; below a 32 MiB threshold and a 1 GiB trim threshold they
+    reuse memory the process already holds.  No value changes: only where
+    the bytes live.  A silent no-op without glibc's ``mallopt``.
+    """
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    except (AttributeError, OSError, TypeError):
+        return
+    for param, value in _HEAP_POLICY:
+        if not mallopt(param, value):
+            return
+
+
 def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
                  settings: RunSettings, seed: int = 0,
                  dataset: FederatedShiftDataset | None = None,
@@ -111,7 +143,12 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
     Returns accuracy in percent.
 
     ``callbacks`` observe the run (see :mod:`repro.experiments.events`).
+
+    The first call in a process sets a glibc heap policy for the whole
+    process (``_keep_heap``): freed buffers stay on the heap, so later
+    allocations anywhere in the process reuse them.  It changes no value.
     """
+    _keep_heap()
     dtype = settings.np_dtype
     ds = (dataset if dataset is not None
           else FederatedShiftDataset(spec, dtype=dtype))
