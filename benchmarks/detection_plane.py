@@ -8,23 +8,25 @@ Three measurements behind docs/ARCHITECTURE.md "The detection plane":
 
 The table times the statistics at the shapes the pinned plans score them at
 (embedding width 32, 10 classes, per-party Dirichlet(0.8) label priors): a
-party report (48 rows against the party's previous 48), cluster matching (a
-64-row cluster pool against 5 latent memories of 64), cluster fusion (two
-pooled 20-party clusters, 960 rows each), one ``jsd``, and the median-heuristic
-bandwidth with its ``tracemalloc`` peak at 24 / 32 / 40 / 96 parties' pooled
-rows.  ``--check`` runs a fixed seeded sweep and prints whether the bandwidth
-equals the previous implementation (``benchmarks/reference.py``, the copy the
-differential test pins against) bit for bit and the worst relative deviation
-of each statistic from it — the scoring is tolerance-pinned, not byte-pinned,
-so this line is what a verification quotes in place of a digest; it exits 1
-when the bandwidth differs.
+party report (48 rows against the party's previous 48), a window's 40
+reports as a per-party loop and as one ``class_conditional_mmd_batch``, cluster
+matching (a 64-row cluster pool against 5 latent memories of 64), cluster
+fusion (two pooled 20-party clusters, 960 rows each), one ``jsd``, and the
+median-heuristic bandwidth with its ``tracemalloc`` peak at 24 / 32 / 40 / 96
+parties' pooled rows.  ``--check`` runs a fixed seeded sweep and prints whether
+the bandwidth equals the previous implementation (``benchmarks/reference.py``,
+the copy the differential test pins against) bit for bit and the worst
+relative deviation of each statistic from it — the scoring is
+tolerance-pinned, not byte-pinned, so this line is what a verification quotes
+in place of a digest; it exits 1 when the bandwidth differs or the batched
+statistic deviates by more than ``rtol = 1e-12``.
 ``--clustering`` times ``select_num_clusters`` against the previous k-means
 (one Lloyd loop per problem) at the shift response's and a FLIPS fit's
 shapes, and prints whether a seeded sweep returns the same bytes and leaves
 the generator in the same state — the one line a clustering change quotes.
-All three use only names an older checkout also has, so pointing
-``PYTHONPATH`` at its ``src`` gives the "before" column (and a deviation of
-exactly 0).
+All three run against an older checkout (``PYTHONPATH`` at its ``src``), which
+gives the "before" column and a deviation of exactly 0; the batch lines need
+``class_conditional_mmd_batch`` and are left out where it is missing.
 Report-only; nothing gates on it and no file is written.
 """
 
@@ -56,6 +58,11 @@ from repro.detection.mmd import (  # noqa: E402
 )
 from repro.utils.rng import spawn_rng  # noqa: E402
 
+try:  # newer than the probe's other names
+    from repro.detection.mmd import class_conditional_mmd_batch  # noqa: E402
+except ImportError:
+    class_conditional_mmd_batch = None
+
 DIM, CLASSES, ALPHA, ROWS = 32, 10, 0.8, 48
 
 
@@ -86,6 +93,7 @@ def call_table() -> None:
     left, left_labels = pooled(rng, 20)
     right, right_labels = pooled(rng, 20, shift=0.2)
     hist_a, hist_b = rng.dirichlet(np.ones(CLASSES)), rng.dirichlet(np.ones(CLASSES))
+    window = [(*party(rng), *party(rng, shift=0.2)) for _ in range(40)]
     rows = [
         ("report: class_conditional_mmd, 48 vs 48", 40, lambda: class_conditional_mmd(
             cur, cur_labels, prev, prev_labels, gamma)),
@@ -100,6 +108,12 @@ def call_table() -> None:
     print(f"width {DIM}, {CLASSES} classes, Dirichlet({ALPHA}) priors; best of 25")
     for label, calls, fn in rows:
         print(f"  {label:<56}{best_us(fn, calls=calls, repeats=25):>10.1f} us")
+    if class_conditional_mmd_batch is not None:
+        loop, batch = (best_us(fn, calls=1, repeats=25) for fn in (
+            lambda: [class_conditional_mmd(*entry, gamma) for entry in window],
+            lambda: class_conditional_mmd_batch(*zip(*window), gamma)))
+        print(f"  {'window: 40 reports, per-party loop -> one batch':<56}"
+              f"{loop:>10.1f} -> {batch:.1f} us")
     for parties in (24, 32, 40, 96):
         sample = pooled(rng, parties)[0]
         n = sample.shape[0]
@@ -117,9 +131,12 @@ def call_table() -> None:
 
 
 def check(cases: int = 400) -> bool:
-    """Print the sweep; True when the bandwidth equals the reference throughout."""
+    """Print the sweep; True when the bandwidth equals the reference throughout
+    and the batched statistic stays within ``rtol = 1e-12`` of it."""
     worst = {"mmd": 0.0, "class_conditional_mmd": 0.0,
              "class_conditional_mmd_to_many": 0.0}
+    if class_conditional_mmd_batch is not None:
+        worst["class_conditional_mmd_batch"] = 0.0
 
     def record(name, live, reference):
         live, reference = np.atleast_1d(live), np.atleast_1d(reference)
@@ -148,6 +165,12 @@ def check(cases: int = 400) -> bool:
                    x, xl, [t for t, _ in targets], [lab for _, lab in targets], gamma),
                [ref_class_conditional_mmd(x, xl, t, lab, gamma)
                 for t, lab in targets])
+        if class_conditional_mmd_batch is not None:  # each target vs its own x
+            batch = [(*pooled(rng, 1, rows=int(rng.integers(2, 49))), t, lab)
+                     for t, lab in targets]
+            record("class_conditional_mmd_batch",
+                   class_conditional_mmd_batch(*zip(*batch), gamma),
+                   [ref_class_conditional_mmd(*entry, gamma) for entry in batch])
     for rows in (1152, 1920, 4608):
         sample = pooled(spawn_rng(20, "detection-check-wide", rows), rows // ROWS)[0]
         gamma_equal &= median_heuristic_gamma(sample) == ref_gamma(sample)
@@ -155,7 +178,7 @@ def check(cases: int = 400) -> bool:
     print(f"  median_heuristic_gamma == previous implementation: {gamma_equal}")
     for name, deviation in worst.items():
         print(f"  {name:<32} worst relative deviation {deviation:.2e}")
-    return bool(gamma_equal)
+    return bool(gamma_equal) and worst.get("class_conditional_mmd_batch", 0.0) <= 1e-12
 
 
 # ---------------------------------------------------------------- clustering

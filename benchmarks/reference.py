@@ -3,8 +3,9 @@
 ``best_us`` is the probes' only timing helper.  The ``ref_*`` functions are the
 bodies a perf PR replaced, kept verbatim — the detection plane's previous MMD
 code (three distance matrices and three ``exp`` per pair, a Python loop per
-shared class, a median heuristic gathered through ``triu_indices``), the conv
-kernels' previous ``im2col`` / ``col2im`` / max-pool and per-tensor training
+shared class and, for a batch of reports, per entry, a median heuristic
+gathered through ``triu_indices``), the conv kernels' previous ``im2col`` /
+``col2im`` / max-pool and per-tensor training
 step, k-means as one Lloyd loop per (k, restart) problem, the data plane's
 previous sampler (one class at a time, one ``np.roll`` per image) and eager
 window assembly, ``pixelate``'s per-pixel loop, and the six
@@ -112,6 +113,16 @@ def ref_class_conditional_mmd(x, x_labels, y, y_labels, gamma=None,
     if weight == 0:
         return ref_mmd(x, y, gamma)
     return float(total / weight)
+
+
+def ref_class_conditional_mmd_batch(xs, xs_labels, ys, ys_labels, gamma=None,
+                                    ids=None):
+    """One ``ref_class_conditional_mmd`` per entry; ``ids`` only name the
+    live code's errors."""
+    return np.array([
+        ref_class_conditional_mmd(x, xl, y, yl, gamma)
+        for x, xl, y, yl in zip(xs, xs_labels, ys, ys_labels, strict=True)
+    ])
 
 
 def ref_mmd_to_many(x, ys, gamma=None):

@@ -20,12 +20,13 @@ acknowledged "reliance on frozen encoders" design point).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.detection.divergence import jsd
-from repro.detection.mmd import class_conditional_mmd
+from repro.detection.mmd import class_conditional_mmd_batch
 from repro.federation.party import Party
 
 
@@ -59,21 +60,24 @@ class PartyLocalState:
     histogram: np.ndarray
 
 
-def compute_party_report(party: Party, embeddings: np.ndarray,
-                         labels: np.ndarray,
-                         prev_state: PartyLocalState | None,
+def compute_party_report(parties: Sequence[Party],
+                         embedded: Sequence[tuple[np.ndarray, np.ndarray]],
+                         prev_states: Sequence[PartyLocalState | None],
                          gamma: float | None = None,
                          stat_dtype: np.dtype | str | None = None,
-                         ) -> tuple[PartyShiftReport, PartyLocalState]:
-    """Run Algorithm 1 for one party on its window's embeddings.
+                         ) -> list[tuple[PartyShiftReport, PartyLocalState]]:
+    """Run Algorithm 1 for a resident batch of parties.
 
-    ``embeddings`` / ``labels`` are ``party.embeddings_with_labels`` under
-    the frozen encoder (the server embeds a window's parties as one grouped
-    forward, :func:`~repro.federation.party.embed_parties`).  Returns the
-    transmit report plus the party's refreshed local state (current
-    embeddings/labels/histogram, retained for the next window's deltas).
-    When ``prev_state`` is absent (first window) both deltas are zero, as in
-    the algorithm.
+    ``embedded`` is each party's ``(embeddings, labels)`` under the frozen
+    encoder (the server embeds a batch as one grouped forward,
+    :func:`~repro.federation.party.embed_parties`) and ``prev_states`` its
+    local state from the previous window.  Returns each party's transmit
+    report plus its refreshed local state (current
+    embeddings/labels/histogram, retained for the next window's deltas), in
+    order.  A party without a previous state (first window) reports both
+    deltas as zero, as in the algorithm.  Every scored party's ``delta_cov``
+    comes from one :func:`~repro.detection.mmd.class_conditional_mmd_batch`
+    call, which raises on a non-finite embedding row and names its party.
 
     ``stat_dtype`` is the detection island's dtype (the run's
     ``precision.detection_stats``): embeddings are cast to it here, at the
@@ -83,28 +87,33 @@ def compute_party_report(party: Party, embeddings: np.ndarray,
     float64 cast of float64 embeddings is a no-op, which is what keeps the
     legacy all-float64 plane bitwise unchanged.
     """
-    if stat_dtype is not None:
-        embeddings = np.asarray(embeddings, dtype=stat_dtype)
-    histogram = party.label_histogram()
-    if prev_state is not None:
-        delta_cov = class_conditional_mmd(
-            embeddings, labels, prev_state.embeddings, prev_state.labels, gamma
+    states = [
+        PartyLocalState(
+            embeddings=(embeddings if stat_dtype is None
+                        else np.asarray(embeddings, dtype=stat_dtype)),
+            labels=labels,
+            histogram=party.label_histogram(),
         )
-        delta_label = jsd(histogram, prev_state.histogram)
-    else:
-        delta_cov = 0.0
-        delta_label = 0.0
-    report = PartyShiftReport(
-        party_id=party.party_id,
-        embeddings=embeddings,
-        labels=labels,
-        label_histogram=histogram,
-        delta_cov=float(delta_cov),
-        delta_label=float(delta_label),
-    )
-    state = PartyLocalState(
-        embeddings=embeddings,
-        labels=labels,
-        histogram=histogram,
-    )
-    return report, state
+        for party, (embeddings, labels) in zip(parties, embedded, strict=True)
+    ]
+    scored = [k for k, prev in enumerate(prev_states) if prev is not None]
+    delta_cov = np.zeros(len(states))
+    delta_cov[scored] = class_conditional_mmd_batch(
+        [states[k].embeddings for k in scored], [states[k].labels for k in scored],
+        [prev_states[k].embeddings for k in scored],
+        [prev_states[k].labels for k in scored],
+        gamma, [parties[k].party_id for k in scored])
+    results = []
+    for party, state, prev, cov in zip(parties, states, prev_states, delta_cov,
+                                       strict=True):
+        report = PartyShiftReport(
+            party_id=party.party_id,
+            embeddings=state.embeddings,
+            labels=state.labels,
+            label_histogram=state.histogram,
+            delta_cov=float(cov),
+            delta_label=0.0 if prev is None else float(jsd(state.histogram,
+                                                            prev.histogram)),
+        )
+        results.append((report, state))
+    return results

@@ -109,34 +109,34 @@ class ShiftExStrategy(ContinualStrategy):
 
     # -------------------------------------------------- detection (Alg. 1 driver)
 
-    def _encoder_embeddings(self):
-        """``(pid, party, embeddings, labels)`` of every surveyed party
-        under the frozen encoder, in survey order.
+    def _encoder_batches(self):
+        """``(batch, embedded)`` per resident batch of the surveyed parties,
+        in survey order: its ``(pid, party)`` pairs and their
+        ``(embeddings, labels)`` under the frozen encoder.
 
-        One grouped forward per resident batch, so at most ``max_resident``
-        parties' rows are read at once; each party is yielded while its
-        batch is still resident.
+        One grouped forward per batch, so at most ``max_resident`` parties'
+        rows are read at once; each batch is yielded while still resident.
         """
         assert self._encoder is not None
         for batch in self.context.resident_batches():
-            embedded = embed_parties([party for _pid, party in batch],
-                                     self._encoder, "train",
-                                     self.config.embedding_samples)
-            for (pid, party), (embeddings, labels) in zip(batch, embedded):
-                yield pid, party, embeddings, labels
+            yield batch, embed_parties([party for _pid, party in batch],
+                                       self._encoder, "train",
+                                       self.config.embedding_samples)
 
     def _collect_reports(self, window: int) -> dict[int, PartyShiftReport]:
         ctx = self.context
         reports: dict[int, PartyShiftReport] = {}
-        for pid, party, embeddings, labels in self._encoder_embeddings():
-            report, state = compute_party_report(
-                party, embeddings, labels,
-                self._party_state.get(pid),
+        for batch, embedded in self._encoder_batches():
+            pids = [pid for pid, _party in batch]
+            results = compute_party_report(
+                [party for _pid, party in batch], embedded,
+                [self._party_state.get(pid) for pid in pids],
                 gamma=self.thresholds.gamma,
                 stat_dtype=ctx.precision.np_detection_stats,
             )
-            reports[pid] = report
-            self._party_state[pid] = state
+            for pid, (report, state) in zip(pids, results):
+                reports[pid] = report
+                self._party_state[pid] = state
         sample = next(iter(reports.values()))
         ctx.ledger.record_statistics_upload(
             embedding_rows=sample.embeddings.shape[0],
@@ -424,12 +424,17 @@ class ShiftExStrategy(ContinualStrategy):
         # so calibration nulls, memories and every later delta are computed
         # at island precision.
         stat_dtype = ctx.precision.np_detection_stats
-        for pid, party, embeddings, labels in self._encoder_embeddings():
-            self._party_state[pid] = PartyLocalState(
+        # A comprehension, so no batch's embeddings outlive it into the
+        # calibration below (the run's peak).
+        self._party_state.update({
+            pid: PartyLocalState(
                 embeddings=np.asarray(embeddings, dtype=stat_dtype),
                 labels=labels,
                 histogram=party.label_histogram(),
             )
+            for batch, embedded in self._encoder_batches()
+            for (pid, party), (embeddings, labels) in zip(batch, embedded)
+        })
         pooled = np.vstack([s.embeddings for s in self._party_state.values()])
         pooled_labels = np.concatenate(
             [s.labels for s in self._party_state.values()])

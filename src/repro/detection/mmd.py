@@ -6,9 +6,12 @@ in the RKHS of a positive-definite kernel.  We use the RBF kernel
 ``gamma`` by default, matching the paper's detector, and the biased
 V-statistic (non-negative by construction).
 
-Every statistic here — one pair, one pair per class, one cluster against many
-memories — is scored by :func:`_mmd2_pairs`, so detection, calibration,
-matching and consolidation share one arithmetic.
+Every statistic here is a quadratic form ``w' K w`` over one
+:func:`rbf_kernel` Gram: one pair, one pair per class and one cluster against
+many memories go through :func:`_mmd2_pairs`, a window's party reports through
+:func:`class_conditional_mmd_batch` (one Gram per party, one weight column per
+class), so detection, calibration, matching and consolidation share one
+arithmetic.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ _KEY_END = 0x7FF0000000000000
 # Padding entries a batch may carry before a fresh batch is cheaper: one more
 # batch's numpy dispatches (~50 us) cost what ~16k kernel entries (~3 ns) do.
 _PAD_ENTRIES = 16384
+# Gram entries one stack of class_conditional_mmd_batch holds (1 MB of
+# float64): 14 reports of 48 rows against 48, so a batch of 40 parties is three
+# stacks, faster than one 2.9 MB Gram that leaves the cache, and its working
+# set stays a few MB at any batch size.
+_STACK_ENTRIES = 1 << 17
 
 
 def median_heuristic_gamma(x: np.ndarray, y: np.ndarray | None = None) -> float:
@@ -307,3 +315,90 @@ def class_conditional_mmd_to_many(x: np.ndarray, x_labels: np.ndarray,
     scores = np.sqrt(_mmd2_pairs(pairs, gammas))
     return (np.bincount(owners, scores * counts, len(ys))
             / np.bincount(owners, counts, len(ys)))
+
+
+def class_conditional_mmd_batch(xs: list[np.ndarray], xs_labels: list[np.ndarray],
+                                ys: list[np.ndarray], ys_labels: list[np.ndarray],
+                                gamma=None, ids=None) -> np.ndarray:
+    """:func:`class_conditional_mmd` of every ``(xs[i], ys[i])`` entry at once.
+
+    An entry's class pairs share one Gram over ``z = [x; y]``: class ``c``'s
+    MMD² is ``w_c' K w_c`` with ``+1/n_x`` on ``x``'s class-``c`` rows and
+    ``-1/n_y`` on ``y``'s, so every class is one column of ``W`` and the
+    unconditional fallback one more.  Entries are zero-padded to the longest
+    of their stack (padding rows weigh 0 in every column) and stacked up to
+    ``_STACK_ENTRIES`` Gram entries; a stack is one :func:`rbf_kernel`, one
+    batched ``K @ W`` and one ``einsum``.  ``gamma`` is one bandwidth, or
+    ``None`` for each entry's own median heuristic.
+
+    A row that is not finite raises, naming ``ids[i]`` (default ``i``) and
+    the row: its kernel row would make every column of its entry ``nan``,
+    and ``nan`` compares False against every threshold.
+    """
+    if not len(xs) == len(xs_labels) == len(ys) == len(ys_labels):
+        raise ValueError("xs, xs_labels, ys and ys_labels must align")
+    ids = range(len(xs)) if ids is None else ids
+    # Rows are cast to float64 stack by stack, in place in ``z``.
+    sets = [np.asarray(rows) for rows in (*xs, *ys)]
+    if any(rows.ndim != 2 or not len(rows) for rows in sets):
+        raise ValueError("every x and y must be (n_samples >= 1, n_features)")
+    labels = [np.asarray(lab) for lab in (*xs_labels, *ys_labels)]
+    if any(lab.shape != (rows.shape[0],) for lab, rows in zip(labels, sets)):
+        raise ValueError("labels must align with embedding rows")
+    if not xs:
+        return np.zeros(0)
+    gammas = np.full(len(xs), 1.0 if gamma is None else gamma, dtype=np.float64)
+    # A row's slot: its class index on x's side, C + that on y's, 2C padding.
+    classes, codes = np.unique(np.concatenate(labels), return_inverse=True)
+    c = len(classes)
+    codes = np.split(codes, np.cumsum([lab.size for lab in labels])[:-1])
+    n = np.array([rows.shape[0] for rows in sets]).reshape(2, -1)
+    both = n.sum(axis=0)
+    size = max(1, _STACK_ENTRIES // int(both.max()) ** 2)
+    out = np.empty(len(xs))
+    for start in range(0, len(xs), size):
+        stack = np.arange(start, min(start + size, len(xs)))
+        z = np.zeros((len(stack), both[stack].max(), sets[0].shape[1]))
+        slot = np.full(z.shape[:2], 2 * c)
+        for k, i in enumerate(stack):
+            x_rows, y_rows = n[0, i], both[i]
+            z[k, :x_rows], z[k, x_rows:y_rows] = sets[i], sets[len(xs) + i]
+            slot[k, :x_rows] = codes[i]
+            slot[k, x_rows:y_rows] = codes[len(xs) + i] + c
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            bad = np.argwhere(~np.isfinite(4.0 * np.einsum("pid,pid->pi", z, z)))
+        if bad.size:
+            k, row = bad[0]
+            i = stack[k]
+            where = f"x row {row}" if row < n[0, i] else f"y row {row - n[0, i]}"
+            raise ValueError(f"party {ids[i]}: {where} is not finite "
+                             "(or its squared norm overflows)")
+        if gamma is None:
+            gammas[stack] = [median_heuristic_gamma(sets[i], sets[len(xs) + i])
+                             for i in stack]
+        # Each slot's weight: a class counts when two rows of it (the default
+        # min_per_class) lie on both sides; the last column is the
+        # unconditional pair.
+        entry = np.arange(len(stack))[:, None]
+        tally = np.bincount((entry * (2 * c + 1) + slot).ravel(),
+                            minlength=len(stack) * (2 * c + 1))
+        tally = tally.reshape(len(stack), 2 * c + 1)
+        counts = np.minimum(tally[:, :c], tally[:, c:2 * c])
+        counts[counts < 2] = 0
+        weight = np.zeros(tally.shape)
+        np.divide(1.0, tally[:, :c], out=weight[:, :c], where=counts > 0)
+        np.divide(-1.0, tally[:, c:2 * c], out=weight[:, c:2 * c], where=counts > 0)
+        w = np.zeros((*z.shape[:2], c + 1))
+        w[entry, np.arange(z.shape[1]), slot % c] = weight[entry, slot]
+        side = np.column_stack([1.0 / n[0, stack], -1.0 / n[1, stack],
+                                np.zeros(len(stack))])
+        w[:, :, c] = side[entry, slot // c]
+        # The Gram lives only for its product: the next stack's never meets it.
+        kw = rbf_kernel(z, z, gammas[stack, None, None]) @ w
+        scores = np.sqrt(np.maximum(np.einsum("pic,pic->pc", kw, w), 0.0))
+        total = counts.sum(axis=1)
+        out[stack] = np.where(
+            total > 0,
+            (scores[:, :c] * counts).sum(axis=1) / np.maximum(total, 1),
+            scores[:, c])
+    return out

@@ -60,11 +60,11 @@ class TestDetector:
     @staticmethod
     def report(party, encoder, prev_state, gamma=None, max_samples=48):
         """Algorithm 1 as the server runs it: the window's embeddings under
-        the encoder, then the per-party statistic."""
-        embeddings, labels = party.embeddings_with_labels(
-            encoder, "train", max_samples)
-        return compute_party_report(party, embeddings, labels, prev_state,
-                                    gamma=gamma)
+        the encoder, then the batch statistic over a one-party batch."""
+        embedded = [party.embeddings_with_labels(encoder, "train", max_samples)]
+        [result] = compute_party_report([party], embedded, [prev_state],
+                                        gamma=gamma)
+        return result
 
     def test_first_window_deltas_zero(self, trained_party):
         party, encoder = trained_party
@@ -126,3 +126,45 @@ class TestDetector:
         party.set_window_data(skewed)
         report, _ = self.report(party, encoder, state0)
         assert report.delta_label > 0.1
+
+    def test_a_batch_reports_in_order(self, trained_party, tiny_dataset):
+        """One call scores every party that has a previous state, leaves the
+        others at zero, and returns each party's result in order: the one a
+        one-party batch gives."""
+        party, encoder = trained_party
+        parties = [party]
+        for pid in (1, 2):
+            other = Party(pid, party._model, party.num_classes)
+            other.set_window_data(tiny_dataset.party_window(pid, 0))
+            parties.append(other)
+        embedded = [p.embeddings_with_labels(encoder, "train", 48) for p in parties]
+        first = compute_party_report(parties, embedded, [None] * 3)
+        assert all(r.delta_cov == r.delta_label == 0.0 for r, _s in first)
+        prev = [first[1][1], None, first[0][1]]
+        results = compute_party_report(parties, embedded, prev, gamma=0.5)
+        assert [r.party_id for r, _s in results] == [0, 1, 2]
+        assert results[1][0].delta_cov == results[1][0].delta_label == 0.0
+        for k in (0, 2):
+            [(alone, _state)] = compute_party_report(
+                [parties[k]], [embedded[k]], [prev[k]], gamma=0.5)
+            assert alone.delta_cov > 0 and alone.delta_label > 0
+            np.testing.assert_allclose(results[k][0].delta_cov, alone.delta_cov,
+                                       rtol=1e-12)
+            assert results[k][0].delta_label == alone.delta_label
+            assert results[k][1].embeddings is results[k][0].embeddings
+
+    def test_non_finite_embedding_names_its_party(self, trained_party):
+        """A NaN row used to give ``delta_cov = nan``, which compares False
+        against the threshold: the party read as stable and nothing said so."""
+        party, encoder = trained_party
+        embeddings, labels = party.embeddings_with_labels(encoder, "train", 16)
+        [(_report, state)] = compute_party_report([party], [(embeddings, labels)],
+                                                  [None])
+        bad = embeddings.copy()
+        bad[3, 1] = np.nan
+        with pytest.raises(ValueError, match=r"party 0: x row 3 is not finite"):
+            compute_party_report([party], [(bad, labels)], [state], gamma=0.5)
+        stale = PartyLocalState(bad, labels, state.histogram)
+        with pytest.raises(ValueError, match=r"party 0: y row 3 is not finite"):
+            compute_party_report([party], [(embeddings, labels)], [stale],
+                                 gamma=0.5)

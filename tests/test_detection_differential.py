@@ -19,6 +19,7 @@ version that held the ``n x n`` matrix.
 
 import importlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from benchmarks.reference import (  # noqa: F401  (looked up by name below)
     ref_class_conditional_mmd,
+    ref_class_conditional_mmd_batch,
     ref_class_conditional_mmd_to_many,
     ref_median_heuristic_gamma,
     ref_mmd,
@@ -206,6 +208,57 @@ class TestStatisticsMatchReference:
         close(live.class_conditional_mmd_to_many(x, xl, ys, yls, gamma),
               ref_class_conditional_mmd_to_many(x, xl, ys, yls, gamma))
 
+    @given(st.integers(0, 2 ** 31), st.integers(1, 6), st.integers(1, 40),
+           st.sampled_from([np.float64, np.float32]),
+           st.sampled_from([None, 1.0, 4.0]), st.sampled_from([None, 1, 4000]))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_batch_statistic(self, seed, parties, dim, dtype, scale, cap):
+        """Each entry of a batch against its own reference call: uneven row
+        counts (padding), unsorted non-contiguous labels, every third party
+        sharing no class with its previous window (the fallback), one to six
+        parties, float32 rows, and stack caps of one entry per stack, a few,
+        and the module's own."""
+        rng = spawn_rng(seed, "batch")
+        xs, xls, ys, yls = [], [], [], []
+        for p in range(parties):
+            values = rng.choice(200, size=int(rng.integers(2, 13)), replace=False) - 50
+            x, xl = labelled_set(rng, int(rng.integers(2, 61)), dim, values, dtype)
+            pool = values + 1000 if p % 3 == 2 else np.append(values[1:], 999)
+            y, yl = labelled_set(rng, int(rng.integers(2, 61)), dim, pool, dtype)
+            xs, xls, ys, yls = xs + [x], xls + [xl], ys + [y], yls + [yl]
+        gamma = bandwidth(scale, np.vstack(xs), np.vstack(ys))
+        with mock.patch.object(live, "_STACK_ENTRIES", cap or live._STACK_ENTRIES):
+            batch = live.class_conditional_mmd_batch(xs, xls, ys, yls, gamma)
+        close(batch, ref_class_conditional_mmd_batch(xs, xls, ys, yls, gamma))
+
+    def test_batch_of_one_and_the_fallback(self):
+        rng = spawn_rng(6, "batch-one")
+        x, y = rng.normal(size=(6, 4)), rng.normal(size=(9, 4)) + 0.5
+        close(live.class_conditional_mmd_batch([x], [np.arange(6)], [y],
+                                                [np.arange(9)], 0.2),
+              [ref_mmd(x, y, 0.2)])
+        assert live.class_conditional_mmd_batch([], [], [], [], 0.2).shape == (0,)
+
+    def test_batch_names_a_non_finite_row(self):
+        """A row that is not finite, or whose squared norm overflows, raises
+        and names its party; before, ``delta_cov`` went ``nan`` and the party
+        read as stable."""
+        rng = spawn_rng(7, "batch-nan")
+        xs = [rng.normal(size=(5, 3)) for _ in range(3)]
+        ys = [rng.normal(size=(4, 3)) for _ in range(3)]
+        labels = ([np.arange(5) % 2] * 3, [np.arange(4) % 2] * 3)
+        for side, sets, value, row, name in ((0, xs, np.nan, 2, "x row 2"),
+                                             (1, ys, np.inf, 3, "y row 3"),
+                                             (1, ys, 1e200, 0, "y row 0")):
+            broken = [a.copy() for a in sets]
+            broken[1][row, 0] = value
+            args = [xs, labels[0], ys, labels[1]]
+            args[2 * side] = broken
+            with pytest.raises(ValueError, match=f"party 17: {name} is not finite"):
+                live.class_conditional_mmd_batch(*args, 0.5, [4, 17, 9])
+            with pytest.raises(ValueError, match=f"party 1: {name} is not finite"):
+                live.class_conditional_mmd_batch(*args)
+
     def test_singleton_classes_and_fallback(self):
         rng = spawn_rng(3, "single")
         x, y = rng.normal(size=(6, 4)), rng.normal(size=(5, 4)) + 0.5
@@ -281,6 +334,12 @@ class TestSameRejections:
         ("class_conditional_mmd_to_many", (x, labels, [x], [labels[:3]], 1.0)),
         ("class_conditional_mmd_to_many", (x, labels, [x], [labels], 0.0)),
         ("class_conditional_mmd_to_many", (x, labels, [x], [labels + 9], -1.0)),
+        ("class_conditional_mmd_batch", ([x], [labels[:5]], [x], [labels], 1.0)),
+        ("class_conditional_mmd_batch", ([x, x], [labels], [x], [labels], 1.0)),
+        ("class_conditional_mmd_batch", ([x], [labels], [np.ones(6)], [labels], 1.0)),
+        ("class_conditional_mmd_batch", ([x], [labels], [np.ones((6, 3))], [labels], 1.0)),
+        ("class_conditional_mmd_batch", ([x], [labels], [x], [labels], 0.0)),
+        ("class_conditional_mmd_batch", ([x], [labels], [x], [labels + 9], -1.0)),
     ])
     def test_value_errors(self, name, args):
         with pytest.raises(ValueError):
@@ -335,8 +394,26 @@ def test_bandwidth_memory_is_linear_in_rows(rows, limit_mb):
         assert gamma == ref_median_heuristic_gamma(x)
 
 
+def test_batch_memory_is_capped_per_stack():
+    """Peak traced memory of a 40-party batch of 48-row windows (each Gram
+    96 rows): one ``_STACK_ENTRIES`` stack's Gram, its two distance operands
+    and its rows at a time — within three stacks' Gram bytes, where the
+    uncapped batch peaks at 6.5 MB."""
+    rng = spawn_rng(1, "batch-work")
+    sets = [rng.normal(size=(48, 32)) for _ in range(80)]
+    labels = [rng.integers(0, 10, size=48) for _ in range(80)]
+    tracemalloc.start()
+    try:
+        live.class_conditional_mmd_batch(sets[:40], labels[:40], sets[40:],
+                                         labels[40:], 0.02)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * live._STACK_ENTRIES * 8
+
+
 PATCHED = {
-    "repro.core.detector": ("class_conditional_mmd",),
+    "repro.core.detector": ("class_conditional_mmd_batch",),
     "repro.core.server": ("class_conditional_mmd",),
     "repro.detection.calibration": ("class_conditional_mmd",
                                     "median_heuristic_gamma"),
