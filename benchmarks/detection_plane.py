@@ -11,14 +11,17 @@ The table times the statistics at the shapes the pinned plans score them at
 party report (48 rows against the party's previous 48), a window's 40
 reports as a per-party loop and as one ``class_conditional_mmd_batch``, cluster
 matching (a 64-row cluster pool against 5 latent memories of 64), cluster
-fusion (two pooled 20-party clusters, 960 rows each), one ``jsd``, and the
+fusion (two pooled 20-party clusters, 960 rows each), one ``jsd``, the
 median-heuristic bandwidth with its ``tracemalloc`` peak at 24 / 32 / 40 / 96
-parties' pooled rows.  ``--check`` runs a fixed seeded sweep and prints whether
+parties' pooled rows, and ``calibrate`` at ``wide_server``'s shapes draw by
+draw and stacked.  ``--check`` runs a fixed seeded sweep and prints whether
 the bandwidth equals the previous implementation (``benchmarks/reference.py``,
 the copy the differential test pins against) bit for bit and the worst
 relative deviation of each statistic from it — the scoring is
 tolerance-pinned, not byte-pinned, so this line is what a verification quotes
-in place of a digest; it exits 1 when the bandwidth differs or the batched
+in place of a digest — and whether ``calibrate``'s ``delta_cov``,
+``delta_label`` and ``gamma`` equal the draw-by-draw calibration bit for bit;
+it exits 1 when the bandwidth or a threshold differs or the batched
 statistic deviates by more than ``rtol = 1e-12``.
 ``--clustering`` times ``select_num_clusters`` against the previous k-means
 (one Lloyd loop per problem) at the shift response's and a FLIPS fit's
@@ -44,11 +47,18 @@ import numpy as np  # noqa: E402
 from reference import (  # noqa: E402
     best_us,
     ref_class_conditional_mmd,
+    ref_jsd,
     ref_median_heuristic_gamma as ref_gamma,
     ref_mmd,
     ref_select_num_clusters,
 )
 from repro.clustering.selection import select_num_clusters  # noqa: E402
+from repro.detection.calibration import (  # noqa: E402
+    ThresholdCalibrator,
+    bootstrap_jsd_null,
+    bootstrap_party_mmd_null,
+    threshold_from_null,
+)
 from repro.detection.divergence import jsd  # noqa: E402
 from repro.detection.mmd import (  # noqa: E402
     class_conditional_mmd,
@@ -57,6 +67,7 @@ from repro.detection.mmd import (  # noqa: E402
     mmd,
 )
 from repro.utils.rng import spawn_rng  # noqa: E402
+from repro.utils.validation import normalize_histogram  # noqa: E402
 
 try:  # newer than the probe's other names
     from repro.detection.mmd import class_conditional_mmd_batch  # noqa: E402
@@ -76,6 +87,33 @@ def pooled(rng, parties: int, rows: int = ROWS, shift: float = 0.0):
     members = [party(rng, rows, shift) for _ in range(parties)]
     return (np.vstack([e for e, _ in members]),
             np.concatenate([lab for _, lab in members]))
+
+
+def calibration_inputs(rng, parties: int, dim: int = DIM):
+    """W0 pools and label priors of ``parties`` parties at width ``dim``."""
+    pools = []
+    for _ in range(parties):
+        labels = rng.choice(CLASSES, size=ROWS, p=rng.dirichlet(np.full(CLASSES, ALPHA)))
+        pools.append((rng.normal(size=(ROWS, dim)) + 0.3 * labels[:, None], labels))
+    return pools, rng.dirichlet(np.full(CLASSES, ALPHA), size=parties)
+
+
+def per_draw_nulls(pools, priors, rng, bandwidth=median_heuristic_gamma,
+                   draws: int = 100):
+    """``calibrate``'s bandwidth and nulls as they ran draw by draw: one
+    ``class_conditional_mmd`` per MMD draw, two ``multinomial`` calls and the
+    previous ``jsd`` per JSD draw."""
+    gamma = bandwidth(np.vstack([e for e, _ in pools]))
+    mmd_null = []
+    for _ in range(draws):
+        embeddings, labels = pools[int(rng.integers(len(pools)))]
+        i1, i2 = (rng.choice(ROWS, size=ROWS, replace=True) for _ in range(2))
+        mmd_null.append(class_conditional_mmd(
+            embeddings[i1], labels[i1], embeddings[i2], labels[i2], gamma))
+    jsd_null = [ref_jsd(*(rng.multinomial(ROWS, normalize_histogram(prior)) / ROWS
+                          for _ in range(2)))
+                for prior in priors for _ in range(max(1, draws // len(priors)))]
+    return gamma, np.array(mmd_null), np.array(jsd_null)
 
 
 # ---------------------------------------------------------------- per-call table
@@ -125,6 +163,13 @@ def call_table() -> None:
         print(f"  {f'bandwidth: median_heuristic_gamma, {n} rows':<56}"
               f"{elapsed_us / 1e3:>10.1f} ms  peak {peak / 1e6:6.1f} MB"
               f" = {peak / (n * 8):.0f} doubles per row")
+    pools, priors = calibration_inputs(rng, 40)
+    calibrator = ThresholdCalibrator(num_bootstrap=100, p_value=0.02)
+    loop, stacked = (best_us(fn, calls=1, repeats=10) for fn in (
+        lambda: per_draw_nulls(pools, priors, spawn_rng(0, "calibrate")),
+        lambda: calibrator.calibrate(pools, priors, ROWS, spawn_rng(0, "calibrate"))))
+    print(f"  {'calibrate, 40 pools of 48: per-draw -> stacked':<56}"
+          f"{loop / 1e3:>10.1f} -> {stacked / 1e3:.1f} ms")
 
 
 # ---------------------------------------------------------------- equivalence
@@ -174,11 +219,30 @@ def check(cases: int = 400) -> bool:
     for rows in (1152, 1920, 4608):
         sample = pooled(spawn_rng(20, "detection-check-wide", rows), rows // ROWS)[0]
         gamma_equal &= median_heuristic_gamma(sample) == ref_gamma(sample)
+    calibrated_equal = True
+    for case, (parties, dim) in enumerate([(40, DIM), (24, 48), (16, 48), (5, 8), (1, 3)]):
+        pools, priors = calibration_inputs(spawn_rng(22, "check-calibrate", case),
+                                           parties, dim)
+        live = ThresholdCalibrator(num_bootstrap=100, p_value=0.02).calibrate(
+            pools, priors, ROWS, spawn_rng(case, "calibrate"))
+        gamma, mmd_null, jsd_null = per_draw_nulls(
+            pools, priors, spawn_rng(case, "calibrate"), ref_gamma)
+        calibrated_equal &= (live.delta_cov, live.delta_label, live.gamma) == (
+            threshold_from_null(mmd_null, 0.02), threshold_from_null(jsd_null, 0.02), gamma)
+        rng = spawn_rng(case, "calibrate")  # every null score too, not two order statistics
+        calibrated_equal &= bootstrap_party_mmd_null(
+            pools, 100, rng, gamma).tobytes() == mmd_null.tobytes()
+        calibrated_equal &= np.concatenate([  # one prior a call also runs on older code
+            bootstrap_jsd_null(prior, ROWS, max(1, 100 // parties), rng) for prior in priors
+        ]).tobytes() == jsd_null.tobytes()
     print(f"{cases} seeded cases + bandwidth at 1152, 1920 and 4608 rows")
     print(f"  median_heuristic_gamma == previous implementation: {gamma_equal}")
+    print(f"  calibrate == per-draw calibration (delta_cov, delta_label, gamma),"
+          f" and every null score, 5 shapes: {calibrated_equal}")
     for name, deviation in worst.items():
         print(f"  {name:<32} worst relative deviation {deviation:.2e}")
-    return bool(gamma_equal) and worst.get("class_conditional_mmd_batch", 0.0) <= 1e-12
+    return (bool(gamma_equal) and calibrated_equal
+            and worst.get("class_conditional_mmd_batch", 0.0) <= 1e-12)
 
 
 # ---------------------------------------------------------------- clustering

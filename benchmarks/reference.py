@@ -3,9 +3,10 @@
 ``best_us`` is the probes' only timing helper.  The ``ref_*`` functions are the
 bodies a perf PR replaced, kept verbatim — the detection plane's previous MMD
 code (three distance matrices and three ``exp`` per pair, a Python loop per
-shared class and, for a batch of reports, per entry, a median heuristic
-gathered through ``triu_indices``), the conv kernels' previous ``im2col`` /
-``col2im`` / max-pool and per-tensor training
+shared class and, for a batch of reports or the calibration null's draws,
+per entry, a median heuristic gathered through ``triu_indices``, and one
+vector ``jsd``), the conv
+kernels' previous ``im2col`` / ``col2im`` / max-pool and per-tensor training
 step, k-means as one Lloyd loop per (k, restart) problem, the data plane's
 previous sampler (one class at a time, one ``np.roll`` per image) and eager
 window assembly, ``pixelate``'s per-pixel loop, and the six
@@ -29,7 +30,7 @@ from repro.data.corruptions import _check_batch, _sev
 from repro.data.federated import PartyWindowData
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.optim import SGD
-from repro.utils.validation import check_2d
+from repro.utils.validation import check_2d, check_probability_vector
 
 try:  # a test-only reference: a run never imports scipy
     from scipy import ndimage, special
@@ -123,6 +124,30 @@ def ref_class_conditional_mmd_batch(xs, xs_labels, ys, ys_labels, gamma=None,
         ref_class_conditional_mmd(x, xl, y, yl, gamma)
         for x, xl, y, yl in zip(xs, xs_labels, ys, ys_labels, strict=True)
     ])
+
+
+def ref_class_conditional_mmd_resampled(rows, labels, draws, gamma=None):
+    """One ``ref_class_conditional_mmd`` per ``(i, j)`` draw of row indices:
+    the calibration null as a per-draw loop."""
+    rows, labels = check_2d(rows, "rows"), np.asarray(labels)
+    return np.array([ref_class_conditional_mmd(rows[i], labels[i], rows[j], labels[j],
+                                               gamma)
+                     for i, j in draws])
+
+
+def ref_jsd(p, q):
+    p = check_probability_vector(p, "p")
+    q = check_probability_vector(q, "q")
+    if p.shape != q.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
+    m = 0.5 * (p + q)
+    value = 0.0
+    for dist in (p, q):
+        support = dist > 0
+        value += 0.5 * float(
+            np.sum(dist[support] * np.log(dist[support] / (m[support] + 1e-12)))
+        )
+    return float(np.clip(value, 0.0, np.log(2.0)))
 
 
 def ref_mmd_to_many(x, ys, gamma=None):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.detection.divergence import jsd
+from repro.detection.divergence import jsd_many
 from repro.detection.mmd import class_conditional_mmd_batch
 from repro.federation.party import Party
 
@@ -77,7 +77,8 @@ def compute_party_report(parties: Sequence[Party],
     order.  A party without a previous state (first window) reports both
     deltas as zero, as in the algorithm.  Every scored party's ``delta_cov``
     comes from one :func:`~repro.detection.mmd.class_conditional_mmd_batch`
-    call, which raises on a non-finite embedding row and names its party.
+    call, which raises on a non-finite embedding row and names its party, and
+    its ``delta_label`` from one :func:`~repro.detection.divergence.jsd_many`.
 
     ``stat_dtype`` is the detection island's dtype (the run's
     ``precision.detection_stats``): embeddings are cast to it here, at the
@@ -103,17 +104,20 @@ def compute_party_report(parties: Sequence[Party],
         [prev_states[k].embeddings for k in scored],
         [prev_states[k].labels for k in scored],
         gamma, [parties[k].party_id for k in scored])
+    delta_label = np.zeros(len(states))
+    if scored:
+        delta_label[scored] = jsd_many([states[k].histogram for k in scored],
+                                       [prev_states[k].histogram for k in scored])
     results = []
-    for party, state, prev, cov in zip(parties, states, prev_states, delta_cov,
-                                       strict=True):
+    for party, state, _prev, cov, label in zip(parties, states, prev_states, delta_cov,
+                                               delta_label, strict=True):
         report = PartyShiftReport(
             party_id=party.party_id,
             embeddings=state.embeddings,
             labels=state.labels,
             label_histogram=state.histogram,
             delta_cov=float(cov),
-            delta_label=0.0 if prev is None else float(jsd(state.histogram,
-                                                            prev.histogram)),
+            delta_label=float(label),
         )
         results.append((report, state))
     return results

@@ -17,29 +17,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.detection.divergence import jsd
-from repro.detection.mmd import class_conditional_mmd, median_heuristic_gamma
+from repro.detection.divergence import jsd_many
+from repro.detection.mmd import class_conditional_mmd_resampled, median_heuristic_gamma
 from repro.utils.validation import check_2d, normalize_histogram
 
 
-def bootstrap_jsd_null(prior: np.ndarray, sample_size: int,
+def bootstrap_jsd_null(priors: np.ndarray, sample_size: int,
                        num_bootstrap: int, rng: np.random.Generator) -> np.ndarray:
-    """Null JSD scores between multinomial resamples of one label prior.
+    """Null JSD scores between multinomial resamples of stable label priors.
 
     Models the sampling noise of per-window label histograms under a stable
-    label distribution.
+    label distribution: ``num_bootstrap`` pairs of ``sample_size``-count
+    histograms per row of ``priors`` (one prior, or a stack), drawn prior by
+    prior as one ``multinomial(size=(num_bootstrap, 2))`` — the draws of a
+    loop of single calls, where a 2-D ``pvals`` would draw others — and
+    scored in one :func:`jsd_many` call.
     """
-    prior = normalize_histogram(np.asarray(prior, dtype=np.float64))
+    priors = [normalize_histogram(prior)
+              for prior in np.atleast_2d(np.asarray(priors, dtype=np.float64))]
     if sample_size < 1:
         raise ValueError("sample_size must be positive")
     if num_bootstrap <= 0:
         raise ValueError("num_bootstrap must be positive")
-    scores = np.empty(num_bootstrap)
-    for b in range(num_bootstrap):
-        h1 = normalize_histogram(rng.multinomial(sample_size, prior).astype(np.float64))
-        h2 = normalize_histogram(rng.multinomial(sample_size, prior).astype(np.float64))
-        scores[b] = jsd(h1, h2)
-    return scores
+    counts = np.concatenate([rng.multinomial(sample_size, prior, size=(num_bootstrap, 2))
+                             for prior in priors])
+    # Each histogram's counts sum to sample_size exactly: normalize_histogram.
+    histograms = counts / sample_size
+    return jsd_many(histograms[:, 0], histograms[:, 1])
 
 
 def bootstrap_party_mmd_null(party_pools: list[tuple[np.ndarray, np.ndarray]],
@@ -52,7 +56,8 @@ def bootstrap_party_mmd_null(party_pools: list[tuple[np.ndarray, np.ndarray]],
     compare two full-size with-replacement resamples of its own clean-window
     embeddings — the distribution of Algorithm 1's covariate statistic when
     the party's data did *not* shift (including its label-composition
-    sampling noise).
+    sampling noise).  The draws are row indices into the pooled embeddings,
+    scored together by :func:`class_conditional_mmd_resampled`.
     """
     if not party_pools:
         raise ValueError("need at least one party pool")
@@ -63,17 +68,18 @@ def bootstrap_party_mmd_null(party_pools: list[tuple[np.ndarray, np.ndarray]],
             raise ValueError("labels must align with embedding rows")
     if num_bootstrap <= 0:
         raise ValueError("num_bootstrap must be positive")
+    rows = np.vstack([e for e, _ in party_pools])
     if gamma is None:
-        gamma = median_heuristic_gamma(np.vstack([e for e, _ in party_pools]))
-    scores = np.empty(num_bootstrap)
-    for b in range(num_bootstrap):
-        embeddings, labels = party_pools[int(rng.integers(len(party_pools)))]
-        n = embeddings.shape[0]
-        i1 = rng.choice(n, size=n, replace=True)
-        i2 = rng.choice(n, size=n, replace=True)
-        scores[b] = class_conditional_mmd(
-            embeddings[i1], labels[i1], embeddings[i2], labels[i2], gamma)
-    return scores
+        gamma = median_heuristic_gamma(rows)
+    starts = np.cumsum([0] + [len(e) for e, _ in party_pools]).tolist()
+    draws = []
+    for _ in range(num_bootstrap):
+        party = int(rng.integers(len(party_pools)))
+        start, n = starts[party], starts[party + 1] - starts[party]
+        draws.append((start + rng.choice(n, size=n, replace=True),
+                      start + rng.choice(n, size=n, replace=True)))
+    return class_conditional_mmd_resampled(
+        rows, np.concatenate([lab for _, lab in party_pools]), draws, gamma)
 
 
 def threshold_from_null(null_scores: np.ndarray, p_value: float = 0.05) -> float:
@@ -127,15 +133,12 @@ class ThresholdCalibrator:
         """
         if not party_pools:
             raise ValueError("party_pools must not be empty")
-        pooled = np.vstack([check_2d(e, "embeddings") for e, _ in party_pools])
-        gamma = median_heuristic_gamma(pooled)
+        gamma = median_heuristic_gamma(
+            np.vstack([check_2d(e, "embeddings") for e, _ in party_pools]))
         mmd_null = bootstrap_party_mmd_null(party_pools, self.num_bootstrap, rng, gamma)
         priors = np.atleast_2d(np.asarray(stable_priors, dtype=np.float64))
         per_prior = max(1, self.num_bootstrap // priors.shape[0])
-        jsd_null = np.concatenate([
-            bootstrap_jsd_null(prior, window_sample_size, per_prior, rng)
-            for prior in priors
-        ])
+        jsd_null = bootstrap_jsd_null(priors, window_sample_size, per_prior, rng)
         return CalibratedThresholds(
             delta_cov=threshold_from_null(mmd_null, self.p_value),
             delta_label=threshold_from_null(jsd_null, self.p_value),

@@ -16,6 +16,8 @@ arithmetic.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.utils.validation import check_2d
@@ -26,10 +28,10 @@ _BLOCK_ROWS = 128
 # A counting pass sorts each open key window into 2**16 buckets.
 _BUCKET_BITS = 16
 _BUCKETS = 1 << _BUCKET_BITS
-# The first pass buckets by a key's top 24 bits (4,096 buckets per octave) over
-# the 16 octaves below the largest possible distance; smaller ones share
-# bucket 0.
-_FIRST_SHIFT = 40
+# Row pairs whose distances bracket the median ranks before the full pass, and
+# how many of them are gathered at a time.
+_SAMPLE_PAIRS = 16384
+_SAMPLE_CHUNK = 1024
 # Keys of the finite non-negative doubles lie below this one (+inf's).
 _KEY_END = 0x7FF0000000000000
 # Padding entries a batch may carry before a fresh batch is cheaper: one more
@@ -38,7 +40,8 @@ _PAD_ENTRIES = 16384
 # Gram entries one stack of class_conditional_mmd_batch holds (1 MB of
 # float64): 14 reports of 48 rows against 48, so a batch of 40 parties is three
 # stacks, faster than one 2.9 MB Gram that leaves the cache, and its working
-# set stays a few MB at any batch size.
+# set stays a few MB at any batch size.  A stack of _mmd2_pairs counts its
+# rows x features too: at width 48 a short pair's rows outweigh its Gram.
 _STACK_ENTRIES = 1 << 17
 
 
@@ -100,43 +103,63 @@ def _distance_blocks(pooled: np.ndarray, norms: np.ndarray):
 def _select_upper(pooled: np.ndarray, norms: np.ndarray, ranks) -> list[float]:
     """Values of the given ranks among the strict upper triangle's distances.
 
-    A radix selection on order-preserving keys: non-negative doubles viewed
-    as int64 sort like the doubles.  Each rank keeps a key window ``[lo, hi)``,
-    its rank inside it and the number of values inside.  A counting pass
-    histograms every open window and narrows each rank to its bucket; once
-    the open windows hold at most ``_BLOCK_ROWS * n`` values, one pass
-    gathers them and ``np.partition`` picks the ranks.  The first histogram
-    is fine enough that one counting pass is the usual count.
+    A selection on order-preserving keys: non-negative doubles viewed as
+    int64 sort like the doubles.  Each rank keeps a key window ``[lo, hi)``,
+    its rank inside it and the number of values inside.  Past ``_BLOCK_ROWS *
+    n`` distances, :func:`_bracket` guesses a window from a sample and one
+    pass counts the values below it and gathers those inside, which usually
+    holds both ranks.  A rank it misses, or a window too crowded to gather,
+    is narrowed by counting passes that histogram every open window; once the
+    open windows hold at most ``_BLOCK_ROWS * n`` values, one pass gathers
+    them.  ``np.partition`` picks the ranks from what was gathered, so the
+    result never depends on the sample.
     """
     n = pooled.shape[0]
-    windows = [[0, _KEY_END, rank, n * (n - 1) // 2] for rank in ranks]
-    # No computed distance exceeds 2 (n_i + n_j) rounded up; 8 max(n) is safe.
-    top = int(np.float64(8.0 * norms.max()).view(np.int64))
-    first = True
+    total = n * (n - 1) // 2
+    windows = [[0, _KEY_END, rank, total] for rank in ranks]
+    found = {}
+    if total > _BLOCK_ROWS * n:
+        lo, hi = _bracket(pooled, norms, ranks, total)
+        below = held = 0
+        gathered = []
+        for d2 in _distance_blocks(pooled, norms):
+            keys = d2.view(np.int64)
+            under = keys < lo  # the -1 entries on and below the diagonal too
+            mask = keys < hi
+            mask ^= under
+            below += np.count_nonzero(under) - len(d2) * (len(d2) + 1) // 2
+            held += np.count_nonzero(mask)
+            if held <= _BLOCK_ROWS * n:  # held only grows: a drop is final
+                gathered.append(d2[mask])
+            else:
+                gathered = None
+            del under, mask  # not alive while the next block is computed
+        if gathered is not None:
+            found[lo, hi] = gathered
+        thirds = ((0, lo, 0, below), (lo, hi, below, held),
+                  (hi, _KEY_END, below + held, total - below - held))
+        for window in windows:
+            rank = window[2]
+            window[:] = next([start, stop, rank - offset, count]
+                             for start, stop, offset, count in thirds
+                             if offset <= rank < offset + count)
     while True:
-        open_ = {(lo, hi): count for lo, hi, _rank, count in windows if hi - lo > 1}
+        open_ = {(lo, hi): count for lo, hi, _rank, count in windows
+                 if hi - lo > 1 and (lo, hi) not in found}
         if sum(open_.values()) <= _BLOCK_ROWS * n:
             break
         plans = {}
         for lo, hi in open_:
-            shift = (_FIRST_SHIFT if first
-                     else max(0, (hi - lo - 1).bit_length() - _BUCKET_BITS))
-            base = (top >> shift) - (_BUCKETS - 2) if first else lo >> shift
-            plans[lo, hi] = shift, base, np.zeros(_BUCKETS, dtype=np.int64)
-        diagonal = 0
+            shift = max(0, (hi - lo - 1).bit_length() - _BUCKET_BITS)
+            plans[lo, hi] = shift, lo >> shift, np.zeros(_BUCKETS, dtype=np.int64)
         for d2 in _distance_blocks(pooled, norms):
             keys = d2.view(np.int64)
-            diagonal += len(d2) * (len(d2) + 1) // 2
             for (lo, hi), (shift, base, counts) in plans.items():
-                # The first window holds every key, so its block is bucketed
-                # in place; the -1 entries land in bucket 0 and leave below.
-                bucket = keys.ravel() if first else keys[(keys >= lo) & (keys < hi)]
+                bucket = keys[(keys >= lo) & (keys < hi)]
                 bucket >>= shift
                 bucket -= base
                 np.clip(bucket, 0, _BUCKETS - 1, out=bucket)
                 counts += np.bincount(bucket, minlength=_BUCKETS)
-        if first:
-            plans[0, _KEY_END][2][0] -= diagonal
         for window in windows:
             lo, hi, rank, _count = window
             if (lo, hi) not in plans:
@@ -147,12 +170,11 @@ def _select_upper(pooled: np.ndarray, norms: np.ndarray, ranks) -> list[float]:
             window[:] = [lo if b == 0 else max(lo, (base + b) << shift),
                          hi if b == _BUCKETS - 1 else min(hi, (base + b + 1) << shift),
                          rank - (int(below[b - 1]) if b else 0), int(counts[b])]
-        first = False
-    found = {window: [] for window in open_}
-    if found:
+    if open_:
+        found.update((window, []) for window in open_)
         for d2 in _distance_blocks(pooled, norms):
             keys = d2.view(np.int64)
-            for lo, hi in found:
+            for lo, hi in open_:
                 found[lo, hi].append(d2[(keys >= lo) & (keys < hi)])
     values = []
     for lo, hi, rank, _count in windows:
@@ -162,6 +184,33 @@ def _select_upper(pooled: np.ndarray, norms: np.ndarray, ranks) -> list[float]:
             inside = np.concatenate(found[lo, hi])
             values.append(float(np.partition(inside, rank)[rank]))
     return values
+
+
+def _bracket(pooled: np.ndarray, norms: np.ndarray, ranks, total: int) -> tuple[int, int]:
+    """A key window ``[lo, hi)`` that all but surely holds the given ranks.
+
+    The ranks' quantiles among the distances of ``_SAMPLE_PAIRS`` uniformly
+    drawn row pairs ``i != j``, widened by four standard errors of a sample
+    median each way (about 3 % of all distances at the default size).  The
+    pairs come from a generator of the function's own with a constant seed,
+    so no run stream moves, and their rows are gathered ``_SAMPLE_CHUNK``
+    pairs at a time.
+    """
+    n, size = pooled.shape[0], _SAMPLE_PAIRS
+    rng = np.random.default_rng(0)
+    first = rng.integers(n, size=size)
+    second = (first + rng.integers(1, n, size=size)) % n
+    sample = np.empty(size)
+    for start in range(0, size, _SAMPLE_CHUNK):
+        part = slice(start, start + _SAMPLE_CHUNK)
+        sample[part] = np.einsum("id,id->i", pooled[first[part]], pooled[second[part]])
+    sample = np.maximum(norms[first] + norms[second] - 2.0 * sample, 0.0)
+    margin = 2.0 * size ** 0.5
+    low = int(np.floor(ranks[0] / total * size - margin))
+    high = int(np.ceil(ranks[-1] / total * size + margin))
+    sample = np.partition(sample, [min(max(p, 0), size - 1) for p in (low, high)])
+    return (0 if low < 0 else int(sample[low].view(np.int64)),
+            _KEY_END if high >= size else int(sample[high].view(np.int64)) + 1)
 
 
 def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma) -> np.ndarray:
@@ -196,39 +245,56 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma) -> np.ndarray:
     return np.exp(k, out=k)
 
 
-def _mmd2_pairs(pairs: list[tuple[np.ndarray, np.ndarray]], gamma) -> np.ndarray:
+def _padded_lengths(lengths: list[int]) -> list[int]:
+    """Each pair's padded length in one call's batching plan.
+
+    Longest first, a pair opens a new batch once the running one would hold
+    ``_PAD_ENTRIES`` of padding; a batch pads to its first pair's length.
+    """
+    padded, head, padding = [0] * len(lengths), 0, 0
+    for k in sorted(range(len(lengths)), key=lambda k: -lengths[k]):
+        padding += head ** 2 - lengths[k] ** 2
+        if not head or padding > _PAD_ENTRIES:
+            head, padding = lengths[k], 0
+        padded[k] = head
+    return padded
+
+
+def _mmd2_pairs(pairs: list[tuple[np.ndarray, np.ndarray]], gamma,
+                padded: list[int] | None = None,
+                rows: np.ndarray | None = None) -> np.ndarray:
     """Biased squared MMD of every ``(a, b)`` row-set pair, batched.
 
     A pair is stacked once, ``z = [a; b]``, and its statistic read off the
     one Gram ``K = rbf_kernel(z, z)`` as the quadratic form ``w' K w`` with
     ``w = +1/|a|`` on ``a``'s rows and ``-1/|b|`` on ``b``'s: the three block
-    means of the V-statistic in one product.  Pairs are zero-padded to a
-    common length so one batched Gram serves them all; padding rows carry
-    weight 0 and contribute exactly nothing.  Longest first, a pair opens a
-    new batch once the running one would hold ``_PAD_ENTRIES`` of padding.
-    ``gamma`` is one bandwidth or one per pair.
+    means of the V-statistic in one product.  Each pair is zero-padded to its
+    ``padded`` length (by default :func:`_padded_lengths`' plan); padding rows
+    carry weight 0 and contribute exactly nothing.  The pairs of one padded
+    length run as stacks of at most ``_STACK_ENTRIES`` Gram plus row entries,
+    each slice its own product of its padded shape, so a pair's bytes depend
+    on its padded length alone, never on its stack.  ``gamma`` is one
+    bandwidth or one per pair; with ``rows``, ``a`` and ``b`` index it.
     """
     gammas = np.full(len(pairs), gamma, dtype=np.float64)
-    lengths = [(a.shape[0], a.shape[0] + b.shape[0]) for a, b in pairs]
-    batches: list[list[int]] = [[]]
-    padding = 0
-    for k in sorted(range(len(pairs)), key=lambda k: -lengths[k][1]):
-        if batches[-1]:
-            padding += lengths[batches[-1][0]][1] ** 2 - lengths[k][1] ** 2
-            if padding > _PAD_ENTRIES:
-                batches.append([])
-                padding = 0
-        batches[-1].append(k)
+    lengths = [len(a) + len(b) for a, b in pairs]
+    padded = _padded_lengths(lengths) if padded is None else padded
+    width = (pairs[0][0] if rows is None else rows).shape[1]
+    order = sorted(range(len(pairs)), key=lambda k: -padded[k])
     mmd2 = np.empty(len(pairs))
-    for batch in batches:
-        z = np.zeros((len(batch), lengths[batch[0]][1], pairs[0][0].shape[1]))
-        w = np.zeros(z.shape[:2])
-        for row, k in enumerate(batch):
-            na, both = lengths[k]
-            z[row, :na], z[row, na:both] = pairs[k]
-            w[row, :na], w[row, na:both] = 1.0 / na, -1.0 / (both - na)
-        kernel = rbf_kernel(z, z, gammas[batch, None, None])
-        mmd2[batch] = np.einsum("pi,pi->p", (kernel @ w[:, :, None])[:, :, 0], w)
+    for length, group in itertools.groupby(order, key=padded.__getitem__):
+        group = list(group)
+        size = max(1, _STACK_ENTRIES // (length * (length + width)))
+        for batch in (group[s:s + size] for s in range(0, len(group), size)):
+            z = np.zeros((len(batch), length, width))
+            w = np.zeros(z.shape[:2])
+            for row, k in enumerate(batch):
+                a, b = pairs[k] if rows is None else (rows[side] for side in pairs[k])
+                na, both = len(a), lengths[k]
+                z[row, :na], z[row, na:both] = a, b
+                w[row, :na], w[row, na:both] = 1.0 / na, -1.0 / (both - na)
+            kernel = rbf_kernel(z, z, gammas[batch, None, None])
+            mmd2[batch] = np.einsum("pi,pi->p", (kernel @ w[:, :, None])[:, :, 0], w)
     return np.maximum(mmd2, 0.0)
 
 
@@ -298,23 +364,60 @@ def class_conditional_mmd_to_many(x: np.ndarray, x_labels: np.ndarray,
             raise ValueError("labels must align with embedding rows")
     if not ys:
         return np.zeros(0)
-    x_rows, x_strata = _stratify(x, x_labels)
+    x_strata = _stratify(x, x_labels)
     pairs, owners, counts, gammas = [], [], [], []
     for owner, (y, yl) in enumerate(zip(ys, ys_labels)):
-        y_rows, y_strata = _stratify(y, yl)
-        shared = [(x_rows[rows], y_rows[y_strata[c]])
-                  for c, rows in x_strata.items() if c in y_strata]
-        shared = [(a, b) for a, b in shared if min(len(a), len(b)) >= min_per_class]
-        # The fallback's count is 1 so its weighted mean is the score itself.
-        counts += [min(len(a), len(b)) for a, b in shared] or [1]
-        shared = shared or [(x, y)]
+        shared, weights = _class_pairs(*x_strata, *_stratify(y, yl), (x, y),
+                                       min_per_class)
         pairs += shared
+        counts += weights
         owners += [owner] * len(shared)
         gammas += [median_heuristic_gamma(x, y) if gamma is None
                    else gamma] * len(shared)
     scores = np.sqrt(_mmd2_pairs(pairs, gammas))
     return (np.bincount(owners, scores * counts, len(ys))
             / np.bincount(owners, counts, len(ys)))
+
+
+def class_conditional_mmd_resampled(rows: np.ndarray, labels: np.ndarray, draws,
+                                    gamma: float) -> np.ndarray:
+    """:func:`class_conditional_mmd` of ``rows[i]`` against ``rows[j]`` for
+    every index pair ``(i, j)`` of ``draws``, bit for bit.
+
+    Each draw is planned as its own call would plan it — :func:`_stratify`
+    on its indices, its class pairs, :func:`_padded_lengths` over them — and
+    then every draw's pairs join one :func:`_mmd2_pairs` call, which runs the
+    slices of one padded length from all draws as one stack.  A slice's bytes
+    depend on its padded length alone, so each score is its draw's per-call
+    bytes.  Pairs hold indices, so rows are copied stack by stack.
+    """
+    rows, labels = check_2d(rows, "rows"), np.asarray(labels)
+    if labels.shape != (rows.shape[0],):
+        raise ValueError("labels must align with embedding rows")
+    pairs, padded, owners, counts = [], [], [], []
+    for owner, (first, second) in enumerate(draws):
+        shared, weights = _class_pairs(*_stratify(first, labels[first]),
+                                       *_stratify(second, labels[second]),
+                                       (first, second), 2)
+        pairs += shared
+        padded += _padded_lengths([len(a) + len(b) for a, b in shared])
+        counts += weights
+        owners += [owner] * len(shared)
+    if not pairs:
+        return np.zeros(0)
+    scores = np.sqrt(_mmd2_pairs(pairs, gamma, padded, rows))
+    return (np.bincount(owners, scores * counts, len(draws))
+            / np.bincount(owners, counts, len(draws)))
+
+
+def _class_pairs(x_rows, x_strata, y_rows, y_strata, fallback, min_per_class):
+    """One entry's eligible class pairs and their counts, or, when no class
+    has ``min_per_class`` rows on both sides, the unconditional ``fallback``
+    pair with count 1, so its weighted mean is its score."""
+    shared = [(x_rows[rows], y_rows[y_strata[c]])
+              for c, rows in x_strata.items() if c in y_strata]
+    shared = [(a, b) for a, b in shared if min(len(a), len(b)) >= min_per_class]
+    return shared or [fallback], [min(len(a), len(b)) for a, b in shared] or [1]
 
 
 def class_conditional_mmd_batch(xs: list[np.ndarray], xs_labels: list[np.ndarray],

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from benchmarks.reference import ref_jsd
 from repro.detection.calibration import (
     ThresholdCalibrator,
     bootstrap_jsd_null,
@@ -11,6 +12,7 @@ from repro.detection.calibration import (
 )
 from repro.detection.mmd import class_conditional_mmd
 from repro.utils.rng import spawn_rng
+from repro.utils.validation import normalize_histogram
 
 
 def make_party_pools(rng, num_parties=6, n=40, d=4, class_gap=3.0):
@@ -47,6 +49,22 @@ class TestJsdNull:
         small = bootstrap_jsd_null(prior, 20, 100, spawn_rng(0, "s"))
         large = bootstrap_jsd_null(prior, 500, 100, spawn_rng(0, "l"))
         assert large.mean() < small.mean()
+
+    def test_a_stack_of_priors_draws_and_scores_as_the_loop_did(self):
+        """One ``multinomial(size=(b, 2))`` per prior and one stacked JSD:
+        the bytes and generator state of two single draws and the previous
+        ``jsd`` per resample, prior by prior."""
+        priors = spawn_rng(3, "priors").dirichlet(np.full(6, 0.3), size=7)
+        priors[2] = [0, 0, 1, 0, 0, 0]  # a one-class prior
+        for size, per_prior in ((1, 1), (48, 14), (500, 3)):
+            stacked_rng, loop_rng = spawn_rng(size, "jsd"), spawn_rng(size, "jsd")
+            stacked = bootstrap_jsd_null(priors, size, per_prior, stacked_rng)
+            expected = [
+                ref_jsd(*(normalize_histogram(loop_rng.multinomial(size, prior)
+                                          .astype(np.float64)) for _ in range(2)))
+                for prior in priors for _ in range(per_prior)]
+            assert stacked.tobytes() == np.array(expected).tobytes()
+            assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_rejects_bad_args(self, rng):
         with pytest.raises(ValueError):

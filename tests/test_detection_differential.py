@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from benchmarks.reference import (  # noqa: F401  (looked up by name below)
     ref_class_conditional_mmd,
     ref_class_conditional_mmd_batch,
+    ref_class_conditional_mmd_resampled,
     ref_class_conditional_mmd_to_many,
     ref_median_heuristic_gamma,
     ref_mmd,
@@ -35,6 +36,7 @@ from benchmarks.reference import (  # noqa: F401  (looked up by name below)
     ref_rbf_kernel,
 )
 from repro.data.federated import FederatedShiftDataset
+from repro.detection.calibration import ThresholdCalibrator, bootstrap_party_mmd_null
 from repro.experiments.registry import build_strategy
 from repro.harness.runner import run_strategy
 from repro.privacy.sealed_scoring import ScoreSeal
@@ -154,11 +156,61 @@ class TestBandwidthIsBitIdentical:
         assert_pinned(spawn_rng(seed, "tail").normal(size=(rows, 24)))
 
     def test_narrowing_passes_find_a_crowded_median(self):
-        """600 coincident rows of 800: the median's first bucket holds more
-        than a block's worth of values, so further counting passes narrow it."""
+        """600 coincident rows of 800: the median is one of the zeros, which
+        alone outnumber a block's worth of values."""
         x = spawn_rng(6, "crowd").normal(size=(800, 5))
         x[:600] = x[0]
         assert_pinned(x)
+
+    @given(st.integers(0, 2 ** 31), st.integers(33, 150), st.integers(8, 64),
+           st.sampled_from(["distinct", "duplicated", "ties", "lattice"]))
+    @settings(max_examples=30, deadline=None)
+    def test_bracketed_median_equals_reference(self, seed, eighths, dim, shape):
+        """Past 257 rows the ranks are bracketed from a sample of row pairs
+        and selected in one pass; at every multiple of 8 rows the result is
+        the reference's bits, however tied or crowded the median."""
+        rng = spawn_rng(seed, "bracket")
+        x = rng.normal(size=(8 * eighths, dim)) * rng.uniform(0.1, 30.0)
+        if shape == "duplicated":
+            x[rng.integers(len(x), size=len(x) // 2)] = x[0]
+        elif shape == "ties":
+            x = np.round(x)
+        elif shape == "lattice":  # a handful of distinct distances, each crowded
+            x = rng.integers(0, 2, size=x.shape).astype(float)
+        assert_pinned(x)
+
+    @pytest.mark.parametrize("sample", [1, 2, 64, 256])
+    def test_a_tiny_sample_is_still_exact(self, sample, monkeypatch):
+        """A sample this small brackets most of the distances: the pass drops
+        its gather and the counting passes narrow from its counts."""
+        monkeypatch.setattr(live, "_SAMPLE_PAIRS", sample)
+        for rows, dim in ((1152, 48), (520, 8)):
+            assert_pinned(spawn_rng(rows, "tiny-sample").normal(size=(rows, dim)))
+
+    @pytest.mark.parametrize("window", ["zeros", "above", "everything"])
+    def test_a_missed_bracket_narrows_from_its_counts(self, window, monkeypatch):
+        """A bracket holding only the zeros (below the median), one wholly
+        above it, and one holding every distance (too crowded to gather): the
+        counting passes continue from the pass's counts."""
+        huge = int(np.float64(1e300).view(np.int64))
+        forced = {"zeros": (0, 1), "above": (huge, live._KEY_END),
+                  "everything": (0, live._KEY_END)}[window]
+        monkeypatch.setattr(live, "_bracket", lambda *_args: forced)
+        x = spawn_rng(9, "miss").normal(size=(1024, 16))
+        x[:300] = x[0]
+        assert_pinned(x)
+
+    def test_one_distance_pass(self, monkeypatch):
+        """At the pinned plans' sizes the bandwidth computes the distances
+        once (it took two passes while it histogrammed every key first)."""
+        passes = []
+        blocks = live._distance_blocks
+        monkeypatch.setattr(live, "_distance_blocks",
+                            lambda *args: passes.append(1) or blocks(*args))
+        for rows, dim in ((1152, 48), (1920, 32), (4608, 32)):
+            passes.clear()
+            live.median_heuristic_gamma(spawn_rng(rows, "passes").normal(size=(rows, dim)))
+            assert len(passes) == 1
 
     def test_input_is_not_overwritten(self):
         x = spawn_rng(0, "keep").normal(size=(40, 5))
@@ -377,12 +429,16 @@ class TestSealedScoringStaysBitwise:
 # ---------------------------------------------------------------- Work and decision pins
 
 
-@pytest.mark.parametrize("rows, limit_mb", [(1920, 10), (4608, 25)])
-def test_bandwidth_memory_is_linear_in_rows(rows, limit_mb):
+@pytest.mark.parametrize(
+    "rows, limit_mb, width",
+    [(1920, 10, 32), (4608, 25, 32), (1920, 10, 48), (4608, 25, 48)],
+    ids=["1920-10", "4608-25", "1920-10-w48", "4608-25-w48"])
+def test_bandwidth_memory_is_linear_in_rows(rows, limit_mb, width):
     """Peak traced memory of the bandwidth at 40 and 96 parties' pooled rows:
     a few blocks of rows, never the ``n x n`` matrix (31.6 MB and 174.6 MB
-    while it held one)."""
-    x = spawn_rng(0, "work").normal(size=(rows, 32))
+    while it held one), and at width 48 never the whole sample of row pairs
+    gathered at once (13.1 MB at 1,152 rows)."""
+    x = spawn_rng(0, "work").normal(size=(rows, width))
     tracemalloc.start()
     try:
         gamma = live.median_heuristic_gamma(x)
@@ -412,10 +468,66 @@ def test_batch_memory_is_capped_per_stack():
     assert peak <= 3 * live._STACK_ENTRIES * 8
 
 
+def test_calibration_memory_is_capped_per_stack():
+    """Peak traced memory of ``calibrate`` at ``sync_conv``'s shapes (24
+    pools of 48 rows at width 48, the pinned plans' 100 draws), each party
+    holding one class, so every draw is one 96-row slice: the bandwidth's
+    blocks, then the null's capped stacks over row indices (3.9 MB; 5.05 MB
+    scoring copied resamples draw by draw, 19.7 MB with the slices uncapped)."""
+    rng = spawn_rng(2, "calibrate-work")
+    pools = [(rng.normal(size=(48, 48)), np.full(48, party % 10))
+             for party in range(24)]
+    priors = rng.dirichlet(np.ones(10), size=24)
+    tracemalloc.start()
+    try:
+        ThresholdCalibrator(num_bootstrap=100).calibrate(pools, priors, 48, rng)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5e6
+
+
+class TestCalibrationNullIsPerDrawBytes:
+    """The null's draws run as stacks across draws; each score must be the
+    bytes its draw's own ``class_conditional_mmd`` call gives, and the
+    generator must end where the draw-by-draw loop leaves it."""
+
+    @given(st.integers(0, 2 ** 31), st.integers(1, 120), st.integers(1, 6),
+           st.sampled_from([np.float64, np.float32]), st.sampled_from([None, 1, 4000]))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_null_equals_per_draw_loop(self, seed, draws, parties, dtype, cap):
+        rng = spawn_rng(seed, "null-pools")
+        pools = []
+        for p in range(parties):  # unequal pools; every third all singletons
+            embeddings, labels = labelled_set(rng, int(rng.integers(2, 49)), 16,
+                                              rng.choice(12, size=4) * 7, dtype)
+            if p % 3 == 2:
+                labels = rng.permutation(len(labels))
+            pools.append((embeddings, labels))
+        gamma = ref_median_heuristic_gamma(np.vstack([e for e, _ in pools]))
+        stacked_rng, loop_rng = spawn_rng(seed, "draws"), spawn_rng(seed, "draws")
+        with mock.patch.object(live, "_STACK_ENTRIES", cap or live._STACK_ENTRIES):
+            stacked = bootstrap_party_mmd_null(pools, draws, stacked_rng, gamma)
+        expected = []
+        for _ in range(draws):
+            embeddings, labels = pools[int(loop_rng.integers(parties))]
+            embeddings, n = embeddings.astype(np.float64), len(labels)
+            i1 = loop_rng.choice(n, size=n, replace=True)
+            i2 = loop_rng.choice(n, size=n, replace=True)
+            expected.append(live.class_conditional_mmd(
+                embeddings[i1], labels[i1], embeddings[i2], labels[i2], gamma))
+        assert stacked.tobytes() == np.array(expected).tobytes()
+        assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_no_draws(self):
+        x = np.ones((3, 2))
+        assert live.class_conditional_mmd_resampled(x, [0, 1, 1], [], 0.5).shape == (0,)
+
+
 PATCHED = {
     "repro.core.detector": ("class_conditional_mmd_batch",),
     "repro.core.server": ("class_conditional_mmd",),
-    "repro.detection.calibration": ("class_conditional_mmd",
+    "repro.detection.calibration": ("class_conditional_mmd_resampled",
                                     "median_heuristic_gamma"),
     "repro.experts.matching": ("class_conditional_mmd_to_many",),
     "repro.experts.consolidation": ("class_conditional_mmd",),
