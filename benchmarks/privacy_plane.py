@@ -10,20 +10,18 @@ Four measurements behind docs/ARCHITECTURE.md "The privacy plane":
 The stage table times the seal / share / recover stages at ``async_masked``'s
 shapes: ``dim`` 30,122 (the ``mlp`` on 3 x 12 x 12 inputs), float32, a
 12-party dispatch, Shamir ``t`` = 3.  ``--plans`` runs seed 0 of the pinned
-``async_masked`` plan (the only one that constructs a session) and counts the
-sessions, seals and unseals, the stream words derived, the streams expanded,
-the ``SeedSequence`` objects built inside session calls (per stream, per
-share bundle, per session), and the peak bytes of net masks held against the
-sealed rows they mask.  ``--sha`` prints, per dtype, one SHA-256 over the
-sealed rows and every party's net mask of one fixed threshold session
-(transient bytes: they move whenever the mask derivation does) and one over
-its masked aggregate (which must never move).  ``--check`` exits 1 unless,
-for float32 and float64, cohorts of 1, 2, 5 and 12 and ``t`` in {none, 1,
-3, majority}, the masked aggregate is byte-equal to the plain
-``weighted_combine`` and every word the shares open re-derives its stream.
-The table, ``--plans`` and ``--sha`` run against an older checkout's ``src``
-too (rows naming a routine it lacks print ``-``), which gives the "before"
-numbers and the parent's aggregate digests.  No file is written.
+``async_masked`` plan (the only one that constructs a session) and counts
+sessions, seals, unseals, words derived, streams expanded, ``SeedSequence``s
+built inside session calls (per stream, share bundle, session) and the peak
+bytes of net masks held beside the sealed rows.  ``--sha`` hashes, per dtype,
+the sealed rows and net masks of one threshold session (transient) and its
+masked aggregate (which must never move).  ``--check`` exits 1 unless, for
+float32 and float64, cohorts of 1, 2, 5 and 12 and ``t`` in {none, 1, 3,
+majority}, the masked aggregate is byte-equal to the plain
+``weighted_combine``, a below-threshold ``recover`` refuses and marks
+nothing, and every word a non-prefix quorum opens re-derives its stream.
+The table, ``--plans`` and ``--sha`` also run against an older checkout's
+``src`` (a row naming a routine it lacks prints ``-``).  No file is written.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ from repro.experiments import load_plan  # noqa: E402
 from repro.harness.runner import run_strategy  # noqa: E402
 from repro.privacy import secure_aggregation  # noqa: E402
 from repro.privacy.secure_aggregation import (  # noqa: E402
+    IncompleteSubmissionError,
     SecureAggregationSession,
     seal_bits,
 )
@@ -155,8 +154,7 @@ def plan_counts() -> None:
         return counted
 
     def seeding(name, build):
-        """Count a seed sequence built (explicitly, or by ``PCG64(seed)``)
-        while a session call is on the stack."""
+        """Count a seed sequence built while a session call is on the stack."""
         def make(*args, **kwargs):
             if depth[0]:
                 counts[name] += 1
@@ -199,10 +197,10 @@ def plan_counts() -> None:
                 counting("streams", secure_aggregation._draw_words)),
                (np.random, "SeedSequence",
                 seeding("seed_sequences", np.random.SeedSequence)),
-               (np.random, "PCG64", seeding("pcg64", np.random.PCG64))]
-    if stream_word is not None:
-        patches.append((secure_aggregation, "_stream_word",
-                        counting("words", stream_word)))
+               (np.random, "PCG64", seeding("pcg64", np.random.PCG64)),
+               (secure_aggregation, "_stream_word",
+                counting("words", stream_word))]
+    patches = [p for p in patches if hasattr(*p[:2])]  # a checkout may lack one
     saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     plan = load_plan(PLAN)
     plan.seeds = (0,)
@@ -224,7 +222,7 @@ def plan_counts() -> None:
     per_bundle, per_session = counts["spawn:share-split"], counts["pcg64"]
     print(f"async_masked, run seed 0: {calls['__init__']} sessions, "
           f"{calls['seal_row']} seals, {calls['unseal_row']} unseals")
-    rows = [("stream words derived",
+    rows = [("words derived (streams + bundles)",
              counts["words"] if stream_word is not None else "-"),
             ("streams expanded", counts["streams"]),
             ("SeedSequences built", seeds),
@@ -270,11 +268,11 @@ def sha_check() -> None:
 
 
 def check() -> bool:
-    """Masked aggregate == plain ``weighted_combine`` by bytes, and every
-    word the shares open is its stream's seed: it equals the derived word
-    and re-expands to the party's held net."""
+    """Masked aggregate == plain ``weighted_combine`` by bytes, t - 1 holders
+    recover nothing, and every word t non-prefix holders open is its stream's
+    seed: it equals the derived word and re-expands to the party's net."""
     spec = ParamSpec(((37, 3), (9,)))  # odd dim
-    dim = spec.total_size
+    dim, rng = spec.total_size, np.random.Generator(np.random.PCG64(0))
     same = True
     for dtype in (np.float32, np.float64):
         for n in (1, 2, 5, 12):
@@ -298,25 +296,27 @@ def check() -> bool:
                     session.seal_row(p, bank.row(row))
                     party_rows.append((p, row))
                 if threshold is not None:
-                    session.recover(cohort)
-                    quorum = range(1, session.threshold + 1)
-                    rng = np.random.Generator(np.random.PCG64(0))
-                    for p in cohort:
+                    t, ranked = session.threshold, session.cohort
+                    try:  # t - 1 holders: refused, nothing marked or unsealed
+                        session.recover(cohort, available=ranked[:t - 1])
+                        same = False
+                    except IncompleteSubmissionError:
+                        same &= all(session.is_sealed(p) and not
+                                    session.is_recovered(p) for p in cohort)
+                    session.recover(cohort, available=ranked[n - t:])
+                    xs = range(n - t + 1, n + 1)
+                    for i, p in enumerate(ranked):  # the last t holders open
                         net = np.zeros_like(session._nets[p])
-                        for key, values in session._shares[p].items():
-                            word = reconstruct_secret(
-                                (x, values[x - 1]) for x in quorum)
-                            same &= word == stream_word(n, CONTEXT, key)
+                        for j, values in enumerate(session._shares[i].tolist()):
+                            word = reconstruct_secret(zip(xs, values[n - t:]))
+                            same &= word == stream_word(n, CONTEXT, session._key(i, j))
                             bits = expand_word(rng, word, dim, dtype)
-                            if key[0] == "pair" and key[2] == p:
-                                net -= bits
-                            else:
-                                net += bits
+                            net += bits if j >= i else -bits  # pair with a lower id
                         same &= net.tobytes() == session._nets[p].tobytes()
                 got = session.combine_rows(bank, weights, party_rows)
                 same &= got.tobytes() == expected.tobytes()
-    print(f"masked aggregate == plain weighted_combine, recovered words "
-          f"re-derive their streams: {same}")
+    print(f"masked aggregate == plain weighted_combine, below-threshold recover "
+          f"refused, recovered words re-derive their streams: {same}")
     return same
 
 

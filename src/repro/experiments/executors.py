@@ -11,9 +11,7 @@ paper tables.
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 
 
 def run_cell(plan, cell, callbacks=()):
@@ -55,7 +53,8 @@ class ParallelExecutor:
     anywhere in the parent (scripts, notebooks) stay visible; under
     ``spawn`` (Windows), registrations must happen at import time in an
     importable module.  With one cell or ``jobs=1`` it degrades to
-    in-process execution.
+    in-process execution.  The process pool is imported only when one
+    starts, so a serial run never loads ``multiprocessing``.
     """
 
     def __init__(self, jobs: int = 2) -> None:
@@ -74,6 +73,8 @@ class ParallelExecutor:
                 "ParallelExecutor needs a picklable plan and callbacks (no "
                 "lambdas or closures in strategy kwargs or callbacks); or "
                 "fall back to SerialExecutor") from exc
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         mp_context = (multiprocessing.get_context("fork")
                       if "fork" in multiprocessing.get_all_start_methods()
                       else None)

@@ -21,7 +21,8 @@ context) (:func:`_stream_word`).  The mask is expanded from that word alone
 (:func:`_expand_word`: a digest of the word restates one PCG64), so under a
 Shamir threshold the shares of a word *are* the shares of its stream's PRG
 seed, as in Bonawitz et al.: whoever reconstructs the word can re-expand
-the mask, and nobody else can.
+the mask, and nobody else can.  A share bundle's blinding coefficients come
+from the same restated generator, keyed by the owner's own word.
 
 One mask domain: bit seals
 --------------------------
@@ -57,14 +58,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
 from repro.privacy.plan import resolve_threshold
-from repro.privacy.shamir import PRIME, lagrange_weights, split_secrets
+from repro.privacy.shamir import PRIME, open_shares, share_bundles
 from repro.utils.params import ParamSpec, resolve_dtype
-from repro.utils.rng import spawn_rng
 
 # One Shamir share on the wire: the (x, y) pair as two 8-byte words.
 SHARE_BYTES = 16
@@ -120,7 +120,8 @@ def _draw_words(rng: np.random.Generator, dim: int, dtype) -> np.ndarray:
 def _stream_word(shared_seed: int, context: tuple, key: tuple) -> int:
     """The seed word of one mask stream, in GF(2^61 - 1).
 
-    ``key`` is ``("self", party)`` or ``("pair", low, high)``; the digest is
+    ``key`` is ``("self", party)``, ``("pair", low, high)`` or ``("share",
+    owner)`` (the owner's share blinding); the digest is
     keyed by the mask root (its low 64 bits) and covers the context, so
     every round of a run gets fresh words.  The 128-bit digest reduced mod
     the prime is uniform to within 2^-67.
@@ -131,9 +132,8 @@ def _stream_word(shared_seed: int, context: tuple, key: tuple) -> int:
     return int.from_bytes(digest, "little") % PRIME
 
 
-def _expand_word(rng: np.random.Generator, word: int, dim: int,
-                 dtype) -> np.ndarray:
-    """The stream seeded by ``word``: ``dim`` uniform words of Z_{2^w}.
+def _restate(rng: np.random.Generator, word: int) -> np.random.Generator:
+    """``rng`` restated to the stream seeded by ``word``.
 
     A digest of the word is the PCG64 ``state`` and (forced odd) ``inc``,
     set on ``rng``'s bit generator through its public ``state`` setter —
@@ -147,7 +147,13 @@ def _expand_word(rng: np.random.Generator, word: int, dim: int,
         "state": {"state": int.from_bytes(digest[:16], "little"),
                   "inc": int.from_bytes(digest[16:], "little") | 1},
         "has_uint32": 0, "uinteger": 0}
-    return _draw_words(rng, dim, dtype)
+    return rng
+
+
+def _expand_word(rng: np.random.Generator, word: int, dim: int,
+                 dtype) -> np.ndarray:
+    """The stream seeded by ``word``: ``dim`` uniform words of Z_{2^w}."""
+    return _draw_words(_restate(rng, word), dim, dtype)
 
 
 def _stream_rng() -> np.random.Generator:
@@ -200,8 +206,8 @@ class SecureAggregationSession:
     with its expired reports.  In threshold mode every stream's seed word is
     derived once at construction and serves both endpoints' share bundles,
     the expansion of its mask and the recovery gate; without a threshold the
-    words are derived as the streams are expanded.  Every expansion
-    restates the session's one PCG64.
+    words are derived as the streams are expanded.  Every expansion and
+    every bundle's blinding draw restates the session's one PCG64.
     """
 
     def __init__(self, cohort: list[int],
@@ -217,6 +223,7 @@ class SecureAggregationSession:
         else:
             self.spec = ParamSpec(tuple(tuple(s) for s in param_shapes))
         self.cohort = sorted(cohort)
+        self._index = {party_id: i for i, party_id in enumerate(self.cohort)}
         self.shared_seed = shared_seed
         self.context = tuple(context)
         self.dtype = resolve_dtype(dtype)
@@ -227,11 +234,13 @@ class SecureAggregationSession:
         # first seal and the first unseal, the cohort members yet to seal).
         self._nets: dict[int, np.ndarray] | None = None
         self._rng = _stream_rng()
-        # stream key -> seed word, and owner -> {stream key: [y at x =
-        # 1..n]}: the share matrix the server collects in the distribution
-        # round, holder ``cohort[i]`` at ``x = i + 1`` (threshold mode only).
-        self._words: dict[tuple, int] = {}
-        self._shares: dict[int, dict[tuple, list[int]]] = {}
+        # Threshold mode only.  ``_words[i, j]`` is the seed word of the
+        # stream between ``cohort[i]`` and ``cohort[j]`` (``i == j``: the
+        # personal stream), so row ``i`` is ``cohort[i]``'s word bundle;
+        # ``_shares[i, j, k]`` is the share of ``_words[i, j]`` the server
+        # collects for holder ``cohort[k]`` at ``x = k + 1``.
+        self._words: np.ndarray | None = None
+        self._shares: np.ndarray | None = None
         self._recovered: set[int] = set()
         if self.threshold is not None:
             self._distribute_shares()
@@ -247,24 +256,34 @@ class SecureAggregationSession:
         the cohort's modular sum.  The personal (double-masking) term keeps
         the seal uniformly random for any cohort size.
         """
-        nets = {party_id: self._expand(("self", party_id))
+        nets = {party_id: self._expand(self._index[party_id],
+                                       self._index[party_id])
                 for party_id in party_ids}
-        for low, high in combinations(self.cohort, 2):
+        for i, j in combinations(range(len(self.cohort)), 2):
+            low, high = self.cohort[i], self.cohort[j]
             if low not in nets and high not in nets:
                 continue
-            bits = self._expand(("pair", low, high))
+            bits = self._expand(i, j)
             if low in nets:
                 nets[low] += bits
             if high in nets:
                 nets[high] -= bits
         return nets
 
-    def _expand(self, key: tuple) -> np.ndarray:
-        """The mask stream ``key``, expanded from its seed word (held in
+    def _key(self, i: int, j: int) -> tuple:
+        """The key of the stream between ``cohort[i]`` and ``cohort[j]``."""
+        if i == j:
+            return ("self", self.cohort[i])
+        return ("pair", self.cohort[min(i, j)], self.cohort[max(i, j)])
+
+    def _expand(self, i: int, j: int) -> np.ndarray:
+        """Mask stream ``_key(i, j)``, expanded from its seed word (held in
         threshold mode, else derived here)."""
-        word = self._words.get(key)
-        if word is None:
-            word = _stream_word(self.shared_seed, self.context, key)
+        if self._words is None:
+            word = _stream_word(self.shared_seed, self.context,
+                                self._key(i, j))
+        else:
+            word = int(self._words[i, j])
         return _expand_word(self._rng, word, self.spec.total_size, self.dtype)
 
     def net_seal_bits(self, party_id: int) -> np.ndarray:
@@ -274,38 +293,30 @@ class SecureAggregationSession:
 
     # ------------------------------------------------------ Shamir recovery
 
-    def _bundle_keys(self, party_id: int) -> list[tuple]:
-        """The keys of the word bundle party ``party_id`` splits: its
-        personal-mask word (Bonawitz's ``b_i``) plus one word per pairwise
-        stream it shares.  Pair words are keyed by the unordered pair, so
-        either endpoint's bundle recovers the seeds a dropped peer took
-        down."""
-        return [("self", party_id)] + [
-            ("pair", *sorted((party_id, other)))
-            for other in self.cohort if other != party_id]
-
     def _distribute_shares(self) -> None:
         """The share-distribution round: every party splits its word bundle
-        t-of-n and sends one share to each peer (via the server, which is
-        what the ledger meters — its own share never transits the wire).
-        The words are the streams' seeds, so the shares protect exactly
-        what re-expands the masks.
+        — its personal-mask word (Bonawitz's ``b_i``) plus one word per pair
+        stream it shares, so either endpoint's bundle recovers the seeds a
+        dropped peer took down — t-of-n and sends one share to each peer
+        (via the server, which is what the ledger meters; its own share never
+        transits the wire).  Each owner's blinding is one draw on the
+        session's generator restated to the owner's ``("share", owner)``
+        word, in cohort order; one Horner pass shares every bundle.
         """
-        n = len(self.cohort)
-        streams = [("self", party_id) for party_id in self.cohort] + [
-            ("pair", low, high) for low, high in combinations(self.cohort, 2)]
-        for key in streams:
-            self._words[key] = _stream_word(self.shared_seed, self.context,
-                                            key)
-        transit = 0
-        for owner in self.cohort:
-            keys = self._bundle_keys(owner)
-            rng = spawn_rng(self.shared_seed, "share-split",
-                            *self.context, owner)
-            values = split_secrets([self._words[key] for key in keys], n,
-                                   self.threshold, rng)
-            self._shares[owner] = dict(zip(keys, values))
-            transit += len(keys) * (n - 1) * SHARE_BYTES
+        n, t = len(self.cohort), self.threshold
+        words = np.empty((n, n), dtype=np.uint64)
+        for i, j in combinations_with_replacement(range(n), 2):
+            words[i, j] = words[j, i] = _stream_word(
+                self.shared_seed, self.context, self._key(i, j))
+        blinding = np.empty((n, n, t - 1), dtype=np.uint64)
+        for i, owner in enumerate(self.cohort):
+            word = _stream_word(self.shared_seed, self.context,
+                                ("share", owner))
+            blinding[i] = _restate(self._rng, word).integers(
+                PRIME, size=(n, t - 1))
+        self._words = words
+        self._shares = share_bundles(words, blinding, n)
+        transit = n * n * (n - 1) * SHARE_BYTES
         if self.ledger is not None and transit:
             self.ledger.record_wire("secure_agg", sent_bytes=transit,
                                     received_bytes=transit)
@@ -322,7 +333,9 @@ class SecureAggregationSession:
         the word the session derived, the protocol gate that makes a
         full-survival t-of-n run bitwise identical to the seed-derived
         shortcut: recovery changes *when* the server may expand masks,
-        never *what* it expands.
+        never *what* it expands.  Recovery is all or nothing: every word of
+        every pending party is checked before any party is marked recovered
+        or any share byte is metered.
         """
         if self.threshold is None:
             return
@@ -335,28 +348,32 @@ class SecureAggregationSession:
                 f"{len(holders)} are available "
                 f"({[self.cohort[i] for i in holders]}); refusing to "
                 "reconstruct below threshold")
-        # Holder cohort[i] answers with its share at x = i + 1; the
-        # interpolation weights depend only on the quorum, not on the word.
-        quorum = holders[:self.threshold]
-        weights = lagrange_weights(i + 1 for i in quorum)
-        pulled = 0
-        for party_id in party_ids:
-            if party_id in self._recovered:
-                continue
+        pending = [p for p in dict.fromkeys(party_ids)
+                   if p not in self._recovered]
+        for party_id in pending:
             self._check_party(party_id)
-            for key, values in self._shares[party_id].items():
-                word = sum(values[i] * w
-                           for i, w in zip(quorum, weights)) % PRIME
-                if word != self._words[key]:
-                    raise RuntimeError(
-                        f"share reconstruction for party {party_id} "
-                        f"word {key} produced a mismatched secret — the "
-                        "share matrix is corrupt")
-                pulled += len(quorum) * SHARE_BYTES
-            self._recovered.add(party_id)
-        if self.ledger is not None and pulled:
-            self.ledger.record_wire("secure_agg", sent_bytes=0,
-                                    received_bytes=pulled)
+        if not pending:
+            return
+        # Holder cohort[k] answers with its share at x = k + 1: one opening
+        # pass over every pending bundle.
+        quorum = holders[:self.threshold]
+        rows = [self._index[p] for p in pending]
+        opened = open_shares(self._shares[rows][:, :, quorum],
+                             [k + 1 for k in quorum])
+        mismatched = opened != self._words[rows]
+        if mismatched.any():
+            row, j = np.argwhere(mismatched)[0]
+            i = rows[row]
+            raise RuntimeError(
+                f"share reconstruction for party {self.cohort[i]} word "
+                f"{self._key(i, j)} produced a mismatched secret "
+                "— the share matrix is corrupt")
+        self._recovered.update(pending)
+        if self.ledger is not None:
+            self.ledger.record_wire(
+                "secure_agg", sent_bytes=0,
+                received_bytes=len(pending) * len(self.cohort)
+                * len(quorum) * SHARE_BYTES)
 
     def is_recovered(self, party_id: int) -> bool:
         """True when the party's words were reconstructed (or no threshold
@@ -364,7 +381,7 @@ class SecureAggregationSession:
         return self.threshold is None or party_id in self._recovered
 
     def _check_party(self, party_id: int) -> None:
-        if party_id not in self.cohort:
+        if party_id not in self._index:
             raise KeyError(f"party {party_id} not in this session's cohort")
 
     def _uint_view(self, row: np.ndarray) -> np.ndarray:

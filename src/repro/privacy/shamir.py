@@ -13,16 +13,19 @@ The polynomial is the textbook construction: ``f(x) = secret + a_1 x +
 ``(x, f(x))`` for ``x = 1..n``, and reconstruction is Lagrange
 interpolation at ``x = 0``: ``secret = sum(y_i * w_i)`` with weights that
 depend only on the share x-coordinates (:func:`lagrange_weights`, one Fermat
-inverse ``pow(v, PRIME - 2, PRIME)`` per share), so a caller opening many
-words with one quorum computes them once.
+inverse ``pow(v, PRIME - 2, PRIME)`` per share).
 
-Splitting evaluates every polynomial of a bundle at every ``x`` in one
-vectorised Horner pass on ``uint64`` limbs (:func:`_mul_add_mod`): the values
-are exactly the Python-int evaluation's.
+Both directions are array programs on ``uint64`` limbs (:func:`_mul_add_mod`),
+exactly the Python-int arithmetic: :func:`share_bundles` evaluates every
+polynomial of any stack of word bundles at every ``x`` in one Horner pass
+(:func:`split_secrets` is its one-bundle call), and :func:`open_shares` opens
+any stack of words held by one quorum in one multiply pass, with the
+quorum's weights computed once per process.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,6 +61,25 @@ def _mul_add_mod(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
                    + ((mid & _LOW30) << np.uint64(31)) + a0 * b0 + c)
 
 
+def share_bundles(words: np.ndarray, blinding: np.ndarray,
+                  num_shares: int) -> np.ndarray:
+    """Shares of every word of a stack of bundles, at ``x = 1..num_shares``.
+
+    ``words`` is ``(..., bundle)`` and ``blinding`` ``(..., bundle, t - 1)``
+    (the coefficients of ``x^1 .. x^{t-1}``), all field elements; the result
+    is ``(..., bundle, num_shares)`` ``uint64``.  One Horner pass from the top
+    coefficient down covers the whole stack.
+    """
+    coefficients = np.concatenate(
+        [np.asarray(words, dtype=np.uint64)[..., None],
+         np.asarray(blinding, dtype=np.uint64)], axis=-1)
+    xs = np.arange(1, num_shares + 1, dtype=np.uint64)
+    acc = np.repeat(coefficients[..., -1:], num_shares, axis=-1)
+    for k in range(coefficients.shape[-1] - 2, -1, -1):
+        acc = _mul_add_mod(acc, xs, coefficients[..., k, None])
+    return acc
+
+
 def split_secrets(secrets: Sequence[int], num_shares: int, threshold: int,
                   rng: np.random.Generator) -> list[list[int]]:
     """Split every word of ``secrets`` into ``num_shares`` shares, any
@@ -66,7 +88,8 @@ def split_secrets(secrets: Sequence[int], num_shares: int, threshold: int,
     Returns one row per word: ``row[x - 1]`` is the word's share value at
     ``x = 1..num_shares``.  All blinding coefficients come from one draw on
     ``rng``, so a seeded generator yields a reproducible sharing (the
-    determinism contract of the whole repo).
+    determinism contract of the whole repo).  The one-bundle call of
+    :func:`share_bundles`.
     """
     secrets = [int(secret) for secret in secrets]
     for secret in secrets:
@@ -84,15 +107,7 @@ def split_secrets(secrets: Sequence[int], num_shares: int, threshold: int,
     if num_shares >= PRIME:
         raise ValueError(f"num_shares {num_shares} exceeds the field size")
     blinding = rng.integers(PRIME, size=(len(secrets), threshold - 1))
-    if not secrets:
-        return []
-    # Horner from the top coefficient down; row = word, column = x - 1.
-    coefficients = np.column_stack([secrets, blinding]).astype(np.uint64)
-    xs = np.arange(1, num_shares + 1, dtype=np.uint64)
-    acc = np.broadcast_to(coefficients[:, -1:], (len(secrets), num_shares))
-    for k in range(threshold - 2, -1, -1):
-        acc = _mul_add_mod(acc, xs, coefficients[:, k, None])
-    return acc.tolist()
+    return share_bundles(secrets, blinding, num_shares).tolist()
 
 
 def split_secret(secret: int, num_shares: int, threshold: int,
@@ -128,6 +143,28 @@ def lagrange_weights(xs: Iterable[int]) -> list[int]:
     return weights
 
 
+@lru_cache(maxsize=64)
+def _weights_at_zero(xs: tuple[int, ...]) -> np.ndarray:
+    """:func:`lagrange_weights` of one quorum as a read-only ``uint64``
+    vector, computed once per process."""
+    weights = np.array(lagrange_weights(xs), dtype=np.uint64)
+    weights.flags.writeable = False
+    return weights
+
+
+def open_shares(shares: np.ndarray, xs: Sequence[int]) -> np.ndarray:
+    """The words behind a stack of shares: ``shares[..., k]`` is held at
+    ``x = xs[k]``, and every word opens as ``sum(y_k * w_k)`` mod PRIME —
+    one :func:`_mul_add_mod` pass for every product, then ``len(xs) - 1``
+    folding adds (``uint64``, shape ``shares.shape[:-1]``)."""
+    weights = _weights_at_zero(tuple(int(x) for x in xs))
+    terms = _mul_add_mod(shares, weights, np.uint64(0))
+    acc = terms[..., 0]
+    for k in range(1, len(weights)):
+        acc = _reduce(acc + terms[..., k])  # both < PRIME: no overflow
+    return acc
+
+
 def reconstruct_secret(shares: Iterable[tuple[int, int]]) -> int:
     """Recover the secret from ``(x, y)`` shares by Lagrange interpolation
     at ``x = 0``.
@@ -142,5 +179,5 @@ def reconstruct_secret(shares: Iterable[tuple[int, int]]) -> int:
     return sum(int(y) * w for (_, y), w in zip(shares, weights)) % PRIME
 
 
-__all__ = ["PRIME", "split_secret", "split_secrets", "lagrange_weights",
-           "reconstruct_secret"]
+__all__ = ["PRIME", "share_bundles", "split_secret", "split_secrets",
+           "lagrange_weights", "open_shares", "reconstruct_secret"]

@@ -18,6 +18,7 @@ import hashlib
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +136,30 @@ def test_a_run_imports_no_scipy():
     """)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_a_serial_run_imports_no_process_pool():
+    """Only ``ParallelExecutor.map`` starts a pool, so a serial run (a fresh
+    interpreter) leaves ``multiprocessing`` and the pool module unloaded."""
+    script = textwrap.dedent("""
+        import sys
+        from tests.conftest import make_run_settings, make_tiny_spec
+        from repro.experiments import ExperimentPlan
+        ExperimentPlan.build(
+            "cifar10_c_sim", ["fedavg"], seeds=(0,),
+            spec_override=make_tiny_spec(num_parties=4, num_windows=2,
+                                         window_regimes=(("fog", 2),),
+                                         train=8, test=4),
+            settings_override=make_run_settings(
+                rounds_burn_in=1, rounds_per_window=1, participants=2,
+                epochs=1)).run()
+        print(sorted({"multiprocessing", "concurrent.futures.process"}
+                     & set(sys.modules)))
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True,
+                          cwd=Path(__file__).resolve().parent.parent)
     assert done.stdout.strip() == "[]"
 
 

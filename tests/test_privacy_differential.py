@@ -3,18 +3,18 @@
 ``ref_seal_bits`` / ``ref_self_seal_bits`` restate the mask derivation from
 its definition: the stream's seed word is a keyed BLAKE2b digest of (mask
 root, context, stream key) reduced into GF(2^61 - 1), a digest of the word
-restates a PCG64, and ``rng.integers`` draws the full word range.
+restates a PCG64 (``ref_restated_rng``, which also keys each owner's share
+blinding), and ``rng.integers`` draws the full word range.
 ``ref_net_seal_bits`` is the previous per-party summation loop over all
 ``n - 1`` pair streams, and ``ref_split_secret`` / ``ref_reconstruct_secret``
 / ``_ref_evaluate_poly`` the previous one-word Shamir code, all kept
 verbatim.  The live session expands every pair stream once per cohort from
-its word, holds one net vector per still-sealed row, splits a party's whole
-word bundle with one coefficient draw and a vectorised Horner pass, and
-interpolates with weights computed once per quorum — modular integer
+its word, holds one net vector per still-sealed row, shares every party's
+word bundle in one Horner pass over a ``(owners, bundle, holders)`` array,
+and opens every pending bundle of a quorum in one pass — modular integer
 arithmetic throughout, so every comparison is exact.  The work pins at the
 end count the words a session derives, the streams it expands and the
-seed sequences it builds: one per session and one per share bundle, none
-per stream.
+seed sequences it builds: one per session, none per stream or bundle.
 """
 
 import gc
@@ -58,8 +58,7 @@ def ref_stream_word(shared_seed, context, key):
     return int.from_bytes(digest, "little") % PRIME
 
 
-def ref_stream_bits(word, dim, dtype=None):
-    udt = _uint_dtype(resolve_dtype(dtype))
+def ref_restated_rng(word):
     digest = hashlib.blake2b(word.to_bytes(8, "little"),
                              digest_size=32).digest()
     bit_generator = np.random.PCG64(0)
@@ -68,7 +67,12 @@ def ref_stream_bits(word, dim, dtype=None):
         "state": {"state": int.from_bytes(digest[:16], "little"),
                   "inc": int.from_bytes(digest[16:], "little") | 1},
         "has_uint32": 0, "uinteger": 0}
-    rng = np.random.Generator(bit_generator)
+    return np.random.Generator(bit_generator)
+
+
+def ref_stream_bits(word, dim, dtype=None):
+    udt = _uint_dtype(resolve_dtype(dtype))
+    rng = ref_restated_rng(word)
     return rng.integers(0, 2 ** (8 * udt.itemsize), size=dim, dtype=udt)
 
 
@@ -264,14 +268,14 @@ class TestNetMasks:
         for party_id in cohort:
             session.seal_row(party_id, np.zeros(dim, dtype=dtype))
         quorum = range(1, threshold + 1)
-        for party_id in cohort:
+        for i, party_id in enumerate(session.cohort):
             session.recover([party_id])
             net = np.zeros(dim, dtype=_uint_dtype(dtype))
-            for key, values in session._shares[party_id].items():
+            for j, values in enumerate(session._shares[i].tolist()):
                 word = ref_reconstruct_secret((x, values[x - 1])
                                               for x in quorum)
                 bits = ref_stream_bits(word, dim, dtype)
-                if key[0] == "pair" and key[2] == party_id:
+                if j < i:  # the pair stream with a lower party
                     net -= bits
                 else:
                     net += bits
@@ -380,9 +384,45 @@ class TestBatchedSplit:
             return _session(cohort, 3, np.float32, context, seed,
                             threshold=threshold)._shares
 
-        assert shares(("a", 1)) == shares(("a", 1))
+        assert np.array_equal(shares(("a", 1)), shares(("a", 1)))
         if threshold > 1:  # t = 1 shares are the (context-bound) words
-            assert shares(("a", 1)) != shares(("a", 2))
+            assert not np.array_equal(shares(("a", 1)), shares(("a", 2)))
+
+    @given(cohort=st.lists(st.integers(min_value=0, max_value=60),
+                           min_size=1, max_size=12, unique=True),
+           dtype=dtypes, context=contexts, seed=seeds, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_session_shares_and_openings_equal_the_per_owner_reference(
+            self, cohort, dtype, context, seed, data):
+        """Every owner's shares are ``split_secrets`` of its bundle on its own
+        restated stream, and a random (generally non-prefix) quorum of
+        ``available`` holders opens every bundle to ``reconstruct_secret``'s
+        words, which are the derived ones."""
+        n = len(cohort)
+        threshold = data.draw(st.integers(min_value=1, max_value=n))
+        session = _session(cohort, 3, dtype, context, seed,
+                           threshold=threshold)
+        assert session._shares.shape == (n, n, n)
+        for i, owner in enumerate(session.cohort):
+            bundle = [ref_stream_word(seed, context, session._key(i, j))
+                      for j in range(n)]
+            assert session._words[i].tolist() == bundle
+            ref = split_secrets(bundle, n, threshold, ref_restated_rng(
+                ref_stream_word(seed, context, ("share", owner))))
+            assert (np.array(ref, dtype=np.uint64).tobytes()
+                    == session._shares[i].tobytes())
+        available = data.draw(st.lists(st.sampled_from(cohort),
+                                       min_size=threshold, unique=True))
+        quorum = [k for k, p in enumerate(session.cohort)
+                  if p in available][:threshold]
+        xs = [k + 1 for k in quorum]
+        opened = shamir.open_shares(session._shares[:, :, quorum], xs)
+        assert opened.tolist() == [
+            [reconstruct_secret(zip(xs, values)) for values in bundle]
+            for bundle in session._shares[:, :, quorum].tolist()]
+        assert np.array_equal(opened, session._words)
+        session.recover(data.draw(st.permutations(cohort)), available=available)
+        assert all(session.is_recovered(p) for p in cohort)
 
 
 class TestHoistedWeights:
@@ -432,7 +472,7 @@ class TestRecoveryGate:
         session, bank, party_rows = self._sealed()
         rows = [row for _party, row in party_rows]
         sealed = bank.matrix(rows).copy()
-        session._shares[9]["self", 9][0] ^= 1
+        session._shares[3, 3, 0] ^= np.uint64(1)  # party 9's own word, x = 1
         with pytest.raises(RuntimeError, match="corrupt"):
             session.combine_rows(bank, np.ones(4), party_rows)
         assert np.array_equal(bank.matrix(rows).view(np.uint64),
@@ -451,6 +491,24 @@ class TestRecoveryGate:
         with pytest.raises(IncompleteSubmissionError, match="refusing"):
             session.recover([4], available=[9, 77, 2])
         assert not session.is_recovered(4)
+
+    def test_recovery_is_all_or_nothing(self):
+        """A corrupt share in a later party's bundle marks and meters no
+        earlier party; the clean recovery afterwards meters exactly once."""
+        ledger = CommunicationLedger()
+        session, _, _ = self._sealed(ledger)
+        base = ledger.downlink_bytes
+        session._shares[2, 1, 0] ^= np.uint64(1)  # party 4's pair word with 2
+        with pytest.raises(RuntimeError, match="party 4 word .'pair', 2, 4."):
+            session.recover([0, 4, 9])
+        assert not any(session.is_recovered(p) for p in session.cohort)
+        assert ledger.downlink_bytes == base
+        session._shares[2, 1, 0] ^= np.uint64(1)
+        session.recover([0, 4, 0, 9])
+        session.recover([0, 4])
+        assert [session.is_recovered(p) for p in session.cohort] == [
+            True, False, True, True]
+        assert ledger.downlink_bytes == base + 3 * 4 * 3 * SHARE_BYTES
 
 
 # ---------------------------------------------------------------- Work pins
@@ -498,9 +556,9 @@ class TestWorkPins:
         session = SecureAggregationSession(cohort, spec, shared_seed=1,
                                            threshold=min(3, n))
         streams = n * (n + 1) // 2
-        # One seed sequence for the session's generator and one per share
-        # bundle (its coefficient draw); none per stream.
-        assert work == {"words": streams, "seed_sequences": 1 + n}
+        # One seed sequence for the session's generator, none per stream or
+        # share bundle (each bundle's blinding is keyed by one more word).
+        assert work == {"words": streams + n, "seed_sequences": 1}
         bank = ParamBank(spec, capacity=n)
         party_rows = []
         for party_id in cohort:
@@ -513,9 +571,9 @@ class TestWorkPins:
         assert np.array_equal(
             got, plain.weighted_combine(np.ones(n), list(range(n))))
         # The parent seeded 2 * streams + n generators here.
-        assert work == {"words": streams, "streams": streams,
-                        "seed_sequences": 1 + n}
-        assert len(work.derived) == streams
+        assert work == {"words": streams + n, "streams": streams,
+                        "seed_sequences": 1}
+        assert len(work.derived) == streams + n
         assert set(work.derived.values()) == {1}
         # Every net mask was consumed by its unseal.
         assert session._nets == {}
