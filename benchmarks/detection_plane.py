@@ -1,36 +1,21 @@
 """Where a shift response goes: one MMD statistic, the bandwidth, the k-means.
 
-Three measurements behind docs/ARCHITECTURE.md "The detection plane":
+    PYTHONPATH=src python benchmarks/detection_plane.py [--check | --clustering]
 
-    PYTHONPATH=src python benchmarks/detection_plane.py          # per-call table
-    PYTHONPATH=src python benchmarks/detection_plane.py --check  # equivalence
-    PYTHONPATH=src python benchmarks/detection_plane.py --clustering
-
-The table times the statistics at the shapes the pinned plans score them at
-(embedding width 32, 10 classes, per-party Dirichlet(0.8) label priors): a
-party report (48 rows against the party's previous 48), a window's 40
-reports as a per-party loop and as one ``class_conditional_mmd_batch``, cluster
-matching (a 64-row cluster pool against 5 latent memories of 64), cluster
-fusion (two pooled 20-party clusters, 960 rows each), one ``jsd``, the
-median-heuristic bandwidth with its ``tracemalloc`` peak at 24 / 32 / 40 / 96
-parties' pooled rows, and ``calibrate`` at ``wide_server``'s shapes draw by
-draw and stacked.  ``--check`` runs a fixed seeded sweep and prints whether
-the bandwidth equals the previous implementation (``benchmarks/reference.py``,
-the copy the differential test pins against) bit for bit and the worst
-relative deviation of each statistic from it — the scoring is
-tolerance-pinned, not byte-pinned, so this line is what a verification quotes
-in place of a digest — and whether ``calibrate``'s ``delta_cov``,
-``delta_label`` and ``gamma`` equal the draw-by-draw calibration bit for bit;
-it exits 1 when the bandwidth or a threshold differs or the batched
-statistic deviates by more than ``rtol = 1e-12``.
+The table times the statistics at the pinned plans' shapes (width 32, 10
+classes, Dirichlet(0.8) label priors): a report (48 vs 48 rows), a window's
+40 reports as a loop and as one batch, matching (64 rows vs 5 memories),
+fusion (960 vs 960), ``jsd``, the bandwidth with its ``tracemalloc`` peak
+at 24 – 96 parties' rows, and ``calibrate`` draw by draw vs stacked.
+``--check`` sweeps seeded cases against ``benchmarks/reference.py``: the
+bandwidth and ``calibrate``'s thresholds must be bit for bit, each
+statistic prints its worst relative deviation (the line a verification
+quotes); exit 1 on a difference or a batch deviation above 1e-12.
 ``--clustering`` times ``select_num_clusters`` against the previous k-means
-(one Lloyd loop per problem) at the shift response's and a FLIPS fit's
-shapes, and prints whether a seeded sweep returns the same bytes and leaves
-the generator in the same state — the one line a clustering change quotes.
-All three run against an older checkout (``PYTHONPATH`` at its ``src``), which
-gives the "before" column and a deviation of exactly 0; the batch lines need
-``class_conditional_mmd_batch`` and are left out where it is missing.
-Report-only; nothing gates on it and no file is written.
+at the shift response's and a FLIPS fit's shapes; exit 1 unless a seeded
+sweep (degenerate seeding included) returns the same bytes, scores and
+generator state, and ``davies_bouldin_index`` the reference's scores.
+All three run against an older checkout (``PYTHONPATH`` at its ``src``).
 """
 
 from __future__ import annotations
@@ -49,10 +34,11 @@ from reference import (  # noqa: E402
     ref_class_conditional_mmd,
     ref_jsd,
     ref_median_heuristic_gamma as ref_gamma,
+    ref_davies_bouldin_index,
     ref_mmd,
     ref_select_num_clusters,
 )
-from repro.clustering.selection import select_num_clusters  # noqa: E402
+from repro.clustering import davies_bouldin_index, select_num_clusters  # noqa: E402
 from repro.detection.calibration import (  # noqa: E402
     ThresholdCalibrator,
     bootstrap_jsd_null,
@@ -62,6 +48,7 @@ from repro.detection.calibration import (  # noqa: E402
 from repro.detection.divergence import jsd  # noqa: E402
 from repro.detection.mmd import (  # noqa: E402
     class_conditional_mmd,
+    class_conditional_mmd_batch,
     class_conditional_mmd_to_many,
     median_heuristic_gamma,
     mmd,
@@ -69,18 +56,13 @@ from repro.detection.mmd import (  # noqa: E402
 from repro.utils.rng import spawn_rng  # noqa: E402
 from repro.utils.validation import normalize_histogram  # noqa: E402
 
-try:  # newer than the probe's other names
-    from repro.detection.mmd import class_conditional_mmd_batch  # noqa: E402
-except ImportError:
-    class_conditional_mmd_batch = None
-
 DIM, CLASSES, ALPHA, ROWS = 32, 10, 0.8, 48
 
 
-def party(rng, rows: int = ROWS, shift: float = 0.0):
+def party(rng, rows: int = ROWS, shift: float = 0.0, dim: int = DIM):
     """One party's labelled embeddings under its own Dirichlet label prior."""
     labels = rng.choice(CLASSES, size=rows, p=rng.dirichlet(np.full(CLASSES, ALPHA)))
-    return rng.normal(size=(rows, DIM)) + 0.3 * labels[:, None] + shift, labels
+    return rng.normal(size=(rows, dim)) + 0.3 * labels[:, None] + shift, labels
 
 
 def pooled(rng, parties: int, rows: int = ROWS, shift: float = 0.0):
@@ -91,10 +73,7 @@ def pooled(rng, parties: int, rows: int = ROWS, shift: float = 0.0):
 
 def calibration_inputs(rng, parties: int, dim: int = DIM):
     """W0 pools and label priors of ``parties`` parties at width ``dim``."""
-    pools = []
-    for _ in range(parties):
-        labels = rng.choice(CLASSES, size=ROWS, p=rng.dirichlet(np.full(CLASSES, ALPHA)))
-        pools.append((rng.normal(size=(ROWS, dim)) + 0.3 * labels[:, None], labels))
+    pools = [party(rng, dim=dim) for _ in range(parties)]
     return pools, rng.dirichlet(np.full(CLASSES, ALPHA), size=parties)
 
 
@@ -125,9 +104,8 @@ def call_table() -> None:
     prev, prev_labels = party(rng, shift=0.2)
     gamma = median_heuristic_gamma(pooled(rng, 8)[0])
     cluster, cluster_labels = pooled(rng, 4, rows=16)
-    memories = [pooled(rng, 4, rows=16, shift=0.2 * k) for k in range(5)]
-    signatures = [m for m, _ in memories]
-    signature_labels = [lab for _, lab in memories]
+    signatures, signature_labels = map(list, zip(*[
+        pooled(rng, 4, rows=16, shift=0.2 * k) for k in range(5)]))
     left, left_labels = pooled(rng, 20)
     right, right_labels = pooled(rng, 20, shift=0.2)
     hist_a, hist_b = rng.dirichlet(np.ones(CLASSES)), rng.dirichlet(np.ones(CLASSES))
@@ -146,12 +124,11 @@ def call_table() -> None:
     print(f"width {DIM}, {CLASSES} classes, Dirichlet({ALPHA}) priors; best of 25")
     for label, calls, fn in rows:
         print(f"  {label:<56}{best_us(fn, calls=calls, repeats=25):>10.1f} us")
-    if class_conditional_mmd_batch is not None:
-        loop, batch = (best_us(fn, calls=1, repeats=25) for fn in (
-            lambda: [class_conditional_mmd(*entry, gamma) for entry in window],
-            lambda: class_conditional_mmd_batch(*zip(*window), gamma)))
-        print(f"  {'window: 40 reports, per-party loop -> one batch':<56}"
-              f"{loop:>10.1f} -> {batch:.1f} us")
+    loop, batch = (best_us(fn, calls=1, repeats=25) for fn in (
+        lambda: [class_conditional_mmd(*entry, gamma) for entry in window],
+        lambda: class_conditional_mmd_batch(*zip(*window), gamma)))
+    print(f"  {'window: 40 reports, per-party loop -> one batch':<56}"
+          f"{loop:>10.1f} -> {batch:.1f} us")
     for parties in (24, 32, 40, 96):
         sample = pooled(rng, parties)[0]
         n = sample.shape[0]
@@ -178,10 +155,8 @@ def call_table() -> None:
 def check(cases: int = 400) -> bool:
     """Print the sweep; True when the bandwidth equals the reference throughout
     and the batched statistic stays within ``rtol = 1e-12`` of it."""
-    worst = {"mmd": 0.0, "class_conditional_mmd": 0.0,
-             "class_conditional_mmd_to_many": 0.0}
-    if class_conditional_mmd_batch is not None:
-        worst["class_conditional_mmd_batch"] = 0.0
+    worst = dict.fromkeys(["mmd", "class_conditional_mmd", "class_conditional_mmd_to_many",
+                           "class_conditional_mmd_batch"], 0.0)
 
     def record(name, live, reference):
         live, reference = np.atleast_1d(live), np.atleast_1d(reference)
@@ -210,12 +185,11 @@ def check(cases: int = 400) -> bool:
                    x, xl, [t for t, _ in targets], [lab for _, lab in targets], gamma),
                [ref_class_conditional_mmd(x, xl, t, lab, gamma)
                 for t, lab in targets])
-        if class_conditional_mmd_batch is not None:  # each target vs its own x
-            batch = [(*pooled(rng, 1, rows=int(rng.integers(2, 49))), t, lab)
-                     for t, lab in targets]
-            record("class_conditional_mmd_batch",
-                   class_conditional_mmd_batch(*zip(*batch), gamma),
-                   [ref_class_conditional_mmd(*entry, gamma) for entry in batch])
+        batch = [(*pooled(rng, 1, rows=int(rng.integers(2, 49))), t, lab)
+                 for t, lab in targets]  # each target vs its own x
+        record("class_conditional_mmd_batch",
+               class_conditional_mmd_batch(*zip(*batch), gamma),
+               [ref_class_conditional_mmd(*entry, gamma) for entry in batch])
     for rows in (1152, 1920, 4608):
         sample = pooled(spawn_rng(20, "detection-check-wide", rows), rows // ROWS)[0]
         gamma_equal &= median_heuristic_gamma(sample) == ref_gamma(sample)
@@ -242,7 +216,7 @@ def check(cases: int = 400) -> bool:
     for name, deviation in worst.items():
         print(f"  {name:<32} worst relative deviation {deviation:.2e}")
     return (bool(gamma_equal) and calibrated_equal
-            and worst.get("class_conditional_mmd_batch", 0.0) <= 1e-12)
+            and worst["class_conditional_mmd_batch"] <= 1e-12)
 
 
 # ---------------------------------------------------------------- clustering
@@ -257,29 +231,19 @@ def centroid_rows(rng, n: int, d: int):
     return regimes[rng.integers(len(regimes), size=n)] + 0.1 * rng.random((n, d))
 
 
-def same_scan(live, ref) -> bool:
-    (k, result, scores), (ref_k, ref_result, ref_scores) = live, ref
-    return ((k, scores, result.inertia, result.iterations)
-            == (ref_k, ref_scores, ref_result.inertia, ref_result.iterations)
-            and result.labels.tobytes() == ref_result.labels.tobytes()
-            and result.centroids.tobytes() == ref_result.centroids.tobytes())
-
-
-def clustering(cases: int = 300) -> None:
+def clustering(cases: int = 300) -> bool:
     shapes = [("shift response, wide_server: 35 x 32, k_max 6", 35, 32, 6),
               ("shift response, sync_conv: 29 x 48, k_max 6", 29, 48, 6),
               ("cohort FLIPS fit: 24 x 10, k_max 4", 24, CLASSES, 4)]
     print("select_num_clusters per call, best of 40 interleaved (previous -> live)")
     for label, n, d, k_max in shapes:
         x = centroid_rows(spawn_rng(0, "clustering", n, d), n, d)
-        ref_us = live_us = float("inf")
+        best = {fn: float("inf") for fn in (ref_select_num_clusters, select_num_clusters)}
         for _ in range(40):  # alternating, so a slow spell of the host hits both
-            ref_us = min(ref_us, best_us(
-                lambda: ref_select_num_clusters(x, spawn_rng(0, "scan"), k_max=k_max),
-                calls=5, repeats=1))
-            live_us = min(live_us, best_us(
-                lambda: select_num_clusters(x, spawn_rng(0, "scan"), k_max=k_max),
-                calls=5, repeats=1))
+            for fn in best:
+                best[fn] = min(best[fn], best_us(
+                    lambda: fn(x, spawn_rng(0, "scan"), k_max=k_max), calls=5, repeats=1))
+        ref_us, live_us = best.values()
         print(f"  {label:<48}{ref_us / 1e3:>7.2f} -> {live_us / 1e3:5.2f} ms"
               f"  ({ref_us / live_us:.2f}x)")
     equal = True
@@ -287,12 +251,22 @@ def clustering(cases: int = 300) -> None:
         rng = spawn_rng(21, "clustering-check", case)
         n, d = int(rng.integers(1, 41)), int(rng.choice([1, 2, CLASSES, 32, 48]))
         x, k_max = centroid_rows(rng, n, d), int(rng.integers(1, 7))
+        if case % 5 == 0:  # at most 3 distinct rows: the seeding replay
+            x = x[rng.integers(min(n, 3), size=n)]
         live_rng, ref_rng = spawn_rng(case, "scan"), spawn_rng(case, "scan")
-        equal &= same_scan(select_num_clusters(x, live_rng, k_max=k_max),
-                           ref_select_num_clusters(x, ref_rng, k_max=k_max))
-        equal &= live_rng.bit_generator.state == ref_rng.bit_generator.state
+        (k, result, scores), (ref_k, ref_result, ref_scores) = (
+            select_num_clusters(x, live_rng, k_max=k_max),
+            ref_select_num_clusters(x, ref_rng, k_max=k_max))
+        equal &= ((k, scores, result.inertia, result.iterations, result.labels.tobytes(),
+                   result.centroids.tobytes(), live_rng.bit_generator.state)
+                  == (ref_k, ref_scores, ref_result.inertia, ref_result.iterations,
+                      ref_result.labels.tobytes(), ref_result.centroids.tobytes(),
+                      ref_rng.bit_generator.state))
+        labels = rng.integers(-2, 6, size=n) * 3  # gaps, negative values, singletons
+        equal &= davies_bouldin_index(x, labels) == ref_davies_bouldin_index(x, labels)
     print(f"  select_num_clusters == previous implementation over {cases} seeded cases"
-          f" (bytes, scores, generator state): {equal}")
+          f" (bytes, scores, generator state; davies_bouldin_index): {equal}")
+    return equal
 
 
 if __name__ == "__main__":
@@ -304,6 +278,6 @@ if __name__ == "__main__":
     if args.check:
         sys.exit(0 if check() else 1)
     elif args.clustering:
-        clustering()
+        sys.exit(0 if clustering() else 1)
     else:
         call_table()

@@ -5,11 +5,11 @@ bodies a perf PR replaced, kept verbatim — the detection plane's previous MMD
 code (three distance matrices and three ``exp`` per pair, a Python loop per
 shared class and, for a batch of reports or the calibration null's draws,
 per entry, a median heuristic gathered through ``triu_indices``, and one
-vector ``jsd``), the conv
-kernels' previous ``im2col`` / ``col2im`` / max-pool and per-tensor training
-step, k-means as one Lloyd loop per (k, restart) problem, the data plane's
-previous sampler (one class at a time, one ``np.roll`` per image) and eager
-window assembly, ``pixelate``'s per-pixel loop, and the six
+vector ``jsd``), the conv kernels' previous ``im2col`` / ``col2im`` /
+max-pool and per-tensor training step, k-means as one Lloyd loop per (k,
+restart) problem and Davies–Bouldin as one loop per labelling, the data
+plane's previous sampler (one class at a time, one ``np.roll`` per image)
+and eager window assembly, ``pixelate``'s per-pixel loop, and the six
 corruption operators as they were over ``scipy.ndimage`` (``SCIPY_CORRUPTIONS``;
 scipy is a test-only dependency, so ``ndimage`` / ``special`` are ``None``
 without it).  ``tests/test_{detection,data}_differential.py``,
@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 
-from repro.clustering.davies_bouldin import davies_bouldin_index
 from repro.clustering.kmeans import KMeansResult
 from repro.data.corruptions import _check_batch, _sev
 from repro.data.federated import PartyWindowData
@@ -374,6 +373,33 @@ def ref_kmeans(x, k, rng, max_iter=100, tol=1e-6, n_init=3):
     return best
 
 
+def ref_davies_bouldin_index(x, labels):
+    x = check_2d(x, "x")
+    labels = np.asarray(labels)
+    if labels.shape != (x.shape[0],):
+        raise ValueError("labels must align with rows of x")
+    clusters = np.unique(labels)
+    k = clusters.size
+    if k < 2:
+        return 0.0
+
+    centroids = np.stack([x[labels == c].mean(axis=0) for c in clusters])
+    scatters = np.array([
+        float(np.linalg.norm(x[labels == c] - centroids[i], axis=1).mean())
+        for i, c in enumerate(clusters)
+    ])
+    separations = np.linalg.norm(centroids[:, None, :] - centroids[None, :, :], axis=2)
+
+    index = 0.0
+    for i in range(k):
+        ratios = [
+            (scatters[i] + scatters[j]) / max(separations[i, j], 1e-12)
+            for j in range(k) if j != i
+        ]
+        index += max(ratios)
+    return float(index / k)
+
+
 def ref_select_num_clusters(x, rng, k_max=6, elbow_tolerance=0.10):
     x = check_2d(x, "x")
     n = x.shape[0]
@@ -394,7 +420,7 @@ def ref_select_num_clusters(x, rng, k_max=6, elbow_tolerance=0.10):
             # same scale as DB indices of k >= 2.
             scores[k] = 1.0
         else:
-            scores[k] = davies_bouldin_index(x, result.labels)
+            scores[k] = ref_davies_bouldin_index(x, result.labels)
 
     best_k = 1
     best_score = scores[1]

@@ -1,18 +1,18 @@
 """K-means with k-means++ seeding and Lloyd iterations.
 
-``kmeans_scan`` clusters the same rows for several k in one pass: it draws
-every restart's k-means++ seeds first, in the order a loop of ``kmeans``
-calls would (k as listed, then restart), and then runs Lloyd on all of those
-problems together.  Lloyd draws no randomness, so the draws, their order and
-every per-problem number are those of solving the problems one at a time:
-distances reduce over the same contiguous feature axis, ``argmin`` meets a
-problem's own centroids first (past its k the distances are +inf), a
-centroid is the sum of its members in ascending row order starting from 0.0
-divided by their count (what ``members.mean(axis=0)`` computes for rows of
-two or more features), and each problem stops at its own convergence.  An
-iteration that empties one of a problem's clusters, and every update of
-one-feature rows (whose mean numpy sums pairwise), is replayed cluster by
-cluster exactly as a lone problem runs it.
+``kmeans_scan`` clusters the same rows for several k in a few array passes,
+each result and the generator state those of a loop of ``kmeans`` calls (k
+as listed, then restart).  Seeding makes the loop's generator calls in its
+order, then samples D^2 for every problem at once (a degenerate total, where
+the loop draws ``integers(n)``, restores the generator and replays it).
+Lloyd draws nothing and runs the problems with k >= 2 together: distances
+reduce over the same contiguous feature axis, recomputed only for a centroid
+that moved; ``argmin`` meets a problem's own centroids first (+inf past its
+k); a centroid sums its members in ascending row order from 0.0 (as
+``members.mean(axis=0)`` does for two or more features); each problem stops
+at its own convergence.  An iteration that empties a cluster, and every
+update of one-feature rows (numpy sums those pairwise), replays the problem
+cluster by cluster.  k = 1 is closed form: the mean of the rows.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import numpy as np
 
 from repro.utils.validation import check_2d
 
-# Problems are solved in consecutive batches of at most this many
-# (centroid, row, feature) entries — one batch's distance and member stacks —
-# or of one problem that is larger alone.
+# The largest distance or member stack a pass builds, in (centroid, row,
+# feature) entries, unless one centroid or problem is larger alone.
 _BATCH_ENTRIES = 1 << 18
 
 
@@ -48,33 +47,29 @@ class KMeansResult:
 
 
 def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """``[s, i]``: squared distance of centroid ``s`` to row ``i``.
+    """``[s, i]``: squared distance of centroid ``s`` to row ``i``, in blocks
+    of at most ``_BATCH_ENTRIES`` entries.
 
     ``(c - x)**2`` is ``(x - c)**2`` bit for bit; repeating the centroids
     first lets the subtraction run over whole ``(n, d)`` blocks.
     """
-    diff = np.repeat(centroids, x.shape[0], axis=0).reshape(-1, *x.shape)
-    diff -= x
-    np.square(diff, out=diff)
-    return diff.sum(axis=2)
+    out = np.empty((centroids.shape[0], x.shape[0]))
+    step = max(1, _BATCH_ENTRIES // x.size)
+    for start in range(0, centroids.shape[0], step):
+        diff = np.repeat(centroids[start:start + step], x.shape[0], axis=0)
+        diff = diff.reshape(-1, *x.shape)
+        diff -= x
+        np.square(diff, out=diff)
+        diff.sum(axis=2, out=out[start:start + step])
+    return out
 
 
-def _kmeans_pp_seeds(x: np.ndarray, k: int, rng: np.random.Generator,
-                     dist_rows: dict[int, np.ndarray]) -> list[int]:
-    """k-means++ seeding: the rows D^2 sampling picks as initial centroids.
-
-    ``dist_rows[i]`` caches row ``i``'s squared distances to every row across
-    the restarts of a scan.
-    """
+def _kmeans_pp_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+    """One problem's k-means++ seeds, one draw at a time: the rows D^2
+    sampling picks as initial centroids."""
     n = x.shape[0]
-
-    def dists(i: int) -> np.ndarray:
-        if i not in dist_rows:
-            dist_rows[i] = ((x - x[i]) ** 2).sum(axis=1)
-        return dist_rows[i]
-
     seeds = [int(rng.integers(n))]
-    closest_d2 = dists(seeds[0])
+    closest_d2 = _sq_dists(x, x[seeds])[0]
     for _ in range(1, k):
         total = closest_d2.sum()
         if total <= 1e-18:
@@ -89,23 +84,54 @@ def _kmeans_pp_seeds(x: np.ndarray, k: int, rng: np.random.Generator,
         else:
             raise ValueError("x must be finite")
         seeds.append(idx)
-        closest_d2 = np.minimum(closest_d2, dists(idx))
+        closest_d2 = np.minimum(closest_d2, _sq_dists(x, x[[idx]])[0])
     return seeds
 
 
-def _slot_table(ks: np.ndarray) -> np.ndarray:
-    """``table[p, j]``: row of problem ``p``'s centroid ``j`` in the stack of
-    every problem's centroids; past ``p``'s k it is ``ks.sum()`` (a +inf row)."""
-    j = np.arange(int(ks.max()))
-    return np.where(j < ks[:, None], (np.cumsum(ks) - ks)[:, None] + j, ks.sum())
+def _kmeans_pp(x: np.ndarray, ks: np.ndarray,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Every problem's seeds ``[p, j]`` (0 past its k) and their distance
+    rows ``[p, j, i]``, drawn as a loop of ``_kmeans_pp_seeds`` calls draws."""
+    n = x.shape[0]
+    state = rng.bit_generator.state
+    u = np.zeros((ks.size, int(ks.max(initial=1))))
+    seeds = np.zeros(u.shape, dtype=int)
+    for p, k in enumerate(ks):  # the loop's generator calls, in its order
+        seeds[p, 0] = rng.integers(n)
+        u[p, 1:k] = rng.random(k - 1)
+    rows = np.zeros(u.shape + (n,))
+    rows[:, 0] = closest = _sq_dists(x, x[seeds[:, 0]])
+    for j in range(1, u.shape[1]):
+        live = np.flatnonzero(ks > j)
+        near = closest[live]
+        total = near.sum(axis=1)
+        if not np.all((total > 1e-18) & (total < math.inf)):
+            rng.bit_generator.state = state
+            seeds = np.array([_kmeans_pp_seeds(x, k, rng) + [0] * (u.shape[1] - k)
+                              for k in ks])
+            return seeds, _sq_dists(x, x[seeds.ravel()]).reshape(rows.shape)
+        cdf = (near / total[:, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        drawn = (cdf <= u[live, j, None]).sum(axis=1)
+        drawn_d2 = _sq_dists(x, x[drawn])
+        seeds[live, j], rows[live, j] = drawn, drawn_d2
+        closest[live] = np.minimum(near, drawn_d2)
+    return seeds, rows
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray,
-            table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per problem: squared distances ``(P, K, n)`` and nearest centroids ``(P, n)``."""
-    d2 = _sq_dists(x, centroids)
-    d2 = np.vstack([d2, np.full((1, x.shape[0]), np.inf)])[table]
-    return d2, d2.argmin(axis=1)
+def _means(members: np.ndarray, rank: np.ndarray, slot: np.ndarray,
+           counts: np.ndarray) -> np.ndarray:
+    """``[s]``: the mean of the members of slot ``s``, for rows of two or
+    more features; ``members[i]`` goes to slot ``slot[i]`` at ``rank[i]``
+    (broadcast together), which ascends with the row within each slot.
+
+    ``stack[r, s]`` is the member of ``s`` at rank ``r`` (zero elsewhere):
+    summing over ``r`` adds each slot's members in row order from 0.0, one
+    (slot, feature) plane at a time; an added zero changes no such sum.
+    """
+    stack = np.zeros((int(rank.max()) + 1, counts.size, members.shape[-1]))
+    stack[rank, slot] = members
+    return stack.sum(axis=0) / np.maximum(counts, 1)[:, None]
 
 
 def _replayed_update(x: np.ndarray, d2: np.ndarray, labels: np.ndarray,
@@ -127,79 +153,59 @@ def _replayed_update(x: np.ndarray, d2: np.ndarray, labels: np.ndarray,
     return new_centroids
 
 
-def _occupancy(table: np.ndarray, labels: np.ndarray,
-               total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's stack row (problem by problem), the member count of every
-    stack row, and which problems left one of their clusters empty."""
-    slot = np.take_along_axis(table, labels, axis=1).ravel()
-    counts = np.bincount(slot, minlength=total + 1)  # the +inf row is never nearest
-    emptied = ((counts[table] == 0) & (table < total)).any(axis=1)
-    return slot, counts[:total], emptied
+def _lloyd(x: np.ndarray, seeds: np.ndarray, rows: np.ndarray, ks: np.ndarray,
+           max_iter: int, tol: float) -> list[KMeansResult]:
+    """Lloyd iterations for every seeded problem at once, each to its own stop.
 
-
-def _update(x: np.ndarray, d2: np.ndarray, labels: np.ndarray,
-            centroids: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Every problem's next centroids, stacked like ``centroids``."""
-    n, total = x.shape[0], centroids.shape[0]
-    slot, counts, replay = _occupancy(table, labels, total)
-    # members[r, s] is centroid s's r-th member in ascending row order (zero
-    # past its count): summing over r adds each centroid's members in that
-    # order from 0.0, one (centroid, feature) plane at a time.
-    order = np.argsort(slot, kind="stable")
-    rank = np.arange(slot.size) - (np.cumsum(counts) - counts)[slot[order]]
-    members = np.zeros((int(counts.max()), total, x.shape[1]))
-    members[rank, slot[order]] = x[order % n]
-    new = members.sum(axis=0) / np.maximum(counts, 1)[:, None]
-    if x.shape[1] == 1:
-        replay[:] = True
-    for p in np.flatnonzero(replay):
-        rows = table[p][table[p] < total]
-        new[rows] = _replayed_update(x, d2[p, :rows.size].T, labels[p],
-                                     centroids[rows])
-    return new
-
-
-def _lloyd(x: np.ndarray, seeds: list[list[int]], max_iter: int,
-           tol: float) -> list[KMeansResult]:
-    """Lloyd iterations for every seeded problem at once, each to its own stop."""
-    ks = np.array([len(s) for s in seeds])
-    owner = np.repeat(np.arange(ks.size), ks)
-    centroids = x[np.concatenate(seeds)]
-    iterations = np.zeros(ks.size, dtype=int)
-    running = np.ones(ks.size, dtype=bool)
+    ``[p, j]`` of the centroid and distance stacks is problem ``p``'s centroid
+    ``j``; a pad past ``p``'s k sits at +inf from every row and never moves.
+    """
+    (count, width), n = seeds.shape, x.shape[0]
+    inside = np.arange(width) < ks[:, None]
+    centroids = np.where(inside[..., None], x[seeds], 0.0)
+    d2 = np.where(inside[..., None], rows, np.inf)
+    iterations = np.zeros(count, dtype=int)
+    active = np.arange(count)
     for iteration in range(1, max_iter + 1):
-        active = np.flatnonzero(running)
+        dist = d2[active]
+        labels = dist.argmin(axis=1)
+        # Active problem a's centroid j is slot a * width + j; a row's rank is
+        # its index, so the stack is n deep (bounded by the batch).
+        slot = labels + width * np.arange(active.size)[:, None]
+        counts = np.bincount(slot.ravel(), minlength=active.size * width)
+        new = _means(x, np.arange(n), slot, counts).reshape(active.size, width, -1)
+        current = centroids[active]
+        emptied = (counts.reshape(-1, width) < inside[active]).any(axis=1)
+        for a in np.flatnonzero(emptied | (x.shape[1] == 1)):
+            k = ks[active[a]]
+            new[a, :k] = _replayed_update(x, dist[a, :k].T, labels[a], current[a, :k])
+        moved_a, moved_j = np.nonzero((new != current).any(axis=2))
+        d2[active[moved_a], moved_j] = _sq_dists(x, new[moved_a, moved_j])
+        centroids[active] = new
+        iterations[active] = iteration
+        active = active[~(np.abs(new - current).max(axis=(1, 2)) < tol)]
         if active.size == 0:
             break
-        live = np.flatnonzero(running[owner])
-        current = centroids[live]
-        table = _slot_table(ks[active])
-        d2, labels = _assign(x, current, table)
-        new = _update(x, d2, labels, current, table)
-        shift = np.maximum.reduceat(np.abs(new - current).max(axis=1), table[:, 0])
-        centroids[live] = new
-        iterations[active] = iteration
-        running[active[shift < tol]] = False
 
-    table = _slot_table(ks)
-    d2, labels = _assign(x, centroids, table)
-    fitted = [centroids[table[p, :k]] for p, k in enumerate(ks)]
+    labels = d2.argmin(axis=1)
+    fitted = [centroids[p, :k].copy() for p, k in enumerate(ks)]
+    counts = np.bincount((labels + width * np.arange(count)[:, None]).ravel(),
+                         minlength=count * width).reshape(count, width)
     # Guarantee exactly k non-empty clusters even on degenerate inputs
     # (duplicate points tie on distance and argmin collapses clusters).
-    _slot, _counts, emptied = _occupancy(table, labels, centroids.shape[0])
-    for p in np.flatnonzero(emptied):
-        k, lab, dist = int(ks[p]), labels[p], d2[p, :ks[p]].T
+    for p in np.flatnonzero(((counts == 0) & inside).any(axis=1)):
+        k, lab, dp = int(ks[p]), labels[p], d2[p, :ks[p]].T
         for j in range(k):
             if not np.any(lab == j):
                 donor_clusters = np.flatnonzero(np.bincount(lab, minlength=k) > 1)
                 candidates = np.flatnonzero(np.isin(lab, donor_clusters))
-                worst = candidates[dist[candidates, lab[candidates]].argmax()]
+                worst = candidates[dp[candidates, lab[candidates]].argmax()]
                 lab[worst] = j
                 fitted[p][j] = x[worst]
     inertia = np.take_along_axis(d2, labels[:, None, :], axis=1)[:, 0].sum(axis=1)
     return [KMeansResult(labels=labels[p].copy(), centroids=fitted[p],
                          inertia=float(inertia[p]), iterations=int(iterations[p]))
-            for p in range(ks.size)]
+            for p in range(count)]
 
 
 def kmeans_scan(x: np.ndarray, ks: list[int], rng: np.random.Generator,
@@ -208,10 +214,11 @@ def kmeans_scan(x: np.ndarray, ks: list[int], rng: np.random.Generator,
     """``[kmeans(x, k, rng, ...) for k in ks]``, every restart solved together.
 
     The generator ends where that loop leaves it and each result is the same
-    bytes; only the Lloyd iterations are shared.
+    bytes.
     """
-    x = check_2d(x, "x")
-    n, d = x.shape
+    # Contiguous: x.mean(axis=0) then sums as a copy of the rows does.
+    x = np.ascontiguousarray(check_2d(x, "x", finite=True))
+    n = x.shape[0]
     for k in ks:
         if k <= 0:
             raise ValueError("k must be positive")
@@ -219,19 +226,28 @@ def kmeans_scan(x: np.ndarray, ks: list[int], rng: np.random.Generator,
             raise ValueError(f"k={k} exceeds number of samples {n}")
     if n_init <= 0:
         raise ValueError("n_init must be positive")
+    if max_iter <= 0:
+        raise ValueError("max_iter must be positive")
 
-    dist_rows: dict[int, np.ndarray] = {}
-    seeds = [_kmeans_pp_seeds(x, k, rng, dist_rows)
-             for k in ks for _restart in range(n_init)]
-    fits: list[KMeansResult] = []
-    start = 0
-    while start < len(seeds):
-        stop, entries = start + 1, len(seeds[start]) * n * d
-        while stop < len(seeds) and entries + len(seeds[stop]) * n * d <= _BATCH_ENTRIES:
-            entries += len(seeds[stop]) * n * d
-            stop += 1
-        fits.extend(_lloyd(x, seeds[start:stop], max_iter, tol))
-        start = stop
+    problems = np.repeat(np.asarray(ks, dtype=int), n_init)
+    seeds, rows = _kmeans_pp(x, problems, rng)
+    fits: list[KMeansResult] = [None] * problems.size
+    ones = np.flatnonzero(problems == 1)
+    if ones.size:  # step 1 moves the seed to the mean, step 2 finds it there
+        mean = x.mean(axis=0)
+        inertia = float(_sq_dists(x, mean[None])[0].sum())
+        for p, shift in zip(ones, np.abs(mean - x[seeds[ones, 0]]).max(axis=1)):
+            steps = 1 if shift < tol else min(2, max_iter) if tol > 0 else max_iter
+            fits[p] = KMeansResult(np.zeros(n, dtype=np.intp), mean[None].copy(),
+                                   inertia, steps)
+    # Batches of at most _BATCH_ENTRIES padded (centroid, row, feature) entries.
+    rest = np.flatnonzero(problems > 1)
+    per = max(1, _BATCH_ENTRIES // (int(problems.max()) * x.size))
+    for start in range(0, rest.size, per):
+        batch = rest[start:start + per]
+        for p, fit in zip(batch, _lloyd(x, seeds[batch], rows[batch], problems[batch],
+                                        max_iter, tol)):
+            fits[p] = fit
     # Best of the restarts; the first wins a tie.
     return [min(fits[i:i + n_init], key=lambda r: r.inertia)
             for i in range(0, len(fits), n_init)]

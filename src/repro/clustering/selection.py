@@ -7,14 +7,15 @@ creating additional clusters (and thus new experts) is justified"
 the DB index, and stop growing k when the relative improvement falls below
 an elbow tolerance — penalizing unnecessary expert proliferation without a
 hand-tuned lambda.  Every (k, restart) k-means problem of the scan is solved
-in one ``kmeans_scan`` pass.
+in one ``kmeans_scan`` pass and every k >= 2 scored in one
+``davies_bouldin_indices`` pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.clustering.davies_bouldin import davies_bouldin_index
+from repro.clustering.davies_bouldin import davies_bouldin_indices
 from repro.clustering.kmeans import KMeansResult, kmeans, kmeans_scan
 from repro.utils.validation import check_2d
 
@@ -28,11 +29,11 @@ def select_num_clusters(x: np.ndarray, rng: np.random.Generator,
     ``elbow_tolerance`` is the minimum relative DB-index improvement required
     to accept a larger k.
     """
-    x = check_2d(x, "x")
+    x = check_2d(x, "x", finite=True)
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
     n = x.shape[0]
-    k_max = max(1, min(k_max, n))
-    results: dict[int, KMeansResult] = {}
-    scores: dict[int, float] = {}
+    k_max = min(k_max, n)
 
     spread = float(np.linalg.norm(x - x.mean(axis=0), axis=1).mean())
     if n == 1 or spread < 1e-9:
@@ -40,14 +41,12 @@ def select_num_clusters(x: np.ndarray, rng: np.random.Generator,
         return 1, result, {1: 0.0}
 
     ks = list(range(1, k_max + 1))
-    for k, result in zip(ks, kmeans_scan(x, ks, rng)):
-        results[k] = result
-        if k == 1:
-            # Normalized scatter of the single cluster, so k=1 competes on the
-            # same scale as DB indices of k >= 2.
-            scores[k] = 1.0
-        else:
-            scores[k] = davies_bouldin_index(x, result.labels)
+    results = dict(zip(ks, kmeans_scan(x, ks, rng)))
+    # k = 1 scores 1.0, a normalized scatter of the single cluster, so it
+    # competes on the same scale as DB indices of k >= 2.
+    scores = {1: 1.0}
+    scores.update(zip(ks[1:], davies_bouldin_indices(
+        x, [results[k].labels for k in ks[1:]])))
 
     best_k = 1
     best_score = scores[1]

@@ -38,7 +38,7 @@ from repro.experiments.registry import register_strategy
 from repro.experts.consolidation import consolidate_experts
 from repro.experts.matching import match_cluster_to_expert
 from repro.experts.registry import ExpertRegistry
-from repro.federation.party import embed_parties
+from repro.federation.party import embed_parties, train_parties
 from repro.federation.rounds import run_fl_round
 from repro.federation.strategy import (
     ContinualStrategy,
@@ -191,6 +191,7 @@ class ShiftExStrategy(ContinualStrategy):
                 for cluster_index in range(clustering.num_clusters)
             ]
             groups = self._merge_same_regime_clusters(groups, reports)
+            finetunes: dict[int, list] = {}
             for members in groups:
                 if not members:
                     continue
@@ -198,7 +199,14 @@ class ShiftExStrategy(ContinualStrategy):
                     self._handle_large_cluster(window, members, reports,
                                                window_log)
                 else:
-                    self._handle_small_cluster(window, members, window_log)
+                    self._handle_small_cluster(members, window_log, finetunes)
+            config = replace(ctx.round_config.local, prox_mu=0.0,
+                             epochs=self.config.finetune_epochs)
+            for expert_id, trainees in finetunes.items():  # one stack per expert
+                for update in train_parties(
+                        trainees, self.registry.get(expert_id).clone_params(),
+                        config, ("finetune", window), [None] * len(trainees)):
+                    self._finetuned[update.party_id] = update.params
 
         if self.config.enable_consolidation and len(self.registry) >= 2:
             events = consolidate_experts(
@@ -296,22 +304,15 @@ class ShiftExStrategy(ContinualStrategy):
             "expert": expert.expert_id,
         })
 
-    def _handle_small_cluster(self, window: int, members: list[int],
-                              window_log: dict) -> None:
-        """Clusters below gamma fine-tune their assigned expert locally."""
-        ctx = self.context
-        finetune_config = replace(
-            ctx.round_config.local,
-            epochs=self.config.finetune_epochs,
-            prox_mu=0.0,
-        )
+    def _handle_small_cluster(self, members: list[int], window_log: dict,
+                              finetunes: dict[int, list]) -> None:
+        """Clusters below gamma fine-tune their assigned expert locally: each
+        member's train split joins its expert's ``finetunes`` (trained as
+        one stack per expert before consolidation)."""
         for pid in members:
-            expert = self.registry.get(self.assignments[pid])
-            update = ctx.parties[pid].local_train(
-                expert.clone_params(), finetune_config,
-                round_tag=("finetune", window),
-            )
-            self._finetuned[pid] = update.params
+            party = self.context.parties[pid]
+            finetunes.setdefault(self.assignments[pid], []).append(
+                (party, *party.train_split()))
         window_log["clusters"].append({
             "size": len(members),
             "action": "finetune",

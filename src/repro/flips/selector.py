@@ -54,10 +54,15 @@ class FlipsSelector:
         if not label_histograms:
             raise ValueError("label_histograms must not be empty")
         self._party_ids = sorted(label_histograms)
-        matrix = np.stack([
-            normalize_histogram(np.asarray(label_histograms[p], dtype=np.float64))
-            for p in self._party_ids
-        ])
+        # normalize_histogram of each row, as one matrix: the same checks,
+        # row sums and quotients.
+        matrix = np.array([label_histograms[p] for p in self._party_ids],
+                          dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] == 0 or np.any(matrix < 0):
+            raise ValueError("label histograms must be 1-D, non-empty, non-negative")
+        totals = matrix.sum(axis=1, keepdims=True)
+        matrix = np.divide(matrix, totals, where=totals != 0,
+                           out=np.full(matrix.shape, 1.0 / matrix.shape[1]))
         k_cap = min(self.max_clusters, len(self._party_ids))
         if self.num_clusters is not None:
             k = min(self.num_clusters, len(self._party_ids))

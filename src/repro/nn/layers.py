@@ -227,6 +227,14 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, ...],
     return _channels_first(padded[..., pad:pad + h, pad:pad + w, :])
 
 
+def _bias_grad(grad_mat: np.ndarray) -> np.ndarray:
+    """``grad_mat.sum(axis=-2)`` bit for bit: a stack sums its ``(M, r, C)``
+    copy, the same row-by-row adds ``r * C`` wide (one channel sums pairwise)."""
+    if grad_mat.ndim == 2 or grad_mat.shape[-1] == 1:
+        return grad_mat.sum(axis=-2)
+    return np.ascontiguousarray(np.moveaxis(grad_mat, -2, 0)).sum(axis=0)
+
+
 class Conv2d(Layer):
     """2-D convolution (NCHW) via im2col."""
 
@@ -278,7 +286,7 @@ class Conv2d(Layer):
         grad_mat = _channels_last(grad_out).reshape(
             cols.shape[:-1] + (self.out_channels,))
         _add_rows(self.grads[0], grad_mat.swapaxes(-1, -2) @ cols, 4)
-        self.grads[1] += grad_mat.sum(axis=-2)
+        self.grads[1] += _bias_grad(grad_mat)
         return grad_mat
 
     def backward_params(self, grad_out: np.ndarray) -> None:

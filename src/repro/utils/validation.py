@@ -236,13 +236,16 @@ def parse_spec(where: str, text: str) -> tuple[str | None, dict[str, str]]:
     return word, fields
 
 
-def check_2d(x: np.ndarray, name: str = "array") -> np.ndarray:
-    """Return ``x`` as a 2-D float array, raising a clear error otherwise."""
+def check_2d(x: np.ndarray, name: str = "array", finite: bool = False) -> np.ndarray:
+    """Return ``x`` as a 2-D float array, raising a clear error otherwise;
+    ``finite`` also names the first row holding a NaN or an infinity."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D (n_samples, n_features); got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError(f"{name} must contain at least one sample")
+    if finite and not (rows := np.isfinite(arr).all(axis=1)).all():
+        raise ValueError(f"{name} must be finite; row {int(rows.argmin())} is not")
     return arr
 
 

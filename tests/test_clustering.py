@@ -1,24 +1,31 @@
 """Tests for k-means, Davies-Bouldin and model selection.
 
-``TestAgainstReference`` pins the one-pass solver to the per-problem loop it
-replaced (``benchmarks/reference.py``): byte-equal labels and centroids,
-equal inertia, iteration counts and scores, and the generator left in the
-same state.
+``TestAgainstReference`` pins the one-pass solver and the scan-wide
+Davies–Bouldin pass to the per-problem and per-labelling loops they replaced
+(``benchmarks/reference.py``): byte-equal labels and centroids, equal
+inertia, iteration counts and scores, and the generator left in the same
+state.
 """
 
 import importlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from benchmarks.reference import ref_kmeans, ref_select_num_clusters
+from benchmarks.reference import (
+    ref_davies_bouldin_index,
+    ref_kmeans,
+    ref_select_num_clusters,
+)
 from repro.clustering import (
     davies_bouldin_index,
     kmeans,
     select_num_clusters,
 )
+from repro.clustering.davies_bouldin import davies_bouldin_indices
 from repro.clustering.kmeans import kmeans_scan
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.registry import build_strategy
@@ -137,6 +144,10 @@ class TestSelectNumClusters:
         assert k == 1
         assert result.num_clusters == 1
 
+    def test_rejects_nonpositive_k_max(self, rng):
+        with pytest.raises(ValueError, match="k_max"):
+            select_num_clusters(rng.normal(size=(5, 2)), rng, k_max=0)
+
     def test_k_max_respected(self):
         rng = spawn_rng(2, "sel")
         x, _ = blobs(rng, [(i * 20, 0) for i in range(6)], n_per=5)
@@ -251,12 +262,68 @@ class TestAgainstReference:
             assert_same_result(result, ref_kmeans(x, k, ref_rng))
         assert live_rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_non_finite_rows_rejected_like_the_reference(self):
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rows_rejected_like_the_reference(self, bad):
+        """The live code names the row before any arithmetic: no warning."""
         x = rows(0, 12, 2, "blobs")
-        x[3, 1] = np.inf
-        for fn in (kmeans, ref_kmeans):
-            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-                fn(x, 3, spawn_rng(0, "inf"))
+        x[3, 1] = bad
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            ref_kmeans(x, 3, spawn_rng(0, "inf"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: kmeans(x, 3, spawn_rng(0, "inf")),
+                         lambda: select_num_clusters(x, spawn_rng(0, "inf"))):
+                with pytest.raises(ValueError, match="row 3 is not"):
+                    call()
+
+    @pytest.mark.parametrize("n,distinct,k", [(6, 1, 3), (12, 2, 5), (9, 3, 6)])
+    def test_degenerate_seeding_replays_the_loop(self, n, distinct, k, monkeypatch):
+        """Fewer distinct rows than k: a D^2 total reaches 0, so the scan
+        restores the generator and replays the per-problem seeding loop."""
+        x = np.repeat(rows(n, distinct, 3, "blobs"), n // distinct, axis=0)
+        replayed = []
+        kmeans_module = importlib.import_module("repro.clustering.kmeans")
+        loop = kmeans_module._kmeans_pp_seeds
+
+        def spy(*args):
+            replayed.append(args[1])
+            return loop(*args)
+
+        monkeypatch.setattr(kmeans_module, "_kmeans_pp_seeds", spy)
+        live_rng, ref_rng = spawn_rng(n, "replay"), spawn_rng(n, "replay")
+        for result, ref_k in zip(kmeans_scan(x, [1, 2, k], live_rng), (1, 2, k)):
+            assert_same_result(result, ref_kmeans(x, ref_k, ref_rng))
+        assert live_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert replayed == [1, 1, 1, 2, 2, 2, k, k, k]
+
+
+@st.composite
+def labellings(draw):
+    """Rows and 1 – 4 labellings of them: 1 – 6 clusters each, labels with
+    gaps and negative values, singleton clusters, coincident centroids."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.sampled_from([1, 2, 3, 10, 32]))
+    seed = draw(st.integers(0, 2**16))
+    x = rows(seed, n, d, draw(st.sampled_from(ROW_KINDS)))
+    values = st.sampled_from([-7, -1, 0, 2, 3, 5, 11, 40])
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        names = draw(st.lists(values, min_size=1, max_size=6, unique=True))
+        out.append(np.array(draw(st.lists(st.sampled_from(names), min_size=n,
+                                          max_size=n))))
+    return x, out
+
+
+class TestDaviesBouldinAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(labellings())
+    @example((np.array([[0.0], [1.0], [0.0], [1.0], [5.0]]),
+              [np.array([4, 9, 4, 9, 2]), np.array([0, 0, 1, 1, 3])]))
+    def test_scan_pass_is_the_per_labelling_loop(self, case):
+        x, labels = case
+        scores = davies_bouldin_indices(x, labels)
+        assert scores == [ref_davies_bouldin_index(x, lab) for lab in labels]
+        assert [davies_bouldin_index(x, lab) for lab in labels] == scores
 
 
 def _saved(method, spec, dataset):
@@ -286,9 +353,12 @@ def test_runs_save_the_same_bytes_with_the_reference_functions(monkeypatch):
     for module, name, reference in (
             ("repro.core.server", "select_num_clusters", ref_select_num_clusters),
             ("repro.flips.selector", "select_num_clusters", ref_select_num_clusters),
-            ("repro.flips.selector", "kmeans", ref_kmeans)):
+            ("repro.flips.selector", "kmeans", ref_kmeans),
+            ("benchmarks.reference", "ref_davies_bouldin_index",
+             ref_davies_bouldin_index)):
         monkeypatch.setattr(importlib.import_module(module), name,
                             counted(module, reference))
     for method, saved in live.items():
         assert _saved(method, spec, dataset) == saved
-    assert called == {"repro.core.server", "repro.flips.selector"}
+    assert called == {"repro.core.server", "repro.flips.selector",
+                      "benchmarks.reference"}

@@ -1,9 +1,17 @@
 """Tests for the ShiftEx aggregator (Algorithm 2)."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import ShiftExConfig, ShiftExStrategy
+from repro.core import server
+from repro.federation.party import train_parties
+from repro.federation.pool import PopulationConfig
+from repro.harness.runner import run_strategy
+from repro.utils.serialization import run_result_to_dict
 from repro.federation.strategy import split_budget
 from repro.data.federated import FederatedShiftDataset
 from repro.flips.selector import FlipsSelector
@@ -197,6 +205,42 @@ class TestAblationsToggles:
         if log["num_shifted"]:
             assert any(c["action"] == "finetune" for c in log["clusters"])
             assert strategy._finetuned
+
+    def test_small_cluster_finetunes_equal_the_per_member_calls(self, shift_env,
+                                                                monkeypatch):
+        """A window's small-cluster members train as one ``train_parties``
+        call per expert: each ends on its one-member call's bytes, and a
+        bounded pool saves the same run, counters included."""
+        spec, dataset = shift_env
+        settings = dataclasses.replace(
+            make_run_settings(participants=5),
+            population=PopulationConfig(size=spec.num_parties, max_resident=3))
+        config = ShiftExConfig(min_cluster_size=100)  # every cluster fine-tunes
+
+        def run(train):
+            trained = {}
+
+            def spy(trainees, params, local, round_tag, outs):
+                updates = train(trainees, params, local, round_tag, outs)
+                trained[round_tag, len(trainees)] = [
+                    (u.party_id, np.concatenate([p.ravel() for p in u.params]).tobytes())
+                    for u in updates]
+                return updates
+
+            monkeypatch.setattr(server, "train_parties", spy)
+            result = run_strategy(ShiftExStrategy(config), spec, settings, seed=0,
+                                  dataset=dataset)
+            return trained, json.dumps(run_result_to_dict(result))
+
+        stacked, saved = run(train_parties)
+        # Party.local_train's body, on the split read when the member was
+        # touched (a bounded pool may have evicted it since).
+        alone, alone_saved = run(lambda trainees, params, local, round_tag, outs: [
+            train_parties([trainee], params, local, round_tag, [None])[0]
+            for trainee in trainees])
+        assert stacked == alone and saved == alone_saved
+        assert any(size > 1 for _tag, size in stacked)
+        assert '"party_pool"' in saved
 
     def test_flips_disabled_still_trains(self, shift_env):
         spec, dataset = shift_env

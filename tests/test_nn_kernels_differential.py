@@ -29,6 +29,7 @@ from repro.nn.layers import (
     MaxPool2d,
     ReLU,
     Standardize,
+    _bias_grad,
     _col2im,
     _im2col,
 )
@@ -295,6 +296,20 @@ def test_stacked_layer_matches_each_replica(name, replicas, dtype, kind,
         assert out[k].tobytes() == layer.forward(x[k], training=True).tobytes()
         assert grad_in[k].tobytes() == layer.backward(grad_outs[k]).tobytes()
         assert stack.flat_grads[k].tobytes() == plain.flat_grads.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(replicas=st.integers(0, 8), rows=st.integers(1, 1200),
+       channels=st.integers(1, 16), dtype=DTYPES, seed=st.integers(0, 2**16))
+@example(replicas=8, rows=1152, channels=8, dtype=np.float32, seed=0)
+@example(replicas=8, rows=288, channels=16, dtype=np.float64, seed=1)
+@example(replicas=2, rows=8, channels=1, dtype=np.float32, seed=1)
+def test_bias_grad_is_the_sum_over_rows(replicas, rows, channels, dtype, seed):
+    """``Conv2d``'s bias gradient is ``grad_mat.sum(axis=-2)`` byte for byte,
+    plain (``replicas == 0``) and stacked."""
+    shape = (rows, channels) if replicas == 0 else (replicas, rows, channels)
+    grad_mat = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+    assert _bias_grad(grad_mat).tobytes() == grad_mat.sum(axis=-2).tobytes()
 
 
 def _fresh_model(name, dtype):

@@ -59,6 +59,8 @@ ALLOWED_DEFINITIONS = {
         ("paper artifact", "benchmarks/conftest.py"),
     "repro.flips.selector.label_balance_score":
         ("paper artifact", "benchmarks/test_bench_ablations.py"),
+    "repro.clustering.davies_bouldin.davies_bouldin_index":
+        ("paper artifact", "tests/test_clustering.py"),
     "repro.federation.aggregation.fedavg":
         ("reference", "tests/test_differential_aggregation.py"),
     "repro.federation.aggregation.staleness_weighted_fedavg":
