@@ -16,6 +16,8 @@ without it).  ``tests/test_{detection,data}_differential.py``,
 ``tests/test_data_kernels.py``, ``tests/test_nn_kernels_differential.py`` and
 ``tests/test_clustering.py`` pin the live code against them and
 ``benchmarks/{detection,data}_plane.py`` check against the same copy.
+``max_grad_error`` is the central-difference check every layer's and model's
+backward pass is tested against (``tests/test_nn_{layers,models}.py``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.clustering.kmeans import KMeansResult
 from repro.data.corruptions import _check_batch, _sev
 from repro.data.federated import PartyWindowData
 from repro.nn.losses import softmax_cross_entropy
+from repro.nn.network import Sequential
 from repro.nn.optim import SGD
 from repro.utils.validation import check_2d, check_probability_vector
 
@@ -295,6 +298,55 @@ def ref_train_local(model, x, y, config, rng, global_params=None):
             optimizer.step(model.params, grads)
             losses.append(loss)
     return losses
+
+
+def _loss_of(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
+    logits = model.forward(x, training=False)
+    loss, _ = softmax_cross_entropy(logits, y)
+    return loss
+
+
+def numerical_gradients(model: Sequential, x: np.ndarray, y: np.ndarray,
+                        eps: float = 1e-5) -> list[np.ndarray]:
+    """Central-difference gradients of mean CE loss w.r.t. every parameter."""
+    grads: list[np.ndarray] = []
+    for param in model.params:
+        grad = np.zeros_like(param)
+        it = np.nditer(param, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            orig = param[idx]
+            param[idx] = orig + eps
+            loss_plus = _loss_of(model, x, y)
+            param[idx] = orig - eps
+            loss_minus = _loss_of(model, x, y)
+            param[idx] = orig
+            grad[idx] = (loss_plus - loss_minus) / (2 * eps)
+            it.iternext()
+        grads.append(grad)
+    return grads
+
+
+def analytic_gradients(model: Sequential, x: np.ndarray,
+                       y: np.ndarray) -> list[np.ndarray]:
+    """Backprop gradients of mean CE loss (training-mode forward)."""
+    model.zero_grads()
+    logits = model.forward(x, training=True)
+    _, grad = softmax_cross_entropy(logits, y)
+    model.backward(grad)
+    return [g.copy() for g in model.grads]
+
+
+def max_grad_error(model: Sequential, x: np.ndarray, y: np.ndarray,
+                   eps: float = 1e-5) -> float:
+    """Max relative error between analytic and numerical gradients."""
+    analytic = analytic_gradients(model, x, y)
+    numeric = numerical_gradients(model, x, y, eps=eps)
+    worst = 0.0
+    for a, n in zip(analytic, numeric):
+        denom = np.maximum(np.abs(a) + np.abs(n), 1e-8)
+        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
+    return worst
 
 
 # ---------------------------------------------------------------- clustering

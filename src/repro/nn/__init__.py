@@ -16,7 +16,6 @@ from repro.nn.optim import SGD
 from repro.nn.network import Sequential
 from repro.nn.models import build_model, model_names, embedding_dim
 from repro.nn.training import LocalTrainingConfig, train_local, evaluate
-from repro.nn.gradcheck import numerical_gradients, max_grad_error
 
 __all__ = [
     "Layer",
@@ -35,6 +34,4 @@ __all__ = [
     "LocalTrainingConfig",
     "train_local",
     "evaluate",
-    "numerical_gradients",
-    "max_grad_error",
 ]

@@ -1,4 +1,4 @@
-"""Privacy substrate: masked aggregation, sealed scoring, an overhead model.
+"""Privacy substrate: masked aggregation and sealed scoring.
 
 * :mod:`~repro.privacy.plan` — :class:`PrivacyPlan`, the run-level knobs
   (masking, Shamir threshold, sealed scoring, mask seed);
@@ -6,14 +6,9 @@
   exact bit domain, with Shamir ``t``-of-``n`` dropout recovery
   (:mod:`~repro.privacy.shamir`);
 * :mod:`~repro.privacy.sealed_scoring` — expert cosine/MMD scoring over
-  sign-sealed rows, bitwise-identical to plaintext scoring;
-* :mod:`~repro.privacy.overhead` — a cost *model* only, no run uses it: the
-  ~5 % compute tax the paper reports for trusted hardware and the
-  sealed-payload sizes behind the Section 5.4 overhead figures
-  (``benchmarks/test_bench_overheads.py``).
+  sign-sealed rows, bitwise-identical to plaintext scoring.
 """
 
-from repro.privacy.overhead import TeeOverheadModel, sealed_payload_bytes
 from repro.privacy.plan import PrivacyPlan
 from repro.privacy.sealed_scoring import ScoreSeal
 from repro.privacy.secure_aggregation import (
@@ -27,8 +22,6 @@ from repro.privacy.secure_aggregation import (
 from repro.privacy.shamir import PRIME, reconstruct_secret, split_secret
 
 __all__ = [
-    "TeeOverheadModel",
-    "sealed_payload_bytes",
     "PrivacyPlan",
     "ScoreSeal",
     "SHARE_BYTES",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import max_grad_error
+from benchmarks.reference import max_grad_error
 from repro.nn.models import build_model, embedding_dim, model_names
 
 

@@ -1,8 +1,8 @@
-"""Tests for the TEE overhead model."""
+"""Tests for the TEE overhead model behind the Section 7 overheads artifact."""
 
 import pytest
 
-from repro.privacy import TeeOverheadModel
+from benchmarks.fidelity import TeeOverheadModel
 
 
 class TestOverheadModel:

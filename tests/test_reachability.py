@@ -36,9 +36,7 @@ ALLOWED = {
     **dict.fromkeys(
         REGISTERED,
         "registered by `import repro.baselines` in experiments/registry.py"),
-    "repro.experts.facility": "Eq. 2; benchmarks/test_bench_ablations.py",
-    "repro.privacy.overhead": "Section 5.4; benchmarks/test_bench_overheads.py",
-    "repro.nn.gradcheck": "reference the layer tests differentiate against",
+    "repro.experts.facility": "Eq. 2; benchmarks/fidelity.py",
     "repro.detection.drift": (
         "Section 2.1's shift-vs-drift distinction; "
         "examples/gradual_drift_monitoring.py, test_extensions.py::TestDriftMonitor"),
@@ -52,13 +50,13 @@ CALLERS += sorted((ROOT / "examples").glob("*.py"))
 KINDS = ("paper artifact", "reference", "reader", "test state")
 ALLOWED_DEFINITIONS = {
     "repro.experts.registry.ExpertRegistry.memory_footprint":
-        ("paper artifact", "benchmarks/test_bench_overheads.py"),
+        ("paper artifact", "benchmarks/fidelity.py"),
     "repro.harness.comparison.convergence_series":
-        ("paper artifact", "benchmarks/conftest.py"),
+        ("paper artifact", "benchmarks/fidelity.py"),
     "repro.harness.comparison.max_accuracy_table":
-        ("paper artifact", "benchmarks/conftest.py"),
+        ("paper artifact", "benchmarks/fidelity.py"),
     "repro.flips.selector.label_balance_score":
-        ("paper artifact", "benchmarks/test_bench_ablations.py"),
+        ("paper artifact", "benchmarks/fidelity.py"),
     "repro.clustering.davies_bouldin.davies_bouldin_index":
         ("paper artifact", "tests/test_clustering.py"),
     "repro.federation.aggregation.fedavg":
@@ -226,7 +224,7 @@ def test_every_definition_is_read_by_a_run_or_allowlisted():
     live = _grow(definitions, reads, live | set(ALLOWED_DEFINITIONS))
     dead = sorted(set(definitions) - live)
     assert not dead, "read by no run and not allowlisted: " + ", ".join(dead)
-    assert len(ALLOWED_DEFINITIONS) <= 30
+    assert len(ALLOWED_DEFINITIONS) <= 18
 
 
 def test_strategies_leave_the_round_to_run_fl_round():
