@@ -8,10 +8,13 @@ names the artifact.  Tables and figures run the ``ci`` profile at run seed 0
 in ``float64``.  ``fidelity_seeds`` checks nothing: ShiftEx − FedProx on four
 data seeds per dataset at the profile's precision, as ``repro compare`` runs
 it.  ``overheads`` also prints the Section 7 latencies; no timing is saved.
+A run pins OpenBLAS to one thread unless ``OPENBLAS_NUM_THREADS`` is set, as
+CI's ``fidelity`` job does.
 """
 
 from __future__ import annotations
 
+import os
 import statistics
 import sys
 import time
@@ -22,32 +25,36 @@ from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
 
-import numpy as np
+if __name__ == "__main__":  # an importer's environment is not ours to change
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from repro.clustering.selection import select_num_clusters
-from repro.core import ShiftExConfig, ShiftExStrategy
-from repro.data import CORRUPTION_GROUPS, apply_corruption
-from repro.data.federated import FederatedShiftDataset
-from repro.data.images import ImageDomainSpec, SyntheticImageGenerator
-from repro.data.registry import DatasetSpec
-from repro.detection.mmd import median_heuristic_gamma, mmd
-from repro.experiments import ExperimentPlan
-from repro.experts.facility import FacilityLocationProblem, solve_exact, solve_greedy
-from repro.experts.matching import match_cluster_to_expert
-from repro.experts.registry import ExpertRegistry
-from repro.federation.accounting import CommunicationLedger
-from repro.federation.rounds import RoundConfig
-from repro.flips import FlipsSelector, label_balance_score
-from repro.harness.comparison import (PAPER_METHODS, convergence_series,
+import numpy as np  # noqa: E402
+
+from repro.clustering.selection import select_num_clusters  # noqa: E402
+from repro.core import ShiftExConfig, ShiftExStrategy  # noqa: E402
+from repro.data import CORRUPTION_GROUPS, apply_corruption  # noqa: E402
+from repro.data.federated import FederatedShiftDataset  # noqa: E402
+from repro.data.images import ImageDomainSpec, SyntheticImageGenerator  # noqa: E402
+from repro.data.registry import DatasetSpec  # noqa: E402
+from repro.detection.mmd import median_heuristic_gamma, mmd  # noqa: E402
+from repro.experiments import ExperimentPlan  # noqa: E402
+from repro.experts.facility import (  # noqa: E402
+    FacilityLocationProblem, solve_exact, solve_greedy)
+from repro.experts.matching import match_cluster_to_expert  # noqa: E402
+from repro.experts.registry import ExpertRegistry  # noqa: E402
+from repro.federation.accounting import CommunicationLedger  # noqa: E402
+from repro.federation.rounds import RoundConfig  # noqa: E402
+from repro.flips import FlipsSelector, label_balance_score  # noqa: E402
+from repro.harness.comparison import (PAPER_METHODS, convergence_series,  # noqa: E402
                                       expert_distribution_table, max_accuracy_table,
                                       render_drop_time_max_table,
                                       render_expert_distribution)
-from repro.harness.profiles import RunSettings, get_profile
-from repro.harness.runner import run_strategy
-from repro.nn import LocalTrainingConfig, build_model, evaluate, train_local
-from repro.privacy import SHARE_BYTES
-from repro.utils.precision import PrecisionPlan
-from repro.utils.rng import spawn_rng
+from repro.harness.profiles import RunSettings, get_profile  # noqa: E402
+from repro.harness.runner import run_strategy  # noqa: E402
+from repro.nn import LocalTrainingConfig, build_model, evaluate, train_local  # noqa: E402
+from repro.privacy import SHARE_BYTES  # noqa: E402
+from repro.utils.precision import PrecisionPlan  # noqa: E402
+from repro.utils.rng import spawn_rng  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 PROFILE = "ci"

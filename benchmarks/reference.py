@@ -1,21 +1,23 @@
 """What the probes and the differential tests share: one timer, one "parent".
 
-``best_us`` is the probes' only timing helper.  The ``ref_*`` functions are the
-bodies a perf PR replaced, kept verbatim — the detection plane's previous MMD
-code (three distance matrices and three ``exp`` per pair, a Python loop per
-shared class and, for a batch of reports or the calibration null's draws,
-per entry, a median heuristic gathered through ``triu_indices``, and one
-vector ``jsd``), the conv kernels' previous ``im2col`` / ``col2im`` /
-max-pool and per-tensor training step, k-means as one Lloyd loop per (k,
-restart) problem and Davies–Bouldin as one loop per labelling, the data
-plane's previous sampler (one class at a time, one ``np.roll`` per image)
-and eager window assembly, ``pixelate``'s per-pixel loop, and the six
-corruption operators as they were over ``scipy.ndimage`` (``SCIPY_CORRUPTIONS``;
-scipy is a test-only dependency, so ``ndimage`` / ``special`` are ``None``
-without it).  ``tests/test_{detection,data}_differential.py``,
+``best_us`` is the only timing helper of ``benchmarks/probe.py``.  The
+``ref_*`` functions are the bodies a perf PR replaced, kept verbatim — the
+detection plane's previous MMD code (three distance matrices and three
+``exp`` per pair, a Python loop per shared class and, for a batch of reports
+or the calibration null's draws, per entry, a median heuristic gathered
+through ``triu_indices``, and one vector ``jsd``), the conv kernels' previous
+``im2col`` / ``col2im`` / max-pool and per-tensor training step, k-means as
+one Lloyd loop per (k, restart) problem and Davies–Bouldin as one loop per
+labelling, the data plane's previous sampler (one class at a time, one
+``np.roll`` per image) and eager window assembly, ``pixelate``'s per-pixel
+loop, and the six corruption operators as they were over ``scipy.ndimage``
+(``SCIPY_CORRUPTIONS``; scipy is a test-only dependency, so ``ndimage`` /
+``special`` are ``None`` without it).
+``tests/test_{detection,data}_differential.py``,
 ``tests/test_data_kernels.py``, ``tests/test_nn_kernels_differential.py`` and
-``tests/test_clustering.py`` pin the live code against them and
-``benchmarks/{detection,data}_plane.py`` check against the same copy.
+``tests/test_clustering.py`` pin the live code against them, and ``python
+benchmarks/probe.py detection --check`` / ``--clustering`` check against the
+same copy.
 ``max_grad_error`` is the central-difference check every layer's and model's
 backward pass is tested against (``tests/test_nn_{layers,models}.py``).
 """

@@ -8,8 +8,8 @@ no scipy to check.  Where scipy is installed, hypothesis differentiates each
 kernel in ``repro.data.ndimage`` against the ``scipy.ndimage`` call it
 replaced, and ``cosdg`` / ``sindg`` against ``scipy.special``, by
 ``tobytes()`` equality; the previous scipy-backed operators live in
-``benchmarks/reference.py``, which ``benchmarks/data_plane.py --corruptions``
-times against the same copy.  ``pixelate`` lost its per-pixel loop: it is
+``benchmarks/reference.py``.  ``python benchmarks/probe.py data`` times each
+operator at the pinned plans' shapes.  ``pixelate`` lost its per-pixel loop: it is
 differentiated against that loop (``reference.ref_pixelate``, no scipy
 needed) and has a second pin over blocks that do not divide the image.
 """

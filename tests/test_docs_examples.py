@@ -11,7 +11,8 @@ Four layers of drift protection over README.md, ``docs/*.md``, and
 * every ``python -m repro ...`` command shown in a ``bash`` fence, and
   every ``python -m repro compare|run`` line CI runs, parses against the
   real CLI parser (flags, choices, dataset names and ``compare``'s knob
-  SPECs stay valid), and
+  SPECs stay valid), every ``benchmarks/probe.py ...`` line in CI and the
+  docs parses against the probe's own parser, and
   ``json``/``toml`` fences parse with the real parsers;
 * every relative markdown link (and heading anchor) resolves.
 
@@ -207,6 +208,43 @@ def test_ci_cli_lines_parse():
             _parse_or_fail(f"ci.yml line {offset + 1}", tokens[start:])
             parsed += 1
     assert parsed >= 9
+
+
+# A probe invocation, up to the end of its code span, comment or line.
+PROBE_LINE = re.compile(r"benchmarks/probe\.py((?:[ \t]+[^\s`#);|]+)*)")
+
+
+def _probe_lines(path: Path) -> list[tuple[int, list[str]]]:
+    """(line number, arguments) of every ``benchmarks/probe.py`` invocation;
+    a bare mention of the script names no plane and is not one."""
+    return [(number, shlex.split(match.group(1)))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            for match in PROBE_LINE.finditer(line) if match.group(1)]
+
+
+def _probe_parses(where: str, args: list[str]) -> None:
+    from benchmarks.probe import build_parser
+
+    try:
+        build_parser().parse_args(args)
+    except SystemExit:
+        pytest.fail(f"{where}: probe line does not parse: "
+                    f"benchmarks/probe.py {' '.join(args)}")
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=_doc_id)
+def test_probe_lines_parse(doc: Path):
+    """A renamed probe plane or mode fails here, not in CI."""
+    for line, args in _probe_lines(doc):
+        _probe_parses(f"{_doc_id(doc)} line {line}", args)
+
+
+def test_ci_probe_lines_parse():
+    """Every probe step CI runs parses against the probe's parser."""
+    lines = _probe_lines(CI_WORKFLOW)
+    for line, args in lines:
+        _probe_parses(f"ci.yml line {line}", args)
+    assert len(lines) >= 6
 
 
 def _slug(heading: str) -> str:
