@@ -101,7 +101,6 @@ from repro.detection.divergence import jsd  # noqa: E402
 from repro.detection.mmd import (  # noqa: E402
     class_conditional_mmd,
     class_conditional_mmd_batch,
-    class_conditional_mmd_to_many,
     median_heuristic_gamma,
     mmd,
 )
@@ -608,15 +607,16 @@ def calibration_inputs(rng, parties: int, dim: int = DIM):
 def per_draw_nulls(pools, priors, rng, bandwidth=median_heuristic_gamma,
                    draws: int = 100):
     """``calibrate``'s bandwidth and nulls as they ran draw by draw: one
-    ``class_conditional_mmd`` per MMD draw, two ``multinomial`` calls and the
-    previous ``jsd`` per JSD draw."""
+    one-entry ``class_conditional_mmd_batch`` call per MMD draw, two
+    ``multinomial`` calls and the previous ``jsd`` per JSD draw."""
     gamma = bandwidth(np.vstack([e for e, _ in pools]))
     mmd_null = []
     for _ in range(draws):
         embeddings, labels = pools[int(rng.integers(len(pools)))]
         i1, i2 = (rng.choice(ROWS, size=ROWS, replace=True) for _ in range(2))
-        mmd_null.append(class_conditional_mmd(
-            embeddings[i1], labels[i1], embeddings[i2], labels[i2], gamma))
+        mmd_null += class_conditional_mmd_batch(
+            [embeddings[i1]], [labels[i1]], [embeddings[i2]], [labels[i2]],
+            gamma).tolist()
     jsd_null = [reference.ref_jsd(*(rng.multinomial(ROWS, normalize_histogram(prior))
                                     / ROWS for _ in range(2)))
                 for prior in priors for _ in range(max(1, draws // len(priors)))]
@@ -640,9 +640,9 @@ def detection_calls() -> None:
         ("report: class_conditional_mmd, 48 vs 48", 40, lambda: class_conditional_mmd(
             cur, cur_labels, prev, prev_labels, gamma)),
         ("unconditional: mmd, 64 vs 64", 40, lambda: mmd(cluster, signatures[0], gamma)),
-        ("matching: class_conditional_mmd_to_many, 64 vs 5 x 64", 10,
-         lambda: class_conditional_mmd_to_many(
-             cluster, cluster_labels, signatures, signature_labels, gamma)),
+        ("matching: class_conditional_mmd_batch, 64 vs 5 x 64", 10,
+         lambda: class_conditional_mmd_batch(
+             [cluster] * 5, [cluster_labels] * 5, signatures, signature_labels, gamma)),
         ("fusion: class_conditional_mmd, 960 vs 960", 2, lambda: class_conditional_mmd(
             left, left_labels, right, right_labels, gamma)),
         ("jsd of two label histograms", 100, lambda: jsd(hist_a, hist_b)),
@@ -680,8 +680,8 @@ def detection_check(cases: int = 400) -> bool:
     and the batched statistic stays within ``rtol = 1e-12`` of it."""
     ref_gamma, ref_ccmmd = (reference.ref_median_heuristic_gamma,
                             reference.ref_class_conditional_mmd)
-    worst = dict.fromkeys(["mmd", "class_conditional_mmd", "class_conditional_mmd_to_many",
-                           "class_conditional_mmd_batch"], 0.0)
+    worst = dict.fromkeys(
+        ["mmd", "class_conditional_mmd", "class_conditional_mmd_batch"], 0.0)
 
     def record(name, live, ref):
         live, ref = np.atleast_1d(live), np.atleast_1d(ref)
@@ -705,10 +705,6 @@ def detection_check(cases: int = 400) -> bool:
         record("class_conditional_mmd",
                class_conditional_mmd(x, xl, y, yl, gamma),
                ref_ccmmd(x, xl, y, yl, gamma))
-        record("class_conditional_mmd_to_many",
-               class_conditional_mmd_to_many(
-                   x, xl, [t for t, _ in targets], [lab for _, lab in targets], gamma),
-               [ref_ccmmd(x, xl, t, lab, gamma) for t, lab in targets])
         batch = [(*pooled(rng, 1, rows=int(rng.integers(2, 49))), t, lab)
                  for t, lab in targets]  # each target vs its own x
         record("class_conditional_mmd_batch",

@@ -3,8 +3,9 @@
 ``best_us`` is the only timing helper of ``benchmarks/probe.py``.  The
 ``ref_*`` functions are the bodies a perf PR replaced, kept verbatim — the
 detection plane's previous MMD code (three distance matrices and three
-``exp`` per pair, a Python loop per shared class and, for a batch of reports
-or the calibration null's draws, per entry, a median heuristic gathered
+``exp`` per pair, a Python loop per shared class and, for a batch of entries
+(reports, the calibration null's draws, a cluster against its memories), per
+entry, a median heuristic gathered
 through ``triu_indices``, and one vector ``jsd``), the conv kernels' previous
 ``im2col`` / ``col2im`` / max-pool and per-tensor training step, k-means as
 one Lloyd loop per (k, restart) problem and Davies–Bouldin as one loop per
@@ -98,8 +99,7 @@ def ref_mmd(x, y, gamma=None):
     return float(np.sqrt(ref_mmd2_biased(x, y, gamma)))
 
 
-def ref_class_conditional_mmd(x, x_labels, y, y_labels, gamma=None,
-                              min_per_class=2):
+def ref_class_conditional_mmd(x, x_labels, y, y_labels, gamma=None):
     x, y = check_2d(x, "x"), check_2d(y, "y")
     x_labels = np.asarray(x_labels)
     y_labels = np.asarray(y_labels)
@@ -111,7 +111,7 @@ def ref_class_conditional_mmd(x, x_labels, y, y_labels, gamma=None,
     for c in np.intersect1d(np.unique(x_labels), np.unique(y_labels)):
         a = x[x_labels == c]
         b = y[y_labels == c]
-        if a.shape[0] >= min_per_class and b.shape[0] >= min_per_class:
+        if a.shape[0] >= 2 and b.shape[0] >= 2:
             n = min(a.shape[0], b.shape[0])
             total += ref_mmd(a, b, gamma) * n
             weight += n
@@ -121,22 +121,16 @@ def ref_class_conditional_mmd(x, x_labels, y, y_labels, gamma=None,
 
 
 def ref_class_conditional_mmd_batch(xs, xs_labels, ys, ys_labels, gamma=None,
-                                    ids=None):
-    """One ``ref_class_conditional_mmd`` per entry; ``ids`` only name the
-    live code's errors."""
+                                    ids=None, rows=None):
+    """One ``ref_class_conditional_mmd`` per entry (with ``rows``, of the rows
+    each entry's index arrays pick); ``ids`` only name the live code's errors."""
+    if rows is not None:
+        rows = check_2d(rows, "rows")
+        xs, ys = [rows[i] for i in xs], [rows[j] for j in ys]
     return np.array([
         ref_class_conditional_mmd(x, xl, y, yl, gamma)
         for x, xl, y, yl in zip(xs, xs_labels, ys, ys_labels, strict=True)
     ])
-
-
-def ref_class_conditional_mmd_resampled(rows, labels, draws, gamma=None):
-    """One ``ref_class_conditional_mmd`` per ``(i, j)`` draw of row indices:
-    the calibration null as a per-draw loop."""
-    rows, labels = check_2d(rows, "rows"), np.asarray(labels)
-    return np.array([ref_class_conditional_mmd(rows[i], labels[i], rows[j], labels[j],
-                                               gamma)
-                     for i, j in draws])
 
 
 def ref_jsd(p, q):
@@ -152,72 +146,6 @@ def ref_jsd(p, q):
             np.sum(dist[support] * np.log(dist[support] / (m[support] + 1e-12)))
         )
     return float(np.clip(value, 0.0, np.log(2.0)))
-
-
-def ref_mmd_to_many(x, ys, gamma=None):
-    x = check_2d(x, "x")
-    ys = [check_2d(y, "y") for y in ys]
-    if not ys:
-        return np.zeros(0)
-    if gamma is None:
-        return np.array([ref_mmd(x, y, None) for y in ys])
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    kxx_mean = np.exp(-gamma * _ref_pairwise_sq_dists(x, x)).mean()
-    stacked = np.vstack(ys)
-    kxy = np.exp(-gamma * _ref_pairwise_sq_dists(x, stacked))
-    out = np.empty(len(ys))
-    offset = 0
-    for i, y in enumerate(ys):
-        kyy_mean = np.exp(-gamma * _ref_pairwise_sq_dists(y, y)).mean()
-        kxy_mean = kxy[:, offset:offset + y.shape[0]].mean()
-        offset += y.shape[0]
-        out[i] = np.sqrt(max(kxx_mean + kyy_mean - 2.0 * kxy_mean, 0.0))
-    return out
-
-
-def ref_class_conditional_mmd_to_many(x, x_labels, ys, ys_labels, gamma=None,
-                                      min_per_class=2):
-    x = check_2d(x, "x")
-    x_labels = np.asarray(x_labels)
-    if x_labels.shape != (x.shape[0],):
-        raise ValueError("labels must align with embedding rows")
-    ys = [check_2d(y, "y") for y in ys]
-    ys_labels = [np.asarray(yl) for yl in ys_labels]
-    if len(ys) != len(ys_labels):
-        raise ValueError("ys and ys_labels must align")
-    for y, yl in zip(ys, ys_labels):
-        if yl.shape != (y.shape[0],):
-            raise ValueError("labels must align with embedding rows")
-    if not ys:
-        return np.zeros(0)
-    if gamma is None:
-        return np.array([
-            ref_class_conditional_mmd(x, x_labels, y, yl, None, min_per_class)
-            for y, yl in zip(ys, ys_labels)
-        ])
-    totals = np.zeros(len(ys))
-    weights = np.zeros(len(ys), dtype=int)
-    for c in np.unique(x_labels):
-        a = x[x_labels == c]
-        if a.shape[0] < min_per_class:
-            continue
-        members = [(i, ys[i][ys_labels[i] == c]) for i in range(len(ys))]
-        members = [(i, b) for i, b in members if b.shape[0] >= min_per_class]
-        if not members:
-            continue
-        vals = ref_mmd_to_many(a, [b for _i, b in members], gamma)
-        for (i, b), val in zip(members, vals):
-            n = min(a.shape[0], b.shape[0])
-            totals[i] += val * n
-            weights[i] += n
-    out = np.empty(len(ys))
-    conditioned = weights > 0
-    out[conditioned] = totals[conditioned] / weights[conditioned]
-    fallback = [i for i in range(len(ys)) if not conditioned[i]]
-    if fallback:
-        out[fallback] = ref_mmd_to_many(x, [ys[i] for i in fallback], gamma)
-    return out
 
 
 # ---------------------------------------------------------------- nn

@@ -71,8 +71,9 @@ class ShiftExStrategy(ContinualStrategy):
         )
         self.assignments: dict[int, int] = {}
         self._finetuned: dict[int, Params] = {}
+        # Expert 0's parameters at the end of W0, frozen: the encoder every
+        # report embeds with and the CLONE(theta_0) of every created expert.
         self._encoder: Params | None = None
-        self._bootstrap_snapshot: Params | None = None
         self.thresholds: CalibratedThresholds | None = None
         self._epsilon: float | None = self.config.epsilon
         self._party_state: dict[int, PartyLocalState] = {}
@@ -321,7 +322,7 @@ class ShiftExStrategy(ContinualStrategy):
 
     def _new_expert_init(self) -> Params:
         """CLONE(theta_0): new experts start from the bootstrap model."""
-        return [p.copy() for p in self._bootstrap_snapshot]
+        return [p.copy() for p in self._encoder]
 
     # -------------------------------------------------- per-expert FLIPS (5.2.3-4)
 
@@ -418,7 +419,6 @@ class ShiftExStrategy(ContinualStrategy):
             return
         expert0 = self.registry.all()[0]
         self._encoder = expert0.clone_params()
-        self._bootstrap_snapshot = expert0.clone_params()
         # First snapshot of party-side state (no reports exist for W0).
         # Embeddings enter the detection island here: cast to the precision
         # plan's detection_stats dtype (a no-op on the float64 legacy plane)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.detection.divergence import jsd_many
-from repro.detection.mmd import class_conditional_mmd_resampled, median_heuristic_gamma
+from repro.detection.mmd import class_conditional_mmd_batch, median_heuristic_gamma
 from repro.utils.validation import check_2d, normalize_histogram
 
 
@@ -57,7 +57,9 @@ def bootstrap_party_mmd_null(party_pools: list[tuple[np.ndarray, np.ndarray]],
     embeddings — the distribution of Algorithm 1's covariate statistic when
     the party's data did *not* shift (including its label-composition
     sampling noise).  The draws are row indices into the pooled embeddings,
-    scored together by :func:`class_conditional_mmd_resampled`.
+    scored together by :func:`class_conditional_mmd_batch`, the kernel that
+    scores every party's report, so each null score is the bytes the report
+    would give for the same two row sets.
     """
     if not party_pools:
         raise ValueError("need at least one party pool")
@@ -69,6 +71,7 @@ def bootstrap_party_mmd_null(party_pools: list[tuple[np.ndarray, np.ndarray]],
     if num_bootstrap <= 0:
         raise ValueError("num_bootstrap must be positive")
     rows = np.vstack([e for e, _ in party_pools])
+    labels = np.concatenate([lab for _, lab in party_pools])
     if gamma is None:
         gamma = median_heuristic_gamma(rows)
     starts = np.cumsum([0] + [len(e) for e, _ in party_pools]).tolist()
@@ -78,8 +81,10 @@ def bootstrap_party_mmd_null(party_pools: list[tuple[np.ndarray, np.ndarray]],
         start, n = starts[party], starts[party + 1] - starts[party]
         draws.append((start + rng.choice(n, size=n, replace=True),
                       start + rng.choice(n, size=n, replace=True)))
-    return class_conditional_mmd_resampled(
-        rows, np.concatenate([lab for _, lab in party_pools]), draws, gamma)
+    firsts, seconds = zip(*draws)
+    return class_conditional_mmd_batch(
+        firsts, [labels[i] for i in firsts], seconds, [labels[i] for i in seconds],
+        gamma, rows=rows)
 
 
 def threshold_from_null(null_scores: np.ndarray, p_value: float = 0.05) -> float:

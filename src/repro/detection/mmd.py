@@ -7,11 +7,13 @@ in the RKHS of a positive-definite kernel.  We use the RBF kernel
 V-statistic (non-negative by construction).
 
 Every statistic here is a quadratic form ``w' K w`` over one
-:func:`rbf_kernel` Gram: one pair, one pair per class and one cluster against
-many memories go through :func:`_mmd2_pairs`, a window's party reports through
-:func:`class_conditional_mmd_batch` (one Gram per party, one weight column per
-class), so detection, calibration, matching and consolidation share one
-arithmetic.
+:func:`rbf_kernel` Gram.  Every window-sized statistic — a window's party
+reports, the calibration null, latent-memory matching and the merge gate —
+goes through :func:`class_conditional_mmd_batch` (one Gram per entry, one
+weight column per class), so the threshold is a quantile of the very
+statistic it is compared with.  Fusing whole clusters, whose pools grow with
+the shifted population, goes through :func:`class_conditional_mmd` (one Gram
+per class pair, :func:`_mmd2_pairs`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ _SAMPLE_PAIRS = 16384
 _SAMPLE_CHUNK = 1024
 # Keys of the finite non-negative doubles lie below this one (+inf's).
 _KEY_END = 0x7FF0000000000000
+# A class enters the class-conditional MMD when it has this many rows on both
+# sides; with none, the statistic is the unconditional MMD.
+_MIN_PER_CLASS = 2
 # Padding entries a batch may carry before a fresh batch is cheaper: one more
 # batch's numpy dispatches (~50 us) cost what ~16k kernel entries (~3 ns) do.
 _PAD_ENTRIES = 16384
@@ -260,26 +265,20 @@ def _padded_lengths(lengths: list[int]) -> list[int]:
     return padded
 
 
-def _mmd2_pairs(pairs: list[tuple[np.ndarray, np.ndarray]], gamma,
-                padded: list[int] | None = None,
-                rows: np.ndarray | None = None) -> np.ndarray:
+def _mmd2_pairs(pairs: list[tuple[np.ndarray, np.ndarray]], gamma: float) -> np.ndarray:
     """Biased squared MMD of every ``(a, b)`` row-set pair, batched.
 
     A pair is stacked once, ``z = [a; b]``, and its statistic read off the
     one Gram ``K = rbf_kernel(z, z)`` as the quadratic form ``w' K w`` with
     ``w = +1/|a|`` on ``a``'s rows and ``-1/|b|`` on ``b``'s: the three block
     means of the V-statistic in one product.  Each pair is zero-padded to its
-    ``padded`` length (by default :func:`_padded_lengths`' plan); padding rows
-    carry weight 0 and contribute exactly nothing.  The pairs of one padded
-    length run as stacks of at most ``_STACK_ENTRIES`` Gram plus row entries,
-    each slice its own product of its padded shape, so a pair's bytes depend
-    on its padded length alone, never on its stack.  ``gamma`` is one
-    bandwidth or one per pair; with ``rows``, ``a`` and ``b`` index it.
+    length in :func:`_padded_lengths`' plan; padding rows carry weight 0 and
+    contribute exactly nothing.  The pairs of one padded length run as stacks
+    of at most ``_STACK_ENTRIES`` Gram plus row entries.
     """
-    gammas = np.full(len(pairs), gamma, dtype=np.float64)
     lengths = [len(a) + len(b) for a, b in pairs]
-    padded = _padded_lengths(lengths) if padded is None else padded
-    width = (pairs[0][0] if rows is None else rows).shape[1]
+    padded = _padded_lengths(lengths)
+    width = pairs[0][0].shape[1]
     order = sorted(range(len(pairs)), key=lambda k: -padded[k])
     mmd2 = np.empty(len(pairs))
     for length, group in itertools.groupby(order, key=padded.__getitem__):
@@ -289,11 +288,11 @@ def _mmd2_pairs(pairs: list[tuple[np.ndarray, np.ndarray]], gamma,
             z = np.zeros((len(batch), length, width))
             w = np.zeros(z.shape[:2])
             for row, k in enumerate(batch):
-                a, b = pairs[k] if rows is None else (rows[side] for side in pairs[k])
+                a, b = pairs[k]
                 na, both = len(a), lengths[k]
                 z[row, :na], z[row, na:both] = a, b
                 w[row, :na], w[row, na:both] = 1.0 / na, -1.0 / (both - na)
-            kernel = rbf_kernel(z, z, gammas[batch, None, None])
+            kernel = rbf_kernel(z, z, gamma)
             mmd2[batch] = np.einsum("pi,pi->p", (kernel @ w[:, :, None])[:, :, 0], w)
     return np.maximum(mmd2, 0.0)
 
@@ -311,24 +310,6 @@ def mmd(x: np.ndarray, y: np.ndarray, gamma: float | None = None) -> float:
     return float(np.sqrt(mmd2_biased(x, y, gamma)))
 
 
-def class_conditional_mmd(x: np.ndarray, x_labels: np.ndarray,
-                          y: np.ndarray, y_labels: np.ndarray,
-                          gamma: float | None = None,
-                          min_per_class: int = 2) -> float:
-    """Label-stratified MMD: count-weighted mean of per-class MMDs.
-
-    Parties hold their own labels, so Algorithm 1 can condition the covariate
-    statistic on Y.  This isolates movement of ``P(X|Y)``'s image in feature
-    space from label-composition sampling noise — essential at small window
-    sizes, where a fresh multinomial label draw alone moves unconditional
-    MMD.  Label-distribution changes are JSD's job, keeping the two detectors
-    orthogonal.  Falls back to unconditional MMD when no class appears at
-    least ``min_per_class`` times in both sets.
-    """
-    return float(class_conditional_mmd_to_many(
-        x, x_labels, [y], [y_labels], gamma, min_per_class)[0])
-
-
 def _stratify(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, dict]:
     """``rows`` sorted by class and ``{class: slice}`` of each class's run."""
     order = np.argsort(labels, kind="stable")
@@ -339,100 +320,59 @@ def _stratify(rows: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, dict]:
                                  map(slice, starts, [*cuts, len(ordered)])))
 
 
-def class_conditional_mmd_to_many(x: np.ndarray, x_labels: np.ndarray,
-                                  ys: list[np.ndarray],
-                                  ys_labels: list[np.ndarray],
-                                  gamma: float | None = None,
-                                  min_per_class: int = 2) -> np.ndarray:
-    """:func:`class_conditional_mmd` of ``x`` against many sets, as one batch.
+def class_conditional_mmd(x: np.ndarray, x_labels: np.ndarray,
+                          y: np.ndarray, y_labels: np.ndarray,
+                          gamma: float | None = None) -> float:
+    """Label-stratified MMD: count-weighted mean of per-class MMDs.
 
-    Every set is stratified once and all its eligible class pairs — or, for a
-    set with no sufficiently populated shared class, the unconditional pair —
-    join one :func:`_mmd2_pairs` call.  With ``gamma=None`` each set gets its
-    own median-heuristic bandwidth.
+    Parties hold their own labels, so Algorithm 1 can condition the covariate
+    statistic on Y.  This isolates movement of ``P(X|Y)``'s image in feature
+    space from label-composition sampling noise — essential at small window
+    sizes, where a fresh multinomial label draw alone moves unconditional
+    MMD.  Label-distribution changes are JSD's job, keeping the two detectors
+    orthogonal.  Falls back to unconditional MMD when no class appears at
+    least ``_MIN_PER_CLASS`` times in both sets.
+
+    Each class pair is its own Gram (:func:`_mmd2_pairs`), so the work grows
+    with the classes, not with the pooled sets squared: the form for fusing
+    whole clusters.  Window-sized sets go through
+    :func:`class_conditional_mmd_batch`, which scores the same statistic.
     """
-    x = check_2d(x, "x")
-    x_labels = np.asarray(x_labels)
-    if x_labels.shape != (x.shape[0],):
+    x, y = check_2d(x, "x"), check_2d(y, "y")
+    x_labels, y_labels = np.asarray(x_labels), np.asarray(y_labels)
+    if x_labels.shape != (x.shape[0],) or y_labels.shape != (y.shape[0],):
         raise ValueError("labels must align with embedding rows")
-    ys = [check_2d(y, "y") for y in ys]
-    ys_labels = [np.asarray(yl) for yl in ys_labels]
-    if len(ys) != len(ys_labels):
-        raise ValueError("ys and ys_labels must align")
-    for y, yl in zip(ys, ys_labels):
-        if yl.shape != (y.shape[0],):
-            raise ValueError("labels must align with embedding rows")
-    if not ys:
-        return np.zeros(0)
-    x_strata = _stratify(x, x_labels)
-    pairs, owners, counts, gammas = [], [], [], []
-    for owner, (y, yl) in enumerate(zip(ys, ys_labels)):
-        shared, weights = _class_pairs(*x_strata, *_stratify(y, yl), (x, y),
-                                       min_per_class)
-        pairs += shared
-        counts += weights
-        owners += [owner] * len(shared)
-        gammas += [median_heuristic_gamma(x, y) if gamma is None
-                   else gamma] * len(shared)
-    scores = np.sqrt(_mmd2_pairs(pairs, gammas))
-    return (np.bincount(owners, scores * counts, len(ys))
-            / np.bincount(owners, counts, len(ys)))
-
-
-def class_conditional_mmd_resampled(rows: np.ndarray, labels: np.ndarray, draws,
-                                    gamma: float) -> np.ndarray:
-    """:func:`class_conditional_mmd` of ``rows[i]`` against ``rows[j]`` for
-    every index pair ``(i, j)`` of ``draws``, bit for bit.
-
-    Each draw is planned as its own call would plan it — :func:`_stratify`
-    on its indices, its class pairs, :func:`_padded_lengths` over them — and
-    then every draw's pairs join one :func:`_mmd2_pairs` call, which runs the
-    slices of one padded length from all draws as one stack.  A slice's bytes
-    depend on its padded length alone, so each score is its draw's per-call
-    bytes.  Pairs hold indices, so rows are copied stack by stack.
-    """
-    rows, labels = check_2d(rows, "rows"), np.asarray(labels)
-    if labels.shape != (rows.shape[0],):
-        raise ValueError("labels must align with embedding rows")
-    pairs, padded, owners, counts = [], [], [], []
-    for owner, (first, second) in enumerate(draws):
-        shared, weights = _class_pairs(*_stratify(first, labels[first]),
-                                       *_stratify(second, labels[second]),
-                                       (first, second), 2)
-        pairs += shared
-        padded += _padded_lengths([len(a) + len(b) for a, b in shared])
-        counts += weights
-        owners += [owner] * len(shared)
-    if not pairs:
-        return np.zeros(0)
-    scores = np.sqrt(_mmd2_pairs(pairs, gamma, padded, rows))
-    return (np.bincount(owners, scores * counts, len(draws))
-            / np.bincount(owners, counts, len(draws)))
-
-
-def _class_pairs(x_rows, x_strata, y_rows, y_strata, fallback, min_per_class):
-    """One entry's eligible class pairs and their counts, or, when no class
-    has ``min_per_class`` rows on both sides, the unconditional ``fallback``
-    pair with count 1, so its weighted mean is its score."""
+    if gamma is None:
+        gamma = median_heuristic_gamma(x, y)
+    x_rows, x_strata = _stratify(x, x_labels)
+    y_rows, y_strata = _stratify(y, y_labels)
     shared = [(x_rows[rows], y_rows[y_strata[c]])
               for c, rows in x_strata.items() if c in y_strata]
-    shared = [(a, b) for a, b in shared if min(len(a), len(b)) >= min_per_class]
-    return shared or [fallback], [min(len(a), len(b)) for a, b in shared] or [1]
+    shared = [(a, b) for a, b in shared if min(len(a), len(b)) >= _MIN_PER_CLASS]
+    if not shared:
+        return mmd(x, y, gamma)
+    counts = np.array([min(len(a), len(b)) for a, b in shared])
+    weighted = np.sqrt(_mmd2_pairs(shared, gamma)) * counts
+    # Summed one add at a time in class order: the bytes fusion is pinned to.
+    return float(np.cumsum(weighted)[-1] / counts.sum())
 
 
 def class_conditional_mmd_batch(xs: list[np.ndarray], xs_labels: list[np.ndarray],
                                 ys: list[np.ndarray], ys_labels: list[np.ndarray],
-                                gamma=None, ids=None) -> np.ndarray:
+                                gamma=None, ids=None, rows=None) -> np.ndarray:
     """:func:`class_conditional_mmd` of every ``(xs[i], ys[i])`` entry at once.
 
     An entry's class pairs share one Gram over ``z = [x; y]``: class ``c``'s
     MMD² is ``w_c' K w_c`` with ``+1/n_x`` on ``x``'s class-``c`` rows and
-    ``-1/n_y`` on ``y``'s, so every class is one column of ``W`` and the
-    unconditional fallback one more.  Entries are zero-padded to the longest
-    of their stack (padding rows weigh 0 in every column) and stacked up to
-    ``_STACK_ENTRIES`` Gram entries; a stack is one :func:`rbf_kernel`, one
-    batched ``K @ W`` and one ``einsum``.  ``gamma`` is one bandwidth, or
-    ``None`` for each entry's own median heuristic.
+    ``-1/n_y`` on ``y``'s, so each of the entry's classes is one column of
+    ``W`` and the unconditional fallback one more.  Entries of one length and
+    one class count run as stacks of up to ``_STACK_ENTRIES`` Gram entries; a
+    stack is one :func:`rbf_kernel`, one batched ``K @ W`` and one ``einsum``
+    whose every slice has its one-entry call's shape, so each score is the
+    bytes of that call, whatever else the batch holds.  ``gamma`` is one
+    bandwidth, or ``None`` for each entry's own median heuristic.  With
+    ``rows``, every ``x`` and ``y`` is an index array into it, and rows are
+    gathered one stack at a time.
 
     A row that is not finite raises, naming ``ids[i]`` (default ``i``) and
     the row: its kernel row would make every column of its entry ``nan``,
@@ -442,66 +382,80 @@ def class_conditional_mmd_batch(xs: list[np.ndarray], xs_labels: list[np.ndarray
         raise ValueError("xs, xs_labels, ys and ys_labels must align")
     ids = range(len(xs)) if ids is None else ids
     # Rows are cast to float64 stack by stack, in place in ``z``.
-    sets = [np.asarray(rows) for rows in (*xs, *ys)]
-    if any(rows.ndim != 2 or not len(rows) for rows in sets):
-        raise ValueError("every x and y must be (n_samples >= 1, n_features)")
+    sets = [np.asarray(s) for s in (*xs, *ys)]
+    if rows is not None:
+        rows = check_2d(rows, "rows")
+        if any(s.ndim != 1 or not len(s) for s in sets):
+            raise ValueError("with rows, every x and y must be a non-empty index array")
+    elif (any(s.ndim != 2 or not len(s) for s in sets)
+          or len({s.shape[1] for s in sets}) > 1):
+        raise ValueError("every x and y must be (n_samples >= 1, n_features),"
+                         " all of one width")
+
+    def fetch(k: int) -> np.ndarray:
+        return sets[k] if rows is None else rows[sets[k]]
+
     labels = [np.asarray(lab) for lab in (*xs_labels, *ys_labels)]
-    if any(lab.shape != (rows.shape[0],) for lab, rows in zip(labels, sets)):
+    if any(lab.shape != (len(s),) for lab, s in zip(labels, sets)):
         raise ValueError("labels must align with embedding rows")
     if not xs:
         return np.zeros(0)
-    gammas = np.full(len(xs), 1.0 if gamma is None else gamma, dtype=np.float64)
-    # A row's slot: its class index on x's side, C + that on y's, 2C padding.
+    e, width = len(xs), (sets[0] if rows is None else rows).shape[1]
+    gammas = np.full(e, 1.0 if gamma is None else gamma, dtype=np.float64)
+    # A row's slot: its class's rank among its entry's classes (as the
+    # one-entry call ranks them) on x's side, c + that on y's.
     classes, codes = np.unique(np.concatenate(labels), return_inverse=True)
-    c = len(classes)
-    codes = np.split(codes, np.cumsum([lab.size for lab in labels])[:-1])
-    n = np.array([rows.shape[0] for rows in sets]).reshape(2, -1)
-    both = n.sum(axis=0)
-    size = max(1, _STACK_ENTRIES // int(both.max()) ** 2)
-    out = np.empty(len(xs))
-    for start in range(0, len(xs), size):
-        stack = np.arange(start, min(start + size, len(xs)))
-        z = np.zeros((len(stack), both[stack].max(), sets[0].shape[1]))
-        slot = np.full(z.shape[:2], 2 * c)
-        for k, i in enumerate(stack):
-            x_rows, y_rows = n[0, i], both[i]
-            z[k, :x_rows], z[k, x_rows:y_rows] = sets[i], sets[len(xs) + i]
-            slot[k, :x_rows] = codes[i]
-            slot[k, x_rows:y_rows] = codes[len(xs) + i] + c
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            bad = np.argwhere(~np.isfinite(4.0 * np.einsum("pid,pid->pi", z, z)))
-        if bad.size:
-            k, row = bad[0]
-            i = stack[k]
-            where = f"x row {row}" if row < n[0, i] else f"y row {row - n[0, i]}"
-            raise ValueError(f"party {ids[i]}: {where} is not finite "
-                             "(or its squared norm overflows)")
-        if gamma is None:
-            gammas[stack] = [median_heuristic_gamma(sets[i], sets[len(xs) + i])
-                             for i in stack]
-        # Each slot's weight: a class counts when two rows of it (the default
-        # min_per_class) lie on both sides; the last column is the
-        # unconditional pair.
-        entry = np.arange(len(stack))[:, None]
-        tally = np.bincount((entry * (2 * c + 1) + slot).ravel(),
-                            minlength=len(stack) * (2 * c + 1))
-        tally = tally.reshape(len(stack), 2 * c + 1)
-        counts = np.minimum(tally[:, :c], tally[:, c:2 * c])
-        counts[counts < 2] = 0
-        weight = np.zeros(tally.shape)
-        np.divide(1.0, tally[:, :c], out=weight[:, :c], where=counts > 0)
-        np.divide(-1.0, tally[:, c:2 * c], out=weight[:, c:2 * c], where=counts > 0)
-        w = np.zeros((*z.shape[:2], c + 1))
-        w[entry, np.arange(z.shape[1]), slot % c] = weight[entry, slot]
-        side = np.column_stack([1.0 / n[0, stack], -1.0 / n[1, stack],
-                                np.zeros(len(stack))])
-        w[:, :, c] = side[entry, slot // c]
-        # The Gram lives only for its product: the next stack's never meets it.
-        kw = rbf_kernel(z, z, gammas[stack, None, None]) @ w
-        scores = np.sqrt(np.maximum(np.einsum("pic,pic->pc", kw, w), 0.0))
-        total = counts.sum(axis=1)
-        out[stack] = np.where(
-            total > 0,
-            (scores[:, :c] * counts).sum(axis=1) / np.maximum(total, 1),
-            scores[:, c])
+    lengths = np.array([len(s) for s in sets])
+    owner = np.repeat(np.tile(np.arange(e), 2), lengths)
+    present = np.zeros((e, len(classes)), dtype=bool)
+    present[owner, codes] = True
+    ranks = np.split((np.cumsum(present, axis=1) - 1)[owner, codes],
+                     np.cumsum(lengths)[:-1])
+    n = lengths.reshape(2, e)
+    keys = list(zip(n.sum(axis=0).tolist(), present.sum(axis=1).tolist()))
+    out = np.empty(e)
+    for (length, c), group in itertools.groupby(sorted(range(e), key=keys.__getitem__),
+                                                key=keys.__getitem__):
+        group = list(group)
+        size = max(1, _STACK_ENTRIES // length ** 2)
+        for stack in (np.array(group[s:s + size]) for s in range(0, len(group), size)):
+            z = np.empty((len(stack), length, width))
+            slot = np.empty(z.shape[:2], dtype=np.intp)
+            for k, i in enumerate(stack):
+                x_rows = n[0, i]
+                z[k, :x_rows], z[k, x_rows:] = fetch(i), fetch(e + i)
+                slot[k, :x_rows], slot[k, x_rows:] = ranks[i], ranks[e + i] + c
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                bad = np.argwhere(~np.isfinite(4.0 * np.einsum("pid,pid->pi", z, z)))
+            if bad.size:
+                k, row = bad[0]
+                i = stack[k]
+                where = f"x row {row}" if row < n[0, i] else f"y row {row - n[0, i]}"
+                raise ValueError(f"party {ids[i]}: {where} is not finite "
+                                 "(or its squared norm overflows)")
+            if gamma is None:
+                gammas[stack] = [median_heuristic_gamma(fetch(i), fetch(e + i))
+                                 for i in stack]
+            # Each slot's weight: a class counts when _MIN_PER_CLASS rows of
+            # it lie on both sides; the last column is the unconditional pair.
+            entry = np.arange(len(stack))[:, None]
+            tally = np.bincount((entry * 2 * c + slot).ravel(),
+                                minlength=len(stack) * 2 * c).reshape(len(stack), 2 * c)
+            counts = np.minimum(tally[:, :c], tally[:, c:])
+            counts[counts < _MIN_PER_CLASS] = 0
+            weight = np.zeros(tally.shape)
+            np.divide(1.0, tally[:, :c], out=weight[:, :c], where=counts > 0)
+            np.divide(-1.0, tally[:, c:], out=weight[:, c:], where=counts > 0)
+            w = np.zeros((*z.shape[:2], c + 1))
+            w[entry, np.arange(length), slot % c] = weight[entry, slot]
+            side = np.column_stack([1.0 / n[0, stack], -1.0 / n[1, stack]])
+            w[:, :, c] = side[entry, slot // c]
+            # The Gram lives only for its product: the next stack's never meets it.
+            kw = rbf_kernel(z, z, gammas[stack, None, None]) @ w
+            scores = np.sqrt(np.maximum(np.einsum("pic,pic->pc", kw, w), 0.0))
+            total = counts.sum(axis=1)
+            out[stack] = np.where(
+                total > 0,
+                (scores[:, :c] * counts).sum(axis=1) / np.maximum(total, 1),
+                scores[:, c])
     return out

@@ -26,10 +26,6 @@ class ComparisonResult:
     runs: dict[str, list[StrategyRunResult]] = field(default_factory=dict)
     aggregates: dict[str, list[MetricAggregate]] = field(default_factory=dict)
 
-    @property
-    def strategy_names(self) -> list[str]:
-        return list(self.runs)
-
     def num_windows(self) -> int:
         """Window count of the recorded runs (0 when the result is empty)."""
         for runs in self.runs.values():

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.detection.mmd import class_conditional_mmd
+from repro.detection.mmd import class_conditional_mmd_batch
 from repro.experts.memory import LatentMemory
 from repro.experts.registry import Expert, ExpertRegistry
 from repro.utils.params import cosine_similarity_matrix, weighted_average
@@ -73,10 +73,10 @@ def _regimes_agree(a: Expert, b: Expert, memory_epsilon: float | None,
     sig_a, sig_b = a.memory.signature, b.memory.signature
     if seal is not None:  # sign-sealed MMD is bitwise-identical (see ScoreSeal)
         sig_a, sig_b = seal.seal(sig_a), seal.seal(sig_b)
-    regime_distance = class_conditional_mmd(
-        sig_a, a.memory.signature_labels,
-        sig_b, b.memory.signature_labels, gamma,
-    )
+    regime_distance = class_conditional_mmd_batch(
+        [sig_a], [a.memory.signature_labels],
+        [sig_b], [b.memory.signature_labels], gamma,
+    )[0]
     return regime_distance <= memory_epsilon
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.detection.mmd import class_conditional_mmd_to_many
+from repro.detection.mmd import class_conditional_mmd_batch
 from repro.experts.registry import Expert, ExpertRegistry
 from repro.utils.validation import check_2d
 
@@ -111,9 +111,9 @@ def match_cluster_to_expert(cluster_embeddings: np.ndarray,
     if seal is not None:
         cluster_embeddings = seal.seal(cluster_embeddings)
         signatures = seal.seal_many(signatures)
-    # Every (class x memory) pair joins one batched kernel evaluation.
-    score_values = class_conditional_mmd_to_many(
-        cluster_embeddings, cluster_labels, signatures,
-        [e.memory.signature_labels for e in eligible], gamma,
+    # The cluster against every memory: one entry each, scored like a report.
+    score_values = class_conditional_mmd_batch(
+        [cluster_embeddings] * len(eligible), [cluster_labels] * len(eligible),
+        signatures, [e.memory.signature_labels for e in eligible], gamma,
     )
     return _best_match(eligible, score_values, epsilon)

@@ -6,8 +6,7 @@ covariate clusters against it with MMD.  MMD needs *samples*, so the memory
 is a fixed-capacity reservoir of embedding rows: each update replaces an
 ``eta`` fraction of stored rows with rows from the new window, which decays
 old signatures geometrically (an EMA over the represented distribution)
-while remaining a valid sample for kernel tests.  An exact EMA of the
-centroid is kept alongside for cheap diagnostics.
+while remaining a valid sample for kernel tests.
 
 Rows carry class tags so matching can use *class-conditional* MMD — at
 window-sized samples the label-composition noise of pooled embeddings
@@ -35,8 +34,6 @@ class LatentMemory:
         self.eta = eta
         self._rows: np.ndarray | None = None
         self._labels: np.ndarray | None = None
-        self._centroid_ema: np.ndarray | None = None
-        self.updates = 0
 
     @property
     def is_empty(self) -> bool:
@@ -56,13 +53,6 @@ class LatentMemory:
             raise RuntimeError("latent memory is empty")
         return self._labels
 
-    @property
-    def centroid(self) -> np.ndarray:
-        """EMA of window centroids (cheap matching diagnostic)."""
-        if self._centroid_ema is None:
-            raise RuntimeError("latent memory is empty")
-        return self._centroid_ema
-
     @staticmethod
     def _check(embeddings: np.ndarray,
                labels: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -78,13 +68,11 @@ class LatentMemory:
                labels: np.ndarray | None = None) -> None:
         """Fold a new window of (labelled) embeddings into the memory."""
         embeddings, labels = self._check(embeddings, labels)
-        new_centroid = embeddings.mean(axis=0)
         if self._rows is None:
             take = min(self.capacity, embeddings.shape[0])
             idx = rng.choice(embeddings.shape[0], size=take, replace=False)
             self._rows = embeddings[idx].copy()
             self._labels = labels[idx].copy()
-            self._centroid_ema = new_centroid.copy()
         else:
             if embeddings.shape[1] != self._rows.shape[1]:
                 raise ValueError(
@@ -106,11 +94,6 @@ class LatentMemory:
                 donors = rng.choice(embeddings.shape[0], size=n_replace, replace=False)
                 self._rows[victims] = embeddings[donors]
                 self._labels[victims] = labels[donors]
-            assert self._centroid_ema is not None
-            self._centroid_ema = (
-                (1.0 - self.eta) * self._centroid_ema + self.eta * new_centroid
-            )
-        self.updates += 1
 
     def merged_with(self, other: "LatentMemory", self_weight: float,
                     rng: np.random.Generator) -> "LatentMemory":
@@ -123,11 +106,9 @@ class LatentMemory:
         if self.is_empty:
             merged._rows = other.signature.copy()
             merged._labels = other.signature_labels.copy()
-            merged._centroid_ema = other.centroid.copy()
         elif other.is_empty:
             merged._rows = self.signature.copy()
             merged._labels = self.signature_labels.copy()
-            merged._centroid_ema = self.centroid.copy()
         else:
             n_self = int(round(self_weight * self.capacity))
             n_self = min(max(n_self, 1), self.capacity - 1)
@@ -142,7 +123,4 @@ class LatentMemory:
                                       other.signature[idx_o]])
             merged._labels = np.concatenate([self.signature_labels[idx_s],
                                              other.signature_labels[idx_o]])
-            merged._centroid_ema = (self_weight * self.centroid
-                                    + (1.0 - self_weight) * other.centroid)
-        merged.updates = self.updates + other.updates
         return merged

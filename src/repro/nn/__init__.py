@@ -14,7 +14,7 @@ from repro.nn.layers import Layer, Dense, ReLU, Conv2d, MaxPool2d, Flatten
 from repro.nn.losses import softmax_cross_entropy, softmax_probs
 from repro.nn.optim import SGD
 from repro.nn.network import Sequential
-from repro.nn.models import build_model, model_names, embedding_dim
+from repro.nn.models import build_model, model_names
 from repro.nn.training import LocalTrainingConfig, train_local, evaluate
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "Sequential",
     "build_model",
     "model_names",
-    "embedding_dim",
     "LocalTrainingConfig",
     "train_local",
     "evaluate",

@@ -51,7 +51,7 @@ class Layer:
         return shape
 
     def output_note(self) -> str:
-        """Short human-readable description used in ``Sequential.describe``."""
+        """Short human-readable description, for error messages and probes."""
         return type(self).__name__
 
 

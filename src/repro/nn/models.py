@@ -92,13 +92,3 @@ def build_model(name: str, input_shape: tuple[int, ...], num_classes: int,
     if name == "lenet_mini":
         return build_lenet_mini(input_shape, num_classes, rng, **kwargs)
     raise KeyError(f"unknown model '{name}'; available: {_MODEL_NAMES}")
-
-
-def embedding_dim(name: str, input_shape: tuple[int, ...], **kwargs) -> int:
-    """Dimensionality of the penultimate-layer features for a model spec."""
-    if name == "mlp":
-        hidden = kwargs.get("hidden", (64, 32))
-        return int(hidden[-1]) if hidden else _flat_dim(input_shape)
-    if name == "lenet_mini":
-        return int(kwargs.get("embed_dim", 48))
-    raise KeyError(f"unknown model '{name}'")

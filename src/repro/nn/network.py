@@ -248,10 +248,3 @@ class Sequential:
             if dst.shape[dst.ndim - src.ndim:] != src.shape:
                 raise ValueError(f"parameter shape mismatch: {dst.shape} vs {src.shape}")
             np.copyto(dst, src, casting="same_kind")
-
-    @property
-    def num_params(self) -> int:
-        return self._spec.total_size
-
-    def describe(self) -> str:
-        return " -> ".join(layer.output_note() for layer in self.layers)

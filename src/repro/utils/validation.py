@@ -113,13 +113,11 @@ def _spec_fields(cls, where: str, text: str) -> dict:
     return fields
 
 
-def read_knob(cls, value, where: str,
-              retired: Mapping[str, str] | None = None):
+def read_knob(cls, value, where: str):
     """Build the :class:`Knob` dataclass ``cls`` from any of its inputs.
 
     ``None`` stays ``None`` (the caller's default applies).  ``where`` is
-    the dotted path errors name (``"plan federation"``); ``retired`` is
-    :func:`check_keys`'s note per retired key of the top block.
+    the dotted path errors name (``"plan federation"``).
     """
     if value is None or isinstance(value, cls):
         return value
@@ -130,7 +128,7 @@ def read_knob(cls, value, where: str,
                          f"got {value!r} (a bool is not a plan)")
     elif not isinstance(value, Mapping):
         value = cls.shorthand(value)
-    kwargs = check_keys(where, value, field_names(cls), retired)
+    kwargs = check_keys(where, value, field_names(cls))
     types = field_types(cls)
     kwargs = {key: _typed(f"{where}.{key}", types[key], item)
               for key, item in kwargs.items()}
@@ -159,10 +157,9 @@ class Knob:
     SHORTHAND = ""
 
     @classmethod
-    def from_value(cls, value, where: str | None = None,
-                   retired: Mapping[str, str] | None = None):
+    def from_value(cls, value, where: str | None = None):
         """An instance, a mapping, a spec string or a shorthand value."""
-        return read_knob(cls, value, where or cls.__name__, retired)
+        return read_knob(cls, value, where or cls.__name__)
 
     @classmethod
     def shorthand(cls, word) -> dict:

@@ -89,6 +89,11 @@ class TestPartyMmdNull:
         with pytest.raises(ValueError):
             bootstrap_party_mmd_null(pools, 10, rng)
 
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_rejects_nonpositive_draws(self, rng, draws):
+        with pytest.raises(ValueError, match="num_bootstrap"):
+            bootstrap_party_mmd_null(make_party_pools(rng), draws, rng)
+
 
 class TestCalibrator:
     def test_end_to_end_detection_separation(self):

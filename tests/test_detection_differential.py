@@ -3,13 +3,14 @@
 The ``ref_*`` functions (``benchmarks/reference.py``, which the probe's
 ``--check`` reads too) are the previous MMD code kept verbatim — three
 distance matrices and three ``exp`` per pair, a Python loop of ``mmd`` calls
-per shared class, the to-many form's own x-side sharing, and a median
-heuristic that gathered the upper triangle through ``triu_indices``.  The
-live code scores every pair through one batched Gram
-(``repro.detection.mmd._mmd2_pairs``), which sums in another order, so the
-statistics are pinned to a tolerance (``rtol=1e-12, atol=1e-15``, set
-beforehand from the float64 arithmetic; the worst of 8,000 draws of the
-generator below was 5.5e-14) and the *decisions* of a run to equality.  The
+per shared class, and a median heuristic that gathered the upper triangle
+through ``triu_indices``.  The live code scores every window-sized entry
+through one Gram per entry (``class_conditional_mmd_batch``) and a whole
+cluster pair through one Gram per class pair (``_mmd2_pairs``), which sum in
+another order, so the statistics are pinned to a tolerance (``rtol=1e-12,
+atol=1e-15``, set beforehand from the float64 arithmetic; the worst of 8,000
+draws of the generator below was 5.5e-14) and the *decisions* of a run to
+equality.  The
 bandwidth selects its median from the same elementwise operations over a
 product computed in row blocks; it is pinned bit for bit wherever those
 blocks give the reference's own product (see ``exact_rows``) and to the
@@ -19,6 +20,7 @@ version that held the ``n x n`` matrix.
 
 import importlib
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -28,13 +30,12 @@ from hypothesis import given, settings, strategies as st
 from benchmarks.reference import (  # noqa: F401  (looked up by name below)
     ref_class_conditional_mmd,
     ref_class_conditional_mmd_batch,
-    ref_class_conditional_mmd_resampled,
-    ref_class_conditional_mmd_to_many,
     ref_median_heuristic_gamma,
     ref_mmd,
     ref_mmd2_biased,
     ref_rbf_kernel,
 )
+from repro.core.detector import PartyLocalState, compute_party_report
 from repro.data.federated import FederatedShiftDataset
 from repro.detection.calibration import ThresholdCalibrator, bootstrap_party_mmd_null
 from repro.experiments.registry import build_strategy
@@ -237,28 +238,8 @@ class TestStatisticsMatchReference:
         close(live.mmd(x, y, gamma), ref_mmd(x, y, gamma))
         close(live.class_conditional_mmd(x, xl, y, yl, gamma),
               ref_class_conditional_mmd(x, xl, y, yl, gamma))
-        close(live.class_conditional_mmd(x, xl, y, yl, gamma, min_per_class=1),
-              ref_class_conditional_mmd(x, xl, y, yl, gamma, min_per_class=1))
         if gamma is not None:
             close(live.rbf_kernel(x, y, gamma), ref_rbf_kernel(x, y, gamma))
-
-    @given(sets, st.integers(0, 6))
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_to_many_statistics(self, case, targets):
-        seed, n, m, dim, classes, dtype, gamma = case
-        rng = spawn_rng(seed, "many")
-        values = rng.choice(200, size=classes, replace=False)
-        x, xl = labelled_set(rng, n, dim, values, dtype)
-        ys, yls = [], []
-        for t in range(targets):
-            # Target 0 shares no class with ``x`` (the unconditional fallback).
-            pool = values + 1000 if t == 0 else values[: max(1, classes - t)]
-            y, yl = labelled_set(rng, int(rng.integers(2, m + 1)), dim, pool, dtype)
-            ys.append(y)
-            yls.append(yl)
-        gamma = bandwidth(gamma, x, x)
-        close(live.class_conditional_mmd_to_many(x, xl, ys, yls, gamma),
-              ref_class_conditional_mmd_to_many(x, xl, ys, yls, gamma))
 
     @given(st.integers(0, 2 ** 31), st.integers(1, 6), st.integers(1, 40),
            st.sampled_from([np.float64, np.float32]),
@@ -282,6 +263,28 @@ class TestStatisticsMatchReference:
         with mock.patch.object(live, "_STACK_ENTRIES", cap or live._STACK_ENTRIES):
             batch = live.class_conditional_mmd_batch(xs, xls, ys, yls, gamma)
         close(batch, ref_class_conditional_mmd_batch(xs, xls, ys, yls, gamma))
+
+    @given(sets, st.integers(0, 6))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_one_against_many_statistics(self, case, targets):
+        """The matching shape: one cluster against every memory, the x side
+        repeated per entry; target 0 shares no class with ``x`` (the
+        unconditional fallback) and no targets is an empty batch."""
+        seed, n, m, dim, classes, dtype, gamma = case
+        rng = spawn_rng(seed, "many")
+        values = rng.choice(200, size=classes, replace=False)
+        x, xl = labelled_set(rng, n, dim, values, dtype)
+        ys, yls = [], []
+        for t in range(targets):
+            pool = values + 1000 if t == 0 else values[: max(1, classes - t)]
+            y, yl = labelled_set(rng, int(rng.integers(2, m + 1)), dim, pool, dtype)
+            ys.append(y)
+            yls.append(yl)
+        gamma = bandwidth(gamma, x, x)
+        args = ([x] * targets, [xl] * targets, ys, yls, gamma)
+        scores = live.class_conditional_mmd_batch(*args)
+        assert scores.shape == (targets,)
+        close(scores, ref_class_conditional_mmd_batch(*args))
 
     def test_batch_of_one_and_the_fallback(self):
         rng = spawn_rng(6, "batch-one")
@@ -318,14 +321,13 @@ class TestStatisticsMatchReference:
         expected = ref_mmd(x, y, 0.2)
         close(live.class_conditional_mmd(x, singles_x, y, singles_y, 0.2), expected)
         close(ref_class_conditional_mmd(x, singles_x, y, singles_y, 0.2), expected)
-        close(live.class_conditional_mmd_to_many(
-            x, singles_x, [y, x], [singles_y, singles_x], 0.2),
-            ref_class_conditional_mmd_to_many(
-                x, singles_x, [y, x], [singles_y, singles_x], 0.2))
+        args = ([x, x], [singles_x] * 2, [y, x], [singles_y, singles_x], 0.2)
+        close(live.class_conditional_mmd_batch(*args),
+              ref_class_conditional_mmd_batch(*args))
 
     def test_mixed_sizes_split_into_batches(self):
-        """One huge class beside small ones, and a fallback pair beside class
-        pairs: the pad bound cuts batches, the values do not move."""
+        """One huge class beside small ones: the pad bound cuts batches, the
+        values do not move."""
         rng = spawn_rng(4, "mixed")
         xl = np.repeat([0, 1, 2, 3], [300, 6, 3, 2])
         yl = np.repeat([0, 1, 2, 3], [280, 2, 9, 4])
@@ -333,10 +335,40 @@ class TestStatisticsMatchReference:
         y = rng.normal(size=(yl.size, 16)) + yl[:, None] + 0.1
         close(live.class_conditional_mmd(x, xl, y, yl, 0.02),
               ref_class_conditional_mmd(x, xl, y, yl, 0.02))
-        close(live.class_conditional_mmd_to_many(
-            x, xl, [y, y[:40]], [yl, np.full(40, 77)], 0.02),
-            ref_class_conditional_mmd_to_many(
-                x, xl, [y, y[:40]], [yl, np.full(40, 77)], 0.02))
+
+    def test_a_fallback_entry_beside_class_entries(self):
+        """One huge class beside small ones, and an entry sharing no class
+        beside entries that share four: each scores its own reference."""
+        rng = spawn_rng(4, "mixed")
+        xl = np.repeat([0, 1, 2, 3], [300, 6, 3, 2])
+        yl = np.repeat([0, 1, 2, 3], [280, 2, 9, 4])
+        x = rng.normal(size=(xl.size, 16)) + xl[:, None]
+        y = rng.normal(size=(yl.size, 16)) + yl[:, None] + 0.1
+        args = ([x, x, x[:40]], [xl, xl, xl[:40]], [y, y[:40], y[:40]],
+                [yl, np.full(40, 77), yl[:40]], 0.02)
+        close(live.class_conditional_mmd_batch(*args),
+              ref_class_conditional_mmd_batch(*args))
+
+    @pytest.mark.parametrize("name", ["class_conditional_mmd",
+                                      "class_conditional_mmd_batch"])
+    def test_a_class_needs_two_rows_on_both_sides(self, name):
+        """One eligibility rule on both paths: a class with one row on a
+        side scores as if its rows were absent; with two on each side it
+        counts."""
+        def score(x, xl, y, yl):
+            if name == "class_conditional_mmd":
+                return live.class_conditional_mmd(x, xl, y, yl, 0.1)
+            return live.class_conditional_mmd_batch([x], [xl], [y], [yl], 0.1)[0]
+
+        rng = spawn_rng(8, "eligible")
+        xl, yl = np.repeat([0, 1, 2], [8, 7, 3]), np.repeat([0, 1, 2], [6, 9, 1])
+        x = rng.normal(size=(xl.size, 5)) + xl[:, None]
+        y = rng.normal(size=(yl.size, 5)) + yl[:, None] + 0.3
+        kept_x, kept_y = xl != 2, yl != 2
+        without = score(x[kept_x], xl[kept_x], y[kept_y], yl[kept_y])
+        close(score(x, xl, y, yl), without)
+        y2, yl2 = np.vstack([y, y[-1:] + 0.5]), np.append(yl, 2)
+        assert abs(score(x, xl, y2, yl2) - without) > 1e-6
 
     def test_flat_kernel_is_pinned_on_the_square(self):
         """A bandwidth a million times below the heuristic: every kernel value
@@ -353,10 +385,6 @@ class TestStatisticsMatchReference:
                                    rtol=0, atol=ATOL)
         np.testing.assert_allclose(live.mmd(x, y, gamma), ref_mmd(x, y, gamma),
                                    rtol=0, atol=ATOL / (2 * np.sqrt(square)))
-
-    def test_empty_target_list(self):
-        x = np.ones((3, 2))
-        assert live.class_conditional_mmd_to_many(x, [0, 1, 1], [], [], 0.5).shape == (0,)
 
 
 class TestSameRejections:
@@ -381,17 +409,23 @@ class TestSameRejections:
         ("class_conditional_mmd", (x, labels, x, labels, 0.0)),
         ("class_conditional_mmd", (x, labels, x, labels + 9, -2.0)),
         ("class_conditional_mmd", (x, labels, np.ones(6), labels)),
-        ("class_conditional_mmd_to_many", (x, labels[:4], [x], [labels], 1.0)),
-        ("class_conditional_mmd_to_many", (x, labels, [x, x], [labels], 1.0)),
-        ("class_conditional_mmd_to_many", (x, labels, [x], [labels[:3]], 1.0)),
-        ("class_conditional_mmd_to_many", (x, labels, [x], [labels], 0.0)),
-        ("class_conditional_mmd_to_many", (x, labels, [x], [labels + 9], -1.0)),
         ("class_conditional_mmd_batch", ([x], [labels[:5]], [x], [labels], 1.0)),
         ("class_conditional_mmd_batch", ([x, x], [labels], [x], [labels], 1.0)),
         ("class_conditional_mmd_batch", ([x], [labels], [np.ones(6)], [labels], 1.0)),
         ("class_conditional_mmd_batch", ([x], [labels], [np.ones((6, 3))], [labels], 1.0)),
         ("class_conditional_mmd_batch", ([x], [labels], [x], [labels], 0.0)),
         ("class_conditional_mmd_batch", ([x], [labels], [x], [labels + 9], -1.0)),
+        ("class_conditional_mmd_batch",  # index arrays into rows that are not 2-D
+         ([np.arange(6)], [labels], [np.arange(6)], [labels], 1.0, None, np.ones(6))),
+        ("class_conditional_mmd_batch",  # labels that do not align with the indices
+         ([np.arange(6)], [labels[:4]], [np.arange(6)], [labels], 1.0, None, x)),
+        ("class_conditional_mmd_batch", ([x], [labels], [x], [labels[:3]], 1.0)),
+        ("class_conditional_mmd_batch", ([x], [labels], [x, x], [labels, labels], 1.0)),
+        ("class_conditional_mmd_batch",  # an empty x
+         ([np.ones((0, 2))], [labels[:0]], [x], [labels], 1.0)),
+        ("class_conditional_mmd_batch",  # index arrays into no rows at all
+         ([np.arange(6)], [labels], [np.arange(6)], [labels], 1.0, None,
+          np.ones((0, 2)))),
     ])
     def test_value_errors(self, name, args):
         with pytest.raises(ValueError):
@@ -422,8 +456,9 @@ class TestSealedScoringStaysBitwise:
         assert (live.class_conditional_mmd(sx, xl, sy, yl, gamma)
                 == live.class_conditional_mmd(x, xl, y, yl, gamma))
         assert np.array_equal(
-            live.class_conditional_mmd_to_many(sx, xl, [sy, sx], [yl, xl], gamma),
-            live.class_conditional_mmd_to_many(x, xl, [y, x], [yl, xl], gamma))
+            live.class_conditional_mmd_batch([sx, sx], [xl, xl], [sy, sx], [yl, xl],
+                                             gamma),
+            live.class_conditional_mmd_batch([x, x], [xl, xl], [y, x], [yl, xl], gamma))
 
 
 # ---------------------------------------------------------------- Work and decision pins
@@ -487,10 +522,11 @@ def test_calibration_memory_is_capped_per_stack():
     assert peak <= 5.5e6
 
 
-class TestCalibrationNullIsPerDrawBytes:
-    """The null's draws run as stacks across draws; each score must be the
-    bytes its draw's own ``class_conditional_mmd`` call gives, and the
-    generator must end where the draw-by-draw loop leaves it."""
+class TestOneKernelIsPerEntryBytes:
+    """Every window-sized statistic is ``class_conditional_mmd_batch``: a
+    stacked entry is the bytes of its own one-entry call, whatever else the
+    batch holds, so the calibration null scores exactly what a report
+    scores and the generator ends where the draw-by-draw loop leaves it."""
 
     @given(st.integers(0, 2 ** 31), st.integers(1, 120), st.integers(1, 6),
            st.sampled_from([np.float64, np.float32]), st.sampled_from([None, 1, 4000]))
@@ -511,26 +547,87 @@ class TestCalibrationNullIsPerDrawBytes:
         expected = []
         for _ in range(draws):
             embeddings, labels = pools[int(loop_rng.integers(parties))]
-            embeddings, n = embeddings.astype(np.float64), len(labels)
+            n = len(labels)
             i1 = loop_rng.choice(n, size=n, replace=True)
             i2 = loop_rng.choice(n, size=n, replace=True)
-            expected.append(live.class_conditional_mmd(
-                embeddings[i1], labels[i1], embeddings[i2], labels[i2], gamma))
+            expected += live.class_conditional_mmd_batch(
+                [embeddings[i1]], [labels[i1]], [embeddings[i2]], [labels[i2]],
+                gamma).tolist()
         assert stacked.tobytes() == np.array(expected).tobytes()
         assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
 
-    def test_no_draws(self):
-        x = np.ones((3, 2))
-        assert live.class_conditional_mmd_resampled(x, [0, 1, 1], [], 0.5).shape == (0,)
+    @given(st.integers(0, 2 ** 31), st.integers(2, 24), st.integers(1, 40),
+           st.sampled_from([None, 1.0]), st.sampled_from([None, 1, 4000]))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_lengths_equal_one_entry_calls(self, seed, entries, dim, scale, cap):
+        """Entries of mixed lengths and class counts, some sharing no class
+        (the fallback): each is its one-entry call's bytes at every stack
+        cap (at the padded kernel, 30 of 1,392 such entries were not)."""
+        rng = spawn_rng(seed, "mixed-lengths")
+        batch = []
+        for k in range(entries):
+            values = rng.choice(30, size=int(rng.integers(1, 9)), replace=False)
+            x, xl = labelled_set(rng, int(rng.integers(1, 61)), dim, values)
+            y, yl = labelled_set(rng, int(rng.integers(1, 61)), dim,
+                                 values + 100 if k % 4 == 3 else values)
+            batch.append((x, xl, y, yl))
+        gamma = None if scale is None else ref_median_heuristic_gamma(batch[0][0])
+        with mock.patch.object(live, "_STACK_ENTRIES", cap or live._STACK_ENTRIES):
+            stacked = live.class_conditional_mmd_batch(*zip(*batch), gamma)
+        for score, entry in zip(stacked, batch):
+            one = live.class_conditional_mmd_batch(*([side] for side in entry), gamma)
+            assert one.tobytes() == np.array([score]).tobytes()
+
+    @given(st.integers(0, 2 ** 31), st.integers(1, 12), st.integers(1, 20),
+           st.sampled_from([np.float64, np.float32]), st.sampled_from([None, 1, 4000]))
+    @settings(max_examples=40, deadline=None)
+    def test_row_index_form_is_the_gathered_rows(self, seed, entries, dim, dtype, cap):
+        """With ``rows``, each entry is the bytes of the call on the rows its
+        index arrays pick, at every stack cap."""
+        rng = spawn_rng(seed, "row-index")
+        rows, labels = labelled_set(rng, 80, dim, np.arange(6), dtype)
+        picks = [rng.choice(80, size=int(rng.integers(1, 41)), replace=True)
+                 for _ in range(2 * entries)]
+        xs, ys = picks[:entries], picks[entries:]
+        gamma = ref_median_heuristic_gamma(rows)
+        with mock.patch.object(live, "_STACK_ENTRIES", cap or live._STACK_ENTRIES):
+            indexed = live.class_conditional_mmd_batch(
+                xs, [labels[i] for i in xs], ys, [labels[j] for j in ys], gamma,
+                rows=rows)
+            gathered = live.class_conditional_mmd_batch(
+                [rows[i] for i in xs], [labels[i] for i in xs],
+                [rows[j] for j in ys], [labels[j] for j in ys], gamma)
+        assert indexed.tobytes() == gathered.tobytes()
+
+    def test_null_scores_the_report_statistic(self):
+        """One pool, one resampled draw: the null's score is the report's
+        ``delta_cov`` for the same two row sets and bandwidth, byte for
+        byte.  While the null had a kernel of its own, 76 - 88 of 100 null
+        scores per pinned workload differed from the report's in the last
+        bits."""
+        rng = spawn_rng(11, "null-vs-report")
+        embeddings, labels = labelled_set(rng, 48, 32, np.arange(10))
+        gamma = live.median_heuristic_gamma(embeddings)
+        null = bootstrap_party_mmd_null([(embeddings, labels)], 1,
+                                        spawn_rng(11, "draw"), gamma)
+        draw = spawn_rng(11, "draw")
+        draw.integers(1)  # the party
+        current, previous = (draw.choice(48, size=48, replace=True) for _ in range(2))
+        party = SimpleNamespace(party_id=0, label_histogram=lambda: np.full(10, 0.1))
+        [(report, _state)] = compute_party_report(
+            [party], [(embeddings[current], labels[current])],
+            [PartyLocalState(embeddings[previous], labels[previous], np.full(10, 0.1))],
+            gamma=gamma)
+        assert np.array([report.delta_cov]).tobytes() == null.tobytes()
 
 
 PATCHED = {
     "repro.core.detector": ("class_conditional_mmd_batch",),
     "repro.core.server": ("class_conditional_mmd",),
-    "repro.detection.calibration": ("class_conditional_mmd_resampled",
+    "repro.detection.calibration": ("class_conditional_mmd_batch",
                                     "median_heuristic_gamma"),
-    "repro.experts.matching": ("class_conditional_mmd_to_many",),
-    "repro.experts.consolidation": ("class_conditional_mmd",),
+    "repro.experts.matching": ("class_conditional_mmd_batch",),
+    "repro.experts.consolidation": ("class_conditional_mmd_batch",),
 }
 
 
@@ -558,9 +655,9 @@ def test_a_run_decides_the_same_with_the_reference_functions(monkeypatch):
     def counted(module, name):
         reference = globals()[f"ref_{name}"]
 
-        def scoring(*args):
+        def scoring(*args, **kwargs):
             scored.add(module)
-            return reference(*args)
+            return reference(*args, **kwargs)
         return scoring
 
     for module, names in PATCHED.items():

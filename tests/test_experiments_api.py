@@ -248,7 +248,7 @@ class TestExecutors:
 
     def test_result_shape(self, tiny_plan):
         result = tiny_plan.run()
-        assert result.strategy_names == ["fedavg", "fedprox"]
+        assert list(result.runs) == ["fedavg", "fedprox"]
         assert result.seeds == (0, 1)
         assert result.num_windows() == 2
         assert all(len(runs) == 2 for runs in result.runs.values())

@@ -43,19 +43,12 @@ class TestUpdate:
         old_rows = np.sum(np.all(memory.signature == 0.0, axis=1))
         assert old_rows >= 6
 
-    def test_centroid_ema(self, rng):
-        memory = LatentMemory(capacity=8, eta=0.5)
-        memory.update(np.zeros((10, 2)), rng)
-        memory.update(np.ones((10, 2)), rng)
-        assert np.allclose(memory.centroid, 0.5)
-
     def test_memory_decays_geometrically(self, rng):
-        """Repeated updates from a new regime converge the centroid there."""
+        """Repeated updates from a new regime replace every stored row."""
         memory = LatentMemory(capacity=8, eta=0.4)
         memory.update(np.zeros((10, 2)), rng)
         for _ in range(12):
             memory.update(np.ones((10, 2)), rng)
-        assert np.allclose(memory.centroid, 1.0, atol=0.01)
         assert np.allclose(memory.signature, 1.0)
 
     def test_dim_mismatch_rejected(self, rng):
@@ -64,11 +57,23 @@ class TestUpdate:
         with pytest.raises(ValueError):
             memory.update(rng.normal(size=(5, 4)), rng)
 
-    def test_updates_counter(self, rng):
-        memory = LatentMemory(capacity=4)
-        memory.update(rng.normal(size=(5, 3)), rng)
-        memory.update(rng.normal(size=(5, 3)), rng)
-        assert memory.updates == 2
+    def test_stored_rows_keep_their_labels(self, rng):
+        """Every stored row is a row of some update, tagged with that row's
+        label, after growth and after decay."""
+        memory = LatentMemory(capacity=12, eta=0.5)
+        seen = {}
+        for step, rows in enumerate((5, 20, 20)):
+            x = rng.normal(size=(rows, 3))
+            labels = rng.integers(0, 4, rows) + 10 * step
+            seen.update({row.tobytes(): label for row, label in zip(x, labels)})
+            memory.update(x, rng, labels)
+            assert all(seen[row.tobytes()] == label for row, label
+                       in zip(memory.signature, memory.signature_labels))
+
+    def test_unlabelled_rows_are_tagged_class_zero(self, rng):
+        memory = LatentMemory(capacity=6)
+        memory.update(rng.normal(size=(9, 2)), rng)
+        assert np.array_equal(memory.signature_labels, np.zeros(6, dtype=int))
 
     def test_rejects_bad_hyperparams(self):
         with pytest.raises(ValueError):
@@ -88,7 +93,6 @@ class TestMerge:
         rows_a = np.sum(np.all(merged.signature == 0.0, axis=1))
         rows_b = np.sum(np.all(merged.signature == 1.0, axis=1))
         assert rows_a > 0 and rows_b > 0
-        assert np.allclose(merged.centroid, 0.5)
 
     def test_merge_with_empty(self, rng):
         a = LatentMemory(capacity=6)

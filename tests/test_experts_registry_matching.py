@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.detection.mmd import class_conditional_mmd, mmd
+from repro.detection.mmd import class_conditional_mmd, class_conditional_mmd_batch, mmd
 from repro.experts.consolidation import consolidate_experts
 from repro.experts.matching import match_cluster_to_expert
 from repro.experts.registry import ExpertRegistry
@@ -244,3 +244,22 @@ class TestMatching:
                 expert.memory.signature_labels, 0.1)
             assert result.scores[expert.expert_id] == pytest.approx(
                 expected, abs=1e-9)
+
+    def test_scores_are_one_entry_calls(self, rng):
+        """Each expert's score is the bytes of the cluster's one-entry
+        ``class_conditional_mmd_batch`` call against that memory — the
+        kernel every party report is scored by."""
+        registry = ExpertRegistry(memory_capacity=24)
+        experts = [registry.create(simple_params(rng), window=0,
+                                   embeddings=rng.normal(size=(40, 4)) + offset,
+                                   labels=rng.integers(0, 3, 40), rng=rng)
+                   for offset in (0.0, 2.0, 4.0)]
+        cluster, labels = rng.normal(size=(30, 4)) + 2.0, rng.integers(0, 3, 30)
+        result = match_cluster_to_expert(cluster, registry, epsilon=10.0,
+                                         gamma=0.1, cluster_labels=labels)
+        for expert in experts:
+            one = class_conditional_mmd_batch(
+                [cluster], [labels], [expert.memory.signature],
+                [expert.memory.signature_labels], 0.1)
+            score = np.float64(result.scores[expert.expert_id])
+            assert score.tobytes() == one.tobytes()

@@ -101,7 +101,7 @@ class TestShapeVsBaseline:
         ctx = strategy.context
         dataset = FederatedShiftDataset(spec)
         shifted = dataset.schedule.parties_shifted_at(1)
-        bootstrap = strategy._bootstrap_snapshot
+        bootstrap = strategy._encoder
         expert_acc, frozen_acc = [], []
         for pid in shifted:
             party = ctx.parties[pid]

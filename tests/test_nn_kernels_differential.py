@@ -224,7 +224,7 @@ def test_train_local_ends_on_reference_bytes(name, config_name, dtype):
     assert result.losses == ref_losses
 
     model, anchor = fresh()
-    out_flat = np.empty(model.num_params, dtype=model.dtype)
+    out_flat = np.empty(model.spec.total_size, dtype=model.dtype)
     result = train_local(model, x, y, config, np.random.default_rng(3),
                          global_params=anchor if config.prox_mu else None,
                          out_flat=out_flat)
@@ -366,7 +366,7 @@ def test_train_parties_is_each_party_alone(name, dtype, config_name, sizes, seed
     start = model.get_params()
     trainees = [(Party(pid, model, 4, seed=seed), x, y)
                 for pid, (x, y) in enumerate(data)]
-    outs = [np.empty(model.num_params, dtype=model.dtype) if pid % 2 else None
+    outs = [np.empty(model.spec.total_size, dtype=model.dtype) if pid % 2 else None
             for pid in range(len(sizes))]
     updates = train_parties(trainees, start, config, ("round", 1), outs)
     for pid, ((x, y), update, out) in enumerate(zip(data, updates, outs)):

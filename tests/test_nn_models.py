@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from benchmarks.reference import max_grad_error
-from repro.nn.models import build_model, embedding_dim, model_names
+from repro.nn.models import build_model, model_names
 
 
 class TestFactories:
@@ -54,21 +54,18 @@ class TestFactories:
         assert model_names() == ("mlp", "lenet_mini")
 
 
-class TestEmbeddingDim:
-    @pytest.mark.parametrize("name,shape,kwargs", [
-        ("mlp", (12,), {}),
-        ("mlp", (12,), {"hidden": (20, 10)}),
-        ("lenet_mini", (1, 8, 8), {}),
-        ("lenet_mini", (1, 8, 8), {"embed_dim": 32}),
+class TestFeatureWidth:
+    @pytest.mark.parametrize("name,shape,kwargs,width", [
+        ("mlp", (12,), {}, 32),
+        ("mlp", (12,), {"hidden": (20, 10)}, 10),
+        ("lenet_mini", (1, 8, 8), {}, 48),
+        ("lenet_mini", (1, 8, 8), {"embed_dim": 32}, 32),
     ])
-    def test_matches_features(self, name, shape, kwargs, rng):
+    def test_features_are_the_last_hidden_width(self, name, shape, kwargs, width, rng):
+        """The embedding the detectors score: the last hidden layer's width
+        for the MLP, ``embed_dim`` for the LeNet."""
         model = build_model(name, shape, 4, rng, **kwargs)
-        feats = model.features(rng.random((2, *shape)))
-        assert feats.shape[1] == embedding_dim(name, shape, **kwargs)
-
-    def test_unknown_model(self):
-        with pytest.raises(KeyError):
-            embedding_dim("vgg", (3, 8, 8))
+        assert model.features(rng.random((2, *shape))).shape == (2, width)
 
 
 class TestDeterminism:

@@ -77,7 +77,7 @@ class TestFlatStorage:
     def test_params_are_views_of_flat_vector(self, rng):
         net = make_net(rng)
         flat = net.flat_params
-        assert flat.size == net.num_params
+        assert flat.size == net.spec.total_size
         flat[0] = 123.0
         assert net.params[0].ravel()[0] == 123.0
         net.params[0][0, 0] = 456.0
@@ -182,8 +182,11 @@ class TestParams:
         net.zero_grads()
         assert all(np.all(g == 0) for g in net.grads)
 
-    def test_describe_mentions_layers(self, rng):
-        assert "Dense" in make_net(rng).describe()
+
+    def test_total_size_counts_every_parameter(self, rng):
+        net = make_net(rng)
+        assert net.spec.total_size == sum(p.size for p in net.params)
+        assert net.spec.total_size == 6 * 5 + 5 + 5 * 3 + 3
 
 
 class TestBackwardParams:
