@@ -36,6 +36,7 @@ from repro.data import CORRUPTION_GROUPS, apply_corruption  # noqa: E402
 from repro.data.federated import FederatedShiftDataset  # noqa: E402
 from repro.data.images import ImageDomainSpec, SyntheticImageGenerator  # noqa: E402
 from repro.data.registry import DatasetSpec  # noqa: E402
+from repro.detection.divergence import jsd  # noqa: E402
 from repro.detection.mmd import median_heuristic_gamma, mmd  # noqa: E402
 from repro.experiments import ExperimentPlan  # noqa: E402
 from repro.experts.facility import (  # noqa: E402
@@ -44,23 +45,44 @@ from repro.experts.matching import match_cluster_to_expert  # noqa: E402
 from repro.experts.registry import ExpertRegistry  # noqa: E402
 from repro.federation.accounting import CommunicationLedger  # noqa: E402
 from repro.federation.rounds import RoundConfig  # noqa: E402
-from repro.flips import FlipsSelector, label_balance_score  # noqa: E402
-from repro.harness.comparison import (PAPER_METHODS, convergence_series,  # noqa: E402
-                                      expert_distribution_table, max_accuracy_table,
-                                      render_drop_time_max_table,
-                                      render_expert_distribution)
+from repro.flips import FlipsSelector  # noqa: E402
+from repro.harness.comparison import (  # noqa: E402
+    PAPER_METHODS, ComparisonResult, expert_distribution_table,
+    render_drop_time_max_table, render_expert_distribution)
 from repro.harness.profiles import RunSettings, get_profile  # noqa: E402
 from repro.harness.runner import run_strategy  # noqa: E402
 from repro.nn import LocalTrainingConfig, build_model, evaluate, train_local  # noqa: E402
 from repro.privacy import SHARE_BYTES  # noqa: E402
 from repro.utils.precision import PrecisionPlan  # noqa: E402
 from repro.utils.rng import spawn_rng  # noqa: E402
+from repro.utils.validation import normalize_histogram  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 PROFILE = "ci"
 RUN_SEED = 0
 PRECISION = "float64"
 DATA_SEEDS = (101, 202, 303, 404)
+
+
+def convergence_series(result: ComparisonResult) -> dict[str, list[float]]:
+    """Mean (over seeds) concatenated accuracy traces — Figures 3-4 series."""
+    out: dict[str, list[float]] = {}
+    for name, runs in result.runs.items():
+        traces = np.array([[a for series in run.window_series for a in series]
+                           for run in runs])
+        out[name] = [float(v) for v in traces.mean(axis=0)]
+    return out
+
+
+def max_accuracy_table(result: ComparisonResult) -> dict[str, list[tuple[float, float]]]:
+    """(mean, std) max accuracy per window per strategy — Figures 5-6 series."""
+    out: dict[str, list[tuple[float, float]]] = {}
+    for name, runs in result.runs.items():
+        per_window = np.array([run.max_accuracy_per_window for run in runs])
+        means = per_window.mean(axis=0)
+        stds = per_window.std(axis=0, ddof=1) if len(runs) > 1 else np.zeros_like(means)
+        out[name] = [(float(m), float(s)) for m, s in zip(means, stds)]
+    return out
 
 
 def _experts(dists) -> set[int]:
@@ -281,6 +303,21 @@ def ablation_consolidation(emit):
     assert len(merged) <= len(unmerged)
 
 
+def label_balance_score(histograms: list[np.ndarray]) -> float:
+    """JSD between the pooled label histogram of a cohort and uniform.
+
+    Lower is better; 0 means the cohort's aggregate training data is
+    perfectly class-balanced.  This is the quantity FLIPS minimizes and the
+    practical surrogate for the mu-term of the ShiftEx objective.
+    """
+    if not histograms:
+        raise ValueError("need at least one histogram")
+    pooled = normalize_histogram(np.sum([normalize_histogram(h) for h in histograms],
+                                        axis=0))
+    uniform = np.full(pooled.size, 1.0 / pooled.size)
+    return jsd(pooled, uniform)
+
+
 def ablation_flips(emit):
     """FLIPS cohorts pool to flatter label distributions than uniform picks."""
     histograms = {}
@@ -421,6 +458,33 @@ def _print_latencies(parties: int, dim: int, rows: int) -> None:
         for label, call in calls.items()))
 
 
+def memory_footprint(registry: ExpertRegistry, embedding_dim: int,
+                     num_parties: int) -> dict[str, float]:
+    """Aggregator-side memory model of Section 5.4, in bytes.
+
+    O(k*d) expert centroids + O(n) party mapping + expert parameters
+    (at the pool's configured precision).  Centroids and signatures count
+    8-byte floats; the party mapping 8-byte ids.
+    """
+    bytes_per_float = 8
+    k = len(registry)
+    centroids = k * embedding_dim * bytes_per_float
+    signatures = sum(
+        0 if e.memory.is_empty else e.memory.signature.size * bytes_per_float
+        for e in registry.all()
+    )
+    mapping = num_parties * 8
+    params = sum(e.flat.size * e.dtype.itemsize for e in registry.all())
+    return {
+        "num_experts": float(k),
+        "centroid_bytes": float(centroids),
+        "signature_bytes": float(signatures),
+        "mapping_bytes": float(mapping),
+        "param_bytes": float(params),
+        "total_bytes": float(centroids + signatures + mapping + params),
+    }
+
+
 def overheads(emit):
     """Aggregator memory model (Section 5.4), TEE projection (5.3) and the
     secure-aggregation share traffic."""
@@ -431,7 +495,7 @@ def overheads(emit):
     params = [rng.normal(size=(512, 64)), rng.normal(size=(64,))]
     for _regime in range(5):
         registry.create(params, window=0, embeddings=rng.normal(size=(96, dim)), rng=rng)
-    mem = registry.memory_footprint(dim, parties)
+    mem = memory_footprint(registry, dim, parties)
 
     tee = TeeOverheadModel()
     payload = sealed_payload_bytes(rows * dim)

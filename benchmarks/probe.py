@@ -36,7 +36,7 @@ prints its worst relative deviation; exit 1 on a difference or a batch
 deviation above 1e-12.  ``--clustering`` times ``select_num_clusters``
 against the previous k-means; exit 1 unless a seeded sweep (degenerate
 seeding included) returns the same bytes, scores and generator state, and
-``davies_bouldin_index`` the reference's scores.
+``davies_bouldin_indices`` the reference's scores.
 
 ``privacy``: µs per stage at ``async_masked``'s shapes (``dim`` 30,122,
 float32, a 12-party dispatch, Shamir ``t`` = 3).  ``--plans`` runs seed 0 of
@@ -48,7 +48,7 @@ session's sealed rows and net masks (transient) and its masked aggregate
 float64, cohorts of 1, 2, 5, 12 and ``t`` in {none, 1, 3, majority}, the
 masked aggregate is byte-equal to plain ``weighted_combine``, a
 below-threshold ``recover`` refuses and marks nothing, and every word a
-non-prefix quorum opens re-derives its stream.
+non-prefix quorum opens (``ref_reconstruct_secret``) re-derives its stream.
 
 Tables are report-only and no mode writes a file.  ``PYTHONPATH`` at another
 checkout's ``src`` gives its "before" column, where that checkout has the
@@ -83,7 +83,8 @@ import repro.federation.party as party_module  # noqa: E402
 import repro.federation.rounds as rounds_module  # noqa: E402
 from benchmarks import reference  # noqa: E402
 from benchmarks.reference import best_us  # noqa: E402
-from repro.clustering import davies_bouldin_index, select_num_clusters  # noqa: E402
+from repro.clustering import select_num_clusters  # noqa: E402
+from repro.clustering.davies_bouldin import davies_bouldin_indices  # noqa: E402
 from repro.data import (  # noqa: E402
     FederatedShiftDataset,
     apply_corruption,
@@ -124,7 +125,6 @@ from repro.privacy.secure_aggregation import (  # noqa: E402
     IncompleteSubmissionError,
     SecureAggregationSession,
 )
-from repro.privacy.shamir import reconstruct_secret  # noqa: E402
 from repro.utils.params import ParamBank, ParamSpec  # noqa: E402
 from repro.utils.rng import spawn_rng  # noqa: E402
 from repro.utils.validation import normalize_histogram  # noqa: E402
@@ -781,10 +781,10 @@ def detection_clustering(cases: int = 300) -> bool:
                       ref_result.labels.tobytes(), ref_result.centroids.tobytes(),
                       ref_rng.bit_generator.state))
         labels = rng.integers(-2, 6, size=n) * 3  # gaps, negative values, singletons
-        equal &= davies_bouldin_index(x, labels) == reference.ref_davies_bouldin_index(
-            x, labels)
+        equal &= davies_bouldin_indices(x, [labels]) == [
+            reference.ref_davies_bouldin_index(x, labels)]
     print(f"  select_num_clusters == previous implementation over {cases} seeded cases"
-          f" (bytes, scores, generator state; davies_bouldin_index): {equal}")
+          f" (bytes, scores, generator state; davies_bouldin_indices): {equal}")
     return equal
 
 
@@ -1002,7 +1002,7 @@ def privacy_check() -> bool:
                     for i, p in enumerate(ranked):  # the last t holders open
                         net = np.zeros_like(session._nets[p])
                         for j, values in enumerate(session._shares[i].tolist()):
-                            word = reconstruct_secret(zip(xs, values[n - t:]))
+                            word = reference.ref_reconstruct_secret(zip(xs, values[n - t:]))
                             same &= word == secure_aggregation._stream_word(
                                 n, CONTEXT, session._key(i, j))
                             bits = secure_aggregation._expand_word(rng, word, dim, dtype)

@@ -13,18 +13,24 @@ labelling, the data plane's previous sampler (one class at a time, one
 ``np.roll`` per image) and eager window assembly, ``pixelate``'s per-pixel
 loop, and the six corruption operators as they were over ``scipy.ndimage``
 (``SCIPY_CORRUPTIONS``; scipy is a test-only dependency, so ``ndimage`` /
-``special`` are ``None`` without it).
-``tests/test_{detection,data}_differential.py``,
+``special`` are ``None`` without it), the list-based FedAvg and
+staleness-weighted FedAvg, and the privacy plane's mask derivation restated
+from its definition (a keyed BLAKE2b word per stream, a restated PCG64 per
+word), its per-party net-mask loop and its one-word Python-int Shamir code
+(``ref_split_secrets`` shares a bundle on one blinding draw, as a session does).
+``tests/test_{detection,data,privacy}_differential.py``,
+``tests/test_differential_aggregation.py``,
 ``tests/test_data_kernels.py``, ``tests/test_nn_kernels_differential.py`` and
 ``tests/test_clustering.py`` pin the live code against them, and ``python
-benchmarks/probe.py detection --check`` / ``--clustering`` check against the
-same copy.
+benchmarks/probe.py detection --check`` / ``--clustering`` / ``privacy --check``
+check against the same copy.
 ``max_grad_error`` is the central-difference check every layer's and model's
 backward pass is tested against (``tests/test_nn_{layers,models}.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -32,9 +38,13 @@ import numpy as np
 from repro.clustering.kmeans import KMeansResult
 from repro.data.corruptions import _check_batch, _sev
 from repro.data.federated import PartyWindowData
+from repro.federation.aggregation import staleness_decay
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD
+from repro.privacy.secure_aggregation import _uint_dtype
+from repro.privacy.shamir import PRIME
+from repro.utils.params import resolve_dtype, weighted_average
 from repro.utils.validation import check_2d, check_probability_vector
 
 try:  # a test-only reference: a run never imports scipy
@@ -576,3 +586,161 @@ SCIPY_CORRUPTIONS = {
     "rotation": ref_rotation,
     "scale_jitter": ref_scale_jitter,
 }
+
+
+# ---------------------------------------------------------------- aggregation
+
+
+def ref_fedavg(updates):
+    """Sample-count-weighted parameter average (McMahan et al., 2017).
+
+    The single aggregation rule both FedAvg and FedProx use server-side
+    (FedProx differs only in the local objective).  Updates whose parameter
+    shapes disagree raise a ``ValueError`` naming the offending party and
+    both shape tuples.
+    """
+    if not updates:
+        raise ValueError("fedavg requires at least one update")
+    usable = [u for u in updates if u.num_samples > 0]
+    if not usable:
+        raise ValueError("all updates carry zero samples")
+    return weighted_average(
+        [u.params for u in usable],
+        [float(u.num_samples) for u in usable],
+        names=[f"party {u.party_id}" for u in usable],
+    )
+
+
+def ref_staleness_weighted_fedavg(updates, staleness, policy="constant",
+                                  alpha=0.5, gamma=0.5):
+    """FedAvg with each update's weight decayed by its age in rounds."""
+    if len(updates) != len(staleness):
+        raise ValueError("updates and staleness must have equal length")
+    keep = [(u, s) for u, s in zip(updates, staleness) if u.num_samples > 0]
+    if not keep:
+        raise ValueError("all updates carry zero samples")
+    decay = staleness_decay([s for _, s in keep], policy, alpha, gamma)
+    weights = [float(u.num_samples) * float(d) for (u, _), d in zip(keep, decay)]
+    return weighted_average(
+        [u.params for u, _ in keep], weights,
+        names=[f"party {u.party_id}" for u, _ in keep],
+    )
+
+
+# ---------------------------------------------------------------- privacy plane
+
+
+def ref_stream_word(shared_seed, context, key):
+    root = (shared_seed % 2 ** 64).to_bytes(8, "little")
+    digest = hashlib.blake2b(repr((tuple(context), key)).encode(),
+                             digest_size=16, key=root).digest()
+    return int.from_bytes(digest, "little") % PRIME
+
+
+def ref_restated_rng(word):
+    digest = hashlib.blake2b(word.to_bytes(8, "little"),
+                             digest_size=32).digest()
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": int.from_bytes(digest[:16], "little"),
+                  "inc": int.from_bytes(digest[16:], "little") | 1},
+        "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
+
+
+def ref_stream_bits(word, dim, dtype=None):
+    udt = _uint_dtype(resolve_dtype(dtype))
+    rng = ref_restated_rng(word)
+    return rng.integers(0, 2 ** (8 * udt.itemsize), size=dim, dtype=udt)
+
+
+def ref_seal_bits(shared_seed, party_a, party_b, dim, dtype=None, context=()):
+    low, high = sorted((party_a, party_b))
+    word = ref_stream_word(shared_seed, context, ("pair", low, high))
+    return ref_stream_bits(word, dim, dtype)
+
+
+def ref_self_seal_bits(shared_seed, party_id, dim, dtype=None, context=()):
+    word = ref_stream_word(shared_seed, context, ("self", party_id))
+    return ref_stream_bits(word, dim, dtype)
+
+
+def ref_net_seal_bits(self, party_id):
+    self._check_party(party_id)
+    dim = self.spec.total_size
+    net = ref_self_seal_bits(self.shared_seed, party_id, dim,
+                             dtype=self.dtype, context=self.context)
+    for other in self.cohort:
+        if other == party_id:
+            continue
+        bits = ref_seal_bits(self.shared_seed, party_id, other, dim,
+                             dtype=self.dtype, context=self.context)
+        if party_id < other:
+            net += bits
+        else:
+            net -= bits
+    return net
+
+
+def _ref_evaluate_poly(coefficients, x):
+    acc = 0
+    for coefficient in reversed(coefficients):
+        acc = (acc * x + coefficient) % PRIME
+    return acc
+
+
+def ref_split_secret(secret, num_shares, threshold, rng):
+    secret = int(secret)
+    if not 0 <= secret < PRIME:
+        raise ValueError(
+            f"secret {secret} is outside the share field [0, 2^61 - 1)")
+    num_shares = int(num_shares)
+    threshold = int(threshold)
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1 (got {threshold})")
+    if num_shares < threshold:
+        raise ValueError(
+            f"cannot split into {num_shares} shares with threshold "
+            f"{threshold}: any t-of-n sharing needs n >= t")
+    if num_shares >= PRIME:
+        raise ValueError(f"num_shares {num_shares} exceeds the field size")
+    coefficients = [secret] + [
+        int(rng.integers(PRIME)) for _ in range(threshold - 1)]
+    return [(x, _ref_evaluate_poly(coefficients, x))
+            for x in range(1, num_shares + 1)]
+
+
+def ref_split_secrets(secrets, num_shares, threshold, rng):
+    """Every word's share values at ``x = 1..num_shares``, with all blinding
+    coefficients from one ``(len(secrets), threshold - 1)`` draw on ``rng``
+    (as a session draws an owner's bundle)."""
+    blinding = rng.integers(PRIME, size=(len(secrets), threshold - 1)).tolist()
+    return [[_ref_evaluate_poly([int(secret), *coefficients], x)
+             for x in range(1, num_shares + 1)]
+            for secret, coefficients in zip(secrets, blinding)]
+
+
+def ref_reconstruct_secret(shares):
+    shares = list(shares)
+    if not shares:
+        raise ValueError("cannot reconstruct a secret from zero shares")
+    xs = [int(x) for x, _ in shares]
+    ys = [int(y) % PRIME for _, y in shares]
+    if any(not 0 < x < PRIME for x in xs):
+        raise ValueError(f"share x-coordinates must lie in (0, PRIME); "
+                         f"got {sorted(set(xs))[:8]}")
+    if len(set(xs)) != len(xs):
+        raise ValueError(f"duplicate share x-coordinates: {sorted(xs)}")
+    total = 0
+    for i, (x_i, y_i) in enumerate(zip(xs, ys)):
+        numerator = 1
+        denominator = 1
+        for j, x_j in enumerate(xs):
+            if j == i:
+                continue
+            numerator = (numerator * x_j) % PRIME
+            denominator = (denominator * (x_j - x_i)) % PRIME
+        total = (total + y_i * numerator
+                 * pow(denominator, PRIME - 2, PRIME)) % PRIME
+    return total

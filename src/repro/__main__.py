@@ -107,9 +107,12 @@ def _executor(jobs: int):
 def _print_result(result, title: str) -> None:
     print()
     print(render_drop_time_max_table(result, title=title))
-    if "shiftex" in result.runs:
-        print("\nShiftEx expert dynamics:")
-        print(render_expert_distribution(expert_distribution_table(result)))
+    for label, runs in result.runs.items():
+        if runs[0].expert_history is not None:
+            name = "ShiftEx" if label == "shiftex" else label
+            print(f"\n{name} expert dynamics:")
+            print(render_expert_distribution(
+                expert_distribution_table(result, strategy=label)))
 
 
 def _save_runs(result, output_dir: str) -> None:

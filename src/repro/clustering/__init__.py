@@ -7,12 +7,12 @@ clusters (paper Section 5.2.1).
 """
 
 from repro.clustering.kmeans import KMeansResult, kmeans
-from repro.clustering.davies_bouldin import davies_bouldin_index
+from repro.clustering.davies_bouldin import davies_bouldin_indices
 from repro.clustering.selection import select_num_clusters
 
 __all__ = [
     "KMeansResult",
     "kmeans",
-    "davies_bouldin_index",
+    "davies_bouldin_indices",
     "select_num_clusters",
 ]

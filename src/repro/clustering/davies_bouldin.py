@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.clustering.kmeans import _means
-from repro.utils.validation import check_2d
 
 
 def davies_bouldin_indices(x: np.ndarray, labellings: list[np.ndarray]) -> list[float]:
@@ -52,15 +51,3 @@ def davies_bouldin_indices(x: np.ndarray, labellings: list[np.ndarray]) -> list[
         index += worst[:, i]
     return [0.0 if k < 2 else float(v) for k, v in zip(ks, index / ks)]
 
-
-def davies_bouldin_index(x: np.ndarray, labels: np.ndarray) -> float:
-    """Davies–Bouldin index of a labelled clustering.
-
-    Returns 0.0 for a single cluster (degenerate but defined: no pairs to
-    compare) and for perfectly tight, well-separated clusterings.
-    """
-    x = check_2d(x, "x")
-    labels = np.asarray(labels)
-    if labels.shape != (x.shape[0],):
-        raise ValueError("labels must align with rows of x")
-    return davies_bouldin_indices(x, [labels])[0]

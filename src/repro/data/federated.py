@@ -5,9 +5,9 @@
 party's labelled train/test arrays for each window, applying the window's
 corruption regime and label prior — each split when it is first read
 (:class:`PartyWindowData`).  Sliding-window datasets blend a fraction
-of the *previous* regime into a freshly shifted window, modelling the gradual
-transition sliding windows capture in the paper; tumbling windows switch
-abruptly.
+(:data:`SLIDING_OVERLAP`) of the *previous* regime into a freshly shifted
+window, modelling the gradual transition sliding windows capture in the
+paper; tumbling windows switch abruptly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.data.images import ImageDomainSpec, SyntheticImageGenerator
 from repro.data.registry import (
     DatasetSpec,
     RegimeAssignment,
-    ShiftSchedule,
     build_shift_schedule,
 )
 from repro.utils.params import resolve_dtype
@@ -29,6 +28,9 @@ from repro.utils.rng import spawn_rng
 
 
 Split = tuple[np.ndarray, np.ndarray]  # one split's (x, y)
+# Share of a freshly shifted sliding window's train split drawn from the
+# previous window's regime.
+SLIDING_OVERLAP = 0.3
 
 
 class PartyWindowData:
@@ -127,15 +129,10 @@ class FederatedShiftDataset:
     without a per-call cast and a cached split holds half the bytes.
     """
 
-    def __init__(self, spec: DatasetSpec, schedule: ShiftSchedule | None = None,
-                 sliding_overlap: float = 0.3, dtype=None) -> None:
-        if not 0.0 <= sliding_overlap < 1.0:
-            raise ValueError("sliding_overlap must be in [0, 1)")
+    def __init__(self, spec: DatasetSpec, dtype=None) -> None:
         self.spec = spec
-        self.schedule = schedule if schedule is not None else build_shift_schedule(spec)
-        if self.schedule.spec.name != spec.name:
-            raise ValueError("schedule was built for a different dataset spec")
-        self.sliding_overlap = sliding_overlap if spec.windowing == "sliding" else 0.0
+        self.schedule = build_shift_schedule(spec)
+        self.sliding_overlap = SLIDING_OVERLAP if spec.windowing == "sliding" else 0.0
         self.dtype = resolve_dtype(dtype)
         self.generator = SyntheticImageGenerator(ImageDomainSpec(
             num_classes=spec.num_classes,

@@ -15,7 +15,6 @@ from repro.detection.mmd import (
     class_conditional_mmd,
 )
 from repro.detection.divergence import jsd
-from repro.detection.drift import DriftMonitor, DriftVerdict
 from repro.detection.calibration import (
     bootstrap_jsd_null,
     bootstrap_party_mmd_null,
@@ -35,7 +34,5 @@ __all__ = [
     "bootstrap_party_mmd_null",
     "threshold_from_null",
     "ThresholdCalibrator",
-    "DriftMonitor",
-    "DriftVerdict",
     "CalibratedThresholds",
 ]

@@ -170,35 +170,3 @@ class ExpertRegistry:
         expert_id = self._next_id
         self._next_id += 1
         return expert_id
-
-    # ------------------------------------------------------------------ accounting
-
-    def memory_footprint(self, embedding_dim: int, num_parties: int,
-                         precision=None) -> dict[str, float]:
-        """Aggregator-side memory model of Section 5.4, in bytes.
-
-        O(k*d) expert centroids + O(n) party mapping + expert parameters
-        (at the pool's configured precision).  ``precision`` (a
-        :class:`~repro.utils.precision.PrecisionPlan`) sizes the centroid
-        and signature floats at the detection island's dtype instead of
-        the historical 8-byte default; the party mapping stays 8-byte ids
-        regardless.
-        """
-        bytes_per_float = (8 if precision is None
-                           else precision.np_detection_stats.itemsize)
-        k = len(self)
-        centroids = k * embedding_dim * bytes_per_float
-        signatures = sum(
-            0 if e.memory.is_empty else e.memory.signature.size * bytes_per_float
-            for e in self.all()
-        )
-        mapping = num_parties * 8
-        params = sum(e.flat.size * e.dtype.itemsize for e in self.all())
-        return {
-            "num_experts": float(k),
-            "centroid_bytes": float(centroids),
-            "signature_bytes": float(signatures),
-            "mapping_bytes": float(mapping),
-            "param_bytes": float(params),
-            "total_bytes": float(centroids + signatures + mapping + params),
-        }

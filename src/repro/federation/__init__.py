@@ -9,12 +9,7 @@ staleness-weighted aggregation under simulated client availability).
 """
 
 from repro.federation.party import Party, LocalUpdate
-from repro.federation.aggregation import (
-    STALENESS_POLICIES,
-    fedavg,
-    staleness_decay,
-    staleness_weighted_fedavg,
-)
+from repro.federation.aggregation import STALENESS_POLICIES, staleness_decay
 from repro.federation.availability import (
     AvailabilityConfig,
     AvailabilitySimulator,
@@ -39,10 +34,8 @@ from repro.federation.strategy import ContinualStrategy, StrategyContext
 __all__ = [
     "Party",
     "LocalUpdate",
-    "fedavg",
     "STALENESS_POLICIES",
     "staleness_decay",
-    "staleness_weighted_fedavg",
     "AvailabilityConfig",
     "AvailabilitySimulator",
     "ReportFate",

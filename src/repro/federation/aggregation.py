@@ -1,46 +1,19 @@
-"""Aggregation rules.
+"""Staleness weighting of aggregated reports.
 
-FedAvg runs as one ``w @ M`` matrix-vector product over the stacked
-flattened updates (see :func:`repro.utils.params.weighted_average`) instead
-of a Python loop over parameter lists, so per-round cost is a single BLAS
-call regardless of how many tensors a model has.
-
-Staleness weighting (for the buffered/async engine in
-:mod:`repro.federation.async_engine`) multiplies each report's sample weight
-by a decay in its age: ``constant`` leaves FedAvg untouched, ``polynomial``
-is FedAsync's ``(1 + s)^-alpha`` (Xie et al., 2019), ``exponential`` is
-``gamma^s``.  At staleness 0 every policy yields multiplier exactly 1.0, so
-an async run with no delays is bit-identical to the synchronous path.
+The round engine (:mod:`repro.federation.async_engine`) multiplies each
+report's sample weight by a decay in its age before one
+``ParamBank.weighted_combine``: ``constant`` leaves FedAvg untouched,
+``polynomial`` is FedAsync's ``(1 + s)^-alpha`` (Xie et al., 2019),
+``exponential`` is ``gamma^s``.  At staleness 0 every policy yields
+multiplier exactly 1.0, so an async run with no delays is bit-identical to
+the synchronous path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.federation.party import LocalUpdate
-from repro.utils.params import Params, weighted_average
-
 STALENESS_POLICIES = ("constant", "polynomial", "exponential")
-
-
-def fedavg(updates: list[LocalUpdate]) -> Params:
-    """Sample-count-weighted parameter average (McMahan et al., 2017).
-
-    The single aggregation rule both FedAvg and FedProx use server-side
-    (FedProx differs only in the local objective).  Updates whose parameter
-    shapes disagree raise a ``ValueError`` naming the offending party and
-    both shape tuples.
-    """
-    if not updates:
-        raise ValueError("fedavg requires at least one update")
-    usable = [u for u in updates if u.num_samples > 0]
-    if not usable:
-        raise ValueError("all updates carry zero samples")
-    return weighted_average(
-        [u.params for u in usable],
-        [float(u.num_samples) for u in usable],
-        names=[f"party {u.party_id}" for u in usable],
-    )
 
 
 def staleness_decay(staleness, policy: str = "constant", alpha: float = 0.5,
@@ -66,24 +39,3 @@ def staleness_decay(staleness, policy: str = "constant", alpha: float = 0.5,
     raise KeyError(
         f"unknown staleness policy '{policy}'; available: {STALENESS_POLICIES}")
 
-
-def staleness_weighted_fedavg(updates: list[LocalUpdate], staleness: list[int],
-                              policy: str = "constant", alpha: float = 0.5,
-                              gamma: float = 0.5) -> Params:
-    """FedAvg with each update's weight decayed by its age in rounds.
-
-    The list-based reference implementation of the bank-resident path in
-    :class:`~repro.federation.async_engine.AsyncRoundBuffer` — the
-    differential test suite pins the two to each other.
-    """
-    if len(updates) != len(staleness):
-        raise ValueError("updates and staleness must have equal length")
-    keep = [(u, s) for u, s in zip(updates, staleness) if u.num_samples > 0]
-    if not keep:
-        raise ValueError("all updates carry zero samples")
-    decay = staleness_decay([s for _, s in keep], policy, alpha, gamma)
-    weights = [float(u.num_samples) * float(d) for (u, _), d in zip(keep, decay)]
-    return weighted_average(
-        [u.params for u, _ in keep], weights,
-        names=[f"party {u.party_id}" for u, _ in keep],
-    )

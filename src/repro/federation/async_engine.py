@@ -70,8 +70,8 @@ suite (``tests/test_differential_aggregation.py``) pins most of them:
    and would poison ``weighted_combine``'s positive-total requirement.
 5. **At age 0 every staleness policy multiplies by exactly 1.0**, which is
    what makes the three modes agree bitwise under a quiet availability
-   model, and all of them agree with the list-based
-   :func:`~repro.federation.aggregation.fedavg` reference.
+   model, and all of them agree with the list-based FedAvg reference
+   (``ref_fedavg`` in ``benchmarks/reference.py``).
 """
 
 from __future__ import annotations

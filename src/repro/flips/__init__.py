@@ -9,6 +9,6 @@ label-imbalance (mu/JSD) term of its assignment objective without manual
 tuning.
 """
 
-from repro.flips.selector import FlipsSelector, label_balance_score
+from repro.flips.selector import FlipsSelector
 
-__all__ = ["FlipsSelector", "label_balance_score"]
+__all__ = ["FlipsSelector"]

@@ -4,25 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.clustering.kmeans import kmeans
 from repro.clustering.selection import select_num_clusters
-from repro.detection.divergence import jsd
-from repro.utils.validation import normalize_histogram
-
-
-def label_balance_score(histograms: list[np.ndarray]) -> float:
-    """JSD between the pooled label histogram of a cohort and uniform.
-
-    Lower is better; 0 means the cohort's aggregate training data is
-    perfectly class-balanced.  This is the quantity FLIPS minimizes and the
-    practical surrogate for the mu-term of the ShiftEx objective.
-    """
-    if not histograms:
-        raise ValueError("need at least one histogram")
-    pooled = normalize_histogram(np.sum([normalize_histogram(h) for h in histograms],
-                                        axis=0))
-    uniform = np.full(pooled.size, 1.0 / pooled.size)
-    return jsd(pooled, uniform)
 
 
 class FlipsSelector:
@@ -35,12 +17,9 @@ class FlipsSelector:
     participation fairness.
     """
 
-    def __init__(self, num_clusters: int | None = None, max_clusters: int = 5) -> None:
-        if num_clusters is not None and num_clusters <= 0:
-            raise ValueError("num_clusters must be positive")
+    def __init__(self, max_clusters: int = 5) -> None:
         if max_clusters <= 0:
             raise ValueError("max_clusters must be positive")
-        self.num_clusters = num_clusters
         self.max_clusters = max_clusters
         self._party_ids: list[int] = []
         self._clusters: dict[int, list[int]] = {}
@@ -64,11 +43,7 @@ class FlipsSelector:
         matrix = np.divide(matrix, totals, where=totals != 0,
                            out=np.full(matrix.shape, 1.0 / matrix.shape[1]))
         k_cap = min(self.max_clusters, len(self._party_ids))
-        if self.num_clusters is not None:
-            k = min(self.num_clusters, len(self._party_ids))
-            result = kmeans(matrix, k, rng)
-        else:
-            _k, result, _scores = select_num_clusters(matrix, rng, k_max=k_cap)
+        _k, result, _scores = select_num_clusters(matrix, rng, k_max=k_cap)
         self._clusters = {}
         for party, label in zip(self._party_ids, result.labels):
             self._clusters.setdefault(int(label), []).append(party)

@@ -6,8 +6,8 @@ Maps the paper's evaluation (Section 6/7) onto the simulator:
   ``paper`` for full party counts);
 * :mod:`~repro.harness.runner` — drives one strategy through the window/round
   life cycle and records accuracy series;
-* :mod:`~repro.harness.comparison` — renderers for Tables 1-2 and the series
-  behind Figures 3-8 over a multi-strategy, multi-seed comparison.
+* :mod:`~repro.harness.comparison` — renderers for Tables 1-2 and the expert
+  distributions of Figures 7-8 over a multi-strategy, multi-seed comparison.
 
 Grid composition (strategy registry, experiment plans, parallel executors,
 run-event callbacks) lives in :mod:`repro.experiments`; this package keeps
@@ -20,8 +20,6 @@ from repro.harness.comparison import (
     ComparisonResult,
     render_drop_time_max_table,
     render_expert_distribution,
-    convergence_series,
-    max_accuracy_table,
     expert_distribution_table,
 )
 
@@ -34,7 +32,5 @@ __all__ = [
     "ComparisonResult",
     "render_drop_time_max_table",
     "render_expert_distribution",
-    "convergence_series",
-    "max_accuracy_table",
     "expert_distribution_table",
 ]

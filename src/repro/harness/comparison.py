@@ -3,12 +3,10 @@
 The grid execution itself lives in :mod:`repro.experiments`
 (``ExperimentPlan.build(...).run()``); this module keeps the paper-facing
 surface: :data:`PAPER_METHODS` (table row order) and the renderers for
-Tables 1-2 / Figures 3-8.
+Tables 1-2 / Figures 7-8.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.experiments.results import ComparisonResult
 
@@ -19,8 +17,6 @@ __all__ = [
     "PAPER_METHODS",
     "ComparisonResult",
     "render_drop_time_max_table",
-    "convergence_series",
-    "max_accuracy_table",
     "expert_distribution_table",
     "render_expert_distribution",
 ]
@@ -48,26 +44,6 @@ def render_drop_time_max_table(result: ComparisonResult, title: str = "") -> str
             cells.extend([drop, time, top])
         lines.append("| " + name + " | " + " | ".join(cells) + " |")
     return "\n".join(lines)
-
-
-def convergence_series(result: ComparisonResult) -> dict[str, list[float]]:
-    """Mean (over seeds) concatenated accuracy traces — Figures 3-4 series."""
-    out: dict[str, list[float]] = {}
-    for name, runs in result.runs.items():
-        traces = np.array([run.flat_series for run in runs])
-        out[name] = [float(v) for v in traces.mean(axis=0)]
-    return out
-
-
-def max_accuracy_table(result: ComparisonResult) -> dict[str, list[tuple[float, float]]]:
-    """(mean, std) max accuracy per window per strategy — Figures 5-6 series."""
-    out: dict[str, list[tuple[float, float]]] = {}
-    for name, runs in result.runs.items():
-        per_window = np.array([run.max_accuracy_per_window for run in runs])
-        means = per_window.mean(axis=0)
-        stds = per_window.std(axis=0, ddof=1) if len(runs) > 1 else np.zeros_like(means)
-        out[name] = [(float(m), float(s)) for m, s in zip(means, stds)]
-    return out
 
 
 def expert_distribution_table(result: ComparisonResult,

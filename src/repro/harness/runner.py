@@ -58,11 +58,6 @@ class StrategyRunResult:
         return history or None
 
     @property
-    def flat_series(self) -> list[float]:
-        """Concatenated accuracy trace across windows (Figures 3-4)."""
-        return [a for series in self.window_series for a in series]
-
-    @property
     def max_accuracy_per_window(self) -> list[float]:
         return [max(series) for series in self.window_series]
 

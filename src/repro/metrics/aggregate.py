@@ -53,14 +53,11 @@ def aggregate_summaries(per_run: list[list[WindowSummary]]) -> list[MetricAggreg
         recoveries = tuple(c.recovery_rounds for c in cells)
         rounds = max(c.rounds for c in cells)
         finite = sorted(r for r in recoveries if r is not None)
-        if len(finite) * 2 <= len(recoveries) - 1 or not finite:
-            median: int | None = None
-        else:
-            # Median with non-recoveries treated as +inf.
-            padded = finite + [rounds + 1] * (len(recoveries) - len(finite))
-            padded.sort()
-            mid = padded[(len(padded) - 1) // 2]
-            median = None if mid > rounds else int(mid)
+        # Non-recoveries rank above every finite time, so once more than
+        # half the runs recover the (lower) median is a finite one.
+        median: int | None = None
+        if 2 * len(finite) > len(recoveries):
+            median = int(finite[(len(recoveries) - 1) // 2])
         aggregates.append(MetricAggregate(
             window=window,
             drop_mean=float(drops.mean()),

@@ -16,10 +16,8 @@ from repro.privacy.secure_aggregation import (
     IncompleteSubmissionError,
     MaskingSpec,
     SecureAggregationSession,
-    seal_bits,
-    self_seal_bits,
 )
-from repro.privacy.shamir import PRIME, reconstruct_secret, split_secret
+from repro.privacy.shamir import PRIME
 
 __all__ = [
     "PrivacyPlan",
@@ -28,9 +26,5 @@ __all__ = [
     "IncompleteSubmissionError",
     "MaskingSpec",
     "SecureAggregationSession",
-    "seal_bits",
-    "self_seal_bits",
     "PRIME",
-    "reconstruct_secret",
-    "split_secret",
 ]

@@ -162,34 +162,6 @@ def _stream_rng() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
-def seal_bits(shared_seed: int, party_a: int, party_b: int, dim: int,
-              dtype=None, context: tuple = ()) -> np.ndarray:
-    """The pairwise bit-domain mask: uniform words in Z_{2^w}.
-
-    ``dtype`` is the *float* dtype of the sealed rows; the mask lives in the
-    unsigned integer type of the same width.  One stream per (unordered)
-    pair; ``context`` namespaces it (engine stream, tick, round) so reusing
-    party ids across rounds never reuses masks.
-    """
-    word = _stream_word(shared_seed, context,
-                        ("pair", *sorted((party_a, party_b))))
-    return _expand_word(_stream_rng(), word, dim, dtype)
-
-
-def self_seal_bits(shared_seed: int, party_id: int, dim: int,
-                   dtype=None, context: tuple = ()) -> np.ndarray:
-    """A party's personal bit-domain mask (the protocol's ``b_i``).
-
-    Bonawitz et al. double-mask: on top of the pairwise masks every party
-    adds a personal mask whose shares the cohort reveals for *surviving*
-    parties at recovery.  Here it guarantees a sealed row is uniformly
-    random even when the dispatch cohort degenerates to one party — the
-    case where pairwise masks alone would leave the row plaintext.
-    """
-    word = _stream_word(shared_seed, context, ("self", party_id))
-    return _expand_word(_stream_rng(), word, dim, dtype)
-
-
 class SecureAggregationSession:
     """The mask material of one dispatch cohort.
 

@@ -17,8 +17,8 @@ inverse ``pow(v, PRIME - 2, PRIME)`` per share).
 
 Both directions are array programs on ``uint64`` limbs (:func:`_mul_add_mod`),
 exactly the Python-int arithmetic: :func:`share_bundles` evaluates every
-polynomial of any stack of word bundles at every ``x`` in one Horner pass
-(:func:`split_secrets` is its one-bundle call), and :func:`open_shares` opens
+polynomial of any stack of word bundles at every ``x`` in one Horner pass,
+and :func:`open_shares` opens
 any stack of words held by one quorum in one multiply pass, with the
 quorum's weights computed once per process.
 """
@@ -80,44 +80,6 @@ def share_bundles(words: np.ndarray, blinding: np.ndarray,
     return acc
 
 
-def split_secrets(secrets: Sequence[int], num_shares: int, threshold: int,
-                  rng: np.random.Generator) -> list[list[int]]:
-    """Split every word of ``secrets`` into ``num_shares`` shares, any
-    ``threshold`` of which reconstruct it.
-
-    Returns one row per word: ``row[x - 1]`` is the word's share value at
-    ``x = 1..num_shares``.  All blinding coefficients come from one draw on
-    ``rng``, so a seeded generator yields a reproducible sharing (the
-    determinism contract of the whole repo).  The one-bundle call of
-    :func:`share_bundles`.
-    """
-    secrets = [int(secret) for secret in secrets]
-    for secret in secrets:
-        if not 0 <= secret < PRIME:
-            raise ValueError(
-                f"secret {secret} is outside the share field [0, 2^61 - 1)")
-    num_shares = int(num_shares)
-    threshold = int(threshold)
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1 (got {threshold})")
-    if num_shares < threshold:
-        raise ValueError(
-            f"cannot split into {num_shares} shares with threshold "
-            f"{threshold}: any t-of-n sharing needs n >= t")
-    if num_shares >= PRIME:
-        raise ValueError(f"num_shares {num_shares} exceeds the field size")
-    blinding = rng.integers(PRIME, size=(len(secrets), threshold - 1))
-    return share_bundles(secrets, blinding, num_shares).tolist()
-
-
-def split_secret(secret: int, num_shares: int, threshold: int,
-                 rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Split one ``secret``: ``(x, y)`` pairs with ``x = 1..num_shares``
-    (the one-word call of :func:`split_secrets`)."""
-    (values,) = split_secrets([secret], num_shares, threshold, rng)
-    return list(enumerate(values, start=1))
-
-
 def lagrange_weights(xs: Iterable[int]) -> list[int]:
     """The Lagrange basis at ``x = 0`` for share points ``xs``:
     ``w_i = prod_{j != i} x_j / (x_j - x_i)`` mod PRIME, so the secret
@@ -165,19 +127,4 @@ def open_shares(shares: np.ndarray, xs: Sequence[int]) -> np.ndarray:
     return acc
 
 
-def reconstruct_secret(shares: Iterable[tuple[int, int]]) -> int:
-    """Recover the secret from ``(x, y)`` shares by Lagrange interpolation
-    at ``x = 0``.
-
-    The caller is responsible for passing at least ``threshold`` shares;
-    with fewer, interpolation silently yields a wrong value — which is why
-    :class:`~repro.privacy.secure_aggregation.SecureAggregationSession`
-    gates reconstruction on the resolved threshold *before* calling here.
-    """
-    shares = list(shares)
-    weights = lagrange_weights(x for x, _ in shares)
-    return sum(int(y) * w for (_, y), w in zip(shares, weights)) % PRIME
-
-
-__all__ = ["PRIME", "share_bundles", "split_secret", "split_secrets",
-           "lagrange_weights", "open_shares", "reconstruct_secret"]
+__all__ = ["PRIME", "share_bundles", "lagrange_weights", "open_shares"]

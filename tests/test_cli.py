@@ -141,6 +141,28 @@ class TestCli:
             (out_dir / "cifar10_c_sim_fedavg_seed0.json").read_text())
         assert saved["strategy"] == "fedavg"
 
+    def test_run_prints_expert_dynamics_for_every_tracking_label(
+            self, tmp_path, capsys):
+        """A relabelled ShiftEx prints its expert dynamics under its label;
+        the label ``shiftex`` keeps its heading, and FedAvg prints none."""
+        spec = make_tiny_spec(name="unit_cli_experts", num_parties=6,
+                              num_windows=2, window_regimes=(("fog", 4),),
+                              train=24, test=12, seed=73)
+        settings = make_run_settings(rounds_burn_in=2, rounds_per_window=2,
+                                     participants=3, epochs=1)
+        plan = ExperimentPlan.build(
+            "cifar10_c_sim",
+            {"tight": {"method": "shiftex"}, "shiftex": "shiftex",
+             "fedavg": "fedavg"},
+            seeds=(0,), spec_override=spec, settings_override=settings)
+        assert main(["run", str(save_plan(tmp_path / "plan.json", plan))]) == 0
+        out = capsys.readouterr().out
+        headings = [line for line in out.splitlines()
+                    if line.endswith("expert dynamics:")]
+        assert headings == ["tight expert dynamics:",
+                            "ShiftEx expert dynamics:"]
+        assert out.count("expert 0") == 2
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.data.federated import FederatedShiftDataset
+from repro.data.federated import SLIDING_OVERLAP, FederatedShiftDataset
 from repro.experiments.registry import build_strategy
 from repro.harness.runner import run_strategy
 from repro.utils.precision import PrecisionPlan
@@ -71,20 +71,32 @@ class TestSlidingOverlap:
     def test_sliding_blends_previous_regime(self):
         spec = make_tiny_spec(name="unit_sliding", seed=7)
         spec = spec.__class__(**{**spec.__dict__, "windowing": "sliding"})
-        ds = FederatedShiftDataset(spec, sliding_overlap=0.5)
+        ds = FederatedShiftDataset(spec)
+        assert ds.sliding_overlap == SLIDING_OVERLAP
         shifted = sorted(ds.schedule.parties_shifted_at(1))[0]
         data = ds.party_window(shifted, 1)
-        # Half the window (the overlap) comes from the previous clean regime:
-        # its mean intensity is lower than the fog half.
-        n = spec.train_per_window
-        carry = n // 2
+        # The overlap comes from the previous clean regime: its mean
+        # intensity is lower than the fog part's.
+        carry = int(round(SLIDING_OVERLAP * spec.train_per_window))
         old_part = data.x_train[:carry]
         new_part = data.x_train[carry:]
         assert old_part.mean() < new_part.mean()
 
-    def test_invalid_overlap_rejected(self, tiny_spec):
-        with pytest.raises(ValueError):
-            FederatedShiftDataset(tiny_spec, sliding_overlap=1.0)
+
+    def test_only_a_shifted_window_carries_an_overlap(self):
+        """Sliding windows differ from tumbling ones only where the regime
+        changed: window 0 and every unshifted party read the same bytes."""
+        spec = make_tiny_spec(name="unit_sliding", seed=7)
+        sliding = FederatedShiftDataset(
+            dataclasses.replace(spec, windowing="sliding"))
+        tumbling = FederatedShiftDataset(spec)
+        shifted = sliding.schedule.parties_shifted_at(1)
+        for party in range(spec.num_parties):
+            for window in (0, 1):
+                a = sliding.party_window(party, window)
+                b = tumbling.party_window(party, window)
+                same = a.x_train.tobytes() == b.x_train.tobytes()
+                assert same == (window == 0 or party not in shifted)
 
 
 class TestReferenceAndEviction:
@@ -95,13 +107,6 @@ class TestReferenceAndEviction:
         second = ds.party_window(0, 0)
         assert first is not second
         assert np.allclose(first.x_train, second.x_train)
-
-    def test_schedule_spec_mismatch_rejected(self, tiny_spec):
-        from repro.data.registry import build_shift_schedule
-        other = make_tiny_spec(name="unit_other")
-        schedule = build_shift_schedule(other)
-        with pytest.raises(ValueError):
-            FederatedShiftDataset(tiny_spec, schedule=schedule)
 
 
 class TestStorageDtype:

@@ -2,8 +2,8 @@
 
 There is one round loop (``FederationEngine.run_round``) and one bank kernel
 (``weighted_combine``, sealed or not); what they are pinned against are the
-list-based references that stay — ``fedavg`` and
-``staleness_weighted_fedavg``.  Under a quiet availability model every
+list-based references in ``benchmarks/reference.py`` — ``ref_fedavg`` and
+``ref_staleness_weighted_fedavg``.  Under a quiet availability model every
 participation mode, masked or plain, at either precision, must reproduce the
 list reference *bitwise*, so a refactor of the loop cannot silently drift.
 """
@@ -14,13 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.reference import ref_fedavg, ref_staleness_weighted_fedavg
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.registry import build_strategy
-from repro.federation.aggregation import (
-    fedavg,
-    staleness_decay,
-    staleness_weighted_fedavg,
-)
+from repro.federation.aggregation import staleness_decay
 from repro.federation.async_engine import (
     AsyncRoundBuffer,
     FederationConfig,
@@ -72,7 +69,7 @@ class TestAggregationPathsAgree:
     @settings(max_examples=60, deadline=None)
     def test_fedavg_matches_bank_combine(self, case):
         updates, dtype = case
-        expected = flatten_params(fedavg(updates))
+        expected = flatten_params(ref_fedavg(updates))
         bank = bank_of([u.params for u in updates], dtype=dtype)
         got = bank.weighted_combine([float(u.num_samples) for u in updates],
                                     rows=list(range(len(updates))))
@@ -83,9 +80,9 @@ class TestAggregationPathsAgree:
     @settings(max_examples=60, deadline=None)
     def test_zero_staleness_is_bitwise_fedavg(self, case):
         updates, _dtype = case
-        plain = flatten_params(fedavg(updates))
+        plain = flatten_params(ref_fedavg(updates))
         stale = flatten_params(
-            staleness_weighted_fedavg(updates, [0] * len(updates),
+            ref_staleness_weighted_fedavg(updates, [0] * len(updates),
                                       policy="exponential", gamma=0.25))
         assert np.array_equal(stale, plain)
 
@@ -94,7 +91,7 @@ class TestAggregationPathsAgree:
     def test_staleness_path_matches_manual_weights(self, case):
         updates, dtype = case
         ages = [i % 3 for i in range(len(updates))]
-        got = flatten_params(staleness_weighted_fedavg(
+        got = flatten_params(ref_staleness_weighted_fedavg(
             updates, ages, policy="polynomial", alpha=0.7))
         decay = staleness_decay(ages, "polynomial", alpha=0.7)
         weights = np.array([float(u.num_samples) for u in updates]) * decay
@@ -205,7 +202,7 @@ class TestOneRoundLoop:
                             dtype):
         cohort = [0, 1, 2, 3]
         ctx, params = _context(tiny_spec, tiny_dataset, dtype)
-        expected = fedavg([
+        expected = ref_fedavg([
             ctx.parties[pid].local_train(params, ctx.round_config.local,
                                          (0, 0))
             for pid in cohort])
@@ -252,7 +249,7 @@ class TestOneRoundLoop:
                                                       tiny_dataset):
         ctx, params = _context(tiny_spec, tiny_dataset)
         local = ctx.round_config.local
-        expected = flatten_params(staleness_weighted_fedavg(
+        expected = flatten_params(ref_staleness_weighted_fedavg(
             [ctx.parties[pid].local_train(params, local, (0, tick))
              for pid, tick in ((0, 0), (1, 0), (2, 1), (3, 1))],
             [1, 1, 0, 0], policy="polynomial", alpha=0.7))

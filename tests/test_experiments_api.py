@@ -243,7 +243,7 @@ class TestExecutors:
             render_drop_time_max_table(serial)
         for label in serial.runs:
             for s_run, p_run in zip(serial.runs[label], parallel.runs[label]):
-                assert s_run.flat_series == p_run.flat_series
+                assert s_run.window_series == p_run.window_series
                 assert s_run.summaries == p_run.summaries
 
     def test_result_shape(self, tiny_plan):
@@ -315,7 +315,8 @@ class TestCallbacks:
         plain = run_strategy(FedAvgStrategy(), spec, settings, seed=4)
         observed = run_strategy(FedAvgStrategy(), spec, settings, seed=4,
                                 callbacks=[RecordingCallback()])
-        assert np.allclose(plain.flat_series, observed.flat_series)
+        assert np.allclose(np.concatenate(plain.window_series),
+                           np.concatenate(observed.window_series))
         assert "stopped_early" not in observed.extras
 
     def test_progress_logger_emits(self, tiny_env):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from benchmarks.fidelity import memory_footprint
 from repro.detection.mmd import class_conditional_mmd, class_conditional_mmd_batch, mmd
 from repro.experts.consolidation import consolidate_experts
 from repro.experts.matching import match_cluster_to_expert
@@ -64,7 +65,7 @@ class TestRegistry:
     def test_memory_footprint_accounting(self, registry, rng):
         registry.create(simple_params(rng), window=0,
                         embeddings=rng.normal(size=(20, 8)), rng=rng)
-        footprint = registry.memory_footprint(embedding_dim=8, num_parties=10)
+        footprint = memory_footprint(registry, embedding_dim=8, num_parties=10)
         assert footprint["num_experts"] == 1
         assert footprint["total_bytes"] > 0
         assert footprint["mapping_bytes"] == 80

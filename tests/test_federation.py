@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.reference import ref_fedavg
 from repro.experiments import build_strategy
 from repro.federation.accounting import CommunicationLedger
-from repro.federation.aggregation import fedavg
 from repro.federation.async_engine import FederationConfig, FederationEngine
 from repro.federation.availability import AvailabilityConfig
 from repro.federation.party import LocalUpdate, Party, embed_parties, evaluate_parties
@@ -97,24 +97,26 @@ class TestParty:
 
 
 class TestFedAvg:
+    """The list-based FedAvg the differential suite pins every round path to."""
+
     def make_update(self, pid, value, samples):
         return LocalUpdate(pid, [np.full((2, 2), value)], samples, 1.0)
 
     def test_weighted_by_samples(self):
-        agg = fedavg([self.make_update(0, 0.0, 10), self.make_update(1, 1.0, 30)])
+        agg = ref_fedavg([self.make_update(0, 0.0, 10), self.make_update(1, 1.0, 30)])
         assert np.allclose(agg[0], 0.75)
 
     def test_zero_sample_updates_ignored(self):
-        agg = fedavg([self.make_update(0, 0.0, 0), self.make_update(1, 1.0, 10)])
+        agg = ref_fedavg([self.make_update(0, 0.0, 0), self.make_update(1, 1.0, 10)])
         assert np.allclose(agg[0], 1.0)
 
     def test_all_zero_samples_rejected(self):
         with pytest.raises(ValueError):
-            fedavg([self.make_update(0, 1.0, 0)])
+            ref_fedavg([self.make_update(0, 1.0, 0)])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fedavg([])
+            ref_fedavg([])
 
     def test_shape_mismatch_names_party_and_shapes(self):
         updates = [
@@ -122,14 +124,14 @@ class TestFedAvg:
             LocalUpdate(9, [np.zeros((3, 1))], 10, 1.0),
         ]
         with pytest.raises(ValueError, match=r"party 9.*\(3, 1\)"):
-            fedavg(updates)
+            ref_fedavg(updates)
 
     @given(st.lists(st.tuples(st.floats(-5, 5), st.integers(1, 50)),
                     min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
     def test_result_within_update_range(self, update_data):
         updates = [self.make_update(i, v, n) for i, (v, n) in enumerate(update_data)]
-        agg = fedavg(updates)
+        agg = ref_fedavg(updates)
         values = [v for v, _ in update_data]
         assert min(values) - 1e-9 <= agg[0][0, 0] <= max(values) + 1e-9
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.flips import FlipsSelector, label_balance_score
+from benchmarks.fidelity import label_balance_score
+from repro.flips import FlipsSelector
 from repro.utils.rng import spawn_rng
 
 
@@ -50,10 +51,17 @@ class TestFit:
             camps = {0 if pid < 6 else 1 for pid in members}
             assert len(camps) == 1
 
-    def test_fixed_num_clusters(self, rng):
-        histograms = two_camp_histograms()
-        selector = FlipsSelector(num_clusters=3).fit(histograms, rng)
-        assert len(selector.clusters) == 3
+    def test_max_clusters_caps_the_fit(self, rng):
+        histograms = {pid: np.eye(6)[pid % 6] for pid in range(18)}
+        assert len(FlipsSelector().fit(histograms, rng).clusters) > 2
+        selector = FlipsSelector(max_clusters=2).fit(histograms, rng)
+        assert 1 <= len(selector.clusters) <= 2
+        assert sorted(p for m in selector.clusters.values() for p in m) == \
+            list(range(18))
+
+    def test_rejects_nonpositive_max_clusters(self):
+        with pytest.raises(ValueError, match="max_clusters"):
+            FlipsSelector(max_clusters=0)
 
     def test_rejects_empty_fit(self, rng):
         with pytest.raises(ValueError):

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
+from benchmarks.fidelity import convergence_series, max_accuracy_table
 from repro.baselines import FedAvgStrategy
 from repro.core import ShiftExStrategy
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments import ExperimentPlan, build_strategy
 from repro.harness import (
-    convergence_series,
     expert_distribution_table,
     get_profile,
-    max_accuracy_table,
     profile_names,
     render_drop_time_max_table,
     run_strategy,
@@ -70,7 +69,8 @@ class TestRunner:
         assert len(result.window_series) == spec.num_windows
         assert len(result.window_series[0]) == settings.rounds_burn_in + 1
         assert len(result.summaries) == spec.num_windows - 1
-        assert all(0.0 <= a <= 100.0 for a in result.flat_series)
+        assert all(0.0 <= a <= 100.0 for series in result.window_series
+                   for a in series)
         assert result.ledger_summary["total_mb"] > 0
 
     def test_run_is_deterministic(self, mini_env):
@@ -78,7 +78,8 @@ class TestRunner:
         r1 = run_strategy(FedAvgStrategy(), spec, settings, seed=3, dataset=dataset)
         r2 = run_strategy(FedAvgStrategy(), spec, settings, seed=3,
                           dataset=FederatedShiftDataset(spec))
-        assert np.allclose(r1.flat_series, r2.flat_series)
+        assert np.allclose(np.concatenate(r1.window_series),
+                           np.concatenate(r2.window_series))
 
     def test_different_seeds_differ(self, mini_env):
         spec, dataset, settings = mini_env
@@ -86,7 +87,8 @@ class TestRunner:
                           dataset=FederatedShiftDataset(spec))
         r2 = run_strategy(FedAvgStrategy(), spec, settings, seed=2,
                           dataset=FederatedShiftDataset(spec))
-        assert not np.allclose(r1.flat_series, r2.flat_series)
+        assert not np.allclose(np.concatenate(r1.window_series),
+                               np.concatenate(r2.window_series))
 
     def test_shiftex_records_expert_history(self, mini_env):
         spec, dataset, settings = mini_env

@@ -11,6 +11,7 @@ from repro.metrics import (
     summarize_run,
     summarize_window,
 )
+from repro.metrics.windows import WindowSummary
 
 
 class TestAccuracyDrop:
@@ -105,6 +106,25 @@ class TestAggregation:
         agg = aggregate_summaries(runs)[0]
         assert agg.recovery_median is None
         assert agg.recovery_label().startswith(">")
+
+    @pytest.mark.parametrize("recoveries, median", [
+        ((1,), 1),
+        ((3, 1, 2), 2),
+        ((4, 1, None), 4),
+        ((2, None, 1, 3), 2),
+        ((2, None), None),  # a tie counts as non-recovery
+        ((2, None, 2, None), None),
+    ])
+    def test_recovery_is_the_lower_median_with_non_recovery_last(
+            self, recoveries, median):
+        cells = [WindowSummary(window=1, pre_shift_accuracy=80.0,
+                               accuracy_drop=10.0, recovery_rounds=r,
+                               max_accuracy=80.0, rounds=5)
+                 for r in recoveries]
+        agg = aggregate_summaries([[cell] for cell in cells])[0]
+        assert agg.recovery_values == recoveries
+        assert agg.recovery_median == median
+        assert agg.recovery_label() == (">5" if median is None else str(median))
 
     def test_single_run_std_zero(self):
         agg = aggregate_summaries([self.make_runs()[0]])[0]

@@ -1,24 +1,25 @@
 """Differential tests: the privacy plane against the bodies it replaced.
 
-``ref_seal_bits`` / ``ref_self_seal_bits`` restate the mask derivation from
-its definition: the stream's seed word is a keyed BLAKE2b digest of (mask
-root, context, stream key) reduced into GF(2^61 - 1), a digest of the word
-restates a PCG64 (``ref_restated_rng``, which also keys each owner's share
-blinding), and ``rng.integers`` draws the full word range.
-``ref_net_seal_bits`` is the previous per-party summation loop over all
-``n - 1`` pair streams, and ``ref_split_secret`` / ``ref_reconstruct_secret``
-/ ``_ref_evaluate_poly`` the previous one-word Shamir code, all kept
-verbatim.  The live session expands every pair stream once per cohort from
-its word, holds one net vector per still-sealed row, shares every party's
-word bundle in one Horner pass over a ``(owners, bundle, holders)`` array,
-and opens every pending bundle of a quorum in one pass — modular integer
-arithmetic throughout, so every comparison is exact.  The work pins at the
-end count the words a session derives, the streams it expands and the
-seed sequences it builds: one per session, none per stream or bundle.
+The references live in ``benchmarks/reference.py``.  ``ref_seal_bits`` /
+``ref_self_seal_bits`` restate the mask derivation from its definition: the
+stream's seed word is a keyed BLAKE2b digest of (mask root, context, stream
+key) reduced into GF(2^61 - 1), a digest of the word restates a PCG64
+(``ref_restated_rng``, which also keys each owner's share blinding), and
+``rng.integers`` draws the full word range.  ``ref_net_seal_bits`` is the
+previous per-party summation loop over all ``n - 1`` pair streams, and
+``ref_split_secret`` / ``ref_reconstruct_secret`` the previous one-word
+Shamir code, all kept verbatim; ``ref_split_secrets`` evaluates a bundle
+the Python-int way on one block draw of blinding coefficients.  The live
+session expands every pair stream once per cohort from its word, holds one
+net vector per still-sealed row, shares every party's word bundle in one
+Horner pass over a ``(owners, bundle, holders)`` array, and opens every
+pending bundle of a quorum in one pass — modular integer arithmetic
+throughout, so every comparison is exact.  The work pins at the end count
+the words a session derives, the streams it expands and the seed sequences
+it builds: one per session, none per stream or bundle.
 """
 
 import gc
-import hashlib
 import weakref
 from collections import Counter
 
@@ -26,6 +27,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.reference import (
+    ref_net_seal_bits,
+    ref_reconstruct_secret,
+    ref_restated_rng,
+    ref_seal_bits,
+    ref_self_seal_bits,
+    ref_split_secret,
+    ref_split_secrets,
+    ref_stream_bits,
+    ref_stream_word,
+)
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.async_engine import FederationConfig, FederationEngine
 from repro.privacy import secure_aggregation, shamir
@@ -35,126 +47,10 @@ from repro.privacy.secure_aggregation import (
     MaskingSpec,
     SecureAggregationSession,
     _uint_dtype,
-    seal_bits,
-    self_seal_bits,
 )
-from repro.privacy.shamir import (
-    PRIME,
-    lagrange_weights,
-    reconstruct_secret,
-    split_secret,
-    split_secrets,
-)
-from repro.utils.params import ParamBank, ParamSpec, resolve_dtype
+from repro.privacy.shamir import PRIME, lagrange_weights, open_shares, share_bundles
+from repro.utils.params import ParamBank, ParamSpec
 from tests.conftest import bank_of, bank_row, make_context
-
-# ---------------------------------------------------------------- Reference implementations
-
-
-def ref_stream_word(shared_seed, context, key):
-    root = (shared_seed % 2 ** 64).to_bytes(8, "little")
-    digest = hashlib.blake2b(repr((tuple(context), key)).encode(),
-                             digest_size=16, key=root).digest()
-    return int.from_bytes(digest, "little") % PRIME
-
-
-def ref_restated_rng(word):
-    digest = hashlib.blake2b(word.to_bytes(8, "little"),
-                             digest_size=32).digest()
-    bit_generator = np.random.PCG64(0)
-    bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": int.from_bytes(digest[:16], "little"),
-                  "inc": int.from_bytes(digest[16:], "little") | 1},
-        "has_uint32": 0, "uinteger": 0}
-    return np.random.Generator(bit_generator)
-
-
-def ref_stream_bits(word, dim, dtype=None):
-    udt = _uint_dtype(resolve_dtype(dtype))
-    rng = ref_restated_rng(word)
-    return rng.integers(0, 2 ** (8 * udt.itemsize), size=dim, dtype=udt)
-
-
-def ref_seal_bits(shared_seed, party_a, party_b, dim, dtype=None, context=()):
-    low, high = sorted((party_a, party_b))
-    word = ref_stream_word(shared_seed, context, ("pair", low, high))
-    return ref_stream_bits(word, dim, dtype)
-
-
-def ref_self_seal_bits(shared_seed, party_id, dim, dtype=None, context=()):
-    word = ref_stream_word(shared_seed, context, ("self", party_id))
-    return ref_stream_bits(word, dim, dtype)
-
-
-def ref_net_seal_bits(self, party_id):
-    self._check_party(party_id)
-    dim = self.spec.total_size
-    net = ref_self_seal_bits(self.shared_seed, party_id, dim,
-                             dtype=self.dtype, context=self.context)
-    for other in self.cohort:
-        if other == party_id:
-            continue
-        bits = ref_seal_bits(self.shared_seed, party_id, other, dim,
-                             dtype=self.dtype, context=self.context)
-        if party_id < other:
-            net += bits
-        else:
-            net -= bits
-    return net
-
-
-def _ref_evaluate_poly(coefficients, x):
-    acc = 0
-    for coefficient in reversed(coefficients):
-        acc = (acc * x + coefficient) % PRIME
-    return acc
-
-
-def ref_split_secret(secret, num_shares, threshold, rng):
-    secret = int(secret)
-    if not 0 <= secret < PRIME:
-        raise ValueError(
-            f"secret {secret} is outside the share field [0, 2^61 - 1)")
-    num_shares = int(num_shares)
-    threshold = int(threshold)
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1 (got {threshold})")
-    if num_shares < threshold:
-        raise ValueError(
-            f"cannot split into {num_shares} shares with threshold "
-            f"{threshold}: any t-of-n sharing needs n >= t")
-    if num_shares >= PRIME:
-        raise ValueError(f"num_shares {num_shares} exceeds the field size")
-    coefficients = [secret] + [
-        int(rng.integers(PRIME)) for _ in range(threshold - 1)]
-    return [(x, _ref_evaluate_poly(coefficients, x))
-            for x in range(1, num_shares + 1)]
-
-
-def ref_reconstruct_secret(shares):
-    shares = list(shares)
-    if not shares:
-        raise ValueError("cannot reconstruct a secret from zero shares")
-    xs = [int(x) for x, _ in shares]
-    ys = [int(y) % PRIME for _, y in shares]
-    if any(not 0 < x < PRIME for x in xs):
-        raise ValueError(f"share x-coordinates must lie in (0, PRIME); "
-                         f"got {sorted(set(xs))[:8]}")
-    if len(set(xs)) != len(xs):
-        raise ValueError(f"duplicate share x-coordinates: {sorted(xs)}")
-    total = 0
-    for i, (x_i, y_i) in enumerate(zip(xs, ys)):
-        numerator = 1
-        denominator = 1
-        for j, x_j in enumerate(xs):
-            if j == i:
-                continue
-            numerator = (numerator * x_j) % PRIME
-            denominator = (denominator * (x_j - x_i)) % PRIME
-        total = (total + y_i * numerator
-                 * pow(denominator, PRIME - 2, PRIME)) % PRIME
-    return total
 
 
 # ---------------------------------------------------------------- Strategies
@@ -176,6 +72,19 @@ def t_of_n(draw):
     return threshold, draw(st.integers(min_value=threshold, max_value=8))
 
 
+def _stream_bits(shared_seed, key, dim, dtype, context):
+    """The live derivation of one stream: its word, then its expansion."""
+    word = secure_aggregation._stream_word(shared_seed, context, key)
+    return secure_aggregation._expand_word(secure_aggregation._stream_rng(),
+                                           word, dim, dtype)
+
+
+def _split(secrets, num_shares, threshold, rng):
+    """The live share pass on one block draw of blinding coefficients."""
+    blinding = rng.integers(PRIME, size=(len(secrets), threshold - 1))
+    return share_bundles(secrets, blinding, num_shares).tolist()
+
+
 def _session(cohort, dim, dtype, context, seed, threshold=None, ledger=None):
     return SecureAggregationSession(cohort, [(dim,)], shared_seed=seed,
                                     dtype=dtype, context=context,
@@ -190,11 +99,11 @@ class TestMaskDraws:
     @settings(max_examples=40, deadline=None)
     def test_raw_draw_is_the_bounded_integer_draw(self, seed, dim, dtype,
                                                   context):
-        got = seal_bits(seed, 9, 4, dim, dtype=dtype, context=context)
+        got = _stream_bits(seed, ("pair", 4, 9), dim, dtype, context)
         ref = ref_seal_bits(seed, 9, 4, dim, dtype=dtype, context=context)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert np.array_equal(got, ref)
-        got = self_seal_bits(seed, 9, dim, dtype=dtype, context=context)
+        got = _stream_bits(seed, ("self", 9), dim, dtype, context)
         ref = ref_self_seal_bits(seed, 9, dim, dtype=dtype, context=context)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert np.array_equal(got, ref)
@@ -202,7 +111,7 @@ class TestMaskDraws:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dim", [30_122, 30_121])
     def test_raw_draw_at_run_scale(self, dtype, dim):
-        assert np.array_equal(seal_bits(3, 0, 1, dim, dtype=dtype),
+        assert np.array_equal(_stream_bits(3, ("pair", 0, 1), dim, dtype, ()),
                               ref_seal_bits(3, 0, 1, dim, dtype=dtype))
 
 
@@ -292,8 +201,8 @@ class TestBatchedSplit:
     def test_any_t_shares_open_every_word_and_fewer_do_not(self, secrets, tn,
                                                            seed):
         threshold, num_shares = tn
-        rows = split_secrets(secrets, num_shares, threshold,
-                             np.random.default_rng(seed))
+        rows = _split(secrets, num_shares, threshold,
+                      np.random.default_rng(seed))
         assert len(rows) == len(secrets)
         rng = np.random.default_rng(seed + 1)
         for secret, values in zip(secrets, rows):
@@ -313,11 +222,11 @@ class TestBatchedSplit:
     @settings(max_examples=40, deadline=None)
     def test_one_word_call_equals_the_reference(self, secret, tn, seed):
         threshold, num_shares = tn
-        got = split_secret(secret, num_shares, threshold,
-                           np.random.default_rng(seed))
+        (got,) = _split([secret], num_shares, threshold,
+                        np.random.default_rng(seed))
         ref = ref_split_secret(secret, num_shares, threshold,
                                np.random.default_rng(seed))
-        assert got == ref
+        assert list(enumerate(got, start=1)) == ref
 
     @given(secrets=st.lists(edge_secrets, min_size=1, max_size=6),
            seed=seeds, data=st.data())
@@ -326,33 +235,25 @@ class TestBatchedSplit:
             self, secrets, seed, data):
         num_shares = data.draw(st.integers(min_value=1, max_value=64))
         threshold = data.draw(st.integers(min_value=1, max_value=num_shares))
-        got = split_secrets(secrets, num_shares, threshold,
-                            np.random.default_rng(seed))
-        blinding = np.random.default_rng(seed).integers(
-            PRIME, size=(len(secrets), threshold - 1)).tolist()
-        assert got == [
-            [_ref_evaluate_poly([secret, *coefficients], x)
-             for x in range(1, num_shares + 1)]
-            for secret, coefficients in zip(secrets, blinding)]
+        got = _split(secrets, num_shares, threshold,
+                     np.random.default_rng(seed))
+        assert got == ref_split_secrets(secrets, num_shares, threshold,
+                                        np.random.default_rng(seed))
 
     @pytest.mark.parametrize("num_shares", [1, 2, 12, 64])
     def test_vectorised_horner_at_every_threshold(self, num_shares):
         secrets = [0, 1, PRIME - 1]
         for threshold in range(1, num_shares + 1):
-            got = split_secrets(secrets, num_shares, threshold,
-                                np.random.default_rng(threshold))
-            blinding = np.random.default_rng(threshold).integers(
-                PRIME, size=(len(secrets), threshold - 1)).tolist()
-            assert got == [
-                [_ref_evaluate_poly([secret, *coefficients], x)
-                 for x in range(1, num_shares + 1)]
-                for secret, coefficients in zip(secrets, blinding)]
+            got = _split(secrets, num_shares, threshold,
+                         np.random.default_rng(threshold))
+            assert got == ref_split_secrets(secrets, num_shares, threshold,
+                                            np.random.default_rng(threshold))
             for secret in secrets:
-                assert split_secret(
+                (values,) = _split([secret], num_shares, threshold,
+                                   np.random.default_rng(threshold))
+                assert list(enumerate(values, start=1)) == ref_split_secret(
                     secret, num_shares, threshold,
-                    np.random.default_rng(threshold)) == ref_split_secret(
-                        secret, num_shares, threshold,
-                        np.random.default_rng(threshold))
+                    np.random.default_rng(threshold))
 
     @given(a=st.lists(edge_secrets, min_size=1, max_size=8), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -365,14 +266,6 @@ class TestBatchedSplit:
                                     for v in (a, b, c)))
         assert got.tolist() == [(x * y + z) % PRIME
                                 for x, y, z in zip(a, b, c)]
-
-    def test_batched_split_validates_every_word(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="secret"):
-            split_secrets([5, PRIME], 3, 2, rng)
-        with pytest.raises(ValueError, match="threshold"):
-            split_secrets([5, 6], 2, 3, rng)
-        assert split_secrets([], 3, 2, rng) == []
 
     @given(cohort=cohorts, seed=seeds)
     @settings(max_examples=20, deadline=None)
@@ -394,10 +287,10 @@ class TestBatchedSplit:
     @settings(max_examples=40, deadline=None)
     def test_session_shares_and_openings_equal_the_per_owner_reference(
             self, cohort, dtype, context, seed, data):
-        """Every owner's shares are ``split_secrets`` of its bundle on its own
-        restated stream, and a random (generally non-prefix) quorum of
-        ``available`` holders opens every bundle to ``reconstruct_secret``'s
-        words, which are the derived ones."""
+        """Every owner's shares are ``ref_split_secrets`` of its bundle on its
+        own restated stream, and a random (generally non-prefix) quorum of
+        ``available`` holders opens every bundle to
+        ``ref_reconstruct_secret``'s words, which are the derived ones."""
         n = len(cohort)
         threshold = data.draw(st.integers(min_value=1, max_value=n))
         session = _session(cohort, 3, dtype, context, seed,
@@ -407,7 +300,7 @@ class TestBatchedSplit:
             bundle = [ref_stream_word(seed, context, session._key(i, j))
                       for j in range(n)]
             assert session._words[i].tolist() == bundle
-            ref = split_secrets(bundle, n, threshold, ref_restated_rng(
+            ref = ref_split_secrets(bundle, n, threshold, ref_restated_rng(
                 ref_stream_word(seed, context, ("share", owner))))
             assert (np.array(ref, dtype=np.uint64).tobytes()
                     == session._shares[i].tobytes())
@@ -416,9 +309,9 @@ class TestBatchedSplit:
         quorum = [k for k, p in enumerate(session.cohort)
                   if p in available][:threshold]
         xs = [k + 1 for k in quorum]
-        opened = shamir.open_shares(session._shares[:, :, quorum], xs)
+        opened = open_shares(session._shares[:, :, quorum], xs)
         assert opened.tolist() == [
-            [reconstruct_secret(zip(xs, values)) for values in bundle]
+            [ref_reconstruct_secret(zip(xs, values)) for values in bundle]
             for bundle in session._shares[:, :, quorum].tolist()]
         assert np.array_equal(opened, session._words)
         session.recover(data.draw(st.permutations(cohort)), available=available)
@@ -435,14 +328,15 @@ class TestHoistedWeights:
         """Any quorum (unsorted x-coordinates), including the field's edge
         secrets: the weights at zero open exactly what the per-word Lagrange
         loop opened."""
-        values = split_secret(secret, 40, len(xs),
-                              np.random.default_rng(seed))
+        values = ref_split_secret(secret, 40, len(xs),
+                                  np.random.default_rng(seed))
         shares = [values[x - 1] for x in xs]
         weights = lagrange_weights(xs)
         assert all(0 <= w < PRIME for w in weights)
         opened = sum(y * w for (_, y), w in zip(shares, weights)) % PRIME
         assert opened == ref_reconstruct_secret(shares) == secret
-        assert reconstruct_secret(shares) == secret
+        ys = np.array([[y for _, y in shares]], dtype=np.uint64)
+        assert open_shares(ys, xs).tolist() == [secret]
 
     def test_weights_carry_the_reconstruction_validation(self):
         with pytest.raises(ValueError, match="zero shares"):

@@ -36,41 +36,18 @@ ALLOWED = {
     **dict.fromkeys(
         REGISTERED,
         "registered by `import repro.baselines` in experiments/registry.py"),
-    "repro.experts.facility": "Eq. 2; benchmarks/fidelity.py",
-    "repro.detection.drift": (
-        "Section 2.1's shift-vs-drift distinction; "
-        "examples/gradual_drift_monitoring.py, test_extensions.py::TestDriftMonitor"),
+    "repro.experts.facility": (
+        "Eq. 2; examples/expert_lifecycle.py and benchmarks/fidelity.py's "
+        "ablation_facility, until the shift response solves it"),
 }
 # Programs someone runs that are not under src/: what they read is used.
 CALLERS = [ROOT / "benchmarks" / "e2e" / name
            for name in ("child.py", "make_plans.py", "tracer.py")]
 CALLERS += sorted((ROOT / "examples").glob("*.py"))
-# Definitions no run reads, kept for one of four reasons; the file named
+# Definitions no run reads, kept for one of two reasons; the file named
 # must still mention the definition.
-KINDS = ("paper artifact", "reference", "reader", "test state")
+KINDS = ("reader", "test state")
 ALLOWED_DEFINITIONS = {
-    "repro.experts.registry.ExpertRegistry.memory_footprint":
-        ("paper artifact", "benchmarks/fidelity.py"),
-    "repro.harness.comparison.convergence_series":
-        ("paper artifact", "benchmarks/fidelity.py"),
-    "repro.harness.comparison.max_accuracy_table":
-        ("paper artifact", "benchmarks/fidelity.py"),
-    "repro.flips.selector.label_balance_score":
-        ("paper artifact", "benchmarks/fidelity.py"),
-    "repro.clustering.davies_bouldin.davies_bouldin_index":
-        ("paper artifact", "tests/test_clustering.py"),
-    "repro.federation.aggregation.fedavg":
-        ("reference", "tests/test_differential_aggregation.py"),
-    "repro.federation.aggregation.staleness_weighted_fedavg":
-        ("reference", "tests/test_differential_aggregation.py"),
-    "repro.privacy.shamir.split_secret":
-        ("reference", "tests/test_privacy_differential.py"),
-    "repro.privacy.shamir.reconstruct_secret":
-        ("reference", "tests/test_privacy_differential.py"),
-    "repro.privacy.secure_aggregation.seal_bits":
-        ("reference", "tests/test_privacy_differential.py"),
-    "repro.privacy.secure_aggregation.self_seal_bits":
-        ("reference", "tests/test_privacy_differential.py"),
     "repro.utils.serialization.load_run_result":
         ("reader", "tests/test_serialization.py"),
     "repro.federation.pool.PartyPool.resident_ids":
@@ -224,7 +201,7 @@ def test_every_definition_is_read_by_a_run_or_allowlisted():
     live = _grow(definitions, reads, live | set(ALLOWED_DEFINITIONS))
     dead = sorted(set(definitions) - live)
     assert not dead, "read by no run and not allowlisted: " + ", ".join(dead)
-    assert len(ALLOWED_DEFINITIONS) <= 18
+    assert len(ALLOWED_DEFINITIONS) <= 7
 
 
 def test_strategies_leave_the_round_to_run_fl_round():

@@ -22,6 +22,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from benchmarks.reference import ref_self_seal_bits
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.registry import build_strategy
 from repro.federation.async_engine import FederationConfig, FederationEngine
@@ -31,8 +32,6 @@ from repro.harness.runner import run_strategy
 from repro.privacy.secure_aggregation import (
     MaskingSpec,
     SecureAggregationSession,
-    seal_bits,
-    self_seal_bits,
 )
 from repro.utils.params import ParamBank, ParamSpec, flatten_params
 from repro.utils.serialization import run_result_to_dict
@@ -46,16 +45,27 @@ SHAPES = [(3, 2), (2,)]
 
 class TestFlatMaskPlane:
     def test_seal_bits_symmetric_in_party_order(self):
-        assert np.array_equal(seal_bits(3, 7, 2, 16), seal_bits(3, 2, 7, 16))
+        """A pair's stream depends only on the unordered pair: the cohort's
+        order changes no net mask."""
+        spec = ParamSpec(((16,),))
+        forward, backward = (SecureAggregationSession(cohort, spec, shared_seed=3)
+                             for cohort in ([7, 2, 5], [5, 2, 7]))
+        for pid in (2, 5, 7):
+            assert np.array_equal(forward.net_seal_bits(pid),
+                                  backward.net_seal_bits(pid))
 
     def test_context_namespaces_streams(self):
-        base = seal_bits(3, 0, 1, 16)
-        other = seal_bits(3, 0, 1, 16, context=("stream", "g", 4))
-        assert not np.array_equal(base, other)
+        spec = ParamSpec(((16,),))
+        base, other = (SecureAggregationSession([0, 1], spec, shared_seed=3,
+                                                context=context)
+                       for context in ((), ("stream", "g", 4)))
+        assert not np.array_equal(base.net_seal_bits(0), other.net_seal_bits(0))
 
     def test_seal_bits_dtype_follows_precision(self):
-        assert seal_bits(0, 0, 1, 4, dtype=np.float64).dtype == np.uint64
-        assert seal_bits(0, 0, 1, 4, dtype=np.float32).dtype == np.uint32
+        spec = ParamSpec(((4,),))
+        for dtype, bits in ((np.float64, np.uint64), (np.float32, np.uint32)):
+            session = SecureAggregationSession([0, 1], spec, dtype=dtype)
+            assert session.net_seal_bits(0).dtype == bits
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_seal_unseal_roundtrips_exactly(self, rng, dtype):
@@ -79,7 +89,7 @@ class TestFlatMaskPlane:
         total = np.zeros(6, dtype=np.uint64)
         for pid in session.cohort:
             total += session.net_seal_bits(pid)
-            total -= self_seal_bits(4, pid, 6)
+            total -= ref_self_seal_bits(4, pid, 6)
         assert not total.any()
 
     def test_singleton_cohort_row_is_still_sealed(self, rng):

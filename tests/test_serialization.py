@@ -39,7 +39,6 @@ class TestRunResultRoundTrip:
         assert restored.dataset == result.dataset
         assert restored.seed == result.seed
         assert restored.window_series == result.window_series
-        assert restored.flat_series == result.flat_series
         assert restored.summaries == result.summaries
         assert restored.extras == result.extras
         assert restored.expert_history == result.expert_history

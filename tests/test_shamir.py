@@ -1,6 +1,8 @@
 """Shamir t-of-n secret sharing over GF(2^61 - 1): the recovery substrate.
 
-Property suite (Hypothesis) for ``repro.privacy.shamir``:
+Property suite (Hypothesis) for ``repro.privacy.shamir``'s two passes, the
+ones a session runs: ``share_bundles`` (here on one word and one draw of
+blinding coefficients) and ``open_shares``:
 
 * any ``t`` of the ``n`` shares reconstruct the secret exactly — including
   under arbitrary dropout patterns (random surviving subsets, any order);
@@ -8,8 +10,7 @@ Property suite (Hypothesis) for ``repro.privacy.shamir``:
   with probability ``1/p`` (so a seeded random draw never does);
 * share values depend on the split RNG, so two sessions never reuse share
   material for one secret;
-* validation fails loudly: secrets outside the field, degenerate
-  thresholds, duplicate or out-of-range share points.
+* opening fails loudly on no shares, duplicate or out-of-range share points.
 """
 
 from __future__ import annotations
@@ -18,10 +19,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.privacy.shamir import PRIME, reconstruct_secret, split_secret
+from repro.privacy.shamir import PRIME, open_shares, share_bundles
 
 secrets = st.integers(min_value=0, max_value=PRIME - 1)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def split_secret(secret, num_shares, threshold, rng):
+    """``(x, y)`` shares of one word at ``x = 1..num_shares``."""
+    blinding = rng.integers(PRIME, size=(1, threshold - 1))
+    (values,) = share_bundles([secret], blinding, num_shares).tolist()
+    return list(enumerate(values, start=1))
+
+
+def reconstruct_secret(shares):
+    """The word a set of ``(x, y)`` shares opens to."""
+    xs, ys = zip(*shares) if shares else ((), ())
+    (word,) = open_shares(np.array([ys], dtype=np.uint64), xs).tolist()
+    return word
 
 
 @st.composite
@@ -69,6 +84,49 @@ class TestRoundTrip:
             assert share[1] == secret  # degree-0 polynomial: y == secret
 
 
+class TestStacks:
+    @given(words=st.lists(secrets, min_size=6, max_size=6), tn=t_of_n(),
+           seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_a_stack_of_bundles_is_its_bundles_one_by_one(self, words, tn,
+                                                          seed):
+        """The session shares an ``(owners, bundle)`` stack in one pass:
+        each bundle's shares are those of its own pass."""
+        threshold, num_shares = tn
+        stack = np.array(words, dtype=np.uint64).reshape(2, 3)
+        blinding = np.random.default_rng(seed).integers(
+            PRIME, size=(2, 3, threshold - 1), dtype=np.uint64)
+        got = share_bundles(stack, blinding, num_shares)
+        assert got.shape == (2, 3, num_shares)
+        for owner in range(2):
+            assert np.array_equal(got[owner], share_bundles(
+                stack[owner], blinding[owner], num_shares))
+
+    @given(words=st.lists(secrets, min_size=6, max_size=6), tn=t_of_n(),
+           seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_opening_a_stack_is_opening_each_word(self, words, tn, seed):
+        threshold, num_shares = tn
+        blinding = np.random.default_rng(seed).integers(
+            PRIME, size=(6, threshold - 1), dtype=np.uint64)
+        shares = share_bundles(words, blinding, num_shares).reshape(
+            2, 3, num_shares)
+        xs = list(range(num_shares, num_shares - threshold, -1))
+        opened = open_shares(shares[..., [x - 1 for x in xs]], xs)
+        assert opened.shape == (2, 3)
+        assert opened.ravel().tolist() == words
+
+    @pytest.mark.parametrize("threshold", [1, 2, 5, 9])
+    def test_field_edges_open_exactly(self, threshold):
+        """The largest words and coefficients keep every limb product in
+        range: ``PRIME - 1`` everywhere still opens to the word."""
+        words = [0, 1, PRIME - 1]
+        blinding = np.full((3, threshold - 1), PRIME - 1, dtype=np.uint64)
+        shares = share_bundles(words, blinding, 9)
+        xs = range(9 - threshold + 1, 10)
+        assert open_shares(shares[:, 9 - threshold:], xs).tolist() == words
+
+
 class TestSecrecy:
     @given(secret=secrets, seed=seeds,
            threshold=st.integers(min_value=2, max_value=6))
@@ -95,20 +153,6 @@ class TestSecrecy:
 
 
 class TestValidation:
-    def test_secret_must_live_in_the_field(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="secret"):
-            split_secret(-1, 3, 2, rng)
-        with pytest.raises(ValueError, match="secret"):
-            split_secret(PRIME, 3, 2, rng)
-
-    def test_threshold_and_count_bounds(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="threshold"):
-            split_secret(5, 3, 0, rng)
-        with pytest.raises(ValueError, match="threshold"):
-            split_secret(5, 2, 3, rng)
-
     def test_reconstruct_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError, match="share"):
             reconstruct_secret([])
