@@ -31,28 +31,30 @@ if __name__ == "__main__":  # an importer's environment is not ours to change
 import numpy as np  # noqa: E402
 
 from repro.clustering.selection import select_num_clusters  # noqa: E402
-from repro.core import ShiftExConfig, ShiftExStrategy  # noqa: E402
-from repro.data import CORRUPTION_GROUPS, apply_corruption  # noqa: E402
+from repro.core.config import ShiftExConfig  # noqa: E402
+from repro.core.server import ShiftExStrategy  # noqa: E402
+from repro.data.corruptions import CORRUPTION_GROUPS, apply_corruption  # noqa: E402
 from repro.data.federated import FederatedShiftDataset  # noqa: E402
 from repro.data.images import ImageDomainSpec, SyntheticImageGenerator  # noqa: E402
 from repro.data.registry import DatasetSpec  # noqa: E402
 from repro.detection.divergence import jsd  # noqa: E402
 from repro.detection.mmd import median_heuristic_gamma, mmd  # noqa: E402
-from repro.experiments import ExperimentPlan  # noqa: E402
+from repro.experiments.plan import ExperimentPlan  # noqa: E402
 from repro.experts.facility import (  # noqa: E402
     FacilityLocationProblem, solve_exact, solve_greedy)
 from repro.experts.matching import match_cluster_to_expert  # noqa: E402
 from repro.experts.registry import ExpertRegistry  # noqa: E402
 from repro.federation.accounting import CommunicationLedger  # noqa: E402
 from repro.federation.rounds import RoundConfig  # noqa: E402
-from repro.flips import FlipsSelector  # noqa: E402
+from repro.flips.selector import FlipsSelector  # noqa: E402
 from repro.harness.comparison import (  # noqa: E402
     PAPER_METHODS, ComparisonResult, expert_distribution_table,
     render_drop_time_max_table, render_expert_distribution)
 from repro.harness.profiles import RunSettings, get_profile  # noqa: E402
 from repro.harness.runner import run_strategy  # noqa: E402
-from repro.nn import LocalTrainingConfig, build_model, evaluate, train_local  # noqa: E402
-from repro.privacy import SHARE_BYTES  # noqa: E402
+from repro.nn.training import LocalTrainingConfig, evaluate, train_local  # noqa: E402
+from repro.nn.models import build_model  # noqa: E402
+from repro.privacy.secure_aggregation import SHARE_BYTES  # noqa: E402
 from repro.utils.precision import PrecisionPlan  # noqa: E402
 from repro.utils.rng import spawn_rng  # noqa: E402
 from repro.utils.validation import normalize_histogram  # noqa: E402

@@ -83,15 +83,11 @@ import repro.federation.party as party_module  # noqa: E402
 import repro.federation.rounds as rounds_module  # noqa: E402
 from benchmarks import reference  # noqa: E402
 from benchmarks.reference import best_us  # noqa: E402
-from repro.clustering import select_num_clusters  # noqa: E402
+from repro.clustering.selection import select_num_clusters  # noqa: E402
 from repro.clustering.davies_bouldin import davies_bouldin_indices  # noqa: E402
-from repro.data import (  # noqa: E402
-    FederatedShiftDataset,
-    apply_corruption,
-    dataset_names,
-    get_dataset_spec,
-)
-from repro.data.federated import PartyWindowData  # noqa: E402
+from repro.data.corruptions import apply_corruption  # noqa: E402
+from repro.data.federated import FederatedShiftDataset, PartyWindowData  # noqa: E402
+from repro.data.registry import dataset_names, get_dataset_spec  # noqa: E402
 from repro.detection.calibration import (  # noqa: E402
     ThresholdCalibrator,
     bootstrap_jsd_null,
@@ -105,7 +101,7 @@ from repro.detection.mmd import (  # noqa: E402
     median_heuristic_gamma,
     mmd,
 )
-from repro.experiments import load_plan  # noqa: E402
+from repro.experiments.plan import load_plan  # noqa: E402
 from repro.experiments.events import RunCallback  # noqa: E402
 from repro.federation.async_engine import FederationEngine  # noqa: E402
 from repro.federation.party import (  # noqa: E402

@@ -27,9 +27,9 @@ from __future__ import annotations
 import argparse
 from dataclasses import replace
 
-from repro.experiments import ExperimentPlan
+from repro.experiments.plan import ExperimentPlan
 from repro.federation.async_engine import FederationConfig
-from repro.harness import render_drop_time_max_table
+from repro.harness.comparison import render_drop_time_max_table
 from repro.harness.profiles import get_profile
 
 METHODS = ["fedavg", "shiftex"]

@@ -27,16 +27,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.baselines.fedavg import FedAvgStrategy
-from repro.experiments import (
-    ExperimentPlan,
-    ParallelExecutor,
-    ProgressLogger,
-    SerialExecutor,
-    load_plan,
-    register_strategy,
-    save_plan,
-)
-from repro.harness import render_drop_time_max_table
+from repro.experiments.plan import ExperimentPlan, load_plan, save_plan
+from repro.experiments.executors import ParallelExecutor, SerialExecutor
+from repro.experiments.events import ProgressLogger
+from repro.experiments.registry import register_strategy
+from repro.harness.comparison import render_drop_time_max_table
 from repro.harness.profiles import get_profile
 
 

@@ -18,15 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.detection import mmd
-from repro.experts import (
-    ExpertRegistry,
-    FacilityLocationProblem,
-    consolidate_experts,
-    match_cluster_to_expert,
-    solve_exact,
-    solve_greedy,
-)
+from repro.detection.mmd import mmd
+from repro.experts.registry import ExpertRegistry
+from repro.experts.facility import FacilityLocationProblem, solve_exact, solve_greedy
+from repro.experts.consolidation import consolidate_experts
+from repro.experts.matching import match_cluster_to_expert
 from repro.utils.rng import spawn_rng
 
 

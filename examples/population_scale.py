@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import replace
 
-from repro.experiments import ExperimentPlan
+from repro.experiments.plan import ExperimentPlan
 from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import AvailabilityConfig
 from repro.federation.pool import PopulationConfig

@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 from dataclasses import replace
 
-from repro.experiments import ExperimentPlan, ParallelExecutor, SerialExecutor
-from repro.harness import render_drop_time_max_table
+from repro.experiments.executors import ParallelExecutor, SerialExecutor
+from repro.experiments.plan import ExperimentPlan
 from repro.harness.comparison import (
     expert_distribution_table,
+    render_drop_time_max_table,
     render_expert_distribution,
 )
 from repro.harness.profiles import get_profile

@@ -10,7 +10,7 @@ This example:
 
 1. declares a two-cohort drift study as a plain dict (the in-memory twin
    of a TOML plan file — see docs/SCENARIOS.md);
-2. reads it as an :class:`~repro.experiments.ExperimentPlan` and shows the
+2. reads it as an :class:`~repro.experiments.plan.ExperimentPlan` and shows the
    ground-truth shift schedule the data plane will realize;
 3. runs it and reads the federation counters;
 4. samples plans from the seeded fuzz generator — the same corpus CI
@@ -24,8 +24,9 @@ Usage::
 from __future__ import annotations
 
 from repro.data.registry import build_shift_schedule
-from repro.experiments import ExperimentPlan
-from repro.scenarios import ScenarioGenerator, lint_scenario
+from repro.experiments.plan import ExperimentPlan
+from repro.scenarios.generator import ScenarioGenerator
+from repro.scenarios.lint import lint_scenario
 
 SCENARIO = {
     "name": "drift-study",

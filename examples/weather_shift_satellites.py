@@ -23,13 +23,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core import ShiftExStrategy
-from repro.data import CORRUPTION_GROUPS, apply_corruption
+from repro.core.server import ShiftExStrategy
+from repro.data.corruptions import CORRUPTION_GROUPS, apply_corruption
 from repro.data.images import ImageDomainSpec, SyntheticImageGenerator
 from repro.harness.comparison import render_expert_distribution
 from repro.harness.profiles import get_profile
 from repro.harness.runner import run_strategy
-from repro.nn import LocalTrainingConfig, build_model, evaluate, train_local
+from repro.nn.training import LocalTrainingConfig, evaluate, train_local
+from repro.nn.models import build_model
 from repro.utils.rng import spawn_rng
 
 TRAIN_SAMPLES, EPOCHS = 400, 10

@@ -10,37 +10,12 @@ table and figure of the paper's evaluation.
 
 Quickstart::
 
-    from repro.experiments import ExperimentPlan, ParallelExecutor
-    from repro.harness import render_drop_time_max_table
+    from repro.experiments.executors import ParallelExecutor
+    from repro.experiments.plan import ExperimentPlan
+    from repro.harness.comparison import render_drop_time_max_table
 
     plan = ExperimentPlan.build("cifar10_c_sim", ["fedprox", "shiftex"],
                                 seeds=(0, 1), profile="ci")
     result = plan.run(executor=ParallelExecutor(jobs=2))
     print(render_drop_time_max_table(result, title="CIFAR-10-C (simulated)"))
 """
-
-__version__ = "1.1.0"
-
-from repro.core import ShiftExConfig, ShiftExStrategy
-from repro.experiments import (
-    ExperimentPlan,
-    ParallelExecutor,
-    SerialExecutor,
-    build_strategy,
-    register_strategy,
-    strategy_names,
-)
-from repro.harness import run_strategy
-
-__all__ = [
-    "ShiftExConfig",
-    "ShiftExStrategy",
-    "ExperimentPlan",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "register_strategy",
-    "build_strategy",
-    "strategy_names",
-    "run_strategy",
-    "__version__",
-]

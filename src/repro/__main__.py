@@ -24,21 +24,16 @@ from pathlib import Path
 from repro.data.registry import build_shift_schedule, dataset_names, get_dataset_spec
 from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import AvailabilityConfig
-from repro.scenarios import ScenarioGenerator, lint_scenario
-from repro.experiments import (
-    ExperimentPlan,
-    ParallelExecutor,
-    ProgressLogger,
-    SerialExecutor,
-    load_plan,
-    save_plan,
-    strategy_description,
-    strategy_names,
-)
-from repro.harness import render_drop_time_max_table
+from repro.scenarios.generator import ScenarioGenerator
+from repro.scenarios.lint import lint_scenario
+from repro.experiments.events import ProgressLogger
+from repro.experiments.executors import ParallelExecutor, SerialExecutor
+from repro.experiments.plan import ExperimentPlan, load_plan, save_plan
+from repro.experiments.registry import strategy_description, strategy_names
 from repro.harness.comparison import (
     PAPER_METHODS,
     expert_distribution_table,
+    render_drop_time_max_table,
     render_expert_distribution,
 )
 from repro.harness.profiles import RUN_KNOBS, profile_names

@@ -12,17 +12,3 @@
   detection with multiple models; coarse adaptation, no explicit
   covariate/label modelling.
 """
-
-from repro.baselines.fedavg import FedAvgStrategy
-from repro.baselines.fedprox import FedProxStrategy
-from repro.baselines.oort import OortStrategy
-from repro.baselines.fielding import FieldingStrategy
-from repro.baselines.feddrift import FedDriftStrategy
-
-__all__ = [
-    "FedAvgStrategy",
-    "FedProxStrategy",
-    "OortStrategy",
-    "FieldingStrategy",
-    "FedDriftStrategy",
-]

@@ -11,18 +11,16 @@ old distributions and underreacts to shifts.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
+from repro.baselines.fedavg import FedAvgStrategy
 from repro.experiments.registry import register_strategy
 from repro.federation.rounds import run_fl_round
-from repro.federation.strategy import ContinualStrategy, StrategyContext
-from repro.utils.params import Params
+from repro.federation.strategy import StrategyContext
 
 
 @register_strategy("oort")
-class OortStrategy(ContinualStrategy):
+class OortStrategy(FedAvgStrategy):
     """Single global model with epsilon-greedy utility-based selection."""
 
     name = "oort"
@@ -36,23 +34,15 @@ class OortStrategy(ContinualStrategy):
             raise ValueError("utility_smoothing must be in (0, 1]")
         self.exploration_fraction = exploration_fraction
         self.utility_smoothing = utility_smoothing
-        self._global: Params | None = None
         self._utilities: dict[int, float] = {}
         self._times_selected: dict[int, int] = {}
 
     def setup(self, ctx: StrategyContext) -> None:
         super().setup(ctx)
-        self._global = ctx.model_factory().get_params()
         # Survey order: OORT needs per-party state by construction, so a
         # survey cap is what keeps the utility table bounded at scale.
         self._utilities = {pid: 0.0 for pid in ctx.party_ids}
         self._times_selected = {pid: 0 for pid in ctx.party_ids}
-
-    @property
-    def global_params(self) -> Params:
-        if self._global is None:
-            raise RuntimeError("strategy not set up")
-        return self._global
 
     # ------------------------------------------------------------------ selection
 
@@ -103,16 +93,13 @@ class OortStrategy(ContinualStrategy):
         self._global, stats = run_fl_round(
             ctx, participants, self.global_params,
             round_tag=(window, round_index), stream="global",
-            local=replace(ctx.round_config.local, prox_mu=0.0))
+            local=self._local_config())
         # Utilities update from training-time losses (what the device itself
         # observed), so the selector keeps learning about parties whose
         # reports are still in flight under buffered/async participation.
         # Dropped parties never train, so their utilities stay unchanged.
         self._update_utilities({pid: (loss, stats.samples[pid])
                                 for pid, loss in stats.mean_losses.items()})
-
-    def params_for_party(self, party_id: int) -> Params:
-        return self.global_params
 
     def describe_state(self) -> dict:
         return {

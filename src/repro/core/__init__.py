@@ -8,15 +8,3 @@
   memory matching, expert creation/update with FLIPS, local fine-tuning for
   small clusters, and expert consolidation.
 """
-
-from repro.core.config import ShiftExConfig
-from repro.core.detector import PartyLocalState, PartyShiftReport, compute_party_report
-from repro.core.server import ShiftExStrategy
-
-__all__ = [
-    "ShiftExConfig",
-    "PartyLocalState",
-    "PartyShiftReport",
-    "compute_party_report",
-    "ShiftExStrategy",
-]

@@ -17,37 +17,3 @@ builds the closest synthetic equivalents that exercise the same code paths:
 * :mod:`repro.data.federated` — materializes per-party, per-window train/test
   arrays for the FL simulator.
 """
-
-from repro.data.images import ImageDomainSpec, SyntheticImageGenerator
-from repro.data.corruptions import (
-    CORRUPTIONS,
-    CORRUPTION_GROUPS,
-    apply_corruption,
-)
-from repro.data.partition import dirichlet_label_priors
-from repro.data.registry import (
-    DatasetSpec,
-    RegimeAssignment,
-    ShiftSchedule,
-    build_shift_schedule,
-    dataset_names,
-    get_dataset_spec,
-)
-from repro.data.federated import PartyWindowData, FederatedShiftDataset
-
-__all__ = [
-    "ImageDomainSpec",
-    "SyntheticImageGenerator",
-    "CORRUPTIONS",
-    "CORRUPTION_GROUPS",
-    "apply_corruption",
-    "dirichlet_label_priors",
-    "DatasetSpec",
-    "RegimeAssignment",
-    "ShiftSchedule",
-    "build_shift_schedule",
-    "dataset_names",
-    "get_dataset_spec",
-    "PartyWindowData",
-    "FederatedShiftDataset",
-]

@@ -114,7 +114,7 @@ class CalibratedThresholds:
 class ThresholdCalibrator:
     """Bundles MMD and JSD null calibration for the bootstrap phase."""
 
-    def __init__(self, num_bootstrap: int = 200, p_value: float = 0.05) -> None:
+    def __init__(self, num_bootstrap: int, p_value: float) -> None:
         if num_bootstrap <= 0:
             raise ValueError("num_bootstrap must be positive")
         if not 0.0 < p_value < 1.0:

@@ -16,42 +16,5 @@ The pieces fit together like this:
   collected runs and per-strategy aggregates.
 """
 
-from repro.experiments.registry import (
-    build_strategy,
-    register_strategy,
-    strategy_description,
-    strategy_names,
-)
-from repro.experiments.events import (
-    ProgressLogger,
-    RunCallback,
-    RunInfo,
-)
-from repro.experiments.executors import ParallelExecutor, SerialExecutor, run_cell
-from repro.experiments.plan import (
-    ExperimentCell,
-    ExperimentPlan,
-    StrategySpec,
-    load_plan,
-    save_plan,
-)
-from repro.experiments.results import ComparisonResult
-
-__all__ = [
-    "register_strategy",
-    "build_strategy",
-    "strategy_names",
-    "strategy_description",
-    "RunCallback",
-    "RunInfo",
-    "ProgressLogger",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "run_cell",
-    "ExperimentPlan",
-    "ExperimentCell",
-    "StrategySpec",
-    "save_plan",
-    "load_plan",
-    "ComparisonResult",
-]
+# The frozen benchmark driver (benchmarks/e2e) imports these two from here.
+from repro.experiments.plan import ExperimentPlan, load_plan  # noqa: F401

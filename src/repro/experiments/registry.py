@@ -5,7 +5,7 @@ ShiftEx itself, and any user-defined method — lives in one registry.  A
 factory is anything callable that returns a strategy instance (usually the
 class itself):
 
-    from repro.experiments import register_strategy
+    from repro.experiments.registry import register_strategy
 
     @register_strategy("my-method")
     class MyStrategy(ContinualStrategy):
@@ -40,7 +40,11 @@ def _ensure_builtins() -> None:
     # imports below (which call back into this module) from recursing.
     _builtins_loading = True
     try:
-        import repro.baselines  # noqa: F401  registers fedavg/fedprox/oort/fielding/feddrift
+        import repro.baselines.fedavg  # noqa: F401
+        import repro.baselines.fedprox  # noqa: F401
+        import repro.baselines.oort  # noqa: F401
+        import repro.baselines.fielding  # noqa: F401
+        import repro.baselines.feddrift  # noqa: F401
         import repro.core.server  # noqa: F401  registers shiftex
         _builtins_loaded = True
     finally:

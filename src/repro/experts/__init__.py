@@ -14,28 +14,3 @@
   (Equation 2) with an exact enumerative solver for small instances and the
   greedy approximation used at scale.
 """
-
-from repro.experts.memory import LatentMemory
-from repro.experts.registry import Expert, ExpertRegistry
-from repro.experts.matching import match_cluster_to_expert, MatchResult
-from repro.experts.consolidation import consolidate_experts, ConsolidationEvent
-from repro.experts.facility import (
-    FacilityLocationProblem,
-    FacilityLocationSolution,
-    solve_exact,
-    solve_greedy,
-)
-
-__all__ = [
-    "LatentMemory",
-    "Expert",
-    "ExpertRegistry",
-    "match_cluster_to_expert",
-    "MatchResult",
-    "consolidate_experts",
-    "ConsolidationEvent",
-    "FacilityLocationProblem",
-    "FacilityLocationSolution",
-    "solve_exact",
-    "solve_greedy",
-]

@@ -8,7 +8,3 @@ regime is represented in each round, which is how ShiftEx realizes the
 label-imbalance (mu/JSD) term of its assignment objective without manual
 tuning.
 """
-
-from repro.flips.selector import FlipsSelector
-
-__all__ = ["FlipsSelector"]

@@ -13,24 +13,3 @@ Grid composition (strategy registry, experiment plans, parallel executors,
 run-event callbacks) lives in :mod:`repro.experiments`; this package keeps
 the single-run driver and the paper-facing renderers.
 """
-
-from repro.harness.profiles import RunSettings, get_profile, profile_names
-from repro.harness.runner import StrategyRunResult, run_strategy
-from repro.harness.comparison import (
-    ComparisonResult,
-    render_drop_time_max_table,
-    render_expert_distribution,
-    expert_distribution_table,
-)
-
-__all__ = [
-    "RunSettings",
-    "get_profile",
-    "profile_names",
-    "StrategyRunResult",
-    "run_strategy",
-    "ComparisonResult",
-    "render_drop_time_max_table",
-    "render_expert_distribution",
-    "expert_distribution_table",
-]

@@ -13,14 +13,6 @@ from repro.experiments.results import ComparisonResult
 # Display order used by the paper's tables.
 PAPER_METHODS = ("fedprox", "fielding", "oort", "shiftex", "feddrift")
 
-__all__ = [
-    "PAPER_METHODS",
-    "ComparisonResult",
-    "render_drop_time_max_table",
-    "expert_distribution_table",
-    "render_expert_distribution",
-]
-
 
 # ---------------------------------------------------------------------- renderers
 

@@ -8,24 +8,3 @@
   as ``> R``).
 * **Max Accuracy** — best accuracy reached inside the window.
 """
-
-from repro.metrics.windows import (
-    WindowSummary,
-    accuracy_drop,
-    recovery_time,
-    max_accuracy,
-    summarize_window,
-    summarize_run,
-)
-from repro.metrics.aggregate import MetricAggregate, aggregate_summaries
-
-__all__ = [
-    "WindowSummary",
-    "accuracy_drop",
-    "recovery_time",
-    "max_accuracy",
-    "summarize_window",
-    "summarize_run",
-    "MetricAggregate",
-    "aggregate_summaries",
-]

@@ -8,23 +8,3 @@
 * :mod:`~repro.privacy.sealed_scoring` — expert cosine/MMD scoring over
   sign-sealed rows, bitwise-identical to plaintext scoring.
 """
-
-from repro.privacy.plan import PrivacyPlan
-from repro.privacy.sealed_scoring import ScoreSeal
-from repro.privacy.secure_aggregation import (
-    SHARE_BYTES,
-    IncompleteSubmissionError,
-    MaskingSpec,
-    SecureAggregationSession,
-)
-from repro.privacy.shamir import PRIME
-
-__all__ = [
-    "PrivacyPlan",
-    "ScoreSeal",
-    "SHARE_BYTES",
-    "IncompleteSubmissionError",
-    "MaskingSpec",
-    "SecureAggregationSession",
-    "PRIME",
-]

@@ -79,6 +79,3 @@ class PrivacyPlan(Knob):
     def mask_root(self, run_seed: int) -> int:
         """The mask-stream root seed: the override, else the run seed."""
         return int(run_seed if self.mask_seed is None else self.mask_seed)
-
-
-__all__ = ["PrivacyPlan", "resolve_threshold"]

@@ -69,6 +69,3 @@ class ScoreSeal:
 
     def seal_many(self, matrices) -> list[np.ndarray]:
         return [self.seal(m) for m in matrices]
-
-
-__all__ = ["ScoreSeal"]

@@ -125,6 +125,3 @@ def open_shares(shares: np.ndarray, xs: Sequence[int]) -> np.ndarray:
     for k in range(1, len(weights)):
         acc = _reduce(acc + terms[..., k])  # both < PRIME: no overflow
     return acc
-
-
-__all__ = ["PRIME", "share_bundles", "lagrange_weights", "open_shares"]

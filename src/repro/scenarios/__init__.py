@@ -4,47 +4,10 @@ A shift scenario — sudden, gradual, recurring or class-incremental drift
 over a party population, under any participation regime — is an
 :class:`~repro.experiments.plan.ExperimentPlan` file whose
 ``spec_override`` names the drift schedule and whatever sizing it changes
-(``docs/SCENARIOS.md``).  :class:`ScenarioGenerator` samples such plans
+(``docs/SCENARIOS.md``).
+:class:`~repro.scenarios.generator.ScenarioGenerator` samples such plans
 from a constrained space for the seeded fuzz harness
-(``python -m repro.scenarios.fuzz``); :func:`lint_scenario` lists the soft
-advisories ``scenarios validate`` and ``compare`` print.
+(``python -m repro.scenarios.fuzz``);
+:func:`~repro.scenarios.lint.lint_scenario` lists the soft advisories
+``scenarios validate`` and ``compare`` print.
 """
-
-from repro.federation.availability import AvailabilitySimulator
-from repro.federation.async_engine import FederationConfig
-from repro.scenarios.generator import ScenarioGenerator
-
-_BUFFERING = ("min_reports", "max_wait_rounds", "staleness_policy")
-
-
-def lint_scenario(plan) -> list[str]:
-    """Non-fatal advisories for a plan, read off its resolved settings.
-
-    Hard errors raise when the plan is read; these are the soft ones:
-    buffering knobs at non-default values on synchronous rounds, and
-    outages over a population above the availability simulator's
-    enumeration limit (where per-round outage *sets* cannot be enumerated
-    and dispatch must go through ``AvailabilitySimulator.cohort_fates``).
-    """
-    _spec, settings = plan.resolve()
-    federation, population = settings.federation, settings.population
-    warnings = []
-    if federation.mode == "sync" and any(
-            getattr(federation, key) != getattr(FederationConfig(), key)
-            for key in _BUFFERING):
-        warnings.append(
-            "min_reports/max_wait_rounds/staleness_policy only affect "
-            "buffered/async participation; synchronous rounds ignore them")
-    if population is not None and federation.availability.outage_prob > 0:
-        probe = AvailabilitySimulator(federation.availability,
-                                      num_parties=population.size)
-        if not probe.enumerates_outages:
-            warnings.append(
-                f"population size {population.size} exceeds the outage "
-                f"enumeration limit ({probe.enumeration_limit}): outage "
-                f"membership is per-party Bernoulli and dispatch goes through "
-                f"cohort_fates() instead of enumerated outage sets")
-    return warnings
-
-
-__all__ = ["ScenarioGenerator", "lint_scenario"]

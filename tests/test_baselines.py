@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    FedDriftStrategy,
-    FedProxStrategy,
-    FieldingStrategy,
-    OortStrategy,
-)
+from repro.baselines.feddrift import FedDriftStrategy
+from repro.baselines.fedprox import FedProxStrategy
+from repro.baselines.fielding import FieldingStrategy
+from repro.baselines.oort import OortStrategy
 from repro.data.federated import FederatedShiftDataset
-from repro.experiments import build_strategy, strategy_names
+from repro.experiments.registry import build_strategy, strategy_names
 from repro.utils.params import flatten_params
 from tests.conftest import make_context, make_tiny_spec, mean_accuracy
 

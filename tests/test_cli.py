@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import _plan_from_args, build_parser, main
-from repro.experiments import ExperimentPlan, save_plan
+from repro.experiments.plan import ExperimentPlan, save_plan
 from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import AvailabilityConfig
 from repro.federation.pool import PopulationConfig

@@ -20,8 +20,9 @@ from benchmarks.reference import (
     ref_kmeans,
     ref_select_num_clusters,
 )
-from repro.clustering import davies_bouldin_indices, kmeans, select_num_clusters
-from repro.clustering.kmeans import kmeans_scan
+from repro.clustering.davies_bouldin import davies_bouldin_indices
+from repro.clustering.kmeans import kmeans, kmeans_scan
+from repro.clustering.selection import select_num_clusters
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.registry import build_strategy
 from repro.harness.runner import run_strategy

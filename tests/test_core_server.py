@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import ShiftExConfig, ShiftExStrategy
+from repro.core.config import ShiftExConfig
+from repro.core.server import ShiftExStrategy
 from repro.core import server
 from repro.federation.party import train_parties
 from repro.federation.pool import PopulationConfig

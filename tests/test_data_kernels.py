@@ -14,6 +14,7 @@ differentiated against that loop (``reference.ref_pixelate``, no scipy
 needed) and has a second pin over blocks that do not divide the image.
 """
 
+import ast
 import hashlib
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from benchmarks import reference
 from repro.data import ndimage as kernels
 from repro.data.corruptions import CORRUPTIONS, apply_corruption
+from tests import test_reachability as reachability
 
 needs_scipy = pytest.mark.skipif(reference.ndimage is None,
                                  reason="scipy is the differentials' reference")
@@ -126,7 +128,7 @@ def test_a_run_imports_no_scipy():
     script = textwrap.dedent("""
         import sys
         import numpy as np
-        import repro, repro.__main__, repro.harness.runner, repro.experiments
+        import repro.__main__, repro.scenarios.fuzz
         from repro.data.corruptions import CORRUPTIONS, apply_corruption
         rng = np.random.default_rng(0)
         for name in CORRUPTIONS:
@@ -141,11 +143,13 @@ def test_a_run_imports_no_scipy():
 
 def test_a_serial_run_imports_no_process_pool():
     """Only ``ParallelExecutor.map`` starts a pool, so a serial run (a fresh
-    interpreter) leaves ``multiprocessing`` and the pool module unloaded."""
+    interpreter) leaves ``multiprocessing`` and the pool module unloaded; and
+    it loads no ``repro`` module the reachability walk does not reach (a
+    package ``__init__`` that re-exports would load every module it names)."""
     script = textwrap.dedent("""
         import sys
         from tests.conftest import make_run_settings, make_tiny_spec
-        from repro.experiments import ExperimentPlan
+        from repro.experiments.plan import ExperimentPlan
         ExperimentPlan.build(
             "cifar10_c_sim", ["fedavg"], seeds=(0,),
             spec_override=make_tiny_spec(num_parties=4, num_windows=2,
@@ -156,11 +160,17 @@ def test_a_serial_run_imports_no_process_pool():
                 epochs=1)).run()
         print(sorted({"multiprocessing", "concurrent.futures.process"}
                      & set(sys.modules)))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "repro"))
     """)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True,
                           cwd=Path(__file__).resolve().parent.parent)
-    assert done.stdout.strip() == "[]"
+    pools, loaded = done.stdout.strip().splitlines()
+    assert pools == "[]"
+    packages = {m for m, path in reachability.MODULES.items()
+                if path.name == "__init__.py"}
+    walked = reachability._reached() | packages
+    assert sorted(set(ast.literal_eval(loaded)) - walked) == []
 
 
 # ---------------------------------------------------------------- differentials

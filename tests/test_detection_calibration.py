@@ -120,7 +120,7 @@ class TestCalibrator:
         assert stable_score < thresholds.delta_cov < shift_score
 
     def test_rejects_empty_pools(self, rng):
-        calibrator = ThresholdCalibrator()
+        calibrator = ThresholdCalibrator(num_bootstrap=200, p_value=0.05)
         with pytest.raises(ValueError):
             calibrator.calibrate([], np.full((1, 3), 1 / 3), 10, rng)
 
@@ -130,10 +130,11 @@ class TestCalibrator:
         pools = make_party_pools(rng, num_parties=3, n=40)
         pools[1][0][5, 2] = np.nan  # pooled row 40 + 5
         with pytest.raises(ValueError, match=r"^x row 45 is not finite"):
-            ThresholdCalibrator().calibrate(pools, np.full((3, 3), 1 / 3), 40, rng)
+            ThresholdCalibrator(num_bootstrap=200, p_value=0.05).calibrate(
+                pools, np.full((3, 3), 1 / 3), 40, rng)
 
     def test_rejects_bad_hyperparams(self):
         with pytest.raises(ValueError):
-            ThresholdCalibrator(num_bootstrap=0)
+            ThresholdCalibrator(num_bootstrap=0, p_value=0.05)
         with pytest.raises(ValueError):
-            ThresholdCalibrator(p_value=1.5)
+            ThresholdCalibrator(num_bootstrap=200, p_value=1.5)

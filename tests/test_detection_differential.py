@@ -515,7 +515,8 @@ def test_calibration_memory_is_capped_per_stack():
     priors = rng.dirichlet(np.ones(10), size=24)
     tracemalloc.start()
     try:
-        ThresholdCalibrator(num_bootstrap=100).calibrate(pools, priors, 48, rng)
+        ThresholdCalibrator(num_bootstrap=100, p_value=0.05).calibrate(
+            pools, priors, 48, rng)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -5,24 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from repro.baselines import FedAvgStrategy
-from repro.experiments import (
-    ExperimentPlan,
-    ParallelExecutor,
-    ProgressLogger,
-    RunCallback,
-    SerialExecutor,
-    StrategySpec,
+from repro.baselines.fedavg import FedAvgStrategy
+from repro.experiments.events import ProgressLogger, RunCallback
+from repro.experiments.executors import ParallelExecutor, SerialExecutor
+from repro.experiments.plan import ExperimentPlan, StrategySpec, load_plan, save_plan
+from repro.experiments.registry import (
+    _REGISTRY,
     build_strategy,
-    load_plan,
     register_strategy,
-    save_plan,
     strategy_description,
     strategy_names,
 )
-from repro.experiments.registry import _REGISTRY
-from repro.harness import render_drop_time_max_table, run_strategy
-from repro.harness.comparison import PAPER_METHODS
+from repro.harness.comparison import PAPER_METHODS, render_drop_time_max_table
+from repro.harness.runner import run_strategy
 from tests.conftest import make_run_settings, make_tiny_spec
 
 
@@ -263,7 +258,7 @@ class TestExecutors:
             ParallelExecutor(jobs=0)
 
     def test_empty_result_num_windows(self):
-        from repro.experiments import ComparisonResult
+        from repro.experiments.results import ComparisonResult
         empty = ComparisonResult(dataset="d", profile="ci", seeds=(0,))
         assert empty.num_windows() == 0
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from benchmarks.reference import ref_fedavg
-from repro.experiments import build_strategy
+from repro.experiments.registry import build_strategy
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.async_engine import FederationConfig, FederationEngine
 from repro.federation.availability import AvailabilityConfig

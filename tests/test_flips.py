@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from benchmarks.fidelity import label_balance_score
-from repro.flips import FlipsSelector
+from repro.flips.selector import FlipsSelector
 from repro.utils.rng import spawn_rng
 
 

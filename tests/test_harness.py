@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from benchmarks.fidelity import convergence_series, max_accuracy_table
-from repro.baselines import FedAvgStrategy
-from repro.core import ShiftExStrategy
+from repro.baselines.fedavg import FedAvgStrategy
+from repro.core.server import ShiftExStrategy
 from repro.data.federated import FederatedShiftDataset
-from repro.experiments import ExperimentPlan, build_strategy
-from repro.harness import (
+from repro.experiments.plan import ExperimentPlan
+from repro.experiments.registry import build_strategy
+from repro.harness.comparison import (
+    PAPER_METHODS,
     expert_distribution_table,
-    get_profile,
-    profile_names,
     render_drop_time_max_table,
-    run_strategy,
+    render_expert_distribution,
 )
-from repro.harness.comparison import PAPER_METHODS, render_expert_distribution
+from repro.harness.profiles import get_profile, profile_names
+from repro.harness.runner import run_strategy
 from tests.conftest import make_run_settings, make_tiny_spec
 
 

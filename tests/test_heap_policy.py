@@ -96,7 +96,7 @@ def test_no_mallopt_raises_nothing(fresh_process, cdll):
 # differently.
 RUN = textwrap.dedent("""
     import json, sys
-    from repro.experiments import ExperimentPlan
+    from repro.experiments.plan import ExperimentPlan
     from repro.harness import runner
     from repro.utils.serialization import run_result_to_dict
     if sys.argv[1] == "off":

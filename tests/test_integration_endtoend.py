@@ -13,8 +13,9 @@ the paper's qualitative claims at miniature scale:
 import numpy as np
 import pytest
 
-from repro.baselines import FedProxStrategy
-from repro.core import ShiftExConfig, ShiftExStrategy
+from repro.baselines.fedprox import FedProxStrategy
+from repro.core.config import ShiftExConfig
+from repro.core.server import ShiftExStrategy
 from repro.data.federated import FederatedShiftDataset
 from repro.harness.runner import run_strategy
 from tests.conftest import make_run_settings, make_tiny_spec

@@ -27,7 +27,8 @@ from repro.federation.availability import AvailabilityConfig
 from repro.federation.pool import PARTICIPATION_SKEWS, PopulationConfig
 from repro.harness.profiles import RUN_KNOBS, RunSettings, get_profile
 from repro.privacy.plan import PrivacyPlan
-from repro.scenarios import ScenarioGenerator, lint_scenario
+from repro.scenarios.generator import ScenarioGenerator
+from repro.scenarios.lint import lint_scenario
 from repro.scenarios.fuzz import check_flag_parity
 from repro.utils.precision import PrecisionPlan
 from repro.utils.validation import field_names

@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.metrics import (
-    MetricAggregate,
+from repro.metrics.aggregate import MetricAggregate, aggregate_summaries
+from repro.metrics.windows import (
+    WindowSummary,
     accuracy_drop,
-    aggregate_summaries,
     max_accuracy,
     recovery_time,
     summarize_run,
     summarize_window,
 )
-from repro.metrics.windows import WindowSummary
 
 
 class TestAccuracyDrop:

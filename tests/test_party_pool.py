@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ShiftExStrategy, server
+from repro.core.server import ShiftExStrategy
+from repro.core import server
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.registry import build_strategy, strategy_names

@@ -144,7 +144,7 @@ class TestShiftExConfigFromPlan:
                                            "kwargs": {"config": config}}}}
 
     def test_round_trip_and_build(self, tmp_path):
-        from repro.core import ShiftExConfig
+        from repro.core.config import ShiftExConfig
         data = self.plan_data({"embedding_samples": 24, "tau": 0.98})
         plan = ExperimentPlan.from_dict(data)
         loaded = load_plan(save_plan(tmp_path / "p.json", plan))

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import ShiftExStrategy
+from repro.core.server import ShiftExStrategy
 from repro.data.federated import FederatedShiftDataset
 from repro.harness.runner import run_strategy
 from repro.utils.precision import PrecisionPlan

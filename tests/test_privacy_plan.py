@@ -41,11 +41,11 @@ from repro.experts.registry import ExpertRegistry
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import AvailabilityConfig
-from repro.harness.profiles import RunSettings
 from repro.harness.runner import run_strategy
-from repro.privacy import PrivacyPlan, ScoreSeal, SHARE_BYTES
-from repro.privacy.plan import resolve_threshold
+from repro.privacy.plan import PrivacyPlan, resolve_threshold
+from repro.privacy.sealed_scoring import ScoreSeal
 from repro.privacy.secure_aggregation import (
+    SHARE_BYTES,
     IncompleteSubmissionError,
     SecureAggregationSession,
 )

@@ -2,9 +2,10 @@
 
 Two walks, AST only — nothing is imported.
 
-*Modules*: an import walk from the two run roots.  ``from package import
-Name`` resolves through the package's ``__init__`` to the module that defines
-``Name``, so a re-export is not a use.
+*Modules*: an import walk from the two run roots.  A package ``__init__``
+holds its docstring and re-exports nothing (one exception, below), so each
+name has one import path: the module that defines it.  A run then loads
+exactly the modules the walk reaches.
 
 *Definitions*: a fixpoint over names inside the reached modules.  A
 module-level function or class is live when its name is read by the
@@ -14,7 +15,8 @@ examples the docs job executes); a method also needs its class to be live.
 A test is not a caller.  Name-based, so it errs towards "live": it cannot
 tell two methods of one name apart, but a name nothing reads is dead.
 
-Beside them: every non-Python file under ``src/repro`` is named in
+Beside them: every package ``__init__`` is its docstring and no module
+assigns ``__all__``; every non-Python file under ``src/repro`` is named in
 ``setup.py``, so an installed package and a checkout cannot run different
 numbers; and no strategy module reads what ``run_fl_round`` owns (the engine,
 the masking, the model metering), so the call stays one line per strategy.
@@ -26,16 +28,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ROOTS = ("repro.__main__", "repro.scenarios.fuzz")
-# Executed, not imported by name: their decorators register the strategies.
-REGISTERED = ("repro.baselines.fedavg", "repro.baselines.fedprox",
-              "repro.baselines.oort", "repro.baselines.fielding",
-              "repro.baselines.feddrift")
+# The one import a package __init__ keeps: the frozen benchmark driver
+# (benchmarks/e2e) reads these two names from the package.
+PACKAGE_IMPORTS = {
+    "repro.experiments":
+        "from repro.experiments.plan import ExperimentPlan, load_plan",
+}
 # Unreached by the walk on purpose; every entry carries its reason.  A whole
 # module here exempts every definition in it.
 ALLOWED = {
-    **dict.fromkeys(
-        REGISTERED,
-        "registered by `import repro.baselines` in experiments/registry.py"),
     "repro.experts.facility": (
         "Eq. 2; examples/expert_lifecycle.py and benchmarks/fidelity.py's "
         "ablation_facility, until the shift response solves it"),
@@ -86,16 +87,9 @@ def _definer(module, name):
     """The module a run loads for ``from module import name``."""
     if module not in MODULES:
         return None  # stdlib / numpy
-    if MODULES[module].name != "__init__.py":
-        return module
-    if name is None:
-        return None  # bare ``import package``: runs re-exports, uses nothing
     if f"{module}.{name}" in MODULES:
-        return f"{module}.{name}"
-    for source, original, alias in _imports(module):
-        if original is not None and (alias or original) == name:
-            return _definer(source, original)
-    return module  # defined in the __init__ itself
+        return f"{module}.{name}"  # a submodule of the package
+    return module
 
 
 def _reached():
@@ -135,11 +129,10 @@ def _census():
     ``definitions`` maps a qualified name to ``(name, owning class or None,
     its AST, kept by a decorator)``; ``reads`` are the names read by
     module-level code, by the callers, and by the allowlisted modules (they
-    stay, so what they call stays).  A package ``__init__``'s imports and
-    ``__all__`` are re-exports, not reads.
+    stay, so what they call stays).
     """
     definitions, reads = {}, set()
-    for module in sorted(_reached() | set(REGISTERED)):
+    for module in sorted(_reached()):
         path = MODULES[module]
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, DEFS):
@@ -151,15 +144,9 @@ def _census():
                 for method in inner:
                     definitions[f"{qual}.{method.name}"] = (
                         method.name, qual, [method], False)
-            elif path.name == "__init__.py" and (
-                    isinstance(stmt, (ast.Import, ast.ImportFrom))
-                    or (isinstance(stmt, ast.Assign)
-                        and [getattr(t, "id", None) for t in stmt.targets]
-                        == ["__all__"])):
-                continue
             else:
                 reads |= _reads([stmt])
-    for module in set(ALLOWED) - set(REGISTERED):
+    for module in ALLOWED:
         reads |= _reads([ast.parse(MODULES[module].read_text())])
     for path in CALLERS:
         tree = ast.parse(path.read_text())
@@ -215,6 +202,26 @@ def test_strategies_leave_the_round_to_run_fl_round():
     found = {m: sorted(owned & _reads([ast.parse(MODULES[m].read_text())]))
              for m in strategies}
     assert {m: names for m, names in found.items() if names} == {}
+
+
+def test_a_package_init_is_its_docstring():
+    """A package ``__init__`` that imports would load what it names on every
+    run, reached or not, and give each name a second import path."""
+    found = {}
+    for module, path in MODULES.items():
+        if path.name == "__init__.py":
+            tree = ast.parse(path.read_text())
+            assert ast.get_docstring(tree), module
+            found[module] = [ast.unparse(stmt) for stmt in tree.body[1:]]
+    assert found == {m: [PACKAGE_IMPORTS[m]] if m in PACKAGE_IMPORTS else []
+                     for m in found}
+
+
+def test_no_module_assigns_all():
+    assert sorted(m for m, path in MODULES.items()
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Name) and node.id == "__all__"
+                  and isinstance(node.ctx, ast.Store)) == []
 
 
 def test_every_non_python_file_is_named_in_package_data():

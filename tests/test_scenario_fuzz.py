@@ -39,7 +39,7 @@ from repro.federation.availability import SCENARIOS, AvailabilityConfig
 from repro.harness.profiles import get_profile
 from repro.harness.runner import run_strategy
 from repro.federation.async_engine import FederationConfig
-from repro.scenarios import ScenarioGenerator
+from repro.scenarios.generator import ScenarioGenerator
 from repro.scenarios.fuzz import (
     check_federation_counters,
     check_run_invariants,

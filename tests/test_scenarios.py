@@ -29,7 +29,8 @@ from repro.federation.availability import (
 )
 from repro.federation.pool import PopulationConfig
 from repro.harness.profiles import get_profile
-from repro.scenarios import ScenarioGenerator, lint_scenario
+from repro.scenarios.generator import ScenarioGenerator
+from repro.scenarios.lint import lint_scenario
 from tests.conftest import make_tiny_spec
 
 TINY_PLAN = {

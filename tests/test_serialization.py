@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.baselines import FedAvgStrategy
-from repro.core import ShiftExStrategy
+from repro.baselines.fedavg import FedAvgStrategy
+from repro.core.server import ShiftExStrategy
 from repro.utils.serialization import (
     dict_to_run_result,
     load_run_result,
@@ -13,7 +13,7 @@ from repro.utils.serialization import (
     run_result_to_dict,
     save_run_result,
 )
-from repro.harness import run_strategy
+from repro.harness.runner import run_strategy
 from tests.conftest import make_run_settings, make_tiny_spec
 
 
