@@ -40,6 +40,7 @@ from repro.data.registry import DatasetSpec  # noqa: E402
 from repro.detection.divergence import jsd  # noqa: E402
 from repro.detection.mmd import median_heuristic_gamma, mmd  # noqa: E402
 from repro.experiments.plan import ExperimentPlan  # noqa: E402
+from repro.experiments.results import ComparisonResult  # noqa: E402
 from repro.experts.facility import (  # noqa: E402
     FacilityLocationProblem, solve_exact, solve_greedy)
 from repro.experts.matching import match_cluster_to_expert  # noqa: E402
@@ -48,7 +49,7 @@ from repro.federation.accounting import CommunicationLedger  # noqa: E402
 from repro.federation.rounds import RoundConfig  # noqa: E402
 from repro.flips.selector import FlipsSelector  # noqa: E402
 from repro.harness.comparison import (  # noqa: E402
-    PAPER_METHODS, ComparisonResult, expert_distribution_table,
+    PAPER_METHODS, expert_distribution_table,
     render_drop_time_max_table, render_expert_distribution)
 from repro.harness.profiles import RunSettings, get_profile  # noqa: E402
 from repro.harness.runner import run_strategy  # noqa: E402

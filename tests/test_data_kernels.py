@@ -123,12 +123,15 @@ def test_pixelate_over_uneven_blocks_matches_pin():
 
 
 def test_a_run_imports_no_scipy():
-    """The run roots and every operator at every severity leave no ``scipy``
-    module loaded (a fresh interpreter: this one may have imported it)."""
+    """Every module the reachability walk reaches (the run roots, the
+    baselines the registry imports, the runner) and every operator at every
+    severity leave no ``scipy`` module loaded (a fresh interpreter: this one
+    may have imported it)."""
     script = textwrap.dedent("""
-        import sys
+        import importlib, sys
         import numpy as np
-        import repro.__main__, repro.scenarios.fuzz
+        for module in sys.argv[1:]:
+            importlib.import_module(module)
         from repro.data.corruptions import CORRUPTIONS, apply_corruption
         rng = np.random.default_rng(0)
         for name in CORRUPTIONS:
@@ -136,8 +139,11 @@ def test_a_run_imports_no_scipy():
                 apply_corruption(rng.random((2, 1, 6, 6)), name, severity, rng)
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, check=True)
+    reached = sorted(reachability._reached())
+    assert {"repro.harness.runner", "repro.core.server",
+            "repro.baselines.oort"} <= set(reached)
+    done = subprocess.run([sys.executable, "-c", script, *reached],
+                          capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
 
