@@ -439,7 +439,7 @@ def _print_latencies(parties: int, dim: int, rows: int) -> None:
                            rng.normal(size=(parties // 2, dim)) + 4.0])
     rng = spawn_rng(0, "ovh-assign")
     registry = ExpertRegistry(memory_capacity=64)
-    params = [rng.normal(size=(32, 16))]
+    params = rng.normal(size=32 * 16)
     for regime in range(6):
         registry.create(params, window=0, rng=rng,
                         embeddings=rng.normal(size=(96, dim)) + 3.0 * regime)
@@ -477,7 +477,7 @@ def memory_footprint(registry: ExpertRegistry, embedding_dim: int,
         for e in registry.all()
     )
     mapping = num_parties * 8
-    params = sum(e.flat.size * e.dtype.itemsize for e in registry.all())
+    params = sum(e.flat.nbytes for e in registry.all())
     return {
         "num_experts": float(k),
         "centroid_bytes": float(centroids),
@@ -495,7 +495,7 @@ def overheads(emit):
     _print_latencies(parties, dim, rows)
     rng = spawn_rng(0, "ovh-mem")
     registry = ExpertRegistry(memory_capacity=64)
-    params = [rng.normal(size=(512, 64)), rng.normal(size=(64,))]
+    params = rng.normal(size=512 * 64 + 64)
     for _regime in range(5):
         registry.create(params, window=0, embeddings=rng.normal(size=(96, dim)), rng=rng)
     mem = memory_footprint(registry, dim, parties)

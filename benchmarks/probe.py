@@ -121,7 +121,7 @@ from repro.privacy.secure_aggregation import (  # noqa: E402
     IncompleteSubmissionError,
     SecureAggregationSession,
 )
-from repro.utils.params import ParamBank, ParamSpec  # noqa: E402
+from repro.utils.params import ParamBank  # noqa: E402
 from repro.utils.rng import spawn_rng  # noqa: E402
 from repro.utils.validation import normalize_histogram  # noqa: E402
 
@@ -793,15 +793,14 @@ SESSION_CALLS = ("__init__", "seal_row", "unseal_row", "recover", "combine_rows"
 
 def privacy_stages() -> None:
     timed = partial(best_us, calls=20, repeats=5)
-    spec = ParamSpec(((MASK_DIM,),))
     n = len(COHORT)
-    bank = ParamBank(spec, dtype=np.float32, capacity=n)
+    bank = ParamBank(MASK_DIM, dtype=np.float32, capacity=n)
     party_rows = [(party_id, bank.alloc()) for party_id in COHORT]
     weights = np.ones(n)
     rng = secure_aggregation._stream_rng()
 
     def session(threshold=None):
-        return SecureAggregationSession(COHORT, spec, shared_seed=5,
+        return SecureAggregationSession(COHORT, MASK_DIM, shared_seed=5,
                                         dtype=np.float32, context=CONTEXT,
                                         threshold=threshold)
 
@@ -874,7 +873,7 @@ def privacy_plans() -> None:
         held = sealed = 0
         for s in live:
             held += sum(net.nbytes for net in (s._nets or {}).values())
-            sealed += (len(s._sealed) * s.spec.total_size
+            sealed += (len(s._sealed) * s.dim
                        * np.dtype(s.dtype).itemsize)
         if held > peak["mask_bytes"]:
             peak.update(mask_bytes=held, sealed_row_bytes=sealed)
@@ -930,18 +929,18 @@ def privacy_plans() -> None:
 
 def privacy_sha() -> None:
     cohort = [7, 3, 19, 0, 12]  # unsorted, non-contiguous
-    spec = ParamSpec(((41, 7), (7,), (13,)))  # odd dim
+    dim = 41 * 7 + 7 + 13  # odd
     weights = np.arange(1.0, len(cohort) + 1)
     for dtype in (np.float32, np.float64):
         session = SecureAggregationSession(
-            cohort, spec, shared_seed=23, dtype=dtype, context=CONTEXT,
+            cohort, dim, shared_seed=23, dtype=dtype, context=CONTEXT,
             threshold=THRESHOLD)
-        bank = ParamBank(spec, dtype=dtype, capacity=len(cohort))
+        bank = ParamBank(dim, dtype=dtype, capacity=len(cohort))
         seals = hashlib.sha256()
         party_rows = []
         for party_id in cohort:
             update = np.random.default_rng(party_id).normal(
-                size=spec.total_size).astype(dtype)
+                size=dim).astype(dtype)
             row = bank.alloc()
             bank.row(row)[...] = update
             session.seal_row(party_id, bank.row(row))
@@ -961,8 +960,8 @@ def privacy_check() -> bool:
     """Masked aggregate == plain ``weighted_combine`` by bytes, t - 1 holders
     recover nothing, and every word t non-prefix holders open is its stream's
     seed: it equals the derived word and re-expands to the party's net."""
-    spec = ParamSpec(((37, 3), (9,)))  # odd dim
-    dim, rng = spec.total_size, np.random.Generator(np.random.PCG64(0))
+    dim = 37 * 3 + 9  # odd
+    rng = np.random.Generator(np.random.PCG64(0))
     same = True
     for dtype in (np.float32, np.float64):
         for n in (1, 2, 5, 12):
@@ -970,15 +969,15 @@ def privacy_check() -> bool:
             updates = {p: np.random.default_rng(p).normal(size=dim).astype(dtype)
                        for p in cohort}
             weights = np.arange(1.0, n + 1)
-            plain = ParamBank(spec, dtype=dtype, capacity=n)
+            plain = ParamBank(dim, dtype=dtype, capacity=n)
             for p in cohort:
                 plain.row(plain.alloc())[...] = updates[p]
             expected = plain.weighted_combine(weights, list(range(n)))
             for threshold in (None, 1, 3, "majority"):
                 session = SecureAggregationSession(
-                    cohort, spec, shared_seed=n, dtype=dtype,
+                    cohort, dim, shared_seed=n, dtype=dtype,
                     context=CONTEXT, threshold=threshold)
-                bank = ParamBank(spec, dtype=dtype, capacity=n)
+                bank = ParamBank(dim, dtype=dtype, capacity=n)
                 party_rows = []
                 for p in cohort:
                     row = bank.alloc()

@@ -13,11 +13,12 @@ labelling, the data plane's previous sampler (one class at a time, one
 ``np.roll`` per image) and eager window assembly, ``pixelate``'s per-pixel
 loop, and the six corruption operators as they were over ``scipy.ndimage``
 (``SCIPY_CORRUPTIONS``; scipy is a test-only dependency, so ``ndimage`` /
-``special`` are ``None`` without it), the list-based FedAvg and
-staleness-weighted FedAvg, and the privacy plane's mask derivation restated
-from its definition (a keyed BLAKE2b word per stream, a restated PCG64 per
-word), its per-party net-mask loop and its one-word Python-int Shamir code
-(``ref_split_secrets`` shares a bundle on one blinding draw, as a session does).
+``special`` are ``None`` without it), FedAvg and staleness-weighted
+FedAvg as their own stack-and-matvec over flat vectors, and the privacy
+plane's mask derivation restated from its definition (a keyed BLAKE2b word
+per stream, a restated PCG64 per word), its per-party net-mask loop and its
+one-word Python-int Shamir code (``ref_split_secrets`` shares a bundle on
+one blinding draw, as a session does).
 ``tests/test_{detection,data,privacy}_differential.py``,
 ``tests/test_differential_aggregation.py``,
 ``tests/test_data_kernels.py``, ``tests/test_nn_kernels_differential.py`` and
@@ -44,7 +45,7 @@ from repro.nn.network import Sequential
 from repro.nn.optim import SGD
 from repro.privacy.secure_aggregation import _uint_dtype
 from repro.privacy.shamir import PRIME
-from repro.utils.params import resolve_dtype, weighted_average
+from repro.utils.params import resolve_dtype
 from repro.utils.validation import check_2d, check_probability_vector
 
 try:  # a test-only reference: a run never imports scipy
@@ -212,9 +213,27 @@ def ref_pool_backward(first, x_shape, p, grad_out):
     return grad.reshape(n, c, h, w)
 
 
+def _tensors(model):
+    """The model's per-tensor parameter arrays (views of its flat vector)."""
+    return [p for layer in model.layers for p in layer.params]
+
+
+def _grads(model):
+    return [g for layer in model.layers for g in layer.grads]
+
+
 def ref_train_local(model, x, y, config, rng, global_params=None):
-    """The previous loop: full backward, per-tensor prox term and SGD step."""
+    """The previous loop: full backward, per-tensor prox term and SGD step.
+
+    ``global_params`` is the flat anchor vector; the prox term reads it one
+    tensor-shaped slice at a time.
+    """
     x = np.asarray(x, dtype=model.dtype)
+    params = _tensors(model)
+    if global_params is not None:
+        ends = np.cumsum([p.size for p in params])
+        anchors = [global_params[end - p.size:end].reshape(p.shape)
+                   for p, end in zip(params, ends)]
     n = x.shape[0]
     optimizer = SGD(config.lr, momentum=config.momentum, weight_decay=config.weight_decay)
     losses = []
@@ -230,12 +249,11 @@ def ref_train_local(model, x, y, config, rng, global_params=None):
             logits = model.forward(xb, training=True)
             loss, grad = softmax_cross_entropy(logits, yb)
             model.backward(grad)
-            grads = model.grads
+            grads = _grads(model)
             if config.prox_mu > 0 and global_params is not None:
-                params = model.params
-                for g, p, gp in zip(grads, params, global_params):
+                for g, p, gp in zip(grads, params, anchors):
                     g += config.prox_mu * (p - gp)
-            optimizer.step(model.params, grads)
+            optimizer.step(params, grads)
             losses.append(loss)
     return losses
 
@@ -250,7 +268,7 @@ def numerical_gradients(model: Sequential, x: np.ndarray, y: np.ndarray,
                         eps: float = 1e-5) -> list[np.ndarray]:
     """Central-difference gradients of mean CE loss w.r.t. every parameter."""
     grads: list[np.ndarray] = []
-    for param in model.params:
+    for param in _tensors(model):
         grad = np.zeros_like(param)
         it = np.nditer(param, flags=["multi_index"])
         while not it.finished:
@@ -274,7 +292,7 @@ def analytic_gradients(model: Sequential, x: np.ndarray,
     logits = model.forward(x, training=True)
     _, grad = softmax_cross_entropy(logits, y)
     model.backward(grad)
-    return [g.copy() for g in model.grads]
+    return [g.copy() for g in _grads(model)]
 
 
 def max_grad_error(model: Sequential, x: np.ndarray, y: np.ndarray,
@@ -591,23 +609,41 @@ SCIPY_CORRUPTIONS = {
 # ---------------------------------------------------------------- aggregation
 
 
+def _ref_weighted_mean(vectors, weights, names):
+    """Normalised ``w @ M`` over the stacked flat vectors.
+
+    A vector whose shape differs from the first one's raises a
+    ``ValueError`` naming its holder and both shapes.
+    """
+    for vector, name in zip(vectors, names):
+        if vector.shape != vectors[0].shape or vector.ndim != 1:
+            raise ValueError(
+                f"parameter vector of {name} does not align: expected "
+                f"{vectors[0].shape}, got {vector.shape}")
+    total = float(sum(weights))
+    if total <= 0:
+        raise ValueError("weights must sum to a positive value")
+    matrix = np.stack(vectors)
+    return (np.asarray(weights, dtype=matrix.dtype) / total) @ matrix
+
+
 def ref_fedavg(updates):
     """Sample-count-weighted parameter average (McMahan et al., 2017).
 
     The single aggregation rule both FedAvg and FedProx use server-side
     (FedProx differs only in the local objective).  Updates whose parameter
-    shapes disagree raise a ``ValueError`` naming the offending party and
-    both shape tuples.
+    vectors disagree in size raise a ``ValueError`` naming the offending
+    party and both shapes.
     """
     if not updates:
         raise ValueError("fedavg requires at least one update")
     usable = [u for u in updates if u.num_samples > 0]
     if not usable:
         raise ValueError("all updates carry zero samples")
-    return weighted_average(
+    return _ref_weighted_mean(
         [u.params for u in usable],
         [float(u.num_samples) for u in usable],
-        names=[f"party {u.party_id}" for u in usable],
+        [f"party {u.party_id}" for u in usable],
     )
 
 
@@ -621,9 +657,9 @@ def ref_staleness_weighted_fedavg(updates, staleness, policy="constant",
         raise ValueError("all updates carry zero samples")
     decay = staleness_decay([s for _, s in keep], policy, alpha, gamma)
     weights = [float(u.num_samples) * float(d) for (u, _), d in zip(keep, decay)]
-    return weighted_average(
+    return _ref_weighted_mean(
         [u.params for u, _ in keep], weights,
-        names=[f"party {u.party_id}" for u, _ in keep],
+        [f"party {u.party_id}" for u, _ in keep],
     )
 
 
@@ -668,7 +704,7 @@ def ref_self_seal_bits(shared_seed, party_id, dim, dtype=None, context=()):
 
 def ref_net_seal_bits(self, party_id):
     self._check_party(party_id)
-    dim = self.spec.total_size
+    dim = self.dim
     net = ref_self_seal_bits(self.shared_seed, party_id, dim,
                              dtype=self.dtype, context=self.context)
     for other in self.cohort:

@@ -41,7 +41,7 @@ def main() -> None:
     print("1. bootstrap: registry opens with one expert, memory seeded on the")
     print("   clean regime")
     registry = ExpertRegistry(memory_capacity=48)
-    params = [rng.normal(size=(20, 8)), rng.normal(size=(8,))]
+    params = rng.normal(size=20 * 8 + 8)  # one flat vector: a 20x8 layer + bias
     clean = registry.create(params, window=0,
                             embeddings=regime_embeddings(rng, 0.0), rng=rng)
     clean.train_rounds, clean.samples_seen = 5, 400
@@ -65,12 +65,11 @@ def main() -> None:
           f"-> reuse={match.matched} (no new expert, no retraining from scratch)\n")
 
     print("4. consolidation: a near-duplicate of the fog expert appears")
-    duplicate = registry.create([p + 0.01 * rng.normal(size=p.shape)
-                                 for p in fog.params],
+    duplicate = registry.create(fog.flat + 0.01 * rng.normal(size=fog.flat.shape),
                                 window=2, embeddings=fog_again, rng=rng)
     duplicate.train_rounds, duplicate.samples_seen = 1, 80
     assignments = {0: clean.expert_id, 1: fog.expert_id, 2: duplicate.expert_id}
-    events = consolidate_experts(registry, tau=0.98, window=2, rng=rng,
+    events = consolidate_experts(registry, tau=0.98, rng=rng,
                                  assignments=assignments,
                                  memory_epsilon=epsilon, gamma=gamma)
     for event in events:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from repro.experiments.registry import register_strategy
 from repro.federation.rounds import run_fl_round
 from repro.federation.strategy import ContinualStrategy, StrategyContext
-from repro.utils.params import Params
 
 
 @register_strategy("fedavg")
@@ -18,14 +19,14 @@ class FedAvgStrategy(ContinualStrategy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._global: Params | None = None
+        self._global: np.ndarray | None = None
 
     def setup(self, ctx: StrategyContext) -> None:
         super().setup(ctx)
         self._global = ctx.model_factory().get_params()
 
     @property
-    def global_params(self) -> Params:
+    def global_params(self) -> np.ndarray:
         if self._global is None:
             raise RuntimeError("strategy not set up")
         return self._global
@@ -48,7 +49,7 @@ class FedAvgStrategy(ContinualStrategy):
             round_tag=(window, round_index), stream="global",
             local=self._local_config())
 
-    def params_for_party(self, party_id: int) -> Params:
+    def params_for_party(self, party_id: int) -> np.ndarray:
         return self.global_params
 
     def describe_state(self) -> dict:

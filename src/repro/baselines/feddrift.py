@@ -22,7 +22,6 @@ from repro.federation.strategy import (
     StrategyContext,
     split_budget,
 )
-from repro.utils.params import Params
 
 
 @register_strategy("feddrift")
@@ -38,10 +37,12 @@ class FedDriftStrategy(ContinualStrategy):
             raise ValueError("delta must be positive")
         if max_models < 1:
             raise ValueError("max_models must be at least 1")
+        if merge_check_parties < 1:
+            raise ValueError("merge_check_parties must be at least 1")
         self.delta = delta
         self.max_models = max_models
         self.merge_check_parties = merge_check_parties
-        self._models: dict[int, Params] = {}
+        self._models: dict[int, np.ndarray] = {}
         self._membership: dict[int, int] = {}
         self._next_model_id = 0
         self._prev_best_loss: dict[int, float] = {}
@@ -132,11 +133,8 @@ class FedDriftStrategy(ContinualStrategy):
                 gap_b = np.mean([losses[p][mid_a] - losses[p][mid_b]
                                  for p in probe_b])
                 if gap_a < self.delta and gap_b < self.delta:
-                    merged = [
-                        0.5 * (pa + pb)
-                        for pa, pb in zip(self._models[mid_a], self._models[mid_b])
-                    ]
-                    self._models[mid_a] = merged
+                    self._models[mid_a] = 0.5 * (self._models[mid_a]
+                                                 + self._models[mid_b])
                     del self._models[mid_b]
                     for pid, mid in self._membership.items():
                         if mid == mid_b:
@@ -158,7 +156,7 @@ class FedDriftStrategy(ContinualStrategy):
                 ctx, participants, self._models[mid],
                 round_tag=(window, round_index, mid), stream=("model", mid))
 
-    def params_for_party(self, party_id: int) -> Params:
+    def params_for_party(self, party_id: int) -> np.ndarray:
         mid = self._membership.get(party_id)
         if mid is None or mid not in self._models:
             return next(iter(self._models.values()))

@@ -24,7 +24,6 @@ from repro.federation.strategy import (
     split_budget,
 )
 from repro.flips.selector import FlipsSelector
-from repro.utils.params import Params
 
 
 @register_strategy("fielding")
@@ -42,7 +41,7 @@ class FieldingStrategy(ContinualStrategy):
             raise ValueError("max_clusters must be positive")
         self.recluster_jsd = recluster_jsd
         self.max_clusters = max_clusters
-        self._cluster_models: dict[int, Params] = {}
+        self._cluster_models: dict[int, np.ndarray] = {}
         self._membership: dict[int, int] = {}  # party -> cluster
         self._cluster_histograms: dict[int, np.ndarray] = {}
         self._last_histograms: dict[int, np.ndarray] = {}
@@ -70,10 +69,8 @@ class FieldingStrategy(ContinualStrategy):
             # one exists (not the closest: the paper tables were produced
             # with this).
             if old_models:
-                self._cluster_models[cluster_id] = next(iter(old_models.values()))
-                self._cluster_models[cluster_id] = [
-                    p.copy() for p in self._cluster_models[cluster_id]
-                ]
+                self._cluster_models[cluster_id] = next(
+                    iter(old_models.values())).copy()
             else:
                 self._cluster_models[cluster_id] = ctx.model_factory().get_params()
         self._last_histograms = histograms
@@ -120,7 +117,7 @@ class FieldingStrategy(ContinualStrategy):
                 round_tag=(window, round_index, cluster_id),
                 stream=("cluster", cluster_id))
 
-    def params_for_party(self, party_id: int) -> Params:
+    def params_for_party(self, party_id: int) -> np.ndarray:
         cluster_id = self._membership.get(party_id)
         if cluster_id is None or cluster_id not in self._cluster_models:
             # Not yet clustered: fall back to any model.

@@ -46,8 +46,7 @@ from repro.federation.strategy import (
     split_budget,
 )
 from repro.flips.selector import FlipsSelector
-from repro.utils.params import Params
-from repro.utils.validation import check_keys, field_names
+from repro.utils.validation import typed_fields
 
 
 @register_strategy("shiftex")
@@ -62,18 +61,18 @@ class ShiftExStrategy(ContinualStrategy):
             config = ShiftExConfig()
         elif not isinstance(config, ShiftExConfig):
             # A plan file's ``kwargs: {config: {...}}`` arrives as a mapping.
-            config = ShiftExConfig(**check_keys(
-                "shiftex config", config, field_names(ShiftExConfig)))
+            config = ShiftExConfig(**typed_fields("shiftex config",
+                                                  ShiftExConfig, config))
         self.config = config
         self.registry = ExpertRegistry(
             memory_capacity=self.config.memory_capacity,
             memory_eta=self.config.memory_eta,
         )
         self.assignments: dict[int, int] = {}
-        self._finetuned: dict[int, Params] = {}
+        self._finetuned: dict[int, np.ndarray] = {}
         # Expert 0's parameters at the end of W0, frozen: the encoder every
         # report embeds with and the CLONE(theta_0) of every created expert.
-        self._encoder: Params | None = None
+        self._encoder: np.ndarray | None = None
         self.thresholds: CalibratedThresholds | None = None
         self._epsilon: float | None = self.config.epsilon
         self._party_state: dict[int, PartyLocalState] = {}
@@ -93,7 +92,7 @@ class ShiftExStrategy(ContinualStrategy):
         # results, no plaintext stacks.
         self.registry.score_seal = ctx.score_seal
         theta0 = ctx.model_factory().get_params()
-        expert0 = self.registry.create(theta0, window=0, notes={"role": "bootstrap"})
+        expert0 = self.registry.create(theta0, window=0)
         # Survey order: every party, or the seeded subset a survey cap
         # declares — ShiftEx tracks per-party expert assignments.
         self.assignments = {pid: expert0.expert_id for pid in ctx.party_ids}
@@ -205,13 +204,13 @@ class ShiftExStrategy(ContinualStrategy):
                              epochs=self.config.finetune_epochs)
             for expert_id, trainees in finetunes.items():  # one stack per expert
                 for update in train_parties(
-                        trainees, self.registry.get(expert_id).clone_params(),
+                        trainees, self.registry.get(expert_id).flat,
                         config, ("finetune", window), [None] * len(trainees)):
                     self._finetuned[update.party_id] = update.params
 
         if self.config.enable_consolidation and len(self.registry) >= 2:
             events = consolidate_experts(
-                self.registry, self.config.tau, window,
+                self.registry, self.config.tau,
                 ctx.rng("consolidate", window), self.assignments,
                 memory_epsilon=self._epsilon,
                 gamma=self.thresholds.gamma,
@@ -284,16 +283,14 @@ class ShiftExStrategy(ContinualStrategy):
             expert = self.registry.get(matched_id)
             expert.memory.update(pooled, ctx.rng("memory", window, matched_id),
                                  labels=pooled_labels)
-            expert.updated_window = window
             action = "reuse"
         else:
-            init = self._new_expert_init()
+            # CLONE(theta_0): the registry copies the bootstrap model in.
             expert = self.registry.create(
-                init, window,
+                self._encoder, window,
                 embeddings=pooled,
                 labels=pooled_labels,
                 rng=ctx.rng("memory-new", window, len(self.registry)),
-                notes={"source": "shift", "window": window},
             )
             action = "create"
         for pid in members:
@@ -319,10 +316,6 @@ class ShiftExStrategy(ContinualStrategy):
             "action": "finetune",
             "expert": None,
         })
-
-    def _new_expert_init(self) -> Params:
-        """CLONE(theta_0): new experts start from the bootstrap model."""
-        return [p.copy() for p in self._encoder]
 
     # -------------------------------------------------- per-expert FLIPS (5.2.3-4)
 
@@ -385,12 +378,11 @@ class ShiftExStrategy(ContinualStrategy):
                 continue
             expert = self.registry.get(eid)
             new_params, stats = run_fl_round(
-                ctx, participants, expert.params,
+                ctx, participants, expert.flat,
                 round_tag=(window, round_index, eid), stream=("expert", eid))
             expert.set_params(new_params)
             expert.train_rounds += 1
             expert.samples_seen += stats.total_samples
-            expert.updated_window = window
 
     def _run_bootstrap_round(self, window: int, round_index: int) -> None:
         ctx = self.context
@@ -402,7 +394,7 @@ class ShiftExStrategy(ContinualStrategy):
         else:
             participants = ctx.sample_cohort(rng, k)
         new_params, stats = run_fl_round(
-            ctx, participants, expert0.params,
+            ctx, participants, expert0.flat,
             round_tag=(window, round_index),
             stream=("expert", expert0.expert_id))
         expert0.set_params(new_params)
@@ -418,7 +410,7 @@ class ShiftExStrategy(ContinualStrategy):
             # collected; nothing further to close out.
             return
         expert0 = self.registry.all()[0]
-        self._encoder = expert0.clone_params()
+        self._encoder = expert0.flat.copy()
         # First snapshot of party-side state (no reports exist for W0).
         # Embeddings enter the detection island here: cast to the precision
         # plan's detection_stats dtype (a no-op on the float64 legacy plane)
@@ -473,13 +465,13 @@ class ShiftExStrategy(ContinualStrategy):
 
     # -------------------------------------------------- inference & reporting
 
-    def params_for_party(self, party_id: int) -> Params:
+    def params_for_party(self, party_id: int) -> np.ndarray:
         if party_id in self._finetuned:
             return self._finetuned[party_id]
         eid = self.assignments.get(party_id)
         if eid is None or eid not in self.registry:
-            return self.registry.all()[0].params
-        return self.registry.get(eid).params
+            return self.registry.all()[0].flat
+        return self.registry.get(eid).flat
 
     def expert_distribution(self) -> dict[int, int]:
         """Expert id -> number of assigned parties (Figures 7-8 series)."""

@@ -46,7 +46,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.utils.validation import check_keys, field_names
+from repro.utils.validation import typed_fields
 
 ARRIVALS = ("sudden", "gradual", "recurring", "class_incremental")
 
@@ -171,7 +171,7 @@ class CohortDrift:
         if isinstance(value, CohortDrift):
             return value
         if isinstance(value, Mapping):
-            return cls(**check_keys(where, value, field_names(cls)))
+            return cls(**typed_fields(where, cls, value))
         raise TypeError(
             f"cannot interpret drift entry {value!r}; expected a mapping or "
             f"CohortDrift")

@@ -37,7 +37,7 @@ from repro.utils.validation import (
     check_int,
     check_keys,
     field_names,
-    field_types,
+    typed_fields,
 )
 
 SHARDING_RETIRED = (
@@ -343,13 +343,9 @@ def _overlay(where: str, cls, data: Mapping, base: Callable[[], object]):
     """``cls`` from the fields ``data`` names, every other one ``base()``'s.
 
     ``base`` is called only when a field is omitted.  Unknown keys are
-    rejected and integer fields checked, naming ``where.key``.
+    rejected and every scalar field typed by it, naming ``where.key``.
     """
-    data = check_keys(where, data, field_names(cls))
-    types = field_types(cls)
-    for key, value in data.items():
-        if int in types[key] and value is not None:
-            data[key] = check_int(f"{where}.{key}", value)
+    data = typed_fields(where, cls, data)
     omitted = [f.name for f in dataclasses.fields(cls)
                if f.init and f.name not in data]
     if omitted:

@@ -28,7 +28,7 @@ import numpy as np
 from repro.detection.mmd import class_conditional_mmd_batch
 from repro.experts.memory import LatentMemory
 from repro.experts.registry import Expert, ExpertRegistry
-from repro.utils.params import cosine_similarity_matrix, weighted_average
+from repro.utils.params import cosine_similarity_matrix
 
 
 @dataclass(frozen=True)
@@ -40,19 +40,20 @@ class ConsolidationEvent:
     similarity: float
 
 
-def _merge_pair(registry: ExpertRegistry, a: Expert, b: Expert, window: int,
+def _merge_pair(registry: ExpertRegistry, a: Expert, b: Expert,
                 similarity: float, rng: np.random.Generator) -> ConsolidationEvent:
     weight_a = float(max(a.samples_seen, 1))
     weight_b = float(max(b.samples_seen, 1))
-    merged_params = weighted_average([a.params, b.params], [weight_a, weight_b])
+    stacked = np.stack([a.flat, b.flat])
+    merged_flat = (np.asarray([weight_a, weight_b], dtype=stacked.dtype)
+                   / (weight_a + weight_b)) @ stacked
     share_a = weight_a / (weight_a + weight_b)
     merged_memory: LatentMemory = a.memory.merged_with(b.memory, share_a, rng)
     merged = Expert(
         expert_id=registry.allocate_id(),
-        params=merged_params,
+        flat=merged_flat,
         memory=merged_memory,
         created_window=min(a.created_window, b.created_window),
-        updated_window=window,
         train_rounds=a.train_rounds + b.train_rounds,
         samples_seen=a.samples_seen + b.samples_seen,
         merged_from=(a.expert_id, b.expert_id),
@@ -109,7 +110,7 @@ def _best_mergeable_pair(experts: list[Expert], tau: float,
     return None
 
 
-def consolidate_experts(registry: ExpertRegistry, tau: float, window: int,
+def consolidate_experts(registry: ExpertRegistry, tau: float,
                         rng: np.random.Generator,
                         assignments: dict[int, int] | None = None,
                         memory_epsilon: float | None = None,
@@ -133,7 +134,7 @@ def consolidate_experts(registry: ExpertRegistry, tau: float, window: int,
                                     registry=registry)
         if best is None:
             break
-        event = _merge_pair(registry, best[0], best[1], window, best[2], rng)
+        event = _merge_pair(registry, best[0], best[1], best[2], rng)
         events.append(event)
         if assignments is not None:
             for party, expert_id in list(assignments.items()):

@@ -7,8 +7,8 @@ model per Algorithm 2, line 20) and consolidation merges redundant ones.
 Each :class:`Expert` owns its parameters as one flat vector.  The pool is a
 handful of experts, so pool-level operations (consolidation's pairwise
 cosine matrix) stack ``expert.flat`` on demand.  The first expert fixes the
-pool's parameter shapes and dtype: a later expert of another dtype is cast
-to it, one of other shapes is rejected.
+pool's parameter size and dtype: a later expert of another dtype is cast to
+it, one of another size is rejected.
 """
 
 from __future__ import annotations
@@ -16,59 +16,39 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experts.memory import LatentMemory
-from repro.utils.params import ParamSpec, Params
 
 
 class Expert:
     """One specialized global model plus its regime signature.
 
-    ``flat`` is the expert's own parameter vector and ``params`` shaped
-    zero-copy views of it — mutating either mutates the other.
-    ``set_params`` copies values in, ``clone_params`` copies them out, so
-    the expert never aliases a caller's arrays.
+    ``flat`` is the expert's own parameter vector: the constructor copies
+    the vector it is given and ``set_params`` copies values in, so the
+    expert never aliases a caller's array.  A caller that needs a copy to
+    keep takes ``flat.copy()``.
     """
 
-    def __init__(self, expert_id: int, params: Params, memory: LatentMemory,
-                 created_window: int, updated_window: int = 0,
-                 train_rounds: int = 0, samples_seen: int = 0,
-                 merged_from: tuple[int, ...] = (),
-                 notes: dict | None = None) -> None:
-        self.spec = ParamSpec.of(params)
-        dtype = np.result_type(*(p.dtype for p in params)) if params \
-            else np.float64
-        self._own(np.empty(self.spec.total_size, dtype=dtype))
-        self.set_params(params)
+    def __init__(self, expert_id: int, flat: np.ndarray, memory: LatentMemory,
+                 created_window: int, train_rounds: int = 0,
+                 samples_seen: int = 0,
+                 merged_from: tuple[int, ...] = ()) -> None:
+        self.flat = np.array(flat)
+        if self.flat.ndim != 1:
+            raise ValueError(
+                f"an expert's parameters are one flat vector; got shape "
+                f"{self.flat.shape}")
         self.expert_id = expert_id
         self.memory = memory
         self.created_window = created_window
-        self.updated_window = updated_window
         self.train_rounds = train_rounds
         self.samples_seen = samples_seen
         self.merged_from = tuple(merged_from)
-        self.notes = dict(notes or {})
 
-    # ------------------------------------------------------------------ parameters
-
-    def _own(self, flat: np.ndarray) -> None:
-        self.flat = flat
-        self.params = self.spec.view(flat)
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.flat.dtype
-
-    def clone_params(self) -> Params:
-        return [p.copy() for p in self.params]
-
-    def set_params(self, params: Params) -> None:
-        got = ParamSpec.of(params)
-        if got != self.spec:
+    def set_params(self, flat: np.ndarray) -> None:
+        if flat.shape != self.flat.shape:
             raise ValueError(
-                f"parameter shapes do not match expert {self.spec.shapes}: "
-                f"got {got.shapes}"
-            )
-        for dst, src in zip(self.params, params):
-            np.copyto(dst, src, casting="same_kind")
+                f"parameter vector of shape {flat.shape} does not match "
+                f"expert {self.expert_id}'s {self.flat.shape}")
+        np.copyto(self.flat, flat, casting="same_kind")
 
 
 class ExpertRegistry:
@@ -82,8 +62,8 @@ class ExpertRegistry:
         # sign-sealed operands — bitwise-identical results, no plaintext
         # row materialized by the scoring pipeline.
         self.score_seal = None
-        # The pool's parameter shapes and dtype: the first expert's.
-        self._pool_spec: ParamSpec | None = None
+        # The pool's parameter size and dtype: the first expert's.
+        self._pool_dim: int | None = None
         self._pool_dtype: np.dtype | None = None
         self._experts: dict[int, Expert] = {}
         self._next_id = 0
@@ -122,31 +102,29 @@ class ExpertRegistry:
         return memory
 
     def _admit(self, expert: Expert) -> None:
-        """Add ``expert`` to the pool at the pool's shapes and dtype."""
-        if self._pool_spec is None:
-            self._pool_spec, self._pool_dtype = expert.spec, expert.dtype
-        if expert.spec != self._pool_spec:
+        """Add ``expert`` to the pool at the pool's size and dtype."""
+        if self._pool_dim is None:
+            self._pool_dim, self._pool_dtype = expert.flat.size, expert.flat.dtype
+        if expert.flat.size != self._pool_dim:
             raise ValueError(
-                f"expert {expert.expert_id} parameter shapes {expert.spec.shapes} "
-                f"do not match the pool spec {self._pool_spec.shapes}"
+                f"expert {expert.expert_id} has {expert.flat.size} parameters; "
+                f"the pool's experts have {self._pool_dim}"
             )
-        if expert.dtype != self._pool_dtype:
-            expert._own(expert.flat.astype(self._pool_dtype))
+        if expert.flat.dtype != self._pool_dtype:
+            expert.flat = expert.flat.astype(self._pool_dtype)
         self._experts[expert.expert_id] = expert
 
-    def create(self, params: Params, window: int,
+    def create(self, flat: np.ndarray, window: int,
                embeddings: np.ndarray | None = None,
                rng: np.random.Generator | None = None,
-               labels: np.ndarray | None = None,
-               notes: dict | None = None) -> Expert:
-        """Register a new expert (optionally seeding its latent memory)."""
+               labels: np.ndarray | None = None) -> Expert:
+        """Register a new expert holding a copy of ``flat`` (optionally
+        seeding its latent memory)."""
         expert = Expert(
             expert_id=self._next_id,
-            params=params,
+            flat=flat,
             memory=self._seed_memory(embeddings, rng, labels),
             created_window=window,
-            updated_window=window,
-            notes=notes,
         )
         self._admit(expert)
         self._next_id += 1

@@ -70,7 +70,7 @@ suite (``tests/test_differential_aggregation.py``) pins most of them:
    and would poison ``weighted_combine``'s positive-total requirement.
 5. **At age 0 every staleness policy multiplies by exactly 1.0**, which is
    what makes the three modes agree bitwise under a quiet availability
-   model, and all of them agree with the list-based FedAvg reference
+   model, and all of them agree with the stack-and-matvec FedAvg reference
    (``ref_fedavg`` in ``benchmarks/reference.py``).
 """
 
@@ -94,7 +94,7 @@ from repro.federation.rounds import (
     train_cohort,
 )
 from repro.privacy.secure_aggregation import MaskingSpec
-from repro.utils.params import ParamBank, ParamSpec, Params
+from repro.utils.params import ParamBank
 from repro.utils.validation import Knob
 
 PARTICIPATION_MODES = ("sync", "buffered", "async")
@@ -182,10 +182,6 @@ class AsyncRoundBuffer:
         self._pending: list[_PendingReport] = []
 
     @property
-    def spec(self) -> ParamSpec:
-        return self.bank.spec
-
-    @property
     def in_flight(self) -> int:
         return len(self._pending)
 
@@ -236,7 +232,7 @@ class FederationEngine:
         self.simulator = AvailabilitySimulator(config.availability, seed,
                                                num_parties)
         self.clock = -1  # advance() before the first round makes this 0
-        self._banks: dict[tuple[ParamSpec, np.dtype], ParamBank] = {}
+        self._banks: dict[tuple[int, np.dtype], ParamBank] = {}
         self._buffers: dict[object, AsyncRoundBuffer] = {}
         self.counters = {
             "rounds": 0, "dispatched": 0, "dropped": 0, "delayed": 0,
@@ -276,21 +272,21 @@ class FederationEngine:
 
     # ------------------------------------------------------------------ rounds
 
-    def _buffer_for(self, stream: object, spec: ParamSpec, dtype,
+    def _buffer_for(self, stream: object, dim: int, dtype,
                     capacity: int) -> AsyncRoundBuffer:
         dtype = np.dtype(dtype)
         buf = self._buffers.get(stream)
-        if buf is not None and (buf.spec != spec or buf.bank.dtype != dtype):
-            # The stream's model changed shape (e.g. a rebuilt expert) or
+        if buf is not None and (buf.bank.dim != dim or buf.bank.dtype != dtype):
+            # The stream's model changed size (e.g. a rebuilt expert) or
             # precision; whatever was in flight can no longer be aggregated
             # into it.
             self.counters["expired_reports"] += buf.flush()
             buf = None
         if buf is None:
-            bank = self._banks.get((spec, dtype))
+            bank = self._banks.get((dim, dtype))
             if bank is None:
-                bank = self._banks[spec, dtype] = ParamBank(
-                    spec, dtype=dtype, capacity=capacity)
+                bank = self._banks[dim, dtype] = ParamBank(
+                    dim, dtype=dtype, capacity=capacity)
             buf = self._buffers[stream] = AsyncRoundBuffer(bank)
         return buf
 
@@ -314,10 +310,10 @@ class FederationEngine:
         return buf.oldest_ready_age(tick) >= self.config.max_wait_rounds
 
     def run_round(self, parties: PartyPool, participant_ids: list[int],
-                  params: Params, config: RoundConfig, round_tag: object = 0,
+                  params: np.ndarray, config: RoundConfig, round_tag: object = 0,
                   stream: object = "default",
                   secure: MaskingSpec | None = None,
-                  ) -> tuple[Params, RoundStats]:
+                  ) -> tuple[np.ndarray, RoundStats]:
         """The federated round (strategies reach it via ``run_fl_round``)."""
         if self.clock < 0:
             raise RuntimeError(
@@ -330,10 +326,9 @@ class FederationEngine:
         self.counters["dispatched"] += len(participant_ids)
         self.counters["dropped"] += len(dropped)
 
-        spec = ParamSpec.of(params)
         # The bank is allocated at the run's parameter dtype, so a float32
         # run stays float32 even when a strategy hands over float64 params.
-        buf = self._buffer_for(stream, spec, parties.dtype,
+        buf = self._buffer_for(stream, params.size, parties.dtype,
                                capacity=max(len(participant_ids), 1))
         alive_ids = [f.party_id for f in alive]
         session = seal = None
@@ -343,7 +338,7 @@ class FederationEngine:
             # stream of mask material, and each buffered report remembers
             # which session can unseal it once its aggregation fires.
             session, seal = make_round_session(
-                alive_ids, spec, buf.bank, secure,
+                alive_ids, buf.bank, secure,
                 context=("stream", stream, tick, round_tag))
         rows, updates = train_cohort(parties, alive_ids, params, config,
                                      round_tag, buf.bank, seal=seal)
@@ -398,4 +393,4 @@ class FederationEngine:
         self.counters["aggregated_reports"] += len(ready)
         self.counters["staleness_total"] += int(sum(ages))
         buf.pop(ready)
-        return spec.view(new_flat), stats
+        return new_flat, stats

@@ -29,7 +29,6 @@ import numpy as np
 from repro.data.federated import PartyWindowData
 from repro.nn.network import Sequential
 from repro.nn.training import LocalTrainingConfig, evaluate, mean_loss, train_local
-from repro.utils.params import Params
 from repro.utils.rng import spawn_rng
 
 # The activation elements one grouped forward may hold in any layer: a group
@@ -45,7 +44,7 @@ class LocalUpdate:
     """What a party returns from one local training pass."""
 
     party_id: int
-    params: Params
+    params: np.ndarray  # the flat trained vector: a bank row, or a fresh copy
     num_samples: int
     mean_loss: float
 
@@ -118,27 +117,26 @@ class Party:
 
     # ------------------------------------------------------------------ protocol ops
 
-    def local_train(self, params: Params, config: LocalTrainingConfig,
+    def local_train(self, params: np.ndarray, config: LocalTrainingConfig,
                     round_tag: object = 0,
                     out_flat: np.ndarray | None = None) -> LocalUpdate:
         """Train a local replica initialized at ``params`` on this window.
 
         The one-member call of :func:`train_parties`.  ``out_flat``
         (optionally a :class:`~repro.utils.params.ParamBank` row) receives
-        the flat trained parameters; the update's ``params`` are then
-        zero-copy views of it, so the aggregator can stack cohort updates
-        without re-flattening.
+        the flat trained parameters and is the update's ``params``, so the
+        aggregator stacks cohort updates without copying them.
         """
         return train_parties([(self, *self.train_split())], params, config,
                              round_tag, [out_flat])[0]
 
-    def evaluate(self, params: Params,
+    def evaluate(self, params: np.ndarray,
                  split: str = "test") -> tuple[float, float]:
         """(accuracy, loss) of ``params`` on this party's local split: the
         one-member call of :func:`evaluate_parties`."""
         return evaluate_parties([(self, params)], split)[0]
 
-    def embeddings_with_labels(self, params: Params, split: str = "train",
+    def embeddings_with_labels(self, params: np.ndarray, split: str = "train",
                                max_samples: int | None = None,
                                ) -> tuple[np.ndarray, np.ndarray]:
         """Penultimate-layer embeddings of this window under ``params`` —
@@ -189,7 +187,7 @@ def _stack(model: Sequential, members: list[int], xs: Sequence[np.ndarray],
             np.stack([xs[i] for i in members], dtype=model.dtype))
 
 
-def evaluate_parties(evaluees: Sequence[tuple[Party, Params]],
+def evaluate_parties(evaluees: Sequence[tuple[Party, np.ndarray]],
                      split: str = "test") -> list[tuple[float, float]]:
     """(accuracy, loss) of each ``(party, params)`` on the party's ``split``.
 
@@ -217,7 +215,7 @@ def evaluate_parties(evaluees: Sequence[tuple[Party, Params]],
     return results
 
 
-def embed_parties(parties: Sequence[Party], params: Params, split: str = "train",
+def embed_parties(parties: Sequence[Party], params: np.ndarray, split: str = "train",
                   max_samples: int | None = None,
                   ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each party's ``(embeddings, labels)`` under ``params`` (see
@@ -248,7 +246,7 @@ def embed_parties(parties: Sequence[Party], params: Params, split: str = "train"
 
 
 def train_parties(trainees: list[tuple[Party, np.ndarray, np.ndarray]],
-                  params: Params, config: LocalTrainingConfig,
+                  params: np.ndarray, config: LocalTrainingConfig,
                   round_tag: object, outs: list[np.ndarray | None],
                   ) -> list[LocalUpdate]:
     """Train each ``(party, x, y)`` trainee from ``params`` on its split.
@@ -295,6 +293,6 @@ def train_parties(trainees: list[tuple[Party, np.ndarray, np.ndarray]],
                 out = model.flat_params[k].copy()
             else:
                 np.copyto(out, model.flat_params[k], casting="same_kind")
-            updates[i] = LocalUpdate(party.party_id, model.spec.view(out), len(x),
+            updates[i] = LocalUpdate(party.party_id, out, len(x),
                                      mean_loss(result.replica_losses[k]))
     return updates

@@ -38,7 +38,7 @@ from repro.privacy.secure_aggregation import (
     MaskingSpec,
     SecureAggregationSession,
 )
-from repro.utils.params import ParamBank, ParamSpec, Params
+from repro.utils.params import ParamBank
 
 if TYPE_CHECKING:  # import cycle: strategy -> rounds
     from repro.federation.strategy import StrategyContext
@@ -84,7 +84,7 @@ class RoundStats:
 
 
 def train_cohort(parties: PartyPool, participant_ids: list[int],
-                 params: Params, config: RoundConfig, round_tag: object,
+                 params: np.ndarray, config: RoundConfig, round_tag: object,
                  bank: ParamBank,
                  seal: Callable[[int, int, object], None] | None = None,
                  ) -> tuple[list[int], list]:
@@ -137,7 +137,7 @@ def train_cohort(parties: PartyPool, participant_ids: list[int],
     return rows, updates
 
 
-def make_round_session(participant_ids: list[int], spec: ParamSpec, bank,
+def make_round_session(participant_ids: list[int], bank: ParamBank,
                        secure: MaskingSpec, context: tuple,
                        ) -> tuple[SecureAggregationSession, Callable]:
     """A per-dispatch session plus the ``train_cohort`` seal hook.
@@ -148,7 +148,7 @@ def make_round_session(participant_ids: list[int], spec: ParamSpec, bank,
     threshold and the ledger that meters share traffic.
     """
     session = SecureAggregationSession(
-        list(participant_ids), spec, shared_seed=secure.seed,
+        list(participant_ids), bank.dim, shared_seed=secure.seed,
         dtype=bank.dtype, context=context, threshold=secure.threshold,
         ledger=secure.ledger)
 
@@ -165,10 +165,11 @@ def mean_finite_loss(updates) -> float:
 
 
 def run_fl_round(ctx: "StrategyContext", participant_ids: list[int],
-                 params: Params, *, round_tag: object, stream: object,
+                 params: np.ndarray, *, round_tag: object, stream: object,
                  local: LocalTrainingConfig | None = None,
-                 ) -> tuple[Params, RoundStats]:
-    """Run one round of the run ``ctx`` describes: ``(new params, stats)``.
+                 ) -> tuple[np.ndarray, RoundStats]:
+    """Run one round of the run ``ctx`` describes: ``(new params, stats)``,
+    both parameter sets flat vectors.
 
     The caller owns participant selection (uniform, OORT, FLIPS, ...) and
     names the aggregation target: ``stream`` keys the engine buffer the
@@ -195,7 +196,6 @@ def run_fl_round(ctx: "StrategyContext", participant_ids: list[int],
     new_params, stats = ctx.federation.run_round(
         ctx.parties, participant_ids, params, config,
         round_tag=round_tag, stream=stream, secure=ctx.masking)
-    num_params = ParamSpec.of(new_params).total_size
-    ctx.ledger.record_model_download(num_params, len(participant_ids))
-    ctx.ledger.record_model_upload(num_params, len(participant_ids))
+    ctx.ledger.record_model_download(new_params.size, len(participant_ids))
+    ctx.ledger.record_model_upload(new_params.size, len(participant_ids))
     return new_params, stats

@@ -32,7 +32,6 @@ from repro.federation.rounds import RoundConfig
 from repro.nn.network import Sequential
 from repro.privacy.sealed_scoring import ScoreSeal
 from repro.privacy.secure_aggregation import MaskingSpec
-from repro.utils.params import Params
 from repro.utils.precision import PrecisionPlan
 from repro.utils.rng import spawn_rng
 
@@ -165,8 +164,9 @@ class ContinualStrategy:
     def end_window(self, window: int) -> None:
         """Hook after a window's last round (snapshot state, update memory)."""
 
-    def params_for_party(self, party_id: int) -> Params:
-        """Inference parameters for one party (its assigned model)."""
+    def params_for_party(self, party_id: int) -> np.ndarray:
+        """Inference parameters for one party: its assigned model's flat
+        vector, owned by the strategy (callers read it, never write it)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------ helpers

@@ -6,16 +6,18 @@ ShiftEx needs three things from a model beyond plain classification:
   as latent representations for MMD-based covariate shift detection
   (paper Section 4.2); ``forward_with_features`` returns logits *and*
   features from a single pass;
-* flat parameter get/set — so the aggregator can FedAvg, compute cosine
-  similarity between experts, and clone expert models;
+* flat parameter get/set — the one parameter form outside :mod:`repro.nn`
+  is a flat vector, which the aggregator FedAvgs, compares by cosine
+  similarity and clones into experts;
 * a precision knob — ``dtype`` selects the parameter/activation precision
   (float64 default; float32 halves memory and roughly doubles BLAS
   throughput).
 
 Every layer's ``params``/``grads`` arrays are *views* into two contiguous
-flat buffers allocated at construction, so ``flatten_params(model.params)``
-is zero-copy and the optimizer steps on ``flat_params`` / ``flat_grads``
-directly.
+flat buffers allocated at construction (:meth:`Sequential._views` is the only
+place the per-tensor shapes meet a flat vector), so ``get_params`` /
+``set_params`` are one vector copy each and the optimizer steps on
+``flat_params`` / ``flat_grads`` directly.
 
 :meth:`Sequential.stacked` gives those buffers a leading *replica* axis:
 ``(r, dim)`` flat vectors, every layer tensor ``(r, ...)``, inputs
@@ -34,7 +36,7 @@ import math
 import numpy as np
 
 from repro.nn.layers import Layer
-from repro.utils.params import ParamSpec, Params, resolve_dtype
+from repro.utils.params import resolve_dtype
 
 
 class Sequential:
@@ -60,7 +62,8 @@ class Sequential:
         if not 0 <= self.feature_index < len(layers):
             raise ValueError("feature_index out of range")
         self.dtype = resolve_dtype(dtype)
-        self._spec = ParamSpec.of([p for layer in layers for p in layer.params])
+        self._shapes = [p.shape for layer in layers for p in layer.params]
+        self._sizes = [math.prod(shape) for shape in self._shapes]
         self._bind(())
         self._shared: dict[int, Sequential] = {}
         self._widths: dict[tuple[int, ...], int] = {}
@@ -69,7 +72,7 @@ class Sequential:
         """Re-home every layer's param and grad arrays as slices of two flat
         ``lead + (dim,)`` buffers, keeping (broadcasting over ``lead``) the
         values the layers hold."""
-        self._flat = np.empty(lead + (self._spec.total_size,), dtype=self.dtype)
+        self._flat = np.empty(lead + (sum(self._sizes),), dtype=self.dtype)
         self._flat_grads = np.zeros_like(self._flat)
         tensors = [(layer, i) for layer in self.layers for i in range(len(layer.params))]
         for (layer, i), view, gview in zip(tensors, self._views(self._flat),
@@ -79,12 +82,12 @@ class Sequential:
             np.copyto(gview, layer.grads[i], casting="same_kind")
             layer.grads[i] = gview
 
-    def _views(self, flat: np.ndarray) -> Params:
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Per-tensor views of a ``(..., dim)`` flat buffer."""
         lead = flat.shape[:-1]
-        views: Params = []
+        views = []
         offset = 0
-        for shape, size in zip(self._spec.shapes, self._spec.sizes):
+        for shape, size in zip(self._shapes, self._sizes):
             views.append(flat[..., offset:offset + size].reshape(lead + shape))
             offset += size
         return views
@@ -205,18 +208,6 @@ class Sequential:
     # ------------------------------------------------------------------ parameters
 
     @property
-    def spec(self) -> ParamSpec:
-        return self._spec
-
-    @property
-    def params(self) -> Params:
-        return [p for layer in self.layers for p in layer.params]
-
-    @property
-    def grads(self) -> Params:
-        return [g for layer in self.layers for g in layer.grads]
-
-    @property
     def flat_params(self) -> np.ndarray:
         """The live contiguous parameter vector (zero-copy view)."""
         return self._flat
@@ -229,22 +220,16 @@ class Sequential:
     def zero_grads(self) -> None:
         self._flat_grads.fill(0.0)
 
-    def get_params(self) -> Params:
-        """Deep copy of the parameter list.
+    def get_params(self) -> np.ndarray:
+        """A copy of the flat parameter vector (``(r, dim)`` when stacked)."""
+        return self._flat.copy()
 
-        The returned arrays are views over one fresh flat vector, so
-        ``flatten_params`` on the result is zero-copy.
-        """
-        return self._views(self._flat.copy())
-
-    def set_params(self, params: Params) -> None:
-        """Copy ``params`` in; one replica's tensors set every replica."""
-        own = self.params
-        if len(own) != len(params):
+    def set_params(self, flat: np.ndarray) -> None:
+        """Copy the ``(dim,)`` vector ``flat`` in; on a stacked model it sets
+        every replica."""
+        flat = np.asarray(flat)
+        if flat.shape != self._flat.shape[-1:]:
             raise ValueError(
-                f"parameter list length mismatch: model has {len(own)}, got {len(params)}"
-            )
-        for dst, src in zip(own, params):
-            if dst.shape[dst.ndim - src.ndim:] != src.shape:
-                raise ValueError(f"parameter shape mismatch: {dst.shape} vs {src.shape}")
-            np.copyto(dst, src, casting="same_kind")
+                f"parameter vector of shape {flat.shape} does not match the "
+                f"model's {self._flat.shape[-1:]}")
+        np.copyto(self._flat, flat, casting="same_kind")

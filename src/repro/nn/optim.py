@@ -1,18 +1,11 @@
-"""Optimizers operating on (params, grads) lists."""
+"""SGD operating on (params, grads) lists, updated in place."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-class Optimizer:
-    """Base optimizer; subclasses update ``params`` in place from ``grads``."""
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
+class SGD:
     """SGD with optional momentum and decoupled weight decay."""
 
     def __init__(self, lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> None:

@@ -21,7 +21,6 @@ import numpy as np
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD
-from repro.utils.params import Params, flatten_params
 
 
 @dataclass
@@ -57,7 +56,7 @@ class LocalTrainingConfig:
 
 @dataclass
 class LocalTrainingResult:
-    """Outcome of a local pass: final params plus bookkeeping.
+    """Outcome of a local pass: the final flat params plus bookkeeping.
 
     ``num_samples`` counts every replica's samples and ``batches`` is per
     replica; ``replica_losses[i]`` is replica ``i``'s batch losses in order,
@@ -65,7 +64,7 @@ class LocalTrainingResult:
     replica, so ``replica_losses == [losses]``).
     """
 
-    params: Params
+    params: np.ndarray
     num_samples: int
     mean_loss: float
     batches: int
@@ -82,16 +81,17 @@ def mean_loss(losses: list[float]) -> float:
 def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
                 config: LocalTrainingConfig,
                 rng: np.random.Generator | Sequence[np.random.Generator],
-                global_params: Params | None = None,
+                global_params: np.ndarray | None = None,
                 out_flat: np.ndarray | None = None) -> LocalTrainingResult:
     """Run local epochs of mini-batch SGD on ``model`` (updated in place).
 
-    ``global_params`` anchors the FedProx proximal term; required when
-    ``config.prox_mu > 0``.  ``out_flat``, when given (plain models only),
-    receives the trained flat parameter vector and the result's ``params``
-    become views of it — the caller can hand over a
+    ``global_params``, a flat vector, anchors the FedProx proximal term;
+    required when ``config.prox_mu > 0``.  ``out_flat``, when given (plain
+    models only), receives the trained flat parameter vector and is the
+    result's ``params`` — the caller can hand over a
     :class:`~repro.utils.params.ParamBank` row so the update lands directly
-    in the aggregation bank without extra copies.
+    in the aggregation bank without extra copies.  Without it ``params`` is
+    a fresh copy.
 
     The stacked form: on a model with a replica axis (``Sequential.stacked(r)``)
     ``x`` is ``(r, n, ...)``, ``y`` is ``(r, n)`` and ``rng`` is one generator
@@ -107,11 +107,11 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
             f"a model of {lead} replicas needs (*{lead}, n, ...) inputs and one "
             f"generator per replica; got x {x.shape} and {len(rngs)} generators")
 
-    def result_params() -> Params:
+    def result_params() -> np.ndarray:
         if out_flat is None:
             return model.get_params()
         np.copyto(out_flat, model.flat_params, casting="same_kind")
-        return model.spec.view(out_flat)
+        return out_flat
 
     n = x.shape[len(lead)]
     if n == 0:
@@ -130,8 +130,6 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
     flat, flat_grads = model.flat_params, model.flat_grads
     param_rows = list(flat.reshape(len(rngs), -1))
     grad_rows = list(flat_grads.reshape(len(rngs), -1))
-    if config.prox_mu > 0:
-        global_flat = flatten_params(global_params, dtype=global_params[0].dtype)
     # Replica i's samples are rows i*n ... i*n + n - 1 of one sample axis, so
     # every replica's batch is one gather.
     samples_x = x.reshape((-1,) + x.shape[len(lead) + 1:])
@@ -154,7 +152,7 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
             loss, grad = softmax_cross_entropy(logits, yb)
             model.backward_params(grad)
             if config.prox_mu > 0:
-                flat_grads += config.prox_mu * (flat - global_flat)
+                flat_grads += config.prox_mu * (flat - global_params)
             optimizer.step(param_rows, grad_rows)
             step_losses.append(loss)
             batches_run += 1

@@ -72,10 +72,6 @@ class PrivacyPlan(Knob):
                 "masking=on: shares protect the mask streams' seed words, "
                 "and there are no masks to recover without masking")
 
-    @property
-    def is_active(self) -> bool:
-        return self.masking or self.sealed_scoring
-
     def mask_root(self, run_seed: int) -> int:
         """The mask-stream root seed: the override, else the run seed."""
         return int(run_seed if self.mask_seed is None else self.mask_seed)

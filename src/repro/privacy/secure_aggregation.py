@@ -57,6 +57,7 @@ residue.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
@@ -64,7 +65,7 @@ import numpy as np
 
 from repro.privacy.plan import resolve_threshold
 from repro.privacy.shamir import PRIME, open_shares, share_bundles
-from repro.utils.params import ParamSpec, resolve_dtype
+from repro.utils.params import resolve_dtype
 
 # One Shamir share on the wire: the (x, y) pair as two 8-byte words.
 SHARE_BYTES = 16
@@ -168,8 +169,9 @@ class SecureAggregationSession:
     The session owns no row storage: rows of the engine's stream bank are
     sealed *in place* in the exact bit domain (:meth:`seal_row`) and
     unsealed only inside :meth:`combine_rows`, when their aggregation
-    fires.  ``context`` namespaces the mask streams (engine stream, tick,
-    round tag) so distinct rounds of one run never share masks.
+    fires.  ``dim`` is the length of those rows.  ``context`` namespaces
+    the mask streams (engine stream, tick, round tag) so distinct rounds of
+    one run never share masks.
 
     Every piece of mask material is paid for once.  The first seal expands
     each pair stream once for the whole cohort (:meth:`_net_masks`) and the
@@ -182,18 +184,14 @@ class SecureAggregationSession:
     every bundle's blinding draw restates the session's one PCG64.
     """
 
-    def __init__(self, cohort: list[int],
-                 param_shapes: "ParamSpec | list[tuple[int, ...]]",
+    def __init__(self, cohort: list[int], dim: int,
                  shared_seed: int = 0, dtype=None,
                  context: tuple = (),
                  threshold: "int | str | None" = None,
                  ledger: object = None) -> None:
         if len(set(cohort)) != len(cohort) or not cohort:
             raise ValueError("cohort must be a non-empty list of distinct ids")
-        if isinstance(param_shapes, ParamSpec):
-            self.spec = param_shapes
-        else:
-            self.spec = ParamSpec(tuple(tuple(s) for s in param_shapes))
+        self.dim = operator.index(dim)
         self.cohort = sorted(cohort)
         self._index = {party_id: i for i, party_id in enumerate(self.cohort)}
         self.shared_seed = shared_seed
@@ -256,7 +254,7 @@ class SecureAggregationSession:
                                 self._key(i, j))
         else:
             word = int(self._words[i, j])
-        return _expand_word(self._rng, word, self.spec.total_size, self.dtype)
+        return _expand_word(self._rng, word, self.dim, self.dtype)
 
     def net_seal_bits(self, party_id: int) -> np.ndarray:
         """The party's net bit-domain mask (a fresh vector)."""
@@ -362,10 +360,10 @@ class SecureAggregationSession:
             raise ValueError(
                 f"row dtype {row.dtype} does not match the session's "
                 f"{self.dtype}")
-        if row.ndim != 1 or row.size != self.spec.total_size:
+        if row.ndim != 1 or row.size != self.dim:
             raise ValueError(
-                f"row of size {row.size} does not match the session spec "
-                f"(dim {self.spec.total_size})")
+                f"row of size {row.size} does not match the session "
+                f"(dim {self.dim})")
         return row.view(_uint_dtype(self.dtype))
 
     # ------------------------------------------------------- seal / unseal

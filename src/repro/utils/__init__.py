@@ -1,7 +1,7 @@
-"""Shared utilities: seeded RNG streams, parameter vector packing, validation.
+"""Shared utilities: seeded RNG streams, the parameter plane, validation.
 
 Everything in :mod:`repro` is deterministic given a seed.  The helpers here
-centralize how randomness is derived (:func:`spawn_rng`), how model parameter
-lists are flattened to vectors and back (:class:`ParamSpec`), and small
+centralize how randomness is derived (:func:`spawn_rng`), how flat parameter
+vectors are banked and compared (:mod:`repro.utils.params`), and small
 validation utilities used across subsystems.
 """

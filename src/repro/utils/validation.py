@@ -97,6 +97,18 @@ def _typed(where: str, options: tuple, value):
     raise ValueError(f"{where} must be {expected}; got {value!r}")
 
 
+def typed_fields(where: str, cls, mapping: Mapping) -> dict:
+    """``mapping`` as ``cls`` keyword arguments: keys checked against the
+    fields, and every scalar field's value typed by it (:func:`_typed`, the
+    error naming ``where.key``).  A field of any other type (a tuple, a
+    nested block) is passed on as given, for its own reader."""
+    kwargs = check_keys(where, mapping, field_names(cls))
+    types = field_types(cls)
+    return {key: (_typed(f"{where}.{key}", types[key], value)
+                  if set(types[key]) <= _EXPECTED.keys() else value)
+            for key, value in kwargs.items()}
+
+
 def _spec_fields(cls, where: str, text: str) -> dict:
     """A spec string as the mapping it abbreviates (values still text)."""
     word, items = parse_spec(where, text)

@@ -15,7 +15,7 @@ from repro.harness.profiles import RunSettings
 from repro.harness.runner import EvaluatedParties
 from repro.nn.models import build_model
 from repro.nn.training import LocalTrainingConfig
-from repro.utils.params import ParamBank, stack_params
+from repro.utils.params import ParamBank
 from repro.utils.rng import spawn_rng
 
 
@@ -104,10 +104,11 @@ def bank_row(bank: ParamBank, values) -> int:
     return row
 
 
-def bank_of(param_sets, dtype=None) -> ParamBank:
-    """A bank with one row per parameter list, in order."""
-    matrix, spec = stack_params(param_sets, dtype=dtype)
-    bank = ParamBank(spec, dtype=matrix.dtype, capacity=len(param_sets))
+def bank_of(vectors, dtype=None) -> ParamBank:
+    """A bank with one row per flat vector, in order."""
+    matrix = np.stack(vectors)
+    bank = ParamBank(matrix.shape[1], capacity=len(vectors),
+                     dtype=matrix.dtype if dtype is None else dtype)
     for vector in matrix:
         bank_row(bank, vector)
     return bank

@@ -9,8 +9,9 @@ from repro.baselines.fielding import FieldingStrategy
 from repro.baselines.oort import OortStrategy
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.registry import build_strategy, strategy_names
-from repro.utils.params import flatten_params
-from tests.conftest import make_context, make_tiny_spec, mean_accuracy
+from repro.federation.rounds import run_fl_round
+from tests.conftest import (make_context, make_run_settings, make_tiny_spec,
+                            mean_accuracy)
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +53,8 @@ class TestFedProx:
         spec, dataset = env
         strategy = FedProxStrategy(prox_mu=0.05)
         run_windows(strategy, spec, dataset)
-        p0 = flatten_params(strategy.params_for_party(0))
-        p1 = flatten_params(strategy.params_for_party(5))
+        p0 = strategy.params_for_party(0)
+        p1 = strategy.params_for_party(5)
         assert np.allclose(p0, p1), "FedProx serves one global model"
 
     def test_training_changes_model(self, env):
@@ -61,9 +62,9 @@ class TestFedProx:
         strategy = FedProxStrategy()
         ctx = make_context(spec, dataset, seed=1)
         strategy.setup(ctx)
-        before = flatten_params(strategy.global_params)
+        before = strategy.global_params.copy()
         strategy.run_round(0, 0)
-        assert not np.allclose(flatten_params(strategy.global_params), before)
+        assert not np.allclose(strategy.global_params, before)
 
     def test_rejects_negative_mu(self):
         with pytest.raises(ValueError):
@@ -194,13 +195,66 @@ class TestFedDrift:
         strategy = FedDriftStrategy(delta=100.0)  # everything interchangeable
         ctx = make_context(spec, dataset, seed=9)
         strategy.setup(ctx)
-        strategy._models[1] = [p.copy() for p in strategy._models[0]]
+        strategy._models[1] = strategy._models[0] + 0.5
         strategy._membership = {pid: pid % 2 for pid in ctx.parties}
+        expected = 0.5 * (strategy._models[0] + strategy._models[1])
         strategy._maybe_merge(1)
-        assert len(strategy._models) == 1
+        assert list(strategy._models) == [0]
+        assert np.array_equal(strategy._models[0], expected)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             FedDriftStrategy(delta=0.0)
         with pytest.raises(ValueError):
             FedDriftStrategy(max_models=0)
+
+    @pytest.mark.parametrize("parties", [0, -2])
+    def test_rejects_merge_checks_without_parties(self, parties):
+        """0 probed parties made every merge check a mean of nothing (NaN,
+        never a merge); a negative count failed inside ``rng.choice``."""
+        with pytest.raises(ValueError, match="merge_check_parties must be at least 1"):
+            FedDriftStrategy(merge_check_parties=parties)
+
+
+class TestStoredVectorsOwnTheirMemory:
+    """A strategy stores each model as a flat vector that nothing else
+    writes: not the run's one party model, not a row of an engine bank."""
+
+    @pytest.fixture(scope="class")
+    def shift_env(self):
+        spec = make_tiny_spec(name="unit_owned", num_parties=10, num_windows=2,
+                              window_regimes=(("invert_polarity", 4),),
+                              train=32, seed=71)
+        return spec, FederatedShiftDataset(spec)
+
+    @pytest.mark.parametrize("method", sorted(strategy_names()))
+    def test_after_a_window_1_round(self, shift_env, method):
+        spec, dataset = shift_env
+        strategy = build_strategy(method)
+        ctx = make_context(spec, dataset, settings=make_run_settings(participants=5))
+        strategy.setup(ctx)
+        for window, rounds in ((0, 3), (1, 1)):
+            for pid, party in ctx.parties.items():
+                party.set_window_data(dataset.party_window(pid, window))
+            strategy.start_window(window)
+            for r in range(rounds):
+                strategy.run_round(window, r)
+            if window == 0:
+                strategy.end_window(window)
+        served = {pid: strategy.params_for_party(pid) for pid in ctx.party_ids}
+        banks = [bank._buf for bank in ctx.federation._banks.values()]
+        assert banks
+        for vector in served.values():
+            assert vector.ndim == 1
+            assert not np.shares_memory(vector, ctx.parties.model.flat_params)
+            assert not any(np.shares_memory(vector, buf) for buf in banks)
+        if method == "shiftex":
+            assert len(strategy.registry) > 1
+            assert not any(np.shares_memory(strategy._encoder, expert.flat)
+                           for expert in strategy.registry.all())
+        snapshot = {pid: vector.copy() for pid, vector in served.items()}
+        run_fl_round(ctx, [0, 1, 2, 3], ctx.model_factory().get_params(),
+                     round_tag="probe", stream="probe")
+        for pid, vector in served.items():
+            assert np.array_equal(vector, snapshot[pid])
+            assert np.array_equal(strategy.params_for_party(pid), snapshot[pid])

@@ -16,7 +16,6 @@ from repro.utils.serialization import run_result_to_dict
 from repro.federation.strategy import split_budget
 from repro.data.federated import FederatedShiftDataset
 from repro.flips.selector import FlipsSelector
-from repro.utils.params import flatten_params
 from tests.conftest import (
     make_context,
     make_run_settings,
@@ -95,8 +94,7 @@ class TestBootstrapPhase:
         spec, dataset = shift_env
         strategy, _ctx = run_shiftex(spec, dataset, windows=1)
         expert0 = strategy.registry.get(list(strategy.registry.ids())[0])
-        assert np.allclose(flatten_params(strategy._encoder),
-                           flatten_params(expert0.params))
+        assert np.allclose(strategy._encoder, expert0.flat)
 
     def test_expert0_memory_seeded(self, shift_env):
         spec, dataset = shift_env
@@ -168,10 +166,8 @@ class TestShiftResponse:
         for pid, eid in strategy.assignments.items():
             if pid in strategy._finetuned:
                 continue
-            assert np.allclose(
-                flatten_params(strategy.params_for_party(pid)),
-                flatten_params(strategy.registry.get(eid).params),
-            )
+            assert np.allclose(strategy.params_for_party(pid),
+                               strategy.registry.get(eid).flat)
 
     def test_describe_state_fields(self, shift_env):
         spec, dataset = shift_env
@@ -224,7 +220,7 @@ class TestAblationsToggles:
             def spy(trainees, params, local, round_tag, outs):
                 updates = train(trainees, params, local, round_tag, outs)
                 trained[round_tag, len(trainees)] = [
-                    (u.party_id, np.concatenate([p.ravel() for p in u.params]).tobytes())
+                    (u.party_id, u.params.tobytes())
                     for u in updates]
                 return updates
 

@@ -2,10 +2,10 @@
 
 There is one round loop (``FederationEngine.run_round``) and one bank kernel
 (``weighted_combine``, sealed or not); what they are pinned against are the
-list-based references in ``benchmarks/reference.py`` — ``ref_fedavg`` and
+vector references in ``benchmarks/reference.py`` — ``ref_fedavg`` and
 ``ref_staleness_weighted_fedavg``.  Under a quiet availability model every
 participation mode, masked or plain, at either precision, must reproduce the
-list reference *bitwise*, so a refactor of the loop cannot silently drift.
+vector reference *bitwise*, so a refactor of the loop cannot silently drift.
 """
 
 import dataclasses
@@ -31,7 +31,7 @@ from repro.privacy.secure_aggregation import (
     MaskingSpec,
     SecureAggregationSession,
 )
-from repro.utils.params import ParamBank, flatten_params
+from repro.utils.params import ParamBank
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
 from tests.conftest import (bank_of, make_context, make_run_settings,
@@ -40,12 +40,8 @@ from tests.conftest import (bank_of, make_context, make_run_settings,
 
 @st.composite
 def cohort_updates(draw):
-    """A random cohort: shapes, per-party values, sample weights, dtype."""
-    n_tensors = draw(st.integers(1, 3))
-    shapes = [
-        tuple(draw(st.lists(st.integers(1, 4), min_size=0, max_size=2)))
-        for _ in range(n_tensors)
-    ]
+    """A random cohort: vector size, per-party values, sample weights, dtype."""
+    dim = draw(st.integers(1, 40))
     n_parties = draw(st.integers(1, 5))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     value_seed = draw(st.integers(0, 2**16))
@@ -55,7 +51,7 @@ def cohort_updates(draw):
     updates = [
         LocalUpdate(
             party_id=pid,
-            params=[rng.normal(size=shape).astype(dtype) for shape in shapes],
+            params=rng.normal(size=dim).astype(dtype),
             num_samples=weights[pid],
             mean_loss=1.0,
         )
@@ -69,7 +65,7 @@ class TestAggregationPathsAgree:
     @settings(max_examples=60, deadline=None)
     def test_fedavg_matches_bank_combine(self, case):
         updates, dtype = case
-        expected = flatten_params(ref_fedavg(updates))
+        expected = ref_fedavg(updates)
         bank = bank_of([u.params for u in updates], dtype=dtype)
         got = bank.weighted_combine([float(u.num_samples) for u in updates],
                                     rows=list(range(len(updates))))
@@ -80,10 +76,9 @@ class TestAggregationPathsAgree:
     @settings(max_examples=60, deadline=None)
     def test_zero_staleness_is_bitwise_fedavg(self, case):
         updates, _dtype = case
-        plain = flatten_params(ref_fedavg(updates))
-        stale = flatten_params(
-            ref_staleness_weighted_fedavg(updates, [0] * len(updates),
-                                      policy="exponential", gamma=0.25))
+        plain = ref_fedavg(updates)
+        stale = ref_staleness_weighted_fedavg(updates, [0] * len(updates),
+                                              policy="exponential", gamma=0.25)
         assert np.array_equal(stale, plain)
 
     @given(cohort_updates())
@@ -91,8 +86,8 @@ class TestAggregationPathsAgree:
     def test_staleness_path_matches_manual_weights(self, case):
         updates, dtype = case
         ages = [i % 3 for i in range(len(updates))]
-        got = flatten_params(ref_staleness_weighted_fedavg(
-            updates, ages, policy="polynomial", alpha=0.7))
+        got = ref_staleness_weighted_fedavg(updates, ages,
+                                            policy="polynomial", alpha=0.7)
         decay = staleness_decay(ages, "polynomial", alpha=0.7)
         weights = np.array([float(u.num_samples) for u in updates]) * decay
         bank = bank_of([u.params for u in updates], dtype=dtype)
@@ -113,7 +108,7 @@ class TestAggregationPathsAgree:
         expected = bank.weighted_combine(weights, rows=rows)
         sealed_bank = bank_of([u.params for u in updates], dtype=dtype)
         session = SecureAggregationSession(
-            [u.party_id for u in updates], sealed_bank.spec, shared_seed=3,
+            [u.party_id for u in updates], sealed_bank.dim, shared_seed=3,
             dtype=dtype, context=("diff", 0))
         for u, row in zip(updates, rows):
             session.seal_row(u.party_id, sealed_bank.row(row))
@@ -152,9 +147,7 @@ def _context(spec, dataset, dtype=np.float64):
     """A fresh context whose party models (and starting parameters) are
     bound to ``dtype``."""
     ctx = make_context(spec, dataset, dtype=dtype)
-    params = [np.asarray(p, dtype=dtype)
-              for p in ctx.model_factory().get_params()]
-    return ctx, params
+    return ctx, ctx.model_factory().get_params().astype(dtype)
 
 
 class TestRoundDtype:
@@ -162,20 +155,19 @@ class TestRoundDtype:
 
     def test_float32_model_keeps_float32_bank(self, tiny_spec, tiny_dataset):
         ctx, _ = _context(tiny_spec, tiny_dataset, np.float32)
-        # A strategy handing over float64 params (e.g. a fresh
-        # weighted_average of plain lists) must not upcast the round.
-        params64 = [np.asarray(p, dtype=np.float64)
-                    for p in ctx.parties[0]._model.get_params()]
+        # A strategy handing over float64 params (e.g. a fresh average
+        # of float64 vectors) must not upcast the round.
+        params64 = ctx.parties[0]._model.get_params().astype(np.float64)
         new_params, _ = run_fl_round(ctx, [0, 1, 2], params64, round_tag=0,
                                      stream="g")
-        assert all(p.dtype == np.float32 for p in new_params)
+        assert new_params.dtype == np.float32
 
     def test_float64_default_unchanged(self, tiny_spec, tiny_dataset):
         ctx = make_context(tiny_spec, tiny_dataset)
         params = ctx.model_factory().get_params()
         new_params, _ = run_fl_round(ctx, [0, 1], params, round_tag=0,
                                      stream="g")
-        assert all(p.dtype == np.float64 for p in new_params)
+        assert new_params.dtype == np.float64
 
 
 def _quiet_engine(mode, **cfg_kwargs) -> FederationEngine:
@@ -192,7 +184,7 @@ MASKINGS = {
 
 class TestOneRoundLoop:
     """One loop, three policies: with nobody dropping or straggling, every
-    mode x masking x precision reproduces list-based FedAvg bit for bit."""
+    mode x masking x precision reproduces the FedAvg reference bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64],
                              ids=["float32", "float64"])
@@ -213,8 +205,8 @@ class TestOneRoundLoop:
                                       ctx.round_config, round_tag=(0, 0),
                                       stream="g", secure=MASKINGS[masking])
         assert stats.aggregated and stats.reported == cohort
-        assert all(p.dtype == dtype for p in got)
-        assert np.array_equal(flatten_params(got), flatten_params(expected))
+        assert got.dtype == dtype
+        assert np.array_equal(got, expected)
         assert engine.in_flight == 0
         assert not any(engine._buffers["g"].bank._live)
 
@@ -243,16 +235,16 @@ class TestOneRoundLoop:
                                       stream="g", secure=secure)
         assert stats.reported == [0, 1, 2, 3]
         assert stats.staleness == {0: 1, 1: 1, 2: 0, 3: 0}
-        return flatten_params(got)
+        return got
 
     def test_multi_session_aggregate_is_bitwise_plain(self, tiny_spec,
                                                       tiny_dataset):
         ctx, params = _context(tiny_spec, tiny_dataset)
         local = ctx.round_config.local
-        expected = flatten_params(ref_staleness_weighted_fedavg(
+        expected = ref_staleness_weighted_fedavg(
             [ctx.parties[pid].local_train(params, local, (0, tick))
              for pid, tick in ((0, 0), (1, 0), (2, 1), (3, 1))],
-            [1, 1, 0, 0], policy="polynomial", alpha=0.7))
+            [1, 1, 0, 0], policy="polynomial", alpha=0.7)
         plain = self._two_tick_aggregate(tiny_spec, tiny_dataset,
                                          self._two_tick_engine(), None)
         engine = self._two_tick_engine()
@@ -287,17 +279,17 @@ class TestOneRoundLoop:
 
 class _PerStreamBanks(FederationEngine):
     """The reference: every stream's buffer owns a bank of its own, as
-    before the engine shared one bank per parameter shape and dtype."""
+    before the engine shared one bank per parameter size and dtype."""
 
-    def _buffer_for(self, stream, spec, dtype, capacity):
+    def _buffer_for(self, stream, dim, dtype, capacity):
         buf = self._buffers.get(stream)
-        if buf is not None and (buf.spec != spec
+        if buf is not None and (buf.bank.dim != dim
                                 or buf.bank.dtype != np.dtype(dtype)):
             self.counters["expired_reports"] += buf.flush()
             buf = None
         if buf is None:
             buf = self._buffers[stream] = AsyncRoundBuffer(
-                ParamBank(spec, dtype=dtype, capacity=capacity))
+                ParamBank(dim, dtype=dtype, capacity=capacity))
         return buf
 
 
@@ -329,7 +321,7 @@ class TestStreamsShareOneBank:
         engine = engine_cls(FederationConfig(mode="buffered", max_wait_rounds=2),
                             seed=0, num_parties=8)
         engine.simulator = _ScriptedFates(self.SCRIPT)
-        current = {"a": params, "b": [p * 0.5 for p in params]}
+        current = {"a": params, "b": params * 0.5}
         trace = []
         for tick in range(5):
             engine.advance()
@@ -338,7 +330,7 @@ class TestStreamsShareOneBank:
                     ctx.parties, cohort, current[stream], ctx.round_config,
                     round_tag=(0, tick), stream=stream, secure=secure)
                 trace.append((stream, stats.reported,
-                              flatten_params(current[stream]).tobytes()))
+                              current[stream].tobytes()))
         expired = engine.begin_window(1)
         return engine, trace, expired
 

@@ -7,13 +7,13 @@ from benchmarks.fidelity import memory_footprint
 from repro.detection.mmd import class_conditional_mmd, class_conditional_mmd_batch, mmd
 from repro.experts.consolidation import consolidate_experts
 from repro.experts.matching import match_cluster_to_expert
-from repro.experts.registry import ExpertRegistry
-from repro.utils.params import flatten_params, weighted_average
+from repro.experts.memory import LatentMemory
+from repro.experts.registry import Expert, ExpertRegistry
 from repro.utils.rng import spawn_rng
 
 
 def simple_params(rng, scale=1.0):
-    return [scale * rng.normal(size=(4, 3)), scale * rng.normal(size=(3,))]
+    return scale * rng.normal(size=15)
 
 
 @pytest.fixture()
@@ -32,8 +32,8 @@ class TestRegistry:
     def test_create_copies_params(self, registry, rng):
         params = simple_params(rng)
         expert = registry.create(params, window=0)
-        params[0][...] = 99.0
-        assert not np.allclose(expert.params[0], 99.0)
+        params[...] = 99.0
+        assert not np.allclose(expert.flat, 99.0)
 
     def test_create_with_memory_seed(self, registry, rng):
         expert = registry.create(simple_params(rng), window=0,
@@ -56,11 +56,9 @@ class TestRegistry:
         assert len(registry) == 0
         assert expert.expert_id not in registry
 
-    def test_clone_params_is_copy(self, registry, rng):
-        expert = registry.create(simple_params(rng), window=0)
-        clone = expert.clone_params()
-        clone[0][...] = 5.0
-        assert not np.allclose(expert.params[0], 5.0)
+    def test_expert_holds_one_flat_vector(self, rng):
+        with pytest.raises(ValueError, match="one flat vector"):
+            Expert(0, rng.normal(size=(5, 3)), LatentMemory(4), created_window=0)
 
     def test_memory_footprint_accounting(self, registry, rng):
         registry.create(simple_params(rng), window=0,
@@ -78,70 +76,64 @@ class TestRegistry:
 
 
 class TestOwnedVectors:
-    def test_params_are_views_of_flat(self, registry, rng):
-        expert = registry.create(simple_params(rng), window=0)
-        assert expert.flat.shape == (15,)  # 4*3 + 3
-        assert all(np.shares_memory(p, expert.flat) for p in expert.params)
-        expert.flat[0] = 321.0
-        assert expert.params[0][0, 0] == 321.0
-        expert.params[1][2] = 654.0
-        assert expert.flat[-1] == 654.0
-
-    def test_set_params_copies(self, registry, rng):
+    def test_set_params_copies_in_place(self, registry, rng):
         expert = registry.create(simple_params(rng), window=0)
         flat_before = expert.flat
         update = simple_params(rng)
         expert.set_params(update)
-        assert expert.flat is flat_before  # written in place, views stay valid
-        assert all(np.array_equal(a, b) for a, b in zip(expert.params, update))
-        snapshot = expert.flat.copy()
-        update[0][...] = 99.0
-        assert np.array_equal(expert.flat, snapshot)
-        with pytest.raises(ValueError):
-            expert.set_params([rng.normal(size=(2, 2))])
+        assert expert.flat is flat_before  # written in place
+        assert np.array_equal(expert.flat, update)
+        assert not np.shares_memory(expert.flat, update)
+        update[...] = 99.0
+        assert not np.allclose(expert.flat, 99.0)
 
-    def test_create_rejects_mismatched_shapes(self, registry, rng):
+    @pytest.mark.parametrize("shape", [(14,), (16,), (3, 5)])
+    def test_set_params_checks_the_shape(self, registry, rng, shape):
+        expert = registry.create(simple_params(rng), window=0)
+        snapshot = expert.flat.copy()
+        with pytest.raises(ValueError, match=r"does not match expert 0's \(15,\)"):
+            expert.set_params(rng.normal(size=shape))
+        assert np.array_equal(expert.flat, snapshot)
+
+    def test_create_rejects_another_size(self, registry, rng):
         registry.create(simple_params(rng), window=0)
-        with pytest.raises(ValueError):
-            registry.create([rng.normal(size=(2, 2))], window=0)
+        with pytest.raises(ValueError, match="has 4 parameters"):
+            registry.create(rng.normal(size=4), window=0)
         assert len(registry) == 1 and registry.created_total == 1
 
     def test_removed_expert_keeps_its_parameters(self, registry, rng):
         expert = registry.create(simple_params(rng), window=0)
-        snapshot = expert.clone_params()
+        snapshot = expert.flat.copy()
         registry.remove(expert.expert_id)
         other = registry.create(simple_params(rng), window=1)
         assert other is not expert
-        assert all(np.allclose(a, b) for a, b in zip(expert.params, snapshot))
+        assert np.array_equal(expert.flat, snapshot)
 
     def test_later_expert_is_cast_to_the_pool_dtype(self, registry, rng):
-        first = registry.create([p.astype(np.float32) for p in simple_params(rng)],
-                                window=0)
+        first = registry.create(simple_params(rng).astype(np.float32), window=0)
         wide = simple_params(rng)
         later = registry.create(wide, window=1)
-        assert first.dtype == later.dtype == np.dtype(np.float32)
-        assert all(p.dtype == np.float32 and np.shares_memory(p, later.flat)
-                   for p in later.params)
-        assert np.array_equal(later.params[0], wide[0].astype(np.float32))
+        assert first.flat.dtype == later.flat.dtype == np.dtype(np.float32)
+        assert np.array_equal(later.flat, wide.astype(np.float32))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_merge_is_weighted_average(self, registry, rng, dtype):
-        base = [p.astype(dtype) for p in simple_params(rng)]
+        base = simple_params(rng).astype(dtype)
         a = registry.create(base, window=0)
-        b = registry.create([p + dtype(0.01) for p in base], window=1)
+        b = registry.create(base + dtype(0.01), window=1)
         a.train_rounds, a.samples_seen = 3, 300
         b.train_rounds, b.samples_seen = 1, 100
-        expected = weighted_average([a.clone_params(), b.clone_params()],
-                                    [300.0, 100.0])
-        events = consolidate_experts(registry, tau=0.9, window=2, rng=rng)
+        expected = 0.75 * a.flat.astype(np.float64) + 0.25 * b.flat.astype(np.float64)
+        events = consolidate_experts(registry, tau=0.9, rng=rng)
         merged = registry.get(events[0].new_id)
         assert registry.ids() == [merged.expert_id] and registry.merged_total == 1
-        assert merged.dtype == np.dtype(dtype)
-        assert np.array_equal(merged.flat, flatten_params(expected))
+        assert merged.flat.dtype == np.dtype(dtype)
+        tol = 1e-6 if dtype == np.float32 else 1e-15
+        np.testing.assert_allclose(merged.flat, expected, rtol=tol, atol=tol)
         assert merged.merged_from == (a.expert_id, b.expert_id)
         assert merged.samples_seen == 400 and merged.train_rounds == 4
         # The parents keep their own vectors after leaving the pool.
-        assert np.array_equal(a.params[0], base[0])
+        assert np.array_equal(a.flat, base)
 
 
 def match_untagged(cluster, registry, **kwargs):

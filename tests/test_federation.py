@@ -14,7 +14,6 @@ from repro.federation.rounds import RoundConfig, run_fl_round
 from repro.federation.strategy import StrategyContext
 from repro.nn.models import build_model
 from repro.nn.training import LocalTrainingConfig
-from repro.utils.params import flatten_params
 from repro.utils.rng import spawn_rng
 from tests.conftest import make_context
 
@@ -40,7 +39,7 @@ class TestParty:
         update = party.local_train(init, LocalTrainingConfig(epochs=1))
         assert update.party_id == 0
         assert update.num_samples == tiny_spec.train_per_window
-        assert not np.allclose(flatten_params(update.params), flatten_params(init))
+        assert not np.allclose(update.params, init)
 
     def test_local_train_deterministic_per_round_tag(self, tiny_spec, tiny_dataset, rng):
         model = build_model("mlp", tiny_spec.input_shape, tiny_spec.num_classes,
@@ -50,7 +49,7 @@ class TestParty:
         init = model.get_params()
         u1 = party.local_train(init, LocalTrainingConfig(epochs=1), round_tag=5)
         u2 = party.local_train(init, LocalTrainingConfig(epochs=1), round_tag=5)
-        assert np.allclose(flatten_params(u1.params), flatten_params(u2.params))
+        assert np.allclose(u1.params, u2.params)
 
     def test_evaluate_splits(self, tiny_spec, tiny_dataset, rng):
         model = build_model("mlp", tiny_spec.input_shape, tiny_spec.num_classes, rng)
@@ -97,18 +96,18 @@ class TestParty:
 
 
 class TestFedAvg:
-    """The list-based FedAvg the differential suite pins every round path to."""
+    """The vector FedAvg the differential suite pins every round path to."""
 
     def make_update(self, pid, value, samples):
-        return LocalUpdate(pid, [np.full((2, 2), value)], samples, 1.0)
+        return LocalUpdate(pid, np.full(4, value), samples, 1.0)
 
     def test_weighted_by_samples(self):
         agg = ref_fedavg([self.make_update(0, 0.0, 10), self.make_update(1, 1.0, 30)])
-        assert np.allclose(agg[0], 0.75)
+        assert np.allclose(agg, 0.75)
 
     def test_zero_sample_updates_ignored(self):
         agg = ref_fedavg([self.make_update(0, 0.0, 0), self.make_update(1, 1.0, 10)])
-        assert np.allclose(agg[0], 1.0)
+        assert np.allclose(agg, 1.0)
 
     def test_all_zero_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -118,12 +117,12 @@ class TestFedAvg:
         with pytest.raises(ValueError):
             ref_fedavg([])
 
-    def test_shape_mismatch_names_party_and_shapes(self):
+    def test_size_mismatch_names_party_and_shapes(self):
         updates = [
             self.make_update(3, 0.0, 10),
-            LocalUpdate(9, [np.zeros((3, 1))], 10, 1.0),
+            LocalUpdate(9, np.zeros(3), 10, 1.0),
         ]
-        with pytest.raises(ValueError, match=r"party 9.*\(3, 1\)"):
+        with pytest.raises(ValueError, match=r"party 9.*\(4,\).*\(3,\)"):
             ref_fedavg(updates)
 
     @given(st.lists(st.tuples(st.floats(-5, 5), st.integers(1, 50)),
@@ -133,7 +132,7 @@ class TestFedAvg:
         updates = [self.make_update(i, v, n) for i, (v, n) in enumerate(update_data)]
         agg = ref_fedavg(updates)
         values = [v for v, _ in update_data]
-        assert min(values) - 1e-9 <= agg[0][0, 0] <= max(values) + 1e-9
+        assert min(values) - 1e-9 <= agg[0] <= max(values) + 1e-9
 
 
 class TestRounds:
@@ -145,7 +144,7 @@ class TestRounds:
         assert stats.participants == [0, 1, 2]
         assert stats.total_samples == 3 * tiny_spec.train_per_window
         assert np.isfinite(stats.mean_train_loss)
-        assert not np.allclose(flatten_params(new_params), flatten_params(init))
+        assert not np.allclose(new_params, init)
 
     def test_round_requires_participants(self, tiny_spec, tiny_dataset):
         ctx = make_context(tiny_spec, tiny_dataset)
@@ -180,7 +179,7 @@ class TestRounds:
         strategy.run_round(0, 0)
         counters = ctx.federation.counters
         assert 0 < counters["dropped"] < counters["dispatched"]
-        model_bytes = (flatten_params(strategy.params_for_party(0)).size
+        model_bytes = (strategy.params_for_party(0).size
                        * ctx.ledger.bytes_per_float)
         assert ctx.ledger.by_category == {
             "model_down": model_bytes * counters["dispatched"],

@@ -21,7 +21,7 @@ from repro.federation.async_engine import (
 from repro.federation.rounds import run_fl_round
 from repro.harness.profiles import RunSettings
 from repro.harness.runner import run_strategy
-from repro.utils.params import ParamBank, ParamSpec, flatten_params
+from repro.utils.params import ParamBank
 from tests.conftest import make_context, make_run_settings, make_tiny_spec
 
 
@@ -130,8 +130,7 @@ class TestFederationConfig:
 class TestAsyncRoundBuffer:
     def test_rows_recycle_on_pop_and_flush(self):
         from repro.federation.async_engine import _PendingReport
-        spec = ParamSpec(shapes=((2, 2), (3,)))
-        buf = AsyncRoundBuffer(ParamBank(spec, capacity=2))
+        buf = AsyncRoundBuffer(ParamBank(7, capacity=2))
         reports = []
         for i in range(3):
             row = buf.bank.alloc()
@@ -193,8 +192,7 @@ class TestFederationEngine:
         # Identical to a plain round over the surviving cohort.
         expected, _ = run_fl_round(ctx, [0, 2], params, round_tag=(0, 0),
                                    stream="g")
-        assert np.array_equal(flatten_params(new_params),
-                              flatten_params(expected))
+        assert np.array_equal(new_params, expected)
 
     def test_sync_mode_all_dropped_skips_round(self, tiny_spec, tiny_dataset):
         ctx = make_context(tiny_spec, tiny_dataset)
@@ -227,7 +225,7 @@ class TestFederationEngine:
         assert stats1.aggregated
         assert sorted(stats1.reported) == [0, 0, 1, 1, 2, 3]
         assert stats1.staleness[2] == 1 and stats1.staleness[0] == 0
-        assert not np.array_equal(flatten_params(p2), flatten_params(params))
+        assert not np.array_equal(p2, params)
 
     def test_max_wait_fires_without_min_reports(self, tiny_spec, tiny_dataset):
         ctx = make_context(tiny_spec, tiny_dataset)

@@ -105,10 +105,11 @@ def test_shared_layer_matches_stacked_and_each_replica(name, replicas, dtype, ki
     assert out.tobytes() == stack.layers[0].forward(x).tobytes()
     for k in range(replicas):
         assert out[k].tobytes() == plain.layers[0].forward(x[k]).tobytes()
-    for view in twin.params:  # views of the model's own buffer, nothing copied
+    layer = twin.layers[0]
+    for view in layer.params:  # views of the model's own buffer, nothing copied
         assert (view.strides[0] == 0 or replicas == 1) and not view.flags.writeable
         assert np.shares_memory(view, plain.flat_params)
-    assert twin.flat_grads is None and twin.grads == []
+    assert twin.flat_grads is None and layer.grads == []
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

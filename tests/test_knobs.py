@@ -4,7 +4,8 @@ Every run sub-plan in :data:`~repro.harness.profiles.RUN_KNOBS` is spelled
 by its plan key in ``RunSettings``, a plan file and a ``compare`` flag, and
 read by :func:`~repro.utils.validation.read_knob`.  These tests pin the
 reader's protocol (a spec string round-trips every value), the int checks
-it shares with ``cohort_size`` and the overrides' counts, the retired flags
+it shares with ``cohort_size`` and the overrides' counts, the scalar typing
+every plan block shares with it, the retired flags
 and scenario-document keys, the lint advisories it computes from the
 resolved settings, and flag-built == file-built over the fuzz corpus.
 """
@@ -161,6 +162,61 @@ class TestIntKnobs:
     def test_override_rejects(self, extra, named):
         with pytest.raises(ValueError, match=f"{named} must be an integer"):
             ExperimentPlan.from_dict({**_MINIMAL, **extra})
+
+
+class TestTypedBlocks:
+    """Every scalar field of a plan block is typed by its field, as the run
+    knobs are: text reads as the field's type, and a bool, a fraction or a
+    word that is not one is rejected naming the dotted key (``"false"``
+    and ``"no"`` used to read as truthy, ``2.5`` and ``4.7`` as given)."""
+
+    @staticmethod
+    def _shiftex(config):
+        plan = ExperimentPlan.from_dict({**_MINIMAL, "strategies": {
+            "shiftex": {"method": "shiftex", "kwargs": {"config": config}}}})
+        return plan.strategies[0].build().config
+
+    def test_shiftex_config(self):
+        config = self._shiftex({"enable_flips": "false", "k_max": "3",
+                                "tau": "0.5", "delta_cov": None})
+        assert config.enable_flips is False and config.k_max == 3
+        assert config.tau == 0.5 and config.delta_cov is None
+        with pytest.raises(ValueError,
+                           match=r"shiftex config\.k_max must be an integer; got 2\.5"):
+            self._shiftex({"k_max": 2.5})
+        with pytest.raises(ValueError,
+                           match=r"shiftex config\.enable_flips must be on/off"):
+            self._shiftex({"enable_flips": 1})
+
+    def test_spec_override(self):
+        plan = ExperimentPlan.from_dict({**_MINIMAL, "spec_override": {
+            "label_shift": "no", "shift_fraction": "0.25"}})
+        spec, _settings = plan.resolve()
+        assert spec.label_shift is False and spec.shift_fraction == 0.25
+        with pytest.raises(ValueError,
+                           match=r"plan spec_override\.label_shift must be on/off"):
+            ExperimentPlan.from_dict({**_MINIMAL,
+                                      "spec_override": {"label_shift": 2}})
+
+    def test_settings_override(self):
+        plan = ExperimentPlan.from_dict({**_MINIMAL, "settings_override": {
+            "round_config": {"local": {"lr": "0.1", "momentum": 0}}}})
+        local = plan.resolve()[1].round_config.local
+        assert local.lr == 0.1 and local.momentum == 0
+        where = r"plan settings_override\.round_config\.local\.weight_decay"
+        with pytest.raises(ValueError, match=f"{where} must be a number; got True"):
+            ExperimentPlan.from_dict({**_MINIMAL, "settings_override": {
+                "round_config": {"local": {"weight_decay": True}}}})
+
+    def test_drift_entries(self):
+        def drift(entry):
+            return ExperimentPlan.from_dict({**_MINIMAL, "spec_override": {
+                "num_windows": 3, "drift": [entry]}}).resolve()[0].drift[0]
+
+        assert drift({"severity": "3", "fraction": "0.5"}).severity == 3
+        with pytest.raises(ValueError, match=r"plan spec_override\.drift\.severity "
+                                             r"must be an integer; got 4\.7"):
+            drift({"severity": 4.7})
 
 
 class TestRetired:

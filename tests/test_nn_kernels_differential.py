@@ -224,16 +224,17 @@ def test_train_local_ends_on_reference_bytes(name, config_name, dtype):
     assert result.losses == ref_losses
 
     model, anchor = fresh()
-    out_flat = np.empty(model.spec.total_size, dtype=model.dtype)
+    out_flat = np.empty_like(model.flat_params)
     result = train_local(model, x, y, config, np.random.default_rng(3),
                          global_params=anchor if config.prox_mu else None,
                          out_flat=out_flat)
     assert out_flat.tobytes() == ref_model.flat_params.tobytes()
-    assert all(np.shares_memory(p, out_flat) for p in result.params)
+    assert result.params is out_flat
 
 
-def test_prox_anchor_as_plain_float32_list_matches_reference():
-    """An anchor that is not one flat buffer keeps per-tensor float32 arithmetic."""
+def test_prox_anchor_in_another_precision_matches_reference():
+    """A float64 anchor for a float32 model: the prox term is formed in
+    float64 and cast into the float32 gradient, per tensor as per vector."""
     shape = (3, 8, 8)
     x = np.random.default_rng(1).random((16,) + shape)
     y = np.random.default_rng(2).integers(0, 4, 16)
@@ -241,7 +242,7 @@ def test_prox_anchor_as_plain_float32_list_matches_reference():
     finals = []
     for train in (ref_train_local, train_local):
         model = build_model("lenet_mini", shape, 4, np.random.default_rng(5), dtype="float32")
-        anchor = [p.copy() for p in model.params]
+        anchor = model.get_params().astype(np.float64)
         model.flat_params[:] += 0.01
         train(model, x, y, config, np.random.default_rng(3), global_params=anchor)
         finals.append(model.flat_params.tobytes())
@@ -366,7 +367,7 @@ def test_train_parties_is_each_party_alone(name, dtype, config_name, sizes, seed
     start = model.get_params()
     trainees = [(Party(pid, model, 4, seed=seed), x, y)
                 for pid, (x, y) in enumerate(data)]
-    outs = [np.empty(model.spec.total_size, dtype=model.dtype) if pid % 2 else None
+    outs = [np.empty_like(model.flat_params) if pid % 2 else None
             for pid in range(len(sizes))]
     updates = train_parties(trainees, start, config, ("round", 1), outs)
     for pid, ((x, y), update, out) in enumerate(zip(data, updates, outs)):
@@ -374,10 +375,11 @@ def test_train_parties_is_each_party_alone(name, dtype, config_name, sizes, seed
         ref_losses = ref_train_local(
             ref_model, x, y, config, spawn_rng(seed, "party-train", pid, ("round", 1)),
             start)
-        trained = np.concatenate([p.ravel() for p in update.params])
-        assert trained.tobytes() == ref_model.flat_params.tobytes()
+        assert update.params.tobytes() == ref_model.flat_params.tobytes()
         if out is not None:
-            assert all(np.shares_memory(p, out) for p in update.params)
+            assert update.params is out
+        else:
+            assert not np.shares_memory(update.params, model.flat_params)
         assert update.party_id == pid and update.num_samples == len(x)
         if ref_losses:
             assert update.mean_loss == float(np.mean(ref_losses))

@@ -7,8 +7,19 @@ from repro.nn.layers import Dense, ReLU
 from repro.nn.network import Sequential
 
 
+DIM = 6 * 5 + 5 + 5 * 3 + 3
+
+
 def make_net(rng):
     return Sequential([Dense(6, 5, rng), ReLU(), Dense(5, 3, rng)])
+
+
+def tensors(net):
+    return [p for layer in net.layers for p in layer.params]
+
+
+def grads(net):
+    return [g for layer in net.layers for g in layer.grads]
 
 
 class TestForward:
@@ -77,10 +88,10 @@ class TestFlatStorage:
     def test_params_are_views_of_flat_vector(self, rng):
         net = make_net(rng)
         flat = net.flat_params
-        assert flat.size == net.spec.total_size
+        assert flat.shape == (DIM,)
         flat[0] = 123.0
-        assert net.params[0].ravel()[0] == 123.0
-        net.params[0][0, 0] = 456.0
+        assert tensors(net)[0].ravel()[0] == 123.0
+        tensors(net)[0][0, 0] = 456.0
         assert flat[0] == 456.0
 
     def test_grads_are_views_of_flat_vector(self, rng):
@@ -93,11 +104,11 @@ class TestFlatStorage:
         net.zero_grads()
         assert np.all(net.flat_grads == 0)
 
-    def test_flatten_params_of_model_is_zero_copy(self, rng):
-        from repro.utils.params import flatten_params
+    def test_get_params_is_the_flat_vector_copied(self, rng):
         net = make_net(rng)
-        flat = flatten_params(net.params)
-        assert np.shares_memory(flat, net.flat_params)
+        saved = net.get_params()
+        assert np.array_equal(saved, np.concatenate([p.ravel() for p in tensors(net)]))
+        assert not np.shares_memory(saved, net.flat_params)
 
 
 class TestDtype:
@@ -109,14 +120,14 @@ class TestDtype:
     def test_float32_model_runs_in_float32(self, rng):
         net = Sequential([Dense(6, 5, rng), ReLU(), Dense(5, 3, rng)],
                          dtype=np.float32)
-        assert all(p.dtype == np.float32 for p in net.params)
+        assert all(p.dtype == np.float32 for p in tensors(net))
         x = rng.normal(size=(4, 6))  # float64 input is cast on entry
         logits = net.forward(x, training=True)
         assert logits.dtype == np.float32
         from repro.nn.losses import softmax_cross_entropy
         _, grad = softmax_cross_entropy(logits, rng.integers(0, 3, 4))
         net.backward(grad)
-        assert all(g.dtype == np.float32 for g in net.grads)
+        assert all(g.dtype == np.float32 for g in grads(net))
 
     def test_float32_matches_float64_closely(self, rng):
         net64 = make_net(rng)
@@ -140,7 +151,7 @@ class TestDtype:
         result = train_local(net, x, y, LocalTrainingConfig(epochs=1,
                                                             batch_size=8), rng)
         assert np.isfinite(result.mean_loss)
-        assert all(p.dtype == np.float32 for p in result.params)
+        assert result.params.dtype == np.float32
 
 
 class TestParams:
@@ -149,7 +160,7 @@ class TestParams:
         saved = net.get_params()
         x = rng.normal(size=(3, 6))
         before = net.forward(x)
-        net.set_params([p * 0 for p in saved])
+        net.set_params(saved * 0)
         assert not np.allclose(net.forward(x), before)
         net.set_params(saved)
         assert np.allclose(net.forward(x), before)
@@ -157,15 +168,33 @@ class TestParams:
     def test_get_params_is_deep_copy(self, rng):
         net = make_net(rng)
         saved = net.get_params()
-        saved[0][...] = 0
-        assert not np.allclose(net.params[0], 0)
+        saved[...] = 0
+        assert not np.allclose(net.flat_params, 0)
 
-    def test_set_params_shape_mismatch(self, rng):
+    @pytest.mark.parametrize("shape", [(DIM + 1,), (1, DIM), (DIM, 1)])
+    def test_set_params_shape_mismatch(self, rng, shape):
         net = make_net(rng)
-        bad = net.get_params()
-        bad[0] = np.zeros((2, 2))
+        before = net.get_params()
+        with pytest.raises(ValueError, match=rf"\({DIM},\)"):
+            net.set_params(np.zeros(shape))
+        assert np.array_equal(net.flat_params, before)
+
+    def test_set_params_sets_every_replica_of_a_stack(self, rng):
+        net = make_net(rng)
+        stack = net.stacked(3)
+        vector = rng.normal(size=DIM)
+        stack.set_params(vector)
+        assert all(np.array_equal(row, vector) for row in stack.flat_params)
         with pytest.raises(ValueError):
-            net.set_params(bad)
+            stack.set_params(np.zeros((3, DIM)))
+
+    def test_set_params_casts_into_the_model_precision(self, rng):
+        net = Sequential([Dense(6, 5, rng), ReLU(), Dense(5, 3, rng)],
+                         dtype=np.float32)
+        vector = rng.normal(size=DIM)
+        net.set_params(vector)
+        assert net.flat_params.dtype == np.float32
+        assert np.array_equal(net.flat_params, vector.astype(np.float32))
 
     def test_set_params_length_mismatch(self, rng):
         net = make_net(rng)
@@ -178,15 +207,14 @@ class TestParams:
         logits = net.forward(rng.normal(size=(4, 6)), training=True)
         _, grad = softmax_cross_entropy(logits, rng.integers(0, 3, 4))
         net.backward(grad)
-        assert any(np.abs(g).sum() > 0 for g in net.grads)
+        assert any(np.abs(g).sum() > 0 for g in grads(net))
         net.zero_grads()
-        assert all(np.all(g == 0) for g in net.grads)
+        assert all(np.all(g == 0) for g in grads(net))
 
 
     def test_total_size_counts_every_parameter(self, rng):
         net = make_net(rng)
-        assert net.spec.total_size == sum(p.size for p in net.params)
-        assert net.spec.total_size == 6 * 5 + 5 + 5 * 3 + 3
+        assert net.flat_params.size == sum(p.size for p in tensors(net)) == DIM
 
 
 class TestBackwardParams:

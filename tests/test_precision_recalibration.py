@@ -42,9 +42,9 @@ class TestFloat32ReproducesSeedDecisions:
 
     def test_float32_run_is_actually_float32(self, twin_runs):
         strategy, _ = twin_runs["float32"]
-        assert {e.dtype for e in strategy.registry.all()} == {
+        assert {e.flat.dtype for e in strategy.registry.all()} == {
             np.dtype(np.float32)}
-        assert {e.dtype for e in twin_runs["float64"][0].registry.all()} == {
+        assert {e.flat.dtype for e in twin_runs["float64"][0].registry.all()} == {
             np.dtype(np.float64)}
 
     def test_detection_decisions_match(self, twin_runs):

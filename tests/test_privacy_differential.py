@@ -49,7 +49,7 @@ from repro.privacy.secure_aggregation import (
     _uint_dtype,
 )
 from repro.privacy.shamir import PRIME, lagrange_weights, open_shares, share_bundles
-from repro.utils.params import ParamBank, ParamSpec
+from repro.utils.params import ParamBank
 from tests.conftest import bank_of, bank_row, make_context
 
 
@@ -86,7 +86,7 @@ def _split(secrets, num_shares, threshold, rng):
 
 
 def _session(cohort, dim, dtype, context, seed, threshold=None, ledger=None):
-    return SecureAggregationSession(cohort, [(dim,)], shared_seed=seed,
+    return SecureAggregationSession(cohort, dim, shared_seed=seed,
                                     dtype=dtype, context=context,
                                     threshold=threshold, ledger=ledger)
 
@@ -137,8 +137,7 @@ class TestNetMasks:
         session = _session(cohort, dim, dtype, context, seed)
         udt = _uint_dtype(dtype)
         rng = np.random.default_rng(seed)
-        bank = ParamBank(ParamSpec(((dim,),)), dtype=dtype,
-                         capacity=len(cohort))
+        bank = ParamBank(dim, dtype=dtype, capacity=len(cohort))
         rows, originals, sealed = {}, {}, {}
         for party_id in order:
             rows[party_id] = bank_row(bank, rng.normal(size=dim).astype(dtype))
@@ -351,10 +350,10 @@ class TestHoistedWeights:
 
 class TestRecoveryGate:
     def _sealed(self, ledger=None):
-        spec = ParamSpec(((6,),))
-        session = SecureAggregationSession([4, 0, 9, 2], spec, shared_seed=3,
+        dim = 6
+        session = SecureAggregationSession([4, 0, 9, 2], dim, shared_seed=3,
                                            threshold=3, ledger=ledger)
-        bank = ParamBank(spec, capacity=4)
+        bank = ParamBank(dim, capacity=4)
         party_rows = []
         for party_id in session.cohort:
             row = bank_row(bank, np.full(6, party_id + 0.5))
@@ -445,22 +444,22 @@ def work(monkeypatch):
 class TestWorkPins:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_a_session_expands_each_stream_once(self, work, n):
-        spec = ParamSpec(((7,),))
+        dim = 7
         cohort = [3 * i + 1 for i in range(n)]
-        session = SecureAggregationSession(cohort, spec, shared_seed=1,
+        session = SecureAggregationSession(cohort, dim, shared_seed=1,
                                            threshold=min(3, n))
         streams = n * (n + 1) // 2
         # One seed sequence for the session's generator, none per stream or
         # share bundle (each bundle's blinding is keyed by one more word).
         assert work == {"words": streams + n, "seed_sequences": 1}
-        bank = ParamBank(spec, capacity=n)
+        bank = ParamBank(dim, capacity=n)
         party_rows = []
         for party_id in cohort:
             row = bank_row(bank, np.full(7, float(party_id)))
             session.seal_row(party_id, bank.row(row))
             party_rows.append((party_id, row))
         plain = bank_of(
-            [[np.full(7, float(party_id))] for party_id in cohort])
+            [np.full(7, float(party_id)) for party_id in cohort])
         got = session.combine_rows(bank, np.ones(n), party_rows)
         assert np.array_equal(
             got, plain.weighted_combine(np.ones(n), list(range(n))))
@@ -475,9 +474,9 @@ class TestWorkPins:
     def test_a_member_that_never_seals_leaves_no_net_behind(self, work):
         """The round hook skips zero-sample reports: their cohort member has
         pair streams with everyone but never seals a row."""
-        spec = ParamSpec(((5,),))
-        session = SecureAggregationSession([0, 1, 2, 3], spec)
-        bank = ParamBank(spec, capacity=3)
+        dim = 5
+        session = SecureAggregationSession([0, 1, 2, 3], dim)
+        bank = ParamBank(dim, capacity=3)
         party_rows = []
         for party_id in (0, 1, 3):
             row = bank_row(bank, np.full(5, 1.0 + party_id))
@@ -491,8 +490,8 @@ class TestWorkPins:
         assert work == {"words": 10, "streams": 10, "seed_sequences": 1}
 
     def test_reseal_after_unseal_rebuilds_only_that_net(self, work):
-        spec = ParamSpec(((5,),))
-        session = SecureAggregationSession([0, 1, 2, 3], spec)
+        dim = 5
+        session = SecureAggregationSession([0, 1, 2, 3], dim)
         rows = {p: np.full(5, 1.0 + p) for p in session.cohort}
         for party_id, row in rows.items():
             session.seal_row(party_id, row)
@@ -506,8 +505,8 @@ class TestWorkPins:
         assert sorted(session._nets) == [0, 1, 2, 3]
 
     def test_unseal_expands_no_stream(self, work):
-        spec = ParamSpec(((5,),))
-        session = SecureAggregationSession([0, 1, 2], spec, threshold=2)
+        dim = 5
+        session = SecureAggregationSession([0, 1, 2], dim, threshold=2)
         rows = {p: np.full(5, 1.0 + p) for p in session.cohort}
         for party_id, row in rows.items():
             session.seal_row(party_id, row)

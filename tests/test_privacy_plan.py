@@ -49,7 +49,7 @@ from repro.privacy.secure_aggregation import (
     IncompleteSubmissionError,
     SecureAggregationSession,
 )
-from repro.utils.params import ParamBank, ParamSpec, cosine_similarity_matrix
+from repro.utils.params import ParamBank, cosine_similarity_matrix
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
 from tests.conftest import bank_row, make_run_settings, make_tiny_spec
@@ -62,7 +62,6 @@ class TestPrivacyPlanKnobs:
         plan = PrivacyPlan()
         assert not plan.masking and not plan.sealed_scoring
         assert plan.threshold is None and plan.mask_seed is None
-        assert not plan.is_active
         assert PrivacyPlan.from_value("") == plan
         assert PrivacyPlan.from_value(None) is None  # the caller's default
 
@@ -192,7 +191,7 @@ class TestPlanThreading:
 
 class TestThresholdSession:
     def _session(self, cohort=(0, 1, 2, 3), threshold=3, ledger=None):
-        return SecureAggregationSession(list(cohort), [(4,)], shared_seed=7,
+        return SecureAggregationSession(list(cohort), 4, shared_seed=7,
                                         threshold=threshold, ledger=ledger)
 
     def test_share_distribution_is_metered(self):
@@ -231,17 +230,17 @@ class TestThresholdSession:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_threshold_combine_matches_plain_combine(self, rng, dtype):
-        spec = ParamSpec(((5,), (2, 3)))
-        rows = [rng.normal(size=spec.total_size).astype(dtype)
+        dim = 11
+        rows = [rng.normal(size=dim).astype(dtype)
                 for _ in range(3)]
         weights = np.array([2.0, 1.0, 1.0])
 
-        plain_bank = ParamBank(spec, dtype=dtype, capacity=3)
+        plain_bank = ParamBank(dim, dtype=dtype, capacity=3)
         plain_rows = [bank_row(plain_bank, r) for r in rows]
         expected = plain_bank.weighted_combine(weights, plain_rows)
 
-        bank = ParamBank(spec, dtype=dtype, capacity=3)
-        session = SecureAggregationSession([0, 1, 2], spec, shared_seed=9,
+        bank = ParamBank(dim, dtype=dtype, capacity=3)
+        session = SecureAggregationSession([0, 1, 2], dim, shared_seed=9,
                                            dtype=dtype, threshold=2)
         party_rows = []
         for pid, r in enumerate(rows):
@@ -376,7 +375,7 @@ class TestSealedScoringKernels:
     def _registry(self, seed, sealed):
         rng = spawn_rng(seed, "seal-reg")
         registry = ExpertRegistry(memory_capacity=64)
-        params = [rng.normal(size=(16, 8))]
+        params = rng.normal(size=16 * 8)
         for regime in range(4):
             registry.create(params, window=0,
                             embeddings=rng.normal(size=(48, 12)) + 2.0 * regime,
@@ -393,11 +392,11 @@ class TestSealedScoringKernels:
             registry = self._registry(3, sealed=sealed)
             rng = spawn_rng(3, "seal-merge")
             for expert in registry.all():
-                expert.set_params([p + 0.05 * rng.normal(size=p.shape)
-                                   for p in expert.params])
+                expert.set_params(
+                    expert.flat + 0.05 * rng.normal(size=expert.flat.shape))
                 expert.train_rounds = 1
             outcomes.append(consolidate_experts(
-                registry, tau=0.9, window=1, rng=spawn_rng(0, "merge"),
+                registry, tau=0.9, rng=spawn_rng(0, "merge"),
                 memory_epsilon=10.0, gamma=0.05))
         assert outcomes[0] and outcomes[0] == outcomes[1]
 

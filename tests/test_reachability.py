@@ -18,8 +18,9 @@ tell two methods of one name apart, but a name nothing reads is dead.
 Beside them: every package ``__init__`` is its docstring and no module
 assigns ``__all__``; every non-Python file under ``src/repro`` is named in
 ``setup.py``, so an installed package and a checkout cannot run different
-numbers; and no strategy module reads what ``run_fl_round`` owns (the engine,
-the masking, the model metering), so the call stays one line per strategy.
+numbers; no strategy module reads what ``run_fl_round`` owns (the engine,
+the masking, the model metering), so the call stays one line per strategy;
+and outside ``repro.nn`` a model's parameters have one form, a flat vector.
 """
 
 import ast
@@ -202,6 +203,32 @@ def test_strategies_leave_the_round_to_run_fl_round():
     found = {m: sorted(owned & _reads([ast.parse(MODULES[m].read_text())]))
              for m in strategies}
     assert {m: names for m, names in found.items() if names} == {}
+
+
+def test_one_parameter_representation():
+    """Outside ``repro.nn`` a model's parameters are one flat vector: no
+    module there imports ``ParamSpec`` (per-tensor shapes live in
+    ``Sequential._views``), and no module defines a per-tensor list form or
+    a converter to or from it."""
+    second_form = {"Params", "flatten_params", "stack_params", "weighted_average"}
+    found = []
+    for module, path in MODULES.items():
+        in_nn = module == "repro.nn" or module.startswith("repro.nn.")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not in_nn:
+                found += [f"{module} imports ParamSpec" for alias in node.names
+                          if alias.name.rpartition(".")[2] == "ParamSpec"]
+            elif isinstance(node, ast.Attribute) and not in_nn:
+                if node.attr == "ParamSpec":
+                    found.append(f"{module} reads ParamSpec")
+            elif isinstance(node, DEFS) and node.name in second_form:
+                found.append(f"{module} defines {node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                found += [f"{module} defines {t.id}" for t in targets
+                          if isinstance(t, ast.Name) and t.id in second_form]
+    assert found == []
 
 
 def test_a_package_init_is_its_docstring():

@@ -8,7 +8,7 @@ Pins the PR's acceptance criteria from four directions:
   everything is still masked), unsealing rows that were never sealed;
 * a masked ``run_round`` equals its unmasked twin bit for bit in every
   participation mode (the mode x masking x precision grid against the
-  list-based reference lives in ``test_differential_aggregation.py``);
+  vector reference lives in ``test_differential_aggregation.py``);
 * no unmasked party update is ever resident in an ``AsyncRoundBuffer``:
   buffered rows differ from the raw updates while parked and unseal back
   to them exactly, and reports dropped at a window boundary are discarded
@@ -33,12 +33,12 @@ from repro.privacy.secure_aggregation import (
     MaskingSpec,
     SecureAggregationSession,
 )
-from repro.utils.params import ParamBank, ParamSpec, flatten_params
+from repro.utils.params import ParamBank
 from repro.utils.serialization import run_result_to_dict
 from tests.conftest import (bank_row, make_context, make_run_settings,
                             make_tiny_spec)
 
-SHAPES = [(3, 2), (2,)]
+DIM = 8
 
 
 # ------------------------------------------------------------ the mask plane
@@ -47,33 +47,33 @@ class TestFlatMaskPlane:
     def test_seal_bits_symmetric_in_party_order(self):
         """A pair's stream depends only on the unordered pair: the cohort's
         order changes no net mask."""
-        spec = ParamSpec(((16,),))
-        forward, backward = (SecureAggregationSession(cohort, spec, shared_seed=3)
+        dim = 16
+        forward, backward = (SecureAggregationSession(cohort, dim, shared_seed=3)
                              for cohort in ([7, 2, 5], [5, 2, 7]))
         for pid in (2, 5, 7):
             assert np.array_equal(forward.net_seal_bits(pid),
                                   backward.net_seal_bits(pid))
 
     def test_context_namespaces_streams(self):
-        spec = ParamSpec(((16,),))
-        base, other = (SecureAggregationSession([0, 1], spec, shared_seed=3,
+        dim = 16
+        base, other = (SecureAggregationSession([0, 1], dim, shared_seed=3,
                                                 context=context)
                        for context in ((), ("stream", "g", 4)))
         assert not np.array_equal(base.net_seal_bits(0), other.net_seal_bits(0))
 
     def test_seal_bits_dtype_follows_precision(self):
-        spec = ParamSpec(((4,),))
+        dim = 4
         for dtype, bits in ((np.float64, np.uint64), (np.float32, np.uint32)):
-            session = SecureAggregationSession([0, 1], spec, dtype=dtype)
+            session = SecureAggregationSession([0, 1], dim, dtype=dtype)
             assert session.net_seal_bits(0).dtype == bits
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_seal_unseal_roundtrips_exactly(self, rng, dtype):
-        spec = ParamSpec(((5,), (2, 3)))
-        session = SecureAggregationSession([0, 1, 2], spec, shared_seed=9,
+        dim = 11
+        session = SecureAggregationSession([0, 1, 2], dim, shared_seed=9,
                                            dtype=dtype)
-        bank = ParamBank(spec, dtype=dtype, capacity=3)
-        row = bank_row(bank, rng.normal(size=spec.total_size).astype(dtype))
+        bank = ParamBank(dim, dtype=dtype, capacity=3)
+        row = bank_row(bank, rng.normal(size=dim).astype(dtype))
         original = bank.row(row).copy()
         session.seal_row(0, bank.row(row))
         assert not np.array_equal(bank.row(row), original)
@@ -84,8 +84,8 @@ class TestFlatMaskPlane:
         """The group-theoretic core: summed over the cohort, the pairwise
         components cancel exactly — what survives is the personal
         double-masking terms the recovery phase removes per row."""
-        spec = ParamSpec(((6,),))
-        session = SecureAggregationSession([0, 1, 2, 3], spec, shared_seed=4)
+        dim = 6
+        session = SecureAggregationSession([0, 1, 2, 3], dim, shared_seed=4)
         total = np.zeros(6, dtype=np.uint64)
         for pid in session.cohort:
             total += session.net_seal_bits(pid)
@@ -97,9 +97,9 @@ class TestFlatMaskPlane:
         two parties), but the personal mask must still hide the row — a
         survivor of a heavy-dropout round may never sit plaintext in a
         buffer."""
-        spec = ParamSpec(((8,),))
-        session = SecureAggregationSession([3], spec, shared_seed=2)
-        bank = ParamBank(spec, capacity=1)
+        dim = 8
+        session = SecureAggregationSession([3], dim, shared_seed=2)
+        bank = ParamBank(dim, capacity=1)
         row = bank_row(bank, rng.normal(size=8))
         original = bank.row(row).copy()
         session.seal_row(3, bank.row(row))
@@ -112,27 +112,27 @@ class TestFlatMaskPlane:
 
 class TestFailureModes:
     def test_duplicate_seal_rejected(self, rng):
-        spec = ParamSpec(tuple(SHAPES))
-        session = SecureAggregationSession([0, 1], spec)
-        bank = ParamBank(spec, capacity=2)
-        row = bank_row(bank, rng.normal(size=spec.total_size))
+        dim = DIM
+        session = SecureAggregationSession([0, 1], dim)
+        bank = ParamBank(dim, capacity=2)
+        row = bank_row(bank, rng.normal(size=dim))
         session.seal_row(0, bank.row(row))
         with pytest.raises(ValueError, match="already submitted"):
             session.seal_row(0, bank.row(row))
 
     def test_unseal_requires_a_sealed_row(self, rng):
-        spec = ParamSpec(tuple(SHAPES))
-        session = SecureAggregationSession([0, 1], spec)
-        bank = ParamBank(spec, capacity=2)
-        row = bank_row(bank, rng.normal(size=spec.total_size))
+        dim = DIM
+        session = SecureAggregationSession([0, 1], dim)
+        bank = ParamBank(dim, capacity=2)
+        row = bank_row(bank, rng.normal(size=dim))
         with pytest.raises(KeyError, match="no sealed row"):
             session.unseal_row(0, bank.row(row))
 
     def test_combine_rows_weight_length_mismatch(self, rng):
-        spec = ParamSpec(tuple(SHAPES))
-        session = SecureAggregationSession([0, 1], spec)
-        bank = ParamBank(spec, capacity=2)
-        row = bank_row(bank, rng.normal(size=spec.total_size))
+        dim = DIM
+        session = SecureAggregationSession([0, 1], dim)
+        bank = ParamBank(dim, capacity=2)
+        row = bank_row(bank, rng.normal(size=dim))
         session.seal_row(0, bank.row(row))
         with pytest.raises(ValueError, match="does not match"):
             session.combine_rows(bank, [1.0, 2.0], [(0, row)])
@@ -141,12 +141,12 @@ class TestFailureModes:
         """A row without its session would enter the aggregate still
         sealed; the mismatch is refused before anything is recovered or
         unsealed."""
-        spec = ParamSpec(tuple(SHAPES))
-        session = SecureAggregationSession([0, 1], spec, threshold=2)
-        bank = ParamBank(spec, capacity=2)
+        dim = DIM
+        session = SecureAggregationSession([0, 1], dim, threshold=2)
+        bank = ParamBank(dim, capacity=2)
         party_rows = []
         for party_id in session.cohort:
-            row = bank_row(bank, rng.normal(size=spec.total_size))
+            row = bank_row(bank, rng.normal(size=dim))
             session.seal_row(party_id, bank.row(row))
             party_rows.append((party_id, row))
         sealed = bank.matrix([row for _, row in party_rows]).copy()
@@ -161,10 +161,10 @@ class TestFailureModes:
     def test_combine_rows_rejects_bad_weights_before_unsealing(self, rng):
         """Weight validation must happen while the rows are still masked:
         a rejected aggregation may not leave plaintext in the bank."""
-        spec = ParamSpec(tuple(SHAPES))
-        session = SecureAggregationSession([0, 1], spec)
-        bank = ParamBank(spec, capacity=2)
-        row = bank_row(bank, rng.normal(size=spec.total_size))
+        dim = DIM
+        session = SecureAggregationSession([0, 1], dim)
+        bank = ParamBank(dim, capacity=2)
+        row = bank_row(bank, rng.normal(size=dim))
         session.seal_row(0, bank.row(row))
         sealed_bytes = bank.row(row).copy()
         with pytest.raises(ValueError, match="positive"):
@@ -173,7 +173,7 @@ class TestFailureModes:
         assert np.array_equal(bank.row(row), sealed_bytes)
 
     def test_seal_rejects_foreign_dtype_and_shape(self, rng):
-        session = SecureAggregationSession([0, 1], ParamSpec(((4,),)),
+        session = SecureAggregationSession([0, 1], 4,
                                            dtype=np.float64)
         with pytest.raises(ValueError, match="dtype"):
             session.seal_row(0, rng.normal(size=4).astype(np.float32))
@@ -181,7 +181,7 @@ class TestFailureModes:
             session.seal_row(0, rng.normal(size=5))
 
     def test_seal_rejects_party_outside_cohort(self, rng):
-        session = SecureAggregationSession([0, 1], ParamSpec(((4,),)))
+        session = SecureAggregationSession([0, 1], 4)
         with pytest.raises(KeyError, match="party 9 not in"):
             session.seal_row(9, rng.normal(size=4))
 
@@ -205,7 +205,7 @@ class TestMaskedRoundsBitwise:
                                           ctx.round_config, round_tag=(0, 0),
                                           stream="g", secure=secure)
             assert stats.aggregated
-            return flatten_params(got)
+            return got
 
         assert np.array_equal(one(None), one(MaskingSpec(11)))
 
@@ -302,16 +302,16 @@ class TestCohortSealing:
         order, and unseals to the bytes the unmasked cohort wrote."""
         ctx, params = _fresh(tiny_spec, tiny_dataset)
         ids = [5, 0, 3, 1, 6]
-        spec = ParamSpec.of(params)
+        dim = params.size
 
         def bank():
-            return ParamBank(spec, dtype=ctx.parties.dtype, capacity=2)
+            return ParamBank(dim, dtype=ctx.parties.dtype, capacity=2)
 
         plain = bank()
         plain_rows, _ = train_cohort(ctx.parties, ids, params, ctx.round_config,
                                      (0, 0), plain)
         masked = bank()
-        session, seal = make_round_session(ids, spec, masked, MaskingSpec(11),
+        session, seal = make_round_session(ids, masked, MaskingSpec(11),
                                            context=("stream", "g", 0, (0, 0)))
         order = []
         rows, updates = train_cohort(
