@@ -213,12 +213,13 @@ def ref_pool_backward(first, x_shape, p, grad_out):
     return grad.reshape(n, c, h, w)
 
 
-def _tensors(model):
-    """The model's per-tensor parameter arrays (views of its flat vector)."""
+def layer_params(model):
+    """The layers' parameter arrays, in order (views of the flat vector)."""
     return [p for layer in model.layers for p in layer.params]
 
 
-def _grads(model):
+def layer_grads(model):
+    """The layers' gradient arrays, in order (views of the flat gradient)."""
     return [g for layer in model.layers for g in layer.grads]
 
 
@@ -229,7 +230,7 @@ def ref_train_local(model, x, y, config, rng, global_params=None):
     tensor-shaped slice at a time.
     """
     x = np.asarray(x, dtype=model.dtype)
-    params = _tensors(model)
+    params = layer_params(model)
     if global_params is not None:
         ends = np.cumsum([p.size for p in params])
         anchors = [global_params[end - p.size:end].reshape(p.shape)
@@ -249,7 +250,7 @@ def ref_train_local(model, x, y, config, rng, global_params=None):
             logits = model.forward(xb, training=True)
             loss, grad = softmax_cross_entropy(logits, yb)
             model.backward(grad)
-            grads = _grads(model)
+            grads = layer_grads(model)
             if config.prox_mu > 0 and global_params is not None:
                 for g, p, gp in zip(grads, params, anchors):
                     g += config.prox_mu * (p - gp)
@@ -268,7 +269,7 @@ def numerical_gradients(model: Sequential, x: np.ndarray, y: np.ndarray,
                         eps: float = 1e-5) -> list[np.ndarray]:
     """Central-difference gradients of mean CE loss w.r.t. every parameter."""
     grads: list[np.ndarray] = []
-    for param in _tensors(model):
+    for param in layer_params(model):
         grad = np.zeros_like(param)
         it = np.nditer(param, flags=["multi_index"])
         while not it.finished:
@@ -292,7 +293,7 @@ def analytic_gradients(model: Sequential, x: np.ndarray,
     logits = model.forward(x, training=True)
     _, grad = softmax_cross_entropy(logits, y)
     model.backward(grad)
-    return [g.copy() for g in _grads(model)]
+    return [g.copy() for g in layer_grads(model)]
 
 
 def max_grad_error(model: Sequential, x: np.ndarray, y: np.ndarray,

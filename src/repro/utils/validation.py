@@ -100,10 +100,16 @@ def _typed(where: str, options: tuple, value):
 def typed_fields(where: str, cls, mapping: Mapping) -> dict:
     """``mapping`` as ``cls`` keyword arguments: keys checked against the
     fields, and every scalar field's value typed by it (:func:`_typed`, the
-    error naming ``where.key``).  A field of any other type (a tuple, a
-    nested block) is passed on as given, for its own reader."""
+    error naming ``where.key``).  A text field takes only text: unlike a
+    knob's, these classes do not normalise what they accept.  A field of
+    any other type (a tuple, a nested block) is passed on as given, for its
+    own reader."""
     kwargs = check_keys(where, mapping, field_names(cls))
     types = field_types(cls)
+    for key, value in kwargs.items():
+        if (set(types[key]) <= {str, type(None)}
+                and not isinstance(value, (str, type(None)))):
+            raise ValueError(f"{where}.{key} must be a string; got {value!r}")
     return {key: (_typed(f"{where}.{key}", types[key], value)
                   if set(types[key]) <= _EXPECTED.keys() else value)
             for key, value in kwargs.items()}

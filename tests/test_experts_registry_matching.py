@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from benchmarks.fidelity import memory_footprint
+from benchmarks.reference import _ref_weighted_mean
 from repro.detection.mmd import class_conditional_mmd, class_conditional_mmd_batch, mmd
 from repro.experts.consolidation import consolidate_experts
 from repro.experts.matching import match_cluster_to_expert
@@ -123,13 +124,19 @@ class TestOwnedVectors:
         b = registry.create(base + dtype(0.01), window=1)
         a.train_rounds, a.samples_seen = 3, 300
         b.train_rounds, b.samples_seen = 1, 100
-        expected = 0.75 * a.flat.astype(np.float64) + 0.25 * b.flat.astype(np.float64)
+        # The reference runs the ops the list-form weighted average ran, so
+        # the merge keeps its bytes, not only its value.
+        expected = _ref_weighted_mean([a.flat, b.flat], [300.0, 100.0],
+                                      ["a", "b"])
         events = consolidate_experts(registry, tau=0.9, rng=rng)
         merged = registry.get(events[0].new_id)
         assert registry.ids() == [merged.expert_id] and registry.merged_total == 1
         assert merged.flat.dtype == np.dtype(dtype)
+        assert np.array_equal(merged.flat, expected)
         tol = 1e-6 if dtype == np.float32 else 1e-15
-        np.testing.assert_allclose(merged.flat, expected, rtol=tol, atol=tol)
+        np.testing.assert_allclose(
+            merged.flat, 0.75 * a.flat.astype(np.float64)
+            + 0.25 * b.flat.astype(np.float64), rtol=tol, atol=tol)
         assert merged.merged_from == (a.expert_id, b.expert_id)
         assert merged.samples_seen == 400 and merged.train_rounds == 4
         # The parents keep their own vectors after leaving the pool.

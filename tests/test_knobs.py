@@ -218,6 +218,22 @@ class TestTypedBlocks:
                                              r"must be an integer; got 4\.7"):
             drift({"severity": 4.7})
 
+    def test_a_text_field_takes_only_text(self):
+        def resolve(**blocks):
+            return ExperimentPlan.from_dict({**_MINIMAL, **blocks}).resolve()
+
+        with pytest.raises(ValueError, match=r"plan spec_override\.name "
+                                             r"must be a string; got 7"):
+            resolve(spec_override={"name": 7})
+        with pytest.raises(ValueError, match=r"plan spec_override\.windowing "
+                                             r"must be a string; got 0"):
+            resolve(spec_override={"windowing": 0})
+        with pytest.raises(ValueError, match=r"drift\.corruption "
+                                             r"must be a string; got True"):
+            resolve(spec_override={"num_windows": 3, "drift": [
+                {"corruption": True}]})
+        assert resolve(spec_override={"name": "renamed"})[0].name == "renamed"
+
 
 class TestRetired:
     REMOVED_FLAGS = [

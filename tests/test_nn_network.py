@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from benchmarks.reference import layer_grads, layer_params
 from repro.nn.layers import Dense, ReLU
 from repro.nn.network import Sequential
 
@@ -12,14 +13,6 @@ DIM = 6 * 5 + 5 + 5 * 3 + 3
 
 def make_net(rng):
     return Sequential([Dense(6, 5, rng), ReLU(), Dense(5, 3, rng)])
-
-
-def tensors(net):
-    return [p for layer in net.layers for p in layer.params]
-
-
-def grads(net):
-    return [g for layer in net.layers for g in layer.grads]
 
 
 class TestForward:
@@ -90,8 +83,8 @@ class TestFlatStorage:
         flat = net.flat_params
         assert flat.shape == (DIM,)
         flat[0] = 123.0
-        assert tensors(net)[0].ravel()[0] == 123.0
-        tensors(net)[0][0, 0] = 456.0
+        assert layer_params(net)[0].ravel()[0] == 123.0
+        layer_params(net)[0][0, 0] = 456.0
         assert flat[0] == 456.0
 
     def test_grads_are_views_of_flat_vector(self, rng):
@@ -107,7 +100,7 @@ class TestFlatStorage:
     def test_get_params_is_the_flat_vector_copied(self, rng):
         net = make_net(rng)
         saved = net.get_params()
-        assert np.array_equal(saved, np.concatenate([p.ravel() for p in tensors(net)]))
+        assert np.array_equal(saved, np.concatenate([p.ravel() for p in layer_params(net)]))
         assert not np.shares_memory(saved, net.flat_params)
 
 
@@ -120,14 +113,14 @@ class TestDtype:
     def test_float32_model_runs_in_float32(self, rng):
         net = Sequential([Dense(6, 5, rng), ReLU(), Dense(5, 3, rng)],
                          dtype=np.float32)
-        assert all(p.dtype == np.float32 for p in tensors(net))
+        assert all(p.dtype == np.float32 for p in layer_params(net))
         x = rng.normal(size=(4, 6))  # float64 input is cast on entry
         logits = net.forward(x, training=True)
         assert logits.dtype == np.float32
         from repro.nn.losses import softmax_cross_entropy
         _, grad = softmax_cross_entropy(logits, rng.integers(0, 3, 4))
         net.backward(grad)
-        assert all(g.dtype == np.float32 for g in grads(net))
+        assert all(g.dtype == np.float32 for g in layer_grads(net))
 
     def test_float32_matches_float64_closely(self, rng):
         net64 = make_net(rng)
@@ -207,14 +200,14 @@ class TestParams:
         logits = net.forward(rng.normal(size=(4, 6)), training=True)
         _, grad = softmax_cross_entropy(logits, rng.integers(0, 3, 4))
         net.backward(grad)
-        assert any(np.abs(g).sum() > 0 for g in grads(net))
+        assert any(np.abs(g).sum() > 0 for g in layer_grads(net))
         net.zero_grads()
-        assert all(np.all(g == 0) for g in grads(net))
+        assert all(np.all(g == 0) for g in layer_grads(net))
 
 
     def test_total_size_counts_every_parameter(self, rng):
         net = make_net(rng)
-        assert net.flat_params.size == sum(p.size for p in tensors(net)) == DIM
+        assert net.flat_params.size == sum(p.size for p in layer_params(net)) == DIM
 
 
 class TestBackwardParams:

@@ -206,22 +206,15 @@ def test_strategies_leave_the_round_to_run_fl_round():
 
 
 def test_one_parameter_representation():
-    """Outside ``repro.nn`` a model's parameters are one flat vector: no
-    module there imports ``ParamSpec`` (per-tensor shapes live in
-    ``Sequential._views``), and no module defines a per-tensor list form or
-    a converter to or from it."""
-    second_form = {"Params", "flatten_params", "stack_params", "weighted_average"}
+    """A model's parameters are one flat vector (per-tensor shapes live in
+    ``Sequential._views``): no module defines a per-tensor list form, a
+    spec of its shapes, or a converter to or from it."""
+    second_form = {"Params", "ParamSpec", "flatten_params", "stack_params",
+                   "weighted_average"}
     found = []
     for module, path in MODULES.items():
-        in_nn = module == "repro.nn" or module.startswith("repro.nn.")
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and not in_nn:
-                found += [f"{module} imports ParamSpec" for alias in node.names
-                          if alias.name.rpartition(".")[2] == "ParamSpec"]
-            elif isinstance(node, ast.Attribute) and not in_nn:
-                if node.attr == "ParamSpec":
-                    found.append(f"{module} reads ParamSpec")
-            elif isinstance(node, DEFS) and node.name in second_form:
+            if isinstance(node, DEFS) and node.name in second_form:
                 found.append(f"{module} defines {node.name}")
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
