@@ -24,7 +24,6 @@ Window life cycle:
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -46,7 +45,6 @@ from repro.federation.strategy import (
     split_budget,
 )
 from repro.flips.selector import FlipsSelector
-from repro.utils.validation import typed_fields
 
 
 @register_strategy("shiftex")
@@ -55,15 +53,9 @@ class ShiftExStrategy(ContinualStrategy):
 
     name = "shiftex"
 
-    def __init__(self, config: ShiftExConfig | Mapping | None = None) -> None:
+    def __init__(self, config: ShiftExConfig | None = None) -> None:
         super().__init__()
-        if config is None:
-            config = ShiftExConfig()
-        elif not isinstance(config, ShiftExConfig):
-            # A plan file's ``kwargs: {config: {...}}`` arrives as a mapping.
-            config = ShiftExConfig(**typed_fields("shiftex config",
-                                                  ShiftExConfig, config))
-        self.config = config
+        self.config = config if config is not None else ShiftExConfig()
         self.registry = ExpertRegistry(
             memory_capacity=self.config.memory_capacity,
             memory_eta=self.config.memory_eta,

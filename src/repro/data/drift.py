@@ -46,7 +46,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.utils.validation import typed_fields
+from repro.utils.validation import read_knob
 
 ARRIVALS = ("sudden", "gradual", "recurring", "class_incremental")
 
@@ -167,14 +167,9 @@ class CohortDrift:
     @classmethod
     def from_value(cls, value: "CohortDrift | Mapping",
                    where: str = "drift entry") -> "CohortDrift":
-        """Coerce an entry; ``where`` names its block in a key error."""
-        if isinstance(value, CohortDrift):
-            return value
-        if isinstance(value, Mapping):
-            return cls(**typed_fields(where, cls, value))
-        raise TypeError(
-            f"cannot interpret drift entry {value!r}; expected a mapping or "
-            f"CohortDrift")
+        """An entry read by :func:`~repro.utils.validation.read_knob`;
+        ``where`` names it in an error."""
+        return read_knob(cls, value, where)
 
 
 def validate_drift_plan(drift: tuple[CohortDrift, ...],

@@ -30,8 +30,8 @@ def run_cell(plan, cell, callbacks=()):
             f"'spawn'-start worker process, strategies must be registered at "
             f"import time in an importable module (not __main__)") from exc
     except (TypeError, ValueError) as exc:
-        # Wrong kwargs in a plan entry: an unknown argument, a config value
-        # of the wrong type or out of range.
+        # A kwarg the factory itself rejects (out of range); unknown and
+        # wrongly typed ones already failed when the plan loaded.
         raise ValueError(f"strategy '{cell.spec.label}': {exc}") from exc
     return run_strategy(strategy, spec, settings, seed=cell.seed,
                         callbacks=callbacks)

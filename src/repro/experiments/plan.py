@@ -19,25 +19,23 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from repro.data.drift import CohortDrift
 from repro.data.registry import DatasetSpec
 from repro.experiments.executors import SerialExecutor
-from repro.experiments.registry import build_strategy
+from repro.experiments.registry import build_strategy, strategy_factory
 from repro.experiments.results import ComparisonResult
 from repro.federation.async_engine import FederationConfig
 from repro.federation.pool import PopulationConfig
-from repro.federation.rounds import RoundConfig
 from repro.harness.profiles import RUN_KNOBS, RunSettings, get_profile
-from repro.nn.training import LocalTrainingConfig
 from repro.privacy.plan import PrivacyPlan
 from repro.utils.precision import PrecisionPlan
 from repro.utils.validation import (
     check_int,
     check_keys,
     field_names,
-    typed_fields,
+    read_knob,
+    read_kwargs,
 )
 
 SHARDING_RETIRED = (
@@ -85,15 +83,24 @@ class StrategySpec:
     """One strategy entry of a plan.
 
     ``label`` names the row in tables; ``method`` is the registry name built
-    with ``kwargs`` (defaults to the label).
+    with ``kwargs`` (defaults to the label), which stay as written and are
+    typed when the spec is made, so a bad one fails the plan load.
     """
 
     label: str
     method: str | None = None
     kwargs: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.typed_kwargs()
+
+    def typed_kwargs(self) -> dict:
+        """``kwargs`` typed by the registered factory's signature."""
+        return read_kwargs(strategy_factory(self.method or self.label),
+                           self.kwargs, f"plan strategies.{self.label}.kwargs")
+
     def build(self):
-        return build_strategy(self.method or self.label, **self.kwargs)
+        return build_strategy(self.method or self.label, **self.typed_kwargs())
 
     def to_dict(self) -> dict:
         return {"method": self.method or self.label, "kwargs": dict(self.kwargs)}
@@ -104,13 +111,13 @@ class StrategySpec:
         if isinstance(entry, StrategySpec):
             return entry
         if isinstance(entry, str):
-            return cls(label=label, method=entry)
-        if isinstance(entry, Mapping):
-            entry = check_keys(f"plan strategy '{label}'", entry,
-                               ("method", "kwargs"))
-            return cls(label=label, method=entry.get("method", label),
-                       kwargs=dict(entry.get("kwargs", {})))
-        raise TypeError(f"cannot interpret strategy entry {entry!r}")
+            entry = {"method": entry}
+        if not isinstance(entry, Mapping):
+            raise TypeError(f"cannot interpret strategy entry {entry!r}")
+        where = f"plan strategies.{label}"
+        entry = check_keys(where, entry, ("method", "kwargs"))
+        return read_knob(cls, {"label": label, "method": label, **entry},
+                         where)
 
 
 @dataclass(frozen=True)
@@ -176,12 +183,6 @@ class ExperimentPlan:
     settings_override: RunSettings | None = None
 
     def __post_init__(self) -> None:
-        self.strategies = tuple(self.strategies)
-        if not isinstance(self.seeds, (list, tuple)):
-            raise ValueError(f"plan seeds must be a list of integers; "
-                             f"got {self.seeds!r}")
-        self.seeds = tuple(check_int(f"plan seeds[{i}]", seed)
-                           for i, seed in enumerate(self.seeds))
         if not self.strategies:
             raise ValueError("plan needs at least one strategy")
         if not self.seeds:
@@ -189,13 +190,8 @@ class ExperimentPlan:
         if self.shards not in (None, 1):
             raise ValueError(f"shards={self.shards!r} is not supported: "
                              f"shards must be 1; {SHARDING_RETIRED}")
-        for key, cls in RUN_KNOBS.items():
-            setattr(self, key, cls.from_value(getattr(self, key),
-                                              f"plan {key}"))
-        if self.cohort_size is not None:
-            self.cohort_size = check_int("plan cohort_size", self.cohort_size)
-            if self.cohort_size < 1:
-                raise ValueError("cohort_size must be at least 1 when given")
+        if self.cohort_size is not None and self.cohort_size < 1:
+            raise ValueError("cohort_size must be at least 1 when given")
         labels = [s.label for s in self.strategies]
         dupes = {label for label in labels if labels.count(label) > 1}
         if dupes:
@@ -211,11 +207,13 @@ class ExperimentPlan:
         ``strategies`` may be an iterable of names/StrategySpecs or a mapping
         ``label -> entry`` where the entry is a registry name or a
         ``{"method": ..., "kwargs": {...}}`` mapping.
-        ``fields`` are the plan's other fields by name; each run knob takes
-        any input its class reads (an instance, a mapping, a spec string).
+        ``fields`` are the plan's other fields by name, read as a plan
+        file's keys are: each run knob takes any input its class reads (an
+        instance, a mapping, a spec string).
         """
-        return cls(dataset=dataset, strategies=_strategy_specs(strategies),
-                   seeds=tuple(seeds), **fields)
+        return read_knob(cls, {"dataset": dataset,
+                               "strategies": _strategy_specs(strategies),
+                               "seeds": tuple(seeds), **fields}, "plan")
 
     # -------------------------------------------------------------- execution
 
@@ -304,22 +302,21 @@ class ExperimentPlan:
         # the allowed set.
         data = check_keys("plan", data, field_names(cls),
                           retired=_RETIRED_PLAN_KEYS)
-        for key in ("dataset", "strategies"):
-            if key not in data:
-                raise ValueError(f"plan is missing required key '{key}'")
-        data["strategies"] = _strategy_specs(data["strategies"])
+        if "strategies" in data:
+            data["strategies"] = _strategy_specs(data["strategies"])
+        spec = data.pop("spec_override", None)
+        settings = data.pop("settings_override", None)
+        plan = read_knob(cls, data, "plan")
 
         def profile():
-            return get_profile(data.get("profile", cls.profile),
-                               data["dataset"])
+            return get_profile(plan.profile, plan.dataset)
 
-        if data.get("spec_override") is not None:
-            data["spec_override"] = _dataset_spec_from_dict(
-                data["spec_override"], lambda: profile()[0])
-        if data.get("settings_override") is not None:
-            data["settings_override"] = _run_settings_from_dict(
-                data["settings_override"], lambda: profile()[1])
-        return cls(**data)
+        if spec is not None:
+            spec = _dataset_spec_from_dict(spec, lambda: profile()[0])
+        if settings is not None:
+            settings = _run_settings_from_dict(settings, lambda: profile()[1])
+        return dataclasses.replace(plan, spec_override=spec,
+                                   settings_override=settings)
 
 
 def _strategy_specs(strategies) -> tuple[StrategySpec, ...]:
@@ -339,33 +336,14 @@ def _strategy_specs(strategies) -> tuple[StrategySpec, ...]:
     return tuple(specs)
 
 
-def _overlay(where: str, cls, data: Mapping, base: Callable[[], object]):
-    """``cls`` from the fields ``data`` names, every other one ``base()``'s.
-
-    ``base`` is called only when a field is omitted.  Unknown keys are
-    rejected and every scalar field typed by it, naming ``where.key``.
-    """
-    data = typed_fields(where, cls, data)
-    omitted = [f.name for f in dataclasses.fields(cls)
-               if f.init and f.name not in data]
-    if omitted:
-        default = base()
-        data = {**{name: getattr(default, name) for name in omitted}, **data}
-    return cls(**data)
-
-
 def _dataset_spec_from_dict(data: Mapping, base) -> DatasetSpec:
     where = "plan spec_override"
     data = check_keys(where, data, field_names(DatasetSpec))
     drift = data.get("drift", ())
     if isinstance(drift, Mapping):  # a single [drift] table, not [[drift]]
         drift = (drift,)
-    data["drift"] = tuple(CohortDrift.from_value(d, f"{where}.drift")
-                          for d in drift)
-    if "window_regimes" in data:
-        data["window_regimes"] = tuple(
-            (str(c), int(s)) for c, s in data["window_regimes"])
-    elif data["drift"]:
+    data["drift"] = drift
+    if "window_regimes" not in data and drift:
         num_windows = check_int(f"{where}.num_windows",
                                 data["num_windows"] if "num_windows" in data
                                 else base().num_windows)
@@ -376,32 +354,19 @@ def _dataset_spec_from_dict(data: Mapping, base) -> DatasetSpec:
         # The drift schedule supersedes window_regimes entirely; the
         # placeholder only satisfies the spec's length validation.
         data["window_regimes"] = (("identity", 1),) * (num_windows - 1)
-    elif "num_windows" in data:
+    elif "window_regimes" not in data and "num_windows" in data:
         raise ValueError(
             f"{where}.num_windows needs spec_override.drift or "
             f"window_regimes: without a drift schedule the window count is "
             f"part of the dataset's regime sequence")
-    return _overlay(where, DatasetSpec, data, base)
+    return read_knob(DatasetSpec, data, where, base)
 
 
 def _run_settings_from_dict(data: Mapping, base) -> RunSettings:
     where = "plan settings_override"
     data = check_keys(where, data, field_names(RunSettings))
     mirrors = {key: data.pop(key) for key in _SETTINGS_MIRRORS if key in data}
-    if "round_config" in data:
-        round_config = check_keys(f"{where}.round_config",
-                                  data["round_config"], field_names(RoundConfig))
-        if "local" in round_config:
-            round_config["local"] = _overlay(
-                f"{where}.round_config.local", LocalTrainingConfig,
-                round_config["local"], lambda: base().round_config.local)
-        data["round_config"] = _overlay(f"{where}.round_config", RoundConfig,
-                                        round_config,
-                                        lambda: base().round_config)
-    for key, knob in RUN_KNOBS.items():
-        if key in data:
-            data[key] = knob.from_value(data[key], f"{where}.{key}")
-    settings = _overlay(where, RunSettings, data, base)
+    settings = read_knob(RunSettings, data, where, base)
     for key, value in mirrors.items():
         held = getattr(settings, key)
         if value != held and not (key == "shard_hosts" and value == []):

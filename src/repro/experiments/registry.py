@@ -79,22 +79,23 @@ def strategy_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def build_strategy(name: str, **kwargs):
-    """Instantiate a registered strategy, forwarding ``kwargs`` to its factory."""
+def strategy_factory(name: str) -> Callable[..., object]:
+    """The factory registered under ``name``."""
     _ensure_builtins()
     if name not in _REGISTRY:
-        raise KeyError(
-            f"unknown strategy '{name}'; available: {list(strategy_names())}")
-    return _REGISTRY[name](**kwargs)
+        raise KeyError(f"unregistered strategy '{name}'; "
+                       f"available: {list(strategy_names())}")
+    return _REGISTRY[name]
+
+
+def build_strategy(name: str, **kwargs):
+    """Instantiate a registered strategy, forwarding ``kwargs`` to its factory."""
+    return strategy_factory(name)(**kwargs)
 
 
 def strategy_description(name: str) -> str:
     """One-line description of a registered strategy (docstring first line)."""
-    _ensure_builtins()
-    if name not in _REGISTRY:
-        raise KeyError(
-            f"unknown strategy '{name}'; available: {list(strategy_names())}")
-    factory = _REGISTRY[name]
+    factory = strategy_factory(name)
     describe = getattr(factory, "describe", None)
     if callable(describe):
         return describe()

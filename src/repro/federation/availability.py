@@ -106,6 +106,10 @@ class ReportFate:
     in_outage: bool = False
 
 
+#: The largest population whose outage sets are enumerated exactly.
+OUTAGE_ENUMERATION_LIMIT = 4096
+
+
 class AvailabilitySimulator:
     """Deterministic per-(party, round) availability draws.
 
@@ -113,25 +117,23 @@ class AvailabilitySimulator:
     dropout/straggler draws are per-party streams and do not need it.  All
     methods are pure functions of ``(seed, party_id, tick)`` — the caches
     here only memoize those pure draws, so replaying any round gives the
-    same fates.  ``enumeration_limit`` bounds the exact-subset outage
+    same fates.  ``OUTAGE_ENUMERATION_LIMIT`` bounds the exact-subset outage
     regime: see :attr:`enumerates_outages` for the O(cohort) large-population
     derivation.
     """
 
     def __init__(self, config: AvailabilityConfig, seed: int = 0,
-                 num_parties: int | None = None,
-                 enumeration_limit: int = 4096) -> None:
+                 num_parties: int | None = None) -> None:
         self.config = config
         self.seed = seed
         self.num_parties = num_parties
-        self.enumeration_limit = enumeration_limit
         self._outage_cache: dict[int, frozenset[int]] = {}
 
     @property
     def enumerates_outages(self) -> bool:
         """True when outage membership is an exact-``k`` enumerated subset.
 
-        Below ``enumeration_limit`` each outage knocks out exactly
+        Up to ``OUTAGE_ENUMERATION_LIMIT`` parties each outage knocks out exactly
         ``round(outage_fraction * num_parties)`` parties — the historical
         semantics, preserved bitwise.  Above it, enumerating the population
         per round would make dispatch O(population), so membership switches
@@ -140,7 +142,7 @@ class AvailabilitySimulator:
         outage size, O(cohort) queries.
         """
         return (bool(self.num_parties)
-                and self.num_parties <= self.enumeration_limit)
+                and self.num_parties <= OUTAGE_ENUMERATION_LIMIT)
 
     def _outage_start_active(self, start: int) -> bool:
         """Whether a correlated outage begins at round ``start`` (the first
@@ -163,7 +165,7 @@ class AvailabilitySimulator:
         if not self.enumerates_outages:
             raise ValueError(
                 f"population {self.num_parties} exceeds enumeration_limit "
-                f"{self.enumeration_limit}, so the outage set cannot be "
+                f"{OUTAGE_ENUMERATION_LIMIT}, so the outage set cannot be "
                 f"enumerated; dispatch through cohort_fates(party_ids, tick) "
                 f"(or query party_in_outage(party, tick) per member), which "
                 f"scales O(cohort) instead of O(population)")

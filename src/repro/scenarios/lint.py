@@ -1,6 +1,6 @@
 """Soft advisories for a plan: what ``scenarios validate`` and ``compare`` print."""
 
-from repro.federation.availability import AvailabilitySimulator
+from repro.federation.availability import OUTAGE_ENUMERATION_LIMIT
 from repro.federation.async_engine import FederationConfig
 
 _BUFFERING = ("min_reports", "max_wait_rounds", "staleness_policy")
@@ -24,14 +24,12 @@ def lint_scenario(plan) -> list[str]:
         warnings.append(
             "min_reports/max_wait_rounds/staleness_policy only affect "
             "buffered/async participation; synchronous rounds ignore them")
-    if population is not None and federation.availability.outage_prob > 0:
-        probe = AvailabilitySimulator(federation.availability,
-                                      num_parties=population.size)
-        if not probe.enumerates_outages:
-            warnings.append(
-                f"population size {population.size} exceeds the outage "
-                f"enumeration limit ({probe.enumeration_limit}): outage "
-                f"membership is per-party Bernoulli and dispatch goes through "
-                f"cohort_fates() instead of enumerated outage sets")
+    if (population is not None and federation.availability.outage_prob > 0
+            and population.size > OUTAGE_ENUMERATION_LIMIT):
+        warnings.append(
+            f"population size {population.size} exceeds the outage "
+            f"enumeration limit ({OUTAGE_ENUMERATION_LIMIT}): outage "
+            f"membership is per-party Bernoulli and dispatch goes through "
+            f"cohort_fates() instead of enumerated outage sets")
     return warnings
 

@@ -1,22 +1,27 @@
-"""Small validation helpers shared across subsystems, and the knob reader.
+"""Small validation helpers shared across subsystems, and the plan reader.
 
-Every run sub-plan (:class:`~repro.utils.precision.PrecisionPlan`,
+:func:`read_knob` builds a dataclass from a plan value, typing each field by
+its annotation (:func:`read_kwargs` types a strategy factory's keyword
+arguments by its signature the same way).  Every plan block goes through
+it; the run sub-plans (:class:`~repro.utils.precision.PrecisionPlan`,
 :class:`~repro.privacy.plan.PrivacyPlan`,
 :class:`~repro.federation.async_engine.FederationConfig` with its
 :class:`~repro.federation.availability.AvailabilityConfig`,
-:class:`~repro.federation.pool.PopulationConfig`) is a frozen dataclass that
-mixes in :class:`Knob`, so plan files and CLI flags all
-build it through one :func:`read_knob`:
+:class:`~repro.federation.pool.PopulationConfig`) mix in :class:`Knob`, so
+CLI flags read them too:
 
 * an instance is returned as it is;
 * a mapping has its keys checked against the fields and each value typed
-  by its field (nested blocks recursively), every error naming the dotted
-  path (``plan federation.availability.dropout_prob``);
-* a spec string ``[SHORTHAND][,key=value]*`` is the same mapping written on
-  one line: the bare first word is the class's shorthand, and a nested
-  block's keys are dotted (``availability.dropout_prob=0.2``);
-* any other value but a bool is the shorthand's value (a bare int
-  population size); ``privacy = true`` is rejected, not read as masking.
+  by its field (text reads as the field's type, a text field takes only
+  text, a tuple is read element by element, a nested block recursively),
+  every error naming the dotted path
+  (``plan federation.availability.dropout_prob``);
+* for a knob, a spec string ``[SHORTHAND][,key=value]*`` is the same
+  mapping written on one line: the bare first word is the class's
+  shorthand, and a nested block's keys are dotted
+  (``availability.dropout_prob=0.2``); any other value but a bool is the
+  shorthand's value (a bare int population size); ``privacy = true`` is
+  rejected, not read as masking.
 
 :meth:`Knob.spec` writes a value back as the shortest spec string that reads
 to it.
@@ -26,7 +31,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import numbers
+import types
 import typing
 from typing import Collection, Mapping
 
@@ -36,6 +43,8 @@ _TRUE = ("on", "true", "yes", "1")
 _FALSE = ("off", "false", "no", "0")
 _EXPECTED = {bool: "on/off", int: "an integer", float: "a number",
              str: "a string", type(None): "null"}
+_PLURAL = {bool: "on/off values", int: "integers", float: "numbers",
+           str: "strings"}
 
 
 def field_names(cls) -> set[str]:
@@ -62,8 +71,8 @@ def _scalar(kind, value):
             return kind(text)
         if text.lower() in _TRUE + _FALSE:
             return text.lower() in _TRUE
-    elif kind is bool and isinstance(value, bool) or kind is str:
-        return value  # a str field's class normalises what it accepts
+    elif kind is bool and isinstance(value, bool):
+        return value
     elif kind is int:
         return check_int("", value)
     elif kind is float and isinstance(value, numbers.Real):
@@ -72,47 +81,62 @@ def _scalar(kind, value):
 
 
 @functools.cache
-def field_types(cls) -> dict[str, tuple]:
-    """Each field's accepted types (a union's members, else the one type)."""
-    return {name: typing.get_args(hint) or (hint,)
-            for name, hint in typing.get_type_hints(cls).items()}
+def _parameters(factory) -> tuple[dict[str, tuple], bool]:
+    """``factory``'s keyword parameters (a dataclass's ``init`` fields) as
+    ``name -> (annotation or None, required)``, and whether it takes any
+    other keyword (``**kwargs``)."""
+    hints = typing.get_type_hints(
+        factory.__init__ if isinstance(factory, type) else factory)
+    params, open_ = {}, False
+    for param in inspect.signature(factory).parameters.values():
+        if param.kind is param.VAR_KEYWORD:
+            open_ = True
+        elif param.kind is not param.VAR_POSITIONAL:
+            params[param.name] = (hints.get(param.name),
+                                  param.default is param.empty)
+    return params, open_
 
 
-def _typed(where: str, options: tuple, value):
-    """``value`` as the first of the field types ``options`` it reads as."""
-    if value is None:
-        if type(None) in options:
-            return None
-    else:
-        for kind in options:
-            if dataclasses.is_dataclass(kind):
-                return kind.from_value(value, where)
-            if kind is not type(None):
-                try:
-                    return _scalar(kind, value)
-                except ValueError:
-                    continue
-    expected = " or ".join(_EXPECTED.get(kind, "a table or spec string")
-                           for kind in options)
+def _typed(where: str, hint, value, base=None):
+    """``value`` read as the annotation ``hint``, errors naming ``where``.
+
+    A union takes the first member ``value`` reads as.  A dataclass is read
+    by :func:`read_knob`, overlaying ``base`` unless it is a knob; a type
+    the reader does not know passes as given, for its class to check.
+    """
+    options = (typing.get_args(hint)
+               if typing.get_origin(hint) in (typing.Union, types.UnionType)
+               else (hint,))
+    if value is None and type(None) in options:
+        return None
+    for kind in options:
+        if dataclasses.is_dataclass(kind):
+            return read_knob(kind, value, where,
+                             None if issubclass(kind, Knob) else base)
+        if typing.get_origin(kind) is tuple:
+            return _items(where, typing.get_args(kind), value)
+        if kind not in _EXPECTED:
+            return value
+        if kind is not type(None):
+            try:
+                return _scalar(kind, value)
+            except ValueError:
+                continue
+    expected = " or ".join(_EXPECTED[kind] for kind in options)
     raise ValueError(f"{where} must be {expected}; got {value!r}")
 
 
-def typed_fields(where: str, cls, mapping: Mapping) -> dict:
-    """``mapping`` as ``cls`` keyword arguments: keys checked against the
-    fields, and every scalar field's value typed by it (:func:`_typed`, the
-    error naming ``where.key``).  A text field takes only text: unlike a
-    knob's, these classes do not normalise what they accept.  A field of
-    any other type (a tuple, a nested block) is passed on as given, for its
-    own reader."""
-    kwargs = check_keys(where, mapping, field_names(cls))
-    types = field_types(cls)
-    for key, value in kwargs.items():
-        if (set(types[key]) <= {str, type(None)}
-                and not isinstance(value, (str, type(None)))):
-            raise ValueError(f"{where}.{key} must be a string; got {value!r}")
-    return {key: (_typed(f"{where}.{key}", types[key], value)
-                  if set(types[key]) <= _EXPECTED.keys() else value)
-            for key, value in kwargs.items()}
+def _items(where: str, kinds: tuple, value) -> tuple:
+    """A list read one element at a time, naming ``where[i]``: ``kinds`` is
+    ``(X, ...)`` for any length, else one annotation per position."""
+    many = kinds[-1] is Ellipsis
+    if not isinstance(value, (list, tuple)) or (
+            not many and len(value) != len(kinds)):
+        what = _PLURAL.get(kinds[0], "entries") if many else \
+            f"{len(kinds)} items"
+        raise ValueError(f"{where} must be a list of {what}; got {value!r}")
+    return tuple(_typed(f"{where}[{i}]", kinds[0] if many else kinds[i], item)
+                 for i, item in enumerate(value))
 
 
 def _spec_fields(cls, where: str, text: str) -> dict:
@@ -131,32 +155,51 @@ def _spec_fields(cls, where: str, text: str) -> dict:
     return fields
 
 
-def read_knob(cls, value, where: str):
-    """Build the :class:`Knob` dataclass ``cls`` from any of its inputs.
+def read_kwargs(factory, value: Mapping, where: str, base=None) -> dict:
+    """``value`` as keyword arguments of ``factory`` (a dataclass or a
+    strategy factory), each typed by its annotation and named ``where.key``.
 
-    ``None`` stays ``None`` (the caller's default applies).  ``where`` is
-    the dotted path errors name (``"plan federation"``).
+    ``base`` (an override's profile value, a zero-argument callable) fills
+    every omitted parameter and is called only when one is omitted.
     """
-    if value is None or isinstance(value, cls):
-        return value
-    if isinstance(value, str):
-        value = _spec_fields(cls, where, value)
-    elif isinstance(value, bool):
-        raise ValueError(f"{where} must be a table or spec string; "
-                         f"got {value!r} (a bool is not a plan)")
-    elif not isinstance(value, Mapping):
-        value = cls.shorthand(value)
-    kwargs = check_keys(where, value, field_names(cls))
-    types = field_types(cls)
-    kwargs = {key: _typed(f"{where}.{key}", types[key], item)
-              for key, item in kwargs.items()}
-    missing = sorted(f.name for f in dataclasses.fields(cls)
-                     if f.name not in kwargs
-                     and f.default is dataclasses.MISSING
-                     and f.default_factory is dataclasses.MISSING)
+    params, open_ = _parameters(factory)
+    kwargs = check_keys(where, value, set(value) if open_ else params)
+    for key, item in kwargs.items():
+        # A plan's own keys read "plan federation", nested ones are dotted.
+        path = f"{where} {key}" if where == "plan" else f"{where}.{key}"
+        kwargs[key] = _typed(path, params.get(key, (None,))[0], item,
+                             base and (lambda key=key: getattr(base(), key)))
+    omitted = [name for name in params if name not in kwargs]
+    if base is not None and omitted:
+        default = base()
+        kwargs.update({name: getattr(default, name) for name in omitted})
+    missing = sorted(name for name, (_hint, required) in params.items()
+                     if required and name not in kwargs)
     if missing:
         raise ValueError(f"{where} is missing required key(s) {missing}")
-    return cls(**kwargs)
+    return kwargs
+
+
+def read_knob(cls, value, where: str, base=None):
+    """The dataclass ``cls`` read from a plan value (see the module
+    docstring); ``where`` is the dotted path errors name (``"plan
+    federation"``), ``base`` makes a mapping an overlay.
+
+    An instance is returned as it is, and for a :class:`Knob` ``None``
+    stays ``None`` (the caller's default applies).
+    """
+    knob = issubclass(cls, Knob)
+    if value is None and knob or isinstance(value, cls):
+        return value
+    if knob and isinstance(value, str):
+        value = _spec_fields(cls, where, value)
+    elif knob and not isinstance(value, (bool, Mapping)):
+        value = cls.shorthand(value)
+    if not isinstance(value, Mapping):
+        expected = "a table or spec string" if knob else "a table"
+        note = " (a bool is not a plan)" if isinstance(value, bool) else ""
+        raise ValueError(f"{where} must be {expected}; got {value!r}{note}")
+    return cls(**read_kwargs(cls, value, where, base))
 
 
 def _text(value) -> str:

@@ -63,19 +63,21 @@ class TestCli:
         assert "unregistered" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry, said", [
-        ({"method": "fedavg", "kwargs": {"bogus": 1}}, "bogus"),
-        ({"method": "shiftex", "kwargs": {"config": {"tau": "x"}}}, "str"),
+        ({"method": "fedavg", "kwargs": {"bogus": 1}},
+         "unknown key(s) ['bogus'] in plan strategies.mine.kwargs"),
+        ({"method": "shiftex", "kwargs": {"config": {"tau": "x"}}},
+         "plan strategies.mine.kwargs.config.tau must be a number"),
     ], ids=["unknown-kwarg", "mistyped-config"])
     def test_run_rejects_bad_strategy_kwargs(self, tmp_path, capsys, entry,
                                              said):
         """An unknown argument or a wrongly typed config value is a bad
-        plan: one line naming the strategy label, not a traceback."""
+        plan: one line naming the dotted key, not a traceback."""
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({
             "dataset": "cifar10_c_sim", "strategies": {"mine": entry}}))
         assert main(["run", str(plan_path)]) == 2
         err = capsys.readouterr().err.strip()
-        assert err.startswith("strategy 'mine': ") and said in err
+        assert err.startswith(said)
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("extra, message", [

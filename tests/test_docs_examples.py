@@ -24,6 +24,7 @@ the line above to exempt it from execution (none currently need it).
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import re
@@ -280,3 +281,25 @@ def test_relative_links_resolve(doc: Path):
         if anchor and dest.suffix == ".md" and anchor not in _anchors(dest):
             problems.append(f"{target}: no heading for anchor '#{anchor}'")
     assert not problems, f"broken links in {_doc_id(doc)}: {problems}"
+
+
+def test_strategy_kwargs_table_matches_the_factories():
+    """docs/PLAN_SCHEMA.md's strategies table lists every built-in method's
+    kwargs with the type and default its factory's signature declares."""
+    from repro.experiments.registry import strategy_factory, strategy_names
+
+    text = (ROOT / "docs" / "PLAN_SCHEMA.md").read_text()
+    section = text.partition("### `strategies` entries")[2].partition("\n#")[0]
+    documented = set(re.findall(
+        r"^\| `(\w+)` \| `?(\w+|—)`? \| (\w+|—) \| `?([^|`]+?)`? \|",
+        section, re.M))
+    declared = set()
+    for name in strategy_names():
+        params = inspect.signature(strategy_factory(name)).parameters.values()
+        declared |= {(name, p.name,
+                      {"float": "float", "int": "int"}.get(p.annotation,
+                                                           "object"),
+                      json.dumps(p.default)) for p in params}
+        if not params:
+            declared.add((name, "—", "—", "—"))
+    assert documented == declared

@@ -186,7 +186,7 @@ class TestPlan:
     @pytest.mark.parametrize("strategies, named", [
         ({"shiftex": {"method": "shiftex",
                       "kwarg": {"config": {"tau": 0.5}}}},
-         r"\['kwarg'\] in plan strategy 'shiftex'; valid keys: "
+         r"\['kwarg'\] in plan strategies\.shiftex; valid keys: "
          r"\['kwargs', 'method'\]"),
         ([{"method": "fedavg"}], "list entries must be names"),
         ({"adhoc": FedAvgStrategy}, "cannot interpret strategy entry"),

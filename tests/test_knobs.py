@@ -182,10 +182,12 @@ class TestTypedBlocks:
         assert config.enable_flips is False and config.k_max == 3
         assert config.tau == 0.5 and config.delta_cov is None
         with pytest.raises(ValueError,
-                           match=r"shiftex config\.k_max must be an integer; got 2\.5"):
+                           match=r"plan strategies\.shiftex\.kwargs\.config\.k_max "
+                                 r"must be an integer; got 2\.5"):
             self._shiftex({"k_max": 2.5})
         with pytest.raises(ValueError,
-                           match=r"shiftex config\.enable_flips must be on/off"):
+                           match=r"plan strategies\.shiftex\.kwargs\.config\."
+                                 r"enable_flips must be on/off"):
             self._shiftex({"enable_flips": 1})
 
     def test_spec_override(self):
@@ -214,7 +216,7 @@ class TestTypedBlocks:
                 "num_windows": 3, "drift": [entry]}}).resolve()[0].drift[0]
 
         assert drift({"severity": "3", "fraction": "0.5"}).severity == 3
-        with pytest.raises(ValueError, match=r"plan spec_override\.drift\.severity "
+        with pytest.raises(ValueError, match=r"plan spec_override\.drift\[0\]\.severity "
                                              r"must be an integer; got 4\.7"):
             drift({"severity": 4.7})
 
@@ -228,11 +230,40 @@ class TestTypedBlocks:
         with pytest.raises(ValueError, match=r"plan spec_override\.windowing "
                                              r"must be a string; got 0"):
             resolve(spec_override={"windowing": 0})
-        with pytest.raises(ValueError, match=r"drift\.corruption "
+        with pytest.raises(ValueError, match=r"drift\[0\]\.corruption "
                                              r"must be a string; got True"):
             resolve(spec_override={"num_windows": 3, "drift": [
                 {"corruption": True}]})
         assert resolve(spec_override={"name": "renamed"})[0].name == "renamed"
+
+    @pytest.mark.parametrize("regime, named", [
+        (["fog", 4.7], r"window_regimes\[0\]\[1\] must be an integer; got 4\.7"),
+        (["frost", True], r"window_regimes\[0\]\[1\] must be an integer; got True"),
+        (["fog"], r"window_regimes\[0\] must be a list of 2 items"),
+        ([4, "fog"], r"window_regimes\[0\]\[0\] must be a string; got 4"),
+    ], ids=["fraction", "bool", "short", "swapped"])
+    def test_window_regimes_are_read_entry_by_entry(self, regime, named):
+        """``4.7`` used to read as severity 4 and ``true`` as 1."""
+        regimes = [regime] + [["snow", 2]] * 4  # fashion_mnist_sim's five
+        with pytest.raises(ValueError, match=r"plan spec_override\." + named):
+            ExperimentPlan.from_dict({**_MINIMAL, "spec_override": {
+                "window_regimes": regimes}})
+        regimes[0] = ["fog", "4"]
+        assert ExperimentPlan.from_dict({**_MINIMAL, "spec_override": {
+            "window_regimes": regimes}}).resolve()[0].window_regimes[0] == \
+            ("fog", 4)
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"name": 7}, "plan name must be a string; got 7"),
+        ({"profile": 7}, "plan profile must be a string; got 7"),
+        ({"dataset": 7}, "plan dataset must be a string; got 7"),
+        ({"strategies": {"mine": {"method": 7}}},
+         r"plan strategies\.mine\.method must be a string or null; got 7"),
+    ], ids=["name", "profile", "dataset", "method"])
+    def test_top_level_text_fields_take_only_text(self, extra, named):
+        """Each of these used to load and fail later, or not at all."""
+        with pytest.raises(ValueError, match=named):
+            ExperimentPlan.from_dict({**_MINIMAL, **extra})
 
 
 class TestRetired:

@@ -20,7 +20,8 @@ assigns ``__all__``; every non-Python file under ``src/repro`` is named in
 ``setup.py``, so an installed package and a checkout cannot run different
 numbers; no strategy module reads what ``run_fl_round`` owns (the engine,
 the masking, the model metering), so the call stays one line per strategy;
-and outside ``repro.nn`` a model's parameters have one form, a flat vector.
+outside ``repro.nn`` a model's parameters have one form, a flat vector; and
+one reader types every plan value.
 """
 
 import ast
@@ -249,3 +250,22 @@ def test_every_non_python_file_is_named_in_package_data():
     assert [str(path.relative_to(SRC)) for path in (SRC / "repro").rglob("*")
             if path.is_file() and path.suffix not in (".py", ".pyc")
             and path.name not in declared] == []
+
+
+def test_one_plan_reader():
+    """Every plan value is typed by ``repro.utils.validation.read_knob``
+    (and ``read_kwargs``, its read for a strategy factory's signature): no
+    module defines the retired second typing path, and no other module reads
+    annotations itself."""
+    retired = {"typed_fields", "_overlay"}
+    found = []
+    for module, path in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text())):
+            reads_hints = (
+                isinstance(node, ast.Attribute) and node.attr == "get_type_hints"
+                or isinstance(node, ast.alias) and node.name == "get_type_hints")
+            if isinstance(node, DEFS) and node.name in retired:
+                found.append(f"{module} defines {node.name}")
+            elif reads_hints and module != "repro.utils.validation":
+                found.append(f"{module} reads typing.get_type_hints")
+    assert found == []

@@ -541,6 +541,43 @@ class TestScenarioCli:
         assert main(["scenarios", "validate", str(path)]) == 2
         assert "cadence" in capsys.readouterr().err
 
+    BAD_KWARGS = {
+        "fedavg": ({"bogus": 1},
+                   "unknown key(s) ['bogus'] in plan strategies.mine.kwargs;"),
+        "fedprox": ({"prox_mu": True}, "plan strategies.mine.kwargs.prox_mu "
+                                       "must be a number; got True"),
+        "oort": ({"exploration_fraction": "lots"},
+                 "plan strategies.mine.kwargs.exploration_fraction must be a "
+                 "number; got 'lots'"),
+        "fielding": ({"max_clusters": 2.5}, "plan strategies.mine.kwargs."
+                                            "max_clusters must be an integer; "
+                                            "got 2.5"),
+        "feddrift": ({"max_models": "many"}, "plan strategies.mine.kwargs."
+                                             "max_models must be an integer; "
+                                             "got 'many'"),
+        "shiftex": ({"config": {"embeding_samples": 24}},
+                    "unknown key(s) ['embeding_samples'] in plan "
+                    "strategies.mine.kwargs.config;"),
+    }
+
+    def test_every_built_in_strategy_has_a_bad_kwargs_case(self):
+        from repro.experiments.registry import strategy_names
+        assert sorted(self.BAD_KWARGS) == sorted(strategy_names())
+
+    @pytest.mark.parametrize("method", sorted(BAD_KWARGS))
+    def test_validate_rejects_bad_strategy_kwargs(self, tmp_path, capsys,
+                                                  method):
+        """Typed by the factory's signature when the plan loads: ``prox_mu:
+        true`` used to run FedProx with mu = 1, and an unknown kwarg
+        validated ``ok``."""
+        kwargs, said = self.BAD_KWARGS[method]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(tiny_plan(strategies={
+            "mine": {"method": method, "kwargs": kwargs}})))
+        assert main(["scenarios", "validate", str(path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(said) and len(err.splitlines()) == 1
+
     def test_validate_prints_lint_warnings(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps(tiny_plan(
