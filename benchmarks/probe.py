@@ -2,15 +2,20 @@
 
     PYTHONPATH=src python benchmarks/probe.py PLANE [MODE]
 
-``nn``: per-layer forward / backward µs of ``lenet_mini`` at ``sync_conv``'s
-shapes ((3, 12, 12) inputs, batch 8, float32).  ``--cohort`` times ``r`` = 1,
-4, 8 parties of ``--steps`` batches as a per-party ``train_local`` loop and as
-one call on ``Sequential.stacked(r)`` (``lenet_mini``; ``mlp`` at
-``wide_server``'s (1, 12, 12)) and ends with ``bitwise: True`` when every
-replica ended on its per-party bytes.  ``--forward`` gives per-party µs of an
-inference forward plain, on ``Sequential.shared(r)`` and on a copying
-``Sequential.stacked(r)`` at r = 1 ... 32 for each plan's evaluation and report
-shapes.  ``--check`` exits 1 when a grouped evaluation or embedding
+``nn``: per-layer forward / backward µs of ``lenet_mini`` (float32) at the
+two stacks a ``sync_conv`` run forms, a stacked training step (r = 8 replicas
+of batch 8, (3, 12, 12) inputs) and a shared evaluation (r = 2 of 24 rows),
+under a run's heap policy; every conv and pool kernel beside its ``ref_*``
+kernel fed the same arrays; and one stacked ``train_local`` step.
+``--cohort`` times ``r`` = 1, 4, 8 parties of ``--steps`` batches as a
+per-party ``train_local`` loop and as one call on ``Sequential.stacked(r)``
+(``lenet_mini``; ``mlp`` at ``wide_server``'s (1, 12, 12)) and ends with
+``bitwise: True`` when every replica ended on its per-party bytes.
+``--forward`` gives per-party µs of an inference forward plain, on
+``Sequential.shared(r)`` and on a copying ``Sequential.stacked(r)`` at r = 1
+... 32 for each plan's evaluation and report shapes.  ``--check`` exits 1
+when a live conv or pool kernel differs by a byte from its ``ref_*`` kernel
+at those two stacks, or a grouped evaluation or embedding
 (``evaluate_parties`` / ``embed_parties``: both models, float32 and float64,
 groups across the stack bound) differs from the per-party call.
 
@@ -111,7 +116,12 @@ from repro.federation.party import (  # noqa: E402
     evaluate_parties,
 )
 from repro.federation.pool import PartyPool  # noqa: E402
-from repro.harness.runner import EvaluatedParties, run_strategy  # noqa: E402
+from repro.harness.runner import (  # noqa: E402
+    EvaluatedParties,
+    _keep_heap,
+    run_strategy,
+)
+from repro.nn.layers import Conv2d, MaxPool2d, _col2im, _im2col  # noqa: E402
 from repro.nn.losses import softmax_cross_entropy  # noqa: E402
 from repro.nn.models import build_model  # noqa: E402
 from repro.nn.network import Sequential  # noqa: E402
@@ -155,36 +165,133 @@ FORWARDS = (("sync_conv", "lenet_mini", (3, 12, 12), 24),
             ("async_masked", "mlp", (3, 12, 12), 24))
 
 
+# (what, replicas, rows, training) of the two lenet_mini stacks a sync_conv
+# run forms: a cohort's stacked training step, and a grouped evaluation
+# (``Sequential.shared``; r = 2 is the stack bound at 24 rows).
+STACKS = (("stacked training step", 8, BATCH, True),
+          ("shared evaluation stack", 2, 24, False))
+
+
+def nn_stack(replicas: int, rows: int, training: bool, shape=SHAPE):
+    """A ``lenet_mini`` stack, its activations and (training only) its
+    gradients, as a real step hands them from layer to layer: post-ReLU
+    inputs carry ``-0.0`` and ties, and every NCHW array between conv layers
+    is a view of channels-last memory."""
+    rng = np.random.default_rng(rows)
+    model = build_model("lenet_mini", shape, CLASSES, rng, dtype="float32")
+    if training:
+        stack = model.stacked(replicas)
+        stack.flat_params[:] += rng.normal(0, 0.01, stack.flat_params.shape)
+    else:
+        stack = model.shared(replicas)
+    acts = [rng.random((replicas, rows) + shape).astype(np.float32)]
+    for layer in stack.layers:
+        acts.append(layer.forward(acts[-1], training=training))
+    grads = []
+    if training:
+        y = rng.integers(0, CLASSES, (replicas, rows))
+        grads = [softmax_cross_entropy(acts[-1], y)[1]]
+        for layer in reversed(stack.layers):
+            grads.append(layer.backward(grads[-1]))
+        grads.reverse()
+    return stack, acts, grads
+
+
+def _images(x):
+    """``(..., c, h, w)`` as the ``(n, c, h, w)`` the ``ref_*`` kernels take."""
+    return x.reshape((-1,) + x.shape[-3:])
+
+
+def _ref_conv_forward(layer, x):
+    """``ref_im2col``, then one GEMM and the bias per replica."""
+    k, s, pad = layer.kernel_size, layer.stride, layer.padding
+    out = []
+    for images, weight, bias in zip(x, *layer.params):
+        cols, oh, ow = reference.ref_im2col(images, k, k, s, pad)
+        out.append((cols @ weight.reshape(len(weight), -1).T + bias).reshape(
+            len(images), oh, ow, -1).transpose(0, 3, 1, 2))
+    return np.stack(out)
+
+
+def nn_kernels(stack, acts, grads):
+    """(kernel, input shape, live call, ``ref_*`` call) for every conv and
+    pool layer of one stack, the references fed the same arrays."""
+    calls = []
+    for i, layer in enumerate(stack.layers):
+        x, shape = acts[i], str(acts[i].shape)
+        if isinstance(layer, Conv2d):
+            k, s, pad = layer.kernel_size, layer.stride, layer.padding
+            calls.append(("_im2col", shape, partial(_im2col, x, k, k, s, pad),
+                          partial(reference.ref_im2col, _images(x), k, k, s, pad)))
+            calls.append(("Conv2d.forward", shape,
+                          partial(layer.forward, x, bool(grads)),
+                          partial(_ref_conv_forward, layer, x)))
+            if grads and any(below.params for below in stack.layers[:i]):
+                # a step forms no input gradient for the first parameterised layer
+                cols, oh, ow = _im2col(x, k, k, s, pad)
+                calls.append(("_col2im", shape,
+                              partial(_col2im, cols, x.shape, k, k, s, pad, oh, ow),
+                              partial(reference.ref_col2im,
+                                      cols.reshape(-1, cols.shape[-1]),
+                                      _images(x).shape, k, k, s, pad, oh, ow)))
+        elif isinstance(layer, MaxPool2d):
+            p = layer.pool_size
+            calls.append(("MaxPool2d.forward", shape,
+                          partial(layer.forward, x, bool(grads)),
+                          partial(reference.ref_pool_views, x, p)))
+            if grads:
+                calls.append(("MaxPool2d.backward", shape,
+                              partial(layer.backward, grads[i + 1]),
+                              partial(reference.ref_pool_backward,
+                                      reference.ref_pool_forward(_images(x), p)[1],
+                                      _images(x).shape, p, _images(grads[i + 1]))))
+    return calls
+
+
 def nn_layers() -> None:
-    timed = partial(best_us, calls=400, repeats=7)
-    rng = np.random.default_rng(0)
-    model = build_model("lenet_mini", SHAPE, CLASSES, rng, dtype="float32")
-    x = rng.random((BATCH,) + SHAPE).astype(np.float32)
-    y = rng.integers(0, CLASSES, BATCH)
-    # Each layer is timed on the arrays its neighbours really hand it
-    # (memory layout included), not on fresh contiguous ones.
-    acts = [x]
-    for layer in model.layers:
-        acts.append(layer.forward(acts[-1], training=True))
-    grads = [softmax_cross_entropy(acts[-1], y)[1]]
-    for layer in reversed(model.layers):
-        grads.append(layer.backward(grads[-1]))
-    grads.reverse()
-    print(f"{'layer':<30}{'in':<18}{'fwd us':>9}{'bwd us':>9}")
-    total_fwd = total_bwd = 0.0
-    for i, layer in enumerate(model.layers):
-        fwd = timed(layer.forward, acts[i], True)
-        bwd = timed(layer.backward, grads[i + 1])
-        total_fwd, total_bwd = total_fwd + fwd, total_bwd + bwd
-        print(f"{layer.output_note():<30}{str(acts[i].shape):<18}{fwd:>9.1f}{bwd:>9.1f}")
-    print(f"{'sum':<48}{total_fwd:>9.1f}{total_bwd:>9.1f}")
-    x16, y16 = np.concatenate([x] * 16), np.concatenate([y] * 16)
+    _keep_heap()  # as a run holds its buffers: no page faults timed
+    timed = partial(best_us, calls=100, repeats=5)
+    for what, replicas, rows, training in STACKS:
+        stack, acts, grads = nn_stack(replicas, rows, training)
+        print(f"lenet_mini float32, {what} (r = {replicas}, {rows} rows each)")
+        print(f"{'layer':<30}{'in':<22}{'fwd us':>9}"
+              + (f"{'bwd us':>9}" if training else ""))
+        # A step runs no backward below its first parameterised layer, and
+        # that layer's ``backward_params`` (no input gradient).
+        first = next(i for i, layer in enumerate(stack.layers) if layer.params)
+        total_fwd = total_bwd = 0.0
+        for i, layer in enumerate(stack.layers):
+            fwd = timed(layer.forward, acts[i], training)
+            total_fwd += fwd
+            line = f"{layer.output_note():<30}{str(acts[i].shape):<22}{fwd:>9.1f}"
+            if training and i >= first:
+                bwd = timed(layer.backward if i > first else layer.backward_params,
+                            grads[i + 1])
+                total_bwd += bwd
+                line += f"{bwd:>9.1f}" + ("  (backward_params)" if i == first else "")
+            elif training:
+                line += f"{'-':>9}"
+            print(line)
+        print(f"{'sum':<52}{total_fwd:>9.1f}"
+              + (f"{total_bwd:>9.1f}" if training else ""))
+        print(f"{'kernel':<22}{'in':<22}{'live us':>9}{'ref_* us':>10}")
+        for name, shape, live, ref in nn_kernels(stack, acts, grads):
+            print(f"{name:<22}{shape:<22}{timed(live):>9.1f}{timed(ref):>10.1f}")
+        print()
+    replicas, steps = STACKS[0][1], 16
+    model = build_model("lenet_mini", SHAPE, CLASSES, np.random.default_rng(0),
+                        dtype="float32")
+    rng = np.random.default_rng(1)
+    xs = rng.random((replicas, steps * BATCH) + SHAPE).astype(np.float32)
+    ys = rng.integers(0, CLASSES, (replicas, steps * BATCH))
+    stack = model.stacked(replicas)
     config = LocalTrainingConfig(epochs=1, batch_size=BATCH, lr=0.05)
 
-    def sixteen_steps() -> None:
-        train_local(model, x16, y16, config, np.random.default_rng(0))
-    print(f"train_local, per step over 16 steps: "
-          f"{best_us(sixteen_steps, calls=20, repeats=7) / 16:.0f} us")
+    def all_steps() -> None:
+        train_local(stack, xs, ys, config,
+                    [np.random.default_rng(k) for k in range(replicas)])
+    print(f"train_local on the r = {replicas} stack, per step over {steps} steps: "
+          f"{best_us(all_steps, calls=10, repeats=7) / steps:.0f} us")
 
 
 def nn_cohort(steps: int) -> None:
@@ -259,9 +366,21 @@ def nn_forward() -> None:
 
 
 def nn_check() -> bool:
-    """Grouped evaluation and embeddings == per-party calls, by bytes, for
-    every forward shape above at both precisions: mixed split sizes, two
-    served models, and more members than one stack holds."""
+    """The live conv and pool kernels == their ``ref_*`` kernels at both
+    stacks, and grouped evaluation and embeddings == per-party calls, for
+    every forward shape above at both precisions (mixed split sizes, two
+    served models, and more members than one stack holds); all by bytes."""
+    kernels = True
+    for _what, replicas, rows, training in STACKS:
+        for name, shape, live, ref in nn_kernels(*nn_stack(replicas, rows, training)):
+            got, want = (np.asarray(r[0] if isinstance(r, tuple) else r)
+                         for r in (live(), ref()))
+            if got.dtype != want.dtype or got.size != want.size or (
+                    np.ascontiguousarray(got).tobytes()
+                    != np.ascontiguousarray(want).tobytes()):
+                print(f"{name} at {shape}: differs from its ref_* kernel")
+                kernels = False
+    print(f"live kernels == ref_* kernels at both stacks: {kernels}")
     same = True
     for _plan, name, shape, n in FORWARDS:
         for dtype in ("float32", "float64"):
@@ -292,7 +411,7 @@ def nn_check() -> bool:
                 same &= feats.tobytes() == alone.features(x).tobytes()
                 same &= labels.tobytes() == y.tobytes()
     print(f"grouped forward == per-party bytes: {same}")
-    return same
+    return kernels and same
 
 
 # ================================================================ data

@@ -7,7 +7,9 @@ detection plane's previous MMD code (three distance matrices and three
 (reports, the calibration null's draws, a cluster against its memories), per
 entry, a median heuristic gathered
 through ``triu_indices``, and one vector ``jsd``), the conv kernels' previous
-``im2col`` / ``col2im`` / max-pool and per-tensor training step, k-means as
+``im2col`` / ``col2im`` / max-pool (as a reduction, and as the chain over
+strided window views that window-major pooling replaced) and per-tensor
+training step, k-means as
 one Lloyd loop per (k, restart) problem and Davies–Bouldin as one loop per
 labelling, the data plane's previous sampler (one class at a time, one
 ``np.roll`` per image) and eager window assembly, ``pixelate``'s per-pixel
@@ -213,6 +215,24 @@ def ref_pool_backward(first, x_shape, p, grad_out):
     return grad.reshape(n, c, h, w)
 
 
+def ref_pool_views(x, p):
+    """The strided-view pooling forward: ``(out, first)``, ``first`` one mask
+    per within-window position.  ``np.maximum``'s order decides which of a
+    tied ``-0.0`` / ``+0.0`` a window keeps, so this, not ``ref_pool_forward``'s
+    reduction, pins the output's bytes."""
+    views = [x[..., i::p, j::p] for i in range(p) for j in range(p)]
+    out = views[0]
+    for view in views[1:]:
+        out = np.maximum(out, view)
+    taken = views[0] == out
+    first = [taken]
+    for view in views[1:]:
+        hit = view == out
+        first.append(hit > taken)
+        taken = taken | hit
+    return out, first
+
+
 def layer_params(model):
     """The layers' parameter arrays, in order (views of the flat vector)."""
     return [p for layer in model.layers for p in layer.params]
@@ -246,7 +266,7 @@ def ref_train_local(model, x, y, config, rng, global_params=None):
                 break
             idx = order[start:start + config.batch_size]
             xb, yb = x[idx], y[idx]
-            model.zero_grads()
+            model.flat_grads.fill(0.0)
             logits = model.forward(xb, training=True)
             loss, grad = softmax_cross_entropy(logits, yb)
             model.backward(grad)
@@ -288,8 +308,11 @@ def numerical_gradients(model: Sequential, x: np.ndarray, y: np.ndarray,
 
 def analytic_gradients(model: Sequential, x: np.ndarray,
                        y: np.ndarray) -> list[np.ndarray]:
-    """Backprop gradients of mean CE loss (training-mode forward)."""
-    model.zero_grads()
+    """Backprop gradients of mean CE loss (training-mode forward).
+
+    The gradient buffer starts as NaN, so a gradient ``backward`` leaves
+    unwritten fails the check it feeds."""
+    model.flat_grads.fill(np.nan)
     logits = model.forward(x, training=True)
     _, grad = softmax_cross_entropy(logits, y)
     model.backward(grad)

@@ -31,11 +31,11 @@ from repro.harness.profiles import RUN_KNOBS, RunSettings, get_profile
 from repro.privacy.plan import PrivacyPlan
 from repro.utils.precision import PrecisionPlan
 from repro.utils.validation import (
-    check_int,
     check_keys,
     field_names,
     read_knob,
     read_kwargs,
+    read_value,
 )
 
 SHARDING_RETIRED = (
@@ -344,9 +344,9 @@ def _dataset_spec_from_dict(data: Mapping, base) -> DatasetSpec:
         drift = (drift,)
     data["drift"] = drift
     if "window_regimes" not in data and drift:
-        num_windows = check_int(f"{where}.num_windows",
-                                data["num_windows"] if "num_windows" in data
-                                else base().num_windows)
+        num_windows = read_value(f"{where}.num_windows", int,
+                                 data["num_windows"] if "num_windows" in data
+                                 else base().num_windows)
         if num_windows < 2:
             raise ValueError(
                 f"{where}.num_windows must be >= 2 (window 0 is the clean "

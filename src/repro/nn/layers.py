@@ -1,10 +1,21 @@
 """Explicitly differentiated layers, written once over a leading replica axis.
 
 Every layer implements ``forward(x, training)`` and ``backward(grad_out)``;
-``backward`` returns the gradient with respect to the layer input and stores
-parameter gradients in ``layer.grads`` (aligned with ``layer.params``);
-``backward_params`` stores the same parameter gradients and returns nothing.
+``backward`` returns the gradient with respect to the layer input and writes
+this batch's parameter gradients over ``layer.grads`` (aligned with
+``layer.params``; nothing accumulates, so no caller zero-fills them first);
+``backward_params`` writes the same parameter gradients and returns nothing.
 Convolution uses im2col so the heavy lifting stays inside BLAS.
+
+At the simulator's sizes (batch 8, 12x12 images) a kernel costs its memory
+walk, not its flops, so each one walks long contiguous runs.  Between conv
+layers every activation and gradient is an NCHW view of channels-last
+memory.  ``_im2col`` pads in the input's own memory order and gathers all
+of an image's columns with one ``np.take`` through a flat index cached per
+geometry; the conv bias is added over each image's whole
+``out_h * out_w * out_channels`` run; ``MaxPool2d`` copies its input once
+into window-major blocks.  None of this moves a floating-point operation or
+its order.
 
 Inputs are ``(..., n, features)`` or ``(..., n, c, h, w)``: the axes in front
 of the batch axis ``n`` are *replica* axes, matched by the same leading axes
@@ -19,6 +30,7 @@ outermost in memory.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -53,21 +65,6 @@ class Layer:
     def output_note(self) -> str:
         """Short human-readable description, for error messages and probes."""
         return type(self).__name__
-
-
-def _add_rows(grad: np.ndarray, update: np.ndarray, item_ndim: int) -> None:
-    """``grad += update`` for a parameter tensor of ``item_ndim`` axes.
-
-    With a replica axis, added as one row per replica: each replica's
-    gradient is one contiguous run of ``Sequential``'s flat buffer, and numpy
-    walks a stacked view of it several times slower in its own shape.
-    """
-    if grad.ndim == item_ndim:
-        grad += update.reshape(grad.shape)
-        return
-    rows = grad.shape[:grad.ndim - item_ndim] + (-1,)
-    view = grad.reshape(rows)
-    view += update.reshape(rows)
 
 
 def _he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -123,8 +120,8 @@ class Dense(Layer):
     def backward_params(self, grad_out: np.ndarray) -> None:
         if self._x is None:
             raise RuntimeError("backward called before forward(training=True)")
-        _add_rows(self.grads[0], self._x.swapaxes(-1, -2) @ grad_out, 2)
-        self.grads[1] += grad_out.sum(axis=-2)
+        np.matmul(self._x.swapaxes(-1, -2), grad_out, out=self.grads[0])
+        np.sum(grad_out, axis=-2, out=self.grads[1])
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         self.backward_params(grad_out)
@@ -186,26 +183,52 @@ def _channels_first(x: np.ndarray) -> np.ndarray:
     return x.transpose(tuple(range(n - 3)) + (n - 1, n - 3, n - 2))
 
 
+@functools.lru_cache(maxsize=64)
+def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
+                  pad: int, channels_last: bool) -> np.ndarray:
+    """Flat positions, in one padded image (channels-last or NCHW), of every
+    column entry in ``(out_h, out_w, c, kh, kw)`` order (read-only, cached)."""
+    out_h = (h + 2 * pad - kh) // stride + 1
+    out_w = (w + 2 * pad - kw) // stride + 1
+    rows = (stride * np.arange(out_h)[:, None, None, None, None]
+            + np.arange(kh)[None, None, None, :, None])
+    cols = (stride * np.arange(out_w)[None, :, None, None, None]
+            + np.arange(kw)[None, None, None, None, :])
+    channels = np.arange(c)[None, None, :, None, None]
+    if channels_last:
+        index = (rows * (w + 2 * pad) + cols) * c + channels
+    else:
+        index = (channels * (h + 2 * pad) + rows) * (w + 2 * pad) + cols
+    index = index.reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
     """Expand (..., n, c, h, w) into columns of receptive fields.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(..., n * out_h * out_w, c * kh * kw)``.  The input is laid out
-    channels-last in a zero-filled padded buffer so each of the ``kh * kw``
-    window offsets is one slice copy with the channel axis contiguous on the
-    source side.
+    ``(..., n * out_h * out_w, c * kh * kw)``.  The input is copied into a
+    zero-filled padded buffer in its own memory order (channels-last between
+    conv layers, NCHW for a network input), so the copy walks long runs, and
+    all of an image's columns are one ``np.take`` from it through a flat
+    index cached per geometry: one contiguous run written per image.
     """
     *lead, c, h, w = x.shape
     lead = tuple(lead)
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
-    padded = np.zeros(lead + (h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    padded[..., pad:pad + h, pad:pad + w, :] = _channels_last(x)
-    cols = np.empty(lead + (out_h, out_w, c, kh, kw), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[..., i, j] = padded[..., i:i + stride * out_h:stride,
-                                     j:j + stride * out_w:stride, :]
+    channels_last = x.strides[-3] < x.strides[-1]
+    if channels_last:
+        padded = np.zeros(lead + (h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        padded[..., pad:pad + h, pad:pad + w, :] = _channels_last(x)
+    else:
+        padded = np.zeros(lead + (c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[..., pad:pad + h, pad:pad + w] = x
+    # The index is in range by construction; "wrap" skips the bounds check
+    # the default mode makes per element.
+    index = _im2col_index(c, h, w, kh, kw, stride, pad, channels_last)
+    cols = np.take(padded.reshape(lead + (-1,)), index, axis=-1, mode="wrap")
     return cols.reshape(lead[:-1] + (-1, c * kh * kw)), out_h, out_w
 
 
@@ -255,10 +278,11 @@ class Conv2d(Layer):
         self.grads = [np.zeros_like(weight), np.zeros_like(bias)]
         self._cache: tuple[np.ndarray, tuple[int, ...], int, int] | None = None
 
-    def _w_mat(self) -> np.ndarray:
-        """The weight as ``(..., out_channels, c * k * k)``."""
-        weight = self.params[0]
-        return weight.reshape(weight.shape[:-3] + (-1,))
+    @staticmethod
+    def _matrix(kernel: np.ndarray) -> np.ndarray:
+        """A ``(..., out_channels, c, k, k)`` weight or weight gradient as a
+        ``(..., out_channels, c * k * k)`` view."""
+        return kernel.reshape(kernel.shape[:-3] + (-1,))
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != self.params[0].ndim or x.shape[-3] != self.in_channels:
@@ -271,33 +295,36 @@ class Conv2d(Layer):
                 f"{self.output_note()}: input {x.shape} is smaller than the kernel"
             )
         cols, out_h, out_w = _im2col(x, k, k, self.stride, self.padding)
-        out = cols @ self._w_mat().swapaxes(-1, -2)
-        out += self.params[1][..., None, :]
+        out = cols @ self._matrix(self.params[0]).swapaxes(-1, -2)
+        # Each image's output is one run of out_h * out_w * out_channels:
+        # add the bias tiled over it, not broadcast out_channels at a time.
+        out = out.reshape(x.shape[:-3] + (-1,))
+        out += np.tile(self.params[1], out_h * out_w)[..., None, :]
         out = out.reshape(x.shape[:-3] + (out_h, out_w, self.out_channels))
         if training:
             self._cache = (cols, x.shape, out_h, out_w)
         return _channels_first(out)
 
-    def _accumulate(self, grad_out: np.ndarray) -> np.ndarray:
-        """Add this batch's parameter gradients; returns ``grad_out`` as a matrix."""
+    def _write_grads(self, grad_out: np.ndarray) -> np.ndarray:
+        """Write this batch's parameter gradients; returns ``grad_out`` as a matrix."""
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
         cols = self._cache[0]
         grad_mat = _channels_last(grad_out).reshape(
             cols.shape[:-1] + (self.out_channels,))
-        _add_rows(self.grads[0], grad_mat.swapaxes(-1, -2) @ cols, 4)
-        self.grads[1] += _bias_grad(grad_mat)
+        np.matmul(grad_mat.swapaxes(-1, -2), cols, out=self._matrix(self.grads[0]))
+        self.grads[1][...] = _bias_grad(grad_mat)
         return grad_mat
 
     def backward_params(self, grad_out: np.ndarray) -> None:
-        self._accumulate(grad_out)
+        self._write_grads(grad_out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_mat = self._accumulate(grad_out)
+        grad_mat = self._write_grads(grad_out)
         _cols, x_shape, out_h, out_w = self._cache
         k = self.kernel_size
-        return _col2im(grad_mat @ self._w_mat(), x_shape, k, k, self.stride,
-                       self.padding, out_h, out_w)
+        return _col2im(grad_mat @ self._matrix(self.params[0]), x_shape, k, k,
+                       self.stride, self.padding, out_h, out_w)
 
     def output_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
         _c, h, w = shape
@@ -310,7 +337,12 @@ class Conv2d(Layer):
 
 
 class MaxPool2d(Layer):
-    """Max pooling (NCHW) with square window; window must tile the input."""
+    """Max pooling (NCHW) with square window; window must tile the input.
+
+    The input is copied once, window-major: ``(p * p, ..., out_h, out_w, c)``,
+    one contiguous block per within-window position in row-major order, so
+    the maximum chain and the first-maximum masks run over whole blocks.
+    """
 
     def __init__(self, pool_size: int) -> None:
         super().__init__()
@@ -323,41 +355,49 @@ class MaxPool2d(Layer):
         p = self.pool_size
         return shape[:-2] + (shape[-2] // p, shape[-1] // p)
 
-    def _window_views(self, x: np.ndarray) -> list[np.ndarray]:
-        """One strided view per within-window position, in row-major order."""
+    def _windows(self, x_last: np.ndarray) -> np.ndarray:
+        """A channels-last ``(..., h, w, c)`` array as ``(..., out_h, p,
+        out_w, p, c)``: position ``(i, j)`` of every window is ``[..., i, :, j, :]``."""
         p = self.pool_size
-        return [x[..., i::p, j::p] for i in range(p) for j in range(p)]
+        *lead, h, w, c = x_last.shape
+        return x_last.reshape(tuple(lead) + (h // p, p, w // p, p, c))
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         p = self.pool_size
         h, w = x.shape[-2:]
         if h % p or w % p:
             raise ValueError(f"input {h}x{w} not divisible by pool size {p}")
-        views = self._window_views(x)
-        out = views[0]
-        for view in views[1:]:
-            out = np.maximum(out, view)
+        windows = self._windows(_channels_last(x))
+        n = windows.ndim - 5
+        blocks = np.ascontiguousarray(windows.transpose(
+            (n + 1, n + 3) + tuple(range(n)) + (n, n + 2, n + 4)))
+        blocks = blocks.reshape((p * p,) + blocks.shape[2:])
+        out = blocks[0]
+        for block in blocks[1:]:
+            out = np.maximum(out, block)
         if training:
             # Gradient flows to the first maximum of each window; a window
             # holding a NaN equals its (NaN) maximum nowhere and routes none.
-            taken = views[0] == out
+            taken = blocks[0] == out
             first = [taken]
-            for view in views[1:]:
-                hit = view == out
+            for block in blocks[1:]:
+                hit = block == out
                 first.append(hit > taken)  # a maximum, and none before it
                 taken = taken | hit
             self._cache = (first, x.shape)
-        return out
+        return _channels_first(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
         first, (*lead, c, h, w) = self._cache
+        p = self.pool_size
         # Channels-last memory, like the conv outputs and gradients around it
         # and the masks: walk ``grad_out`` in that order too (it arrives
         # C-contiguous from ``Flatten`` or strided from ``_col2im``).
-        grad_out = _channels_first(np.ascontiguousarray(_channels_last(grad_out)))
-        grad = _channels_first(np.empty(tuple(lead) + (h, w, c), dtype=grad_out.dtype))
-        for mask, grad_here in zip(first, self._window_views(grad)):
-            np.multiply(mask, grad_out, out=grad_here)
-        return grad
+        grad_out = np.ascontiguousarray(_channels_last(grad_out))
+        grad = np.empty(tuple(lead) + (h, w, c), dtype=grad_out.dtype)
+        windows = self._windows(grad)
+        for k, mask in enumerate(first):
+            np.multiply(mask, grad_out, out=windows[..., k // p, :, k % p, :])
+        return _channels_first(grad)

@@ -12,13 +12,22 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def check_labels(labels: np.ndarray, k: int) -> None:
+    """Raise unless every label is a class index in ``[0, k)``."""
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"labels out of range [0, {k})")
+
+
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, *,
+                          labels_checked: bool = False) -> tuple[float, np.ndarray]:
     """Mean cross-entropy loss and gradient w.r.t. logits.
 
     Parameters
     ----------
     logits : (..., n, k) float array; leading axes are replicas.
     labels : (..., n) int array of class indices in [0, k).
+    labels_checked : the caller has already passed these labels (or a set
+        holding them) through :func:`check_labels`.
 
     Returns
     -------
@@ -37,8 +46,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     if labels.shape != logits.shape[:-1]:
         raise ValueError(
             f"labels must have shape {logits.shape[:-1]}; got {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"labels out of range [0, {k})")
+    if not labels_checked:
+        check_labels(labels, k)
     probs = softmax_probs(logits)
     eps = 1e-12
     # One (replica, sample) row per label; probs is fresh and contiguous, so

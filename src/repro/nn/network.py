@@ -217,9 +217,6 @@ class Sequential:
         """The live contiguous gradient vector (zero-copy view)."""
         return self._flat_grads
 
-    def zero_grads(self) -> None:
-        self._flat_grads.fill(0.0)
-
     def get_params(self) -> np.ndarray:
         """A copy of the flat parameter vector (``(r, dim)`` when stacked)."""
         return self._flat.copy()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.losses import softmax_cross_entropy
+from repro.nn.losses import check_labels, softmax_cross_entropy
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD
 
@@ -147,10 +147,11 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
         for start in range(0, n, config.batch_size):
             idx = order[..., start:start + config.batch_size]
             xb, yb = samples_x[idx], samples_y[idx]
-            model.zero_grads()
             logits = model.forward(xb, training=True)
-            loss, grad = softmax_cross_entropy(logits, yb)
-            model.backward_params(grad)
+            if not batches_run:  # every label once, against the logits' width
+                check_labels(y, logits.shape[-1])
+            loss, grad = softmax_cross_entropy(logits, yb, labels_checked=True)
+            model.backward_params(grad)  # writes every gradient
             if config.prox_mu > 0:
                 flat_grads += config.prox_mu * (flat - global_params)
             optimizer.step(param_rows, grad_rows)

@@ -15,7 +15,8 @@ CLI flags read them too:
   by its field (text reads as the field's type, a text field takes only
   text, a tuple is read element by element, a nested block recursively),
   every error naming the dotted path
-  (``plan federation.availability.dropout_prob``);
+  (``plan federation.availability.dropout_prob``; :func:`read_value` is
+  that rule for one value);
 * for a knob, a spec string ``[SHORTHAND][,key=value]*`` is the same
   mapping written on one line: the bare first word is the class's
   shorthand, and a nested block's keys are dotted
@@ -97,8 +98,9 @@ def _parameters(factory) -> tuple[dict[str, tuple], bool]:
     return params, open_
 
 
-def _typed(where: str, hint, value, base=None):
-    """``value`` read as the annotation ``hint``, errors naming ``where``.
+def read_value(where: str, hint, value, base=None):
+    """``value`` read as the annotation ``hint``, errors naming ``where``:
+    the rule every plan field is typed by.
 
     A union takes the first member ``value`` reads as.  A dataclass is read
     by :func:`read_knob`, overlaying ``base`` unless it is a knob; a type
@@ -135,8 +137,9 @@ def _items(where: str, kinds: tuple, value) -> tuple:
         what = _PLURAL.get(kinds[0], "entries") if many else \
             f"{len(kinds)} items"
         raise ValueError(f"{where} must be a list of {what}; got {value!r}")
-    return tuple(_typed(f"{where}[{i}]", kinds[0] if many else kinds[i], item)
-                 for i, item in enumerate(value))
+    return tuple(
+        read_value(f"{where}[{i}]", kinds[0] if many else kinds[i], item)
+        for i, item in enumerate(value))
 
 
 def _spec_fields(cls, where: str, text: str) -> dict:
@@ -167,8 +170,8 @@ def read_kwargs(factory, value: Mapping, where: str, base=None) -> dict:
     for key, item in kwargs.items():
         # A plan's own keys read "plan federation", nested ones are dotted.
         path = f"{where} {key}" if where == "plan" else f"{where}.{key}"
-        kwargs[key] = _typed(path, params.get(key, (None,))[0], item,
-                             base and (lambda key=key: getattr(base(), key)))
+        kwargs[key] = read_value(path, params.get(key, (None,))[0], item,
+                                 base and (lambda key=key: getattr(base(), key)))
     omitted = [name for name in params if name not in kwargs]
     if base is not None and omitted:
         default = base()

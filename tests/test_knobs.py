@@ -220,6 +220,20 @@ class TestTypedBlocks:
                                              r"must be an integer; got 4\.7"):
             drift({"severity": 4.7})
 
+    def test_num_windows_beside_a_drift_schedule(self):
+        """``num_windows`` sizes the drift schedule before the spec is read,
+        by the same scalar rule as every other field: text reads as an int."""
+        def spec(num_windows):
+            return ExperimentPlan.from_dict({**_MINIMAL, "spec_override": {
+                "num_windows": num_windows,
+                "drift": [{"corruption": "fog"}]}}).resolve()[0]
+
+        assert spec("3") == spec(3) and spec(" 3 ").num_windows == 3
+        for bad, shown in ((2.5, r"2\.5"), (True, "True"), ("three", "'three'")):
+            with pytest.raises(ValueError, match=r"plan spec_override\.num_windows "
+                                                 rf"must be an integer; got {shown}"):
+                spec(bad)
+
     def test_a_text_field_takes_only_text(self):
         def resolve(**blocks):
             return ExperimentPlan.from_dict({**_MINIMAL, **blocks}).resolve()

@@ -19,6 +19,7 @@ from benchmarks.reference import (
     ref_im2col,
     ref_pool_backward,
     ref_pool_forward,
+    ref_pool_views,
     ref_train_local,
 )
 from repro.federation.party import Party, train_parties
@@ -32,6 +33,7 @@ from repro.nn.layers import (
     _bias_grad,
     _col2im,
     _im2col,
+    _im2col_index,
 )
 from repro.nn.models import build_model, model_names
 from repro.nn.network import Sequential
@@ -44,16 +46,24 @@ DTYPES = st.sampled_from([np.float32, np.float64])
 
 
 def tensor(rng, shape, dtype, kind):
-    """``kind``: continuous values, small integers (ties), or channels-last memory."""
-    if kind == "integer":
-        return rng.integers(-2, 3, size=shape).astype(dtype)
-    x = rng.normal(size=shape).astype(dtype)
-    if kind == "channels_last":
-        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    """``kind``: continuous values, small integers (ties), channels-last
+    memory, or a ReLU's output (small integers in channels-last memory, each
+    negative one a ``-0.0`` beside true zeros: tied maxima of both signs)."""
+    if kind in ("integer", "relu"):
+        x = rng.integers(-2, 3, size=shape).astype(dtype)
+    else:
+        x = rng.normal(size=shape).astype(dtype)
+    if kind == "relu":
+        x = x * (x > 0)
+    if kind in ("channels_last", "relu") and len(shape) >= 4:
+        lead = tuple(range(len(shape) - 3))
+        n = len(shape)
+        x = np.ascontiguousarray(x.transpose(lead + (n - 2, n - 1, n - 3))).transpose(
+            lead + (n - 1, n - 3, n - 2))
     return x
 
 
-KINDS = st.sampled_from(["normal", "integer", "channels_last"])
+KINDS = st.sampled_from(["normal", "integer", "channels_last", "relu"])
 
 
 @st.composite
@@ -153,6 +163,78 @@ class TestMaxPool:
         layer.forward(x, training=True)
         assert np.array_equal(layer.backward(np.array([[[[7.0]]]])),
                               [[[[0.0, 7.0], [0.0, 0.0]]]])
+
+
+@st.composite
+def stack_cases(draw):
+    """A ``(replicas, rows, c, h, w)`` stack of images, as the workloads'
+    stacked steps and shared evaluations hand the conv and pool kernels."""
+    hw = draw(st.sampled_from([2, 4, 6, 12]))
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)),
+             draw(st.sampled_from([1, 3, 8, 16])), hw, hw)
+    return shape, draw(DTYPES), draw(KINDS), draw(st.integers(0, 2**16))
+
+
+class TestWorkloadStacks:
+    """The live kernels on replica-stacked inputs, against the references on
+    the same images one stack row at a time: columns and input gradients by
+    value, pooling by bytes (a tied ``-0.0`` / ``+0.0`` keeps the sign the
+    strided-view chain keeps)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(stack_cases())
+    @example(((8, 8, 3, 12, 12), np.float32, "relu", 0))  # conv1, a training step
+    @example(((8, 8, 8, 6, 6), np.float32, "relu", 1))  # conv2, a training step
+    @example(((2, 24, 8, 12, 12), np.float32, "relu", 2))  # a shared evaluation
+    @example(((8, 8, 1, 12, 12), np.float32, "relu", 3))  # pool_100k's c = 1
+    @example(((8, 8, 1, 12, 12), np.float64, "normal", 4))
+    def test_stack_matches_reference(self, case):
+        shape, dtype, kind, seed = case
+        rng = np.random.default_rng(seed)
+        x = tensor(rng, shape, dtype, kind)
+        images = x.reshape((-1,) + shape[-3:])
+        cols, out_h, out_w = _im2col(x, 3, 3, 1, 1)
+        ref, _, _ = ref_im2col(images, 3, 3, 1, 1)
+        assert cols.shape == shape[:1] + (ref.shape[0] // shape[0], ref.shape[1])
+        assert np.array_equal(cols.reshape(ref.shape), ref)
+        grad_cols = tensor(rng, cols.shape, dtype, "normal")
+        got = _col2im(grad_cols, shape, 3, 3, 1, 1, out_h, out_w)
+        want = ref_col2im(grad_cols.reshape(ref.shape), images.shape, 3, 3, 1, 1,
+                          out_h, out_w)
+        assert np.array_equal(got.reshape(want.shape), want)
+
+        layer = MaxPool2d(2)
+        out = layer.forward(x, training=True)
+        ref_out, _masks = ref_pool_views(x, 2)
+        assert out.tobytes() == ref_out.tobytes()
+        assert layer.forward(x, training=False).tobytes() == ref_out.tobytes()
+        grad_out = tensor(rng, out.shape, dtype, "relu")
+        _out, ref_first = ref_pool_forward(images, 2)
+        want = ref_pool_backward(ref_first, images.shape, 2,
+                                 grad_out.reshape((-1,) + out.shape[-3:]))
+        assert layer.backward(grad_out).tobytes() == want.tobytes()
+
+    def test_gather_index_serves_each_geometry(self):
+        """Alternating shapes, dtypes and memory orders through the cached
+        im2col index: every call gets its own geometry's columns, and no
+        caller can write into a cached index."""
+        rng = np.random.default_rng(0)
+        cases = [((2, 3, 3, 12, 12), 1, 1), ((2, 3, 8, 6, 6), 1, 1),
+                 ((1, 4, 1, 12, 12), 1, 1), ((2, 3, 3, 12, 12), 2, 0),
+                 ((2, 3, 3, 11, 12), 1, 1)]
+        for _round in range(2):
+            for (shape, stride, pad), dtype, kind in zip(
+                    cases * 2, [np.float32] * 5 + [np.float64] * 5,
+                    ["relu", "normal"] * 5):
+                x = tensor(rng, shape, dtype, kind)
+                cols, _, _ = _im2col(x, 3, 3, stride, pad)
+                ref, _, _ = ref_im2col(x.reshape((-1,) + shape[-3:]), 3, 3, stride, pad)
+                assert cols.dtype == dtype
+                assert cols.reshape(ref.shape).tobytes() == ref.tobytes()
+        for channels_last in (True, False):
+            index = _im2col_index(3, 12, 12, 3, 3, 1, 1, channels_last)
+            with pytest.raises(ValueError):
+                index[0] = 0
 
 
 class TestConv2dLayer:

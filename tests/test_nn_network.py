@@ -94,8 +94,8 @@ class TestFlatStorage:
         _, grad = softmax_cross_entropy(logits, rng.integers(0, 3, 4))
         net.backward(grad)
         assert np.abs(net.flat_grads).sum() > 0
-        net.zero_grads()
-        assert np.all(net.flat_grads == 0)
+        net.flat_grads.fill(0.0)
+        assert all(np.all(g == 0) for g in layer_grads(net))
 
     def test_get_params_is_the_flat_vector_copied(self, rng):
         net = make_net(rng)
@@ -194,15 +194,21 @@ class TestParams:
         with pytest.raises(ValueError):
             net.set_params(net.get_params()[:-1])
 
-    def test_zero_grads(self, rng):
+    def test_backward_writes_every_gradient(self, rng):
+        """Gradients are written, not accumulated: a backward over a stale
+        or NaN-filled buffer leaves the bytes of one over a zeroed buffer."""
         net = make_net(rng)
         from repro.nn.losses import softmax_cross_entropy
         logits = net.forward(rng.normal(size=(4, 6)), training=True)
         _, grad = softmax_cross_entropy(logits, rng.integers(0, 3, 4))
-        net.backward(grad)
+        written = []
+        for start in (0.0, np.nan):
+            net.flat_grads.fill(start)
+            net.backward(grad)
+            net.backward(grad)  # twice: the second must not add to the first
+            written.append(net.flat_grads.tobytes())
+        assert written[0] == written[1]
         assert any(np.abs(g).sum() > 0 for g in layer_grads(net))
-        net.zero_grads()
-        assert all(np.all(g == 0) for g in layer_grads(net))
 
 
     def test_total_size_counts_every_parameter(self, rng):
@@ -219,7 +225,7 @@ class TestBackwardParams:
         from repro.nn.losses import softmax_cross_entropy
         results = []
         for backward in (net.backward, net.backward_params):
-            net.zero_grads()
+            net.flat_grads.fill(np.nan)  # each must write every gradient
             _, grad = softmax_cross_entropy(net.forward(x, training=True), y)
             results.append((backward(grad), net.flat_grads.tobytes()))
         (grad_in, full), (returned, pruned) = results
