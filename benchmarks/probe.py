@@ -15,13 +15,19 @@ per-party ``train_local`` loop and as one call on ``Sequential.stacked(r)``
 ``Sequential.shared(r)`` and on a copying ``Sequential.stacked(r)`` at r = 1
 ... 32 for each plan's evaluation and report shapes.  ``--check`` exits 1
 when a live conv or pool kernel differs by a byte from its ``ref_*`` kernel
-at those two stacks, or a grouped evaluation or embedding
+at those two stacks (fed a step's activations, and small integers through a
+ReLU in channels-last memory: tied maxima), or a grouped evaluation or embedding
 (``evaluate_parties`` / ``embed_parties``: both models, float32 and float64,
 groups across the stack bound) differs from the per-party call.
 
 ``data``: µs per stage of one train split of each pinned plan's dataset
-(``spawn_rng``, the label draw, the sampler, every corruption of the plan's
-regimes, the whole split).  ``--plans`` runs seed 0 of each pinned plan and
+(``spawn_rng``, ``sample_dataset`` beside ``ref_sample_dataset``, the
+sampler, every corruption of the plan's regimes, the whole split).
+``--check`` exits 1 when ``sample`` or ``sample_dataset`` differs by a byte,
+or leaves another generator state, from ``ref_sample`` /
+``ref_sample_dataset`` (0 – 48 rows, 1 and 3 channels, ``max_translation``
+0 – 3, one-class / all-class / Dirichlet priors, and one split whose first
+translation draw is rejected).  ``--plans`` runs seed 0 of each pinned plan and
 counts splits and samples generated against those some protocol op read, then
 attributes the largest live set at a round's end (``tracemalloc``) to the
 window cache, model replicas (``Sequential._bind``) and bank rows
@@ -92,6 +98,7 @@ from repro.clustering.selection import select_num_clusters  # noqa: E402
 from repro.clustering.davies_bouldin import davies_bouldin_indices  # noqa: E402
 from repro.data.corruptions import apply_corruption  # noqa: E402
 from repro.data.federated import FederatedShiftDataset, PartyWindowData  # noqa: E402
+from repro.data.images import ImageDomainSpec, SyntheticImageGenerator  # noqa: E402
 from repro.data.registry import dataset_names, get_dataset_spec  # noqa: E402
 from repro.detection.calibration import (  # noqa: E402
     ThresholdCalibrator,
@@ -365,22 +372,41 @@ def nn_forward() -> None:
                   + "".join(f"{u:>9.1f}" for u in us) + note)
 
 
+def _tied(rng, like: np.ndarray) -> np.ndarray:
+    """Small integers through ``x * (x > 0)``, shaped like ``like`` and, as
+    images, in channels-last memory: maxima tied at interior positions and
+    across signs (``-0.0`` beside ``+0.0``), which a real step's activations
+    never are (``tests/test_nn_kernels_differential.py``'s ``"relu"`` kind)."""
+    x = rng.integers(-2, 3, size=like.shape).astype(like.dtype)
+    x = x * (x > 0)
+    if x.ndim >= 4:
+        x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -3, -1)), -1, -3)
+    return x
+
+
 def nn_check() -> bool:
     """The live conv and pool kernels == their ``ref_*`` kernels at both
-    stacks, and grouped evaluation and embeddings == per-party calls, for
-    every forward shape above at both precisions (mixed split sizes, two
-    served models, and more members than one stack holds); all by bytes."""
+    stacks, fed a step's activations and tie-bearing ones, and grouped
+    evaluation and embeddings == per-party calls, for every forward shape
+    above at both precisions (mixed split sizes, two served models, and more
+    members than one stack holds); all by bytes."""
     kernels = True
     for _what, replicas, rows, training in STACKS:
-        for name, shape, live, ref in nn_kernels(*nn_stack(replicas, rows, training)):
-            got, want = (np.asarray(r[0] if isinstance(r, tuple) else r)
-                         for r in (live(), ref()))
-            if got.dtype != want.dtype or got.size != want.size or (
-                    np.ascontiguousarray(got).tobytes()
-                    != np.ascontiguousarray(want).tobytes()):
-                print(f"{name} at {shape}: differs from its ref_* kernel")
-                kernels = False
-    print(f"live kernels == ref_* kernels at both stacks: {kernels}")
+        stack, acts, grads = nn_stack(replicas, rows, training)
+        rng = np.random.default_rng(replicas)
+        tied = ([_tied(rng, a) for a in acts], [_tied(rng, g) for g in grads])
+        for inputs, kind in (((acts, grads), "a step's"), (tied, "tied")):
+            for name, shape, live, ref in nn_kernels(stack, *inputs):
+                got, want = (np.asarray(r[0] if isinstance(r, tuple) else r)
+                             for r in (live(), ref()))
+                if got.dtype != want.dtype or got.size != want.size or (
+                        np.ascontiguousarray(got).tobytes()
+                        != np.ascontiguousarray(want).tobytes()):
+                    print(f"{name} at {shape}, {kind} inputs: differs from its "
+                          "ref_* kernel")
+                    kernels = False
+    print(f"live kernels == ref_* kernels at both stacks, a step's and tied "
+          f"inputs: {kernels}")
     same = True
     for _plan, name, shape, n in FORWARDS:
         for dtype in ("float32", "float64"):
@@ -430,7 +456,9 @@ def data_stages(workload: str) -> None:
     regime = ds.schedule.regime_of(1, 0)
     stages = [
         ("spawn_rng", lambda: spawn_rng(spec.seed, "data", 0, 1, "train")),
-        ("label draw", lambda: rng.choice(spec.num_classes, size=n, p=p)),
+        ("sample_dataset, live", lambda: generator.sample_dataset(prior, n, rng)),
+        ("sample_dataset, ref_sample_dataset",
+         lambda: reference.ref_sample_dataset(generator, prior, n, rng)),
         ("sample, live", lambda: generator.sample(labels, rng)),
         *((f"corruption {c} {s}", lambda c=c, s=s: apply_corruption(x, c, s, rng))
           for c, s in regimes),
@@ -441,6 +469,54 @@ def data_stages(workload: str) -> None:
           f"{len(np.unique(labels))} classes drawn")
     for label, fn in stages:
         print(f"  {label:<36}{best_us(fn, calls=200, repeats=5):>9.1f} us")
+
+
+def _same_draw(live_rng, ref_rng, live, ref) -> bool:
+    """Equal arrays by bytes, and the two generators in one state."""
+    return (live_rng.bit_generator.state == ref_rng.bit_generator.state
+            and all(a.dtype == b.dtype and a.shape == b.shape
+                    and a.tobytes() == b.tobytes() for a, b in zip(live, ref)))
+
+
+def data_check() -> bool:
+    """``sample`` / ``sample_dataset`` == ``ref_sample`` /
+    ``ref_sample_dataset`` by bytes and generator state: 0 – 48 rows, 1 and 3
+    channels, ``max_translation`` 0 – 3, one-class, all-class and Dirichlet
+    priors, and a split whose first translation draw ``integers`` rejects."""
+    same, cases = True, 0
+    for channels in (1, 3):
+        for t in range(4):
+            generator = SyntheticImageGenerator(ImageDomainSpec(
+                num_classes=CLASSES, channels=channels, max_translation=t, seed=t))
+            rng = np.random.default_rng(t)
+            priors = (np.eye(CLASSES)[t], np.ones(CLASSES),
+                      rng.dirichlet(np.full(CLASSES, 0.8)))
+            for n in (0, 1, 14, 16, 34, 48):
+                for prior in priors:
+                    seed = int(rng.integers(2**32))
+                    live_rng = np.random.default_rng(seed)
+                    ref_rng = np.random.default_rng(seed)
+                    x, y = generator.sample_dataset(prior, n, live_rng)
+                    ref = reference.ref_sample_dataset(generator, prior, n, ref_rng)
+                    ok = _same_draw(live_rng, ref_rng, (x, y), ref)
+                    ok &= _same_draw(live_rng, ref_rng, (generator.sample(y, live_rng),),
+                                     (reference.ref_sample(generator, y, ref_rng),))
+                    if not ok:
+                        print(f"channels {channels}, t {t}, n {n}, prior {prior}: "
+                              "differs from the reference")
+                    same &= ok
+                    cases += 1
+    # 0 in a word's low half: the first draw at span 3 is rejected and redrawn.
+    generator = SyntheticImageGenerator(ImageDomainSpec(num_classes=CLASSES))
+    labels = np.random.default_rng(0).integers(0, CLASSES, 34)
+    live_rng = reference.pcg64_emitting(0xDEAD_BEEF << 32)
+    ref_rng = reference.pcg64_emitting(0xDEAD_BEEF << 32)
+    fallback = _same_draw(live_rng, ref_rng, (generator.sample(labels, live_rng),),
+                          (reference.ref_sample(generator, labels, ref_rng),))
+    print(f"sample / sample_dataset == ref_sample / ref_sample_dataset, bytes and "
+          f"generator state, {cases} cases: {same}")
+    print(f"a rejected translation draw takes the per-class loop: {fallback}")
+    return same and fallback
 
 
 def _lines(*functions) -> tuple[str, set[int]]:
@@ -1141,6 +1217,7 @@ PLANES = {
     "data": {None: lambda args: [data_stages(w) for w in PLANS],
              "plans": lambda args: data_plans(),
              "sha": lambda args: data_sha(),
+             "check": lambda args: data_check(),
              "faults": lambda args: data_faults(args.faults)},
     "detection": {None: lambda args: detection_calls(),
                   "check": lambda args: detection_check(),

@@ -11,8 +11,10 @@ through ``triu_indices``, and one vector ``jsd``), the conv kernels' previous
 strided window views that window-major pooling replaced) and per-tensor
 training step, k-means as
 one Lloyd loop per (k, restart) problem and Davies–Bouldin as one loop per
-labelling, the data plane's previous sampler (one class at a time, one
-``np.roll`` per image) and eager window assembly, ``pixelate``'s per-pixel
+labelling, the data plane's previous samplers (one class at a time, one
+``np.roll`` per image; and ``rng.choice`` plus per-class ``integers`` /
+``normal`` draws), a PCG64 state that emits a chosen word, eager window
+assembly, ``pixelate``'s per-pixel
 loop, and the six corruption operators as they were over ``scipy.ndimage``
 (``SCIPY_CORRUPTIONS``; scipy is a test-only dependency, so ``ndimage`` /
 ``special`` are ``None`` without it), FedAvg and staleness-weighted
@@ -494,6 +496,56 @@ def ref_sample(self, labels, rng):
         idx = np.nonzero(labels == class_id)[0]
         out[idx] = ref_sample_class(self, int(class_id), idx.size, rng)
     return out
+
+
+def ref_sample_dataset(self, label_prior, n, rng):
+    """The previous ``sample_dataset``: ``rng.choice`` for the labels, then
+    the previous ``sample`` (per class ``integers``, ``standard_normal`` and
+    ``normal``; base images read from the pre-rolled translations)."""
+    prior = np.asarray(label_prior, dtype=np.float64)
+    if prior.shape != (self.spec.num_classes,):
+        raise ValueError(
+            f"label_prior must have shape ({self.spec.num_classes},); got {prior.shape}"
+        )
+    labels = rng.choice(self.spec.num_classes, size=n, p=prior / prior.sum())
+    spec = self.spec
+    t = spec.max_translation
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    edges = [0, *cuts, labels.size] if labels.size else []  # one run per class
+    shifts = np.zeros((labels.size, 2), dtype=np.int64)
+    noise = np.empty((labels.size, *spec.input_shape))
+    brightness = np.empty((labels.size, 1, 1, 1))
+    for start, stop in zip(edges, edges[1:]):
+        if t > 0:
+            shifts[start:stop] = rng.integers(-t, t + 1, size=(stop - start, 2))
+        rng.standard_normal(out=noise[start:stop])
+        brightness[start:stop] = rng.normal(0.0, spec.brightness_jitter,
+                                            size=(stop - start, 1, 1, 1))
+    noise *= spec.noise_scale
+    noise += self._translated[shifts[:, 0] + t, shifts[:, 1] + t, ordered]
+    noise += brightness
+    out = np.empty_like(noise)
+    out[order] = np.clip(noise, 0.0, 1.0, out=noise)
+    return out, labels
+
+
+def pcg64_emitting(word, seed=0):
+    """A PCG64 ``Generator`` whose next 64-bit word is ``word``, set through
+    the public ``state`` setter.
+
+    PCG64 steps its 128-bit LCG, then outputs ``rotr64(high ^ low, high >>
+    58)`` of the new state.  A state whose top six bits are zero rotates by
+    nothing, so ``low = high ^ word`` outputs ``word``; ``advance(-1)``
+    steps back one so the next draw lands there."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    high = state["state"]["state"] >> 70  # any 58-bit value
+    state["state"]["state"] = (high << 64) | (high ^ word)
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(-1)
+    return rng
 
 
 def ref_assemble_window(self, party, shard, window):

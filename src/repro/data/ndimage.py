@@ -160,8 +160,9 @@ def _support(coord: np.ndarray, length: int):
     floor = np.floor(coord)
     w0 = 1.0 - (coord - floor)
     start = floor.astype(np.intp)
-    return (np.clip(start, 0, length - 1), np.clip(start + 1, 0, length - 1),
-            w0, 1.0 - w0)
+    last = length - 1  # np.clip's integers, without its Python-level wrapper
+    return (np.minimum(np.maximum(start, 0), last),
+            np.minimum(np.maximum(start + 1, 0), last), w0, 1.0 - w0)
 
 
 def _interpolate(x: np.ndarray, rows, cols) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Differential tests: the data plane against the bodies it replaced.
 
 ``ref_sample`` is the previous ``SyntheticImageGenerator.sample`` (one
-``sample_class`` call per class, one ``np.roll`` per image) and
+``sample_class`` call per class, one ``np.roll`` per image),
+``ref_sample_dataset`` the previous ``sample_dataset`` (``rng.choice``, then
+per-class ``integers`` / ``normal`` draws) and
 ``ref_assemble_window`` the previous eager
 ``FederatedShiftDataset._assemble_window`` (both splits generated at once),
 kept verbatim in ``benchmarks/reference.py`` (the probe times the same copy).
@@ -18,7 +20,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from benchmarks.reference import ref_assemble_window, ref_sample
+from benchmarks.reference import (
+    pcg64_emitting,
+    ref_assemble_window,
+    ref_sample,
+    ref_sample_dataset,
+)
 from repro.data.federated import FederatedShiftDataset
 from repro.data.images import ImageDomainSpec, SyntheticImageGenerator
 from repro.data.registry import dataset_names, get_dataset_spec
@@ -43,6 +50,67 @@ def test_sample_matches_per_image_roll(labels, max_translation, image_size,
     assert out.dtype == ref.dtype and out.shape == ref.shape
     assert np.array_equal(out, ref)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(prior=st.sampled_from(["one-class", "all-class", "dirichlet"]),
+       n=st.sampled_from([0, 1, 14, 16, 34, 48]), max_translation=st.integers(0, 3),
+       channels=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_sample_dataset_matches_choice_and_class_loop(prior, n, max_translation,
+                                                      channels, seed):
+    generator = SyntheticImageGenerator(ImageDomainSpec(
+        num_classes=4, image_size=8, channels=channels,
+        max_translation=max_translation, seed=seed))
+    weights = {"one-class": np.eye(4)[seed % 4], "all-class": np.full(4, 3.0),
+               "dirichlet": np.random.default_rng([seed, 1]).dirichlet(np.full(4, 0.8))
+               }[prior]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    x, y = generator.sample_dataset(weights, n, rng)
+    ref_x, ref_y = ref_sample_dataset(generator, weights, n, ref_rng)
+    assert y.dtype == ref_y.dtype and np.array_equal(y, ref_y)
+    assert x.dtype == ref_x.dtype and x.tobytes() == ref_x.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# (max_translation, a rejected 32-bit draw u): at span s = 2t + 1 ``integers``
+# rejects u when (u·s) mod 2^32 < 2^32 mod s (1, 1 and 4 here); each u leaves
+# the largest rejected leftover, 0, 0 and 3.
+REJECTED = [(1, 0), (2, 0), (3, 3 * pow(7, -1, 2**32) % 2**32)]
+
+
+@pytest.mark.parametrize("max_translation, rejected", REJECTED)
+@pytest.mark.parametrize("half", ["low", "high"])
+@pytest.mark.parametrize("kept", [False, True], ids=["rejected", "one-above"])
+def test_a_rejected_translation_draw_takes_the_class_loop(max_translation, rejected,
+                                                          half, kept):
+    """A PCG64 state whose next word holds a rejected draw (or, ``kept``, the
+    draw one leftover above it), in the first row's ``dy`` or ``dx``: the
+    bytes and the whole generator state are ``ref_sample``'s."""
+    span = 2 * max_translation + 1
+    if kept:
+        rejected = (rejected + pow(span, -1, 2**32)) % 2**32
+    other = 0x9E37_79B9
+    word = rejected | other << 32 if half == "low" else other | rejected << 32
+    generator = SyntheticImageGenerator(ImageDomainSpec(
+        num_classes=4, image_size=8, max_translation=max_translation, seed=1))
+    labels = np.array([2, 0, 2, 3, 0, 2, 1, 1, 3])
+    rng, ref_rng = pcg64_emitting(word), pcg64_emitting(word)
+    out = generator.sample(labels, rng)
+    ref = ref_sample(generator, labels, ref_rng)
+    assert out.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64])
+def test_other_bit_generators_take_the_class_loop(bit_generator):
+    generator = SyntheticImageGenerator(ImageDomainSpec(num_classes=4, image_size=8))
+    labels = np.array([0, 1, 1, 3, 2, 0])
+    rng = np.random.Generator(bit_generator(5))
+    ref_rng = np.random.Generator(bit_generator(5))
+    out = generator.sample(labels, rng)
+    assert out.tobytes() == ref_sample(generator, labels, ref_rng).tobytes()
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
 # ---------------------------------------------------------------- lazy windows

@@ -72,6 +72,17 @@ class TestSampling:
         with pytest.raises(ValueError):
             gen.sample_dataset(np.array([0.5, 0.5]), 10, rng)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("prior", [[0.5, -0.25, 0.25, 0.25, 0.25],
+                                       [0.2, np.nan, 0.2, 0.2, 0.2],
+                                       [0.2, np.inf, 0.2, 0.2, 0.2],
+                                       [0.0] * 5],
+                             ids=["negative", "nan", "inf", "all-zero"])
+    def test_sample_dataset_rejects_what_choice_rejects(self, gen, rng, prior):
+        """The checks ``rng.choice`` made on ``p = prior / prior.sum()``."""
+        with pytest.raises(ValueError):
+            gen.sample_dataset(np.array(prior), 10, rng)
+
 
 class TestDomainStructure:
     def test_templates_deterministic_per_seed(self):
