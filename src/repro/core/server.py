@@ -78,11 +78,6 @@ class ShiftExStrategy(ContinualStrategy):
 
     def setup(self, ctx: StrategyContext) -> None:
         super().setup(ctx)
-        # Bind the score seal (sealed_scoring) before the first expert is
-        # created so every cosine/MMD call the registry, matcher, and
-        # consolidator make operates on sealed rows — bitwise-identical
-        # results, no plaintext stacks.
-        self.registry.score_seal = ctx.score_seal
         theta0 = ctx.model_factory().get_params()
         expert0 = self.registry.create(theta0, window=0)
         # Survey order: every party, or the seeded subset a survey cap

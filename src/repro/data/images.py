@@ -196,13 +196,17 @@ class SyntheticImageGenerator:
         to the byte, after the checks ``choice`` makes on ``p`` (no NaN or
         inf, no negative entry, a sum within its tolerance of 1): its
         cumulative sum over its last entry, searched by ``random(n)`` from
-        the right.
+        the right.  The prior itself must be finite and non-negative, since
+        normalising an all-negative prior gives a valid ``p``.
         """
         prior = np.asarray(label_prior, dtype=np.float64)
         if prior.shape != (self.spec.num_classes,):
             raise ValueError(
                 f"label_prior must have shape ({self.spec.num_classes},); got {prior.shape}"
             )
+        if not (np.isfinite(prior).all() and (prior >= 0).all()):
+            raise ValueError(f"label_prior {prior} must be finite and "
+                             "non-negative")
         p = prior / prior.sum()
         total = p.sum()
         if not (np.isfinite(total) and (p >= 0).all()

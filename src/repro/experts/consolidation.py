@@ -67,23 +67,19 @@ def _merge_pair(registry: ExpertRegistry, a: Expert, b: Expert,
 
 
 def _regimes_agree(a: Expert, b: Expert, memory_epsilon: float | None,
-                   gamma: float | None, seal=None) -> bool:
+                   gamma: float | None) -> bool:
     """The latent-memory gate: both memories describe one covariate regime."""
     if memory_epsilon is None or a.memory.is_empty or b.memory.is_empty:
         return True
-    sig_a, sig_b = a.memory.signature, b.memory.signature
-    if seal is not None:  # sign-sealed MMD is bitwise-identical (see ScoreSeal)
-        sig_a, sig_b = seal.seal(sig_a), seal.seal(sig_b)
     regime_distance = class_conditional_mmd_batch(
-        [sig_a], [a.memory.signature_labels],
-        [sig_b], [b.memory.signature_labels], gamma,
+        [a.memory.signature], [a.memory.signature_labels],
+        [b.memory.signature], [b.memory.signature_labels], gamma,
     )[0]
     return regime_distance <= memory_epsilon
 
 
 def _best_mergeable_pair(experts: list[Expert], tau: float,
                          memory_epsilon: float | None, gamma: float | None,
-                         registry: ExpertRegistry | None = None,
                          ) -> tuple[Expert, Expert, float] | None:
     """Highest-similarity pair above ``tau`` that passes the regime gate.
 
@@ -91,11 +87,8 @@ def _best_mergeable_pair(experts: list[Expert], tau: float,
     (expensive) memory check runs only on candidates above ``tau``, best
     first, so the first pass that succeeds is the answer.
     """
-    seal = getattr(registry, "score_seal", None) if registry is not None else None
     stacked = np.stack(
         [np.asarray(e.flat, dtype=np.float64) for e in experts])
-    if seal is not None:
-        stacked = seal.seal(stacked)
     sims = cosine_similarity_matrix(stacked)
     iu, ju = np.triu_indices(len(experts), k=1)
     pair_sims = sims[iu, ju]
@@ -105,7 +98,7 @@ def _best_mergeable_pair(experts: list[Expert], tau: float,
         if sim <= tau:
             break
         a, b = experts[int(iu[idx])], experts[int(ju[idx])]
-        if _regimes_agree(a, b, memory_epsilon, gamma, seal=seal):
+        if _regimes_agree(a, b, memory_epsilon, gamma):
             return a, b, sim
     return None
 
@@ -130,8 +123,7 @@ def consolidate_experts(registry: ExpertRegistry, tau: float,
         experts = [e for e in registry.all() if e.train_rounds > 0]
         if len(experts) < 2:
             break
-        best = _best_mergeable_pair(experts, tau, memory_epsilon, gamma,
-                                    registry=registry)
+        best = _best_mergeable_pair(experts, tau, memory_epsilon, gamma)
         if best is None:
             break
         event = _merge_pair(registry, best[0], best[1], best[2], rng)

@@ -101,19 +101,10 @@ def match_cluster_to_expert(cluster_embeddings: np.ndarray,
     cluster_embeddings, cluster_labels = _subsample_cluster(
         cluster_embeddings, cluster_labels, max_rows, rng)
     eligible = [e for e in registry.all() if not e.memory.is_empty]
-    # Sealed scoring: when the registry carries a ScoreSeal, the cluster
-    # pool and every memory signature are sign-sealed before they reach a
-    # kernel.  MMD is built from inner products and squared norms, so the
-    # seal cancels bitwise — class labels are stratification metadata, not
-    # parameters, and stay as-is.
-    signatures = [e.memory.signature for e in eligible]
-    seal = getattr(registry, "score_seal", None)
-    if seal is not None:
-        cluster_embeddings = seal.seal(cluster_embeddings)
-        signatures = seal.seal_many(signatures)
     # The cluster against every memory: one entry each, scored like a report.
     score_values = class_conditional_mmd_batch(
         [cluster_embeddings] * len(eligible), [cluster_labels] * len(eligible),
-        signatures, [e.memory.signature_labels for e in eligible], gamma,
+        [e.memory.signature for e in eligible],
+        [e.memory.signature_labels for e in eligible], gamma,
     )
     return _best_match(eligible, score_values, epsilon)

@@ -57,11 +57,6 @@ class ExpertRegistry:
     def __init__(self, memory_capacity: int = 64, memory_eta: float = 0.3) -> None:
         self.memory_capacity = memory_capacity
         self.memory_eta = memory_eta
-        # Sealed scoring (PrivacyPlan.sealed_scoring): when bound (ShiftEx
-        # ``setup``), every pool-level similarity/MMD kernel runs over
-        # sign-sealed operands — bitwise-identical results, no plaintext
-        # row materialized by the scoring pipeline.
-        self.score_seal = None
         # The pool's parameter size and dtype: the first expert's.
         self._pool_dim: int | None = None
         self._pool_dtype: np.dtype | None = None

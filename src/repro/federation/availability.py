@@ -144,11 +144,22 @@ class AvailabilitySimulator:
         return (bool(self.num_parties)
                 and self.num_parties <= OUTAGE_ENUMERATION_LIMIT)
 
-    def _outage_start_active(self, start: int) -> bool:
-        """Whether a correlated outage begins at round ``start`` (the first
-        draw of the start's stream — identical bits on both regimes)."""
-        rng = spawn_rng(self.seed, "availability-outage", start)
-        return rng.random() < self.config.outage_prob
+    def _active_outage_starts(self, tick: int) -> list[int]:
+        """The start rounds whose correlated outage is in progress at
+        ``tick``: a start is active on the first draw of its stream
+        (identical bits on both regimes)."""
+        cfg = self.config
+        return [start for start in range(max(0, tick - cfg.outage_rounds + 1),
+                                         tick + 1)
+                if spawn_rng(self.seed, "availability-outage", start).random()
+                < cfg.outage_prob]
+
+    def _in_sampled_outage(self, party_id: int, starts: list[int]) -> bool:
+        """Large-population membership: one Bernoulli(``outage_fraction``)
+        draw per active start, from the (start, party) stream."""
+        return any(spawn_rng(self.seed, "availability-outage", start,
+                             "member", party_id).random()
+                   < self.config.outage_fraction for start in starts)
 
     def outage_parties(self, tick: int) -> frozenset[int]:
         """Parties knocked out at ``tick`` by any outage still in progress.
@@ -201,23 +212,15 @@ class AvailabilitySimulator:
             return False
         if self.enumerates_outages:
             return party_id in self.outage_parties(tick)
-        for start in range(max(0, tick - cfg.outage_rounds + 1), tick + 1):
-            if not self._outage_start_active(start):
-                continue
-            draw = spawn_rng(self.seed, "availability-outage", start,
-                             "member", party_id).random()
-            if draw < cfg.outage_fraction:
-                return True
-        return False
+        return self._in_sampled_outage(party_id,
+                                       self._active_outage_starts(tick))
 
     def fate(self, party_id: int, tick: int,
-             outage: frozenset[int] | None = None) -> ReportFate:
-        """Decide a dispatched report's fate; pass a precomputed ``outage``
-        set when calling for a whole cohort to avoid re-deriving it."""
+             in_outage: bool | None = None) -> ReportFate:
+        """Decide a dispatched report's fate; pass ``in_outage`` when it was
+        decided for a whole cohort at once, to avoid re-deriving it."""
         cfg = self.config
-        if outage is not None:
-            in_outage = party_id in outage
-        else:
+        if in_outage is None:
             in_outage = self.party_in_outage(party_id, tick)
         if in_outage:
             return ReportFate(party_id, dropped=True, delay=0, in_outage=True)
@@ -236,8 +239,17 @@ class AvailabilitySimulator:
         return ReportFate(party_id, dropped=False, delay=delay)
 
     def cohort_fates(self, party_ids: list[int], tick: int) -> list[ReportFate]:
-        """Fates for a whole cohort at one tick — O(cohort) either regime."""
-        if self.config.outage_prob > 0 and self.enumerates_outages:
-            outage = self.outage_parties(tick)
-            return [self.fate(pid, tick, outage=outage) for pid in party_ids]
+        """Fates for a whole cohort at one tick — O(cohort) either regime.
+
+        The outage set (enumerated regime) or the active outage starts
+        (sampled regime) are decided once per call, not once per member.
+        """
+        if self.config.outage_prob > 0 and self.num_parties:
+            if self.enumerates_outages:
+                outage = self.outage_parties(tick)
+                return [self.fate(pid, tick, in_outage=pid in outage)
+                        for pid in party_ids]
+            starts = self._active_outage_starts(tick)
+            return [self.fate(pid, tick, in_outage=self._in_sampled_outage(
+                        pid, starts)) for pid in party_ids]
         return [self.fate(pid, tick) for pid in party_ids]

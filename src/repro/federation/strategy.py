@@ -30,7 +30,6 @@ from repro.federation.accounting import CommunicationLedger
 from repro.federation.pool import PartyPool
 from repro.federation.rounds import RoundConfig
 from repro.nn.network import Sequential
-from repro.privacy.sealed_scoring import ScoreSeal
 from repro.privacy.secure_aggregation import MaskingSpec
 from repro.utils.precision import PrecisionPlan
 from repro.utils.rng import spawn_rng
@@ -59,8 +58,6 @@ class StrategyContext:
     the round on the engine, under the masking, metering ``ledger`` — a
     strategy adds only the ``stream`` key naming its aggregation target, so
     buffered reports for one cluster/expert never leak into another.
-    ``score_seal`` is the run's sealed-scoring sign vector (None = plaintext
-    scoring); the ShiftEx setup binds it onto the expert registry.
 
     ``precision`` is the run's :class:`~repro.utils.precision.PrecisionPlan`:
     ``params`` the model/bank dtype, ``detection_stats`` the float64 island
@@ -75,7 +72,6 @@ class StrategyContext:
     seed: int = 0
     ledger: CommunicationLedger = field(default_factory=CommunicationLedger)
     masking: MaskingSpec | None = None
-    score_seal: ScoreSeal | None = None
     precision: PrecisionPlan = field(default_factory=PrecisionPlan)
 
     def rng(self, *labels: object) -> np.random.Generator:

@@ -64,8 +64,8 @@ class RunSettings:
     unmasked individual update is ever resident server-side, including
     inside async stream buffers.  Sealing is exact (bit-domain), so a
     masked run reproduces its unmasked twin bit for bit.  ``threshold``
-    adds Shamir t-of-n dropout recovery on top; ``sealed_scoring``
-    sign-seals expert scoring; ``mask_seed`` overrides the mask root.
+    adds Shamir t-of-n dropout recovery on top; ``mask_seed`` overrides
+    the mask root (``sealed_scoring`` is retired and ignored).
 
     Each :data:`RUN_KNOBS` field takes any input its class reads (a
     mapping, a spec string); ``None`` is the field's default.

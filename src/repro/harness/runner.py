@@ -31,7 +31,6 @@ from repro.federation.strategy import ContinualStrategy, StrategyContext
 from repro.harness.profiles import RunSettings
 from repro.metrics.windows import WindowSummary, summarize_run
 from repro.nn.models import build_model
-from repro.privacy.sealed_scoring import ScoreSeal
 from repro.privacy.secure_aggregation import MaskingSpec
 from repro.utils.rng import spawn_rng
 
@@ -167,7 +166,6 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
     # are label-namespaced, so they never collide with model/data draws);
     # ``mask_seed`` pins it independently of the data/model seed.
     privacy = settings.privacy
-    mask_root = privacy.mask_root(seed)
     # Byte accounting follows the run's parameter dtype: a float32 plane
     # moves half the bytes of its float64 twin, exactly.
     ledger = CommunicationLedger.from_precision(settings.precision)
@@ -181,11 +179,10 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
         ledger=ledger,
         # Share traffic of a threshold session lands on the run ledger,
         # under the ``secure_agg`` wire category.
-        masking=(MaskingSpec(seed=mask_root, threshold=privacy.threshold,
+        masking=(MaskingSpec(seed=privacy.mask_root(seed),
+                             threshold=privacy.threshold,
                              ledger=ledger)
                  if privacy.masking else None),
-        score_seal=(ScoreSeal(seed=mask_root)
-                    if privacy.sealed_scoring else None),
         precision=settings.precision,
     )
     strategy.setup(ctx)

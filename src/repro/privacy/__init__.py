@@ -1,10 +1,8 @@
-"""Privacy substrate: masked aggregation and sealed scoring.
+"""Privacy substrate: pairwise-masked aggregation and Shamir recovery.
 
 * :mod:`~repro.privacy.plan` — :class:`PrivacyPlan`, the run-level knobs
-  (masking, Shamir threshold, sealed scoring, mask seed);
+  (masking, Shamir threshold, mask seed);
 * :mod:`~repro.privacy.secure_aggregation` — pairwise-masked rounds in the
   exact bit domain, with Shamir ``t``-of-``n`` dropout recovery
-  (:mod:`~repro.privacy.shamir`);
-* :mod:`~repro.privacy.sealed_scoring` — expert cosine/MMD scoring over
-  sign-sealed rows, bitwise-identical to plaintext scoring.
+  (:mod:`~repro.privacy.shamir`).
 """

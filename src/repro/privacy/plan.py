@@ -1,8 +1,8 @@
-"""The privacy plan: one knob surface for masking, recovery, and sealing.
+"""The privacy plan: one knob surface for masking and recovery.
 
-Three independent decisions — whether round submissions are masked at all,
-how dropout recovery is protected (the Shamir ``t``-of-``n`` threshold),
-and whether expert scoring runs over sealed rows — plus the mask root.
+Two mechanisms — whether round submissions are masked at all, and how
+dropout recovery is protected (the Shamir ``t``-of-``n`` threshold) —
+plus the mask root.
 :class:`PrivacyPlan` names each knob separately, mirroring
 :class:`~repro.utils.precision.PrecisionPlan`:
 
@@ -14,8 +14,10 @@ and whether expert scoring runs over sealed rows — plus the mask root.
   ``t`` holders can re-expand a party's masks and ``t - 1`` cannot.
   ``None`` keeps the seed-derived recovery shortcut (no share traffic).
   Requires ``masking``.
-* ``sealed_scoring`` — run expert cosine/MMD scoring over sign-sealed
-  rows (bitwise-identical Gram cancellation; see ARCHITECTURE.md).
+* ``sealed_scoring`` — retired: accepted with either value and ignored.
+  Expert scoring runs on rows the server already holds, so there is
+  nothing to seal; the field stays only because committed plan files
+  still carry the key.
 * ``mask_seed`` — override the mask-stream root seed (defaults to the run
   seed, which keeps masked runs bit-identical to their unmasked twins).
 
@@ -48,7 +50,7 @@ def resolve_threshold(threshold: "int | str | None", n: int) -> int | None:
 
 @dataclass(frozen=True)
 class PrivacyPlan(Knob):
-    """Which privacy mechanisms a run enables: masking, recovery, sealing.
+    """Which privacy mechanisms a run enables: masking and recovery.
 
     See the module docstring.
     """

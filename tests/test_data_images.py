@@ -76,10 +76,14 @@ class TestSampling:
     @pytest.mark.parametrize("prior", [[0.5, -0.25, 0.25, 0.25, 0.25],
                                        [0.2, np.nan, 0.2, 0.2, 0.2],
                                        [0.2, np.inf, 0.2, 0.2, 0.2],
-                                       [0.0] * 5],
-                             ids=["negative", "nan", "inf", "all-zero"])
+                                       [0.0] * 5,
+                                       [-1.0, -2.0, -1.0, -0.5, -0.5]],
+                             ids=["negative", "nan", "inf", "all-zero",
+                                  "all-negative"])
     def test_sample_dataset_rejects_what_choice_rejects(self, gen, rng, prior):
-        """The checks ``rng.choice`` made on ``p = prior / prior.sum()``."""
+        """The checks ``rng.choice`` made on ``p = prior / prior.sum()``, and
+        on the prior itself: an all-negative prior normalises to a valid
+        ``p``."""
         with pytest.raises(ValueError):
             gen.sample_dataset(np.array(prior), 10, rng)
 

@@ -40,7 +40,6 @@ from repro.data.federated import FederatedShiftDataset
 from repro.detection.calibration import ThresholdCalibrator, bootstrap_party_mmd_null
 from repro.experiments.registry import build_strategy
 from repro.harness.runner import run_strategy
-from repro.privacy.sealed_scoring import ScoreSeal
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
 from tests.conftest import make_run_settings, make_tiny_spec
@@ -432,33 +431,6 @@ class TestSameRejections:
             globals()[f"ref_{name}"](*args)
         with pytest.raises(ValueError):
             getattr(live, name)(*args)
-
-
-# ---------------------------------------------------------------- Sealed == plain, bitwise
-
-
-class TestSealedScoringStaysBitwise:
-    @given(sets)
-    @settings(max_examples=40, deadline=None)
-    def test_sign_sealed_inputs_score_bitwise_equal(self, case):
-        """Products ``(x_k s_k)(y_k s_k)`` are exact, and the stacked product
-        sums them in the order it sums ``x_k y_k``."""
-        seed, n, m, dim, classes, dtype, gamma = case
-        rng = spawn_rng(seed, "seal")
-        values = np.arange(classes)
-        x, xl = labelled_set(rng, n, dim, values, dtype)
-        y, yl = labelled_set(rng, m, dim, values, dtype)
-        gamma = bandwidth(gamma, x, y)
-        seal = ScoreSeal(seed=seed)
-        sx, sy = seal.seal(x), seal.seal(y)
-        assert live.median_heuristic_gamma(sx, sy) == live.median_heuristic_gamma(x, y)
-        assert live.mmd(sx, sy, gamma) == live.mmd(x, y, gamma)
-        assert (live.class_conditional_mmd(sx, xl, sy, yl, gamma)
-                == live.class_conditional_mmd(x, xl, y, yl, gamma))
-        assert np.array_equal(
-            live.class_conditional_mmd_batch([sx, sx], [xl, xl], [sy, sx], [yl, xl],
-                                             gamma),
-            live.class_conditional_mmd_batch([x, x], [xl, xl], [y, x], [yl, xl], gamma))
 
 
 # ---------------------------------------------------------------- Work and decision pins

@@ -432,6 +432,27 @@ class TestAvailabilityAtScale:
         # Same (party, tick) query always agrees with itself.
         again = sim.cohort_fates(list(range(0, 1_000_000, 20_000)), tick=3)
         assert fates == again
+        # A cohort decides its active outage starts once; each member's fate
+        # is still the one a lone ``fate(pid, tick)`` call draws, and outage
+        # membership is the per-(start, party) draw of every active start.
+        cfg = self.CFG
+        cohort = list(range(7, 1_000_000, 25_000))
+        active_ticks = outage_fates = 0
+        for tick in range(8):
+            fates = sim.cohort_fates(cohort, tick)
+            assert fates == [sim.fate(pid, tick) for pid in cohort]
+            starts = [s for s in range(max(0, tick - cfg.outage_rounds + 1),
+                                       tick + 1)
+                      if spawn_rng(9, "availability-outage", s).random()
+                      < cfg.outage_prob]
+            for fate in fates:
+                assert fate.in_outage == any(
+                    spawn_rng(9, "availability-outage", s, "member",
+                              fate.party_id).random() < cfg.outage_fraction
+                    for s in starts)
+            active_ticks += bool(starts)
+            outage_fates += sum(f.in_outage for f in fates)
+        assert active_ticks >= 2 and outage_fates > 0
 
     def test_large_population_outage_rate_tracks_fraction(self):
         sim = AvailabilitySimulator(

@@ -1,4 +1,4 @@
-"""The privacy boundary: PrivacyPlan knobs, Shamir t-of-n recovery, sealing.
+"""The privacy boundary: PrivacyPlan knobs, Shamir t-of-n recovery.
 
 Four layers of pins:
 
@@ -14,10 +14,9 @@ Four layers of pins:
   identical to the seed-derived shortcut at float64 *and* float32 (only
   the ledger may differ, by exactly the share traffic), and a legacy
   masked run records zero ``secure_agg`` bytes.
-* **Sealed scoring** — sign-sealing cancels bitwise in every scoring
-  kernel (cosine, MMD, median-heuristic gamma) at both precisions,
-  consolidation decides identically under a seal, and a
-  ``sealed_scoring=on`` ShiftEx run reproduces its plain twin bit for bit.
+* **The retired key** — ``sealed_scoring`` still loads with either value
+  and serializes back unchanged, and a run that carries it reproduces the
+  run without it bit for bit.
 """
 
 from __future__ import annotations
@@ -28,29 +27,19 @@ import numpy as np
 import pytest
 
 from repro.data.federated import FederatedShiftDataset
-from repro.detection.mmd import (
-    class_conditional_mmd,
-    median_heuristic_gamma,
-    mmd,
-)
 from repro.experiments.plan import ExperimentPlan
 from repro.experiments.registry import build_strategy
-from repro.experts.consolidation import consolidate_experts
-from repro.experts.matching import match_cluster_to_expert
-from repro.experts.registry import ExpertRegistry
 from repro.federation.accounting import CommunicationLedger
 from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import AvailabilityConfig
 from repro.harness.runner import run_strategy
 from repro.privacy.plan import PrivacyPlan, resolve_threshold
-from repro.privacy.sealed_scoring import ScoreSeal
 from repro.privacy.secure_aggregation import (
     SHARE_BYTES,
     IncompleteSubmissionError,
     SecureAggregationSession,
 )
-from repro.utils.params import ParamBank, cosine_similarity_matrix
-from repro.utils.rng import spawn_rng
+from repro.utils.params import ParamBank
 from repro.utils.serialization import run_result_to_dict
 from tests.conftest import bank_row, make_run_settings, make_tiny_spec
 
@@ -133,13 +122,6 @@ class TestPlanThreading:
                                      privacy="masking=on,threshold=3")
         assert masked.privacy.threshold == 3
         assert masked.secure_aggregation is True  # the serialized mirror
-
-    def test_sealed_scoring_alone_does_not_mask(self):
-        settings = dataclasses.replace(make_run_settings(),
-                                       privacy="sealed_scoring=on")
-        assert settings.privacy.sealed_scoring
-        assert not settings.privacy.masking
-        assert settings.secure_aggregation is False
 
     def test_experiment_plan_round_trip_and_resolve(self):
         plan = ExperimentPlan.build("fashion_mnist_sim", ["fedavg"],
@@ -344,98 +326,49 @@ class TestThresholdRunsBitwise:
                 == run_result_to_dict(pinned))
 
 
-# ------------------------------------------------------------ sealed scoring
+# -------------------------------------------------------------- retired key
 
-class TestSealedScoringKernels:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_every_kernel_is_seal_invariant_bitwise(self, dtype):
-        """cosine, MMD, class-conditional MMD, and the median-heuristic
-        bandwidth are built from inner products and row differences, so a
-        shared sign seal cancels exactly — in IEEE-754 bits, not just
-        algebraically, at both precisions."""
-        rng = spawn_rng(0, "seal-pin")
-        x = rng.normal(size=(24, 12)).astype(dtype)
-        y = rng.normal(size=(18, 12)).astype(dtype)
-        labels_x = rng.integers(0, 3, size=24)
-        labels_y = rng.integers(0, 3, size=18)
-        seal = ScoreSeal(seed=5)
-        sx, sy = seal.seal(x), seal.seal(y)
-        assert not np.array_equal(sx, x)  # the seal actually flips signs
-        assert sx.dtype == dtype
-
-        assert median_heuristic_gamma(sx, sy) == median_heuristic_gamma(x, y)
-        gamma = median_heuristic_gamma(x, y)
-        assert mmd(sx, sy, gamma) == mmd(x, y, gamma)
-        assert mmd(sx, sy, None) == mmd(x, y, None)
-        assert (class_conditional_mmd(sx, labels_x, sy, labels_y, gamma)
-                == class_conditional_mmd(x, labels_x, y, labels_y, gamma))
-        assert np.array_equal(cosine_similarity_matrix(seal.seal(x)),
-                              cosine_similarity_matrix(x))
-
-    def _registry(self, seed, sealed):
-        rng = spawn_rng(seed, "seal-reg")
-        registry = ExpertRegistry(memory_capacity=64)
-        params = rng.normal(size=16 * 8)
-        for regime in range(4):
-            registry.create(params, window=0,
-                            embeddings=rng.normal(size=(48, 12)) + 2.0 * regime,
-                            rng=rng)
-        if sealed:
-            registry.score_seal = ScoreSeal(seed=seed)
-        return registry
-
-    def test_consolidation_seal_invariant(self):
-        """Stack, seal, cosine, regime gate: the merge decisions and their
-        similarities are bit-identical with and without a seal."""
-        outcomes = []
-        for sealed in (False, True):
-            registry = self._registry(3, sealed=sealed)
-            rng = spawn_rng(3, "seal-merge")
-            for expert in registry.all():
-                expert.set_params(
-                    expert.flat + 0.05 * rng.normal(size=expert.flat.shape))
-                expert.train_rounds = 1
-            outcomes.append(consolidate_experts(
-                registry, tau=0.9, rng=spawn_rng(0, "merge"),
-                memory_epsilon=10.0, gamma=0.05))
-        assert outcomes[0] and outcomes[0] == outcomes[1]
-
-    def test_match_cluster_seal_invariant(self):
-        cluster = spawn_rng(1, "seal-cluster").normal(size=(40, 12)) + 1.0
-        results = []
-        for sealed in (False, True):
-            registry = self._registry(7, sealed=sealed)
-            results.append(match_cluster_to_expert(
-                cluster, registry, epsilon=0.5, gamma=0.05, max_rows=32,
-                rng=spawn_rng(2, "m"),
-                cluster_labels=np.zeros(40, dtype=int)))
-        assert results[0] == results[1]
-
-
-class TestSealedRunsBitwise:
+class TestRetiredSealedScoring:
     def test_shiftex_sealed_scoring_run_is_bitwise_identical(self):
-        """sealed_scoring=on must be invisible in the run result: every
-        consolidation/matching score the strategy acts on is bit-identical
-        to its plaintext value, down through the ledger."""
+        """``sealed_scoring`` is retired: a spec string or a plan dict that
+        carries it, with either value, loads, writes the key back as it
+        read it, and runs to the same result as the plan without it."""
+        spec_text = "masking=on,threshold=3"
+        retired = PrivacyPlan.from_value(spec_text + ",sealed_scoring=on")
+        assert retired.sealed_scoring and retired.masking
+        assert PrivacyPlan.from_value(retired.spec()) == retired
+        for value in (True, False):
+            doc = {"dataset": "fashion_mnist_sim", "strategies": ["shiftex"],
+                   "privacy": {"masking": True, "threshold": 3,
+                               "sealed_scoring": value}}
+            plan = ExperimentPlan.from_dict(doc)
+            assert plan.to_dict()["privacy"]["sealed_scoring"] is value
+            assert (dataclasses.replace(plan.privacy, sealed_scoring=False)
+                    == PrivacyPlan.from_value(spec_text))
+            assert ExperimentPlan.from_dict(plan.to_dict()) == plan
+        # The key alone turns nothing on.
+        assert not PrivacyPlan.from_value("sealed_scoring=on").masking
+
         spec, ds = _spec_ds(67)
         base = make_run_settings()
-        plain = _run("shiftex", spec, ds, base)
+        plain = _run("shiftex", spec, ds,
+                     dataclasses.replace(base, privacy=spec_text))
         sealed = _run("shiftex", spec, ds,
-                      dataclasses.replace(base, privacy="sealed_scoring=on"))
+                      dataclasses.replace(base, privacy=retired))
         assert run_result_to_dict(plain) == run_result_to_dict(sealed)
 
+
+class TestFullPlanRunsBitwise:
     def test_full_privacy_plan_run_matches_plain(self):
-        """All three mechanisms at once — masking, t-of-n recovery, sealed
-        scoring — leave a ShiftEx run bitwise unchanged outside the ledger's
-        share-traffic entry."""
+        """Both mechanisms at once — masking and t-of-n recovery — leave a
+        ShiftEx run bitwise unchanged outside the ledger's share-traffic
+        entry."""
         spec, ds = _spec_ds(71)
         base = make_run_settings()
         plain = _run("shiftex", spec, ds, base)
-        private = _run(
-            "shiftex", spec, ds,
-            dataclasses.replace(
-                base,
-                privacy="masking=on,threshold=majority,sealed_scoring=on"))
+        private = _run("shiftex", spec, ds,
+                       dataclasses.replace(
+                           base, privacy="masking=on,threshold=majority"))
         first, second = run_result_to_dict(plain), run_result_to_dict(private)
         first.pop("ledger")
         ledger = second.pop("ledger")
