@@ -422,6 +422,18 @@ class TestAvailabilityAtScale:
             for pid in range(40):
                 assert sim.party_in_outage(pid, tick) == (pid in members)
 
+    def test_enumerated_cohort_fates_match_lone_fate_calls(self):
+        """The cohort's one outage set gives each member the fate a lone
+        ``fate(pid, tick)`` call draws."""
+        sim = AvailabilitySimulator(self.CFG, seed=9, num_parties=40)
+        cohort = list(range(0, 40, 3))
+        outage_fates = 0
+        for tick in range(6):
+            fates = sim.cohort_fates(cohort, tick)
+            assert fates == [sim.fate(pid, tick) for pid in cohort]
+            outage_fates += sum(f.in_outage for f in fates)
+        assert outage_fates > 0
+
     def test_large_population_is_o_cohort(self):
         sim = AvailabilitySimulator(self.CFG, seed=9, num_parties=1_000_000)
         assert not sim.enumerates_outages

@@ -123,6 +123,13 @@ class TestPlanThreading:
         assert masked.privacy.threshold == 3
         assert masked.secure_aggregation is True  # the serialized mirror
 
+    def test_sealed_scoring_alone_does_not_mask(self):
+        settings = dataclasses.replace(make_run_settings(),
+                                       privacy="sealed_scoring=on")
+        assert settings.privacy.sealed_scoring
+        assert not settings.privacy.masking
+        assert settings.secure_aggregation is False
+
     def test_experiment_plan_round_trip_and_resolve(self):
         plan = ExperimentPlan.build("fashion_mnist_sim", ["fedavg"],
                                     privacy="masking=on,threshold=3")
@@ -329,32 +336,49 @@ class TestThresholdRunsBitwise:
 # -------------------------------------------------------------- retired key
 
 class TestRetiredSealedScoring:
-    def test_shiftex_sealed_scoring_run_is_bitwise_identical(self):
-        """``sealed_scoring`` is retired: a spec string or a plan dict that
-        carries it, with either value, loads, writes the key back as it
-        read it, and runs to the same result as the plan without it."""
-        spec_text = "masking=on,threshold=3"
-        retired = PrivacyPlan.from_value(spec_text + ",sealed_scoring=on")
+    """``sealed_scoring`` is retired: a spec string or a plan dict that
+    carries it, with either value, loads, writes the key back as it read it,
+    and runs to the same result as the plan without it."""
+
+    SPEC = "masking=on,threshold=3"
+
+    def test_spec_string_loads_and_round_trips(self):
+        retired = PrivacyPlan.from_value(self.SPEC + ",sealed_scoring=on")
         assert retired.sealed_scoring and retired.masking
         assert PrivacyPlan.from_value(retired.spec()) == retired
-        for value in (True, False):
-            doc = {"dataset": "fashion_mnist_sim", "strategies": ["shiftex"],
-                   "privacy": {"masking": True, "threshold": 3,
-                               "sealed_scoring": value}}
-            plan = ExperimentPlan.from_dict(doc)
-            assert plan.to_dict()["privacy"]["sealed_scoring"] is value
-            assert (dataclasses.replace(plan.privacy, sealed_scoring=False)
-                    == PrivacyPlan.from_value(spec_text))
-            assert ExperimentPlan.from_dict(plan.to_dict()) == plan
-        # The key alone turns nothing on.
-        assert not PrivacyPlan.from_value("sealed_scoring=on").masking
+        assert (dataclasses.replace(retired, sealed_scoring=False)
+                == PrivacyPlan.from_value(self.SPEC))
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_plan_dict_round_trips(self, value):
+        doc = {"dataset": "fashion_mnist_sim", "strategies": ["shiftex"],
+               "privacy": {"masking": True, "threshold": 3,
+                           "sealed_scoring": value}}
+        plan = ExperimentPlan.from_dict(doc)
+        assert plan.to_dict()["privacy"]["sealed_scoring"] is value
+        assert (dataclasses.replace(plan.privacy, sealed_scoring=False)
+                == PrivacyPlan.from_value(self.SPEC))
+        assert ExperimentPlan.from_dict(plan.to_dict()) == plan
+
+    def test_unknown_key_beside_it_still_fails(self):
+        """Keeping the key did not loosen the check on its neighbours."""
+        with pytest.raises(ValueError, match=r"\['sealed_scorng'\] in PrivacyPlan"):
+            PrivacyPlan.from_value(self.SPEC
+                                   + ",sealed_scoring=on,sealed_scorng=on")
+        with pytest.raises(ValueError, match=r"\['sealed_scorng'\] in plan privacy"):
+            ExperimentPlan.from_dict({
+                "dataset": "fashion_mnist_sim", "strategies": ["shiftex"],
+                "privacy": {"masking": True, "sealed_scoring": True,
+                            "sealed_scorng": True}})
+
+    def test_shiftex_sealed_scoring_run_is_bitwise_identical(self):
         spec, ds = _spec_ds(67)
         base = make_run_settings()
         plain = _run("shiftex", spec, ds,
-                     dataclasses.replace(base, privacy=spec_text))
+                     dataclasses.replace(base, privacy=self.SPEC))
         sealed = _run("shiftex", spec, ds,
-                      dataclasses.replace(base, privacy=retired))
+                      dataclasses.replace(
+                          base, privacy=self.SPEC + ",sealed_scoring=on"))
         assert run_result_to_dict(plain) == run_result_to_dict(sealed)
 
 
