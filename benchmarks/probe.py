@@ -3,10 +3,12 @@
     PYTHONPATH=src python benchmarks/probe.py PLANE [MODE]
 
 ``nn``: per-layer forward / backward µs of ``lenet_mini`` (float32) at the
-two stacks a ``sync_conv`` run forms, a stacked training step (r = 8 replicas
-of batch 8, (3, 12, 12) inputs) and a shared evaluation (r = 2 of 24 rows),
-under a run's heap policy; every conv and pool kernel beside its ``ref_*``
-kernel fed the same arrays; and one stacked ``train_local`` step.
+stacks a ``sync_conv`` run forms, a stacked training step (r = 8 replicas
+of batch 8, (3, 12, 12) inputs), a shared evaluation (r = 2 of 24 rows) and
+a party alone in its group (``stacked(1)`` of batch 8, ``shared(1)`` of 24
+test and 48 embedding rows), under a run's heap policy; every conv and pool
+kernel beside its ``ref_*`` kernel fed the same arrays; and one stacked
+``train_local`` step.
 ``--cohort`` times ``r`` = 1, 4, 8 parties of ``--steps`` batches as a
 per-party ``train_local`` loop and as one call on ``Sequential.stacked(r)``
 (``lenet_mini``; ``mlp`` at ``wide_server``'s (1, 12, 12)) and ends with
@@ -15,7 +17,7 @@ per-party ``train_local`` loop and as one call on ``Sequential.stacked(r)``
 ``Sequential.shared(r)`` and on a copying ``Sequential.stacked(r)`` at r = 1
 ... 32 for each plan's evaluation and report shapes.  ``--check`` exits 1
 when a live conv or pool kernel differs by a byte from its ``ref_*`` kernel
-at those two stacks (fed a step's activations, and small integers through a
+at those stacks (fed a step's activations, and small integers through a
 ReLU in channels-last memory: tied maxima), or a grouped evaluation or embedding
 (``evaluate_parties`` / ``embed_parties``: both models, float32 and float64,
 groups across the stack bound) differs from the per-party call.
@@ -172,11 +174,16 @@ FORWARDS = (("sync_conv", "lenet_mini", (3, 12, 12), 24),
             ("async_masked", "mlp", (3, 12, 12), 24))
 
 
-# (what, replicas, rows, training) of the two lenet_mini stacks a sync_conv
-# run forms: a cohort's stacked training step, and a grouped evaluation
-# (``Sequential.shared``; r = 2 is the stack bound at 24 rows).
+# (what, replicas, rows, training) of the lenet_mini stacks a sync_conv run
+# forms: a cohort's stacked training step, a grouped evaluation
+# (``Sequential.shared``; r = 2 is the stack bound at 24 rows), and the r = 1
+# stacks of a party alone in its group: a training step, an evaluation and a
+# report's embedding forward.
 STACKS = (("stacked training step", 8, BATCH, True),
-          ("shared evaluation stack", 2, 24, False))
+          ("shared evaluation stack", 2, 24, False),
+          ("stacked training step, one party", 1, BATCH, True),
+          ("shared evaluation, one party", 1, 24, False),
+          ("shared embedding forward, one party", 1, 48, False))
 
 
 def nn_stack(replicas: int, rows: int, training: bool, shape=SHAPE):
@@ -385,8 +392,8 @@ def _tied(rng, like: np.ndarray) -> np.ndarray:
 
 
 def nn_check() -> bool:
-    """The live conv and pool kernels == their ``ref_*`` kernels at both
-    stacks, fed a step's activations and tie-bearing ones, and grouped
+    """The live conv and pool kernels == their ``ref_*`` kernels at every
+    stack, fed a step's activations and tie-bearing ones, and grouped
     evaluation and embeddings == per-party calls, for every forward shape
     above at both precisions (mixed split sizes, two served models, and more
     members than one stack holds); all by bytes."""
@@ -405,7 +412,7 @@ def nn_check() -> bool:
                     print(f"{name} at {shape}, {kind} inputs: differs from its "
                           "ref_* kernel")
                     kernels = False
-    print(f"live kernels == ref_* kernels at both stacks, a step's and tied "
+    print(f"live kernels == ref_* kernels at every stack, a step's and tied "
           f"inputs: {kernels}")
     same = True
     for _plan, name, shape, n in FORWARDS:

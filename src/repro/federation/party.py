@@ -16,7 +16,9 @@ one-member call of it.  Every other forward is grouped the same way:
 :func:`evaluate_parties` and :func:`embed_parties` run the members that share
 a model and a row count as one forward of ``Sequential.shared(r)``, and
 :meth:`Party.evaluate` / :meth:`Party.embeddings_with_labels` are their
-one-member calls.
+one-member calls.  A group of one takes the same path, ``stacked(1)`` or
+``shared(1)``: no party op runs on the plain model, which stays the
+reference the stacked byte pins compare against.
 """
 
 from __future__ import annotations
@@ -179,10 +181,8 @@ def _forward_groups(model: Sequential, keys: Sequence[object],
 
 def _stack(model: Sequential, members: list[int], xs: Sequence[np.ndarray],
            ) -> tuple[Sequential, np.ndarray]:
-    """The model and input of one forward: a member alone runs the plain
-    model, a stack ``model.shared(r)`` on the members' batches."""
-    if len(members) == 1:
-        return model, xs[members[0]]
+    """The model and input of one forward: ``model.shared(r)`` on the
+    members' batches."""
     return (model.shared(len(members)),
             np.stack([xs[i] for i in members], dtype=model.dtype))
 
@@ -206,9 +206,6 @@ def evaluate_parties(evaluees: Sequence[tuple[Party, np.ndarray]],
     for members in _forward_groups(model, [id(p) for _q, p in evaluees], xs):
         model.set_params(evaluees[members[0]][1])
         runner, x = _stack(model, members, xs)
-        if len(members) == 1:
-            results[members[0]] = evaluate(runner, x, reads[members[0]][1])
-            continue
         accs, losses = evaluate(runner, x, np.stack([reads[i][1] for i in members]))
         for k, i in enumerate(members):
             results[i] = (float(accs[k]), float(losses[k]))
@@ -237,9 +234,6 @@ def embed_parties(parties: Sequence[Party], params: np.ndarray, split: str = "tr
     for members in _forward_groups(model, [None] * len(rows), xs):
         runner, x = _stack(model, members, xs)
         out = runner.features(x)
-        if len(members) == 1:
-            feats[members[0]] = out
-            continue
         for k, i in enumerate(members):
             feats[i] = out[k].copy()
     return [(f, y) for f, (_x, y) in zip(feats, rows)]
@@ -254,7 +248,7 @@ def train_parties(trainees: list[tuple[Party, np.ndarray, np.ndarray]],
     Trainees whose splits have equal size train as one stacked
     :func:`~repro.nn.training.train_local` call on a ``Sequential.stacked``
     replica of the first one's model, allocated per call (a trainee alone
-    in its size trains its own model, without the axis); trainee ``i`` draws
+    in its size trains on ``stacked(1)``); trainee ``i`` draws
     from ``spawn_rng(seed, "party-train", party_id, round_tag)`` exactly as a
     party training alone does, so its update is the same bytes.  ``outs[i]``
     (a bank row, or None for a fresh vector) receives its trained flat
@@ -271,15 +265,6 @@ def train_parties(trainees: list[tuple[Party, np.ndarray, np.ndarray]],
         group = [trainees[i] for i in members]
         rngs = [spawn_rng(party.seed, "party-train", party.party_id, round_tag)
                 for party, _x, _y in group]
-        if len(group) == 1:
-            # A replica axis of one only adds overhead: the plain call.
-            ((party, x, y),), (i,) = group, members
-            party._model.set_params(params)
-            result = train_local(party._model, x, y, config, rngs[0],
-                                 global_params=anchor, out_flat=outs[i])
-            updates[i] = LocalUpdate(party.party_id, result.params,
-                                     result.num_samples, result.mean_loss)
-            continue
         model = group[0][0]._model.stacked(len(group))
         model.set_params(params)
         result = train_local(

@@ -4,8 +4,7 @@ ShiftEx needs three things from a model beyond plain classification:
 
 * ``features(x)`` — the penultimate (pre-logit) activations, which parties use
   as latent representations for MMD-based covariate shift detection
-  (paper Section 4.2); ``forward_with_features`` returns logits *and*
-  features from a single pass;
+  (paper Section 4.2), from a forward that stops below the head;
 * flat parameter get/set — the one parameter form outside :mod:`repro.nn`
   is a flat vector, which the aggregator FedAvgs, compares by cosine
   similarity and clones into experts;
@@ -163,25 +162,6 @@ class Sequential:
             out = layer.forward(out, training=training)
         return out
 
-    def forward_with_features(self, x: np.ndarray, training: bool = False,
-                              ) -> tuple[np.ndarray, np.ndarray]:
-        """One pass returning ``(logits, features)``.
-
-        ``features`` is the (flattened) input of the ``feature_index`` layer —
-        the same array ``features()`` returns — captured without a second
-        forward pass.
-        """
-        out = np.asarray(x, dtype=self.dtype)
-        feats: np.ndarray | None = None
-        for i, layer in enumerate(self.layers):
-            if i == self.feature_index:
-                lead = self._flat.ndim  # replica axes + the batch axis
-                feats = (out if out.ndim <= lead + 1
-                         else out.reshape(out.shape[:lead] + (-1,)))
-            out = layer.forward(out, training=training)
-        assert feats is not None  # feature_index < len(layers)
-        return out, feats
-
     def backward(self, grad: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
@@ -201,9 +181,13 @@ class Sequential:
         self.layers[first].backward_params(grad)
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        """Penultimate-layer activations (inference mode)."""
-        _logits, feats = self.forward_with_features(x, training=False)
-        return feats
+        """The (flattened) input of the ``feature_index`` layer: an inference
+        forward through the layers below it, which stops there."""
+        out = np.asarray(x, dtype=self.dtype)
+        for layer in self.layers[:self.feature_index]:
+            out = layer.forward(out, training=False)
+        lead = self._flat.ndim  # replica axes + the batch axis
+        return out if out.ndim <= lead + 1 else out.reshape(out.shape[:lead] + (-1,))
 
     # ------------------------------------------------------------------ parameters
 

@@ -81,17 +81,12 @@ def mean_loss(losses: list[float]) -> float:
 def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
                 config: LocalTrainingConfig,
                 rng: np.random.Generator | Sequence[np.random.Generator],
-                global_params: np.ndarray | None = None,
-                out_flat: np.ndarray | None = None) -> LocalTrainingResult:
+                global_params: np.ndarray | None = None) -> LocalTrainingResult:
     """Run local epochs of mini-batch SGD on ``model`` (updated in place).
 
     ``global_params``, a flat vector, anchors the FedProx proximal term;
-    required when ``config.prox_mu > 0``.  ``out_flat``, when given (plain
-    models only), receives the trained flat parameter vector and is the
-    result's ``params`` — the caller can hand over a
-    :class:`~repro.utils.params.ParamBank` row so the update lands directly
-    in the aggregation bank without extra copies.  Without it ``params`` is
-    a fresh copy.
+    required when ``config.prox_mu > 0``.  The result's ``params`` is a
+    fresh copy of the trained flat vector.
 
     The stacked form: on a model with a replica axis (``Sequential.stacked(r)``)
     ``x`` is ``(r, n, ...)``, ``y`` is ``(r, n)`` and ``rng`` is one generator
@@ -107,15 +102,9 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
             f"a model of {lead} replicas needs (*{lead}, n, ...) inputs and one "
             f"generator per replica; got x {x.shape} and {len(rngs)} generators")
 
-    def result_params() -> np.ndarray:
-        if out_flat is None:
-            return model.get_params()
-        np.copyto(out_flat, model.flat_params, casting="same_kind")
-        return out_flat
-
     n = x.shape[len(lead)]
     if n == 0:
-        return LocalTrainingResult(result_params(), 0, float("nan"), 0,
+        return LocalTrainingResult(model.get_params(), 0, float("nan"), 0,
                                    replica_losses=[[] for _ in rngs])
     if y.shape != x.shape[:len(lead) + 1]:
         raise ValueError("x and y must have matching leading dimensions")
@@ -164,7 +153,7 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
     replica_losses = np.array(step_losses, dtype=np.float64).reshape(
         batches_run, len(rngs)).T.tolist()
     losses = [loss for replica in replica_losses for loss in replica]
-    return LocalTrainingResult(result_params(), n * len(rngs), mean_loss(losses),
+    return LocalTrainingResult(model.get_params(), n * len(rngs), mean_loss(losses),
                                batches_run, losses, replica_losses)
 
 

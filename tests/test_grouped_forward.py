@@ -27,13 +27,14 @@ from repro.federation.party import (
     Party,
     embed_parties,
     evaluate_parties,
+    train_parties,
 )
 from repro.federation.pool import PopulationConfig
 from repro.harness.runner import run_strategy
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.models import build_model, model_names
 from repro.nn.network import Sequential
-from repro.nn.training import evaluate
+from repro.nn.training import LocalTrainingConfig, evaluate, train_local
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
 from tests.conftest import make_run_settings, make_tiny_spec
@@ -123,9 +124,9 @@ def test_shared_model_is_the_model_r_times(name, dtype):
     assert model.shared(5) is twin and model.stacked(5)._shared == {}
     for params in (model.get_params(), _param_sets(name, dtype, 1, 3)[0]):
         model.set_params(params)
-        logits, feats = twin.forward_with_features(x)
+        logits, feats = twin.forward(x), twin.features(x)
         stacked = model.stacked(5)
-        ref_logits, ref_feats = stacked.forward_with_features(x)
+        ref_logits, ref_feats = stacked.forward(x), stacked.features(x)
         assert logits.tobytes() == ref_logits.tobytes()
         assert feats.tobytes() == ref_feats.tobytes()
         for k in range(5):
@@ -275,6 +276,44 @@ def test_one_member_calls_are_the_party_methods():
     assert feats.tobytes() == ref_feats.tobytes()
     assert labels.tobytes() == ref_labels.tobytes()
     assert evaluate_parties([]) == [] and embed_parties([], params) == []
+
+
+@pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", ["lenet_mini", "mlp"])
+def test_a_group_of_one_is_the_plain_model(name, dtype, prox_mu):
+    """A group of one through ``train_parties``, ``evaluate_parties`` and
+    ``embed_parties`` is the plain model's ``train_local``, ``evaluate`` and
+    ``features`` call, by bytes: the replica path needs no case of its own
+    at r = 1."""
+    (party,), _lent = _parties(name, dtype, [13], seed=7)
+    start, served = _param_sets(name, dtype, 2, 7)
+    plain = build_model(name, SHAPES[name], CLASSES, np.random.default_rng(0),
+                        dtype=dtype)
+    config = LocalTrainingConfig(epochs=2, batch_size=4, lr=0.05, momentum=0.9,
+                                 prox_mu=prox_mu)
+    x, y = party.train_split()
+    for out in (None, np.empty_like(plain.flat_params)):
+        (update,) = train_parties([(party, x, y)], start, config, ("round", 2), [out])
+        plain.set_params(start)
+        result = train_local(plain, x, y, config,
+                             spawn_rng(7, "party-train", 0, ("round", 2)),
+                             global_params=start if prox_mu else None)
+        assert update.params.tobytes() == plain.flat_params.tobytes()
+        assert out is None or update.params is out
+        assert (update.num_samples, update.mean_loss) == (result.num_samples,
+                                                          result.mean_loss)
+    plain.set_params(served)
+    for split in ("test", "train"):
+        assert evaluate_parties([(party, served)], split) == [
+            evaluate(plain, *party.data.split(split))]
+    for max_samples in (None, 5):
+        ((feats, labels),) = embed_parties([party], served, "train", max_samples)
+        rows, want_labels = party._embedding_rows("train", max_samples)
+        want = plain.features(rows)
+        assert feats.dtype == want.dtype and feats.shape == want.shape
+        assert feats.tobytes() == want.tobytes()
+        assert labels.tobytes() == want_labels.tobytes()
 
 
 # ---------------------------------------------------------------- whole runs

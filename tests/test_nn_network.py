@@ -53,28 +53,49 @@ class TestFeatures:
             Sequential([Dense(2, 2, rng)], feature_index=5)
 
 
-class TestForwardWithFeatures:
-    def test_matches_separate_calls(self, rng):
-        net = make_net(rng)
-        x = rng.normal(size=(4, 6))
-        logits, feats = net.forward_with_features(x)
-        assert np.allclose(logits, net.forward(x))
-        assert np.allclose(feats, net.features(x))
+class TestFeaturesStopBelowTheHead:
+    @staticmethod
+    def head_inputs(net, x):
+        """What the ``feature_index`` layer receives in a full forward."""
+        layer, seen = net.layers[net.feature_index], []
+        forward = layer.forward
 
-    def test_custom_feature_index(self, rng):
+        def watched(inputs, training=False):
+            seen.append(inputs.copy())
+            return forward(inputs, training=training)
+
+        layer.forward = watched
+        try:
+            net.forward(x)
+        finally:
+            del layer.forward
+        return seen[0]
+
+    @pytest.mark.parametrize("feature_index", [None, 1])
+    def test_features_are_the_forward_s_bytes(self, rng, feature_index):
         net = Sequential([Dense(6, 5, rng), ReLU(), Dense(5, 3, rng)],
-                         feature_index=1)
-        x = rng.normal(size=(2, 6))
-        logits, feats = net.forward_with_features(x)
-        assert feats.shape == (2, 5)
-        assert logits.shape == (2, 3)
+                         feature_index=feature_index)
+        x = rng.normal(size=(4, 6))
+        assert net.features(x).tobytes() == self.head_inputs(net, x).tobytes()
 
-    def test_conv_features_flattened(self, rng):
+    def test_conv_features_are_the_flattened_forward_s_bytes(self, rng):
         from repro.nn.layers import Conv2d, Flatten
         net = Sequential([Conv2d(1, 4, 3, rng, padding=1), Flatten(),
                           Dense(4 * 6 * 6, 2, rng)], feature_index=1)
-        _logits, feats = net.forward_with_features(rng.normal(size=(3, 1, 6, 6)))
-        assert feats.shape == (3, 4 * 6 * 6)
+        x = rng.normal(size=(3, 1, 6, 6))
+        want = self.head_inputs(net, x).reshape(3, -1)
+        assert net.features(x).tobytes() == want.tobytes()
+
+    def test_no_layer_from_feature_index_up_runs(self, rng):
+        net = Sequential([Dense(6, 5, rng), ReLU(), Dense(5, 3, rng)],
+                         feature_index=1)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("features ran a layer it does not need")
+
+        for layer in net.layers[1:]:
+            layer.forward = refuse
+        assert net.features(rng.normal(size=(2, 6))).shape == (2, 5)
 
 
 class TestFlatStorage:
