@@ -18,9 +18,11 @@ per-party ``train_local`` loop and as one call on ``Sequential.stacked(r)``
 ... 32 for each plan's evaluation and report shapes.  ``--check`` exits 1
 when a live conv or pool kernel differs by a byte from its ``ref_*`` kernel
 at those stacks (fed a step's activations, and small integers through a
-ReLU in channels-last memory: tied maxima), or a grouped evaluation or embedding
-(``evaluate_parties`` / ``embed_parties``: both models, float32 and float64,
-groups across the stack bound) differs from the per-party call.
+ReLU in channels-last memory: tied maxima), when the live loss and
+gradient differ from ``ref_softmax_cross_entropy`` at those stacks' and each
+plan's forward logits (float32 and float64), or a grouped evaluation or
+embedding (``evaluate_parties`` / ``embed_parties``: both models, float32 and
+float64, groups across the stack bound) differs from the per-party call.
 
 ``data``: µs per stage of one train split of each pinned plan's dataset
 (``spawn_rng``, ``sample_dataset`` beside ``ref_sample_dataset``, the
@@ -391,9 +393,40 @@ def _tied(rng, like: np.ndarray) -> np.ndarray:
     return x
 
 
+def nn_loss_check() -> bool:
+    """``softmax_cross_entropy`` == ``ref_softmax_cross_entropy`` by bytes
+    (loss and gradient) on the logits of every stack above (r × rows) and
+    of every plan's forward (plain, and at the stack bound), labels 0 and
+    ``CLASSES`` - 1 among them, and the logits left as they came."""
+    shapes = {(replicas, rows) for _what, replicas, rows, _training in STACKS}
+    for _plan, name, shape, n in FORWARDS:
+        model = build_model(name, shape, CLASSES, np.random.default_rng(0))
+        shapes |= {(n,), (_stack_bound(model, shape, n), n)}
+    same = True
+    for lead in sorted(shapes):
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(lead)
+            logits = (4 * rng.normal(size=lead + (CLASSES,))).astype(dtype)
+            labels = rng.integers(0, CLASSES, lead)
+            labels.reshape(-1)[:2] = [0, CLASSES - 1]
+            kept = logits.copy()
+            loss, grad = softmax_cross_entropy(logits, labels)
+            ref_loss, ref_grad = reference.ref_softmax_cross_entropy(logits, labels)
+            ok = (np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+                  and grad.dtype == ref_grad.dtype
+                  and grad.tobytes() == ref_grad.tobytes()
+                  and logits.tobytes() == kept.tobytes())
+            if not ok:
+                print(f"softmax_cross_entropy at {logits.shape} {logits.dtype}: "
+                      "differs from ref_softmax_cross_entropy")
+            same &= ok
+    return same
+
+
 def nn_check() -> bool:
     """The live conv and pool kernels == their ``ref_*`` kernels at every
-    stack, fed a step's activations and tie-bearing ones, and grouped
+    stack, fed a step's activations and tie-bearing ones, the live loss ==
+    its reference (:func:`nn_loss_check`), and grouped
     evaluation and embeddings == per-party calls, for every forward shape
     above at both precisions (mixed split sizes, two served models, and more
     members than one stack holds); all by bytes."""
@@ -414,6 +447,9 @@ def nn_check() -> bool:
                     kernels = False
     print(f"live kernels == ref_* kernels at every stack, a step's and tied "
           f"inputs: {kernels}")
+    losses = nn_loss_check()
+    print(f"live loss and gradient == ref_softmax_cross_entropy at every stack "
+          f"and forward shape, float32 and float64: {losses}")
     same = True
     for _plan, name, shape, n in FORWARDS:
         for dtype in ("float32", "float64"):
@@ -444,7 +480,7 @@ def nn_check() -> bool:
                 same &= feats.tobytes() == alone.features(x).tobytes()
                 same &= labels.tobytes() == y.tobytes()
     print(f"grouped forward == per-party bytes: {same}")
-    return kernels and same
+    return kernels and losses and same
 
 
 # ================================================================ data

@@ -8,8 +8,10 @@ detection plane's previous MMD code (three distance matrices and three
 entry, a median heuristic gathered
 through ``triu_indices``, and one vector ``jsd``), the conv kernels' previous
 ``im2col`` / ``col2im`` / max-pool (as a reduction, and as the chain over
-strided window views that window-major pooling replaced) and per-tensor
-training step, k-means as
+strided window views that window-major pooling replaced), per-tensor
+training step and softmax cross-entropy (fresh arrays throughout, the
+gradient a copy of the probabilities; the step, the central-difference
+check's loss and its analytic gradients all call it), k-means as
 one Lloyd loop per (k, restart) problem and Davies–Bouldin as one loop per
 labelling, the data plane's previous samplers (one class at a time, one
 ``np.roll`` per image; and ``rng.choice`` plus per-class ``integers`` /
@@ -44,7 +46,7 @@ from repro.clustering.kmeans import KMeansResult
 from repro.data.corruptions import _check_batch, _sev
 from repro.data.federated import PartyWindowData
 from repro.federation.aggregation import staleness_decay
-from repro.nn.losses import softmax_cross_entropy
+from repro.nn.losses import check_labels
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD
 from repro.privacy.secure_aggregation import _uint_dtype
@@ -235,6 +237,46 @@ def ref_pool_views(x, p):
     return out, first
 
 
+def ref_softmax_probs(logits):
+    """Row-wise softmax of (..., n, k) logits: three fresh arrays."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_softmax_cross_entropy(logits, labels, *, labels_checked=False):
+    """The previous loss: a two-array fancy index per pick, ``log`` and the
+    gradient in fresh arrays (``probs.copy()``).  ``(loss, grad)`` as the
+    live ``softmax_cross_entropy`` returns them."""
+    logits = np.asarray(logits)
+    in_dtype = logits.dtype if logits.dtype.kind == "f" else np.dtype(np.float64)
+    logits = logits.astype(np.float64, copy=False)
+    labels = np.asarray(labels)
+    if logits.ndim < 2:
+        raise ValueError(f"logits must be at least 2-D; got {logits.shape}")
+    n, k = logits.shape[-2:]
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(
+            f"labels must have shape {logits.shape[:-1]}; got {labels.shape}")
+    if not labels_checked:
+        check_labels(labels, k)
+    probs = ref_softmax_probs(logits)
+    eps = 1e-12
+    # One (replica, sample) row per label; probs is fresh and contiguous, so
+    # the reshapes are views.
+    picked = (np.arange(labels.size), labels.reshape(-1))
+    true_probs = probs.reshape(-1, k)[picked].reshape(labels.shape)
+    # The mean as np.mean forms it (one reduction, one division by n),
+    # without its Python-level overhead.
+    loss = -np.log(true_probs + eps).sum(axis=-1) / n
+    grad = probs.copy()
+    grad.reshape(-1, k)[picked] -= 1.0
+    grad /= n
+    # The loss is computed in float64 for stability, but the gradient enters
+    # backprop and must match the model's activation precision.
+    return (float(loss) if loss.ndim == 0 else loss), grad.astype(in_dtype, copy=False)
+
+
 def layer_params(model):
     """The layers' parameter arrays, in order (views of the flat vector)."""
     return [p for layer in model.layers for p in layer.params]
@@ -270,7 +312,7 @@ def ref_train_local(model, x, y, config, rng, global_params=None):
             xb, yb = x[idx], y[idx]
             model.flat_grads.fill(0.0)
             logits = model.forward(xb, training=True)
-            loss, grad = softmax_cross_entropy(logits, yb)
+            loss, grad = ref_softmax_cross_entropy(logits, yb)
             model.backward(grad)
             grads = layer_grads(model)
             if config.prox_mu > 0 and global_params is not None:
@@ -283,7 +325,7 @@ def ref_train_local(model, x, y, config, rng, global_params=None):
 
 def _loss_of(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
     logits = model.forward(x, training=False)
-    loss, _ = softmax_cross_entropy(logits, y)
+    loss, _ = ref_softmax_cross_entropy(logits, y)
     return loss
 
 
@@ -316,7 +358,7 @@ def analytic_gradients(model: Sequential, x: np.ndarray,
     unwritten fails the check it feeds."""
     model.flat_grads.fill(np.nan)
     logits = model.forward(x, training=True)
-    _, grad = softmax_cross_entropy(logits, y)
+    _, grad = ref_softmax_cross_entropy(logits, y)
     model.backward(grad)
     return [g.copy() for g in layer_grads(model)]
 

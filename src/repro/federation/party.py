@@ -265,8 +265,11 @@ def train_parties(trainees: list[tuple[Party, np.ndarray, np.ndarray]],
         group = [trainees[i] for i in members]
         rngs = [spawn_rng(party.seed, "party-train", party.party_id, round_tag)
                 for party, _x, _y in group]
-        model = group[0][0]._model.stacked(len(group))
-        model.set_params(params)
+        # Pool invariant 2 lets the plain model take params, so the stack
+        # is written once, by its broadcast copy.
+        base = group[0][0]._model
+        base.set_params(params)
+        model = base.stacked(len(group))
         result = train_local(
             model, np.stack([x for _p, x, _y in group], dtype=model.dtype),
             np.stack([y for _p, _x, y in group]), config, rngs,

@@ -99,7 +99,8 @@ class FlipsSelector:
                 continue
             least = min(self._selection_counts[p] for p in pool)
             candidates = [p for p in pool if self._selection_counts[p] == least]
-            choice = int(rng.choice(candidates))
+            # rng.choice(candidates)'s draw, without the list-to-array copy.
+            choice = candidates[int(rng.integers(len(candidates)))]
             pool.remove(choice)
             selected.append(choice)
             self._selection_counts[choice] += 1

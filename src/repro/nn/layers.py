@@ -121,7 +121,7 @@ class Dense(Layer):
         if self._x is None:
             raise RuntimeError("backward called before forward(training=True)")
         np.matmul(self._x.swapaxes(-1, -2), grad_out, out=self.grads[0])
-        np.sum(grad_out, axis=-2, out=self.grads[1])
+        np.add.reduce(grad_out, axis=-2, out=self.grads[1])  # np.sum, unwrapped
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         self.backward_params(grad_out)

@@ -6,10 +6,15 @@ import numpy as np
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of (..., n, k) logits."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of (..., n, k) logits.
+
+    The shift allocates the one buffer; exp and the division run in it, so
+    ``logits`` is never written.
+    """
+    probs = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def check_labels(labels: np.ndarray, k: int) -> None:
@@ -50,15 +55,17 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, *,
         check_labels(labels, k)
     probs = softmax_probs(logits)
     eps = 1e-12
-    # One (replica, sample) row per label; probs is fresh and contiguous, so
-    # the reshapes are views.
-    picked = (np.arange(labels.size), labels.reshape(-1))
-    true_probs = probs.reshape(-1, k)[picked].reshape(labels.shape)
+    # One flat index per (replica, sample) row: probs is fresh and
+    # contiguous, so row i's label sits at i * k + label.
+    picked = np.arange(0, probs.size, k) + labels.reshape(-1)
+    true_probs = probs.reshape(-1)[picked].reshape(labels.shape)
+    true_probs += eps
     # The mean as np.mean forms it (one reduction, one division by n),
     # without its Python-level overhead.
-    loss = -np.log(true_probs + eps).sum(axis=-1) / n
-    grad = probs.copy()
-    grad.reshape(-1, k)[picked] -= 1.0
+    loss = -np.log(true_probs, out=true_probs).sum(axis=-1) / n
+    # The probabilities become the gradient in place: nothing reads them again.
+    grad = probs
+    grad.reshape(-1)[picked] -= 1.0
     grad /= n
     # The loss is computed in float64 for stability, but the gradient enters
     # backprop and must match the model's activation precision.

@@ -61,25 +61,26 @@ class Sequential:
         if not 0 <= self.feature_index < len(layers):
             raise ValueError("feature_index out of range")
         self.dtype = resolve_dtype(dtype)
-        self._shapes = [p.shape for layer in layers for p in layer.params]
+        tensors = [p for layer in layers for p in layer.params]
+        self._shapes = [p.shape for p in tensors]
         self._sizes = [math.prod(shape) for shape in self._shapes]
-        self._bind(())
+        self._bind(np.concatenate([np.ravel(p) for p in tensors] or [np.empty(0)]))
         self._shared: dict[int, Sequential] = {}
         self._widths: dict[tuple[int, ...], int] = {}
 
-    def _bind(self, lead: tuple[int, ...]) -> None:
-        """Re-home every layer's param and grad arrays as slices of two flat
-        ``lead + (dim,)`` buffers, keeping (broadcasting over ``lead``) the
-        values the layers hold."""
-        self._flat = np.empty(lead + (sum(self._sizes),), dtype=self.dtype)
+    def _bind(self, values: np.ndarray, lead: tuple[int, ...] = ()) -> None:
+        """Give the model fresh ``lead + (dim,)`` parameter and gradient
+        buffers, the parameters one broadcast copy of the ``(dim,)`` vector
+        ``values`` and the gradients zero, and re-home every layer's param and
+        grad arrays as views of them."""
+        self._flat = np.empty(lead + values.shape, dtype=self.dtype)
+        np.copyto(self._flat, values, casting="same_kind")
         self._flat_grads = np.zeros_like(self._flat)
-        tensors = [(layer, i) for layer in self.layers for i in range(len(layer.params))]
-        for (layer, i), view, gview in zip(tensors, self._views(self._flat),
-                                           self._views(self._flat_grads)):
-            np.copyto(view, layer.params[i], casting="same_kind")
-            layer.params[i] = view
-            np.copyto(gview, layer.grads[i], casting="same_kind")
-            layer.grads[i] = gview
+        params = iter(self._views(self._flat))
+        grads = iter(self._views(self._flat_grads))
+        for layer in self.layers:
+            layer.params = [next(params) for _ in layer.params]
+            layer.grads = [next(grads) for _ in layer.params]
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Per-tensor views of a ``(..., dim)`` flat buffer."""
@@ -96,11 +97,8 @@ class Sequential:
         if replicas < 1:
             raise ValueError("need at least one replica")
         twin = copy.copy(self)
-        twin.layers = []
-        for layer in self.layers:
-            layer = copy.copy(layer)
-            layer.params, layer.grads = list(layer.params), list(layer.grads)
-            twin.layers.append(layer)
+        # The caller re-homes each copy's params and grads in new lists.
+        twin.layers = [copy.copy(layer) for layer in self.layers]
         twin._shared = {}
         return twin
 
@@ -109,11 +107,12 @@ class Sequential:
 
         Fresh layers whose params and grads are views into ``(replicas,
         dim)`` buffers allocated here, every replica starting at this model's
-        parameters.  The result takes ``(replicas, n, ...)`` inputs and trains
-        each replica as this model would train alone.
+        parameters and every gradient at zero (a step writes each gradient
+        before anything reads it).  The result takes ``(replicas, n, ...)``
+        inputs and trains each replica as this model would train alone.
         """
         twin = self._twin(replicas)
-        twin._bind((replicas,))
+        twin._bind(self._flat, (replicas,))
         return twin
 
     def shared(self, replicas: int) -> "Sequential":

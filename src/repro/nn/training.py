@@ -56,7 +56,8 @@ class LocalTrainingConfig:
 
 @dataclass
 class LocalTrainingResult:
-    """Outcome of a local pass: the final flat params plus bookkeeping.
+    """Bookkeeping of a local pass (the trained parameters stay in the
+    model: read ``model.flat_params``).
 
     ``num_samples`` counts every replica's samples and ``batches`` is per
     replica; ``replica_losses[i]`` is replica ``i``'s batch losses in order,
@@ -64,7 +65,6 @@ class LocalTrainingResult:
     replica, so ``replica_losses == [losses]``).
     """
 
-    params: np.ndarray
     num_samples: int
     mean_loss: float
     batches: int
@@ -85,8 +85,8 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
     """Run local epochs of mini-batch SGD on ``model`` (updated in place).
 
     ``global_params``, a flat vector, anchors the FedProx proximal term;
-    required when ``config.prox_mu > 0``.  The result's ``params`` is a
-    fresh copy of the trained flat vector.
+    required when ``config.prox_mu > 0``.  The trained parameters are the
+    model's own; the result carries no copy of them.
 
     The stacked form: on a model with a replica axis (``Sequential.stacked(r)``)
     ``x`` is ``(r, n, ...)``, ``y`` is ``(r, n)`` and ``rng`` is one generator
@@ -104,7 +104,7 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
 
     n = x.shape[len(lead)]
     if n == 0:
-        return LocalTrainingResult(model.get_params(), 0, float("nan"), 0,
+        return LocalTrainingResult(0, float("nan"), 0,
                                    replica_losses=[[] for _ in rngs])
     if y.shape != x.shape[:len(lead) + 1]:
         raise ValueError("x and y must have matching leading dimensions")
@@ -153,8 +153,8 @@ def train_local(model: Sequential, x: np.ndarray, y: np.ndarray,
     replica_losses = np.array(step_losses, dtype=np.float64).reshape(
         batches_run, len(rngs)).T.tolist()
     losses = [loss for replica in replica_losses for loss in replica]
-    return LocalTrainingResult(model.get_params(), n * len(rngs), mean_loss(losses),
-                               batches_run, losses, replica_losses)
+    return LocalTrainingResult(n * len(rngs), mean_loss(losses), batches_run,
+                               losses, replica_losses)
 
 
 def evaluate(model: Sequential, x: np.ndarray, y: np.ndarray):

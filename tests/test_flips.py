@@ -131,3 +131,17 @@ class TestSelect:
         selector = FlipsSelector().fit(two_camp_histograms(), rng)
         with pytest.raises(ValueError):
             selector.select(0, rng)
+
+    def test_pick_is_rng_choice_s_draw(self):
+        """``select`` picks ``candidates[int(rng.integers(len(candidates)))]``:
+        ``rng.choice(candidates)``'s value and generator state, pinned here so
+        that a numpy whose ``choice`` draws otherwise fails this test instead
+        of moving a selection silently."""
+        for length in range(1, 41):
+            candidates = list(range(7, 7 + 3 * length, 3))
+            for seed in range(300):
+                live, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(2):
+                    assert (candidates[int(live.integers(len(candidates)))]
+                            == int(ref.choice(candidates)))
+                    assert live.bit_generator.state == ref.bit_generator.state

@@ -316,6 +316,20 @@ def test_a_group_of_one_is_the_plain_model(name, dtype, prox_mu):
         assert labels.tobytes() == want_labels.tobytes()
 
 
+def test_train_parties_leaves_each_model_holding_params():
+    """Each group's plain model takes ``params`` (at its precision) before it
+    is stacked, so the stack is written by one copy and the model ends the
+    call holding ``params``: the weights a model holds on arrival never
+    matter, and training never writes back into it."""
+    parties, lent = _parties("mlp", "float32", [5, 9, 5, 9], seed=3, models=2)
+    (start,) = _param_sets("mlp", "float64", 1, 3)
+    config = LocalTrainingConfig(epochs=1, batch_size=4, lr=0.05, momentum=0.9)
+    train_parties([(p, *p.train_split()) for p in parties], start, config,
+                  ("round", 0), [None] * len(parties))
+    for model in lent:
+        assert model.flat_params.tobytes() == start.astype(np.float32).tobytes()
+
+
 # ---------------------------------------------------------------- whole runs
 
 

@@ -2,10 +2,11 @@
 and a stack of replicas against the same replicas one at a time.
 
 The ``ref_*`` functions (``benchmarks/reference.py``) are the previous
-``_im2col``, ``_col2im``, ``MaxPool2d.forward/backward`` and per-tensor
-training step, kept verbatim.  The live kernels only reorder memory
-traffic — every floating-point operation and its order are the same — so the
-comparison is ``np.array_equal``, never ``allclose``.  A stacked model
+``_im2col``, ``_col2im``, ``MaxPool2d.forward/backward``, softmax
+cross-entropy and per-tensor training step, kept verbatim.  The live kernels
+only reorder memory traffic and buffers — every floating-point operation and
+its order are the same — so the comparison is ``np.array_equal``, never
+``allclose``.  A stacked model
 (``Sequential.stacked``) runs each replica's slice through the same
 operations, so it is compared by bytes too.
 """
@@ -20,6 +21,7 @@ from benchmarks.reference import (
     ref_pool_backward,
     ref_pool_forward,
     ref_pool_views,
+    ref_softmax_cross_entropy,
     ref_train_local,
 )
 from repro.federation.party import Party, train_parties
@@ -35,6 +37,7 @@ from repro.nn.layers import (
     _im2col,
     _im2col_index,
 )
+from repro.nn.losses import softmax_cross_entropy
 from repro.nn.models import build_model, model_names
 from repro.nn.network import Sequential
 from repro.nn.training import LocalTrainingConfig, train_local
@@ -267,6 +270,39 @@ class TestConv2dLayer:
             grad_in, ref_col2im(grad_mat @ w_mat, shape, k, k, stride, pad, out_h, out_w))
 
 
+# ---------------------------------------------------------------- the loss
+
+
+@settings(max_examples=80, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (3,)]), n=st.integers(2, 20),
+       k=st.integers(1, 12), dtype=DTYPES, scale=st.sampled_from([1.0, 40.0]),
+       strided=st.booleans(), seed=st.integers(0, 2**16))
+@example(lead=(8,), n=8, k=10, dtype=np.float32, scale=1.0, strided=False, seed=0)
+@example(lead=(), n=2, k=1, dtype=np.float64, scale=40.0, strided=True, seed=1)
+def test_loss_is_the_reference_bytes(lead, n, k, dtype, scale, strided, seed):
+    """The in-place loss == ``ref_softmax_cross_entropy`` (fresh arrays, a
+    copied gradient): loss and gradient by bytes, labels 0 and k - 1 among
+    them, and the caller's logits never written (float64 logits enter the
+    loss without a cast copy)."""
+    rng = np.random.default_rng(seed)
+    rows = 2 * n if strided else n
+    logits = (scale * rng.normal(size=lead + (rows, k))).astype(dtype)
+    if strided:  # a view with a row stride of two rows
+        logits = logits[..., ::2, :]
+    labels = rng.integers(0, k, lead + (n,))
+    labels.reshape(-1)[:2] = [0, k - 1]
+    kept = logits.copy()
+    for checked in (False, True):
+        loss, grad = softmax_cross_entropy(logits, labels, labels_checked=checked)
+        ref_loss, ref_grad = ref_softmax_cross_entropy(logits, labels)
+        assert type(loss) is type(ref_loss)
+        assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+        assert grad.dtype == ref_grad.dtype == dtype and grad.shape == logits.shape
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert not np.shares_memory(grad, logits)
+        assert logits.tobytes() == kept.tobytes()
+
+
 # ---------------------------------------------------------------- the training step
 
 INPUT_SHAPES = {"mlp": (1, 8, 8), "lenet_mini": (3, 8, 8)}
@@ -304,9 +340,6 @@ def test_train_local_ends_on_reference_bytes(name, config_name, dtype):
     assert model.flat_params.tobytes() == ref_model.flat_params.tobytes()
     assert model.flat_grads.tobytes() == ref_model.flat_grads.tobytes()
     assert result.losses == ref_losses
-
-    assert result.params.tobytes() == ref_model.flat_params.tobytes()
-    assert not np.shares_memory(result.params, model.flat_params)
 
 
 def test_prox_anchor_in_another_precision_matches_reference():

@@ -118,6 +118,32 @@ class TestFlatStorage:
         net.flat_grads.fill(0.0)
         assert all(np.all(g == 0) for g in layer_grads(net))
 
+    @pytest.mark.parametrize("replicas", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_twin_is_bound_to_its_own_flat_buffers(self, rng, dtype, replicas):
+        """Every layer param and grad of ``stacked(r)`` is a view of its
+        ``(r, dim)`` ``flat_params`` / ``flat_grads``, in order; every row
+        holds the model's vector by bytes in memory of its own, and the
+        gradients start at zero whatever the model's hold."""
+        net = Sequential([Dense(6, 5, rng), ReLU(), Dense(5, 3, rng)], dtype=dtype)
+        net.flat_grads.fill(7.0)
+        stack = net.stacked(replicas)
+        for flat, arrays in ((stack.flat_params, layer_params(stack)),
+                             (stack.flat_grads, layer_grads(stack))):
+            assert flat.shape == (replicas, DIM) and flat.dtype == dtype
+            assert len(arrays) == 4 and all(a.base is flat for a in arrays)
+            tiled = np.concatenate([a.reshape(replicas, -1) for a in arrays], axis=1)
+            assert tiled.tobytes() == flat.tobytes()
+        vector = net.flat_params.tobytes()
+        assert all(row.tobytes() == vector for row in stack.flat_params)
+        assert not np.any(stack.flat_grads)
+        for mine, theirs in ((stack.flat_params, net.flat_params),
+                             (stack.flat_grads, net.flat_grads)):
+            assert not np.shares_memory(mine, theirs)
+        # The model's own layers keep their views.
+        assert all(a.base is net.flat_params for a in layer_params(net))
+        assert all(g.base is net.flat_grads for g in layer_grads(net))
+
     def test_get_params_is_the_flat_vector_copied(self, rng):
         net = make_net(rng)
         saved = net.get_params()
@@ -165,7 +191,7 @@ class TestDtype:
         result = train_local(net, x, y, LocalTrainingConfig(epochs=1,
                                                             batch_size=8), rng)
         assert np.isfinite(result.mean_loss)
-        assert result.params.dtype == np.float32
+        assert net.flat_params.dtype == np.float32
 
 
 class TestParams:

@@ -60,13 +60,6 @@ class TestTrainLocal:
             train_local(model, np.zeros((5, 6)), np.zeros(4, dtype=int),
                         LocalTrainingConfig(), rng)
 
-    def test_result_params_match_model(self, rng):
-        x, y = linear_task(rng, n=30)
-        model = build_model("mlp", (6,), 2, rng)
-        result = train_local(model, x, y, LocalTrainingConfig(epochs=2), rng)
-        assert np.array_equal(result.params, model.flat_params)
-        assert not np.shares_memory(result.params, model.flat_params)
-
 
 class TestFedProx:
     def test_prox_requires_global_params(self, rng):
