@@ -1,4 +1,4 @@
-"""Where each plane's time goes, and the byte checks that pin its fast paths.
+"""Where each plane's time goes: timers and report-only counts, no gate.
 
     PYTHONPATH=src python benchmarks/probe.py PLANE [MODE]
 
@@ -15,23 +15,12 @@ per-party ``train_local`` loop and as one call on ``Sequential.stacked(r)``
 ``bitwise: True`` when every replica ended on its per-party bytes.
 ``--forward`` gives per-party µs of an inference forward plain, on
 ``Sequential.shared(r)`` and on a copying ``Sequential.stacked(r)`` at r = 1
-... 32 for each plan's evaluation and report shapes.  ``--check`` exits 1
-when a live conv or pool kernel differs by a byte from its ``ref_*`` kernel
-at those stacks (fed a step's activations, and small integers through a
-ReLU in channels-last memory: tied maxima), when the live loss and
-gradient differ from ``ref_softmax_cross_entropy`` at those stacks' and each
-plan's forward logits (float32 and float64), or a grouped evaluation or
-embedding (``evaluate_parties`` / ``embed_parties``: both models, float32 and
-float64, groups across the stack bound) differs from the per-party call.
+... 32 for each plan's evaluation and report shapes.
 
 ``data``: µs per stage of one train split of each pinned plan's dataset
 (``spawn_rng``, ``sample_dataset`` beside ``ref_sample_dataset``, the
 sampler, every corruption of the plan's regimes, the whole split).
-``--check`` exits 1 when ``sample`` or ``sample_dataset`` differs by a byte,
-or leaves another generator state, from ``ref_sample`` /
-``ref_sample_dataset`` (0 – 48 rows, 1 and 3 channels, ``max_translation``
-0 – 3, one-class / all-class / Dirichlet priors, and one split whose first
-translation draw is rejected).  ``--plans`` runs seed 0 of each pinned plan and
+``--plans`` runs seed 0 of each pinned plan and
 counts splits and samples generated against those some protocol op read, then
 attributes the largest live set at a round's end (``tracemalloc``) to the
 window cache, model replicas (``Sequential._bind``) and bank rows
@@ -45,13 +34,9 @@ rows under it.
 ``detection``: µs per statistic at the pinned plans' shapes (width 32, 10
 classes, Dirichlet(0.8) label priors), the bandwidth with its ``tracemalloc``
 peak at 24 – 96 parties' rows, and ``calibrate`` draw by draw vs stacked.
-``--check`` sweeps seeded cases against ``benchmarks/reference.py``: the
-bandwidth and ``calibrate``'s thresholds must be bit for bit, each statistic
-prints its worst relative deviation; exit 1 on a difference or a batch
-deviation above 1e-12.  ``--clustering`` times ``select_num_clusters``
-against the previous k-means; exit 1 unless a seeded sweep (degenerate
-seeding included) returns the same bytes, scores and generator state, and
-``davies_bouldin_indices`` the reference's scores.
+``--clustering`` times ``select_num_clusters`` against the previous k-means
+(``ref_select_num_clusters``) at the shift response's and a FLIPS fit's
+shapes.
 
 ``privacy``: µs per stage at ``async_masked``'s shapes (``dim`` 30,122,
 float32, a 12-party dispatch, Shamir ``t`` = 3).  ``--plans`` runs seed 0 of
@@ -59,15 +44,15 @@ float32, a 12-party dispatch, Shamir ``t`` = 3).  ``--plans`` runs seed 0 of
 derived, streams expanded, ``SeedSequence``s built inside session calls and
 the peak bytes of held net masks.  ``--sha`` hashes, per dtype, one threshold
 session's sealed rows and net masks (transient) and its masked aggregate
-(which must never move).  ``--check`` exits 1 unless, for float32 and
-float64, cohorts of 1, 2, 5, 12 and ``t`` in {none, 1, 3, majority}, the
-masked aggregate is byte-equal to plain ``weighted_combine``, a
-below-threshold ``recover`` refuses and marks nothing, and every word a
-non-prefix quorum opens (``ref_reconstruct_secret``) re-derives its stream.
+(which must never move).
 
-Tables are report-only and no mode writes a file.  ``PYTHONPATH`` at another
-checkout's ``src`` gives its "before" column, where that checkout has the
-names the mode reads.
+Every mode exits 0: the byte pins of these kernels against
+``benchmarks/reference.py`` are tier-1 tests
+(``tests/test_{nn_kernels,data,detection,privacy}_differential.py``,
+``tests/test_grouped_forward.py``, ``tests/test_clustering.py``).  Tables are
+report-only and no mode writes a file.  ``PYTHONPATH`` at another checkout's
+``src`` gives its "before" column, where that checkout has the names the mode
+reads.
 """
 
 from __future__ import annotations
@@ -99,17 +84,10 @@ import repro.federation.rounds as rounds_module  # noqa: E402
 from benchmarks import reference  # noqa: E402
 from benchmarks.reference import best_us  # noqa: E402
 from repro.clustering.selection import select_num_clusters  # noqa: E402
-from repro.clustering.davies_bouldin import davies_bouldin_indices  # noqa: E402
 from repro.data.corruptions import apply_corruption  # noqa: E402
 from repro.data.federated import FederatedShiftDataset, PartyWindowData  # noqa: E402
-from repro.data.images import ImageDomainSpec, SyntheticImageGenerator  # noqa: E402
 from repro.data.registry import dataset_names, get_dataset_spec  # noqa: E402
-from repro.detection.calibration import (  # noqa: E402
-    ThresholdCalibrator,
-    bootstrap_jsd_null,
-    bootstrap_party_mmd_null,
-    threshold_from_null,
-)
+from repro.detection.calibration import ThresholdCalibrator  # noqa: E402
 from repro.detection.divergence import jsd  # noqa: E402
 from repro.detection.mmd import (  # noqa: E402
     class_conditional_mmd,
@@ -120,12 +98,7 @@ from repro.detection.mmd import (  # noqa: E402
 from repro.experiments.plan import load_plan  # noqa: E402
 from repro.experiments.events import RunCallback  # noqa: E402
 from repro.federation.async_engine import FederationEngine  # noqa: E402
-from repro.federation.party import (  # noqa: E402
-    FORWARD_ELEMENTS,
-    Party,
-    embed_parties,
-    evaluate_parties,
-)
+from repro.federation.party import FORWARD_ELEMENTS, Party  # noqa: E402
 from repro.federation.pool import PartyPool  # noqa: E402
 from repro.harness.runner import (  # noqa: E402
     EvaluatedParties,
@@ -136,12 +109,9 @@ from repro.nn.layers import Conv2d, MaxPool2d, _col2im, _im2col  # noqa: E402
 from repro.nn.losses import softmax_cross_entropy  # noqa: E402
 from repro.nn.models import build_model  # noqa: E402
 from repro.nn.network import Sequential  # noqa: E402
-from repro.nn.training import LocalTrainingConfig, evaluate, train_local  # noqa: E402
+from repro.nn.training import LocalTrainingConfig, train_local  # noqa: E402
 from repro.privacy import secure_aggregation  # noqa: E402
-from repro.privacy.secure_aggregation import (  # noqa: E402
-    IncompleteSubmissionError,
-    SecureAggregationSession,
-)
+from repro.privacy.secure_aggregation import SecureAggregationSession  # noqa: E402
 from repro.utils.params import ParamBank  # noqa: E402
 from repro.utils.rng import spawn_rng  # noqa: E402
 from repro.utils.validation import normalize_histogram  # noqa: E402
@@ -381,108 +351,6 @@ def nn_forward() -> None:
                   + "".join(f"{u:>9.1f}" for u in us) + note)
 
 
-def _tied(rng, like: np.ndarray) -> np.ndarray:
-    """Small integers through ``x * (x > 0)``, shaped like ``like`` and, as
-    images, in channels-last memory: maxima tied at interior positions and
-    across signs (``-0.0`` beside ``+0.0``), which a real step's activations
-    never are (``tests/test_nn_kernels_differential.py``'s ``"relu"`` kind)."""
-    x = rng.integers(-2, 3, size=like.shape).astype(like.dtype)
-    x = x * (x > 0)
-    if x.ndim >= 4:
-        x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -3, -1)), -1, -3)
-    return x
-
-
-def nn_loss_check() -> bool:
-    """``softmax_cross_entropy`` == ``ref_softmax_cross_entropy`` by bytes
-    (loss and gradient) on the logits of every stack above (r × rows) and
-    of every plan's forward (plain, and at the stack bound), labels 0 and
-    ``CLASSES`` - 1 among them, and the logits left as they came."""
-    shapes = {(replicas, rows) for _what, replicas, rows, _training in STACKS}
-    for _plan, name, shape, n in FORWARDS:
-        model = build_model(name, shape, CLASSES, np.random.default_rng(0))
-        shapes |= {(n,), (_stack_bound(model, shape, n), n)}
-    same = True
-    for lead in sorted(shapes):
-        for dtype in (np.float32, np.float64):
-            rng = np.random.default_rng(lead)
-            logits = (4 * rng.normal(size=lead + (CLASSES,))).astype(dtype)
-            labels = rng.integers(0, CLASSES, lead)
-            labels.reshape(-1)[:2] = [0, CLASSES - 1]
-            kept = logits.copy()
-            loss, grad = softmax_cross_entropy(logits, labels)
-            ref_loss, ref_grad = reference.ref_softmax_cross_entropy(logits, labels)
-            ok = (np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
-                  and grad.dtype == ref_grad.dtype
-                  and grad.tobytes() == ref_grad.tobytes()
-                  and logits.tobytes() == kept.tobytes())
-            if not ok:
-                print(f"softmax_cross_entropy at {logits.shape} {logits.dtype}: "
-                      "differs from ref_softmax_cross_entropy")
-            same &= ok
-    return same
-
-
-def nn_check() -> bool:
-    """The live conv and pool kernels == their ``ref_*`` kernels at every
-    stack, fed a step's activations and tie-bearing ones, the live loss ==
-    its reference (:func:`nn_loss_check`), and grouped
-    evaluation and embeddings == per-party calls, for every forward shape
-    above at both precisions (mixed split sizes, two served models, and more
-    members than one stack holds); all by bytes."""
-    kernels = True
-    for _what, replicas, rows, training in STACKS:
-        stack, acts, grads = nn_stack(replicas, rows, training)
-        rng = np.random.default_rng(replicas)
-        tied = ([_tied(rng, a) for a in acts], [_tied(rng, g) for g in grads])
-        for inputs, kind in (((acts, grads), "a step's"), (tied, "tied")):
-            for name, shape, live, ref in nn_kernels(stack, *inputs):
-                got, want = (np.asarray(r[0] if isinstance(r, tuple) else r)
-                             for r in (live(), ref()))
-                if got.dtype != want.dtype or got.size != want.size or (
-                        np.ascontiguousarray(got).tobytes()
-                        != np.ascontiguousarray(want).tobytes()):
-                    print(f"{name} at {shape}, {kind} inputs: differs from its "
-                          "ref_* kernel")
-                    kernels = False
-    print(f"live kernels == ref_* kernels at every stack, a step's and tied "
-          f"inputs: {kernels}")
-    losses = nn_loss_check()
-    print(f"live loss and gradient == ref_softmax_cross_entropy at every stack "
-          f"and forward shape, float32 and float64: {losses}")
-    same = True
-    for _plan, name, shape, n in FORWARDS:
-        for dtype in ("float32", "float64"):
-            rng = np.random.default_rng(n)
-            model = build_model(name, shape, CLASSES, rng, dtype=dtype)
-            served = [build_model(name, shape, CLASSES, rng).get_params()
-                      for _ in range(2)]
-            sizes = [n] * (2 * _stack_bound(model, shape, n) + 1) + [n // 2] * 3
-            parties = []
-            for pid, rows in enumerate(sizes):
-                x = rng.random((rows,) + shape)
-                y = rng.integers(0, CLASSES, rows)
-                party = Party(pid, model, CLASSES)
-                party.set_window_data(PartyWindowData(
-                    pid, 0, None, np.full(CLASSES, 1 / CLASSES),
-                    x_train=x, y_train=y, x_test=x, y_test=y))
-                parties.append(party)
-            evaluees = [(p, served[p.party_id % 2]) for p in parties]
-            grouped = evaluate_parties(evaluees)
-            embedded = embed_parties(parties, served[0], "train", n // 2 + 1)
-            alone = build_model(name, shape, CLASSES, rng, dtype=dtype)
-            for (party, params), result in zip(evaluees, grouped):
-                alone.set_params(params)
-                same &= result == evaluate(alone, party.data.x_test, party.data.y_test)
-            alone.set_params(served[0])
-            for party, (feats, labels) in zip(parties, embedded):
-                x, y = party._embedding_rows("train", n // 2 + 1)
-                same &= feats.tobytes() == alone.features(x).tobytes()
-                same &= labels.tobytes() == y.tobytes()
-    print(f"grouped forward == per-party bytes: {same}")
-    return kernels and losses and same
-
-
 # ================================================================ data
 
 
@@ -512,54 +380,6 @@ def data_stages(workload: str) -> None:
           f"{len(np.unique(labels))} classes drawn")
     for label, fn in stages:
         print(f"  {label:<36}{best_us(fn, calls=200, repeats=5):>9.1f} us")
-
-
-def _same_draw(live_rng, ref_rng, live, ref) -> bool:
-    """Equal arrays by bytes, and the two generators in one state."""
-    return (live_rng.bit_generator.state == ref_rng.bit_generator.state
-            and all(a.dtype == b.dtype and a.shape == b.shape
-                    and a.tobytes() == b.tobytes() for a, b in zip(live, ref)))
-
-
-def data_check() -> bool:
-    """``sample`` / ``sample_dataset`` == ``ref_sample`` /
-    ``ref_sample_dataset`` by bytes and generator state: 0 – 48 rows, 1 and 3
-    channels, ``max_translation`` 0 – 3, one-class, all-class and Dirichlet
-    priors, and a split whose first translation draw ``integers`` rejects."""
-    same, cases = True, 0
-    for channels in (1, 3):
-        for t in range(4):
-            generator = SyntheticImageGenerator(ImageDomainSpec(
-                num_classes=CLASSES, channels=channels, max_translation=t, seed=t))
-            rng = np.random.default_rng(t)
-            priors = (np.eye(CLASSES)[t], np.ones(CLASSES),
-                      rng.dirichlet(np.full(CLASSES, 0.8)))
-            for n in (0, 1, 14, 16, 34, 48):
-                for prior in priors:
-                    seed = int(rng.integers(2**32))
-                    live_rng = np.random.default_rng(seed)
-                    ref_rng = np.random.default_rng(seed)
-                    x, y = generator.sample_dataset(prior, n, live_rng)
-                    ref = reference.ref_sample_dataset(generator, prior, n, ref_rng)
-                    ok = _same_draw(live_rng, ref_rng, (x, y), ref)
-                    ok &= _same_draw(live_rng, ref_rng, (generator.sample(y, live_rng),),
-                                     (reference.ref_sample(generator, y, ref_rng),))
-                    if not ok:
-                        print(f"channels {channels}, t {t}, n {n}, prior {prior}: "
-                              "differs from the reference")
-                    same &= ok
-                    cases += 1
-    # 0 in a word's low half: the first draw at span 3 is rejected and redrawn.
-    generator = SyntheticImageGenerator(ImageDomainSpec(num_classes=CLASSES))
-    labels = np.random.default_rng(0).integers(0, CLASSES, 34)
-    live_rng = reference.pcg64_emitting(0xDEAD_BEEF << 32)
-    ref_rng = reference.pcg64_emitting(0xDEAD_BEEF << 32)
-    fallback = _same_draw(live_rng, ref_rng, (generator.sample(labels, live_rng),),
-                          (reference.ref_sample(generator, labels, ref_rng),))
-    print(f"sample / sample_dataset == ref_sample / ref_sample_dataset, bytes and "
-          f"generator state, {cases} cases: {same}")
-    print(f"a rejected translation draw takes the per-class loop: {fallback}")
-    return same and fallback
 
 
 def _lines(*functions) -> tuple[str, set[int]]:
@@ -820,10 +640,10 @@ def data_faults(workload: str) -> None:
 DIM, ALPHA, ROWS = 32, 0.8, 48
 
 
-def embedded_party(rng, rows: int = ROWS, shift: float = 0.0, dim: int = DIM):
+def embedded_party(rng, rows: int = ROWS, shift: float = 0.0):
     """One party's labelled embeddings under its own Dirichlet label prior."""
     labels = rng.choice(CLASSES, size=rows, p=rng.dirichlet(np.full(CLASSES, ALPHA)))
-    return rng.normal(size=(rows, dim)) + 0.3 * labels[:, None] + shift, labels
+    return rng.normal(size=(rows, DIM)) + 0.3 * labels[:, None] + shift, labels
 
 
 def pooled(rng, parties: int, rows: int = ROWS, shift: float = 0.0):
@@ -832,18 +652,11 @@ def pooled(rng, parties: int, rows: int = ROWS, shift: float = 0.0):
             np.concatenate([lab for _, lab in members]))
 
 
-def calibration_inputs(rng, parties: int, dim: int = DIM):
-    """W0 pools and label priors of ``parties`` parties at width ``dim``."""
-    pools = [embedded_party(rng, dim=dim) for _ in range(parties)]
-    return pools, rng.dirichlet(np.full(CLASSES, ALPHA), size=parties)
-
-
-def per_draw_nulls(pools, priors, rng, bandwidth=median_heuristic_gamma,
-                   draws: int = 100):
+def per_draw_nulls(pools, priors, rng, draws: int = 100):
     """``calibrate``'s bandwidth and nulls as they ran draw by draw: one
     one-entry ``class_conditional_mmd_batch`` call per MMD draw, two
     ``multinomial`` calls and the previous ``jsd`` per JSD draw."""
-    gamma = bandwidth(np.vstack([e for e, _ in pools]))
+    gamma = median_heuristic_gamma(np.vstack([e for e, _ in pools]))
     mmd_null = []
     for _ in range(draws):
         embeddings, labels = pools[int(rng.integers(len(pools)))]
@@ -900,77 +713,14 @@ def detection_calls() -> None:
         print(f"  {f'bandwidth: median_heuristic_gamma, {n} rows':<56}"
               f"{elapsed_us / 1e3:>10.1f} ms  peak {peak / 1e6:6.1f} MB"
               f" = {peak / (n * 8):.0f} doubles per row")
-    pools, priors = calibration_inputs(rng, 40)
+    pools = [embedded_party(rng) for _ in range(40)]
+    priors = rng.dirichlet(np.full(CLASSES, ALPHA), size=40)
     calibrator = ThresholdCalibrator(num_bootstrap=100, p_value=0.02)
     loop, stacked = (best_us(fn, calls=1, repeats=10) for fn in (
         lambda: per_draw_nulls(pools, priors, spawn_rng(0, "calibrate")),
         lambda: calibrator.calibrate(pools, priors, ROWS, spawn_rng(0, "calibrate"))))
     print(f"  {'calibrate, 40 pools of 48: per-draw -> stacked':<56}"
           f"{loop / 1e3:>10.1f} -> {stacked / 1e3:.1f} ms")
-
-
-def detection_check(cases: int = 400) -> bool:
-    """Print the sweep; True when the bandwidth equals the reference throughout
-    and the batched statistic stays within ``rtol = 1e-12`` of it."""
-    ref_gamma, ref_ccmmd = (reference.ref_median_heuristic_gamma,
-                            reference.ref_class_conditional_mmd)
-    worst = dict.fromkeys(
-        ["mmd", "class_conditional_mmd", "class_conditional_mmd_batch"], 0.0)
-
-    def record(name, live, ref):
-        live, ref = np.atleast_1d(live), np.atleast_1d(ref)
-        worst[name] = max(worst[name], float(np.max(
-            np.abs(live - ref) / np.maximum(np.abs(ref), 1e-300))))
-
-    gamma_equal = True
-    for case in range(cases):
-        rng = spawn_rng(20, "detection-check", case)
-        x, xl = pooled(rng, int(rng.integers(1, 5)), rows=int(rng.integers(2, 49)))
-        targets = [pooled(rng, int(rng.integers(1, 5)), rows=int(rng.integers(2, 49)),
-                          shift=float(rng.uniform(0.0, 0.5)))
-                   for _ in range(int(rng.integers(1, 6)))]
-        if case % 5 == 0:  # a target that shares no class: unconditional fallback
-            targets[0] = (targets[0][0], targets[0][1] + CLASSES)
-        y, yl = targets[0]
-        gamma_equal &= median_heuristic_gamma(x, y) == ref_gamma(x, y)
-        gamma_equal &= median_heuristic_gamma(x) == ref_gamma(x)
-        gamma = ref_gamma(x, y) * float(rng.choice([0.5, 1.0, 2.0]))
-        record("mmd", mmd(x, y, gamma), reference.ref_mmd(x, y, gamma))
-        record("class_conditional_mmd",
-               class_conditional_mmd(x, xl, y, yl, gamma),
-               ref_ccmmd(x, xl, y, yl, gamma))
-        batch = [(*pooled(rng, 1, rows=int(rng.integers(2, 49))), t, lab)
-                 for t, lab in targets]  # each target vs its own x
-        record("class_conditional_mmd_batch",
-               class_conditional_mmd_batch(*zip(*batch), gamma),
-               [ref_ccmmd(*entry, gamma) for entry in batch])
-    for rows in (1152, 1920, 4608):
-        sample = pooled(spawn_rng(20, "detection-check-wide", rows), rows // ROWS)[0]
-        gamma_equal &= median_heuristic_gamma(sample) == ref_gamma(sample)
-    calibrated_equal = True
-    for case, (parties, dim) in enumerate([(40, DIM), (24, 48), (16, 48), (5, 8), (1, 3)]):
-        pools, priors = calibration_inputs(spawn_rng(22, "check-calibrate", case),
-                                           parties, dim)
-        live = ThresholdCalibrator(num_bootstrap=100, p_value=0.02).calibrate(
-            pools, priors, ROWS, spawn_rng(case, "calibrate"))
-        gamma, mmd_null, jsd_null = per_draw_nulls(
-            pools, priors, spawn_rng(case, "calibrate"), ref_gamma)
-        calibrated_equal &= (live.delta_cov, live.delta_label, live.gamma) == (
-            threshold_from_null(mmd_null, 0.02), threshold_from_null(jsd_null, 0.02), gamma)
-        rng = spawn_rng(case, "calibrate")  # every null score too, not two order statistics
-        calibrated_equal &= bootstrap_party_mmd_null(
-            pools, 100, rng, gamma).tobytes() == mmd_null.tobytes()
-        calibrated_equal &= np.concatenate([  # one prior a call also runs on older code
-            bootstrap_jsd_null(prior, ROWS, max(1, 100 // parties), rng) for prior in priors
-        ]).tobytes() == jsd_null.tobytes()
-    print(f"{cases} seeded cases + bandwidth at 1152, 1920 and 4608 rows")
-    print(f"  median_heuristic_gamma == previous implementation: {gamma_equal}")
-    print(f"  calibrate == per-draw calibration (delta_cov, delta_label, gamma),"
-          f" and every null score, 5 shapes: {calibrated_equal}")
-    for name, deviation in worst.items():
-        print(f"  {name:<32} worst relative deviation {deviation:.2e}")
-    return (bool(gamma_equal) and calibrated_equal
-            and worst["class_conditional_mmd_batch"] <= 1e-12)
 
 
 def centroid_rows(rng, n: int, d: int):
@@ -982,7 +732,7 @@ def centroid_rows(rng, n: int, d: int):
     return regimes[rng.integers(len(regimes), size=n)] + 0.1 * rng.random((n, d))
 
 
-def detection_clustering(cases: int = 300) -> bool:
+def detection_clustering() -> None:
     ref_select = reference.ref_select_num_clusters
     shapes = [("shift response, wide_server: 35 x 32, k_max 6", 35, 32, 6),
               ("shift response, sync_conv: 29 x 48, k_max 6", 29, 48, 6),
@@ -998,28 +748,6 @@ def detection_clustering(cases: int = 300) -> bool:
         ref_us, live_us = best.values()
         print(f"  {label:<48}{ref_us / 1e3:>7.2f} -> {live_us / 1e3:5.2f} ms"
               f"  ({ref_us / live_us:.2f}x)")
-    equal = True
-    for case in range(cases):
-        rng = spawn_rng(21, "clustering-check", case)
-        n, d = int(rng.integers(1, 41)), int(rng.choice([1, 2, CLASSES, 32, 48]))
-        x, k_max = centroid_rows(rng, n, d), int(rng.integers(1, 7))
-        if case % 5 == 0:  # at most 3 distinct rows: the seeding replay
-            x = x[rng.integers(min(n, 3), size=n)]
-        live_rng, ref_rng = spawn_rng(case, "scan"), spawn_rng(case, "scan")
-        (k, result, scores), (ref_k, ref_result, ref_scores) = (
-            select_num_clusters(x, live_rng, k_max=k_max),
-            ref_select(x, ref_rng, k_max=k_max))
-        equal &= ((k, scores, result.inertia, result.iterations, result.labels.tobytes(),
-                   result.centroids.tobytes(), live_rng.bit_generator.state)
-                  == (ref_k, ref_scores, ref_result.inertia, ref_result.iterations,
-                      ref_result.labels.tobytes(), ref_result.centroids.tobytes(),
-                      ref_rng.bit_generator.state))
-        labels = rng.integers(-2, 6, size=n) * 3  # gaps, negative values, singletons
-        equal &= davies_bouldin_indices(x, [labels]) == [
-            reference.ref_davies_bouldin_index(x, labels)]
-    print(f"  select_num_clusters == previous implementation over {cases} seeded cases"
-          f" (bytes, scores, generator state; davies_bouldin_indices): {equal}")
-    return equal
 
 
 # ================================================================ privacy
@@ -1194,81 +922,22 @@ def privacy_sha() -> None:
         print(f"{name} aggregate {hashlib.sha256(aggregate.tobytes()).hexdigest()}")
 
 
-def privacy_check() -> bool:
-    """Masked aggregate == plain ``weighted_combine`` by bytes, t - 1 holders
-    recover nothing, and every word t non-prefix holders open is its stream's
-    seed: it equals the derived word and re-expands to the party's net."""
-    dim = 37 * 3 + 9  # odd
-    rng = np.random.Generator(np.random.PCG64(0))
-    same = True
-    for dtype in (np.float32, np.float64):
-        for n in (1, 2, 5, 12):
-            cohort = [3 * i + 2 for i in reversed(range(n))]
-            updates = {p: np.random.default_rng(p).normal(size=dim).astype(dtype)
-                       for p in cohort}
-            weights = np.arange(1.0, n + 1)
-            plain = ParamBank(dim, dtype=dtype, capacity=n)
-            for p in cohort:
-                plain.row(plain.alloc())[...] = updates[p]
-            expected = plain.weighted_combine(weights, list(range(n)))
-            for threshold in (None, 1, 3, "majority"):
-                session = SecureAggregationSession(
-                    cohort, dim, shared_seed=n, dtype=dtype,
-                    context=CONTEXT, threshold=threshold)
-                bank = ParamBank(dim, dtype=dtype, capacity=n)
-                party_rows = []
-                for p in cohort:
-                    row = bank.alloc()
-                    bank.row(row)[...] = updates[p]
-                    session.seal_row(p, bank.row(row))
-                    party_rows.append((p, row))
-                if threshold is not None:
-                    t, ranked = session.threshold, session.cohort
-                    try:  # t - 1 holders: refused, nothing marked or unsealed
-                        session.recover(cohort, available=ranked[:t - 1])
-                        same = False
-                    except IncompleteSubmissionError:
-                        same &= all(session.is_sealed(p) and not
-                                    session.is_recovered(p) for p in cohort)
-                    session.recover(cohort, available=ranked[n - t:])
-                    xs = range(n - t + 1, n + 1)
-                    for i, p in enumerate(ranked):  # the last t holders open
-                        net = np.zeros_like(session._nets[p])
-                        for j, values in enumerate(session._shares[i].tolist()):
-                            word = reference.ref_reconstruct_secret(zip(xs, values[n - t:]))
-                            same &= word == secure_aggregation._stream_word(
-                                n, CONTEXT, session._key(i, j))
-                            bits = secure_aggregation._expand_word(rng, word, dim, dtype)
-                            net += bits if j >= i else -bits  # pair with a lower id
-                        same &= net.tobytes() == session._nets[p].tobytes()
-                got = session.combine_rows(bank, weights, party_rows)
-                same &= got.tobytes() == expected.tobytes()
-    print(f"masked aggregate == plain weighted_combine, below-threshold recover "
-          f"refused, recovered words re-derive their streams: {same}")
-    return same
-
-
 # ================================================================ one parser
 
-# plane -> {mode flag -> run(args)}; None runs without a flag.  A mode that
-# returns False is a failed check: the probe exits 1.
+# plane -> {mode flag -> run(args)}; None runs without a flag.
 PLANES = {
     "nn": {None: lambda args: nn_layers(),
            "cohort": lambda args: nn_cohort(args.steps),
-           "forward": lambda args: nn_forward(),
-           "check": lambda args: nn_check()},
+           "forward": lambda args: nn_forward()},
     "data": {None: lambda args: [data_stages(w) for w in PLANS],
              "plans": lambda args: data_plans(),
              "sha": lambda args: data_sha(),
-             "check": lambda args: data_check(),
              "faults": lambda args: data_faults(args.faults)},
     "detection": {None: lambda args: detection_calls(),
-                  "check": lambda args: detection_check(),
                   "clustering": lambda args: detection_clustering()},
     "privacy": {None: lambda args: privacy_stages(),
                 "plans": lambda args: privacy_plans(),
-                "sha": lambda args: privacy_sha(),
-                "check": lambda args: privacy_check()},
+                "sha": lambda args: privacy_sha()},
 }
 
 
@@ -1294,8 +963,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     modes = PLANES[args.plane]
-    mode = next((m for m in filter(None, modes) if getattr(args, m)), None)
-    return 1 if modes[mode](args) is False else 0
+    modes[next((m for m in filter(None, modes) if getattr(args, m)), None)](args)
+    return 0
 
 
 if __name__ == "__main__":

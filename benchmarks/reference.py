@@ -28,9 +28,8 @@ one blinding draw, as a session does).
 ``tests/test_{detection,data,privacy}_differential.py``,
 ``tests/test_differential_aggregation.py``,
 ``tests/test_data_kernels.py``, ``tests/test_nn_kernels_differential.py`` and
-``tests/test_clustering.py`` pin the live code against them, and ``python
-benchmarks/probe.py detection --check`` / ``--clustering`` / ``privacy --check``
-check against the same copy.
+``tests/test_clustering.py`` pin the live code against them, at the pinned
+plans' shapes among others; ``benchmarks/probe.py`` only times against them.
 ``max_grad_error`` is the central-difference check every layer's and model's
 backward pass is tested against (``tests/test_nn_{layers,models}.py``).
 """

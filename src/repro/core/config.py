@@ -59,10 +59,11 @@ class ShiftExConfig:
             raise ValueError("p_value must be in (0, 1)")
         if self.num_bootstrap <= 0:
             raise ValueError("num_bootstrap must be positive")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if self.epsilon_scale <= 0:
-            raise ValueError("epsilon_scale must be positive")
+        if self.epsilon is not None and not self.epsilon >= 0:
+            raise ValueError(f"epsilon must be non-negative; got {self.epsilon}")
+        if not self.epsilon_scale > 0:
+            raise ValueError(
+                f"epsilon_scale must be positive; got {self.epsilon_scale}")
         if not -1.0 <= self.tau <= 1.0:
             raise ValueError("tau must be a valid cosine bound")
         if self.k_max < 1:

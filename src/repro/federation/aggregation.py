@@ -21,7 +21,9 @@ def staleness_decay(staleness, policy: str = "constant", alpha: float = 0.5,
     """Per-report weight multipliers for report ages ``staleness`` (rounds).
 
     Ages must be non-negative integers/floats; age 0 maps to exactly 1.0
-    under every policy (the bitwise sync-equivalence anchor).
+    under every policy (the bitwise sync-equivalence anchor).  ``alpha`` and
+    ``gamma`` are checked where a plan reads them
+    (:class:`~repro.federation.async_engine.FederationConfig`).
     """
     s = np.asarray(staleness, dtype=np.float64)
     if s.size and float(s.min()) < 0:
@@ -29,12 +31,8 @@ def staleness_decay(staleness, policy: str = "constant", alpha: float = 0.5,
     if policy == "constant":
         return np.ones_like(s)
     if policy == "polynomial":
-        if alpha < 0:
-            raise ValueError("staleness_alpha must be non-negative")
         return (1.0 + s) ** (-alpha)
     if policy == "exponential":
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("staleness_gamma must be in (0, 1]")
         return gamma ** s
     raise KeyError(
         f"unknown staleness policy '{policy}'; available: {STALENESS_POLICIES}")

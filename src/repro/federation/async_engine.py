@@ -134,6 +134,14 @@ class FederationConfig(Knob):
             raise ValueError("min_reports must be positive when given")
         if self.max_wait_rounds < 1:
             raise ValueError("max_wait_rounds must be at least 1")
+        # Written so that NaN fails too: a NaN exponent or base would weight
+        # every stale report NaN, and the aggregate with it.
+        if not 0.0 <= self.staleness_alpha < float("inf"):
+            raise ValueError("staleness_alpha must be finite and non-negative; "
+                             f"got {self.staleness_alpha}")
+        if not 0.0 < self.staleness_gamma <= 1.0:
+            raise ValueError(
+                f"staleness_gamma must be in (0, 1]; got {self.staleness_gamma}")
 
     @property
     def is_active(self) -> bool:

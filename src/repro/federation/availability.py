@@ -55,8 +55,9 @@ class AvailabilityConfig(Knob):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]; got {value}")
-        if self.straggler_zipf_a <= 1.0:
-            raise ValueError("straggler_zipf_a must be > 1 for a finite mean")
+        if not self.straggler_zipf_a > 1.0:
+            raise ValueError("straggler_zipf_a must be > 1 for a finite mean; "
+                             f"got {self.straggler_zipf_a}")
         if self.max_delay_rounds < 1:
             raise ValueError("max_delay_rounds must be at least 1")
         if self.outage_rounds < 1:

@@ -105,8 +105,8 @@ class PopulationConfig(Knob):
         if self.skew not in PARTICIPATION_SKEWS:
             raise ValueError(
                 f"skew must be one of {PARTICIPATION_SKEWS}; got '{self.skew}'")
-        if self.zipf_a <= 0:
-            raise ValueError("zipf_a must be positive")
+        if not self.zipf_a > 0:
+            raise ValueError(f"zipf_a must be positive; got {self.zipf_a}")
         if self.survey is not None and self.survey < 1:
             raise ValueError("survey must be positive when given")
 

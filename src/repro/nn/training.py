@@ -47,8 +47,8 @@ class LocalTrainingConfig:
         if not self.weight_decay >= 0:
             raise ValueError(
                 f"weight_decay must be non-negative; got {self.weight_decay}")
-        if self.prox_mu < 0:
-            raise ValueError("prox_mu must be non-negative")
+        if not self.prox_mu >= 0:
+            raise ValueError(f"prox_mu must be non-negative; got {self.prox_mu}")
         if self.max_batches_per_epoch is not None and self.max_batches_per_epoch < 1:
             raise ValueError("max_batches_per_epoch must be at least 1 when given; "
                              f"got {self.max_batches_per_epoch}")

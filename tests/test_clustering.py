@@ -157,8 +157,8 @@ class TestSelectNumClusters:
 
 # ---------------------------------------------------------------- against the reference
 
-ROW_KINDS = ("blobs", "duplicates", "near_constant", "negative_zero", "integer",
-             "histogram")
+ROW_KINDS = ("blobs", "centroids", "duplicates", "near_constant", "negative_zero",
+             "integer", "histogram")
 
 
 def rows(seed, n, d, kind):
@@ -167,6 +167,9 @@ def rows(seed, n, d, kind):
     if kind == "blobs":
         centers = rng.normal(size=(int(rng.integers(1, 5)), d)) * 4.0
         return centers[rng.integers(len(centers), size=n)] + rng.normal(size=(n, d)) * 0.5
+    if kind == "centroids":  # parties' latent centroids from a few ReLU'd regimes
+        regimes = np.maximum(rng.normal(size=(int(rng.integers(1, 5)), d)), 0.0)
+        return regimes[rng.integers(len(regimes), size=n)] + 0.1 * rng.random((n, d))
     if kind == "duplicates":  # ties on distance: argmin collapses clusters
         distinct = rng.normal(size=(int(rng.integers(1, 4)), d))
         return distinct[rng.integers(len(distinct), size=n)]
@@ -196,6 +199,30 @@ def assert_same_result(live, ref):
     assert live.centroids.tobytes() == ref.centroids.tobytes()
     assert live.inertia == ref.inertia
     assert live.iterations == ref.iterations
+
+
+def seeded_cases(count=300):
+    """``scan_cases``' tuples of a seeded sweep: 1 – 40 rows of 1, 2, 10, 32
+    or 48 features as a run clusters them (latent centroids, label
+    histograms at 10), every fifth case at most three distinct rows (the
+    degenerate seeding), and a ``k_max`` of 1 – 6 whatever the rows."""
+    for case in range(count):
+        rng = spawn_rng(21, "clustering-check", case)
+        n, d = int(rng.integers(1, 41)), int(rng.choice([1, 2, 10, 32, 48]))
+        kind = ("duplicates" if case % 5 == 0
+                else "histogram" if d == 10 else "centroids")
+        yield case, n, d, kind, int(rng.integers(1, 7)), 3
+
+
+def assert_same_selection(case):
+    seed, n, d, kind, k_max, _n_init = case
+    x = rows(seed, n, d, kind)
+    live_rng, ref_rng = spawn_rng(seed, "sel"), spawn_rng(seed, "sel")
+    k, result, scores = select_num_clusters(x, live_rng, k_max=k_max)
+    ref_k, ref_result, ref_scores = ref_select_num_clusters(x, ref_rng, k_max=k_max)
+    assert (k, scores) == (ref_k, ref_scores)
+    assert_same_result(result, ref_result)
+    assert live_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # (seed, rows, features, kind, k or k_max, n_init): the shapes the pinned
@@ -232,14 +259,18 @@ class TestAgainstReference:
     @example(FLIPS_ONE_PARTY)
     @example(FLIPS_THREE_PARTIES)
     def test_select_num_clusters_matches_reference(self, case):
-        seed, n, d, kind, k_max, _n_init = case
+        assert_same_selection(case)
+
+    @pytest.mark.parametrize("case", seeded_cases(), ids=lambda case: str(case[0]))
+    def test_seeded_sweep_matches_reference(self, case):
+        """The selection and a Davies–Bouldin score of labels with gaps,
+        negative values and singletons, case by case of the seeded sweep."""
+        assert_same_selection(case)
+        seed, n, d, kind, _k_max, _n_init = case
+        labels = spawn_rng(seed, "labels").integers(-2, 6, size=n) * 3
         x = rows(seed, n, d, kind)
-        live_rng, ref_rng = spawn_rng(seed, "sel"), spawn_rng(seed, "sel")
-        k, result, scores = select_num_clusters(x, live_rng, k_max=k_max)
-        ref_k, ref_result, ref_scores = ref_select_num_clusters(x, ref_rng, k_max=k_max)
-        assert (k, scores) == (ref_k, ref_scores)
-        assert_same_result(result, ref_result)
-        assert live_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert davies_bouldin_indices(x, [labels]) == [
+            ref_davies_bouldin_index(x, labels)]
 
     @settings(max_examples=60, deadline=None)
     @given(scan_cases(), st.lists(st.integers(1, 6), min_size=1, max_size=4))

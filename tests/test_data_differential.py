@@ -54,21 +54,29 @@ def test_sample_matches_per_image_roll(labels, max_translation, image_size,
 
 @given(prior=st.sampled_from(["one-class", "all-class", "dirichlet"]),
        n=st.sampled_from([0, 1, 14, 16, 34, 48]), max_translation=st.integers(0, 3),
-       channels=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
+       channels=st.sampled_from([1, 3]), classes=st.sampled_from([4, 10]),
+       image_size=st.sampled_from([8, 12]), seed=st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
 def test_sample_dataset_matches_choice_and_class_loop(prior, n, max_translation,
-                                                      channels, seed):
+                                                      channels, classes, image_size,
+                                                      seed):
+    """A split and then ``sample`` of its labels (as a window draws the
+    next split from the same generator): bytes and generator state."""
     generator = SyntheticImageGenerator(ImageDomainSpec(
-        num_classes=4, image_size=8, channels=channels,
+        num_classes=classes, image_size=image_size, channels=channels,
         max_translation=max_translation, seed=seed))
-    weights = {"one-class": np.eye(4)[seed % 4], "all-class": np.full(4, 3.0),
-               "dirichlet": np.random.default_rng([seed, 1]).dirichlet(np.full(4, 0.8))
-               }[prior]
+    weights = {"one-class": np.eye(classes)[seed % classes],
+               "all-class": np.full(classes, 3.0),
+               "dirichlet": np.random.default_rng([seed, 1]).dirichlet(
+                   np.full(classes, 0.8))}[prior]
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     x, y = generator.sample_dataset(weights, n, rng)
     ref_x, ref_y = ref_sample_dataset(generator, weights, n, ref_rng)
     assert y.dtype == ref_y.dtype and np.array_equal(y, ref_y)
     assert x.dtype == ref_x.dtype and x.tobytes() == ref_x.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    out = generator.sample(y, rng)
+    assert out.tobytes() == ref_sample(generator, y, ref_rng).tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -81,19 +89,26 @@ REJECTED = [(1, 0), (2, 0), (3, 3 * pow(7, -1, 2**32) % 2**32)]
 @pytest.mark.parametrize("max_translation, rejected", REJECTED)
 @pytest.mark.parametrize("half", ["low", "high"])
 @pytest.mark.parametrize("kept", [False, True], ids=["rejected", "one-above"])
+@pytest.mark.parametrize("domain", ["small", "registry"])
 def test_a_rejected_translation_draw_takes_the_class_loop(max_translation, rejected,
-                                                          half, kept):
+                                                          half, kept, domain):
     """A PCG64 state whose next word holds a rejected draw (or, ``kept``, the
     draw one leftover above it), in the first row's ``dy`` or ``dx``: the
-    bytes and the whole generator state are ``ref_sample``'s."""
+    bytes and the whole generator state are ``ref_sample``'s, in a small
+    domain and in a registry dataset's (10 classes of 12 x 12, 34 rows)."""
     span = 2 * max_translation + 1
     if kept:
         rejected = (rejected + pow(span, -1, 2**32)) % 2**32
     other = 0x9E37_79B9
     word = rejected | other << 32 if half == "low" else other | rejected << 32
-    generator = SyntheticImageGenerator(ImageDomainSpec(
-        num_classes=4, image_size=8, max_translation=max_translation, seed=1))
-    labels = np.array([2, 0, 2, 3, 0, 2, 1, 1, 3])
+    if domain == "small":
+        generator = SyntheticImageGenerator(ImageDomainSpec(
+            num_classes=4, image_size=8, max_translation=max_translation, seed=1))
+        labels = np.array([2, 0, 2, 3, 0, 2, 1, 1, 3])
+    else:
+        generator = SyntheticImageGenerator(ImageDomainSpec(
+            num_classes=10, max_translation=max_translation))
+        labels = np.random.default_rng(0).integers(0, 10, 34)
     rng, ref_rng = pcg64_emitting(word), pcg64_emitting(word)
     out = generator.sample(labels, rng)
     ref = ref_sample(generator, labels, ref_rng)

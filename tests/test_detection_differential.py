@@ -1,10 +1,9 @@
 """Differential tests: the detection plane against the bodies it replaced.
 
-The ``ref_*`` functions (``benchmarks/reference.py``, which the probe's
-``--check`` reads too) are the previous MMD code kept verbatim — three
-distance matrices and three ``exp`` per pair, a Python loop of ``mmd`` calls
-per shared class, and a median heuristic that gathered the upper triangle
-through ``triu_indices``.  The live code scores every window-sized entry
+The ``ref_*`` functions (``benchmarks/reference.py``) are the previous MMD
+code kept verbatim — three distance matrices and three ``exp`` per pair, a
+Python loop of ``mmd`` calls per shared class, and a median heuristic that
+gathered the upper triangle through ``triu_indices``.  The live code scores every window-sized entry
 through one Gram per entry (``class_conditional_mmd_batch``) and a whole
 cluster pair through one Gram per class pair (``_mmd2_pairs``), which sum in
 another order, so the statistics are pinned to a tolerance (``rtol=1e-12,
@@ -33,15 +32,22 @@ from benchmarks.reference import (  # noqa: F401  (looked up by name below)
     ref_median_heuristic_gamma,
     ref_mmd,
     ref_mmd2_biased,
+    ref_jsd,
     ref_rbf_kernel,
 )
 from repro.core.detector import PartyLocalState, compute_party_report
 from repro.data.federated import FederatedShiftDataset
-from repro.detection.calibration import ThresholdCalibrator, bootstrap_party_mmd_null
+from repro.detection.calibration import (
+    ThresholdCalibrator,
+    bootstrap_jsd_null,
+    bootstrap_party_mmd_null,
+    threshold_from_null,
+)
 from repro.experiments.registry import build_strategy
 from repro.harness.runner import run_strategy
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
+from repro.utils.validation import normalize_histogram
 from tests.conftest import make_run_settings, make_tiny_spec
 
 # The package re-exports the function ``mmd`` under the submodule's name.
@@ -211,6 +217,17 @@ class TestBandwidthIsBitIdentical:
             passes.clear()
             live.median_heuristic_gamma(spawn_rng(rows, "passes").normal(size=(rows, dim)))
             assert len(passes) == 1
+
+    @pytest.mark.parametrize("parties", [24, 40, pytest.param(96, marks=pytest.mark.slow)])
+    def test_pooled_party_rows(self, parties):
+        """The bandwidth over the pooled 48-row embeddings of 24, 40 and 96
+        parties: 1,152, 1,920 and 4,608 rows at width 32, each a multiple of
+        8, so bit for bit.  The reference holds ~3 n^2 doubles (0.5 GB at 96
+        parties)."""
+        rng = spawn_rng(parties, "pooled")
+        x = np.vstack([labelled_set(rng, 48, 32, np.arange(10))[0]
+                       for _ in range(parties)])
+        assert live.median_heuristic_gamma(x) == ref_median_heuristic_gamma(x)
 
     def test_input_is_not_overwritten(self):
         x = spawn_rng(0, "keep").normal(size=(40, 5))
@@ -571,6 +588,44 @@ class TestOneKernelIsPerEntryBytes:
                 [rows[i] for i in xs], [labels[i] for i in xs],
                 [rows[j] for j in ys], [labels[j] for j in ys], gamma)
         assert indexed.tobytes() == gathered.tobytes()
+
+    @pytest.mark.parametrize("parties, width",
+                             [(40, 32), (24, 48), (16, 48), (5, 8), (1, 3)])
+    def test_calibrate_is_the_per_draw_calibration(self, parties, width):
+        """``calibrate`` at the pinned plans' shapes (pools of 48 rows, 10
+        classes under Dirichlet(0.8) priors, 100 draws, p = 0.02): the
+        reference bandwidth, every null score of one one-entry batch call per
+        MMD draw and of two ``multinomial`` draws and ``ref_jsd`` per JSD
+        draw, and the thresholds of those nulls, all by bytes."""
+        rng = spawn_rng(parties, "calibrate-pools")
+        priors = rng.dirichlet(np.full(10, 0.8), size=parties)
+        pools = []
+        for prior in priors:
+            labels = rng.choice(10, size=48, p=prior)
+            pools.append((rng.normal(size=(48, width)) + 0.3 * labels[:, None],
+                          labels))
+        thresholds = ThresholdCalibrator(num_bootstrap=100, p_value=0.02).calibrate(
+            pools, priors, 48, spawn_rng(parties, "calibrate"))
+        draws = spawn_rng(parties, "calibrate")
+        gamma = ref_median_heuristic_gamma(np.vstack([e for e, _ in pools]))
+        mmd_null = []
+        for _ in range(100):
+            embeddings, labels = pools[int(draws.integers(parties))]
+            i1, i2 = (draws.choice(48, size=48, replace=True) for _ in range(2))
+            mmd_null += live.class_conditional_mmd_batch(
+                [embeddings[i1]], [labels[i1]], [embeddings[i2]], [labels[i2]],
+                gamma).tolist()
+        jsd_null = [ref_jsd(*(draws.multinomial(48, normalize_histogram(prior)) / 48
+                              for _ in range(2)))
+                    for prior in priors for _ in range(max(1, 100 // parties))]
+        stacked = spawn_rng(parties, "calibrate")
+        assert bootstrap_party_mmd_null(pools, 100, stacked, gamma).tobytes() == \
+            np.array(mmd_null).tobytes()
+        assert bootstrap_jsd_null(priors, 48, max(1, 100 // parties),
+                                  stacked).tobytes() == np.array(jsd_null).tobytes()
+        assert (thresholds.gamma, thresholds.delta_cov, thresholds.delta_label) == (
+            gamma, threshold_from_null(np.array(mmd_null), 0.02),
+            threshold_from_null(np.array(jsd_null), 0.02))
 
     def test_null_scores_the_report_statistic(self):
         """One pool, one resampled draw: the null's score is the report's

@@ -63,16 +63,18 @@ def _ref_embed(party, model, params, split, max_samples):
     return model.features(x), np.asarray(y).copy()
 
 
-def _parties(name, dtype, sizes, seed, models=1):
+def _parties(name, dtype, sizes, seed, models=1, shape=None):
     """One party per size, holding a window whose splits have that size;
-    party ``i`` lends model ``i % models`` (all of one architecture)."""
+    party ``i`` lends model ``i % models`` (all of one architecture, at
+    ``shape`` or the module's small input shape)."""
+    shape = shape or SHAPES[name]
     rng = np.random.default_rng(seed)
-    lent = [build_model(name, SHAPES[name], CLASSES, np.random.default_rng(seed + m),
+    lent = [build_model(name, shape, CLASSES, np.random.default_rng(seed + m),
                         dtype=dtype) for m in range(models)]
     parties = []
     for pid, n in enumerate(sizes):
         party = Party(pid, lent[pid % models], CLASSES, seed=seed)
-        split = lambda: (rng.random((n,) + SHAPES[name]), rng.integers(0, CLASSES, n))
+        split = lambda: (rng.random((n,) + shape), rng.integers(0, CLASSES, n))
         train, test = split(), split()
         party.set_window_data(PartyWindowData(
             pid, 0, None, np.full(CLASSES, 1 / CLASSES), x_train=train[0],
@@ -81,9 +83,10 @@ def _parties(name, dtype, sizes, seed, models=1):
     return parties, lent
 
 
-def _param_sets(name, dtype, count, seed):
-    return [build_model(name, SHAPES[name], CLASSES, np.random.default_rng((seed, k)),
-                        dtype=dtype).get_params() for k in range(count)]
+def _param_sets(name, dtype, count, seed, shape=None):
+    return [build_model(name, shape or SHAPES[name], CLASSES,
+                        np.random.default_rng((seed, k)), dtype=dtype).get_params()
+            for k in range(count)]
 
 
 # ---------------------------------------------------------------- the twin
@@ -193,21 +196,54 @@ def _budgets():
     return st.sampled_from([FORWARD_ELEMENTS, 1, 2 * 5 * 128, 3 * 16 * 128])
 
 
+# (model, input shape, rows) of each pinned plan's evaluation (test split)
+# and report (``embedding_samples``) forwards: sync_conv, pool_100k,
+# wide_server, async_masked.
+PLAN_FORWARDS = (("lenet_mini", (3, 12, 12), 24), ("lenet_mini", (3, 12, 12), 48),
+                 ("lenet_mini", (1, 12, 12), 24), ("mlp", (1, 12, 12), 16),
+                 ("mlp", (1, 12, 12), 48), ("mlp", (3, 12, 12), 24))
+
+
+def _plan_groups(name, shape, n):
+    """Twice the plan's stack bound and one member more at ``n`` rows (two
+    full stacks and a stack of one), and three members at ``n // 2``."""
+    model = build_model(name, shape, CLASSES, np.random.default_rng(0))
+    bound = max(1, FORWARD_ELEMENTS // (n * model.activation_width(shape)))
+    return [n] * (2 * bound + 1) + [n // 2] * 3
+
+
+def _at_plan_forwards(**fields):
+    """Each plan's forward shape at both precisions through the shipped
+    bound; ``fields(sizes, n)`` gives the test's own arguments."""
+    def decorate(test):
+        for name, shape, n in PLAN_FORWARDS:
+            sizes = _plan_groups(name, shape, n)
+            own = {key: value(sizes, n) for key, value in fields.items()}
+            for dtype in ("float32", "float64"):
+                test = example(name=name, dtype=dtype, sizes=sizes, models=1,
+                               budget=FORWARD_ELEMENTS, seed=n, shape=shape,
+                               **own)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(model_names()), dtype=st.sampled_from(["float32", "float64"]),
        sizes=st.lists(st.sampled_from([1, 5, 16]), min_size=1, max_size=9),
        served=st.lists(st.integers(0, 2), min_size=9, max_size=9),
-       models=st.integers(1, 2), budget=_budgets(), seed=st.integers(0, 2**16))
+       models=st.integers(1, 2), budget=_budgets(), seed=st.integers(0, 2**16),
+       shape=st.none())
+@_at_plan_forwards(served=lambda sizes, n: [i % 2 for i in range(len(sizes))])
 @example(name="lenet_mini", dtype="float32", sizes=[16] * 7 + [5, 16],
-         served=[0] * 9, models=2, budget=3 * 16 * 128, seed=0)
+         served=[0] * 9, models=2, budget=3 * 16 * 128, seed=0, shape=None)
 def test_evaluate_parties_is_each_party_alone(name, dtype, sizes, served, models,
-                                              budget, seed):
+                                              budget, seed, shape):
     """Mixed split sizes, shared and distinct served params, parties lending
     different models, groups cut by the stack bound: every (accuracy, loss)
     on both splits is the per-party call's, and each group is one
     ``evaluate`` call."""
-    parties, lent = _parties(name, dtype, sizes, seed, models)
-    param_sets = _param_sets(name, dtype, 3, seed)
+    parties, lent = _parties(name, dtype, sizes, seed, models, shape)
+    param_sets = _param_sets(name, dtype, 3, seed, shape)
     evaluees = [(party, param_sets[served[i]]) for i, party in enumerate(parties)]
     for split in ("test", "train"):
         calls = []
@@ -223,7 +259,7 @@ def test_evaluate_parties_is_each_party_alone(name, dtype, sizes, served, models
         for i, party in enumerate(parties):
             key = (served[i], len(party.data.split(split)[0]))
             groups[key] = groups.get(key, 0) + 1
-        width = lent[0].activation_width(SHAPES[name])
+        width = lent[0].activation_width(shape or SHAPES[name])
         assert len(calls) == sum(-(-count // max(1, budget // (n * width)))
                                  for (_s, n), count in groups.items())
         assert sum(calls) == len(parties)
@@ -236,14 +272,15 @@ def test_evaluate_parties_is_each_party_alone(name, dtype, sizes, served, models
 @given(name=st.sampled_from(model_names()), dtype=st.sampled_from(["float32", "float64"]),
        sizes=st.lists(st.sampled_from([1, 5, 16]), min_size=1, max_size=9),
        max_samples=st.sampled_from([None, 5, 40]), models=st.integers(1, 2),
-       budget=_budgets(), seed=st.integers(0, 2**16))
+       budget=_budgets(), seed=st.integers(0, 2**16), shape=st.none())
+@_at_plan_forwards(max_samples=lambda sizes, n: n // 2 + 1)
 def test_embed_parties_is_each_party_alone(name, dtype, sizes, max_samples, models,
-                                           budget, seed):
+                                           budget, seed, shape):
     """Embeddings and labels by bytes against the per-party call, rows
     subsampled by the same ``party-embed`` draw; one ``features`` call per
     stack."""
-    parties, lent = _parties(name, dtype, sizes, seed, models)
-    params = _param_sets(name, dtype, 1, seed)[0]
+    parties, lent = _parties(name, dtype, sizes, seed, models, shape)
+    params = _param_sets(name, dtype, 1, seed, shape)[0]
     features = Sequential.features
     calls = []
 

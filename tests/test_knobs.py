@@ -26,13 +26,15 @@ from repro.federation.aggregation import STALENESS_POLICIES
 from repro.federation.async_engine import PARTICIPATION_MODES, FederationConfig
 from repro.federation.availability import AvailabilityConfig
 from repro.federation.pool import PARTICIPATION_SKEWS, PopulationConfig
+from repro.core.config import ShiftExConfig
 from repro.harness.profiles import RUN_KNOBS, RunSettings, get_profile
+from repro.nn.training import LocalTrainingConfig
 from repro.privacy.plan import PrivacyPlan
 from repro.scenarios.generator import ScenarioGenerator
 from repro.scenarios.lint import lint_scenario
 from repro.scenarios.fuzz import check_flag_parity
 from repro.utils.precision import PrecisionPlan
-from repro.utils.validation import field_names
+from repro.utils.validation import Knob, field_names, read_knob
 
 _MINIMAL = {"dataset": "fashion_mnist_sim", "strategies": ["fedavg"]}
 
@@ -57,7 +59,8 @@ VALUES = {
         FederationConfig, mode=st.sampled_from(PARTICIPATION_MODES),
         min_reports=_OPTIONAL_COUNT, max_wait_rounds=st.integers(1, 8),
         staleness_policy=st.sampled_from(STALENESS_POLICIES),
-        staleness_alpha=st.floats(0.0, 4.0), staleness_gamma=_PROB,
+        staleness_alpha=st.floats(0.0, 4.0),
+        staleness_gamma=st.floats(0.0, 1.0, exclude_min=True),
         availability=AVAILABILITY),
     AvailabilityConfig: AVAILABILITY,
     PopulationConfig: st.builds(
@@ -162,6 +165,42 @@ class TestIntKnobs:
     def test_override_rejects(self, extra, named):
         with pytest.raises(ValueError, match=f"{named} must be an integer"):
             ExperimentPlan.from_dict({**_MINIMAL, **extra})
+
+
+# (class, field, a value it must refuse): NaN passes every ``x < 0`` check,
+# so each float check is written to fail on it too, and fails when the plan
+# loads, not at the value's first use mid-run.
+BAD_FLOATS = [
+    (FederationConfig, "staleness_alpha", "-2"),
+    (FederationConfig, "staleness_alpha", "nan"),
+    (FederationConfig, "staleness_alpha", "inf"),
+    (FederationConfig, "staleness_gamma", "0"),
+    (FederationConfig, "staleness_gamma", "1.5"),
+    (FederationConfig, "staleness_gamma", "nan"),
+    (AvailabilityConfig, "straggler_zipf_a", "nan"),
+    (PopulationConfig, "zipf_a", "nan"),
+    (LocalTrainingConfig, "prox_mu", "nan"),
+    (ShiftExConfig, "epsilon_scale", "nan"),
+    (ShiftExConfig, "epsilon", "nan"),
+]
+
+
+@pytest.mark.parametrize("cls, name, text", BAD_FLOATS,
+                         ids=[f"{c.__name__}.{n}={t}" for c, n, t in BAD_FLOATS])
+def test_a_float_knob_refuses_nan_and_out_of_range_values(cls, name, text):
+    """Through the constructor, and through ``read_knob`` from spec text
+    (a knob's spec string, a block's text value)."""
+    required = {"size": 10} if cls is PopulationConfig else {}
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        cls(**required, **{name: float(text)})
+    if issubclass(cls, Knob):
+        shorthand = {FederationConfig: "async,staleness_policy=polynomial,",
+                     PopulationConfig: "10,"}.get(cls, "")
+        value = f"{shorthand}{name}={text}"
+    else:
+        value = {name: text}
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        read_knob(cls, value, "plan block")
 
 
 class TestTypedBlocks:

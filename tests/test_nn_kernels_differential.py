@@ -171,28 +171,60 @@ class TestMaxPool:
 @st.composite
 def stack_cases(draw):
     """A ``(replicas, rows, c, h, w)`` stack of images, as the workloads'
-    stacked steps and shared evaluations hand the conv and pool kernels."""
+    stacked steps (``"training"``) and evaluations (``"stacked"``, or
+    ``"shared"``: ``Sequential.shared``'s stride-0 parameter views) hand the
+    conv and pool kernels."""
     hw = draw(st.sampled_from([2, 4, 6, 12]))
     shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)),
              draw(st.sampled_from([1, 3, 8, 16])), hw, hw)
-    return shape, draw(DTYPES), draw(KINDS), draw(st.integers(0, 2**16))
+    return (shape, draw(DTYPES), draw(KINDS),
+            draw(st.sampled_from(["training", "stacked", "shared"])),
+            draw(st.integers(0, 2**16)))
+
+
+def _ref_conv_forward(layer, x):
+    """``ref_im2col``, then one GEMM and the bias per replica."""
+    out = []
+    for images, weight, bias in zip(x, *layer.params):
+        cols, out_h, out_w = ref_im2col(images, 3, 3, 1, 1)
+        out.append((cols @ weight.reshape(len(weight), -1).T + bias).reshape(
+            len(images), out_h, out_w, -1).transpose(0, 3, 1, 2))
+    return np.stack(out)
+
+
+# (replicas, rows) of every lenet_mini stack a sync_conv run forms: a
+# cohort's training step (r = 8 of a batch of 8), a shared evaluation (r = 2
+# is the stack bound at 24 rows), and a party alone in its group (r = 1): a
+# training step, an evaluation and a report's embedding forward.
+RUN_STACKS = (((8, 8), "training"), ((2, 24), "shared"), ((1, 8), "training"),
+              ((1, 24), "shared"), ((1, 48), "shared"))
+# (c, h) of each conv and pool layer's input in lenet_mini at (3, 12, 12).
+LENET_INPUTS = ((3, 12), (8, 12), (8, 6), (16, 6))
+
+
+def _at_run_stacks(test):
+    """Every layer input of every run stack, as the step's ReLU leaves it
+    (tied maxima of both signs, in channels-last memory), in float32."""
+    for seed, (((replicas, rows), mode), (c, hw)) in enumerate(
+            (stack, layer) for stack in RUN_STACKS for layer in LENET_INPUTS):
+        test = example(((replicas, rows, c, hw, hw), np.float32, "relu", mode,
+                        seed))(test)
+    return test
 
 
 class TestWorkloadStacks:
     """The live kernels on replica-stacked inputs, against the references on
     the same images one stack row at a time: columns and input gradients by
-    value, pooling by bytes (a tied ``-0.0`` / ``+0.0`` keeps the sign the
-    strided-view chain keeps)."""
+    value, a stacked or shared ``Conv2d`` forward and pooling by bytes (a
+    tied ``-0.0`` / ``+0.0`` keeps the sign the strided-view chain keeps)."""
 
     @settings(max_examples=40, deadline=None)
     @given(stack_cases())
-    @example(((8, 8, 3, 12, 12), np.float32, "relu", 0))  # conv1, a training step
-    @example(((8, 8, 8, 6, 6), np.float32, "relu", 1))  # conv2, a training step
-    @example(((2, 24, 8, 12, 12), np.float32, "relu", 2))  # a shared evaluation
-    @example(((8, 8, 1, 12, 12), np.float32, "relu", 3))  # pool_100k's c = 1
-    @example(((8, 8, 1, 12, 12), np.float64, "normal", 4))
+    @_at_run_stacks
+    @example(((8, 8, 1, 12, 12), np.float32, "relu", "training", 3))  # pool_100k
+    @example(((8, 8, 1, 12, 12), np.float64, "normal", "stacked", 4))
     def test_stack_matches_reference(self, case):
-        shape, dtype, kind, seed = case
+        shape, dtype, kind, mode, seed = case
         rng = np.random.default_rng(seed)
         x = tensor(rng, shape, dtype, kind)
         images = x.reshape((-1,) + shape[-3:])
@@ -205,6 +237,16 @@ class TestWorkloadStacks:
         want = ref_col2im(grad_cols.reshape(ref.shape), images.shape, 3, 3, 1, 1,
                           out_h, out_w)
         assert np.array_equal(got.reshape(want.shape), want)
+
+        model = Sequential([Conv2d(shape[2], 8, 3, rng, padding=1)], dtype=dtype)
+        if mode == "shared":
+            conv = model.shared(shape[0]).layers[0]
+        else:
+            stack = model.stacked(shape[0])
+            stack.flat_params[:] = rng.normal(size=stack.flat_params.shape)
+            conv = stack.layers[0]
+        out = conv.forward(x, training=mode == "training")
+        assert out.tobytes() == _ref_conv_forward(conv, x).tobytes()
 
         layer = MaxPool2d(2)
         out = layer.forward(x, training=True)
@@ -273,11 +315,27 @@ class TestConv2dLayer:
 # ---------------------------------------------------------------- the loss
 
 
+# (lead, rows) of the pinned plans' logits: every ``RUN_STACKS`` entry, and
+# each plan's evaluation and report forwards alone and at their stack bound
+# (sync_conv and pool_100k at 24 and 48 rows, wide_server at 16 and 48,
+# async_masked at 24).
+PLAN_LOGITS = ((8, 8), (2, 24), (1, 8), (1, 24), (1, 48), (24,), (48,), (16,),
+               (28, 16), (9, 48), (6, 24))
+
+
+def _at_plan_logits(test):
+    for shape in PLAN_LOGITS:
+        for dtype in (np.float32, np.float64):
+            test = example(lead=shape[:-1], n=shape[-1], k=10, dtype=dtype,
+                           scale=4.0, strided=False, seed=shape[-1])(test)
+    return test
+
+
 @settings(max_examples=80, deadline=None)
 @given(lead=st.sampled_from([(), (1,), (3,)]), n=st.integers(2, 20),
        k=st.integers(1, 12), dtype=DTYPES, scale=st.sampled_from([1.0, 40.0]),
        strided=st.booleans(), seed=st.integers(0, 2**16))
-@example(lead=(8,), n=8, k=10, dtype=np.float32, scale=1.0, strided=False, seed=0)
+@_at_plan_logits
 @example(lead=(), n=2, k=1, dtype=np.float64, scale=40.0, strided=True, seed=1)
 def test_loss_is_the_reference_bytes(lead, n, k, dtype, scale, strided, seed):
     """The in-place loss == ``ref_softmax_cross_entropy`` (fresh arrays, a

@@ -25,7 +25,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from benchmarks.reference import (
     ref_net_seal_bits,
@@ -115,10 +115,17 @@ class TestMaskDraws:
                               ref_seal_bits(3, 0, 1, dim, dtype=dtype))
 
 
+# async_masked's dispatch: 12 parties, unsorted and non-contiguous ids.
+TWELVE = [3 * i + 2 for i in reversed(range(12))]
+
+
 class TestNetMasks:
     @given(cohort=cohorts, dim=dims, dtype=dtypes, context=contexts,
            seed=seeds)
     @settings(max_examples=40, deadline=None)
+    @example(cohort=TWELVE, dim=33, dtype=np.float32,
+             context=("stream", "g", 4, (1, 2)), seed=12)
+    @example(cohort=TWELVE, dim=8, dtype=np.float64, context=(), seed=2**32 - 1)
     def test_every_net_mask_equals_the_reference_loop(self, cohort, dim,
                                                       dtype, context, seed):
         session = _session(cohort, dim, dtype, context, seed)
@@ -360,6 +367,47 @@ class TestRecoveryGate:
             session.seal_row(party_id, bank.row(row))
             party_rows.append((party_id, row))
         return session, bank, party_rows
+
+    @pytest.mark.parametrize("threshold", [None, 1, 3, "majority"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_twelve_party_dispatch(self, dtype, threshold):
+        """The masked aggregate of a 12-party dispatch is plain
+        ``weighted_combine``'s bytes; t - 1 holders recover and mark nothing;
+        the last t holders (a non-prefix quorum) open every word, which is
+        the derived one and re-expands to the party's held net."""
+        n, dim, context = len(TWELVE), 37 * 3 + 9, ("stream", "global", 7, (1, 3))
+        updates = [np.random.default_rng(p).normal(size=dim).astype(dtype)
+                   for p in TWELVE]
+        weights = np.arange(1.0, n + 1)
+        expected = bank_of(updates, dtype=dtype).weighted_combine(weights,
+                                                                  list(range(n)))
+        session = _session(TWELVE, dim, dtype, context, n, threshold)
+        bank = ParamBank(dim, dtype=dtype, capacity=n)
+        party_rows = []
+        for party_id, update in zip(TWELVE, updates):
+            row = bank_row(bank, update)
+            session.seal_row(party_id, bank.row(row))
+            party_rows.append((party_id, row))
+        if threshold is not None:
+            t, ranked = session.threshold, session.cohort
+            with pytest.raises(IncompleteSubmissionError):
+                session.recover(TWELVE, available=ranked[:t - 1])
+            assert all(session.is_sealed(p) and not session.is_recovered(p)
+                       for p in TWELVE)
+            session.recover(TWELVE, available=ranked[n - t:])
+            xs = range(n - t + 1, n + 1)
+            for i, party_id in enumerate(ranked):
+                net = np.zeros(dim, dtype=_uint_dtype(dtype))
+                for j, values in enumerate(session._shares[i].tolist()):
+                    word = ref_reconstruct_secret(zip(xs, values[n - t:]))
+                    assert word == ref_stream_word(n, context, session._key(i, j))
+                    if j < i:  # the pair stream with a lower party
+                        net -= ref_stream_bits(word, dim, dtype)
+                    else:
+                        net += ref_stream_bits(word, dim, dtype)
+                assert net.tobytes() == session._nets[party_id].tobytes()
+        got = session.combine_rows(bank, weights, party_rows)
+        assert got.tobytes() == expected.tobytes()
 
     def test_corrupt_share_is_caught_before_anything_is_unsealed(self):
         session, bank, party_rows = self._sealed()
