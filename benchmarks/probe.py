@@ -188,17 +188,6 @@ def _images(x):
     return x.reshape((-1,) + x.shape[-3:])
 
 
-def _ref_conv_forward(layer, x):
-    """``ref_im2col``, then one GEMM and the bias per replica."""
-    k, s, pad = layer.kernel_size, layer.stride, layer.padding
-    out = []
-    for images, weight, bias in zip(x, *layer.params):
-        cols, oh, ow = reference.ref_im2col(images, k, k, s, pad)
-        out.append((cols @ weight.reshape(len(weight), -1).T + bias).reshape(
-            len(images), oh, ow, -1).transpose(0, 3, 1, 2))
-    return np.stack(out)
-
-
 def nn_kernels(stack, acts, grads):
     """(kernel, input shape, live call, ``ref_*`` call) for every conv and
     pool layer of one stack, the references fed the same arrays."""
@@ -211,7 +200,7 @@ def nn_kernels(stack, acts, grads):
                           partial(reference.ref_im2col, _images(x), k, k, s, pad)))
             calls.append(("Conv2d.forward", shape,
                           partial(layer.forward, x, bool(grads)),
-                          partial(_ref_conv_forward, layer, x)))
+                          partial(reference.ref_conv_forward, layer, x)))
             if grads and any(below.params for below in stack.layers[:i]):
                 # a step forms no input gradient for the first parameterised layer
                 cols, oh, ow = _im2col(x, k, k, s, pad)

@@ -8,7 +8,8 @@ detection plane's previous MMD code (three distance matrices and three
 entry, a median heuristic gathered
 through ``triu_indices``, and one vector ``jsd``), the conv kernels' previous
 ``im2col`` / ``col2im`` / max-pool (as a reduction, and as the chain over
-strided window views that window-major pooling replaced), per-tensor
+strided window views that window-major pooling replaced), a stacked
+``Conv2d`` forward as one GEMM per replica, per-tensor
 training step and softmax cross-entropy (fresh arrays throughout, the
 gradient a copy of the probabilities; the step, the central-difference
 check's loss and its analytic gradients all call it), k-means as
@@ -197,6 +198,18 @@ def ref_col2im(cols, x_shape, kh, kw, stride, pad, out_h, out_w):
     if pad:
         return x_padded[:, :, pad:-pad, pad:-pad]
     return x_padded
+
+
+def ref_conv_forward(layer, x):
+    """A stacked ``Conv2d`` forward of ``(r, n, c, h, w)`` images:
+    ``ref_im2col``, then one GEMM and the bias per replica."""
+    k, s, pad = layer.kernel_size, layer.stride, layer.padding
+    out = []
+    for images, weight, bias in zip(x, *layer.params):
+        cols, out_h, out_w = ref_im2col(images, k, k, s, pad)
+        out.append((cols @ weight.reshape(len(weight), -1).T + bias).reshape(
+            len(images), out_h, out_w, -1).transpose(0, 3, 1, 2))
+    return np.stack(out)
 
 
 def ref_pool_forward(x, p):

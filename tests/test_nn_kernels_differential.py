@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from benchmarks.reference import (
     ref_col2im,
+    ref_conv_forward,
     ref_im2col,
     ref_pool_backward,
     ref_pool_forward,
@@ -182,16 +183,6 @@ def stack_cases(draw):
             draw(st.integers(0, 2**16)))
 
 
-def _ref_conv_forward(layer, x):
-    """``ref_im2col``, then one GEMM and the bias per replica."""
-    out = []
-    for images, weight, bias in zip(x, *layer.params):
-        cols, out_h, out_w = ref_im2col(images, 3, 3, 1, 1)
-        out.append((cols @ weight.reshape(len(weight), -1).T + bias).reshape(
-            len(images), out_h, out_w, -1).transpose(0, 3, 1, 2))
-    return np.stack(out)
-
-
 # (replicas, rows) of every lenet_mini stack a sync_conv run forms: a
 # cohort's training step (r = 8 of a batch of 8), a shared evaluation (r = 2
 # is the stack bound at 24 rows), and a party alone in its group (r = 1): a
@@ -246,7 +237,7 @@ class TestWorkloadStacks:
             stack.flat_params[:] = rng.normal(size=stack.flat_params.shape)
             conv = stack.layers[0]
         out = conv.forward(x, training=mode == "training")
-        assert out.tobytes() == _ref_conv_forward(conv, x).tobytes()
+        assert out.tobytes() == ref_conv_forward(conv, x).tobytes()
 
         layer = MaxPool2d(2)
         out = layer.forward(x, training=True)
