@@ -9,7 +9,8 @@ in ``float64``.  ``fidelity_seeds`` checks nothing: ShiftEx − FedProx on four
 data seeds per dataset at the profile's precision, as ``repro compare`` runs
 it.  ``overheads`` also prints the Section 7 latencies; no timing is saved.
 A run pins OpenBLAS to one thread unless ``OPENBLAS_NUM_THREADS`` is set, as
-CI's ``fidelity`` job does.
+CI's ``fidelity`` job does, and runs each comparison grid's cells over
+``JOBS`` = 2 processes.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ PROFILE = "ci"
 RUN_SEED = 0
 PRECISION = "float64"
 DATA_SEEDS = (101, 202, 303, 404)
+# Every cell is seeded on its own, so any JOBS writes the same bytes.
+JOBS = 2
 
 
 def convergence_series(result: ComparisonResult) -> dict[str, list[float]]:
@@ -150,7 +153,7 @@ DATASETS = (
 @cache
 def _comparison(dataset: str):
     return ExperimentPlan.build(dataset, PAPER_METHODS, profile=PROFILE,
-                                seeds=(RUN_SEED,), precision=PRECISION).run()
+                                seeds=(RUN_SEED,), precision=PRECISION).run(jobs=JOBS)
 
 
 def _dataset_artifact(emit, row: Dataset) -> None:
@@ -212,7 +215,7 @@ def fidelity_seeds(emit):
         for seed in DATA_SEEDS:
             runs = ExperimentPlan.build(
                 row.dataset, ("fedprox", "shiftex"), profile=PROFILE, seeds=(RUN_SEED,),
-                spec_override=replace(spec, seed=seed)).run().runs
+                spec_override=replace(spec, seed=seed)).run(jobs=JOBS).runs
             shiftex, fedprox = (np.mean(runs[m][0].max_accuracy_per_window[1:])
                                 for m in ("shiftex", "fedprox"))
             gaps.append(float(shiftex - fedprox))

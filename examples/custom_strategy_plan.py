@@ -6,8 +6,8 @@ Demonstrates the composable experiment API end to end:
    five baselines and ShiftEx — no library edits needed;
 2. an :class:`ExperimentPlan` declares the dataset x strategies x seeds grid
    (with per-strategy kwargs) and serializes to JSON;
-3. the saved plan runs through ``SerialExecutor`` or the process-parallel
-   ``ParallelExecutor`` — equivalently via ``python -m repro run plan.json``.
+3. the saved plan runs with ``plan.run(jobs=N)``, in-process or over ``N``
+   processes — equivalently via ``python -m repro run plan.json``.
 
 By default the plan carries dataset / settings overrides that cut the ``ci``
 profile down to demo scale (one seed, half the parties and rounds, an MLP in
@@ -28,7 +28,6 @@ from pathlib import Path
 
 from repro.baselines.fedavg import FedAvgStrategy
 from repro.experiments.plan import ExperimentPlan, load_plan, save_plan
-from repro.experiments.executors import ParallelExecutor, SerialExecutor
 from repro.experiments.events import ProgressLogger
 from repro.experiments.registry import register_strategy
 from repro.harness.comparison import render_drop_time_max_table
@@ -95,8 +94,7 @@ def main() -> None:
     print(f"plan saved to {plan_path} "
           f"(also runnable via: python -m repro run {plan_path} --jobs {args.jobs})")
 
-    executor = ParallelExecutor(args.jobs) if args.jobs > 1 else SerialExecutor()
-    result = load_plan(plan_path).run(executor=executor,
+    result = load_plan(plan_path).run(jobs=args.jobs,
                                       callbacks=(ProgressLogger(),))
     print()
     print(render_drop_time_max_table(

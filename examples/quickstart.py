@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 from dataclasses import replace
 
-from repro.experiments.executors import ParallelExecutor, SerialExecutor
 from repro.experiments.plan import ExperimentPlan
 from repro.harness.comparison import (
     expert_distribution_table,
@@ -51,8 +50,7 @@ def main() -> None:
     plan = ExperimentPlan.build(dataset, ["fedprox", "shiftex"],
                                 seeds=(args.seed,), profile=args.profile,
                                 **demo_scale)
-    executor = ParallelExecutor(args.jobs) if args.jobs > 1 else SerialExecutor()
-    result = plan.run(executor=executor)
+    result = plan.run(jobs=args.jobs)
 
     print()
     print(render_drop_time_max_table(

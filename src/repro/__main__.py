@@ -27,7 +27,6 @@ from repro.federation.availability import AvailabilityConfig
 from repro.scenarios.generator import ScenarioGenerator
 from repro.scenarios.lint import lint_scenario
 from repro.experiments.events import ProgressLogger
-from repro.experiments.executors import ParallelExecutor, SerialExecutor
 from repro.experiments.plan import ExperimentPlan, load_plan, save_plan
 from repro.experiments.registry import strategy_description, strategy_names
 from repro.harness.comparison import (
@@ -91,12 +90,6 @@ def _fail(exc: Exception) -> int:
     message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
     print(message, file=sys.stderr)
     return 2
-
-
-def _executor(jobs: int):
-    if jobs < 1:
-        raise ValueError("--jobs must be at least 1")
-    return ParallelExecutor(jobs=jobs) if jobs > 1 else SerialExecutor()
 
 
 def _print_result(result, title: str) -> None:
@@ -176,7 +169,7 @@ def cmd_compare(args) -> int:
         plan = _plan_from_args(args, methods)
         for warning in lint_scenario(plan):
             print(f"warning: {warning}", file=sys.stderr)
-        result = plan.run(executor=_executor(args.jobs), callbacks=callbacks)
+        result = plan.run(jobs=args.jobs, callbacks=callbacks)
     except (ValueError, KeyError) as exc:
         return _fail(exc)
     _print_result(result,
@@ -197,7 +190,7 @@ def cmd_run(args) -> int:
           f"jobs={args.jobs}) ...", flush=True)
     callbacks = (ProgressLogger(),) if args.progress else ()
     try:
-        result = plan.run(executor=_executor(args.jobs), callbacks=callbacks)
+        result = plan.run(jobs=args.jobs, callbacks=callbacks)
     except (ValueError, KeyError) as exc:
         # KeyError: unknown dataset or profile named inside the plan file.
         return _fail(exc)

@@ -88,13 +88,31 @@ def bootstrap_party_mmd_null(party_pools: list[tuple[np.ndarray, np.ndarray]],
 
 
 def threshold_from_null(null_scores: np.ndarray, p_value: float = 0.05) -> float:
-    """``1 - p_value`` quantile of a null score sample."""
+    """``1 - p_value`` quantile of a null score sample.
+
+    The bytes of ``np.quantile``'s default (linear) method, computed here
+    because ``np.quantile`` goes through ``np.unique``, which imports
+    ``numpy.ma`` on its first call, in the middle of a run: the two order
+    statistics that bracket ``(n - 1)·q`` from one partition, then numpy's
+    ``_lerp``.  A NaN in gives a NaN out.
+    """
     null_scores = np.asarray(null_scores, dtype=np.float64)
     if null_scores.ndim != 1 or null_scores.size == 0:
         raise ValueError("null_scores must be a non-empty 1-D array")
     if not 0.0 < p_value < 1.0:
         raise ValueError("p_value must be in (0, 1)")
-    return float(np.quantile(null_scores, 1.0 - p_value))
+    n = null_scores.size
+    index = (n - 1) * (1.0 - p_value)
+    # From the last rank on, numpy reads the maximum at position -1 and
+    # weighs it by ``index - (-1)``.
+    low = int(index) if index < n - 1 else -1
+    high = low + 1 if low >= 0 else -1
+    ordered = np.partition(null_scores, (low, high, -1))
+    if np.isnan(ordered[-1]):  # a NaN sorts last
+        return float(ordered[-1])
+    a, b = float(ordered[low]), float(ordered[high])
+    t = index - low
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 @dataclass(frozen=True)

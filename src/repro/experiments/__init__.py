@@ -1,4 +1,4 @@
-"""Composable experiment API: registry, plans, executors, and run events.
+"""Composable experiment API: registry, plans, grid execution, run events.
 
 The pieces fit together like this:
 
@@ -6,9 +6,9 @@ The pieces fit together like this:
   every runnable method (paper baselines, ShiftEx, user code) by name;
 * :mod:`~repro.experiments.plan` — :class:`ExperimentPlan`, the declarative
   dataset x strategies x seeds x profile grid, serializable to JSON/TOML;
-* :mod:`~repro.experiments.executors` — :class:`SerialExecutor` and the
-  process-parallel :class:`ParallelExecutor` that runs the same grid with
-  bitwise-identical results;
+* :mod:`~repro.experiments.executors` — :func:`run_cells`, behind
+  ``ExperimentPlan.run(jobs=N)``: the grid in-process or over ``N``
+  processes, with bitwise-identical results;
 * :mod:`~repro.experiments.events` — :class:`RunCallback` hooks
   (``on_run_start`` / ``on_round_end`` / ``on_window_end`` / ``on_run_end``)
   and the stock :class:`ProgressLogger`;

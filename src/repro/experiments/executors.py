@@ -1,12 +1,11 @@
-"""Pluggable grid executors: serial and process-parallel cell execution.
+"""Grid execution: every cell of a plan, in-process or over a process pool.
 
-Both executors run the same module-level :func:`run_cell`, so a grid's
-results do not depend on which executor produced them: each cell builds its
+Every cell runs the same module-level :func:`run_cell`, so a grid's results
+do not depend on how many processes produced them: each cell builds its
 dataset and strategy from the plan's declarative state and seeds every RNG
-from the cell's explicit seed.  ``ParallelExecutor(jobs=N)`` therefore
-yields bitwise-identical tables to ``SerialExecutor`` while overlapping the
-strategy x seed grid across processes — the dominant cost of multi-seed
-paper tables.
+from the cell's explicit seed.  ``run_cells(plan, jobs=N)`` therefore yields
+bitwise-identical tables at any ``N`` while overlapping the strategy x seed
+grid across processes — the dominant cost of multi-seed paper tables.
 """
 
 from __future__ import annotations
@@ -37,50 +36,36 @@ def run_cell(plan, cell, callbacks=()):
                         callbacks=callbacks)
 
 
-class SerialExecutor:
-    """Run cells one after another in the calling process (the default)."""
+def run_cells(plan, jobs: int, callbacks=()) -> list:
+    """Every cell's run, in cell order, over at most ``jobs`` processes.
 
-    def map(self, plan, callbacks=()):
-        return [run_cell(plan, cell, callbacks) for cell in plan.cells()]
-
-
-class ParallelExecutor:
-    """Run cells across a process pool, preserving cell order.
-
-    Requires the plan and callbacks to be picklable (strategy kwargs and
-    callbacks must not hold lambdas or closures).  Workers use the ``fork``
-    start method where available so strategies registered
-    anywhere in the parent (scripts, notebooks) stay visible; under
-    ``spawn`` (Windows), registrations must happen at import time in an
-    importable module.  With one cell or ``jobs=1`` it degrades to
-    in-process execution.  The process pool is imported only when one
-    starts, so a serial run never loads ``multiprocessing``.
+    With one cell or ``jobs=1`` the cells run one after another in the
+    calling process, which never imports ``multiprocessing``.  Otherwise
+    the plan and callbacks must be picklable (strategy kwargs and callbacks
+    must not hold lambdas or closures).  Workers use the ``fork`` start
+    method where available so strategies registered anywhere in the parent
+    (scripts, notebooks) stay visible; under ``spawn`` (Windows),
+    registrations must happen at import time in an importable module.
     """
-
-    def __init__(self, jobs: int = 2) -> None:
-        if jobs <= 0:
-            raise ValueError("jobs must be positive")
-        self.jobs = jobs
-
-    def map(self, plan, callbacks=()):
-        cells = plan.cells()
-        if len(cells) <= 1 or self.jobs == 1:
-            return [run_cell(plan, cell, callbacks) for cell in cells]
-        try:
-            pickle.dumps((plan, tuple(callbacks)))
-        except Exception as exc:
-            raise ValueError(
-                "ParallelExecutor needs a picklable plan and callbacks (no "
-                "lambdas or closures in strategy kwargs or callbacks); or "
-                "fall back to SerialExecutor") from exc
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        mp_context = (multiprocessing.get_context("fork")
-                      if "fork" in multiprocessing.get_all_start_methods()
-                      else None)
-        workers = min(self.jobs, len(cells))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=mp_context) as pool:
-            futures = [pool.submit(run_cell, plan, cell, callbacks)
-                       for cell in cells]
-            return [f.result() for f in futures]
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    cells = plan.cells()
+    if len(cells) <= 1 or jobs == 1:
+        return [run_cell(plan, cell, callbacks) for cell in cells]
+    try:
+        pickle.dumps((plan, tuple(callbacks)))
+    except Exception as exc:
+        raise ValueError(
+            "jobs > 1 needs a picklable plan and callbacks (no lambdas or "
+            "closures in strategy kwargs or callbacks); or run with "
+            "jobs=1") from exc
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    mp_context = (multiprocessing.get_context("fork")
+                  if "fork" in multiprocessing.get_all_start_methods()
+                  else None)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells)),
+                             mp_context=mp_context) as pool:
+        futures = [pool.submit(run_cell, plan, cell, callbacks)
+                   for cell in cells]
+        return [f.result() for f in futures]

@@ -4,13 +4,13 @@ An :class:`ExperimentPlan` is the unit of work the experiment layer runs:
 
     plan = ExperimentPlan.build("cifar10_c_sim", ["fedprox", "shiftex"],
                                 seeds=(0, 1, 2), profile="small")
-    result = plan.run(executor=ParallelExecutor(jobs=4))
+    result = plan.run(jobs=4)
 
 Plans serialize to JSON (and load from JSON or TOML), so a paper table
 becomes a checked-in file executed with ``python -m repro run plan.json``.
 Each (strategy, seed) pair is one :class:`ExperimentCell`; cells are
-independent and deterministically seeded, which is what lets the parallel
-executor reproduce serial results bit for bit.
+independent and deterministically seeded, which is what lets ``jobs > 1``
+reproduce serial results bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.data.registry import DatasetSpec
-from repro.experiments.executors import SerialExecutor
+from repro.experiments.executors import run_cells
 from repro.experiments.registry import build_strategy, strategy_factory
 from repro.experiments.results import ComparisonResult
 from repro.federation.async_engine import FederationConfig
@@ -249,16 +249,15 @@ class ExperimentPlan:
                     participants_per_round=self.cohort_size))
         return spec, settings
 
-    def run(self, executor=None, callbacks=()) -> ComparisonResult:
+    def run(self, jobs: int = 1, callbacks=()) -> ComparisonResult:
         """Execute every cell and assemble the comparison result.
 
-        ``executor`` defaults to :class:`SerialExecutor`; pass
-        :class:`~repro.experiments.executors.ParallelExecutor` to fan the
-        grid out over processes.  ``callbacks`` are threaded into every
-        cell's runner (under a parallel executor they fire inside workers).
+        ``jobs`` > 1 fans the grid out over that many processes
+        (:func:`~repro.experiments.executors.run_cells`), with the bytes of
+        ``jobs=1``.  ``callbacks`` are threaded into every cell's runner
+        (with ``jobs`` > 1 they fire inside workers).
         """
-        executor = executor if executor is not None else SerialExecutor()
-        cell_runs = executor.map(self, callbacks=tuple(callbacks))
+        cell_runs = run_cells(self, jobs, tuple(callbacks))
         result = ComparisonResult(dataset=self.dataset, profile=self.profile,
                                   seeds=self.seeds)
         per_label = len(self.seeds)

@@ -29,13 +29,19 @@ all *are* this model, their parameters stride-0 views of its own.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
 
 from repro.nn.layers import Layer
 from repro.utils.params import resolve_dtype
+
+
+def _shallow_copy(obj):
+    """What ``copy.copy`` makes of a plain instance, without its dispatch."""
+    twin = object.__new__(type(obj))
+    twin.__dict__.update(obj.__dict__)
+    return twin
 
 
 class Sequential:
@@ -96,9 +102,9 @@ class Sequential:
         """This network with fresh layers (activation caches are per model)."""
         if replicas < 1:
             raise ValueError("need at least one replica")
-        twin = copy.copy(self)
+        twin = _shallow_copy(self)
         # The caller re-homes each copy's params and grads in new lists.
-        twin.layers = [copy.copy(layer) for layer in self.layers]
+        twin.layers = [_shallow_copy(layer) for layer in self.layers]
         twin._shared = {}
         return twin
 

@@ -148,8 +148,8 @@ def test_a_run_imports_no_scipy():
 
 
 def test_a_serial_run_imports_no_process_pool():
-    """Only ``ParallelExecutor.map`` starts a pool, so a serial run (a fresh
-    interpreter) leaves ``multiprocessing`` and the pool module unloaded; and
+    """Only ``run_cells`` at ``jobs > 1`` starts a pool, so a serial run (a
+    fresh interpreter) leaves ``multiprocessing`` and the pool module unloaded; and
     it loads no ``repro`` module the reachability walk does not reach (a
     package ``__init__`` that re-exports would load every module it names)."""
     script = textwrap.dedent("""
@@ -177,6 +177,40 @@ def test_a_serial_run_imports_no_process_pool():
                 if path.name == "__init__.py"}
     walked = reachability._reached() | packages
     assert sorted(set(ast.literal_eval(loaded)) - walked) == []
+
+
+def test_a_run_imports_no_module_after_it_starts():
+    """Every module a ShiftEx run needs is loaded before ``on_run_start``
+    (a fresh interpreter): an import inside a window boundary would land in
+    that window's timed shift response, as ``np.quantile``'s ``numpy.ma``
+    once did in ``end_window(0)``."""
+    script = textwrap.dedent("""
+        import sys
+        from tests.conftest import make_run_settings, make_tiny_spec
+        from repro.experiments.events import RunCallback
+        from repro.experiments.plan import ExperimentPlan
+
+        class Imports(RunCallback):
+            def on_run_start(self, info):
+                self.before = set(sys.modules)
+
+            def on_run_end(self, info, result):
+                print(sorted(set(sys.modules) - self.before))
+
+        ExperimentPlan.build(
+            "cifar10_c_sim", ["shiftex"], seeds=(0,),
+            spec_override=make_tiny_spec(num_parties=6, num_windows=3,
+                                         window_regimes=(("fog", 3),
+                                                         ("contrast", 3)),
+                                         train=16, test=8),
+            settings_override=make_run_settings(
+                rounds_burn_in=1, rounds_per_window=1, participants=3,
+                epochs=1)).run(callbacks=(Imports(),))
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True,
+                          cwd=Path(__file__).resolve().parent.parent)
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- differentials

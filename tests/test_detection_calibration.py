@@ -37,6 +37,29 @@ class TestThresholdFromNull:
         with pytest.raises(ValueError):
             threshold_from_null(np.array([]))
 
+    # A pinned run's nulls hold 80, 96 or 100 scores (the JSD null's
+    # `priors * (100 // priors)`, the MMD null's 100); n = 1 and 2 are the
+    # edge ranks.
+    @pytest.mark.parametrize("n", [1, 2, 3, 80, 96, 100])
+    @pytest.mark.parametrize("p_value", [0.02, 0.05, 0.37, 0.5, 0.9])
+    def test_bytes_are_numpys_linear_quantile(self, n, p_value):
+        rng = np.random.default_rng(n)
+        for scores in (rng.gamma(0.5, 1e-3, n), np.round(rng.random(n), 1),
+                       np.full(n, -0.0), -rng.random(n)):
+            want = np.quantile(scores, 1.0 - p_value)
+            got = threshold_from_null(scores, p_value)
+            assert np.float64(got).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("scores", [[np.nan], [1.0, np.nan],
+                                        [np.nan, 2.0, 1.0], [np.inf, 1.0],
+                                        [np.inf], [-np.inf, np.inf]])
+    def test_non_finite_scores_are_numpys_too(self, scores):
+        want = np.quantile(np.array(scores), 0.98)
+        got = threshold_from_null(np.array(scores), 0.02)
+        assert np.isnan(got) == np.isnan(want)
+        assert np.isnan(got) or got == want
+
 
 class TestJsdNull:
     def test_shapes_and_range(self, rng):

@@ -24,6 +24,7 @@ the line above to exempt it from execution (none currently need it).
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
 import os
@@ -259,6 +260,44 @@ def test_docs_cite_roadmap_items_by_title(doc: Path):
     stale = [f"line {text.count(chr(10), 0, match.start()) + 1}: {match.group()}"
              for match in ROADMAP_NUMBER.finditer(text)]
     assert not stale, f"{_doc_id(doc)} cites ROADMAP items by number: {stale}"
+
+
+ARCHITECTURE = ROOT / "docs" / "ARCHITECTURE.md"
+TEST_CITATION = re.compile(r"tests/(\w+\.py)::(\w+(?:::\w+)*)")
+
+
+def test_architecture_stays_a_map():
+    """Each plane says what it does, its invariant, its pins and its probe;
+    the measurements behind them live in CHANGES.md."""
+    lines = len(ARCHITECTURE.read_text().splitlines())
+    assert lines <= 700, f"docs/ARCHITECTURE.md has {lines} lines; at most 700"
+
+
+def _definitions(path: Path) -> set[str]:
+    """``Class::name`` paths of every class, function and module-level
+    assignment in a test module, read with ``ast`` (nothing is imported)."""
+    names: set[str] = set()
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(prefix + node.name)
+                if isinstance(node, ast.ClassDef):
+                    walk(node.body, f"{prefix}{node.name}::")
+            elif isinstance(node, ast.Assign) and not prefix:
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+
+    walk(ast.parse(path.read_text()).body, "")
+    return names
+
+
+def test_architecture_cites_tests_that_exist():
+    cited = TEST_CITATION.findall(ARCHITECTURE.read_text())
+    assert cited
+    stale = [f"tests/{file}::{name}" for file, name in cited
+             if not (ROOT / "tests" / file).is_file()
+             or name not in _definitions(ROOT / "tests" / file)]
+    assert not stale, f"docs/ARCHITECTURE.md cites tests that do not exist: {stale}"
 
 
 def _slug(heading: str) -> str:

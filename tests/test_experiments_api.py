@@ -1,4 +1,4 @@
-"""Tests for the composable experiment API: registry, plans, executors, events."""
+"""Tests for the composable experiment API: registry, plans, grid runs, events."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines.fedavg import FedAvgStrategy
 from repro.experiments.events import ProgressLogger, RunCallback
-from repro.experiments.executors import ParallelExecutor, SerialExecutor
+from repro.experiments.executors import run_cells
 from repro.experiments.plan import ExperimentPlan, StrategySpec, load_plan, save_plan
 from repro.experiments.registry import (
     _REGISTRY,
@@ -232,8 +232,8 @@ def tiny_plan():
 
 class TestExecutors:
     def test_parallel_matches_serial_bitwise(self, tiny_plan):
-        serial = tiny_plan.run(executor=SerialExecutor())
-        parallel = tiny_plan.run(executor=ParallelExecutor(jobs=2))
+        serial = tiny_plan.run(jobs=1)
+        parallel = tiny_plan.run(jobs=2)
         assert render_drop_time_max_table(parallel) == \
             render_drop_time_max_table(serial)
         for label in serial.runs:
@@ -251,11 +251,11 @@ class TestExecutors:
     def test_parallel_rejects_unpicklable(self, tiny_plan):
         unpicklable = ProgressLogger(emit=lambda line: None)
         with pytest.raises(ValueError, match="picklable"):
-            ParallelExecutor(jobs=2).map(tiny_plan, callbacks=(unpicklable,))
+            run_cells(tiny_plan, jobs=2, callbacks=(unpicklable,))
 
-    def test_jobs_validation(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(jobs=0)
+    def test_jobs_validation(self, tiny_plan):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            tiny_plan.run(jobs=0)
 
     def test_empty_result_num_windows(self):
         from repro.experiments.results import ComparisonResult
