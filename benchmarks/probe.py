@@ -759,8 +759,6 @@ def privacy_stages() -> None:
                                         dtype=np.float32, context=CONTEXT,
                                         threshold=threshold)
 
-    plain = session()
-
     def seal_all():
         s = session()
         for party_id, row in party_rows:
@@ -785,7 +783,8 @@ def privacy_stages() -> None:
         ("expand one stream from its word", timed(
             lambda: secure_aggregation._expand_word(rng, 12345, MASK_DIM, np.float32),
             calls=200)),
-        ("net_seal_bits, one party", timed(lambda: plain.net_seal_bits(5))),
+        ("net masks: a fresh session seals a zero row", timed(
+            lambda: session().seal_row(5, np.zeros(MASK_DIM, np.float32)))),
         (f"seal a {n}-party dispatch", timed(seal_all, calls=5)),
         (f"combine_rows over its {n} rows", timed_after(
             seal_all, lambda s: s.combine_rows(bank, weights, party_rows))),
@@ -901,8 +900,14 @@ def privacy_sha() -> None:
             session.seal_row(party_id, bank.row(row))
             party_rows.append((party_id, row))
             seals.update(bank.row(row).tobytes())
+        # Each net mask is what sealing a zero row adds, in a twin session.
+        twin = SecureAggregationSession(
+            cohort, dim, shared_seed=23, dtype=dtype, context=CONTEXT,
+            threshold=THRESHOLD)
         for party_id in sorted(cohort):
-            net = session.net_seal_bits(party_id)
+            zero = np.zeros(dim, dtype=dtype)
+            twin.seal_row(party_id, zero)
+            net = zero.view(secure_aggregation._uint_dtype(dtype))
             seals.update(str((net.dtype, net.shape)).encode())
             seals.update(net.tobytes())
         aggregate = session.combine_rows(bank, weights, party_rows)

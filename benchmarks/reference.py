@@ -832,7 +832,7 @@ def ref_self_seal_bits(shared_seed, party_id, dim, dtype=None, context=()):
     return ref_stream_bits(word, dim, dtype)
 
 
-def ref_net_seal_bits(self, party_id):
+def ref_net_mask(self, party_id):
     self._check_party(party_id)
     dim = self.dim
     net = ref_self_seal_bits(self.shared_seed, party_id, dim,

@@ -9,16 +9,18 @@ Window life cycle:
   expert 0's latent memory, calibrate ``delta_cov`` / ``delta_label`` from
   bootstrap null distributions, snapshot party statistics.
 * ``start_window(w >= 1)`` — Algorithm 2's shift response: collect party
-  reports (Algorithm 1), threshold them into the shifted set, K-means the
+  reports (Algorithm 1), which also stores each party's statistics for the
+  next window's deltas, threshold them into the shifted set, K-means the
   shifted parties on latent centroids (Davies–Bouldin-selected k), then per
-  cluster: latent-memory match -> reuse expert, else clone the bootstrap
-  model into a new expert; clusters smaller than ``gamma`` fine-tune locally
+  cluster: latent-memory match -> reuse the expert and update its memory
+  with the cluster's embeddings, else clone the bootstrap model into a new
+  expert seeded with them; clusters smaller than ``gamma`` fine-tune locally
   instead.  Then consolidate experts whose parameters exceed cosine
   similarity ``tau`` and fit FLIPS for each cohort the window trains.
 * ``run_round(w, r)`` — each expert trains on its cohort with FLIPS-balanced
   selection under a shared participant budget.
-* ``end_window(w)`` — update expert memories with cohort embeddings and
-  snapshot party statistics for the next window's deltas.
+* ``end_window(w >= 1)`` — nothing: memories and party statistics were
+  updated by the window's shift response.
 """
 
 from __future__ import annotations

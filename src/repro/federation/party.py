@@ -101,7 +101,9 @@ class Party:
 
     @property
     def dtype(self) -> np.dtype:
-        """The bound model precision — what round banks must allocate at."""
+        """The bound model's precision.  Round banks allocate at the pool's
+        one dtype (:attr:`~repro.federation.pool.PartyPool.dtype`), not at
+        a party's; no run reads this."""
         return self._model.dtype
 
     def label_histogram(self) -> np.ndarray:

@@ -38,20 +38,22 @@ therefore reproduces the unmasked aggregate bit for bit at any precision.
 
 Session lifecycle through the round buffer
 ------------------------------------------
-One session covers one dispatch cohort.  Parties seal their bank rows at
-training time (:meth:`seal_row`); the first seal expands every pair stream
-of the cohort once into the parties' net masks, and the session keeps one
-net vector per sealed row.  The rows then sit sealed in the
+One session covers one dispatch cohort and has one shape in both modes.
+Construction derives the cohort's ``(n, n)`` table of stream words (under a
+threshold it then blinds and shares them).  Each member seals its bank row
+once, at training time (:meth:`seal_row`); the first seal expands every
+stream of the cohort once into the members' net masks, and the session
+keeps one net vector per sealed row.  The rows then sit sealed in the
 :class:`~repro.federation.async_engine.AsyncRoundBuffer` for as long as the
 participation mode buffers them.  When an aggregation fires, the engine
 hands the ready set to :meth:`SecureAggregationSession.combine_rows` — the
-one place that reconstructs mask words, unseals exactly the rows entering
-the aggregate (they may span several dispatch sessions; each unseal
-subtracts the held net vector and drops it), runs the bank kernel, and
-scrubs the rows before they are released.  Reports dropped at a
-window boundary are discarded *still sealed*: their masks are never
-reconstructed and die with the session, so a flushed buffer leaks no
-residue.
+one place that reconstructs mask words, and it does so before it unseals
+exactly the rows entering the aggregate (they may span several dispatch
+sessions; each unseal subtracts the held net vector and drops it, and
+refuses a member not yet recovered), runs the bank kernel, and scrubs the
+rows before they are released.  Reports dropped at a window boundary are
+discarded *still sealed*: their masks are never reconstructed and die with
+the session, so a flushed buffer leaks no residue.
 """
 
 from __future__ import annotations
@@ -173,15 +175,15 @@ class SecureAggregationSession:
     the mask streams (engine stream, tick, round tag) so distinct rounds of
     one run never share masks.
 
-    Every piece of mask material is paid for once.  The first seal expands
-    each pair stream once for the whole cohort (:meth:`_net_masks`) and the
+    Every piece of mask material is paid for once.  Construction derives
+    every stream's seed word; in threshold mode the same word serves both
+    endpoints' share bundles and the recovery gate.  The first seal expands
+    each stream once for the whole cohort (:meth:`_net_masks`) and the
     session then holds one net vector per still-sealed row — the size of the
     row it masks — until :meth:`unseal_row` consumes it or the session dies
-    with its expired reports.  In threshold mode every stream's seed word is
-    derived once at construction and serves both endpoints' share bundles,
-    the expansion of its mask and the recovery gate; without a threshold the
-    words are derived as the streams are expanded.  Every expansion and
-    every bundle's blinding draw restates the session's one PCG64.
+    with its expired reports.  A member seals once; a row unseals only once
+    its member is recovered.  Every expansion and every bundle's blinding
+    draw restates the session's one PCG64.
     """
 
     def __init__(self, cohort: list[int], dim: int,
@@ -204,12 +206,16 @@ class SecureAggregationSession:
         # first seal and the first unseal, the cohort members yet to seal).
         self._nets: dict[int, np.ndarray] | None = None
         self._rng = _stream_rng()
-        # Threshold mode only.  ``_words[i, j]`` is the seed word of the
-        # stream between ``cohort[i]`` and ``cohort[j]`` (``i == j``: the
-        # personal stream), so row ``i`` is ``cohort[i]``'s word bundle;
+        # ``_words[i, j]`` is the seed word of the stream between
+        # ``cohort[i]`` and ``cohort[j]`` (``i == j``: the personal stream),
+        # so row ``i`` is ``cohort[i]``'s word bundle.  Threshold mode only:
         # ``_shares[i, j, k]`` is the share of ``_words[i, j]`` the server
         # collects for holder ``cohort[k]`` at ``x = k + 1``.
-        self._words: np.ndarray | None = None
+        n = len(self.cohort)
+        self._words = np.empty((n, n), dtype=np.uint64)
+        for i, j in combinations_with_replacement(range(n), 2):
+            self._words[i, j] = self._words[j, i] = _stream_word(
+                self.shared_seed, self.context, self._key(i, j))
         self._shares: np.ndarray | None = None
         self._recovered: set[int] = set()
         if self.threshold is not None:
@@ -217,8 +223,8 @@ class SecureAggregationSession:
 
     # ------------------------------------------------------------------ masks
 
-    def _net_masks(self, party_ids) -> dict[int, np.ndarray]:
-        """Net bit-domain masks of ``party_ids``: personal mask + pair words,
+    def _net_masks(self) -> dict[int, np.ndarray]:
+        """Every member's net bit-domain mask: personal mask + pair words,
         from one pass over the cohort's unordered pairs.
 
         Each pair stream is expanded once, added to the lower party's net
@@ -226,18 +232,12 @@ class SecureAggregationSession:
         the cohort's modular sum.  The personal (double-masking) term keeps
         the seal uniformly random for any cohort size.
         """
-        nets = {party_id: self._expand(self._index[party_id],
-                                       self._index[party_id])
-                for party_id in party_ids}
+        nets = {party_id: self._expand(i, i)
+                for i, party_id in enumerate(self.cohort)}
         for i, j in combinations(range(len(self.cohort)), 2):
-            low, high = self.cohort[i], self.cohort[j]
-            if low not in nets and high not in nets:
-                continue
             bits = self._expand(i, j)
-            if low in nets:
-                nets[low] += bits
-            if high in nets:
-                nets[high] -= bits
+            nets[self.cohort[i]] += bits
+            nets[self.cohort[j]] -= bits
         return nets
 
     def _key(self, i: int, j: int) -> tuple:
@@ -247,19 +247,9 @@ class SecureAggregationSession:
         return ("pair", self.cohort[min(i, j)], self.cohort[max(i, j)])
 
     def _expand(self, i: int, j: int) -> np.ndarray:
-        """Mask stream ``_key(i, j)``, expanded from its seed word (held in
-        threshold mode, else derived here)."""
-        if self._words is None:
-            word = _stream_word(self.shared_seed, self.context,
-                                self._key(i, j))
-        else:
-            word = int(self._words[i, j])
-        return _expand_word(self._rng, word, self.dim, self.dtype)
-
-    def net_seal_bits(self, party_id: int) -> np.ndarray:
-        """The party's net bit-domain mask (a fresh vector)."""
-        self._check_party(party_id)
-        return self._net_masks([party_id])[party_id]
+        """Mask stream ``_key(i, j)``, expanded from its seed word."""
+        return _expand_word(self._rng, int(self._words[i, j]), self.dim,
+                            self.dtype)
 
     # ------------------------------------------------------ Shamir recovery
 
@@ -274,18 +264,13 @@ class SecureAggregationSession:
         word, in cohort order; one Horner pass shares every bundle.
         """
         n, t = len(self.cohort), self.threshold
-        words = np.empty((n, n), dtype=np.uint64)
-        for i, j in combinations_with_replacement(range(n), 2):
-            words[i, j] = words[j, i] = _stream_word(
-                self.shared_seed, self.context, self._key(i, j))
         blinding = np.empty((n, n, t - 1), dtype=np.uint64)
         for i, owner in enumerate(self.cohort):
             word = _stream_word(self.shared_seed, self.context,
                                 ("share", owner))
             blinding[i] = _restate(self._rng, word).integers(
                 PRIME, size=(n, t - 1))
-        self._words = words
-        self._shares = share_bundles(words, blinding, n)
+        self._shares = share_bundles(self._words, blinding, n)
         transit = n * n * (n - 1) * SHARE_BYTES
         if self.ledger is not None and transit:
             self.ledger.record_wire("secure_agg", sent_bytes=transit,
@@ -373,32 +358,35 @@ class SecureAggregationSession:
 
         After this call the row's bytes are uniformly random to anyone
         without the pair seeds; :meth:`unseal_row` restores them exactly.
-        Aggregation weights are no business of the seal: the engine weights
-        reports at fire time (:meth:`combine_rows`), exactly as it does
-        unmasked ones.
+        A member seals once per session: a second seal raises, also after
+        its row was unsealed, and so does a first seal after the session's
+        first unseal.  Aggregation weights are no business of the seal: the
+        engine weights reports at fire time (:meth:`combine_rows`), exactly
+        as it does unmasked ones.
         """
         self._check_party(party_id)
-        if party_id in self._sealed:
-            raise ValueError(f"party {party_id} already submitted")
         view = self._uint_view(row)
         if self._nets is None:
-            self._nets = self._net_masks(self.cohort)
-        elif party_id not in self._nets:  # sealing again after an unseal
-            self._nets[party_id] = self.net_seal_bits(party_id)
+            self._nets = self._net_masks()
+        if party_id in self._sealed or party_id not in self._nets:
+            raise ValueError(f"party {party_id} already submitted, or the "
+                             "session already unsealed a row")
         view += self._nets[party_id]
         self._sealed.add(party_id)
 
     def unseal_row(self, party_id: int, row: np.ndarray) -> None:
         """Remove a sealed row's net mask in place (recovery phase).
 
-        In threshold mode the party's mask words must be reconstructed
-        first; callers that know the surviving set run :meth:`recover`
-        explicitly, anyone else gets the default full-cohort quorum here.
+        In threshold mode the party's mask words must have been
+        reconstructed first (:meth:`recover`, which :meth:`combine_rows`
+        runs for every row it unseals); an unrecovered row is refused and
+        left sealed.
         """
         if party_id not in self._sealed:
             raise KeyError(f"party {party_id} has no sealed row")
         if not self.is_recovered(party_id):
-            self.recover([party_id])
+            raise RuntimeError(f"party {party_id}'s mask words were not "
+                               "recovered: run recover() before unsealing")
         view = self._uint_view(row)
         view -= self._nets.pop(party_id)
         self._sealed.discard(party_id)

@@ -11,12 +11,19 @@ from repro.federation.async_engine import FederationConfig, FederationEngine
 from repro.federation.pool import PartyPool
 from repro.federation.rounds import RoundConfig
 from repro.federation.strategy import StrategyContext
+from repro.harness import runner
 from repro.harness.profiles import RunSettings
 from repro.harness.runner import EvaluatedParties
 from repro.nn.models import build_model
 from repro.nn.training import LocalTrainingConfig
+from repro.privacy.secure_aggregation import _uint_dtype
 from repro.utils.params import ParamBank
 from repro.utils.rng import spawn_rng
+
+# Every test runs under the heap policy a run sets (``runner._keep_heap``),
+# set once here before any test allocates, so each kernel pin is paid once
+# and holds where runs execute.
+runner._keep_heap()
 
 
 def make_tiny_spec(name: str = "unit_tiny", num_parties: int = 8,
@@ -102,6 +109,14 @@ def bank_row(bank: ParamBank, values) -> int:
     row = bank.alloc()
     bank.row(row)[...] = values
     return row
+
+
+def sealed_net(session, party_id: int) -> np.ndarray:
+    """The party's net mask: the bits sealing a zero row adds.  A member
+    seals once per session, so this spends the party's seal."""
+    zero = np.zeros(session.dim, dtype=session.dtype)
+    session.seal_row(party_id, zero)
+    return zero.view(_uint_dtype(session.dtype))
 
 
 def bank_of(vectors, dtype=None) -> ParamBank:

@@ -5,7 +5,9 @@ the first time it runs in a process, so the multi-MB buffers every round
 frees stay on the heap for the next round instead of coming back as fresh
 zero-filled pages.  These tests pin the two calls, that the policy is a
 silent no-op without ``mallopt``, and that a run saves the same bytes with
-and without it.
+and without it.  ``conftest`` sets the policy for the whole test process, so
+every other tier-1 pin (the kernel differentials among them) holds under it;
+the policy-off side is the subprocess run below.
 """
 
 import json
@@ -137,21 +139,3 @@ def test_a_run_saves_the_same_bytes_with_and_without_the_policy():
     assert (off_kept, on_kept) == ("False", "True")
     assert json.loads(on)["extras"]["federation"]["aggregations"] > 0
     assert on == off
-
-
-def test_the_kernel_differentials_hold_under_the_policy():
-    """Every pin of ``test_nn_kernels_differential.py``, unchanged, in a
-    process that set the policy before its first array."""
-    script = textwrap.dedent("""
-        import sys, pytest
-        from repro.harness import runner
-        runner._keep_heap()
-        assert runner._heap_kept
-        sys.exit(pytest.main(["-q", "-p", "no:cacheprovider",
-                              "tests/test_nn_kernels_differential.py"]))
-    """)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(ROOT / "src"), str(ROOT), os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stdout[-2000:]

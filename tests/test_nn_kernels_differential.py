@@ -26,6 +26,7 @@ from benchmarks.reference import (
     ref_train_local,
 )
 from repro.federation.party import Party, train_parties
+from repro.harness import runner
 from repro.nn.layers import (
     Conv2d,
     Dense,
@@ -79,6 +80,13 @@ def conv_cases(draw):
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)),
              draw(st.integers(least, 9)), draw(st.integers(least, 9)))
     return shape, k, stride, pad, draw(DTYPES), draw(KINDS), draw(st.integers(0, 2**16))
+
+
+def test_the_pins_hold_under_the_run_heap_policy():
+    """A run sets glibc's heap policy before its first array; ``conftest``
+    sets it for the test process, so every pin below is checked under the
+    policy the kernels run under."""
+    assert runner._heap_kept
 
 
 # ---------------------------------------------------------------- kernels

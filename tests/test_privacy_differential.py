@@ -5,13 +5,16 @@ The references live in ``benchmarks/reference.py``.  ``ref_seal_bits`` /
 stream's seed word is a keyed BLAKE2b digest of (mask root, context, stream
 key) reduced into GF(2^61 - 1), a digest of the word restates a PCG64
 (``ref_restated_rng``, which also keys each owner's share blinding), and
-``rng.integers`` draws the full word range.  ``ref_net_seal_bits`` is the
-previous per-party summation loop over all ``n - 1`` pair streams, and
+``rng.integers`` draws the full word range.  ``ref_net_mask`` is the
+previous per-party summation loop over all ``n - 1`` pair streams (a live
+net mask is read as the bytes sealing a zero row adds), and
 ``ref_split_secret`` / ``ref_reconstruct_secret`` the previous one-word
 Shamir code, all kept verbatim; ``ref_split_secrets`` evaluates a bundle
 the Python-int way on one block draw of blinding coefficients.  The live
-session expands every pair stream once per cohort from its word, holds one
-net vector per still-sealed row, shares every party's word bundle in one
+session derives every word once at construction, expands every stream once
+per cohort from its word, holds one net vector per still-sealed row, lets
+each member seal once and unseal only once recovered, shares every party's
+word bundle in one
 Horner pass over a ``(owners, bundle, holders)`` array, and opens every
 pending bundle of a quorum in one pass — modular integer arithmetic
 throughout, so every comparison is exact.  The work pins at the end count
@@ -28,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from benchmarks.reference import (
-    ref_net_seal_bits,
+    ref_net_mask,
     ref_reconstruct_secret,
     ref_restated_rng,
     ref_seal_bits,
@@ -50,7 +53,7 @@ from repro.privacy.secure_aggregation import (
 )
 from repro.privacy.shamir import PRIME, lagrange_weights, open_shares, share_bundles
 from repro.utils.params import ParamBank
-from tests.conftest import bank_of, bank_row, make_context
+from tests.conftest import bank_of, bank_row, make_context, sealed_net
 
 
 # ---------------------------------------------------------------- Strategies
@@ -130,8 +133,8 @@ class TestNetMasks:
                                                       dtype, context, seed):
         session = _session(cohort, dim, dtype, context, seed)
         for party_id in cohort:
-            got = session.net_seal_bits(party_id)
-            ref = ref_net_seal_bits(session, party_id)
+            got = sealed_net(session, party_id)
+            ref = ref_net_mask(session, party_id)
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref)
 
@@ -151,18 +154,11 @@ class TestNetMasks:
             originals[party_id] = bank.row(rows[party_id]).copy()
             session.seal_row(party_id, bank.row(rows[party_id]))
             sealed[party_id] = (originals[party_id].view(udt)
-                                + ref_net_seal_bits(session, party_id))
+                                + ref_net_mask(session, party_id))
             assert (bank.row(rows[party_id]).tobytes()
                     == sealed[party_id].tobytes())
-        # Unseal -> re-seal -> unseal, one party at a time in another order:
-        # the re-sealed bytes are the reference's again, the row comes back.
+        # Unseal one party at a time in another order: each row comes back.
         for party_id in data.draw(st.permutations(cohort)):
-            row = bank.row(rows[party_id])
-            session.unseal_row(party_id, row)
-            assert row.tobytes() == originals[party_id].tobytes()
-            session.seal_row(party_id, row)
-            assert row.tobytes() == sealed[party_id].tobytes()
-        for party_id in order:
             session.unseal_row(party_id, bank.row(rows[party_id]))
             assert (bank.row(rows[party_id]).tobytes()
                     == originals[party_id].tobytes())
@@ -490,16 +486,23 @@ def work(monkeypatch):
 
 
 class TestWorkPins:
+    @pytest.mark.parametrize("threshold", [None, 3])
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
-    def test_a_session_expands_each_stream_once(self, work, n):
+    def test_a_session_expands_each_stream_once(self, work, n, threshold):
+        """Each word derived once, each stream expanded once, in both modes:
+        construction derives the words, the first seal expands them."""
         dim = 7
         cohort = [3 * i + 1 for i in range(n)]
-        session = SecureAggregationSession(cohort, dim, shared_seed=1,
-                                           threshold=min(3, n))
+        session = SecureAggregationSession(
+            cohort, dim, shared_seed=1,
+            threshold=None if threshold is None else min(threshold, n))
         streams = n * (n + 1) // 2
+        # Under a threshold each share bundle's blinding is keyed by one
+        # more word.
+        words = streams if threshold is None else streams + n
         # One seed sequence for the session's generator, none per stream or
-        # share bundle (each bundle's blinding is keyed by one more word).
-        assert work == {"words": streams + n, "seed_sequences": 1}
+        # share bundle.
+        assert work == {"words": words, "seed_sequences": 1}
         bank = ParamBank(dim, capacity=n)
         party_rows = []
         for party_id in cohort:
@@ -511,10 +514,9 @@ class TestWorkPins:
         got = session.combine_rows(bank, np.ones(n), party_rows)
         assert np.array_equal(
             got, plain.weighted_combine(np.ones(n), list(range(n))))
-        # The parent seeded 2 * streams + n generators here.
-        assert work == {"words": streams + n, "streams": streams,
+        assert work == {"words": words, "streams": streams,
                         "seed_sequences": 1}
-        assert len(work.derived) == streams + n
+        assert len(work.derived) == words
         assert set(work.derived.values()) == {1}
         # Every net mask was consumed by its unseal.
         assert session._nets == {}
@@ -534,23 +536,8 @@ class TestWorkPins:
         assert sorted(session._nets) == [1, 3]
         session.combine_rows(bank, np.ones(2), party_rows[1:])
         assert session._nets == {}
-        # Without a threshold each word is derived as its stream expands.
+        # The idle member's streams were expanded with the cohort's.
         assert work == {"words": 10, "streams": 10, "seed_sequences": 1}
-
-    def test_reseal_after_unseal_rebuilds_only_that_net(self, work):
-        dim = 5
-        session = SecureAggregationSession([0, 1, 2, 3], dim)
-        rows = {p: np.full(5, 1.0 + p) for p in session.cohort}
-        for party_id, row in rows.items():
-            session.seal_row(party_id, row)
-        first = rows[2].copy()
-        session.unseal_row(2, rows[2])
-        assert np.array_equal(rows[2], np.full(5, 3.0))
-        before = +work
-        session.seal_row(2, rows[2])
-        assert rows[2].tobytes() == first.tobytes()
-        assert work - before == {"words": 4, "streams": 4}
-        assert sorted(session._nets) == [0, 1, 2, 3]
 
     def test_unseal_expands_no_stream(self, work):
         dim = 5
@@ -559,6 +546,7 @@ class TestWorkPins:
         for party_id, row in rows.items():
             session.seal_row(party_id, row)
         before = +work
+        session.recover(list(rows))
         for party_id, row in rows.items():
             session.unseal_row(party_id, row)
         assert work == before

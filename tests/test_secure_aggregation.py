@@ -4,8 +4,9 @@ Pins the PR's acceptance criteria from four directions:
 
 * bit-domain sealing round-trips exactly at both precisions, and mask
   streams depend only on the unordered pair and the context;
-* failure modes fail loudly: duplicate seals, bad weights (refused while
-  everything is still masked), unsealing rows that were never sealed;
+* failure modes fail loudly: a member sealing twice (also after its
+  unseal), bad weights (refused while everything is still masked),
+  unsealing rows that were never sealed or whose words were not recovered;
 * a masked ``run_round`` equals its unmasked twin bit for bit in every
   participation mode (the mode x masking x precision grid against the
   vector reference lives in ``test_differential_aggregation.py``);
@@ -22,7 +23,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from benchmarks.reference import ref_self_seal_bits
+from benchmarks.reference import ref_net_mask, ref_self_seal_bits
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.registry import build_strategy
 from repro.federation.async_engine import FederationConfig, FederationEngine
@@ -32,13 +33,22 @@ from repro.harness.runner import run_strategy
 from repro.privacy.secure_aggregation import (
     MaskingSpec,
     SecureAggregationSession,
+    _uint_dtype,
 )
 from repro.utils.params import ParamBank
 from repro.utils.serialization import run_result_to_dict
 from tests.conftest import (bank_row, make_context, make_run_settings,
-                            make_tiny_spec)
+                            make_tiny_spec, sealed_net)
 
 DIM = 8
+
+
+def net_of(session, party_id):
+    """The party's sealed net mask, checked against the reference loop."""
+    net = sealed_net(session, party_id)
+    ref = ref_net_mask(session, party_id)
+    assert net.dtype == ref.dtype and net.tobytes() == ref.tobytes()
+    return net
 
 
 # ------------------------------------------------------------ the mask plane
@@ -51,21 +61,20 @@ class TestFlatMaskPlane:
         forward, backward = (SecureAggregationSession(cohort, dim, shared_seed=3)
                              for cohort in ([7, 2, 5], [5, 2, 7]))
         for pid in (2, 5, 7):
-            assert np.array_equal(forward.net_seal_bits(pid),
-                                  backward.net_seal_bits(pid))
+            assert np.array_equal(net_of(forward, pid), net_of(backward, pid))
 
     def test_context_namespaces_streams(self):
         dim = 16
         base, other = (SecureAggregationSession([0, 1], dim, shared_seed=3,
                                                 context=context)
                        for context in ((), ("stream", "g", 4)))
-        assert not np.array_equal(base.net_seal_bits(0), other.net_seal_bits(0))
+        assert not np.array_equal(net_of(base, 0), net_of(other, 0))
 
     def test_seal_bits_dtype_follows_precision(self):
         dim = 4
         for dtype, bits in ((np.float64, np.uint64), (np.float32, np.uint32)):
             session = SecureAggregationSession([0, 1], dim, dtype=dtype)
-            assert session.net_seal_bits(0).dtype == bits
+            assert net_of(session, 0).dtype == bits
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_seal_unseal_roundtrips_exactly(self, rng, dtype):
@@ -88,7 +97,7 @@ class TestFlatMaskPlane:
         session = SecureAggregationSession([0, 1, 2, 3], dim, shared_seed=4)
         total = np.zeros(6, dtype=np.uint64)
         for pid in session.cohort:
-            total += session.net_seal_bits(pid)
+            total += net_of(session, pid)
             total -= ref_self_seal_bits(4, pid, 6)
         assert not total.any()
 
@@ -112,13 +121,46 @@ class TestFlatMaskPlane:
 
 class TestFailureModes:
     def test_duplicate_seal_rejected(self, rng):
+        """A member seals once: a second seal raises before and after the
+        member's unseal, and a member idle at the session's first unseal
+        cannot seal afterwards; a refused seal leaves the row as it was."""
         dim = DIM
-        session = SecureAggregationSession([0, 1], dim)
-        bank = ParamBank(dim, capacity=2)
+        session = SecureAggregationSession([0, 1, 2], dim, threshold=2)
+        bank = ParamBank(dim, capacity=3)
+        rows = [bank_row(bank, rng.normal(size=dim)) for _ in range(3)]
+        for party_id in (0, 1):
+            session.seal_row(party_id, bank.row(rows[party_id]))
+        sealed = bank.row(rows[0]).copy()
+        with pytest.raises(ValueError, match="party 0 already submitted"):
+            session.seal_row(0, bank.row(rows[0]))
+        assert bank.row(rows[0]).tobytes() == sealed.tobytes()
+        session.combine_rows(bank, [1.0], [(0, rows[0])])
+        assert not session.is_sealed(0)
+        for party_id in (0, 2):
+            before = bank.row(rows[party_id]).copy()
+            with pytest.raises(ValueError, match=f"party {party_id} already"):
+                session.seal_row(party_id, bank.row(rows[party_id]))
+            assert bank.row(rows[party_id]).tobytes() == before.tobytes()
+        assert session.is_sealed(1) and not session.is_sealed(2)
+
+    def test_unseal_refuses_an_unrecovered_member(self, rng):
+        """``unseal_row`` runs no recovery of its own: a threshold member
+        whose words were not reconstructed stays sealed, row untouched."""
+        dim = DIM
+        session = SecureAggregationSession([0, 1, 2], dim, threshold=2)
+        bank = ParamBank(dim, capacity=3)
         row = bank_row(bank, rng.normal(size=dim))
-        session.seal_row(0, bank.row(row))
-        with pytest.raises(ValueError, match="already submitted"):
-            session.seal_row(0, bank.row(row))
+        original = bank.row(row).copy()
+        session.seal_row(1, bank.row(row))
+        sealed = bank.row(row).copy()
+        with pytest.raises(RuntimeError, match="party 1's mask words were "
+                                               "not recovered"):
+            session.unseal_row(1, bank.row(row))
+        assert bank.row(row).tobytes() == sealed.tobytes()
+        assert session.is_sealed(1) and not session.is_recovered(1)
+        session.recover([1])
+        session.unseal_row(1, bank.row(row))
+        assert bank.row(row).tobytes() == original.tobytes()
 
     def test_unseal_requires_a_sealed_row(self, rng):
         dim = DIM
@@ -234,8 +276,8 @@ class TestBufferResidency:
 
     def test_no_unmasked_row_resident_in_buffer(self, tiny_spec, tiny_dataset):
         """The acceptance invariant: while parked, every pending row is
-        sealed — it differs from the raw trained update, and unsealing a
-        copy restores that update exactly."""
+        sealed — it differs from the raw trained update, and subtracting the
+        reference net mask restores that update exactly."""
         _, plain_buf = self._park_reports(tiny_spec, tiny_dataset, None)
         raw = {r.party_id: plain_buf.bank.row(r.row).copy()
                for r in plain_buf._pending}
@@ -247,11 +289,10 @@ class TestBufferResidency:
             assert report.session is not None
             assert report.session.is_sealed(report.party_id)
             assert not np.array_equal(resident, raw[report.party_id])
-            recovered = resident.copy()
-            report.session.unseal_row(report.party_id, recovered)
-            assert np.array_equal(recovered, raw[report.party_id])
-            # Re-seal: the test must not mutate session state it borrowed.
-            report.session.seal_row(report.party_id, np.zeros_like(recovered))
+            bits = resident.view(_uint_dtype(resident.dtype))
+            recovered = bits - ref_net_mask(report.session, report.party_id)
+            assert (recovered.tobytes()
+                    == raw[report.party_id].tobytes())
 
     def test_window_flush_drops_reports_still_sealed(self, tiny_spec,
                                                      tiny_dataset):
