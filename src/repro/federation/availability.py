@@ -12,12 +12,10 @@ dropouts, delays, and outages, which is what the determinism CI job asserts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from repro.utils.rng import spawn_rng
 from repro.utils.validation import Knob
-
-SCENARIOS = ("none", "dropout30", "stragglers", "flaky", "outages")
 
 
 @dataclass(frozen=True)
@@ -74,27 +72,27 @@ class AvailabilityConfig(Knob):
         return asdict(cls.scenario(word))
 
     @classmethod
-    def scenario(cls, name: str, **overrides) -> "AvailabilityConfig":
-        """Named presets used by docs, examples, and CI (see README matrix).
-
-        The valid names are the module-level ``SCENARIOS`` tuple (a spec
-        string's shorthand: ``--availability flaky``).
-        """
-        presets = {
-            "none": cls(),
-            "dropout30": cls(dropout_prob=0.3),
-            "stragglers": cls(straggler_prob=0.4),
-            "flaky": cls(dropout_prob=0.15, straggler_prob=0.25,
-                         outage_prob=0.05),
-            "outages": cls(outage_prob=0.1, outage_fraction=0.4,
-                           outage_rounds=2),
-        }
-        assert set(presets) == set(SCENARIOS)
-        if name not in presets:
+    def scenario(cls, name: str) -> "AvailabilityConfig":
+        """A named preset (a spec string's shorthand: ``--availability
+        flaky``); the valid names are the module-level ``SCENARIOS``."""
+        if name not in _PRESETS:
             raise KeyError(
                 f"unknown availability scenario '{name}'; "
-                f"available: {sorted(presets)}")
-        return replace(presets[name], **overrides) if overrides else presets[name]
+                f"available: {sorted(_PRESETS)}")
+        return _PRESETS[name]
+
+
+#: The presets docs, examples and CI name, in ``SCENARIOS`` order.
+_PRESETS = {
+    "none": AvailabilityConfig(),
+    "dropout30": AvailabilityConfig(dropout_prob=0.3),
+    "stragglers": AvailabilityConfig(straggler_prob=0.4),
+    "flaky": AvailabilityConfig(dropout_prob=0.15, straggler_prob=0.25,
+                                outage_prob=0.05),
+    "outages": AvailabilityConfig(outage_prob=0.1, outage_fraction=0.4,
+                                  outage_rounds=2),
+}
+SCENARIOS = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -115,12 +113,10 @@ class AvailabilitySimulator:
     """Deterministic per-(party, round) availability draws.
 
     ``num_parties`` fixes the population correlated outages sample from;
-    dropout/straggler draws are per-party streams and do not need it.  All
-    methods are pure functions of ``(seed, party_id, tick)`` — the caches
-    here only memoize those pure draws, so replaying any round gives the
-    same fates.  ``OUTAGE_ENUMERATION_LIMIT`` bounds the exact-subset outage
-    regime: see :attr:`enumerates_outages` for the O(cohort) large-population
-    derivation.
+    dropout/straggler draws are per-party streams and do not need it.
+    :meth:`cohort_fates` is the one query, a pure function of ``(seed,
+    party_id, tick)``: the outage cache only memoizes those pure draws, so
+    replaying any round gives the same fates.
     """
 
     def __init__(self, config: AvailabilityConfig, seed: int = 0,
@@ -135,122 +131,70 @@ class AvailabilitySimulator:
         """True when outage membership is an exact-``k`` enumerated subset.
 
         Up to ``OUTAGE_ENUMERATION_LIMIT`` parties each outage knocks out exactly
-        ``round(outage_fraction * num_parties)`` parties — the historical
-        semantics, preserved bitwise.  Above it, enumerating the population
-        per round would make dispatch O(population), so membership switches
-        to an independent per-(party, start) Bernoulli(``outage_fraction``)
-        draw from a counter-based spawn of the party's stream: same expected
-        outage size, O(cohort) queries.
+        ``round(outage_fraction * num_parties)`` parties.  Above it,
+        enumerating the population per round would make dispatch
+        O(population), so membership is an independent per-(start, party)
+        Bernoulli(``outage_fraction``) draw: same expected outage size,
+        O(cohort) work.
         """
         return (bool(self.num_parties)
                 and self.num_parties <= OUTAGE_ENUMERATION_LIMIT)
 
-    def _active_outage_starts(self, tick: int) -> list[int]:
-        """The start rounds whose correlated outage is in progress at
-        ``tick``: a start is active on the first draw of its stream
-        (identical bits on both regimes)."""
-        cfg = self.config
-        return [start for start in range(max(0, tick - cfg.outage_rounds + 1),
-                                         tick + 1)
-                if spawn_rng(self.seed, "availability-outage", start).random()
-                < cfg.outage_prob]
+    def _in_outage(self, party_ids: list[int], tick: int) -> list[bool]:
+        """Whether each of ``party_ids`` is knocked out at ``tick``.
 
-    def _in_sampled_outage(self, party_id: int, starts: list[int]) -> bool:
-        """Large-population membership: one Bernoulli(``outage_fraction``)
-        draw per active start, from the (start, party) stream."""
-        return any(spawn_rng(self.seed, "availability-outage", start,
-                             "member", party_id).random()
-                   < self.config.outage_fraction for start in starts)
-
-    def outage_parties(self, tick: int) -> frozenset[int]:
-        """Parties knocked out at ``tick`` by any outage still in progress.
-
-        Stateless on purpose: an outage starting at round ``s`` covers rounds
-        ``[s, s + outage_rounds)``, so membership at ``tick`` is the union
-        over possible start rounds — replayable from the seed alone.  Only
-        valid on the enumeration regime; large populations must query
-        :meth:`party_in_outage` per cohort member instead.
+        An outage starting at round ``s`` covers ``[s, s + outage_rounds)``,
+        so membership at ``tick`` is the union over the starts still in
+        progress, replayable from the seed alone.  A start is active on the
+        first draw of its stream; on the enumerated regime the same stream
+        then draws the exact-size set (cached per tick), above it each
+        member draws once per active start from its ``(start, party)``
+        stream.
         """
         cfg = self.config
         if cfg.outage_prob <= 0 or not self.num_parties:
-            return frozenset()
-        if not self.enumerates_outages:
-            raise ValueError(
-                f"population {self.num_parties} exceeds enumeration_limit "
-                f"{OUTAGE_ENUMERATION_LIMIT}, so the outage set cannot be "
-                f"enumerated; dispatch through cohort_fates(party_ids, tick) "
-                f"(or query party_in_outage(party, tick) per member), which "
-                f"scales O(cohort) instead of O(population)")
-        cached = self._outage_cache.get(tick)
-        if cached is not None:
-            return cached
-        affected: set[int] = set()
-        for start in range(max(0, tick - cfg.outage_rounds + 1), tick + 1):
-            rng = spawn_rng(self.seed, "availability-outage", start)
-            if rng.random() >= cfg.outage_prob:
-                continue
-            k = int(round(cfg.outage_fraction * self.num_parties))
-            if k <= 0:
-                continue
-            affected.update(int(p) for p in rng.choice(
-                self.num_parties, size=min(k, self.num_parties), replace=False))
-        if len(self._outage_cache) >= 8:
-            self._outage_cache.clear()
-        result = frozenset(affected)
-        self._outage_cache[tick] = result
-        return result
-
-    def party_in_outage(self, party_id: int, tick: int) -> bool:
-        """O(outage_rounds) membership query — never enumerates the population.
-
-        Above the enumeration limit, membership in an active outage is a
-        per-(party, start) Bernoulli(``outage_fraction``) draw spawned from
-        the start round counter, so a cohort's fates cost O(cohort) while
-        any two queries for the same (party, tick) agree.
-        """
-        cfg = self.config
-        if cfg.outage_prob <= 0 or not self.num_parties:
-            return False
-        if self.enumerates_outages:
-            return party_id in self.outage_parties(tick)
-        return self._in_sampled_outage(party_id,
-                                       self._active_outage_starts(tick))
-
-    def fate(self, party_id: int, tick: int,
-             in_outage: bool | None = None) -> ReportFate:
-        """Decide a dispatched report's fate; pass ``in_outage`` when it was
-        decided for a whole cohort at once, to avoid re-deriving it."""
-        cfg = self.config
-        if in_outage is None:
-            in_outage = self.party_in_outage(party_id, tick)
-        if in_outage:
-            return ReportFate(party_id, dropped=True, delay=0, in_outage=True)
-        if not cfg.is_active:
-            return ReportFate(party_id, dropped=False, delay=0)
-        rng = spawn_rng(self.seed, "availability", party_id, tick)
-        # Fixed draw order keeps fates stable when knobs are toggled off.
-        drop_draw = rng.random()
-        straggle_draw = rng.random()
-        if cfg.dropout_prob > 0 and drop_draw < cfg.dropout_prob:
-            return ReportFate(party_id, dropped=True, delay=0)
-        delay = 0
-        if cfg.straggler_prob > 0 and straggle_draw < cfg.straggler_prob:
-            delay = min(int(rng.zipf(cfg.straggler_zipf_a)),
-                        cfg.max_delay_rounds)
-        return ReportFate(party_id, dropped=False, delay=delay)
+            return [False] * len(party_ids)
+        down = self._outage_cache.get(tick)
+        if down is None:
+            active = []
+            for start in range(max(0, tick - cfg.outage_rounds + 1), tick + 1):
+                rng = spawn_rng(self.seed, "availability-outage", start)
+                if rng.random() < cfg.outage_prob:
+                    active.append((start, rng))
+            if not self.enumerates_outages:
+                return [any(spawn_rng(self.seed, "availability-outage", start,
+                                      "member", pid).random()
+                            < cfg.outage_fraction for start, _rng in active)
+                        for pid in party_ids]
+            k = round(cfg.outage_fraction * self.num_parties)
+            down = frozenset(int(p) for _start, rng in active
+                             for p in rng.choice(self.num_parties, size=k,
+                                                 replace=False))
+            if len(self._outage_cache) >= 8:
+                self._outage_cache.clear()
+            self._outage_cache[tick] = down
+        return [pid in down for pid in party_ids]
 
     def cohort_fates(self, party_ids: list[int], tick: int) -> list[ReportFate]:
-        """Fates for a whole cohort at one tick — O(cohort) either regime.
-
-        The outage set (enumerated regime) or the active outage starts
-        (sampled regime) are decided once per call, not once per member.
-        """
-        if self.config.outage_prob > 0 and self.num_parties:
-            if self.enumerates_outages:
-                outage = self.outage_parties(tick)
-                return [self.fate(pid, tick, in_outage=pid in outage)
-                        for pid in party_ids]
-            starts = self._active_outage_starts(tick)
-            return [self.fate(pid, tick, in_outage=self._in_sampled_outage(
-                        pid, starts)) for pid in party_ids]
-        return [self.fate(pid, tick) for pid in party_ids]
+        """What happens to each report dispatched to ``party_ids`` at
+        ``tick``: lost to an outage, dropped, or ``delay`` rounds late."""
+        cfg = self.config
+        fates = []
+        for pid, in_outage in zip(party_ids, self._in_outage(party_ids, tick)):
+            if in_outage:
+                fates.append(ReportFate(pid, dropped=True, delay=0,
+                                        in_outage=True))
+                continue
+            dropped, delay = False, 0
+            if cfg.is_active:
+                rng = spawn_rng(self.seed, "availability", pid, tick)
+                # Fixed draw order keeps fates stable when knobs are off.
+                drop_draw = rng.random()
+                straggle_draw = rng.random()
+                if drop_draw < cfg.dropout_prob:
+                    dropped = True
+                elif straggle_draw < cfg.straggler_prob:
+                    delay = min(int(rng.zipf(cfg.straggler_zipf_a)),
+                                cfg.max_delay_rounds)
+            fates.append(ReportFate(pid, dropped=dropped, delay=delay))
+        return fates

@@ -99,13 +99,6 @@ class Party:
         """
         self._data = None
 
-    @property
-    def dtype(self) -> np.dtype:
-        """The bound model's precision.  Round banks allocate at the pool's
-        one dtype (:attr:`~repro.federation.pool.PartyPool.dtype`), not at
-        a party's; no run reads this."""
-        return self._model.dtype
-
     def label_histogram(self) -> np.ndarray:
         """Normalized train-label histogram (reported to the aggregator)."""
         return self.data.label_histogram(self.num_classes)

@@ -11,12 +11,12 @@ def lint_scenario(plan) -> list[str]:
 
     Hard errors raise when the plan is read; these are the soft ones:
     buffering knobs at non-default values on synchronous rounds, and
-    outages over a population above the availability simulator's
-    enumeration limit (where per-round outage *sets* cannot be enumerated
-    and dispatch must go through ``AvailabilitySimulator.cohort_fates``).
+    outages over more parties than the availability simulator enumerates
+    (the run's population, else the dataset's ``num_parties``).
     """
-    _spec, settings = plan.resolve()
+    spec, settings = plan.resolve()
     federation, population = settings.federation, settings.population
+    parties = spec.num_parties if population is None else population.size
     warnings = []
     if federation.mode == "sync" and any(
             getattr(federation, key) != getattr(FederationConfig(), key)
@@ -24,12 +24,11 @@ def lint_scenario(plan) -> list[str]:
         warnings.append(
             "min_reports/max_wait_rounds/staleness_policy only affect "
             "buffered/async participation; synchronous rounds ignore them")
-    if (population is not None and federation.availability.outage_prob > 0
-            and population.size > OUTAGE_ENUMERATION_LIMIT):
+    if (federation.availability.outage_prob > 0
+            and parties > OUTAGE_ENUMERATION_LIMIT):
         warnings.append(
-            f"population size {population.size} exceeds the outage "
-            f"enumeration limit ({OUTAGE_ENUMERATION_LIMIT}): outage "
-            f"membership is per-party Bernoulli and dispatch goes through "
-            f"cohort_fates() instead of enumerated outage sets")
+            f"{parties} parties exceed the outage enumeration limit "
+            f"({OUTAGE_ENUMERATION_LIMIT}): each outage knocks out a "
+            f"per-party Bernoulli draw instead of an exact-size set")
     return warnings
 

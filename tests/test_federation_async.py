@@ -45,8 +45,10 @@ class TestAvailabilityConfig:
         assert AvailabilityConfig.scenario("dropout30").dropout_prob == 0.3
         assert AvailabilityConfig.scenario("flaky").is_active
         assert not AvailabilityConfig.scenario("none").is_active
-        tweaked = AvailabilityConfig.scenario("dropout30", dropout_prob=0.5)
+        tweaked = dataclasses.replace(
+            AvailabilityConfig.scenario("dropout30"), dropout_prob=0.5)
         assert tweaked.dropout_prob == 0.5
+        assert AvailabilityConfig.scenario("dropout30").dropout_prob == 0.3
         with pytest.raises(KeyError):
             AvailabilityConfig.scenario("blackout")
 
@@ -71,15 +73,15 @@ class TestAvailabilitySimulator:
     def test_dropout_rate_matches_probability(self):
         sim = AvailabilitySimulator(AvailabilityConfig(dropout_prob=0.3),
                                     seed=1)
-        fates = [sim.fate(pid, tick) for pid in range(40)
-                 for tick in range(50)]
+        fates = [fate for tick in range(50)
+                 for fate in sim.cohort_fates(list(range(40)), tick)]
         rate = sum(f.dropped for f in fates) / len(fates)
         assert 0.25 < rate < 0.35
 
     def test_straggler_delays_bounded_and_heavy_tailed(self):
         cfg = AvailabilityConfig(straggler_prob=1.0, max_delay_rounds=4)
         sim = AvailabilitySimulator(cfg, seed=2)
-        delays = [sim.fate(pid, 0).delay for pid in range(500)]
+        delays = [f.delay for f in sim.cohort_fates(list(range(500)), 0)]
         assert all(1 <= d <= 4 for d in delays)
         assert delays.count(1) > delays.count(4)  # Zipf mass at short delays
 
@@ -87,18 +89,22 @@ class TestAvailabilitySimulator:
         cfg = AvailabilityConfig(outage_prob=1.0, outage_fraction=0.5,
                                  outage_rounds=2)
         sim = AvailabilitySimulator(cfg, seed=3, num_parties=10)
-        down0 = sim.outage_parties(0)
+
+        def down(tick):
+            return {f.party_id for f in sim.cohort_fates(list(range(10)), tick)
+                    if f.in_outage}
+
+        down0 = down(0)
         assert len(down0) == 5
         # An outage that starts at tick 0 still covers tick 1.
-        assert down0 <= sim.outage_parties(1)
-        for pid in down0:
-            fate = sim.fate(pid, 0)
+        assert down0 <= down(1)
+        for fate in sim.cohort_fates(sorted(down0), 0):
             assert fate.dropped and fate.in_outage
 
     def test_outage_needs_population(self):
         cfg = AvailabilityConfig(outage_prob=1.0)
         sim = AvailabilitySimulator(cfg, seed=0, num_parties=None)
-        assert sim.outage_parties(0) == frozenset()
+        assert not any(f.in_outage for f in sim.cohort_fates([0, 1, 2], 0))
 
 
 class TestFederationConfig:

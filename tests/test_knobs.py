@@ -89,7 +89,8 @@ class TestOneReader:
         assert FederationConfig.from_value("async") == FederationConfig("async")
         assert PopulationConfig.from_value(5000) == PopulationConfig(5000)
         assert AvailabilityConfig.from_value("flaky,dropout_prob=0.2") == \
-            AvailabilityConfig.scenario("flaky", dropout_prob=0.2)
+            dataclasses.replace(AvailabilityConfig.scenario("flaky"),
+                                dropout_prob=0.2)
         assert FederationConfig.from_value(
             "buffered,availability=stragglers,availability.outage_prob=0.1"
         ) == FederationConfig("buffered", availability=AvailabilityConfig(
@@ -359,7 +360,7 @@ class TestScenarioSemantics:
         """A preset with outages overridden to zero schedules none."""
         assert not self.lint(population=10000, federation={
             "availability": "flaky,outage_prob=0.0"})
-        assert any("cohort_fates" in w for w in self.lint(
+        assert any("Bernoulli" in w for w in self.lint(
             population=10000, federation={"availability": "flaky"}))
 
     def test_lint_ignores_buffering_knobs_at_their_defaults(self):

@@ -240,10 +240,10 @@ class TestPartyPoolResidency:
         for pid in (0, 1, 2, 0, 3, 0):
             assert pool[pid]._model is pool.model
         pool.acquire(4)
-        assert pool[4].dtype == np.dtype(np.float32)
+        assert pool[4]._model.dtype == np.dtype(np.float32)
         pool.release(4)
         pool[5]  # evicts 4
-        assert pool[4].dtype == np.dtype(np.float32)
+        assert pool[4]._model.dtype == np.dtype(np.float32)
 
     def test_pooled_float32_run_builds_no_float64_model(self):
         """End to end: a precision=float32 pooled run materializes only
@@ -259,7 +259,7 @@ class TestPartyPoolResidency:
                          dtype=settings.np_dtype)
         seen = set()
         for pid in (0, 1, 2, 3, 4, 5, 1, 0):
-            seen.add(str(pool[pid].dtype))
+            seen.add(str(pool[pid]._model.dtype))
         assert seen == {"float32"}
         assert pool.counters["evictions"] > 0
 
@@ -413,65 +413,78 @@ class TestAvailabilityAtScale:
     CFG = AvailabilityConfig(outage_prob=0.5, outage_fraction=0.3,
                              outage_rounds=2)
 
-    def test_counter_draws_pin_enumeration_regime(self):
-        """Small populations keep the exact historical enumeration bits."""
+    def _active_starts(self, seed, tick):
+        """Each start still in progress at ``tick`` with its stream, past
+        the first draw that made it active."""
+        cfg = self.CFG
+        streams = [(s, spawn_rng(seed, "availability-outage", s))
+                   for s in range(max(0, tick - cfg.outage_rounds + 1),
+                                  tick + 1)]
+        return [(s, rng) for s, rng in streams
+                if rng.random() < cfg.outage_prob]
+
+    def test_enumeration_regime_draws_an_exact_set_per_start(self):
+        """Up to the limit, an active start's own stream then draws exactly
+        ``round(outage_fraction * num_parties)`` parties without
+        replacement."""
         sim = AvailabilitySimulator(self.CFG, seed=9, num_parties=40)
         assert sim.enumerates_outages
+        active_ticks = 0
         for tick in range(6):
-            members = sim.outage_parties(tick)
-            for pid in range(40):
-                assert sim.party_in_outage(pid, tick) == (pid in members)
-
-    def test_enumerated_cohort_fates_match_lone_fate_calls(self):
-        """The cohort's one outage set gives each member the fate a lone
-        ``fate(pid, tick)`` call draws."""
-        sim = AvailabilitySimulator(self.CFG, seed=9, num_parties=40)
-        cohort = list(range(0, 40, 3))
-        outage_fates = 0
-        for tick in range(6):
-            fates = sim.cohort_fates(cohort, tick)
-            assert fates == [sim.fate(pid, tick) for pid in cohort]
-            outage_fates += sum(f.in_outage for f in fates)
-        assert outage_fates > 0
+            starts = self._active_starts(9, tick)
+            down = {int(p) for _s, rng in starts
+                    for p in rng.choice(40, 12, replace=False)}
+            fates = sim.cohort_fates(list(range(40)), tick)
+            assert {f.party_id for f in fates if f.in_outage} == down
+            active_ticks += bool(starts)
+        assert active_ticks >= 2
 
     def test_large_population_is_o_cohort(self):
+        """Above the limit each member draws once per active start from its
+        ``(start, party)`` stream."""
         sim = AvailabilitySimulator(self.CFG, seed=9, num_parties=1_000_000)
         assert not sim.enumerates_outages
-        with pytest.raises(ValueError, match="party_in_outage"):
-            sim.outage_parties(0)
-        fates = sim.cohort_fates(list(range(0, 1_000_000, 20_000)), tick=3)
-        assert len(fates) == 50
-        # Same (party, tick) query always agrees with itself.
-        again = sim.cohort_fates(list(range(0, 1_000_000, 20_000)), tick=3)
-        assert fates == again
-        # A cohort decides its active outage starts once; each member's fate
-        # is still the one a lone ``fate(pid, tick)`` call draws, and outage
-        # membership is the per-(start, party) draw of every active start.
-        cfg = self.CFG
         cohort = list(range(7, 1_000_000, 25_000))
         active_ticks = outage_fates = 0
         for tick in range(8):
+            starts = [s for s, _rng in self._active_starts(9, tick)]
             fates = sim.cohort_fates(cohort, tick)
-            assert fates == [sim.fate(pid, tick) for pid in cohort]
-            starts = [s for s in range(max(0, tick - cfg.outage_rounds + 1),
-                                       tick + 1)
-                      if spawn_rng(9, "availability-outage", s).random()
-                      < cfg.outage_prob]
+            assert [f.party_id for f in fates] == cohort
+            assert sim.cohort_fates(cohort, tick) == fates  # a replay agrees
             for fate in fates:
                 assert fate.in_outage == any(
                     spawn_rng(9, "availability-outage", s, "member",
-                              fate.party_id).random() < cfg.outage_fraction
+                              fate.party_id).random() < self.CFG.outage_fraction
                     for s in starts)
             active_ticks += bool(starts)
             outage_fates += sum(f.in_outage for f in fates)
         assert active_ticks >= 2 and outage_fates > 0
+
+    @pytest.mark.parametrize("num_parties", [40, 1_000_000])
+    def test_a_cohort_splits_into_the_same_fates(self, num_parties):
+        """The engine asks once per stream per tick: at one tick, one cohort's
+        fates are its two halves' fates, on either regime."""
+        cfg = AvailabilityConfig(dropout_prob=0.2, straggler_prob=0.3,
+                                 outage_prob=0.5, outage_fraction=0.3)
+        step = num_parties // 40
+        a, b = list(range(0, num_parties, 2 * step)), list(
+            range(step, num_parties, 2 * step))
+        outage_fates = 0
+        for tick in range(6):
+            whole = AvailabilitySimulator(cfg, seed=4, num_parties=num_parties)
+            split = AvailabilitySimulator(cfg, seed=4, num_parties=num_parties)
+            fates = whole.cohort_fates(a + b, tick)
+            assert fates == split.cohort_fates(a, tick) + split.cohort_fates(
+                b, tick)
+            outage_fates += sum(f.in_outage for f in fates)
+        assert outage_fates > 0
 
     def test_large_population_outage_rate_tracks_fraction(self):
         sim = AvailabilitySimulator(
             AvailabilityConfig(outage_prob=1.0, outage_fraction=0.3,
                                outage_rounds=1),
             seed=2, num_parties=100_000)
-        hits = sum(sim.party_in_outage(pid, 0) for pid in range(2000))
+        hits = sum(f.in_outage for f in sim.cohort_fates(list(range(2000)), 0))
         assert 0.2 < hits / 2000 < 0.4
 
     def test_enumeration_limit_boundary(self):

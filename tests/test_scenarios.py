@@ -339,9 +339,9 @@ class TestFlagParity:
         federation = FederationConfig(
             mode="buffered", min_reports=3, max_wait_rounds=2,
             staleness_policy="polynomial",
-            availability=AvailabilityConfig.scenario(
-                "flaky", dropout_prob=0.2, straggler_prob=0.1,
-                outage_prob=0.05))
+            availability=dataclasses.replace(
+                AvailabilityConfig.scenario("flaky"), dropout_prob=0.2,
+                straggler_prob=0.1, outage_prob=0.05))
         population = PopulationConfig(size=40, max_resident=10, skew="zipf",
                                       zipf_a=1.5, survey=8)
         flag_plan = ExperimentPlan.build(
@@ -442,14 +442,27 @@ class TestCompiler:
         warnings = lint_scenario(ExperimentPlan.from_dict(tiny_plan(
             population={"size": 5000},
             federation={"availability": "outages"})))
-        assert any("cohort_fates" in w for w in warnings)
+        assert any("5000 parties exceed the outage enumeration limit" in w
+                   for w in warnings)
         assert not lint_scenario(ExperimentPlan.from_dict(tiny_plan(
             population={"size": 5000})))  # no outage knob -> no advisory
         # The advisory reads the resolved settings, an override's included.
-        assert any("cohort_fates" in w for w in lint_scenario(
+        assert any("Bernoulli" in w for w in lint_scenario(
             ExperimentPlan.from_dict(tiny_plan(settings_override={
                 "population": 5000,
                 "federation": {"availability": "outages"}}))))
+
+    def test_lint_reads_the_dataset_party_count_without_a_population(self):
+        """Undeclared, the population is ``spec.num_parties``: that is the
+        count the simulator's regime follows."""
+        def lint(num_parties):
+            return lint_scenario(ExperimentPlan.from_dict(tiny_plan(
+                spec={"num_parties": num_parties},
+                federation={"availability": "outages"})))
+
+        assert any("5000 parties exceed the outage enumeration limit" in w
+                   for w in lint(5000))
+        assert not lint(4096)
 
 
 def test_a_data_seed_is_spec_override_seed():
@@ -505,20 +518,16 @@ class TestOutageEnumerationBoundary:
             num_parties=parties, seed=0)
 
     def test_at_limit_enumerates(self):
-        sim = self._sim(4096)
-        assert sim.enumerates_outages
-        sim.outage_parties(0)  # no raise
-
-    def test_above_limit_raises_with_cohort_fates_guidance(self):
-        sim = self._sim(4097)
-        assert not sim.enumerates_outages
-        with pytest.raises(ValueError, match="cohort_fates"):
-            sim.outage_parties(0)
-        with pytest.raises(ValueError, match="enumeration_limit 4096"):
-            sim.outage_parties(0)
+        assert self._sim(4096).enumerates_outages
+        sim = AvailabilitySimulator(
+            AvailabilityConfig(outage_prob=1.0, outage_fraction=0.2,
+                               outage_rounds=1), num_parties=4096, seed=0)
+        fates = sim.cohort_fates(list(range(4096)), tick=0)
+        assert sum(f.in_outage for f in fates) == round(0.2 * 4096)
 
     def test_membership_queries_still_work_above_limit(self):
         sim = self._sim(4097)
+        assert not sim.enumerates_outages
         fates = sim.cohort_fates([0, 1, 2, 4096], tick=3)
         assert len(fates) == 4
 
