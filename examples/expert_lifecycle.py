@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.detection.calibration import CalibratedThresholds
 from repro.detection.mmd import mmd
 from repro.experts.registry import ExpertRegistry
 from repro.experts.facility import FacilityLocationProblem, solve_exact, solve_greedy
@@ -36,7 +37,9 @@ ONE_CLASS = np.zeros(80, dtype=int)
 
 def main() -> None:
     rng = spawn_rng(0, "lifecycle")
-    epsilon, gamma = 0.35, 0.05
+    # A hand-set threshold record: the reuse threshold epsilon is
+    # 1.25 * delta_cov, as after a calibration.
+    thresholds = CalibratedThresholds(delta_cov=0.28, delta_label=0.1, gamma=0.05)
 
     print("1. bootstrap: registry opens with one expert, memory seeded on the")
     print("   clean regime")
@@ -49,18 +52,19 @@ def main() -> None:
 
     print("2. window 1: a foggy regime arrives (embeddings translated)")
     fog_cluster = regime_embeddings(rng, 4.0)
-    match = match_cluster_to_expert(fog_cluster, registry, epsilon, gamma,
-                                    cluster_labels=ONE_CLASS)
+    # Each cluster is matched whole (max_rows = its size: no subsampling).
+    match = match_cluster_to_expert(fog_cluster, registry, thresholds,
+                                    len(fog_cluster), rng, cluster_labels=ONE_CLASS)
     print(f"   best MMD to existing memories: {match.score:.3f} "
-          f"(epsilon={epsilon}) -> matched={match.matched}")
+          f"(epsilon={thresholds.epsilon:.2f}) -> matched={match.matched}")
     fog = registry.create(params, window=1, embeddings=fog_cluster, rng=rng)
     fog.train_rounds, fog.samples_seen = 3, 240
     print(f"   created expert {fog.expert_id}; experts: {registry.ids()}\n")
 
     print("3. window 2: the SAME foggy regime recurs")
     fog_again = regime_embeddings(spawn_rng(1, "recur"), 4.0)
-    match = match_cluster_to_expert(fog_again, registry, epsilon, gamma,
-                                    cluster_labels=ONE_CLASS)
+    match = match_cluster_to_expert(fog_again, registry, thresholds,
+                                    len(fog_again), rng, cluster_labels=ONE_CLASS)
     print(f"   best MMD: {match.score:.3f} against expert {match.expert_id} "
           f"-> reuse={match.matched} (no new expert, no retraining from scratch)\n")
 
@@ -70,8 +74,7 @@ def main() -> None:
     duplicate.train_rounds, duplicate.samples_seen = 1, 80
     assignments = {0: clean.expert_id, 1: fog.expert_id, 2: duplicate.expert_id}
     events = consolidate_experts(registry, tau=0.98, rng=rng,
-                                 assignments=assignments,
-                                 memory_epsilon=epsilon, gamma=gamma)
+                                 assignments=assignments, thresholds=thresholds)
     for event in events:
         print(f"   merged experts {event.merged_ids} -> {event.new_id} "
               f"(cosine {event.similarity:.4f}); party 2 now follows "
@@ -91,7 +94,7 @@ def main() -> None:
     costs = np.zeros((len(parties), len(columns)))
     for i, (name, embeddings) in enumerate(parties.items()):
         for j, eid in enumerate(live):
-            costs[i, j] = mmd(embeddings, memories[eid], gamma)
+            costs[i, j] = mmd(embeddings, memories[eid], thresholds.gamma)
         # The candidate column models an expert specialized for the *new*
         # regime: near-zero mismatch for the new-regime party, high for the
         # parties whose regimes it would not serve.

@@ -1,7 +1,7 @@
 """ShiftEx: the paper's shift-aware mixture-of-experts framework.
 
-* :class:`~repro.core.config.ShiftExConfig` — all knobs (thresholds, epsilon,
-  tau, gamma, latent-memory and FLIPS parameters);
+* :class:`~repro.core.config.ShiftExConfig` — all knobs (the ``delta_cov``
+  override, tau, gamma, latent-memory and FLIPS parameters);
 * :mod:`~repro.core.detector` — party-side shift detection (Algorithm 1);
 * :class:`~repro.core.server.ShiftExStrategy` — aggregator-side orchestration
   (Algorithm 2): threshold calibration, shifted-party clustering, latent

@@ -6,12 +6,14 @@ Window life cycle:
 * ``run_round(0, r)`` — train the single bootstrap expert with FLIPS-balanced
   participant selection.
 * ``end_window(0)`` — freeze the encoder (the trained bootstrap model), seed
-  expert 0's latent memory, calibrate ``delta_cov`` / ``delta_label`` from
-  bootstrap null distributions, snapshot party statistics.
+  expert 0's latent memory, calibrate the threshold record (``delta_cov`` /
+  ``delta_label`` from bootstrap null distributions, the reuse threshold
+  epsilon from ``delta_cov``), snapshot party statistics.
 * ``start_window(w >= 1)`` — Algorithm 2's shift response: collect party
   reports (Algorithm 1), which also stores each party's statistics for the
   next window's deltas, threshold them into the shifted set, K-means the
-  shifted parties on latent centroids (Davies–Bouldin-selected k), then per
+  shifted parties on latent centroids (Davies–Bouldin-selected k), fuse
+  clusters within epsilon of each other, then per
   cluster: latent-memory match -> reuse the expert and update its memory
   with the cluster's embeddings, else clone the bootstrap model into a new
   expert seeded with them; clusters smaller than ``gamma`` fine-tune locally
@@ -68,12 +70,10 @@ class ShiftExStrategy(ContinualStrategy):
         # report embeds with and the CLONE(theta_0) of every created expert.
         self._encoder: np.ndarray | None = None
         self.thresholds: CalibratedThresholds | None = None
-        self._epsilon: float | None = self.config.epsilon
         self._party_state: dict[int, PartyLocalState] = {}
         self._bootstrap_flips: FlipsSelector | None = None
         self._cohort_flips: dict[int, FlipsSelector] = {}
         self.shift_log: list[dict] = []
-        self.assignment_history: dict[int, dict[int, int]] = {}
         self._adapting_experts: set[int] = set()
 
     # ------------------------------------------------------------------ life cycle
@@ -155,7 +155,6 @@ class ShiftExStrategy(ContinualStrategy):
         self._adapting_experts = set()
         if window == 0:
             self._fit_bootstrap_flips(window)
-            self.assignment_history[0] = dict(self.assignments)
             return
         if self._encoder is None or self.thresholds is None:
             raise RuntimeError("end_window(0) must run before later windows")
@@ -201,9 +200,7 @@ class ShiftExStrategy(ContinualStrategy):
             events = consolidate_experts(
                 self.registry, self.config.tau,
                 ctx.rng("consolidate", window), self.assignments,
-                memory_epsilon=self._epsilon,
-                gamma=self.thresholds.gamma,
-            )
+                self.thresholds)
             window_log["merges"] = len(events)
             for event in events:
                 if self._adapting_experts & set(event.merged_ids):
@@ -212,7 +209,6 @@ class ShiftExStrategy(ContinualStrategy):
 
         self._fit_cohort_flips(window)
         self.shift_log.append(window_log)
-        self.assignment_history[window] = dict(self.assignments)
 
     def _merge_same_regime_clusters(self, groups: list[list[int]],
                                     reports: dict[int, PartyShiftReport],
@@ -228,7 +224,6 @@ class ShiftExStrategy(ContinualStrategy):
         groups = [g for g in groups if g]
         if len(groups) < 2:
             return groups
-        assert self._epsilon is not None
         pooled = [(np.vstack([reports[pid].embeddings for pid in g]),
                    np.concatenate([reports[pid].labels for pid in g]))
                   for g in groups]
@@ -243,7 +238,7 @@ class ShiftExStrategy(ContinualStrategy):
         for i, j in itertools.combinations(range(len(groups)), 2):
             score = class_conditional_mmd(*pooled[i], *pooled[j],
                                           self.thresholds.gamma)
-            if score <= self._epsilon:
+            if score <= self.thresholds.epsilon:
                 parent[find(j)] = find(i)
         merged: dict[int, list[int]] = {}
         for i, group in enumerate(groups):
@@ -257,13 +252,11 @@ class ShiftExStrategy(ContinualStrategy):
         ctx = self.context
         pooled = np.vstack([reports[pid].embeddings for pid in members])
         pooled_labels = np.concatenate([reports[pid].labels for pid in members])
-        assert self._epsilon is not None
         matched_id: int | None = None
         if self.config.enable_latent_memory:
             match = match_cluster_to_expert(
-                pooled, self.registry, self._epsilon, self.thresholds.gamma,
-                max_rows=self.config.memory_capacity,
-                rng=ctx.rng("match", window, members[0]),
+                pooled, self.registry, self.thresholds,
+                self.config.memory_capacity, ctx.rng("match", window, members[0]),
                 cluster_labels=pooled_labels,
             )
             if match.matched:
@@ -336,8 +329,6 @@ class ShiftExStrategy(ContinualStrategy):
 
     def _fit_cohort_flips(self, window: int) -> None:
         ctx = self.context
-        if not self.config.enable_flips:
-            return
         # Only the cohorts run_round draws from: a selector no round reads
         # is a k-means scan for nothing.  Each fit has its own stream.
         for eid, (members, _k) in self._training_cohorts().items():
@@ -357,14 +348,8 @@ class ShiftExStrategy(ContinualStrategy):
             return
         for eid, (members, k) in self._training_cohorts().items():
             rng = ctx.rng("select", self.name, window, round_index, eid)
-            selector = self._cohort_flips.get(eid)
-            if selector is not None and selector.is_fitted:
-                participants = selector.select(k, rng, available=set(members))
-            else:
-                participants = [int(p) for p in rng.choice(members, size=k,
-                                                           replace=False)]
-            if not participants:
-                continue
+            participants = self._cohort_flips[eid].select(k, rng,
+                                                          available=set(members))
             expert = self.registry.get(eid)
             new_params, stats = run_fl_round(
                 ctx, participants, expert.flat,
@@ -377,11 +362,8 @@ class ShiftExStrategy(ContinualStrategy):
         ctx = self.context
         expert0 = self.registry.all()[0]
         k = min(ctx.round_config.participants_per_round, len(ctx.parties))
-        rng = ctx.rng("select", self.name, window, round_index)
-        if self.config.enable_flips and self._bootstrap_flips is not None:
-            participants = self._bootstrap_flips.select(k, rng)
-        else:
-            participants = ctx.sample_cohort(rng, k)
+        participants = self._bootstrap_flips.select(
+            k, ctx.rng("select", self.name, window, round_index))
         new_params, stats = run_fl_round(
             ctx, participants, expert0.flat,
             round_tag=(window, round_index),
@@ -434,23 +416,9 @@ class ShiftExStrategy(ContinualStrategy):
             window_sample_size=ctx.spec.train_per_window,
             rng=ctx.rng("calibration"),
         )
-        if self.config.delta_cov is not None or self.config.delta_label is not None:
-            calibrated = CalibratedThresholds(
-                delta_cov=(self.config.delta_cov
-                           if self.config.delta_cov is not None
-                           else calibrated.delta_cov),
-                delta_label=(self.config.delta_label
-                             if self.config.delta_label is not None
-                             else calibrated.delta_label),
-                gamma=calibrated.gamma,
-                p_value=calibrated.p_value,
-            )
+        if self.config.delta_cov is not None:
+            calibrated = replace(calibrated, delta_cov=self.config.delta_cov)
         self.thresholds = calibrated
-        if self._epsilon is None:
-            # Matching is class-conditional, so the reuse threshold shares
-            # the detection statistic's null scale (delta_cov), widened by
-            # epsilon_scale to tolerate latent-memory staleness.
-            self._epsilon = calibrated.delta_cov * self.config.epsilon_scale
 
     # -------------------------------------------------- inference & reporting
 
@@ -470,13 +438,13 @@ class ShiftExStrategy(ContinualStrategy):
         return counts
 
     def describe_state(self) -> dict:
+        thresholds = self.thresholds
         return {
             "num_models": len(self.registry),
             "experts_created": self.registry.created_total,
             "experts_merged": self.registry.merged_total,
             "distribution": self.expert_distribution(),
-            "delta_cov": None if self.thresholds is None else self.thresholds.delta_cov,
-            "delta_label": (None if self.thresholds is None
-                            else self.thresholds.delta_label),
-            "epsilon": self._epsilon,
+            "delta_cov": None if thresholds is None else thresholds.delta_cov,
+            "delta_label": None if thresholds is None else thresholds.delta_label,
+            "epsilon": None if thresholds is None else thresholds.epsilon,
         }

@@ -1,4 +1,4 @@
-"""Bootstrap calibration of the detection thresholds delta_cov / delta_label.
+"""Bootstrap calibration of the shift response's thresholds.
 
 Per the paper (Section 5): "The thresholds are derived during the bootstrap
 phase from the null distributions of MMD and JSD scores.  delta_cov is set
@@ -9,6 +9,8 @@ predicted and prior label distributions under stable conditions."
 Concretely, the aggregator holds a reference embedding matrix and a set of
 stable label priors; repeated resampling under the no-shift null yields
 empirical score distributions whose ``1 - p`` quantile becomes the threshold.
+The reuse threshold epsilon is not calibrated on its own:
+:class:`CalibratedThresholds` derives it from ``delta_cov``.
 """
 
 from __future__ import annotations
@@ -117,16 +119,21 @@ def threshold_from_null(null_scores: np.ndarray, p_value: float = 0.05) -> float
 
 @dataclass(frozen=True)
 class CalibratedThresholds:
-    """Calibrated detector thresholds plus kernel bandwidth.
-
-    The latent-memory threshold epsilon (Section 5.2.2) is not calibrated
-    separately: the server derives it as ``delta_cov * epsilon_scale``.
-    """
+    """Every threshold the shift response compares against, plus the kernel
+    bandwidth ``gamma`` every MMD it scores uses."""
 
     delta_cov: float
     delta_label: float
     gamma: float
-    p_value: float
+
+    @property
+    def epsilon(self) -> float:
+        """The reuse threshold of Section 5.2 — fusing k-means fragments,
+        reusing an expert, gating a merge.  Matching is class-conditional,
+        so it shares the detection statistic's null scale, widened by 1.25
+        to tolerate latent-memory staleness; it follows a ``delta_cov``
+        override."""
+        return self.delta_cov * 1.25
 
 
 class ThresholdCalibrator:
@@ -166,5 +173,4 @@ class ThresholdCalibrator:
             delta_cov=threshold_from_null(mmd_null, self.p_value),
             delta_label=threshold_from_null(jsd_null, self.p_value),
             gamma=gamma,
-            p_value=self.p_value,
         )

@@ -2,12 +2,12 @@
 
 Two experts merge when their flattened parameter vectors exceed cosine
 similarity ``tau`` *and* their latent memories agree that they serve nearly
-identical covariate regimes (memory MMD at most ``memory_epsilon``, when
-both memories are non-empty).  The parameter test alone is necessary but not
-sufficient: models descended from the same bootstrap initialization stay
-globally aligned for a while, and a just-cloned expert is exactly identical
-to its source — so untrained experts are never merge candidates, and the
-regime check keeps genuinely specialized experts apart.
+identical covariate regimes (memory MMD at most the reuse threshold
+epsilon).  The parameter test alone is necessary but not sufficient: models
+descended from the same bootstrap initialization stay globally aligned for a
+while, and a just-cloned expert is exactly identical to its source — so
+untrained experts are never merge candidates, and the regime check keeps
+genuinely specialized experts apart.
 
 The full pairwise cosine-similarity matrix comes from one normalized matmul
 over the experts' stacked ``flat`` vectors
@@ -15,8 +15,8 @@ over the experts' stacked ``flat`` vectors
 already above ``tau`` pay for the memory-MMD regime check, scanned in
 descending-similarity order so the first qualifying pair is the best one.
 
-Merging averages parameters weighted by training samples seen, blends the
-latent memories, and remaps affected parties.
+The merge itself is :meth:`repro.experts.registry.ExpertRegistry.merge`;
+this module picks the pairs and remaps the parties of merged experts.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.detection.calibration import CalibratedThresholds
 from repro.detection.mmd import class_conditional_mmd_batch
-from repro.experts.memory import LatentMemory
 from repro.experts.registry import Expert, ExpertRegistry
 from repro.utils.params import cosine_similarity_matrix
 
@@ -40,46 +40,17 @@ class ConsolidationEvent:
     similarity: float
 
 
-def _merge_pair(registry: ExpertRegistry, a: Expert, b: Expert,
-                similarity: float, rng: np.random.Generator) -> ConsolidationEvent:
-    weight_a = float(max(a.samples_seen, 1))
-    weight_b = float(max(b.samples_seen, 1))
-    stacked = np.stack([a.flat, b.flat])
-    merged_flat = (np.asarray([weight_a, weight_b], dtype=stacked.dtype)
-                   / (weight_a + weight_b)) @ stacked
-    share_a = weight_a / (weight_a + weight_b)
-    merged_memory: LatentMemory = a.memory.merged_with(b.memory, share_a, rng)
-    merged = Expert(
-        expert_id=registry.allocate_id(),
-        flat=merged_flat,
-        memory=merged_memory,
-        created_window=min(a.created_window, b.created_window),
-        train_rounds=a.train_rounds + b.train_rounds,
-        samples_seen=a.samples_seen + b.samples_seen,
-        merged_from=(a.expert_id, b.expert_id),
-    )
-    registry.replace_pair_with_merged(a.expert_id, b.expert_id, merged)
-    return ConsolidationEvent(
-        merged_ids=(a.expert_id, b.expert_id),
-        new_id=merged.expert_id,
-        similarity=similarity,
-    )
-
-
-def _regimes_agree(a: Expert, b: Expert, memory_epsilon: float | None,
-                   gamma: float | None) -> bool:
+def _regimes_agree(a: Expert, b: Expert, thresholds: CalibratedThresholds) -> bool:
     """The latent-memory gate: both memories describe one covariate regime."""
-    if memory_epsilon is None or a.memory.is_empty or b.memory.is_empty:
-        return True
     regime_distance = class_conditional_mmd_batch(
         [a.memory.signature], [a.memory.signature_labels],
-        [b.memory.signature], [b.memory.signature_labels], gamma,
+        [b.memory.signature], [b.memory.signature_labels], thresholds.gamma,
     )[0]
-    return regime_distance <= memory_epsilon
+    return regime_distance <= thresholds.epsilon
 
 
 def _best_mergeable_pair(experts: list[Expert], tau: float,
-                         memory_epsilon: float | None, gamma: float | None,
+                         thresholds: CalibratedThresholds,
                          ) -> tuple[Expert, Expert, float] | None:
     """Highest-similarity pair above ``tau`` that passes the regime gate.
 
@@ -98,23 +69,20 @@ def _best_mergeable_pair(experts: list[Expert], tau: float,
         if sim <= tau:
             break
         a, b = experts[int(iu[idx])], experts[int(ju[idx])]
-        if _regimes_agree(a, b, memory_epsilon, gamma):
+        if _regimes_agree(a, b, thresholds):
             return a, b, sim
     return None
 
 
 def consolidate_experts(registry: ExpertRegistry, tau: float,
-                        rng: np.random.Generator,
-                        assignments: dict[int, int] | None = None,
-                        memory_epsilon: float | None = None,
-                        gamma: float | None = None,
+                        rng: np.random.Generator, assignments: dict[int, int],
+                        thresholds: CalibratedThresholds,
                         ) -> list[ConsolidationEvent]:
     """Repeatedly merge the most similar qualifying expert pair above ``tau``.
 
-    ``assignments`` (party -> expert id), when given, is updated in place so
-    parties keep pointing at live experts.  ``memory_epsilon`` adds the
-    regime check described in the module docstring.  Returns merge events
-    in order; at least one expert always survives.
+    ``assignments`` (party -> expert id) is updated in place so parties keep
+    pointing at live experts.  Returns merge events in order; at least one
+    expert always survives.
     """
     if not -1.0 <= tau <= 1.0:
         raise ValueError("tau must be a valid cosine similarity bound")
@@ -123,13 +91,15 @@ def consolidate_experts(registry: ExpertRegistry, tau: float,
         experts = [e for e in registry.all() if e.train_rounds > 0]
         if len(experts) < 2:
             break
-        best = _best_mergeable_pair(experts, tau, memory_epsilon, gamma)
+        best = _best_mergeable_pair(experts, tau, thresholds)
         if best is None:
             break
-        event = _merge_pair(registry, best[0], best[1], best[2], rng)
+        a, b, similarity = best
+        merged = registry.merge(a, b, rng)
+        event = ConsolidationEvent(merged_ids=(a.expert_id, b.expert_id),
+                                   new_id=merged.expert_id, similarity=similarity)
         events.append(event)
-        if assignments is not None:
-            for party, expert_id in list(assignments.items()):
-                if expert_id in event.merged_ids:
-                    assignments[party] = event.new_id
+        for party, expert_id in list(assignments.items()):
+            if expert_id in event.merged_ids:
+                assignments[party] = event.new_id
     return events

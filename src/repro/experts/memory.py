@@ -36,10 +36,6 @@ class LatentMemory:
         self._labels: np.ndarray | None = None
 
     @property
-    def is_empty(self) -> bool:
-        return self._rows is None
-
-    @property
     def signature(self) -> np.ndarray:
         """The stored embedding sample (rows, d)."""
         if self._rows is None:
@@ -97,30 +93,22 @@ class LatentMemory:
 
     def merged_with(self, other: "LatentMemory", self_weight: float,
                     rng: np.random.Generator) -> "LatentMemory":
-        """Blend two memories (used when consolidating experts)."""
+        """Blend two seeded memories (used when consolidating experts):
+        ``self_weight`` of the capacity from this one, the rest from
+        ``other``, at least one row from each."""
         if not 0.0 <= self_weight <= 1.0:
             raise ValueError("self_weight must be in [0, 1]")
+        n_self = int(round(self_weight * self.capacity))
+        n_self = min(max(n_self, 1), self.capacity - 1)
+        n_other = self.capacity - n_self
+        idx_s = rng.choice(self.signature.shape[0],
+                           size=min(n_self, self.signature.shape[0]),
+                           replace=False)
+        idx_o = rng.choice(other.signature.shape[0],
+                           size=min(n_other, other.signature.shape[0]),
+                           replace=False)
         merged = LatentMemory(capacity=self.capacity, eta=self.eta)
-        if self.is_empty and other.is_empty:
-            return merged
-        if self.is_empty:
-            merged._rows = other.signature.copy()
-            merged._labels = other.signature_labels.copy()
-        elif other.is_empty:
-            merged._rows = self.signature.copy()
-            merged._labels = self.signature_labels.copy()
-        else:
-            n_self = int(round(self_weight * self.capacity))
-            n_self = min(max(n_self, 1), self.capacity - 1)
-            n_other = self.capacity - n_self
-            idx_s = rng.choice(self.signature.shape[0],
-                               size=min(n_self, self.signature.shape[0]),
-                               replace=False)
-            idx_o = rng.choice(other.signature.shape[0],
-                               size=min(n_other, other.signature.shape[0]),
-                               replace=False)
-            merged._rows = np.vstack([self.signature[idx_s],
-                                      other.signature[idx_o]])
-            merged._labels = np.concatenate([self.signature_labels[idx_s],
-                                             other.signature_labels[idx_o]])
+        merged._rows = np.vstack([self.signature[idx_s], other.signature[idx_o]])
+        merged._labels = np.concatenate([self.signature_labels[idx_s],
+                                         other.signature_labels[idx_o]])
         return merged

@@ -3,6 +3,8 @@
 The registry is the aggregator's Theta_t: at window 0 it holds the single
 bootstrap expert; later windows add specialists (cloned from the bootstrap
 model per Algorithm 2, line 20) and consolidation merges redundant ones.
+It is the only code that adds an expert to the pool or takes one out:
+:meth:`ExpertRegistry.create` and :meth:`ExpertRegistry.merge`.
 
 Each :class:`Expert` owns its parameters as one flat vector.  The pool is a
 handful of experts, so pool-level operations (consolidation's pairwise
@@ -126,20 +128,27 @@ class ExpertRegistry:
         self.created_total += 1
         return expert
 
-    def remove(self, expert_id: int) -> Expert:
-        if expert_id not in self._experts:
-            raise KeyError(f"unknown expert id {expert_id}")
-        return self._experts.pop(expert_id)
-
-    def replace_pair_with_merged(self, id_a: int, id_b: int, merged: Expert) -> None:
-        """Swap two experts for their consolidation result."""
-        self.remove(id_a)
-        self.remove(id_b)
+    def merge(self, a: Expert, b: Expert, rng: np.random.Generator) -> Expert:
+        """Replace ``a`` and ``b`` with one expert under the next id: their
+        parameters averaged by training samples seen, their latent memories
+        blended in the same proportion, their training counts summed."""
+        weight_a = float(max(a.samples_seen, 1))
+        weight_b = float(max(b.samples_seen, 1))
+        stacked = np.stack([a.flat, b.flat])
+        merged_flat = (np.asarray([weight_a, weight_b], dtype=stacked.dtype)
+                       / (weight_a + weight_b)) @ stacked
+        share_a = weight_a / (weight_a + weight_b)
+        merged = Expert(
+            expert_id=self._next_id,
+            flat=merged_flat,
+            memory=a.memory.merged_with(b.memory, share_a, rng),
+            created_window=min(a.created_window, b.created_window),
+            train_rounds=a.train_rounds + b.train_rounds,
+            samples_seen=a.samples_seen + b.samples_seen,
+            merged_from=(a.expert_id, b.expert_id),
+        )
+        del self._experts[a.expert_id], self._experts[b.expert_id]
         self._admit(merged)
-        self.merged_total += 1
-
-    def allocate_id(self) -> int:
-        """Reserve a fresh id (used by consolidation to build merged experts)."""
-        expert_id = self._next_id
         self._next_id += 1
-        return expert_id
+        self.merged_total += 1
+        return merged

@@ -108,18 +108,16 @@ class StrategyContext:
         for start in range(0, len(ids), size):
             yield [(pid, self.parties[pid]) for pid in ids[start:start + size]]
 
-    def sample_cohort(self, rng: np.random.Generator,
-                      k: int | None = None) -> list[int]:
-        """Draw a round cohort of ``k`` ids (default: the round-config knob).
+    def sample_cohort(self, rng: np.random.Generator) -> list[int]:
+        """Draw a round cohort of ``participants_per_round`` ids.
 
         The draw is the pool's :class:`~repro.federation.pool.CohortSampler`
-        (``k`` capped at the population): ``uniform`` is a without-
+        (the size capped at the population): ``uniform`` is a without-
         replacement draw over ``range(population)`` that never materializes
         an id list, ``zipf`` models heavy-tail participation at scale.
         """
-        if k is None:
-            k = self.round_config.participants_per_round
-        return self.parties.sampler.sample(rng, k)
+        return self.parties.sampler.sample(
+            rng, self.round_config.participants_per_round)
 
 
 def split_budget(cohort_sizes: dict[int, int], total: int) -> dict[int, int]:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.data.federated import FederatedShiftDataset
 from repro.data.registry import DatasetSpec
+from repro.experiments.events import RunCallback
 from repro.federation.async_engine import FederationConfig, FederationEngine
 from repro.federation.pool import PartyPool
 from repro.federation.rounds import RoundConfig
@@ -102,6 +103,18 @@ def mean_accuracy(strategy, dataset: FederatedShiftDataset,
                                  ctx.parties.model)
     evaluated.begin_window(window)
     return evaluated.mean_accuracy_pct(strategy) / 100.0
+
+
+class AssignmentSnapshots(RunCallback):
+    """A ShiftEx run's party -> expert map and live expert ids at each
+    window's close (assignments change only in ``start_window``)."""
+
+    def __init__(self, strategy) -> None:
+        self.strategy, self.maps, self.live = strategy, {}, {}
+
+    def on_window_end(self, info, window, series, state) -> None:
+        self.maps[window] = dict(self.strategy.assignments)
+        self.live[window] = set(self.strategy.registry.ids())
 
 
 def bank_row(bank: ParamBank, values) -> int:

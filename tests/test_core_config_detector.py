@@ -16,19 +16,23 @@ class TestConfig:
     def test_defaults_valid(self):
         config = ShiftExConfig()
         assert config.delta_cov is None
-        assert config.tau == 0.99 and config.epsilon_scale == 1.25
+        assert config.tau == 0.99
         with pytest.raises(TypeError):  # None is not "default": range check
             ShiftExConfig(tau=None)
         assert config.min_cluster_size >= 1
-        explicit = ShiftExConfig(tau=0.95, epsilon_scale=1.5)
-        assert explicit.tau == 0.95 and explicit.epsilon_scale == 1.5
+        explicit = ShiftExConfig(tau=0.95)
+        assert explicit.tau == 0.95
 
     @pytest.mark.parametrize("kwargs", [
         {"p_value": 0.0},
         {"p_value": 1.0},
         {"num_bootstrap": 0},
-        {"epsilon": -0.1},
-        {"epsilon_scale": 0.0},
+        {"delta_cov": -0.1},
+        {"delta_cov": float("inf")},
+        {"memory_capacity": 0},
+        {"memory_eta": 0.0},
+        {"memory_eta": 1.5},
+        {"flips_max_clusters": 0},
         {"tau": 1.5},
         {"k_max": 0},
         {"min_cluster_size": 0},
@@ -40,8 +44,9 @@ class TestConfig:
             ShiftExConfig(**kwargs)
 
     def test_explicit_thresholds_allowed(self):
-        config = ShiftExConfig(delta_cov=0.3, delta_label=0.1)
+        config = ShiftExConfig(delta_cov=0.3)
         assert config.delta_cov == 0.3
+        assert ShiftExConfig(delta_cov=0.0).delta_cov == 0.0
 
 
 class TestDetector:

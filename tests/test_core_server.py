@@ -17,10 +17,10 @@ from repro.federation.strategy import split_budget
 from repro.data.federated import FederatedShiftDataset
 from repro.flips.selector import FlipsSelector
 from tests.conftest import (
+    AssignmentSnapshots,
     make_context,
     make_run_settings,
     make_tiny_spec,
-    mean_accuracy,
 )
 
 
@@ -81,12 +81,12 @@ class TestBootstrapPhase:
         assert strategy.thresholds is not None
         assert strategy.thresholds.delta_cov > 0
         assert strategy.thresholds.delta_label > 0
-        assert strategy._epsilon is not None and strategy._epsilon > 0
+        assert strategy.thresholds.epsilon > 0
         # The values calibrated before the unread reuse null was deleted (it
         # was the last draw on the calibration stream) and before the nulls
         # were batched: calibration keeps its bytes, so they are pinned exactly.
         t = strategy.thresholds
-        assert (t.delta_cov, t.delta_label, t.gamma, strategy._epsilon) == (
+        assert (t.delta_cov, t.delta_label, t.gamma, t.epsilon) == (
             0.3250590324686127, 0.10028175837408328, 0.05400566104965562,
             0.40632379058576584)
 
@@ -99,14 +99,17 @@ class TestBootstrapPhase:
     def test_expert0_memory_seeded(self, shift_env):
         spec, dataset = shift_env
         strategy, _ctx = run_shiftex(spec, dataset, windows=1)
-        assert not strategy.registry.all()[0].memory.is_empty
+        assert strategy.registry.all()[0].memory.signature.shape[0] > 0
 
     def test_explicit_threshold_override(self, shift_env):
+        """A ``delta_cov`` override replaces the calibrated value, moves
+        epsilon with it and leaves the rest of the record calibrated."""
         spec, dataset = shift_env
-        config = ShiftExConfig(delta_cov=123.0, delta_label=0.5)
+        config = ShiftExConfig(delta_cov=123.0)
         strategy, _ctx = run_shiftex(spec, dataset, config=config, windows=1)
-        assert strategy.thresholds.delta_cov == 123.0
-        assert strategy.thresholds.delta_label == 0.5
+        t = strategy.thresholds
+        assert (t.delta_cov, t.epsilon) == (123.0, 153.75)
+        assert (t.delta_label, t.gamma) == (0.10028175837408328, 0.05400566104965562)
 
     def test_later_window_without_bootstrap_rejected(self, shift_env):
         spec, dataset = shift_env
@@ -176,10 +179,21 @@ class TestShiftResponse:
         assert state["num_models"] == len(strategy.registry)
         assert "delta_cov" in state and "epsilon" in state
 
-    def test_assignment_history_per_window(self, shift_env):
+    def test_assignments_per_window(self, shift_env):
+        """A callback reads each window's assignments as it closes: every
+        party on expert 0 through W0, shifted parties moved off it at W1,
+        and every window's map onto experts that were live then."""
         spec, dataset = shift_env
-        strategy, _ctx = run_shiftex(spec, dataset, windows=3)
-        assert set(strategy.assignment_history) == {0, 1, 2}
+        strategy = ShiftExStrategy()
+        snapshots = AssignmentSnapshots(strategy)
+        run_strategy(strategy, spec, make_run_settings(participants=5), seed=0,
+                     dataset=dataset, callbacks=[snapshots])
+        assert set(snapshots.maps) == {0, 1, 2}
+        assert set(snapshots.maps[0].values()) == {0}
+        assert snapshots.maps[1] != snapshots.maps[0]
+        assert snapshots.maps[2] == strategy.assignments
+        for window, live in snapshots.live.items():
+            assert set(snapshots.maps[window].values()) <= live
 
 
 class TestAblationsToggles:
@@ -238,12 +252,6 @@ class TestAblationsToggles:
         assert stacked == alone and saved == alone_saved
         assert any(size > 1 for _tag, size in stacked)
         assert '"party_pool"' in saved
-
-    def test_flips_disabled_still_trains(self, shift_env):
-        spec, dataset = shift_env
-        config = ShiftExConfig(enable_flips=False)
-        strategy, _ctx = run_shiftex(spec, dataset, config=config, windows=2)
-        assert mean_accuracy(strategy, dataset, 1) > 1.0 / spec.num_classes
 
 
 class TestCohortFlips:

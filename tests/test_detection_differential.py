@@ -48,7 +48,7 @@ from repro.harness.runner import run_strategy
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import run_result_to_dict
 from repro.utils.validation import normalize_histogram
-from tests.conftest import make_run_settings, make_tiny_spec
+from tests.conftest import AssignmentSnapshots, make_run_settings, make_tiny_spec
 
 # The package re-exports the function ``mmd`` under the submodule's name.
 live = importlib.import_module("repro.detection.mmd")
@@ -661,9 +661,10 @@ PATCHED = {
 
 def _shiftex_run(spec, dataset):
     strategy = build_strategy("shiftex")
+    snapshots = AssignmentSnapshots(strategy)
     result = run_strategy(strategy, spec, make_run_settings(participants=5),
-                          seed=0, dataset=dataset)
-    return strategy, run_result_to_dict(result)
+                          seed=0, dataset=dataset, callbacks=[snapshots])
+    return strategy, snapshots.maps, run_result_to_dict(result)
 
 
 def test_a_run_decides_the_same_with_the_reference_functions(monkeypatch):
@@ -677,7 +678,7 @@ def test_a_run_decides_the_same_with_the_reference_functions(monkeypatch):
                           window_regimes=(("invert_polarity", 4), ("fog", 4),
                                           ("invert_polarity", 4), ("fog", 4)))
     dataset = FederatedShiftDataset(spec)
-    live_strategy, live_result = _shiftex_run(spec, dataset)
+    live_strategy, live_assignments, live_result = _shiftex_run(spec, dataset)
     scored = set()
 
     def counted(module, name):
@@ -692,7 +693,7 @@ def test_a_run_decides_the_same_with_the_reference_functions(monkeypatch):
         for name in names:
             monkeypatch.setattr(importlib.import_module(module), name,
                                 counted(module, name))
-    ref_strategy, ref_result = _shiftex_run(spec, dataset)
+    ref_strategy, ref_assignments, ref_result = _shiftex_run(spec, dataset)
 
     assert scored == set(PATCHED)  # every scoring site was reached
     actions = {c["action"] for log in live_strategy.shift_log
@@ -706,5 +707,5 @@ def test_a_run_decides_the_same_with_the_reference_functions(monkeypatch):
         assert live_state == ref_state
     assert live_result == ref_result  # window series, summaries, ledger
     assert live_strategy.shift_log == ref_strategy.shift_log
-    assert live_strategy.assignment_history == ref_strategy.assignment_history
+    assert live_assignments == ref_assignments
     assert live_strategy.thresholds.gamma == ref_strategy.thresholds.gamma

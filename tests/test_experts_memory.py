@@ -10,11 +10,10 @@ from repro.utils.rng import spawn_rng
 class TestUpdate:
     def test_empty_until_first_update(self, rng):
         memory = LatentMemory(capacity=8)
-        assert memory.is_empty
         with pytest.raises(RuntimeError):
             _ = memory.signature
         memory.update(rng.normal(size=(10, 3)), rng)
-        assert not memory.is_empty
+        assert memory.signature.shape == (8, 3)
 
     def test_capacity_respected(self, rng):
         memory = LatentMemory(capacity=8)
@@ -93,15 +92,6 @@ class TestMerge:
         rows_a = np.sum(np.all(merged.signature == 0.0, axis=1))
         rows_b = np.sum(np.all(merged.signature == 1.0, axis=1))
         assert rows_a > 0 and rows_b > 0
-
-    def test_merge_with_empty(self, rng):
-        a = LatentMemory(capacity=6)
-        b = LatentMemory(capacity=6)
-        a.update(np.ones((8, 2)), rng)
-        merged = a.merged_with(b, 0.7, rng)
-        assert np.allclose(merged.signature, 1.0)
-        both_empty = b.merged_with(LatentMemory(capacity=6), 0.5, rng)
-        assert both_empty.is_empty
 
     def test_merge_weight_bounds(self, rng):
         a = LatentMemory(capacity=6)

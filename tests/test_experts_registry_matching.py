@@ -5,6 +5,7 @@ import pytest
 
 from benchmarks.fidelity import memory_footprint
 from benchmarks.reference import _ref_weighted_mean
+from repro.detection.calibration import CalibratedThresholds
 from repro.detection.mmd import class_conditional_mmd, class_conditional_mmd_batch, mmd
 from repro.experts.consolidation import consolidate_experts
 from repro.experts.matching import match_cluster_to_expert
@@ -15,6 +16,14 @@ from repro.utils.rng import spawn_rng
 
 def simple_params(rng, scale=1.0):
     return scale * rng.normal(size=15)
+
+
+def seeded(registry, rng, window, flat=None):
+    """A created expert with a seeded memory, as every expert holds after
+    the bootstrap window."""
+    return registry.create(simple_params(rng) if flat is None else flat,
+                           window=window, embeddings=rng.normal(size=(20, 4)),
+                           rng=rng)
 
 
 @pytest.fixture()
@@ -39,7 +48,6 @@ class TestRegistry:
     def test_create_with_memory_seed(self, registry, rng):
         expert = registry.create(simple_params(rng), window=0,
                                  embeddings=rng.normal(size=(20, 5)), rng=rng)
-        assert not expert.memory.is_empty
         assert expert.memory.signature.shape == (16, 5)
 
     def test_memory_seed_requires_rng(self, registry, rng):
@@ -50,12 +58,6 @@ class TestRegistry:
     def test_get_unknown_rejected(self, registry):
         with pytest.raises(KeyError):
             registry.get(7)
-
-    def test_remove(self, registry, rng):
-        expert = registry.create(simple_params(rng), window=0)
-        registry.remove(expert.expert_id)
-        assert len(registry) == 0
-        assert expert.expert_id not in registry
 
     def test_expert_holds_one_flat_vector(self, rng):
         with pytest.raises(ValueError, match="one flat vector"):
@@ -69,11 +71,24 @@ class TestRegistry:
         assert footprint["total_bytes"] > 0
         assert footprint["mapping_bytes"] == 80
 
-    def test_allocate_id_reserves(self, registry, rng):
-        registry.create(simple_params(rng), window=0)
-        reserved = registry.allocate_id()
-        e2 = registry.create(simple_params(rng), window=0)
-        assert e2.expert_id == reserved + 1
+    def test_merge_replaces_the_pair_under_the_next_id(self, registry, rng):
+        a, b = (seeded(registry, rng, window) for window in (0, 1))
+        merged = registry.merge(a, b, rng)
+        assert merged.expert_id == 2 and registry.ids() == [2]
+        assert a.expert_id not in registry and b.expert_id not in registry
+        assert (registry.created_total, registry.merged_total) == (2, 1)
+        assert registry.create(simple_params(rng), window=2).expert_id == 3
+
+    def test_merge_blends_both_memories(self, registry, rng):
+        a = registry.create(simple_params(rng), window=0,
+                            embeddings=np.zeros((20, 2)), rng=rng)
+        b = registry.create(simple_params(rng), window=1,
+                            embeddings=np.ones((20, 2)), rng=rng)
+        a.samples_seen, b.samples_seen = 300, 100
+        merged = registry.merge(a, b, rng).memory.signature
+        assert merged.shape == (16, 2)
+        assert np.sum(np.all(merged == 0.0, axis=1)) == 12  # a's 3/4 share
+        assert np.sum(np.all(merged == 1.0, axis=1)) == 4
 
 
 class TestOwnedVectors:
@@ -102,13 +117,13 @@ class TestOwnedVectors:
             registry.create(rng.normal(size=4), window=0)
         assert len(registry) == 1 and registry.created_total == 1
 
-    def test_removed_expert_keeps_its_parameters(self, registry, rng):
-        expert = registry.create(simple_params(rng), window=0)
-        snapshot = expert.flat.copy()
-        registry.remove(expert.expert_id)
-        other = registry.create(simple_params(rng), window=1)
-        assert other is not expert
-        assert np.array_equal(expert.flat, snapshot)
+    def test_merged_expert_keeps_its_parameters(self, registry, rng):
+        a, b = (seeded(registry, rng, window) for window in (0, 1))
+        snapshot = a.flat.copy()
+        merged = registry.merge(a, b, rng)
+        merged.set_params(merged.flat + 1.0)
+        assert np.array_equal(a.flat, snapshot)
+        assert not np.shares_memory(merged.flat, a.flat)
 
     def test_later_expert_is_cast_to_the_pool_dtype(self, registry, rng):
         first = registry.create(simple_params(rng).astype(np.float32), window=0)
@@ -120,15 +135,16 @@ class TestOwnedVectors:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_merge_is_weighted_average(self, registry, rng, dtype):
         base = simple_params(rng).astype(dtype)
-        a = registry.create(base, window=0)
-        b = registry.create(base + dtype(0.01), window=1)
+        a = seeded(registry, rng, 0, base)
+        b = seeded(registry, rng, 1, base + dtype(0.01))
         a.train_rounds, a.samples_seen = 3, 300
         b.train_rounds, b.samples_seen = 1, 100
         # The reference runs the ops the list-form weighted average ran, so
         # the merge keeps its bytes, not only its value.
         expected = _ref_weighted_mean([a.flat, b.flat], [300.0, 100.0],
                                       ["a", "b"])
-        events = consolidate_experts(registry, tau=0.9, rng=rng)
+        events = consolidate_experts(registry, tau=0.9, rng=rng, assignments={},
+                                     thresholds=thresholds(10.0))
         merged = registry.get(events[0].new_id)
         assert registry.ids() == [merged.expert_id] and registry.merged_total == 1
         assert merged.flat.dtype == np.dtype(dtype)
@@ -143,12 +159,23 @@ class TestOwnedVectors:
         assert np.array_equal(a.flat, base)
 
 
-def match_untagged(cluster, registry, **kwargs):
-    """One class on both sides (memories seeded without labels store zeros):
-    the class-conditional score is then the plain MMD."""
+def thresholds(epsilon, gamma=None):
+    """A threshold record whose reuse threshold is ``epsilon``."""
+    return CalibratedThresholds(delta_cov=epsilon / 1.25, delta_label=0.1,
+                                gamma=gamma)
+
+
+def match(cluster, registry, epsilon, gamma=None, max_rows=None, rng=None,
+          labels=None):
+    """Match the whole cluster unless ``max_rows`` says otherwise; without
+    ``labels``, one class on both sides (memories seeded without labels
+    store zeros): the class-conditional score is then the plain MMD."""
     return match_cluster_to_expert(
-        cluster, registry, cluster_labels=np.zeros(len(cluster), dtype=int),
-        **kwargs)
+        cluster, registry, thresholds(epsilon, gamma),
+        len(cluster) if max_rows is None else max_rows,
+        spawn_rng(0, "unused") if rng is None else rng,
+        cluster_labels=(np.zeros(len(cluster), dtype=int) if labels is None
+                        else labels))
 
 
 class TestMatching:
@@ -163,64 +190,36 @@ class TestMatching:
     def test_matches_same_regime(self, rng):
         registry, _clean, foggy = self.make_registry_with_regimes(rng)
         cluster = rng.normal(size=(30, 4)) + 5.0
-        result = match_untagged(cluster, registry, epsilon=0.5, gamma=0.1)
+        result = match(cluster, registry, epsilon=0.5, gamma=0.1)
         assert result.matched
         assert result.expert_id == foggy.expert_id
 
     def test_rejects_new_regime(self, rng):
         registry, _clean, _foggy = self.make_registry_with_regimes(rng)
         cluster = rng.normal(size=(30, 4)) - 5.0  # a third, unseen regime
-        result = match_untagged(cluster, registry, epsilon=0.3, gamma=0.1)
+        result = match(cluster, registry, epsilon=0.3, gamma=0.1)
         assert not result.matched
         assert result.expert_id is None
         assert result.score > 0.3
 
-    def test_empty_registry_no_match(self, rng):
-        registry = ExpertRegistry()
-        result = match_untagged(rng.normal(size=(10, 3)), registry,
-                                epsilon=1.0)
-        assert not result.matched
-        assert result.score == float("inf")
-
-    def test_experts_without_memory_skipped(self, rng):
-        registry = ExpertRegistry()
-        registry.create(simple_params(rng), window=0)  # no memory seed
-        result = match_untagged(rng.normal(size=(10, 3)), registry,
-                                epsilon=10.0)
-        assert not result.matched
-
     def test_scores_for_all_experts(self, rng):
         registry, clean, foggy = self.make_registry_with_regimes(rng)
         cluster = rng.normal(size=(30, 4))
-        result = match_untagged(cluster, registry, epsilon=0.5, gamma=0.1)
+        result = match(cluster, registry, epsilon=0.5, gamma=0.1)
         assert set(result.scores) == {clean.expert_id, foggy.expert_id}
-
-    def test_subsampling_requires_rng(self, rng):
-        registry, _c, _f = self.make_registry_with_regimes(rng)
-        with pytest.raises(ValueError):
-            match_untagged(rng.normal(size=(100, 4)), registry,
-                           epsilon=0.5, max_rows=16)
 
     def test_subsampling_matches_at_capacity_scale(self, rng):
         registry, _clean, foggy = self.make_registry_with_regimes(rng)
         cluster = rng.normal(size=(300, 4)) + 5.0
-        result = match_untagged(cluster, registry, epsilon=0.6,
-                                gamma=0.1, max_rows=24,
-                                rng=spawn_rng(0, "sub"))
+        result = match(cluster, registry, epsilon=0.6, gamma=0.1, max_rows=24,
+                       rng=spawn_rng(0, "sub"))
         assert result.matched
         assert result.expert_id == foggy.expert_id
-
-    def test_negative_epsilon_rejected(self, rng):
-        registry = ExpertRegistry()
-        with pytest.raises(ValueError):
-            match_untagged(rng.normal(size=(5, 3)), registry,
-                           epsilon=-0.1)
 
     def test_batched_scores_match_per_expert_mmd(self, rng):
         registry, clean, foggy = self.make_registry_with_regimes(rng)
         cluster = rng.normal(size=(30, 4)) + 2.0
-        result = match_untagged(cluster, registry, epsilon=10.0,
-                                gamma=0.1)
+        result = match(cluster, registry, epsilon=10.0, gamma=0.1)
         for expert in (clean, foggy):
             expected = mmd(cluster, expert.memory.signature, 0.1)
             assert result.scores[expert.expert_id] == pytest.approx(
@@ -236,8 +235,7 @@ class TestMatching:
                 labels=rng.integers(0, 3, 40), rng=rng))
         cluster = rng.normal(size=(36, 4)) + 3.0
         labels = rng.integers(0, 3, 36)
-        result = match_cluster_to_expert(cluster, registry, epsilon=10.0,
-                                         gamma=0.1, cluster_labels=labels)
+        result = match(cluster, registry, 10.0, gamma=0.1, labels=labels)
         for expert in experts:
             expected = class_conditional_mmd(
                 cluster, labels, expert.memory.signature,
@@ -255,8 +253,7 @@ class TestMatching:
                                    labels=rng.integers(0, 3, 40), rng=rng)
                    for offset in (0.0, 2.0, 4.0)]
         cluster, labels = rng.normal(size=(30, 4)) + 2.0, rng.integers(0, 3, 30)
-        result = match_cluster_to_expert(cluster, registry, epsilon=10.0,
-                                         gamma=0.1, cluster_labels=labels)
+        result = match(cluster, registry, 10.0, gamma=0.1, labels=labels)
         for expert in experts:
             one = class_conditional_mmd_batch(
                 [cluster], [labels], [expert.memory.signature],

@@ -181,8 +181,11 @@ BAD_FLOATS = [
     (AvailabilityConfig, "straggler_zipf_a", "nan"),
     (PopulationConfig, "zipf_a", "nan"),
     (LocalTrainingConfig, "prox_mu", "nan"),
-    (ShiftExConfig, "epsilon_scale", "nan"),
-    (ShiftExConfig, "epsilon", "nan"),
+    (ShiftExConfig, "delta_cov", "nan"),
+    (ShiftExConfig, "delta_cov", "-1"),
+    (ShiftExConfig, "memory_eta", "nan"),
+    (ShiftExConfig, "memory_capacity", "0"),
+    (ShiftExConfig, "flips_max_clusters", "0"),
 ]
 
 
@@ -217,9 +220,9 @@ class TestTypedBlocks:
         return plan.strategies[0].build().config
 
     def test_shiftex_config(self):
-        config = self._shiftex({"enable_flips": "false", "k_max": "3",
+        config = self._shiftex({"enable_consolidation": "false", "k_max": "3",
                                 "tau": "0.5", "delta_cov": None})
-        assert config.enable_flips is False and config.k_max == 3
+        assert config.enable_consolidation is False and config.k_max == 3
         assert config.tau == 0.5 and config.delta_cov is None
         with pytest.raises(ValueError,
                            match=r"plan strategies\.shiftex\.kwargs\.config\.k_max "
@@ -227,8 +230,8 @@ class TestTypedBlocks:
             self._shiftex({"k_max": 2.5})
         with pytest.raises(ValueError,
                            match=r"plan strategies\.shiftex\.kwargs\.config\."
-                                 r"enable_flips must be on/off"):
-            self._shiftex({"enable_flips": 1})
+                                 r"enable_consolidation must be on/off"):
+            self._shiftex({"enable_consolidation": 1})
 
     def test_spec_override(self):
         plan = ExperimentPlan.from_dict({**_MINIMAL, "spec_override": {

@@ -3,7 +3,7 @@
 A ``params=float32`` ShiftEx run makes the *same detection decisions* —
 shifted counts, cluster actions, expert creations, merges — as the
 all-float64 seed pipeline on the integration scenario, with the same
-``tau`` / ``epsilon_scale`` literals at both precisions.
+``tau`` and epsilon scale (1.25 · ``delta_cov``) at both precisions.
 """
 
 import dataclasses
