@@ -7,10 +7,11 @@ default), then checks the paper's shape on it; a failed check exits 1 and
 names the artifact.  Tables and figures run the ``ci`` profile at run seed 0
 in ``float64``.  ``fidelity_seeds`` checks nothing: ShiftEx − FedProx on four
 data seeds per dataset at run seeds 0 and 1, at the profile's precision, as
-``repro compare`` runs it.  ``overheads`` also prints the Section 7
-latencies; no timing is saved.  A run pins OpenBLAS to one thread unless ``OPENBLAS_NUM_THREADS`` is set, as
-CI's ``fidelity`` job does, and runs each comparison grid's cells over
-``JOBS`` = 2 processes.
+``repro compare`` runs it, then both methods' mean Max per cell.
+``overheads`` also prints the Section 7 latencies; no timing is saved.  A run
+pins OpenBLAS to one thread unless ``OPENBLAS_NUM_THREADS`` is set, as CI's
+``fidelity`` job does, and runs each comparison grid's cells over ``JOBS`` = 2
+processes (each worker pins its own BLAS to one thread).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.data.registry import DatasetSpec  # noqa: E402
 from repro.detection.calibration import CalibratedThresholds  # noqa: E402
 from repro.detection.divergence import jsd  # noqa: E402
 from repro.detection.mmd import median_heuristic_gamma, mmd  # noqa: E402
+from repro.experiments.executors import run_cells  # noqa: E402
 from repro.experiments.plan import ExperimentPlan  # noqa: E402
 from repro.experiments.results import ComparisonResult  # noqa: E402
 from repro.experts.facility import (  # noqa: E402
@@ -207,22 +209,22 @@ def figures7_8_expert_dynamics(emit):
 
 def fidelity_seeds(emit):
     """ShiftEx − FedProx mean Max over windows ≥ 1, per dataset and data
-    seed: one table per run seed in ``FIDELITY_RUN_SEEDS``.  Each (dataset,
-    data seed) is one plan over every run seed, so a grid keeps ``JOBS``
-    processes busy."""
-    gaps: dict[tuple[int, str], list[float]] = {}
+    seed: one table per run seed in ``FIDELITY_RUN_SEEDS``, then both
+    methods' mean Max per cell.  Every (dataset, data seed) is one plan over
+    every run seed, and all their cells go to one pool of ``JOBS``
+    processes, so no worker waits at a plan boundary."""
+    plans = {}
     for row in DATASETS:
         spec, _settings = get_profile(PROFILE, row.dataset)
         for seed in DATA_SEEDS:
-            runs = ExperimentPlan.build(
+            plans[row.dataset, seed] = ExperimentPlan.build(
                 row.dataset, ("fedprox", "shiftex"), profile=PROFILE,
-                seeds=FIDELITY_RUN_SEEDS,
-                spec_override=replace(spec, seed=seed)).run(jobs=JOBS).runs
-            for i, run_seed in enumerate(FIDELITY_RUN_SEEDS):
-                shiftex, fedprox = (np.mean(runs[m][i].max_accuracy_per_window[1:])
-                                    for m in ("shiftex", "fedprox"))
-                gaps.setdefault((run_seed, row.dataset), []).append(
-                    float(shiftex - fedprox))
+                seeds=FIDELITY_RUN_SEEDS, spec_override=replace(spec, seed=seed))
+    pairs = [(plan, cell) for plan in plans.values() for cell in plan.cells()]
+    mean_max = {}  # (dataset, data seed, run seed, method) -> mean Max
+    for (plan, cell), run in zip(pairs, run_cells(pairs, JOBS)):
+        mean_max[plan.dataset, plan.spec_override.seed, cell.seed,
+                 cell.spec.label] = np.mean(run.max_accuracy_per_window[1:])
     tables = []
     for run_seed in FIDELITY_RUN_SEEDS:
         lines = ["ShiftEx − FedProx mean max accuracy over windows >= 1 (points)",
@@ -230,12 +232,25 @@ def fidelity_seeds(emit):
                  f"  {'dataset':20s} | " + " | ".join(f"{s:>6d}" for s in DATA_SEEDS)
                  + " | median |  range"]
         for row in DATASETS:
-            row_gaps = gaps[run_seed, row.dataset]
+            row_gaps = [float(mean_max[row.dataset, seed, run_seed, "shiftex"]
+                              - mean_max[row.dataset, seed, run_seed, "fedprox"])
+                        for seed in DATA_SEEDS]
             cells = [f"{g:+6.2f}" for g in row_gaps]
             cells += [f"{statistics.median(row_gaps):+6.2f}",
                       f"{max(row_gaps) - min(row_gaps):6.2f}"]
             lines.append(f"  {row.dataset:20s} | " + " | ".join(cells))
         tables.append("\n".join(lines) + "\n")
+    lines = ["Mean max accuracy over windows >= 1 (%), per cell",
+             f"profile={PROFILE} (profile precision)",
+             f"  {'dataset':20s} | data seed | run seed | FedProx | ShiftEx"]
+    for row in DATASETS:
+        for seed in DATA_SEEDS:
+            for run_seed in FIDELITY_RUN_SEEDS:
+                fedprox, shiftex = (mean_max[row.dataset, seed, run_seed, m]
+                                    for m in ("fedprox", "shiftex"))
+                lines.append(f"  {row.dataset:20s} | {seed:9d} | {run_seed:8d} "
+                             f"| {fedprox:7.2f} | {shiftex:7.2f}")
+    tables.append("\n".join(lines) + "\n")
     emit("\n".join(tables))
 
 

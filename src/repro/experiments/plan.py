@@ -257,7 +257,8 @@ class ExperimentPlan:
         ``jobs=1``.  ``callbacks`` are threaded into every cell's runner
         (with ``jobs`` > 1 they fire inside workers).
         """
-        cell_runs = run_cells(self, jobs, tuple(callbacks))
+        cell_runs = run_cells([(self, cell) for cell in self.cells()],
+                              jobs, tuple(callbacks))
         result = ComparisonResult(dataset=self.dataset, profile=self.profile,
                                   seeds=self.seeds)
         per_label = len(self.seeds)

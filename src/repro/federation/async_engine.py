@@ -44,12 +44,10 @@ Contributors touching the engine must preserve these; the differential test
 suite (``tests/test_differential_aggregation.py``) pins most of them:
 
 1. **Every buffered report owns exactly one bank row**, allocated at
-   training time and released on exactly one of four exits: aggregation
+   training time and released on exactly one of three exits: aggregation
    (:meth:`AsyncRoundBuffer.pop`), window flush (:meth:`AsyncRoundBuffer.flush`
    via :meth:`FederationEngine.begin_window`, which then drops the stream's
-   buffer), stream invalidation
-   (the stream's model changed shape/precision in ``_buffer_for``), or a
-   dispatch that raised before its reports were parked
+   buffer), or a dispatch that raised before its reports were parked
    (:func:`~repro.federation.rounds.train_cohort` releases what it
    allocated).  Leaking a row strands bank capacity for the rest of the
    run; releasing twice corrupts an unrelated report's storage.  Under
@@ -57,8 +55,10 @@ suite (``tests/test_differential_aggregation.py``) pins most of them:
    *sealed* (bit-domain masked) before ``train_cohort`` hands it back:
    aggregation is the only exit that unseals — transiently, inside
    ``SecureAggregationSession.combine_rows``, which scrubs the row before
-   release — while the flush/invalidation exits discard the report still
-   sealed, so a flushed buffer leaks no residue.
+   release — while the flush exit discards the report still sealed, so a
+   flushed buffer leaks no residue.  A stream's row size and dtype are
+   fixed while its buffer lives: a round that feeds it another shape is an
+   error (``_buffer_for``), never a silent flush.
 2. **The clock only moves forward**, exactly once per federated round via
    :meth:`FederationEngine.advance`; running a round before the first
    ``advance`` is an error.  Reports are tagged with their dispatch tick,
@@ -285,11 +285,9 @@ class FederationEngine:
         dtype = np.dtype(dtype)
         buf = self._buffers.get(stream)
         if buf is not None and (buf.bank.dim != dim or buf.bank.dtype != dtype):
-            # The stream's model changed size (e.g. a rebuilt expert) or
-            # precision; whatever was in flight can no longer be aggregated
-            # into it.
-            self.counters["expired_reports"] += buf.flush()
-            buf = None
+            raise ValueError(
+                f"stream {stream!r} buffers {buf.bank.dim} {buf.bank.dtype} "
+                f"rows; a round fed it {dim} {dtype}")
         if buf is None:
             bank = self._banks.get((dim, dtype))
             if bank is None:
@@ -328,16 +326,16 @@ class FederationEngine:
                 "FederationEngine.advance() must be called before the first "
                 "round (the harness does this once per federated round)")
         tick = self.clock
+        # The bank is allocated at the run's parameter dtype, so a float32
+        # run stays float32 even when a strategy hands over float64 params.
+        buf = self._buffer_for(stream, params.size, parties.dtype,
+                               capacity=max(len(participant_ids), 1))
         fates = self.simulator.cohort_fates(list(participant_ids), tick)
         alive = [f for f in fates if not f.dropped]
         dropped = [f.party_id for f in fates if f.dropped]
         self.counters["dispatched"] += len(participant_ids)
         self.counters["dropped"] += len(dropped)
 
-        # The bank is allocated at the run's parameter dtype, so a float32
-        # run stays float32 even when a strategy hands over float64 params.
-        buf = self._buffer_for(stream, params.size, parties.dtype,
-                               capacity=max(len(participant_ids), 1))
         alive_ids = [f.party_id for f in alive]
         session = seal = None
         if secure is not None and alive_ids:

@@ -27,12 +27,12 @@ Residency invariants
    or bank rows, never the model's own buffers, so the weights a model holds
    on arrival never matter: the pool builds one ``Sequential`` at the run's
    dtype and binds it to every party it materializes.
-3. **Pinned residents are never evicted.**  ``acquire``/``release`` wrap a
-   party's in-flight window (the cohort trainer pins one trainee at a time,
-   for the read of its train split, and trains the cohort after the last
-   release); capacity pressure skips pinned rows, temporarily overshooting
-   ``max_resident`` rather than corrupting a party mid-read.  Bank rows holding
-   buffered *reports* live in the
+3. **A bounded pool never holds more than ``max_resident`` parties.**
+   Materialization evicts the least recently used resident *before* it
+   binds the new party, and nothing else grows the pool.  A read is
+   synchronous (:func:`~repro.federation.rounds.train_cohort` reads each
+   trainee's train split as it reaches it), so no party is ever evicted
+   mid-read.  Bank rows holding buffered *reports* live in the
    :class:`~repro.federation.async_engine.AsyncRoundBuffer` and are
    independent of party residency — evicting a party never touches its
    in-flight report.
@@ -180,7 +180,7 @@ class PartyPool(Mapping):
     and uniform.  The life cycle::
 
         identity ──materialize──▶ resident Party ──capacity──▶ evicted
-           ▲       (the pool's model,               (LRU, pin-aware)  │
+           ▲       (the pool's model,               (LRU head)        │
            └─────────────────── window data bound) ◀──────────────────┘
 
     "Window data" is a :class:`~repro.data.federated.PartyWindowData`:
@@ -190,11 +190,9 @@ class PartyPool(Mapping):
     pool itself keeps no arrays: eviction drops what was generated along
     with what was not.
 
-    ``acquire``/``release`` pin a party for an in-flight read;
-    :func:`~repro.federation.rounds.train_cohort` calls them around the read
-    of each trainee's train split, one trainee at a time, and trains only
-    after the last release — so a cohort larger than ``max_resident`` never
-    pins more than one party at once.
+    :meth:`acquire` is the read :func:`~repro.federation.rounds.train_cohort`
+    makes of each trainee, one at a time, so a cohort larger than
+    ``max_resident`` still leaves at most ``max_resident`` parties resident.
     """
 
     def __init__(self, spec: DatasetSpec, dataset: FederatedShiftDataset,
@@ -216,7 +214,6 @@ class PartyPool(Mapping):
                                  dtype=self.dtype)
         self._window = 0
         self._resident: "OrderedDict[int, Party]" = OrderedDict()
-        self._pins: dict[int, int] = {}
         self._survey_ids: tuple[int, ...] | None = None
         self.eviction_log: list[int] = []
         self.counters = {
@@ -250,6 +247,10 @@ class PartyPool(Mapping):
     # ------------------------------------------------------------------ residency
 
     def _materialize(self, pid: int) -> Party:
+        # Evict first, so a bounded pool never holds more than max_resident.
+        if (self.max_resident is not None
+                and len(self._resident) >= self.max_resident):
+            self._evict(next(iter(self._resident)))  # the LRU head
         party = Party(pid, self.model, self.spec.num_classes, seed=self.seed,
                       population=self.population)
         self._bind(party)
@@ -257,27 +258,12 @@ class PartyPool(Mapping):
         self.counters["materialized"] += 1
         if len(self._resident) > self.counters["peak_resident"]:
             self.counters["peak_resident"] = len(self._resident)
-        self._evict_over_capacity(protect=pid)
         return party
 
     def _bind(self, party: Party) -> None:
         party.set_window_data(
             self.dataset.virtual_party_window(party.party_id, self._window))
         self.counters["data_binds"] += 1
-
-    def _evict_over_capacity(self, protect: int | None = None) -> None:
-        if self.max_resident is None:
-            return
-        while len(self._resident) > self.max_resident:
-            victim = None
-            for pid in self._resident:  # LRU order: least recent first
-                if pid in self._pins or pid == protect:
-                    continue
-                victim = pid
-                break
-            if victim is None:
-                return  # every resident pinned: overshoot, never corrupt
-            self._evict(victim)
 
     def _evict(self, pid: int) -> None:
         party = self._resident.pop(pid)
@@ -286,30 +272,13 @@ class PartyPool(Mapping):
         self.counters["evictions"] += 1
 
     def acquire(self, pid) -> Party:
-        """Materialize and pin ``pid``: pinned residents are never evicted."""
-        party = self[pid]
-        pid = int(pid)
-        self._pins[pid] = self._pins.get(pid, 0) + 1
-        return party
-
-    def release(self, pid) -> None:
-        """Drop one pin; the last release makes the party evictable again."""
-        pid = int(pid)
-        count = self._pins.get(pid, 0)
-        if count <= 0:
-            raise ValueError(f"party {pid} is not pinned")
-        if count == 1:
-            del self._pins[pid]
-            self._evict_over_capacity()
-        else:
-            self._pins[pid] = count - 1
+        """The party a cohort trainer reads: ``pool[pid]``, under its own
+        name so a trace can tell cohort reads from every other touch."""
+        return self[pid]
 
     def resident_ids(self) -> tuple[int, ...]:
         """Currently resident parties in LRU order (tests/bench introspection)."""
         return tuple(self._resident)
-
-    def pinned_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._pins))
 
     # ------------------------------------------------------------------ windows
 
@@ -354,6 +323,5 @@ class PartyPool(Mapping):
             "max_resident": self.max_resident,
             "skew": self.sampler.skew,
             "resident": len(self._resident),
-            "pinned": len(self._pins),
             **{k: int(v) for k, v in self.counters.items()},
         }

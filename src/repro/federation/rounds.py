@@ -93,9 +93,9 @@ def train_cohort(parties: PartyPool, participant_ids: list[int],
     Returns ``(rows, updates)`` aligned with ``participant_ids``.
 
     The pool sees what a per-party loop shows it: for each participant, in
-    cohort order, a row is allocated and the party is pinned (``acquire`` /
-    ``release``) for exactly the read of its train split, so residency
-    pressure can never evict a party mid-read.  Only then does the cohort
+    cohort order, a row is allocated and the party is acquired for the read
+    of its train split, so a cohort of any size leaves at most
+    ``max_resident`` parties resident.  Only then does the cohort
     train — :func:`~repro.federation.party.train_parties`, one stacked SGD
     loop per group of equal split size — and each participant's trained
     vector lands in its own row.
@@ -119,10 +119,7 @@ def train_cohort(parties: PartyPool, participant_ids: list[int],
         for party_id in participant_ids:
             rows.append(bank.alloc())
             party = parties.acquire(party_id)
-            try:
-                trainees.append((party, *party.train_split()))
-            finally:
-                parties.release(party_id)
+            trainees.append((party, *party.train_split()))
         # Row views only after the last alloc: growth relocates the bank.
         updates = train_parties(trainees, params, config.local, round_tag,
                                 [bank.row(row) for row in rows])
@@ -181,9 +178,8 @@ def run_fl_round(ctx: "StrategyContext", participant_ids: list[int],
     The context supplies the rest: the round runs on ``ctx.federation``,
     whose clock, availability model and per-stream buffers every round of
     the run shares, over ``ctx.parties`` (a participant is materialized when
-    it trains — one that drops out never is — and pinned by
-    :func:`train_cohort` while its train split is read), sealed under
-    ``ctx.masking``.  One model download
+    it trains — one that drops out never is — and read by
+    :func:`train_cohort`), sealed under ``ctx.masking``.  One model download
     and one upload are metered on ``ctx.ledger`` per dispatched party,
     whatever became of its report (dropped, delayed, buffered): the ledger
     counts dispatches.

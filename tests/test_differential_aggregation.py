@@ -283,10 +283,6 @@ class _PerStreamBanks(FederationEngine):
 
     def _buffer_for(self, stream, dim, dtype, capacity):
         buf = self._buffers.get(stream)
-        if buf is not None and (buf.bank.dim != dim
-                                or buf.bank.dtype != np.dtype(dtype)):
-            self.counters["expired_reports"] += buf.flush()
-            buf = None
         if buf is None:
             buf = self._buffers[stream] = AsyncRoundBuffer(
                 ParamBank(dim, dtype=dtype, capacity=capacity))

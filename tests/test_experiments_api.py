@@ -217,6 +217,28 @@ class TestPlan:
 
 # ------------------------------------------------------------------- executors
 
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    import ctypes
+    from numpy.linalg import _umath_linalg
+    blas = ctypes.CDLL(_umath_linalg.__file__)
+    get = getattr(blas, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(blas, "scipy_openblas_set_num_threads64_", None)
+    return None if get is None or set_ is None else (get, set_)
+
+
+class BlasThreads(RunCallback):
+    """Writes the BLAS thread count a cell starts under to ``directory``."""
+
+    def __init__(self, directory):
+        self.directory = directory
+
+    def on_run_start(self, info):
+        get_threads, _ = _openblas_threads()
+        (self.directory / f"{info.strategy_name}-{info.seed}").write_text(
+            str(get_threads()))
+
+
 @pytest.fixture(scope="module")
 def tiny_plan():
     spec = make_tiny_spec(name="unit_exec", num_parties=6, num_windows=2,
@@ -251,7 +273,37 @@ class TestExecutors:
     def test_parallel_rejects_unpicklable(self, tiny_plan):
         unpicklable = ProgressLogger(emit=lambda line: None)
         with pytest.raises(ValueError, match="picklable"):
-            run_cells(tiny_plan, jobs=2, callbacks=(unpicklable,))
+            run_cells([(tiny_plan, cell) for cell in tiny_plan.cells()],
+                      jobs=2, callbacks=(unpicklable,))
+
+    def test_a_worker_runs_one_blas_thread(self, tiny_plan, tmp_path):
+        """Every worker pins its BLAS to one thread, even when the parent
+        runs more: a forked worker would otherwise inherit the parent's."""
+        blas = _openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS exports no thread-count getter")
+        get_threads, set_threads = blas
+        before = get_threads()
+        set_threads(2)
+        try:
+            pairs = [(tiny_plan, cell) for cell in tiny_plan.cells()[:2]]
+            run_cells(pairs, jobs=2, callbacks=(BlasThreads(tmp_path),))
+        finally:
+            set_threads(before)
+        counts = [int(f.read_text()) for f in tmp_path.iterdir()]
+        assert counts == [1, 1]
+
+    def test_pairs_from_several_plans_run_in_order(self, tiny_plan):
+        """One pool serves cells of several plans, each its own run."""
+        other = ExperimentPlan.build(
+            "cifar10_c_sim", ["fedavg"], seeds=(1,), profile="ci",
+            spec_override=tiny_plan.spec_override,
+            settings_override=tiny_plan.settings_override)
+        pairs = [(other, other.cells()[0]), (tiny_plan, tiny_plan.cells()[0])]
+        serial = run_cells(pairs, jobs=1)
+        parallel = run_cells(pairs, jobs=2)
+        assert [r.window_series for r in parallel] == \
+            [r.window_series for r in serial]
 
     def test_jobs_validation(self, tiny_plan):
         with pytest.raises(ValueError, match="jobs must be at least 1"):

@@ -287,6 +287,23 @@ class TestFederationEngine:
         assert engine.in_flight == 4
         assert len(engine._buffers) == 2
 
+    def test_a_stream_keeps_one_row_size(self, tiny_spec, tiny_dataset):
+        """A stream's row size is fixed while it buffers: feeding it another
+        size raises, naming the stream, before the round dispatches anyone,
+        and leaves its reports in flight."""
+        ctx = make_context(tiny_spec, tiny_dataset)
+        params = ctx.model_factory().get_params()
+        engine = _engine("buffered", min_reports=99, max_wait_rounds=99)
+        engine.advance()
+        engine.run_round(ctx.parties, [0, 1], params, ctx.round_config,
+                         stream="g")
+        with pytest.raises(ValueError, match="stream 'g'"):
+            engine.run_round(ctx.parties, [2], params[:-1], ctx.round_config,
+                             stream="g")
+        assert engine.in_flight == 2
+        assert engine.counters["dispatched"] == 2
+        assert engine.counters["expired_reports"] == 0
+
     def test_failed_dispatch_strands_no_rows(self, tiny_spec, tiny_dataset):
         """Invariant 1 on the error exit: the stream bank outlives the
         round, so a dispatch that raises must hand back every row it took —

@@ -8,8 +8,8 @@ because every piece of party state is a pure function of
 ``(seed, labels...)`` RNG streams.  On top of that invariant sit the
 population-scale mechanics: O(cohort) sampling and availability at
 populations far beyond the dataset's own party count, flat memory in the
-population, pin-aware eviction that never corrupts an in-flight straggler,
-and deterministic eviction order.
+population, a residency bound that is never exceeded, and deterministic
+eviction order.
 """
 
 import dataclasses
@@ -239,9 +239,7 @@ class TestPartyPoolResidency:
         assert pool.model.dtype == np.dtype(np.float32)
         for pid in (0, 1, 2, 0, 3, 0):
             assert pool[pid]._model is pool.model
-        pool.acquire(4)
         assert pool[4]._model.dtype == np.dtype(np.float32)
-        pool.release(4)
         pool[5]  # evicts 4
         assert pool[4]._model.dtype == np.dtype(np.float32)
 
@@ -263,32 +261,21 @@ class TestPartyPoolResidency:
         assert seen == {"float32"}
         assert pool.counters["evictions"] > 0
 
-    def test_pinned_party_is_never_evicted(self):
-        pool = self._pool(population=8, max_resident=2)
-        pool.acquire(0)
-        for pid in (1, 2, 3):
-            pool[pid]
-        assert 0 in pool.resident_ids()
-        assert 0 in pool.pinned_ids()
-        assert 0 not in pool.eviction_log
-        pool.release(0)
-        pool[4]
-        assert 0 not in pool.resident_ids()  # evictable again after release
-
-    def test_release_without_pin_raises(self):
-        pool = self._pool(population=4)
-        with pytest.raises(ValueError, match="not pinned"):
-            pool.release(0)
-
-    def test_all_pinned_overshoots_instead_of_corrupting(self):
-        pool = self._pool(population=8, max_resident=1)
-        pool.acquire(0)
-        pool.acquire(1)
-        assert set(pool.resident_ids()) == {0, 1}
-        assert pool.eviction_log == []
-        pool.release(1)
-        pool.release(0)
-        assert len(pool.resident_ids()) == 1
+    @settings(max_examples=60, deadline=None)
+    @given(max_resident=st.integers(1, 4),
+           accesses=st.lists(st.integers(0, 7), max_size=40),
+           acquire=st.lists(st.booleans(), min_size=40, max_size=40))
+    def test_a_bounded_pool_never_holds_more_than_max_resident(
+            self, max_resident, accesses, acquire):
+        pool = self._pool(population=8, max_resident=max_resident)
+        for pid, through_acquire in zip(accesses, acquire):
+            party = pool.acquire(pid) if through_acquire else pool[pid]
+            assert party.party_id == pid
+            assert pool.resident_ids()[-1] == pid  # the most recent use
+            assert len(pool.resident_ids()) <= max_resident
+        assert pool.counters["peak_resident"] <= max_resident
+        assert (pool.counters["materialized"]
+                == len(pool.resident_ids()) + pool.counters["evictions"])
 
     def test_eviction_releases_party_data(self):
         pool = self._pool(population=4, max_resident=1)
@@ -314,7 +301,7 @@ class TestPartyPoolResidency:
         s = pool.summary()
         assert s["population"] == 8 and s["max_resident"] == 2
         assert s["materialized"] == 3 and s["resident_hits"] == 1
-        assert s["evictions"] == 1 and s["peak_resident"] <= 3
+        assert s["evictions"] == 1 and s["peak_resident"] == 2
 
     def test_dropped_first_participant_is_never_materialized(self):
         """A party whose dispatch is dropped costs the pool nothing.
@@ -661,15 +648,14 @@ class TestPopulationScaleRuns:
                                  seed=0, dataset=ds))
         summary = result.extras["party_pool"]
         assert summary["population"] == 5000
-        assert summary["peak_resident"] <= 8 + settings_.round_config.participants_per_round
+        assert summary["peak_resident"] <= 8
         assert len(models) == 1
         assert len(result.window_series) == spec.num_windows
 
     def test_million_party_run_recycles_its_residents(self):
-        """Residency never tracks the population: the LRU bound (plus the
-        transient pin overshoot of an in-flight cohort) is the ceiling —
-        under ``flaky`` availability (dropouts, stragglers, counter-based
-        outages), so reports outlive their parties' residency."""
+        """Residency never tracks the population: the LRU bound is the
+        ceiling under ``flaky`` availability (dropouts, stragglers,
+        counter-based outages), so reports outlive their parties' residency."""
         cohort, max_resident = 64, 128
         result, models = _models_bound_during(lambda: _population_run(
             1_000_000, cohort, max_resident,
@@ -681,7 +667,7 @@ class TestPopulationScaleRuns:
         assert engine["aggregations"] > 0  # the buffer actually drained
         pool = result.extras["party_pool"]
         assert pool["population"] == 1_000_000
-        assert pool["peak_resident"] <= max_resident + cohort
+        assert pool["peak_resident"] <= max_resident
         assert pool["materialized"] > pool["peak_resident"]
         assert len(models) == 1  # every materialization, one model
         assert pool["resident"] <= max_resident
@@ -735,8 +721,8 @@ class TestPopulationScaleRuns:
 def _per_party_cohort(parties, participant_ids, params, config, round_tag,
                       bank, seal=None):
     """The per-party cohort loop ``train_cohort`` replaced, kept as the
-    reference for what the pool sees: pin, train, seal, release — one
-    party at a time."""
+    reference for what the pool sees: read, train, seal — one party at a
+    time."""
     for party_id in participant_ids:
         if party_id not in parties:
             raise KeyError(f"unknown party id {party_id}")
@@ -745,13 +731,10 @@ def _per_party_cohort(parties, participant_ids, params, config, round_tag,
         row = bank.alloc()
         rows.append(row)
         party = parties.acquire(party_id)
-        try:
-            update = party.local_train(params, config.local, round_tag,
-                                       out_flat=bank.row(row))
-            if seal is not None:
-                seal(party_id, row, update)
-        finally:
-            parties.release(party_id)
+        update = party.local_train(params, config.local, round_tag,
+                                   out_flat=bank.row(row))
+        if seal is not None:
+            seal(party_id, row, update)
         updates.append(update)
     return rows, updates
 
@@ -759,15 +742,15 @@ def _per_party_cohort(parties, participant_ids, params, config, round_tag,
 class TestCohortTrainerShowsThePoolAPerPartyLoop:
     def test_cohort_beyond_max_resident_keeps_the_counters(self, monkeypatch):
         """A cohort of 6 over 2 resident slots: the stacked cohort trainer
-        pins one party at a time for its read, so the residency counters
-        (evictions, rebuilds, peak) are the per-party loop's exactly —
-        pinning the whole cohort before training would overshoot to 6."""
+        reads one party at a time, so the residency counters (evictions,
+        rebuilds, peak) are the per-party loop's exactly, and the peak never
+        passes the bound."""
         cohort, max_resident = 6, 2
         live = _population_run(500, cohort, max_resident)
         monkeypatch.setattr(async_engine, "train_cohort", _per_party_cohort)
         reference = _population_run(500, cohort, max_resident)
         assert live.extras["party_pool"] == reference.extras["party_pool"]
-        assert live.extras["party_pool"]["peak_resident"] <= max_resident + 1
+        assert live.extras["party_pool"]["peak_resident"] <= max_resident
         assert _canonical(live) == _canonical(reference)
 
 
@@ -978,7 +961,7 @@ class TestMeasurementDoesNotTouchResidency:
                               seed=0, dataset=FederatedShiftDataset(spec))
         pool = result.extras["party_pool"]
         assert pool["resident_hits"] > 0
-        assert pool["peak_resident"] <= 6 + 1
+        assert pool["peak_resident"] <= 6
 
     def test_virtual_evaluated_party_holds_one_test_split(self, monkeypatch):
         spec = _diff_spec()

@@ -55,8 +55,6 @@ ALLOWED_DEFINITIONS = {
         ("reader", "tests/test_serialization.py"),
     "repro.federation.pool.PartyPool.resident_ids":
         ("test state", "tests/test_party_pool.py"),
-    "repro.federation.pool.PartyPool.pinned_ids":
-        ("test state", "tests/test_party_pool.py"),
     "repro.privacy.secure_aggregation.SecureAggregationSession.is_sealed":
         ("test state", "tests/test_secure_aggregation.py"),
     "repro.data.federated.PartyWindowData.num_train":
