@@ -59,7 +59,7 @@ from repro.harness.profiles import RunSettings, get_profile  # noqa: E402
 from repro.harness.runner import run_strategy  # noqa: E402
 from repro.nn.training import LocalTrainingConfig, evaluate, train_local  # noqa: E402
 from repro.nn.models import build_model  # noqa: E402
-from repro.privacy.secure_aggregation import SHARE_BYTES  # noqa: E402
+from repro.privacy.secure_aggregation import SecureAggregationSession  # noqa: E402
 from repro.utils.precision import PrecisionPlan  # noqa: E402
 from repro.utils.rng import spawn_rng  # noqa: E402
 from repro.utils.validation import normalize_histogram  # noqa: E402
@@ -543,12 +543,16 @@ def overheads(emit):
     payload_f32 = sealed_payload_bytes(rows * dim, PrecisionPlan(params="float32"))
     secure_extra = tee.window_overhead_ms(5.0, parties, payload)
     secure_extra_f32 = tee.window_overhead_ms(5.0, parties, payload_f32)
-    # Shamir t-of-n recovery at a majority threshold: each party's bundle is
-    # 1 self word + (n-1) pairwise words, each split into n shares at session
-    # setup; one recovery pulls t shares per word.
-    threshold = parties // 2 + 1
-    share_setup_bytes = parties * parties * (parties - 1) * SHARE_BYTES
-    recovery_bytes = parties * threshold * SHARE_BYTES
+    # Shamir t-of-n recovery at a majority threshold, metered by a real
+    # session: each party's mask word is split into n shares at setup, and
+    # recovering a party pulls t shares of its word.
+    ledger = CommunicationLedger()
+    session = SecureAggregationSession(list(range(parties)), 1,
+                                       threshold="majority", ledger=ledger)
+    threshold = session.threshold
+    share_setup_bytes = ledger.uplink_bytes
+    session.recover([0])
+    recovery_bytes = ledger.downlink_bytes - share_setup_bytes
     emit("\n".join([
         "Section 7 overheads (simulator scale; paper scale in parentheses)",
         f"  parties={parties}, embed_dim={dim} (paper: d=2048)",
@@ -563,7 +567,7 @@ def overheads(emit):
         "  (sealing bytes halve with the parameter plane)",
         f"  secure-agg share setup (t={threshold} of n={parties}):"
         f" {share_setup_bytes / 1e6:.2f} MB per round cohort",
-        f"  secure-agg mask recovery: {recovery_bytes / 1e3:.2f} KB per dropped party"
+        f"  secure-agg mask recovery: {recovery_bytes / 1e3:.2f} KB per recovered party"
     ]))
 
     assert mem["num_experts"] == 5

@@ -41,8 +41,10 @@ shapes.
 ``privacy``: µs per stage at ``async_masked``'s shapes (``dim`` 30,122,
 float32, a 12-party dispatch, Shamir ``t`` = 3).  ``--plans`` runs seed 0 of
 ``async_masked`` (the only pinned plan that builds a session) and counts words
-derived, streams expanded, ``SeedSequence``s built inside session calls and
-the peak bytes of held net masks.  ``--sha`` hashes, per dtype, one threshold
+derived (a session of n members derives n stream words, plus n share words
+under a threshold), streams expanded (n per session whose members all
+seal), ``SeedSequence``s built inside session calls and the peak bytes of
+held net masks.  ``--sha`` hashes, per dtype, one threshold
 session's sealed rows and net masks (transient) and its masked aggregate
 (which must never move).
 
@@ -778,12 +780,12 @@ def privacy_stages() -> None:
 
     stages = [
         ("derive one stream word", timed(
-            lambda: secure_aggregation._stream_word(5, CONTEXT, ("pair", 0, 1)),
+            lambda: secure_aggregation._stream_word(5, CONTEXT, ("self", 0)),
             calls=200)),
-        ("expand one stream from its word", timed(
+        ("expand one member's mask", timed(
             lambda: secure_aggregation._expand_word(rng, 12345, MASK_DIM, np.float32),
             calls=200)),
-        ("net masks: a fresh session seals a zero row", timed(
+        ("a fresh session seals a zero row", timed(
             lambda: session().seal_row(5, np.zeros(MASK_DIM, np.float32)))),
         (f"seal a {n}-party dispatch", timed(seal_all, calls=5)),
         (f"combine_rows over its {n} rows", timed_after(
@@ -827,7 +829,7 @@ def privacy_plans() -> None:
         held = sealed = 0
         for s in live:
             held += sum(net.nbytes for net in (s._nets or {}).values())
-            sealed += (len(s._sealed) * s.dim
+            sealed += (sum(map(s.is_sealed, s.cohort)) * s.dim
                        * np.dtype(s.dtype).itemsize)
         if held > peak["mask_bytes"]:
             peak.update(mask_bytes=held, sealed_row_bytes=sealed)

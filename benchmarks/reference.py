@@ -23,9 +23,9 @@ loop, and the six corruption operators as they were over ``scipy.ndimage``
 ``special`` are ``None`` without it), FedAvg and staleness-weighted
 FedAvg as their own stack-and-matvec over flat vectors, and the privacy
 plane's mask derivation restated from its definition (a keyed BLAKE2b word
-per stream, a restated PCG64 per word), its per-party net-mask loop and its
-one-word Python-int Shamir code (``ref_split_secrets`` shares a bundle on
-one blinding draw, as a session does).
+per stream, a restated PCG64 per word), a member's net mask (its personal
+stream) and its one-word Python-int Shamir code (``ref_split_secrets``
+shares a bundle on one blinding draw, as a session does).
 ``tests/test_{detection,data,privacy}_differential.py``,
 ``tests/test_differential_aggregation.py``,
 ``tests/test_data_kernels.py``, ``tests/test_nn_kernels_differential.py`` and
@@ -821,32 +821,16 @@ def ref_stream_bits(word, dim, dtype=None):
     return rng.integers(0, 2 ** (8 * udt.itemsize), size=dim, dtype=udt)
 
 
-def ref_seal_bits(shared_seed, party_a, party_b, dim, dtype=None, context=()):
-    low, high = sorted((party_a, party_b))
-    word = ref_stream_word(shared_seed, context, ("pair", low, high))
-    return ref_stream_bits(word, dim, dtype)
-
-
 def ref_self_seal_bits(shared_seed, party_id, dim, dtype=None, context=()):
     word = ref_stream_word(shared_seed, context, ("self", party_id))
     return ref_stream_bits(word, dim, dtype)
 
 
 def ref_net_mask(self, party_id):
+    """A member's net mask: its personal stream, whatever its cohort."""
     self._check_party(party_id)
-    dim = self.dim
-    net = ref_self_seal_bits(self.shared_seed, party_id, dim,
-                             dtype=self.dtype, context=self.context)
-    for other in self.cohort:
-        if other == party_id:
-            continue
-        bits = ref_seal_bits(self.shared_seed, party_id, other, dim,
-                             dtype=self.dtype, context=self.context)
-        if party_id < other:
-            net += bits
-        else:
-            net -= bits
-    return net
+    return ref_self_seal_bits(self.shared_seed, party_id, self.dim,
+                              dtype=self.dtype, context=self.context)
 
 
 def _ref_evaluate_poly(coefficients, x):

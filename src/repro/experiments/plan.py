@@ -151,8 +151,8 @@ class ExperimentPlan:
 
     ``privacy`` declares the run's :class:`~repro.privacy.plan.PrivacyPlan`
     (a plan instance, a mapping, or a spec string such as
-    ``"masking=on,threshold=3"``): pairwise-masked rounds, Shamir t-of-n
-    dropout recovery, sealed expert scoring, and the mask-root override.
+    ``"masking=on,threshold=3"``): rows sealed under per-party masks,
+    Shamir t-of-n recovery of each mask word, and the mask-root override.
     ``None`` defers to the profile settings (off); masking is exact, so
     flipping it never changes results.
 

@@ -339,7 +339,7 @@ class FederationEngine:
         alive_ids = [f.party_id for f in alive]
         session = seal = None
         if secure is not None and alive_ids:
-            # One session per dispatch cohort: its pairwise masks are
+            # One session per dispatch cohort: its members' masks are
             # namespaced by (stream, tick, round) so no two rounds share a
             # stream of mask material, and each buffered report remembers
             # which session can unseal it once its aggregation fires.

@@ -57,12 +57,11 @@ class RunSettings:
     reproduces it bitwise under any residency bound.
 
     ``privacy`` is the run's :class:`~repro.privacy.plan.PrivacyPlan`:
-    ``masking`` turns every federated round into a pairwise
-    secure-aggregation session (see
-    :mod:`repro.privacy.secure_aggregation`) — party updates are sealed in
-    their bank rows from training until their aggregation fires, so no
-    unmasked individual update is ever resident server-side, including
-    inside async stream buffers.  Sealing is exact (bit-domain), so a
+    ``masking`` turns every federated round into a secure-aggregation
+    session (see :mod:`repro.privacy.secure_aggregation`) — each party
+    update is sealed under its own mask in its bank row from training until
+    its aggregation fires, so no unmasked individual update is ever
+    resident server-side, including inside async stream buffers.  Sealing is exact (bit-domain), so a
     masked run reproduces its unmasked twin bit for bit.  ``threshold``
     adds Shamir t-of-n dropout recovery on top; ``mask_seed`` overrides
     the mask root (``sealed_scoring`` is retired and ignored).

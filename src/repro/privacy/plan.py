@@ -6,12 +6,13 @@ plus the mask root.
 :class:`PrivacyPlan` names each knob separately, mirroring
 :class:`~repro.utils.precision.PrecisionPlan`:
 
-* ``masking`` — seal round submissions in the bit domain (PR 5's
-  bank-resident masking).  Off by default.
+* ``masking`` — seal each round submission in its bank row under the
+  party's own bit-domain mask, uniformly random until ``combine_rows``
+  unseals it.  Off by default.
 * ``threshold`` — Shamir share threshold for dropout recovery: an int, or
   ``"majority"`` for ``n // 2 + 1`` resolved per cohort.  The shares are
-  of each mask stream's seed word, from which alone the stream expands, so
-  ``t`` holders can re-expand a party's masks and ``t - 1`` cannot.
+  of each party's mask word, from which alone its mask expands, so ``t``
+  holders can re-expand a party's mask and ``t - 1`` cannot.
   ``None`` keeps the seed-derived recovery shortcut (no share traffic).
   Requires ``masking``.
 * ``sealed_scoring`` — retired: accepted with either value and ignored.

@@ -1,28 +1,30 @@
-"""Secure aggregation via pairwise masking (Bonawitz et al., 2017 — simplified).
+"""Secure aggregation by per-row masking (after Bonawitz et al., 2017).
 
 The paper's background (Section 2) lists secure aggregation among the
 standard FL defenses; ShiftEx's expert updates can be aggregated under it so
-the server only learns the *sum* of cohort updates, never an individual
-party's parameters.
+that no individual party's update sits readable on the server between its
+report and the aggregation it enters.
 
-Protocol shape implemented here (the honest-but-curious core):
-
-1. every ordered pair of parties ``(i, j)``, ``i < j``, derives a shared
-   mask from a common seed (stand-in for a Diffie–Hellman agreed key);
-2. party ``i`` submits ``x_i + sum_{j>i} m_ij - sum_{j<i} m_ji``;
-3. the masks cancel pairwise in the sum, so the aggregate equals
-   ``sum_i x_i`` while each submission is marginally random.
+The guarantee implemented here (the honest-but-curious core): from its seal
+until :meth:`SecureAggregationSession.combine_rows` unseals it, a party's
+row is uniformly random to anyone without its mask word, and under a Shamir
+threshold the server obtains that word only through ``t``-of-``n`` recovery.
+Each row carries one personal mask.  Pairwise masks that cancel in a
+modular sum would buy nothing here: staleness weights are floats applied at
+fire time, so every row is unsealed on its own before the weighted combine,
+and no modular sum of sealed rows is ever formed.
 
 One word per mask stream
 ------------------------
-Every stream — a pair's mask or a party's personal mask — has one seed: a
-61-bit word of GF(2^61 - 1), the keyed digest of (mask root, stream key,
-context) (:func:`_stream_word`).  The mask is expanded from that word alone
+Every member's mask stream has one seed: a 61-bit word of GF(2^61 - 1), the
+keyed digest of (mask root, ``("self", party)``, context)
+(:func:`_stream_word`).  The mask is expanded from that word alone
 (:func:`_expand_word`: a digest of the word restates one PCG64), so under a
 Shamir threshold the shares of a word *are* the shares of its stream's PRG
 seed, as in Bonawitz et al.: whoever reconstructs the word can re-expand
-the mask, and nobody else can.  A share bundle's blinding coefficients come
-from the same restated generator, keyed by the owner's own word.
+the mask, and nobody else can.  A member's share blinding comes from the
+same restated generator, keyed by the member's own ``("share", owner)``
+word.
 
 One mask domain: bit seals
 --------------------------
@@ -39,11 +41,11 @@ therefore reproduces the unmasked aggregate bit for bit at any precision.
 Session lifecycle through the round buffer
 ------------------------------------------
 One session covers one dispatch cohort and has one shape in both modes.
-Construction derives the cohort's ``(n, n)`` table of stream words (under a
-threshold it then blinds and shares them).  Each member seals its bank row
-once, at training time (:meth:`seal_row`); the first seal expands every
-stream of the cohort once into the members' net masks, and the session
-keeps one net vector per sealed row.  The rows then sit sealed in the
+Construction derives one word per member (under a threshold it then blinds
+and shares each word t-of-n).  Each member seals its bank row once, at
+training time (:meth:`seal_row`): the seal expands the member's own stream
+and the session holds that net vector — the size of the row it masks —
+until the row is unsealed.  The rows then sit sealed in the
 :class:`~repro.federation.async_engine.AsyncRoundBuffer` for as long as the
 participation mode buffers them.  When an aggregation fires, the engine
 hands the ready set to :meth:`SecureAggregationSession.combine_rows` — the
@@ -61,7 +63,6 @@ from __future__ import annotations
 import hashlib
 import operator
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -123,9 +124,9 @@ def _draw_words(rng: np.random.Generator, dim: int, dtype) -> np.ndarray:
 def _stream_word(shared_seed: int, context: tuple, key: tuple) -> int:
     """The seed word of one mask stream, in GF(2^61 - 1).
 
-    ``key`` is ``("self", party)``, ``("pair", low, high)`` or ``("share",
-    owner)`` (the owner's share blinding); the digest is
-    keyed by the mask root (its low 64 bits) and covers the context, so
+    ``key`` is ``("self", party)`` (the party's mask) or ``("share",
+    owner)`` (the owner's share blinding); the digest is keyed by the mask
+    root (its low 64 bits) and covers the context, so
     every round of a run gets fresh words.  The 128-bit digest reduced mod
     the prime is uniform to within 2^-67.
     """
@@ -176,12 +177,12 @@ class SecureAggregationSession:
     one run never share masks.
 
     Every piece of mask material is paid for once.  Construction derives
-    every stream's seed word; in threshold mode the same word serves both
-    endpoints' share bundles and the recovery gate.  The first seal expands
-    each stream once for the whole cohort (:meth:`_net_masks`) and the
-    session then holds one net vector per still-sealed row — the size of the
-    row it masks — until :meth:`unseal_row` consumes it or the session dies
-    with its expired reports.  A member seals once; a row unseals only once
+    each member's seed word; in threshold mode the same word is the
+    member's share bundle and the recovery gate's check.  A member's seal
+    expands its own stream, and the session holds that net vector until
+    :meth:`unseal_row` consumes it or the session dies with its expired
+    reports; a member that never seals expands nothing.  A member seals
+    once, never after the session's first unseal; a row unseals only once
     its member is recovered.  Every expansion and every bundle's blinding
     draw restates the session's one PCG64.
     """
@@ -201,86 +202,51 @@ class SecureAggregationSession:
         self.dtype = resolve_dtype(dtype)
         self.threshold = resolve_threshold(threshold, len(self.cohort))
         self.ledger = ledger
-        self._sealed: set[int] = set()
-        # party -> net mask, for every still-sealed row (and, between the
-        # first seal and the first unseal, the cohort members yet to seal).
-        self._nets: dict[int, np.ndarray] | None = None
+        # Members yet to seal; the session's first unseal closes it.
+        self._unsubmitted = set(self.cohort)
+        # party -> net mask, for every still-sealed row.
+        self._nets: dict[int, np.ndarray] = {}
         self._rng = _stream_rng()
-        # ``_words[i, j]`` is the seed word of the stream between
-        # ``cohort[i]`` and ``cohort[j]`` (``i == j``: the personal stream),
-        # so row ``i`` is ``cohort[i]``'s word bundle.  Threshold mode only:
-        # ``_shares[i, j, k]`` is the share of ``_words[i, j]`` the server
-        # collects for holder ``cohort[k]`` at ``x = k + 1``.
-        n = len(self.cohort)
-        self._words = np.empty((n, n), dtype=np.uint64)
-        for i, j in combinations_with_replacement(range(n), 2):
-            self._words[i, j] = self._words[j, i] = _stream_word(
-                self.shared_seed, self.context, self._key(i, j))
+        # ``_words[i]`` is the seed word of ``cohort[i]``'s stream.
+        # Threshold mode only: ``_shares[i, k]`` is the share of
+        # ``_words[i]`` the server collects for holder ``cohort[k]`` at
+        # ``x = k + 1``.
+        self._words = np.array(
+            [_stream_word(self.shared_seed, self.context, ("self", party_id))
+             for party_id in self.cohort], dtype=np.uint64)
         self._shares: np.ndarray | None = None
         self._recovered: set[int] = set()
         if self.threshold is not None:
             self._distribute_shares()
 
-    # ------------------------------------------------------------------ masks
-
-    def _net_masks(self) -> dict[int, np.ndarray]:
-        """Every member's net bit-domain mask: personal mask + pair words,
-        from one pass over the cohort's unordered pairs.
-
-        Each pair stream is expanded once, added to the lower party's net
-        and subtracted from the higher party's — the terms that cancel in
-        the cohort's modular sum.  The personal (double-masking) term keeps
-        the seal uniformly random for any cohort size.
-        """
-        nets = {party_id: self._expand(i, i)
-                for i, party_id in enumerate(self.cohort)}
-        for i, j in combinations(range(len(self.cohort)), 2):
-            bits = self._expand(i, j)
-            nets[self.cohort[i]] += bits
-            nets[self.cohort[j]] -= bits
-        return nets
-
-    def _key(self, i: int, j: int) -> tuple:
-        """The key of the stream between ``cohort[i]`` and ``cohort[j]``."""
-        if i == j:
-            return ("self", self.cohort[i])
-        return ("pair", self.cohort[min(i, j)], self.cohort[max(i, j)])
-
-    def _expand(self, i: int, j: int) -> np.ndarray:
-        """Mask stream ``_key(i, j)``, expanded from its seed word."""
-        return _expand_word(self._rng, int(self._words[i, j]), self.dim,
-                            self.dtype)
-
     # ------------------------------------------------------ Shamir recovery
 
     def _distribute_shares(self) -> None:
-        """The share-distribution round: every party splits its word bundle
-        — its personal-mask word (Bonawitz's ``b_i``) plus one word per pair
-        stream it shares, so either endpoint's bundle recovers the seeds a
-        dropped peer took down — t-of-n and sends one share to each peer
-        (via the server, which is what the ledger meters; its own share never
+        """The share-distribution round: every party splits its mask word
+        (Bonawitz's ``b_i``) t-of-n and sends one share to each peer (via the
+        server, which is what the ledger meters; its own share never
         transits the wire).  Each owner's blinding is one draw on the
         session's generator restated to the owner's ``("share", owner)``
-        word, in cohort order; one Horner pass shares every bundle.
+        word, in cohort order; one Horner pass shares every word.
         """
         n, t = len(self.cohort), self.threshold
-        blinding = np.empty((n, n, t - 1), dtype=np.uint64)
+        blinding = np.empty((n, t - 1), dtype=np.uint64)
         for i, owner in enumerate(self.cohort):
             word = _stream_word(self.shared_seed, self.context,
                                 ("share", owner))
             blinding[i] = _restate(self._rng, word).integers(
-                PRIME, size=(n, t - 1))
+                PRIME, size=t - 1)
         self._shares = share_bundles(self._words, blinding, n)
-        transit = n * n * (n - 1) * SHARE_BYTES
+        transit = n * (n - 1) * SHARE_BYTES
         if self.ledger is not None and transit:
             self.ledger.record_wire("secure_agg", sent_bytes=transit,
                                     received_bytes=transit)
 
     def recover(self, party_ids: list[int],
                 available: "list[int] | None" = None) -> None:
-        """The reconstruction round: rebuild each party's word bundle from
-        the shares held by ``available`` parties (default: the cohort —
-        every cohort member sealed a row, so it is alive to answer).
+        """The reconstruction round: rebuild each party's mask word from the
+        shares held by ``available`` parties (default: the cohort — every
+        cohort member sealed a row, so it is alive to answer).
 
         Below-threshold availability raises
         :class:`IncompleteSubmissionError` *before* anything is unsealed.
@@ -288,9 +254,9 @@ class SecureAggregationSession:
         the word the session derived, the protocol gate that makes a
         full-survival t-of-n run bitwise identical to the seed-derived
         shortcut: recovery changes *when* the server may expand masks,
-        never *what* it expands.  Recovery is all or nothing: every word of
-        every pending party is checked before any party is marked recovered
-        or any share byte is metered.
+        never *what* it expands.  Recovery is all or nothing: every pending
+        party's word is checked before any party is marked recovered or any
+        share byte is metered.
         """
         if self.threshold is None:
             return
@@ -310,28 +276,25 @@ class SecureAggregationSession:
         if not pending:
             return
         # Holder cohort[k] answers with its share at x = k + 1: one opening
-        # pass over every pending bundle.
+        # pass over every pending word.
         quorum = holders[:self.threshold]
         rows = [self._index[p] for p in pending]
-        opened = open_shares(self._shares[rows][:, :, quorum],
+        opened = open_shares(self._shares[rows][:, quorum],
                              [k + 1 for k in quorum])
-        mismatched = opened != self._words[rows]
-        if mismatched.any():
-            row, j = np.argwhere(mismatched)[0]
-            i = rows[row]
+        mismatched = np.flatnonzero(opened != self._words[rows])
+        if mismatched.size:
             raise RuntimeError(
-                f"share reconstruction for party {self.cohort[i]} word "
-                f"{self._key(i, j)} produced a mismatched secret "
-                "— the share matrix is corrupt")
+                f"share reconstruction for party {pending[mismatched[0]]}'s "
+                "mask word produced a mismatched secret — the share matrix "
+                "is corrupt")
         self._recovered.update(pending)
         if self.ledger is not None:
             self.ledger.record_wire(
                 "secure_agg", sent_bytes=0,
-                received_bytes=len(pending) * len(self.cohort)
-                * len(quorum) * SHARE_BYTES)
+                received_bytes=len(pending) * len(quorum) * SHARE_BYTES)
 
     def is_recovered(self, party_id: int) -> bool:
-        """True when the party's words were reconstructed (or no threshold
+        """True when the party's word was reconstructed (or no threshold
         is configured, in which case the shortcut needs no recovery)."""
         return self.threshold is None or party_id in self._recovered
 
@@ -357,46 +320,45 @@ class SecureAggregationSession:
         """Seal a bank row in place: exact bit-domain masking (party-side).
 
         After this call the row's bytes are uniformly random to anyone
-        without the pair seeds; :meth:`unseal_row` restores them exactly.
-        A member seals once per session: a second seal raises, also after
-        its row was unsealed, and so does a first seal after the session's
-        first unseal.  Aggregation weights are no business of the seal: the
-        engine weights reports at fire time (:meth:`combine_rows`), exactly
-        as it does unmasked ones.
+        without the party's mask word; :meth:`unseal_row` restores them
+        exactly.  A member seals once per session: a second seal raises,
+        also after its row was unsealed, and so does a first seal after the
+        session's first unseal.  Aggregation weights are no business of the
+        seal: the engine weights reports at fire time (:meth:`combine_rows`),
+        exactly as it does unmasked ones.
         """
         self._check_party(party_id)
         view = self._uint_view(row)
-        if self._nets is None:
-            self._nets = self._net_masks()
-        if party_id in self._sealed or party_id not in self._nets:
+        if party_id not in self._unsubmitted:
             raise ValueError(f"party {party_id} already submitted, or the "
                              "session already unsealed a row")
-        view += self._nets[party_id]
-        self._sealed.add(party_id)
+        net = _expand_word(self._rng, int(self._words[self._index[party_id]]),
+                           self.dim, self.dtype)
+        view += net
+        self._nets[party_id] = net
+        self._unsubmitted.discard(party_id)
 
     def unseal_row(self, party_id: int, row: np.ndarray) -> None:
         """Remove a sealed row's net mask in place (recovery phase).
 
-        In threshold mode the party's mask words must have been
+        In threshold mode the party's mask word must have been
         reconstructed first (:meth:`recover`, which :meth:`combine_rows`
         runs for every row it unseals); an unrecovered row is refused and
         left sealed.
         """
-        if party_id not in self._sealed:
+        if party_id not in self._nets:
             raise KeyError(f"party {party_id} has no sealed row")
         if not self.is_recovered(party_id):
-            raise RuntimeError(f"party {party_id}'s mask words were not "
+            raise RuntimeError(f"party {party_id}'s mask word was not "
                                "recovered: run recover() before unsealing")
         view = self._uint_view(row)
         view -= self._nets.pop(party_id)
-        self._sealed.discard(party_id)
         # Unsealing follows the dispatch that seals: a cohort member without
         # a sealed row by now (a zero-sample report) will not bring one.
-        for idle in self._nets.keys() - self._sealed:
-            del self._nets[idle]
+        self._unsubmitted.clear()
 
     def is_sealed(self, party_id: int) -> bool:
-        return party_id in self._sealed
+        return party_id in self._nets
 
     def combine_rows(self, bank, weights, party_rows: list[tuple[int, int]],
                      sessions: "list | None" = None) -> np.ndarray:

@@ -1,22 +1,20 @@
 """Differential tests: the privacy plane against the bodies it replaced.
 
-The references live in ``benchmarks/reference.py``.  ``ref_seal_bits`` /
-``ref_self_seal_bits`` restate the mask derivation from its definition: the
+The references live in ``benchmarks/reference.py``.
+``ref_self_seal_bits`` restates the mask derivation from its definition: the
 stream's seed word is a keyed BLAKE2b digest of (mask root, context, stream
 key) reduced into GF(2^61 - 1), a digest of the word restates a PCG64
 (``ref_restated_rng``, which also keys each owner's share blinding), and
-``rng.integers`` draws the full word range.  ``ref_net_mask`` is the
-previous per-party summation loop over all ``n - 1`` pair streams (a live
-net mask is read as the bytes sealing a zero row adds), and
-``ref_split_secret`` / ``ref_reconstruct_secret`` the previous one-word
-Shamir code, all kept verbatim; ``ref_split_secrets`` evaluates a bundle
-the Python-int way on one block draw of blinding coefficients.  The live
-session derives every word once at construction, expands every stream once
-per cohort from its word, holds one net vector per still-sealed row, lets
-each member seal once and unseal only once recovered, shares every party's
-word bundle in one
-Horner pass over a ``(owners, bundle, holders)`` array, and opens every
-pending bundle of a quorum in one pass — modular integer arithmetic
+``rng.integers`` draws the full word range.  ``ref_net_mask`` is a member's
+personal stream (a live net mask is read as the bytes sealing a zero row
+adds), and ``ref_split_secret`` / ``ref_reconstruct_secret`` the previous
+one-word Shamir code, kept verbatim; ``ref_split_secrets`` evaluates a
+bundle the Python-int way on one block draw of blinding coefficients.  The
+live session derives one word per member at construction, expands a
+member's stream at its seal, holds one net vector per still-sealed row, lets
+each member seal once and unseal only once recovered, shares every member's
+word in one Horner pass over an ``(owners, holders)`` array, and opens every
+pending word of a quorum in one pass — modular integer arithmetic
 throughout, so every comparison is exact.  The work pins at the end count
 the words a session derives, the streams it expands and the seed sequences
 it builds: one per session, none per stream or bundle.
@@ -34,7 +32,6 @@ from benchmarks.reference import (
     ref_net_mask,
     ref_reconstruct_secret,
     ref_restated_rng,
-    ref_seal_bits,
     ref_self_seal_bits,
     ref_split_secret,
     ref_split_secrets,
@@ -102,10 +99,6 @@ class TestMaskDraws:
     @settings(max_examples=40, deadline=None)
     def test_raw_draw_is_the_bounded_integer_draw(self, seed, dim, dtype,
                                                   context):
-        got = _stream_bits(seed, ("pair", 4, 9), dim, dtype, context)
-        ref = ref_seal_bits(seed, 9, 4, dim, dtype=dtype, context=context)
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert np.array_equal(got, ref)
         got = _stream_bits(seed, ("self", 9), dim, dtype, context)
         ref = ref_self_seal_bits(seed, 9, dim, dtype=dtype, context=context)
         assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -114,8 +107,8 @@ class TestMaskDraws:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dim", [30_122, 30_121])
     def test_raw_draw_at_run_scale(self, dtype, dim):
-        assert np.array_equal(_stream_bits(3, ("pair", 0, 1), dim, dtype, ()),
-                              ref_seal_bits(3, 0, 1, dim, dtype=dtype))
+        assert np.array_equal(_stream_bits(3, ("self", 0), dim, dtype, ()),
+                              ref_self_seal_bits(3, 0, dim, dtype=dtype))
 
 
 # async_masked's dispatch: 12 parties, unsorted and non-contiguous ids.
@@ -129,8 +122,8 @@ class TestNetMasks:
     @example(cohort=TWELVE, dim=33, dtype=np.float32,
              context=("stream", "g", 4, (1, 2)), seed=12)
     @example(cohort=TWELVE, dim=8, dtype=np.float64, context=(), seed=2**32 - 1)
-    def test_every_net_mask_equals_the_reference_loop(self, cohort, dim,
-                                                      dtype, context, seed):
+    def test_every_net_mask_is_the_personal_stream(self, cohort, dim, dtype,
+                                                   context, seed):
         session = _session(cohort, dim, dtype, context, seed)
         for party_id in cohort:
             got = sealed_net(session, party_id)
@@ -169,8 +162,8 @@ class TestNetMasks:
     @settings(max_examples=40, deadline=None)
     def test_recovered_words_re_expand_the_held_nets(self, cohort, dim, dtype,
                                                      context, seed, data):
-        """A word is its stream's seed: after ``recover``, the words the
-        quorum's shares open re-expand to the party's held net byte for
+        """A word is its stream's seed: after ``recover``, the word the
+        quorum's shares open re-expands to the party's held net byte for
         byte."""
         threshold = data.draw(st.integers(min_value=1,
                                           max_value=len(cohort)))
@@ -181,15 +174,9 @@ class TestNetMasks:
         quorum = range(1, threshold + 1)
         for i, party_id in enumerate(session.cohort):
             session.recover([party_id])
-            net = np.zeros(dim, dtype=_uint_dtype(dtype))
-            for j, values in enumerate(session._shares[i].tolist()):
-                word = ref_reconstruct_secret((x, values[x - 1])
-                                              for x in quorum)
-                bits = ref_stream_bits(word, dim, dtype)
-                if j < i:  # the pair stream with a lower party
-                    net -= bits
-                else:
-                    net += bits
+            values = session._shares[i].tolist()
+            word = ref_reconstruct_secret((x, values[x - 1]) for x in quorum)
+            net = ref_stream_bits(word, dim, dtype)
             assert net.tobytes() == session._nets[party_id].tobytes()
 
 
@@ -289,19 +276,18 @@ class TestBatchedSplit:
     @settings(max_examples=40, deadline=None)
     def test_session_shares_and_openings_equal_the_per_owner_reference(
             self, cohort, dtype, context, seed, data):
-        """Every owner's shares are ``ref_split_secrets`` of its bundle on its
-        own restated stream, and a random (generally non-prefix) quorum of
-        ``available`` holders opens every bundle to
-        ``ref_reconstruct_secret``'s words, which are the derived ones."""
+        """Every owner's shares are ``ref_split_secrets`` of its one-word
+        bundle on its own restated stream, and a random (generally
+        non-prefix) quorum of ``available`` holders opens every word to
+        ``ref_reconstruct_secret``'s, which is the derived one."""
         n = len(cohort)
         threshold = data.draw(st.integers(min_value=1, max_value=n))
         session = _session(cohort, 3, dtype, context, seed,
                            threshold=threshold)
-        assert session._shares.shape == (n, n, n)
+        assert session._shares.shape == (n, n)
         for i, owner in enumerate(session.cohort):
-            bundle = [ref_stream_word(seed, context, session._key(i, j))
-                      for j in range(n)]
-            assert session._words[i].tolist() == bundle
+            bundle = [ref_stream_word(seed, context, ("self", owner))]
+            assert int(session._words[i]) == bundle[0]
             ref = ref_split_secrets(bundle, n, threshold, ref_restated_rng(
                 ref_stream_word(seed, context, ("share", owner))))
             assert (np.array(ref, dtype=np.uint64).tobytes()
@@ -311,10 +297,10 @@ class TestBatchedSplit:
         quorum = [k for k, p in enumerate(session.cohort)
                   if p in available][:threshold]
         xs = [k + 1 for k in quorum]
-        opened = open_shares(session._shares[:, :, quorum], xs)
+        opened = open_shares(session._shares[:, quorum], xs)
         assert opened.tolist() == [
-            [ref_reconstruct_secret(zip(xs, values)) for values in bundle]
-            for bundle in session._shares[:, :, quorum].tolist()]
+            ref_reconstruct_secret(zip(xs, values))
+            for values in session._shares[:, quorum].tolist()]
         assert np.array_equal(opened, session._words)
         session.recover(data.draw(st.permutations(cohort)), available=available)
         assert all(session.is_recovered(p) for p in cohort)
@@ -369,8 +355,8 @@ class TestRecoveryGate:
     def test_a_twelve_party_dispatch(self, dtype, threshold):
         """The masked aggregate of a 12-party dispatch is plain
         ``weighted_combine``'s bytes; t - 1 holders recover and mark nothing;
-        the last t holders (a non-prefix quorum) open every word, which is
-        the derived one and re-expands to the party's held net."""
+        the last t holders (a non-prefix quorum) open every member's word,
+        which is the derived one and re-expands to the party's held net."""
         n, dim, context = len(TWELVE), 37 * 3 + 9, ("stream", "global", 7, (1, 3))
         updates = [np.random.default_rng(p).normal(size=dim).astype(dtype)
                    for p in TWELVE]
@@ -393,14 +379,10 @@ class TestRecoveryGate:
             session.recover(TWELVE, available=ranked[n - t:])
             xs = range(n - t + 1, n + 1)
             for i, party_id in enumerate(ranked):
-                net = np.zeros(dim, dtype=_uint_dtype(dtype))
-                for j, values in enumerate(session._shares[i].tolist()):
-                    word = ref_reconstruct_secret(zip(xs, values[n - t:]))
-                    assert word == ref_stream_word(n, context, session._key(i, j))
-                    if j < i:  # the pair stream with a lower party
-                        net -= ref_stream_bits(word, dim, dtype)
-                    else:
-                        net += ref_stream_bits(word, dim, dtype)
+                values = session._shares[i].tolist()
+                word = ref_reconstruct_secret(zip(xs, values[n - t:]))
+                assert word == ref_stream_word(n, context, ("self", party_id))
+                net = ref_stream_bits(word, dim, dtype)
                 assert net.tobytes() == session._nets[party_id].tobytes()
         got = session.combine_rows(bank, weights, party_rows)
         assert got.tobytes() == expected.tobytes()
@@ -409,7 +391,7 @@ class TestRecoveryGate:
         session, bank, party_rows = self._sealed()
         rows = [row for _party, row in party_rows]
         sealed = bank.matrix(rows).copy()
-        session._shares[3, 3, 0] ^= np.uint64(1)  # party 9's own word, x = 1
+        session._shares[3, 0] ^= np.uint64(1)  # party 9's word, x = 1
         with pytest.raises(RuntimeError, match="corrupt"):
             session.combine_rows(bank, np.ones(4), party_rows)
         assert np.array_equal(bank.matrix(rows).view(np.uint64),
@@ -424,7 +406,7 @@ class TestRecoveryGate:
         # The first t available holders in cohort order answer: 2, 4, 9.
         session.recover([0], available=[9, 4, 2])
         assert session.is_recovered(0)
-        assert ledger.downlink_bytes == base + 4 * 3 * SHARE_BYTES
+        assert ledger.downlink_bytes == base + 3 * SHARE_BYTES
         with pytest.raises(IncompleteSubmissionError, match="refusing"):
             session.recover([4], available=[9, 77, 2])
         assert not session.is_recovered(4)
@@ -435,17 +417,17 @@ class TestRecoveryGate:
         ledger = CommunicationLedger()
         session, _, _ = self._sealed(ledger)
         base = ledger.downlink_bytes
-        session._shares[2, 1, 0] ^= np.uint64(1)  # party 4's pair word with 2
-        with pytest.raises(RuntimeError, match="party 4 word .'pair', 2, 4."):
+        session._shares[2, 0] ^= np.uint64(1)  # party 4's word, x = 1
+        with pytest.raises(RuntimeError, match="party 4's mask word"):
             session.recover([0, 4, 9])
         assert not any(session.is_recovered(p) for p in session.cohort)
         assert ledger.downlink_bytes == base
-        session._shares[2, 1, 0] ^= np.uint64(1)
+        session._shares[2, 0] ^= np.uint64(1)
         session.recover([0, 4, 0, 9])
         session.recover([0, 4])
         assert [session.is_recovered(p) for p in session.cohort] == [
             True, False, True, True]
-        assert ledger.downlink_bytes == base + 3 * 4 * 3 * SHARE_BYTES
+        assert ledger.downlink_bytes == base + 3 * 3 * SHARE_BYTES
 
 
 # ---------------------------------------------------------------- Work pins
@@ -490,14 +472,14 @@ class TestWorkPins:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_a_session_expands_each_stream_once(self, work, n, threshold):
         """Each word derived once, each stream expanded once, in both modes:
-        construction derives the words, the first seal expands them."""
+        construction derives one word per member, its seal expands it."""
         dim = 7
         cohort = [3 * i + 1 for i in range(n)]
         session = SecureAggregationSession(
             cohort, dim, shared_seed=1,
             threshold=None if threshold is None else min(threshold, n))
-        streams = n * (n + 1) // 2
-        # Under a threshold each share bundle's blinding is keyed by one
+        streams = n
+        # Under a threshold each member's share blinding is keyed by one
         # more word.
         words = streams if threshold is None else streams + n
         # One seed sequence for the session's generator, none per stream or
@@ -522,8 +504,8 @@ class TestWorkPins:
         assert session._nets == {}
 
     def test_a_member_that_never_seals_leaves_no_net_behind(self, work):
-        """The round hook skips zero-sample reports: their cohort member has
-        pair streams with everyone but never seals a row."""
+        """The round hook skips zero-sample reports: their cohort member
+        never seals a row, and its stream is never expanded."""
         dim = 5
         session = SecureAggregationSession([0, 1, 2, 3], dim)
         bank = ParamBank(dim, capacity=3)
@@ -536,8 +518,8 @@ class TestWorkPins:
         assert sorted(session._nets) == [1, 3]
         session.combine_rows(bank, np.ones(2), party_rows[1:])
         assert session._nets == {}
-        # The idle member's streams were expanded with the cohort's.
-        assert work == {"words": 10, "streams": 10, "seed_sequences": 1}
+        # The idle member's word was derived; its stream was not expanded.
+        assert work == {"words": 4, "streams": 3, "seed_sequences": 1}
 
     def test_unseal_expands_no_stream(self, work):
         dim = 5

@@ -183,27 +183,40 @@ class TestThresholdSession:
         return SecureAggregationSession(list(cohort), 4, shared_seed=7,
                                         threshold=threshold, ledger=ledger)
 
-    def test_share_distribution_is_metered(self):
-        ledger = CommunicationLedger()
-        n = 4
-        self._session(ledger=ledger)
-        # n parties x (1 self + n-1 pair) words, each split t-of-n with
-        # n-1 shares transiting the server.
-        setup = n * n * (n - 1) * SHARE_BYTES
-        assert ledger.uplink_bytes == setup
-        assert ledger.downlink_bytes == setup
-        assert ledger.by_category["secure_agg"] == 2 * setup
-
     def test_recovery_pulls_t_shares_per_word_once(self):
         ledger = CommunicationLedger()
         session = self._session(ledger=ledger)
         base = ledger.downlink_bytes
         session.recover([0])
-        pulled = 4 * 3 * SHARE_BYTES  # (1 self + 3 pair) words x t shares
+        pulled = 3 * SHARE_BYTES  # 1 word x t shares
         assert ledger.downlink_bytes == base + pulled
         assert session.is_recovered(0)
         session.recover([0])  # idempotent: no re-pull, no double metering
         assert ledger.downlink_bytes == base + pulled
+
+    @pytest.mark.parametrize("n", [1, 2, 12])
+    def test_share_distribution_is_metered(self, n):
+        """At ``async_masked``'s t = 3 (clamped to the cohort), each member
+        sends one share of its word to each of its n - 1 peers through the
+        server, and recovering p members pulls t shares of each word."""
+        ledger = CommunicationLedger()
+        session = self._session(cohort=[3 * i + 2 for i in reversed(range(n))],
+                                ledger=ledger)
+        t = session.threshold
+        assert t == min(3, n)
+        setup = n * (n - 1) * SHARE_BYTES
+        assert (ledger.uplink_bytes, ledger.downlink_bytes) == (setup, setup)
+        assert ledger.by_category.get("secure_agg", 0) == 2 * setup
+        first = session.cohort[:max(1, n // 2)]
+        session.recover(first)
+        pulled = len(first) * t * SHARE_BYTES
+        assert (ledger.uplink_bytes, ledger.downlink_bytes) == (
+            setup, setup + pulled)
+        session.recover(session.cohort)
+        pulled = n * t * SHARE_BYTES
+        assert (ledger.uplink_bytes, ledger.downlink_bytes) == (
+            setup, setup + pulled)
+        assert dict(ledger.by_category) == {"secure_agg": 2 * setup + pulled}
 
     def test_below_threshold_refuses_reconstruction(self):
         session = self._session()

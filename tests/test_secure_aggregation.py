@@ -2,8 +2,9 @@
 
 Pins the PR's acceptance criteria from four directions:
 
-* bit-domain sealing round-trips exactly at both precisions, and mask
-  streams depend only on the unordered pair and the context;
+* bit-domain sealing round-trips exactly at both precisions, and a
+  member's mask depends only on the member and the context, never on its
+  cohort;
 * failure modes fail loudly: a member sealing twice (also after its
   unseal), bad weights (refused while everything is still masked),
   unsealing rows that were never sealed or whose words were not recovered;
@@ -23,7 +24,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from benchmarks.reference import ref_net_mask, ref_self_seal_bits
+from benchmarks.reference import ref_net_mask
 from repro.data.federated import FederatedShiftDataset
 from repro.experiments.registry import build_strategy
 from repro.federation.async_engine import FederationConfig, FederationEngine
@@ -44,7 +45,7 @@ DIM = 8
 
 
 def net_of(session, party_id):
-    """The party's sealed net mask, checked against the reference loop."""
+    """The party's sealed net mask, checked against its reference stream."""
     net = sealed_net(session, party_id)
     ref = ref_net_mask(session, party_id)
     assert net.dtype == ref.dtype and net.tobytes() == ref.tobytes()
@@ -55,8 +56,7 @@ def net_of(session, party_id):
 
 class TestFlatMaskPlane:
     def test_seal_bits_symmetric_in_party_order(self):
-        """A pair's stream depends only on the unordered pair: the cohort's
-        order changes no net mask."""
+        """The cohort's order changes no net mask."""
         dim = 16
         forward, backward = (SecureAggregationSession(cohort, dim, shared_seed=3)
                              for cohort in ([7, 2, 5], [5, 2, 7]))
@@ -89,23 +89,26 @@ class TestFlatMaskPlane:
         session.unseal_row(0, bank.row(row))
         assert np.array_equal(bank.row(row), original)
 
-    def test_sealed_row_pair_masks_cancel_in_the_modular_sum(self, rng):
-        """The group-theoretic core: summed over the cohort, the pairwise
-        components cancel exactly — what survives is the personal
-        double-masking terms the recovery phase removes per row."""
-        dim = 6
-        session = SecureAggregationSession([0, 1, 2, 3], dim, shared_seed=4)
-        total = np.zeros(6, dtype=np.uint64)
-        for pid in session.cohort:
-            total += net_of(session, pid)
-            total -= ref_self_seal_bits(4, pid, 6)
-        assert not total.any()
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_member_seals_the_same_bytes_in_any_cohort(self, rng, dtype):
+        """Every row is unsealed on its own, so a member's seal is its own
+        stream: the same party, context and row seal to the same bytes
+        whoever else was dispatched with it."""
+        dim, context = 9, ("stream", "g", 4, (1, 2))
+        update = rng.normal(size=dim).astype(dtype)
+        sealed = []
+        for cohort in ([0, 1, 2], [0, 7]):
+            session = SecureAggregationSession(cohort, dim, shared_seed=5,
+                                               dtype=dtype, context=context)
+            row = update.copy()
+            session.seal_row(0, row)
+            assert row.tobytes() != update.tobytes()
+            sealed.append(row.tobytes())
+        assert sealed[0] == sealed[1]
 
     def test_singleton_cohort_row_is_still_sealed(self, rng):
-        """Pairwise masks vanish in a one-party dispatch (every pair needs
-        two parties), but the personal mask must still hide the row — a
-        survivor of a heavy-dropout round may never sit plaintext in a
-        buffer."""
+        """A one-party dispatch still hides its row — a survivor of a
+        heavy-dropout round may never sit plaintext in a buffer."""
         dim = 8
         session = SecureAggregationSession([3], dim, shared_seed=2)
         bank = ParamBank(dim, capacity=1)
@@ -145,7 +148,7 @@ class TestFailureModes:
 
     def test_unseal_refuses_an_unrecovered_member(self, rng):
         """``unseal_row`` runs no recovery of its own: a threshold member
-        whose words were not reconstructed stays sealed, row untouched."""
+        whose word was not reconstructed stays sealed, row untouched."""
         dim = DIM
         session = SecureAggregationSession([0, 1, 2], dim, threshold=2)
         bank = ParamBank(dim, capacity=3)
@@ -153,7 +156,7 @@ class TestFailureModes:
         original = bank.row(row).copy()
         session.seal_row(1, bank.row(row))
         sealed = bank.row(row).copy()
-        with pytest.raises(RuntimeError, match="party 1's mask words were "
+        with pytest.raises(RuntimeError, match="party 1's mask word was "
                                                "not recovered"):
             session.unseal_row(1, bank.row(row))
         assert bank.row(row).tobytes() == sealed.tobytes()
