@@ -233,12 +233,10 @@ class FederationEngine:
     ``run_fl_round(ctx, ..., stream=...)``, which runs on ``ctx.federation``.
     """
 
-    def __init__(self, config: FederationConfig, seed: int = 0,
-                 num_parties: int | None = None) -> None:
+    def __init__(self, config: FederationConfig, seed: int = 0) -> None:
         self.config = config
         self.seed = seed
-        self.simulator = AvailabilitySimulator(config.availability, seed,
-                                               num_parties)
+        self.simulator = AvailabilitySimulator(config.availability, seed)
         self.clock = -1  # advance() before the first round makes this 0
         self._banks: dict[tuple[int, np.dtype], ParamBank] = {}
         self._buffers: dict[object, AsyncRoundBuffer] = {}

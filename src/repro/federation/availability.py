@@ -29,9 +29,10 @@ class AvailabilityConfig(Knob):
       late; Zipf gives the heavy tail observed in device studies (most
       stragglers are 1 round late, a few are very late).
     * ``outage_prob`` / ``outage_fraction`` / ``outage_rounds`` — with
-      probability ``outage_prob`` per round a *correlated* outage starts,
-      knocking out a random ``outage_fraction`` of the population for
-      ``outage_rounds`` consecutive rounds.
+      probability ``outage_prob`` per round a *correlated* outage starts and
+      lasts ``outage_rounds`` consecutive rounds; ``outage_fraction`` is
+      each party's chance of being down for it (one draw per party and
+      outage, whatever the population's size).
 
     The spec shorthand is a preset name, so ``flaky,dropout_prob=0.2`` is
     the ``flaky`` preset with one knob overridden.
@@ -105,75 +106,38 @@ class ReportFate:
     in_outage: bool = False
 
 
-#: The largest population whose outage sets are enumerated exactly.
-OUTAGE_ENUMERATION_LIMIT = 4096
-
-
 class AvailabilitySimulator:
     """Deterministic per-(party, round) availability draws.
 
-    ``num_parties`` fixes the population correlated outages sample from;
-    dropout/straggler draws are per-party streams and do not need it.
     :meth:`cohort_fates` is the one query, a pure function of ``(seed,
-    party_id, tick)``: the outage cache only memoizes those pure draws, so
-    replaying any round gives the same fates.
+    party_id, tick)``: no draw depends on the population or on which other
+    parties share the cohort, so replaying any round gives the same fates.
     """
 
-    def __init__(self, config: AvailabilityConfig, seed: int = 0,
-                 num_parties: int | None = None) -> None:
+    def __init__(self, config: AvailabilityConfig, seed: int = 0) -> None:
         self.config = config
         self.seed = seed
-        self.num_parties = num_parties
-        self._outage_cache: dict[int, frozenset[int]] = {}
-
-    @property
-    def enumerates_outages(self) -> bool:
-        """True when outage membership is an exact-``k`` enumerated subset.
-
-        Up to ``OUTAGE_ENUMERATION_LIMIT`` parties each outage knocks out exactly
-        ``round(outage_fraction * num_parties)`` parties.  Above it,
-        enumerating the population per round would make dispatch
-        O(population), so membership is an independent per-(start, party)
-        Bernoulli(``outage_fraction``) draw: same expected outage size,
-        O(cohort) work.
-        """
-        return (bool(self.num_parties)
-                and self.num_parties <= OUTAGE_ENUMERATION_LIMIT)
 
     def _in_outage(self, party_ids: list[int], tick: int) -> list[bool]:
         """Whether each of ``party_ids`` is knocked out at ``tick``.
 
         An outage starting at round ``s`` covers ``[s, s + outage_rounds)``,
         so membership at ``tick`` is the union over the starts still in
-        progress, replayable from the seed alone.  A start is active on the
-        first draw of its stream; on the enumerated regime the same stream
-        then draws the exact-size set (cached per tick), above it each
-        member draws once per active start from its ``(start, party)``
-        stream.
+        progress.  A start is active on the first draw of its ``start``
+        stream; each member then draws once per active start from its
+        ``(start, party)`` stream and is down below ``outage_fraction``.
         """
         cfg = self.config
-        if cfg.outage_prob <= 0 or not self.num_parties:
+        if cfg.outage_prob <= 0:
             return [False] * len(party_ids)
-        down = self._outage_cache.get(tick)
-        if down is None:
-            active = []
-            for start in range(max(0, tick - cfg.outage_rounds + 1), tick + 1):
-                rng = spawn_rng(self.seed, "availability-outage", start)
-                if rng.random() < cfg.outage_prob:
-                    active.append((start, rng))
-            if not self.enumerates_outages:
-                return [any(spawn_rng(self.seed, "availability-outage", start,
-                                      "member", pid).random()
-                            < cfg.outage_fraction for start, _rng in active)
-                        for pid in party_ids]
-            k = round(cfg.outage_fraction * self.num_parties)
-            down = frozenset(int(p) for _start, rng in active
-                             for p in rng.choice(self.num_parties, size=k,
-                                                 replace=False))
-            if len(self._outage_cache) >= 8:
-                self._outage_cache.clear()
-            self._outage_cache[tick] = down
-        return [pid in down for pid in party_ids]
+        active = [start for start in range(max(0, tick - cfg.outage_rounds + 1),
+                                           tick + 1)
+                  if spawn_rng(self.seed, "availability-outage",
+                               start).random() < cfg.outage_prob]
+        return [any(spawn_rng(self.seed, "availability-outage", start,
+                              "member", pid).random() < cfg.outage_fraction
+                    for start in active)
+                for pid in party_ids]
 
     def cohort_fates(self, party_ids: list[int], tick: int) -> list[ReportFate]:
         """What happens to each report dispatched to ``party_ids`` at

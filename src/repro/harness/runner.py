@@ -160,8 +160,7 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
 
     # Every round of the run goes through this engine; the default config
     # is quiet ``sync`` (nobody drops, nothing stays buffered).
-    engine = FederationEngine(settings.federation, seed=seed,
-                              num_parties=num_parties)
+    engine = FederationEngine(settings.federation, seed=seed)
     # The privacy plan's mask root defaults to the run seed (mask streams
     # are label-namespaced, so they never collide with model/data draws);
     # ``mask_seed`` pins it independently of the data/model seed.

@@ -172,7 +172,7 @@ class TestRoundDtype:
 
 def _quiet_engine(mode, **cfg_kwargs) -> FederationEngine:
     return FederationEngine(FederationConfig(mode=mode, **cfg_kwargs),
-                            seed=0, num_parties=8)
+                            seed=0)
 
 
 MASKINGS = {
@@ -315,7 +315,7 @@ class TestStreamsShareOneBank:
     def _drive(self, engine_cls, spec, dataset, dtype, secure):
         ctx, params = _context(spec, dataset, dtype)
         engine = engine_cls(FederationConfig(mode="buffered", max_wait_rounds=2),
-                            seed=0, num_parties=8)
+                            seed=0)
         engine.simulator = _ScriptedFates(self.SCRIPT)
         current = {"a": params, "b": params * 0.5}
         trace = []

@@ -171,7 +171,7 @@ class TestRounds:
         ctx = make_context(tiny_spec, tiny_dataset)
         ctx.federation = FederationEngine(
             FederationConfig(availability=AvailabilityConfig(dropout_prob=0.5)),
-            seed=0, num_parties=tiny_spec.num_parties)
+            seed=0)
         ctx.federation.advance()
         strategy = build_strategy(name)
         strategy.setup(ctx)

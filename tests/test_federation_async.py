@@ -55,8 +55,7 @@ class TestAvailabilityConfig:
 
 class TestAvailabilitySimulator:
     def test_inactive_config_never_perturbs(self):
-        sim = AvailabilitySimulator(AvailabilityConfig(), seed=0,
-                                    num_parties=10)
+        sim = AvailabilitySimulator(AvailabilityConfig(), seed=0)
         for tick in range(5):
             for fate in sim.cohort_fates(list(range(10)), tick):
                 assert fate == ReportFate(fate.party_id, False, 0)
@@ -64,8 +63,8 @@ class TestAvailabilitySimulator:
     def test_fates_are_deterministic(self):
         cfg = AvailabilityConfig(dropout_prob=0.3, straggler_prob=0.4,
                                  outage_prob=0.2)
-        a = AvailabilitySimulator(cfg, seed=9, num_parties=12)
-        b = AvailabilitySimulator(cfg, seed=9, num_parties=12)
+        a = AvailabilitySimulator(cfg, seed=9)
+        b = AvailabilitySimulator(cfg, seed=9)
         for tick in range(6):
             assert (a.cohort_fates(list(range(12)), tick)
                     == b.cohort_fates(list(range(12)), tick))
@@ -88,23 +87,62 @@ class TestAvailabilitySimulator:
     def test_outages_are_correlated_and_persist(self):
         cfg = AvailabilityConfig(outage_prob=1.0, outage_fraction=0.5,
                                  outage_rounds=2)
-        sim = AvailabilitySimulator(cfg, seed=3, num_parties=10)
+        sim = AvailabilitySimulator(cfg, seed=3)
 
         def down(tick):
             return {f.party_id for f in sim.cohort_fates(list(range(10)), tick)
                     if f.in_outage}
 
         down0 = down(0)
-        assert len(down0) == 5
+        assert down0
         # An outage that starts at tick 0 still covers tick 1.
         assert down0 <= down(1)
         for fate in sim.cohort_fates(sorted(down0), 0):
             assert fate.dropped and fate.in_outage
 
-    def test_outage_needs_population(self):
-        cfg = AvailabilityConfig(outage_prob=1.0)
-        sim = AvailabilitySimulator(cfg, seed=0, num_parties=None)
-        assert not any(f.in_outage for f in sim.cohort_fates([0, 1, 2], 0))
+    def test_outages_need_no_population(self):
+        """A simulator knows no population size: each party draws its own
+        outage membership, so an outage still knocks parties out."""
+        sim = AvailabilitySimulator(AvailabilityConfig(outage_prob=1.0),
+                                    seed=0)
+        fates = sim.cohort_fates(list(range(100)), 0)
+        assert 0 < sum(f.in_outage for f in fates) < 100
+
+    def test_zero_outage_fraction_downs_no_one(self):
+        """Every start is active, but no member draw falls below 0."""
+        sim = AvailabilitySimulator(
+            AvailabilityConfig(outage_prob=1.0, outage_fraction=0.0), seed=5)
+        for tick in range(4):
+            assert not any(f.in_outage
+                           for f in sim.cohort_fates(list(range(50)), tick))
+
+    def test_full_outage_fraction_downs_everyone(self):
+        """An outage in progress with ``outage_fraction = 1`` takes every
+        party down, whatever its id."""
+        sim = AvailabilitySimulator(
+            AvailabilityConfig(outage_prob=1.0, outage_fraction=1.0), seed=5)
+        cohort = [0, 1, 4095, 4096, 4097, 999_999]
+        for tick in range(4):
+            for fate in sim.cohort_fates(cohort, tick):
+                assert fate.in_outage and fate.dropped
+
+    def test_fates_ignore_query_history(self):
+        """No draw is cached across queries: a fresh simulator asked for a
+        tick directly agrees with one that walked every tick, forwards or
+        backwards."""
+        cfg = AvailabilityConfig(dropout_prob=0.2, straggler_prob=0.3,
+                                 outage_prob=0.4, outage_fraction=0.5,
+                                 outage_rounds=3)
+        cohort = list(range(0, 60, 3))
+        forward = AvailabilitySimulator(cfg, seed=11)
+        walked = {tick: forward.cohort_fates(cohort, tick)
+                  for tick in range(8)}
+        backward = AvailabilitySimulator(cfg, seed=11)
+        for tick in reversed(range(8)):
+            assert backward.cohort_fates(cohort, tick) == walked[tick]
+            assert (AvailabilitySimulator(cfg, seed=11).cohort_fates(
+                cohort, tick) == walked[tick])
+        assert any(f.in_outage for fates in walked.values() for f in fates)
 
 
 class TestFederationConfig:
@@ -170,7 +208,7 @@ class _FixedFates:
 
 def _engine(mode, script=None, **cfg_kwargs) -> FederationEngine:
     engine = FederationEngine(FederationConfig(mode=mode, **cfg_kwargs),
-                              seed=0, num_parties=8)
+                              seed=0)
     if script is not None:
         engine.simulator = _FixedFates(script)
     return engine
@@ -199,6 +237,22 @@ class TestFederationEngine:
         expected, _ = run_fl_round(ctx, [0, 2], params, round_tag=(0, 0),
                                    stream="g")
         assert np.array_equal(new_params, expected)
+
+    def test_a_full_outage_drops_the_whole_cohort(self, tiny_spec,
+                                                  tiny_dataset):
+        """The engine's simulator needs no population to knock a cohort
+        out: every report is lost and the round is skipped."""
+        ctx = make_context(tiny_spec, tiny_dataset)
+        params = ctx.model_factory().get_params()
+        engine = _engine("sync", availability=AvailabilityConfig(
+            outage_prob=1.0, outage_fraction=1.0))
+        engine.advance()
+        new_params, stats = engine.run_round(ctx.parties, [0, 1, 2], params,
+                                             ctx.round_config)
+        assert stats.dropped == [0, 1, 2] and not stats.reported
+        assert not stats.aggregated and new_params is params
+        assert engine.counters["dropped"] == 3
+        assert engine.counters["skipped_rounds"] == 1
 
     def test_sync_mode_all_dropped_skips_round(self, tiny_spec, tiny_dataset):
         ctx = make_context(tiny_spec, tiny_dataset)

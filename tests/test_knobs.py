@@ -359,13 +359,6 @@ class TestScenarioSemantics:
     def lint(**extra) -> list[str]:
         return lint_scenario(ExperimentPlan.from_dict({**_MINIMAL, **extra}))
 
-    def test_lint_reads_the_built_outage_probability(self):
-        """A preset with outages overridden to zero schedules none."""
-        assert not self.lint(population=10000, federation={
-            "availability": "flaky,outage_prob=0.0"})
-        assert any("Bernoulli" in w for w in self.lint(
-            population=10000, federation={"availability": "flaky"}))
-
     def test_lint_ignores_buffering_knobs_at_their_defaults(self):
         assert not self.lint(federation={"max_wait_rounds": 1,
                                          "staleness_policy": "constant"})

@@ -313,7 +313,7 @@ class TestPartyPoolResidency:
         pool = self._pool()
         engine = FederationEngine(
             FederationConfig(availability=AvailabilityConfig(dropout_prob=1.0)),
-            seed=0, num_parties=len(pool))
+            seed=0)
         engine.advance()
         params = build_model(pool.spec.model_name, pool.spec.input_shape,
                              pool.spec.num_classes,
@@ -401,40 +401,22 @@ class TestAvailabilityAtScale:
                              outage_rounds=2)
 
     def _active_starts(self, seed, tick):
-        """Each start still in progress at ``tick`` with its stream, past
-        the first draw that made it active."""
+        """Each start still in progress at ``tick`` whose first draw made it
+        active."""
         cfg = self.CFG
-        streams = [(s, spawn_rng(seed, "availability-outage", s))
-                   for s in range(max(0, tick - cfg.outage_rounds + 1),
-                                  tick + 1)]
-        return [(s, rng) for s, rng in streams
-                if rng.random() < cfg.outage_prob]
-
-    def test_enumeration_regime_draws_an_exact_set_per_start(self):
-        """Up to the limit, an active start's own stream then draws exactly
-        ``round(outage_fraction * num_parties)`` parties without
-        replacement."""
-        sim = AvailabilitySimulator(self.CFG, seed=9, num_parties=40)
-        assert sim.enumerates_outages
-        active_ticks = 0
-        for tick in range(6):
-            starts = self._active_starts(9, tick)
-            down = {int(p) for _s, rng in starts
-                    for p in rng.choice(40, 12, replace=False)}
-            fates = sim.cohort_fates(list(range(40)), tick)
-            assert {f.party_id for f in fates if f.in_outage} == down
-            active_ticks += bool(starts)
-        assert active_ticks >= 2
+        return [s for s in range(max(0, tick - cfg.outage_rounds + 1),
+                                 tick + 1)
+                if spawn_rng(seed, "availability-outage", s).random()
+                < cfg.outage_prob]
 
     def test_large_population_is_o_cohort(self):
-        """Above the limit each member draws once per active start from its
-        ``(start, party)`` stream."""
-        sim = AvailabilitySimulator(self.CFG, seed=9, num_parties=1_000_000)
-        assert not sim.enumerates_outages
+        """Each member draws once per active start from its ``(start,
+        party)`` stream, so any party id costs its own draws alone."""
+        sim = AvailabilitySimulator(self.CFG, seed=9)
         cohort = list(range(7, 1_000_000, 25_000))
         active_ticks = outage_fates = 0
         for tick in range(8):
-            starts = [s for s, _rng in self._active_starts(9, tick)]
+            starts = self._active_starts(9, tick)
             fates = sim.cohort_fates(cohort, tick)
             assert [f.party_id for f in fates] == cohort
             assert sim.cohort_fates(cohort, tick) == fates  # a replay agrees
@@ -447,19 +429,52 @@ class TestAvailabilityAtScale:
             outage_fates += sum(f.in_outage for f in fates)
         assert active_ticks >= 2 and outage_fates > 0
 
-    @pytest.mark.parametrize("num_parties", [40, 1_000_000])
-    def test_a_cohort_splits_into_the_same_fates(self, num_parties):
-        """The engine asks once per stream per tick: at one tick, one cohort's
-        fates are its two halves' fates, on either regime."""
+    def test_small_ids_draw_per_member(self):
+        """Small party ids take the same per-member draw as large ones:
+        no exact-size set is drawn over a population."""
+        sim = AvailabilitySimulator(self.CFG, seed=9)
+        cohort = list(range(40))
+        active_ticks = 0
+        for tick in range(6):
+            starts = self._active_starts(9, tick)
+            down = {pid for pid in cohort if any(
+                spawn_rng(9, "availability-outage", s, "member",
+                          pid).random() < self.CFG.outage_fraction
+                for s in starts)}
+            fates = sim.cohort_fates(cohort, tick)
+            assert {f.party_id for f in fates if f.in_outage} == down
+            active_ticks += bool(starts)
+        assert active_ticks >= 2
+
+    def test_a_party_fates_ignore_its_cohort(self):
+        """A party's fate is a function of ``(seed, party, tick)`` alone:
+        asked on its own, each party gets the fate it gets in a cohort,
+        on either side of any population size."""
         cfg = AvailabilityConfig(dropout_prob=0.2, straggler_prob=0.3,
                                  outage_prob=0.5, outage_fraction=0.3)
-        step = num_parties // 40
-        a, b = list(range(0, num_parties, 2 * step)), list(
-            range(step, num_parties, 2 * step))
+        cohort = [*range(0, 40, 3), *range(4090, 4102), 999_999]
+        sim = AvailabilitySimulator(cfg, seed=6)
         outage_fates = 0
         for tick in range(6):
-            whole = AvailabilitySimulator(cfg, seed=4, num_parties=num_parties)
-            split = AvailabilitySimulator(cfg, seed=4, num_parties=num_parties)
+            fates = sim.cohort_fates(cohort, tick)
+            assert [sim.cohort_fates([pid], tick)[0] for pid in cohort] \
+                == fates
+            outage_fates += sum(f.in_outage for f in fates)
+        assert outage_fates > 0
+
+    @pytest.mark.parametrize("id_span", [40, 1_000_000])
+    def test_a_cohort_splits_into_the_same_fates(self, id_span):
+        """The engine asks once per stream per tick: at one tick, one cohort's
+        fates are its two halves' fates, for small and large party ids."""
+        cfg = AvailabilityConfig(dropout_prob=0.2, straggler_prob=0.3,
+                                 outage_prob=0.5, outage_fraction=0.3)
+        step = id_span // 40
+        a, b = list(range(0, id_span, 2 * step)), list(
+            range(step, id_span, 2 * step))
+        outage_fates = 0
+        for tick in range(6):
+            whole = AvailabilitySimulator(cfg, seed=4)
+            split = AvailabilitySimulator(cfg, seed=4)
             fates = whole.cohort_fates(a + b, tick)
             assert fates == split.cohort_fates(a, tick) + split.cohort_fates(
                 b, tick)
@@ -469,15 +484,9 @@ class TestAvailabilityAtScale:
     def test_large_population_outage_rate_tracks_fraction(self):
         sim = AvailabilitySimulator(
             AvailabilityConfig(outage_prob=1.0, outage_fraction=0.3,
-                               outage_rounds=1),
-            seed=2, num_parties=100_000)
+                               outage_rounds=1), seed=2)
         hits = sum(f.in_outage for f in sim.cohort_fates(list(range(2000)), 0))
         assert 0.2 < hits / 2000 < 0.4
-
-    def test_enumeration_limit_boundary(self):
-        at = AvailabilitySimulator(self.CFG, seed=1, num_parties=4096)
-        over = AvailabilitySimulator(self.CFG, seed=1, num_parties=4097)
-        assert at.enumerates_outages and not over.enumerates_outages
 
 
 def _models_bound_during(run):

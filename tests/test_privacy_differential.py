@@ -540,7 +540,7 @@ class TestWorkPins:
         nothing is reconstructed, nothing is left held."""
         engine = FederationEngine(
             FederationConfig(mode="buffered", min_reports=99,
-                             max_wait_rounds=99), seed=0, num_parties=8)
+                             max_wait_rounds=99), seed=0)
         ctx = make_context(tiny_spec, tiny_dataset)
         engine.advance()
         _, stats = engine.run_round(ctx.parties, [0, 1, 2, 3],

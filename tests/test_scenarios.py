@@ -25,7 +25,6 @@ from repro.federation.async_engine import FederationConfig
 from repro.federation.availability import (
     SCENARIOS,
     AvailabilityConfig,
-    AvailabilitySimulator,
 )
 from repro.federation.pool import PopulationConfig
 from repro.harness.profiles import get_profile
@@ -438,31 +437,19 @@ class TestCompiler:
             federation={"min_reports": 3})))
         assert any("buffered/async" in w for w in warnings)
 
-    def test_lint_flags_unenumerable_outage_population(self):
-        warnings = lint_scenario(ExperimentPlan.from_dict(tiny_plan(
+    def test_lint_gives_no_advisory_for_a_large_outage_population(self):
+        """Outage membership is one draw per party at any population size,
+        so a 5,000-party outage plan is nothing to warn about."""
+        assert not lint_scenario(ExperimentPlan.from_dict(tiny_plan(
             population={"size": 5000},
             federation={"availability": "outages"})))
-        assert any("5000 parties exceed the outage enumeration limit" in w
-                   for w in warnings)
+
+    def test_lint_ignores_the_dataset_party_count(self):
+        """Without a population the dataset's party count sizes the run;
+        outages over 5,000 dataset parties lint clean too."""
         assert not lint_scenario(ExperimentPlan.from_dict(tiny_plan(
-            population={"size": 5000})))  # no outage knob -> no advisory
-        # The advisory reads the resolved settings, an override's included.
-        assert any("Bernoulli" in w for w in lint_scenario(
-            ExperimentPlan.from_dict(tiny_plan(settings_override={
-                "population": 5000,
-                "federation": {"availability": "outages"}}))))
-
-    def test_lint_reads_the_dataset_party_count_without_a_population(self):
-        """Undeclared, the population is ``spec.num_parties``: that is the
-        count the simulator's regime follows."""
-        def lint(num_parties):
-            return lint_scenario(ExperimentPlan.from_dict(tiny_plan(
-                spec={"num_parties": num_parties},
-                federation={"availability": "outages"})))
-
-        assert any("5000 parties exceed the outage enumeration limit" in w
-                   for w in lint(5000))
-        assert not lint(4096)
+            spec={"num_parties": 5000},
+            federation={"availability": "outages"})))
 
 
 def test_a_data_seed_is_spec_override_seed():
@@ -505,31 +492,6 @@ class TestScenarioGenerator:
         plan = ScenarioGenerator(seed=3).sample(1)
         path = save_plan(tmp_path / "sampled.json", plan)
         assert load_plan(path) == plan
-
-
-# -------------------------------------------------------------- availability
-
-
-class TestOutageEnumerationBoundary:
-    def _sim(self, parties: int) -> AvailabilitySimulator:
-        return AvailabilitySimulator(
-            AvailabilityConfig(outage_prob=0.5, outage_fraction=0.2,
-                               outage_rounds=2),
-            num_parties=parties, seed=0)
-
-    def test_at_limit_enumerates(self):
-        assert self._sim(4096).enumerates_outages
-        sim = AvailabilitySimulator(
-            AvailabilityConfig(outage_prob=1.0, outage_fraction=0.2,
-                               outage_rounds=1), num_parties=4096, seed=0)
-        fates = sim.cohort_fates(list(range(4096)), tick=0)
-        assert sum(f.in_outage for f in fates) == round(0.2 * 4096)
-
-    def test_membership_queries_still_work_above_limit(self):
-        sim = self._sim(4097)
-        assert not sim.enumerates_outages
-        fates = sim.cohort_fates([0, 1, 2, 4096], tick=3)
-        assert len(fates) == 4
 
 
 # ------------------------------------------------------------------ CLI

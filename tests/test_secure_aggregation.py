@@ -242,8 +242,7 @@ class TestMaskedRoundsBitwise:
     @pytest.mark.parametrize("mode", ["sync", "buffered", "async"])
     def test_engine_round_exact(self, tiny_spec, tiny_dataset, mode):
         def one(secure):
-            engine = FederationEngine(FederationConfig(mode=mode), seed=0,
-                                      num_parties=8)
+            engine = FederationEngine(FederationConfig(mode=mode), seed=0)
             ctx, params = _fresh(tiny_spec, tiny_dataset)
             engine.advance()
             got, stats = engine.run_round(ctx.parties, [0, 1, 2, 3], params,
@@ -262,7 +261,7 @@ def _buffered_engine(**avail):
     return FederationEngine(
         FederationConfig(mode="buffered", min_reports=99, max_wait_rounds=99,
                          availability=AvailabilityConfig(**avail)),
-        seed=0, num_parties=8)
+        seed=0)
 
 
 class TestBufferResidency:
@@ -322,8 +321,7 @@ class TestBufferResidency:
                                                     tiny_dataset):
         """The one exit that unseals must not leave plaintext in the freed
         slots."""
-        engine = FederationEngine(FederationConfig(mode="async"), seed=0,
-                                  num_parties=8)
+        engine = FederationEngine(FederationConfig(mode="async"), seed=0)
         ctx, params = _fresh(tiny_spec, tiny_dataset)
         engine.advance()
         _, stats = engine.run_round(ctx.parties, [0, 1, 2, 3], params,
