@@ -43,7 +43,6 @@ class FieldingStrategy(ContinualStrategy):
         self.max_clusters = max_clusters
         self._cluster_models: dict[int, np.ndarray] = {}
         self._membership: dict[int, int] = {}  # party -> cluster
-        self._cluster_histograms: dict[int, np.ndarray] = {}
         self._last_histograms: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ clustering
@@ -59,12 +58,9 @@ class FieldingStrategy(ContinualStrategy):
         old_models = self._cluster_models
         self._cluster_models = {}
         self._membership = {}
-        self._cluster_histograms = {}
         for cluster_id, members in clusters.items():
             for pid in members:
                 self._membership[pid] = cluster_id
-            mean_hist = np.mean([histograms[pid] for pid in members], axis=0)
-            self._cluster_histograms[cluster_id] = mean_hist / mean_hist.sum()
             # Warm-start every cluster from the first previous model when
             # one exists (not the closest: the paper tables were produced
             # with this).

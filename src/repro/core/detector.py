@@ -12,6 +12,10 @@ histogram, and — when a previous window exists — computes
 
 Only ``{P_t(X), y_t, delta_cov, delta_label}`` leave the party — embeddings,
 a histogram, and two scalars, exactly the transmit set of Algorithm 1.
+That report is also all the party keeps for its next window's deltas; the
+bootstrap window's report has no previous window, so both its deltas are
+zero.  Embeddings are float64 from the report on (the detection island),
+whatever the parameter plane's dtype.
 
 The encoder is the bootstrap global model frozen after W0; a fixed encoder
 keeps MMD scores comparable across windows and experts (the paper's
@@ -32,7 +36,8 @@ from repro.federation.party import Party
 
 @dataclass
 class PartyShiftReport:
-    """What one party transmits to the aggregator at a window boundary.
+    """What one party transmits to the aggregator at a window boundary, and
+    what it keeps on-device for the next window's deltas (O(m*d) storage).
 
     ``labels`` class-tags the embedding rows so the aggregator's latent-
     memory matching can be class-conditional (the same granularity as the
@@ -40,7 +45,7 @@ class PartyShiftReport:
     """
 
     party_id: int
-    embeddings: np.ndarray  # subsampled P_t(X), shape (m, d)
+    embeddings: np.ndarray  # subsampled P_t(X), shape (m, d), float64
     labels: np.ndarray  # class tags of the embedding rows, shape (m,)
     label_histogram: np.ndarray  # normalized y_t
     delta_cov: float
@@ -51,73 +56,50 @@ class PartyShiftReport:
         return self.embeddings.mean(axis=0)
 
 
-@dataclass
-class PartyLocalState:
-    """Statistics a party keeps on-device between windows (O(m*d) storage)."""
-
-    embeddings: np.ndarray
-    labels: np.ndarray
-    histogram: np.ndarray
-
-
 def compute_party_report(parties: Sequence[Party],
                          embedded: Sequence[tuple[np.ndarray, np.ndarray]],
-                         prev_states: Sequence[PartyLocalState | None],
-                         gamma: float | None = None,
-                         stat_dtype: np.dtype | str | None = None,
-                         ) -> list[tuple[PartyShiftReport, PartyLocalState]]:
+                         prev: Sequence[PartyShiftReport | None],
+                         gamma: float | None = None) -> list[PartyShiftReport]:
     """Run Algorithm 1 for a resident batch of parties.
 
     ``embedded`` is each party's ``(embeddings, labels)`` under the frozen
     encoder (the server embeds a batch as one grouped forward,
-    :func:`~repro.federation.party.embed_parties`) and ``prev_states`` its
-    local state from the previous window.  Returns each party's transmit
-    report plus its refreshed local state (current
-    embeddings/labels/histogram, retained for the next window's deltas), in
-    order.  A party without a previous state (first window) reports both
-    deltas as zero, as in the algorithm.  Every scored party's ``delta_cov``
-    comes from one :func:`~repro.detection.mmd.class_conditional_mmd_batch`
-    call, which raises on a non-finite embedding row and names its party, and
-    its ``delta_label`` from one :func:`~repro.detection.divergence.jsd_many`.
+    :func:`~repro.federation.party.embed_parties`) and ``prev`` its report
+    from the previous window.  Returns each party's report, in order; a
+    report is also the state its party keeps for the next window.  A party
+    without a previous report (first window) reports both deltas as zero,
+    as in the algorithm.  Every scored party's ``delta_cov`` comes from one
+    :func:`~repro.detection.mmd.class_conditional_mmd_batch` call, which
+    raises on a non-finite embedding row and names its party, and its
+    ``delta_label`` from one :func:`~repro.detection.divergence.jsd_many`.
 
-    ``stat_dtype`` is the detection island's dtype (the run's
-    ``precision.detection_stats``): embeddings are cast to it here, at the
-    reporting boundary, so every downstream statistic — MMD deltas,
-    clustering, latent-memory matching — runs at that precision regardless
-    of the model plane's dtype.  ``None`` keeps the encoder's dtype; a
-    float64 cast of float64 embeddings is a no-op, which is what keeps the
-    legacy all-float64 plane bitwise unchanged.
+    Embeddings are cast to float64 here, at the reporting boundary, so every
+    downstream statistic — MMD deltas, calibration nulls, clustering,
+    latent-memory matching — runs on the float64 detection island whatever
+    the parameter plane's dtype (on the float64 plane the cast is a no-op).
     """
-    states = [
-        PartyLocalState(
-            embeddings=(embeddings if stat_dtype is None
-                        else np.asarray(embeddings, dtype=stat_dtype)),
+    reports = [
+        PartyShiftReport(
+            party_id=party.party_id,
+            embeddings=np.asarray(embeddings, dtype=np.float64),
             labels=labels,
-            histogram=party.label_histogram(),
+            label_histogram=party.label_histogram(),
+            delta_cov=0.0,
+            delta_label=0.0,
         )
         for party, (embeddings, labels) in zip(parties, embedded, strict=True)
     ]
-    scored = [k for k, prev in enumerate(prev_states) if prev is not None]
-    delta_cov = np.zeros(len(states))
-    delta_cov[scored] = class_conditional_mmd_batch(
-        [states[k].embeddings for k in scored], [states[k].labels for k in scored],
-        [prev_states[k].embeddings for k in scored],
-        [prev_states[k].labels for k in scored],
-        gamma, [parties[k].party_id for k in scored])
-    delta_label = np.zeros(len(states))
-    if scored:
-        delta_label[scored] = jsd_many([states[k].histogram for k in scored],
-                                       [prev_states[k].histogram for k in scored])
-    results = []
-    for party, state, _prev, cov, label in zip(parties, states, prev_states, delta_cov,
-                                               delta_label, strict=True):
-        report = PartyShiftReport(
-            party_id=party.party_id,
-            embeddings=state.embeddings,
-            labels=state.labels,
-            label_histogram=state.histogram,
-            delta_cov=float(cov),
-            delta_label=float(label),
-        )
-        results.append((report, state))
-    return results
+    scored = [k for k, (_report, p) in enumerate(zip(reports, prev, strict=True))
+              if p is not None]
+    if not scored:
+        return reports
+    delta_cov = class_conditional_mmd_batch(
+        [reports[k].embeddings for k in scored], [reports[k].labels for k in scored],
+        [prev[k].embeddings for k in scored], [prev[k].labels for k in scored],
+        gamma, [reports[k].party_id for k in scored])
+    delta_label = jsd_many([reports[k].label_histogram for k in scored],
+                           [prev[k].label_histogram for k in scored])
+    for k, cov, label in zip(scored, delta_cov, delta_label):
+        reports[k].delta_cov = float(cov)
+        reports[k].delta_label = float(label)
+    return reports

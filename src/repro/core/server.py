@@ -5,13 +5,16 @@ Window life cycle:
 * ``start_window(0)`` — bootstrap: fit FLIPS on party label histograms.
 * ``run_round(0, r)`` — train the single bootstrap expert with FLIPS-balanced
   participant selection.
-* ``end_window(0)`` — freeze the encoder (the trained bootstrap model), seed
-  expert 0's latent memory, calibrate the threshold record (``delta_cov`` /
+* ``end_window(0)`` — freeze the encoder (the trained bootstrap model) and
+  take every party's first report (Algorithm 1 with no previous window:
+  both deltas zero, nothing metered); from those reports seed expert 0's
+  latent memory and calibrate the threshold record (``delta_cov`` /
   ``delta_label`` from bootstrap null distributions, the reuse threshold
-  epsilon from ``delta_cov``), snapshot party statistics.
+  epsilon from ``delta_cov``).
 * ``start_window(w >= 1)`` — Algorithm 2's shift response: collect party
-  reports (Algorithm 1), which also stores each party's statistics for the
-  next window's deltas, threshold them into the shifted set, K-means the
+  reports (Algorithm 1, the same report path, now metered), each kept as its
+  party's state for the next window's deltas, threshold them into the
+  shifted set, K-means the
   shifted parties on latent centroids (Davies–Bouldin-selected k), fuse
   clusters within epsilon of each other, then per
   cluster: latent-memory match -> reuse the expert and update its memory
@@ -21,7 +24,7 @@ Window life cycle:
   similarity ``tau`` and fit FLIPS for each cohort the window trains.
 * ``run_round(w, r)`` — each expert trains on its cohort with FLIPS-balanced
   selection under a shared participant budget.
-* ``end_window(w >= 1)`` — nothing: memories and party statistics were
+* ``end_window(w >= 1)`` — nothing: memories and party reports were
   updated by the window's shift response.
 """
 
@@ -33,7 +36,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.config import ShiftExConfig
-from repro.core.detector import PartyLocalState, PartyShiftReport, compute_party_report
+from repro.core.detector import PartyShiftReport, compute_party_report
 from repro.clustering.selection import select_num_clusters
 from repro.detection.calibration import CalibratedThresholds, ThresholdCalibrator
 from repro.detection.mmd import class_conditional_mmd
@@ -70,7 +73,9 @@ class ShiftExStrategy(ContinualStrategy):
         # report embeds with and the CLONE(theta_0) of every created expert.
         self._encoder: np.ndarray | None = None
         self.thresholds: CalibratedThresholds | None = None
-        self._party_state: dict[int, PartyLocalState] = {}
+        # Each surveyed party's latest report, in survey order: the state
+        # its next window's deltas are scored against.
+        self._party_state: dict[int, PartyShiftReport] = {}
         self._bootstrap_flips: FlipsSelector | None = None
         self._cohort_flips: dict[int, FlipsSelector] = {}
         self.shift_log: list[dict] = []
@@ -112,20 +117,25 @@ class ShiftExStrategy(ContinualStrategy):
                                        self._encoder, "train",
                                        self.config.embedding_samples)
 
-    def _collect_reports(self, window: int) -> dict[int, PartyShiftReport]:
-        ctx = self.context
+    def _report_parties(self) -> dict[int, PartyShiftReport]:
+        """Algorithm 1 for every surveyed party, in survey order: each
+        party's report against its previous one (none in W0, so both deltas
+        are zero), stored as the party's state for the next window."""
+        gamma = None if self.thresholds is None else self.thresholds.gamma
         reports: dict[int, PartyShiftReport] = {}
         for batch, embedded in self._encoder_batches():
             pids = [pid for pid, _party in batch]
-            results = compute_party_report(
+            batch_reports = dict(zip(pids, compute_party_report(
                 [party for _pid, party in batch], embedded,
-                [self._party_state.get(pid) for pid in pids],
-                gamma=self.thresholds.gamma,
-                stat_dtype=ctx.precision.np_detection_stats,
-            )
-            for pid, (report, state) in zip(pids, results):
-                reports[pid] = report
-                self._party_state[pid] = state
+                [self._party_state.get(pid) for pid in pids], gamma=gamma)))
+            self._party_state.update(batch_reports)
+            reports.update(batch_reports)
+        return reports
+
+    def _collect_reports(self, window: int) -> dict[int, PartyShiftReport]:
+        """This window's reports, metered as the statistics upload."""
+        ctx = self.context
+        reports = self._report_parties()
         sample = next(iter(reports.values()))
         ctx.ledger.record_statistics_upload(
             embedding_rows=sample.embeddings.shape[0],
@@ -334,7 +344,8 @@ class ShiftExStrategy(ContinualStrategy):
         for eid, (members, _k) in self._training_cohorts().items():
             # This window's histograms, as _collect_reports just stored them:
             # asking the pool again would re-materialise evicted parties.
-            histograms = {pid: self._party_state[pid].histogram for pid in members}
+            histograms = {pid: self._party_state[pid].label_histogram
+                          for pid in members}
             self._cohort_flips[eid] = FlipsSelector(
                 max_clusters=self.config.flips_max_clusters
             ).fit(histograms, ctx.rng("flips", window, eid))
@@ -382,35 +393,21 @@ class ShiftExStrategy(ContinualStrategy):
             return
         expert0 = self.registry.all()[0]
         self._encoder = expert0.flat.copy()
-        # First snapshot of party-side state (no reports exist for W0).
-        # Embeddings enter the detection island here: cast to the precision
-        # plan's detection_stats dtype (a no-op on the float64 legacy plane)
-        # so calibration nulls, memories and every later delta are computed
-        # at island precision.
-        stat_dtype = ctx.precision.np_detection_stats
-        # A comprehension, so no batch's embeddings outlive it into the
+        # W0's reports are each party's first snapshot: kept on-device, so
+        # not metered.  No batch's embeddings outlive the call into the
         # calibration below (the run's peak).
-        self._party_state.update({
-            pid: PartyLocalState(
-                embeddings=np.asarray(embeddings, dtype=stat_dtype),
-                labels=labels,
-                histogram=party.label_histogram(),
-            )
-            for batch, embedded in self._encoder_batches()
-            for (pid, party), (embeddings, labels) in zip(batch, embedded)
-        })
-        pooled = np.vstack([s.embeddings for s in self._party_state.values()])
-        pooled_labels = np.concatenate(
-            [s.labels for s in self._party_state.values()])
+        self._report_parties()
+        states = self._party_state.values()
+        pooled = np.vstack([s.embeddings for s in states])
+        pooled_labels = np.concatenate([s.labels for s in states])
         expert0.memory.update(pooled, ctx.rng("memory-seed"),
                               labels=pooled_labels)
         calibrator = ThresholdCalibrator(
             num_bootstrap=self.config.num_bootstrap,
             p_value=self.config.p_value,
         )
-        party_pools = [(s.embeddings, s.labels)
-                       for s in self._party_state.values()]
-        priors = np.stack([s.histogram for s in self._party_state.values()])
+        party_pools = [(s.embeddings, s.labels) for s in states]
+        priors = np.stack([s.label_histogram for s in states])
         calibrated = calibrator.calibrate(
             party_pools, priors,
             window_sample_size=ctx.spec.train_per_window,

@@ -133,12 +133,11 @@ class ExperimentCell:
 class ExperimentPlan:
     """Declarative grid spec whose :meth:`run` produces a ComparisonResult.
 
-    ``precision`` declares the run's per-subsystem
-    :class:`~repro.utils.precision.PrecisionPlan` (parameter dtype plus the
-    detection-statistics island dtype) on top of whatever the profile
+    ``precision`` declares the run's
+    :class:`~repro.utils.precision.PrecisionPlan` (the parameter dtype; the
+    detection statistics are always float64) on top of whatever the profile
     settings say — precision is part of the experiment spec and serializes
-    with the plan.  A bare dtype (``"float32"``) means ``params=float32``
-    with detection statistics kept float64.
+    with the plan.  A bare dtype (``"float32"``) means ``params=float32``.
 
     ``federation`` likewise declares the participation regime (sync /
     buffered / async plus an availability scenario); it overrides the

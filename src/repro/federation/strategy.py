@@ -31,7 +31,6 @@ from repro.federation.pool import PartyPool
 from repro.federation.rounds import RoundConfig
 from repro.nn.network import Sequential
 from repro.privacy.secure_aggregation import MaskingSpec
-from repro.utils.precision import PrecisionPlan
 from repro.utils.rng import spawn_rng
 
 if TYPE_CHECKING:  # import cycle: async_engine -> rounds -> party only
@@ -58,10 +57,6 @@ class StrategyContext:
     the round on the engine, under the masking, metering ``ledger`` — a
     strategy adds only the ``stream`` key naming its aggregation target, so
     buffered reports for one cluster/expert never leak into another.
-
-    ``precision`` is the run's :class:`~repro.utils.precision.PrecisionPlan`:
-    ``params`` the model/bank dtype, ``detection_stats`` the float64 island
-    dtype every detection statistic is computed at.
     """
 
     spec: DatasetSpec
@@ -72,7 +67,6 @@ class StrategyContext:
     seed: int = 0
     ledger: CommunicationLedger = field(default_factory=CommunicationLedger)
     masking: MaskingSpec | None = None
-    precision: PrecisionPlan = field(default_factory=PrecisionPlan)
 
     def rng(self, *labels: object) -> np.random.Generator:
         return spawn_rng(self.seed, *labels)

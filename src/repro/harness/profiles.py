@@ -32,13 +32,13 @@ class RunSettings:
     """How many rounds/participants a run uses and how it evaluates.
 
     ``precision`` is the run's :class:`~repro.utils.precision.PrecisionPlan`:
-    ``params`` names the model parameter/transport/aggregation dtype,
-    ``detection_stats`` the dtype of the float64 detection island every
-    party embedding is cast to at the Algorithm-1 reporting boundary.
-    ``params="float32"`` halves memory and roughly doubles BLAS throughput;
-    the ``ci``/``small`` profiles default to it because it reproduces the
-    seed's detection decisions.  Direct construction defaults to
-    all-float64 — the bitwise legacy plane.
+    ``params`` names the model parameter/transport/aggregation dtype; every
+    party embedding is cast to float64 at the Algorithm-1 reporting boundary
+    whatever it is (the detection island).  ``params="float32"`` halves
+    memory and roughly doubles BLAS throughput; the ``ci``/``small``
+    profiles default to it because it reproduces the seed's detection
+    decisions.  Direct construction defaults to all-float64 — the bitwise
+    legacy plane.
 
     ``federation`` selects the participation regime: synchronous full-cohort
     rounds (the default: the one round engine under a quiet availability

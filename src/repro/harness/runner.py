@@ -182,7 +182,6 @@ def run_strategy(strategy: ContinualStrategy, spec: DatasetSpec,
                              threshold=privacy.threshold,
                              ledger=ledger)
                  if privacy.masking else None),
-        precision=settings.precision,
     )
     strategy.setup(ctx)
 

@@ -1,24 +1,21 @@
-"""Per-subsystem precision plans: float32 parameters, float64 islands.
+"""The run's precision plan: one parameter plane, one float64 island.
 
-One global ``dtype`` knob cannot express the configuration the detection
-pipeline actually needs: parameter storage/transport/aggregation are
-memory-bandwidth-bound and ~2x faster at float32, while the calibrated
-detection statistics (MMD nulls, JSD histograms, threshold quantiles) are
-quantile estimates whose decisions should not move with the parameter
-plane's precision.  A :class:`PrecisionPlan` names the dtype of each
-subsystem separately:
+Parameter storage/transport/aggregation are memory-bandwidth-bound and ~2x
+faster at float32, while the calibrated detection statistics (MMD nulls,
+JSD histograms, threshold quantiles) are quantile estimates whose decisions
+should not move with the parameter plane's precision.  So a run has one
+dtype knob and one fixed island:
 
 * ``params`` — model parameters, round banks, async stream buffers, the
   expert pool, secure-aggregation seal words (uint32 for float32 rows).
-* ``detection_stats`` — the dtype party embeddings are cast to at the
-  Algorithm-1 reporting boundary, so every downstream detection statistic
-  (calibration nulls, shift deltas, clustering, latent-memory matching)
-  runs at this precision.  Default float64: the "detection island".
+* the detection island is always float64: party embeddings are cast to
+  float64 at the Algorithm-1 reporting boundary
+  (:func:`~repro.core.detector.compute_party_report`), so every downstream
+  detection statistic (calibration nulls, shift deltas, clustering,
+  latent-memory matching) runs at float64.
 
 A bare dtype is the value shorthand: ``"float32"`` (``--precision float32``)
-means ``PrecisionPlan(params="float32")`` — parameters at reduced precision,
-detection statistics still on the float64 island.  A fully reduced plan must
-be asked for explicitly (``params=float32,detection_stats=float32``).
+means ``PrecisionPlan(params="float32")``.
 """
 
 from __future__ import annotations
@@ -33,9 +30,10 @@ from repro.utils.validation import Knob
 
 @dataclass(frozen=True)
 class PrecisionPlan(Knob):
-    """Which dtype each subsystem of a run uses: parameters, detection.
+    """The run's parameter dtype (see the module docstring).
 
-    See the module docstring.
+    ``detection_stats`` is not a knob: it accepts only ``"float64"`` and
+    stays a field only because committed plan files serialize it.
     """
 
     SHORTHAND = "params"
@@ -45,13 +43,12 @@ class PrecisionPlan(Knob):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", str(resolve_dtype(self.params)))
-        object.__setattr__(self, "detection_stats",
-                           str(resolve_dtype(self.detection_stats)))
+        if self.detection_stats != "float64":
+            raise ValueError(
+                f"precision.detection_stats={self.detection_stats!r} is not "
+                "supported: detection statistics are always float64 (the "
+                "field stays only because committed plan files serialize it)")
 
     @property
     def np_params(self) -> np.dtype:
         return resolve_dtype(self.params)
-
-    @property
-    def np_detection_stats(self) -> np.dtype:
-        return resolve_dtype(self.detection_stats)

@@ -117,6 +117,18 @@ class AssignmentSnapshots(RunCallback):
         self.live[window] = set(self.strategy.registry.ids())
 
 
+class ReportSnapshots(RunCallback):
+    """A ShiftEx run's party reports (Algorithm 1) at each window's close,
+    keyed by party in survey order (each window's reports replace the
+    last in ``start_window``; W0's are taken in ``end_window(0)``)."""
+
+    def __init__(self, strategy) -> None:
+        self.strategy, self.reports = strategy, {}
+
+    def on_window_end(self, info, window, series, state) -> None:
+        self.reports[window] = dict(self.strategy._party_state)
+
+
 def bank_row(bank: ParamBank, values) -> int:
     """Allocate a row of ``bank`` holding the flat vector ``values``."""
     row = bank.alloc()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ShiftExConfig
-from repro.core.detector import PartyLocalState, compute_party_report
+from repro.core.detector import PartyShiftReport, compute_party_report
 from repro.data.corruptions import apply_corruption
 from repro.federation.party import Party
 from repro.nn.models import build_model
@@ -63,25 +63,24 @@ class TestDetector:
         return party, model.get_params()
 
     @staticmethod
-    def report(party, encoder, prev_state, gamma=None, max_samples=48):
+    def report(party, encoder, prev, gamma=None, max_samples=48):
         """Algorithm 1 as the server runs it: the window's embeddings under
         the encoder, then the batch statistic over a one-party batch."""
         embedded = [party.embeddings_with_labels(encoder, "train", max_samples)]
-        [result] = compute_party_report([party], embedded, [prev_state],
-                                        gamma=gamma)
-        return result
+        [report] = compute_party_report([party], embedded, [prev], gamma=gamma)
+        return report
 
     def test_first_window_deltas_zero(self, trained_party):
         party, encoder = trained_party
-        report, state = self.report(party, encoder, None)
+        report = self.report(party, encoder, None)
         assert report.delta_cov == 0.0
         assert report.delta_label == 0.0
-        assert isinstance(state, PartyLocalState)
-        assert state.embeddings.shape[0] == state.labels.shape[0]
+        assert report.embeddings.dtype == np.float64
+        assert report.embeddings.shape[0] == report.labels.shape[0]
 
     def test_report_contents(self, trained_party, tiny_spec):
         party, encoder = trained_party
-        report, _state = self.report(party, encoder, None, max_samples=16)
+        report = self.report(party, encoder, None, max_samples=16)
         assert report.party_id == 0
         assert report.embeddings.shape[0] == 16
         assert report.label_histogram.shape == (tiny_spec.num_classes,)
@@ -90,7 +89,7 @@ class TestDetector:
 
     def test_stable_window_scores_below_shifted(self, trained_party, tiny_dataset):
         party, encoder = trained_party
-        _report0, state0 = self.report(party, encoder, None)
+        report0 = self.report(party, encoder, None)
 
         # Fresh draw of the same distribution: small delta.
         stable = tiny_dataset.party_window(0, 0)
@@ -101,7 +100,7 @@ class TestDetector:
             regime=stable.regime, label_prior=stable.label_prior,
         )
         party.set_window_data(fresh)
-        report_stable, _ = self.report(party, encoder, state0, gamma=0.5)
+        report_stable = self.report(party, encoder, report0, gamma=0.5)
 
         # Heavily corrupted draw: large delta.
         corrupted = type(stable)(
@@ -113,12 +112,12 @@ class TestDetector:
             regime=stable.regime, label_prior=stable.label_prior,
         )
         party.set_window_data(corrupted)
-        report_shift, _ = self.report(party, encoder, state0, gamma=0.5)
+        report_shift = self.report(party, encoder, report0, gamma=0.5)
         assert report_shift.delta_cov > report_stable.delta_cov
 
     def test_label_shift_raises_jsd(self, trained_party, tiny_dataset, tiny_spec):
         party, encoder = trained_party
-        _r, state0 = self.report(party, encoder, None)
+        report0 = self.report(party, encoder, None)
         stable = tiny_dataset.party_window(0, 0)
         # Keep only one class: the label histogram collapses.
         mask = stable.y_train == stable.y_train[0]
@@ -129,13 +128,13 @@ class TestDetector:
             regime=stable.regime, label_prior=stable.label_prior,
         )
         party.set_window_data(skewed)
-        report, _ = self.report(party, encoder, state0)
+        report = self.report(party, encoder, report0)
         assert report.delta_label > 0.1
 
     def test_a_batch_reports_in_order(self, trained_party, tiny_dataset):
-        """One call scores every party that has a previous state, leaves the
-        others at zero, and returns each party's result in order: the one a
-        one-party batch gives."""
+        """One call scores every party that has a previous report, leaves
+        the others at zero, and returns each party's report in order: the
+        one a one-party batch gives."""
         party, encoder = trained_party
         parties = [party]
         for pid in (1, 2):
@@ -144,32 +143,30 @@ class TestDetector:
             parties.append(other)
         embedded = [p.embeddings_with_labels(encoder, "train", 48) for p in parties]
         first = compute_party_report(parties, embedded, [None] * 3)
-        assert all(r.delta_cov == r.delta_label == 0.0 for r, _s in first)
-        prev = [first[1][1], None, first[0][1]]
+        assert all(r.delta_cov == r.delta_label == 0.0 for r in first)
+        prev = [first[1], None, first[0]]
         results = compute_party_report(parties, embedded, prev, gamma=0.5)
-        assert [r.party_id for r, _s in results] == [0, 1, 2]
-        assert results[1][0].delta_cov == results[1][0].delta_label == 0.0
+        assert [r.party_id for r in results] == [0, 1, 2]
+        assert results[1].delta_cov == results[1].delta_label == 0.0
         for k in (0, 2):
-            [(alone, _state)] = compute_party_report(
+            [alone] = compute_party_report(
                 [parties[k]], [embedded[k]], [prev[k]], gamma=0.5)
             assert alone.delta_cov > 0 and alone.delta_label > 0
-            np.testing.assert_allclose(results[k][0].delta_cov, alone.delta_cov,
+            np.testing.assert_allclose(results[k].delta_cov, alone.delta_cov,
                                        rtol=1e-12)
-            assert results[k][0].delta_label == alone.delta_label
-            assert results[k][1].embeddings is results[k][0].embeddings
+            assert results[k].delta_label == alone.delta_label
 
     def test_non_finite_embedding_names_its_party(self, trained_party):
         """A NaN row used to give ``delta_cov = nan``, which compares False
         against the threshold: the party read as stable and nothing said so."""
         party, encoder = trained_party
         embeddings, labels = party.embeddings_with_labels(encoder, "train", 16)
-        [(_report, state)] = compute_party_report([party], [(embeddings, labels)],
-                                                  [None])
+        [first] = compute_party_report([party], [(embeddings, labels)], [None])
         bad = embeddings.copy()
         bad[3, 1] = np.nan
         with pytest.raises(ValueError, match=r"party 0: x row 3 is not finite"):
-            compute_party_report([party], [(bad, labels)], [state], gamma=0.5)
-        stale = PartyLocalState(bad, labels, state.histogram)
+            compute_party_report([party], [(bad, labels)], [first], gamma=0.5)
+        stale = PartyShiftReport(0, bad, labels, first.label_histogram, 0.0, 0.0)
         with pytest.raises(ValueError, match=r"party 0: y row 3 is not finite"):
             compute_party_report([party], [(embeddings, labels)], [stale],
                                  gamma=0.5)

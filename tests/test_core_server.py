@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 
 from repro.core.config import ShiftExConfig
+from repro.core.detector import PartyShiftReport
 from repro.core.server import ShiftExStrategy
 from repro.core import server
 from repro.federation.party import train_parties
 from repro.federation.pool import PopulationConfig
 from repro.harness.runner import run_strategy
+from repro.utils.precision import PrecisionPlan
 from repro.utils.serialization import run_result_to_dict
 from repro.federation.strategy import split_budget
 from repro.data.federated import FederatedShiftDataset
 from repro.flips.selector import FlipsSelector
 from tests.conftest import (
     AssignmentSnapshots,
+    ReportSnapshots,
     make_context,
     make_run_settings,
     make_tiny_spec,
@@ -194,6 +197,75 @@ class TestShiftResponse:
         assert snapshots.maps[2] == strategy.assignments
         for window, live in snapshots.live.items():
             assert set(snapshots.maps[window].values()) <= live
+
+
+class ShiftStatsProbe(ShiftExStrategy):
+    """ShiftEx that records its party state and the ledger's shift-statistics
+    bytes right after ``end_window(0)`` and after W1's ``start_window``."""
+
+    def shift_stats_up(self) -> int:
+        return self.context.ledger.by_category.get("shift_stats_up", 0)
+
+    def end_window(self, window: int) -> None:
+        super().end_window(window)
+        if window == 0:
+            self.after_w0 = dict(self._party_state), self.shift_stats_up()
+
+    def start_window(self, window: int) -> None:
+        super().start_window(window)
+        if window == 1:
+            self.after_w1 = self.shift_stats_up()
+
+
+class TestReports:
+    def test_w0_reports_are_kept_not_metered(self, shift_env):
+        """W0 runs the report path of every later window, unmetered: on the
+        float32 parameter plane each party keeps a float64 report with zero
+        deltas, in survey order, and only W1's reports are uploaded."""
+        spec, dataset = shift_env
+        settings = dataclasses.replace(make_run_settings(participants=5),
+                                       precision=PrecisionPlan(params="float32"))
+        strategy = ShiftStatsProbe()
+        run_strategy(strategy, spec, settings, seed=0, dataset=dataset)
+        states, w0_bytes = strategy.after_w0
+        assert w0_bytes == 0
+        assert list(states) == list(strategy.context.party_ids)
+        for pid, report in states.items():
+            assert isinstance(report, PartyShiftReport)
+            assert report.party_id == pid
+            assert report.embeddings.dtype == np.float64
+            assert report.delta_cov == report.delta_label == 0.0
+        [(rows, dim)] = {report.embeddings.shape for report in states.values()}
+        ledger = strategy.context.ledger
+        assert ledger.bytes_per_float == 4
+        assert strategy.after_w1 == len(states) * (
+            rows * dim + spec.num_classes + 2) * ledger.bytes_per_float
+
+    def test_reports_depend_on_no_decision(self, shift_env):
+        """Algorithm 1's reports are a function of the data and the W0
+        encoder alone: thresholding every party as shifted and keeping every
+        expert apart changes the experts, and no report."""
+        spec, dataset = shift_env
+        runs = []
+        for config in (ShiftExConfig(),
+                       ShiftExConfig(delta_cov=0.0, enable_consolidation=False)):
+            strategy = ShiftExStrategy(config)
+            snapshots = ReportSnapshots(strategy)
+            result = run_strategy(strategy, spec, make_run_settings(participants=5),
+                                  seed=0, dataset=dataset, callbacks=[snapshots])
+            runs.append((snapshots.reports, result.state_log[-1]))
+        (default, default_state), (changed, changed_state) = runs
+        assert default_state["experts_created"] != changed_state["experts_created"]
+        assert list(default) == list(changed) == list(range(spec.num_windows))
+        for window, reports in default.items():
+            assert list(reports) == list(changed[window])
+            for pid, report in reports.items():
+                other = changed[window][pid]
+                assert (report.delta_cov, report.delta_label) == (
+                    other.delta_cov, other.delta_label)
+                for name in ("embeddings", "labels", "label_histogram"):
+                    assert np.array_equal(getattr(report, name),
+                                          getattr(other, name))
 
 
 class TestAblationsToggles:

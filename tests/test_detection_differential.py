@@ -35,7 +35,7 @@ from benchmarks.reference import (  # noqa: F401  (looked up by name below)
     ref_jsd,
     ref_rbf_kernel,
 )
-from repro.core.detector import PartyLocalState, compute_party_report
+from repro.core.detector import PartyShiftReport, compute_party_report
 from repro.data.federated import FederatedShiftDataset
 from repro.detection.calibration import (
     ThresholdCalibrator,
@@ -642,9 +642,10 @@ class TestOneKernelIsPerEntryBytes:
         draw.integers(1)  # the party
         current, previous = (draw.choice(48, size=48, replace=True) for _ in range(2))
         party = SimpleNamespace(party_id=0, label_histogram=lambda: np.full(10, 0.1))
-        [(report, _state)] = compute_party_report(
+        [report] = compute_party_report(
             [party], [(embeddings[current], labels[current])],
-            [PartyLocalState(embeddings[previous], labels[previous], np.full(10, 0.1))],
+            [PartyShiftReport(0, embeddings[previous], labels[previous],
+                              np.full(10, 0.1), 0.0, 0.0)],
             gamma=gamma)
         assert np.array([report.delta_cov]).tobytes() == null.tobytes()
 

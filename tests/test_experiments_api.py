@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.baselines.fedavg import FedAvgStrategy
 from repro.experiments.events import ProgressLogger, RunCallback
 from repro.experiments.executors import run_cells
@@ -18,6 +19,7 @@ from repro.experiments.registry import (
 )
 from repro.harness.comparison import PAPER_METHODS, render_drop_time_max_table
 from repro.harness.runner import run_strategy
+from repro.utils.precision import PrecisionPlan
 from tests.conftest import make_run_settings, make_tiny_spec
 
 
@@ -154,6 +156,22 @@ class TestPlan:
         with pytest.raises(ValueError):
             ExperimentPlan.build("cifar10_c_sim", ["fedavg"],
                                  precision="int8")
+
+    def test_detection_stats_is_float64_only(self, tmp_path, capsys):
+        """Detection statistics are always float64: the field stays only
+        because committed plans serialize it, so any other value is refused
+        by name at the constructor, in a plan file and in a flag."""
+        with pytest.raises(ValueError, match="detection_stats"):
+            PrecisionPlan(detection_stats="float32")
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "dataset": "cifar10_c_sim", "strategies": ["fedavg"],
+            "precision": {"params": "float32", "detection_stats": "float32"}}))
+        assert main(["run", str(path)]) == 2
+        assert "detection_stats" in capsys.readouterr().err
+        assert main(["compare", "cifar10_c_sim", "--methods", "fedavg",
+                     "--precision", "params=float32,detection_stats=float32"]) == 2
+        assert "detection_stats" in capsys.readouterr().err
 
     def test_json_and_toml_files(self, tmp_path):
         plan = ExperimentPlan.build("cifar10_c_sim", ["fedavg"], seeds=(0, 1),

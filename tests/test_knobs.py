@@ -47,7 +47,7 @@ AVAILABILITY = st.builds(
 VALUES = {
     PrecisionPlan: st.builds(
         PrecisionPlan, params=st.sampled_from(["float32", "float64"]),
-        detection_stats=st.sampled_from(["float32", "float64"])),
+        detection_stats=st.just("float64")),
     PrivacyPlan: st.builds(
         PrivacyPlan, masking=st.just(True),
         threshold=st.none() | st.integers(1, 20) | st.just("majority"),
